@@ -78,8 +78,15 @@ pub struct ParallelRun {
 
 #[derive(Debug, Clone)]
 enum TaskKind {
-    Compute { msg_table: String },
-    Gather { read_until: usize },
+    Compute {
+        msg_table: String,
+        /// Index in `stmts` of the `INSERT … SELECT` that fills the slot;
+        /// its affected-row count is the message's row count.
+        fill_at: usize,
+    },
+    Gather {
+        read_until: usize,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -107,6 +114,9 @@ struct Task {
     acc_changed: u64,
     /// `Rows` outputs accumulated by earlier attempts' statements.
     acc_rows: Vec<sqldb::QueryResult>,
+    /// Message row count, once an attempt has run the slot-filling INSERT
+    /// (a replay resuming past it must still see it).
+    acc_msg_rows: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -115,10 +125,12 @@ struct Done {
     task: Task,
     /// Rows changed by this attempt's statements.
     changed: u64,
-    /// `Rows` outputs of this attempt's statements, in order (a full
-    /// Compute: the message-row count, then the touched-partition list
-    /// when routing).
+    /// `Rows` outputs of this attempt's statements, in order (a Compute:
+    /// the touched-partition list when routing, else none).
     rows_outputs: Vec<sqldb::QueryResult>,
+    /// Rows the slot-filling INSERT of a Compute wrote, when this attempt
+    /// ran it.
+    msg_rows: Option<u64>,
     elapsed: std::time::Duration,
     /// `(failed statement index, error)` — the statement at that index
     /// did not take effect.
@@ -812,6 +824,11 @@ fn worker_loop(ctx: WorkerCtx) {
         let span_start = trace.now_us();
         let mut changed = 0u64;
         let mut rows_outputs = Vec::new();
+        let mut msg_rows = None;
+        let fill_at = match task.kind {
+            TaskKind::Compute { fill_at, .. } => Some(fill_at),
+            TaskKind::Gather { .. } => None,
+        };
         let mut error = None;
         let mut reconnects = 0u32;
         let at = task.start_at;
@@ -870,6 +887,8 @@ fn worker_loop(ctx: WorkerCtx) {
                                     StmtOutput::Affected(n) => {
                                         if at + i >= task.changed_from {
                                             changed += n;
+                                        } else if Some(at + i) == fill_at {
+                                            msg_rows = Some(n);
                                         }
                                     }
                                     StmtOutput::Rows(r) => rows_outputs.push(r),
@@ -903,6 +922,7 @@ fn worker_loop(ctx: WorkerCtx) {
                             conn = None;
                             changed = 0;
                             rows_outputs.clear();
+                            msg_rows = None;
                             error = Some((at, SqloopError::from(e)));
                         }
                         Err(payload) => {
@@ -916,6 +936,7 @@ fn worker_loop(ctx: WorkerCtx) {
                             conn = None;
                             changed = 0;
                             rows_outputs.clear();
+                            msg_rows = None;
                             sup.panics_caught.inc();
                             let detail = panic_detail(payload.as_ref());
                             trace.event(
@@ -978,6 +999,7 @@ fn worker_loop(ctx: WorkerCtx) {
             task,
             changed,
             rows_outputs,
+            msg_rows,
             elapsed: started.elapsed(),
             error,
             reconnects,
@@ -1100,8 +1122,8 @@ impl Scheduler<'_> {
                 slot
             }
         };
+        let fill_at = stmts.len();
         stmts.push(self.gen.insert_message_sql(x, &msg));
-        stmts.push(self.gen.message_count_sql(&msg));
         if self.gen.routing_enabled() {
             stmts.push(self.gen.touched_partitions_sql(&msg));
         }
@@ -1110,7 +1132,10 @@ impl Scheduler<'_> {
         Task {
             task_id: 0, // assigned at dispatch
             partition: x,
-            kind: TaskKind::Compute { msg_table: msg },
+            kind: TaskKind::Compute {
+                msg_table: msg,
+                fill_at,
+            },
             stmts,
             round: self.round,
             attempt: 1,
@@ -1118,6 +1143,7 @@ impl Scheduler<'_> {
             changed_from,
             acc_changed: 0,
             acc_rows: Vec::new(),
+            acc_msg_rows: None,
         }
     }
 
@@ -1150,6 +1176,7 @@ impl Scheduler<'_> {
             changed_from: 0,
             acc_changed: 0,
             acc_rows: Vec::new(),
+            acc_msg_rows: None,
         })
     }
 
@@ -1289,6 +1316,7 @@ impl Scheduler<'_> {
                 task,
                 changed: 0,
                 rows_outputs: Vec::new(),
+                msg_rows: None,
                 elapsed: std::time::Duration::ZERO,
                 error: Some((failed_at, e)),
                 reconnects: 0,
@@ -1345,6 +1373,7 @@ impl Scheduler<'_> {
             let mut task = d.task;
             task.acc_changed += d.changed;
             task.acc_rows.extend(d.rows_outputs);
+            task.acc_msg_rows = task.acc_msg_rows.or(d.msg_rows);
             task.start_at = failed_at;
             if e.is_retryable() && task.attempt <= self.config.task_retries && !self.aborting {
                 task.attempt += 1;
@@ -1369,26 +1398,24 @@ impl Scheduler<'_> {
             kind,
             acc_changed,
             mut acc_rows,
+            acc_msg_rows,
             ..
         } = d.task;
         acc_rows.extend(d.rows_outputs);
         let changed = acc_changed + d.changed;
         let mut refresh = false;
         match &kind {
-            TaskKind::Compute { msg_table } => {
+            TaskKind::Compute { msg_table, .. } => {
                 self.computes += 1;
                 self.parts[x].computes += 1;
                 self.parts[x].pending = false;
                 self.parts[x].prefer_compute = false;
-                let msg_rows = acc_rows
-                    .first()
-                    .and_then(|r| r.scalar().and_then(Value::as_i64))
-                    .unwrap_or(0);
+                let msg_rows = acc_msg_rows.or(d.msg_rows).unwrap_or(0);
                 if msg_rows > 0 {
                     self.messages += 1;
                     // normalize SQL truncating modulo to rem_euclid buckets
                     let n = self.parts.len() as i64;
-                    let targets = acc_rows.get(1).map(|r| {
+                    let targets = acc_rows.first().map(|r| {
                         let mut t: Vec<usize> = r
                             .rows
                             .iter()

@@ -229,8 +229,10 @@ impl SqlGen {
         )
     }
 
-    /// Index that upgrades the per-partition compute join to an index
-    /// nested-loop on every profile (paper §V-C: "indexes on all tables").
+    /// Index on the source column of the edge side of the Compute join
+    /// (paper §V-C: "indexes on all tables"). Compute puts its partition
+    /// first and the edges second, so on every profile the engine probes
+    /// this index once per pending row instead of reading every edge.
     pub fn join_index_sql(&self) -> String {
         if self.materialize_join {
             format!(
@@ -315,30 +317,25 @@ impl SqlGen {
         for f in &self.plan.source_filter {
             filters.push(render_expr(f));
         }
-        let (from, dst_ref) = if self.materialize_join {
-            (
-                format!(
-                    "{mj} AS {EDGE_QUAL} JOIN {pt} AS {SOURCE_QUAL} \
-                     ON {EDGE_QUAL}.__src = {SOURCE_QUAL}.{k}",
-                    mj = self.names.mjoin(),
-                    pt = self.names.partition(x),
-                    k = self.key(),
-                ),
-                format!("{EDGE_QUAL}.__dst"),
-            )
+        // partition first: its pending rows are the outer side, and the
+        // (materialized) edges — indexed on the source column by
+        // `join_index_sql` — the inner one the engine probes
+        let (edges, src, dst) = if self.materialize_join {
+            (self.names.mjoin(), "__src", "__dst")
         } else {
             (
-                format!(
-                    "{edges} AS {EDGE_QUAL} JOIN {pt} AS {SOURCE_QUAL} \
-                     ON {EDGE_QUAL}.{src} = {SOURCE_QUAL}.{k}",
-                    edges = self.plan.edge_table,
-                    pt = self.names.partition(x),
-                    src = self.plan.edge_src_col,
-                    k = self.key(),
-                ),
-                format!("{EDGE_QUAL}.{}", self.plan.edge_dst_col),
+                self.plan.edge_table.clone(),
+                self.plan.edge_src_col.as_str(),
+                self.plan.edge_dst_col.as_str(),
             )
         };
+        let from = format!(
+            "{pt} AS {SOURCE_QUAL} JOIN {edges} AS {EDGE_QUAL} \
+             ON {EDGE_QUAL}.{src} = {SOURCE_QUAL}.{k}",
+            pt = self.names.partition(x),
+            k = self.key(),
+        );
+        let dst_ref = format!("{EDGE_QUAL}.{dst}");
         format!(
             "SELECT {dst_ref} AS id, {projection} FROM {from} WHERE {} GROUP BY {dst_ref}",
             filters.join(" AND "),
@@ -371,17 +368,13 @@ impl SqlGen {
         format!("UPDATE {} SET {}", self.names.partition(x), sets.join(", "))
     }
 
-    /// Counts rows of a freshly created message table (so empty tables can
-    /// be dropped instead of registered).
-    pub fn message_count_sql(&self, msg_table: &str) -> String {
-        format!("SELECT COUNT(*) FROM {msg_table}")
-    }
-
     // -- Gather task (paper §V-C/D) ----------------------------------------
 
     /// Gather(x): fold every unread message table into the delta column in
     /// a single statement (paper §V-C: "a single query that contains the
-    /// union of all the message tables").
+    /// union of all the message tables"). With routing, each branch of the
+    /// union keeps only the rows addressed to partition `x`, so the fold
+    /// and the update work on O(|partition|) rows instead of every message.
     ///
     /// # Panics
     /// Panics if `msg_tables` is empty.
@@ -390,10 +383,11 @@ impl SqlGen {
         let pt = self.names.partition(x);
         let k = self.key();
         let delta = self.delta_col();
+        let routed = self.routed_to_sql(x);
         if self.is_avg() {
             let unions = msg_tables
                 .iter()
-                .map(|m| format!("SELECT id, vsum, vcnt FROM {m}"))
+                .map(|m| format!("SELECT id, vsum, vcnt FROM {m}{routed}"))
                 .collect::<Vec<_>>()
                 .join(" UNION ALL ");
             return format!(
@@ -408,7 +402,7 @@ impl SqlGen {
         }
         let unions = msg_tables
             .iter()
-            .map(|m| format!("SELECT id, val FROM {m}"))
+            .map(|m| format!("SELECT id, val FROM {m}{routed}"))
             .collect::<Vec<_>>()
             .join(" UNION ALL ");
         // pre-fold across tables, then accumulate into the delta column
@@ -425,6 +419,18 @@ impl SqlGen {
              FROM (SELECT id, {pre}(val) AS val FROM ({unions}) AS msgs GROUP BY id) AS inc \
              WHERE {pt}.{k} = inc.id"
         )
+    }
+
+    /// ` WHERE …` clause keeping the message rows whose `id` falls into
+    /// partition `x`: [`SqlGen::bucket`] in SQL. `%` truncates toward zero,
+    /// so the remainder is shifted into `0..n` first (`rem_euclid`).
+    /// Empty when the key type is not routed (every gather reads all).
+    fn routed_to_sql(&self, x: usize) -> String {
+        if !self.routing_enabled() {
+            return String::new();
+        }
+        let n = self.partitions;
+        format!(" WHERE (id % {n} + {n}) % {n} = {x}")
     }
 
     /// Predicate selecting rows whose delta is *pending* (≠ the aggregate's
@@ -557,7 +563,6 @@ mod tests {
         check_all_dialects(&g.clear_message_slot_sql("pr__msgslot_1_0"));
         check_all_dialects(&g.insert_message_sql(1, "pr__msgslot_1_0"));
         check_all_dialects(&g.compute_update_sql(1));
-        check_all_dialects(&g.message_count_sql("pr__msg_1_0"));
         check_all_dialects(&g.gather_sql(2, &["pr__msg_1_0", "pr__msg_3_4"]));
         check_all_dialects(&g.pending_count_sql(0));
         for s in g.cleanup_sql() {
@@ -582,6 +587,16 @@ mod tests {
         assert!(sql.contains("!= 0.0"), "{sql}");
         // the 0.85 scale is folded into the per-message expression
         assert!(sql.contains("0.85"), "{sql}");
+        // partition first, indexed edge join second: the engine probes
+        // `pr__mjoin__isrc` with the partition's pending rows
+        assert!(
+            sql.contains("FROM pr__pt1 AS __s JOIN pr__mjoin AS __e ON __e.__src = __s.node"),
+            "{sql}"
+        );
+        assert_eq!(
+            g.join_index_sql(),
+            "CREATE INDEX pr__mjoin__isrc ON pr__mjoin (__src)"
+        );
     }
 
     #[test]
@@ -613,7 +628,11 @@ mod tests {
     fn non_materialized_variant_joins_edges_directly() {
         let g = pagerank_gen(4, false);
         let sql = g.compute_message_sql(0, "m");
-        assert!(sql.contains("edges AS"), "{sql}");
+        assert!(
+            sql.contains("FROM pr__pt0 AS __s JOIN edges AS __e ON __e.src = __s.node"),
+            "{sql}"
+        );
+        assert!(sql.contains("GROUP BY __e.dst"), "{sql}");
         assert!(!sql.contains("mjoin"), "{sql}");
         let idx = g.join_index_sql();
         assert!(idx.contains("ON edges"), "{idx}");
@@ -629,6 +648,47 @@ mod tests {
         );
         assert!(sql.contains("UNION ALL"), "{sql}");
         assert!(sql.contains("SUM"), "{sql}");
+        // each branch reads only the rows routed to partition 0
+        assert_eq!(
+            sql.matches("WHERE (id % 4 + 4) % 4 = 0").count(),
+            2,
+            "{sql}"
+        );
+    }
+
+    #[test]
+    fn routed_gather_filter_agrees_with_bucket() {
+        let g = pagerank_gen(7, true);
+        let db = sqldb::Database::new(EngineProfile::Postgres);
+        let mut s = db.connect();
+        s.execute("CREATE TABLE m (id INT, val FLOAT)").unwrap();
+        let ids: Vec<i64> = (-25..25).chain([i64::MIN + 1, i64::MAX - 7]).collect();
+        let values: Vec<String> = ids.iter().map(|i| format!("({i}, 1.0)")).collect();
+        s.execute(&format!("INSERT INTO m VALUES {}", values.join(", ")))
+            .unwrap();
+        let mut seen = 0;
+        for x in 0..7 {
+            let sql = format!("SELECT id FROM m{}", g.routed_to_sql(x));
+            for row in s.query(&sql).unwrap().rows {
+                assert_eq!(g.bucket(&row[0]), x, "id {} in partition {x}", row[0]);
+                seen += 1;
+            }
+        }
+        assert_eq!(
+            seen,
+            ids.len(),
+            "every message is routed to exactly one partition"
+        );
+    }
+
+    #[test]
+    fn unrouted_key_types_keep_the_broadcast_gather() {
+        let mut g = pagerank_gen(4, true);
+        g.schema.types[0] = DataType::Text;
+        assert!(!g.routing_enabled());
+        let sql = g.gather_sql(0, &["m1", "m2"]);
+        assert!(!sql.contains("%"), "{sql}");
+        assert!(sql.contains("SELECT id, val FROM m1 UNION ALL"), "{sql}");
     }
 
     #[test]

@@ -268,3 +268,124 @@ fn plain_sql_passthrough_via_api() {
     assert_eq!(report.strategy, Strategy::Passthrough);
     assert!(report.result.rows[0][0].as_i64().unwrap() > 0);
 }
+
+/// The 40-node test graph with every node id rewritten by `label` into a
+/// key of SQL type `key_type`.
+fn db_with_relabeled_graph(
+    profile: EngineProfile,
+    key_type: &str,
+    label: impl Fn(u64) -> String,
+) -> Database {
+    let graph = web_graph(40, 3, 7);
+    let db = Database::new(profile);
+    let mut s = db.connect();
+    s.execute(&format!(
+        "CREATE TABLE edges (src {key_type}, dst {key_type}, weight FLOAT)"
+    ))
+    .unwrap();
+    let values = graph
+        .weighted_edges()
+        .iter()
+        .map(|(s, d, w)| format!("({}, {}, {w})", label(*s), label(*d)))
+        .collect::<Vec<_>>()
+        .join(", ");
+    s.execute(&format!("INSERT INTO edges VALUES {values}"))
+        .unwrap();
+    db
+}
+
+/// PageRank and SSSP in every parallel mode against the single-threaded
+/// executor, for a key space the partition-local statements must get right:
+/// `source` is node 0's key as a SQL literal.
+fn assert_parallel_modes_match_single(
+    db: &Database,
+    source: &str,
+    materialize_join: bool,
+    what: &str,
+) {
+    let sssp = SSSP.replace("src = 0", &format!("src = {source}"));
+    let pagerank = PAGERANK.replace("UNTIL 10 ITERATIONS", "UNTIL 90 ITERATIONS");
+    let single = |sql: &str| {
+        sqloop_for(db, ExecutionMode::Single, 1, 1)
+            .execute(sql)
+            .unwrap()
+    };
+    let (sssp_ref, pr_sync_ref, pr_ref) = (single(&sssp), single(PAGERANK), single(&pagerank));
+    assert!(
+        sssp_ref
+            .rows
+            .iter()
+            .filter(|r| r[1].as_f64() == Some(0.0))
+            .count()
+            == 1,
+        "{what}: the source literal must name exactly one node"
+    );
+    for mode in [
+        ExecutionMode::Sync,
+        ExecutionMode::Async,
+        ExecutionMode::AsyncPrio,
+    ] {
+        let parallel = || {
+            let mut sq = sqloop_for(db, mode, 2, 6);
+            sq.config_mut().materialize_join = materialize_join;
+            sq
+        };
+        let mut sq = parallel();
+        if mode == ExecutionMode::AsyncPrio {
+            sq.config_mut().priority = Some(PrioritySpec::lowest("SELECT MIN(delta) FROM {}"));
+        }
+        assert_eq!(
+            sssp_ref.rows,
+            sq.execute(&sssp).unwrap().rows,
+            "{what} / {mode}: SSSP distances differ from the reference"
+        );
+        // Sync is the single-threaded semantics round for round; the
+        // barrier-free modes are compared where both have converged
+        // (0.85^90 ≈ 4e-7 of the rank mass is still in flight)
+        let sq = parallel();
+        let (reference, out, tolerance) = if mode == ExecutionMode::Sync {
+            (&pr_sync_ref, sq.execute(PAGERANK).unwrap(), 1e-9)
+        } else {
+            (&pr_ref, sq.execute(&pagerank).unwrap(), 1e-4)
+        };
+        assert_eq!(reference.rows.len(), out.rows.len(), "{what} / {mode}");
+        for (a, b) in reference.rows.iter().zip(&out.rows) {
+            assert_eq!(a[0], b[0], "{what} / {mode}");
+            let (x, y) = (a[1].as_f64().unwrap(), b[1].as_f64().unwrap());
+            assert!(
+                (x - y).abs() < tolerance,
+                "{what} / {mode}: node {:?} rank {x} vs {y}",
+                a[0]
+            );
+        }
+    }
+}
+
+#[test]
+fn negative_node_ids_route_to_the_partition_that_owns_them() {
+    // ids -20..19: SQL's `%` truncates toward zero while partitioning uses
+    // rem_euclid, so a routed Gather that filtered with a bare `id % n`
+    // would drop every message addressed to a negative id
+    for profile in EngineProfile::ALL {
+        let db = db_with_relabeled_graph(profile, "INT", |n| (n as i64 - 20).to_string());
+        assert_parallel_modes_match_single(&db, "-20", true, &format!("{profile} negative ids"));
+    }
+}
+
+#[test]
+fn text_keys_run_unrouted_and_match_single() {
+    // a TEXT key has no SQL-expressible bucket function: routing is off and
+    // every Gather reads every message (the broadcast form)
+    let db = db_with_relabeled_graph(EngineProfile::Postgres, "TEXT", |n| format!("'n{n:02}'"));
+    assert_parallel_modes_match_single(&db, "'n00'", true, "text keys");
+}
+
+#[test]
+fn unmaterialized_join_ablation_matches_single() {
+    // materialize_join = false: Compute joins its partition to `edges`
+    // itself, through the index SQLoop creates on `edges(src)`
+    for profile in EngineProfile::ALL {
+        let db = db_with_relabeled_graph(profile, "INT", |n| n.to_string());
+        assert_parallel_modes_match_single(&db, "0", false, &format!("{profile} no Rmjoin"));
+    }
+}

@@ -3,9 +3,12 @@
 use crate::ast::*;
 use crate::batch::{ColumnBatch, CompiledExpr, EvalOut};
 use crate::bind::{bind_scalar, bind_with_aggregates, AggSpec, BoundExpr, Scope, ScopeRelation};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
-use crate::join::{join_rels, split_conjuncts, Rel};
+use crate::explain::{
+    base_table, factor_label, factor_visible_name, inner_access_label, scan_label,
+};
+use crate::join::{join_rels, split_conjuncts, JoinInner, Rel};
 use crate::op_profile::{us_since, OpProfiler};
 use crate::profile::EngineProfile;
 use crate::stats::Stats;
@@ -329,20 +332,14 @@ impl<'a> Executor<'a> {
             } else {
                 let mut rel: Option<Rel> = None;
                 for tr in &s.from {
-                    let right = self.build_table_ref(tr, depth)?;
+                    let prefilter = pushdown_conjuncts(s, tr);
+                    let right = self.build_table_ref(tr, depth, &prefilter)?;
                     rel = Some(match rel {
                         None => right,
                         Some(left) => {
                             let t0 = self.prof_start();
                             let rows_in = (left.rows.len() + right.rows.len()) as u64;
-                            let joined = join_rels(
-                                left,
-                                right,
-                                JoinType::Cross,
-                                None,
-                                self.profile.join_strategy(),
-                                self.stats,
-                            )?;
+                            let joined = self.cross_join(left, right)?;
                             if let Some(p) = self.prof {
                                 p.wrap(
                                     2,
@@ -1003,13 +1000,42 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn build_table_ref(&self, tr: &TableRef, depth: usize) -> DbResult<Rel> {
-        let mut rel = self.build_factor(&tr.base, depth)?;
+    /// Cross product of two `FROM` items (comma syntax).
+    fn cross_join(&self, left: Rel, right: Rel) -> DbResult<Rel> {
+        let joined = join_rels(
+            left,
+            JoinInner::Rows(right),
+            JoinType::Cross,
+            None,
+            self.profile.join_strategy(),
+            self.stats,
+        )?;
+        Ok(joined.rel)
+    }
+
+    /// Builds one `FROM` item: its base factor, then its joins left to
+    /// right. `prefilter` (see [`pushdown_conjuncts`]) thins the base
+    /// before anything joins it.
+    fn build_table_ref(&self, tr: &TableRef, depth: usize, prefilter: &[&Expr]) -> DbResult<Rel> {
+        let mut rel = self.build_factor(&tr.base, depth, prefilter)?;
         for j in &tr.joins {
-            let right = self.build_factor(&j.factor, depth)?;
+            // a plain base table goes to the join unscanned: whether its
+            // rows are needed at all depends on the algorithm, and that is
+            // chosen from the outer side's actual size
+            let right = match base_table(self.catalog, &j.factor)? {
+                Some(handle) => {
+                    let scope = table_scope(&handle, factor_visible_name(&j.factor));
+                    JoinInner::Table { scope, handle }
+                }
+                None => JoinInner::Rows(self.build_factor(&j.factor, depth, &[])?),
+            };
             let t0 = self.prof_start();
-            let rows_in = (rel.rows.len() + right.rows.len()) as u64;
-            rel = join_rels(
+            let outer_rows = rel.rows.len() as u64;
+            let inner_rows = match &right {
+                JoinInner::Rows(r) => r.rows.len() as u64,
+                JoinInner::Table { .. } => 0,
+            };
+            let joined = join_rels(
                 rel,
                 right,
                 j.join_type,
@@ -1017,12 +1043,17 @@ impl<'a> Executor<'a> {
                 self.profile.join_strategy(),
                 self.stats,
             )?;
+            rel = joined.rel;
             if let Some(p) = self.prof {
-                let label = crate::explain::join_description(self.catalog, self.profile, j)
-                    .unwrap_or_else(|_| "Join".to_string());
+                let mut rows_in = outer_rows + inner_rows;
+                if let Some((rows, us)) = joined.inner_read {
+                    let label = inner_access_label(&joined.algo, &j.factor);
+                    p.leaf(label, rows, us);
+                    rows_in += rows;
+                }
                 p.wrap(
                     2,
-                    label,
+                    joined.algo.describe(j.join_type),
                     rel.rows.len() as u64,
                     rows_in,
                     t0.map(us_since).unwrap_or(0),
@@ -1032,14 +1063,10 @@ impl<'a> Executor<'a> {
         Ok(rel)
     }
 
-    fn build_factor(&self, f: &TableFactor, depth: usize) -> DbResult<Rel> {
+    fn build_factor(&self, f: &TableFactor, depth: usize, prefilter: &[&Expr]) -> DbResult<Rel> {
         match f {
-            TableFactor::Table { name, alias } => {
-                let visible = alias.as_deref().unwrap_or(name).to_owned();
-                let label = match alias {
-                    Some(a) => format!("{name} AS {a}"),
-                    None => name.clone(),
-                };
+            TableFactor::Table { name, .. } => {
+                let label = factor_label(f);
                 if let Some(view) = self.catalog.view(name) {
                     let t0 = self.prof_start();
                     let result = self.run_query_depth(&view, depth + 1)?;
@@ -1053,39 +1080,43 @@ impl<'a> Executor<'a> {
                             t0.map(us_since).unwrap_or(0),
                         );
                     }
-                    return Ok(rel_from_result(result, visible));
+                    return Ok(rel_from_result(result, factor_visible_name(f).to_owned()));
                 }
                 let t0 = self.prof_start();
                 let handle = self.catalog.table(name)?;
-                let (columns, rows) = {
+                let scope = table_scope(&handle, factor_visible_name(f));
+                // conjuncts that do not bind against this table alone are
+                // left to the statement's WHERE, which reports the error
+                let prefilter: Vec<BoundExpr> = prefilter
+                    .iter()
+                    .filter_map(|e| bind_scalar(e, &scope).ok())
+                    .collect();
+                let (visited, rows) = {
                     let t = handle.read();
-                    (
-                        t.schema()
-                            .columns()
-                            .iter()
-                            .map(|c| c.name.clone())
-                            .collect::<Vec<_>>(),
-                        t.scan(),
-                    )
+                    if prefilter.is_empty() {
+                        (t.len(), t.scan())
+                    } else {
+                        // drop a row only when a conjunct cleanly rejects
+                        // it; one that fails to evaluate keeps the row, so
+                        // WHERE still raises the error if the row survives
+                        let keep = |row: &Row| {
+                            prefilter
+                                .iter()
+                                .all(|c| c.eval(row, &[]).map_or(true, |v| v.is_truthy()))
+                        };
+                        let rows = t.iter().map(|(_, r)| r).filter(|r| keep(r));
+                        (t.len(), rows.cloned().collect())
+                    }
                 };
-                self.stats.add_rows_scanned(rows.len() as u64);
+                self.stats.add_rows_scanned(visited as u64);
                 if let Some(p) = self.prof {
                     p.leaf(
-                        format!("SeqScan {label}"),
+                        scan_label(f, !prefilter.is_empty()),
                         rows.len() as u64,
                         t0.map(us_since).unwrap_or(0),
                     );
                 }
-                let mut scope = Scope::new();
-                scope.push(ScopeRelation {
-                    qualifier: visible,
-                    columns,
-                });
-                Ok(Rel {
-                    scope,
-                    rows,
-                    bases: vec![Some(handle)],
-                })
+                Ok(Rel { scope, rows })
             }
             TableFactor::Derived { subquery, alias } => {
                 let t0 = self.prof_start();
@@ -1321,17 +1352,10 @@ impl<'a> Executor<'a> {
         } else {
             let mut rel: Option<Rel> = None;
             for tr in &upd.from {
-                let right = self.build_table_ref(tr, 0)?;
+                let right = self.build_table_ref(tr, 0, &[])?;
                 rel = Some(match rel {
                     None => right,
-                    Some(left) => join_rels(
-                        left,
-                        right,
-                        JoinType::Cross,
-                        None,
-                        self.profile.join_strategy(),
-                        self.stats,
-                    )?,
+                    Some(left) => self.cross_join(left, right)?,
                 });
             }
             rel
@@ -1733,7 +1757,64 @@ fn rel_from_result(result: QueryResult, alias: String) -> Rel {
     Rel {
         scope,
         rows: result.rows,
-        bases: vec![None],
+    }
+}
+
+/// The single-relation scope of a base table visible as `visible`.
+fn table_scope(handle: &TableHandle, visible: &str) -> Scope {
+    let mut scope = Scope::new();
+    scope.push(ScopeRelation {
+        qualifier: visible.to_owned(),
+        columns: handle
+            .read()
+            .schema()
+            .columns()
+            .iter()
+            .map(|c| c.name.clone())
+            .collect(),
+    });
+    scope
+}
+
+/// Top-level `WHERE` conjuncts of `s` that mention only `tr`'s base table
+/// and may therefore be applied to it *before* its joins, so that only
+/// rows the statement can still return probe or build (SQLoop's Compute:
+/// only rows with a pending delta reach the edge join).
+///
+/// The base is the preserved side of every `LEFT JOIN` after it, and a row
+/// a conjunct rejects fails the whole `AND`, so the result is unchanged.
+/// Only fully qualified references count: an unqualified name needs the
+/// complete scope to resolve. Single-table statements have nothing to
+/// push below.
+pub(crate) fn pushdown_conjuncts<'a>(s: &'a Select, tr: &TableRef) -> Vec<&'a Expr> {
+    let (TableFactor::Table { .. }, Some(pred)) = (&tr.base, &s.selection) else {
+        return Vec::new();
+    };
+    if s.from.len() == 1 && tr.joins.is_empty() {
+        return Vec::new();
+    }
+    let visible = factor_visible_name(&tr.base);
+    let mut conjuncts = Vec::new();
+    ast_conjuncts(pred, &mut conjuncts);
+    conjuncts.retain(|c| {
+        let refs = c.column_refs();
+        !refs.is_empty() && refs.iter().all(|(q, _)| *q == Some(visible))
+    });
+    conjuncts
+}
+
+/// Splits an unbound expression into its top-level `AND` conjuncts.
+fn ast_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+    match e {
+        Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => {
+            ast_conjuncts(left, out);
+            ast_conjuncts(right, out);
+        }
+        other => out.push(other),
     }
 }
 
@@ -1891,20 +1972,129 @@ mod tests {
         assert_eq!(results[0].len(), 4);
     }
 
+    /// `t` (3 rows) joined to a 200-row `e` indexed on `src`, 2 rows per key.
+    fn seeded_with_indexed_edges(profile: EngineProfile) -> Ctx {
+        let ctx = seeded(profile);
+        ctx.exec("CREATE TABLE e (src INT, dst INT)").unwrap();
+        let values: Vec<String> = (0..200).map(|i| format!("({}, {i})", i % 100)).collect();
+        ctx.exec(&format!("INSERT INTO e VALUES {}", values.join(", ")))
+            .unwrap();
+        ctx.exec("CREATE INDEX idx_e_src ON e (src)").unwrap();
+        ctx
+    }
+
+    fn analyze_lines(ctx: &Ctx, sql: &str) -> Vec<String> {
+        match ctx.exec(&format!("EXPLAIN ANALYZE {sql}")).unwrap() {
+            StmtOutput::Rows(r) => r.rows.iter().map(|row| row[0].to_string()).collect(),
+            _ => panic!("expected rows"),
+        }
+    }
+
+    fn assert_small_outer_probes(profile: EngineProfile) {
+        let ctx = seeded_with_indexed_edges(profile);
+        let sql = "SELECT t.id, e.dst FROM t JOIN e ON t.id = e.src";
+        let before = ctx.stats.snapshot();
+        let r = ctx.query(sql);
+        assert_eq!(r.rows.len(), 6, "{profile:?}");
+        let d = ctx.stats.snapshot().delta_since(&before);
+        assert_eq!(d.index_lookups, 3, "{profile:?}: one probe per outer row");
+        // t's 3 rows, the 6 joined rows twice (join output, FROM output):
+        // e's 200 rows were never scanned
+        assert_eq!(d.rows_scanned, 3 + 6 + 6, "{profile:?}");
+        let lines = analyze_lines(&ctx, sql);
+        assert!(
+            lines.iter().any(|l| l.contains(
+                "IndexNestedLoopJoin using idx_e_src (outer=3, inner=200, fanout=2.0) \
+                 (actual rows=6 "
+            )),
+            "{profile:?}: {lines:?}"
+        );
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains("IndexProbe e (actual rows=6 ")),
+            "{profile:?}: {lines:?}"
+        );
+    }
+
     #[test]
     fn index_nested_loop_used_on_mysql_profile() {
-        let ctx = seeded(EngineProfile::MySql);
-        ctx.exec("CREATE TABLE e (src INT, dst INT)").unwrap();
-        ctx.exec("INSERT INTO e VALUES (1,2),(2,3)").unwrap();
-        ctx.exec("CREATE INDEX idx_e_src ON e (src)").unwrap();
+        assert_small_outer_probes(EngineProfile::MySql);
+        assert_small_outer_probes(EngineProfile::MariaDb);
+    }
+
+    #[test]
+    fn index_nested_loop_used_on_postgres_profile() {
+        assert_small_outer_probes(EngineProfile::Postgres);
+        // the other way round the 200-row side is the outer one: probing
+        // t's primary key 200 times costs more than hashing its 3 rows
+        let ctx = seeded_with_indexed_edges(EngineProfile::Postgres);
+        let sql = "SELECT t.id, e.dst FROM e JOIN t ON t.id = e.src";
         let before = ctx.stats.snapshot();
-        let r = ctx.query("SELECT t.id FROM t JOIN e ON t.id = e.src");
-        assert_eq!(r.rows.len(), 2);
-        let after = ctx.stats.snapshot();
+        assert_eq!(ctx.query(sql).rows.len(), 6);
+        let d = ctx.stats.snapshot().delta_since(&before);
+        assert_eq!(d.index_lookups, 0);
+        assert_eq!(d.rows_joined, 200, "hash join probes with the larger side");
+        let lines = analyze_lines(&ctx, sql);
         assert!(
-            after.index_lookups > before.index_lookups,
-            "index NL should probe the index"
+            lines.iter().any(|l| l.contains("HashJoin (actual rows=6 ")),
+            "{lines:?}"
         );
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains("SeqScan t (actual rows=3 ")),
+            "{lines:?}"
+        );
+    }
+
+    #[test]
+    fn where_conjuncts_on_the_outer_table_filter_it_before_the_join() {
+        for p in EngineProfile::ALL {
+            let ctx = seeded_with_indexed_edges(p);
+            let sql = "SELECT t.id, e.dst FROM t JOIN e ON t.id = e.src \
+                       WHERE t.v > 2.0 AND e.dst < 150";
+            let before = ctx.stats.snapshot();
+            let mut r = ctx.query(sql);
+            r.rows.sort();
+            assert_eq!(
+                r.rows,
+                vec![
+                    vec![Value::Int(2), Value::Int(2)],
+                    vec![Value::Int(2), Value::Int(102)],
+                    vec![Value::Int(3), Value::Int(3)],
+                    vec![Value::Int(3), Value::Int(103)],
+                ],
+                "{p:?}"
+            );
+            let d = ctx.stats.snapshot().delta_since(&before);
+            assert_eq!(
+                d.index_lookups, 2,
+                "{p:?}: only rows passing t.v > 2.0 probe"
+            );
+            let lines = analyze_lines(&ctx, sql);
+            assert!(
+                lines
+                    .iter()
+                    .any(|l| l.contains("SeqScan t (pushed-down filter) (actual rows=2 ")),
+                "{p:?}: {lines:?}"
+            );
+            // the statement-level filter still runs (it owns e.dst < 150)
+            assert!(
+                lines.iter().any(|l| l.trim_start().starts_with("Filter ")),
+                "{p:?}: {lines:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pushed_down_conjunct_that_fails_to_evaluate_still_raises_from_where() {
+        let ctx = seeded_with_indexed_edges(EngineProfile::Postgres);
+        // 1 / (t.id - 2) divides by zero on t.id = 2, a row that joins
+        let q = parse_query("SELECT t.id FROM t JOIN e ON t.id = e.src WHERE 1 / (t.id - 2) > 0")
+            .unwrap();
+        let err = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats).run_query(&q);
+        assert!(matches!(err, Err(DbError::Eval(_))), "{err:?}");
     }
 
     #[test]

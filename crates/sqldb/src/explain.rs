@@ -1,15 +1,22 @@
-//! `EXPLAIN SELECT …` — a textual plan describing the join strategies the
+//! `EXPLAIN SELECT …` — a textual plan describing the join algorithms the
 //! executor will pick, per engine profile.
 //!
-//! This mirrors the decision logic of [`crate::join::join_rels`] without
-//! executing anything, which makes the architectural difference between the
-//! engine profiles *visible*: the same query EXPLAINs to hash joins on the
-//! PostgreSQL profile and to (index) nested loops on the MySQL family.
+//! Nothing is executed. Join lines come from the same
+//! [`crate::join::choose_join`] the executor calls, fed catalog row counts
+//! where the executor feeds observed ones (a base table counts its live
+//! rows, ignoring any pushed-down filter; a view or subquery is guessed at
+//! 1000 rows). `EXPLAIN ANALYZE` prints the same vocabulary with the
+//! algorithm that actually ran and the sizes it was chosen from.
 
 use crate::ast::*;
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableHandle};
 use crate::error::DbResult;
-use crate::profile::{EngineProfile, JoinStrategy};
+use crate::exec::pushdown_conjuncts;
+use crate::join::{choose_join, index_shape, IndexShape, JoinAlgo};
+use crate::profile::EngineProfile;
+
+/// Row-count guess for a relation whose size only execution reveals.
+const UNKNOWN_ROWS: usize = 1000;
 
 /// Renders a plan for `query` as indented text lines.
 ///
@@ -105,7 +112,8 @@ fn explain_select(
         if s.from.len() > 1 && i > 0 {
             push(out, depth, "NestedLoop (cross join)".to_string());
         }
-        explain_table_ref(catalog, profile, tr, depth, out)?;
+        let prefiltered = !pushdown_conjuncts(s, tr).is_empty();
+        explain_table_ref(catalog, profile, tr, prefiltered, depth, out)?;
     }
     if s.from.is_empty() {
         push(out, depth, "Result (no tables)".to_string());
@@ -117,53 +125,73 @@ fn explain_table_ref(
     catalog: &Catalog,
     profile: EngineProfile,
     tr: &TableRef,
+    prefiltered: bool,
     depth: usize,
     out: &mut Vec<String>,
 ) -> DbResult<()> {
-    // joins apply left-to-right; print outermost join first
-    for j in tr.joins.iter().rev() {
-        let desc = join_description(catalog, profile, j)?;
-        push(out, depth, desc);
+    // joins apply left-to-right, each seeing the estimated size of
+    // everything joined before it
+    let mut outer = estimate_rows(catalog, &tr.base)?;
+    let mut algos = Vec::with_capacity(tr.joins.len());
+    for j in &tr.joins {
+        algos.push(planned_join(catalog, profile, j, outer)?);
+        outer = outer.max(estimate_rows(catalog, &j.factor)?);
+    }
+    // print outermost join first
+    for (j, algo) in tr.joins.iter().zip(&algos).rev() {
+        push(out, depth, algo.describe(j.join_type));
     }
     let base_depth = depth + tr.joins.len();
-    explain_factor(catalog, profile, &tr.base, base_depth, out)?;
+    explain_factor(catalog, profile, &tr.base, prefiltered, base_depth, out)?;
     // each join's right side prints under its join line
-    for (i, j) in tr.joins.iter().enumerate() {
-        explain_factor(catalog, profile, &j.factor, depth + tr.joins.len() - i, out)?;
+    for (i, (j, algo)) in tr.joins.iter().zip(&algos).enumerate() {
+        let depth = depth + tr.joins.len() - i;
+        if base_table(catalog, &j.factor)?.is_some() {
+            push(out, depth, inner_access_label(algo, &j.factor));
+        } else {
+            explain_factor(catalog, profile, &j.factor, false, depth, out)?;
+        }
     }
     Ok(())
 }
 
-/// The operator label [`crate::join::join_rels`] will effectively execute
-/// for `j` — shared with the runtime profiler so `EXPLAIN` and
-/// `EXPLAIN ANALYZE` speak the same vocabulary.
-pub(crate) fn join_description(
+/// The algorithm [`crate::join::join_rels`] picks for `j` when its outer
+/// side has `outer_rows` rows.
+fn planned_join(
     catalog: &Catalog,
     profile: EngineProfile,
     j: &Join,
-) -> DbResult<String> {
-    let kind = match j.join_type {
-        JoinType::Inner => "Join",
-        JoinType::Left => "LeftJoin",
-        JoinType::Cross => return Ok("NestedLoop (cross join)".to_string()),
-    };
-    // equi key present?
+    outer_rows: usize,
+) -> DbResult<JoinAlgo> {
     let equi = j.on.as_ref().map(has_equi_conjunct).unwrap_or(false);
-    if !equi {
-        return Ok(format!("NestedLoop{kind} (non-equi ON)"));
+    if j.join_type == JoinType::Cross || !equi {
+        return Ok(JoinAlgo::NestedLoop);
     }
-    let algo = match profile.join_strategy() {
-        JoinStrategy::Hash => "Hash".to_string(),
-        JoinStrategy::BlockNestedLoop { buffer_rows } => {
-            // an index on the inner side upgrades BNL to an index NL
-            if inner_side_indexable(catalog, j)? {
-                "IndexNestedLoop".to_string()
-            } else {
-                format!("BlockNestedLoop (buffer {buffer_rows})")
-            }
+    let index = inner_side_index(catalog, j)?;
+    Ok(choose_join(profile.join_strategy(), outer_rows, index))
+}
+
+/// Live rows of a base table; [`UNKNOWN_ROWS`] for views and subqueries.
+fn estimate_rows(catalog: &Catalog, f: &TableFactor) -> DbResult<usize> {
+    Ok(match base_table(catalog, f)? {
+        Some(handle) => handle.read().len(),
+        None => UNKNOWN_ROWS,
+    })
+}
+
+/// The table behind `f` when it is a plain base table — not a view or a
+/// subquery, whose rows only exist once executed.
+///
+/// # Errors
+/// Returns [`DbError::NotFound`](crate::DbError::NotFound) for a name that
+/// is neither a table nor a view.
+pub(crate) fn base_table(catalog: &Catalog, f: &TableFactor) -> DbResult<Option<TableHandle>> {
+    match f {
+        TableFactor::Table { name, .. } if catalog.view(name).is_none() => {
+            catalog.table(name).map(Some)
         }
-    };
-    Ok(format!("{algo}{kind}"))
+        _ => Ok(None),
+    }
 }
 
 /// True when any top-level conjunct of `on` is `col = col`.
@@ -186,54 +214,81 @@ fn has_equi_conjunct(on: &Expr) -> bool {
     }
 }
 
-/// True when the join's inner (right) side is a base table with an index on
-/// one of the columns its ON condition references.
-fn inner_side_indexable(catalog: &Catalog, j: &Join) -> DbResult<bool> {
-    let (name, visible) = match &j.factor {
-        TableFactor::Table { name, alias } => {
-            (name.clone(), alias.clone().unwrap_or_else(|| name.clone()))
-        }
-        TableFactor::Derived { .. } => return Ok(false),
+/// The index the join's inner (right) side offers: it must be a base table
+/// with an index on one of the columns its ON condition references.
+fn inner_side_index(catalog: &Catalog, j: &Join) -> DbResult<Option<IndexShape>> {
+    let (Some(handle), Some(on)) = (base_table(catalog, &j.factor)?, &j.on) else {
+        return Ok(None);
     };
-    if catalog.view(&name).is_some() {
-        return Ok(false);
-    }
-    let handle = catalog.table(&name)?;
-    let table = handle.read();
-    if let Some(on) = &j.on {
-        for (qual, col) in on.column_refs() {
-            if qual == Some(visible.as_str()) || qual.is_none() {
-                if let Some(idx) = table.schema().column_index(col) {
-                    if table.has_index_on(idx) {
-                        return Ok(true);
-                    }
-                }
+    let visible = factor_visible_name(&j.factor);
+    for (qual, col) in on.column_refs() {
+        if qual == Some(visible) || qual.is_none() {
+            let column = handle.read().schema().column_index(col);
+            if let Some(shape) = column.and_then(|c| index_shape(&handle, c)) {
+                return Ok(Some(shape));
             }
         }
     }
-    Ok(false)
+    Ok(None)
+}
+
+/// The name a `FROM` factor is visible as (alias wins over table name).
+pub(crate) fn factor_visible_name(f: &TableFactor) -> &str {
+    match f {
+        TableFactor::Table { name, alias } => alias.as_deref().unwrap_or(name),
+        TableFactor::Derived { alias, .. } => alias,
+    }
+}
+
+/// `name` or `name AS alias`, as scan lines print a `FROM` factor.
+pub(crate) fn factor_label(f: &TableFactor) -> String {
+    match f {
+        TableFactor::Table {
+            name,
+            alias: Some(a),
+        } => format!("{name} AS {a}"),
+        TableFactor::Table { name, alias: None } => name.clone(),
+        TableFactor::Derived { alias, .. } => alias.clone(),
+    }
+}
+
+/// The scan line of a base table; `prefiltered` when `WHERE` conjuncts
+/// were pushed below the joins onto it.
+pub(crate) fn scan_label(f: &TableFactor, prefiltered: bool) -> String {
+    let label = factor_label(f);
+    if prefiltered {
+        format!("SeqScan {label} (pushed-down filter)")
+    } else {
+        format!("SeqScan {label}")
+    }
+}
+
+/// How a join reads an inner side that is a base table: probed through its
+/// index, or scanned for the hash / nested-loop algorithms.
+pub(crate) fn inner_access_label(algo: &JoinAlgo, f: &TableFactor) -> String {
+    match algo {
+        JoinAlgo::IndexNestedLoop { .. } => format!("IndexProbe {}", factor_label(f)),
+        _ => scan_label(f, false),
+    }
 }
 
 fn explain_factor(
     catalog: &Catalog,
     profile: EngineProfile,
     f: &TableFactor,
+    prefiltered: bool,
     depth: usize,
     out: &mut Vec<String>,
 ) -> DbResult<()> {
     match f {
-        TableFactor::Table { name, alias } => {
-            let label = match alias {
-                Some(a) => format!("{name} AS {a}"),
-                None => name.clone(),
-            };
+        TableFactor::Table { name, .. } => {
             if let Some(view) = catalog.view(name) {
-                push(out, depth, format!("View {label}"));
+                push(out, depth, format!("View {}", factor_label(f)));
                 explain_stmt(catalog, profile, &view, depth + 1, out)
             } else {
                 // existence check so EXPLAIN reports missing tables
                 let _ = catalog.table(name)?;
-                push(out, depth, format!("SeqScan {label}"));
+                push(out, depth, scan_label(f, prefiltered));
                 Ok(())
             }
         }
@@ -247,7 +302,7 @@ fn explain_factor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Database, Value};
+    use crate::Database;
 
     fn db(profile: EngineProfile) -> Database {
         let db = Database::new(profile);
@@ -261,16 +316,30 @@ mod tests {
     }
 
     fn plan(profile: EngineProfile, sql: &str) -> String {
+        plan_on(&db(profile), sql)
+    }
+
+    /// `db` with 4 `nodes` and 400 `edges` (100 distinct `src`).
+    fn populated(profile: EngineProfile) -> Database {
         let d = db(profile);
+        let mut s = d.connect();
+        s.execute("INSERT INTO nodes VALUES (0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)")
+            .unwrap();
+        let edges: Vec<String> = (0..400)
+            .map(|i| format!("({}, {i}, 1.0)", i % 100))
+            .collect();
+        s.execute(&format!("INSERT INTO edges VALUES {}", edges.join(", ")))
+            .unwrap();
+        d
+    }
+
+    fn plan_on(d: &Database, sql: &str) -> String {
         let mut s = d.connect();
         match s.execute(&format!("EXPLAIN {sql}")).unwrap() {
             crate::StmtOutput::Rows(r) => r
                 .rows
                 .iter()
-                .map(|row| match &row[0] {
-                    Value::Text(t) => t.clone(),
-                    other => other.to_string(),
-                })
+                .map(|row| row[0].to_string())
                 .collect::<Vec<_>>()
                 .join("\n"),
             _ => panic!("expected rows"),
@@ -279,11 +348,37 @@ mod tests {
 
     #[test]
     fn profiles_pick_different_join_algorithms() {
-        let sql = "SELECT nodes.id FROM nodes JOIN edges ON nodes.id = edges.src";
-        let pg = plan(EngineProfile::Postgres, sql);
+        // every edge looks up its node: a whole-table join. The PostgreSQL
+        // profile hashes the 4 nodes; the nested-loop profiles, which
+        // cannot, probe the primary key
+        let sql = "SELECT nodes.id FROM edges JOIN nodes ON nodes.id = edges.src";
+        let pg = plan_on(&populated(EngineProfile::Postgres), sql);
         assert!(pg.contains("HashJoin"), "{pg}");
-        let my = plan(EngineProfile::MySql, sql);
-        assert!(my.contains("IndexNestedLoopJoin"), "{my}");
+        assert!(pg.contains("SeqScan nodes"), "{pg}");
+        let my = plan_on(&populated(EngineProfile::MySql), sql);
+        assert!(
+            my.contains("IndexNestedLoopJoin using primary key (outer=400, inner=4, fanout=1.0)"),
+            "{my}"
+        );
+        assert!(my.contains("IndexProbe nodes"), "{my}");
+    }
+
+    #[test]
+    fn small_outer_probes_the_inner_index_on_every_profile() {
+        let sql = "SELECT nodes.id FROM nodes JOIN edges ON nodes.id = edges.src \
+                   WHERE nodes.v = 0.0";
+        for profile in EngineProfile::ALL {
+            let text = plan_on(&populated(profile), sql);
+            assert!(
+                text.contains("IndexNestedLoopJoin using e_src (outer=4, inner=400, fanout=4.0)"),
+                "{profile:?}: {text}"
+            );
+            assert!(text.contains("IndexProbe edges"), "{profile:?}: {text}");
+            assert!(
+                text.contains("SeqScan nodes (pushed-down filter)"),
+                "{profile:?}: {text}"
+            );
+        }
     }
 
     #[test]

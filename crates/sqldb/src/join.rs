@@ -1,12 +1,20 @@
-//! Join algorithms: hash join, index nested-loop, block nested-loop.
+//! Join algorithms: index nested-loop, hash join, block nested-loop.
 //!
-//! Which algorithm runs is decided by the engine profile's
-//! [`crate::profile::JoinStrategy`], reproducing the
-//! architectural difference between the paper's three engines: the
-//! PostgreSQL profile hash-joins equi-joins, the MySQL/MariaDB profiles only
-//! have nested loops (upgraded to index nested-loop when the inner side is a
-//! base table with an index on the join column — which is why SQLoop creates
-//! indexes on every table it manages, paper §V-C).
+//! One function, [`choose_join`], decides which algorithm runs, from
+//! quantities observed at execution time: the outer side's actual row
+//! count and — when the inner side is a base table with an index on the
+//! join column — that table's size and index fan-out. Probing the index
+//! wins on *every* engine profile when the outer side is small next to the
+//! inner table (SQLoop's per-partition Compute: a few hundred live rows
+//! against the whole materialized edge join, paper §V-C "indexes on all
+//! tables"); otherwise the profile's [`JoinStrategy`] names the fallback,
+//! reproducing the architectural difference between the paper's engines:
+//! the PostgreSQL profile hash-joins, the MySQL/MariaDB profiles only have
+//! nested loops.
+//!
+//! The inner side of a join arrives as a [`JoinInner`]: a plain base table
+//! is handed over *unscanned*, so an index nested-loop never materializes
+//! it; the other algorithms scan it here, once the choice is made.
 
 use crate::ast::{BinaryOp, Expr, JoinType};
 use crate::bind::{bind_scalar, BoundExpr, Scope};
@@ -16,6 +24,7 @@ use crate::profile::JoinStrategy;
 use crate::stats::Stats;
 use crate::value::{Row, Value};
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// A materialized relation flowing through the executor.
 #[derive(Debug, Clone)]
@@ -24,9 +33,6 @@ pub struct Rel {
     pub scope: Scope,
     /// Materialized rows (concatenation of all scope relations' columns).
     pub rows: Vec<Row>,
-    /// For each scope relation: the backing base table, when the relation is
-    /// a direct table scan (enables index nested-loop joins).
-    pub bases: Vec<Option<TableHandle>>,
 }
 
 impl Rel {
@@ -36,7 +42,6 @@ impl Rel {
         Rel {
             scope: Scope::new(),
             rows: vec![Vec::new()],
-            bases: Vec::new(),
         }
     }
 
@@ -44,6 +49,153 @@ impl Rel {
     pub fn arity(&self) -> usize {
         self.scope.arity()
     }
+}
+
+/// The inner (right) side of a join.
+#[derive(Debug)]
+pub enum JoinInner {
+    /// Already materialized: a subquery, a view, or an earlier join.
+    Rows(Rel),
+    /// A base table not yet scanned (`scope` holds its one relation).
+    Table {
+        /// The table's visible name and columns.
+        scope: Scope,
+        /// The table itself.
+        handle: TableHandle,
+    },
+}
+
+impl JoinInner {
+    fn scope(&self) -> &Scope {
+        match self {
+            JoinInner::Rows(rel) => &rel.scope,
+            JoinInner::Table { scope, .. } => scope,
+        }
+    }
+}
+
+/// The join algorithm [`choose_join`] picked (or, without an equi key, the
+/// only one applicable).
+#[derive(Debug, Clone, PartialEq)]
+pub enum JoinAlgo {
+    /// One index probe into the unscanned inner table per outer row.
+    IndexNestedLoop {
+        /// Name of the probed index.
+        index: String,
+        /// Outer rows at decision time.
+        outer: usize,
+        /// Live rows of the inner table.
+        inner: usize,
+        /// Inner rows per distinct index key.
+        fanout: f64,
+    },
+    /// Hash table on the smaller side, probed with the larger.
+    Hash,
+    /// Every (outer block, inner row) pair compared on the key.
+    BlockNestedLoop {
+        /// Outer rows per block.
+        buffer_rows: usize,
+    },
+    /// No equi key: the full `ON` predicate per row pair (cross joins too).
+    NestedLoop,
+}
+
+impl JoinAlgo {
+    /// The operator label `EXPLAIN` and `EXPLAIN ANALYZE` print.
+    pub fn describe(&self, join_type: JoinType) -> String {
+        let kind = match join_type {
+            JoinType::Inner => "Join",
+            JoinType::Left => "LeftJoin",
+            JoinType::Cross => return "NestedLoop (cross join)".to_string(),
+        };
+        match self {
+            JoinAlgo::IndexNestedLoop {
+                index,
+                outer,
+                inner,
+                fanout,
+            } => format!(
+                "IndexNestedLoop{kind} using {index} (outer={outer}, inner={inner}, fanout={fanout:.1})"
+            ),
+            JoinAlgo::Hash => format!("Hash{kind}"),
+            JoinAlgo::BlockNestedLoop { buffer_rows } => {
+                format!("BlockNestedLoop (buffer {buffer_rows}){kind}")
+            }
+            JoinAlgo::NestedLoop => format!("NestedLoop{kind} (non-equi ON)"),
+        }
+    }
+}
+
+/// A usable index on the inner table's join column.
+#[derive(Debug, Clone)]
+pub struct IndexShape {
+    /// Index name.
+    pub name: String,
+    /// Live rows in the inner table.
+    pub inner_rows: usize,
+    /// Distinct keys in the index.
+    pub distinct_keys: usize,
+}
+
+/// How many times cheaper (in rows touched) the index probes must be than
+/// the fallback before they replace it. At `outer = distinct keys` — a
+/// whole-table join — probing touches exactly `inner + outer` rows, the
+/// hash join's own cost, so the margin keeps such joins on their plan.
+const PROBE_MARGIN: f64 = 2.0;
+
+/// The one place a join algorithm is chosen.
+///
+/// Probing costs `outer × (1 + fanout)` rows (one lookup plus `fanout`
+/// fetched rows per outer row, `fanout = inner / distinct keys`). The
+/// profile's fallback costs `inner + outer` rows as a hash join and
+/// `inner × (1 + outer)` as a block nested loop (one inner scan plus every
+/// pair compared). The index wins when twice its cost (`PROBE_MARGIN`) is
+/// still below the fallback's; an empty outer side therefore never scans
+/// the inner table at all.
+pub fn choose_join(
+    strategy: JoinStrategy,
+    outer_rows: usize,
+    index: Option<IndexShape>,
+) -> JoinAlgo {
+    let fallback = match strategy {
+        JoinStrategy::Hash => JoinAlgo::Hash,
+        JoinStrategy::BlockNestedLoop { buffer_rows } => JoinAlgo::BlockNestedLoop {
+            buffer_rows: buffer_rows.max(1),
+        },
+    };
+    let Some(ix) = index else {
+        return fallback;
+    };
+    let (outer, inner) = (outer_rows as f64, ix.inner_rows as f64);
+    let fanout = inner / ix.distinct_keys.max(1) as f64;
+    let probe_cost = outer * (1.0 + fanout);
+    let fallback_cost = match strategy {
+        JoinStrategy::Hash => inner + outer,
+        JoinStrategy::BlockNestedLoop { .. } => inner * (1.0 + outer),
+    };
+    if PROBE_MARGIN * probe_cost < fallback_cost {
+        JoinAlgo::IndexNestedLoop {
+            index: ix.name,
+            outer: outer_rows,
+            inner: ix.inner_rows,
+            fanout,
+        }
+    } else {
+        fallback
+    }
+}
+
+/// The index on column `column` of `handle`'s table, as [`choose_join`]
+/// wants it.
+pub fn index_shape(handle: &TableHandle, column: usize) -> Option<IndexShape> {
+    let table = handle.read();
+    table
+        .index_on(column)
+        .map(|(name, distinct_keys)| IndexShape {
+            name: name.to_owned(),
+            inner_rows: table.len(),
+            distinct_keys,
+        })
 }
 
 /// Splits an expression into its top-level `AND` conjuncts.
@@ -167,262 +319,270 @@ impl<'a> KeyMap<'a> {
     }
 }
 
+/// Output side of every algorithm: concatenates row pairs that pass the
+/// residual `ON` conjuncts and pads unmatched outer rows of a `LEFT JOIN`.
+struct Emit<'a> {
+    residual: &'a [BoundExpr],
+    right_arity: usize,
+    left_join: bool,
+    out: Vec<Row>,
+}
+
+impl Emit<'_> {
+    /// Appends `lrow ++ rrow` if the residual accepts it; returns whether
+    /// it did.
+    fn pair(&mut self, lrow: &Row, rrow: &Row) -> DbResult<bool> {
+        let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
+        combined.extend_from_slice(lrow);
+        combined.extend_from_slice(rrow);
+        for r in self.residual {
+            if !r.eval(&combined, &[])?.is_truthy() {
+                return Ok(false);
+            }
+        }
+        self.out.push(combined);
+        Ok(true)
+    }
+
+    /// `LEFT JOIN`: appends `lrow` padded with NULLs when nothing matched.
+    fn unmatched(&mut self, lrow: &Row, matched: bool) {
+        if self.left_join && !matched {
+            let mut combined = Vec::with_capacity(lrow.len() + self.right_arity);
+            combined.extend_from_slice(lrow);
+            combined.resize(lrow.len() + self.right_arity, Value::Null);
+            self.out.push(combined);
+        }
+    }
+}
+
+/// What a join produced, and how.
+#[derive(Debug)]
+pub struct Joined {
+    /// The joined relation (left scope followed by the right one).
+    pub rel: Rel,
+    /// The algorithm that ran.
+    pub algo: JoinAlgo,
+    /// Set when the inner side arrived as an unscanned table: the rows read
+    /// from it (scanned, or fetched through the index) and the µs a scan
+    /// took (index fetches are interleaved with the probes, hence 0).
+    pub inner_read: Option<(u64, u64)>,
+}
+
 /// Joins `left` and `right`, appending the right relation's scope.
 ///
-/// `on` is bound against the combined scope. The algorithm is chosen from
-/// `strategy` and the shape of the `ON` condition (see module docs).
+/// `on` is bound against the combined scope; [`choose_join`] picks the
+/// algorithm from `strategy`, the shape of the `ON` condition and the
+/// inner table's index (see module docs).
 ///
 /// # Errors
 /// Returns binder/eval errors from the `ON` expression.
 pub fn join_rels(
     left: Rel,
-    right: Rel,
+    right: JoinInner,
     join_type: JoinType,
     on: Option<&Expr>,
     strategy: JoinStrategy,
     stats: &Stats,
-) -> DbResult<Rel> {
-    // combined scope
+) -> DbResult<Joined> {
     let mut scope = left.scope.clone();
-    for r in right.scope.relations() {
+    for r in right.scope().relations() {
         scope.push(r.clone());
     }
     let left_arity = left.scope.arity();
-    let right_arity = right.scope.arity();
-    let total_arity = left_arity + right_arity;
+    let right_arity = right.scope().arity();
 
     let (key, residual) = match on {
         Some(e) => {
             let bound = bind_scalar(e, &scope)?;
-            extract_equi_key(split_conjuncts(bound), left_arity, total_arity)
+            extract_equi_key(split_conjuncts(bound), left_arity, left_arity + right_arity)
         }
         None => (None, Vec::new()),
     };
 
-    let mut out_rows: Vec<Row> = Vec::new();
-    let null_right: Row = vec![Value::Null; right_arity];
-
-    let matches_residual = |combined: &Row| -> DbResult<bool> {
-        for r in &residual {
-            if !r.eval(combined, &[])?.is_truthy() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+    let index = match (&key, &right) {
+        (Some(k), JoinInner::Table { handle, .. }) => index_shape(handle, k.right),
+        _ => None,
+    };
+    let algo = match key {
+        Some(_) => choose_join(strategy, left.rows.len(), index),
+        None => JoinAlgo::NestedLoop,
     };
 
-    match key {
-        Some(key) => {
-            // try index nested-loop: single base-table right side with an
-            // index on the join column
-            let index_handle = if right.bases.len() == 1 {
-                right.bases[0].as_ref().and_then(|h| {
-                    if h.read().has_index_on(key.right) {
-                        Some(h.clone())
-                    } else {
-                        None
-                    }
-                })
-            } else {
-                None
+    let mut emit = Emit {
+        residual: &residual,
+        right_arity,
+        left_join: join_type == JoinType::Left,
+        out: Vec::new(),
+    };
+    let inner_read = match (&algo, key, right) {
+        (JoinAlgo::IndexNestedLoop { .. }, Some(key), JoinInner::Table { handle, .. }) => {
+            let fetched = index_nested_loop(&left.rows, &handle, key, &mut emit, stats)?;
+            Some((fetched, 0))
+        }
+        (_, key, right) => {
+            let (right_rows, inner_read) = match right {
+                JoinInner::Rows(rel) => (rel.rows, None),
+                JoinInner::Table { handle, .. } => {
+                    let t0 = Instant::now();
+                    let rows = handle.read().scan();
+                    stats.add_rows_scanned(rows.len() as u64);
+                    let read = (rows.len() as u64, t0.elapsed().as_micros() as u64);
+                    (rows, Some(read))
+                }
             };
-            let use_index_nl = index_handle.is_some() && strategy != JoinStrategy::Hash;
-            if use_index_nl {
-                let handle = index_handle.expect("checked above");
-                let table = handle.read();
-                for lrow in &left.rows {
-                    let kv = &lrow[key.left];
-                    let mut matched = false;
-                    if !kv.is_null() {
-                        stats.add_index_lookups(1);
-                        if let Some(slots) = table.index_lookup(key.right, kv) {
-                            for slot in slots {
-                                if let Some(rrow) = table.row(slot) {
-                                    let mut combined = lrow.clone();
-                                    combined.extend(rrow.iter().cloned());
-                                    if matches_residual(&combined)? {
-                                        matched = true;
-                                        out_rows.push(combined);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if !matched && join_type == JoinType::Left {
-                        let mut combined = lrow.clone();
-                        combined.extend(null_right.iter().cloned());
-                        out_rows.push(combined);
-                    }
+            match (&algo, key) {
+                (JoinAlgo::Hash, Some(key)) => {
+                    hash_join(&left.rows, &right_rows, key, &mut emit, stats)?
                 }
-            } else if strategy == JoinStrategy::Hash {
-                // hash join: build the hash table on the smaller relation
-                // (row order is not a relational guarantee, so the swap only
-                // changes output order, never the row multiset)
-                let typed =
-                    int_keys_only(&left.rows, key.left) && int_keys_only(&right.rows, key.right);
-                if left.rows.len() < right.rows.len() {
-                    // build on left, probe with right; LEFT JOIN padding needs
-                    // per-build-row matched flags since matches arrive in
-                    // probe order
-                    let table = KeyMap::build(&left.rows, key.left, typed);
-                    let mut matched = vec![false; left.rows.len()];
-                    for rrow in &right.rows {
-                        let kv = &rrow[key.right];
-                        if kv.is_null() {
-                            continue;
-                        }
-                        if let Some(cands) = table.get(kv) {
-                            for &i in cands {
-                                let mut combined = left.rows[i].clone();
-                                combined.extend(rrow.iter().cloned());
-                                if matches_residual(&combined)? {
-                                    matched[i] = true;
-                                    out_rows.push(combined);
-                                }
-                            }
-                        }
-                    }
-                    if join_type == JoinType::Left {
-                        for (i, lrow) in left.rows.iter().enumerate() {
-                            if !matched[i] {
-                                let mut combined = lrow.clone();
-                                combined.extend(null_right.iter().cloned());
-                                out_rows.push(combined);
-                            }
-                        }
-                    }
-                } else {
-                    // build on right, probe with left
-                    let table = KeyMap::build(&right.rows, key.right, typed);
-                    for lrow in &left.rows {
-                        let kv = &lrow[key.left];
-                        let mut matched = false;
-                        if !kv.is_null() {
-                            if let Some(cands) = table.get(kv) {
-                                for &i in cands {
-                                    let mut combined = lrow.clone();
-                                    combined.extend(right.rows[i].iter().cloned());
-                                    if matches_residual(&combined)? {
-                                        matched = true;
-                                        out_rows.push(combined);
-                                    }
-                                }
-                            }
-                        }
-                        if !matched && join_type == JoinType::Left {
-                            let mut combined = lrow.clone();
-                            combined.extend(null_right.iter().cloned());
-                            out_rows.push(combined);
-                        }
-                    }
+                (JoinAlgo::BlockNestedLoop { buffer_rows }, Some(key)) => {
+                    block_nested_loop(&left.rows, &right_rows, key, *buffer_rows, &mut emit, stats)?
                 }
-            } else {
-                // block nested-loop with an equality check inlined
-                let buffer = match strategy {
-                    JoinStrategy::BlockNestedLoop { buffer_rows } => buffer_rows.max(1),
-                    JoinStrategy::Hash => unreachable!(),
-                };
-                // with integer-only keys on both sides the per-pair compare
-                // is one i64 equality instead of a Value dispatch
-                let typed =
-                    int_keys_only(&left.rows, key.left) && int_keys_only(&right.rows, key.right);
-                let mut matched = vec![false; left.rows.len()];
-                for (chunk_idx, chunk) in left.rows.chunks(buffer).enumerate() {
-                    let base = chunk_idx * buffer;
-                    for rrow in &right.rows {
-                        let rkv = &rrow[key.right];
-                        if rkv.is_null() {
-                            continue;
-                        }
-                        // same per-pair totals as the scalar loop, one
-                        // atomic add per inner row instead of per pair
-                        stats.add_rows_joined(chunk.len() as u64);
-                        if typed {
-                            let rk = match rkv {
-                                Value::Int(k) => *k,
-                                _ => unreachable!("typed path guards Int-only keys"),
-                            };
-                            for (off, lrow) in chunk.iter().enumerate() {
-                                if matches!(lrow[key.left], Value::Int(lk) if lk == rk) {
-                                    let mut combined = lrow.clone();
-                                    combined.extend(rrow.iter().cloned());
-                                    if matches_residual(&combined)? {
-                                        matched[base + off] = true;
-                                        out_rows.push(combined);
-                                    }
-                                }
-                            }
-                        } else {
-                            for (off, lrow) in chunk.iter().enumerate() {
-                                if lrow[key.left].sql_eq(rkv) == Some(true) {
-                                    let mut combined = lrow.clone();
-                                    combined.extend(rrow.iter().cloned());
-                                    if matches_residual(&combined)? {
-                                        matched[base + off] = true;
-                                        out_rows.push(combined);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if join_type == JoinType::Left {
-                    // preserve input order for unmatched rows by appending
-                    for (i, lrow) in left.rows.iter().enumerate() {
-                        if !matched[i] {
-                            let mut combined = lrow.clone();
-                            combined.extend(null_right.iter().cloned());
-                            out_rows.push(combined);
-                        }
-                    }
+                _ => nested_loop(&left.rows, &right_rows, &mut emit, stats)?,
+            }
+            inner_read
+        }
+    };
+
+    let rows = emit.out;
+    stats.add_rows_scanned(rows.len() as u64);
+    Ok(Joined {
+        rel: Rel { scope, rows },
+        algo,
+        inner_read,
+    })
+}
+
+/// One index probe per non-NULL outer key; the inner table is read through
+/// its slots and never copied out. Returns how many inner rows the probes
+/// fetched.
+fn index_nested_loop(
+    left: &[Row],
+    inner: &TableHandle,
+    key: EquiKey,
+    emit: &mut Emit<'_>,
+    stats: &Stats,
+) -> DbResult<u64> {
+    let table = inner.read();
+    let (mut probes, mut fetched) = (0u64, 0u64);
+    for lrow in left {
+        let kv = &lrow[key.left];
+        let mut matched = false;
+        if !kv.is_null() {
+            probes += 1;
+            for &slot in table.index_lookup(key.right, kv).unwrap_or(&[]) {
+                if let Some(rrow) = table.row(slot) {
+                    fetched += 1;
+                    matched |= emit.pair(lrow, rrow)?;
                 }
             }
         }
-        None => {
-            // no equi key: nested loop with the full ON predicate
-            let full_on = match on {
-                Some(_) => {
-                    // re-bind for the residual path (residual already holds
-                    // all conjuncts when no key was extracted)
-                    residual
+        emit.unmatched(lrow, matched);
+    }
+    stats.add_index_lookups(probes);
+    Ok(fetched)
+}
+
+/// Builds the hash table on the smaller relation and probes with the
+/// larger (row order is not a relational guarantee, so the swap only
+/// changes output order, never the row multiset).
+fn hash_join(
+    left: &[Row],
+    right: &[Row],
+    key: EquiKey,
+    emit: &mut Emit<'_>,
+    stats: &Stats,
+) -> DbResult<()> {
+    let typed = int_keys_only(left, key.left) && int_keys_only(right, key.right);
+    if left.len() < right.len() {
+        // build on left, probe with right; LEFT JOIN padding needs
+        // per-build-row matched flags since matches arrive in probe order
+        stats.add_rows_joined(right.len() as u64);
+        let table = KeyMap::build(left, key.left, typed);
+        let mut matched = vec![false; left.len()];
+        for rrow in right {
+            let kv = &rrow[key.right];
+            if kv.is_null() {
+                continue;
+            }
+            for &i in table.get(kv).unwrap_or(&[]) {
+                matched[i] |= emit.pair(&left[i], rrow)?;
+            }
+        }
+        for (lrow, m) in left.iter().zip(matched) {
+            emit.unmatched(lrow, m);
+        }
+    } else {
+        // build on right, probe with left
+        stats.add_rows_joined(left.len() as u64);
+        let table = KeyMap::build(right, key.right, typed);
+        for lrow in left {
+            let kv = &lrow[key.left];
+            let mut matched = false;
+            if !kv.is_null() {
+                for &i in table.get(kv).unwrap_or(&[]) {
+                    matched |= emit.pair(lrow, &right[i])?;
                 }
-                None => Vec::new(),
-            };
-            for lrow in &left.rows {
-                let mut matched = false;
-                for rrow in &right.rows {
-                    stats.add_rows_joined(1);
-                    let mut combined = lrow.clone();
-                    combined.extend(rrow.iter().cloned());
-                    let mut ok = true;
-                    for c in &full_on {
-                        if !c.eval(&combined, &[])?.is_truthy() {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        matched = true;
-                        out_rows.push(combined);
-                    }
-                }
-                if !matched && join_type == JoinType::Left {
-                    let mut combined = lrow.clone();
-                    combined.extend(null_right.iter().cloned());
-                    out_rows.push(combined);
+            }
+            emit.unmatched(lrow, matched);
+        }
+    }
+    Ok(())
+}
+
+/// Block nested-loop with the key equality inlined: the inner side is
+/// walked once per block of `buffer` outer rows.
+fn block_nested_loop(
+    left: &[Row],
+    right: &[Row],
+    key: EquiKey,
+    buffer: usize,
+    emit: &mut Emit<'_>,
+    stats: &Stats,
+) -> DbResult<()> {
+    // with integer-only keys on both sides the per-pair compare is one i64
+    // equality instead of a Value dispatch
+    let typed = int_keys_only(left, key.left) && int_keys_only(right, key.right);
+    let mut matched = vec![false; left.len()];
+    for (chunk_idx, chunk) in left.chunks(buffer).enumerate() {
+        let base = chunk_idx * buffer;
+        for rrow in right {
+            let rkv = &rrow[key.right];
+            if rkv.is_null() {
+                continue;
+            }
+            // one atomic add per inner row instead of per pair
+            stats.add_rows_joined(chunk.len() as u64);
+            for (off, lrow) in chunk.iter().enumerate() {
+                let equal = match (typed, &lrow[key.left], rkv) {
+                    (true, Value::Int(l), Value::Int(r)) => l == r,
+                    (true, _, _) => false,
+                    (false, lkv, _) => lkv.sql_eq(rkv) == Some(true),
+                };
+                if equal {
+                    matched[base + off] |= emit.pair(lrow, rrow)?;
                 }
             }
         }
     }
+    // unmatched LEFT JOIN rows are appended in input order
+    for (lrow, m) in left.iter().zip(matched) {
+        emit.unmatched(lrow, m);
+    }
+    Ok(())
+}
 
-    stats.add_rows_scanned(out_rows.len() as u64);
-    let mut bases = left.bases;
-    bases.extend(right.bases);
-    Ok(Rel {
-        scope,
-        rows: out_rows,
-        bases,
-    })
+/// No equi key: every pair, with the whole `ON` predicate (all of it sits
+/// in the residual) — or none at all for a cross join.
+fn nested_loop(left: &[Row], right: &[Row], emit: &mut Emit<'_>, stats: &Stats) -> DbResult<()> {
+    for lrow in left {
+        stats.add_rows_joined(right.len() as u64);
+        let mut matched = false;
+        for rrow in right {
+            matched |= emit.pair(lrow, rrow)?;
+        }
+        emit.unmatched(lrow, matched);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -437,11 +597,7 @@ mod tests {
             qualifier: qualifier.into(),
             columns: cols.iter().map(|c| c.to_string()).collect(),
         });
-        Rel {
-            scope,
-            rows,
-            bases: vec![None],
-        }
+        Rel { scope, rows }
     }
 
     fn left_rel() -> Rel {
@@ -468,31 +624,41 @@ mod tests {
         )
     }
 
-    fn run(join_type: JoinType, strategy: JoinStrategy, on: &str) -> Vec<Row> {
+    /// Sorted output rows of `l ⋈ r`.
+    fn join(
+        l: Rel,
+        r: Rel,
+        join_type: JoinType,
+        on: Option<&str>,
+        strategy: JoinStrategy,
+    ) -> Vec<Row> {
         let stats = Stats::default();
-        let on = parse_expression(on).unwrap();
+        let on = on.map(|e| parse_expression(e).unwrap());
         let mut out = join_rels(
-            left_rel(),
-            right_rel(),
+            l,
+            JoinInner::Rows(r),
             join_type,
-            Some(&on),
+            on.as_ref(),
             strategy,
             &stats,
         )
         .unwrap()
+        .rel
         .rows;
         out.sort();
         out
     }
 
+    fn run(join_type: JoinType, strategy: JoinStrategy, on: &str) -> Vec<Row> {
+        join(left_rel(), right_rel(), join_type, Some(on), strategy)
+    }
+
+    const BNL: JoinStrategy = JoinStrategy::BlockNestedLoop { buffer_rows: 2 };
+
     #[test]
     fn hash_and_bnl_agree_on_inner_join() {
         let h = run(JoinType::Inner, JoinStrategy::Hash, "l.id = r.id");
-        let b = run(
-            JoinType::Inner,
-            JoinStrategy::BlockNestedLoop { buffer_rows: 2 },
-            "l.id = r.id",
-        );
+        let b = run(JoinType::Inner, BNL, "l.id = r.id");
         assert_eq!(h, b);
         assert_eq!(h.len(), 3); // 1 matches twice, 3 once
     }
@@ -537,7 +703,7 @@ mod tests {
     #[test]
     fn non_equi_join_falls_back_to_nested_loop() {
         let h = run(JoinType::Inner, JoinStrategy::Hash, "l.id < r.id");
-        // pairs: (1,3),(2,3) plus (1,... r.id=1? no 1<1 false) -> (1,3),(2,3)
+        // pairs: (1,3),(2,3)
         assert_eq!(h.len(), 2);
     }
 
@@ -546,25 +712,31 @@ mod tests {
         let stats = Stats::default();
         let out = join_rels(
             left_rel(),
-            right_rel(),
+            JoinInner::Rows(right_rel()),
             JoinType::Cross,
             None,
             JoinStrategy::Hash,
             &stats,
         )
         .unwrap();
-        assert_eq!(out.rows.len(), 9);
-        assert_eq!(out.arity(), 4);
+        assert_eq!(out.rel.rows.len(), 9);
+        assert_eq!(out.rel.arity(), 4);
+        assert_eq!(out.algo, JoinAlgo::NestedLoop);
+        assert_eq!(stats.snapshot().rows_joined, 9);
     }
 
     #[test]
     fn null_keys_never_match() {
-        let stats = Stats::default();
         let l = rel("l", &["id"], vec![vec![Value::Null], vec![Value::Int(1)]]);
         let r = rel("r", &["id"], vec![vec![Value::Null], vec![Value::Int(1)]]);
-        let on = parse_expression("l.id = r.id").unwrap();
-        let out = join_rels(l, r, JoinType::Inner, Some(&on), JoinStrategy::Hash, &stats).unwrap();
-        assert_eq!(out.rows.len(), 1);
+        let out = join(
+            l,
+            r,
+            JoinType::Inner,
+            Some("l.id = r.id"),
+            JoinStrategy::Hash,
+        );
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
@@ -572,7 +744,6 @@ mod tests {
         // the same join with a small left (→ left build) and a small right
         // (→ right build) must both match the nested-loop oracle, with a
         // residual in play and for both join types
-        let stats = Stats::default();
         let small = |q: &str| {
             rel(
                 q,
@@ -595,31 +766,17 @@ mod tests {
         };
         // the residual passes for some matches and fails for others in both
         // orientations (sums span 100..126)
-        let on = parse_expression("l.id = r.id AND l.x + r.x < 115").unwrap();
+        let on = Some("l.id = r.id AND l.x + r.x < 115");
         for join_type in [JoinType::Inner, JoinType::Left] {
             for (l, r) in [(small("l"), big("r")), (big("l"), small("r"))] {
-                let mut hash = join_rels(
-                    l.clone(),
-                    r.clone(),
-                    join_type,
-                    Some(&on),
-                    JoinStrategy::Hash,
-                    &stats,
-                )
-                .unwrap()
-                .rows;
-                let mut oracle = join_rels(
+                let hash = join(l.clone(), r.clone(), join_type, on, JoinStrategy::Hash);
+                let oracle = join(
                     l,
                     r,
                     join_type,
-                    Some(&on),
+                    on,
                     JoinStrategy::BlockNestedLoop { buffer_rows: 4 },
-                    &stats,
-                )
-                .unwrap()
-                .rows;
-                hash.sort();
-                oracle.sort();
+                );
                 assert_eq!(
                     hash, oracle,
                     "{join_type:?}: build-side choice changed results"
@@ -630,7 +787,6 @@ mod tests {
 
     #[test]
     fn typed_fast_path_matches_generic_and_bails_on_mixed_keys() {
-        let stats = Stats::default();
         // integer-only keys (plus NULLs) take the typed i64 build
         let l = rel(
             "l",
@@ -642,27 +798,109 @@ mod tests {
             &["id"],
             vec![vec![Value::Int(2)], vec![Value::Int(2)], vec![Value::Null]],
         );
-        let on = parse_expression("l.id = r.id").unwrap();
-        let out = join_rels(l, r, JoinType::Inner, Some(&on), JoinStrategy::Hash, &stats).unwrap();
-        assert_eq!(out.rows.len(), 2);
+        let on = Some("l.id = r.id");
+        assert_eq!(join(l, r, JoinType::Inner, on, JoinStrategy::Hash).len(), 2);
         // a Float key on either side must disable the typed path so that
         // cross-type numeric equality (Int 1 = Float 1.0) still matches
-        let l = rel("l", &["id"], vec![vec![Value::Int(1)]]);
-        let r = rel("r", &["id"], vec![vec![Value::Float(1.0)]]);
-        let out = join_rels(l, r, JoinType::Inner, Some(&on), JoinStrategy::Hash, &stats).unwrap();
-        assert_eq!(out.rows.len(), 1, "Int 1 must hash-match Float 1.0");
-        let l = rel("l", &["id"], vec![vec![Value::Int(1)]]);
-        let r = rel("r", &["id"], vec![vec![Value::Float(1.0)]]);
-        let out = join_rels(
-            l,
-            r,
+        for strategy in [JoinStrategy::Hash, BNL] {
+            let l = rel("l", &["id"], vec![vec![Value::Int(1)]]);
+            let r = rel("r", &["id"], vec![vec![Value::Float(1.0)]]);
+            let out = join(l, r, JoinType::Inner, on, strategy);
+            assert_eq!(out.len(), 1, "{strategy:?}: Int 1 must match Float 1.0");
+        }
+    }
+
+    #[test]
+    fn hash_join_counts_its_probe_side() {
+        let stats = Stats::default();
+        let on = parse_expression("l.id = r.id").unwrap();
+        let big = rel("r", &["id"], (0..10).map(|i| vec![Value::Int(i)]).collect());
+        join_rels(
+            left_rel(),
+            JoinInner::Rows(big),
             JoinType::Inner,
             Some(&on),
-            JoinStrategy::BlockNestedLoop { buffer_rows: 2 },
+            JoinStrategy::Hash,
             &stats,
         )
         .unwrap();
-        assert_eq!(out.rows.len(), 1, "Int 1 must BNL-match Float 1.0");
+        // built on the 3-row left, probed with the 10-row right
+        assert_eq!(stats.snapshot().rows_joined, 10);
+        assert_eq!(stats.snapshot().index_lookups, 0);
+    }
+
+    fn shape(inner_rows: usize, distinct_keys: usize) -> Option<IndexShape> {
+        Some(IndexShape {
+            name: "ix".into(),
+            inner_rows,
+            distinct_keys,
+        })
+    }
+
+    fn probes(algo: &JoinAlgo) -> bool {
+        matches!(algo, JoinAlgo::IndexNestedLoop { .. })
+    }
+
+    #[test]
+    fn small_outer_probes_the_index_on_every_strategy() {
+        // a partition's ~190 live rows against the 23k-row edge join,
+        // ~7.7 edges per source
+        for strategy in [JoinStrategy::Hash, BNL] {
+            let algo = choose_join(strategy, 190, shape(23_000, 3_000));
+            assert!(probes(&algo), "{strategy:?}: {algo:?}");
+        }
+        // no index, no probe
+        assert_eq!(choose_join(JoinStrategy::Hash, 190, None), JoinAlgo::Hash);
+    }
+
+    #[test]
+    fn whole_table_joins_keep_the_hash_plan() {
+        // outer = every distinct key: probing costs exactly inner + outer,
+        // a tie, and ties stay with the hash join — in both orientations
+        // of the script's rank ⋈ edges join
+        let algo = choose_join(JoinStrategy::Hash, 3_000, shape(23_000, 3_000));
+        assert_eq!(algo, JoinAlgo::Hash);
+        let algo = choose_join(JoinStrategy::Hash, 23_000, shape(3_000, 3_000));
+        assert_eq!(algo, JoinAlgo::Hash);
+        // the nested-loop profiles have no such alternative: comparing all
+        // 69M pairs is never cheaper than 23k primary-key probes
+        let algo = choose_join(BNL, 23_000, shape(3_000, 3_000));
+        assert!(probes(&algo), "{algo:?}");
+    }
+
+    #[test]
+    fn empty_outer_never_scans_an_indexed_inner() {
+        for strategy in [JoinStrategy::Hash, BNL] {
+            let algo = choose_join(strategy, 0, shape(1_000, 10));
+            assert!(probes(&algo), "{strategy:?}: {algo:?}");
+        }
+        // nothing to save when the inner table is empty too
+        assert_eq!(
+            choose_join(BNL, 0, shape(0, 0)),
+            JoinAlgo::BlockNestedLoop { buffer_rows: 2 }
+        );
+    }
+
+    #[test]
+    fn labels_name_the_algorithm_and_its_inputs() {
+        let algo = choose_join(JoinStrategy::Hash, 190, shape(23_000, 2_875));
+        assert_eq!(
+            algo.describe(JoinType::Inner),
+            "IndexNestedLoopJoin using ix (outer=190, inner=23000, fanout=8.0)"
+        );
+        assert_eq!(JoinAlgo::Hash.describe(JoinType::Left), "HashLeftJoin");
+        assert_eq!(
+            JoinAlgo::BlockNestedLoop { buffer_rows: 256 }.describe(JoinType::Inner),
+            "BlockNestedLoop (buffer 256)Join"
+        );
+        assert_eq!(
+            JoinAlgo::NestedLoop.describe(JoinType::Inner),
+            "NestedLoopJoin (non-equi ON)"
+        );
+        assert_eq!(
+            JoinAlgo::NestedLoop.describe(JoinType::Cross),
+            "NestedLoop (cross join)"
+        );
     }
 
     #[test]

@@ -122,14 +122,15 @@ impl fmt::Display for EngineProfile {
     }
 }
 
-/// Equi-join execution strategy.
+/// Equi-join execution strategy: the algorithm a profile falls back to
+/// when [`crate::join::choose_join`] does not probe an index on the inner
+/// join column instead (which it may on any profile).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
-    /// Build a hash table on the inner side (PostgreSQL).
+    /// Build a hash table on the smaller side (PostgreSQL).
     Hash,
     /// Nested loop joining `buffer_rows` outer rows per inner pass
-    /// (MySQL/MariaDB block-nested-loop; an index on the inner join column
-    /// upgrades this to an index nested-loop join on any profile).
+    /// (MySQL/MariaDB block-nested-loop).
     BlockNestedLoop {
         /// Outer rows buffered per inner scan.
         buffer_rows: usize,

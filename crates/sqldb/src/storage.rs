@@ -409,21 +409,34 @@ impl Table {
     }
 
     /// Finds any index (primary or secondary) usable for equality lookups on
-    /// `column`; returns slots matching `key`.
-    pub fn index_lookup(&self, column: usize, key: &Value) -> Option<Vec<usize>> {
-        if self.schema.primary_key() == Some(column) && self.pk_index.is_some() {
-            return Some(self.lookup_pk(key).into_iter().collect());
+    /// `column`; returns the slots matching `key` (`None` = no such index).
+    /// Key equality is [`Value`]'s `Eq`, i.e. [`Value::sql_eq`] for
+    /// non-NULL keys (`Int 1` finds `Float 1.0`).
+    pub fn index_lookup(&self, column: usize, key: &Value) -> Option<&[usize]> {
+        if self.schema.primary_key() == Some(column) {
+            if let Some(pk) = &self.pk_index {
+                return Some(pk.get(key).map(std::slice::from_ref).unwrap_or(&[]));
+            }
         }
         self.secondary
             .iter()
             .find(|s| s.column == column)
-            .map(|s| s.lookup(key).to_vec())
+            .map(|s| s.lookup(key))
     }
 
-    /// True when equality lookups on `column` can use an index.
-    pub fn has_index_on(&self, column: usize) -> bool {
-        (self.schema.primary_key() == Some(column) && self.pk_index.is_some())
-            || self.secondary.iter().any(|s| s.column == column)
+    /// The index [`Table::index_lookup`] would use for `column`: its name
+    /// and how many distinct keys it holds (`len() / distinct_keys` is the
+    /// index fan-out the join planner costs a probe with).
+    pub fn index_on(&self, column: usize) -> Option<(&str, usize)> {
+        if self.schema.primary_key() == Some(column) {
+            if let Some(pk) = &self.pk_index {
+                return Some(("primary key", pk.len()));
+            }
+        }
+        self.secondary
+            .iter()
+            .find(|s| s.column == column)
+            .map(|s| (s.name.as_str(), s.map.len()))
     }
 
     /// Bytes this table currently has charged against its budget.
@@ -530,6 +543,7 @@ mod tests {
         t.create_index("idx_v", 1, false).unwrap();
         let slots = t.index_lookup(1, &Value::Float(7.0)).unwrap();
         assert_eq!(slots.len(), 2);
+        assert_eq!(t.index_on(1), Some(("idx_v", 1)));
         t.update_slot(s1, vec![Value::Int(1), Value::Float(8.0)])
             .unwrap();
         assert_eq!(t.index_lookup(1, &Value::Float(7.0)).unwrap(), vec![s2]);
@@ -621,8 +635,10 @@ mod tests {
     fn pk_lookup_via_index_lookup() {
         let mut t = table();
         t.insert(vec![Value::Int(42), Value::Float(0.0)]).unwrap();
-        assert!(t.has_index_on(0));
-        assert!(!t.has_index_on(1));
+        assert_eq!(t.index_on(0), Some(("primary key", 1)));
+        assert_eq!(t.index_on(1), None);
         assert_eq!(t.index_lookup(0, &Value::Int(42)).unwrap().len(), 1);
+        assert!(t.index_lookup(0, &Value::Int(7)).unwrap().is_empty());
+        assert!(t.index_lookup(1, &Value::Float(0.0)).is_none());
     }
 }

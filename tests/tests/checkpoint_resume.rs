@@ -16,10 +16,7 @@ use std::time::Duration;
 
 /// A process-unique scratch directory for checkpoint files.
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sqloop-ckpt-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    sqloop_tests::scratch_dir("sqloop-ckpt", tag)
 }
 
 /// A fresh engine with `graph` loaded — called once per "process life":

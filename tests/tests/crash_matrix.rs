@@ -22,10 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sqloop-cmx-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    sqloop_tests::scratch_dir("sqloop-cmx", tag)
 }
 
 fn fresh_driver(graph: &graphgen::Graph) -> Arc<dyn Driver> {
