@@ -3,6 +3,7 @@
 
 use crate::analysis::{analyze, AnalysisOutcome};
 use crate::checkpoint::{load_latest_recovering, Checkpointer};
+use crate::common::PlanCacheProbe;
 use crate::config::{ExecutionMode, SqloopConfig};
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{parse, IterativeCte, SqloopQuery};
@@ -434,6 +435,7 @@ impl SQLoop {
                 checkpointer.as_mut(),
                 resume.as_ref(),
                 &mut governance,
+                Some(PlanCacheProbe::new(&self.driver)),
             )?;
             let checkpoint = checkpointer
                 .as_ref()

@@ -5,7 +5,7 @@
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{DataMode, Termination};
 use crate::translate::{translate_query_to_sql, translate_sql};
-use dbcp::{Connection, PreparedStatement};
+use dbcp::{Connection, Driver, PreparedStatement};
 use obs::{EventKind, TraceHandle};
 use sqldb::ast::{SelectStmt, SetExpr, TableFactor};
 use sqldb::{DataType, DbError, EngineProfile, StmtOutput, Value};
@@ -67,36 +67,32 @@ impl CteNames {
     }
 }
 
-/// Per-round plan-cache attribution: snapshots the process-wide
-/// `sqldb.plan_cache.hit`/`.miss` counters at each round boundary and emits
-/// one [`EventKind::PlanCache`] trace event carrying the round's deltas,
-/// tagged with the scheduler mode. This makes "where do the parallel-mode
-/// cache misses come from" answerable round by round from the trace,
-/// without guessing from end-of-run totals.
-///
-/// The counters are process-wide, so concurrent runs in one process blur
-/// each other's deltas — fine for the CLI and bench harness, which run one
-/// loop at a time.
-#[derive(Debug)]
+/// Per-round plan-cache attribution: snapshots the hit/miss counters of
+/// the run's own engine ([`Driver::plan_cache_stats`]) at each round
+/// boundary and emits one [`EventKind::PlanCache`] trace event carrying the
+/// round's deltas, tagged with the scheduler mode. This makes "where do the
+/// parallel-mode cache misses come from" answerable round by round from the
+/// trace, without guessing from end-of-run totals. A driver that cannot see
+/// its engine's counters (a remote one) produces no events.
 pub struct PlanCacheProbe {
-    hit: Arc<obs::Counter>,
-    miss: Arc<obs::Counter>,
-    last_hit: u64,
-    last_miss: u64,
+    driver: Arc<dyn Driver>,
+    last: Option<sqldb::PlanCacheStats>,
+}
+
+impl std::fmt::Debug for PlanCacheProbe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PlanCacheProbe")
+            .field("last", &self.last)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PlanCacheProbe {
-    /// Starts a probe at the counters' current values.
-    pub fn new() -> PlanCacheProbe {
-        let reg = obs::global();
-        let hit = reg.counter("sqldb.plan_cache.hit");
-        let miss = reg.counter("sqldb.plan_cache.miss");
-        let (last_hit, last_miss) = (hit.get(), miss.get());
+    /// Starts a probe at the current counters of `driver`'s engine.
+    pub fn new(driver: &Arc<dyn Driver>) -> PlanCacheProbe {
         PlanCacheProbe {
-            hit,
-            miss,
-            last_hit,
-            last_miss,
+            driver: Arc::clone(driver),
+            last: driver.plan_cache_stats(),
         }
     }
 
@@ -105,13 +101,14 @@ impl PlanCacheProbe {
     /// baseline always advances, so enabling the trace mid-run starts
     /// from current values rather than replaying history.
     pub fn tick(&mut self, trace: &TraceHandle, round: u64, mode: &str) {
-        let (hit, miss) = (self.hit.get(), self.miss.get());
-        let (dh, dm) = (hit - self.last_hit, miss - self.last_miss);
-        self.last_hit = hit;
-        self.last_miss = miss;
+        let now = self.driver.plan_cache_stats();
+        let (Some(last), Some(now)) = (std::mem::replace(&mut self.last, now), now) else {
+            return;
+        };
         if !trace.is_enabled() {
             return;
         }
+        let (dh, dm) = (now.hits - last.hits, now.misses - last.misses);
         let pct = (dh * 100).checked_div(dh + dm).unwrap_or(100);
         trace.event(
             EventKind::PlanCache,
@@ -119,12 +116,6 @@ impl PlanCacheProbe {
             Some(round),
             format!("mode={mode} hits={dh} misses={dm} hit_rate={pct}%"),
         );
-    }
-}
-
-impl Default for PlanCacheProbe {
-    fn default() -> PlanCacheProbe {
-        PlanCacheProbe::new()
     }
 }
 

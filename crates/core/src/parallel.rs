@@ -528,7 +528,7 @@ fn run_parallel_inner(
         replacements: 0,
         aborting: false,
         trace,
-        cache_probe: PlanCacheProbe::new(),
+        cache_probe: PlanCacheProbe::new(driver),
         round: start_round + 1,
         cancel: &config.cancel,
         checkpointer,
@@ -1103,7 +1103,7 @@ impl Scheduler<'_> {
         // have generation-stable names, so the statement texts below are
         // byte-identical every round and stay hot in the plan cache.
         self.parts[x].msg_seq += 1;
-        let mut stmts = Vec::with_capacity(6);
+        let mut stmts = Vec::with_capacity(7);
         let msg = match self.free_slots[x].pop() {
             Some(slot) => {
                 stmts.push(self.gen.clear_message_slot_sql(&slot));
@@ -1119,6 +1119,7 @@ impl Scheduler<'_> {
                 // re-runs after it succeeded
                 stmts.push(format!("DROP TABLE IF EXISTS {slot}"));
                 stmts.push(self.gen.create_message_slot_sql(&slot));
+                stmts.extend(self.gen.message_slot_index_sql(&slot));
                 slot
             }
         };
@@ -1413,17 +1414,14 @@ impl Scheduler<'_> {
                 let msg_rows = acc_msg_rows.or(d.msg_rows).unwrap_or(0);
                 if msg_rows > 0 {
                     self.messages += 1;
-                    // normalize SQL truncating modulo to rem_euclid buckets
-                    let n = self.parts.len() as i64;
+                    // the slot's distinct `__to` values
                     let targets = acc_rows.first().map(|r| {
                         let mut t: Vec<usize> = r
                             .rows
                             .iter()
-                            .filter_map(|row| row[0].as_i64())
-                            .map(|p| (((p % n) + n) % n) as usize)
+                            .filter_map(|row| row[0].as_i64().map(|p| p as usize))
                             .collect();
                         t.sort_unstable();
-                        t.dedup();
                         t
                     });
                     self.msgs.push(MsgState {

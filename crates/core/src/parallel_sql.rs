@@ -23,6 +23,10 @@ pub const AVG_CNT_COL: &str = "__avg_cnt";
 /// instead a row only emits messages when its delta moved past the
 /// watermark — Maiter\'s consumed-delta, adapted to idempotent ⊕.
 pub const SENT_COL: &str = "__sent";
+/// Hidden column of a routed message slot: the partition each message row
+/// is addressed to ([`SqlGen::bucket`] of its `id`, computed in SQL by the
+/// Compute that fills the slot). Indexed, so a Gather seeks its own rows.
+pub const TO_COL: &str = "__to";
 
 /// SQL builder bound to one CTE's names, schema and plan.
 #[derive(Debug, Clone)]
@@ -94,9 +98,9 @@ impl SqlGen {
 
     /// Stable hash bucket for a key value (middleware-side partitioning on
     /// `Rid`, paper §V-B). Integer keys use modulo so the *same* function is
-    /// expressible in SQL (`MOD(id, n)`), which lets Compute tasks report
-    /// which partitions each message table targets; other types fall back
-    /// to a middleware-only hash (and broadcast gathers).
+    /// expressible in SQL (`(id % n + n) % n`), which lets a Compute
+    /// address each message row to its partition; other types fall back to
+    /// a middleware-only hash (and broadcast gathers).
     pub fn bucket(&self, key: &Value) -> usize {
         let n = self.partitions as u64;
         match key {
@@ -111,14 +115,18 @@ impl SqlGen {
         self.schema.types[0] == sqldb::DataType::Int
     }
 
+    /// [`SqlGen::bucket`] of the integer expression `id`, in SQL. `%`
+    /// truncates toward zero, so the remainder is shifted into `0..n`
+    /// first (`rem_euclid`).
+    fn bucket_sql(&self, id: &str) -> String {
+        let n = self.partitions;
+        format!("({id} % {n} + {n}) % {n}")
+    }
+
     /// Query returning the distinct destination partitions of a message
-    /// table (only valid when [`SqlGen::routing_enabled`]). The master
-    /// normalizes the SQL truncating-modulo to `rem_euclid`.
+    /// slot (only valid when [`SqlGen::routing_enabled`]).
     pub fn touched_partitions_sql(&self, msg_table: &str) -> String {
-        format!(
-            "SELECT DISTINCT MOD(id, {}) FROM {msg_table}",
-            self.partitions
-        )
+        format!("SELECT DISTINCT {TO_COL} FROM {msg_table}")
     }
 
     /// Names of the hidden bookkeeping columns partition tables carry
@@ -250,26 +258,37 @@ impl SqlGen {
 
     // -- Compute task (paper §V-C, first + second step) --------------------
 
-    /// Statement 1 of Compute(x): build the message table from partition
-    /// `x`'s pending deltas, grouped by destination id.
-    pub fn compute_message_sql(&self, x: usize, msg_table: &str) -> String {
-        format!(
-            "CREATE TABLE {msg_table} AS {}",
-            self.message_select_body(x)
-        )
+    /// The value columns of a message slot: the partial sum and count for
+    /// `AVG` (paper §V-D), one partial aggregate otherwise.
+    fn message_value_cols(&self) -> &'static [&'static str] {
+        if self.is_avg() {
+            &["vsum", "vcnt"]
+        } else {
+            &["val"]
+        }
     }
 
-    /// `CREATE TABLE <slot> (…)` for a reusable message slot — the
-    /// generation-stable replacement for per-round `CREATE TABLE … AS`.
-    /// Slot names carry no round number, so every round's statements are
-    /// textually identical and the plan cache serves them without a parse.
+    /// `CREATE TABLE <slot> (…)` for a reusable message slot. Slot names
+    /// carry no round number, so every round's statements are textually
+    /// identical and the plan cache serves them without a parse. A routed
+    /// slot also carries [`TO_COL`].
     pub fn create_message_slot_sql(&self, slot: &str) -> String {
-        let id_ty = self.schema.types[0];
-        if self.is_avg() {
-            format!("CREATE TABLE {slot} (id {id_ty}, vsum FLOAT, vcnt FLOAT)")
-        } else {
-            format!("CREATE TABLE {slot} (id {id_ty}, val FLOAT)")
+        let mut cols = format!("id {}", self.schema.types[0]);
+        for c in self.message_value_cols() {
+            cols.push_str(&format!(", {c} FLOAT"));
         }
+        if self.routing_enabled() {
+            cols.push_str(&format!(", {TO_COL} INT"));
+        }
+        format!("CREATE TABLE {slot} ({cols})")
+    }
+
+    /// Index on a routed slot's [`TO_COL`], created alongside the slot
+    /// (`None` when the key type is not routed). Idempotent, so a replayed
+    /// Compute may run it again.
+    pub fn message_slot_index_sql(&self, slot: &str) -> Option<String> {
+        self.routing_enabled()
+            .then(|| format!("CREATE INDEX IF NOT EXISTS {slot}__ito ON {slot} ({TO_COL})"))
     }
 
     /// `DELETE FROM <slot>`: truncates a reused message slot before the
@@ -279,27 +298,14 @@ impl SqlGen {
         format!("DELETE FROM {slot}")
     }
 
-    /// Statement 1 of Compute(x) in slot form: `INSERT INTO <slot> SELECT …`
-    /// with the same body [`SqlGen::compute_message_sql`] materializes.
+    /// Statement 1 of Compute(x): refill `slot` with partition `x`'s
+    /// pending deltas joined to the (materialized) edges, aggregated per
+    /// destination id — and, when routed, each row's destination partition.
     pub fn insert_message_sql(&self, x: usize, slot: &str) -> String {
-        let cols = if self.is_avg() {
-            "id, vsum, vcnt"
-        } else {
-            "id, val"
-        };
-        format!(
-            "INSERT INTO {slot} ({cols}) {}",
-            self.message_select_body(x)
-        )
-    }
-
-    /// The shared `SELECT` body both message-table forms project: partition
-    /// `x`'s pending deltas joined to the (materialized) edges, aggregated
-    /// per destination id.
-    fn message_select_body(&self, x: usize) -> String {
         let msg_expr = render_expr(&self.plan.message_expr);
         let agg = self.plan.aggregate;
-        let projection = if self.is_avg() {
+        let mut cols = format!("id, {}", self.message_value_cols().join(", "));
+        let mut projection = if self.is_avg() {
             format!("SUM({msg_expr}) AS vsum, COUNT({msg_expr}) AS vcnt")
         } else {
             // the §V-D correction: Compute emits *partial counts* for COUNT
@@ -336,8 +342,13 @@ impl SqlGen {
             k = self.key(),
         );
         let dst_ref = format!("{EDGE_QUAL}.{dst}");
+        if self.routing_enabled() {
+            cols.push_str(&format!(", {TO_COL}"));
+            projection.push_str(&format!(", {} AS {TO_COL}", self.bucket_sql(&dst_ref)));
+        }
         format!(
-            "SELECT {dst_ref} AS id, {projection} FROM {from} WHERE {} GROUP BY {dst_ref}",
+            "INSERT INTO {slot} ({cols}) \
+             SELECT {dst_ref} AS id, {projection} FROM {from} WHERE {} GROUP BY {dst_ref}",
             filters.join(" AND "),
         )
     }
@@ -373,8 +384,10 @@ impl SqlGen {
     /// Gather(x): fold every unread message table into the delta column in
     /// a single statement (paper §V-C: "a single query that contains the
     /// union of all the message tables"). With routing, each branch of the
-    /// union keeps only the rows addressed to partition `x`, so the fold
-    /// and the update work on O(|partition|) rows instead of every message.
+    /// union seeks the slot's [`TO_COL`] index for the rows addressed to
+    /// partition `x`, so the read, the fold and the update work on
+    /// O(|partition|) rows instead of every message; an unrouted key type
+    /// reads every slot in full (broadcast).
     ///
     /// # Panics
     /// Panics if `msg_tables` is empty.
@@ -383,7 +396,11 @@ impl SqlGen {
         let pt = self.names.partition(x);
         let k = self.key();
         let delta = self.delta_col();
-        let routed = self.routed_to_sql(x);
+        let routed = if self.routing_enabled() {
+            format!(" WHERE {TO_COL} = {x}")
+        } else {
+            String::new()
+        };
         if self.is_avg() {
             let unions = msg_tables
                 .iter()
@@ -419,18 +436,6 @@ impl SqlGen {
              FROM (SELECT id, {pre}(val) AS val FROM ({unions}) AS msgs GROUP BY id) AS inc \
              WHERE {pt}.{k} = inc.id"
         )
-    }
-
-    /// ` WHERE …` clause keeping the message rows whose `id` falls into
-    /// partition `x`: [`SqlGen::bucket`] in SQL. `%` truncates toward zero,
-    /// so the remainder is shifted into `0..n` first (`rem_euclid`).
-    /// Empty when the key type is not routed (every gather reads all).
-    fn routed_to_sql(&self, x: usize) -> String {
-        if !self.routing_enabled() {
-            return String::new();
-        }
-        let n = self.partitions;
-        format!(" WHERE (id % {n} + {n}) % {n} = {x}")
     }
 
     /// Predicate selecting rows whose delta is *pending* (≠ the aggregate's
@@ -558,8 +563,9 @@ mod tests {
         check_all_dialects(&g.create_view_sql());
         check_all_dialects(&g.create_mjoin_sql());
         check_all_dialects(&g.join_index_sql());
-        check_all_dialects(&g.compute_message_sql(1, "pr__msg_1_0"));
         check_all_dialects(&g.create_message_slot_sql("pr__msgslot_1_0"));
+        check_all_dialects(&g.message_slot_index_sql("pr__msgslot_1_0").unwrap());
+        check_all_dialects(&g.touched_partitions_sql("pr__msgslot_1_0"));
         check_all_dialects(&g.clear_message_slot_sql("pr__msgslot_1_0"));
         check_all_dialects(&g.insert_message_sql(1, "pr__msgslot_1_0"));
         check_all_dialects(&g.compute_update_sql(1));
@@ -576,10 +582,9 @@ mod tests {
     }
 
     #[test]
-    fn compute_message_sql_shape() {
+    fn insert_message_sql_shape() {
         let g = pagerank_gen(4, true);
-        let sql = g.compute_message_sql(1, "pr__msg_1_0");
-        assert!(sql.contains("CREATE TABLE pr__msg_1_0"), "{sql}");
+        let sql = g.insert_message_sql(1, "pr__msgslot_1_0");
         assert!(sql.contains("SUM"), "{sql}");
         assert!(sql.contains("pr__mjoin"), "{sql}");
         assert!(sql.contains("GROUP BY"), "{sql}");
@@ -608,16 +613,25 @@ mod tests {
         let a = g.insert_message_sql(1, "pr__msgslot_1_0");
         let b = g.insert_message_sql(1, "pr__msgslot_1_0");
         assert_eq!(a, b);
+        // each message row carries the partition it is addressed to
         assert!(
-            a.starts_with("INSERT INTO pr__msgslot_1_0 (id, val) SELECT"),
+            a.starts_with("INSERT INTO pr__msgslot_1_0 (id, val, __to) SELECT __e.__dst AS id, "),
             "{a}"
         );
-        // and shares its select body with the CTAS form
-        let ctas = g.compute_message_sql(1, "m");
-        let body = a.split_once(" SELECT").unwrap().1;
-        assert!(ctas.ends_with(&format!("SELECT{body}")), "{ctas}\n{a}");
+        assert!(a.contains(", (__e.__dst % 4 + 4) % 4 AS __to FROM"), "{a}");
         let ddl = g.create_message_slot_sql("pr__msgslot_1_0");
-        assert_eq!(ddl, "CREATE TABLE pr__msgslot_1_0 (id INT, val FLOAT)");
+        assert_eq!(
+            ddl,
+            "CREATE TABLE pr__msgslot_1_0 (id INT, val FLOAT, __to INT)"
+        );
+        assert_eq!(
+            g.message_slot_index_sql("pr__msgslot_1_0").unwrap(),
+            "CREATE INDEX IF NOT EXISTS pr__msgslot_1_0__ito ON pr__msgslot_1_0 (__to)"
+        );
+        assert_eq!(
+            g.touched_partitions_sql("pr__msgslot_1_0"),
+            "SELECT DISTINCT __to FROM pr__msgslot_1_0"
+        );
         assert_eq!(
             g.clear_message_slot_sql("pr__msgslot_1_0"),
             "DELETE FROM pr__msgslot_1_0"
@@ -627,7 +641,7 @@ mod tests {
     #[test]
     fn non_materialized_variant_joins_edges_directly() {
         let g = pagerank_gen(4, false);
-        let sql = g.compute_message_sql(0, "m");
+        let sql = g.insert_message_sql(0, "m");
         assert!(
             sql.contains("FROM pr__pt0 AS __s JOIN edges AS __e ON __e.src = __s.node"),
             "{sql}"
@@ -648,12 +662,9 @@ mod tests {
         );
         assert!(sql.contains("UNION ALL"), "{sql}");
         assert!(sql.contains("SUM"), "{sql}");
-        // each branch reads only the rows routed to partition 0
-        assert_eq!(
-            sql.matches("WHERE (id % 4 + 4) % 4 = 0").count(),
-            2,
-            "{sql}"
-        );
+        // each branch seeks the rows addressed to partition 0
+        assert_eq!(sql.matches("WHERE __to = 0").count(), 2, "{sql}");
+        assert!(!sql.contains('%'), "{sql}");
     }
 
     #[test]
@@ -666,19 +677,57 @@ mod tests {
         let values: Vec<String> = ids.iter().map(|i| format!("({i}, 1.0)")).collect();
         s.execute(&format!("INSERT INTO m VALUES {}", values.join(", ")))
             .unwrap();
-        let mut seen = 0;
-        for x in 0..7 {
-            let sql = format!("SELECT id FROM m{}", g.routed_to_sql(x));
-            for row in s.query(&sql).unwrap().rows {
-                assert_eq!(g.bucket(&row[0]), x, "id {} in partition {x}", row[0]);
-                seen += 1;
-            }
+        // the `__to` a Compute writes is the partition `bucket` assigns
+        let sql = format!("SELECT id, {} FROM m", g.bucket_sql("id"));
+        let rows = s.query(&sql).unwrap().rows;
+        assert_eq!(rows.len(), ids.len());
+        for row in rows {
+            let to = row[1].as_i64().unwrap() as usize;
+            assert_eq!(g.bucket(&row[0]), to, "id {} addressed to {to}", row[0]);
         }
-        assert_eq!(
-            seen,
-            ids.len(),
-            "every message is routed to exactly one partition"
+    }
+
+    #[test]
+    fn gather_seeks_each_slot_for_its_own_rows() {
+        let g = pagerank_gen(4, true);
+        let db = sqldb::Database::new(EngineProfile::Postgres);
+        let mut s = db.connect();
+        s.execute(&g.create_partition_sql(1)).unwrap();
+        // partition 1 of 4 owns -3, 1, 5, 9
+        s.execute("INSERT INTO pr__pt1 VALUES (-3, 0.0, 0.15), (1, 0.0, 0.15), (5, 0.0, 0.15)")
+            .unwrap();
+        let slots = ["pr__msgslot_0_0", "pr__msgslot_2_0"];
+        for slot in slots {
+            s.execute(&g.create_message_slot_sql(slot)).unwrap();
+            s.execute(&g.message_slot_index_sql(slot).unwrap()).unwrap();
+            let rows: Vec<String> = (-8i64..8)
+                .map(|id| format!("({id}, 0.5, {})", g.bucket(&Value::Int(id))))
+                .collect();
+            s.execute(&format!("INSERT INTO {slot} VALUES {}", rows.join(", ")))
+                .unwrap();
+        }
+        let sql = g.gather_sql(1, &slots);
+        let before = db.stats();
+        let out = s.execute(&sql).unwrap();
+        let d = db.stats().delta_since(&before);
+        assert_eq!(out.rows_affected(), 3);
+        // one seek per slot, returning the 4 of its 16 rows addressed here;
+        // the fold's 4 rows then drive the update of the 3-row partition
+        assert!(d.index_lookups >= 2, "{d:?}");
+        assert!(d.rows_scanned < 32, "every message was read: {d:?}");
+        let deltas = s.query("SELECT node, delta FROM pr__pt1").unwrap().rows;
+        assert!(
+            deltas.iter().all(|r| r[1] == Value::Float(1.15)),
+            "{deltas:?}"
         );
+        let plan = s.query(&format!("EXPLAIN {sql}")).unwrap().rows;
+        for slot in slots {
+            let line = format!("IndexSeek {slot} using {slot}__ito (__to = 1)");
+            assert!(
+                plan.iter().any(|r| r[0].to_string().contains(&line)),
+                "{plan:?}"
+            );
+        }
     }
 
     #[test]
@@ -687,8 +736,14 @@ mod tests {
         g.schema.types[0] = DataType::Text;
         assert!(!g.routing_enabled());
         let sql = g.gather_sql(0, &["m1", "m2"]);
-        assert!(!sql.contains("%"), "{sql}");
+        assert!(!sql.contains("__to"), "{sql}");
         assert!(sql.contains("SELECT id, val FROM m1 UNION ALL"), "{sql}");
+        assert_eq!(
+            g.create_message_slot_sql("m1"),
+            "CREATE TABLE m1 (id TEXT, val FLOAT)"
+        );
+        assert_eq!(g.message_slot_index_sql("m1"), None);
+        assert!(!g.insert_message_sql(0, "m1").contains("__to"));
     }
 
     #[test]

@@ -252,6 +252,7 @@ pub fn run_iterative_single_durable(
         checkpointer,
         resume,
         &mut Governance::none(),
+        None,
     )
 }
 
@@ -260,7 +261,9 @@ pub fn run_iterative_single_durable(
 /// memory-budget trips abort the run *governed* — the engine limit is
 /// lifted, a final checkpoint is written (when checkpointing is on), and a
 /// typed [`SqloopError::BudgetExceeded`]/[`SqloopError::NumericDivergence`]
-/// is returned so the run can resume under a larger budget.
+/// is returned so the run can resume under a larger budget. With a
+/// `cache_probe`, each iteration's plan-cache hits and misses go into the
+/// trace.
 ///
 /// # Errors
 /// As [`run_iterative_single_durable`], plus the governance verdicts above.
@@ -275,6 +278,7 @@ pub fn run_iterative_single_governed(
     checkpointer: Option<&mut Checkpointer>,
     resume: Option<&LoopSnapshot>,
     governance: &mut Governance<'_>,
+    cache_probe: Option<PlanCacheProbe>,
 ) -> SqloopResult<RunOutcome> {
     let names = CteNames::new(&cte.name);
     match iterative_loop(
@@ -287,6 +291,7 @@ pub fn run_iterative_single_governed(
         checkpointer,
         resume,
         governance,
+        cache_probe,
     ) {
         Ok(out) => {
             cleanup(conn, &names, keep_artifacts)?;
@@ -342,6 +347,7 @@ fn iterative_loop(
     mut checkpointer: Option<&mut Checkpointer>,
     resume: Option<&LoopSnapshot>,
     governance: &mut Governance<'_>,
+    mut cache_probe: Option<PlanCacheProbe>,
 ) -> SqloopResult<RunOutcome> {
     let schema;
     let mut iterations;
@@ -421,7 +427,6 @@ fn iterative_loop(
         .transpose()?;
 
     let mut cancelled = false;
-    let mut cache_probe = PlanCacheProbe::new();
     loop {
         if cancel.cancelled() {
             trace.event(
@@ -502,7 +507,9 @@ fn iterative_loop(
                 end_us: trace.now_us(),
             });
         }
-        cache_probe.tick(trace, iterations, "Single");
+        if let Some(probe) = &mut cache_probe {
+            probe.tick(trace, iterations, "Single");
+        }
 
         // the termination probe and delta refresh also run engine statements
         // that can trip the memory budget — keep them governed too

@@ -389,3 +389,168 @@ fn unmaterialized_join_ablation_matches_single() {
         assert_parallel_modes_match_single(&db, "0", false, &format!("{profile} no Rmjoin"));
     }
 }
+
+/// The message slots a `keep_artifacts` run left in `db`.
+fn kept_slots(db: &Database) -> Vec<String> {
+    let mut slots = db.table_names();
+    slots.retain(|t| t.contains("__msgslot_"));
+    slots
+}
+
+#[test]
+fn routed_slots_address_their_rows_and_gathers_seek_them() {
+    // ids -10..10 over 6 partitions, every node live every round: every
+    // slot row must carry the partition that owns its id, and reading a
+    // slot the way Gather does (`WHERE __to = x`) must go through the
+    // slot's index
+    for profile in EngineProfile::ALL {
+        for mode in [
+            ExecutionMode::Sync,
+            ExecutionMode::Async,
+            ExecutionMode::AsyncPrio,
+        ] {
+            let what = format!("{profile} / {mode}");
+            let db = db_with_ring(profile);
+            let mut sq = sqloop_for(&db, mode, 2, 6);
+            sq.config_mut().keep_artifacts = true;
+            let report = sq.execute_detailed(PAGERANK).unwrap();
+            assert!(report.messages > 0, "{what}");
+            let slots = kept_slots(&db);
+            assert!(!slots.is_empty(), "{what}");
+            let mut s = db.connect();
+            let (mut negative, mut total) = (0, 0);
+            for slot in &slots {
+                let count = |s: &mut sqldb::Session, pred: &str| {
+                    let sql = format!("SELECT COUNT(*) FROM {slot} WHERE {pred}");
+                    s.query(&sql).unwrap().rows[0][0].as_i64().unwrap()
+                };
+                assert_eq!(
+                    count(&mut s, "__to <> (id % 6 + 6) % 6 OR __to IS NULL"),
+                    0,
+                    "{what}: {slot} misaddressed a message"
+                );
+                negative += count(&mut s, "id < 0");
+                total += count(&mut s, "id = id");
+                // one Gather branch per partition: each is one index
+                // lookup that visits exactly the rows it returns
+                let before = db.stats();
+                let mut read = 0;
+                for x in 0..6 {
+                    let sql = format!("SELECT id, val FROM {slot} WHERE __to = {x}");
+                    read += s.query(&sql).unwrap().rows.len() as u64;
+                }
+                let d = db.stats().delta_since(&before);
+                assert_eq!(d.index_lookups, 6, "{what}: {slot}");
+                assert_eq!(d.rows_scanned, read, "{what}: {slot}");
+                let plan = s
+                    .query(&format!(
+                        "EXPLAIN SELECT id, val FROM {slot} WHERE __to = 1"
+                    ))
+                    .unwrap();
+                let seek = format!("IndexSeek {slot} using {slot}__ito (__to = 1)");
+                assert!(
+                    plan.rows.iter().any(|r| r[0].to_string().contains(&seek)),
+                    "{what}: {plan:?}"
+                );
+            }
+            assert!(
+                negative > 0 && negative < total,
+                "{what}: {negative} of {total}"
+            );
+            // the run itself did at least one such lookup per message it
+            // created (every message is read by the partitions it names)
+            let engine = report.engine_stats.expect("local driver sees the engine");
+            assert!(engine.index_lookups >= report.messages, "{what}");
+        }
+    }
+}
+
+#[test]
+fn text_key_slots_stay_unrouted() {
+    let db = db_with_relabeled_graph(EngineProfile::Postgres, "TEXT", |n| format!("'n{n:02}'"));
+    let mut sq = sqloop_for(&db, ExecutionMode::Sync, 2, 6);
+    sq.config_mut().keep_artifacts = true;
+    sq.execute(PAGERANK).unwrap();
+    let slots = kept_slots(&db);
+    assert!(!slots.is_empty());
+    let mut s = db.connect();
+    for slot in &slots {
+        assert!(s.query(&format!("SELECT id, val FROM {slot}")).is_ok());
+        let err = s.query(&format!("SELECT __to FROM {slot}"));
+        assert!(err.is_err(), "{slot} carries a destination column");
+    }
+}
+
+/// A ring with chords over ids -10..10: every node has two incoming edges,
+/// so every `AVG` has inputs every round.
+fn db_with_ring(profile: EngineProfile) -> Database {
+    let db = Database::new(profile);
+    let mut s = db.connect();
+    s.execute("CREATE TABLE edges (src INT, dst INT, weight FLOAT)")
+        .unwrap();
+    let wrap = |i: i64| (i + 10).rem_euclid(21) - 10;
+    let values: Vec<String> = (-10..=10)
+        .flat_map(|i| {
+            [
+                format!("({i}, {}, 0.5)", wrap(i + 1)),
+                format!("({i}, {}, 1.0)", wrap(i + 5)),
+            ]
+        })
+        .collect();
+    s.execute(&format!("INSERT INTO edges VALUES {}", values.join(", ")))
+        .unwrap();
+    db
+}
+
+const AVERAGE: &str = "\
+WITH ITERATIVE av(Node, Acc, Delta) AS (
+  SELECT src, 0.0, 1.0 + src * 0.01 FROM edges GROUP BY src
+  ITERATE
+  SELECT av.Node, av.Acc + av.Delta, COALESCE(AVG(Nb.Delta * E.weight), 0.0)
+  FROM av
+  LEFT JOIN edges AS E ON av.Node = E.dst
+  LEFT JOIN av AS Nb ON Nb.Node = E.src
+  GROUP BY av.Node
+  UNTIL 6 ITERATIONS)
+SELECT Node, Acc FROM av ORDER BY Node";
+
+#[test]
+fn avg_query_folds_sum_and_count_through_routed_slots() {
+    for profile in EngineProfile::ALL {
+        let db = db_with_ring(profile);
+        let single = sqloop_for(&db, ExecutionMode::Single, 1, 1)
+            .execute(AVERAGE)
+            .unwrap();
+        assert_eq!(single.rows.len(), 21);
+        // Sync is the single-threaded semantics round for round
+        let sync = sqloop_for(&db, ExecutionMode::Sync, 2, 6)
+            .execute_detailed(AVERAGE)
+            .unwrap();
+        assert!(
+            matches!(sync.strategy, Strategy::IterativeParallel { .. }),
+            "{profile}: {:?}",
+            sync.strategy
+        );
+        for (a, b) in ranks(&single).iter().zip(ranks(&sync.result)) {
+            assert_eq!(a.0, b.0, "{profile}");
+            assert!(
+                (a.1 - b.1).abs() < 1e-9,
+                "{profile}: node {} {a:?} vs {b:?}",
+                a.0
+            );
+        }
+        // AVG is not invariant under the order messages arrive in (an
+        // average of partial averages is not the average), so the
+        // barrier-free modes have no oracle to match: they must run the
+        // same statements to completion over every node
+        for mode in [ExecutionMode::Async, ExecutionMode::AsyncPrio] {
+            let out = sqloop_for(&db, mode, 2, 6).execute(AVERAGE).unwrap();
+            let out = ranks(&out);
+            assert_eq!(out.len(), 21, "{profile} / {mode}");
+            assert!(
+                out.iter().all(|(_, acc)| acc.is_finite() && *acc > 0.0),
+                "{profile} / {mode}: {out:?}"
+            );
+        }
+    }
+}

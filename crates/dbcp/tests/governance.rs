@@ -116,41 +116,50 @@ fn load_shed_statements_are_retryable_and_work_completes() {
     let mut setup = driver.connect().unwrap();
     setup.execute("CREATE TABLE s (a INT)").unwrap();
 
+    // whichever of two clients arrives second is shed; which one that is
+    // belongs to the scheduler, so both sides run under one retry policy
+    // (a shed batch ran none of its statements: shedding happens on
+    // arrival) and every error either of them sees is collected
+    let policy = RetryPolicy::new(64, Duration::from_millis(1));
+
     // one long batch occupies the single in-flight slot for a while
     let batch: Vec<String> = (0..20_000)
         .map(|i| format!("INSERT INTO s VALUES ({i})"))
         .collect();
     let writer = {
-        let driver = driver.clone();
+        let (driver, policy) = (driver.clone(), policy.clone());
         std::thread::spawn(move || {
             let mut c = driver.connect().unwrap();
-            c.execute_batch(&batch).unwrap();
+            let mut shed = Vec::new();
+            policy
+                .run(|_| {
+                    let result = c.execute_batch(&batch);
+                    shed.extend(result.as_ref().err().cloned());
+                    result
+                })
+                .unwrap();
+            shed
         })
     };
 
-    // a second client eventually collides with the batch and is shed
+    // a second client keeps colliding with it until one of them is shed
     let mut reader = driver.connect().unwrap();
-    let mut shed_error = None;
-    while !writer.is_finished() {
-        match reader.query("SELECT COUNT(*) FROM s") {
-            Ok(_) => {}
-            Err(e) => {
-                shed_error = Some(e);
-                break;
-            }
+    let mut shed = Vec::new();
+    while !writer.is_finished() && shed.is_empty() {
+        if let Err(e) = reader.query("SELECT COUNT(*) FROM s") {
+            shed.push(e);
         }
     }
-    writer.join().unwrap();
-    if let Some(e) = shed_error {
+    shed.extend(writer.join().unwrap());
+    for e in &shed {
         assert!(
             matches!(e, DbError::Overloaded(_)),
             "shed statements must be typed, got {e:?}"
         );
-        assert!(is_transient(&e), "shed statements must be retryable");
+        assert!(is_transient(e), "shed statements must be retryable");
     }
 
-    // with the load gone, a RetryPolicy-wrapped statement completes
-    let policy = RetryPolicy::new(5, Duration::from_millis(1));
+    // with the load gone the work is complete: every row exactly once
     let count = policy
         .run(|_| reader.query("SELECT COUNT(*) FROM s"))
         .unwrap();

@@ -839,10 +839,15 @@ fn collect_lock_sets(stmt: &Statement, catalog: &Catalog) -> (HashSet<String>, H
 
     match stmt {
         Statement::Select(q) => add_query(q, catalog, &mut reads, 0),
-        Statement::Explain { stmt, .. } => {
-            if let Statement::Select(q) = stmt.as_ref() {
-                add_query(q, catalog, &mut reads, 0);
+        // EXPLAIN ANALYZE runs its statement (and takes DML back), so it
+        // locks like it; plain EXPLAIN only looks at the tables
+        Statement::Explain { analyze, stmt } => {
+            let (inner_reads, inner_writes) = collect_lock_sets(stmt, catalog);
+            if *analyze {
+                return (inner_reads, inner_writes);
             }
+            reads.extend(inner_reads);
+            reads.extend(inner_writes);
         }
         Statement::Insert(i) => {
             writes.insert(i.table.clone());

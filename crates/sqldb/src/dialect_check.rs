@@ -16,6 +16,7 @@ use crate::value::Value;
 /// Returns [`DbError::Unsupported`] naming the offending construct.
 pub fn validate(stmt: &Statement, dialect: &Dialect) -> DbResult<()> {
     match stmt {
+        Statement::Explain { stmt, .. } => return validate(stmt, dialect),
         Statement::Update(u) => {
             if u.join_on.is_some() && !dialect.supports_update_join {
                 return Err(DbError::Unsupported(format!(

@@ -5,15 +5,13 @@ use crate::batch::{ColumnBatch, CompiledExpr, EvalOut};
 use crate::bind::{bind_scalar, bind_with_aggregates, AggSpec, BoundExpr, Scope, ScopeRelation};
 use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
-use crate::explain::{
-    base_table, factor_label, factor_visible_name, inner_access_label, scan_label,
-};
-use crate::join::{join_rels, split_conjuncts, JoinInner, Rel};
+use crate::explain::{base_table, factor_label, factor_visible_name, inner_access_label};
+use crate::join::{choose_access, join_rels, table_scope, AccessPath, JoinInner, Rel};
 use crate::op_profile::{us_since, OpProfiler};
 use crate::profile::EngineProfile;
 use crate::stats::Stats;
 use crate::storage::Table;
-use crate::txn::{UndoLog, UndoOp};
+use crate::txn::{apply_undo, UndoLog, UndoOp};
 use crate::types::{Column, DataType, Schema};
 use crate::value::{Row, Value};
 use std::collections::{HashMap, HashSet};
@@ -201,6 +199,33 @@ impl<'a> Executor<'a> {
         Ok(lines)
     }
 
+    /// `EXPLAIN ANALYZE` of an `UPDATE` or `DELETE`: runs it with operator
+    /// profiling attached, takes its changes back, and renders the tree.
+    fn analyze_dml(&self, stmt: &Statement, undo: &mut UndoLog) -> DbResult<Vec<String>> {
+        let prof = OpProfiler::new();
+        let sub = Executor {
+            prof: Some(&prof),
+            ..*self
+        };
+        let mark = undo.len();
+        let start = Instant::now();
+        let result = sub.run_statement(stmt, undo);
+        let total_us = us_since(start);
+        // the statement was measured, not meant: whatever it changed (even
+        // on its way to an error) is undone before anything is reported
+        apply_undo(self.catalog, undo.split_off(mark))?;
+        let mut lines = Vec::new();
+        for root in prof.take() {
+            root.render(0, &mut lines);
+        }
+        lines.push(format!(
+            "Execution: rows={} time_us={}",
+            result?.rows_affected(),
+            total_us
+        ));
+        Ok(lines)
+    }
+
     fn run_query_depth(&self, q: &SelectStmt, depth: usize) -> DbResult<QueryResult> {
         if depth > MAX_DEPTH {
             return Err(DbError::Invalid(
@@ -330,32 +355,8 @@ impl<'a> Executor<'a> {
                 }
                 unit
             } else {
-                let mut rel: Option<Rel> = None;
-                for tr in &s.from {
-                    let prefilter = pushdown_conjuncts(s, tr);
-                    let right = self.build_table_ref(tr, depth, &prefilter)?;
-                    rel = Some(match rel {
-                        None => right,
-                        Some(left) => {
-                            let t0 = self.prof_start();
-                            let rows_in = (left.rows.len() + right.rows.len()) as u64;
-                            let joined = self.cross_join(left, right)?;
-                            if let Some(p) = self.prof {
-                                p.wrap(
-                                    2,
-                                    "NestedLoop (cross join)".to_string(),
-                                    joined.rows.len() as u64,
-                                    rows_in,
-                                    t0.map(us_since).unwrap_or(0),
-                                );
-                            }
-                            joined
-                        }
-                    });
-                }
-                rel.expect("non-empty from")
+                self.build_from(&s.from, depth, |tr| pushdown_conjuncts(s, tr))?
             };
-            self.stats.add_rows_scanned(rel.rows.len() as u64);
 
             // charge the materialized FROM output against the memory budget;
             // the reservation refunds itself when the statement's intermediate
@@ -466,26 +467,25 @@ impl<'a> Executor<'a> {
         };
         let t0 = self.prof_start();
         let handle = self.catalog.table(name)?;
-        let (columns, batches) = {
+        let scope = table_scope(&handle, &visible);
+        let arity = scope.arity();
+        let (access, batches) = {
             let t = handle.read();
-            (
-                t.schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect::<Vec<_>>(),
-                t.scan_batches(self.batch_rows()),
-            )
+            let access = choose_access(&t, &visible, &pushdown_conjuncts(s, &s.from[0]));
+            let batches = match &access {
+                AccessPath::Scan => t.scan_batches(self.batch_rows()),
+                AccessPath::Seek { .. } => {
+                    let rows = access.rows(&t).map(|(_, row)| row.clone()).collect();
+                    ColumnBatch::chunk_rows(rows, arity, self.batch_rows())
+                }
+            };
+            (access, batches)
         };
-        let arity = columns.len();
         let nrows: usize = batches.iter().map(ColumnBatch::len).sum();
-        // the row path counts scanned rows once at the scan and once as the
-        // FROM output; keep the stats identical across execution modes
-        self.stats.add_rows_scanned(nrows as u64);
-        self.stats.add_rows_scanned(nrows as u64);
+        self.count_access(&access, nrows as u64);
         if let Some(p) = self.prof {
             p.leaf_batched(
-                format!("SeqScan {label}"),
+                access.describe(&label, false),
                 nrows as u64,
                 t0.map(us_since).unwrap_or(0),
                 batches.len() as u64,
@@ -497,11 +497,6 @@ impl<'a> Executor<'a> {
             .catalog
             .memory_budget()
             .reserve(crate::budget::approx_rows_bytes(nrows, arity))?;
-        let mut scope = Scope::new();
-        scope.push(ScopeRelation {
-            qualifier: visible,
-            columns,
-        });
         self.exec_pipeline_batched(s, &scope, batches, arity, grouped)
             .map(Some)
     }
@@ -1000,17 +995,55 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// Cross product of two `FROM` items (comma syntax).
-    fn cross_join(&self, left: Rel, right: Rel) -> DbResult<Rel> {
-        let joined = join_rels(
-            left,
-            JoinInner::Rows(right),
-            JoinType::Cross,
-            None,
-            self.profile.join_strategy(),
-            self.stats,
-        )?;
-        Ok(joined.rel)
+    /// Counts one read of a base table: the rows it visited and, for a
+    /// seek, the index lookup.
+    fn count_access(&self, access: &AccessPath, visited: u64) {
+        self.stats.add_rows_scanned(visited);
+        if matches!(access, AccessPath::Seek { .. }) {
+            self.stats.add_index_lookups(1);
+        }
+    }
+
+    /// Builds a non-empty `FROM` list: each item through
+    /// [`Self::build_table_ref`], thinned by the conjuncts `prefilter`
+    /// names for it, then crossed with the items before it (comma syntax).
+    fn build_from<'e>(
+        &self,
+        from: &[TableRef],
+        depth: usize,
+        prefilter: impl Fn(&TableRef) -> Vec<&'e Expr>,
+    ) -> DbResult<Rel> {
+        let mut rel: Option<Rel> = None;
+        for tr in from {
+            let right = self.build_table_ref(tr, depth, &prefilter(tr))?;
+            rel = Some(match rel {
+                None => right,
+                Some(left) => {
+                    let t0 = self.prof_start();
+                    let rows_in = (left.rows.len() + right.rows.len()) as u64;
+                    let joined = join_rels(
+                        left,
+                        JoinInner::Rows(right),
+                        JoinType::Cross,
+                        None,
+                        self.profile.join_strategy(),
+                        self.stats,
+                    )?
+                    .rel;
+                    if let Some(p) = self.prof {
+                        p.wrap(
+                            2,
+                            "NestedLoop (cross join)".to_string(),
+                            joined.rows.len() as u64,
+                            rows_in,
+                            t0.map(us_since).unwrap_or(0),
+                        );
+                    }
+                    joined
+                }
+            });
+        }
+        Ok(rel.expect("callers pass a non-empty FROM list"))
     }
 
     /// Builds one `FROM` item: its base factor, then its joins left to
@@ -1023,44 +1056,53 @@ impl<'a> Executor<'a> {
             // rows are needed at all depends on the algorithm, and that is
             // chosen from the outer side's actual size
             let right = match base_table(self.catalog, &j.factor)? {
-                Some(handle) => {
-                    let scope = table_scope(&handle, factor_visible_name(&j.factor));
-                    JoinInner::Table { scope, handle }
-                }
+                Some(handle) => JoinInner::table(handle, factor_visible_name(&j.factor)),
                 None => JoinInner::Rows(self.build_factor(&j.factor, depth, &[])?),
             };
-            let t0 = self.prof_start();
-            let outer_rows = rel.rows.len() as u64;
-            let inner_rows = match &right {
-                JoinInner::Rows(r) => r.rows.len() as u64,
-                JoinInner::Table { .. } => 0,
-            };
-            let joined = join_rels(
-                rel,
-                right,
-                j.join_type,
-                j.on.as_ref(),
-                self.profile.join_strategy(),
-                self.stats,
-            )?;
-            rel = joined.rel;
-            if let Some(p) = self.prof {
-                let mut rows_in = outer_rows + inner_rows;
-                if let Some((rows, us)) = joined.inner_read {
-                    let label = inner_access_label(&joined.algo, &j.factor);
-                    p.leaf(label, rows, us);
-                    rows_in += rows;
-                }
-                p.wrap(
-                    2,
-                    joined.algo.describe(j.join_type),
-                    rel.rows.len() as u64,
-                    rows_in,
-                    t0.map(us_since).unwrap_or(0),
-                );
-            }
+            rel = self.join_step(rel, right, j.join_type, j.on.as_ref(), &j.factor)?;
         }
         Ok(rel)
+    }
+
+    /// Joins `right` (the `FROM` factor `factor`) onto `rel`, recording the
+    /// join — and how an unscanned inner table was read — in the profile.
+    fn join_step(
+        &self,
+        rel: Rel,
+        right: JoinInner,
+        join_type: JoinType,
+        on: Option<&Expr>,
+        factor: &TableFactor,
+    ) -> DbResult<Rel> {
+        let t0 = self.prof_start();
+        let outer_rows = rel.rows.len() as u64;
+        let inner_rows = match &right {
+            JoinInner::Rows(r) => r.rows.len() as u64,
+            JoinInner::Table { .. } => 0,
+        };
+        let joined = join_rels(
+            rel,
+            right,
+            join_type,
+            on,
+            self.profile.join_strategy(),
+            self.stats,
+        )?;
+        if let Some(p) = self.prof {
+            let mut rows_in = outer_rows + inner_rows;
+            if let Some((rows, us)) = joined.inner_read {
+                p.leaf(inner_access_label(&joined.algo, factor), rows, us);
+                rows_in += rows;
+            }
+            p.wrap(
+                2,
+                joined.algo.describe(join_type),
+                joined.rel.rows.len() as u64,
+                rows_in,
+                t0.map(us_since).unwrap_or(0),
+            );
+        }
+        Ok(joined.rel)
     }
 
     fn build_factor(&self, f: &TableFactor, depth: usize, prefilter: &[&Expr]) -> DbResult<Rel> {
@@ -1084,34 +1126,38 @@ impl<'a> Executor<'a> {
                 }
                 let t0 = self.prof_start();
                 let handle = self.catalog.table(name)?;
-                let scope = table_scope(&handle, factor_visible_name(f));
+                let visible = factor_visible_name(f);
+                let scope = table_scope(&handle, visible);
                 // conjuncts that do not bind against this table alone are
                 // left to the statement's WHERE, which reports the error
-                let prefilter: Vec<BoundExpr> = prefilter
+                let bound: Vec<BoundExpr> = prefilter
                     .iter()
                     .filter_map(|e| bind_scalar(e, &scope).ok())
                     .collect();
-                let (visited, rows) = {
-                    let t = handle.read();
-                    if prefilter.is_empty() {
-                        (t.len(), t.scan())
-                    } else {
-                        // drop a row only when a conjunct cleanly rejects
-                        // it; one that fails to evaluate keeps the row, so
-                        // WHERE still raises the error if the row survives
-                        let keep = |row: &Row| {
-                            prefilter
-                                .iter()
-                                .all(|c| c.eval(row, &[]).map_or(true, |v| v.is_truthy()))
-                        };
-                        let rows = t.iter().map(|(_, r)| r).filter(|r| keep(r));
-                        (t.len(), rows.cloned().collect())
-                    }
+                // drop a row only when a conjunct cleanly rejects it; one
+                // that fails to evaluate keeps the row, so WHERE still
+                // raises the error if the row survives
+                let keep = |row: &Row| {
+                    bound
+                        .iter()
+                        .all(|c| c.eval(row, &[]).map_or(true, |v| v.is_truthy()))
                 };
-                self.stats.add_rows_scanned(visited as u64);
+                let mut visited = 0u64;
+                let (access, rows) = {
+                    let t = handle.read();
+                    let access = choose_access(&t, visible, prefilter);
+                    let rows = access
+                        .rows(&t)
+                        .inspect(|_| visited += 1)
+                        .filter(|(_, row)| keep(row))
+                        .map(|(_, row)| row.clone())
+                        .collect::<Vec<_>>();
+                    (access, rows)
+                };
+                self.count_access(&access, visited);
                 if let Some(p) = self.prof {
                     p.leaf(
-                        scan_label(f, !prefilter.is_empty()),
+                        access.describe(&label, !bound.is_empty()),
                         rows.len() as u64,
                         t0.map(us_since).unwrap_or(0),
                     );
@@ -1151,22 +1197,21 @@ impl<'a> Executor<'a> {
     pub fn run_statement(&self, stmt: &Statement, undo: &mut UndoLog) -> DbResult<StmtOutput> {
         match stmt {
             Statement::Select(q) => Ok(StmtOutput::Rows(self.run_query(q)?)),
-            Statement::Explain { analyze, stmt } => match stmt.as_ref() {
-                Statement::Select(q) => {
-                    let lines = if *analyze {
-                        self.analyze_query(q)?
-                    } else {
-                        crate::explain::explain_query(self.catalog, self.profile, q)?
-                    };
-                    Ok(StmtOutput::Rows(QueryResult {
-                        columns: vec!["plan".into()],
-                        rows: lines.into_iter().map(|l| vec![Value::Text(l)]).collect(),
-                    }))
-                }
-                _ => Err(DbError::Unsupported(
-                    "EXPLAIN supports SELECT statements only".into(),
-                )),
-            },
+            Statement::Explain { analyze, stmt } => {
+                let lines = match (analyze, stmt.as_ref()) {
+                    (true, Statement::Select(q)) => self.analyze_query(q)?,
+                    (true, dml @ (Statement::Update(_) | Statement::Delete { .. })) => {
+                        self.analyze_dml(dml, undo)?
+                    }
+                    (_, inner) => {
+                        crate::explain::explain_statement(self.catalog, self.profile, inner)?
+                    }
+                };
+                Ok(StmtOutput::Rows(QueryResult {
+                    columns: vec!["plan".into()],
+                    rows: lines.into_iter().map(|l| vec![Value::Text(l)]).collect(),
+                }))
+            }
             Statement::Insert(ins) => self.exec_insert(ins, undo),
             Statement::Update(upd) => self.exec_update(upd, undo),
             Statement::Delete { table, selection } => self.exec_delete(table, selection, undo),
@@ -1327,170 +1372,118 @@ impl<'a> Executor<'a> {
         Ok(StmtOutput::Affected(count))
     }
 
+    /// Visits the live `(slot, row)`s of a DML target (whose columns
+    /// `scope` names) that pass `selection`, reading the table through the
+    /// access path the predicate allows ([`choose_access`]); the whole
+    /// predicate runs on whatever that path returns.
+    fn for_each_match(
+        &self,
+        handle: &TableHandle,
+        target: &TableFactor,
+        scope: &Scope,
+        selection: Option<&Expr>,
+        mut visit: impl FnMut(usize, &Row),
+    ) -> DbResult<()> {
+        let t0 = self.prof_start();
+        let visible = factor_visible_name(target);
+        let pred = selection.map(|p| bind_scalar(p, scope)).transpose()?;
+        let table = handle.read();
+        let access = choose_access(&table, visible, &ast_conjuncts(selection));
+        let (mut visited, mut matched) = (0u64, 0u64);
+        for (slot, row) in access.rows(&table) {
+            if visited & 0xFFF == 0 {
+                self.check_deadline()?;
+            }
+            visited += 1;
+            let keep = match &pred {
+                Some(p) => p.eval(row, &[])?.is_truthy(),
+                None => true,
+            };
+            if keep {
+                matched += 1;
+                visit(slot, row);
+            }
+        }
+        self.count_access(&access, visited);
+        if let Some(p) = self.prof {
+            p.leaf(
+                access.describe(&factor_label(target), false),
+                matched,
+                t0.map(us_since).unwrap_or(0),
+            );
+        }
+        Ok(())
+    }
+
     fn exec_update(&self, upd: &Update, undo: &mut UndoLog) -> DbResult<StmtOutput> {
+        let t0 = self.prof_start();
         let handle = self.catalog.table(&upd.table)?;
-        let schema = handle.read().schema().clone();
-        let visible = upd.alias.clone().unwrap_or_else(|| upd.table.clone());
+        let target = update_target(upd);
 
-        // target snapshot with slots
-        let target: Vec<(usize, Row)> = handle
-            .read()
-            .iter()
-            .map(|(slot, row)| (slot, row.clone()))
-            .collect();
-
-        let mut scope = Scope::new();
-        scope.push(ScopeRelation {
-            qualifier: visible,
-            columns: schema.columns().iter().map(|c| c.name.clone()).collect(),
-        });
-        let target_arity = schema.arity();
-
-        // extra relations (PostgreSQL FROM list / MySQL JOIN)
-        let from_rel: Option<Rel> = if upd.from.is_empty() {
-            None
-        } else {
-            let mut rel: Option<Rel> = None;
-            for tr in &upd.from {
-                let right = self.build_table_ref(tr, 0, &[])?;
-                rel = Some(match rel {
-                    None => right,
-                    Some(left) => self.cross_join(left, right)?,
-                });
-            }
-            rel
-        };
-        if let Some(fr) = &from_rel {
-            for r in fr.scope.relations() {
-                scope.push(r.clone());
-            }
-        }
-
-        // combined predicate = join_on AND selection
-        let mut conjuncts: Vec<BoundExpr> = Vec::new();
-        for pred in [&upd.join_on, &upd.selection].into_iter().flatten() {
-            conjuncts.extend(split_conjuncts(bind_scalar(pred, &scope)?));
-        }
-
-        // bind assignments
-        let mut assignments: Vec<(usize, BoundExpr)> = Vec::with_capacity(upd.assignments.len());
-        for (col, e) in &upd.assignments {
-            let idx = schema
-                .column_index(col)
-                .ok_or_else(|| DbError::NotFound(format!("column {col}")))?;
-            assignments.push((idx, bind_scalar(e, &scope)?));
-        }
-
-        // collect (slot, combined row) matches — first match wins per slot
+        // `matches`: one `(slot, row)` per target row to rewrite, where
+        // `row[target_at..]` starts with the target's current columns and
+        // `scope` names every column of `row` for the SET expressions
         let mut matches: Vec<(usize, Row)> = Vec::new();
-        match from_rel {
-            None => {
-                for (slot, row) in target {
-                    if eval_conjuncts(&conjuncts, &row)? {
-                        matches.push((slot, row));
-                    }
+        let (scope, target_at) = if upd.from.is_empty() {
+            let scope = table_scope(&handle, factor_visible_name(&target));
+            let selection = upd.selection.as_ref();
+            self.for_each_match(&handle, &target, &scope, selection, |slot, row| {
+                matches.push((slot, row.clone()))
+            })?;
+            (scope, 0)
+        } else {
+            // the extra relations (PostgreSQL FROM list / MySQL JOIN) drive
+            // a join whose inner side is the target itself, unscanned: a
+            // small FROM probes the target's index, a table-sized one
+            // scans and hashes it — `choose_join` decides
+            let from = self.build_from(&upd.from, 0, |_| Vec::new())?;
+            let target_at = from.arity();
+            let on = update_predicate(upd);
+            let inner = JoinInner::table_with_slots(handle.clone(), factor_visible_name(&target));
+            let joined = self.join_step(from, inner, JoinType::Inner, on.as_ref(), &target)?;
+            // the join emits a target row's pairs in FROM order: keeping
+            // the first per slot is "first matching FROM row wins"
+            let slot_at = joined.arity() - 1;
+            let mut seen = HashSet::with_capacity(joined.rows.len());
+            for row in joined.rows {
+                let slot = row[slot_at].as_i64().expect("slot column holds the slot") as usize;
+                if seen.insert(slot) {
+                    matches.push((slot, row));
                 }
             }
-            Some(fr) => {
-                // find an equi conjunct (target col, from col) to hash on
-                let total = target_arity + fr.arity();
-                let mut equi: Option<(usize, usize)> = None;
-                let mut residual: Vec<&BoundExpr> = Vec::new();
-                for c in &conjuncts {
-                    if equi.is_none() {
-                        if let BoundExpr::Binary {
-                            left,
-                            op: BinaryOp::Eq,
-                            right,
-                        } = c
-                        {
-                            if let (BoundExpr::Column(a), BoundExpr::Column(b)) =
-                                (left.as_ref(), right.as_ref())
-                            {
-                                let (a, b) = (*a, *b);
-                                if a < target_arity && b >= target_arity && b < total {
-                                    equi = Some((a, b - target_arity));
-                                    continue;
-                                }
-                                if b < target_arity && a >= target_arity && a < total {
-                                    equi = Some((b, a - target_arity));
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    residual.push(c);
-                }
-                match equi {
-                    Some((tcol, fcol)) => {
-                        let mut hash: HashMap<&Value, Vec<&Row>> = HashMap::new();
-                        for frow in &fr.rows {
-                            let k = &frow[fcol];
-                            if !k.is_null() {
-                                hash.entry(k).or_default().push(frow);
-                            }
-                        }
-                        for (slot, trow) in target {
-                            let k = &trow[tcol];
-                            if k.is_null() {
-                                continue;
-                            }
-                            if let Some(cands) = hash.get(k) {
-                                for frow in cands {
-                                    let mut combined = trow.clone();
-                                    combined.extend(frow.iter().cloned());
-                                    let mut ok = true;
-                                    for c in &residual {
-                                        if !c.eval(&combined, &[])?.is_truthy() {
-                                            ok = false;
-                                            break;
-                                        }
-                                    }
-                                    if ok {
-                                        matches.push((slot, combined));
-                                        break; // first match wins
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        for (slot, trow) in target {
-                            self.check_deadline()?;
-                            for frow in &fr.rows {
-                                self.stats.add_rows_joined(1);
-                                let mut combined = trow.clone();
-                                combined.extend(frow.iter().cloned());
-                                if eval_conjuncts(&conjuncts, &combined)? {
-                                    matches.push((slot, combined));
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+            (joined.scope, target_at)
+        };
 
-        // apply
+        // the SET list: (column, its type, value expression)
+        let (arity, assignments) = {
+            let table = handle.read();
+            let schema = table.schema();
+            let mut assignments = Vec::with_capacity(upd.assignments.len());
+            for (col, e) in &upd.assignments {
+                let idx = schema
+                    .column_index(col)
+                    .ok_or_else(|| DbError::NotFound(format!("column {col}")))?;
+                let data_type = schema.columns()[idx].data_type;
+                assignments.push((idx, data_type, bind_scalar(e, &scope)?));
+            }
+            (schema.arity(), assignments)
+        };
+
+        // apply; the undo log records each old row as it is replaced
+        let matched = matches.len() as u64;
         let mut count = 0u64;
         let mut t = handle.write();
-        for (i, (slot, combined)) in matches.into_iter().enumerate() {
+        for (i, (slot, row)) in matches.into_iter().enumerate() {
             if i & 0xFFF == 0 {
                 self.check_deadline()?;
             }
-            let old = t
-                .row(slot)
-                .cloned()
-                .ok_or_else(|| DbError::Invalid("row vanished during update".into()))?;
-            let mut new_row = old.clone();
-            for (idx, e) in &assignments {
-                new_row[*idx] = schema.columns()[*idx]
-                    .data_type
-                    .coerce(e.eval(&combined, &[])?)?;
+            let current = &row[target_at..target_at + arity];
+            let mut new_row = current.to_vec();
+            for (idx, data_type, e) in &assignments {
+                new_row[*idx] = data_type.coerce(e.eval(&row, &[])?)?;
             }
-            if new_row != old {
-                t.update_slot(slot, new_row)?;
+            if new_row.as_slice() != current {
+                let old = t.update_slot(slot, new_row)?;
                 undo.push(UndoOp::Update {
                     table: upd.table.clone(),
                     slot,
@@ -1498,6 +1491,15 @@ impl<'a> Executor<'a> {
                 });
                 count += 1;
             }
+        }
+        if let Some(p) = self.prof {
+            p.wrap(
+                1,
+                format!("Update {}", factor_label(&target)),
+                count,
+                matched,
+                t0.map(us_since).unwrap_or(0),
+            );
         }
         Ok(StmtOutput::Affected(count))
     }
@@ -1508,34 +1510,17 @@ impl<'a> Executor<'a> {
         selection: &Option<Expr>,
         undo: &mut UndoLog,
     ) -> DbResult<StmtOutput> {
+        let t0 = self.prof_start();
         let handle = self.catalog.table(table)?;
-        let schema = handle.read().schema().clone();
-        let mut scope = Scope::new();
-        scope.push(ScopeRelation {
-            qualifier: table.to_owned(),
-            columns: schema.columns().iter().map(|c| c.name.clone()).collect(),
-        });
-        let pred = match selection {
-            Some(p) => Some(bind_scalar(p, &scope)?),
-            None => None,
+        let target = TableFactor::Table {
+            name: table.to_owned(),
+            alias: None,
         };
-        let victims: Vec<usize> = {
-            let t = handle.read();
-            let mut v = Vec::new();
-            for (i, (slot, row)) in t.iter().enumerate() {
-                if i & 0xFFF == 0 {
-                    self.check_deadline()?;
-                }
-                let keep = match &pred {
-                    Some(p) => p.eval(row, &[])?.is_truthy(),
-                    None => true,
-                };
-                if keep {
-                    v.push(slot);
-                }
-            }
-            v
-        };
+        let scope = table_scope(&handle, table);
+        let mut victims: Vec<usize> = Vec::new();
+        self.for_each_match(&handle, &target, &scope, selection.as_ref(), |slot, _| {
+            victims.push(slot)
+        })?;
         let mut t = handle.write();
         let mut count = 0u64;
         for slot in victims {
@@ -1547,6 +1532,15 @@ impl<'a> Executor<'a> {
             });
             count += 1;
         }
+        if let Some(p) = self.prof {
+            p.wrap(
+                1,
+                format!("Delete {table}"),
+                count,
+                count,
+                t0.map(us_since).unwrap_or(0),
+            );
+        }
         Ok(StmtOutput::Affected(count))
     }
 
@@ -1557,8 +1551,6 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Per-group aggregate accumulator.
-#[derive(Debug)]
 /// Multiply-xorshift hasher for the single-INT-key aggregate index. The
 /// default SipHash dominates the per-lane grouping cost at this key width;
 /// group keys are not attacker-controlled hash-flood targets, so a two-op
@@ -1584,6 +1576,8 @@ impl std::hash::Hasher for IntKeyHasher {
     }
 }
 
+/// Per-group aggregate accumulator.
+#[derive(Debug)]
 enum AggAcc {
     /// Running SUM (NULL until the first non-NULL input).
     Sum(Option<Value>),
@@ -1714,15 +1708,6 @@ impl AggAcc {
     }
 }
 
-fn eval_conjuncts(conjuncts: &[BoundExpr], row: &Row) -> DbResult<bool> {
-    for c in conjuncts {
-        if !c.eval(row, &[])?.is_truthy() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 /// Records batch-level execution actuals into the process-wide metrics
 /// registry (`sqloop.exec.*`), picked up by the Prometheus scrape endpoint
 /// and the CLI `\stats` view.
@@ -1760,62 +1745,69 @@ fn rel_from_result(result: QueryResult, alias: String) -> Rel {
     }
 }
 
-/// The single-relation scope of a base table visible as `visible`.
-fn table_scope(handle: &TableHandle, visible: &str) -> Scope {
-    let mut scope = Scope::new();
-    scope.push(ScopeRelation {
-        qualifier: visible.to_owned(),
-        columns: handle
-            .read()
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect(),
-    });
-    scope
+/// The target of an `UPDATE` as the `FROM` factor it plays in its join.
+pub(crate) fn update_target(upd: &Update) -> TableFactor {
+    TableFactor::Table {
+        name: upd.table.clone(),
+        alias: upd.alias.clone(),
+    }
 }
 
-/// Top-level `WHERE` conjuncts of `s` that mention only `tr`'s base table
-/// and may therefore be applied to it *before* its joins, so that only
-/// rows the statement can still return probe or build (SQLoop's Compute:
-/// only rows with a pending delta reach the edge join).
+/// The whole predicate of an `UPDATE`: its MySQL-style `ON` and its `WHERE`.
+pub(crate) fn update_predicate(upd: &Update) -> Option<Expr> {
+    match (&upd.join_on, &upd.selection) {
+        (Some(on), Some(selection)) => Some(on.clone().binary(BinaryOp::And, selection.clone())),
+        (on, selection) => on.as_ref().or(selection.as_ref()).cloned(),
+    }
+}
+
+/// Top-level `WHERE` conjuncts of `s` that mention only `tr`'s base table.
+/// They decide how that table is read ([`choose_access`]) and, below a
+/// join, are applied to it *before* the join, so that only rows the
+/// statement can still return probe or build (SQLoop's Compute: only rows
+/// with a pending delta reach the edge join).
 ///
 /// The base is the preserved side of every `LEFT JOIN` after it, and a row
 /// a conjunct rejects fails the whole `AND`, so the result is unchanged.
-/// Only fully qualified references count: an unqualified name needs the
-/// complete scope to resolve. Single-table statements have nothing to
-/// push below.
+/// Only fully qualified references count, except in a single-table
+/// statement, where an unqualified name can mean nothing else.
 pub(crate) fn pushdown_conjuncts<'a>(s: &'a Select, tr: &TableRef) -> Vec<&'a Expr> {
     let (TableFactor::Table { .. }, Some(pred)) = (&tr.base, &s.selection) else {
         return Vec::new();
     };
-    if s.from.len() == 1 && tr.joins.is_empty() {
-        return Vec::new();
-    }
+    let single_table = s.from.len() == 1 && tr.joins.is_empty();
     let visible = factor_visible_name(&tr.base);
-    let mut conjuncts = Vec::new();
-    ast_conjuncts(pred, &mut conjuncts);
+    let mut conjuncts = ast_conjuncts(Some(pred));
     conjuncts.retain(|c| {
         let refs = c.column_refs();
-        !refs.is_empty() && refs.iter().all(|(q, _)| *q == Some(visible))
+        !refs.is_empty()
+            && refs
+                .iter()
+                .all(|(q, _)| q.map_or(single_table, |q| q == visible))
     });
     conjuncts
 }
 
-/// Splits an unbound expression into its top-level `AND` conjuncts.
-fn ast_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    match e {
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            ast_conjuncts(left, out);
-            ast_conjuncts(right, out);
+/// The top-level `AND` conjuncts of an unbound predicate (none for `None`).
+pub(crate) fn ast_conjuncts(pred: Option<&Expr>) -> Vec<&Expr> {
+    fn collect<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+        match e {
+            Expr::Binary {
+                left,
+                op: BinaryOp::And,
+                right,
+            } => {
+                collect(left, out);
+                collect(right, out);
+            }
+            other => out.push(other),
         }
-        other => out.push(other),
     }
+    let mut out = Vec::new();
+    if let Some(e) = pred {
+        collect(e, &mut out);
+    }
+    out
 }
 
 fn projection_name(expr: &Expr, alias: Option<&str>, i: usize) -> String {
@@ -1998,9 +1990,8 @@ mod tests {
         assert_eq!(r.rows.len(), 6, "{profile:?}");
         let d = ctx.stats.snapshot().delta_since(&before);
         assert_eq!(d.index_lookups, 3, "{profile:?}: one probe per outer row");
-        // t's 3 rows, the 6 joined rows twice (join output, FROM output):
-        // e's 200 rows were never scanned
-        assert_eq!(d.rows_scanned, 3 + 6 + 6, "{profile:?}");
+        // t's 3 rows and the 6 joined rows: e's 200 rows were never scanned
+        assert_eq!(d.rows_scanned, 3 + 6, "{profile:?}");
         let lines = analyze_lines(&ctx, sql);
         assert!(
             lines.iter().any(|l| l.contains(

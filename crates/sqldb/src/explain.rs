@@ -1,35 +1,111 @@
-//! `EXPLAIN SELECT …` — a textual plan describing the join algorithms the
-//! executor will pick, per engine profile.
+//! `EXPLAIN SELECT | UPDATE | DELETE …` — a textual plan describing the
+//! access paths and join algorithms the executor will pick, per engine
+//! profile.
 //!
-//! Nothing is executed. Join lines come from the same
-//! [`crate::join::choose_join`] the executor calls, fed catalog row counts
-//! where the executor feeds observed ones (a base table counts its live
-//! rows, ignoring any pushed-down filter; a view or subquery is guessed at
-//! 1000 rows). `EXPLAIN ANALYZE` prints the same vocabulary with the
-//! algorithm that actually ran and the sizes it was chosen from.
+//! Nothing is executed. Base-table lines come from the same
+//! [`crate::join::choose_access`] the executor calls, join lines from the
+//! same [`crate::join::choose_join`], fed catalog row counts where the
+//! executor feeds observed ones (a base table counts its live rows,
+//! ignoring any pushed-down filter; a view or subquery is guessed at 1000
+//! rows). `EXPLAIN ANALYZE` prints the same vocabulary with what actually
+//! ran and the sizes it was chosen from.
 
 use crate::ast::*;
 use crate::catalog::{Catalog, TableHandle};
-use crate::error::DbResult;
-use crate::exec::pushdown_conjuncts;
-use crate::join::{choose_join, index_shape, IndexShape, JoinAlgo};
+use crate::error::{DbError, DbResult};
+use crate::exec::{ast_conjuncts, pushdown_conjuncts, update_predicate, update_target};
+use crate::join::{choose_access, choose_join, index_shape, AccessPath, IndexShape, JoinAlgo};
 use crate::profile::EngineProfile;
 
 /// Row-count guess for a relation whose size only execution reveals.
 const UNKNOWN_ROWS: usize = 1000;
 
-/// Renders a plan for `query` as indented text lines.
+/// Renders a plan for a `SELECT`, `UPDATE` or `DELETE` statement as
+/// indented text lines.
 ///
 /// # Errors
-/// Returns [`DbError::NotFound`](crate::DbError::NotFound) for unknown relations.
-pub fn explain_query(
+/// Returns [`DbError::NotFound`] for unknown relations and
+/// [`DbError::Unsupported`] for any other statement kind.
+pub fn explain_statement(
     catalog: &Catalog,
     profile: EngineProfile,
-    query: &SelectStmt,
+    stmt: &Statement,
 ) -> DbResult<Vec<String>> {
     let mut out = Vec::new();
-    explain_stmt(catalog, profile, query, 0, &mut out)?;
+    match stmt {
+        Statement::Select(q) => explain_stmt(catalog, profile, q, 0, &mut out)?,
+        Statement::Update(upd) => explain_update(catalog, profile, upd, &mut out)?,
+        Statement::Delete { table, selection } => {
+            push(&mut out, 0, format!("Delete {table}"));
+            let target = TableFactor::Table {
+                name: table.clone(),
+                alias: None,
+            };
+            explain_dml_access(catalog, &target, selection.as_ref(), &mut out)?;
+        }
+        _ => {
+            return Err(DbError::Unsupported(
+                "EXPLAIN supports SELECT, UPDATE and DELETE statements only".into(),
+            ))
+        }
+    }
     Ok(out)
+}
+
+/// `UPDATE`: the target's access path, or — with extra relations — the join
+/// they drive into the target (see `Executor::exec_update`).
+fn explain_update(
+    catalog: &Catalog,
+    profile: EngineProfile,
+    upd: &Update,
+    out: &mut Vec<String>,
+) -> DbResult<()> {
+    let target = update_target(upd);
+    push(out, 0, format!("Update {}", factor_label(&target)));
+    if upd.from.is_empty() {
+        return explain_dml_access(catalog, &target, upd.selection.as_ref(), out);
+    }
+    let join = Join {
+        join_type: JoinType::Inner,
+        factor: target,
+        on: update_predicate(upd),
+    };
+    let mut lines = Vec::new();
+    let mut outer = 1usize;
+    for (i, tr) in upd.from.iter().enumerate() {
+        if i > 0 {
+            push(&mut lines, 2, "NestedLoop (cross join)".to_string());
+        }
+        let rows = explain_table_ref(catalog, profile, tr, &[], false, 2, &mut lines)?;
+        outer = outer.saturating_mul(rows);
+    }
+    let algo = planned_join(catalog, profile, &join, outer)?;
+    push(out, 1, algo.describe(join.join_type));
+    out.append(&mut lines);
+    push(out, 2, inner_access_label(&algo, &join.factor));
+    Ok(())
+}
+
+/// The access path of a single-table `UPDATE` / `DELETE` on `target`.
+fn explain_dml_access(
+    catalog: &Catalog,
+    target: &TableFactor,
+    selection: Option<&Expr>,
+    out: &mut Vec<String>,
+) -> DbResult<()> {
+    let access = planned_access(catalog, target, &ast_conjuncts(selection))?;
+    push(out, 1, access.describe(&factor_label(target), false));
+    Ok(())
+}
+
+/// The access path the executor picks for base table `f` under `conjuncts`.
+fn planned_access(catalog: &Catalog, f: &TableFactor, conjuncts: &[&Expr]) -> DbResult<AccessPath> {
+    let TableFactor::Table { name, .. } = f else {
+        return Ok(AccessPath::Scan);
+    };
+    let handle = catalog.table(name)?;
+    let table = handle.read();
+    Ok(choose_access(&table, factor_visible_name(f), conjuncts))
 }
 
 fn push(out: &mut Vec<String>, depth: usize, text: String) {
@@ -108,12 +184,16 @@ fn explain_select(
         push(out, depth, "Filter".to_string());
         depth += 1;
     }
+    // a single-table statement runs its whole WHERE in the Filter right
+    // above the scan; only below a join is a conjunct "pushed down"
+    let joined = s.from.len() > 1 || s.from.iter().any(|tr| !tr.joins.is_empty());
     for (i, tr) in s.from.iter().enumerate() {
         if s.from.len() > 1 && i > 0 {
             push(out, depth, "NestedLoop (cross join)".to_string());
         }
-        let prefiltered = !pushdown_conjuncts(s, tr).is_empty();
-        explain_table_ref(catalog, profile, tr, prefiltered, depth, out)?;
+        let conjuncts = pushdown_conjuncts(s, tr);
+        let prefiltered = joined && !conjuncts.is_empty();
+        explain_table_ref(catalog, profile, tr, &conjuncts, prefiltered, depth, out)?;
     }
     if s.from.is_empty() {
         push(out, depth, "Result (no tables)".to_string());
@@ -121,14 +201,16 @@ fn explain_select(
     Ok(())
 }
 
+/// Prints one `FROM` item; returns the estimated size of its output.
 fn explain_table_ref(
     catalog: &Catalog,
     profile: EngineProfile,
     tr: &TableRef,
+    conjuncts: &[&Expr],
     prefiltered: bool,
     depth: usize,
     out: &mut Vec<String>,
-) -> DbResult<()> {
+) -> DbResult<usize> {
     // joins apply left-to-right, each seeing the estimated size of
     // everything joined before it
     let mut outer = estimate_rows(catalog, &tr.base)?;
@@ -142,17 +224,25 @@ fn explain_table_ref(
         push(out, depth, algo.describe(j.join_type));
     }
     let base_depth = depth + tr.joins.len();
-    explain_factor(catalog, profile, &tr.base, prefiltered, base_depth, out)?;
+    explain_factor(
+        catalog,
+        profile,
+        &tr.base,
+        conjuncts,
+        prefiltered,
+        base_depth,
+        out,
+    )?;
     // each join's right side prints under its join line
     for (i, (j, algo)) in tr.joins.iter().zip(&algos).enumerate() {
         let depth = depth + tr.joins.len() - i;
         if base_table(catalog, &j.factor)?.is_some() {
             push(out, depth, inner_access_label(algo, &j.factor));
         } else {
-            explain_factor(catalog, profile, &j.factor, false, depth, out)?;
+            explain_factor(catalog, profile, &j.factor, &[], false, depth, out)?;
         }
     }
-    Ok(())
+    Ok(outer)
 }
 
 /// The algorithm [`crate::join::join_rels`] picks for `j` when its outer
@@ -252,23 +342,12 @@ pub(crate) fn factor_label(f: &TableFactor) -> String {
     }
 }
 
-/// The scan line of a base table; `prefiltered` when `WHERE` conjuncts
-/// were pushed below the joins onto it.
-pub(crate) fn scan_label(f: &TableFactor, prefiltered: bool) -> String {
-    let label = factor_label(f);
-    if prefiltered {
-        format!("SeqScan {label} (pushed-down filter)")
-    } else {
-        format!("SeqScan {label}")
-    }
-}
-
 /// How a join reads an inner side that is a base table: probed through its
 /// index, or scanned for the hash / nested-loop algorithms.
 pub(crate) fn inner_access_label(algo: &JoinAlgo, f: &TableFactor) -> String {
     match algo {
         JoinAlgo::IndexNestedLoop { .. } => format!("IndexProbe {}", factor_label(f)),
-        _ => scan_label(f, false),
+        _ => AccessPath::Scan.describe(&factor_label(f), false),
     }
 }
 
@@ -276,6 +355,7 @@ fn explain_factor(
     catalog: &Catalog,
     profile: EngineProfile,
     f: &TableFactor,
+    conjuncts: &[&Expr],
     prefiltered: bool,
     depth: usize,
     out: &mut Vec<String>,
@@ -286,9 +366,9 @@ fn explain_factor(
                 push(out, depth, format!("View {}", factor_label(f)));
                 explain_stmt(catalog, profile, &view, depth + 1, out)
             } else {
-                // existence check so EXPLAIN reports missing tables
-                let _ = catalog.table(name)?;
-                push(out, depth, scan_label(f, prefiltered));
+                // also the existence check: EXPLAIN reports missing tables
+                let access = planned_access(catalog, f, conjuncts)?;
+                push(out, depth, access.describe(&factor_label(f), prefiltered));
                 Ok(())
             }
         }
@@ -445,6 +525,132 @@ mod tests {
                     "{profile:?}: planned op {op:?} missing from analyze {actual:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn single_table_statements_show_their_access_path() {
+        for profile in EngineProfile::ALL {
+            let d = populated(profile);
+            for prefix in ["", "ANALYZE "] {
+                let plan = |sql: &str| plan_on(&d, &format!("{prefix}{sql}"));
+                let seek = "IndexSeek nodes using primary key (id = 2)";
+                let text = plan("SELECT v FROM nodes WHERE id = 2");
+                assert!(text.contains(seek), "{profile:?} {prefix}: {text}");
+                let text = plan("SELECT dst FROM edges AS e WHERE weight > 0.5 AND e.src = 3");
+                assert!(
+                    text.contains("IndexSeek edges AS e using e_src (src = 3)"),
+                    "{profile:?} {prefix}: {text}"
+                );
+                // no index on dst, and nothing is "pushed down" below a
+                // Filter that sits right on the scan
+                let text = plan("SELECT src FROM edges WHERE dst = 3");
+                assert!(
+                    text.contains("SeqScan edges"),
+                    "{profile:?} {prefix}: {text}"
+                );
+                assert!(
+                    !text.contains("pushed-down"),
+                    "{profile:?} {prefix}: {text}"
+                );
+                let text = plan("UPDATE nodes SET v = 1.0 WHERE id = 2");
+                assert!(
+                    text.starts_with("Update nodes"),
+                    "{profile:?} {prefix}: {text}"
+                );
+                assert!(text.contains(&format!("\n  {seek}")), "{profile:?}: {text}");
+                let text = plan("UPDATE nodes SET v = 1.0 WHERE v < 0.0 OR id = 2");
+                assert!(text.contains("\n  SeqScan nodes"), "{profile:?}: {text}");
+                let text = plan("DELETE FROM edges WHERE src = 3");
+                assert!(
+                    text.starts_with("Delete edges"),
+                    "{profile:?} {prefix}: {text}"
+                );
+                assert!(
+                    text.contains("\n  IndexSeek edges using e_src (src = 3)"),
+                    "{profile:?} {prefix}: {text}"
+                );
+                let text = plan("DELETE FROM edges");
+                assert!(text.contains("\n  SeqScan edges"), "{profile:?}: {text}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_from_shows_the_join_into_its_target() {
+        for profile in EngineProfile::ALL {
+            let d = populated(profile);
+            let mut s = d.connect();
+            s.execute("CREATE TABLE inc (id INT, val FLOAT)").unwrap();
+            s.execute("INSERT INTO inc VALUES (1, 0.5), (3, 0.25)")
+                .unwrap();
+            let sql = if profile.dialect().supports_update_from {
+                "UPDATE edges SET weight = inc.val FROM inc WHERE edges.src = inc.id"
+            } else {
+                "UPDATE edges JOIN inc ON edges.src = inc.id SET weight = inc.val"
+            };
+            for prefix in ["", "ANALYZE "] {
+                let text = plan_on(&d, &format!("{prefix}{sql}"));
+                let lines: Vec<&str> = text.lines().collect();
+                assert!(lines[0].starts_with("Update edges"), "{profile:?}: {text}");
+                assert!(
+                    lines[1].starts_with(
+                        "  IndexNestedLoopJoin using e_src (outer=2, inner=400, fanout=4.0)"
+                    ),
+                    "{profile:?} {prefix}: {text}"
+                );
+                assert!(
+                    lines[2].starts_with("    SeqScan inc"),
+                    "{profile:?}: {text}"
+                );
+                assert!(
+                    lines[3].starts_with("    IndexProbe edges"),
+                    "{profile:?}: {text}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn explain_analyze_of_dml_measures_and_takes_it_back() {
+        for profile in EngineProfile::ALL {
+            let d = populated(profile);
+            let mut s = d.connect();
+            let snapshot = |s: &mut crate::Session| {
+                let mut rows = s.query("SELECT * FROM nodes").unwrap().rows;
+                rows.extend(
+                    s.query("SELECT COUNT(*), SUM(dst) FROM edges")
+                        .unwrap()
+                        .rows,
+                );
+                rows
+            };
+            let before = snapshot(&mut s);
+            let text = plan_on(&d, "ANALYZE UPDATE nodes SET v = v + 1.0 WHERE id = 2");
+            assert!(
+                text.contains("Update nodes (actual rows=1 "),
+                "{profile:?}: {text}"
+            );
+            assert!(text.contains("\nExecution: rows=1 "), "{profile:?}: {text}");
+            let text = plan_on(&d, "ANALYZE DELETE FROM edges WHERE src = 3");
+            assert!(
+                text.contains("Delete edges (actual rows=4 "),
+                "{profile:?}: {text}"
+            );
+            assert!(text.contains("\nExecution: rows=4 "), "{profile:?}: {text}");
+            assert_eq!(
+                snapshot(&mut s),
+                before,
+                "{profile:?}: EXPLAIN ANALYZE kept its changes"
+            );
+            // inside a transaction it undoes its own statement only
+            s.execute("BEGIN").unwrap();
+            s.execute("DELETE FROM edges WHERE src = 4").unwrap();
+            s.execute("EXPLAIN ANALYZE DELETE FROM edges").unwrap();
+            let left = s.query("SELECT COUNT(*) FROM edges").unwrap();
+            assert_eq!(left.rows[0][0], crate::Value::Int(396), "{profile:?}");
+            s.execute("ROLLBACK").unwrap();
+            assert_eq!(snapshot(&mut s), before, "{profile:?}");
         }
     }
 

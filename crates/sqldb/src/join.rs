@@ -1,6 +1,13 @@
-//! Join algorithms: index nested-loop, hash join, block nested-loop.
+//! Access paths and join algorithms: how a statement reads a base table
+//! (index seek or scan) and how two relations meet (index nested-loop, hash
+//! join, block nested-loop).
 //!
-//! One function, [`choose_join`], decides which algorithm runs, from
+//! One function, [`choose_access`], decides how a statement reads a base
+//! table it filters: `WHERE <indexed column> = <constant>` among the
+//! top-level `AND` conjuncts seeks the index, anything else scans. `SELECT`,
+//! `UPDATE`, `DELETE` and `EXPLAIN` all ask it.
+//!
+//! One function, [`choose_join`], decides which join algorithm runs, from
 //! quantities observed at execution time: the outer side's actual row
 //! count and — when the inner side is a base table with an index on the
 //! join column — that table's size and index fan-out. Probing the index
@@ -17,11 +24,13 @@
 //! it; the other algorithms scan it here, once the choice is made.
 
 use crate::ast::{BinaryOp, Expr, JoinType};
-use crate::bind::{bind_scalar, BoundExpr, Scope};
+use crate::bind::{bind_scalar, BoundExpr, Scope, ScopeRelation};
 use crate::catalog::TableHandle;
 use crate::error::DbResult;
-use crate::profile::JoinStrategy;
+use crate::profile::{EngineProfile, JoinStrategy};
 use crate::stats::Stats;
+use crate::storage::Table;
+use crate::types::DataType;
 use crate::value::{Row, Value};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -51,6 +60,10 @@ impl Rel {
     }
 }
 
+/// Name of the hidden trailing column [`JoinInner::table_with_slots`]
+/// appends; no SQL identifier can spell it.
+const SLOT_COLUMN: &str = "\u{0}slot";
+
 /// The inner (right) side of a join.
 #[derive(Debug)]
 pub enum JoinInner {
@@ -62,16 +75,193 @@ pub enum JoinInner {
         scope: Scope,
         /// The table itself.
         handle: TableHandle,
+        /// Every row read from the table ends in its slot number (the
+        /// scope's last column), so DML can find the row again.
+        slots: bool,
     },
 }
 
 impl JoinInner {
+    /// The base table behind `handle`, visible as `visible`, unscanned.
+    pub fn table(handle: TableHandle, visible: &str) -> JoinInner {
+        let scope = table_scope(&handle, visible);
+        JoinInner::Table {
+            scope,
+            handle,
+            slots: false,
+        }
+    }
+
+    /// [`JoinInner::table`] for the target of an `UPDATE … FROM`: each
+    /// joined row carries, as its last column, the slot the target row
+    /// lives in.
+    pub fn table_with_slots(handle: TableHandle, visible: &str) -> JoinInner {
+        let mut relation = table_relation(&handle, visible);
+        relation.columns.push(SLOT_COLUMN.to_owned());
+        let mut scope = Scope::new();
+        scope.push(relation);
+        JoinInner::Table {
+            scope,
+            handle,
+            slots: true,
+        }
+    }
+
     fn scope(&self) -> &Scope {
         match self {
             JoinInner::Rows(rel) => &rel.scope,
             JoinInner::Table { scope, .. } => scope,
         }
     }
+}
+
+/// A base table, visible as `visible`, as a scope relation.
+fn table_relation(handle: &TableHandle, visible: &str) -> ScopeRelation {
+    let table = handle.read();
+    let columns = table.schema().columns().iter();
+    ScopeRelation {
+        qualifier: visible.to_owned(),
+        columns: columns.map(|c| c.name.clone()).collect(),
+    }
+}
+
+/// The single-relation scope of a base table visible as `visible`.
+pub(crate) fn table_scope(handle: &TableHandle, visible: &str) -> Scope {
+    let mut scope = Scope::new();
+    scope.push(table_relation(handle, visible));
+    scope
+}
+
+/// How a statement reads one base table.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AccessPath {
+    /// Every live slot.
+    Scan,
+    /// Only the slots one index holds under `key`.
+    Seek {
+        /// Name of the index.
+        index: String,
+        /// Offset of the indexed column.
+        column: usize,
+        /// Its name, for the label.
+        column_name: String,
+        /// The constant the column is compared to.
+        key: Value,
+    },
+}
+
+impl AccessPath {
+    /// The live `(slot, row)`s of `table` this path reaches.
+    pub fn rows<'a>(&'a self, table: &'a Table) -> Box<dyn Iterator<Item = (usize, &'a Row)> + 'a> {
+        match self {
+            AccessPath::Scan => Box::new(table.iter()),
+            AccessPath::Seek { column, key, .. } => Box::new(
+                table
+                    .index_lookup(*column, key)
+                    .unwrap_or(&[])
+                    .iter()
+                    .filter_map(|&slot| table.row(slot).map(|row| (slot, row))),
+            ),
+        }
+    }
+
+    /// The operator label `EXPLAIN` and `EXPLAIN ANALYZE` print for a read
+    /// of `table` (`name` or `name AS alias`); `prefiltered` marks a scan
+    /// that applies `WHERE` conjuncts pushed below the joins.
+    pub fn describe(&self, table: &str, prefiltered: bool) -> String {
+        match self {
+            AccessPath::Seek {
+                index,
+                column_name,
+                key,
+                ..
+            } => {
+                let key = crate::render::expr_to_sql(
+                    &Expr::Literal(key.clone()),
+                    &EngineProfile::Postgres.dialect(),
+                );
+                format!("IndexSeek {table} using {index} ({column_name} = {key})")
+            }
+            AccessPath::Scan if prefiltered => format!("SeqScan {table} (pushed-down filter)"),
+            AccessPath::Scan => format!("SeqScan {table}"),
+        }
+    }
+}
+
+/// Whether an index on a column of type `ty` answers `= key` exactly as
+/// evaluating the comparison on every row would. NULL equals nothing, and a
+/// constant of another type family (`TEXT` against an `INT` column) is left
+/// to the scan, which owns whatever the comparison does with it.
+fn seekable(ty: DataType, key: &Value) -> bool {
+    matches!(
+        (ty, key),
+        (
+            DataType::Int | DataType::Float,
+            Value::Int(_) | Value::Float(_)
+        ) | (DataType::Text, Value::Text(_))
+            | (DataType::Bool, Value::Bool(_))
+    )
+}
+
+/// The one place an access path is chosen.
+///
+/// `conjuncts` are top-level `AND` conjuncts of the statement's predicate
+/// that mention only `table` (visible as `visible`). One of the form
+/// `<column> = <constant>` (either way round) whose column carries an index
+/// becomes a seek — the most selective index when several qualify. The seek
+/// only narrows what is read: callers still run the whole predicate on the
+/// rows it returns. Everything else scans: no such conjunct (`OR`, ranges,
+/// column-to-column), no index, a constant that fails to evaluate, or a
+/// key the index cannot answer exactly (NULL, or a constant of another
+/// type family than the column's).
+pub fn choose_access(table: &Table, visible: &str, conjuncts: &[&Expr]) -> AccessPath {
+    let schema = table.schema();
+    let mut best: Option<(usize, AccessPath)> = None;
+    for conjunct in conjuncts {
+        let Expr::Binary {
+            left,
+            op: BinaryOp::Eq,
+            right,
+        } = conjunct
+        else {
+            continue;
+        };
+        for (col, constant) in [(left, right), (right, left)] {
+            let Expr::Column { table: qual, name } = col.as_ref() else {
+                continue;
+            };
+            if qual.as_deref().is_some_and(|q| q != visible) {
+                continue;
+            }
+            let Some(column) = schema.column_index(name) else {
+                continue;
+            };
+            let Some((index, distinct_keys)) = table.index_on(column) else {
+                continue;
+            };
+            // a constant binds against the empty scope and evaluates once
+            let Ok(key) =
+                bind_scalar(constant, &Scope::new()).and_then(|c| c.eval(&Vec::new(), &[]))
+            else {
+                continue;
+            };
+            if !seekable(schema.columns()[column].data_type, &key) {
+                continue;
+            }
+            if best.as_ref().is_none_or(|(d, _)| distinct_keys > *d) {
+                best = Some((
+                    distinct_keys,
+                    AccessPath::Seek {
+                        index: index.to_owned(),
+                        column,
+                        column_name: name.clone(),
+                        key,
+                    },
+                ));
+            }
+        }
+    }
+    best.map_or(AccessPath::Scan, |(_, path)| path)
 }
 
 /// The join algorithm [`choose_join`] picked (or, without an equi key, the
@@ -332,9 +522,16 @@ impl Emit<'_> {
     /// Appends `lrow ++ rrow` if the residual accepts it; returns whether
     /// it did.
     fn pair(&mut self, lrow: &Row, rrow: &Row) -> DbResult<bool> {
-        let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
+        self.pair_at(lrow, rrow, None)
+    }
+
+    /// [`Emit::pair`] for an inner row read through its slot: `slot`
+    /// becomes the pair's last column ([`JoinInner::table_with_slots`]).
+    fn pair_at(&mut self, lrow: &Row, rrow: &Row, slot: Option<usize>) -> DbResult<bool> {
+        let mut combined = Vec::with_capacity(lrow.len() + self.right_arity);
         combined.extend_from_slice(lrow);
         combined.extend_from_slice(rrow);
+        combined.extend(slot.map(|s| Value::Int(s as i64)));
         for r in self.residual {
             if !r.eval(&combined, &[])?.is_truthy() {
                 return Ok(false);
@@ -415,16 +612,27 @@ pub fn join_rels(
         out: Vec::new(),
     };
     let inner_read = match (&algo, key, right) {
-        (JoinAlgo::IndexNestedLoop { .. }, Some(key), JoinInner::Table { handle, .. }) => {
-            let fetched = index_nested_loop(&left.rows, &handle, key, &mut emit, stats)?;
+        (JoinAlgo::IndexNestedLoop { .. }, Some(key), JoinInner::Table { handle, slots, .. }) => {
+            let fetched = index_nested_loop(&left.rows, &handle, slots, key, &mut emit, stats)?;
             Some((fetched, 0))
         }
         (_, key, right) => {
             let (right_rows, inner_read) = match right {
                 JoinInner::Rows(rel) => (rel.rows, None),
-                JoinInner::Table { handle, .. } => {
+                JoinInner::Table { handle, slots, .. } => {
                     let t0 = Instant::now();
-                    let rows = handle.read().scan();
+                    let rows = if slots {
+                        let table = handle.read();
+                        let with_slot = |(slot, row): (usize, &Row)| {
+                            let mut with = Vec::with_capacity(row.len() + 1);
+                            with.extend_from_slice(row);
+                            with.push(Value::Int(slot as i64));
+                            with
+                        };
+                        table.iter().map(with_slot).collect()
+                    } else {
+                        handle.read().scan()
+                    };
                     stats.add_rows_scanned(rows.len() as u64);
                     let read = (rows.len() as u64, t0.elapsed().as_micros() as u64);
                     (rows, Some(read))
@@ -458,6 +666,7 @@ pub fn join_rels(
 fn index_nested_loop(
     left: &[Row],
     inner: &TableHandle,
+    slots: bool,
     key: EquiKey,
     emit: &mut Emit<'_>,
     stats: &Stats,
@@ -472,7 +681,7 @@ fn index_nested_loop(
             for &slot in table.index_lookup(key.right, kv).unwrap_or(&[]) {
                 if let Some(rrow) = table.row(slot) {
                     fetched += 1;
-                    matched |= emit.pair(lrow, rrow)?;
+                    matched |= emit.pair_at(lrow, rrow, slots.then_some(slot))?;
                 }
             }
         }

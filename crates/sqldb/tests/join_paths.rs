@@ -1,10 +1,18 @@
-//! The join algorithms must be interchangeable: whichever one
-//! `join::choose_join` picks, a query returns the same row multiset. The
+//! Access paths and join algorithms must be interchangeable.
+//!
+//! Whichever algorithm `join::choose_join` picks, a query returns the same
+//! row multiset. The
 //! same small outer table is joined to two copies of one large table — one
 //! indexed on the join column (probed: index nested-loop), one not (the
 //! profile's hash join or block nested loop) — over NULL keys, duplicate
 //! keys, tombstoned slots, residual `ON` predicates and `Int`-vs-`Float`
 //! keys, for INNER and LEFT joins on every engine profile.
+//!
+//! Whichever way `join::choose_access` reads a table, a statement does the
+//! same thing. Every SELECT, UPDATE and DELETE below runs on two copies of
+//! one table — `t_ix` (primary key, secondary indexes) and `t_no` (no index
+//! at all, so always scanned) — and must return the same rows, report the
+//! same affected count or error, and leave the same table behind.
 
 use sqldb::{Database, EngineProfile, QueryResult, Session, StatsSnapshot, Value};
 
@@ -127,8 +135,8 @@ fn small_outer_probes_and_never_scans_the_inner_table() {
         });
         let out = r.rows.len() as u64;
         assert!(d.index_lookups > 0, "{profile:?}");
-        // o's 8 rows, then the join output counted by the join and by FROM
-        assert_eq!(d.rows_scanned, 8 + 2 * out, "{profile:?}: inner scanned");
+        // o's 8 rows, then the join output
+        assert_eq!(d.rows_scanned, 8 + out, "{profile:?}: inner scanned");
         assert!(d.rows_scanned < live_inner, "{profile:?}");
     }
 }
@@ -155,5 +163,328 @@ fn whole_table_join_keeps_the_hash_plan() {
             "{sql}: the hash join counts its probe side"
         );
         assert_eq!(r.rows.len(), 300 - 12 - 43 + 2, "{sql}"); // non-NULL, not deleted
+    }
+}
+
+// ---------------------------------------------------------------------
+// access paths: seek ≡ scan
+// ---------------------------------------------------------------------
+
+/// `t_ix` / `t_no`: the same 200 slots — `k` has 10 duplicate-heavy keys
+/// and NULLs, `f` is a FLOAT with integral and fractional values, every
+/// 7th row is a tombstone — with and without indexes on every column.
+fn access_fixture(profile: EngineProfile) -> Database {
+    let db = Database::new(profile);
+    let mut s = db.connect();
+    s.execute("CREATE TABLE t_ix (id INT PRIMARY KEY, k INT, f FLOAT, tag TEXT)")
+        .unwrap();
+    s.execute("CREATE TABLE t_no (id INT, k INT, f FLOAT, tag TEXT)")
+        .unwrap();
+    let values: Vec<String> = (0..200)
+        .map(|i| {
+            let k = if i % 25 == 0 {
+                "NULL".to_string()
+            } else {
+                (i % 10).to_string()
+            };
+            let tag = ["a", "b", "c", "d", "e"][i % 5];
+            format!("({i}, {k}, {}, '{tag}')", (i % 8) as f64 / 2.0)
+        })
+        .collect();
+    for t in ["t_ix", "t_no"] {
+        s.execute(&format!("INSERT INTO {t} VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    for col in ["k", "f", "tag"] {
+        s.execute(&format!("CREATE INDEX t_ix_{col} ON t_ix ({col})"))
+            .unwrap();
+    }
+    // tombstones *after* the indexes exist: their entries must go too
+    for t in ["t_ix", "t_no"] {
+        s.execute(&format!("DELETE FROM {t} WHERE id % 7 = 0"))
+            .unwrap();
+    }
+    db
+}
+
+/// What a statement did, comparable across the twins: rows (sorted) and
+/// affected count, or the error text.
+type Outcome = Result<(Vec<Vec<Value>>, u64), String>;
+
+fn outcome(s: &mut Session, sql: &str) -> Outcome {
+    match s.execute(sql) {
+        Ok(sqldb::StmtOutput::Rows(r)) => Ok((sorted(r), 0)),
+        Ok(out) => Ok((Vec::new(), out.rows_affected())),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// Runs `template` (with `{t}` for the table) on `t_ix` and on `t_no`,
+/// asserts both did the same thing and left the same table, and returns
+/// that outcome with the counters the `t_ix` run moved.
+fn twins(db: &Database, s: &mut Session, template: &str) -> (Outcome, StatsSnapshot) {
+    let (ix, d_ix) = counting(db, || outcome(s, &template.replace("{t}", "t_ix")));
+    let (no, d_no) = counting(db, || outcome(s, &template.replace("{t}", "t_no")));
+    assert_eq!(ix, no, "{template}");
+    assert_eq!(d_no.index_lookups, 0, "{template}: t_no has no index");
+    let all = |s: &mut Session, t: &str| sorted(rows(s, &format!("SELECT * FROM {t}")));
+    assert_eq!(
+        all(s, "t_ix"),
+        all(s, "t_no"),
+        "{template}: tables diverged"
+    );
+    (ix, d_ix)
+}
+
+/// `(predicate, seeks)`: whether `choose_access` may answer it from an index.
+const PREDICATES: &[(&str, bool)] = &[
+    ("id = 17", true),
+    ("17 = id", true),
+    ("{t}.id = 17", true),
+    ("id = 1 + 16", true),
+    ("id = 17.0", true), // Int key, Float literal
+    ("id = 17.5", true), // … that no Int equals
+    ("f = 1", true),     // Float key, Int literal
+    ("f = 1.5", true),
+    ("k = 3", true), // duplicate keys
+    ("k = 3 AND tag = 'd'", true),
+    ("tag = 'd' AND id > 100 AND k = 3", true),
+    ("k = 3 AND id = 103", true), // two indexes: the primary key is tighter
+    ("tag = 'c'", true),
+    ("id = 14", true),   // a tombstone
+    ("id = 4000", true), // no such key
+    ("k = NULL", false),
+    ("k = 'x'", false), // TEXT literal against an INT column
+    ("tag = 3", false),
+    ("k = 3 OR id = 5", false),
+    ("k > 3", false),
+    ("k = id", false),
+    ("id = 1 / 0", false), // the scan owns the error
+];
+
+#[test]
+fn select_seek_matches_scan() {
+    for profile in EngineProfile::ALL {
+        let db = access_fixture(profile);
+        let mut s = db.connect();
+        for vectorized in [true, false] {
+            db.set_vectorized(vectorized);
+            for (pred, seeks) in PREDICATES {
+                let sql = format!("SELECT id, k, f, tag FROM {{t}} WHERE {pred}");
+                let (live, d) = counting(&db, || rows(&mut s, "SELECT COUNT(*) FROM t_ix"));
+                let live = live.rows[0][0].as_i64().unwrap() as u64;
+                assert_eq!(d.rows_scanned, live, "a scan visits every live row once");
+                let (out, d) = twins(&db, &mut s, &sql);
+                assert_eq!(
+                    d.index_lookups,
+                    u64::from(*seeks),
+                    "{profile:?} vectorized={vectorized} {pred}"
+                );
+                if *seeks {
+                    let returned = out.as_ref().map_or(0, |(r, _)| r.len() as u64);
+                    assert!(
+                        d.rows_scanned < live / 4 && d.rows_scanned >= returned,
+                        "{profile:?} {pred}: a seek visits only its key's slots, \
+                         visited {} of {live}",
+                        d.rows_scanned
+                    );
+                } else if out.is_ok() {
+                    assert_eq!(d.rows_scanned, live, "{profile:?} {pred}");
+                }
+            }
+        }
+        // "equal" must not mean "equally empty"
+        db.set_vectorized(true);
+        let n = |s: &mut Session, pred: &str| {
+            rows(s, &format!("SELECT id FROM t_ix WHERE {pred}"))
+                .rows
+                .len()
+        };
+        assert_eq!(n(&mut s, "id = 17.0"), 1, "{profile:?}");
+        assert_eq!(n(&mut s, "id = 14"), 0, "{profile:?}");
+        assert_eq!(n(&mut s, "k = 'x'"), 0, "{profile:?}");
+        assert_eq!(n(&mut s, "k = NULL"), 0, "{profile:?}");
+        // ids ≡ 3 (mod 10) under 200, minus multiples of 7 (63, 133)
+        assert_eq!(n(&mut s, "k = 3"), 18, "{profile:?}");
+        assert!(s.query("SELECT id FROM t_ix WHERE id = 1 / 0").is_err());
+    }
+}
+
+#[test]
+fn update_and_delete_seek_matches_scan() {
+    for profile in EngineProfile::ALL {
+        for verb in [
+            "UPDATE {t} SET f = f + 16.0, tag = 'z' WHERE",
+            "DELETE FROM {t} WHERE",
+        ] {
+            let db = access_fixture(profile);
+            let mut s = db.connect();
+            for (pred, seeks) in PREDICATES {
+                let (out, d) = twins(&db, &mut s, &format!("{verb} {pred}"));
+                assert_eq!(
+                    d.index_lookups,
+                    u64::from(*seeks),
+                    "{profile:?} {verb} {pred}"
+                );
+                // the updates keep every row, so the count is the fixture's
+                if *pred == "k = 3" && verb.starts_with("UPDATE") {
+                    assert_eq!(out.unwrap().1, 18, "{profile:?} {verb} {pred}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn update_that_rewrites_its_own_key_keeps_the_index_right() {
+    for profile in EngineProfile::ALL {
+        let db = access_fixture(profile);
+        let mut s = db.connect();
+        // the seek's own key column moves: secondary (duplicates) and primary
+        let (out, d) = twins(&db, &mut s, "UPDATE {t} SET k = k + 100 WHERE k = 3");
+        assert_eq!((out.unwrap().1, d.index_lookups), (18, 1), "{profile:?}");
+        let (out, _) = twins(&db, &mut s, "UPDATE {t} SET id = id + 1000 WHERE id = 17");
+        assert_eq!(out.unwrap().1, 1, "{profile:?}");
+        // old keys find nothing, new keys find the rows — through the index
+        for (pred, n) in [
+            ("k = 3", 0),
+            ("k = 103", 18),
+            ("id = 17", 0),
+            ("id = 1017", 1),
+        ] {
+            let (out, d) = twins(&db, &mut s, &format!("SELECT id FROM {{t}} WHERE {pred}"));
+            assert_eq!(
+                (out.unwrap().0.len(), d.index_lookups),
+                (n, 1),
+                "{profile:?} {pred}"
+            );
+        }
+        // moving a row onto a live primary key fails on the indexed twin
+        // only (t_no declares no key), atomically
+        let before = sorted(rows(&mut s, "SELECT * FROM t_ix"));
+        assert!(s.execute("UPDATE t_ix SET id = 18 WHERE id = 19").is_err());
+        assert_eq!(sorted(rows(&mut s, "SELECT * FROM t_ix")), before);
+    }
+}
+
+/// `UPDATE {t} SET <set> FROM <from> WHERE <on>` in the dialect `profile`
+/// accepts (the MySQL family spells it `UPDATE {t} JOIN <from> ON <on> SET`).
+fn update_from(profile: EngineProfile, set: &str, from: &str, on: &str) -> String {
+    if profile.dialect().supports_update_from {
+        format!("UPDATE {{t}} SET {set} FROM {from} WHERE {on}")
+    } else {
+        format!("UPDATE {{t}} JOIN {from} ON {on} SET {set}")
+    }
+}
+
+#[test]
+fn update_from_probes_its_target_and_first_from_row_wins() {
+    for profile in EngineProfile::ALL {
+        let db = access_fixture(profile);
+        let mut s = db.connect();
+        // duplicate keys (5 and 9 twice), a Float spelling of an Int key, a
+        // NULL, a tombstoned target (14) and a missing one (4000)
+        s.execute("CREATE TABLE src (id FLOAT, v FLOAT)").unwrap();
+        s.execute(
+            "INSERT INTO src VALUES (5, 1.0), (9, 3.0), (5, 2.0), (NULL, 9.0), \
+             (9.0, 4.0), (14, 5.0), (4000, 6.0), (23.0, 7.0)",
+        )
+        .unwrap();
+        let f_of = |s: &mut Session, id: i64| {
+            rows(s, &format!("SELECT f FROM t_ix WHERE id = {id}")).rows[0][0].clone()
+        };
+
+        let sql = update_from(profile, "f = src.v", "src", "{t}.id = src.id");
+        let (out, d) = twins(&db, &mut s, &sql);
+        assert_eq!(out.unwrap().1, 3, "{profile:?}: ids 5, 9 and 23");
+        assert_eq!(
+            d.index_lookups, 7,
+            "{profile:?}: one probe per non-NULL src row"
+        );
+        assert_eq!(
+            f_of(&mut s, 5),
+            Value::Float(1.0),
+            "{profile:?}: first src row wins"
+        );
+        assert_eq!(f_of(&mut s, 9), Value::Float(3.0), "{profile:?}");
+        assert_eq!(f_of(&mut s, 23), Value::Float(7.0), "{profile:?}");
+
+        // a residual conjunct skips the first candidate, not the order
+        let sql = update_from(
+            profile,
+            "f = src.v",
+            "src",
+            "src.id = {t}.id AND src.v > 1.5",
+        );
+        let (out, _) = twins(&db, &mut s, &sql);
+        assert_eq!(out.unwrap().1, 1, "{profile:?}: only id 5 changes");
+        assert_eq!(f_of(&mut s, 5), Value::Float(2.0), "{profile:?}");
+        assert_eq!(f_of(&mut s, 9), Value::Float(3.0), "{profile:?}");
+
+        // a FROM subquery that reads the target sees it before any write
+        let sql = update_from(
+            profile,
+            "f = old.nf",
+            "(SELECT id, f + 100.0 AS nf FROM {t} WHERE k = 3) AS old",
+            "{t}.id = old.id",
+        );
+        let (out, _) = twins(&db, &mut s, &sql);
+        assert_eq!(out.unwrap().1, 18, "{profile:?}");
+        let fs = rows(&mut s, "SELECT f FROM t_ix WHERE k = 3");
+        assert!(
+            fs.rows
+                .iter()
+                .all(|r| r[0] >= Value::Float(100.0) && r[0] < Value::Float(108.0)),
+            "{profile:?}: each row moved exactly once: {:?}",
+            fs.rows
+        );
+
+        // no equality at all: every target row meets the first src row
+        let changing = rows(&mut s, "SELECT COUNT(*) FROM t_ix WHERE f <> 1.0").rows[0][0]
+            .as_i64()
+            .unwrap() as u64;
+        let sql = update_from(profile, "f = src.v", "src", "src.v < 2.5");
+        let (out, d) = twins(&db, &mut s, &sql);
+        assert_eq!(
+            (out.unwrap().1, d.index_lookups),
+            (changing, 0),
+            "{profile:?}"
+        );
+        assert!(changing > 100);
+        let left = rows(&mut s, "SELECT COUNT(*) FROM t_ix WHERE f <> 1.0");
+        assert_eq!(left.rows[0][0], Value::Int(0), "{profile:?}");
+    }
+}
+
+#[test]
+fn whole_table_update_from_keeps_the_scan_and_hash_plan() {
+    for profile in EngineProfile::ALL {
+        let db = access_fixture(profile);
+        let mut s = db.connect();
+        // one src row per target row: probing would touch as much as scanning
+        s.execute("CREATE TABLE src (id INT, v FLOAT)").unwrap();
+        s.execute("INSERT INTO src SELECT id, f + 0.25 FROM t_no")
+            .unwrap();
+        let sql = update_from(profile, "f = src.v", "src", "{t}.id = src.id");
+        let (out, d) = counting(&db, || outcome(&mut s, &sql.replace("{t}", "t_ix")));
+        let live = rows(&mut s, "SELECT COUNT(*) FROM t_ix").rows[0][0]
+            .as_i64()
+            .unwrap() as u64;
+        assert_eq!(out.unwrap().1, live, "{profile:?}");
+        if profile == EngineProfile::Postgres {
+            assert_eq!(d.index_lookups, 0, "a whole-table update must not probe");
+            assert_eq!(d.rows_joined, live, "the hash join counts its probe side");
+            // src and the target scanned, and the joined rows
+            assert_eq!(d.rows_scanned, 3 * live);
+        } else {
+            // the nested-loop profiles have no hash join to fall back on
+            assert_eq!(d.index_lookups, live, "{profile:?}");
+        }
+        assert!(outcome(&mut s, &sql.replace("{t}", "t_no")).is_ok());
+        assert_eq!(
+            sorted(rows(&mut s, "SELECT * FROM t_ix")),
+            sorted(rows(&mut s, "SELECT * FROM t_no")),
+            "{profile:?}"
+        );
     }
 }
