@@ -5,7 +5,7 @@
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{DataMode, Termination};
 use crate::translate::{translate_query_to_sql, translate_sql};
-use dbcp::{Connection, Driver, PreparedStatement};
+use dbcp::{Connection, Driver, PipelineStep, PreparedStatement};
 use obs::{EventKind, TraceHandle};
 use sqldb::ast::{SelectStmt, SetExpr, TableFactor};
 use sqldb::{DataType, DbError, EngineProfile, StmtOutput, Value};
@@ -160,6 +160,79 @@ impl CteSchema {
 pub fn run(conn: &mut dyn Connection, canonical_sql: &str) -> SqloopResult<sqldb::StmtOutput> {
     let sql = translate_sql(canonical_sql, conn.profile())?;
     conn.execute(&sql).map_err(SqloopError::from)
+}
+
+/// Translated text one pipeline may carry before it is sent, so a call's
+/// frame stays far below the wire's limit however large the load is.
+const PIPELINE_BYTES: usize = 4 << 20;
+
+/// Executes canonical statements in order as pipelines: one driver call
+/// per 4 MiB of text (`PIPELINE_BYTES`) instead of one per statement. For
+/// statements whose outputs nobody reads (DDL, loads).
+///
+/// # Errors
+/// The first translation or engine error, as if the statements had been
+/// executed one at a time: those before it ran, those after it did not.
+pub fn run_all(
+    conn: &mut dyn Connection,
+    canonical: impl IntoIterator<Item = String>,
+) -> SqloopResult<()> {
+    pipelined(conn, canonical, false)
+}
+
+/// [`run_all`] for cleanup: a statement that fails is skipped and the
+/// rest still run. Only a dead connection ends it early.
+pub fn run_all_best_effort(conn: &mut dyn Connection, canonical: impl IntoIterator<Item = String>) {
+    let _ = pipelined(conn, canonical, true);
+}
+
+fn pipelined(
+    conn: &mut dyn Connection,
+    canonical: impl IntoIterator<Item = String>,
+    best_effort: bool,
+) -> SqloopResult<()> {
+    let profile = conn.profile();
+    let mut steps = Vec::new();
+    let mut bytes = 0usize;
+    for sql in canonical {
+        match translate_sql(&sql, profile) {
+            Ok(sql) => {
+                bytes += sql.len();
+                steps.push(PipelineStep::Execute(sql));
+            }
+            Err(_) if best_effort => continue,
+            Err(e) => {
+                // what a statement-at-a-time caller would have seen: the
+                // statements before the bad one run (and may fail) first
+                send_pipeline(conn, &steps, false)?;
+                return Err(e);
+            }
+        }
+        if bytes >= PIPELINE_BYTES {
+            send_pipeline(conn, &steps, best_effort)?;
+            steps.clear();
+            bytes = 0;
+        }
+    }
+    send_pipeline(conn, &steps, best_effort)
+}
+
+fn send_pipeline(
+    conn: &mut dyn Connection,
+    steps: &[PipelineStep],
+    best_effort: bool,
+) -> SqloopResult<()> {
+    let mut rest = steps;
+    while !rest.is_empty() {
+        let outcome = conn.run_pipeline(rest)?;
+        match outcome.error {
+            None => break,
+            Some(e) if !best_effort => return Err(e.into()),
+            // a pipeline stops at its first failure: skip that step
+            Some(_) => rest = rest.get(outcome.outputs.len() + 1..).unwrap_or(&[]),
+        }
+    }
+    Ok(())
 }
 
 /// Queries with canonical SQL after translation.
@@ -550,6 +623,31 @@ mod tests {
         assert_eq!(n.delta_snapshot(), "prdelta");
         assert_eq!(n.partition(7), "pr__pt7");
         assert_eq!(n.message(3, 9), "pr__msg_3_9");
+    }
+
+    #[test]
+    fn run_all_stops_at_a_failure_and_best_effort_steps_over_it() {
+        let stmts = || {
+            [
+                "CREATE TABLE a (x INT)",
+                "DROP TABLE missing",
+                "this is not SQL",
+                "CREATE TABLE b (x INT)",
+            ]
+            .map(String::from)
+        };
+        let count =
+            |c: &mut dyn Connection, t: &str| c.query(&format!("SELECT COUNT(*) FROM {t}")).is_ok();
+        let mut c = conn();
+        let err = run_all(c.as_mut(), stmts()).unwrap_err();
+        assert!(
+            matches!(err, SqloopError::Db(DbError::NotFound(_))),
+            "{err}"
+        );
+        assert!(count(c.as_mut(), "a") && !count(c.as_mut(), "b"));
+        let mut c = conn();
+        run_all_best_effort(c.as_mut(), stmts());
+        assert!(count(c.as_mut(), "a") && count(c.as_mut(), "b"));
     }
 
     #[test]

@@ -85,6 +85,15 @@ pub enum SqloopError {
         /// The last attempt's error.
         source: Box<SqloopError>,
     },
+    /// The `AsyncP` priority query failed the first time it was evaluated,
+    /// so the run has no order to schedule by. Retryable when `source` is
+    /// (the downgrade path does not need priorities).
+    Priority {
+        /// The query as submitted, partition table substituted.
+        query: String,
+        /// Why it failed.
+        source: Box<SqloopError>,
+    },
 }
 
 impl SqloopError {
@@ -104,7 +113,9 @@ impl SqloopError {
                     | DbError::TxnAborted(_)
                     | DbError::Overloaded(_)
             ),
-            SqloopError::Task { source, .. } => source.is_retryable(),
+            SqloopError::Task { source, .. } | SqloopError::Priority { source, .. } => {
+                source.is_retryable()
+            }
             SqloopError::Worker(_) => true,
             SqloopError::WorkerPanic { .. } => true,
             SqloopError::WorkerStalled { .. } => true,
@@ -156,6 +167,9 @@ impl fmt::Display for SqloopError {
                 f,
                 "task on partition {partition} failed after {attempt} attempt(s): {source}"
             ),
+            SqloopError::Priority { query, source } => {
+                write!(f, "priority query `{query}` failed: {source}")
+            }
         }
     }
 }
@@ -164,7 +178,9 @@ impl std::error::Error for SqloopError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SqloopError::Db(e) => Some(e),
-            SqloopError::Task { source, .. } => Some(source.as_ref()),
+            SqloopError::Task { source, .. } | SqloopError::Priority { source, .. } => {
+                Some(source.as_ref())
+            }
             _ => None,
         }
     }

@@ -28,13 +28,13 @@ use crate::checkpoint::{
     trace_checkpoint, Checkpointer, LoopSnapshot, PartSnap,
 };
 use crate::common::{
-    create_cte_table, refresh_delta_snapshot, run, run_query, CteNames, CteSchema, DeltaRefresher,
-    PlanCacheProbe, TerminationProbe,
+    create_cte_table, refresh_delta_snapshot, run, run_all, run_all_best_effort, run_query,
+    CteNames, CteSchema, DeltaRefresher, PlanCacheProbe, TerminationProbe,
 };
 use crate::config::{ExecutionMode, SqloopConfig};
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{IterativeCte, Termination};
-use crate::parallel_sql::SqlGen;
+use crate::parallel_sql::{Sql, SqlGen};
 use crate::progress::{ProgressSample, RecoveryCounters, Sampler};
 use crate::single::RunOutcome;
 use crate::supervisor::{now_us, panic_detail, HeartbeatSlot, SupervisorMetrics, STATE_BUSY};
@@ -98,7 +98,9 @@ struct Task {
     task_id: u64,
     partition: usize,
     kind: TaskKind,
-    stmts: Vec<String>,
+    /// The task's statements, already in the engine's dialect and shared
+    /// with [`SqlGen`]'s books: cloning a task copies no SQL text.
+    stmts: Vec<Sql>,
     /// Scheduler round/wave the task was built in (1-based; trace only).
     round: u64,
     /// 1-based attempt number of this dispatch.
@@ -212,19 +214,14 @@ pub fn run_iterative_parallel_observed(
 /// Drops everything partitioning may have created. Every drop is
 /// `IF EXISTS` (errors ignored), so this is safe however far setup got.
 fn drop_setup_artifacts(main: &mut dyn Connection, names: &CteNames, partitions: usize) {
-    let _ = run(main, &format!("DROP VIEW IF EXISTS {}", names.table));
-    let _ = run(main, &format!("DROP TABLE IF EXISTS {}", names.table));
-    let _ = run(main, &format!("DROP TABLE IF EXISTS {}", names.mjoin()));
-    let _ = run(
-        main,
-        &format!("DROP TABLE IF EXISTS {}", names.delta_snapshot()),
-    );
-    for x in 0..partitions {
-        let _ = run(
-            main,
-            &format!("DROP TABLE IF EXISTS {}", names.partition(x)),
-        );
-    }
+    let fixed = [
+        format!("DROP VIEW IF EXISTS {}", names.table),
+        format!("DROP TABLE IF EXISTS {}", names.table),
+        format!("DROP TABLE IF EXISTS {}", names.mjoin()),
+        format!("DROP TABLE IF EXISTS {}", names.delta_snapshot()),
+    ];
+    let parts = (0..partitions).map(|x| format!("DROP TABLE IF EXISTS {}", names.partition(x)));
+    run_all_best_effort(main, fixed.into_iter().chain(parts));
 }
 
 /// Builds the partitioned table layout: either from the seed query (fresh
@@ -238,7 +235,8 @@ fn parallel_setup(
     config: &SqloopConfig,
     names: &CteNames,
     resume: Option<&LoopSnapshot>,
-) -> SqloopResult<Arc<SqlGen>> {
+) -> SqloopResult<SqlGen> {
+    let profile = main.profile();
     if let Some(snap) = resume {
         // schema from the dumped partition-0 columns (hidden bookkeeping
         // columns excluded) — the seed query never runs on resume
@@ -255,13 +253,14 @@ fn parallel_setup(
             columns: visible.iter().map(|c| c.name.clone()).collect(),
             types: visible.iter().map(|c| c.data_type).collect(),
         };
-        let gen = Arc::new(SqlGen::new(
+        let gen = SqlGen::new(
             names.clone(),
             schema,
             plan,
             config.partitions,
             config.materialize_join,
-        ));
+            profile,
+        );
         // stale state from the interrupted run (same database) goes first
         let _ = run(main, &format!("DROP VIEW IF EXISTS {}", names.table));
         let _ = run(main, &format!("DROP TABLE IF EXISTS {}", names.table));
@@ -283,13 +282,14 @@ fn parallel_setup(
     }
 
     let schema = create_cte_table(main, &cte.name, &cte.columns, &cte.seed, true, true)?;
-    let gen = Arc::new(SqlGen::new(
+    let gen = SqlGen::new(
         names.clone(),
         schema,
         plan,
         config.partitions,
         config.materialize_join,
-    ));
+        profile,
+    );
 
     // Rmjoin while R is still a base table (paper §V-B), plus the join index
     if config.materialize_join {
@@ -307,22 +307,24 @@ fn parallel_setup(
         let b = gen.bucket(&row[0]);
         buckets[b].push(row);
     }
-    for (x, bucket) in buckets.iter().enumerate() {
-        run(
-            main,
-            &format!("DROP TABLE IF EXISTS {}", names.partition(x)),
-        )?;
-        run(main, &gen.create_partition_sql(x))?;
-        for chunk in bucket.chunks(config.insert_batch_rows) {
-            run(main, &gen.insert_partition_sql(x, chunk))?;
-        }
-        if let Some(sql) = gen.init_hidden_sql(x) {
-            run(main, &sql)?;
-        }
-    }
-    // R becomes the union view (paper §V-B)
-    run(main, &format!("DROP TABLE {}", names.table))?;
-    run(main, &gen.create_view_sql())?;
+    // the partition tables, then R becomes the union view (paper §V-B):
+    // statements that carry no result, so they go out pipelined
+    let g = &gen;
+    let partition_tables = buckets.iter().enumerate().flat_map(|(x, bucket)| {
+        [
+            format!("DROP TABLE IF EXISTS {}", names.partition(x)),
+            g.create_partition_sql(x),
+        ]
+        .into_iter()
+        .chain(
+            bucket
+                .chunks(config.insert_batch_rows)
+                .map(move |chunk| g.insert_partition_sql(x, chunk)),
+        )
+        .chain(g.init_hidden_sql(x))
+    });
+    let view = [format!("DROP TABLE {}", names.table), g.create_view_sql()];
+    run_all(main, partition_tables.chain(view))?;
     if cte.termination.needs_delta_snapshot() {
         refresh_delta_snapshot(main, names)?;
     }
@@ -400,7 +402,7 @@ fn run_parallel_inner(
         None => Vec::new(),
     };
 
-    let gen = match parallel_setup(
+    let mut gen = match parallel_setup(
         main.as_mut(),
         cte,
         plan,
@@ -495,7 +497,7 @@ fn run_parallel_inner(
     let sup = pool.sup.clone();
     let npartitions = parts.len();
     let mut scheduler = Scheduler {
-        gen: &gen,
+        gen: &mut gen,
         config,
         tc: &cte.termination,
         main: main.as_mut(),
@@ -511,7 +513,6 @@ fn run_parallel_inner(
         computes: 0,
         gathers: 0,
         messages: 0,
-        rr: 0,
         all_msgs: Vec::new(),
         free_slots: vec![Vec::new(); npartitions],
         slots_created: vec![0; npartitions],
@@ -586,12 +587,8 @@ fn run_parallel_inner(
 
     let finish = |main: &mut dyn Connection| -> SqloopResult<()> {
         if !config.keep_artifacts {
-            for sql in gen.cleanup_sql() {
-                let _ = run(main, &sql);
-            }
-            for m in &stats.all_msgs {
-                let _ = run(main, &format!("DROP TABLE IF EXISTS {m}"));
-            }
+            let slots = stats.all_msgs.iter().map(|m| gen.drop_message_slot_sql(m));
+            run_all_best_effort(main, gen.cleanup_sql().into_iter().chain(slots));
         }
         Ok(())
     };
@@ -858,18 +855,10 @@ fn worker_loop(ctx: WorkerCtx) {
                     // the remaining statement sequence goes out as ONE
                     // pipelined batch — a single wire round-trip however
                     // many statements the task carries
-                    let profile = c.profile();
-                    let mut steps = Vec::with_capacity(task.stmts.len() - at);
-                    let mut translate_err = None;
-                    for (j, stmt) in task.stmts[at..].iter().enumerate() {
-                        match translate_sql(stmt, profile) {
-                            Ok(sql) => steps.push(PipelineStep::Execute(sql)),
-                            Err(e) => {
-                                translate_err = Some((at + j, e));
-                                break;
-                            }
-                        }
-                    }
+                    let steps: Vec<PipelineStep> = task.stmts[at..]
+                        .iter()
+                        .map(|sql| PipelineStep::Execute(String::from(&**sql)))
+                        .collect();
                     // the panic boundary: one panicking statement (an
                     // engine bug, an injected chaos panic) must degrade
                     // into a retryable task failure, never take the
@@ -900,15 +889,12 @@ fn worker_loop(ctx: WorkerCtx) {
                             // a dead connection reported with a position
                             // (statement-at-a-time transports know how far
                             // they got) additionally forces a reconnect
-                            error = match outcome.error {
-                                Some(e) => {
-                                    if matches!(e, sqldb::DbError::Connection(_)) {
-                                        conn = None;
-                                    }
-                                    Some((at + executed, SqloopError::from(e)))
+                            error = outcome.error.map(|e| {
+                                if matches!(e, sqldb::DbError::Connection(_)) {
+                                    conn = None;
                                 }
-                                None => translate_err,
-                            };
+                                (at + executed, SqloopError::from(e))
+                            });
                         }
                         Ok(Err(e)) => {
                             // transport failure mid-batch: how far the batch
@@ -1012,7 +998,7 @@ fn worker_loop(ctx: WorkerCtx) {
 }
 
 struct Scheduler<'a> {
-    gen: &'a SqlGen,
+    gen: &'a mut SqlGen,
     config: &'a SqloopConfig,
     tc: &'a Termination,
     main: &'a mut dyn Connection,
@@ -1034,7 +1020,6 @@ struct Scheduler<'a> {
     computes: u64,
     gathers: u64,
     messages: u64,
-    rr: usize,
     all_msgs: Vec<String>,
     /// Per-partition free lists of reusable message-slot tables. A Compute
     /// pops a slot (creating one only when the list is empty), truncates
@@ -1097,60 +1082,46 @@ struct Scheduler<'a> {
 impl Scheduler<'_> {
     // -- task construction -------------------------------------------------
 
-    fn build_compute(&mut self, x: usize) -> Task {
+    fn build_compute(&mut self, x: usize) -> SqloopResult<Task> {
         // msg_seq stays a per-partition Compute ordinal (checkpointed for
         // format stability) but no longer names the message table: slots
         // have generation-stable names, so the statement texts below are
         // byte-identical every round and stay hot in the plan cache.
         self.parts[x].msg_seq += 1;
-        let mut stmts = Vec::with_capacity(7);
-        let msg = match self.free_slots[x].pop() {
-            Some(slot) => {
-                stmts.push(self.gen.clear_message_slot_sql(&slot));
-                slot
-            }
+        let (slot, fresh) = match self.free_slots[x].pop() {
+            Some(slot) => (slot, false),
             None => {
                 let k = self.slots_created[x];
                 self.slots_created[x] += 1;
                 let slot = self.gen.names().message_slot(x, k);
                 self.all_msgs.push(slot.clone());
-                // a crashed earlier run may have left the table behind;
-                // replays resume at the failed statement, so neither DDL
-                // re-runs after it succeeded
-                stmts.push(format!("DROP TABLE IF EXISTS {slot}"));
-                stmts.push(self.gen.create_message_slot_sql(&slot));
-                stmts.extend(self.gen.message_slot_index_sql(&slot));
-                slot
+                (slot, true)
             }
         };
-        let fill_at = stmts.len();
-        stmts.push(self.gen.insert_message_sql(x, &msg));
-        if self.gen.routing_enabled() {
-            stmts.push(self.gen.touched_partitions_sql(&msg));
-        }
-        let changed_from = stmts.len();
-        stmts.push(self.gen.compute_update_sql(x));
-        Task {
+        // replays resume at the failed statement, so a fresh slot's DDL
+        // never re-runs after it succeeded
+        let sql = self.gen.compute_task_sql(x, &slot, fresh)?;
+        Ok(Task {
             task_id: 0, // assigned at dispatch
             partition: x,
             kind: TaskKind::Compute {
-                msg_table: msg,
-                fill_at,
+                msg_table: slot,
+                fill_at: sql.fill_at,
             },
-            stmts,
+            stmts: sql.stmts,
             round: self.round,
             attempt: 1,
             start_at: 0,
-            changed_from,
+            changed_from: sql.changed_from,
             acc_changed: 0,
             acc_rows: Vec::new(),
             acc_msg_rows: None,
-        }
+        })
     }
 
     /// Unread live message tables for `x`; advances the cursor over dead
     /// prefixes. `None` when there is nothing to read.
-    fn build_gather(&mut self, x: usize) -> Option<Task> {
+    fn build_gather(&mut self, x: usize) -> SqloopResult<Option<Task>> {
         let len = self.msgs.len();
         let mut tables: Vec<&str> = self.msgs[self.parts[x].cursor..len]
             .iter()
@@ -1163,10 +1134,10 @@ impl Scheduler<'_> {
         tables.sort_unstable();
         if tables.is_empty() {
             self.parts[x].cursor = len;
-            return None;
+            return Ok(None);
         }
-        let sql = self.gen.gather_sql(x, &tables);
-        Some(Task {
+        let sql = self.gen.gather_task_sql(x, &tables)?;
+        Ok(Some(Task {
             task_id: 0, // assigned at dispatch
             partition: x,
             kind: TaskKind::Gather { read_until: len },
@@ -1178,7 +1149,18 @@ impl Scheduler<'_> {
             acc_changed: 0,
             acc_rows: Vec::new(),
             acc_msg_rows: None,
-        })
+        }))
+    }
+
+    /// The one dispatch-depth rule, shared by every scheduler: a task per
+    /// worker plus one waiting in the channel, so a worker that finishes
+    /// finds its next task there instead of parking until this thread has
+    /// woken, booked the completion and built a successor. Picks still
+    /// happen only when a completion has been handled, which keeps a
+    /// one-worker schedule a pure function of state; a queued task's
+    /// partition is in flight like a running one's.
+    fn has_room(&self) -> bool {
+        self.in_flight < self.config.threads + 1
     }
 
     fn dispatch(&mut self, mut task: Task) -> SqloopResult<()> {
@@ -1469,36 +1451,49 @@ impl Scheduler<'_> {
         }
     }
 
-    fn refresh_priority(&mut self, x: usize) {
-        let spec = match &self.config.priority {
-            Some(s) => s,
-            None => return,
-        };
-        let worst = if spec.descending {
+    /// Evaluates partition `x`'s priority query. A result that is not a
+    /// number (`NULL` over an empty partition, NaN) ranks the partition
+    /// last.
+    fn eval_priority(&mut self, x: usize) -> SqloopResult<f64> {
+        let descending = self.config.priority.as_ref().is_some_and(|s| s.descending);
+        let worst = if descending {
             f64::NEG_INFINITY
         } else {
             f64::INFINITY
         };
-        let v = match self.prio_stmts.get_mut(x) {
-            Some(stmt) => stmt
-                .execute(&mut *self.main, &[])
-                .ok()
-                .and_then(|out| match out {
-                    StmtOutput::Rows(r) => r.scalar().and_then(Value::as_f64),
-                    _ => None,
-                })
-                .unwrap_or(worst),
-            None => worst,
+        let v = match self.prio_stmts[x].execute(&mut *self.main, &[])? {
+            StmtOutput::Rows(r) => r.scalar().and_then(Value::as_f64),
+            _ => None,
         };
-        self.parts[x].priority = if v.is_nan() { worst } else { v };
+        Ok(v.filter(|v| !v.is_nan()).unwrap_or(worst))
     }
 
-    fn init_priorities(&mut self) {
-        if self.config.mode == ExecutionMode::AsyncPrio {
-            for x in 0..self.parts.len() {
-                self.refresh_priority(x);
-            }
+    /// Re-reads partition `x`'s priority after a Gather changed its rows.
+    /// The query ran when the run started, so a failure here is transient:
+    /// the partition keeps the priority it had.
+    fn refresh_priority(&mut self, x: usize) {
+        match self.eval_priority(x) {
+            Ok(v) => self.parts[x].priority = v,
+            Err(e) => self.trace.event(
+                EventKind::PriorityFailed,
+                Some(x as u32),
+                Some(self.round),
+                format!("keeping priority {}: {e}", self.parts[x].priority),
+            ),
         }
+    }
+
+    /// First evaluation of every partition's priority. A query that fails
+    /// here would leave AsyncP scheduling in arbitrary order, so it fails
+    /// the run instead.
+    fn init_priorities(&mut self) -> SqloopResult<()> {
+        for x in 0..self.parts.len() {
+            self.parts[x].priority = self.eval_priority(x).map_err(|e| SqloopError::Priority {
+                query: self.prio_stmts[x].sql().to_string(),
+                source: Box::new(e),
+            })?;
+        }
+        Ok(())
     }
 
     fn tc_check(&mut self, rounds: u64, changed: u64) -> SqloopResult<bool> {
@@ -1518,7 +1513,7 @@ impl Scheduler<'_> {
             // phase 1: every partition computes
             let compute_tasks: Vec<Task> = (0..self.parts.len())
                 .map(|x| self.build_compute(x))
-                .collect();
+                .collect::<SqloopResult<_>>()?;
             let mut changed = match self.run_phase(compute_tasks.into()) {
                 Ok(c) => c,
                 Err(e) => return Err(self.fail(e, rounds, 0)),
@@ -1528,7 +1523,7 @@ impl Scheduler<'_> {
             // phase 2: every partition with unread messages gathers
             let mut gather_tasks = VecDeque::new();
             for x in 0..self.parts.len() {
-                if let Some(t) = self.build_gather(x) {
+                if let Some(t) = self.build_gather(x)? {
                     gather_tasks.push_back(t);
                 }
             }
@@ -1575,10 +1570,7 @@ impl Scheduler<'_> {
             // a cancelled run stops feeding the phase and drains what is
             // already in flight; check_cancel handles the rest at the
             // round boundary
-            while self.in_flight < self.config.threads
-                && first_error.is_none()
-                && !self.cancel.cancelled()
-            {
+            while self.has_room() && first_error.is_none() && !self.cancel.cancelled() {
                 match queue.pop_front() {
                     Some(t) => self.dispatch(t)?,
                     None => break,
@@ -1627,31 +1619,31 @@ impl Scheduler<'_> {
     /// whatever intermediate results already exist. The speedup over Sync
     /// comes purely from that freshness; like the paper's Async, it does
     /// not skip idle partitions — that is AsyncP's job.
-    fn pick_blind(&mut self) -> Option<Task> {
-        let n = self.parts.len();
-        for i in 0..n {
-            let x = (self.rr + i) % n;
+    ///
+    /// The scan always runs in partition order, so the first partition
+    /// that still owes the round a task gets it: a partition whose Gather
+    /// just finished is ahead of everything the scan has not reached yet,
+    /// and its Compute is the next task picked — the `G;C` pairing of
+    /// paper Fig. 3, which is what lets a message produced earlier in a
+    /// round be gathered *and* applied later in the same round, however
+    /// many tasks are dispatched at once.
+    fn pick_blind(&mut self) -> SqloopResult<Option<Task>> {
+        for x in 0..self.parts.len() {
             if self.parts[x].in_flight {
                 continue;
             }
             if !self.parts[x].round_gathered {
                 self.parts[x].round_gathered = true;
-                if let Some(t) = self.build_gather(x) {
-                    // stay on x so its Compute follows immediately — the
-                    // G,C pairing of paper Fig. 3 is what lets a message
-                    // produced earlier in this round be consumed (gathered
-                    // *and* applied) later in the same round
-                    self.rr = x;
-                    return Some(t);
+                if let Some(t) = self.build_gather(x)? {
+                    return Ok(Some(t));
                 }
             }
             if !self.parts[x].round_computed && self.compute_allowed(x) {
                 self.parts[x].round_computed = true;
-                self.rr = (x + 1) % n;
-                return Some(self.build_compute(x));
+                return Ok(Some(self.build_compute(x)?));
             }
         }
-        None
+        Ok(None)
     }
 
     /// True once every partition has used (or been denied) both of its
@@ -1673,7 +1665,7 @@ impl Scheduler<'_> {
     /// Priority scheduler (`AsyncP`, paper §V-E): schedules only partitions
     /// that can contribute — pending deltas or unread messages — ordered by
     /// the user's priority function, with strict G→C pairing per partition.
-    fn pick_prio(&mut self) -> Option<Task> {
+    fn pick_prio(&mut self) -> SqloopResult<Option<Task>> {
         let n = self.parts.len();
         let desc = self
             .config
@@ -1702,12 +1694,12 @@ impl Scheduler<'_> {
                 continue;
             }
             if self.parts[x].prefer_compute {
-                return Some(self.build_compute(x));
+                return self.build_compute(x).map(Some);
             }
-            if let Some(t) = self.build_gather(x) {
-                return Some(t);
+            if let Some(t) = self.build_gather(x)? {
+                return Ok(Some(t));
             }
-            return Some(self.build_compute(x));
+            return self.build_compute(x).map(Some);
         }
         // pass 2: bulk gathers — partitions with enough unread tables to be
         // worth a statement of their own
@@ -1717,8 +1709,8 @@ impl Scheduler<'_> {
                 continue;
             }
             if self.unread_count(x) >= GATHER_BATCH {
-                if let Some(t) = self.build_gather(x) {
-                    return Some(t);
+                if let Some(t) = self.build_gather(x)? {
+                    return Ok(Some(t));
                 }
             }
         }
@@ -1726,12 +1718,12 @@ impl Scheduler<'_> {
         // registry empties and termination can be detected
         if self.in_flight == 0 {
             for &x in &order {
-                if let Some(t) = self.build_gather(x) {
-                    return Some(t);
+                if let Some(t) = self.build_gather(x)? {
+                    return Ok(Some(t));
                 }
             }
         }
-        None
+        Ok(None)
     }
 
     /// Live unread message tables targeted at partition `x`.
@@ -1755,11 +1747,8 @@ impl Scheduler<'_> {
         let mut round_changed = 0u64;
         let mut first_error: Option<SqloopError> = None;
         loop {
-            while first_error.is_none()
-                && !self.cancel.cancelled()
-                && self.in_flight < self.config.threads
-            {
-                if let Some(t) = self.pick_blind() {
+            while first_error.is_none() && !self.cancel.cancelled() && self.has_room() {
+                if let Some(t) = self.pick_blind()? {
                     self.dispatch(t)?;
                     continue;
                 }
@@ -1852,7 +1841,7 @@ impl Scheduler<'_> {
     }
 
     fn run_async_prio(&mut self) -> SqloopResult<(u64, u64)> {
-        self.init_priorities();
+        self.init_priorities()?;
         let tasks_per_round = (2 * self.parts.len()).max(1);
         let mut rounds = self.start_round;
         let mut wave_changed = 0u64;
@@ -1860,8 +1849,8 @@ impl Scheduler<'_> {
         let mut first_error: Option<SqloopError> = None;
         loop {
             if first_error.is_none() && !self.cancel.cancelled() {
-                while self.in_flight < self.config.threads {
-                    match self.pick_prio() {
+                while self.has_room() {
+                    match self.pick_prio()? {
                         Some(t) => self.dispatch(t)?,
                         None => break,
                     }
@@ -1997,7 +1986,7 @@ impl Scheduler<'_> {
         loop {
             let mut dispatched = false;
             for x in 0..self.parts.len() {
-                if let Some(t) = self.build_gather(x) {
+                if let Some(t) = self.build_gather(x)? {
                     self.dispatch(t)?;
                     dispatched = true;
                 }

@@ -2,15 +2,22 @@
 //! the union view, the materialized constant join (`Rmjoin`), and the
 //! Compute / Gather task statements (paper §V-B..D).
 //!
-//! Everything is composed in the canonical dialect; workers run each
-//! statement through the translation module for their engine.
+//! Everything is composed in the canonical dialect. Setup and cleanup
+//! statements are translated where they are submitted; the statements of a
+//! Compute or Gather task leave this module already in the run's dialect,
+//! each distinct statement translated once ([`SqlGen::compute_task_sql`],
+//! [`SqlGen::gather_task_sql`]) and shared with the worker that runs it.
 
 use crate::analysis::{ParallelPlan, EDGE_QUAL, SOURCE_QUAL};
 use crate::common::{CteNames, CteSchema};
+use crate::error::{SqloopError, SqloopResult};
+use crate::translate::translate_sql;
 use sqldb::ast::{AggregateFunction, Expr};
 use sqldb::profile::EngineProfile;
 use sqldb::render;
 use sqldb::{Row, Value};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Hidden column names used when the aggregate is `AVG` (paper §V-D: AVG
 /// gathers need both the partial sum and the partial count).
@@ -28,7 +35,59 @@ pub const SENT_COL: &str = "__sent";
 /// Compute that fills the slot). Indexed, so a Gather seeks its own rows.
 pub const TO_COL: &str = "__to";
 
-/// SQL builder bound to one CTE's names, schema and plan.
+/// A task statement in the run's dialect. The scheduler's books, a replay
+/// and the worker all hold the same text.
+pub type Sql = Arc<str>;
+
+/// The statements of one Compute task, in the run's dialect.
+#[derive(Debug, Clone)]
+pub struct ComputeSql {
+    /// Slot maintenance, the slot fill, the touched-partition query (when
+    /// routed) and the partition update, in execution order.
+    pub stmts: Vec<Sql>,
+    /// Index in `stmts` of the `INSERT … SELECT` that fills the slot.
+    pub fill_at: usize,
+    /// Index in `stmts` of the partition update; everything before it is
+    /// scratch maintenance.
+    pub changed_from: usize,
+}
+
+/// What partition `x` contributes to its tasks, translated when the
+/// partition is first scheduled.
+#[derive(Debug, Clone)]
+struct PartSql {
+    /// Statement 2 of Compute(x).
+    update: Sql,
+    /// Gather(x) up to its first branch.
+    gather_head: String,
+    /// One branch of Gather(x) is `branch_pre + <slot> + branch_post`.
+    branch_pre: String,
+    /// See [`PartSql::branch_pre`].
+    branch_post: String,
+    /// Gather(x) after its last branch.
+    gather_tail: String,
+}
+
+/// One message slot's statements, translated when the slot is created.
+#[derive(Debug, Clone)]
+struct SlotSql {
+    /// `DROP TABLE IF EXISTS`, `CREATE TABLE`, and the `__to` index when
+    /// routed: what a Compute runs the first time it uses the slot.
+    create: Vec<Sql>,
+    /// `DELETE FROM`: what it runs on every later use.
+    clear: Sql,
+    /// Statement 1 of Compute: the refill.
+    fill: Sql,
+    /// `SELECT DISTINCT __to` (routed slots only).
+    touched: Option<Sql>,
+}
+
+/// Stand-in slot name used to find where a slot's name goes in a
+/// partition's translated Gather text.
+const SLOT_PROBE: &str = "__sqloop_slot_probe";
+
+/// SQL builder bound to one CTE's names, schema and plan, and to the
+/// dialect of the engine the run talks to.
 #[derive(Debug, Clone)]
 pub struct SqlGen {
     names: CteNames,
@@ -36,16 +95,24 @@ pub struct SqlGen {
     plan: ParallelPlan,
     partitions: usize,
     materialize_join: bool,
+    profile: EngineProfile,
+    /// Indexed by partition; `None` until the partition is first scheduled.
+    part_sql: Vec<Option<PartSql>>,
+    /// Keyed by slot name.
+    slot_sql: HashMap<String, SlotSql>,
+    translations: u64,
 }
 
 impl SqlGen {
-    /// Creates a builder.
+    /// Creates a builder whose task statements come out in `profile`'s
+    /// dialect.
     pub fn new(
         names: CteNames,
         schema: CteSchema,
         plan: ParallelPlan,
         partitions: usize,
         materialize_join: bool,
+        profile: EngineProfile,
     ) -> SqlGen {
         SqlGen {
             names,
@@ -53,6 +120,10 @@ impl SqlGen {
             plan,
             partitions,
             materialize_join,
+            profile,
+            part_sql: vec![None; partitions],
+            slot_sql: HashMap::new(),
+            translations: 0,
         }
     }
 
@@ -291,6 +362,11 @@ impl SqlGen {
             .then(|| format!("CREATE INDEX IF NOT EXISTS {slot}__ito ON {slot} ({TO_COL})"))
     }
 
+    /// `DROP TABLE IF EXISTS <slot>`.
+    pub fn drop_message_slot_sql(&self, slot: &str) -> String {
+        format!("DROP TABLE IF EXISTS {slot}")
+    }
+
     /// `DELETE FROM <slot>`: truncates a reused message slot before the
     /// refill (which also makes a replayed Compute idempotent — the replay
     /// clears whatever a half-finished predecessor left behind).
@@ -381,6 +457,17 @@ impl SqlGen {
 
     // -- Gather task (paper §V-C/D) ----------------------------------------
 
+    /// One branch of Gather(x)'s union: the rows of `slot` addressed to
+    /// partition `x` (every row when the key type is not routed).
+    fn gather_branch_sql(&self, x: usize, slot: &str) -> String {
+        let cols = self.message_value_cols().join(", ");
+        if self.routing_enabled() {
+            format!("SELECT id, {cols} FROM {slot} WHERE {TO_COL} = {x}")
+        } else {
+            format!("SELECT id, {cols} FROM {slot}")
+        }
+    }
+
     /// Gather(x): fold every unread message table into the delta column in
     /// a single statement (paper §V-C: "a single query that contains the
     /// union of all the message tables"). With routing, each branch of the
@@ -396,17 +483,12 @@ impl SqlGen {
         let pt = self.names.partition(x);
         let k = self.key();
         let delta = self.delta_col();
-        let routed = if self.routing_enabled() {
-            format!(" WHERE {TO_COL} = {x}")
-        } else {
-            String::new()
-        };
+        let unions = msg_tables
+            .iter()
+            .map(|m| self.gather_branch_sql(x, m))
+            .collect::<Vec<_>>()
+            .join(" UNION ALL ");
         if self.is_avg() {
-            let unions = msg_tables
-                .iter()
-                .map(|m| format!("SELECT id, vsum, vcnt FROM {m}{routed}"))
-                .collect::<Vec<_>>()
-                .join(" UNION ALL ");
             return format!(
                 "UPDATE {pt} SET \
                  {AVG_SUM_COL} = {AVG_SUM_COL} + inc.vsum, \
@@ -417,11 +499,6 @@ impl SqlGen {
                  WHERE {pt}.{k} = inc.id"
             );
         }
-        let unions = msg_tables
-            .iter()
-            .map(|m| format!("SELECT id, val FROM {m}{routed}"))
-            .collect::<Vec<_>>()
-            .join(" UNION ALL ");
         // pre-fold across tables, then accumulate into the delta column
         let (pre, fold) = match self.plan.aggregate {
             AggregateFunction::Sum | AggregateFunction::Count => {
@@ -436,6 +513,132 @@ impl SqlGen {
              FROM (SELECT id, {pre}(val) AS val FROM ({unions}) AS msgs GROUP BY id) AS inc \
              WHERE {pt}.{k} = inc.id"
         )
+    }
+
+    // -- task statements in the run's dialect ------------------------------
+
+    /// The one place a task statement is translated.
+    fn translate(&mut self, canonical: &str) -> SqloopResult<Sql> {
+        self.translations += 1;
+        translate_sql(canonical, self.profile).map(Sql::from)
+    }
+
+    /// Statements translated so far. A run's count is bounded by its
+    /// partitions and slots, not by its tasks.
+    pub fn translations(&self) -> u64 {
+        self.translations
+    }
+
+    fn part_sql(&mut self, x: usize) -> SqloopResult<&PartSql> {
+        if self.part_sql[x].is_none() {
+            let update = self.translate(&self.compute_update_sql(x))?;
+            // the slot names are the only thing that varies between two
+            // Gathers of one partition: translate a one-branch Gather over a
+            // stand-in slot and remember the text around the slot's name
+            let gather = self.translate(&self.gather_sql(x, &[SLOT_PROBE]))?;
+            let branch = self.translate(&self.gather_branch_sql(x, SLOT_PROBE))?;
+            let (gather_head, gather_tail) = gather.split_once(&*branch).ok_or_else(|| {
+                SqloopError::Grammar(format!("translated Gather lost its branch: {gather}"))
+            })?;
+            let (branch_pre, branch_post) = branch.split_once(SLOT_PROBE).ok_or_else(|| {
+                SqloopError::Grammar(format!("translated Gather branch lost its slot: {branch}"))
+            })?;
+            self.part_sql[x] = Some(PartSql {
+                update,
+                gather_head: gather_head.into(),
+                branch_pre: branch_pre.into(),
+                branch_post: branch_post.into(),
+                gather_tail: gather_tail.into(),
+            });
+        }
+        Ok(self.part_sql[x].as_ref().expect("filled above"))
+    }
+
+    /// Compute(x) into `slot`, in the run's dialect: the slot's DDL when
+    /// the slot is `fresh` (a crashed earlier run may have left the table
+    /// behind, hence the `DROP`), its `DELETE` otherwise; then the refill,
+    /// the touched-partition query when routed, and the partition update.
+    /// Every statement is translated the first time its partition or slot
+    /// is seen and handed out byte-identical after that.
+    ///
+    /// # Errors
+    /// [`SqloopError::Grammar`] when a canonical statement does not parse.
+    pub fn compute_task_sql(
+        &mut self,
+        x: usize,
+        slot: &str,
+        fresh: bool,
+    ) -> SqloopResult<ComputeSql> {
+        if !self.slot_sql.contains_key(slot) {
+            let mut create = vec![
+                self.translate(&self.drop_message_slot_sql(slot))?,
+                self.translate(&self.create_message_slot_sql(slot))?,
+            ];
+            if let Some(index) = self.message_slot_index_sql(slot) {
+                create.push(self.translate(&index)?);
+            }
+            let touched = if self.routing_enabled() {
+                Some(self.translate(&self.touched_partitions_sql(slot))?)
+            } else {
+                None
+            };
+            let sql = SlotSql {
+                create,
+                clear: self.translate(&self.clear_message_slot_sql(slot))?,
+                fill: self.translate(&self.insert_message_sql(x, slot))?,
+                touched,
+            };
+            self.slot_sql.insert(slot.to_string(), sql);
+        }
+        let update = self.part_sql(x)?.update.clone();
+        let s = &self.slot_sql[slot];
+        let mut stmts = Vec::with_capacity(s.create.len() + 3);
+        if fresh {
+            stmts.extend(s.create.iter().cloned());
+        } else {
+            stmts.push(s.clear.clone());
+        }
+        let fill_at = stmts.len();
+        stmts.push(s.fill.clone());
+        stmts.extend(s.touched.clone());
+        let changed_from = stmts.len();
+        stmts.push(update);
+        Ok(ComputeSql {
+            stmts,
+            fill_at,
+            changed_from,
+        })
+    }
+
+    /// [`SqlGen::gather_sql`] in the run's dialect, assembled from the
+    /// partition's translated text and the slot names: a slot set never
+    /// seen before costs a concatenation, not a parse.
+    ///
+    /// # Errors
+    /// [`SqloopError::Grammar`] when the partition's canonical Gather does
+    /// not parse.
+    ///
+    /// # Panics
+    /// Panics if `slots` is empty.
+    pub fn gather_task_sql(&mut self, x: usize, slots: &[&str]) -> SqloopResult<Sql> {
+        assert!(!slots.is_empty(), "gather needs at least one table");
+        let p = self.part_sql(x)?;
+        let mut sql = String::with_capacity(
+            p.gather_head.len()
+                + p.gather_tail.len()
+                + slots.len() * (p.branch_pre.len() + p.branch_post.len() + 32),
+        );
+        sql.push_str(&p.gather_head);
+        for (i, slot) in slots.iter().enumerate() {
+            if i > 0 {
+                sql.push_str(" UNION ALL ");
+            }
+            sql.push_str(&p.branch_pre);
+            sql.push_str(slot);
+            sql.push_str(&p.branch_post);
+        }
+        sql.push_str(&p.gather_tail);
+        Ok(Sql::from(sql))
     }
 
     /// Predicate selecting rows whose delta is *pending* (≠ the aggregate's
@@ -522,6 +725,10 @@ mod tests {
     use sqldb::DataType;
 
     fn pagerank_gen(partitions: usize, materialize: bool) -> SqlGen {
+        pagerank_gen_for(partitions, materialize, EngineProfile::Postgres)
+    }
+
+    fn pagerank_gen_for(partitions: usize, materialize: bool, profile: EngineProfile) -> SqlGen {
         let cte = match parse(
             "WITH ITERATIVE pr(Node, Rank, Delta) AS (\
              SELECT src, 0, 0.15 FROM edges GROUP BY src \
@@ -546,7 +753,14 @@ mod tests {
             columns: cols,
             types: vec![DataType::Int, DataType::Float, DataType::Float],
         };
-        SqlGen::new(CteNames::new("pr"), schema, plan, partitions, materialize)
+        SqlGen::new(
+            CteNames::new("pr"),
+            schema,
+            plan,
+            partitions,
+            materialize,
+            profile,
+        )
     }
 
     /// every generated statement must be translatable for every profile
@@ -579,6 +793,110 @@ mod tests {
             vec![Value::Int(2), Value::Float(0.0), Value::Float(0.15)],
         ];
         check_all_dialects(&g.insert_partition_sql(0, &rows));
+    }
+
+    fn texts(stmts: &[Sql]) -> Vec<&str> {
+        stmts.iter().map(|s| &**s).collect()
+    }
+
+    #[test]
+    fn task_statements_equal_the_translated_canonical_text() {
+        // the path this module replaced — canonical text through
+        // `translate_sql`, once per task — is the reference
+        for profile in EngineProfile::ALL {
+            let sum = pagerank_gen_for(4, true, profile);
+            let mut avg = sum.clone();
+            avg.plan.aggregate = AggregateFunction::Avg;
+            let mut text_key = sum.clone();
+            text_key.schema.types[0] = DataType::Text;
+            for (what, mut g) in [("SUM", sum), ("AVG", avg), ("TEXT key", text_key)] {
+                let what = format!("{profile} / {what}");
+                let translated = |canonical: Vec<String>| -> Vec<String> {
+                    canonical
+                        .iter()
+                        .map(|sql| translate_sql(sql, profile).unwrap())
+                        .collect()
+                };
+                let slot = "pr__msgslot_1_0";
+                let routed = g.routing_enabled();
+                // a Compute into a slot it has to create
+                let mut expected = vec![
+                    g.drop_message_slot_sql(slot),
+                    g.create_message_slot_sql(slot),
+                ];
+                expected.extend(g.message_slot_index_sql(slot));
+                let fill_at = expected.len();
+                expected.push(g.insert_message_sql(1, slot));
+                if routed {
+                    expected.push(g.touched_partitions_sql(slot));
+                }
+                expected.push(g.compute_update_sql(1));
+                let fresh = g.compute_task_sql(1, slot, true).unwrap();
+                assert_eq!(texts(&fresh.stmts), translated(expected), "{what}");
+                assert_eq!(fresh.fill_at, fill_at, "{what}");
+                assert_eq!(fresh.changed_from, fresh.stmts.len() - 1, "{what}");
+                // a Compute into the same slot, reused
+                let mut expected = vec![
+                    g.clear_message_slot_sql(slot),
+                    g.insert_message_sql(1, slot),
+                ];
+                if routed {
+                    expected.push(g.touched_partitions_sql(slot));
+                }
+                expected.push(g.compute_update_sql(1));
+                let reused = g.compute_task_sql(1, slot, false).unwrap();
+                assert_eq!(texts(&reused.stmts), translated(expected), "{what}");
+                assert_eq!(reused.fill_at, 1, "{what}");
+                assert_eq!(reused.changed_from, reused.stmts.len() - 1, "{what}");
+                // Gathers over 1, 3 and 16 slots
+                for n in [1, 3, 16] {
+                    let slots: Vec<String> = (0..n)
+                        .map(|i| format!("pr__msgslot_{}_{}", i % 4, i / 4))
+                        .collect();
+                    let slots: Vec<&str> = slots.iter().map(String::as_str).collect();
+                    assert_eq!(
+                        &*g.gather_task_sql(2, &slots).unwrap(),
+                        translate_sql(&g.gather_sql(2, &slots), profile).unwrap(),
+                        "{what}: {n} slots"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_task_built_again_shares_its_statements_and_translates_nothing() {
+        let mut g = pagerank_gen_for(4, true, EngineProfile::MySql);
+        let slot = "pr__msgslot_1_0";
+        let fresh = g.compute_task_sql(1, slot, true).unwrap();
+        let first = g.compute_task_sql(1, slot, false).unwrap();
+        let gather = g.gather_task_sql(1, &["pr__msgslot_0_0", slot]).unwrap();
+        // DROP, CREATE, CREATE INDEX, DELETE, INSERT, SELECT DISTINCT for the
+        // slot; UPDATE, the Gather and its branch for the partition
+        assert_eq!(g.translations(), 9);
+        let again = g.compute_task_sql(1, slot, false).unwrap();
+        assert_eq!(first.stmts.len(), again.stmts.len());
+        for (a, b) in first.stmts.iter().zip(&again.stmts) {
+            assert!(Arc::ptr_eq(a, b), "{a}");
+        }
+        // the fill and the update are the same strings in both forms
+        assert!(Arc::ptr_eq(&fresh.stmts[fresh.fill_at], &first.stmts[1]));
+        assert!(Arc::ptr_eq(
+            fresh.stmts.last().unwrap(),
+            first.stmts.last().unwrap()
+        ));
+        // the same Gather, and one over slots never seen together before
+        assert_eq!(
+            gather,
+            g.gather_task_sql(1, &["pr__msgslot_0_0", slot]).unwrap()
+        );
+        g.gather_task_sql(1, &["pr__msgslot_3_2", "pr__msgslot_2_1", slot])
+            .unwrap();
+        assert_eq!(g.translations(), 9);
+        // a second slot of the partition translates its own six statements
+        // and nothing of the partition's
+        g.compute_task_sql(1, "pr__msgslot_1_1", true).unwrap();
+        assert_eq!(g.translations(), 15);
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! Dialect translation module (paper §IV-B).
 //!
 //! SQLoop composes its internal statements in one canonical dialect
-//! (PostgreSQL-flavored) and, "every time before it submits a new query",
-//! runs them through pre-defined rewrite rules for the target engine:
+//! (PostgreSQL-flavored) and runs them through pre-defined rewrite rules
+//! for the target engine. The paper does this "every time before it submits
+//! a new query"; here it happens once per *distinct* statement: setup,
+//! cleanup and control statements are translated where they are submitted,
+//! and the statements of Compute and Gather tasks — the same few texts,
+//! submitted thousands of times — are translated by
+//! [`crate::parallel_sql::SqlGen`] when a partition or message slot is
+//! first seen and reused byte-identical after that. The rules:
 //!
 //! | rule | PostgreSQL | MySQL | MariaDB |
 //! |---|---|---|---|
@@ -11,9 +17,9 @@
 //! | `\|\|` concatenation | kept | `CONCAT(…)` | kept |
 //! | identifier quoting | `"…"` | `` `…` `` | `` `…` `` |
 //!
-//! The engine *validates* statements against its profile
-//! ([`sqldb::dialect_check`]), so skipping translation fails loudly — as it
-//! would against the real engines.
+//! The engine *validates* every statement it receives against its profile
+//! ([`sqldb::dialect_check`]), translated once or not at all, so a skipped
+//! translation still fails loudly — as it would against the real engines.
 
 use crate::error::{SqloopError, SqloopResult};
 use sqldb::ast::*;

@@ -554,3 +554,214 @@ fn avg_query_folds_sum_and_count_through_routed_slots() {
         }
     }
 }
+
+// -- the scheduler's three mechanisms: statements translated once, one task
+// dispatched ahead of the workers, and Async's G;C pairing -----------------
+
+/// A path of `len` hops from node 0 whose ids advance by `step` per hop, so
+/// with `step` coprime to the partition count every hop moves `step`
+/// partitions forward in scan order (wrapping).
+fn db_with_path(len: i64, step: i64) -> Database {
+    let db = Database::new(EngineProfile::Postgres);
+    let mut s = db.connect();
+    s.execute("CREATE TABLE edges (src INT, dst INT, weight FLOAT)")
+        .unwrap();
+    let values: Vec<String> = (0..len)
+        .map(|i| format!("({}, {}, 1.0)", i * step, (i + 1) * step))
+        .collect();
+    s.execute(&format!("INSERT INTO edges VALUES {}", values.join(", ")))
+        .unwrap();
+    db
+}
+
+#[test]
+fn blind_async_pairs_gather_and_compute_under_two_workers() {
+    // one frontier walking 32 partitions 7 at a time: Sync moves it one hop
+    // per round. Blind Async picks a partition's Compute as soon as its
+    // Gather is back, so the message is out before the scan reaches the
+    // partition it addresses and the frontier moves ~32/7 hops per round —
+    // as long as the pairing survives two workers and the dispatched-ahead
+    // task. (A hop to the *next* partition in scan order cannot chain under
+    // any dispatch-ahead: that partition's task is built before the hop's
+    // Compute has run.)
+    let db = db_with_path(64, 7);
+    let sync = sqloop_for(&db, ExecutionMode::Sync, 2, 32)
+        .execute_detailed(SSSP)
+        .unwrap();
+    let asynchronous = sqloop_for(&db, ExecutionMode::Async, 2, 32)
+        .execute_detailed(SSSP)
+        .unwrap();
+    assert_eq!(sync.result.rows, asynchronous.result.rows);
+    assert_eq!(sync.result.rows.len(), 65);
+    assert_eq!(sync.result.rows[64][1].as_f64(), Some(64.0));
+    assert!(sync.iterations >= 64, "Sync: {} rounds", sync.iterations);
+    assert!(
+        asynchronous.iterations * 2 <= sync.iterations,
+        "Async took {} rounds, Sync {}",
+        asynchronous.iterations,
+        sync.iterations
+    );
+}
+
+#[test]
+fn one_worker_asyncp_schedule_repeats_exactly() {
+    // with one worker completions arrive in dispatch order and tasks are
+    // picked only when a completion is handled, so dispatching one task
+    // ahead leaves the schedule a pure function of state
+    let db = db_with_graph(EngineProfile::Postgres, 80);
+    let run = || {
+        let mut sq = sqloop_for(&db, ExecutionMode::AsyncPrio, 1, 8);
+        sq.config_mut().priority = Some(PrioritySpec::lowest("SELECT MIN(delta) FROM {}"));
+        let r = sq.execute_detailed(SSSP).unwrap();
+        (
+            (r.iterations, r.computes, r.gathers, r.messages),
+            r.result.rows,
+        )
+    };
+    let (first, rows) = run();
+    assert!(first.1 > 8 && first.2 > 0, "{first:?}");
+    for _ in 0..3 {
+        let (again, again_rows) = run();
+        assert_eq!(first, again);
+        assert_eq!(rows, again_rows);
+    }
+}
+
+#[test]
+fn a_task_queued_behind_a_stalled_worker_is_run_by_its_replacement() {
+    use dbcp::{with_chaos, ChaosConfig, Driver, FaultKind, ScheduledFault};
+    // a 40-hop chain keeps every mode busy for hundreds of statements
+    let graph = graphgen::chain(41);
+    let oracle = workloads::oracle::sssp(&graph, 0);
+    assert_eq!(oracle.len(), 41);
+    for mode in [
+        ExecutionMode::Sync,
+        ExecutionMode::Async,
+        ExecutionMode::AsyncPrio,
+    ] {
+        let clean: Arc<dyn Driver> =
+            Arc::new(LocalDriver::new(Database::new(EngineProfile::Postgres)));
+        workloads::load_edges(clean.connect().unwrap().as_mut(), &graph).unwrap();
+        // past setup and the worker's connect, the next statement the
+        // worker runs hangs for good (the control connection is shielded):
+        // one task running, one in the channel
+        let (driver, stats) = with_chaos(
+            clean,
+            ChaosConfig {
+                fault_rate: 0.0,
+                max_faults: Some(1),
+                skip_connections: 1,
+                schedule: (100..400)
+                    .map(|nth_op| ScheduledFault {
+                        nth_op,
+                        kind: FaultKind::StallForever,
+                    })
+                    .collect(),
+                ..ChaosConfig::default()
+            },
+        );
+        let mut config = SqloopConfig {
+            mode,
+            threads: 1,
+            partitions: 8,
+            task_retries: 3,
+            retry_backoff: std::time::Duration::ZERO,
+            stall_timeout: Some(std::time::Duration::from_millis(200)),
+            trace: sqloop::TraceConfig::on(),
+            ..SqloopConfig::default()
+        };
+        if mode == ExecutionMode::AsyncPrio {
+            config.priority = Some(PrioritySpec::lowest("SELECT MIN(delta) FROM {}"));
+        }
+        let report = SQLoop::new(driver)
+            .with_config(config)
+            .execute_detailed(&workloads::queries::sssp_all(0))
+            .unwrap();
+        assert_eq!(stats.stalls(), 1, "{mode}");
+        assert_eq!(report.recovery.stalls, 1, "{mode}: {:?}", report.recovery);
+        assert_eq!(report.recovery.worker_replacements, 1, "{mode}");
+        assert!(!report.recovery.downgraded, "{mode}");
+        // worker 0 is the only one that can have stalled. Its replacement
+        // started on the task that was waiting in the channel — a first
+        // attempt — before it got to the replay of the stalled one
+        let mut spans = report.trace_data.expect("trace is on").spans;
+        spans.sort_by_key(|s| s.start_us);
+        let replacement: Vec<_> = spans.iter().filter(|s| s.worker == Some(1)).collect();
+        assert_eq!(replacement[0].attempt, 1, "{mode}: {:?}", replacement[0]);
+        assert!(
+            replacement.iter().any(|s| s.attempt == 2),
+            "{mode}: the stalled task was never replayed"
+        );
+        for row in &report.result.rows {
+            let node = row[0].as_i64().unwrap() as u64;
+            let d = row[1].as_f64().unwrap();
+            match oracle.get(&node) {
+                Some(&expected) => assert!((d - expected).abs() < 1e-9, "{mode}: node {node}"),
+                None => assert!(d.is_infinite(), "{mode}: node {node}"),
+            }
+        }
+        stats.heal_stalls();
+    }
+}
+
+// -- priority queries that fail ---------------------------------------------
+
+#[test]
+fn a_priority_query_that_fails_at_start_fails_the_run_by_name() {
+    let db = db_with_graph(EngineProfile::Postgres, 30);
+    let mut sq = sqloop_for(&db, ExecutionMode::AsyncPrio, 2, 4);
+    // parses, but names a column the partitions do not have
+    sq.config_mut().priority = Some(PrioritySpec::lowest("SELECT MIN(dlta) FROM {}"));
+    let err = sq.execute(SSSP).unwrap_err();
+    match &err {
+        sqloop::SqloopError::Priority { query, source } => {
+            assert!(
+                query.contains("dlta") && query.contains("sssp__pt0"),
+                "{query}"
+            );
+            assert!(!source.is_retryable(), "{source}");
+        }
+        other => panic!("expected a priority error, got {other:?}"),
+    }
+    assert!(err.to_string().contains("dlta"), "{err}");
+    // cleaned up like any other failed run
+    assert_eq!(db.table_names(), ["edges"]);
+}
+
+#[test]
+fn a_priority_query_that_fails_later_keeps_the_previous_priority() {
+    // 1 / COUNT(still unreached): fine while a partition has unreached
+    // nodes, an integer division by zero from the Gather that reaches its
+    // last one on. Every node of the ring is reachable, so every partition
+    // gets there
+    let db = db_with_ring(EngineProfile::Postgres);
+    let reference = sqloop_for(&db, ExecutionMode::Single, 1, 1)
+        .execute(SSSP)
+        .unwrap();
+    let mut sq = sqloop_for(&db, ExecutionMode::AsyncPrio, 2, 6);
+    sq.config_mut().priority = Some(PrioritySpec::highest(
+        "SELECT 1 / COUNT(*) FROM {} WHERE delta = Infinity",
+    ));
+    sq.config_mut().trace = sqloop::TraceConfig::on();
+    let report = sq.execute_detailed(SSSP).unwrap();
+    assert_eq!(reference.rows, report.result.rows);
+    let failed: Vec<_> = report
+        .trace_data
+        .expect("trace is on")
+        .events
+        .into_iter()
+        .filter(|e| e.kind == obs::EventKind::PriorityFailed)
+        .collect();
+    assert!(!failed.is_empty(), "no refresh ever failed");
+    for e in &failed {
+        // the priority in force is still a value the query produced,
+        // not ±infinity
+        assert!(
+            e.detail.starts_with("keeping priority 0:")
+                || e.detail.starts_with("keeping priority 1:"),
+            "{}",
+            e.detail
+        );
+        assert!(e.detail.contains("division by zero"), "{}", e.detail);
+    }
+}

@@ -94,6 +94,9 @@ pub enum EventKind {
     Fault,
     /// The progress sampler failed to take a sample.
     SampleFailed,
+    /// A partition's priority query failed mid-run; the partition keeps
+    /// the priority it had.
+    PriorityFailed,
     /// A durable checkpoint of loop state was written.
     Checkpoint,
     /// A run was restored from a checkpoint manifest.
@@ -125,6 +128,7 @@ impl EventKind {
             EventKind::Barrier => "barrier",
             EventKind::Fault => "fault",
             EventKind::SampleFailed => "sample_failed",
+            EventKind::PriorityFailed => "priority_failed",
             EventKind::Checkpoint => "checkpoint",
             EventKind::Resume => "resume",
             EventKind::Cancel => "cancel",
