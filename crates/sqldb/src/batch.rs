@@ -28,8 +28,13 @@
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::bind::BoundExpr;
 use crate::error::{DbError, DbResult};
+use crate::types::{DataType, Schema};
 use crate::value::{Row, Value};
 use std::cmp::Ordering;
+
+/// The lane index that selects nothing: [`Col::gather`] yields NULL for it
+/// (a join pads the inner side of an unmatched `LEFT JOIN` row this way).
+pub const NO_LANE: u32 = u32::MAX;
 
 /// Typed payload of one column in a batch. Lanes whose validity bit is
 /// clear hold an arbitrary placeholder and must never be read as data.
@@ -56,14 +61,6 @@ pub struct Col {
 }
 
 impl Col {
-    /// A column of `len` NULLs.
-    pub fn nulls(len: usize) -> Col {
-        Col {
-            data: ColData::Mixed(vec![Value::Null; len]),
-            valid: vec![false; len],
-        }
-    }
-
     /// Number of lanes.
     pub fn len(&self) -> usize {
         self.valid.len()
@@ -87,72 +84,155 @@ impl Col {
         }
     }
 
-    /// Builds a typed column from owned values (single pass; falls back to
-    /// the `Mixed` layout as soon as two non-null lanes disagree on type).
+    /// Builds a column from owned values: in the typed layout of its first
+    /// non-NULL value while every other agrees with it, `Mixed` otherwise.
     pub fn from_values(values: Vec<Value>) -> Col {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Tag {
-            Unseen,
-            Int,
-            Float,
-            Bool,
-            Mixed,
+        let ty = values.iter().find_map(|v| match v {
+            Value::Null => None,
+            Value::Int(_) => Some(DataType::Int),
+            Value::Float(_) => Some(DataType::Float),
+            Value::Bool(_) => Some(DataType::Bool),
+            Value::Text(_) => Some(DataType::Text),
+        });
+        let mut col = ColBuilder::new(ty.unwrap_or(DataType::Text), values.len());
+        values.into_iter().for_each(|v| col.push(v));
+        col.0
+    }
+
+    /// The lanes `idx` of this column, in that order and in the same layout;
+    /// an index past the end ([`NO_LANE`]) yields NULL.
+    pub fn gather(&self, idx: &[u32]) -> Col {
+        fn pick<T: Copy + Default>(v: &[T], idx: &[u32]) -> Vec<T> {
+            let lane = |&i: &u32| v.get(i as usize).copied().unwrap_or_default();
+            idx.iter().map(lane).collect()
         }
-        let mut tag = Tag::Unseen;
-        for v in &values {
-            let t = match v {
-                Value::Null => continue,
-                Value::Int(_) => Tag::Int,
-                Value::Float(_) => Tag::Float,
-                Value::Bool(_) => Tag::Bool,
-                Value::Text(_) => Tag::Mixed,
-            };
-            if tag == Tag::Unseen {
-                tag = t;
-            } else if tag != t {
-                tag = Tag::Mixed;
+        let data = match &self.data {
+            ColData::Int(v) => ColData::Int(pick(v, idx)),
+            ColData::Float(v) => ColData::Float(pick(v, idx)),
+            ColData::Bool(v) => ColData::Bool(pick(v, idx)),
+            ColData::Mixed(v) => {
+                let lane = |&i: &u32| v.get(i as usize).cloned().unwrap_or(Value::Null);
+                ColData::Mixed(idx.iter().map(lane).collect())
             }
-            if tag == Tag::Mixed {
-                break;
-            }
-        }
-        let valid: Vec<bool> = values.iter().map(|v| !v.is_null()).collect();
-        let data = match tag {
-            Tag::Int => ColData::Int(
-                values
-                    .iter()
-                    .map(|v| if let Value::Int(i) = v { *i } else { 0 })
-                    .collect(),
-            ),
-            Tag::Float => ColData::Float(
-                values
-                    .iter()
-                    .map(|v| if let Value::Float(f) = v { *f } else { 0.0 })
-                    .collect(),
-            ),
-            Tag::Bool => ColData::Bool(
-                values
-                    .iter()
-                    .map(|v| matches!(v, Value::Bool(true)))
-                    .collect(),
-            ),
-            Tag::Unseen | Tag::Mixed => ColData::Mixed(values),
         };
+        Col {
+            data,
+            valid: pick(&self.valid, idx),
+        }
+    }
+
+    /// `parts` end to end: in their layout when they share a typed one,
+    /// `Mixed` otherwise.
+    fn concat(parts: &[&Col]) -> Col {
+        let valid = parts.iter().flat_map(|c| c.valid.iter().copied()).collect();
+        macro_rules! typed {
+            ($variant:ident) => {
+                let lanes = parts.iter().map(|c| match &c.data {
+                    ColData::$variant(v) => Some(v.as_slice()),
+                    _ => None,
+                });
+                if let Some(vs) = lanes.collect::<Option<Vec<_>>>() {
+                    let data = ColData::$variant(vs.concat());
+                    return Col { data, valid };
+                }
+            };
+        }
+        typed!(Int);
+        typed!(Float);
+        typed!(Bool);
+        let values = parts
+            .iter()
+            .flat_map(|c| (0..c.len()).map(|i| c.value_at(i)));
+        let data = ColData::Mixed(values.collect());
         Col { data, valid }
     }
 
-    /// Keeps only the lanes whose `keep` flag is set.
-    pub fn compact(&self, keep: &[bool]) -> Col {
-        let pick = |i: &usize| keep[*i];
-        let idx: Vec<usize> = (0..self.len()).filter(pick).collect();
-        let valid = idx.iter().map(|&i| self.valid[i]).collect();
-        let data = match &self.data {
-            ColData::Int(v) => ColData::Int(idx.iter().map(|&i| v[i]).collect()),
-            ColData::Float(v) => ColData::Float(idx.iter().map(|&i| v[i]).collect()),
-            ColData::Bool(v) => ColData::Bool(idx.iter().map(|&i| v[i]).collect()),
-            ColData::Mixed(v) => ColData::Mixed(idx.iter().map(|&i| v[i].clone()).collect()),
+    /// Heap bytes the lanes hold, as the memory budget is charged for them.
+    pub fn bytes(&self) -> u64 {
+        let n = self.len() as u64;
+        let text = |v: &Value| match v {
+            Value::Text(s) => s.len() as u64,
+            _ => 0,
         };
-        Col { data, valid }
+        n + match &self.data {
+            ColData::Int(_) | ColData::Float(_) => 8 * n,
+            ColData::Bool(_) => n,
+            ColData::Mixed(v) => {
+                std::mem::size_of::<Value>() as u64 * n + v.iter().map(text).sum::<u64>()
+            }
+        }
+    }
+}
+
+/// Builds one column lane by lane: in the typed layout of the declared
+/// column type, falling back to `Mixed` the moment a value does not fit it.
+#[derive(Debug)]
+pub struct ColBuilder(Col);
+
+impl ColBuilder {
+    /// An empty column of declared type `ty` with room for `capacity` lanes.
+    pub fn new(ty: DataType, capacity: usize) -> ColBuilder {
+        let data = match ty {
+            DataType::Int => ColData::Int(Vec::with_capacity(capacity)),
+            DataType::Float => ColData::Float(Vec::with_capacity(capacity)),
+            DataType::Bool => ColData::Bool(Vec::with_capacity(capacity)),
+            DataType::Text => ColData::Mixed(Vec::with_capacity(capacity)),
+        };
+        let valid = Vec::with_capacity(capacity);
+        ColBuilder(Col { data, valid })
+    }
+
+    /// Appends one lane.
+    pub fn push(&mut self, v: Value) {
+        let valid = !v.is_null();
+        match (&mut self.0.data, v) {
+            (ColData::Int(d), Value::Int(i)) => d.push(i),
+            (ColData::Float(d), Value::Float(f)) => d.push(f),
+            (ColData::Bool(d), Value::Bool(b)) => d.push(b),
+            (ColData::Int(d), Value::Null) => d.push(0),
+            (ColData::Float(d), Value::Null) => d.push(0.0),
+            (ColData::Bool(d), Value::Null) => d.push(false),
+            (ColData::Mixed(d), v) => d.push(v),
+            (_, v) => {
+                let mut lanes: Vec<Value> = (0..self.0.len()).map(|i| self.0.value_at(i)).collect();
+                lanes.push(v);
+                self.0.data = ColData::Mixed(lanes);
+            }
+        }
+        self.0.valid.push(valid);
+    }
+}
+
+/// Column builders for rows of one table: its schema's columns, typed as
+/// declared, and — when asked for — a trailing `Int` column of the slots
+/// the rows live in.
+#[derive(Debug)]
+pub struct RowsBuilder(Vec<ColBuilder>);
+
+impl RowsBuilder {
+    /// Builders for rows of `schema` with room for `capacity` of them.
+    pub fn new(schema: &Schema, slots: bool, capacity: usize) -> RowsBuilder {
+        let types = schema.columns().iter().map(|c| c.data_type);
+        let types = types.chain(slots.then_some(DataType::Int));
+        RowsBuilder(types.map(|ty| ColBuilder::new(ty, capacity)).collect())
+    }
+
+    /// Appends the row living in `slot`.
+    pub fn push(&mut self, slot: usize, row: &Row) {
+        let slot = Value::Int(slot as i64);
+        let values = row.iter().chain([&slot]);
+        let cols = self.0.iter_mut().zip(values);
+        cols.for_each(|(col, v)| col.push(v.clone()));
+    }
+
+    /// Appends a row of NULLs (slot included).
+    pub fn push_null(&mut self) {
+        self.0.iter_mut().for_each(|col| col.push(Value::Null));
+    }
+
+    /// The finished columns.
+    pub fn finish(self) -> Vec<Col> {
+        self.0.into_iter().map(|b| b.0).collect()
     }
 }
 
@@ -245,11 +325,33 @@ impl ColumnBatch {
 
     /// Keeps only the lanes whose `keep` flag is set.
     pub fn compact(&self, keep: &[bool]) -> ColumnBatch {
-        let len = keep.iter().filter(|k| **k).count();
+        let idx: Vec<u32> = (0..self.len as u32).filter(|&i| keep[i as usize]).collect();
         ColumnBatch {
-            len,
-            cols: self.cols.iter().map(|c| c.compact(keep)).collect(),
+            len: idx.len(),
+            cols: self.gather_cols(&idx),
         }
+    }
+
+    /// Every column's lanes `idx` ([`Col::gather`]).
+    pub fn gather_cols(&self, idx: &[u32]) -> Vec<Col> {
+        self.cols.iter().map(|c| c.gather(idx)).collect()
+    }
+
+    /// All rows of `batches`, in order, as one batch of `arity` columns.
+    pub fn concat(mut batches: Vec<ColumnBatch>, arity: usize) -> ColumnBatch {
+        if batches.len() == 1 {
+            return batches.remove(0);
+        }
+        let col = |c| Col::concat(&batches.iter().map(|b| b.col(c)).collect::<Vec<_>>());
+        ColumnBatch {
+            len: batches.iter().map(ColumnBatch::len).sum(),
+            cols: (0..arity).map(col).collect(),
+        }
+    }
+
+    /// Heap bytes the columns hold ([`Col::bytes`]).
+    pub fn bytes(&self) -> u64 {
+        self.cols.iter().map(Col::bytes).sum()
     }
 }
 
@@ -1208,6 +1310,74 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.col(0).value_at(0), Value::Int(1));
         assert_eq!(c.col(0).value_at(1), Value::Int(3));
+    }
+
+    #[test]
+    fn gather_picks_lanes_in_order_and_pads_no_lane_with_null() {
+        let rows = vec![
+            vec![Value::Int(10), Value::Text("a".into())],
+            vec![Value::Null, Value::Text("b".into())],
+            vec![Value::Int(30), Value::Null],
+        ];
+        let b = ColumnBatch::from_rows(rows.clone(), 2);
+        let cols = b.gather_cols(&[2, NO_LANE, 0, 0, 1]);
+        // the layout survives, pads and NULL lanes are invalid
+        assert!(matches!(cols[0].data, ColData::Int(_)));
+        assert_eq!(cols[0].valid, vec![true, false, true, true, false]);
+        let g = ColumnBatch::from_cols(cols, 5);
+        assert_eq!(g.row_at(0), rows[2]);
+        assert_eq!(g.row_at(1), vec![Value::Null, Value::Null]);
+        assert_eq!(g.row_at(3), rows[0]);
+        assert_eq!(g.row_at(4), rows[1]);
+    }
+
+    #[test]
+    fn concat_keeps_a_shared_layout_and_mixes_otherwise() {
+        let ints = |v: &[i64]| batch_1col(v.iter().map(|i| Value::Int(*i)).collect());
+        let one = ColumnBatch::concat(vec![ints(&[1, 2]), ints(&[3])], 1);
+        assert_eq!(one.len(), 3);
+        assert!(matches!(&one.col(0).data, ColData::Int(v) if v == &[1, 2, 3]));
+        let floats = batch_1col(vec![Value::Float(0.5), Value::Null]);
+        let mixed = ColumnBatch::concat(vec![ints(&[1]), floats], 1);
+        assert!(matches!(mixed.col(0).data, ColData::Mixed(_)));
+        let values: Vec<Value> = (0..3).map(|i| mixed.col(0).value_at(i)).collect();
+        assert_eq!(values, vec![Value::Int(1), Value::Float(0.5), Value::Null]);
+        assert_eq!(ColumnBatch::concat(Vec::new(), 2).arity(), 2);
+    }
+
+    #[test]
+    fn builder_starts_typed_and_falls_back_to_mixed() {
+        let mut col = ColBuilder::new(DataType::Float, 4);
+        col.push(Value::Float(1.5));
+        col.push(Value::Null);
+        assert!(matches!(&col.0.data, ColData::Float(v) if v.len() == 2));
+        // a value the declared type cannot hold keeps what came before
+        col.push(Value::Text("x".into()));
+        col.push(Value::Float(2.5));
+        let values: Vec<Value> = (0..4).map(|i| col.0.value_at(i)).collect();
+        assert_eq!(
+            values,
+            vec![
+                Value::Float(1.5),
+                Value::Null,
+                Value::Text("x".into()),
+                Value::Float(2.5)
+            ]
+        );
+        assert_eq!(col.0.valid, vec![true, false, true, true]);
+    }
+
+    #[test]
+    fn bytes_count_lanes_validity_and_text() {
+        let b = ColumnBatch::from_rows(
+            vec![
+                vec![Value::Int(1), Value::Bool(true), Value::Text("abc".into())],
+                vec![Value::Null, Value::Bool(false), Value::Null],
+            ],
+            3,
+        );
+        let value = std::mem::size_of::<Value>() as u64;
+        assert_eq!(b.bytes(), 2 * 9 + 2 * 2 + 2 * (value + 1) + 3);
     }
 
     #[test]

@@ -499,35 +499,48 @@ impl BoundExpr {
         }
     }
 
-    /// True when the expression references no columns (safe to evaluate once).
-    pub fn is_constant(&self) -> bool {
+    /// Calls `f` on this node and every node below it.
+    pub fn walk(&self, f: &mut impl FnMut(&BoundExpr)) {
+        f(self);
         match self {
-            BoundExpr::Literal(_) => true,
-            BoundExpr::Column(_) | BoundExpr::AggRef(_) => false,
-            BoundExpr::Binary { left, right, .. } => left.is_constant() && right.is_constant(),
-            BoundExpr::Unary { expr, .. } => expr.is_constant(),
-            BoundExpr::Func { args, .. } => args.iter().all(|a| a.is_constant()),
+            BoundExpr::Literal(_) | BoundExpr::Column(_) | BoundExpr::AggRef(_) => {}
+            BoundExpr::Binary { left, right, .. } => {
+                left.walk(f);
+                right.walk(f);
+            }
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::Cast { expr, .. } => expr.walk(f),
+            BoundExpr::Func { args, .. } => args.iter().for_each(|a| a.walk(f)),
             BoundExpr::Case {
                 branches,
                 else_result,
             } => {
-                branches
-                    .iter()
-                    .all(|(c, r)| c.is_constant() && r.is_constant())
-                    && else_result
-                        .as_ref()
-                        .map(|e| e.is_constant())
-                        .unwrap_or(true)
+                for (cond, result) in branches {
+                    cond.walk(f);
+                    result.walk(f);
+                }
+                else_result.iter().for_each(|e| e.walk(f));
             }
-            BoundExpr::IsNull { expr, .. } => expr.is_constant(),
             BoundExpr::InList { expr, list, .. } => {
-                expr.is_constant() && list.iter().all(|e| e.is_constant())
+                expr.walk(f);
+                list.iter().for_each(|e| e.walk(f));
             }
             BoundExpr::Between {
                 expr, low, high, ..
-            } => expr.is_constant() && low.is_constant() && high.is_constant(),
-            BoundExpr::Cast { expr, .. } => expr.is_constant(),
+            } => {
+                expr.walk(f);
+                low.walk(f);
+                high.walk(f);
+            }
         }
+    }
+
+    /// True when the expression references no columns (safe to evaluate once).
+    pub fn is_constant(&self) -> bool {
+        let mut constant = true;
+        self.walk(&mut |e| constant &= !matches!(e, BoundExpr::Column(_) | BoundExpr::AggRef(_)));
+        constant
     }
 }
 

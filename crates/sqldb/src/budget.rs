@@ -4,7 +4,7 @@
 //! same estimator ([`row_bytes`]) is used for charges and refunds, so the
 //! tracked total returns to zero when all tracked rows are gone. The
 //! budget is enforced at the charge sites in `storage.rs` (row inserts
-//! and in-place growth) and `exec.rs` (intermediate materialization), and
+//! and in-place growth) and `join.rs` (every batch of a `FROM` output), and
 //! a failed charge surfaces as [`DbError::BudgetExceeded`] so the
 //! statement rolls back atomically and refunds everything it charged.
 
@@ -28,13 +28,6 @@ pub fn row_bytes(row: &[Value]) -> u64 {
         };
     }
     n
-}
-
-/// Rough estimate for `nrows` materialized rows of width `arity`, used
-/// where walking every value would cost more than the materialization
-/// itself (joins, WHERE outputs).
-pub fn approx_rows_bytes(nrows: usize, arity: usize) -> u64 {
-    (nrows as u64) * (ROW_OVERHEAD + 16 * arity as u64)
 }
 
 /// An atomic byte-accounting budget with an optional hard limit.
@@ -132,19 +125,14 @@ impl MemoryBudget {
             .set(self.used.load(Ordering::Relaxed).min(i64::MAX as u64) as i64);
     }
 
-    /// Charges `bytes` and returns a guard that refunds them on drop —
-    /// used for transient materializations (join/filter outputs) whose
-    /// lifetime is one statement.
-    ///
-    /// # Errors
-    /// Returns [`DbError::BudgetExceeded`] when the charge would cross
-    /// the limit.
-    pub fn reserve(self: &Arc<Self>, bytes: u64) -> DbResult<Reservation> {
-        self.charge(bytes)?;
-        Ok(Reservation {
+    /// A guard that refunds, when dropped, whatever [`Reservation::grow`]
+    /// has charged into it — used for transient materializations (a `FROM`
+    /// output, one batch at a time) whose lifetime is one statement.
+    pub fn reservation(self: &Arc<Self>) -> Reservation {
+        Reservation {
             budget: self.clone(),
-            bytes,
-        })
+            bytes: 0,
+        }
     }
 
     fn note_usage(&self, now: u64) {
@@ -170,6 +158,19 @@ impl MemoryBudget {
 pub struct Reservation {
     budget: Arc<MemoryBudget>,
     bytes: u64,
+}
+
+impl Reservation {
+    /// Charges `bytes` more; they are refunded with the rest on drop.
+    ///
+    /// # Errors
+    /// Returns [`DbError::BudgetExceeded`] (holding what it held before)
+    /// when the charge would cross the limit.
+    pub fn grow(&mut self, bytes: u64) -> DbResult<()> {
+        self.budget.charge(bytes)?;
+        self.bytes += bytes;
+        Ok(())
+    }
 }
 
 impl Drop for Reservation {
@@ -213,12 +214,20 @@ mod tests {
         let b = Arc::new(MemoryBudget::new());
         b.set_limit(Some(100));
         {
-            let _r = b.reserve(90).unwrap();
+            let mut held = b.reservation();
+            held.grow(90).unwrap();
             assert_eq!(b.used(), 90);
-            assert!(b.reserve(20).is_err());
+            assert!(b.reservation().grow(20).is_err());
         }
         assert_eq!(b.used(), 0);
-        assert!(b.reserve(100).is_ok());
+        // a reservation grows charge by charge and refunds the sum
+        let mut r = b.reservation();
+        r.grow(60).unwrap();
+        assert!(r.grow(50).is_err());
+        r.grow(40).unwrap();
+        assert_eq!(b.used(), 100);
+        drop(r);
+        assert_eq!(b.used(), 0);
     }
 
     #[test]
@@ -226,7 +235,6 @@ mod tests {
         let small = row_bytes(&[Value::Int(1), Value::Null]);
         let big = row_bytes(&[Value::Int(1), Value::Text("x".repeat(1000))]);
         assert!(big > small + 900);
-        assert_eq!(approx_rows_bytes(10, 2), 10 * (24 + 32));
     }
 
     #[test]

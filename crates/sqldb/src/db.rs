@@ -206,8 +206,9 @@ impl Database {
 
     /// Selects the query execution mode: `true` (the default) runs queries
     /// on the vectorized columnar batch pipeline, `false` on the
-    /// row-at-a-time baseline. Both produce identical results; the row path
-    /// exists for benchmarking and equivalence testing.
+    /// row-at-a-time reference evaluator (rows rebuilt from the same scans
+    /// and joins). Both produce identical results; the reference exists for
+    /// benchmarking and equivalence testing.
     pub fn set_vectorized(&self, on: bool) {
         self.shared.vectorized.store(on, Ordering::Relaxed);
     }

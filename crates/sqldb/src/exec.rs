@@ -6,7 +6,7 @@ use crate::bind::{bind_scalar, bind_with_aggregates, AggSpec, BoundExpr, Scope, 
 use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
 use crate::explain::{base_table, factor_label, factor_visible_name, inner_access_label};
-use crate::join::{choose_access, join_rels, table_scope, AccessPath, JoinInner, Rel};
+use crate::join::{choose_access, join_rels, table_scope, AccessPath, JoinEnv, JoinInner, Rel};
 use crate::op_profile::{us_since, OpProfiler};
 use crate::profile::EngineProfile;
 use crate::stats::Stats;
@@ -28,6 +28,21 @@ pub struct ExecLimits {
     pub max_rows: Option<u64>,
     /// Wall-clock deadline for the whole statement ([`DbError::Timeout`]).
     pub deadline: Option<Instant>,
+}
+
+impl ExecLimits {
+    /// Fails once the statement's deadline has passed.
+    ///
+    /// # Errors
+    /// Returns [`DbError::Timeout`].
+    pub fn check_deadline(&self) -> DbResult<()> {
+        match self.deadline {
+            Some(d) if Instant::now() > d => Err(DbError::Timeout(
+                "statement exceeded its execution deadline".into(),
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The rows and column names produced by a query.
@@ -107,8 +122,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Selects between the vectorized batch pipeline (`true`, the default)
-    /// and the historical row-at-a-time pipeline. Both produce identical
-    /// results; the row path is kept as the equivalence/benchmark baseline.
+    /// and the row-at-a-time reference evaluator, which rebuilds rows from
+    /// the `FROM` clause's batches and filters, groups and projects them one
+    /// at a time. Both produce identical results.
     pub fn with_vectorized(mut self, on: bool) -> Executor<'a> {
         self.vectorized = on;
         self
@@ -143,14 +159,18 @@ impl<'a> Executor<'a> {
     }
 
     fn check_deadline(&self) -> DbResult<()> {
-        if let Some(d) = self.limits.deadline {
-            if Instant::now() > d {
-                return Err(DbError::Timeout(
-                    "statement exceeded its execution deadline".into(),
-                ));
-            }
+        self.limits.check_deadline()
+    }
+
+    /// What this statement's joins run under.
+    fn join_env(&self) -> JoinEnv<'a> {
+        JoinEnv {
+            strategy: self.profile.join_strategy(),
+            stats: self.stats,
+            batch_rows: self.batch_rows(),
+            limits: self.limits,
+            budget: self.catalog.memory_budget(),
         }
-        Ok(())
     }
 
     fn check_row_cap(&self, produced: usize) -> DbResult<()> {
@@ -344,87 +364,70 @@ impl<'a> Executor<'a> {
                 .unwrap_or(false);
         let grouped = has_aggregates || !s.group_by.is_empty();
 
-        let mut result = if let Some(out) = self.try_select_batched_scan(s, grouped)? {
-            out
+        // FROM: column batches, charged to the memory budget as they are
+        // produced and refunded when the statement's intermediate state
+        // dies at the end of this scope
+        let rel = if s.from.is_empty() {
+            if let Some(p) = self.prof {
+                p.leaf("Result (no tables)".to_string(), 1, 0);
+            }
+            let unit = ColumnBatch::from_cols(Vec::new(), 1);
+            Rel::new(Scope::new(), vec![unit], self.catalog.memory_budget())?
         } else {
-            // FROM
-            let mut rel = if s.from.is_empty() {
-                let unit = Rel::unit();
+            self.build_from(&s.from, depth, |tr| pushdown_conjuncts(s, tr))?
+        };
+        let arity = rel.arity();
+        let mut result = if self.vectorized {
+            let Rel {
+                scope,
+                batches,
+                charge: _charge,
+            } = rel;
+            self.exec_pipeline_batched(s, &scope, batches, arity, grouped)?
+        } else {
+            // the reference evaluator: rows are rebuilt from the batches
+            // here, and WHERE / aggregation / projection run a row at a time
+            let mut rows = rel.rows();
+            if let Some(pred) = &s.selection {
+                let t0 = self.prof_start();
+                let rows_in = rows.len() as u64;
+                let bound = bind_scalar(pred, &rel.scope)?;
+                let mut kept = Vec::with_capacity(rows.len());
+                for (i, row) in rows.into_iter().enumerate() {
+                    if i & 0xFFF == 0 {
+                        self.check_deadline()?;
+                    }
+                    if bound.eval(&row, &[])?.is_truthy() {
+                        kept.push(row);
+                    }
+                }
+                rows = kept;
                 if let Some(p) = self.prof {
-                    p.leaf("Result (no tables)".to_string(), unit.rows.len() as u64, 0);
+                    p.wrap(
+                        1,
+                        "Filter".to_string(),
+                        rows.len() as u64,
+                        rows_in,
+                        t0.map(us_since).unwrap_or(0),
+                    );
                 }
-                unit
+            }
+
+            if grouped {
+                let t0 = self.prof_start();
+                let out = self.exec_aggregate(s, &rel.scope, &rows)?;
+                if let Some(p) = self.prof {
+                    p.wrap(
+                        1,
+                        format!("HashAggregate (group by {} keys)", s.group_by.len()),
+                        out.rows.len() as u64,
+                        rows.len() as u64,
+                        t0.map(us_since).unwrap_or(0),
+                    );
+                }
+                out
             } else {
-                self.build_from(&s.from, depth, |tr| pushdown_conjuncts(s, tr))?
-            };
-
-            // charge the materialized FROM output against the memory budget;
-            // the reservation refunds itself when the statement's intermediate
-            // state dies at the end of this scope
-            let _reservation =
-                self.catalog
-                    .memory_budget()
-                    .reserve(crate::budget::approx_rows_bytes(
-                        rel.rows.len(),
-                        rel.arity(),
-                    ))?;
-
-            if self.vectorized {
-                let arity = rel.arity();
-                let nrows = rel.rows.len();
-                // the columnar conversion is a second intermediate; charge
-                // it like the row intermediate above
-                let _batches_reservation = self
-                    .catalog
-                    .memory_budget()
-                    .reserve(crate::budget::approx_rows_bytes(nrows, arity))?;
-                let Rel { scope, rows, .. } = rel;
-                let batches = ColumnBatch::chunk_rows(rows, arity, self.batch_rows());
-                self.exec_pipeline_batched(s, &scope, batches, arity, grouped)?
-            } else {
-                // WHERE
-                if let Some(pred) = &s.selection {
-                    let t0 = self.prof_start();
-                    let rows_in = rel.rows.len() as u64;
-                    let bound = bind_scalar(pred, &rel.scope)?;
-                    let mut kept = Vec::with_capacity(rel.rows.len());
-                    for (i, row) in rel.rows.into_iter().enumerate() {
-                        if i & 0xFFF == 0 {
-                            self.check_deadline()?;
-                        }
-                        if bound.eval(&row, &[])?.is_truthy() {
-                            kept.push(row);
-                        }
-                    }
-                    rel.rows = kept;
-                    if let Some(p) = self.prof {
-                        p.wrap(
-                            1,
-                            "Filter".to_string(),
-                            rel.rows.len() as u64,
-                            rows_in,
-                            t0.map(us_since).unwrap_or(0),
-                        );
-                    }
-                }
-
-                if grouped {
-                    let t0 = self.prof_start();
-                    let rows_in = rel.rows.len() as u64;
-                    let out = self.exec_aggregate(s, &rel)?;
-                    if let Some(p) = self.prof {
-                        p.wrap(
-                            1,
-                            format!("HashAggregate (group by {} keys)", s.group_by.len()),
-                            out.rows.len() as u64,
-                            rows_in,
-                            t0.map(us_since).unwrap_or(0),
-                        );
-                    }
-                    out
-                } else {
-                    self.exec_project(s, &rel)?
-                }
+                self.exec_project(s, &rel.scope, &rows)?
             }
         };
 
@@ -443,62 +446,6 @@ impl<'a> Executor<'a> {
             }
         }
         Ok(result)
-    }
-
-    /// Vectorized single-table fast path: when the FROM clause is one plain
-    /// table (no joins, views or subqueries), scan it straight into column
-    /// batches and run the batched pipeline without ever materializing a
-    /// row vector. Returns `Ok(None)` when the shape doesn't apply and the
-    /// caller must take the generic path.
-    fn try_select_batched_scan(&self, s: &Select, grouped: bool) -> DbResult<Option<QueryResult>> {
-        if !self.vectorized || s.from.len() != 1 || !s.from[0].joins.is_empty() {
-            return Ok(None);
-        }
-        let TableFactor::Table { name, alias } = &s.from[0].base else {
-            return Ok(None);
-        };
-        if self.catalog.view(name).is_some() {
-            return Ok(None);
-        }
-        let visible = alias.as_deref().unwrap_or(name).to_owned();
-        let label = match alias {
-            Some(a) => format!("{name} AS {a}"),
-            None => name.clone(),
-        };
-        let t0 = self.prof_start();
-        let handle = self.catalog.table(name)?;
-        let scope = table_scope(&handle, &visible);
-        let arity = scope.arity();
-        let (access, batches) = {
-            let t = handle.read();
-            let access = choose_access(&t, &visible, &pushdown_conjuncts(s, &s.from[0]));
-            let batches = match &access {
-                AccessPath::Scan => t.scan_batches(self.batch_rows()),
-                AccessPath::Seek { .. } => {
-                    let rows = access.rows(&t).map(|(_, row)| row.clone()).collect();
-                    ColumnBatch::chunk_rows(rows, arity, self.batch_rows())
-                }
-            };
-            (access, batches)
-        };
-        let nrows: usize = batches.iter().map(ColumnBatch::len).sum();
-        self.count_access(&access, nrows as u64);
-        if let Some(p) = self.prof {
-            p.leaf_batched(
-                access.describe(&label, false),
-                nrows as u64,
-                t0.map(us_since).unwrap_or(0),
-                batches.len() as u64,
-            );
-        }
-        // charge the columnar FROM materialization exactly like the row
-        // path charges its row materialization
-        let _reservation = self
-            .catalog
-            .memory_budget()
-            .reserve(crate::budget::approx_rows_bytes(nrows, arity))?;
-        self.exec_pipeline_batched(s, &scope, batches, arity, grouped)
-            .map(Some)
     }
 
     /// Runs WHERE → aggregation/projection over column batches. Per-batch
@@ -580,30 +527,7 @@ impl<'a> Executor<'a> {
         scope: &Scope,
         batches: &[ColumnBatch],
     ) -> DbResult<QueryResult> {
-        let mut columns = Vec::new();
-        let mut exprs: Vec<BoundExpr> = Vec::new();
-        for (i, item) in s.projections.iter().enumerate() {
-            match item {
-                SelectItem::Wildcard => {
-                    for (off, name) in scope.flat_columns().into_iter().enumerate() {
-                        columns.push(name);
-                        exprs.push(BoundExpr::Column(off));
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let range = scope.relation_offsets(q)?;
-                    let names = scope.flat_columns();
-                    for off in range {
-                        columns.push(names[off].clone());
-                        exprs.push(BoundExpr::Column(off));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(projection_name(expr, alias.as_deref(), i));
-                    exprs.push(bind_scalar(expr, scope)?);
-                }
-            }
-        }
+        let (columns, exprs) = bind_projections(s, scope)?;
         let compiled: Vec<CompiledExpr> = exprs.iter().map(CompiledExpr::new).collect();
         let total: usize = batches.iter().map(ColumnBatch::len).sum();
         let mut rows = Vec::with_capacity(total);
@@ -649,36 +573,32 @@ impl<'a> Executor<'a> {
         batches: &[ColumnBatch],
         arity: usize,
     ) -> DbResult<QueryResult> {
-        let mut key_exprs = Vec::with_capacity(s.group_by.len());
-        for g in &s.group_by {
-            key_exprs.push(bind_scalar(g, scope)?);
-        }
-        let mut aggs: Vec<AggSpec> = Vec::new();
-        let mut columns = Vec::new();
-        let mut proj_exprs = Vec::new();
-        for (i, item) in s.projections.iter().enumerate() {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(projection_name(expr, alias.as_deref(), i));
-                    proj_exprs.push(bind_with_aggregates(expr, scope, &mut aggs)?);
-                }
-                _ => {
-                    return Err(DbError::Invalid(
-                        "wildcard projections are not allowed with GROUP BY/aggregates".into(),
-                    ))
-                }
-            }
-        }
-        let having = match &s.having {
-            Some(h) => Some(bind_with_aggregates(h, scope, &mut aggs)?),
-            None => None,
-        };
+        let grouped = GroupedSelect::bind(s, scope)?;
+        let (key_exprs, aggs) = (&grouped.key_exprs, &grouped.aggs);
 
         let compiled_keys: Vec<CompiledExpr> = key_exprs.iter().map(CompiledExpr::new).collect();
         let compiled_args: Vec<Option<CompiledExpr>> = aggs
             .iter()
             .map(|a| a.arg.as_ref().map(CompiledExpr::new))
             .collect();
+
+        // a group's representative row carries only the columns the
+        // projections and HAVING read
+        let mut rep_cols = Vec::new();
+        for e in grouped.proj_exprs.iter().chain(&grouped.having) {
+            e.walk(&mut |node| {
+                if let BoundExpr::Column(c) = node {
+                    rep_cols.push(*c);
+                }
+            });
+        }
+        let representative = |b: &ColumnBatch, lane: usize| {
+            let mut row = vec![Value::Null; arity];
+            for &c in rep_cols.iter().filter(|&&c| c < arity) {
+                row[c] = b.col(c).value_at(lane);
+            }
+            row
+        };
 
         let mut groups: Vec<(Vec<AggAcc>, Row)> = Vec::new();
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
@@ -687,9 +607,9 @@ impl<'a> Executor<'a> {
         // allocating a `Vec<Value>` key per lane. The flag drops permanently
         // the moment any batch breaks the invariant, because `Value` hashes
         // numerically across types (Int(2) == Float(2.0)) and a typed lookup
-        // would then miss groups created through the generic index. Typed
-        // insertions mirror into the generic index so later generic batches
-        // keep grouping consistently.
+        // would then miss groups created through the generic index; at that
+        // moment the typed index's groups move to the generic one, so later
+        // batches keep grouping consistently.
         let mut int_index: HashMap<i64, usize, std::hash::BuildHasherDefault<IntKeyHasher>> =
             HashMap::default();
         let mut typed_ok = compiled_keys.len() == 1;
@@ -701,35 +621,29 @@ impl<'a> Executor<'a> {
                 .iter()
                 .map(|c| c.as_ref().map(|c| c.try_eval(b)).transpose())
                 .collect();
-            match (key_outs, arg_outs) {
+            let int_keys = match (&key_outs, &arg_outs) {
+                (Ok(key_outs), Ok(_)) if typed_ok => key_outs[0].as_int_lanes(b),
+                _ => None,
+            };
+            if typed_ok && int_keys.is_none() {
+                let typed = int_index.drain();
+                index.extend(typed.map(|(k, gi)| (vec![Value::Int(k)], gi)));
+                typed_ok = false;
+            }
+            match (&key_outs, &arg_outs) {
                 (Ok(key_outs), Ok(arg_outs)) => {
-                    let int_keys = if typed_ok {
-                        key_outs[0].as_int_lanes(b)
-                    } else {
-                        None
-                    };
                     if let Some(ks) = int_keys {
                         let float_args: Vec<Option<&[f64]>> = arg_outs
                             .iter()
                             .map(|o| o.as_ref().and_then(|o| o.as_float_lanes(b)))
                             .collect();
                         for lane in 0..b.len() {
-                            let gi = match int_index.entry(ks[lane]) {
-                                std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                                std::collections::hash_map::Entry::Vacant(v) => {
-                                    let gi = groups.len();
-                                    v.insert(gi);
-                                    index.insert(vec![Value::Int(ks[lane])], gi);
-                                    groups.push((
-                                        aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                                        b.row_at(lane),
-                                    ));
-                                    gi
-                                }
-                            };
+                            let gi = *int_index.entry(ks[lane]).or_insert_with(|| {
+                                groups.push((grouped.accumulators(), representative(b, lane)));
+                                groups.len() - 1
+                            });
                             let (accs, _) = &mut groups[gi];
-                            for ((acc, out), fs) in accs.iter_mut().zip(&arg_outs).zip(&float_args)
-                            {
+                            for ((acc, out), fs) in accs.iter_mut().zip(arg_outs).zip(&float_args) {
                                 match fs {
                                     Some(fs) => acc.update_float(fs[lane]),
                                     None => acc.update(out.as_ref().map(|o| o.value_at(b, lane))),
@@ -738,50 +652,32 @@ impl<'a> Executor<'a> {
                         }
                         continue;
                     }
-                    typed_ok = false;
                     for lane in 0..b.len() {
                         let key: Vec<Value> =
                             key_outs.iter().map(|o| o.value_at(b, lane)).collect();
-                        let gi = match index.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                let gi = groups.len();
-                                v.insert(gi);
-                                groups.push((
-                                    aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                                    b.row_at(lane),
-                                ));
-                                gi
-                            }
-                        };
+                        let gi = *index.entry(key).or_insert_with(|| {
+                            groups.push((grouped.accumulators(), representative(b, lane)));
+                            groups.len() - 1
+                        });
                         let (accs, _) = &mut groups[gi];
-                        for (acc, out) in accs.iter_mut().zip(&arg_outs) {
+                        for (acc, out) in accs.iter_mut().zip(arg_outs) {
                             acc.update(out.as_ref().map(|o| o.value_at(b, lane)));
                         }
                     }
                 }
                 _ => {
-                    typed_ok = false;
                     for lane in 0..b.len() {
                         let row = b.row_at(lane);
                         let mut key = Vec::with_capacity(key_exprs.len());
-                        for k in &key_exprs {
+                        for k in key_exprs {
                             key.push(k.eval(&row, &[])?);
                         }
-                        let gi = match index.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                let gi = groups.len();
-                                v.insert(gi);
-                                groups.push((
-                                    aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                                    row.clone(),
-                                ));
-                                gi
-                            }
-                        };
+                        let gi = *index.entry(key).or_insert_with(|| {
+                            groups.push((grouped.accumulators(), row.clone()));
+                            groups.len() - 1
+                        });
                         let (accs, _) = &mut groups[gi];
-                        for (acc, spec) in accs.iter_mut().zip(&aggs) {
+                        for (acc, spec) in accs.iter_mut().zip(aggs) {
                             let v = match &spec.arg {
                                 Some(e) => Some(e.eval(&row, &[])?),
                                 None => None,
@@ -792,59 +688,13 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        // global aggregate over empty input still yields one group
-        if groups.is_empty() && key_exprs.is_empty() {
-            groups.push((
-                aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                vec![Value::Null; arity],
-            ));
-        }
-
-        let mut rows = Vec::with_capacity(groups.len());
-        for (accs, rep_row) in groups {
-            let agg_values: Vec<Value> = accs.into_iter().map(AggAcc::finish).collect();
-            if let Some(h) = &having {
-                if !h.eval(&rep_row, &agg_values)?.is_truthy() {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(proj_exprs.len());
-            for e in &proj_exprs {
-                out.push(e.eval(&rep_row, &agg_values)?);
-            }
-            rows.push(out);
-            self.check_row_cap(rows.len())?;
-        }
-        Ok(QueryResult { columns, rows })
+        grouped.finish(self, groups, arity)
     }
 
-    fn exec_project(&self, s: &Select, rel: &Rel) -> DbResult<QueryResult> {
-        let mut columns = Vec::new();
-        let mut exprs: Vec<BoundExpr> = Vec::new();
-        for (i, item) in s.projections.iter().enumerate() {
-            match item {
-                SelectItem::Wildcard => {
-                    for (off, name) in rel.scope.flat_columns().into_iter().enumerate() {
-                        columns.push(name);
-                        exprs.push(BoundExpr::Column(off));
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let range = rel.scope.relation_offsets(q)?;
-                    let names = rel.scope.flat_columns();
-                    for off in range {
-                        columns.push(names[off].clone());
-                        exprs.push(BoundExpr::Column(off));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(projection_name(expr, alias.as_deref(), i));
-                    exprs.push(bind_scalar(expr, &rel.scope)?);
-                }
-            }
-        }
-        let mut rows = Vec::with_capacity(rel.rows.len());
-        for (i, row) in rel.rows.iter().enumerate() {
+    fn exec_project(&self, s: &Select, scope: &Scope, input: &[Row]) -> DbResult<QueryResult> {
+        let (columns, exprs) = bind_projections(s, scope)?;
+        let mut rows = Vec::with_capacity(input.len());
+        for (i, row) in input.iter().enumerate() {
             if i & 0xFFF == 0 {
                 self.check_deadline()?;
             }
@@ -858,61 +708,29 @@ impl<'a> Executor<'a> {
         Ok(QueryResult { columns, rows })
     }
 
-    fn exec_aggregate(&self, s: &Select, rel: &Rel) -> DbResult<QueryResult> {
-        // bind group keys
-        let mut key_exprs = Vec::with_capacity(s.group_by.len());
-        for g in &s.group_by {
-            key_exprs.push(bind_scalar(g, &rel.scope)?);
-        }
-        // bind projections + having, extracting aggregates
-        let mut aggs: Vec<AggSpec> = Vec::new();
-        let mut columns = Vec::new();
-        let mut proj_exprs = Vec::new();
-        for (i, item) in s.projections.iter().enumerate() {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(projection_name(expr, alias.as_deref(), i));
-                    proj_exprs.push(bind_with_aggregates(expr, &rel.scope, &mut aggs)?);
-                }
-                _ => {
-                    return Err(DbError::Invalid(
-                        "wildcard projections are not allowed with GROUP BY/aggregates".into(),
-                    ))
-                }
-            }
-        }
-        let having = match &s.having {
-            Some(h) => Some(bind_with_aggregates(h, &rel.scope, &mut aggs)?),
-            None => None,
-        };
+    fn exec_aggregate(&self, s: &Select, scope: &Scope, input: &[Row]) -> DbResult<QueryResult> {
+        let grouped = GroupedSelect::bind(s, scope)?;
+        let (key_exprs, aggs) = (&grouped.key_exprs, &grouped.aggs);
 
         // group rows; the key lives only in the index map (each group keeps a
         // representative row for projecting group-by columns), so the entry
         // API moves each key in without a clone
         let mut groups: Vec<(Vec<AggAcc>, Row)> = Vec::new();
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for (i, row) in rel.rows.iter().enumerate() {
+        for (i, row) in input.iter().enumerate() {
             if i & 0xFFF == 0 {
                 self.check_deadline()?;
             }
             let mut key = Vec::with_capacity(key_exprs.len());
-            for k in &key_exprs {
+            for k in key_exprs {
                 key.push(k.eval(row, &[])?);
             }
-            let gi = match index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let gi = groups.len();
-                    v.insert(gi);
-                    groups.push((
-                        aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                        row.clone(),
-                    ));
-                    gi
-                }
-            };
+            let gi = *index.entry(key).or_insert_with(|| {
+                groups.push((grouped.accumulators(), row.clone()));
+                groups.len() - 1
+            });
             let (accs, _) = &mut groups[gi];
-            for (acc, spec) in accs.iter_mut().zip(&aggs) {
+            for (acc, spec) in accs.iter_mut().zip(aggs) {
                 let v = match &spec.arg {
                     Some(e) => Some(e.eval(row, &[])?),
                     None => None,
@@ -920,30 +738,7 @@ impl<'a> Executor<'a> {
                 acc.update(v);
             }
         }
-        // global aggregate over empty input still yields one group
-        if groups.is_empty() && key_exprs.is_empty() {
-            groups.push((
-                aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                vec![Value::Null; rel.arity()],
-            ));
-        }
-
-        let mut rows = Vec::with_capacity(groups.len());
-        for (accs, rep_row) in groups {
-            let agg_values: Vec<Value> = accs.into_iter().map(AggAcc::finish).collect();
-            if let Some(h) = &having {
-                if !h.eval(&rep_row, &agg_values)?.is_truthy() {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(proj_exprs.len());
-            for e in &proj_exprs {
-                out.push(e.eval(&rep_row, &agg_values)?);
-            }
-            rows.push(out);
-            self.check_row_cap(rows.len())?;
-        }
-        Ok(QueryResult { columns, rows })
+        grouped.finish(self, groups, scope.arity())
     }
 
     fn apply_order_by(&self, result: &mut QueryResult, order_by: &[OrderByExpr]) -> DbResult<()> {
@@ -1013,33 +808,35 @@ impl<'a> Executor<'a> {
         depth: usize,
         prefilter: impl Fn(&TableRef) -> Vec<&'e Expr>,
     ) -> DbResult<Rel> {
+        // a statement over one table runs its whole WHERE in the Filter
+        // right above the scan; only below a join is a conjunct pushed down
+        let joined = from.len() > 1 || !from[0].joins.is_empty();
         let mut rel: Option<Rel> = None;
         for tr in from {
-            let right = self.build_table_ref(tr, depth, &prefilter(tr))?;
+            let right = self.build_table_ref(tr, depth, &prefilter(tr), joined)?;
             rel = Some(match rel {
                 None => right,
                 Some(left) => {
                     let t0 = self.prof_start();
-                    let rows_in = (left.rows.len() + right.rows.len()) as u64;
+                    let rows_in = (left.len() + right.len()) as u64;
                     let joined = join_rels(
                         left,
                         JoinInner::Rows(right),
                         JoinType::Cross,
                         None,
-                        self.profile.join_strategy(),
-                        self.stats,
-                    )?
-                    .rel;
+                        &self.join_env(),
+                    )?;
                     if let Some(p) = self.prof {
-                        p.wrap(
+                        p.wrap_batched(
                             2,
                             "NestedLoop (cross join)".to_string(),
-                            joined.rows.len() as u64,
+                            joined.rel.len() as u64,
                             rows_in,
                             t0.map(us_since).unwrap_or(0),
+                            joined.batches,
                         );
                     }
-                    joined
+                    joined.rel
                 }
             });
         }
@@ -1047,17 +844,23 @@ impl<'a> Executor<'a> {
     }
 
     /// Builds one `FROM` item: its base factor, then its joins left to
-    /// right. `prefilter` (see [`pushdown_conjuncts`]) thins the base
-    /// before anything joins it.
-    fn build_table_ref(&self, tr: &TableRef, depth: usize, prefilter: &[&Expr]) -> DbResult<Rel> {
-        let mut rel = self.build_factor(&tr.base, depth, prefilter)?;
+    /// right. `prefilter` (see [`pushdown_conjuncts`]) decides how the base
+    /// is read and, below a join (`joined`), thins it first.
+    fn build_table_ref(
+        &self,
+        tr: &TableRef,
+        depth: usize,
+        prefilter: &[&Expr],
+        joined: bool,
+    ) -> DbResult<Rel> {
+        let mut rel = self.build_factor(&tr.base, depth, prefilter, joined)?;
         for j in &tr.joins {
             // a plain base table goes to the join unscanned: whether its
             // rows are needed at all depends on the algorithm, and that is
             // chosen from the outer side's actual size
             let right = match base_table(self.catalog, &j.factor)? {
                 Some(handle) => JoinInner::table(handle, factor_visible_name(&j.factor)),
-                None => JoinInner::Rows(self.build_factor(&j.factor, depth, &[])?),
+                None => JoinInner::Rows(self.build_factor(&j.factor, depth, &[], true)?),
             };
             rel = self.join_step(rel, right, j.join_type, j.on.as_ref(), &j.factor)?;
         }
@@ -1075,37 +878,46 @@ impl<'a> Executor<'a> {
         factor: &TableFactor,
     ) -> DbResult<Rel> {
         let t0 = self.prof_start();
-        let outer_rows = rel.rows.len() as u64;
-        let inner_rows = match &right {
-            JoinInner::Rows(r) => r.rows.len() as u64,
-            JoinInner::Table { .. } => 0,
-        };
-        let joined = join_rels(
-            rel,
-            right,
-            join_type,
-            on,
-            self.profile.join_strategy(),
-            self.stats,
-        )?;
+        let mut rows_in = rel.len() as u64;
+        if let JoinInner::Rows(r) = &right {
+            rows_in += r.len() as u64;
+        }
+        let joined = join_rels(rel, right, join_type, on, &self.join_env())?;
         if let Some(p) = self.prof {
-            let mut rows_in = outer_rows + inner_rows;
             if let Some((rows, us)) = joined.inner_read {
                 p.leaf(inner_access_label(&joined.algo, factor), rows, us);
                 rows_in += rows;
             }
-            p.wrap(
+            p.wrap_batched(
                 2,
                 joined.algo.describe(join_type),
-                joined.rel.rows.len() as u64,
+                joined.rel.len() as u64,
                 rows_in,
                 t0.map(us_since).unwrap_or(0),
+                joined.batches,
             );
         }
         Ok(joined.rel)
     }
 
-    fn build_factor(&self, f: &TableFactor, depth: usize, prefilter: &[&Expr]) -> DbResult<Rel> {
+    /// The result of a view or subquery as the relation `alias`.
+    fn rel_from_result(&self, result: QueryResult, alias: String) -> DbResult<Rel> {
+        let mut scope = Scope::new();
+        scope.push(ScopeRelation {
+            qualifier: alias,
+            columns: result.columns,
+        });
+        let batches = ColumnBatch::chunk_rows(result.rows, scope.arity(), self.batch_rows());
+        Rel::new(scope, batches, self.catalog.memory_budget())
+    }
+
+    fn build_factor(
+        &self,
+        f: &TableFactor,
+        depth: usize,
+        prefilter: &[&Expr],
+        joined: bool,
+    ) -> DbResult<Rel> {
         match f {
             TableFactor::Table { name, .. } => {
                 let label = factor_label(f);
@@ -1122,7 +934,7 @@ impl<'a> Executor<'a> {
                             t0.map(us_since).unwrap_or(0),
                         );
                     }
-                    return Ok(rel_from_result(result, factor_visible_name(f).to_owned()));
+                    return self.rel_from_result(result, factor_visible_name(f).to_owned());
                 }
                 let t0 = self.prof_start();
                 let handle = self.catalog.table(name)?;
@@ -1132,6 +944,7 @@ impl<'a> Executor<'a> {
                 // left to the statement's WHERE, which reports the error
                 let bound: Vec<BoundExpr> = prefilter
                     .iter()
+                    .filter(|_| joined)
                     .filter_map(|e| bind_scalar(e, &scope).ok())
                     .collect();
                 // drop a row only when a conjunct cleanly rejects it; one
@@ -1143,26 +956,29 @@ impl<'a> Executor<'a> {
                         .all(|c| c.eval(row, &[]).map_or(true, |v| v.is_truthy()))
                 };
                 let mut visited = 0u64;
-                let (access, rows) = {
+                let (access, batches) = {
                     let t = handle.read();
                     let access = choose_access(&t, visible, prefilter);
                     let rows = access
                         .rows(&t)
                         .inspect(|_| visited += 1)
-                        .filter(|(_, row)| keep(row))
-                        .map(|(_, row)| row.clone())
-                        .collect::<Vec<_>>();
-                    (access, rows)
+                        .filter(|(_, row)| keep(row));
+                    let batches = t.read_batches(rows, false, self.batch_rows());
+                    (access, batches)
                 };
                 self.count_access(&access, visited);
+                let rel = Rel::new(scope, batches, self.catalog.memory_budget())?;
                 if let Some(p) = self.prof {
-                    p.leaf(
+                    // as the only table of its statement the scan heads the
+                    // batched pipeline and reports its batches
+                    p.leaf_batched(
                         access.describe(&label, !bound.is_empty()),
-                        rows.len() as u64,
+                        rel.len() as u64,
                         t0.map(us_since).unwrap_or(0),
+                        if joined { 0 } else { rel.batches.len() as u64 },
                     );
                 }
-                Ok(Rel { scope, rows })
+                Ok(rel)
             }
             TableFactor::Derived { subquery, alias } => {
                 let t0 = self.prof_start();
@@ -1177,7 +993,7 @@ impl<'a> Executor<'a> {
                         t0.map(us_since).unwrap_or(0),
                     );
                 }
-                Ok(rel_from_result(result, alias.clone()))
+                self.rel_from_result(result, alias.clone())
             }
         }
     }
@@ -1444,11 +1260,15 @@ impl<'a> Executor<'a> {
             // the join emits a target row's pairs in FROM order: keeping
             // the first per slot is "first matching FROM row wins"
             let slot_at = joined.arity() - 1;
-            let mut seen = HashSet::with_capacity(joined.rows.len());
-            for row in joined.rows {
-                let slot = row[slot_at].as_i64().expect("slot column holds the slot") as usize;
-                if seen.insert(slot) {
-                    matches.push((slot, row));
+            let mut seen = HashSet::with_capacity(joined.len());
+            for batch in &joined.batches {
+                let slots = batch.col(slot_at);
+                for lane in 0..batch.len() {
+                    let slot = slots.value_at(lane).as_i64();
+                    let slot = slot.expect("slot column holds the slot") as usize;
+                    if seen.insert(slot) {
+                        matches.push((slot, batch.row_at(lane)));
+                    }
                 }
             }
             (joined.scope, target_at)
@@ -1551,6 +1371,105 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// The output columns of an ungrouped `SELECT` list and the expression
+/// behind each, wildcards expanded.
+fn bind_projections(s: &Select, scope: &Scope) -> DbResult<(Vec<String>, Vec<BoundExpr>)> {
+    let mut columns = Vec::new();
+    let mut exprs: Vec<BoundExpr> = Vec::new();
+    for (i, item) in s.projections.iter().enumerate() {
+        let range = match item {
+            SelectItem::Wildcard => 0..scope.arity(),
+            SelectItem::QualifiedWildcard(q) => scope.relation_offsets(q)?,
+            SelectItem::Expr { expr, alias } => {
+                columns.push(projection_name(expr, alias.as_deref(), i));
+                exprs.push(bind_scalar(expr, scope)?);
+                continue;
+            }
+        };
+        columns.extend_from_slice(&scope.flat_columns()[range.clone()]);
+        exprs.extend(range.map(BoundExpr::Column));
+    }
+    Ok((columns, exprs))
+}
+
+/// A grouped `SELECT` bound against its input: the group keys, the
+/// aggregates its projections and `HAVING` call, and what each group
+/// projects from them.
+struct GroupedSelect {
+    key_exprs: Vec<BoundExpr>,
+    aggs: Vec<AggSpec>,
+    columns: Vec<String>,
+    proj_exprs: Vec<BoundExpr>,
+    having: Option<BoundExpr>,
+}
+
+impl GroupedSelect {
+    fn bind(s: &Select, scope: &Scope) -> DbResult<GroupedSelect> {
+        let key_exprs = s.group_by.iter().map(|g| bind_scalar(g, scope));
+        let key_exprs = key_exprs.collect::<DbResult<Vec<_>>>()?;
+        let mut aggs: Vec<AggSpec> = Vec::new();
+        let mut columns = Vec::new();
+        let mut proj_exprs = Vec::new();
+        for (i, item) in s.projections.iter().enumerate() {
+            let SelectItem::Expr { expr, alias } = item else {
+                return Err(DbError::Invalid(
+                    "wildcard projections are not allowed with GROUP BY/aggregates".into(),
+                ));
+            };
+            columns.push(projection_name(expr, alias.as_deref(), i));
+            proj_exprs.push(bind_with_aggregates(expr, scope, &mut aggs)?);
+        }
+        let having = s.having.as_ref();
+        let having = having.map(|h| bind_with_aggregates(h, scope, &mut aggs));
+        Ok(GroupedSelect {
+            key_exprs,
+            aggs,
+            columns,
+            proj_exprs,
+            having: having.transpose()?,
+        })
+    }
+
+    /// Fresh accumulators, one per aggregate call.
+    fn accumulators(&self) -> Vec<AggAcc> {
+        self.aggs.iter().map(|a| AggAcc::new(a.func)).collect()
+    }
+
+    /// One output row per group that passes `HAVING`; `groups` pairs each
+    /// group's accumulators with a row (of `arity` columns) that carries its
+    /// group-by columns.
+    fn finish(
+        self,
+        exec: &Executor<'_>,
+        mut groups: Vec<(Vec<AggAcc>, Row)>,
+        arity: usize,
+    ) -> DbResult<QueryResult> {
+        // global aggregate over empty input still yields one group
+        if groups.is_empty() && self.key_exprs.is_empty() {
+            groups.push((self.accumulators(), vec![Value::Null; arity]));
+        }
+        let mut rows = Vec::with_capacity(groups.len());
+        for (accs, rep_row) in groups {
+            let agg_values: Vec<Value> = accs.into_iter().map(AggAcc::finish).collect();
+            if let Some(h) = &self.having {
+                if !h.eval(&rep_row, &agg_values)?.is_truthy() {
+                    continue;
+                }
+            }
+            let mut out = Vec::with_capacity(self.proj_exprs.len());
+            for e in &self.proj_exprs {
+                out.push(e.eval(&rep_row, &agg_values)?);
+            }
+            rows.push(out);
+            exec.check_row_cap(rows.len())?;
+        }
+        Ok(QueryResult {
+            columns: self.columns,
+            rows,
+        })
+    }
+}
+
 /// Multiply-xorshift hasher for the single-INT-key aggregate index. The
 /// default SipHash dominates the per-lane grouping cost at this key width;
 /// group keys are not attacker-controlled hash-flood targets, so a two-op
@@ -1570,10 +1489,15 @@ impl std::hash::Hasher for IntKeyHasher {
     }
 
     fn write_i64(&mut self, i: i64) {
-        let mut h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        self.0 = h;
+        self.0 = int_key_hash(i);
     }
+}
+
+/// [`IntKeyHasher`]'s mix of one `i64` key; the hash join's flat build
+/// table buckets its integer keys with it directly.
+pub(crate) fn int_key_hash(i: i64) -> u64 {
+    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^ (h >> 32)
 }
 
 /// Per-group aggregate accumulator.
@@ -1731,18 +1655,6 @@ fn dedupe(rows: Vec<Row>) -> Vec<Row> {
         }
     }
     out
-}
-
-fn rel_from_result(result: QueryResult, alias: String) -> Rel {
-    let mut scope = Scope::new();
-    scope.push(ScopeRelation {
-        qualifier: alias,
-        columns: result.columns,
-    });
-    Rel {
-        scope,
-        rows: result.rows,
-    }
 }
 
 /// The target of an `UPDATE` as the `FROM` factor it plays in its join.
@@ -2371,18 +2283,45 @@ mod tests {
         let ctx = seeded(EngineProfile::Postgres);
         let budget = ctx.catalog.memory_budget().clone();
         let base = budget.used();
-        // a tight limit rejects the cross join's materialization…
-        budget.set_limit(Some(base + 100));
+        // a tight limit stops the cross join while it is materializing…
+        let limit = base + 4096;
+        budget.set_limit(Some(limit));
         let q = parse_query("SELECT a.id FROM t AS a, t AS b, t AS c, t AS d, t AS e").unwrap();
-        let err = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats).run_query(&q);
+        let exec = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats).with_batch_size(Some(4));
+        let err = exec.run_query(&q);
         assert!(matches!(err, Err(DbError::BudgetExceeded(_))), "{err:?}");
-        // …and the failed statement refunds its reservation
+        // …at the first batch that does not fit, not once all 243 rows
+        // exist: the charge never passed the limit, and got within one
+        // 4-row batch (at most 15 columns of 34 bytes) of it
+        assert!(budget.peak() <= limit, "{} > {limit}", budget.peak());
+        assert!(budget.peak() + 4 * 15 * 34 > limit, "{}", budget.peak());
+        // the failed statement refunds every batch it was charged for
         assert_eq!(budget.used(), base);
         budget.set_limit(None);
-        assert!(Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-            .run_query(&q)
-            .is_ok());
+        assert_eq!(exec.run_query(&q).unwrap().rows.len(), 243);
         assert_eq!(budget.used(), base);
+    }
+
+    #[test]
+    fn expired_deadline_times_out_inside_the_join() {
+        // `run_query` checks the deadline before it starts; the FROM clause
+        // on its own shows the joins check it too
+        let ctx = seeded(EngineProfile::Postgres);
+        let q = parse_query("SELECT a.id FROM t AS a, t AS b, t AS c").unwrap();
+        let SetExpr::Select(s) = &q.body else {
+            panic!("a plain SELECT");
+        };
+        let exec = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats);
+        assert_eq!(
+            exec.build_from(&s.from, 0, |_| Vec::new()).unwrap().len(),
+            27
+        );
+        let expired = exec.with_limits(ExecLimits {
+            max_rows: None,
+            deadline: Some(Instant::now() - std::time::Duration::from_millis(10)),
+        });
+        let err = expired.build_from(&s.from, 0, |_| Vec::new());
+        assert!(matches!(err, Err(DbError::Timeout(_))), "{err:?}");
     }
 
     #[test]

@@ -24,39 +24,89 @@
 //! it; the other algorithms scan it here, once the choice is made.
 
 use crate::ast::{BinaryOp, Expr, JoinType};
+use crate::batch::{Col, ColData, ColumnBatch, CompiledExpr, RowsBuilder, NO_LANE};
 use crate::bind::{bind_scalar, BoundExpr, Scope, ScopeRelation};
+use crate::budget::{MemoryBudget, Reservation};
 use crate::catalog::TableHandle;
-use crate::error::DbResult;
+use crate::error::{DbError, DbResult};
+use crate::exec::{int_key_hash, ExecLimits};
 use crate::profile::{EngineProfile, JoinStrategy};
 use crate::stats::Stats;
 use crate::storage::Table;
 use crate::types::DataType;
 use crate::value::{Row, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// A materialized relation flowing through the executor.
-#[derive(Debug, Clone)]
+/// A materialized relation flowing through the executor: column batches,
+/// charged to the memory budget for as long as the relation lives.
+#[derive(Debug)]
 pub struct Rel {
     /// Visible relations and their column names.
     pub scope: Scope,
-    /// Materialized rows (concatenation of all scope relations' columns).
-    pub rows: Vec<Row>,
+    /// The rows, in order (columns: all scope relations' columns, concatenated).
+    pub batches: Vec<ColumnBatch>,
+    /// The bytes `batches` hold, charged as each batch was pushed.
+    pub charge: Reservation,
 }
 
+#[allow(clippy::len_without_is_empty)]
 impl Rel {
-    /// A relation with a single empty row and no columns (`SELECT` without
-    /// `FROM`).
-    pub fn unit() -> Rel {
-        Rel {
-            scope: Scope::new(),
-            rows: vec![Vec::new()],
-        }
+    /// `batches` over `scope`, charged to `budget` one by one.
+    ///
+    /// # Errors
+    /// Returns [`DbError::BudgetExceeded`] when they do not fit.
+    pub fn new(
+        scope: Scope,
+        batches: Vec<ColumnBatch>,
+        budget: &Arc<MemoryBudget>,
+    ) -> DbResult<Rel> {
+        let mut rel = Rel {
+            scope,
+            batches: Vec::with_capacity(batches.len()),
+            charge: budget.reservation(),
+        };
+        batches.into_iter().try_for_each(|b| rel.push(b))?;
+        Ok(rel)
+    }
+
+    /// Appends `batch`, charging the budget for the bytes its columns hold.
+    ///
+    /// # Errors
+    /// Returns [`DbError::BudgetExceeded`] when that crosses the limit; the
+    /// batch is dropped.
+    pub fn push(&mut self, batch: ColumnBatch) -> DbResult<()> {
+        self.charge.grow(batch.bytes())?;
+        self.batches.push(batch);
+        Ok(())
     }
 
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.scope.arity()
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.batches.iter().map(ColumnBatch::len).sum()
+    }
+
+    /// The rows, rebuilt from the batches — for the consumers that still
+    /// work a row at a time: the reference evaluator and DML apply.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::with_capacity(self.len());
+        for batch in &self.batches {
+            batch.append_rows_to(&mut rows);
+        }
+        rows
+    }
+
+    /// The whole relation as one batch (a join's build side is addressed by
+    /// lane), with the guard that keeps it charged.
+    fn into_single(self) -> (ColumnBatch, Reservation) {
+        let arity = self.arity();
+        (ColumnBatch::concat(self.batches, arity), self.charge)
     }
 }
 
@@ -456,99 +506,261 @@ fn extract_equi_key(
     (key, residual)
 }
 
-/// Whether every value in `col` is `Int` or `Null` — the guard for the
-/// typed i64 join fast path. With both sides integer-only, exact i64
-/// equality coincides with [`Value::sql_eq`] (no cross-type numeric
-/// matching can occur), so a `HashMap<i64, _>` build is semantics-preserving.
-fn int_keys_only(rows: &[Row], col: usize) -> bool {
-    rows.iter()
-        .all(|r| matches!(r[col], Value::Int(_) | Value::Null))
+/// Hash-join build table: the build side's lanes chained by key. `next`
+/// links each lane to the following one in its chain; chains ascend, so
+/// matches come out in build-side row order.
+struct BuildTable<'a> {
+    heads: Heads<'a>,
+    next: Vec<u32>,
 }
 
-/// Hash-join build table: candidate row indices by key. The typed variant
-/// skips per-probe `Value` hashing/equality entirely; the paper's graph
-/// workloads (integer node ids) always take it.
-enum KeyMap<'a> {
-    Int(HashMap<i64, Vec<usize>>),
-    Any(HashMap<&'a Value, Vec<usize>>),
+/// First lane of each chain.
+enum Heads<'a> {
+    /// Both key columns are `Int`: flat buckets over the build side's lane
+    /// slice (a chain holds every key of its bucket). The paper's graph
+    /// workloads (integer node ids) always take it.
+    Int { buckets: Vec<u32>, keys: &'a [i64] },
+    /// Anything else goes through [`Value`]'s own hash and equality, under
+    /// which `Int(2)` and `Float(2.0)` are one key.
+    Any(HashMap<Value, u32>),
 }
 
-impl<'a> KeyMap<'a> {
-    /// Builds the table over non-null keys, preserving row order within
-    /// each key's candidate list.
-    fn build(rows: &'a [Row], col: usize, typed: bool) -> KeyMap<'a> {
-        if typed {
-            let mut m: HashMap<i64, Vec<usize>> = HashMap::with_capacity(rows.len());
-            for (i, r) in rows.iter().enumerate() {
-                if let Value::Int(k) = r[col] {
-                    m.entry(k).or_default().push(i);
+impl<'a> BuildTable<'a> {
+    /// Chains the non-NULL lanes of `col`; `typed` says the probe side is
+    /// `Int` throughout as well.
+    fn new(col: &'a Col, typed: bool) -> BuildTable<'a> {
+        let mut next = vec![NO_LANE; col.len()];
+        let lanes = (0..col.len()).rev().filter(|&lane| col.valid[lane]);
+        let heads = match &col.data {
+            ColData::Int(keys) if typed => {
+                let mut buckets = vec![NO_LANE; (col.len() * 2).next_power_of_two()];
+                for lane in lanes {
+                    let bucket = int_key_hash(keys[lane]) as usize & (buckets.len() - 1);
+                    next[lane] = std::mem::replace(&mut buckets[bucket], lane as u32);
                 }
+                Heads::Int { buckets, keys }
             }
-            KeyMap::Int(m)
-        } else {
-            let mut m: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(rows.len());
-            for (i, r) in rows.iter().enumerate() {
-                let kv = &r[col];
-                if !kv.is_null() {
-                    m.entry(kv).or_default().push(i);
+            _ => {
+                let mut map = HashMap::with_capacity(col.len());
+                for lane in lanes {
+                    let head = map.insert(col.value_at(lane), lane as u32);
+                    next[lane] = head.unwrap_or(NO_LANE);
                 }
+                Heads::Any(map)
             }
-            KeyMap::Any(m)
-        }
+        };
+        BuildTable { heads, next }
     }
 
-    /// Candidate row indices matching `kv` (never called with NULL).
-    fn get(&self, kv: &Value) -> Option<&[usize]> {
+    /// Appends the build lanes whose key equals lane `lane` of `probe`.
+    fn matches(&self, probe: &Col, lane: usize, out: &mut Vec<u32>) {
+        if !probe.valid[lane] {
+            return;
+        }
+        match (&self.heads, &probe.data) {
+            (Heads::Int { buckets, keys }, ColData::Int(probe)) => {
+                let key = probe[lane];
+                let mut at = buckets[int_key_hash(key) as usize & (buckets.len() - 1)];
+                while at != NO_LANE {
+                    if keys[at as usize] == key {
+                        out.push(at);
+                    }
+                    at = self.next[at as usize];
+                }
+            }
+            (Heads::Any(map), _) => {
+                let mut at = map.get(&probe.value_at(lane)).copied().unwrap_or(NO_LANE);
+                while at != NO_LANE {
+                    out.push(at);
+                    at = self.next[at as usize];
+                }
+            }
+            (Heads::Int { .. }, _) => unreachable!("typed build against a probe that is not Int"),
+        }
+    }
+}
+
+/// Whether every batch keys on an `Int` lane vector in column `col`.
+fn int_keyed(batches: &[ColumnBatch], col: usize) -> bool {
+    let int = |b: &ColumnBatch| matches!(b.col(col).data, ColData::Int(_));
+    batches.iter().all(int)
+}
+
+/// What a join runs under: the profile's fallback algorithm, the counters,
+/// and the statement's batch size, limits and memory budget.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinEnv<'a> {
+    /// The engine profile's join fallback.
+    pub strategy: JoinStrategy,
+    /// Engine counters.
+    pub stats: &'a Stats,
+    /// Most rows an emitted batch holds.
+    pub batch_rows: usize,
+    /// The statement's deadline, checked once per probed batch and per
+    /// inner pass.
+    pub limits: ExecLimits,
+    /// Charged for every emitted batch.
+    pub budget: &'a Arc<MemoryBudget>,
+}
+
+/// Where the inner columns of an output row come from.
+enum Inner<'a> {
+    /// Lanes of a batch.
+    Batch(&'a ColumnBatch),
+    /// Slots of a table read in place; with `slots`, the slot itself becomes
+    /// the last column ([`JoinInner::table_with_slots`]).
+    Table { table: &'a Table, slots: bool },
+}
+
+impl Inner<'_> {
+    /// The rows of the pairs (`pl[i]` of `outer`, `pr[i]` of this side;
+    /// [`NO_LANE`]: a `LEFT JOIN` pad, all NULL), each column gathered once.
+    fn gather(&self, outer: &ColumnBatch, pl: &[u32], pr: &[u32]) -> ColumnBatch {
+        let mut cols = outer.gather_cols(pl);
         match self {
-            KeyMap::Int(m) => match kv {
-                Value::Int(k) => m.get(k).map(Vec::as_slice),
-                _ => None,
-            },
-            KeyMap::Any(m) => m.get(kv).map(Vec::as_slice),
-        }
-    }
-}
-
-/// Output side of every algorithm: concatenates row pairs that pass the
-/// residual `ON` conjuncts and pads unmatched outer rows of a `LEFT JOIN`.
-struct Emit<'a> {
-    residual: &'a [BoundExpr],
-    right_arity: usize,
-    left_join: bool,
-    out: Vec<Row>,
-}
-
-impl Emit<'_> {
-    /// Appends `lrow ++ rrow` if the residual accepts it; returns whether
-    /// it did.
-    fn pair(&mut self, lrow: &Row, rrow: &Row) -> DbResult<bool> {
-        self.pair_at(lrow, rrow, None)
-    }
-
-    /// [`Emit::pair`] for an inner row read through its slot: `slot`
-    /// becomes the pair's last column ([`JoinInner::table_with_slots`]).
-    fn pair_at(&mut self, lrow: &Row, rrow: &Row, slot: Option<usize>) -> DbResult<bool> {
-        let mut combined = Vec::with_capacity(lrow.len() + self.right_arity);
-        combined.extend_from_slice(lrow);
-        combined.extend_from_slice(rrow);
-        combined.extend(slot.map(|s| Value::Int(s as i64)));
-        for r in self.residual {
-            if !r.eval(&combined, &[])?.is_truthy() {
-                return Ok(false);
+            Inner::Batch(batch) => cols.extend(batch.gather_cols(pr)),
+            Inner::Table { table, slots } => {
+                let mut rows = RowsBuilder::new(table.schema(), *slots, pr.len());
+                for &slot in pr {
+                    match table.row(slot as usize) {
+                        Some(row) => rows.push(slot as usize, row),
+                        None => rows.push_null(),
+                    }
+                }
+                cols.extend(rows.finish());
             }
         }
-        self.out.push(combined);
-        Ok(true)
+        ColumnBatch::from_cols(cols, pl.len())
+    }
+}
+
+/// Output side of every algorithm. An algorithm produces index pairs —
+/// (outer lane, inner lane or slot); this filters them through the residual
+/// `ON` conjuncts, pads unmatched outer rows of a `LEFT JOIN` with
+/// [`NO_LANE`], and gathers batches of at most `batch_rows` rows, each
+/// charged to the budget as it is emitted.
+struct Output<'a> {
+    env: &'a JoinEnv<'a>,
+    residual: Vec<CompiledExpr>,
+    left_join: bool,
+    rel: Rel,
+}
+
+impl Output<'_> {
+    /// Which candidate pairs the residual accepts. The conjuncts run as
+    /// kernels over the gathered candidates; if one fails — possibly on a
+    /// pair an earlier conjunct already rejected — the candidates are
+    /// re-run pair by pair, conjunct by conjunct, which raises exactly the
+    /// error row-at-a-time evaluation would, or none. Pads always pass.
+    fn accepted(&self, pairs: &ColumnBatch, pr: &[u32]) -> DbResult<Vec<bool>> {
+        let mut keep = vec![true; pairs.len()];
+        let kernels = self.residual.iter().try_for_each(|c| {
+            let truthy = c.try_eval(pairs)?.truthy_mask(pairs);
+            keep.iter_mut().zip(truthy).for_each(|(k, t)| *k &= t);
+            DbResult::Ok(())
+        });
+        if kernels.is_err() {
+            let candidates = keep.iter_mut().enumerate();
+            for (lane, k) in candidates.filter(|(lane, _)| pr[*lane] != NO_LANE) {
+                let row = pairs.row_at(lane);
+                *k = true;
+                for c in &self.residual {
+                    if !c.expr().eval(&row, &[])?.is_truthy() {
+                        *k = false;
+                        break;
+                    }
+                }
+            }
+        }
+        keep.iter_mut()
+            .zip(pr)
+            .for_each(|(k, &r)| *k |= r == NO_LANE);
+        Ok(keep)
     }
 
-    /// `LEFT JOIN`: appends `lrow` padded with NULLs when nothing matched.
-    fn unmatched(&mut self, lrow: &Row, matched: bool) {
-        if self.left_join && !matched {
-            let mut combined = Vec::with_capacity(lrow.len() + self.right_arity);
-            combined.extend_from_slice(lrow);
-            combined.resize(lrow.len() + self.right_arity, Value::Null);
-            self.out.push(combined);
+    /// Emits the candidate pairs (`pl[i]`, `pr[i]`) the residual accepts and
+    /// clears them. With `matched`, every outer lane that found a partner is
+    /// noted there ([`Output::pad_unmatched`] pads the rest later). Without,
+    /// the candidates hold whole outer lanes, each lane's adjacent: a
+    /// `LEFT JOIN` lane left with none is padded in place.
+    fn flush(
+        &mut self,
+        outer: &ColumnBatch,
+        pl: &mut Vec<u32>,
+        inner: &Inner<'_>,
+        pr: &mut Vec<u32>,
+        matched: Option<&mut [bool]>,
+    ) -> DbResult<()> {
+        self.env.limits.check_deadline()?;
+        if !self.residual.is_empty() && !pl.is_empty() {
+            let keep = self.accepted(&inner.gather(outer, pl, pr), pr)?;
+            let pad_in_place = self.left_join && matched.is_none();
+            let (mut kept, mut lane_from) = (0, 0);
+            for at in 0..keep.len() {
+                let (lane, ends) = (pl[at], pl.get(at + 1) != Some(&pl[at]));
+                if keep[at] {
+                    (pl[kept], pr[kept]) = (lane, pr[at]);
+                    kept += 1;
+                }
+                if ends && kept == lane_from && pad_in_place {
+                    (pl[kept], pr[kept]) = (lane, NO_LANE);
+                    kept += 1;
+                }
+                if ends {
+                    lane_from = kept;
+                }
+            }
+            pl.truncate(kept);
+            pr.truncate(kept);
         }
+        if let Some(matched) = matched {
+            pl.iter().for_each(|&lane| matched[lane as usize] = true);
+        }
+        let rows = self.env.batch_rows;
+        for (pl, pr) in pl.chunks(rows).zip(pr.chunks(rows)) {
+            self.rel.push(inner.gather(outer, pl, pr))?;
+        }
+        pl.clear();
+        pr.clear();
+        Ok(())
+    }
+
+    /// Probes with one outer batch, keeping outer order: `candidates(lane,
+    /// hits)` appends the inner lanes outer lane `lane` may pair with.
+    fn probe_outer(
+        &mut self,
+        outer: &ColumnBatch,
+        inner: &Inner<'_>,
+        mut candidates: impl FnMut(usize, &mut Vec<u32>),
+    ) -> DbResult<()> {
+        let (mut pl, mut pr) = (Vec::new(), Vec::new());
+        for lane in 0..outer.len() {
+            let before = pr.len();
+            candidates(lane, &mut pr);
+            if pr.len() == before && self.left_join {
+                pr.push(NO_LANE);
+            }
+            pl.resize(pr.len(), lane as u32);
+            // only between lanes: a lane's candidates decide its pad together
+            if pr.len() >= self.env.batch_rows {
+                self.flush(outer, &mut pl, inner, &mut pr, None)?;
+            }
+        }
+        self.flush(outer, &mut pl, inner, &mut pr, None)
+    }
+
+    /// `LEFT JOIN`: appends, in outer order, the lanes of `outer` that no
+    /// pair matched, their inner columns NULL in the layout of `inner`'s.
+    fn pad_unmatched(
+        &mut self,
+        outer: &ColumnBatch,
+        matched: &[bool],
+        inner: &ColumnBatch,
+    ) -> DbResult<()> {
+        let unmatched = (0..outer.len() as u32).filter(|&lane| !matched[lane as usize]);
+        let mut pl: Vec<u32> = unmatched.filter(|_| self.left_join).collect();
+        let mut pr = vec![NO_LANE; pl.len()];
+        self.flush(outer, &mut pl, &Inner::Batch(inner), &mut pr, None)
     }
 }
 
@@ -559,6 +771,8 @@ pub struct Joined {
     pub rel: Rel,
     /// The algorithm that ran.
     pub algo: JoinAlgo,
+    /// Column batches the join took in, from both sides.
+    pub batches: u64,
     /// Set when the inner side arrived as an unscanned table: the rows read
     /// from it (scanned, or fetched through the index) and the µs a scan
     /// took (index fetches are interleaved with the probes, hence 0).
@@ -568,18 +782,19 @@ pub struct Joined {
 /// Joins `left` and `right`, appending the right relation's scope.
 ///
 /// `on` is bound against the combined scope; [`choose_join`] picks the
-/// algorithm from `strategy`, the shape of the `ON` condition and the
+/// algorithm from `env.strategy`, the shape of the `ON` condition and the
 /// inner table's index (see module docs).
 ///
 /// # Errors
-/// Returns binder/eval errors from the `ON` expression.
+/// Returns binder/eval errors from the `ON` expression,
+/// [`DbError::Timeout`] past the deadline and [`DbError::BudgetExceeded`]
+/// when an output batch does not fit the memory budget.
 pub fn join_rels(
     left: Rel,
     right: JoinInner,
     join_type: JoinType,
     on: Option<&Expr>,
-    strategy: JoinStrategy,
-    stats: &Stats,
+    env: &JoinEnv<'_>,
 ) -> DbResult<Joined> {
     let mut scope = left.scope.clone();
     for r in right.scope().relations() {
@@ -601,195 +816,205 @@ pub fn join_rels(
         _ => None,
     };
     let algo = match key {
-        Some(_) => choose_join(strategy, left.rows.len(), index),
+        Some(_) => choose_join(env.strategy, left.len(), index),
         None => JoinAlgo::NestedLoop,
     };
 
-    let mut emit = Emit {
-        residual: &residual,
-        right_arity,
-        left_join: join_type == JoinType::Left,
-        out: Vec::new(),
+    // pairs address lanes and slots as `u32`s below `NO_LANE`
+    let inner_lanes = match &right {
+        JoinInner::Rows(rel) => rel.len(),
+        JoinInner::Table { handle, .. } => handle.read().slot_count(),
     };
+    if left.len().max(inner_lanes) >= NO_LANE as usize {
+        return Err(DbError::Unsupported(
+            "join input of 2^32 rows or more".into(),
+        ));
+    }
+
+    let mut out = Output {
+        env,
+        residual: residual.iter().map(CompiledExpr::new).collect(),
+        left_join: join_type == JoinType::Left,
+        rel: Rel::new(scope, Vec::new(), env.budget)?,
+    };
+    let mut batches = left.batches.len();
     let inner_read = match (&algo, key, right) {
         (JoinAlgo::IndexNestedLoop { .. }, Some(key), JoinInner::Table { handle, slots, .. }) => {
-            let fetched = index_nested_loop(&left.rows, &handle, slots, key, &mut emit, stats)?;
+            let fetched = index_nested_loop(&left, &handle, slots, key, &mut out)?;
             Some((fetched, 0))
         }
         (_, key, right) => {
-            let (right_rows, inner_read) = match right {
-                JoinInner::Rows(rel) => (rel.rows, None),
-                JoinInner::Table { handle, slots, .. } => {
+            let (right, inner_read) = match right {
+                JoinInner::Rows(rel) => (rel, None),
+                JoinInner::Table {
+                    scope,
+                    handle,
+                    slots,
+                } => {
+                    // one batch: the build side is addressed by lane
                     let t0 = Instant::now();
-                    let rows = if slots {
-                        let table = handle.read();
-                        let with_slot = |(slot, row): (usize, &Row)| {
-                            let mut with = Vec::with_capacity(row.len() + 1);
-                            with.extend_from_slice(row);
-                            with.push(Value::Int(slot as i64));
-                            with
-                        };
-                        table.iter().map(with_slot).collect()
-                    } else {
-                        handle.read().scan()
-                    };
-                    stats.add_rows_scanned(rows.len() as u64);
-                    let read = (rows.len() as u64, t0.elapsed().as_micros() as u64);
-                    (rows, Some(read))
+                    let table = handle.read();
+                    let read = table.read_batches(table.iter(), slots, usize::MAX);
+                    let rel = Rel::new(scope, read, env.budget)?;
+                    env.stats.add_rows_scanned(rel.len() as u64);
+                    let read = (rel.len() as u64, t0.elapsed().as_micros() as u64);
+                    (rel, Some(read))
                 }
             };
+            batches += right.batches.len();
             match (&algo, key) {
-                (JoinAlgo::Hash, Some(key)) => {
-                    hash_join(&left.rows, &right_rows, key, &mut emit, stats)?
-                }
+                (JoinAlgo::Hash, Some(key)) => hash_join(left, right, key, &mut out)?,
                 (JoinAlgo::BlockNestedLoop { buffer_rows }, Some(key)) => {
-                    block_nested_loop(&left.rows, &right_rows, key, *buffer_rows, &mut emit, stats)?
+                    block_nested_loop(left, right, key, *buffer_rows, &mut out)?
                 }
-                _ => nested_loop(&left.rows, &right_rows, &mut emit, stats)?,
+                _ => nested_loop(&left, right, &mut out)?,
             }
             inner_read
         }
     };
 
-    let rows = emit.out;
-    stats.add_rows_scanned(rows.len() as u64);
+    env.stats.add_rows_scanned(out.rel.len() as u64);
     Ok(Joined {
-        rel: Rel { scope, rows },
+        rel: out.rel,
         algo,
+        batches: batches as u64,
         inner_read,
     })
 }
 
 /// One index probe per non-NULL outer key; the inner table is read through
-/// its slots and never copied out. Returns how many inner rows the probes
-/// fetched.
+/// its slots, straight into the output columns. Returns how many inner rows
+/// the probes fetched.
 fn index_nested_loop(
-    left: &[Row],
+    left: &Rel,
     inner: &TableHandle,
     slots: bool,
     key: EquiKey,
-    emit: &mut Emit<'_>,
-    stats: &Stats,
+    out: &mut Output<'_>,
 ) -> DbResult<u64> {
     let table = inner.read();
     let (mut probes, mut fetched) = (0u64, 0u64);
-    for lrow in left {
-        let kv = &lrow[key.left];
-        let mut matched = false;
-        if !kv.is_null() {
-            probes += 1;
-            for &slot in table.index_lookup(key.right, kv).unwrap_or(&[]) {
-                if let Some(rrow) = table.row(slot) {
-                    fetched += 1;
-                    matched |= emit.pair_at(lrow, rrow, slots.then_some(slot))?;
-                }
+    let inner = Inner::Table {
+        table: &table,
+        slots,
+    };
+    for outer in &left.batches {
+        let keys = outer.col(key.left);
+        out.probe_outer(outer, &inner, |lane, hits| {
+            if keys.valid[lane] {
+                probes += 1;
+                let found = table.index_lookup(key.right, &keys.value_at(lane));
+                let live = |slot: &&usize| table.row(**slot).is_some();
+                let before = hits.len();
+                hits.extend(found.unwrap_or(&[]).iter().filter(live).map(|&s| s as u32));
+                fetched += (hits.len() - before) as u64;
             }
-        }
-        emit.unmatched(lrow, matched);
+        })?;
     }
-    stats.add_index_lookups(probes);
+    out.env.stats.add_index_lookups(probes);
     Ok(fetched)
 }
 
 /// Builds the hash table on the smaller relation and probes with the
 /// larger (row order is not a relational guarantee, so the swap only
 /// changes output order, never the row multiset).
-fn hash_join(
-    left: &[Row],
-    right: &[Row],
-    key: EquiKey,
-    emit: &mut Emit<'_>,
-    stats: &Stats,
-) -> DbResult<()> {
-    let typed = int_keys_only(left, key.left) && int_keys_only(right, key.right);
+fn hash_join(left: Rel, right: Rel, key: EquiKey, out: &mut Output<'_>) -> DbResult<()> {
+    let typed = int_keyed(&left.batches, key.left) && int_keyed(&right.batches, key.right);
     if left.len() < right.len() {
-        // build on left, probe with right; LEFT JOIN padding needs
-        // per-build-row matched flags since matches arrive in probe order
-        stats.add_rows_joined(right.len() as u64);
-        let table = KeyMap::build(left, key.left, typed);
-        let mut matched = vec![false; left.len()];
-        for rrow in right {
-            let kv = &rrow[key.right];
-            if kv.is_null() {
-                continue;
-            }
-            for &i in table.get(kv).unwrap_or(&[]) {
-                matched[i] |= emit.pair(&left[i], rrow)?;
-            }
-        }
-        for (lrow, m) in left.iter().zip(matched) {
-            emit.unmatched(lrow, m);
-        }
-    } else {
-        // build on right, probe with left
-        stats.add_rows_joined(left.len() as u64);
-        let table = KeyMap::build(right, key.right, typed);
-        for lrow in left {
-            let kv = &lrow[key.left];
-            let mut matched = false;
-            if !kv.is_null() {
-                for &i in table.get(kv).unwrap_or(&[]) {
-                    matched |= emit.pair(lrow, &right[i])?;
+        // build on left, probe with right: pairs arrive in probe order, so
+        // LEFT JOIN padding waits until every probe batch has been seen
+        out.env.stats.add_rows_joined(right.len() as u64);
+        let (build, _charge) = left.into_single();
+        let table = BuildTable::new(build.col(key.left), typed);
+        let mut matched = vec![false; build.len()];
+        let (mut pl, mut pr) = (Vec::new(), Vec::new());
+        for probe in &right.batches {
+            let keys = probe.col(key.right);
+            let inner = Inner::Batch(probe);
+            for lane in 0..probe.len() {
+                table.matches(keys, lane, &mut pl);
+                pr.resize(pl.len(), lane as u32);
+                if pl.len() >= out.env.batch_rows {
+                    out.flush(&build, &mut pl, &inner, &mut pr, Some(&mut matched))?;
                 }
             }
-            emit.unmatched(lrow, matched);
+            out.flush(&build, &mut pl, &inner, &mut pr, Some(&mut matched))?;
         }
+        let none = ColumnBatch::concat(Vec::new(), right.arity());
+        out.pad_unmatched(&build, &matched, right.batches.first().unwrap_or(&none))
+    } else {
+        // build on right, probe with left
+        out.env.stats.add_rows_joined(left.len() as u64);
+        let (build, _charge) = right.into_single();
+        let table = BuildTable::new(build.col(key.right), typed);
+        for outer in &left.batches {
+            let keys = outer.col(key.left);
+            out.probe_outer(outer, &Inner::Batch(&build), |lane, hits| {
+                table.matches(keys, lane, hits)
+            })?;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Block nested-loop with the key equality inlined: the inner side is
 /// walked once per block of `buffer` outer rows.
 fn block_nested_loop(
-    left: &[Row],
-    right: &[Row],
+    left: Rel,
+    right: Rel,
     key: EquiKey,
     buffer: usize,
-    emit: &mut Emit<'_>,
-    stats: &Stats,
+    out: &mut Output<'_>,
 ) -> DbResult<()> {
-    // with integer-only keys on both sides the per-pair compare is one i64
+    let ((outer, _outer_charge), (inner, _inner_charge)) =
+        (left.into_single(), right.into_single());
+    let (lk, rk) = (outer.col(key.left), inner.col(key.right));
+    // with `Int` lanes on both sides the per-pair compare is one i64
     // equality instead of a Value dispatch
-    let typed = int_keys_only(left, key.left) && int_keys_only(right, key.right);
-    let mut matched = vec![false; left.len()];
-    for (chunk_idx, chunk) in left.chunks(buffer).enumerate() {
-        let base = chunk_idx * buffer;
-        for rrow in right {
-            let rkv = &rrow[key.right];
-            if rkv.is_null() {
-                continue;
-            }
+    let ints = match (&lk.data, &rk.data) {
+        (ColData::Int(l), ColData::Int(r)) => Some((l, r)),
+        _ => None,
+    };
+    let mut matched = vec![false; outer.len()];
+    let (mut pl, mut pr) = (Vec::new(), Vec::new());
+    let source = Inner::Batch(&inner);
+    for start in (0..outer.len()).step_by(buffer) {
+        let block = start..(start + buffer).min(outer.len());
+        for r in (0..inner.len()).filter(|&r| rk.valid[r]) {
             // one atomic add per inner row instead of per pair
-            stats.add_rows_joined(chunk.len() as u64);
-            for (off, lrow) in chunk.iter().enumerate() {
-                let equal = match (typed, &lrow[key.left], rkv) {
-                    (true, Value::Int(l), Value::Int(r)) => l == r,
-                    (true, _, _) => false,
-                    (false, lkv, _) => lkv.sql_eq(rkv) == Some(true),
+            out.env.stats.add_rows_joined(block.len() as u64);
+            for l in block.clone() {
+                let equal = match ints {
+                    Some((lk_ints, rk_ints)) => lk.valid[l] && lk_ints[l] == rk_ints[r],
+                    None => lk.value_at(l).sql_eq(&rk.value_at(r)) == Some(true),
                 };
                 if equal {
-                    matched[base + off] |= emit.pair(lrow, rrow)?;
+                    pl.push(l as u32);
+                    pr.push(r as u32);
                 }
             }
+            if pl.len() >= out.env.batch_rows {
+                out.flush(&outer, &mut pl, &source, &mut pr, Some(&mut matched))?;
+            }
         }
+        // once per inner pass, pairs or not: the deadline is checked here
+        out.flush(&outer, &mut pl, &source, &mut pr, Some(&mut matched))?;
     }
     // unmatched LEFT JOIN rows are appended in input order
-    for (lrow, m) in left.iter().zip(matched) {
-        emit.unmatched(lrow, m);
-    }
-    Ok(())
+    out.pad_unmatched(&outer, &matched, &inner)
 }
 
 /// No equi key: every pair, with the whole `ON` predicate (all of it sits
 /// in the residual) — or none at all for a cross join.
-fn nested_loop(left: &[Row], right: &[Row], emit: &mut Emit<'_>, stats: &Stats) -> DbResult<()> {
-    for lrow in left {
-        stats.add_rows_joined(right.len() as u64);
-        let mut matched = false;
-        for rrow in right {
-            matched |= emit.pair(lrow, rrow)?;
-        }
-        emit.unmatched(lrow, matched);
+fn nested_loop(left: &Rel, right: Rel, out: &mut Output<'_>) -> DbResult<()> {
+    let (inner, _charge) = right.into_single();
+    let every: Vec<u32> = (0..inner.len() as u32).collect();
+    let stats = out.env.stats;
+    for outer in &left.batches {
+        out.probe_outer(outer, &Inner::Batch(&inner), |_, hits| {
+            stats.add_rows_joined(every.len() as u64);
+            hits.extend_from_slice(&every);
+        })?;
     }
     Ok(())
 }
@@ -799,6 +1024,19 @@ mod tests {
     use super::*;
     use crate::bind::ScopeRelation;
     use crate::parser::parse_expression;
+    use crate::types::{Column, Schema};
+
+    /// A join environment over throwaway counters and an unlimited budget:
+    /// 2-row batches, so every algorithm crosses batch boundaries.
+    fn env(strategy: JoinStrategy) -> JoinEnv<'static> {
+        JoinEnv {
+            strategy,
+            stats: Box::leak(Box::default()),
+            batch_rows: 2,
+            limits: ExecLimits::default(),
+            budget: Box::leak(Box::new(Arc::new(MemoryBudget::new()))),
+        }
+    }
 
     fn rel(qualifier: &str, cols: &[&str], rows: Vec<Row>) -> Rel {
         let mut scope = Scope::new();
@@ -806,7 +1044,8 @@ mod tests {
             qualifier: qualifier.into(),
             columns: cols.iter().map(|c| c.to_string()).collect(),
         });
-        Rel { scope, rows }
+        let batches = ColumnBatch::chunk_rows(rows, cols.len(), 2);
+        Rel::new(scope, batches, &Arc::new(MemoryBudget::new())).unwrap()
     }
 
     fn left_rel() -> Rel {
@@ -841,19 +1080,17 @@ mod tests {
         on: Option<&str>,
         strategy: JoinStrategy,
     ) -> Vec<Row> {
-        let stats = Stats::default();
         let on = on.map(|e| parse_expression(e).unwrap());
-        let mut out = join_rels(
+        let joined = join_rels(
             l,
             JoinInner::Rows(r),
             join_type,
             on.as_ref(),
-            strategy,
-            &stats,
-        )
-        .unwrap()
-        .rel
-        .rows;
+            &env(strategy),
+        );
+        let joined = joined.unwrap().rel;
+        assert!(joined.batches.iter().all(|b| b.len() <= 2 && !b.is_empty()));
+        let mut out = joined.rows();
         out.sort();
         out
     }
@@ -918,20 +1155,126 @@ mod tests {
 
     #[test]
     fn cross_join() {
-        let stats = Stats::default();
-        let out = join_rels(
-            left_rel(),
-            JoinInner::Rows(right_rel()),
-            JoinType::Cross,
-            None,
-            JoinStrategy::Hash,
-            &stats,
-        )
-        .unwrap();
-        assert_eq!(out.rel.rows.len(), 9);
+        let env = env(JoinStrategy::Hash);
+        let right = JoinInner::Rows(right_rel());
+        let out = join_rels(left_rel(), right, JoinType::Cross, None, &env).unwrap();
+        assert_eq!(out.rel.len(), 9);
         assert_eq!(out.rel.arity(), 4);
         assert_eq!(out.algo, JoinAlgo::NestedLoop);
-        assert_eq!(stats.snapshot().rows_joined, 9);
+        assert_eq!(env.stats.snapshot().rows_joined, 9);
+        // 2 + 1 outer rows in, one inner batch built from two
+        assert_eq!(out.batches, 4);
+        // every emitted batch stays charged while the relation lives
+        let bytes: u64 = out.rel.batches.iter().map(ColumnBatch::bytes).sum();
+        assert_eq!(env.budget.used(), bytes);
+        drop(out);
+        assert_eq!(env.budget.used(), 0);
+    }
+
+    #[test]
+    fn expired_deadline_times_out_inside_the_join() {
+        let past = Instant::now() - std::time::Duration::from_millis(10);
+        for (strategy, on) in [
+            (JoinStrategy::Hash, None),
+            (JoinStrategy::Hash, Some("l.id < r.id")),
+            (JoinStrategy::Hash, Some("l.id = r.id")),
+            (BNL, Some("l.id = r.id")),
+        ] {
+            let mut env = env(strategy);
+            env.limits.deadline = Some(past);
+            let on = on.map(|e| parse_expression(e).unwrap());
+            let join_type = if on.is_some() {
+                JoinType::Inner
+            } else {
+                JoinType::Cross
+            };
+            let right = JoinInner::Rows(right_rel());
+            let err = join_rels(left_rel(), right, join_type, on.as_ref(), &env);
+            assert!(
+                matches!(err, Err(DbError::Timeout(_))),
+                "{strategy:?} {on:?}: {err:?}"
+            );
+            assert_eq!(env.budget.used(), 0, "a failed join refunds its batches");
+        }
+    }
+
+    #[test]
+    fn output_batches_are_charged_as_they_are_emitted() {
+        // room for the first outer row's pairs only: the join stops at the
+        // second's, having never held more than the limit
+        let mut env = env(JoinStrategy::Hash);
+        let budget = Arc::new(MemoryBudget::new());
+        budget.set_limit(Some(200));
+        env.budget = Box::leak(Box::new(budget));
+        let right = JoinInner::Rows(right_rel());
+        let err = join_rels(left_rel(), right, JoinType::Cross, None, &env);
+        assert!(matches!(err, Err(DbError::BudgetExceeded(_))), "{err:?}");
+        assert!(env.budget.peak() > 0 && env.budget.peak() <= 200);
+        assert_eq!(env.budget.used(), 0);
+    }
+
+    /// `e`: 40 rows over 10 keys, indexed on `k`.
+    fn indexed_table() -> TableHandle {
+        let columns = vec![
+            Column::new("k", DataType::Int),
+            Column::new("w", DataType::Int),
+        ];
+        let mut table = Table::new(Schema::new(columns, None).unwrap());
+        for i in 0..40 {
+            table
+                .insert(vec![Value::Int(i % 10), Value::Int(i)])
+                .unwrap();
+        }
+        table.create_index("e_k", 0, false).unwrap();
+        Arc::new(parking_lot::RwLock::new(table))
+    }
+
+    #[test]
+    fn empty_outer_never_reads_the_inner_table() {
+        for strategy in [JoinStrategy::Hash, BNL] {
+            let env = env(strategy);
+            let on = parse_expression("l.id = e.k").unwrap();
+            let outer = rel("l", &["id"], Vec::new());
+            let inner = JoinInner::table(indexed_table(), "e");
+            let out = join_rels(outer, inner, JoinType::Left, Some(&on), &env).unwrap();
+            assert!(probes(&out.algo), "{strategy:?}: {:?}", out.algo);
+            assert_eq!(out.rel.len(), 0);
+            assert_eq!(out.inner_read, Some((0, 0)));
+            let stats = env.stats.snapshot();
+            assert_eq!((stats.rows_scanned, stats.index_lookups), (0, 0));
+        }
+    }
+
+    #[test]
+    fn index_probes_gather_slots_into_typed_columns() {
+        let env = env(JoinStrategy::Hash);
+        let on = parse_expression("l.id = e.k AND e.w >= 20").unwrap();
+        let outer = rel(
+            "l",
+            &["id"],
+            vec![vec![Value::Int(3)], vec![Value::Null], vec![Value::Int(77)]],
+        );
+        let inner = JoinInner::table_with_slots(indexed_table(), "e");
+        let out = join_rels(outer, inner, JoinType::Left, Some(&on), &env).unwrap();
+        assert!(probes(&out.algo));
+        // the residual keeps w = 23, 33 of key 3's four rows; the NULL key
+        // and the missing key are padded in place — slot column included
+        assert_eq!(
+            out.rel.rows(),
+            vec![
+                vec![Value::Int(3), Value::Int(3), Value::Int(23), Value::Int(23)],
+                vec![Value::Int(3), Value::Int(3), Value::Int(33), Value::Int(33)],
+                vec![Value::Null, Value::Null, Value::Null, Value::Null],
+                vec![Value::Int(77), Value::Null, Value::Null, Value::Null],
+            ]
+        );
+        assert!(out
+            .rel
+            .batches
+            .iter()
+            .all(|b| matches!(b.col(2).data, ColData::Int(_))));
+        assert_eq!(env.stats.snapshot().index_lookups, 2);
+        assert_eq!(out.inner_read, Some((4, 0)));
     }
 
     #[test]
@@ -977,11 +1320,16 @@ mod tests {
         // orientations (sums span 100..126)
         let on = Some("l.id = r.id AND l.x + r.x < 115");
         for join_type in [JoinType::Inner, JoinType::Left] {
-            for (l, r) in [(small("l"), big("r")), (big("l"), small("r"))] {
-                let hash = join(l.clone(), r.clone(), join_type, on, JoinStrategy::Hash);
+            type Side<'a> = &'a dyn Fn() -> Rel;
+            let sides: [(Side<'_>, Side<'_>); 2] = [
+                (&|| small("l"), &|| big("r")),
+                (&|| big("l"), &|| small("r")),
+            ];
+            for (l, r) in sides {
+                let hash = join(l(), r(), join_type, on, JoinStrategy::Hash);
                 let oracle = join(
-                    l,
-                    r,
+                    l(),
+                    r(),
                     join_type,
                     on,
                     JoinStrategy::BlockNestedLoop { buffer_rows: 4 },
@@ -1021,21 +1369,14 @@ mod tests {
 
     #[test]
     fn hash_join_counts_its_probe_side() {
-        let stats = Stats::default();
+        let env = env(JoinStrategy::Hash);
         let on = parse_expression("l.id = r.id").unwrap();
         let big = rel("r", &["id"], (0..10).map(|i| vec![Value::Int(i)]).collect());
-        join_rels(
-            left_rel(),
-            JoinInner::Rows(big),
-            JoinType::Inner,
-            Some(&on),
-            JoinStrategy::Hash,
-            &stats,
-        )
-        .unwrap();
+        let big = JoinInner::Rows(big);
+        join_rels(left_rel(), big, JoinType::Inner, Some(&on), &env).unwrap();
         // built on the 3-row left, probed with the 10-row right
-        assert_eq!(stats.snapshot().rows_joined, 10);
-        assert_eq!(stats.snapshot().index_lookups, 0);
+        assert_eq!(env.stats.snapshot().rows_joined, 10);
+        assert_eq!(env.stats.snapshot().index_lookups, 0);
     }
 
     fn shape(inner_rows: usize, distinct_keys: usize) -> Option<IndexShape> {

@@ -1,5 +1,6 @@
 //! In-memory heap storage with primary-key and secondary indexes.
 
+use crate::batch::{ColumnBatch, RowsBuilder};
 use crate::budget::{row_bytes, MemoryBudget};
 use crate::error::{DbError, DbResult};
 use crate::types::Schema;
@@ -317,41 +318,29 @@ impl Table {
         self.iter().map(|(_, r)| r.clone()).collect()
     }
 
-    /// Copies all live rows out as column batches of at most `batch_size`
-    /// rows, in slot order — the vectorized executor's scan entry point.
-    /// Builds each typed column vector directly from the storage slots, so
-    /// a scan of an N-row table costs O(arity) vector allocations per
-    /// batch instead of N per-row allocations.
-    pub fn scan_batches(&self, batch_size: usize) -> Vec<crate::batch::ColumnBatch> {
-        use crate::batch::{Col, ColumnBatch};
+    /// Reads `rows` — live `(slot, row)`s of this table, e.g. [`Table::iter`]
+    /// or what an index seek returns — into column batches of at most
+    /// `batch_size` lanes. Every value goes straight into a lane vector of
+    /// its column's declared type; with `slots`, each batch ends in an `Int`
+    /// column holding the rows' slots.
+    pub fn read_batches<'a>(
+        &self,
+        rows: impl Iterator<Item = (usize, &'a Row)>,
+        slots: bool,
+        batch_size: usize,
+    ) -> Vec<ColumnBatch> {
         let batch_size = batch_size.max(1);
-        let arity = self.schema.arity();
-        let mut out = Vec::with_capacity(self.live_count / batch_size + 1);
-        let mut columns: Vec<Vec<Value>> =
-            (0..arity).map(|_| Vec::with_capacity(batch_size)).collect();
-        let mut lanes = 0usize;
-        for (_, row) in self.iter() {
-            for (c, v) in row.iter().enumerate().take(arity) {
-                columns[c].push(v.clone());
+        let capacity = rows.size_hint().1.unwrap_or(0).min(batch_size);
+        let mut rows = rows.peekable();
+        let mut out = Vec::new();
+        while rows.peek().is_some() {
+            let mut builder = RowsBuilder::new(&self.schema, slots, capacity);
+            let mut lanes = 0;
+            for (slot, row) in rows.by_ref().take(batch_size) {
+                builder.push(slot, row);
+                lanes += 1;
             }
-            lanes += 1;
-            if lanes == batch_size {
-                let cols = std::mem::replace(
-                    &mut columns,
-                    (0..arity).map(|_| Vec::with_capacity(batch_size)).collect(),
-                );
-                out.push(ColumnBatch::from_cols(
-                    cols.into_iter().map(Col::from_values).collect(),
-                    lanes,
-                ));
-                lanes = 0;
-            }
-        }
-        if lanes > 0 {
-            out.push(ColumnBatch::from_cols(
-                columns.into_iter().map(Col::from_values).collect(),
-                lanes,
-            ));
+            out.push(ColumnBatch::from_cols(builder.finish(), lanes));
         }
         out
     }
@@ -457,6 +446,7 @@ impl Drop for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::ColData;
     use crate::types::{Column, DataType};
 
     fn table() -> Table {
@@ -481,23 +471,31 @@ mod tests {
     }
 
     #[test]
-    fn scan_batches_matches_scan_in_slot_order() {
+    fn read_batches_matches_scan_in_slot_order() {
         let mut t = table();
         for i in 0..7 {
             t.insert(vec![Value::Int(i), Value::Float(i as f64 / 2.0)])
                 .unwrap();
         }
         t.delete_slot(2).unwrap();
-        let batches = t.scan_batches(3);
+        let batches = t.read_batches(t.iter(), true, 3);
         assert_eq!(
             batches.iter().map(|b| b.len()).collect::<Vec<_>>(),
             vec![3, 3]
         );
+        // columns arrive in their declared layout, slots last
+        assert!(matches!(batches[0].col(0).data, ColData::Int(_)));
+        assert!(matches!(batches[0].col(1).data, ColData::Float(_)));
         let mut rows = Vec::new();
         for b in &batches {
             b.append_rows_to(&mut rows);
         }
-        assert_eq!(rows, t.scan());
+        let with_slots: Vec<Row> = t
+            .iter()
+            .map(|(slot, row)| [row.as_slice(), &[Value::Int(slot as i64)]].concat())
+            .collect();
+        assert_eq!(rows, with_slots);
+        assert_eq!(rows[2][2], Value::Int(3), "slot 2 is a tombstone");
     }
 
     #[test]

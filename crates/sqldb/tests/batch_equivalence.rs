@@ -96,7 +96,10 @@ fn arb_dump() -> BoxedStrategy<TableDump> {
 /// The workload-suite query shapes: scan, filter (including AND/OR over
 /// fallible operands), projection arithmetic, hash aggregation with HAVING,
 /// DISTINCT, ORDER BY, self-join, and expressions that can genuinely error
-/// (division by a column that may be zero).
+/// (division by a column that may be zero) — then the join shapes: the
+/// joins emit column batches, so whatever consumes them (reference rows or
+/// the batched pipeline, at any batch size) must see the same rows in the
+/// same order, and the same first error.
 const QUERIES: &[&str] = &[
     "SELECT c_int, c_float, c_text, c_bool FROM t",
     "SELECT c_int + 1, c_float * 2.0, -c_float FROM t WHERE c_int IS NOT NULL",
@@ -111,6 +114,36 @@ const QUERIES: &[&str] = &[
     "SELECT a.c_int, b.c_float FROM t AS a JOIN t AS b ON a.c_int = b.c_int \
      WHERE a.c_int IS NOT NULL",
     "SELECT COUNT(*) FROM t",
+    // LEFT JOIN: unmatched rows, NULL keys, a residual that unmatches more
+    "SELECT a.c_int, a.c_text, b.c_int, b.c_float FROM t AS a \
+     LEFT JOIN t AS b ON a.c_int = b.c_int AND b.c_float > 0.0",
+    // a residual that divides by zero wherever the key 0 meets itself
+    "SELECT a.c_int, b.c_text FROM t AS a JOIN t AS b \
+     ON a.c_int = b.c_int AND a.c_int / b.c_int > 0",
+    "SELECT a.c_text, b.c_text FROM t AS a LEFT JOIN t AS b \
+     ON a.c_text = b.c_text AND 10 / (a.c_int - b.c_int) > 0",
+    // INT = FLOAT keys match numerically (the generic build table)
+    "SELECT a.c_int, b.c_float, b.c_text FROM t AS a JOIN t AS b ON a.c_int = b.c_float",
+    "SELECT a.c_int, b.c_float FROM t AS a LEFT JOIN t AS b ON b.c_float = a.c_int",
+    // the PageRank round's shape: two LEFT JOINs feeding a one-key aggregate
+    // over both inner sides. MIN/MAX, not SUM of a product: the bits of a NaN
+    // that arithmetic *produces* (inf − inf, NaN × NaN) are the compiler's
+    // choice per call site, and an optimised build chooses differently in
+    // the kernels and in the row evaluator
+    "SELECT a.c_int, COALESCE(a.c_float + 1.0, 0.15), COALESCE(MAX(c.c_float), 0.0), \
+     MIN(b.c_float), COUNT(c.c_int) \
+     FROM t AS a LEFT JOIN t AS b ON a.c_int = b.c_int LEFT JOIN t AS c ON c.c_int = b.c_int \
+     GROUP BY a.c_int",
+    "SELECT DISTINCT a.c_bool, b.c_text FROM t AS a JOIN t AS b ON a.c_int = b.c_int",
+    // comma joins: nested loops with nothing to compare
+    "SELECT a.c_int, b.c_text, c.c_float FROM t AS a, t AS b, t AS c \
+     WHERE a.c_bool AND b.c_bool AND NOT c.c_bool",
+    "SELECT a.c_int, b.c_int FROM t AS a JOIN t AS b ON a.c_int < b.c_int AND b.c_bool",
+    // a derived table as the inner side
+    "SELECT a.c_int, a.c_text, d.n FROM t AS a \
+     JOIN (SELECT c_int, COUNT(*) AS n FROM t GROUP BY c_int) AS d ON a.c_int = d.c_int",
+    "SELECT a.c_text, d.c_int FROM (SELECT c_int FROM t WHERE c_bool) AS d \
+     LEFT JOIN t AS a ON d.c_int = a.c_int",
 ];
 
 /// Runs `sql` and collapses the outcome to something comparable: the rows

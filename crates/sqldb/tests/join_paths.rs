@@ -488,3 +488,254 @@ fn whole_table_update_from_keeps_the_scan_and_hash_plan() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// joins feeding DML, and what EXPLAIN ANALYZE says about them
+// ---------------------------------------------------------------------
+
+#[test]
+fn insert_select_from_a_join_stores_what_the_join_returns() {
+    let shapes = [
+        ("JOIN", "o.k = b.k"),
+        ("LEFT JOIN", "o.k = b.k AND b.w > 100"),
+        ("LEFT JOIN", "b.k = o.k AND o.tag <> 'x' AND b.w % 2 = 0"),
+    ];
+    for profile in EngineProfile::ALL {
+        let db = fixture(profile);
+        let mut s = db.connect();
+        s.execute("CREATE TABLE sink (k FLOAT, tag TEXT, bk INT, w INT)")
+            .unwrap();
+        s.execute("CREATE TABLE ranks (tag TEXT, n INT, total FLOAT)")
+            .unwrap();
+        for (join, on) in shapes {
+            // what lands in the table: per inner twin, per executor
+            let mut stored = Vec::new();
+            for vectorized in [true, false] {
+                db.set_vectorized(vectorized);
+                for inner in ["big_ix", "big_no"] {
+                    let select =
+                        format!("SELECT o.k, o.tag, b.k, b.w FROM o {join} {inner} AS b ON {on}");
+                    let n = s.execute(&format!("INSERT INTO sink {select}")).unwrap();
+                    let landed = sorted(rows(&mut s, "SELECT * FROM sink"));
+                    assert_eq!(n.rows_affected(), landed.len() as u64);
+                    assert_eq!(
+                        landed,
+                        sorted(rows(&mut s, &select)),
+                        "{profile:?} {select}"
+                    );
+                    s.execute("DELETE FROM sink").unwrap();
+                    stored.push(landed);
+                }
+            }
+            assert!(stored[0].len() >= 8, "{profile:?} {join} {on}");
+            assert!(
+                stored.iter().all(|t| *t == stored[0]),
+                "{profile:?} {join} {on}"
+            );
+        }
+        // the PageRank round: two LEFT JOINs → one-key aggregate → INSERT
+        let mut stored = Vec::new();
+        for (vectorized, inner) in [(true, "big_ix"), (true, "big_no"), (false, "big_no")] {
+            db.set_vectorized(vectorized);
+            let n = s.execute(&format!(
+                "INSERT INTO ranks SELECT o.tag, COUNT(b.w), COALESCE(0.85 * SUM(b.w * p.k), 0.0) \
+                 FROM o LEFT JOIN {inner} AS b ON o.k = b.k LEFT JOIN o AS p ON p.k = b.k \
+                 GROUP BY o.tag"
+            ));
+            assert_eq!(
+                n.unwrap().rows_affected(),
+                8,
+                "{profile:?}: one row per tag"
+            );
+            stored.push(sorted(rows(&mut s, "SELECT * FROM ranks")));
+            s.execute("DELETE FROM ranks").unwrap();
+        }
+        assert!(stored.iter().all(|t| *t == stored[0]), "{profile:?}");
+        // tag 'a' (k = 1.0) meets the live rows of key 1, once each
+        let live = (0..300).filter(|w| w % 50 == 1 && w % 7 != 0);
+        let (n, total) = live.fold((0, 0.0), |(n, t), w| (n + 1, t + w as f64));
+        let a = &stored[0][0];
+        assert_eq!(
+            a[..2],
+            [Value::Text("a".into()), Value::Int(n)],
+            "{profile:?}"
+        );
+        assert_eq!(a[2], Value::Float(0.85 * total), "{profile:?}");
+    }
+}
+
+#[test]
+fn table_sized_update_from_keeps_the_first_from_row() {
+    for profile in EngineProfile::ALL {
+        let db = access_fixture(profile);
+        let mut s = db.connect();
+        // two src rows per target row: too many to probe with on the hash
+        // profile, and only the first of each pair may land
+        s.execute("CREATE TABLE src (id INT, v FLOAT)").unwrap();
+        for base in [1000.0, 2000.0] {
+            s.execute(&format!(
+                "INSERT INTO src SELECT id, {base:.1} + id FROM t_no"
+            ))
+            .unwrap();
+        }
+        let live = rows(&mut s, "SELECT COUNT(*) FROM t_ix").rows[0][0]
+            .as_i64()
+            .unwrap() as u64;
+        let sql = update_from(profile, "f = src.v", "src", "{t}.id = src.id");
+        let (out, d) = twins(&db, &mut s, &sql);
+        assert_eq!(out.unwrap().1, live, "{profile:?}");
+        if profile == EngineProfile::Postgres {
+            assert_eq!(d.index_lookups, 0, "scan + hash, not 2 × {live} probes");
+            assert_eq!(d.rows_joined, 2 * live, "probed with src, in src order");
+        }
+        let first = rows(&mut s, "SELECT COUNT(*) FROM t_ix WHERE f = 1000.0 + id");
+        assert_eq!(first.rows[0][0], Value::Int(live as i64), "{profile:?}");
+        // a residual decides per pair, so here the second of each pair wins
+        let sql = update_from(
+            profile,
+            "f = src.v",
+            "src",
+            "{t}.id = src.id AND src.v >= 2000.0",
+        );
+        let (out, _) = twins(&db, &mut s, &sql);
+        assert_eq!(out.unwrap().1, live, "{profile:?}");
+        let second = rows(&mut s, "SELECT COUNT(*) FROM t_ix WHERE f = 2000.0 + id");
+        assert_eq!(second.rows[0][0], Value::Int(live as i64), "{profile:?}");
+    }
+}
+
+/// `EXPLAIN ANALYZE sql`, one line per operator, without its timing and —
+/// returned apart, as the labels that carried them — its batch actuals.
+fn analyzed(s: &mut Session, sql: &str) -> (Vec<String>, Vec<String>) {
+    let plan = rows(s, &format!("EXPLAIN ANALYZE {sql}"));
+    let mut batched = Vec::new();
+    let lines = plan.rows.iter().map(|row| {
+        let Value::Text(line) = &row[0] else {
+            panic!("plan lines are text: {row:?}");
+        };
+        let (head, tail) = line.split_once(" time_us=").expect("every line is timed");
+        if tail.contains(" batches=") {
+            let label = head.trim_start().split(" (actual").next().unwrap_or(head);
+            batched.push(label.to_owned());
+        }
+        head.to_owned()
+    });
+    (lines.collect(), batched)
+}
+
+#[test]
+fn explain_analyze_keeps_its_labels_and_rows_and_joins_report_batches() {
+    // (statement, the lines the parent of the columnar join printed for it);
+    // `{algo}` is the profile's fallback join
+    let probe = "IndexNestedLoopJoin using big_ix_k (outer=7, inner=257, fanout=5.2)";
+    let cases: [(&str, Vec<String>); 4] = [
+        (
+            "SELECT o.tag, b.w FROM o JOIN big_ix AS b ON o.k = b.k WHERE o.tag <> 'x'",
+            vec![
+                "Filter (actual rows=16 calls=16".into(),
+                format!("  {probe} (actual rows=16 calls=23"),
+                "    SeqScan o (pushed-down filter) (actual rows=7 calls=7".into(),
+                "    IndexProbe big_ix AS b (actual rows=16 calls=16".into(),
+                "Execution: rows=16".into(),
+            ],
+        ),
+        (
+            "SELECT o.tag, COUNT(b.w) FROM o LEFT JOIN big_no AS b ON o.k = b.k \
+             LEFT JOIN o AS p ON p.k = b.k GROUP BY o.tag",
+            vec![
+                "HashAggregate (group by 1 keys) (actual rows=8 calls=35".into(),
+                "  {algo}LeftJoin (actual rows=35 calls=33".into(),
+                "    {algo}LeftJoin (actual rows=25 calls=265".into(),
+                "      SeqScan o (actual rows=8 calls=8".into(),
+                "      SeqScan big_no AS b (actual rows=257 calls=257".into(),
+                "    SeqScan o AS p (actual rows=8 calls=8".into(),
+                "Execution: rows=8".into(),
+            ],
+        ),
+        (
+            "SELECT o.tag, b.w FROM o, big_no AS b WHERE b.w < 4",
+            vec![
+                "Filter (actual rows=24 calls=24".into(),
+                "  NestedLoop (cross join) (actual rows=24 calls=11".into(),
+                "    SeqScan o (actual rows=8 calls=8".into(),
+                "    SeqScan big_no AS b (pushed-down filter) (actual rows=3 calls=3".into(),
+                "Execution: rows=24".into(),
+            ],
+        ),
+        (
+            "SELECT o.tag FROM o JOIN big_no AS b ON o.k > b.k AND b.w < 60",
+            vec![
+                "NestedLoopJoin (non-equi ON) (actual rows=106 calls=265".into(),
+                "  SeqScan o (actual rows=8 calls=8".into(),
+                "  SeqScan big_no AS b (actual rows=257 calls=257".into(),
+                "Execution: rows=106".into(),
+            ],
+        ),
+    ];
+    for profile in EngineProfile::ALL {
+        let db = fixture(profile);
+        let mut s = db.connect();
+        let algo = match profile {
+            EngineProfile::Postgres => "Hash",
+            EngineProfile::MySql => "BlockNestedLoop (buffer 256)",
+            EngineProfile::MariaDb => "BlockNestedLoop (buffer 4096)",
+        };
+        for (sql, expect) in &cases {
+            let expect: Vec<String> = expect.iter().map(|l| l.replace("{algo}", algo)).collect();
+            let (lines, batched) = analyzed(&mut s, sql);
+            assert_eq!(lines, expect, "{profile:?} {sql}");
+            // every join that took batches in says how many
+            let joins = expect
+                .iter()
+                .filter(|l| l.contains("Join") || l.contains("NestedLoop"));
+            for join in joins {
+                let label = join.trim_start().split(" (actual").next().unwrap();
+                assert!(
+                    batched.iter().any(|b| b == label),
+                    "{profile:?} {sql}: {label}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_runaway_join_meets_its_limits_while_it_runs() {
+    for profile in EngineProfile::ALL {
+        let db = fixture(profile);
+        let mut s = db.connect();
+        // 245³ rows would be 14.7 M: the budget stops the third factor's
+        // join within a batch of the limit, and nothing stays charged
+        let runaway = "SELECT a.w FROM big_no AS a, big_no AS b, big_no AS c";
+        let idle = db.memory_used();
+        let limit = idle + (1 << 20);
+        db.set_memory_limit(Some(limit));
+        let err = s.query(runaway).unwrap_err();
+        assert!(
+            err.to_string().contains("memory limit"),
+            "{profile:?}: {err}"
+        );
+        assert!(db.memory_peak() <= limit, "{profile:?}");
+        assert_eq!(db.memory_used(), idle, "{profile:?}");
+        db.set_memory_limit(None);
+        // the deadline is checked between batches of pairs, so the same
+        // statement times out long before it could finish
+        s.set_statement_timeout(Some(std::time::Duration::from_millis(20)));
+        let started = std::time::Instant::now();
+        let err = s.query(runaway).unwrap_err();
+        assert!(
+            matches!(err, sqldb::DbError::Timeout(_)),
+            "{profile:?}: {err}"
+        );
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "{profile:?}"
+        );
+        assert_eq!(db.memory_used(), idle, "{profile:?}");
+        s.set_statement_timeout(None);
+        assert_eq!(
+            rows(&mut s, "SELECT COUNT(*) FROM o, big_no").rows[0][0],
+            Value::Int(8 * 257)
+        );
+    }
+}
