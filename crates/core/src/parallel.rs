@@ -60,10 +60,8 @@ pub struct ParallelRun {
     pub gathers: u64,
     /// Non-empty message tables created.
     pub messages: u64,
-    /// Aggregate worker time spent executing tasks. On a multi-core host,
-    /// `worker_busy / wall` approaches the worker-thread count; on this
-    /// reproduction's single-CPU substrate it stays near 1 however many
-    /// threads run (see EXPERIMENTS.md).
+    /// Aggregate worker time spent executing tasks; `worker_busy / wall`
+    /// is the overlap the workers achieved.
     pub worker_busy: std::time::Duration,
     /// Convergence samples (when a sampler was configured).
     pub samples: Vec<ProgressSample>,
@@ -152,10 +150,6 @@ struct PartState {
     /// Strict Gather→Compute alternation (paper Fig. 3): set after a
     /// Gather so the next visit runs the Compute instead of re-gathering.
     prefer_compute: bool,
-    /// Round bookkeeping for the blind Async scheduler.
-    round_gathered: bool,
-    /// See [`PartState::round_gathered`].
-    round_computed: bool,
 }
 
 #[derive(Debug)]
@@ -169,36 +163,24 @@ struct MsgState {
     targets: Option<Vec<usize>>,
 }
 
-/// Runs a parallelizable iterative CTE with the configured scheduler.
+impl MsgState {
+    /// True while the message is live and has rows for partition `x`.
+    fn addresses(&self, x: usize) -> bool {
+        self.live && self.targets.as_ref().is_none_or(|t| t.contains(&x))
+    }
+}
+
+/// Runs a parallelizable iterative CTE with the configured scheduler,
+/// recording spans (one per Compute/Gather task attempt) and events
+/// (retries, reconnects, faults, round boundaries) into `trace`; with a
+/// disabled handle the instrumentation costs one branch per would-be
+/// record. The recovery counters come back even when the run *fails* — a
+/// `ParallelRun` never materializes on that path, yet the downgrade report
+/// still wants to show what recovery attempted.
 ///
 /// # Errors
 /// Engine/translation errors from any task (after the configured replay
 /// budget), configuration errors, or the `max_iterations` safety cap.
-pub fn run_iterative_parallel(
-    driver: &Arc<dyn Driver>,
-    cte: &IterativeCte,
-    plan: ParallelPlan,
-    config: &SqloopConfig,
-) -> SqloopResult<ParallelRun> {
-    run_iterative_parallel_traced(driver, cte, plan, config).0
-}
-
-/// Like [`run_iterative_parallel`], but also returns the recovery counters
-/// when the run *fails* — a `ParallelRun` never materializes on that path,
-/// yet the downgrade report still wants to show what recovery attempted.
-pub fn run_iterative_parallel_traced(
-    driver: &Arc<dyn Driver>,
-    cte: &IterativeCte,
-    plan: ParallelPlan,
-    config: &SqloopConfig,
-) -> (SqloopResult<ParallelRun>, RecoveryCounters) {
-    run_iterative_parallel_observed(driver, cte, plan, config, &TraceHandle::disabled())
-}
-
-/// Like [`run_iterative_parallel_traced`], recording spans (one per
-/// Compute/Gather task attempt) and events (retries, reconnects, faults,
-/// round boundaries) into `trace`. With a disabled handle the
-/// instrumentation costs one branch per would-be record.
 pub fn run_iterative_parallel_observed(
     driver: &Arc<dyn Driver>,
     cte: &IterativeCte,
@@ -236,31 +218,45 @@ fn parallel_setup(
     names: &CteNames,
     resume: Option<&LoopSnapshot>,
 ) -> SqloopResult<SqlGen> {
-    let profile = main.profile();
-    if let Some(snap) = resume {
+    let schema = match resume {
         // schema from the dumped partition-0 columns (hidden bookkeeping
         // columns excluded) — the seed query never runs on resume
-        let p0 = names.partition(0);
-        let dump0 = snap.tables.iter().find(|t| t.name == p0).ok_or_else(|| {
-            SqloopError::Checkpoint(format!("snapshot holds no table named {p0}"))
-        })?;
-        let visible: Vec<_> = dump0
-            .columns
-            .iter()
-            .filter(|c| !c.name.starts_with("__"))
-            .collect();
-        let schema = CteSchema {
-            columns: visible.iter().map(|c| c.name.clone()).collect(),
-            types: visible.iter().map(|c| c.data_type).collect(),
-        };
-        let gen = SqlGen::new(
-            names.clone(),
-            schema,
-            plan,
-            config.partitions,
-            config.materialize_join,
-            profile,
-        );
+        Some(snap) => {
+            let p0 = names.partition(0);
+            let dump0 = snap.tables.iter().find(|t| t.name == p0).ok_or_else(|| {
+                SqloopError::Checkpoint(format!("snapshot holds no table named {p0}"))
+            })?;
+            let visible: Vec<_> = dump0
+                .columns
+                .iter()
+                .filter(|c| !c.name.starts_with("__"))
+                .collect();
+            CteSchema {
+                columns: visible.iter().map(|c| c.name.clone()).collect(),
+                types: visible.iter().map(|c| c.data_type).collect(),
+            }
+        }
+        None => create_cte_table(main, &cte.name, &cte.columns, &cte.seed, true, true)?,
+    };
+    let gen = SqlGen::new(
+        names.clone(),
+        schema,
+        plan,
+        config.partitions,
+        config.materialize_join,
+        main.profile(),
+    );
+    // Rmjoin (paper §V-B) plus the join index, which may already exist
+    // from a previous run on the edge table
+    let mjoin = |main: &mut dyn Connection| -> SqloopResult<()> {
+        if config.materialize_join {
+            run(main, &format!("DROP TABLE IF EXISTS {}", names.mjoin()))?;
+            run(main, &gen.create_mjoin_sql())?;
+        }
+        let _ = run(main, &gen.join_index_sql());
+        Ok(())
+    };
+    if let Some(snap) = resume {
         // stale state from the interrupted run (same database) goes first
         let _ = run(main, &format!("DROP VIEW IF EXISTS {}", names.table));
         let _ = run(main, &format!("DROP TABLE IF EXISTS {}", names.table));
@@ -268,11 +264,7 @@ fn parallel_setup(
             restore_table_sql(main, t, config.insert_batch_rows)?;
         }
         run(main, &gen.create_view_sql())?;
-        if config.materialize_join {
-            run(main, &format!("DROP TABLE IF EXISTS {}", names.mjoin()))?;
-            run(main, &gen.create_mjoin_sql())?;
-        }
-        let _ = run(main, &gen.join_index_sql());
+        mjoin(main)?;
         if cte.termination.needs_delta_snapshot()
             && !snap.tables.iter().any(|t| t.name == names.delta_snapshot())
         {
@@ -280,24 +272,8 @@ fn parallel_setup(
         }
         return Ok(gen);
     }
-
-    let schema = create_cte_table(main, &cte.name, &cte.columns, &cte.seed, true, true)?;
-    let gen = SqlGen::new(
-        names.clone(),
-        schema,
-        plan,
-        config.partitions,
-        config.materialize_join,
-        profile,
-    );
-
-    // Rmjoin while R is still a base table (paper §V-B), plus the join index
-    if config.materialize_join {
-        run(main, &format!("DROP TABLE IF EXISTS {}", names.mjoin()))?;
-        run(main, &gen.create_mjoin_sql())?;
-    }
-    // the index may already exist from a previous run on the edge table
-    let _ = run(main, &gen.join_index_sql());
+    // Rmjoin while R is still a base table
+    mjoin(main)?;
 
     // hash-partition R on Rid, middleware-side
     let col_list = gen.schema().columns.join(", ");
@@ -340,6 +316,7 @@ fn run_parallel_inner(
     trace: &TraceHandle,
 ) -> SqloopResult<ParallelRun> {
     config.validate().map_err(SqloopError::Config)?;
+    let policy = Policy::for_mode(config.mode, config.partitions)?;
     // governance: apply the engine memory budget for the whole run (the
     // governed-abort path lifts it again before the final checkpoint) and
     // push the statement deadline onto every connection the run opens
@@ -375,7 +352,7 @@ fn run_parallel_inner(
         None => None,
     };
     // fail before any table exists when the checkpoint dir is unusable
-    let mut checkpointer = match &config.checkpoint {
+    let checkpointer = match &config.checkpoint {
         Some(ck) => Some(Checkpointer::new(ck.clone())?),
         None => None,
     };
@@ -463,11 +440,14 @@ fn run_parallel_inner(
         pool.spawn_worker()?;
     }
 
-    let parts = match &resume_snap {
-        Some(snap) => snap
-            .parts
-            .iter()
-            .map(|p| PartState {
+    let fresh = PartSnap {
+        pending: true,
+        ..PartSnap::default()
+    };
+    let parts: Vec<PartState> = (0..config.partitions)
+        .map(|x| {
+            let p = resume_snap.as_ref().map_or(fresh, |s| s.parts[x]);
+            PartState {
                 pending: p.pending,
                 cursor: 0,
                 in_flight: false,
@@ -475,25 +455,9 @@ fn run_parallel_inner(
                 msg_seq: p.msg_seq,
                 priority: 0.0,
                 prefer_compute: p.prefer_compute,
-                round_gathered: false,
-                round_computed: false,
-            })
-            .collect(),
-        None => vec![
-            PartState {
-                pending: true,
-                cursor: 0,
-                in_flight: false,
-                computes: 0,
-                msg_seq: 0,
-                priority: 0.0,
-                prefer_compute: false,
-                round_gathered: false,
-                round_computed: false,
-            };
-            config.partitions
-        ],
-    };
+            }
+        })
+        .collect();
     let sup = pool.sup.clone();
     let npartitions = parts.len();
     let mut scheduler = Scheduler {
@@ -521,12 +485,7 @@ fn run_parallel_inner(
         refresher,
         prio_stmts,
         worker_busy: std::time::Duration::ZERO,
-        retries: 0,
-        reconnects: 0,
-        task_failures: 0,
-        worker_panics: 0,
-        stalls: 0,
-        replacements: 0,
+        recovery: RecoveryCounters::default(),
         aborting: false,
         trace,
         cache_probe: PlanCacheProbe::new(driver),
@@ -546,48 +505,34 @@ fn run_parallel_inner(
         },
     };
 
-    let sched_result = match config.mode {
-        ExecutionMode::Sync => scheduler.run_sync(),
-        ExecutionMode::Async | ExecutionMode::AsyncPrio => scheduler.run_async(),
-        ExecutionMode::Single => Err(SqloopError::Config(
-            "single mode must use the single-threaded executor".into(),
-        )),
-    };
-    let mut stats = SchedStats {
-        computes: scheduler.computes,
-        gathers: scheduler.gathers,
-        messages: scheduler.messages,
-        worker_busy: scheduler.worker_busy,
-        all_msgs: std::mem::take(&mut scheduler.all_msgs),
-        recovery: RecoveryCounters {
-            task_retries: scheduler.retries,
-            worker_reconnects: scheduler.reconnects,
-            task_failures: scheduler.task_failures,
-            worker_panics: scheduler.worker_panics,
-            stalls: scheduler.stalls,
-            worker_replacements: scheduler.replacements,
-            downgraded: false,
-        },
-    };
-    let was_cancelled = scheduler.cancelled;
-    checkpointer = scheduler.checkpointer.take();
+    let sched_result = scheduler.run(policy);
+    let Scheduler {
+        computes,
+        gathers,
+        messages,
+        worker_busy,
+        all_msgs,
+        mut recovery,
+        cancelled,
+        checkpointer,
+        ..
+    } = scheduler;
     let checkpoint_path = checkpointer
         .as_ref()
         .and_then(|c| c.last_path().map(Path::to_path_buf));
-    drop(scheduler);
 
     // stop workers and collect them; panics that escaped a worker loop
     // surface here as counted recoveries, never silently — and abandoned
     // workers (possibly hung forever) are detached, not joined, so
     // cleanup can't re-wedge a run the supervisor already saved
     drop(task_tx);
-    stats.recovery.worker_panics += pool.shutdown();
-    *recovery_out = stats.recovery;
+    recovery.worker_panics += pool.shutdown();
+    *recovery_out = recovery;
     let samples = sampler.map(Sampler::stop).unwrap_or_default();
 
     let finish = |main: &mut dyn Connection| -> SqloopResult<()> {
         if !config.keep_artifacts {
-            let slots = stats.all_msgs.iter().map(|m| gen.drop_message_slot_sql(m));
+            let slots = all_msgs.iter().map(|m| gen.drop_message_slot_sql(m));
             run_all_best_effort(main, gen.cleanup_sql().into_iter().chain(slots));
         }
         Ok(())
@@ -603,14 +548,14 @@ fn run_parallel_inner(
                     result,
                     iterations: rounds,
                     last_change,
-                    cancelled: was_cancelled,
+                    cancelled,
                 },
-                computes: stats.computes,
-                gathers: stats.gathers,
-                messages: stats.messages,
-                worker_busy: stats.worker_busy,
+                computes,
+                gathers,
+                messages,
+                worker_busy,
                 samples,
-                recovery: stats.recovery,
+                recovery,
                 checkpoint: checkpoint_path,
                 recovery_note,
             })
@@ -620,15 +565,6 @@ fn run_parallel_inner(
             Err(e)
         }
     }
-}
-
-struct SchedStats {
-    computes: u64,
-    gathers: u64,
-    messages: u64,
-    worker_busy: std::time::Duration,
-    all_msgs: Vec<String>,
-    recovery: RecoveryCounters,
 }
 
 /// Everything one worker thread needs, bundled so replacements are spawned
@@ -906,9 +842,6 @@ fn worker_loop(ctx: WorkerCtx) {
                             // and the UPDATE is always last (it either
                             // never ran, or ran and the batch completed)
                             conn = None;
-                            changed = 0;
-                            rows_outputs.clear();
-                            msg_rows = None;
                             error = Some((at, SqloopError::from(e)));
                         }
                         Err(payload) => {
@@ -920,9 +853,6 @@ fn worker_loop(ctx: WorkerCtx) {
                             // their statement takes effect, so replaying
                             // from `at` is as safe as any transport replay
                             conn = None;
-                            changed = 0;
-                            rows_outputs.clear();
-                            msg_rows = None;
                             sup.panics_caught.inc();
                             let detail = panic_detail(payload.as_ref());
                             trace.event(
@@ -1039,19 +969,10 @@ struct Scheduler<'a> {
     /// One prepared priority query per partition (empty without a spec).
     prio_stmts: Vec<PreparedStatement>,
     worker_busy: std::time::Duration,
-    /// Replay dispatches of failed tasks.
-    retries: u64,
-    /// Worker reconnects reported via [`Done::reconnects`].
-    reconnects: u64,
-    /// Task failures observed (each failed attempt counts once).
-    task_failures: u64,
-    /// Worker panics absorbed (caught at the task boundary or dead-thread
-    /// verdicts), counted when their failed `Done` is processed.
-    worker_panics: u64,
-    /// Stall verdicts rendered by the supervisor.
-    stalls: u64,
-    /// Replacement workers spawned for abandoned ones.
-    replacements: u64,
+    /// What fault recovery did; `worker_panics` counts panics absorbed
+    /// mid-run (caught at the task boundary or dead-thread verdicts), when
+    /// their failed `Done` is processed.
+    recovery: RecoveryCounters,
     /// Set on the first unrecoverable task failure: stop replaying, let
     /// the remaining in-flight tasks drain so the run can abort cleanly.
     aborting: bool,
@@ -1125,7 +1046,7 @@ impl Scheduler<'_> {
         let len = self.msgs.len();
         let mut tables: Vec<&str> = self.msgs[self.parts[x].cursor..len]
             .iter()
-            .filter(|m| m.live && m.targets.as_ref().map(|t| t.contains(&x)).unwrap_or(true))
+            .filter(|m| m.addresses(x))
             .map(|m| m.name.as_str())
             .collect();
         // canonical order: worker completion order varies run to run, but
@@ -1152,7 +1073,7 @@ impl Scheduler<'_> {
         }))
     }
 
-    /// The one dispatch-depth rule, shared by every scheduler: a task per
+    /// The dispatch-depth rule: a task per
     /// worker plus one waiting in the channel, so a worker that finishes
     /// finds its next task there instead of parking until this thread has
     /// woken, booked the completion and built a successor. Picks still
@@ -1176,8 +1097,7 @@ impl Scheduler<'_> {
 
     /// Receives the next completion, supervising the pool while waiting.
     ///
-    /// This replaces every bare `recv()` on the scheduler's barrier paths:
-    /// the wait is bounded by `supervisor_poll`, and each timeout tick runs
+    /// The wait is bounded by `supervisor_poll`, and each timeout tick runs
     /// a supervision pass over the worker heartbeats, so a panicked or
     /// stalled worker becomes a typed verdict instead of an infinite block.
     /// Completions for tasks no longer in the dispatch map (a worker that
@@ -1247,12 +1167,12 @@ impl Scheduler<'_> {
                 continue;
             }
             self.pool.workers[i].abandoned = true;
+            let replacement = self.pool.spawn_worker()?;
+            self.recovery.worker_replacements += 1;
+            self.sup.worker_replacements.inc();
             let Some(task) = self.dispatched.remove(&task_id) else {
-                // raced with a completion already consumed; nothing to
-                // replay, but the worker is gone — replace it below
-                self.pool.spawn_worker()?;
-                self.replacements += 1;
-                self.sup.worker_replacements.inc();
+                // raced with a completion already consumed: the worker is
+                // replaced, but there is nothing to replay
                 continue;
             };
             let e = if dead {
@@ -1268,7 +1188,7 @@ impl Scheduler<'_> {
                     detail: "worker thread exited mid-task".into(),
                 }
             } else {
-                self.stalls += 1;
+                self.recovery.stalls += 1;
                 self.sup.stalls_detected.inc();
                 self.trace.event(
                     EventKind::Stall,
@@ -1285,9 +1205,6 @@ impl Scheduler<'_> {
                     waited_ms: silent_us / 1000,
                 }
             };
-            let replacement = self.pool.spawn_worker()?;
-            self.replacements += 1;
-            self.sup.worker_replacements.inc();
             self.trace.event(
                 EventKind::Replace,
                 Some(task.partition as u32),
@@ -1329,7 +1246,7 @@ impl Scheduler<'_> {
         let x = d.task.partition;
         self.parts[x].in_flight = false;
         self.worker_busy += d.elapsed;
-        self.reconnects += u64::from(d.reconnects);
+        self.recovery.worker_reconnects += u64::from(d.reconnects);
         if self.trace.is_enabled() {
             // one event per reconnect so the trace tally matches
             // RecoveryCounters::worker_reconnects exactly
@@ -1343,9 +1260,9 @@ impl Scheduler<'_> {
             }
         }
         if let Some((failed_at, e)) = d.error {
-            self.task_failures += 1;
+            self.recovery.task_failures += 1;
             if matches!(e, SqloopError::WorkerPanic { .. }) {
-                self.worker_panics += 1;
+                self.recovery.worker_panics += 1;
             }
             self.trace.event(
                 EventKind::Fault,
@@ -1360,7 +1277,7 @@ impl Scheduler<'_> {
             task.start_at = failed_at;
             if e.is_retryable() && task.attempt <= self.config.task_retries && !self.aborting {
                 task.attempt += 1;
-                self.retries += 1;
+                self.recovery.task_retries += 1;
                 self.trace.event(
                     EventKind::Retry,
                     Some(x as u32),
@@ -1504,161 +1421,101 @@ impl Scheduler<'_> {
         Ok(done)
     }
 
-    // -- Sync: two-phase rounds with a barrier (paper §V-E) -----------------
+    // -- the event loop (paper §V-E) ----------------------------------------
 
-    fn run_sync(&mut self) -> SqloopResult<(u64, u64)> {
+    /// Runs the loop to its end under `policy` and returns `(iterations,
+    /// last change)`. This is the one place that dispatches, waits for
+    /// completions (supervising the pool meanwhile), drains after the first
+    /// unrecoverable failure, stops on cancellation and ticks rounds; the
+    /// policy only picks tasks, says when a round is over, and says when
+    /// the loop has terminated.
+    fn run(&mut self, mut policy: Policy) -> SqloopResult<(u64, u64)> {
+        policy.begin(self)?;
         let mut rounds = self.start_round;
-        loop {
-            self.round = rounds + 1;
-            // phase 1: every partition computes
-            let compute_tasks: Vec<Task> = (0..self.parts.len())
-                .map(|x| self.build_compute(x))
-                .collect::<SqloopResult<_>>()?;
-            let mut changed = match self.run_phase(compute_tasks.into()) {
-                Ok(c) => c,
-                Err(e) => return Err(self.fail(e, rounds, 0)),
-            };
-            self.trace
-                .event(EventKind::Barrier, None, Some(self.round), "compute phase");
-            // phase 2: every partition with unread messages gathers
-            let mut gather_tasks = VecDeque::new();
-            for x in 0..self.parts.len() {
-                if let Some(t) = self.build_gather(x)? {
-                    gather_tasks.push_back(t);
-                }
-            }
-            changed += match self.run_phase(gather_tasks) {
-                Ok(c) => c,
-                Err(e) => return Err(self.fail(e, rounds, changed)),
-            };
-            self.trace
-                .event(EventKind::Barrier, None, Some(self.round), "gather phase");
-            rounds += 1;
-            if self.trace.is_enabled() {
-                self.trace.event(
-                    EventKind::Round,
-                    None,
-                    Some(rounds),
-                    format!("{changed} row(s) changed"),
-                );
-            }
-            self.cache_probe
-                .tick(self.trace, rounds, self.config.mode.label());
-            // a cancelled round ran partially — its (under-counted) change
-            // tally must not drive a termination decision
-            if !self.cancel.cancelled() && self.tc_check(rounds, changed)? {
-                return Ok((rounds, changed));
-            }
-            // the barrier is the Sync scheduler's natural quiesce point
-            if self.check_cancel(rounds, changed)? {
-                return Ok((rounds, changed));
-            }
-            let _ = self.maybe_checkpoint(rounds, changed)?;
-            self.watchdog_check(rounds, changed)?;
-            if rounds >= self.config.max_iterations {
-                return Err(SqloopError::Semantic(format!(
-                    "termination condition not satisfied within {rounds} iterations"
-                )));
-            }
-        }
-    }
-
-    fn run_phase(&mut self, mut queue: VecDeque<Task>) -> SqloopResult<u64> {
-        let mut changed = 0u64;
+        // rows changed in the current round
+        let mut tally = 0u64;
         let mut first_error: Option<SqloopError> = None;
         loop {
-            // a cancelled run stops feeding the phase and drains what is
-            // already in flight; check_cancel handles the rest at the
-            // round boundary
-            while self.has_room() && first_error.is_none() && !self.cancel.cancelled() {
-                match queue.pop_front() {
-                    Some(t) => self.dispatch(t)?,
-                    None => break,
-                }
-            }
-            if self.in_flight == 0
-                && (queue.is_empty() || first_error.is_some() || self.cancel.cancelled())
-            {
-                return match first_error {
-                    Some(e) => Err(e),
-                    None => Ok(changed),
-                };
-            }
-            let d = match self.recv_done() {
-                Ok(d) => d,
-                Err(e) => {
-                    // an unrecoverable pool failure (all workers dead)
-                    // cannot drain in-flight work — surface it now
-                    return Err(first_error.unwrap_or(e));
-                }
-            };
-            match self.handle_done(d) {
-                Ok(n) => changed += n,
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
+            // a failure or a cancellation stops feeding the pipeline; what is
+            // already in flight drains below
+            if first_error.is_none() && !self.cancel.cancelled() {
+                while self.has_room() {
+                    match policy.next(self)? {
+                        Some(t) => self.dispatch(t)?,
+                        None => break,
                     }
                 }
             }
+            let boundary = if self.in_flight > 0 {
+                let d = match self.recv_done() {
+                    Ok(d) => d,
+                    Err(e) => {
+                        let e = first_error.unwrap_or(e);
+                        return Err(self.fail(e, rounds, policy.committed(tally)));
+                    }
+                };
+                match self.handle_done(d) {
+                    Ok(c) => {
+                        tally += c;
+                        policy.completed()
+                    }
+                    Err(e) => {
+                        first_error.get_or_insert(e);
+                        Boundary::Within
+                    }
+                }
+            } else if let Some(e) = first_error {
+                return Err(self.fail(e, rounds, policy.committed(tally)));
+            } else {
+                policy.idle(self, tally)?
+            };
+            match boundary {
+                Boundary::Within => continue,
+                Boundary::Quiescent => return Ok((policy.reported(self, rounds + 1), tally)),
+                // a partial round: not counted, straight to the cancel point
+                Boundary::Cancel => {}
+                Boundary::Round => {
+                    rounds += 1;
+                    if self.trace.is_enabled() {
+                        self.trace.event(
+                            EventKind::Round,
+                            None,
+                            Some(rounds),
+                            format!("{tally} row(s) changed"),
+                        );
+                    }
+                    self.cache_probe
+                        .tick(self.trace, rounds, self.config.mode.label());
+                    self.round = rounds + 1;
+                    if policy.terminated(self, rounds, tally)? {
+                        self.drain()?;
+                        return Ok((policy.reported(self, rounds), tally));
+                    }
+                }
+            }
+            // the round boundary is the loop's quiesce point for
+            // cancellation, checkpoints and the watchdog
+            if self.check_cancel(rounds, tally)? {
+                return Ok((policy.reported(self, rounds), tally));
+            }
+            let carried = self.maybe_checkpoint(rounds, tally)?;
+            self.watchdog_check(rounds, tally)?;
+            if rounds >= self.config.max_iterations {
+                self.drain()?;
+                return Err(SqloopError::Semantic(format!(
+                    "termination condition not satisfied within {rounds} {}",
+                    policy.unit()
+                )));
+            }
+            tally = carried;
+            policy.next_round(self)?;
         }
     }
-
-    // -- Async / AsyncP (paper §V-E) ----------------------------------------
 
     fn compute_allowed(&self, x: usize) -> bool {
         match self.tc {
             Termination::Iterations(n) => self.parts[x].computes < *n,
             _ => true,
-        }
-    }
-
-    /// Blind round-robin scheduler (`Async`, paper Fig. 3): every round,
-    /// every partition gets a Gather (when unread message tables exist) and
-    /// a Compute — no barrier between rounds, so tasks of round *i+1* start
-    /// while stragglers of round *i* are still running, and Gathers consume
-    /// whatever intermediate results already exist. The speedup over Sync
-    /// comes purely from that freshness; like the paper's Async, it does
-    /// not skip idle partitions — that is AsyncP's job.
-    ///
-    /// The scan always runs in partition order, so the first partition
-    /// that still owes the round a task gets it: a partition whose Gather
-    /// just finished is ahead of everything the scan has not reached yet,
-    /// and its Compute is the next task picked — the `G;C` pairing of
-    /// paper Fig. 3, which is what lets a message produced earlier in a
-    /// round be gathered *and* applied later in the same round, however
-    /// many tasks are dispatched at once.
-    fn pick_blind(&mut self) -> SqloopResult<Option<Task>> {
-        for x in 0..self.parts.len() {
-            if self.parts[x].in_flight {
-                continue;
-            }
-            if !self.parts[x].round_gathered {
-                self.parts[x].round_gathered = true;
-                if let Some(t) = self.build_gather(x)? {
-                    return Ok(Some(t));
-                }
-            }
-            if !self.parts[x].round_computed && self.compute_allowed(x) {
-                self.parts[x].round_computed = true;
-                return Ok(Some(self.build_compute(x)?));
-            }
-        }
-        Ok(None)
-    }
-
-    /// True once every partition has used (or been denied) both of its
-    /// slots in the current blind round.
-    fn round_complete(&self) -> bool {
-        self.parts
-            .iter()
-            .enumerate()
-            .all(|(x, p)| p.round_gathered && (p.round_computed || !self.compute_allowed(x)))
-    }
-
-    fn reset_round_flags(&mut self) {
-        for p in &mut self.parts {
-            p.round_gathered = false;
-            p.round_computed = false;
         }
     }
 
@@ -1731,236 +1588,8 @@ impl Scheduler<'_> {
         let len = self.msgs.len();
         self.msgs[self.parts[x].cursor..len]
             .iter()
-            .filter(|m| m.live && m.targets.as_ref().map(|t| t.contains(&x)).unwrap_or(true))
+            .filter(|m| m.addresses(x))
             .count()
-    }
-
-    fn run_async(&mut self) -> SqloopResult<(u64, u64)> {
-        match self.config.mode {
-            ExecutionMode::AsyncPrio => self.run_async_prio(),
-            _ => self.run_async_blind(),
-        }
-    }
-
-    fn run_async_blind(&mut self) -> SqloopResult<(u64, u64)> {
-        let mut rounds = self.start_round;
-        let mut round_changed = 0u64;
-        let mut first_error: Option<SqloopError> = None;
-        loop {
-            while first_error.is_none() && !self.cancel.cancelled() && self.has_room() {
-                if let Some(t) = self.pick_blind()? {
-                    self.dispatch(t)?;
-                    continue;
-                }
-                if !self.round_complete() {
-                    break; // remaining slots belong to busy partitions
-                }
-                // round boundary: decisions need the round's full effect,
-                // so wait for in-flight tasks (a soft join, much weaker
-                // than Sync's two barriers per round — within the round
-                // gathers freely consumed same-round messages)
-                if self.in_flight > 0 {
-                    break;
-                }
-                rounds += 1;
-                if self.trace.is_enabled() {
-                    self.trace.event(
-                        EventKind::Round,
-                        None,
-                        Some(rounds),
-                        format!("{round_changed} row(s) changed"),
-                    );
-                }
-                self.cache_probe
-                    .tick(self.trace, rounds, self.config.mode.label());
-                self.round = rounds + 1;
-                let done = match self.tc {
-                    // capped partitions can hold pending deltas forever, so
-                    // Iterations completes once caps are hit and messages
-                    // are drained
-                    Termination::Iterations(n) => {
-                        let all_capped = self.parts.iter().all(|p| p.computes >= *n);
-                        all_capped && !self.any_unread_messages()
-                    }
-                    Termination::Updates(n) => round_changed <= *n,
-                    Termination::Data { .. } | Termination::Delta { .. } => {
-                        self.tc_check(rounds, round_changed)?
-                    }
-                };
-                if done {
-                    self.drain()?;
-                    return Ok((self.report_rounds(rounds), round_changed));
-                }
-                // the round boundary (nothing in flight) is Async's
-                // quiesce point for cancellation and checkpoints
-                if self.check_cancel(rounds, round_changed)? {
-                    return Ok((self.report_rounds(rounds), round_changed));
-                }
-                let carried = self.maybe_checkpoint(rounds, round_changed)?;
-                self.watchdog_check(rounds, round_changed)?;
-                if rounds >= self.config.max_iterations {
-                    self.drain()?;
-                    return Err(SqloopError::Semantic(format!(
-                        "termination condition not satisfied within {rounds} rounds"
-                    )));
-                }
-                round_changed = carried;
-                self.reset_round_flags();
-            }
-            if self.in_flight == 0 {
-                if let Some(e) = first_error {
-                    return Err(self.fail(e, rounds, round_changed));
-                }
-                if self.cancel.cancelled() {
-                    // mid-round cancellation: dispatching stopped above and
-                    // the pipeline is dry — quiesce, checkpoint, return the
-                    // partial state
-                    self.check_cancel(rounds, round_changed)?;
-                    return Ok((self.report_rounds(rounds), round_changed));
-                }
-                if !self.round_complete() {
-                    continue; // new round was just opened; dispatch again
-                }
-                // quiescent with an Iterations cap: everything drained
-                rounds += 1;
-                return Ok((self.report_rounds(rounds), round_changed));
-            }
-            let d = match self.recv_done() {
-                Ok(d) => d,
-                Err(e) => return Err(self.fail(first_error.unwrap_or(e), rounds, round_changed)),
-            };
-            match self.handle_done(d) {
-                Ok(c) => round_changed += c,
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_async_prio(&mut self) -> SqloopResult<(u64, u64)> {
-        self.init_priorities()?;
-        let tasks_per_round = (2 * self.parts.len()).max(1);
-        let mut rounds = self.start_round;
-        let mut wave_changed = 0u64;
-        let mut wave_tasks = 0usize;
-        let mut first_error: Option<SqloopError> = None;
-        loop {
-            if first_error.is_none() && !self.cancel.cancelled() {
-                while self.has_room() {
-                    match self.pick_prio()? {
-                        Some(t) => self.dispatch(t)?,
-                        None => break,
-                    }
-                }
-            }
-            if self.in_flight == 0 {
-                if let Some(e) = first_error {
-                    return Err(self.fail(e, rounds, wave_changed));
-                }
-                if self.cancel.cancelled() {
-                    // mid-wave cancellation: dispatching stopped above and
-                    // the pipeline is dry — quiesce, checkpoint, return the
-                    // partial state
-                    self.check_cancel(rounds, wave_changed)?;
-                    return Ok((self.report_rounds(rounds), wave_changed));
-                }
-                // quiescent: nothing can contribute any more
-                rounds += 1;
-                return Ok((self.report_rounds(rounds), wave_changed));
-            }
-            let d = match self.recv_done() {
-                Ok(d) => d,
-                Err(e) => return Err(self.fail(first_error.unwrap_or(e), rounds, wave_changed)),
-            };
-            match self.handle_done(d) {
-                Ok(c) => wave_changed += c,
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                    continue;
-                }
-            }
-            wave_tasks += 1;
-            if wave_tasks >= tasks_per_round {
-                rounds += 1;
-                wave_tasks = 0;
-                if self.trace.is_enabled() {
-                    self.trace.event(
-                        EventKind::Round,
-                        None,
-                        Some(rounds),
-                        format!("{wave_changed} row(s) changed"),
-                    );
-                }
-                self.cache_probe
-                    .tick(self.trace, rounds, self.config.mode.label());
-                self.round = rounds + 1;
-                // virtual-iteration boundary: evaluate data/delta conditions
-                match self.tc {
-                    Termination::Data { .. } | Termination::Delta { .. } => {
-                        if self.tc_check(rounds, wave_changed)? {
-                            self.drain()?;
-                            return Ok((self.report_rounds(rounds), wave_changed));
-                        }
-                    }
-                    Termination::Updates(n) => {
-                        if wave_changed <= *n && !self.any_work_left() {
-                            self.drain()?;
-                            return Ok((self.report_rounds(rounds), wave_changed));
-                        }
-                    }
-                    Termination::Iterations(_) => {}
-                }
-                // the wave boundary is AsyncP's quiesce point for
-                // cancellation and checkpoints
-                if self.check_cancel(rounds, wave_changed)? {
-                    return Ok((self.report_rounds(rounds), wave_changed));
-                }
-                let carried = self.maybe_checkpoint(rounds, wave_changed)?;
-                self.watchdog_check(rounds, wave_changed)?;
-                if rounds >= self.config.max_iterations {
-                    self.drain()?;
-                    return Err(SqloopError::Semantic(format!(
-                        "termination condition not satisfied within {rounds} rounds"
-                    )));
-                }
-                wave_changed = carried;
-            }
-        }
-    }
-
-    /// True when any live message table is unread by one of its targets.
-    fn any_unread_messages(&self) -> bool {
-        let len = self.msgs.len();
-        self.parts.iter().enumerate().any(|(x, p)| {
-            self.msgs[p.cursor..len]
-                .iter()
-                .any(|m| m.live && m.targets.as_ref().map(|t| t.contains(&x)).unwrap_or(true))
-        })
-    }
-
-    fn any_work_left(&self) -> bool {
-        let len = self.msgs.len();
-        self.parts.iter().enumerate().any(|(x, p)| {
-            p.in_flight
-                || p.pending
-                || self.msgs[p.cursor..len]
-                    .iter()
-                    .any(|m| m.live && m.targets.as_ref().map(|t| t.contains(&x)).unwrap_or(true))
-        })
-    }
-
-    /// Reported iteration count: per-partition compute rounds when the
-    /// condition is `ITERATIONS n`, otherwise scheduler waves.
-    fn report_rounds(&self, waves: u64) -> u64 {
-        match self.tc {
-            Termination::Iterations(_) => self.parts.iter().map(|p| p.computes).max().unwrap_or(0),
-            _ => waves,
-        }
     }
 
     /// Waits for all in-flight tasks after a termination decision; returns
@@ -2000,19 +1629,29 @@ impl Scheduler<'_> {
         Ok(changed)
     }
 
-    /// Dumps the quiesced loop state. Callers must hold the quiesce
-    /// invariant (no in-flight task, no live message table).
-    fn parallel_snapshot(&mut self, rounds: u64, last_change: u64) -> SqloopResult<LoopSnapshot> {
-        let names = self.gen.names().clone();
-        let mut tables = Vec::with_capacity(self.parts.len() + 1);
-        for x in 0..self.parts.len() {
-            tables.push(dump_table_sql(
-                self.main,
-                &names.partition(x),
-                &self.part_cols,
-                Some(0),
-            )?);
+    /// Writes a checkpoint when one is due at `rounds` completed rounds;
+    /// returns the rows changed while quiescing (carry them into the next
+    /// round's tally).
+    fn maybe_checkpoint(&mut self, rounds: u64, last_change: u64) -> SqloopResult<u64> {
+        if !self.checkpointer.as_ref().is_some_and(|c| c.due(rounds)) {
+            return Ok(0);
         }
+        self.save_quiesced(rounds, last_change)
+    }
+
+    /// Quiesces and, when checkpointing is on, dumps the quiesced loop
+    /// state into a snapshot — the step behind periodic checkpoints,
+    /// cancellation and governed aborts. Returns the rows the quiesce
+    /// changed.
+    fn save_quiesced(&mut self, rounds: u64, last_change: u64) -> SqloopResult<u64> {
+        let carried = self.quiesce()?;
+        if self.checkpointer.is_none() {
+            return Ok(carried);
+        }
+        let names = self.gen.names().clone();
+        let mut tables = (0..self.parts.len())
+            .map(|x| dump_table_sql(self.main, &names.partition(x), &self.part_cols, Some(0)))
+            .collect::<SqloopResult<Vec<_>>>()?;
         if self.needs_delta {
             let visible: Vec<(String, DataType)> = self
                 .part_cols
@@ -2020,14 +1659,10 @@ impl Scheduler<'_> {
                 .filter(|(n, _)| !n.starts_with("__"))
                 .cloned()
                 .collect();
-            tables.push(dump_table_sql(
-                self.main,
-                &names.delta_snapshot(),
-                &visible,
-                None,
-            )?);
+            let delta = names.delta_snapshot();
+            tables.push(dump_table_sql(self.main, &delta, &visible, None)?);
         }
-        Ok(LoopSnapshot {
+        let snap = LoopSnapshot {
             fingerprint: self.fingerprint,
             mode: self.config.mode.label().into(),
             round: rounds,
@@ -2044,23 +1679,7 @@ impl Scheduler<'_> {
                 .collect(),
             seeds: (0..self.config.threads as u64).map(|i| i + 1).collect(),
             tables,
-        })
-    }
-
-    /// Writes a checkpoint when one is due at `rounds` completed rounds;
-    /// returns the rows changed while quiescing (carry them into the next
-    /// round's tally).
-    fn maybe_checkpoint(&mut self, rounds: u64, last_change: u64) -> SqloopResult<u64> {
-        let due = self
-            .checkpointer
-            .as_ref()
-            .map(|c| c.due(rounds))
-            .unwrap_or(false);
-        if !due {
-            return Ok(0);
-        }
-        let carried = self.quiesce()?;
-        let snap = self.parallel_snapshot(rounds, last_change)?;
+        };
         if let Some(ck) = self.checkpointer.as_mut() {
             let path = ck.save(&snap)?;
             trace_checkpoint(self.trace, rounds, &path);
@@ -2142,15 +1761,7 @@ impl Scheduler<'_> {
             format!("governed abort: {verdict}"),
         );
         obs::global().counter("sqloop.governed_aborts").inc();
-        self.quiesce()?;
-        if self.checkpointer.is_some() {
-            let snap = self.parallel_snapshot(rounds, last_change)?;
-            if let Some(ck) = self.checkpointer.as_mut() {
-                let path = ck.save(&snap)?;
-                trace_checkpoint(self.trace, rounds, &path);
-            }
-        }
-        Ok(())
+        self.save_quiesced(rounds, last_change).map(drop)
     }
 
     /// When the token is cancelled: quiesces, writes a final checkpoint
@@ -2168,16 +1779,247 @@ impl Scheduler<'_> {
             "cancelled at quiesce point",
         );
         obs::global().counter("sqloop.cancelled_runs").inc();
-        self.quiesce()?;
-        if self.checkpointer.is_some() {
-            let snap = self.parallel_snapshot(rounds, last_change)?;
-            if let Some(ck) = self.checkpointer.as_mut() {
-                let path = ck.save(&snap)?;
-                trace_checkpoint(self.trace, rounds, &path);
-            }
-        }
+        self.save_quiesced(rounds, last_change)?;
         self.cancelled = true;
         Ok(true)
+    }
+}
+
+/// What a step of [`Scheduler::run`] ended at.
+enum Boundary {
+    /// Still inside the round.
+    Within,
+    /// The round is over: count it and tick.
+    Round,
+    /// Cancelled mid-round with nothing in flight: stop without counting
+    /// the partial round.
+    Cancel,
+    /// Nothing in flight and nothing left to run: the loop is done.
+    Quiescent,
+}
+
+/// The scheduling policy of paper §V-E: which task runs next, when a round
+/// is over, and when the loop has terminated. [`Scheduler::run`] owns
+/// everything else.
+enum Policy {
+    /// Two phases per round, each ended by a barrier: every partition
+    /// computes, then every partition with unread messages gathers.
+    Sync {
+        /// The current phase's tasks, built when the phase starts.
+        queue: VecDeque<Task>,
+        /// In the gather phase: the rows the compute phase changed, which
+        /// is what a failure reports as the last change.
+        gathering: Option<u64>,
+    },
+    /// Blind round-robin (paper Fig. 3): every round, every partition gets
+    /// a Gather (when unread message tables exist) and a Compute — no
+    /// barrier between rounds, so tasks of round *i+1* start while
+    /// stragglers of round *i* are still running, and Gathers consume
+    /// whatever intermediate results already exist. The speedup over Sync
+    /// comes purely from that freshness; like the paper's Async, it does
+    /// not skip idle partitions — that is AsyncP's job.
+    Async {
+        /// Partitions that used their Gather slot this round.
+        gathered: Vec<bool>,
+        /// Partitions that used their Compute slot this round.
+        computed: Vec<bool>,
+    },
+    /// Priority order ([`Scheduler::pick_prio`]); a round is a wave of
+    /// `2·partitions` completions.
+    AsyncPrio {
+        /// Tasks completed in the current wave.
+        completions: usize,
+        /// Completions per wave.
+        per_round: usize,
+    },
+}
+
+impl Policy {
+    fn for_mode(mode: ExecutionMode, partitions: usize) -> SqloopResult<Policy> {
+        Ok(match mode {
+            ExecutionMode::Sync => Policy::Sync {
+                queue: VecDeque::new(),
+                gathering: None,
+            },
+            ExecutionMode::Async => Policy::Async {
+                gathered: vec![false; partitions],
+                computed: vec![false; partitions],
+            },
+            ExecutionMode::AsyncPrio => Policy::AsyncPrio {
+                completions: 0,
+                per_round: (2 * partitions).max(1),
+            },
+            ExecutionMode::Single => {
+                return Err(SqloopError::Config(
+                    "single mode must use the single-threaded executor".into(),
+                ))
+            }
+        })
+    }
+
+    fn begin(&mut self, s: &mut Scheduler) -> SqloopResult<()> {
+        if let Policy::AsyncPrio { .. } = self {
+            s.init_priorities()?;
+        }
+        self.next_round(s)
+    }
+
+    /// Opens the next round.
+    fn next_round(&mut self, s: &mut Scheduler) -> SqloopResult<()> {
+        match self {
+            Policy::Sync { queue, gathering } => {
+                *queue = (0..s.parts.len())
+                    .map(|x| s.build_compute(x))
+                    .collect::<SqloopResult<_>>()?;
+                *gathering = None;
+            }
+            Policy::Async { gathered, computed } => {
+                gathered.fill(false);
+                computed.fill(false);
+            }
+            Policy::AsyncPrio { completions, .. } => *completions = 0,
+        }
+        Ok(())
+    }
+
+    /// The next task to dispatch, if one can run now.
+    ///
+    /// Blind Async scans in partition order, so the first partition that
+    /// still owes the round a task gets it: a partition whose Gather just
+    /// finished is ahead of everything the scan has not reached yet, and
+    /// its Compute is the next task picked — the `G;C` pairing of paper
+    /// Fig. 3, which is what lets a message produced earlier in a round be
+    /// gathered *and* applied later in the same round, however many tasks
+    /// are dispatched at once.
+    fn next(&mut self, s: &mut Scheduler) -> SqloopResult<Option<Task>> {
+        match self {
+            Policy::Sync { queue, .. } => Ok(queue.pop_front()),
+            Policy::Async { gathered, computed } => {
+                for x in 0..s.parts.len() {
+                    if s.parts[x].in_flight {
+                        continue;
+                    }
+                    if !gathered[x] {
+                        gathered[x] = true;
+                        if let Some(t) = s.build_gather(x)? {
+                            return Ok(Some(t));
+                        }
+                    }
+                    if !computed[x] && s.compute_allowed(x) {
+                        computed[x] = true;
+                        return s.build_compute(x).map(Some);
+                    }
+                }
+                Ok(None)
+            }
+            Policy::AsyncPrio { .. } => s.pick_prio(),
+        }
+    }
+
+    /// After a task completed: AsyncP's wave is over after `per_round`.
+    fn completed(&mut self) -> Boundary {
+        if let Policy::AsyncPrio {
+            completions,
+            per_round,
+        } = self
+        {
+            *completions += 1;
+            if *completions >= *per_round {
+                return Boundary::Round;
+            }
+        }
+        Boundary::Within
+    }
+
+    /// Nothing in flight and nothing dispatched: Sync's phase has reached
+    /// its barrier; blind Async's round has used every slot (its scan found
+    /// nothing left); AsyncP has nothing left that can contribute. A
+    /// cancelled Sync run still finishes its round (partially), the Async
+    /// policies stop mid-round.
+    fn idle(&mut self, s: &mut Scheduler, tally: u64) -> SqloopResult<Boundary> {
+        let cancelled = s.cancel.cancelled();
+        Ok(match self {
+            Policy::Sync { queue, gathering } => {
+                // a cancelled phase drops the tasks it never dispatched
+                queue.clear();
+                let phase = match gathering {
+                    Some(_) => "gather phase",
+                    None => "compute phase",
+                };
+                s.trace
+                    .event(EventKind::Barrier, None, Some(s.round), phase);
+                if gathering.is_some() {
+                    return Ok(Boundary::Round);
+                }
+                *gathering = Some(tally);
+                for x in 0..s.parts.len() {
+                    if let Some(t) = s.build_gather(x)? {
+                        queue.push_back(t);
+                    }
+                }
+                Boundary::Within
+            }
+            _ if cancelled => Boundary::Cancel,
+            Policy::Async { .. } => Boundary::Round,
+            Policy::AsyncPrio { .. } => Boundary::Quiescent,
+        })
+    }
+
+    /// Checks the termination condition at a counted round boundary.
+    fn terminated(&self, s: &mut Scheduler, rounds: u64, tally: u64) -> SqloopResult<bool> {
+        let tc = s.tc;
+        Ok(match (self, tc) {
+            // a cancelled round ran partially — its (under-counted) change
+            // tally must not drive a termination decision
+            (Policy::Sync { .. }, _) => !s.cancel.cancelled() && s.tc_check(rounds, tally)?,
+            (_, Termination::Data { .. } | Termination::Delta { .. }) => {
+                s.tc_check(rounds, tally)?
+            }
+            // capped partitions can hold pending deltas forever, so blind
+            // Iterations completes once caps are hit and messages are
+            // drained; AsyncP runs until nothing can contribute
+            (Policy::Async { .. }, Termination::Iterations(n)) => {
+                s.parts.iter().all(|p| p.computes >= *n)
+                    && (0..s.parts.len()).all(|x| s.unread_count(x) == 0)
+            }
+            (Policy::AsyncPrio { .. }, Termination::Iterations(_)) => false,
+            (Policy::Async { .. }, Termination::Updates(n)) => tally <= *n,
+            (Policy::AsyncPrio { .. }, Termination::Updates(n)) => {
+                tally <= *n
+                    && (0..s.parts.len()).all(|x| {
+                        let p = &s.parts[x];
+                        !p.in_flight && !p.pending && s.unread_count(x) == 0
+                    })
+            }
+        })
+    }
+
+    /// Rows changed so far that a failure reports as the last change.
+    fn committed(&self, tally: u64) -> u64 {
+        match self {
+            Policy::Sync { gathering, .. } => gathering.unwrap_or(0),
+            _ => tally,
+        }
+    }
+
+    /// Reported iteration count: Sync's rounds; for the Async policies,
+    /// per-partition compute rounds when the condition is `ITERATIONS n`,
+    /// otherwise scheduler rounds.
+    fn reported(&self, s: &Scheduler, rounds: u64) -> u64 {
+        match (self, s.tc) {
+            (Policy::Async { .. } | Policy::AsyncPrio { .. }, Termination::Iterations(_)) => {
+                s.parts.iter().map(|p| p.computes).max().unwrap_or(0)
+            }
+            _ => rounds,
+        }
+    }
+
+    /// What the `max_iterations` cap counts.
+    fn unit(&self) -> &'static str {
+        match self {
+            Policy::Sync { .. } => "iterations",
+            _ => "rounds",
+        }
     }
 }
 

@@ -179,94 +179,27 @@ fn recursive_loop(
 /// per iteration, materialize `Ri` into `Rtmp`, then update `R` matching on
 /// the key column, until the termination condition holds.
 ///
-/// # Errors
-/// Engine errors, or [`SqloopError::Semantic`] when `max_iterations` is hit.
-pub fn run_iterative_single(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
-    keep_artifacts: bool,
-) -> SqloopResult<RunOutcome> {
-    run_iterative_single_observed(
-        conn,
-        cte,
-        max_iterations,
-        keep_artifacts,
-        &TraceHandle::disabled(),
-    )
-}
-
-/// Like [`run_iterative_single`], recording one [`SpanKind::Iteration`] span
-/// per loop iteration (with the updated-row count) into `trace`.
+/// Each iteration is recorded as one [`SpanKind::Iteration`] span (with the
+/// updated-row count) into `trace`, and — with a `cache_probe` — its
+/// plan-cache hits and misses. `cancel` is checked at every iteration
+/// boundary: a cancelled run still answers `Qf` over the partial fix-point
+/// and reports `cancelled = true`. `checkpointer` writes periodic
+/// checkpoints, and `resume` continues from a [`LoopSnapshot`] instead of
+/// running the seed query (the snapshot's fingerprint must match this
+/// query).
+///
+/// Under resource governance, watchdog verdicts (round budget, numeric
+/// divergence, flat delta trend) and engine memory-budget trips abort the
+/// run *governed*: the engine limit is lifted, a final checkpoint is
+/// written (when checkpointing is on), and a typed
+/// [`SqloopError::BudgetExceeded`]/[`SqloopError::NumericDivergence`] is
+/// returned so the run can resume under a larger budget.
 ///
 /// # Errors
-/// Engine errors, or [`SqloopError::Semantic`] when `max_iterations` is hit.
-pub fn run_iterative_single_observed(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
-    keep_artifacts: bool,
-    trace: &TraceHandle,
-) -> SqloopResult<RunOutcome> {
-    run_iterative_single_durable(
-        conn,
-        cte,
-        max_iterations,
-        keep_artifacts,
-        trace,
-        &CancelToken::new(),
-        None,
-        None,
-    )
-}
-
-/// [`run_iterative_single_observed`] with durability controls: cooperative
-/// cancellation via `cancel` (checked at every iteration boundary — a
-/// cancelled run still answers `Qf` over the partial fix-point and reports
-/// `cancelled = true`), periodic checkpoints through `checkpointer`, and
-/// `resume` to continue from a [`LoopSnapshot`] instead of running the seed
-/// query (the snapshot's fingerprint must match this query).
-///
-/// # Errors
-/// Engine errors, [`SqloopError::Semantic`] when `max_iterations` is hit, or
-/// [`SqloopError::Checkpoint`] for snapshot/fingerprint problems. Scratch
-/// tables are dropped on every path unless `keep_artifacts`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_iterative_single_durable(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
-    keep_artifacts: bool,
-    trace: &TraceHandle,
-    cancel: &CancelToken,
-    checkpointer: Option<&mut Checkpointer>,
-    resume: Option<&LoopSnapshot>,
-) -> SqloopResult<RunOutcome> {
-    run_iterative_single_governed(
-        conn,
-        cte,
-        max_iterations,
-        keep_artifacts,
-        trace,
-        cancel,
-        checkpointer,
-        resume,
-        &mut Governance::none(),
-        None,
-    )
-}
-
-/// [`run_iterative_single_durable`] under resource governance: watchdog
-/// verdicts (round budget, numeric divergence, flat delta trend) and engine
-/// memory-budget trips abort the run *governed* — the engine limit is
-/// lifted, a final checkpoint is written (when checkpointing is on), and a
-/// typed [`SqloopError::BudgetExceeded`]/[`SqloopError::NumericDivergence`]
-/// is returned so the run can resume under a larger budget. With a
-/// `cache_probe`, each iteration's plan-cache hits and misses go into the
-/// trace.
-///
-/// # Errors
-/// As [`run_iterative_single_durable`], plus the governance verdicts above.
+/// Engine errors, [`SqloopError::Semantic`] when `max_iterations` is hit,
+/// [`SqloopError::Checkpoint`] for snapshot/fingerprint problems, or the
+/// governance verdicts above. Scratch tables are dropped on every path
+/// unless `keep_artifacts`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_iterative_single_governed(
     conn: &mut dyn Connection,
@@ -281,18 +214,24 @@ pub fn run_iterative_single_governed(
     cache_probe: Option<PlanCacheProbe>,
 ) -> SqloopResult<RunOutcome> {
     let names = CteNames::new(&cte.name);
-    match iterative_loop(
-        conn,
-        cte,
-        max_iterations,
-        &names,
-        trace,
-        cancel,
-        checkpointer,
-        resume,
-        governance,
-        cache_probe,
-    ) {
+    let out = start_single(conn, cte, &names, trace, resume).and_then(|(schema, at, last)| {
+        let mut run = SingleRun {
+            conn: &mut *conn,
+            cte,
+            names: &names,
+            schema,
+            trace,
+            checkpointer,
+            governance,
+            iterations: at,
+            last_updates: last,
+        };
+        // an engine memory-budget trip anywhere in the loop becomes a
+        // governed abort here, from the state the loop had reached
+        run.iterate(max_iterations, cancel, cache_probe)
+            .map_err(|e| run.govern(e))
+    });
+    match out {
         Ok(out) => {
             cleanup(conn, &names, keep_artifacts)?;
             Ok(out)
@@ -304,402 +243,297 @@ pub fn run_iterative_single_governed(
     }
 }
 
-/// The single-threaded loop's state tables, dumped for a checkpoint: the
-/// CTE table `R`, plus the delta snapshot when the termination condition
-/// reads one.
-fn single_snapshot(
+/// Creates `R` from the seed query, or restores it from `resume`; returns
+/// its schema and the `(iterations, last change)` the loop starts from.
+fn start_single(
     conn: &mut dyn Connection,
     cte: &IterativeCte,
-    names: &CteNames,
-    schema: &CteSchema,
-    iterations: u64,
-    last_updates: u64,
-) -> SqloopResult<LoopSnapshot> {
-    let cols: Vec<(String, DataType)> = schema
-        .columns
-        .iter()
-        .cloned()
-        .zip(schema.types.iter().copied())
-        .collect();
-    let mut tables = vec![dump_table_sql(conn, &cte.name, &cols, Some(0))?];
-    if cte.termination.needs_delta_snapshot() {
-        tables.push(dump_table_sql(conn, &names.delta_snapshot(), &cols, None)?);
-    }
-    Ok(LoopSnapshot {
-        fingerprint: run_fingerprint(cte, "Single", 1),
-        mode: "Single".into(),
-        round: iterations,
-        last_change: last_updates,
-        parts: Vec::new(),
-        seeds: Vec::new(),
-        tables,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn iterative_loop(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
     names: &CteNames,
     trace: &TraceHandle,
-    cancel: &CancelToken,
-    mut checkpointer: Option<&mut Checkpointer>,
     resume: Option<&LoopSnapshot>,
-    governance: &mut Governance<'_>,
-    mut cache_probe: Option<PlanCacheProbe>,
-) -> SqloopResult<RunOutcome> {
-    let schema;
-    let mut iterations;
-    let mut last_updates;
-    if let Some(snap) = resume {
-        check_fingerprint(snap, run_fingerprint(cte, "Single", 1), "Single")?;
-        let main = snap
-            .tables
-            .iter()
-            .find(|t| t.name == cte.name)
-            .ok_or_else(|| {
-                SqloopError::Checkpoint(format!("snapshot holds no table named {}", cte.name))
-            })?;
-        schema = CteSchema {
-            columns: main.columns.iter().map(|c| c.name.clone()).collect(),
-            types: main.columns.iter().map(|c| c.data_type).collect(),
-        };
-        for t in &snap.tables {
-            restore_table_sql(conn, t, 512)?;
-        }
-        iterations = snap.round;
-        last_updates = snap.last_change;
-        trace.event(
-            EventKind::Resume,
-            None,
-            Some(iterations),
-            format!("resumed single-threaded run at iteration {iterations}"),
-        );
-    } else {
-        schema = create_cte_table(conn, &cte.name, &cte.columns, &cte.seed, true, true)?;
+) -> SqloopResult<(CteSchema, u64, u64)> {
+    let Some(snap) = resume else {
+        let schema = create_cte_table(conn, &cte.name, &cte.columns, &cte.seed, true, true)?;
         if cte.termination.needs_delta_snapshot() {
             refresh_delta_snapshot(conn, names)?;
         }
-        iterations = 0;
-        last_updates = 0;
-    }
-
-    // the hot loop's statements, prepared once: the scratch table is
-    // created here and *emptied* (not recreated) every round, so the
-    // INSERT/UPDATE plans survive in the engine's plan cache — per-round
-    // DDL would invalidate them
-    let tmp = names.tmp();
-    let profile = conn.profile();
-    run(conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
-    run(
-        conn,
-        &format!("CREATE TABLE {tmp} ({})", schema.create_columns_sql(true)),
-    )?;
-    let mut clear_tmp =
-        PreparedStatement::new(translate_sql(&format!("DELETE FROM {tmp}"), profile)?);
-    // Rtmp := Ri
-    let step_sql = translate_query_to_sql(&cte.step, profile);
-    let mut fill_tmp = PreparedStatement::new(format!(
-        "INSERT INTO {} {}",
-        profile.dialect().quote(&tmp),
-        step_sql
-    ));
-    // R := R ⟵ Rtmp matched on Rid (only Rid ∩ Rtmp_id rows change)
-    let assignments = schema.columns[1..]
+        return Ok((schema, 0, 0));
+    };
+    check_fingerprint(snap, run_fingerprint(cte, "Single", 1), "Single")?;
+    let main = snap
+        .tables
         .iter()
-        .map(|c| format!("{c} = {tmp}.{c}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let mut apply = PreparedStatement::new(translate_sql(
-        &format!(
-            "UPDATE {r} SET {assignments} FROM {tmp} WHERE {r}.{k} = {tmp}.{k}",
-            r = cte.name,
-            k = schema.key(),
-        ),
-        profile,
-    )?);
-    let mut probe = TerminationProbe::new(&cte.name, &cte.termination, profile)?;
-    let mut refresher = cte
-        .termination
-        .needs_delta_snapshot()
-        .then(|| DeltaRefresher::new(names, profile))
-        .transpose()?;
-
-    let mut cancelled = false;
-    loop {
-        if cancel.cancelled() {
-            trace.event(
-                EventKind::Cancel,
-                None,
-                Some(iterations),
-                "cancelled at iteration boundary",
-            );
-            obs::global().counter("sqloop.cancelled_runs").inc();
-            if let Some(ck) = checkpointer.as_deref_mut() {
-                let snap = single_snapshot(conn, cte, names, &schema, iterations, last_updates)?;
-                let path = ck.save(&snap)?;
-                trace_checkpoint(trace, iterations, &path);
-            }
-            cancelled = true;
-            break;
-        }
-        let span_start = trace.now_us();
-        // panic boundary: a panicking statement (an engine bug, an injected
-        // chaos panic) must degrade into a typed error, never unwind
-        // through the caller — the session is rolled back first so any
-        // locks the panic left held are released
-        let round_result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> SqloopResult<u64> {
-                clear_tmp.execute(&mut *conn, &[])?;
-                fill_tmp.execute(&mut *conn, &[])?;
-                Ok(apply.execute(&mut *conn, &[])?.rows_affected())
-            }))
-            .unwrap_or_else(|payload| {
-                let detail = panic_detail(payload.as_ref());
-                let _ = conn.execute("ROLLBACK");
-                obs::global()
-                    .counter("sqloop.supervisor.panics_caught")
-                    .inc();
-                trace.event(
-                    EventKind::Panic,
-                    None,
-                    Some(iterations),
-                    format!("absorbed a panicking statement: {detail}"),
-                );
-                Err(SqloopError::WorkerPanic {
-                    worker: None,
-                    detail: format!("single-threaded iteration {}: {detail}", iterations + 1),
-                })
-            });
-        let updated = match round_result {
-            Ok(u) => u,
-            // the engine's memory budget tripped mid-round; statement
-            // atomicity rolled the failed statement back, so R still holds
-            // round `iterations` — abort governed from that state
-            Err(e) => {
-                return Err(govern_failure(
-                    e,
-                    conn,
-                    cte,
-                    names,
-                    &schema,
-                    iterations,
-                    last_updates,
-                    trace,
-                    checkpointer.as_deref_mut(),
-                    governance,
-                ))
-            }
-        };
-        last_updates = updated;
-        iterations += 1;
-        if trace.is_enabled() {
-            trace.span(Span {
-                kind: SpanKind::Iteration,
-                partition: None,
-                iteration: Some(iterations),
-                worker: None,
-                attempt: 1,
-                rows: updated,
-                outcome: SpanOutcome::Ok,
-                start_us: span_start,
-                end_us: trace.now_us(),
-            });
-        }
-        if let Some(probe) = &mut cache_probe {
-            probe.tick(trace, iterations, "Single");
-        }
-
-        // the termination probe and delta refresh also run engine statements
-        // that can trip the memory budget — keep them governed too
-        let tail = probe
-            .satisfied(&mut *conn, iterations, last_updates)
-            .and_then(|done| {
-                if let Some(r) = refresher.as_mut() {
-                    r.refresh(&mut *conn)?;
-                }
-                Ok(done)
-            });
-        let done = match tail {
-            Ok(done) => done,
-            Err(e) => {
-                return Err(govern_failure(
-                    e,
-                    conn,
-                    cte,
-                    names,
-                    &schema,
-                    iterations,
-                    last_updates,
-                    trace,
-                    checkpointer.as_deref_mut(),
-                    governance,
-                ))
-            }
-        };
-        if done {
-            break;
-        }
-        let watchdog_verdict = match governance.watchdog.as_mut() {
-            Some(w) => w
-                .check_round(iterations, updated)
-                .and_then(|()| {
-                    w.probe_table(
-                        conn,
-                        &cte.name,
-                        &schema.columns,
-                        &schema.types,
-                        None,
-                        iterations,
-                    )
-                })
-                .err(),
-            None => None,
-        };
-        if let Some(verdict) = watchdog_verdict {
-            governed_abort(
-                conn,
-                cte,
-                names,
-                &schema,
-                iterations,
-                last_updates,
-                trace,
-                checkpointer.as_deref_mut(),
-                governance,
-                &verdict,
-            )?;
-            return Err(verdict);
-        }
-        if checkpointer.as_deref().is_some_and(|ck| ck.due(iterations)) {
-            let snap = match single_snapshot(conn, cte, names, &schema, iterations, last_updates) {
-                Ok(snap) => snap,
-                Err(e) => {
-                    return Err(govern_failure(
-                        e,
-                        conn,
-                        cte,
-                        names,
-                        &schema,
-                        iterations,
-                        last_updates,
-                        trace,
-                        checkpointer.as_deref_mut(),
-                        governance,
-                    ))
-                }
-            };
-            let ck = checkpointer
-                .as_deref_mut()
-                .expect("due implies checkpointer");
-            let path = ck.save(&snap)?;
-            trace_checkpoint(trace, iterations, &path);
-        }
-        if iterations >= max_iterations {
-            return Err(SqloopError::Semantic(format!(
-                "termination condition not satisfied within {max_iterations} iterations"
-            )));
-        }
+        .find(|t| t.name == cte.name)
+        .ok_or_else(|| {
+            SqloopError::Checkpoint(format!("snapshot holds no table named {}", cte.name))
+        })?;
+    let schema = CteSchema {
+        columns: main.columns.iter().map(|c| c.name.clone()).collect(),
+        types: main.columns.iter().map(|c| c.data_type).collect(),
+    };
+    for t in &snap.tables {
+        restore_table_sql(conn, t, 512)?;
     }
-    run(conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
-
-    let final_sql = translate_query_to_sql(&cte.final_query, conn.profile());
-    let result = match conn.query(&final_sql) {
-        Ok(r) => r,
-        Err(e) => {
-            return Err(govern_failure(
-                SqloopError::from(e),
-                conn,
-                cte,
-                names,
-                &schema,
-                iterations,
-                last_updates,
-                trace,
-                checkpointer,
-                governance,
-            ))
-        }
-    };
-    Ok(RunOutcome {
-        result,
-        iterations,
-        last_change: last_updates,
-        cancelled,
-    })
-}
-
-/// Converts an engine memory-budget trip anywhere in the loop into a
-/// governed abort, returning the typed verdict; every other error passes
-/// through unchanged. When the abort itself fails the original trip is
-/// surfaced so the failure is not masked.
-#[allow(clippy::too_many_arguments)]
-fn govern_failure(
-    e: SqloopError,
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    names: &CteNames,
-    schema: &CteSchema,
-    iterations: u64,
-    last_updates: u64,
-    trace: &TraceHandle,
-    checkpointer: Option<&mut Checkpointer>,
-    governance: &Governance<'_>,
-) -> SqloopError {
-    let SqloopError::Db(DbError::BudgetExceeded(m)) = e else {
-        return e;
-    };
-    let verdict = SqloopError::BudgetExceeded {
-        what: format!("memory ({m})"),
-        round: iterations,
-    };
-    match governed_abort(
-        conn,
-        cte,
-        names,
-        schema,
-        iterations,
-        last_updates,
-        trace,
-        checkpointer,
-        governance,
-        &verdict,
-    ) {
-        Ok(()) => verdict,
-        Err(_) => SqloopError::Db(DbError::BudgetExceeded(m)),
-    }
-}
-
-/// Lifts the engine memory limit, records the verdict, and writes a final
-/// checkpoint so a governed abort is always resumable under a larger budget.
-#[allow(clippy::too_many_arguments)]
-fn governed_abort(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    names: &CteNames,
-    schema: &CteSchema,
-    iterations: u64,
-    last_updates: u64,
-    trace: &TraceHandle,
-    checkpointer: Option<&mut Checkpointer>,
-    governance: &Governance<'_>,
-    verdict: &SqloopError,
-) -> SqloopResult<()> {
-    governance.lift_memory_limit();
     trace.event(
-        EventKind::Watchdog,
+        EventKind::Resume,
         None,
-        Some(iterations),
-        format!("governed abort: {verdict}"),
+        Some(snap.round),
+        format!("resumed single-threaded run at iteration {}", snap.round),
     );
-    obs::global().counter("sqloop.governed_aborts").inc();
-    if let Some(ck) = checkpointer {
-        let snap = single_snapshot(conn, cte, names, schema, iterations, last_updates)?;
-        let path = ck.save(&snap)?;
-        trace_checkpoint(trace, iterations, &path);
+    Ok((schema, snap.round, snap.last_change))
+}
+
+/// One single-threaded run past setup: the loop position, plus everything a
+/// checkpoint or a governed abort of that position needs.
+struct SingleRun<'a, 'g> {
+    conn: &'a mut dyn Connection,
+    cte: &'a IterativeCte,
+    names: &'a CteNames,
+    schema: CteSchema,
+    trace: &'a TraceHandle,
+    checkpointer: Option<&'a mut Checkpointer>,
+    governance: &'a mut Governance<'g>,
+    /// Completed iterations.
+    iterations: u64,
+    /// Rows the last completed iteration updated.
+    last_updates: u64,
+}
+
+impl SingleRun<'_, '_> {
+    fn iterate(
+        &mut self,
+        max_iterations: u64,
+        cancel: &CancelToken,
+        mut cache_probe: Option<PlanCacheProbe>,
+    ) -> SqloopResult<RunOutcome> {
+        let (cte, names, trace) = (self.cte, self.names, self.trace);
+        // the hot loop's statements, prepared once: the scratch table is
+        // created here and *emptied* (not recreated) every round, so the
+        // INSERT/UPDATE plans survive in the engine's plan cache — per-round
+        // DDL would invalidate them
+        let tmp = names.tmp();
+        let profile = self.conn.profile();
+        run(self.conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
+        run(
+            self.conn,
+            &format!(
+                "CREATE TABLE {tmp} ({})",
+                self.schema.create_columns_sql(true)
+            ),
+        )?;
+        let mut clear_tmp =
+            PreparedStatement::new(translate_sql(&format!("DELETE FROM {tmp}"), profile)?);
+        // Rtmp := Ri
+        let step_sql = translate_query_to_sql(&cte.step, profile);
+        let mut fill_tmp = PreparedStatement::new(format!(
+            "INSERT INTO {} {}",
+            profile.dialect().quote(&tmp),
+            step_sql
+        ));
+        // R := R ⟵ Rtmp matched on Rid (only Rid ∩ Rtmp_id rows change)
+        let assignments = self.schema.columns[1..]
+            .iter()
+            .map(|c| format!("{c} = {tmp}.{c}"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let mut apply = PreparedStatement::new(translate_sql(
+            &format!(
+                "UPDATE {r} SET {assignments} FROM {tmp} WHERE {r}.{k} = {tmp}.{k}",
+                r = cte.name,
+                k = self.schema.key(),
+            ),
+            profile,
+        )?);
+        let mut probe = TerminationProbe::new(&cte.name, &cte.termination, profile)?;
+        let mut refresher = cte
+            .termination
+            .needs_delta_snapshot()
+            .then(|| DeltaRefresher::new(names, profile))
+            .transpose()?;
+
+        let mut cancelled = false;
+        loop {
+            if cancel.cancelled() {
+                trace.event(
+                    EventKind::Cancel,
+                    None,
+                    Some(self.iterations),
+                    "cancelled at iteration boundary",
+                );
+                obs::global().counter("sqloop.cancelled_runs").inc();
+                self.save()?;
+                cancelled = true;
+                break;
+            }
+            let span_start = trace.now_us();
+            // panic boundary: a panicking statement (an engine bug, an
+            // injected chaos panic) must degrade into a typed error, never
+            // unwind through the caller — the session is rolled back first
+            // so any locks the panic left held are released. A failed
+            // statement was rolled back by statement atomicity, so R still
+            // holds round `iterations`.
+            let conn = &mut *self.conn;
+            let updated =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> SqloopResult<u64> {
+                    clear_tmp.execute(&mut *conn, &[])?;
+                    fill_tmp.execute(&mut *conn, &[])?;
+                    Ok(apply.execute(&mut *conn, &[])?.rows_affected())
+                }))
+                .unwrap_or_else(|payload| {
+                    let detail = panic_detail(payload.as_ref());
+                    let _ = conn.execute("ROLLBACK");
+                    obs::global()
+                        .counter("sqloop.supervisor.panics_caught")
+                        .inc();
+                    trace.event(
+                        EventKind::Panic,
+                        None,
+                        Some(self.iterations),
+                        format!("absorbed a panicking statement: {detail}"),
+                    );
+                    Err(SqloopError::WorkerPanic {
+                        worker: None,
+                        detail: format!(
+                            "single-threaded iteration {}: {detail}",
+                            self.iterations + 1
+                        ),
+                    })
+                })?;
+            self.last_updates = updated;
+            self.iterations += 1;
+            let iterations = self.iterations;
+            if trace.is_enabled() {
+                trace.span(Span {
+                    kind: SpanKind::Iteration,
+                    partition: None,
+                    iteration: Some(iterations),
+                    worker: None,
+                    attempt: 1,
+                    rows: updated,
+                    outcome: SpanOutcome::Ok,
+                    start_us: span_start,
+                    end_us: trace.now_us(),
+                });
+            }
+            if let Some(probe) = &mut cache_probe {
+                probe.tick(trace, iterations, "Single");
+            }
+
+            let done = probe.satisfied(&mut *self.conn, iterations, updated)?;
+            if let Some(r) = refresher.as_mut() {
+                r.refresh(&mut *self.conn)?;
+            }
+            if done {
+                break;
+            }
+            let watchdog_verdict = match self.governance.watchdog.as_mut() {
+                Some(w) => w
+                    .check_round(iterations, updated)
+                    .and_then(|()| {
+                        w.probe_table(
+                            &mut *self.conn,
+                            &cte.name,
+                            &self.schema.columns,
+                            &self.schema.types,
+                            None,
+                            iterations,
+                        )
+                    })
+                    .err(),
+                None => None,
+            };
+            if let Some(verdict) = watchdog_verdict {
+                self.governed_abort(&verdict)?;
+                return Err(verdict);
+            }
+            if self
+                .checkpointer
+                .as_deref()
+                .is_some_and(|ck| ck.due(iterations))
+            {
+                self.save()?;
+            }
+            if iterations >= max_iterations {
+                return Err(SqloopError::Semantic(format!(
+                    "termination condition not satisfied within {max_iterations} iterations"
+                )));
+            }
+        }
+        run(self.conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
+
+        let final_sql = translate_query_to_sql(&cte.final_query, self.conn.profile());
+        Ok(RunOutcome {
+            result: self.conn.query(&final_sql)?,
+            iterations: self.iterations,
+            last_change: self.last_updates,
+            cancelled,
+        })
     }
-    Ok(())
+
+    /// Writes a checkpoint of the current position (when checkpointing is
+    /// on): the CTE table `R`, plus the delta snapshot when the termination
+    /// condition reads one.
+    fn save(&mut self) -> SqloopResult<()> {
+        let Some(ck) = self.checkpointer.as_deref_mut() else {
+            return Ok(());
+        };
+        let cols: Vec<(String, DataType)> = self
+            .schema
+            .columns
+            .iter()
+            .cloned()
+            .zip(self.schema.types.iter().copied())
+            .collect();
+        let mut tables = vec![dump_table_sql(self.conn, &self.cte.name, &cols, Some(0))?];
+        if self.cte.termination.needs_delta_snapshot() {
+            let delta = self.names.delta_snapshot();
+            tables.push(dump_table_sql(self.conn, &delta, &cols, None)?);
+        }
+        let path = ck.save(&LoopSnapshot {
+            fingerprint: run_fingerprint(self.cte, "Single", 1),
+            mode: "Single".into(),
+            round: self.iterations,
+            last_change: self.last_updates,
+            parts: Vec::new(),
+            seeds: Vec::new(),
+            tables,
+        })?;
+        trace_checkpoint(self.trace, self.iterations, &path);
+        Ok(())
+    }
+
+    /// Converts an engine memory-budget trip into a governed abort,
+    /// returning the typed verdict; every other error passes through
+    /// unchanged. When the abort itself fails the original trip is surfaced
+    /// so the failure is not masked.
+    fn govern(&mut self, e: SqloopError) -> SqloopError {
+        let SqloopError::Db(DbError::BudgetExceeded(m)) = e else {
+            return e;
+        };
+        let verdict = SqloopError::BudgetExceeded {
+            what: format!("memory ({m})"),
+            round: self.iterations,
+        };
+        match self.governed_abort(&verdict) {
+            Ok(()) => verdict,
+            Err(_) => SqloopError::Db(DbError::BudgetExceeded(m)),
+        }
+    }
+
+    /// Lifts the engine memory limit, records the verdict, and writes a
+    /// final checkpoint so a governed abort is always resumable under a
+    /// larger budget.
+    fn governed_abort(&mut self, verdict: &SqloopError) -> SqloopResult<()> {
+        self.governance.lift_memory_limit();
+        self.trace.event(
+            EventKind::Watchdog,
+            None,
+            Some(self.iterations),
+            format!("governed abort: {verdict}"),
+        );
+        obs::global().counter("sqloop.governed_aborts").inc();
+        self.save()
+    }
 }
 
 fn cleanup(conn: &mut dyn Connection, names: &CteNames, keep: bool) -> SqloopResult<()> {
@@ -746,6 +580,26 @@ mod tests {
             SqloopQuery::Iterative(c) => c,
             other => panic!("expected iterative: {other:?}"),
         }
+    }
+
+    fn run_iterative_single(
+        conn: &mut dyn Connection,
+        cte: &IterativeCte,
+        max_iterations: u64,
+        keep_artifacts: bool,
+    ) -> SqloopResult<RunOutcome> {
+        run_iterative_single_governed(
+            conn,
+            cte,
+            max_iterations,
+            keep_artifacts,
+            &TraceHandle::disabled(),
+            &CancelToken::new(),
+            None,
+            None,
+            &mut Governance::none(),
+            None,
+        )
     }
 
     fn recursive(sql: &str) -> RecursiveCte {

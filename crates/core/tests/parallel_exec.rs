@@ -704,6 +704,189 @@ fn a_task_queued_behind_a_stalled_worker_is_run_by_its_replacement() {
     }
 }
 
+// -- the schedules the scheduler loop must keep -----------------------------
+
+/// PageRank stopped by a DELTA condition over the `<R>delta` snapshot.
+fn pagerank_until_delta() -> String {
+    PAGERANK.replace(
+        "UNTIL 10 ITERATIONS",
+        "UNTIL DELTA SELECT SUM(PageRank.Rank) - SUM(PageRankdelta.Rank) \
+         FROM PageRank, PageRankdelta < 4.0",
+    )
+}
+
+/// `(iterations, last_change, computes, gathers, messages)` of a run.
+type Counts = (u64, u64, u64, u64, u64);
+
+/// One parallel run at `threads = 1` as the scheduler reports it: its
+/// `(iterations, last_change, computes, gathers, messages)` (or the error
+/// text), its recovery counters, and its round / barrier / checkpoint /
+/// watchdog trace events in order, one word each — `r<round>=<changed>`,
+/// `b<round>`, `c<round>`, `w<round>`.
+fn schedule(
+    db: &Database,
+    mode: ExecutionMode,
+    sql: &str,
+    configure: impl FnOnce(&mut SqloopConfig),
+) -> (Result<Counts, String>, sqloop::RecoveryCounters, String) {
+    use obs::EventKind;
+    let sq = {
+        let mut sq = sqloop_for(db, mode, 1, 4);
+        if sql.contains("sssp") {
+            sq.config_mut().priority = Some(PrioritySpec::lowest("SELECT MIN(delta) FROM {}"));
+        }
+        configure(sq.config_mut());
+        sq
+    };
+    let cte = match sqloop::parse(sql).unwrap() {
+        sqloop::SqloopQuery::Iterative(c) => c,
+        other => panic!("not iterative: {other:?}"),
+    };
+    let plan = match sqloop::analyze(&cte, &cte.columns).unwrap() {
+        sqloop::AnalysisOutcome::Parallelizable(p) => p,
+        other => panic!("not parallelizable: {other:?}"),
+    };
+    let trace = obs::TraceHandle::new(true);
+    let (result, recovery) = sqloop::parallel::run_iterative_parallel_observed(
+        sq.driver(),
+        &cte,
+        plan,
+        sq.config(),
+        &trace,
+    );
+    let result = result
+        .map(|r| {
+            let o = r.outcome;
+            (
+                o.iterations,
+                o.last_change,
+                r.computes,
+                r.gathers,
+                r.messages,
+            )
+        })
+        .map_err(|e| e.to_string());
+    let events: Vec<String> = trace
+        .data()
+        .unwrap()
+        .events
+        .iter()
+        .filter_map(|e| {
+            let round = e.iteration.unwrap_or(0);
+            Some(match e.kind {
+                EventKind::Round => {
+                    let changed = e.detail.trim_end_matches(" row(s) changed");
+                    format!("r{round}={changed}")
+                }
+                EventKind::Barrier => format!("b{round}"),
+                EventKind::Checkpoint => format!("c{round}"),
+                EventKind::Watchdog => format!("w{round}"),
+                _ => return None,
+            })
+        })
+        .collect();
+    (result, recovery, events.join(" "))
+}
+
+#[test]
+fn one_worker_schedules_are_pinned() {
+    let db = db_with_graph(EngineProfile::Postgres, 40);
+    // a 16-hop path stepping 3 partitions a hop keeps SSSP busy for rounds
+    let path = db_with_path(16, 3);
+    let delta = pagerank_until_delta();
+    let modes = [
+        ExecutionMode::Sync,
+        ExecutionMode::Async,
+        ExecutionMode::AsyncPrio,
+    ];
+    let mut actual = Vec::new();
+    for (what, db, sql) in [
+        ("pagerank", &db, PAGERANK),
+        ("sssp", &path, SSSP),
+        ("delta", &db, &delta),
+    ] {
+        for mode in modes {
+            actual.push((what, mode, schedule(db, mode, sql, |_| {})));
+        }
+    }
+    // checkpoints every 2 rounds carry the quiesce's changes into the next
+    // round; the watchdog's round budget ends the run governed at round 5
+    for mode in modes {
+        let dir = std::env::temp_dir().join(format!(
+            "sqloop-pinned-{}-{}",
+            mode.label(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = schedule(&db, mode, PAGERANK, |c| {
+            c.checkpoint = Some(sqloop::CheckpointConfig::new(&dir).every(2));
+            c.watchdog.max_rounds = Some(5);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        actual.push(("governed", mode, run));
+    }
+    for (what, mode, (_, recovery, _)) in &actual {
+        assert_eq!(
+            *recovery,
+            sqloop::RecoveryCounters::default(),
+            "{what} / {mode}"
+        );
+    }
+    // recorded on the three hand-written scheduler loops the event loop
+    // replaced; a scheduler refactor may not edit them
+    let budget = "max_rounds budget exhausted at round 5";
+    #[rustfmt::skip]
+    let expected: [(&str, ExecutionMode, Result<Counts, &str>, &str); 12] = [
+        ("pagerank", ExecutionMode::Sync, Ok((10, 4, 40, 29, 31)),
+         "b1 b1 r1=59 b2 b2 r2=29 b3 b3 r3=16 b4 b4 r4=10 b5 b5 r5=7 \
+          b6 b6 r6=5 b7 b7 r7=4 b8 b8 r8=4 b9 b9 r9=4 b10 b10 r10=4"),
+        ("pagerank", ExecutionMode::Async, Ok((10, 2, 40, 29, 29)),
+         "r1=45 r2=34 r3=18 r4=10 r5=6 r6=4 r7=4 r8=4 r9=4 r10=4 r11=2"),
+        ("pagerank", ExecutionMode::AsyncPrio, Ok((10, 5, 27, 26, 27)),
+         "r1=54 r2=33 r3=12 r4=10 r5=8 r6=8"),
+        ("sssp", ExecutionMode::Sync, Ok((18, 0, 72, 16, 16)),
+         "b1 b1 r1=2 b2 b2 r2=2 b3 b3 r3=2 b4 b4 r4=2 b5 b5 r5=2 b6 b6 r6=2 \
+          b7 b7 r7=2 b8 b8 r8=2 b9 b9 r9=2 b10 b10 r10=2 b11 b11 r11=2 \
+          b12 b12 r12=2 b13 b13 r13=2 b14 b14 r14=2 b15 b15 r15=2 \
+          b16 b16 r16=2 b17 b17 r17=1 b18 b18 r18=0"),
+        ("sssp", ExecutionMode::Async, Ok((14, 0, 56, 16, 16)),
+         "r1=3 r2=2 r3=2 r4=4 r5=2 r6=2 r7=4 r8=2 r9=2 r10=4 r11=2 r12=2 \
+          r13=2 r14=0"),
+        ("sssp", ExecutionMode::AsyncPrio, Ok((5, 3, 19, 16, 16)),
+         "r1=6 r2=8 r3=8 r4=8"),
+        ("delta", ExecutionMode::Sync, Ok((27, 4, 108, 63, 65)),
+         "b1 b1 r1=59 b2 b2 r2=29 b3 b3 r3=16 b4 b4 r4=10 b5 b5 r5=7 \
+          b6 b6 r6=5 b7 b7 r7=4 b8 b8 r8=4 b9 b9 r9=4 b10 b10 r10=4 \
+          b11 b11 r11=4 b12 b12 r12=4 b13 b13 r13=4 b14 b14 r14=4 \
+          b15 b15 r15=4 b16 b16 r16=4 b17 b17 r17=4 b18 b18 r18=4 \
+          b19 b19 r19=4 b20 b20 r20=4 b21 b21 r21=4 b22 b22 r22=4 \
+          b23 b23 r23=4 b24 b24 r24=4 b25 b25 r25=4 b26 b26 r26=4 \
+          b27 b27 r27=4"),
+        ("delta", ExecutionMode::Async, Ok((26, 4, 104, 59, 61)),
+         "r1=45 r2=34 r3=18 r4=10 r5=6 r6=4 r7=4 r8=4 r9=4 r10=4 r11=4 \
+          r12=4 r13=4 r14=4 r15=4 r16=4 r17=4 r18=4 r19=4 r20=4 r21=4 \
+          r22=4 r23=4 r24=4 r25=4 r26=4"),
+        ("delta", ExecutionMode::AsyncPrio, Ok((12, 8, 49, 47, 49)),
+         "r1=54 r2=33 r3=12 r4=10 r5=8 r6=8 r7=8 r8=8 r9=8 r10=8 r11=8 \
+          r12=8"),
+        ("governed", ExecutionMode::Sync, Err(budget),
+         "b1 b1 r1=59 b2 b2 r2=29 c2 b3 b3 r3=16 b4 b4 r4=10 c4 \
+          b5 b5 r5=7 w5 c5"),
+        ("governed", ExecutionMode::Async, Err(budget),
+         "r1=45 r2=34 c2 r3=19 r4=10 c4 r5=6 w5 c5"),
+        ("governed", ExecutionMode::AsyncPrio, Err(budget),
+         "r1=54 r2=33 c2 r3=16 r4=10 c4 r5=11 w5 c5"),
+    ];
+    assert_eq!(actual.len(), expected.len());
+    for ((what, mode, (result, _, events)), e) in actual.iter().zip(&expected) {
+        let result = result.as_ref().map(|r| *r).map_err(String::as_str);
+        assert_eq!(
+            (*what, *mode, result, events.as_str()),
+            (e.0, e.1, e.2, e.3)
+        );
+    }
+}
+
 // -- priority queries that fail ---------------------------------------------
 
 #[test]
