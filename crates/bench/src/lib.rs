@@ -10,5 +10,5 @@
 pub mod report;
 pub mod runner;
 
-pub use report::{write_csv, write_file, Table};
+pub use report::{write_csv, Table};
 pub use runner::{convergence_time, env_with_graph, parse_args, time_it, BenchArgs, BenchEnv};

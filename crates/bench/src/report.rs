@@ -112,42 +112,6 @@ pub fn write_csv(name: &str, content: &str) -> Option<PathBuf> {
     }
 }
 
-/// Writes arbitrary content under `results/<name>` (created on demand),
-/// returning the path. Errors are printed, not fatal, like [`write_csv`].
-pub fn write_file(name: &str, content: &str) -> Option<PathBuf> {
-    let dir = PathBuf::from("results");
-    if std::fs::create_dir_all(&dir).is_err() {
-        eprintln!("warning: cannot create results/");
-        return None;
-    }
-    let path = dir.join(name);
-    match std::fs::write(&path, content) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-/// Appends a record (its `Debug` form, one per line) to
-/// `results/<name>.log` for post-processing.
-pub fn append_log<T: std::fmt::Debug>(name: &str, record: &T) {
-    let dir = PathBuf::from("results");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.log"));
-    use std::io::Write as _;
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        let _ = writeln!(f, "{record:?}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -654,21 +654,6 @@ impl SqlGen {
         }
     }
 
-    /// The same pending predicate without a qualifier, for partition-level
-    /// activity probes.
-    pub fn pending_count_sql(&self, x: usize) -> String {
-        let d = self.delta_col();
-        let pred = match self.plan.aggregate {
-            AggregateFunction::Min => format!("{d} < {SENT_COL}"),
-            AggregateFunction::Max => format!("{d} > {SENT_COL}"),
-            _ => format!("{d} != 0.0"),
-        };
-        format!(
-            "SELECT COUNT(*) FROM {} WHERE {pred}",
-            self.names.partition(x)
-        )
-    }
-
     /// Drops every scratch object this builder may have created.
     pub fn cleanup_sql(&self) -> Vec<String> {
         let mut out = vec![
@@ -784,7 +769,6 @@ mod tests {
         check_all_dialects(&g.insert_message_sql(1, "pr__msgslot_1_0"));
         check_all_dialects(&g.compute_update_sql(1));
         check_all_dialects(&g.gather_sql(2, &["pr__msg_1_0", "pr__msg_3_4"]));
-        check_all_dialects(&g.pending_count_sql(0));
         for s in g.cleanup_sql() {
             check_all_dialects(&s);
         }

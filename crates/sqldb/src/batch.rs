@@ -29,7 +29,7 @@ use crate::ast::{BinaryOp, UnaryOp};
 use crate::bind::BoundExpr;
 use crate::error::{DbError, DbResult};
 use crate::types::{DataType, Schema};
-use crate::value::{Row, Value};
+use crate::value::{canonical_nan, Row, Value};
 use std::cmp::Ordering;
 
 /// The lane index that selects nothing: [`Col::gather`] yields NULL for it
@@ -861,14 +861,14 @@ fn eval_arith_cols(
     n: usize,
 ) -> DbResult<EvalOut> {
     let float_op = |a: f64, b: f64| -> f64 {
-        match op {
+        canonical_nan(match op {
             BinaryOp::Add => a + b,
             BinaryOp::Sub => a - b,
             BinaryOp::Mul => a * b,
             BinaryOp::Div => a / b,
             BinaryOp::Mod => a % b,
             _ => unreachable!(),
-        }
+        })
     };
     // float ⊗ float fast path
     if let (Operand::Col(a), Operand::Col(b)) = (lo, ro) {

@@ -13,7 +13,7 @@ use crate::stats::Stats;
 use crate::storage::Table;
 use crate::txn::{apply_undo, UndoLog, UndoOp};
 use crate::types::{Column, DataType, Schema};
-use crate::value::{Row, Value};
+use crate::value::{canonical_nan, Row, Value};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -1582,7 +1582,7 @@ impl AggAcc {
             AggAcc::Avg { sum, n } => {
                 if let Some(v) = v {
                     if let Some(f) = v.as_f64() {
-                        *sum += f;
+                        *sum = canonical_nan(*sum + f);
                         *n += 1;
                     }
                 }
@@ -1599,10 +1599,10 @@ impl AggAcc {
         match self {
             AggAcc::Count(n) => *n += 1, // a typed float lane is never NULL
             AggAcc::Avg { sum, n } => {
-                *sum += f;
+                *sum = canonical_nan(*sum + f);
                 *n += 1;
             }
-            AggAcc::Sum(Some(Value::Float(cur))) => *cur += f,
+            AggAcc::Sum(Some(Value::Float(cur))) => *cur = canonical_nan(*cur + f),
             AggAcc::Min(Some(Value::Float(cur))) => {
                 if f.total_cmp(cur) == std::cmp::Ordering::Less {
                     *cur = f;

@@ -157,7 +157,7 @@ impl Value {
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a / b)),
             _ => {
                 let (a, b) = self.both_f64(other, "/")?;
-                Ok(Value::Float(a / b))
+                Ok(Value::Float(canonical_nan(a / b)))
             }
         }
     }
@@ -176,7 +176,7 @@ impl Value {
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a % b)),
             _ => {
                 let (a, b) = self.both_f64(other, "%")?;
-                Ok(Value::Float(a % b))
+                Ok(Value::Float(canonical_nan(a % b)))
             }
         }
     }
@@ -210,7 +210,7 @@ impl Value {
                 .ok_or_else(|| DbError::Eval(format!("integer overflow in {op}"))),
             _ => {
                 let (a, b) = self.both_f64(other, op)?;
-                Ok(Value::Float(float_op(a, b)))
+                Ok(Value::Float(canonical_nan(float_op(a, b))))
             }
         }
     }
@@ -224,6 +224,20 @@ impl Value {
                 other.type_name()
             ))),
         }
+    }
+}
+
+/// `f`, or `f64::NAN` when `f` is any NaN. IEEE leaves a computed NaN's
+/// sign and payload to the hardware and the optimiser (operands may be
+/// commuted or vectorised), and `total_cmp` orders NaNs by those bits, so
+/// every binary arithmetic result goes through here to make the row
+/// evaluator and the batch kernels agree on MIN/MAX/ORDER BY.
+/// Passed-through values keep their bits.
+pub(crate) fn canonical_nan(f: f64) -> f64 {
+    if f.is_nan() {
+        f64::NAN
+    } else {
+        f
     }
 }
 

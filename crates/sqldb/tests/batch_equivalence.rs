@@ -126,14 +126,18 @@ const QUERIES: &[&str] = &[
     "SELECT a.c_int, b.c_float, b.c_text FROM t AS a JOIN t AS b ON a.c_int = b.c_float",
     "SELECT a.c_int, b.c_float FROM t AS a LEFT JOIN t AS b ON b.c_float = a.c_int",
     // the PageRank round's shape: two LEFT JOINs feeding a one-key aggregate
-    // over both inner sides. MIN/MAX, not SUM of a product: the bits of a NaN
-    // that arithmetic *produces* (inf − inf, NaN × NaN) are the compiler's
-    // choice per call site, and an optimised build chooses differently in
-    // the kernels and in the row evaluator
+    // over both inner sides
     "SELECT a.c_int, COALESCE(a.c_float + 1.0, 0.15), COALESCE(MAX(c.c_float), 0.0), \
      MIN(b.c_float), COUNT(c.c_int) \
      FROM t AS a LEFT JOIN t AS b ON a.c_int = b.c_int LEFT JOIN t AS c ON c.c_int = b.c_int \
      GROUP BY a.c_int",
+    // two hostile operands on one operator: the sign and payload of a NaN
+    // that arithmetic produces (payload × payload, inf − inf) are the
+    // compiler's choice per call site, so both evaluators canonicalise it
+    "SELECT a.c_int, b.c_int, a.c_float * b.c_float FROM t AS a JOIN t AS b \
+     ON a.c_text = b.c_text",
+    "SELECT a.c_text, SUM(a.c_float - b.c_float), MAX(a.c_float * b.c_float) \
+     FROM t AS a JOIN t AS b ON a.c_text = b.c_text GROUP BY a.c_text",
     "SELECT DISTINCT a.c_bool, b.c_text FROM t AS a JOIN t AS b ON a.c_int = b.c_int",
     // comma joins: nested loops with nothing to compare
     "SELECT a.c_int, b.c_text, c.c_float FROM t AS a, t AS b, t AS c \

@@ -91,21 +91,28 @@ fn descendant_query_matches_bfs() {
     let dataset = datasets::berkstan_like(0.15);
     let hops_limit = 40;
     let oracle = workloads::oracle::descendants(&dataset.graph, 0, hops_limit);
-    let (_, driver) = setup(EngineProfile::MariaDb, &dataset.graph);
-    let sq = sqloop(
-        &driver,
+    for mode in [
+        ExecutionMode::Single,
+        ExecutionMode::Sync,
         ExecutionMode::Async,
-        PrioritySpec::lowest("SELECT MIN(delta) FROM {}"),
-    );
-    let out = sq
-        .execute(&workloads::queries::descendant_query(0, hops_limit))
-        .unwrap();
-    let got: HashMap<u64, u64> = out
-        .rows
-        .iter()
-        .map(|r| (r[0].as_i64().unwrap() as u64, r[1].as_f64().unwrap() as u64))
-        .collect();
-    assert_eq!(got, oracle);
+        ExecutionMode::AsyncPrio,
+    ] {
+        let (_, driver) = setup(EngineProfile::MariaDb, &dataset.graph);
+        let sq = sqloop(
+            &driver,
+            mode,
+            PrioritySpec::lowest("SELECT MIN(delta) FROM {}"),
+        );
+        let out = sq
+            .execute(&workloads::queries::descendant_query(0, hops_limit))
+            .unwrap();
+        let got: HashMap<u64, u64> = out
+            .rows
+            .iter()
+            .map(|r| (r[0].as_i64().unwrap() as u64, r[1].as_f64().unwrap() as u64))
+            .collect();
+        assert_eq!(got, oracle, "{mode}");
+    }
 }
 
 #[test]

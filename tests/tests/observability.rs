@@ -1,11 +1,12 @@
 //! Tracing and metrics integration tests: traced runs must agree with the
 //! [`sqloop::ExecutionReport`] counters they ride along with, identical
 //! seeded runs must produce identical traces, injected faults must show up
-//! as trace events, and the JSON export must parse and tally.
+//! as trace events, the JSON export must parse and tally, and a steady
+//! round must cost the plan cache no parses.
 
-use dbcp::{with_chaos, ChaosConfig, Driver, FaultWeights, LocalDriver};
+use dbcp::{with_chaos, ChaosConfig, Connection, Driver, FaultWeights, LocalDriver};
 use obs::{EventKind, SpanKind, SpanOutcome, TraceData};
-use sqldb::{Database, EngineProfile};
+use sqldb::{Database, DbResult, EngineProfile, IsolationLevel, StmtOutput, Value};
 use sqloop::{ExecutionMode, PrioritySpec, SQLoop, SqloopConfig, Strategy, TraceConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -396,6 +397,123 @@ fn plan_cache_round_attribution_is_tagged_with_the_mode() {
                     .collect::<Vec<_>>()
             );
         }
+    }
+}
+
+/// A connection that keeps every trait default: it refuses to prepare,
+/// reports `prepared_epoch` 0 and runs pipelines one statement at a time,
+/// so every statement handle falls back to splicing its literals.
+struct UnpreparedConnection(Box<dyn Connection>);
+
+impl Connection for UnpreparedConnection {
+    fn execute(&mut self, sql: &str) -> DbResult<StmtOutput> {
+        self.0.execute(sql)
+    }
+
+    fn begin(&mut self) -> DbResult<()> {
+        self.0.begin()
+    }
+
+    fn commit(&mut self) -> DbResult<()> {
+        self.0.commit()
+    }
+
+    fn rollback(&mut self) -> DbResult<()> {
+        self.0.rollback()
+    }
+
+    fn set_isolation(&mut self, level: IsolationLevel) -> DbResult<()> {
+        self.0.set_isolation(level)
+    }
+
+    fn profile(&self) -> EngineProfile {
+        self.0.profile()
+    }
+}
+
+struct UnpreparedDriver(LocalDriver);
+
+impl Driver for UnpreparedDriver {
+    fn connect(&self) -> DbResult<Box<dyn Connection>> {
+        Ok(Box::new(UnpreparedConnection(self.0.connect()?)))
+    }
+
+    fn profile(&self) -> EngineProfile {
+        self.0.profile()
+    }
+}
+
+/// What one PageRank run did to its own database's plan cache.
+#[derive(Debug, PartialEq)]
+struct CacheRun {
+    iterations: u64,
+    hits: u64,
+    misses: u64,
+    rows: Vec<Vec<Value>>,
+}
+
+/// PageRank for `rounds` rounds on a fresh database with one worker. The
+/// counts come from that database, never from `obs::global()`, which the
+/// other tests in this file write to concurrently.
+fn cache_run(
+    graph: &graphgen::Graph,
+    mode: ExecutionMode,
+    rounds: u64,
+    profiling: bool,
+    unprepared: bool,
+) -> CacheRun {
+    let db = Database::new(EngineProfile::Postgres);
+    let local = LocalDriver::new(db.clone());
+    workloads::load_edges(local.connect().unwrap().as_mut(), graph).unwrap();
+    db.set_profiling(profiling);
+    let driver: Arc<dyn Driver> = if unprepared {
+        db.set_plan_cache_capacity(1);
+        Arc::new(UnpreparedDriver(local))
+    } else {
+        Arc::new(local)
+    };
+    let before = db.plan_cache_stats();
+    let report = SQLoop::new(driver)
+        .with_config(SqloopConfig {
+            threads: 1,
+            partitions: 4,
+            trace: TraceConfig::default(),
+            ..traced(mode)
+        })
+        .execute_detailed(&workloads::queries::pagerank(rounds))
+        .unwrap();
+    let after = db.plan_cache_stats();
+    CacheRun {
+        iterations: report.iterations,
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        rows: report.result.rows,
+    }
+}
+
+#[test]
+fn steady_rounds_cost_no_parses() {
+    let graph = graphgen::web_graph(400, 4, 17);
+    for mode in [
+        ExecutionMode::Single,
+        ExecutionMode::Sync,
+        ExecutionMode::Async,
+        ExecutionMode::AsyncPrio,
+    ] {
+        let short = cache_run(&graph, mode, 5, false, false);
+        let long = cache_run(&graph, mode, 20, false, false);
+        // every statement a round issues was parsed in the first five
+        assert_eq!(long.misses, short.misses, "{mode}: steady rounds parsed");
+        // literal splicing, statement-at-a-time pipelines and a one-entry
+        // plan cache change how statements travel, never what they compute
+        let unprepared = cache_run(&graph, mode, 20, false, true);
+        assert!(unprepared.misses > long.misses, "{mode}: nothing spliced");
+        assert_eq!(
+            unprepared.rows, long.rows,
+            "{mode}: unprepared run diverged"
+        );
+        // profiling may cost time, never change execution
+        assert_eq!(cache_run(&graph, mode, 20, true, false), long, "{mode}");
     }
 }
 
