@@ -887,6 +887,112 @@ fn one_worker_schedules_are_pinned() {
     }
 }
 
+/// What one Single run reports: `(iterations, last_change, cancelled)` or
+/// the error text, an FNV-1a digest of the result rows' `Debug` text (float
+/// `Debug` round-trips, so equal digests mean bit-identical rows), the
+/// number of Iteration spans, and the checkpoint / watchdog / cancel trace
+/// events in order, one word each — `c<round>`, `w<round>`, `x<round>`. A
+/// failed run has no report: its digest, spans and events come back zero
+/// and empty.
+type SingleRun = (Result<(u64, u64, bool), String>, u64, usize, String);
+
+fn single_run(db: &Database, sql: &str, configure: impl FnOnce(&mut SqloopConfig)) -> SingleRun {
+    use obs::{EventKind, SpanKind};
+    let mut sq = sqloop_for(db, ExecutionMode::Single, 1, 1);
+    sq.config_mut().trace = sqloop::TraceConfig::on();
+    configure(sq.config_mut());
+    let report = match sq.execute_detailed(sql) {
+        Ok(r) => r,
+        Err(e) => return (Err(e.to_string()), 0, 0, String::new()),
+    };
+    let digest = format!("{:?}", report.result.rows)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    let data = report.trace_data.expect("trace is on");
+    let spans = data
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Iteration)
+        .count();
+    let events: Vec<String> = data
+        .events
+        .iter()
+        .filter_map(|e| {
+            let round = e.iteration.unwrap_or(0);
+            Some(match e.kind {
+                EventKind::Checkpoint => format!("c{round}"),
+                EventKind::Watchdog => format!("w{round}"),
+                EventKind::Cancel => format!("x{round}"),
+                _ => return None,
+            })
+        })
+        .collect();
+    let outcome = (report.iterations, report.last_change, report.cancelled);
+    (Ok(outcome), digest, spans, events.join(" "))
+}
+
+#[test]
+fn single_runs_are_pinned() {
+    let db = db_with_graph(EngineProfile::Postgres, 40);
+    let path = db_with_path(16, 3);
+    let delta = pagerank_until_delta();
+    let dir = |tag: &str| {
+        let dir =
+            std::env::temp_dir().join(format!("sqloop-pinned-single-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (ckpt, governed, cancelled) = (dir("ckpt"), dir("governed"), dir("cancel"));
+    let actual = [
+        single_run(&db, PAGERANK, |_| {}),
+        // checkpoints every 4 iterations of a run that ends by itself
+        single_run(&path, SSSP, |c| {
+            c.checkpoint = Some(sqloop::CheckpointConfig::new(&ckpt).every(4));
+        }),
+        single_run(&db, &delta, |_| {}),
+        // the watchdog's round budget ends the run governed at iteration 5
+        single_run(&db, PAGERANK, |c| {
+            c.checkpoint = Some(sqloop::CheckpointConfig::new(&governed).every(2));
+            c.watchdog.max_rounds = Some(5);
+        }),
+        // an expired deadline stops the run before its first iteration,
+        // with a final checkpoint
+        single_run(&db, PAGERANK, |c| {
+            c.checkpoint = Some(sqloop::CheckpointConfig::new(&cancelled));
+            c.deadline = Some(std::time::Duration::ZERO);
+        }),
+    ];
+    // the governed abort's final snapshot keeps the single-threaded layout
+    let snap = sqloop::checkpoint::load_latest(&governed).unwrap();
+    let tables: Vec<&str> = snap.tables.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(
+        (
+            snap.mode.as_str(),
+            snap.round,
+            snap.parts.len(),
+            snap.seeds.len()
+        ),
+        ("Single", 5, 0, 0)
+    );
+    assert_eq!(tables, ["pagerank"]);
+    for d in [&ckpt, &governed, &cancelled] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    // recorded on the single-threaded executor before it became a policy of
+    // the scheduler loop; that refactor may not edit them
+    #[rustfmt::skip]
+    let expected: [SingleRun; 5] = [
+        (Ok((10, 2, false)), 18240358784409690259, 10, String::new()),
+        (Ok((18, 0, false)), 382492215824997334, 18, "c4 c8 c12 c16".into()),
+        (Ok((27, 2, false)), 13016893308902249497, 27, String::new()),
+        (Err("max_rounds budget exhausted at round 5".into()), 0, 0, String::new()),
+        (Ok((0, 0, true)), 10418747608562655987, 0, "x0 c0".into()),
+    ];
+    assert_eq!(actual, expected);
+}
+
 // -- priority queries that fail ---------------------------------------------
 
 #[test]
