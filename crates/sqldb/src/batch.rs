@@ -26,11 +26,12 @@
 //!    succeeds, for errors the row path would have skipped).
 
 use crate::ast::{BinaryOp, UnaryOp};
-use crate::bind::BoundExpr;
+use crate::bind::{BoundExpr, Builtin};
 use crate::error::{DbError, DbResult};
 use crate::types::{DataType, Schema};
 use crate::value::{canonical_nan, Row, Value};
 use std::cmp::Ordering;
+use std::sync::{Arc, OnceLock};
 
 /// The lane index that selects nothing: [`Col::gather`] yields NULL for it
 /// (a join pads the inner side of an unmatched `LEFT JOIN` row this way).
@@ -87,16 +88,48 @@ impl Col {
     /// Builds a column from owned values: in the typed layout of its first
     /// non-NULL value while every other agrees with it, `Mixed` otherwise.
     pub fn from_values(values: Vec<Value>) -> Col {
-        let ty = values.iter().find_map(|v| match v {
-            Value::Null => None,
-            Value::Int(_) => Some(DataType::Int),
-            Value::Float(_) => Some(DataType::Float),
-            Value::Bool(_) => Some(DataType::Bool),
-            Value::Text(_) => Some(DataType::Text),
-        });
+        let ty = values.iter().find_map(Value::data_type);
         let mut col = ColBuilder::new(ty.unwrap_or(DataType::Text), values.len());
         values.into_iter().for_each(|v| col.push(v));
         col.0
+    }
+
+    /// Whether the lanes already have the layout a column of type `ty`
+    /// stores, so that [`Col::coerce`] would return them unchanged.
+    pub fn is_stored_as(&self, ty: DataType) -> bool {
+        match (ty, &self.data) {
+            (DataType::Int, ColData::Int(_))
+            | (DataType::Float, ColData::Float(_))
+            | (DataType::Bool, ColData::Bool(_)) => true,
+            (DataType::Text, ColData::Mixed(v)) => {
+                v.iter().all(|v| matches!(v, Value::Text(_) | Value::Null))
+            }
+            _ => false,
+        }
+    }
+
+    /// This column as lanes of a column of type `ty`, each value coerced as
+    /// [`DataType::coerce`] does.
+    ///
+    /// # Errors
+    /// The first lane's coercion error.
+    pub fn coerce(self, ty: DataType) -> DbResult<Col> {
+        match (ty, &self.data) {
+            (DataType::Int, ColData::Int(_))
+            | (DataType::Float, ColData::Float(_))
+            | (DataType::Bool, ColData::Bool(_)) => Ok(self),
+            (DataType::Float, ColData::Int(v)) => Ok(Col {
+                data: ColData::Float(v.iter().map(|&i| i as f64).collect()),
+                valid: self.valid,
+            }),
+            _ => {
+                let mut out = ColBuilder::new(ty, self.len());
+                for lane in 0..self.len() {
+                    out.push(ty.coerce(self.value_at(lane))?);
+                }
+                Ok(out.0)
+            }
+        }
     }
 
     /// The lanes `idx` of this column, in that order and in the same layout;
@@ -147,6 +180,82 @@ impl Col {
         Col { data, valid }
     }
 
+    /// `n` NULL lanes.
+    pub fn nulls(n: usize) -> Col {
+        Col {
+            data: ColData::Int(vec![0; n]),
+            valid: vec![false; n],
+        }
+    }
+
+    /// Appends one lane: in this column's typed layout while the value fits
+    /// it, turning the column `Mixed` the moment one does not.
+    pub fn push(&mut self, v: Value) {
+        let valid = !v.is_null();
+        match (&mut self.data, v) {
+            (ColData::Int(d), Value::Int(i)) => d.push(i),
+            (ColData::Float(d), Value::Float(f)) => d.push(f),
+            (ColData::Bool(d), Value::Bool(b)) => d.push(b),
+            (ColData::Int(d), Value::Null) => d.push(0),
+            (ColData::Float(d), Value::Null) => d.push(0.0),
+            (ColData::Bool(d), Value::Null) => d.push(false),
+            (ColData::Mixed(d), v) => d.push(v),
+            (_, v) => {
+                let mut lanes: Vec<Value> = (0..self.len()).map(|i| self.value_at(i)).collect();
+                lanes.push(v);
+                self.data = ColData::Mixed(lanes);
+            }
+        }
+        self.valid.push(valid);
+    }
+
+    /// Overwrites `lane` with `v`, turning the column `Mixed` when `v` does
+    /// not fit its layout.
+    pub fn set(&mut self, lane: usize, v: Value) {
+        let valid = !v.is_null();
+        match (&mut self.data, v) {
+            (ColData::Int(d), Value::Int(i)) => d[lane] = i,
+            (ColData::Float(d), Value::Float(f)) => d[lane] = f,
+            (ColData::Bool(d), Value::Bool(b)) => d[lane] = b,
+            (ColData::Int(_) | ColData::Float(_) | ColData::Bool(_), Value::Null) => {}
+            (ColData::Mixed(d), v) => d[lane] = v,
+            (_, v) => {
+                let mut lanes: Vec<Value> = (0..self.len()).map(|i| self.value_at(i)).collect();
+                lanes[lane] = v;
+                self.data = ColData::Mixed(lanes);
+            }
+        }
+        self.valid[lane] = valid;
+    }
+
+    /// Appends every lane of `src`.
+    pub fn extend(&mut self, src: &Col) {
+        match (&mut self.data, &src.data) {
+            (ColData::Int(d), ColData::Int(s)) => d.extend_from_slice(s),
+            (ColData::Float(d), ColData::Float(s)) => d.extend_from_slice(s),
+            (ColData::Bool(d), ColData::Bool(s)) => d.extend_from_slice(s),
+            _ => {
+                (0..src.len()).for_each(|lane| self.push(src.value_at(lane)));
+                return;
+            }
+        }
+        self.valid.extend_from_slice(&src.valid);
+    }
+
+    /// The lanes `range`, in the same layout.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Col {
+        let data = match &self.data {
+            ColData::Int(v) => ColData::Int(v[range.clone()].to_vec()),
+            ColData::Float(v) => ColData::Float(v[range.clone()].to_vec()),
+            ColData::Bool(v) => ColData::Bool(v[range.clone()].to_vec()),
+            ColData::Mixed(v) => ColData::Mixed(v[range.clone()].to_vec()),
+        };
+        Col {
+            data,
+            valid: self.valid[range].to_vec(),
+        }
+    }
+
     /// Heap bytes the lanes hold, as the memory budget is charged for them.
     pub fn bytes(&self) -> u64 {
         let n = self.len() as u64;
@@ -182,58 +291,21 @@ impl ColBuilder {
         ColBuilder(Col { data, valid })
     }
 
-    /// Appends one lane.
+    /// Appends one lane ([`Col::push`]).
     pub fn push(&mut self, v: Value) {
-        let valid = !v.is_null();
-        match (&mut self.0.data, v) {
-            (ColData::Int(d), Value::Int(i)) => d.push(i),
-            (ColData::Float(d), Value::Float(f)) => d.push(f),
-            (ColData::Bool(d), Value::Bool(b)) => d.push(b),
-            (ColData::Int(d), Value::Null) => d.push(0),
-            (ColData::Float(d), Value::Null) => d.push(0.0),
-            (ColData::Bool(d), Value::Null) => d.push(false),
-            (ColData::Mixed(d), v) => d.push(v),
-            (_, v) => {
-                let mut lanes: Vec<Value> = (0..self.0.len()).map(|i| self.0.value_at(i)).collect();
-                lanes.push(v);
-                self.0.data = ColData::Mixed(lanes);
-            }
-        }
-        self.0.valid.push(valid);
+        self.0.push(v);
+    }
+
+    /// The finished column.
+    pub fn finish(self) -> Col {
+        self.0
     }
 }
 
-/// Column builders for rows of one table: its schema's columns, typed as
-/// declared, and — when asked for — a trailing `Int` column of the slots
-/// the rows live in.
-#[derive(Debug)]
-pub struct RowsBuilder(Vec<ColBuilder>);
-
-impl RowsBuilder {
-    /// Builders for rows of `schema` with room for `capacity` of them.
-    pub fn new(schema: &Schema, slots: bool, capacity: usize) -> RowsBuilder {
-        let types = schema.columns().iter().map(|c| c.data_type);
-        let types = types.chain(slots.then_some(DataType::Int));
-        RowsBuilder(types.map(|ty| ColBuilder::new(ty, capacity)).collect())
-    }
-
-    /// Appends the row living in `slot`.
-    pub fn push(&mut self, slot: usize, row: &Row) {
-        let slot = Value::Int(slot as i64);
-        let values = row.iter().chain([&slot]);
-        let cols = self.0.iter_mut().zip(values);
-        cols.for_each(|(col, v)| col.push(v.clone()));
-    }
-
-    /// Appends a row of NULLs (slot included).
-    pub fn push_null(&mut self) {
-        self.0.iter_mut().for_each(|col| col.push(Value::Null));
-    }
-
-    /// The finished columns.
-    pub fn finish(self) -> Vec<Col> {
-        self.0.into_iter().map(|b| b.0).collect()
-    }
+/// Empty columns for rows of `schema`, typed as declared.
+pub fn schema_cols(schema: &Schema) -> Vec<Col> {
+    let types = schema.columns().iter().map(|c| c.data_type);
+    types.map(|ty| ColBuilder::new(ty, 0).0).collect()
 }
 
 /// A fixed-size batch of rows in columnar layout.
@@ -311,6 +383,11 @@ impl ColumnBatch {
         &self.cols[i]
     }
 
+    /// The columns, consuming the batch.
+    pub fn into_cols(self) -> Vec<Col> {
+        self.cols
+    }
+
     /// Reconstructs the row at `lane`.
     pub fn row_at(&self, lane: usize) -> Row {
         self.cols.iter().map(|c| c.value_at(lane)).collect()
@@ -378,6 +455,15 @@ impl EvalOut {
         }
     }
 
+    /// The output as a column of `batch.len()` lanes.
+    pub fn into_col(self, batch: &ColumnBatch) -> Col {
+        match self {
+            EvalOut::Owned(c) => c,
+            EvalOut::Ref(i) => batch.col(i).clone(),
+            EvalOut::Const(v) => Col::from_values(vec![v; batch.len()]),
+        }
+    }
+
     fn as_operand<'a>(&'a self, batch: &'a ColumnBatch) -> Operand<'a> {
         match self {
             EvalOut::Owned(c) => Operand::Col(c),
@@ -402,17 +488,18 @@ impl EvalOut {
         }
     }
 
-    /// The lanes as a plain `&[f64]` when the output is a fully-valid
-    /// `Float` column — same contract as [`EvalOut::as_int_lanes`], used by
-    /// the aggregate accumulators to skip per-lane `Value` construction.
-    pub fn as_float_lanes<'a>(&'a self, batch: &'a ColumnBatch) -> Option<&'a [f64]> {
+    /// The lanes and their validity when the output is a `Float` column,
+    /// used by the aggregate accumulators to skip per-lane `Value`
+    /// construction (a NULL input leaves every accumulator as it was);
+    /// `None` for constants and other layouts.
+    pub fn as_float_lanes<'a>(&'a self, batch: &'a ColumnBatch) -> Option<(&'a [f64], &'a [bool])> {
         let c = match self {
             EvalOut::Owned(c) => c,
             EvalOut::Ref(i) => batch.col(*i),
             EvalOut::Const(_) => return None,
         };
         match &c.data {
-            ColData::Float(v) if c.valid.iter().all(|&ok| ok) => Some(v),
+            ColData::Float(v) => Some((v, &c.valid)),
             _ => None,
         }
     }
@@ -512,8 +599,12 @@ pub enum Kernel {
         /// `IS NOT NULL` when set.
         negated: bool,
     },
+    /// `COALESCE`: every argument evaluated, each lane taking the first
+    /// non-NULL one (the row path stops at it, so an argument after it
+    /// that fails only sends the batch down the row-wise re-run).
+    Coalesce(Vec<Kernel>),
     /// Row-wise interpretation of a subtree the vectorizer does not cover
-    /// (CASE, casts, builtins, IN lists, fallible AND/OR right sides, …).
+    /// (CASE, casts, other builtins, IN lists, fallible AND/OR right sides, …).
     Fallback(BoundExpr),
 }
 
@@ -548,13 +639,20 @@ fn infallible(e: &BoundExpr) -> bool {
     }
 }
 
-/// Process-wide kernel-dispatch counters (exported via the obs registry).
+/// Process-wide kernel-dispatch counters (exported via the obs registry),
+/// looked up once: every statement compiles its expressions.
 fn count_vector_node() {
-    obs::global().counter("sqloop.exec.kernel.vector").inc();
+    static VECTOR: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    VECTOR
+        .get_or_init(|| obs::global().counter("sqloop.exec.kernel.vector"))
+        .inc();
 }
 
 fn count_fallback_node() {
-    obs::global().counter("sqloop.exec.kernel.fallback").inc();
+    static FALLBACK: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    FALLBACK
+        .get_or_init(|| obs::global().counter("sqloop.exec.kernel.fallback"))
+        .inc();
 }
 
 impl Kernel {
@@ -603,6 +701,13 @@ impl Kernel {
                     negated: *negated,
                 }
             }
+            BoundExpr::Func {
+                builtin: Builtin::Coalesce,
+                args,
+            } => {
+                count_vector_node();
+                Kernel::Coalesce(args.iter().map(Kernel::compile).collect())
+            }
             other => {
                 count_fallback_node();
                 Kernel::Fallback(other.clone())
@@ -646,10 +751,31 @@ impl Kernel {
                     valid: vec![true; n],
                 }))
             }
+            Kernel::Coalesce(args) => {
+                let outs = args.iter().map(|k| k.eval(batch));
+                let outs = outs.collect::<DbResult<Vec<EvalOut>>>()?;
+                let first = |lane| {
+                    let mut values = outs.iter().map(|o| o.value_at(batch, lane));
+                    values.find(|v| !v.is_null()).unwrap_or(Value::Null)
+                };
+                let lanes = (0..batch.len()).map(first).collect();
+                Ok(EvalOut::Owned(Col::from_values(lanes)))
+            }
             Kernel::Fallback(expr) => {
+                // each lane's row carries only the columns the subtree reads
+                let mut read = Vec::new();
+                expr.walk(&mut |e| {
+                    if let BoundExpr::Column(c) = e {
+                        read.push(*c);
+                    }
+                });
+                read.retain(|&c| c < batch.arity());
+                let mut row = vec![Value::Null; batch.arity()];
                 let mut out = Vec::with_capacity(batch.len());
                 for lane in 0..batch.len() {
-                    out.push(expr.eval(&batch.row_at(lane), &[])?);
+                    read.iter()
+                        .for_each(|&c| row[c] = batch.col(c).value_at(lane));
+                    out.push(expr.eval(&row)?);
                 }
                 Ok(EvalOut::Owned(Col::from_values(out)))
             }
@@ -1036,7 +1162,7 @@ impl CompiledExpr {
             Err(_) => {
                 let mut out = Vec::with_capacity(batch.len());
                 for lane in 0..batch.len() {
-                    out.push(self.expr.eval(&batch.row_at(lane), &[])?);
+                    out.push(self.expr.eval(&batch.row_at(lane))?);
                 }
                 Ok(EvalOut::Owned(Col::from_values(out)))
             }
@@ -1097,7 +1223,7 @@ mod tests {
     fn eval_both(expr: &BoundExpr, rows: Vec<Row>, arity: usize) -> (Vec<Value>, Vec<Value>) {
         let row_results: Vec<Value> = rows
             .iter()
-            .map(|r| expr.eval(r, &[]).expect("row eval"))
+            .map(|r| expr.eval(r).expect("row eval"))
             .collect();
         let batch = ColumnBatch::from_rows(rows, arity);
         let compiled = CompiledExpr::new(expr);
@@ -1206,6 +1332,41 @@ mod tests {
         };
         let batch = ColumnBatch::from_rows(rows, 2);
         let err = CompiledExpr::new(&expr).eval_batch(&batch).unwrap_err();
+        assert!(err.to_string().contains("division by zero"), "{err}");
+    }
+
+    #[test]
+    fn coalesce_kernel_picks_the_first_non_null_and_keeps_row_errors() {
+        // COALESCE(a, 10 / b): the row path divides only where a is NULL
+        let expr = BoundExpr::Func {
+            builtin: Builtin::Coalesce,
+            args: vec![
+                BoundExpr::Column(0),
+                BoundExpr::Binary {
+                    left: Box::new(BoundExpr::Literal(Value::Int(10))),
+                    op: BinaryOp::Div,
+                    right: Box::new(BoundExpr::Column(1)),
+                },
+            ],
+        };
+        let compiled = CompiledExpr::new(&expr);
+        let batch = |rows: Vec<Row>| ColumnBatch::from_rows(rows, 2);
+        let fine = batch(vec![
+            vec![Value::Int(1), Value::Int(0)],
+            vec![Value::Null, Value::Int(5)],
+        ]);
+        assert!(
+            compiled.try_eval(&fine).is_err(),
+            "the kernel divides eagerly"
+        );
+        let out = compiled.eval_batch(&fine).unwrap();
+        assert_eq!(out.value_at(&fine, 0), Value::Int(1));
+        assert_eq!(out.value_at(&fine, 1), Value::Int(2));
+        let nulls = batch(vec![vec![Value::Null, Value::Null]]);
+        let out = compiled.try_eval(&nulls).unwrap();
+        assert_eq!(out.value_at(&nulls, 0), Value::Null);
+        let failing = batch(vec![vec![Value::Null, Value::Int(0)]]);
+        let err = compiled.eval_batch(&failing).unwrap_err();
         assert!(err.to_string().contains("division by zero"), "{err}");
     }
 

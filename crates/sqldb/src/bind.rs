@@ -3,8 +3,9 @@
 //! The binder turns AST expressions into [`BoundExpr`]s whose column
 //! references are flat offsets into a concatenated row, resolved against a
 //! [`Scope`] of visible relations. Aggregate calls are extracted into
-//! [`AggSpec`]s and replaced with [`BoundExpr::AggRef`] placeholders that the
-//! aggregation operator fills in per group.
+//! [`AggSpec`]s and replaced with references to the columns after the
+//! input row, where the aggregation operator puts each group's aggregate
+//! values.
 
 use crate::ast::{AggregateFunction, BinaryOp, Expr, FunctionArg, UnaryOp};
 use crate::error::{DbError, DbResult};
@@ -242,8 +243,6 @@ pub enum BoundExpr {
         /// Target type.
         data_type: DataType,
     },
-    /// Placeholder for the i-th extracted aggregate's per-group result.
-    AggRef(usize),
 }
 
 /// Binds `expr` against `scope`, rejecting aggregate calls.
@@ -255,7 +254,9 @@ pub fn bind_scalar(expr: &Expr, scope: &Scope) -> DbResult<BoundExpr> {
     bind_expr(expr, scope, &mut None)
 }
 
-/// Binds `expr` against `scope`, extracting aggregate calls into `aggs`.
+/// Binds `expr` against `scope`, extracting aggregate calls into `aggs`:
+/// the `i`-th becomes a reference to column `scope.arity() + i`, just
+/// after the input row.
 ///
 /// # Errors
 /// Returns a binder error for unknown/ambiguous columns or nested aggregates.
@@ -311,9 +312,8 @@ fn bind_expr(
                 if arg.is_none() && func != AggregateFunction::Count {
                     return Err(DbError::Invalid(format!("{name}(*) is not valid")));
                 }
-                let idx = aggs.len();
                 aggs.push(AggSpec { func, arg });
-                return Ok(BoundExpr::AggRef(idx));
+                return Ok(BoundExpr::Column(scope.arity() + aggs.len() - 1));
             }
             let builtin = Builtin::parse(name)
                 .ok_or_else(|| DbError::NotFound(format!("function {name}")))?;
@@ -399,21 +399,21 @@ fn check_builtin_arity(builtin: Builtin, n: usize) -> DbResult<()> {
 }
 
 impl BoundExpr {
-    /// Evaluates against a flat row (aggregate placeholders resolve via
-    /// `agg_values`; pass `&[]` when none were extracted).
+    /// Evaluates against a flat row (after a grouped input row come its
+    /// group's aggregate values).
     ///
     /// # Errors
     /// Returns [`DbError::Eval`] on type errors, division by zero, etc.
-    pub fn eval(&self, row: &Row, agg_values: &[Value]) -> DbResult<Value> {
+    pub fn eval(&self, row: &Row) -> DbResult<Value> {
         match self {
             BoundExpr::Literal(v) => Ok(v.clone()),
             BoundExpr::Column(i) => Ok(row
                 .get(*i)
                 .cloned()
                 .ok_or_else(|| DbError::Eval(format!("row too short for column {i}")))?),
-            BoundExpr::Binary { left, op, right } => eval_binary(left, *op, right, row, agg_values),
+            BoundExpr::Binary { left, op, right } => eval_binary(left, *op, right, row),
             BoundExpr::Unary { op, expr } => {
-                let v = expr.eval(row, agg_values)?;
+                let v = expr.eval(row)?;
                 match op {
                     UnaryOp::Neg => v.neg(),
                     UnaryOp::Not => Ok(match v {
@@ -428,23 +428,23 @@ impl BoundExpr {
                     }),
                 }
             }
-            BoundExpr::Func { builtin, args } => eval_builtin(*builtin, args, row, agg_values),
+            BoundExpr::Func { builtin, args } => eval_builtin(*builtin, args, row),
             BoundExpr::Case {
                 branches,
                 else_result,
             } => {
                 for (cond, result) in branches {
-                    if cond.eval(row, agg_values)?.is_truthy() {
-                        return result.eval(row, agg_values);
+                    if cond.eval(row)?.is_truthy() {
+                        return result.eval(row);
                     }
                 }
                 match else_result {
-                    Some(e) => e.eval(row, agg_values),
+                    Some(e) => e.eval(row),
                     None => Ok(Value::Null),
                 }
             }
             BoundExpr::IsNull { expr, negated } => {
-                let v = expr.eval(row, agg_values)?;
+                let v = expr.eval(row)?;
                 Ok(Value::Bool(v.is_null() != *negated))
             }
             BoundExpr::InList {
@@ -452,13 +452,13 @@ impl BoundExpr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(row, agg_values)?;
+                let v = expr.eval(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
                 for cand in list {
-                    let c = cand.eval(row, agg_values)?;
+                    let c = cand.eval(row)?;
                     match v.sql_eq(&c) {
                         Some(true) => return Ok(Value::Bool(!negated)),
                         Some(false) => {}
@@ -477,9 +477,9 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row, agg_values)?;
-                let lo = low.eval(row, agg_values)?;
-                let hi = high.eval(row, agg_values)?;
+                let v = expr.eval(row)?;
+                let lo = low.eval(row)?;
+                let hi = high.eval(row)?;
                 match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                     (Some(a), Some(b)) => {
                         let inside = a != Ordering::Less && b != Ordering::Greater;
@@ -489,13 +489,9 @@ impl BoundExpr {
                 }
             }
             BoundExpr::Cast { expr, data_type } => {
-                let v = expr.eval(row, agg_values)?;
+                let v = expr.eval(row)?;
                 cast_value(v, *data_type)
             }
-            BoundExpr::AggRef(i) => agg_values
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| DbError::Eval("aggregate value missing".into())),
         }
     }
 
@@ -503,7 +499,7 @@ impl BoundExpr {
     pub fn walk(&self, f: &mut impl FnMut(&BoundExpr)) {
         f(self);
         match self {
-            BoundExpr::Literal(_) | BoundExpr::Column(_) | BoundExpr::AggRef(_) => {}
+            BoundExpr::Literal(_) | BoundExpr::Column(_) => {}
             BoundExpr::Binary { left, right, .. } => {
                 left.walk(f);
                 right.walk(f);
@@ -539,25 +535,19 @@ impl BoundExpr {
     /// True when the expression references no columns (safe to evaluate once).
     pub fn is_constant(&self) -> bool {
         let mut constant = true;
-        self.walk(&mut |e| constant &= !matches!(e, BoundExpr::Column(_) | BoundExpr::AggRef(_)));
+        self.walk(&mut |e| constant &= !matches!(e, BoundExpr::Column(_)));
         constant
     }
 }
 
-fn eval_binary(
-    left: &BoundExpr,
-    op: BinaryOp,
-    right: &BoundExpr,
-    row: &Row,
-    aggs: &[Value],
-) -> DbResult<Value> {
+fn eval_binary(left: &BoundExpr, op: BinaryOp, right: &BoundExpr, row: &Row) -> DbResult<Value> {
     // short-circuit logic with SQL three-valued semantics
     if op == BinaryOp::And {
-        let l = left.eval(row, aggs)?;
+        let l = left.eval(row)?;
         if let Value::Bool(false) = l {
             return Ok(Value::Bool(false));
         }
-        let r = right.eval(row, aggs)?;
+        let r = right.eval(row)?;
         return Ok(match (l, r) {
             (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
             (_, Value::Bool(false)) => Value::Bool(false),
@@ -565,19 +555,19 @@ fn eval_binary(
         });
     }
     if op == BinaryOp::Or {
-        let l = left.eval(row, aggs)?;
+        let l = left.eval(row)?;
         if let Value::Bool(true) = l {
             return Ok(Value::Bool(true));
         }
-        let r = right.eval(row, aggs)?;
+        let r = right.eval(row)?;
         return Ok(match (l, r) {
             (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
             (_, Value::Bool(true)) => Value::Bool(true),
             _ => Value::Null,
         });
     }
-    let l = left.eval(row, aggs)?;
-    let r = right.eval(row, aggs)?;
+    let l = left.eval(row)?;
+    let r = right.eval(row)?;
     match op {
         BinaryOp::Add => l.add(&r),
         BinaryOp::Sub => l.sub(&r),
@@ -608,16 +598,11 @@ fn bool3(v: Option<bool>) -> Value {
     }
 }
 
-fn eval_builtin(
-    builtin: Builtin,
-    args: &[BoundExpr],
-    row: &Row,
-    aggs: &[Value],
-) -> DbResult<Value> {
+fn eval_builtin(builtin: Builtin, args: &[BoundExpr], row: &Row) -> DbResult<Value> {
     match builtin {
         Builtin::Coalesce => {
             for a in args {
-                let v = a.eval(row, aggs)?;
+                let v = a.eval(row)?;
                 if !v.is_null() {
                     return Ok(v);
                 }
@@ -627,7 +612,7 @@ fn eval_builtin(
         Builtin::Least | Builtin::Greatest => {
             let mut best: Option<Value> = None;
             for a in args {
-                let v = a.eval(row, aggs)?;
+                let v = a.eval(row)?;
                 if v.is_null() {
                     continue;
                 }
@@ -649,7 +634,7 @@ fn eval_builtin(
             Ok(best.unwrap_or(Value::Null))
         }
         Builtin::Abs => {
-            let v = args[0].eval(row, aggs)?;
+            let v = args[0].eval(row)?;
             match v {
                 Value::Null => Ok(Value::Null),
                 Value::Int(i) => Ok(Value::Int(i.abs())),
@@ -660,7 +645,7 @@ fn eval_builtin(
         Builtin::Concat => {
             let mut out = String::new();
             for a in args {
-                let v = a.eval(row, aggs)?;
+                let v = a.eval(row)?;
                 if !v.is_null() {
                     out.push_str(&v.to_string());
                 }
@@ -668,7 +653,7 @@ fn eval_builtin(
             Ok(Value::Text(out))
         }
         Builtin::Upper | Builtin::Lower => {
-            let v = args[0].eval(row, aggs)?;
+            let v = args[0].eval(row)?;
             match v {
                 Value::Null => Ok(Value::Null),
                 Value::Text(s) => Ok(Value::Text(if builtin == Builtin::Upper {
@@ -683,7 +668,7 @@ fn eval_builtin(
             }
         }
         Builtin::Length => {
-            let v = args[0].eval(row, aggs)?;
+            let v = args[0].eval(row)?;
             match v {
                 Value::Null => Ok(Value::Null),
                 Value::Text(s) => Ok(Value::Int(s.chars().count() as i64)),
@@ -691,7 +676,7 @@ fn eval_builtin(
             }
         }
         Builtin::Round | Builtin::Floor | Builtin::Ceil | Builtin::Sqrt => {
-            let v = args[0].eval(row, aggs)?;
+            let v = args[0].eval(row)?;
             let f = match v {
                 Value::Null => return Ok(Value::Null),
                 ref v => v
@@ -706,8 +691,8 @@ fn eval_builtin(
             }))
         }
         Builtin::Power => {
-            let b = args[0].eval(row, aggs)?;
-            let e = args[1].eval(row, aggs)?;
+            let b = args[0].eval(row)?;
+            let e = args[1].eval(row)?;
             match (b.as_f64(), e.as_f64()) {
                 _ if b.is_null() || e.is_null() => Ok(Value::Null),
                 (Some(b), Some(e)) => Ok(Value::Float(b.powf(e))),
@@ -715,12 +700,12 @@ fn eval_builtin(
             }
         }
         Builtin::Mod => {
-            let a = args[0].eval(row, aggs)?;
-            let b = args[1].eval(row, aggs)?;
+            let a = args[0].eval(row)?;
+            let b = args[1].eval(row)?;
             a.rem(&b)
         }
         Builtin::Sign => {
-            let v = args[0].eval(row, aggs)?;
+            let v = args[0].eval(row)?;
             match v {
                 Value::Null => Ok(Value::Null),
                 Value::Int(i) => Ok(Value::Int(i.signum())),
@@ -791,7 +776,7 @@ mod tests {
     fn eval(sql: &str, row: &[Value]) -> DbResult<Value> {
         let e = parse_expression(sql).unwrap();
         let b = bind_scalar(&e, &scope_ab())?;
-        b.eval(&row.to_vec(), &[])
+        b.eval(&row.to_vec())
     }
 
     #[test]
@@ -854,8 +839,10 @@ mod tests {
         let mut aggs = Vec::new();
         let b = bind_with_aggregates(&e, &scope_ab(), &mut aggs).unwrap();
         assert_eq!(aggs.len(), 1);
-        // evaluate with the aggregate result plugged in
-        let v = b.eval(&vec![], &[Value::Float(2.0)]).unwrap();
+        // evaluate with the aggregate result after the input row
+        let mut row = vec![Value::Null; scope_ab().arity()];
+        row.push(Value::Float(2.0));
+        let v = b.eval(&row).unwrap();
         assert_eq!(v, Value::Float(1.7));
     }
 

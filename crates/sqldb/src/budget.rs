@@ -14,20 +14,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Fixed per-row bookkeeping overhead (slot option + vec headers).
-const ROW_OVERHEAD: u64 = 24;
+pub(crate) const ROW_OVERHEAD: u64 = 24;
 
 /// Estimated heap bytes held by one row.
 pub fn row_bytes(row: &[Value]) -> u64 {
-    let mut n = ROW_OVERHEAD;
-    for v in row {
-        n += match v {
-            Value::Null => 8,
-            Value::Int(_) | Value::Float(_) => 16,
-            Value::Bool(_) => 8,
-            Value::Text(s) => 24 + s.len() as u64,
-        };
+    ROW_OVERHEAD + row.iter().map(value_bytes).sum::<u64>()
+}
+
+/// Estimated heap bytes one value of a row adds to [`row_bytes`].
+pub fn value_bytes(v: &Value) -> u64 {
+    match v {
+        Value::Null => 8,
+        Value::Int(_) | Value::Float(_) => 16,
+        Value::Bool(_) => 8,
+        Value::Text(s) => 24 + s.len() as u64,
     }
-    n
 }
 
 /// An atomic byte-accounting budget with an optional hard limit.

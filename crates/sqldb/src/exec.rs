@@ -1,7 +1,7 @@
 //! Query and DML execution over materialized relations.
 
 use crate::ast::*;
-use crate::batch::{ColumnBatch, CompiledExpr, EvalOut};
+use crate::batch::{Col, ColData, ColumnBatch, CompiledExpr, EvalOut};
 use crate::bind::{bind_scalar, bind_with_aggregates, AggSpec, BoundExpr, Scope, ScopeRelation};
 use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
@@ -15,6 +15,7 @@ use crate::txn::{apply_undo, UndoLog, UndoOp};
 use crate::types::{Column, DataType, Schema};
 use crate::value::{canonical_nan, Row, Value};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Maximum view-expansion / derived-table nesting depth.
@@ -61,6 +62,31 @@ impl QueryResult {
             Some(&self.rows[0][0])
         } else {
             None
+        }
+    }
+}
+
+/// A query's output while it stays inside the engine: column batches,
+/// turned into [`QueryResult`] rows only when they leave it.
+#[derive(Debug)]
+struct Batches {
+    columns: Vec<String>,
+    batches: Vec<ColumnBatch>,
+}
+
+impl Batches {
+    fn len(&self) -> usize {
+        self.batches.iter().map(ColumnBatch::len).sum()
+    }
+
+    fn into_result(self) -> QueryResult {
+        let mut rows = Vec::with_capacity(self.len());
+        self.batches
+            .iter()
+            .for_each(|b| b.append_rows_to(&mut rows));
+        QueryResult {
+            columns: self.columns,
+            rows,
         }
     }
 }
@@ -188,6 +214,31 @@ impl<'a> Executor<'a> {
     // Queries
     // ------------------------------------------------------------------
 
+    /// Runs a query whose rows stay in the engine — the source of an
+    /// `INSERT … SELECT` or a `CREATE TABLE … AS`: a plain `SELECT` on the
+    /// vectorized pipeline hands over its batches, anything else is batched
+    /// from its rows.
+    fn run_query_batches(&self, q: &SelectStmt) -> DbResult<Batches> {
+        let out = match &q.body {
+            SetExpr::Select(s)
+                if self.vectorized && !s.distinct && q.order_by.is_empty() && q.limit.is_none() =>
+            {
+                self.check_deadline()?;
+                self.select_batches(s, 0)?
+            }
+            _ => {
+                let result = self.run_query(q)?;
+                let arity = result.rows.first().map_or(result.columns.len(), Vec::len);
+                Batches {
+                    batches: ColumnBatch::chunk_rows(result.rows, arity, self.batch_rows()),
+                    columns: result.columns,
+                }
+            }
+        };
+        self.check_row_cap(out.len())?;
+        Ok(out)
+    }
+
     /// Runs a query to completion.
     ///
     /// # Errors
@@ -299,7 +350,7 @@ impl<'a> Executor<'a> {
                     }
                     let mut row = Vec::with_capacity(row_exprs.len());
                     for e in row_exprs {
-                        row.push(bind_scalar(e, &scope)?.eval(&Vec::new(), &[])?);
+                        row.push(bind_scalar(e, &scope)?.eval(&Vec::new())?);
                     }
                     out.push(row);
                 }
@@ -354,83 +405,10 @@ impl<'a> Executor<'a> {
     }
 
     fn exec_select(&self, s: &Select, depth: usize) -> DbResult<QueryResult> {
-        let has_aggregates = s
-            .projections
-            .iter()
-            .any(|p| matches!(p, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-            || s.having
-                .as_ref()
-                .map(|h| h.contains_aggregate())
-                .unwrap_or(false);
-        let grouped = has_aggregates || !s.group_by.is_empty();
-
-        // FROM: column batches, charged to the memory budget as they are
-        // produced and refunded when the statement's intermediate state
-        // dies at the end of this scope
-        let rel = if s.from.is_empty() {
-            if let Some(p) = self.prof {
-                p.leaf("Result (no tables)".to_string(), 1, 0);
-            }
-            let unit = ColumnBatch::from_cols(Vec::new(), 1);
-            Rel::new(Scope::new(), vec![unit], self.catalog.memory_budget())?
-        } else {
-            self.build_from(&s.from, depth, |tr| pushdown_conjuncts(s, tr))?
+        let mut result = match self.vectorized {
+            true => self.select_batches(s, depth)?.into_result(),
+            false => self.select_rows(s, depth)?,
         };
-        let arity = rel.arity();
-        let mut result = if self.vectorized {
-            let Rel {
-                scope,
-                batches,
-                charge: _charge,
-            } = rel;
-            self.exec_pipeline_batched(s, &scope, batches, arity, grouped)?
-        } else {
-            // the reference evaluator: rows are rebuilt from the batches
-            // here, and WHERE / aggregation / projection run a row at a time
-            let mut rows = rel.rows();
-            if let Some(pred) = &s.selection {
-                let t0 = self.prof_start();
-                let rows_in = rows.len() as u64;
-                let bound = bind_scalar(pred, &rel.scope)?;
-                let mut kept = Vec::with_capacity(rows.len());
-                for (i, row) in rows.into_iter().enumerate() {
-                    if i & 0xFFF == 0 {
-                        self.check_deadline()?;
-                    }
-                    if bound.eval(&row, &[])?.is_truthy() {
-                        kept.push(row);
-                    }
-                }
-                rows = kept;
-                if let Some(p) = self.prof {
-                    p.wrap(
-                        1,
-                        "Filter".to_string(),
-                        rows.len() as u64,
-                        rows_in,
-                        t0.map(us_since).unwrap_or(0),
-                    );
-                }
-            }
-
-            if grouped {
-                let t0 = self.prof_start();
-                let out = self.exec_aggregate(s, &rel.scope, &rows)?;
-                if let Some(p) = self.prof {
-                    p.wrap(
-                        1,
-                        format!("HashAggregate (group by {} keys)", s.group_by.len()),
-                        out.rows.len() as u64,
-                        rows.len() as u64,
-                        t0.map(us_since).unwrap_or(0),
-                    );
-                }
-                out
-            } else {
-                self.exec_project(s, &rel.scope, &rows)?
-            }
-        };
-
         if s.distinct {
             let t0 = self.prof_start();
             let rows_in = result.rows.len() as u64;
@@ -448,6 +426,78 @@ impl<'a> Executor<'a> {
         Ok(result)
     }
 
+    /// FROM: column batches, charged to the memory budget as they are
+    /// produced and refunded when the statement's intermediate state dies.
+    fn select_from(&self, s: &Select, depth: usize) -> DbResult<Rel> {
+        if s.from.is_empty() {
+            if let Some(p) = self.prof {
+                p.leaf("Result (no tables)".to_string(), 1, 0);
+            }
+            let unit = ColumnBatch::from_cols(Vec::new(), 1);
+            return Rel::new(Scope::new(), vec![unit], self.catalog.memory_budget());
+        }
+        self.build_from(&s.from, depth, |tr| pushdown_conjuncts(s, tr))
+    }
+
+    /// A `SELECT` (without its `DISTINCT`) on the vectorized pipeline.
+    fn select_batches(&self, s: &Select, depth: usize) -> DbResult<Batches> {
+        let rel = self.select_from(s, depth)?;
+        let arity = rel.arity();
+        let Rel {
+            scope,
+            batches,
+            charge: _charge,
+        } = rel;
+        self.exec_pipeline_batched(s, &scope, batches, arity, is_grouped(s))
+    }
+
+    /// A `SELECT` (without its `DISTINCT`) on the reference evaluator: rows
+    /// are rebuilt from the `FROM` clause's batches, and WHERE / aggregation
+    /// / projection run a row at a time.
+    fn select_rows(&self, s: &Select, depth: usize) -> DbResult<QueryResult> {
+        let rel = self.select_from(s, depth)?;
+        let mut rows = rel.rows();
+        if let Some(pred) = &s.selection {
+            let t0 = self.prof_start();
+            let rows_in = rows.len() as u64;
+            let bound = bind_scalar(pred, &rel.scope)?;
+            let mut kept = Vec::with_capacity(rows.len());
+            for (i, row) in rows.into_iter().enumerate() {
+                if i & 0xFFF == 0 {
+                    self.check_deadline()?;
+                }
+                if bound.eval(&row)?.is_truthy() {
+                    kept.push(row);
+                }
+            }
+            rows = kept;
+            if let Some(p) = self.prof {
+                p.wrap(
+                    1,
+                    "Filter".to_string(),
+                    rows.len() as u64,
+                    rows_in,
+                    t0.map(us_since).unwrap_or(0),
+                );
+            }
+        }
+        if !is_grouped(s) {
+            return self.exec_project(s, &rel.scope, &rows);
+        }
+        let t0 = self.prof_start();
+        let out = self.exec_aggregate(s, &rel.scope, &rows)?;
+        if let Some(p) = self.prof {
+            p.wrap(
+                1,
+                format!("HashAggregate (group by {} keys)", s.group_by.len()),
+                out.rows.len() as u64,
+                rows.len() as u64,
+                t0.map(us_since).unwrap_or(0),
+            );
+        }
+        Ok(out)
+    }
+
     /// Runs WHERE → aggregation/projection over column batches. Per-batch
     /// deadline checks replace the row path's every-4096-rows checks, and
     /// each operator records batch actuals into the profiler and the
@@ -459,7 +509,7 @@ impl<'a> Executor<'a> {
         mut batches: Vec<ColumnBatch>,
         arity: usize,
         grouped: bool,
-    ) -> DbResult<QueryResult> {
+    ) -> DbResult<Batches> {
         let input_batches = batches.len() as u64;
         let input_rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
 
@@ -502,7 +552,7 @@ impl<'a> Executor<'a> {
                 p.wrap_batched(
                     1,
                     format!("HashAggregate (group by {} keys)", s.group_by.len()),
-                    out.rows.len() as u64,
+                    out.len() as u64,
                     rows_in,
                     t0.map(us_since).unwrap_or(0),
                     nb,
@@ -510,7 +560,7 @@ impl<'a> Executor<'a> {
             }
             out
         } else {
-            self.exec_project_batched(s, scope, &batches)?
+            self.exec_project_batched(s, scope, batches)?
         };
 
         note_exec_batches(input_batches, input_rows);
@@ -525,54 +575,58 @@ impl<'a> Executor<'a> {
         &self,
         s: &Select,
         scope: &Scope,
-        batches: &[ColumnBatch],
-    ) -> DbResult<QueryResult> {
+        batches: Vec<ColumnBatch>,
+    ) -> DbResult<Batches> {
         let (columns, exprs) = bind_projections(s, scope)?;
         let compiled: Vec<CompiledExpr> = exprs.iter().map(CompiledExpr::new).collect();
-        let total: usize = batches.iter().map(ColumnBatch::len).sum();
-        let mut rows = Vec::with_capacity(total);
+        let mut out = Vec::with_capacity(batches.len());
+        let mut produced = 0;
         for b in batches {
             self.check_deadline()?;
-            let outs: DbResult<Vec<EvalOut>> = compiled.iter().map(|c| c.try_eval(b)).collect();
-            match outs {
+            let outs: DbResult<Vec<EvalOut>> = compiled.iter().map(|c| c.try_eval(&b)).collect();
+            let projected = match outs {
                 Ok(outs) => {
-                    for lane in 0..b.len() {
-                        let mut out = Vec::with_capacity(compiled.len());
-                        for o in &outs {
-                            out.push(o.value_at(b, lane));
-                        }
-                        rows.push(out);
-                        self.check_row_cap(rows.len())?;
-                    }
+                    let cols = outs.into_iter().map(|o| o.into_col(&b)).collect();
+                    ColumnBatch::from_cols(cols, b.len())
                 }
                 Err(_) => {
+                    let mut rows = Vec::with_capacity(b.len());
                     for lane in 0..b.len() {
                         let row = b.row_at(lane);
                         let mut out = Vec::with_capacity(compiled.len());
                         for c in &compiled {
-                            out.push(c.expr().eval(&row, &[])?);
+                            out.push(c.expr().eval(&row)?);
                         }
                         rows.push(out);
-                        self.check_row_cap(rows.len())?;
+                        self.check_row_cap(produced + rows.len())?;
                     }
+                    ColumnBatch::from_rows(rows, compiled.len())
                 }
-            }
+            };
+            produced += projected.len();
+            self.check_row_cap(produced)?;
+            out.push(projected);
         }
-        Ok(QueryResult { columns, rows })
+        Ok(Batches {
+            columns,
+            batches: out,
+        })
     }
 
     /// Vectorized grouping: key and aggregate-argument expressions are
     /// compiled once and evaluated per batch; group discovery order,
     /// accumulator semantics and error ordering match
     /// [`Self::exec_aggregate`] exactly (a kernel error reruns the batch
-    /// row-wise).
+    /// row-wise). Each group is represented by the batch lane it first
+    /// appeared in, and the groups leave as one batch
+    /// ([`GroupedSelect::finish_batch`]).
     fn exec_aggregate_batched(
         &self,
         s: &Select,
         scope: &Scope,
         batches: &[ColumnBatch],
         arity: usize,
-    ) -> DbResult<QueryResult> {
+    ) -> DbResult<Batches> {
         let grouped = GroupedSelect::bind(s, scope)?;
         let (key_exprs, aggs) = (&grouped.key_exprs, &grouped.aggs);
 
@@ -582,25 +636,7 @@ impl<'a> Executor<'a> {
             .map(|a| a.arg.as_ref().map(CompiledExpr::new))
             .collect();
 
-        // a group's representative row carries only the columns the
-        // projections and HAVING read
-        let mut rep_cols = Vec::new();
-        for e in grouped.proj_exprs.iter().chain(&grouped.having) {
-            e.walk(&mut |node| {
-                if let BoundExpr::Column(c) = node {
-                    rep_cols.push(*c);
-                }
-            });
-        }
-        let representative = |b: &ColumnBatch, lane: usize| {
-            let mut row = vec![Value::Null; arity];
-            for &c in rep_cols.iter().filter(|&&c| c < arity) {
-                row[c] = b.col(c).value_at(lane);
-            }
-            row
-        };
-
-        let mut groups: Vec<(Vec<AggAcc>, Row)> = Vec::new();
+        let mut groups = Groups::default();
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         // Single-INT-key fast path: while every batch's key column has been a
         // fully-valid Int vector, group through an i64-keyed map instead of
@@ -613,7 +649,7 @@ impl<'a> Executor<'a> {
         let mut int_index: HashMap<i64, usize, std::hash::BuildHasherDefault<IntKeyHasher>> =
             HashMap::default();
         let mut typed_ok = compiled_keys.len() == 1;
-        for b in batches {
+        for (bi, b) in batches.iter().enumerate() {
             self.check_deadline()?;
             let key_outs: DbResult<Vec<EvalOut>> =
                 compiled_keys.iter().map(|c| c.try_eval(b)).collect();
@@ -633,19 +669,19 @@ impl<'a> Executor<'a> {
             match (&key_outs, &arg_outs) {
                 (Ok(key_outs), Ok(arg_outs)) => {
                     if let Some(ks) = int_keys {
-                        let float_args: Vec<Option<&[f64]>> = arg_outs
+                        let float_args: Vec<Option<(&[f64], &[bool])>> = arg_outs
                             .iter()
                             .map(|o| o.as_ref().and_then(|o| o.as_float_lanes(b)))
                             .collect();
                         for lane in 0..b.len() {
-                            let gi = *int_index.entry(ks[lane]).or_insert_with(|| {
-                                groups.push((grouped.accumulators(), representative(b, lane)));
-                                groups.len() - 1
-                            });
-                            let (accs, _) = &mut groups[gi];
+                            let gi = *int_index
+                                .entry(ks[lane])
+                                .or_insert_with(|| groups.open(&grouped, bi, lane));
+                            let accs = groups.accs(gi);
                             for ((acc, out), fs) in accs.iter_mut().zip(arg_outs).zip(&float_args) {
                                 match fs {
-                                    Some(fs) => acc.update_float(fs[lane]),
+                                    Some((fs, valid)) if valid[lane] => acc.update_float(fs[lane]),
+                                    Some(_) => {}
                                     None => acc.update(out.as_ref().map(|o| o.value_at(b, lane))),
                                 }
                             }
@@ -655,12 +691,10 @@ impl<'a> Executor<'a> {
                     for lane in 0..b.len() {
                         let key: Vec<Value> =
                             key_outs.iter().map(|o| o.value_at(b, lane)).collect();
-                        let gi = *index.entry(key).or_insert_with(|| {
-                            groups.push((grouped.accumulators(), representative(b, lane)));
-                            groups.len() - 1
-                        });
-                        let (accs, _) = &mut groups[gi];
-                        for (acc, out) in accs.iter_mut().zip(arg_outs) {
+                        let gi = *index
+                            .entry(key)
+                            .or_insert_with(|| groups.open(&grouped, bi, lane));
+                        for (acc, out) in groups.accs(gi).iter_mut().zip(arg_outs) {
                             acc.update(out.as_ref().map(|o| o.value_at(b, lane)));
                         }
                     }
@@ -670,16 +704,14 @@ impl<'a> Executor<'a> {
                         let row = b.row_at(lane);
                         let mut key = Vec::with_capacity(key_exprs.len());
                         for k in key_exprs {
-                            key.push(k.eval(&row, &[])?);
+                            key.push(k.eval(&row)?);
                         }
-                        let gi = *index.entry(key).or_insert_with(|| {
-                            groups.push((grouped.accumulators(), row.clone()));
-                            groups.len() - 1
-                        });
-                        let (accs, _) = &mut groups[gi];
-                        for (acc, spec) in accs.iter_mut().zip(aggs) {
+                        let gi = *index
+                            .entry(key)
+                            .or_insert_with(|| groups.open(&grouped, bi, lane));
+                        for (acc, spec) in groups.accs(gi).iter_mut().zip(aggs) {
                             let v = match &spec.arg {
-                                Some(e) => Some(e.eval(&row, &[])?),
+                                Some(e) => Some(e.eval(&row)?),
                                 None => None,
                             };
                             acc.update(v);
@@ -688,7 +720,7 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        grouped.finish(self, groups, arity)
+        grouped.finish_batch(self, batches, groups, arity)
     }
 
     fn exec_project(&self, s: &Select, scope: &Scope, input: &[Row]) -> DbResult<QueryResult> {
@@ -700,7 +732,7 @@ impl<'a> Executor<'a> {
             }
             let mut out = Vec::with_capacity(exprs.len());
             for e in &exprs {
-                out.push(e.eval(row, &[])?);
+                out.push(e.eval(row)?);
             }
             rows.push(out);
             self.check_row_cap(rows.len())?;
@@ -715,7 +747,7 @@ impl<'a> Executor<'a> {
         // group rows; the key lives only in the index map (each group keeps a
         // representative row for projecting group-by columns), so the entry
         // API moves each key in without a clone
-        let mut groups: Vec<(Vec<AggAcc>, Row)> = Vec::new();
+        let (mut groups, mut reps) = (Groups::default(), Vec::new());
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         for (i, row) in input.iter().enumerate() {
             if i & 0xFFF == 0 {
@@ -723,22 +755,23 @@ impl<'a> Executor<'a> {
             }
             let mut key = Vec::with_capacity(key_exprs.len());
             for k in key_exprs {
-                key.push(k.eval(row, &[])?);
+                key.push(k.eval(row)?);
             }
             let gi = *index.entry(key).or_insert_with(|| {
-                groups.push((grouped.accumulators(), row.clone()));
-                groups.len() - 1
+                reps.push(row.clone());
+                groups.open(&grouped, 0, reps.len() - 1)
             });
-            let (accs, _) = &mut groups[gi];
-            for (acc, spec) in accs.iter_mut().zip(aggs) {
+            for (acc, spec) in groups.accs(gi).iter_mut().zip(aggs) {
                 let v = match &spec.arg {
-                    Some(e) => Some(e.eval(row, &[])?),
+                    Some(e) => Some(e.eval(row)?),
                     None => None,
                 };
                 acc.update(v);
             }
         }
-        grouped.finish(self, groups, scope.arity())
+        let reps = [ColumnBatch::from_rows(reps, scope.arity())];
+        let out = grouped.finish_batch(self, &reps, groups, scope.arity())?;
+        Ok(out.into_result())
     }
 
     fn apply_order_by(&self, result: &mut QueryResult, order_by: &[OrderByExpr]) -> DbResult<()> {
@@ -772,7 +805,7 @@ impl<'a> Executor<'a> {
         for row in result.rows.drain(..) {
             let mut kv = Vec::with_capacity(keys.len());
             for (e, _) in &keys {
-                kv.push(e.eval(&row, &[])?);
+                kv.push(e.eval(&row)?);
             }
             decorated.push((kv, row));
         }
@@ -900,6 +933,43 @@ impl<'a> Executor<'a> {
         Ok(joined.rel)
     }
 
+    /// The `slots` of `table` no conjunct of `prefilter` cleanly rejects. A
+    /// conjunct that fails to evaluate on a row keeps it, so the statement's
+    /// WHERE still raises the error if the row survives.
+    fn prefiltered(&self, table: &Table, prefilter: &[BoundExpr], slots: Vec<usize>) -> Vec<usize> {
+        if prefilter.is_empty() {
+            return slots;
+        }
+        let conjuncts: Vec<CompiledExpr> = prefilter.iter().map(CompiledExpr::new).collect();
+        let batch_rows = self.batch_rows();
+        let mut kept = Vec::with_capacity(slots.len());
+        for (b, chunk) in table
+            .read_batches(&slots, false, batch_rows)
+            .iter()
+            .zip(slots.chunks(batch_rows))
+        {
+            let mut keep = vec![true; b.len()];
+            for c in &conjuncts {
+                match c.try_eval(b) {
+                    Ok(out) => keep
+                        .iter_mut()
+                        .zip(out.truthy_mask(b))
+                        .for_each(|(k, t)| *k &= t),
+                    Err(_) => {
+                        for (lane, k) in keep.iter_mut().enumerate().filter(|(_, k)| **k) {
+                            *k = c
+                                .expr()
+                                .eval(&b.row_at(lane))
+                                .map_or(true, |v| v.is_truthy());
+                        }
+                    }
+                }
+            }
+            kept.extend(chunk.iter().zip(keep).filter(|(_, k)| *k).map(|(&s, _)| s));
+        }
+        kept
+    }
+
     /// The result of a view or subquery as the relation `alias`.
     fn rel_from_result(&self, result: QueryResult, alias: String) -> DbResult<Rel> {
         let mut scope = Scope::new();
@@ -947,24 +1017,14 @@ impl<'a> Executor<'a> {
                     .filter(|_| joined)
                     .filter_map(|e| bind_scalar(e, &scope).ok())
                     .collect();
-                // drop a row only when a conjunct cleanly rejects it; one
-                // that fails to evaluate keeps the row, so WHERE still
-                // raises the error if the row survives
-                let keep = |row: &Row| {
-                    bound
-                        .iter()
-                        .all(|c| c.eval(row, &[]).map_or(true, |v| v.is_truthy()))
-                };
-                let mut visited = 0u64;
-                let (access, batches) = {
+                let (access, visited, batches) = {
                     let t = handle.read();
                     let access = choose_access(&t, visible, prefilter);
-                    let rows = access
-                        .rows(&t)
-                        .inspect(|_| visited += 1)
-                        .filter(|(_, row)| keep(row));
-                    let batches = t.read_batches(rows, false, self.batch_rows());
-                    (access, batches)
+                    let slots = access.slots(&t);
+                    let visited = slots.len() as u64;
+                    let slots = self.prefiltered(&t, &bound, slots);
+                    let batches = t.read_batches(&slots, false, self.batch_rows());
+                    (access, visited, batches)
                 };
                 self.count_access(&access, visited);
                 let rel = Rel::new(scope, batches, self.catalog.memory_budget())?;
@@ -1063,8 +1123,8 @@ impl<'a> Executor<'a> {
 
     fn exec_create_table(&self, ct: &CreateTable, undo: &mut UndoLog) -> DbResult<StmtOutput> {
         if let Some(q) = &ct.as_select {
-            let result = self.run_query(q)?;
-            let schema = infer_schema(&result)?;
+            let source = self.run_query_batches(q)?;
+            let schema = infer_schema(&source)?;
             let created = self.catalog.create_table(
                 &ct.name,
                 Table::new(schema.clone()),
@@ -1072,14 +1132,12 @@ impl<'a> Executor<'a> {
             )?;
             if created {
                 let handle = self.catalog.table(&ct.name)?;
-                let mut t = handle.write();
-                for row in result.rows {
-                    let row = schema.coerce_row(row)?;
-                    let slot = t.insert(row)?;
-                    undo.push(UndoOp::Insert {
-                        table: ct.name.clone(),
-                        slot,
-                    });
+                let filled = self.append_batches(&ct.name, &handle, source.batches, None, undo);
+                if let Err(e) = filled {
+                    // the statement is atomic: a table its rows do not fit
+                    // is not left behind
+                    self.catalog.drop_table(&ct.name, true)?;
+                    return Err(e);
                 }
             }
             return Ok(StmtOutput::Done);
@@ -1123,112 +1181,115 @@ impl<'a> Executor<'a> {
 
     fn exec_insert(&self, ins: &Insert, undo: &mut UndoLog) -> DbResult<StmtOutput> {
         let handle = self.catalog.table(&ins.table)?;
-        let schema = handle.read().schema().clone();
-        let source_rows: Vec<Row> = match &ins.source {
+        let batches = match &ins.source {
             InsertSource::Values(rows) => {
                 let scope = Scope::new();
                 let mut out = Vec::with_capacity(rows.len());
                 for row_exprs in rows {
                     let mut row = Vec::with_capacity(row_exprs.len());
                     for e in row_exprs {
-                        row.push(bind_scalar(e, &scope)?.eval(&Vec::new(), &[])?);
+                        row.push(bind_scalar(e, &scope)?.eval(&Vec::new())?);
                     }
                     out.push(row);
                 }
-                out
-            }
-            InsertSource::Select(q) => self.run_query(q)?.rows,
-        };
-        // map through the explicit column list if present
-        let mapping: Option<Vec<usize>> = match &ins.columns {
-            Some(cols) => {
-                let mut m = Vec::with_capacity(cols.len());
-                for c in cols {
-                    m.push(
-                        schema
-                            .column_index(c)
-                            .ok_or_else(|| DbError::NotFound(format!("column {c}")))?,
-                    );
+                // one batch, unless the rows differ in arity: then one per row
+                let arity = out.first().map_or(0, Vec::len);
+                match out.iter().all(|row| row.len() == arity) {
+                    true => vec![ColumnBatch::from_rows(out, arity)],
+                    false => out
+                        .into_iter()
+                        .map(|r| ColumnBatch::from_rows(vec![r.clone()], r.len()))
+                        .collect(),
                 }
-                Some(m)
             }
-            None => None,
+            InsertSource::Select(q) => self.run_query_batches(q)?.batches,
         };
-        let mut count = 0u64;
-        let mut t = handle.write();
-        for row in source_rows {
-            if count & 0xFFF == 0 {
-                self.check_deadline()?;
-            }
-            let full_row = match &mapping {
-                Some(m) => {
-                    if row.len() != m.len() {
-                        return Err(DbError::Invalid(format!(
-                            "INSERT provides {} values for {} columns",
-                            row.len(),
-                            m.len()
-                        )));
-                    }
-                    let mut full = vec![Value::Null; schema.arity()];
-                    for (v, &target) in row.into_iter().zip(m) {
-                        full[target] = v;
-                    }
-                    full
-                }
-                None => row,
-            };
-            let coerced = schema.coerce_row(full_row)?;
-            let slot = t.insert(coerced)?;
-            undo.push(UndoOp::Insert {
-                table: ins.table.clone(),
-                slot,
-            });
-            count += 1;
-        }
+        let count =
+            self.append_batches(&ins.table, &handle, batches, ins.columns.as_deref(), undo)?;
         Ok(StmtOutput::Affected(count))
     }
 
-    /// Visits the live `(slot, row)`s of a DML target (whose columns
-    /// `scope` names) that pass `selection`, reading the table through the
-    /// access path the predicate allows ([`choose_access`]); the whole
-    /// predicate runs on whatever that path returns.
-    fn for_each_match(
+    /// Appends the rows of `batches` to `table` (`handle`), mapped through
+    /// an explicit column list and coerced to its schema, and records the
+    /// slots they took as one undo entry. Rows are appended in order; the
+    /// first row that cannot be stored ends the statement with the error
+    /// the row-at-a-time path raises for it, after the rows before it were
+    /// appended (so a constraint violation among them is reported first).
+    fn append_batches(
+        &self,
+        table: &str,
+        handle: &TableHandle,
+        batches: Vec<ColumnBatch>,
+        columns: Option<&[String]>,
+        undo: &mut UndoLog,
+    ) -> DbResult<u64> {
+        let mut t = handle.write();
+        let schema = t.schema().clone();
+        let index = |c: &String| {
+            let found = schema.column_index(c);
+            found.ok_or_else(|| DbError::NotFound(format!("column {c}")))
+        };
+        let mapping = columns.map(|cols| cols.iter().map(index).collect::<DbResult<Vec<_>>>());
+        let mapping = mapping.transpose()?;
+        let mut appended: Option<Range<usize>> = None;
+        let result = batches.into_iter().try_fold(0u64, |n, b| {
+            self.check_deadline()?;
+            let (stored, failed) = target_batch(b, &schema, mapping.as_deref());
+            let slots = t.append(&stored)?;
+            appended = Some(appended.as_ref().map_or(slots.start, |a| a.start)..slots.end);
+            failed.map_or(Ok(n + slots.len() as u64), Err)
+        });
+        if let Some(slots) = appended {
+            undo.push(UndoOp::Insert {
+                table: table.to_owned(),
+                slots,
+            });
+        }
+        result
+    }
+
+    /// The rows of a DML target (whose columns `scope` names) that pass
+    /// `selection`, as column batches that end in each row's slot. The
+    /// table is read through the access path the predicate allows
+    /// ([`choose_access`]), and the whole predicate runs on what that path
+    /// returns, batch by batch.
+    fn matching_batches(
         &self,
         handle: &TableHandle,
         target: &TableFactor,
         scope: &Scope,
         selection: Option<&Expr>,
-        mut visit: impl FnMut(usize, &Row),
-    ) -> DbResult<()> {
+    ) -> DbResult<Vec<ColumnBatch>> {
         let t0 = self.prof_start();
         let visible = factor_visible_name(target);
         let pred = selection.map(|p| bind_scalar(p, scope)).transpose()?;
+        let pred = pred.as_ref().map(CompiledExpr::new);
         let table = handle.read();
         let access = choose_access(&table, visible, &ast_conjuncts(selection));
-        let (mut visited, mut matched) = (0u64, 0u64);
-        for (slot, row) in access.rows(&table) {
-            if visited & 0xFFF == 0 {
-                self.check_deadline()?;
-            }
-            visited += 1;
-            let keep = match &pred {
-                Some(p) => p.eval(row, &[])?.is_truthy(),
-                None => true,
+        let slots = access.slots(&table);
+        let mut matches = Vec::new();
+        for b in table.read_batches(&slots, true, self.batch_rows()) {
+            self.check_deadline()?;
+            let b = match &pred {
+                Some(p) => {
+                    let mask = p.eval_batch(&b)?.truthy_mask(&b);
+                    keep(b, &mask)
+                }
+                None => b,
             };
-            if keep {
-                matched += 1;
-                visit(slot, row);
+            if !b.is_empty() {
+                matches.push(b);
             }
         }
-        self.count_access(&access, visited);
+        self.count_access(&access, slots.len() as u64);
         if let Some(p) = self.prof {
             p.leaf(
                 access.describe(&factor_label(target), false),
-                matched,
+                matches.iter().map(|b| b.len() as u64).sum(),
                 t0.map(us_since).unwrap_or(0),
             );
         }
-        Ok(())
+        Ok(matches)
     }
 
     fn exec_update(&self, upd: &Update, undo: &mut UndoLog) -> DbResult<StmtOutput> {
@@ -1236,17 +1297,14 @@ impl<'a> Executor<'a> {
         let handle = self.catalog.table(&upd.table)?;
         let target = update_target(upd);
 
-        // `matches`: one `(slot, row)` per target row to rewrite, where
-        // `row[target_at..]` starts with the target's current columns and
-        // `scope` names every column of `row` for the SET expressions
-        let mut matches: Vec<(usize, Row)> = Vec::new();
-        let (scope, target_at) = if upd.from.is_empty() {
+        // `matches`: one lane per target row to rewrite, in batches whose
+        // columns `target_at..` start with the target's current columns and
+        // end in its slot; `scope` names the columns the SET list reads
+        let (scope, target_at, matches) = if upd.from.is_empty() {
             let scope = table_scope(&handle, factor_visible_name(&target));
             let selection = upd.selection.as_ref();
-            self.for_each_match(&handle, &target, &scope, selection, |slot, row| {
-                matches.push((slot, row.clone()))
-            })?;
-            (scope, 0)
+            let matches = self.matching_batches(&handle, &target, &scope, selection)?;
+            (scope, 0, matches)
         } else {
             // the extra relations (PostgreSQL FROM list / MySQL JOIN) drive
             // a join whose inner side is the target itself, unscanned: a
@@ -1260,18 +1318,19 @@ impl<'a> Executor<'a> {
             // the join emits a target row's pairs in FROM order: keeping
             // the first per slot is "first matching FROM row wins"
             let slot_at = joined.arity() - 1;
-            let mut seen = HashSet::with_capacity(joined.len());
-            for batch in &joined.batches {
-                let slots = batch.col(slot_at);
-                for lane in 0..batch.len() {
-                    let slot = slots.value_at(lane).as_i64();
-                    let slot = slot.expect("slot column holds the slot") as usize;
-                    if seen.insert(slot) {
-                        matches.push((slot, batch.row_at(lane)));
-                    }
+            let mut seen = vec![false; handle.read().slot_count()];
+            let Rel { scope, batches, .. } = joined;
+            let mut matches = Vec::with_capacity(batches.len());
+            for b in batches {
+                let slots = b.col(slot_at);
+                let mut first = |lane| !std::mem::replace(&mut seen[slot_of(slots, lane)], true);
+                let first: Vec<bool> = (0..b.len()).map(&mut first).collect();
+                let b = keep(b, &first);
+                if !b.is_empty() {
+                    matches.push(b);
                 }
             }
-            (joined.scope, target_at)
+            (scope, target_at, matches)
         };
 
         // the SET list: (column, its type, value expression)
@@ -1284,33 +1343,50 @@ impl<'a> Executor<'a> {
                     .column_index(col)
                     .ok_or_else(|| DbError::NotFound(format!("column {col}")))?;
                 let data_type = schema.columns()[idx].data_type;
-                assignments.push((idx, data_type, bind_scalar(e, &scope)?));
+                assignments.push((idx, data_type, CompiledExpr::new(&bind_scalar(e, &scope)?)));
             }
             (schema.arity(), assignments)
         };
 
-        // apply; the undo log records each old row as it is replaced
-        let matched = matches.len() as u64;
-        let mut count = 0u64;
-        let mut t = handle.write();
-        for (i, (slot, row)) in matches.into_iter().enumerate() {
-            if i & 0xFFF == 0 {
-                self.check_deadline()?;
+        // each batch's new target rows; those that differ from the current
+        // ones are written in one call, whose old rows are the statement's
+        // undo entry
+        let matched = matches.iter().map(|b| b.len() as u64).sum();
+        let (mut slots, mut rows) = (Vec::new(), Vec::new());
+        let mut failed = None;
+        for b in &matches {
+            self.check_deadline()?;
+            let (new, done, err) = set_rows(b, target_at, arity, &assignments);
+            let current = |c: usize| b.col(target_at + c);
+            let changed: Vec<bool> = (0..b.len())
+                .map(|lane| {
+                    lane < done
+                        && assignments
+                            .iter()
+                            .any(|(c, _, _)| new[*c].value_at(lane) != current(*c).value_at(lane))
+                })
+                .collect();
+            let slot_col = b.col(b.arity() - 1);
+            let lanes = (0..b.len()).filter(|&lane| changed[lane]);
+            slots.extend(lanes.map(|lane| slot_of(slot_col, lane)));
+            rows.push(keep(ColumnBatch::from_cols(new, b.len()), &changed));
+            if err.is_some() {
+                failed = err;
+                break;
             }
-            let current = &row[target_at..target_at + arity];
-            let mut new_row = current.to_vec();
-            for (idx, data_type, e) in &assignments {
-                new_row[*idx] = data_type.coerce(e.eval(&row, &[])?)?;
-            }
-            if new_row.as_slice() != current {
-                let old = t.update_slot(slot, new_row)?;
-                undo.push(UndoOp::Update {
-                    table: upd.table.clone(),
-                    slot,
-                    old,
-                });
-                count += 1;
-            }
+        }
+        let count = slots.len() as u64;
+        if !slots.is_empty() {
+            let new = ColumnBatch::concat(rows, arity).into_cols();
+            let old = handle.write().update_slots(&slots, &new, true)?;
+            undo.push(UndoOp::Update {
+                table: upd.table.clone(),
+                slots,
+                old,
+            });
+        }
+        if let Some(e) = failed {
+            return Err(e);
         }
         if let Some(p) = self.prof {
             p.wrap(
@@ -1337,20 +1413,19 @@ impl<'a> Executor<'a> {
             alias: None,
         };
         let scope = table_scope(&handle, table);
-        let mut victims: Vec<usize> = Vec::new();
-        self.for_each_match(&handle, &target, &scope, selection.as_ref(), |slot, _| {
-            victims.push(slot)
-        })?;
-        let mut t = handle.write();
-        let mut count = 0u64;
-        for slot in victims {
-            let old = t.delete_slot(slot)?;
+        let matches = self.matching_batches(&handle, &target, &scope, selection.as_ref())?;
+        let slot_cols = matches.iter().map(|b| b.col(b.arity() - 1));
+        let slots: Vec<usize> = slot_cols
+            .flat_map(|c| (0..c.len()).map(move |lane| slot_of(c, lane)))
+            .collect();
+        let count = slots.len() as u64;
+        if !slots.is_empty() {
+            let old = handle.write().delete_slots(&slots)?;
             undo.push(UndoOp::Delete {
                 table: table.to_owned(),
-                slot,
+                slots,
                 old,
             });
-            count += 1;
         }
         if let Some(p) = self.prof {
             p.wrap(
@@ -1429,45 +1504,132 @@ impl GroupedSelect {
             having: having.transpose()?,
         })
     }
+}
 
-    /// Fresh accumulators, one per aggregate call.
-    fn accumulators(&self) -> Vec<AggAcc> {
-        self.aggs.iter().map(|a| AggAcc::new(a.func)).collect()
-    }
-
-    /// One output row per group that passes `HAVING`; `groups` pairs each
-    /// group's accumulators with a row (of `arity` columns) that carries its
-    /// group-by columns.
-    fn finish(
+impl GroupedSelect {
+    /// The groups' output as one batch. The groups become a batch of
+    /// `arity` columns — each group's representative lane for the columns
+    /// the projections and `HAVING` read, NULL elsewhere — followed by one
+    /// column per aggregate, where the bound aggregate references point;
+    /// `HAVING` and the projections run on it as kernels. If a kernel
+    /// fails, the groups are re-run a row at a time, `HAVING` then each
+    /// projection, which raises the row path's first error.
+    fn finish_batch(
         self,
         exec: &Executor<'_>,
-        mut groups: Vec<(Vec<AggAcc>, Row)>,
+        batches: &[ColumnBatch],
+        groups: Groups,
         arity: usize,
-    ) -> DbResult<QueryResult> {
+    ) -> DbResult<Batches> {
+        let Groups { mut reps, mut accs } = groups;
         // global aggregate over empty input still yields one group
-        if groups.is_empty() && self.key_exprs.is_empty() {
-            groups.push((self.accumulators(), vec![Value::Null; arity]));
+        if reps.is_empty() && self.key_exprs.is_empty() {
+            reps.push(None);
+            accs.extend(self.aggs.iter().map(|a| AggAcc::new(a.func)));
         }
-        let mut rows = Vec::with_capacity(groups.len());
-        for (accs, rep_row) in groups {
-            let agg_values: Vec<Value> = accs.into_iter().map(AggAcc::finish).collect();
-            if let Some(h) = &self.having {
-                if !h.eval(&rep_row, &agg_values)?.is_truthy() {
-                    continue;
+        let n = reps.len();
+        let mut read = vec![false; arity];
+        for e in self.proj_exprs.iter().chain(&self.having) {
+            e.walk(&mut |node| match node {
+                BoundExpr::Column(c) if *c < arity => read[*c] = true,
+                _ => {}
+            });
+        }
+        let rep_col = |c: usize| {
+            let at = |r: &Option<(u32, u32)>| {
+                r.map_or(Value::Null, |(b, lane)| {
+                    batches[b as usize].col(c).value_at(lane as usize)
+                })
+            };
+            Col::from_values(reps.iter().map(at).collect())
+        };
+        let mut cols: Vec<Col> = (0..arity)
+            .map(|c| if read[c] { rep_col(c) } else { Col::nulls(n) })
+            .collect();
+        let width = self.aggs.len();
+        let mut values: Vec<Vec<Value>> = (0..width).map(|_| Vec::with_capacity(n)).collect();
+        for (i, acc) in accs.into_iter().enumerate() {
+            values[i % width].push(acc.finish());
+        }
+        cols.extend(values.into_iter().map(Col::from_values));
+        let group = ColumnBatch::from_cols(cols, n);
+
+        let having = self.having.as_ref().map(CompiledExpr::new);
+        let proj: Vec<CompiledExpr> = self.proj_exprs.iter().map(CompiledExpr::new).collect();
+        let kernels = || -> DbResult<ColumnBatch> {
+            let keep = having.as_ref().map(|h| h.try_eval(&group)).transpose()?;
+            let outs = proj.iter().map(|p| p.try_eval(&group));
+            let cols = outs.map(|o| Ok(o?.into_col(&group)));
+            let out = ColumnBatch::from_cols(cols.collect::<DbResult<_>>()?, n);
+            Ok(match keep {
+                Some(keep) => out.compact(&keep.truthy_mask(&group)),
+                None => out,
+            })
+        };
+        let out = match kernels() {
+            Ok(out) => {
+                exec.check_row_cap(out.len())?;
+                out
+            }
+            Err(_) => {
+                let mut rows = Vec::with_capacity(n);
+                for lane in 0..n {
+                    let row = group.row_at(lane);
+                    if let Some(h) = &having {
+                        if !h.expr().eval(&row)?.is_truthy() {
+                            continue;
+                        }
+                    }
+                    let mut out = Vec::with_capacity(proj.len());
+                    for p in &proj {
+                        out.push(p.expr().eval(&row)?);
+                    }
+                    rows.push(out);
+                    exec.check_row_cap(rows.len())?;
                 }
+                ColumnBatch::from_rows(rows, proj.len())
             }
-            let mut out = Vec::with_capacity(self.proj_exprs.len());
-            for e in &self.proj_exprs {
-                out.push(e.eval(&rep_row, &agg_values)?);
-            }
-            rows.push(out);
-            exec.check_row_cap(rows.len())?;
-        }
-        Ok(QueryResult {
+        };
+        Ok(Batches {
             columns: self.columns,
-            rows,
+            batches: vec![out],
         })
     }
+}
+
+/// The groups of a batched aggregate in discovery order: the `(batch,
+/// lane)` each first appeared in (`None`: the one group of a global
+/// aggregate over no rows) and their accumulators, one per aggregate call,
+/// group after group.
+#[derive(Default)]
+struct Groups {
+    reps: Vec<Option<(u32, u32)>>,
+    accs: Vec<AggAcc>,
+}
+
+impl Groups {
+    /// Opens a group first seen in `lane` of batch `batch`; returns its index.
+    fn open(&mut self, grouped: &GroupedSelect, batch: usize, lane: usize) -> usize {
+        self.reps.push(Some((batch as u32, lane as u32)));
+        self.accs
+            .extend(grouped.aggs.iter().map(|a| AggAcc::new(a.func)));
+        self.reps.len() - 1
+    }
+
+    /// The accumulators of group `gi`.
+    fn accs(&mut self, gi: usize) -> &mut [AggAcc] {
+        let width = self.accs.len() / self.reps.len();
+        &mut self.accs[gi * width..(gi + 1) * width]
+    }
+}
+
+/// Whether `s` aggregates: it groups, or calls an aggregate.
+fn is_grouped(s: &Select) -> bool {
+    let aggregate =
+        |p: &SelectItem| matches!(p, SelectItem::Expr { expr, .. } if expr.contains_aggregate());
+    !s.group_by.is_empty()
+        || s.projections.iter().any(aggregate)
+        || s.having.as_ref().is_some_and(|h| h.contains_aggregate())
 }
 
 /// Multiply-xorshift hasher for the single-INT-key aggregate index. The
@@ -1733,35 +1895,153 @@ fn projection_name(expr: &Expr, alias: Option<&str>, i: usize) -> String {
     }
 }
 
-/// Infers a schema from a result set (for `CREATE TABLE AS SELECT`):
-/// each column's type comes from its first non-NULL value, defaulting to
-/// `TEXT`; no primary key is declared.
-fn infer_schema(result: &QueryResult) -> DbResult<Schema> {
-    let n = result.columns.len();
-    let mut types = vec![None::<DataType>; n];
-    for row in &result.rows {
-        for (i, v) in row.iter().enumerate() {
-            if types[i].is_none() {
-                types[i] = match v {
-                    Value::Null => None,
-                    Value::Int(_) => Some(DataType::Int),
-                    Value::Float(_) => Some(DataType::Float),
-                    Value::Text(_) => Some(DataType::Text),
-                    Value::Bool(_) => Some(DataType::Bool),
-                };
+/// The lanes of `b` whose `mask` flag is set.
+fn keep(b: ColumnBatch, mask: &[bool]) -> ColumnBatch {
+    match mask.iter().all(|&k| k) {
+        true => b,
+        false => b.compact(mask),
+    }
+}
+
+/// The slot in `lane` of a batch's slot column.
+fn slot_of(slots: &Col, lane: usize) -> usize {
+    let slot = slots.value_at(lane).as_i64();
+    slot.expect("slot column holds the slot") as usize
+}
+
+/// A source row of an `INSERT` as a row of a table of `schema`: mapped
+/// through the explicit column list (`mapping`), then coerced.
+fn target_row(row: Row, schema: &Schema, mapping: Option<&[usize]>) -> DbResult<Row> {
+    let full_row = match mapping {
+        Some(m) => {
+            if row.len() != m.len() {
+                return Err(DbError::Invalid(format!(
+                    "INSERT provides {} values for {} columns",
+                    row.len(),
+                    m.len()
+                )));
             }
+            let mut full = vec![Value::Null; schema.arity()];
+            for (v, &target) in row.into_iter().zip(m) {
+                full[target] = v;
+            }
+            full
         }
-        if types.iter().all(|t| t.is_some()) {
-            break;
+        None => row,
+    };
+    schema.coerce_row(full_row)
+}
+
+/// The rows of `b` as rows of a table of `schema` ([`target_row`]), mapped
+/// and coerced a column at a time. If that fails, the rows are redone one
+/// at a time, and the batch ends before the first that fails, with its
+/// error.
+fn target_batch(
+    b: ColumnBatch,
+    schema: &Schema,
+    mapping: Option<&[usize]>,
+) -> (ColumnBatch, Option<DbError>) {
+    let arity = schema.arity();
+    let stored = |c: usize| b.col(c).is_stored_as(schema.columns()[c].data_type);
+    if mapping.is_none() && b.arity() == arity && (0..arity).all(stored) {
+        return (b, None);
+    }
+    let fits = mapping.map_or(arity, <[usize]>::len) == b.arity();
+    let source = |target: usize| match mapping {
+        Some(m) => m.iter().rposition(|&t| t == target).map(|i| b.col(i)),
+        None => Some(b.col(target)),
+    };
+    let coerced = (0..arity).map(|c| {
+        let col = source(c).map_or_else(|| Col::nulls(b.len()), Col::clone);
+        col.coerce(schema.columns()[c].data_type)
+    });
+    if let (true, Ok(cols)) = (fits, coerced.collect::<DbResult<Vec<Col>>>()) {
+        return (ColumnBatch::from_cols(cols, b.len()), None);
+    }
+    let mut rows = Vec::with_capacity(b.len());
+    for lane in 0..b.len() {
+        match target_row(b.row_at(lane), schema, mapping) {
+            Ok(row) => rows.push(row),
+            Err(e) => return (ColumnBatch::from_rows(rows, arity), Some(e)),
         }
     }
-    let columns = result
-        .columns
-        .iter()
-        .zip(&types)
-        .map(|(name, t)| Column::new(name.clone(), t.unwrap_or(DataType::Text)))
-        .collect();
-    Schema::new(columns, None)
+    (ColumnBatch::from_rows(rows, arity), None)
+}
+
+/// The target columns of `b`'s rows (`arity` of them, from `target_at`)
+/// after the SET list — each `(column, type, expression)` evaluated on the
+/// matched row and coerced — and how many lanes took their new values. The
+/// SET kernels run over the whole batch; if one fails, the rows are redone
+/// one at a time, and the first whose SET list fails stops it with its
+/// error (it and the rows after it keep their current values).
+fn set_rows(
+    b: &ColumnBatch,
+    target_at: usize,
+    arity: usize,
+    assignments: &[(usize, DataType, CompiledExpr)],
+) -> (Vec<Col>, usize, Option<DbError>) {
+    let mut set: Vec<Option<Col>> = vec![None; arity];
+    let kernels = assignments.iter().try_for_each(|(c, ty, e)| {
+        set[*c] = Some(e.try_eval(b)?.into_col(b).coerce(*ty)?);
+        DbResult::Ok(())
+    });
+    if kernels.is_ok() {
+        let cols = set.into_iter().enumerate();
+        let cols = cols.map(|(c, new)| new.unwrap_or_else(|| b.col(target_at + c).clone()));
+        return (cols.collect(), b.len(), None);
+    }
+    let mut rows = Vec::with_capacity(b.len());
+    let mut failed = None;
+    for lane in 0..b.len() {
+        let row = b.row_at(lane);
+        let current = &row[target_at..target_at + arity];
+        let mut new_row = current.to_vec();
+        if failed.is_none() {
+            let set = assignments.iter().try_for_each(|(c, ty, e)| {
+                new_row[*c] = ty.coerce(e.expr().eval(&row)?)?;
+                DbResult::Ok(())
+            });
+            if let Err(e) = set {
+                failed = Some((lane, e));
+                new_row = current.to_vec();
+            }
+        }
+        rows.push(new_row);
+    }
+    let cols = ColumnBatch::from_rows(rows, arity).into_cols();
+    match failed {
+        Some((lane, e)) => (cols, lane, Some(e)),
+        None => (cols, b.len(), None),
+    }
+}
+
+/// Infers a schema from a query's output (for `CREATE TABLE AS SELECT`):
+/// each column takes the type of its non-NULL values — FLOAT where INT and
+/// FLOAT values mix, else the first one's — defaulting to `TEXT`; no
+/// primary key is declared.
+fn infer_schema(source: &Batches) -> DbResult<Schema> {
+    fn merge(a: Option<DataType>, b: Option<DataType>) -> Option<DataType> {
+        match (a, b) {
+            (None, b) => b,
+            (Some(DataType::Int), Some(DataType::Float)) => Some(DataType::Float),
+            (a, _) => a,
+        }
+    }
+    let col_type = |col: &Col| {
+        let any = col.valid.iter().any(|&v| v);
+        match &col.data {
+            ColData::Int(_) => any.then_some(DataType::Int),
+            ColData::Float(_) => any.then_some(DataType::Float),
+            ColData::Bool(_) => any.then_some(DataType::Bool),
+            ColData::Mixed(v) => v.iter().map(Value::data_type).fold(None, merge),
+        }
+    };
+    let columns = source.columns.iter().enumerate().map(|(c, name)| {
+        let batches = source.batches.iter().filter(|b| c < b.arity());
+        let ty = batches.map(|b| col_type(b.col(c))).fold(None, merge);
+        Column::new(name.clone(), ty.unwrap_or(DataType::Text))
+    });
+    Schema::new(columns.collect(), None)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! it; the other algorithms scan it here, once the choice is made.
 
 use crate::ast::{BinaryOp, Expr, JoinType};
-use crate::batch::{Col, ColData, ColumnBatch, CompiledExpr, RowsBuilder, NO_LANE};
+use crate::batch::{Col, ColData, ColumnBatch, CompiledExpr, NO_LANE};
 use crate::bind::{bind_scalar, BoundExpr, Scope, ScopeRelation};
 use crate::budget::{MemoryBudget, Reservation};
 use crate::catalog::TableHandle;
@@ -201,17 +201,18 @@ pub enum AccessPath {
 }
 
 impl AccessPath {
-    /// The live `(slot, row)`s of `table` this path reaches.
-    pub fn rows<'a>(&'a self, table: &'a Table) -> Box<dyn Iterator<Item = (usize, &'a Row)> + 'a> {
+    /// The live slots of `table` this path reaches.
+    pub fn slots(&self, table: &Table) -> Vec<usize> {
         match self {
-            AccessPath::Scan => Box::new(table.iter()),
-            AccessPath::Seek { column, key, .. } => Box::new(
-                table
-                    .index_lookup(*column, key)
-                    .unwrap_or(&[])
+            AccessPath::Scan => table.live_slots().collect(),
+            AccessPath::Seek { column, key, .. } => {
+                let found = table.index_lookup(*column, key).unwrap_or(&[]);
+                found
                     .iter()
-                    .filter_map(|&slot| table.row(slot).map(|row| (slot, row))),
-            ),
+                    .copied()
+                    .filter(|&s| table.is_live(s))
+                    .collect()
+            }
         }
     }
 
@@ -290,8 +291,7 @@ pub fn choose_access(table: &Table, visible: &str, conjuncts: &[&Expr]) -> Acces
                 continue;
             };
             // a constant binds against the empty scope and evaluates once
-            let Ok(key) =
-                bind_scalar(constant, &Scope::new()).and_then(|c| c.eval(&Vec::new(), &[]))
+            let Ok(key) = bind_scalar(constant, &Scope::new()).and_then(|c| c.eval(&Vec::new()))
             else {
                 continue;
             };
@@ -620,14 +620,8 @@ impl Inner<'_> {
         match self {
             Inner::Batch(batch) => cols.extend(batch.gather_cols(pr)),
             Inner::Table { table, slots } => {
-                let mut rows = RowsBuilder::new(table.schema(), *slots, pr.len());
-                for &slot in pr {
-                    match table.row(slot as usize) {
-                        Some(row) => rows.push(slot as usize, row),
-                        None => rows.push_null(),
-                    }
-                }
-                cols.extend(rows.finish());
+                cols.extend(table.gather(pr));
+                cols.extend(slots.then(|| table.slot_col(pr)));
             }
         }
         ColumnBatch::from_cols(cols, pl.len())
@@ -665,7 +659,7 @@ impl Output<'_> {
                 let row = pairs.row_at(lane);
                 *k = true;
                 for c in &self.residual {
-                    if !c.expr().eval(&row, &[])?.is_truthy() {
+                    if !c.expr().eval(&row)?.is_truthy() {
                         *k = false;
                         break;
                     }
@@ -854,7 +848,8 @@ pub fn join_rels(
                     // one batch: the build side is addressed by lane
                     let t0 = Instant::now();
                     let table = handle.read();
-                    let read = table.read_batches(table.iter(), slots, usize::MAX);
+                    let live: Vec<usize> = table.live_slots().collect();
+                    let read = table.read_batches(&live, slots, usize::MAX);
                     let rel = Rel::new(scope, read, env.budget)?;
                     env.stats.add_rows_scanned(rel.len() as u64);
                     let read = (rel.len() as u64, t0.elapsed().as_micros() as u64);
@@ -904,7 +899,7 @@ fn index_nested_loop(
             if keys.valid[lane] {
                 probes += 1;
                 let found = table.index_lookup(key.right, &keys.value_at(lane));
-                let live = |slot: &&usize| table.row(**slot).is_some();
+                let live = |slot: &&usize| table.is_live(**slot);
                 let before = hits.len();
                 hits.extend(found.unwrap_or(&[]).iter().filter(live).map(|&s| s as u32));
                 fetched += (hits.len() - before) as u64;

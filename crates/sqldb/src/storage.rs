@@ -1,23 +1,32 @@
-//! In-memory heap storage with primary-key and secondary indexes.
+//! In-memory heap storage, one typed lane vector per column, with
+//! primary-key and secondary indexes.
 
-use crate::batch::{ColumnBatch, RowsBuilder};
-use crate::budget::{row_bytes, MemoryBudget};
+use crate::batch::{schema_cols, Col, ColData, ColumnBatch};
+use crate::budget::{value_bytes, MemoryBudget, ROW_OVERHEAD};
 use crate::error::{DbError, DbResult};
 use crate::types::Schema;
 use crate::value::{Row, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// A heap table: slotted rows plus indexes.
+/// A heap table: slotted rows, stored column by column, plus indexes.
 ///
-/// Row slots are stable across updates; deletes tombstone the slot. The
-/// primary-key index (present when the schema declares a PK) maps key value →
-/// slot and enforces uniqueness, matching the `Rid` assumption SQLoop relies
-/// on for partitioning and updating the CTE table.
+/// Each column is one [`Col`] indexed by slot — typed `Int` / `Float` /
+/// `Bool` lanes, or `Value`s for TEXT — so a scan copies lanes, an index
+/// seek gathers them, and the executor's column batches are built without
+/// rebuilding rows. Row slots are stable across updates; a delete clears
+/// the slot's live flag and NULLs its lanes. The primary-key index (present
+/// when the schema declares a PK) maps key value → slot and enforces
+/// uniqueness, matching the `Rid` assumption SQLoop relies on for
+/// partitioning and updating the CTE table.
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
-    rows: Vec<Option<Row>>,
+    /// One lane per slot in every column.
+    cols: Vec<Col>,
+    /// Whether each slot holds a row.
+    live: Vec<bool>,
     live_count: usize,
     pk_index: Option<HashMap<Value, usize>>,
     secondary: Vec<SecondaryIndex>,
@@ -69,13 +78,31 @@ impl SecondaryIndex {
     }
 }
 
+/// What [`crate::budget::row_bytes`] charges for the value in `lane` of
+/// `col`, without building it.
+fn lane_bytes(col: &Col, lane: usize) -> u64 {
+    match &col.data {
+        _ if !col.valid[lane] => value_bytes(&Value::Null),
+        ColData::Int(_) | ColData::Float(_) => 16,
+        ColData::Bool(_) => 8,
+        ColData::Mixed(v) => value_bytes(&v[lane]),
+    }
+}
+
+/// [`crate::budget::row_bytes`] summed over the `n` rows `cols` hold.
+fn rows_bytes<'a>(cols: impl IntoIterator<Item = &'a Col>, n: usize) -> u64 {
+    let lanes = |c: &Col| (0..n).map(|lane| lane_bytes(c, lane)).sum::<u64>();
+    ROW_OVERHEAD * n as u64 + cols.into_iter().map(lanes).sum::<u64>()
+}
+
 impl Table {
     /// Creates an empty table for `schema`.
     pub fn new(schema: Schema) -> Table {
         let pk_index = schema.primary_key().map(|_| HashMap::new());
         Table {
+            cols: schema_cols(&schema),
             schema,
-            rows: Vec::new(),
+            live: Vec::new(),
             live_count: 0,
             pk_index,
             secondary: Vec::new(),
@@ -88,20 +115,37 @@ impl Table {
     ///
     /// # Errors
     /// Returns [`DbError::BudgetExceeded`] when the existing rows do not
-    /// fit; the partial charge is refunded and the table stays detached.
+    /// fit; the table stays detached.
     pub fn attach_budget(&mut self, budget: &Arc<MemoryBudget>) -> DbResult<()> {
-        let mut charged = 0u64;
-        for (_, row) in self.iter() {
-            let n = row_bytes(row);
-            if let Err(e) = budget.charge(n) {
-                budget.refund(charged);
-                return Err(e);
-            }
-            charged += n;
-        }
+        let slots: Vec<usize> = self.live_slots().collect();
+        let charged = rows_bytes(&self.gather(&lanes(&slots)), slots.len());
+        budget.charge(charged)?;
         self.budget = Some(budget.clone());
         self.tracked_bytes = charged;
         Ok(())
+    }
+
+    /// Charges `bytes` to the attached budget (`checked`: failing at its
+    /// limit); returns what was charged.
+    fn charge(&mut self, bytes: u64, checked: bool) -> DbResult<u64> {
+        let Some(b) = self.budget.as_ref().filter(|_| bytes > 0) else {
+            return Ok(0);
+        };
+        if checked {
+            b.charge(bytes)?;
+        } else {
+            b.charge_unchecked(bytes);
+        }
+        self.tracked_bytes += bytes;
+        Ok(bytes)
+    }
+
+    /// Returns `bytes` this table charged.
+    fn refund(&mut self, bytes: u64) {
+        if let Some(b) = self.budget.as_ref().filter(|_| bytes > 0) {
+            b.refund(bytes);
+            self.tracked_bytes = self.tracked_bytes.saturating_sub(bytes);
+        }
     }
 
     /// The table's schema.
@@ -121,228 +165,280 @@ impl Table {
 
     /// Total slots including tombstones (used by undo bookkeeping).
     pub fn slot_count(&self) -> usize {
-        self.rows.len()
+        self.live.len()
+    }
+
+    /// Whether `slot` holds a row.
+    pub fn is_live(&self, slot: usize) -> bool {
+        self.live.get(slot).copied().unwrap_or(false)
     }
 
     /// Inserts a row (already coerced to the schema), returning its slot.
     ///
     /// # Errors
-    /// Returns [`DbError::Invalid`] on primary-key or unique-index violation,
-    /// or a NULL primary key.
+    /// As [`Table::append`].
     pub fn insert(&mut self, row: Row) -> DbResult<usize> {
         debug_assert_eq!(row.len(), self.schema.arity());
-        let charge = match &self.budget {
-            Some(b) => {
-                let n = row_bytes(&row);
-                b.charge(n)?;
-                n
-            }
-            None => 0,
-        };
-        match self.insert_inner(row) {
-            Ok(slot) => {
-                self.tracked_bytes += charge;
-                Ok(slot)
-            }
-            Err(e) => {
-                if let Some(b) = &self.budget {
-                    b.refund(charge);
-                }
-                Err(e)
-            }
-        }
+        let cols = row.into_iter().map(|v| Col::from_values(vec![v]));
+        Ok(self
+            .append(&ColumnBatch::from_cols(cols.collect(), 1))?
+            .start)
     }
 
-    fn insert_inner(&mut self, row: Row) -> DbResult<usize> {
-        let slot = self.rows.len();
-        if let (Some(pk_col), Some(idx)) = (self.schema.primary_key(), self.pk_index.as_mut()) {
-            let key = row[pk_col].clone();
-            if key.is_null() {
-                return Err(DbError::Invalid("primary key cannot be NULL".into()));
-            }
-            if idx.contains_key(&key) {
-                return Err(DbError::Invalid(format!("duplicate primary key {key}")));
-            }
-            idx.insert(key, slot);
-        }
-        for sec in &mut self.secondary {
-            sec.insert(row[sec.column].clone(), slot)?;
-        }
-        self.rows.push(Some(row));
-        self.live_count += 1;
-        Ok(slot)
-    }
-
-    /// Reads the row at `slot` if live.
-    pub fn row(&self, slot: usize) -> Option<&Row> {
-        self.rows.get(slot).and_then(|r| r.as_ref())
-    }
-
-    /// Replaces the row at `slot`, maintaining all indexes.
-    ///
-    /// Returns the previous row.
+    /// Appends the rows of `batch` (its columns coerced to the schema) in
+    /// new slots, which it returns. The whole batch is charged to the budget
+    /// before it is stored, and each row is checked against the primary key
+    /// and the unique indexes — which by then hold the batch's earlier rows
+    /// — before any index changes. On an error nothing of the batch remains.
     ///
     /// # Errors
-    /// Returns [`DbError::Invalid`] when the slot is dead, or the new row
-    /// violates the primary key or a unique index.
-    pub fn update_slot(&mut self, slot: usize, new_row: Row) -> DbResult<Row> {
-        debug_assert_eq!(new_row.len(), self.schema.arity());
-        let old = self
-            .rows
-            .get(slot)
-            .and_then(|r| r.clone())
-            .ok_or_else(|| DbError::Invalid(format!("update of dead slot {slot}")))?;
-        let (grow, shrink) = match &self.budget {
-            Some(b) => {
-                let nb = row_bytes(&new_row);
-                let ob = row_bytes(&old);
-                if nb > ob {
-                    b.charge(nb - ob)?;
-                    (nb - ob, 0)
-                } else {
-                    (0, ob - nb)
-                }
-            }
-            None => (0, 0),
-        };
-        match self.update_slot_inner(slot, new_row, &old) {
-            Ok(()) => {
-                self.tracked_bytes = self.tracked_bytes + grow - shrink;
-                if shrink > 0 {
-                    if let Some(b) = &self.budget {
-                        b.refund(shrink);
+    /// Returns [`DbError::BudgetExceeded`] when the batch does not fit, and
+    /// [`DbError::Invalid`] on a NULL or duplicate primary key or a unique
+    /// index violation.
+    pub fn append(&mut self, batch: &ColumnBatch) -> DbResult<Range<usize>> {
+        debug_assert_eq!(batch.arity(), self.schema.arity());
+        let (start, n) = (self.live.len(), batch.len());
+        let cols = || (0..batch.arity()).map(|c| batch.col(c));
+        let charge = self.charge(rows_bytes(cols(), n), true)?;
+        if self.indexed() {
+            for lane in 0..n {
+                let key = |c: usize| batch.col(c).value_at(lane);
+                if let Err(e) = self.admit(start + lane, &key) {
+                    for done in (0..lane).rev() {
+                        self.unindex(start + done, &|c| batch.col(c).value_at(done));
                     }
+                    self.refund(charge);
+                    return Err(e);
                 }
-                Ok(old)
-            }
-            Err(e) => {
-                if grow > 0 {
-                    if let Some(b) = &self.budget {
-                        b.refund(grow);
-                    }
-                }
-                Err(e)
+                self.index(start + lane, &key);
             }
         }
+        for (col, src) in self.cols.iter_mut().zip(cols()) {
+            col.extend(src);
+        }
+        self.live.resize(start + n, true);
+        self.live_count += n;
+        Ok(start..start + n)
     }
 
-    fn update_slot_inner(&mut self, slot: usize, new_row: Row, old: &Row) -> DbResult<()> {
-        if let (Some(pk_col), Some(idx)) = (self.schema.primary_key(), self.pk_index.as_mut()) {
-            let old_key = &old[pk_col];
-            let new_key = &new_row[pk_col];
-            if old_key != new_key {
-                if new_key.is_null() {
-                    return Err(DbError::Invalid("primary key cannot be NULL".into()));
-                }
-                if idx.contains_key(new_key) {
-                    return Err(DbError::Invalid(format!("duplicate primary key {new_key}")));
-                }
-                idx.remove(old_key);
-                idx.insert(new_key.clone(), slot);
+    /// True when some index must follow the rows.
+    fn indexed(&self) -> bool {
+        self.pk_index.is_some() || !self.secondary.is_empty()
+    }
+
+    /// Fails unless a row whose columns read `key(column)` may live in
+    /// `slot` without a NULL or duplicate primary key or a second entry in
+    /// a unique index.
+    fn admit(&self, slot: usize, key: &dyn Fn(usize) -> Value) -> DbResult<()> {
+        if let (Some(pk_col), Some(idx)) = (self.schema.primary_key(), &self.pk_index) {
+            let k = key(pk_col);
+            if k.is_null() {
+                return Err(DbError::Invalid("primary key cannot be NULL".into()));
+            }
+            if idx.get(&k).is_some_and(|&s| s != slot) {
+                return Err(DbError::Invalid(format!("duplicate primary key {k}")));
             }
         }
-        for sec in &mut self.secondary {
-            let old_key = &old[sec.column];
-            let new_key = &new_row[sec.column];
-            if old_key != new_key {
-                sec.remove(old_key, slot);
-                sec.insert(new_key.clone(), slot)?;
+        for sec in self.secondary.iter().filter(|s| s.unique) {
+            if sec.lookup(&key(sec.column)).iter().any(|&s| s != slot) {
+                return Err(DbError::Invalid(format!(
+                    "unique index {} violated",
+                    sec.name
+                )));
             }
         }
-        self.rows[slot] = Some(new_row);
         Ok(())
     }
 
-    /// Tombstones the row at `slot`, returning it.
-    ///
-    /// # Errors
-    /// Returns [`DbError::Invalid`] when the slot is already dead.
-    pub fn delete_slot(&mut self, slot: usize) -> DbResult<Row> {
-        let old = self
-            .rows
-            .get(slot)
-            .and_then(|r| r.clone())
-            .ok_or_else(|| DbError::Invalid(format!("delete of dead slot {slot}")))?;
+    /// Enters the row in `slot`, whose columns read `key(column)`, into
+    /// every index.
+    fn index(&mut self, slot: usize, key: &dyn Fn(usize) -> Value) {
         if let (Some(pk_col), Some(idx)) = (self.schema.primary_key(), self.pk_index.as_mut()) {
-            idx.remove(&old[pk_col]);
+            idx.insert(key(pk_col), slot);
         }
         for sec in &mut self.secondary {
-            sec.remove(&old[sec.column], slot);
+            sec.map.entry(key(sec.column)).or_default().push(slot);
         }
-        self.rows[slot] = None;
-        self.live_count -= 1;
-        if let Some(b) = &self.budget {
-            let n = row_bytes(&old);
-            b.refund(n);
-            self.tracked_bytes = self.tracked_bytes.saturating_sub(n);
+    }
+
+    /// Takes the row in `slot`, whose columns read `key(column)`, out of
+    /// every index.
+    fn unindex(&mut self, slot: usize, key: &dyn Fn(usize) -> Value) {
+        if let (Some(pk_col), Some(idx)) = (self.schema.primary_key(), self.pk_index.as_mut()) {
+            idx.remove(&key(pk_col));
         }
+        for sec in &mut self.secondary {
+            sec.remove(&key(sec.column), slot);
+        }
+    }
+
+    /// Reads the row at `slot` if live.
+    pub fn row(&self, slot: usize) -> Option<Row> {
+        self.is_live(slot)
+            .then(|| self.cols.iter().map(|c| c.value_at(slot)).collect())
+    }
+
+    /// Overwrites the rows in `slots` with the lanes of `new` (lane `i` for
+    /// `slots[i]`, columns coerced to the schema), writing only the lanes
+    /// whose value changed, and returns the old rows in the same layout.
+    /// Growth is charged before anything is written (`checked`: failing at
+    /// the limit — undo passes `false`), and each row is checked against
+    /// the primary key and the unique indexes, which by then hold the
+    /// batch's earlier rows, before its index entries move. On an error the
+    /// table is as it was.
+    ///
+    /// # Errors
+    /// Returns [`DbError::Invalid`] when a slot is dead or a row violates
+    /// the primary key or a unique index, and
+    /// [`DbError::BudgetExceeded`] when the growth does not fit.
+    pub fn update_slots(
+        &mut self,
+        slots: &[usize],
+        new: &[Col],
+        checked: bool,
+    ) -> DbResult<Vec<Col>> {
+        if let Some(dead) = slots.iter().find(|&&s| !self.is_live(s)) {
+            return Err(DbError::Invalid(format!("update of dead slot {dead}")));
+        }
+        let old = self.gather(&lanes(slots));
+        let (nb, ob) = (rows_bytes(new, slots.len()), rows_bytes(&old, slots.len()));
+        let grown = self.charge(nb.saturating_sub(ob), checked)?;
+        for (i, &slot) in slots.iter().enumerate() {
+            if let Err(e) = self.admit(slot, &|c| new[c].value_at(i)) {
+                for j in (0..i).rev() {
+                    self.write_row(slots[j], &old, new, j);
+                }
+                self.refund(grown);
+                return Err(e);
+            }
+            self.write_row(slot, new, &old, i);
+        }
+        self.refund(ob.saturating_sub(nb));
         Ok(old)
     }
 
-    /// Restores a previously deleted row into its original slot (undo).
-    ///
-    /// # Panics
-    /// Panics if the slot is occupied — undo must replay in reverse order.
-    pub fn restore_slot(&mut self, slot: usize, row: Row) {
-        assert!(
-            self.rows.get(slot).map(|r| r.is_none()).unwrap_or(false),
-            "restore into occupied or out-of-range slot"
-        );
+    /// Moves `slot` from lane `at` of `from` (its current row) to lane `at`
+    /// of `to`: the index entries of changed keys (an unchanged key keeps
+    /// its place among its index's slots), then the changed lanes.
+    fn write_row(&mut self, slot: usize, to: &[Col], from: &[Col], at: usize) {
+        let changed = |c: usize| to[c].value_at(at) != from[c].value_at(at);
         if let (Some(pk_col), Some(idx)) = (self.schema.primary_key(), self.pk_index.as_mut()) {
-            idx.insert(row[pk_col].clone(), slot);
+            if changed(pk_col) {
+                idx.remove(&from[pk_col].value_at(at));
+                idx.insert(to[pk_col].value_at(at), slot);
+            }
         }
-        for sec in &mut self.secondary {
-            // restores never violate uniqueness: the row was present before
-            let _ = sec.insert(row[sec.column].clone(), slot);
+        for sec in self.secondary.iter_mut().filter(|s| changed(s.column)) {
+            sec.remove(&from[sec.column].value_at(at), slot);
+            let entry = sec.map.entry(to[sec.column].value_at(at));
+            entry.or_default().push(slot);
         }
-        // undo replay must never fail, so the limit is not enforced here
-        if let Some(b) = &self.budget {
-            let n = row_bytes(&row);
-            b.charge_unchecked(n);
-            self.tracked_bytes += n;
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            if changed(c) {
+                col.set(slot, to[c].value_at(at));
+            }
         }
-        self.rows[slot] = Some(row);
-        self.live_count += 1;
     }
 
-    /// Iterates `(slot, row)` over live rows.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Row)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|row| (i, row)))
+    /// Deletes the rows in `slots`, returning them as columns (lane `i`
+    /// holds the row of `slots[i]`).
+    ///
+    /// # Errors
+    /// Returns [`DbError::Invalid`] when a slot is already dead; nothing
+    /// is deleted then.
+    pub fn delete_slots(&mut self, slots: &[usize]) -> DbResult<Vec<Col>> {
+        if let Some(dead) = slots.iter().find(|&&s| !self.is_live(s)) {
+            return Err(DbError::Invalid(format!("delete of dead slot {dead}")));
+        }
+        let old = self.gather(&lanes(slots));
+        for (i, &slot) in slots.iter().enumerate() {
+            if self.indexed() {
+                self.unindex(slot, &|c| old[c].value_at(i));
+            }
+            self.cols.iter_mut().for_each(|c| c.set(slot, Value::Null));
+            self.live[slot] = false;
+        }
+        self.live_count -= slots.len();
+        self.refund(rows_bytes(&old, slots.len()));
+        Ok(old)
+    }
+
+    /// Puts rows [`Table::delete_slots`] returned back into their slots
+    /// (undo).
+    ///
+    /// # Panics
+    /// Panics if a slot is occupied — undo must replay in reverse order.
+    pub fn restore_slots(&mut self, slots: &[usize], old: &[Col]) {
+        for (i, &slot) in slots.iter().enumerate() {
+            assert!(
+                self.live.get(slot) == Some(&false),
+                "restore into occupied or out-of-range slot"
+            );
+            // restores never violate uniqueness: the rows were present before
+            self.index(slot, &|c| old[c].value_at(i));
+            for (c, col) in self.cols.iter_mut().enumerate() {
+                col.set(slot, old[c].value_at(i));
+            }
+            self.live[slot] = true;
+        }
+        self.live_count += slots.len();
+        // undo replay must never fail, so the limit is not enforced here
+        let _ = self.charge(rows_bytes(old, slots.len()), false);
+    }
+
+    /// The live slots, in slot order.
+    pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let live = self.live.iter().enumerate();
+        live.filter(|(_, &l)| l).map(|(slot, _)| slot)
+    }
+
+    /// Iterates `(slot, row)` over live rows, building each row.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Row)> + '_ {
+        self.live_slots()
+            .map(|slot| (slot, self.cols.iter().map(|c| c.value_at(slot)).collect()))
     }
 
     /// Copies all live rows out.
     pub fn scan(&self) -> Vec<Row> {
-        self.iter().map(|(_, r)| r.clone()).collect()
+        self.iter().map(|(_, r)| r).collect()
     }
 
-    /// Reads `rows` — live `(slot, row)`s of this table, e.g. [`Table::iter`]
-    /// or what an index seek returns — into column batches of at most
-    /// `batch_size` lanes. Every value goes straight into a lane vector of
-    /// its column's declared type; with `slots`, each batch ends in an `Int`
-    /// column holding the rows' slots.
-    pub fn read_batches<'a>(
-        &self,
-        rows: impl Iterator<Item = (usize, &'a Row)>,
-        slots: bool,
-        batch_size: usize,
-    ) -> Vec<ColumnBatch> {
-        let batch_size = batch_size.max(1);
-        let capacity = rows.size_hint().1.unwrap_or(0).min(batch_size);
-        let mut rows = rows.peekable();
-        let mut out = Vec::new();
-        while rows.peek().is_some() {
-            let mut builder = RowsBuilder::new(&self.schema, slots, capacity);
-            let mut lanes = 0;
-            for (slot, row) in rows.by_ref().take(batch_size) {
-                builder.push(slot, row);
-                lanes += 1;
-            }
-            out.push(ColumnBatch::from_cols(builder.finish(), lanes));
+    /// Every column's lanes `idx` — slots, or [`crate::batch::NO_LANE`] for a row of
+    /// NULLs; a dead slot's lanes are NULL too.
+    pub fn gather(&self, idx: &[u32]) -> Vec<Col> {
+        self.cols.iter().map(|c| c.gather(idx)).collect()
+    }
+
+    /// An `Int` column of the slots `idx` names, NULL where one is
+    /// [`crate::batch::NO_LANE`] or dead.
+    pub fn slot_col(&self, idx: &[u32]) -> Col {
+        Col {
+            data: ColData::Int(idx.iter().map(|&s| s as i64).collect()),
+            valid: idx.iter().map(|&s| self.is_live(s as usize)).collect(),
         }
-        out
+    }
+
+    /// Reads the rows in `slots` — live slots of this table, e.g.
+    /// [`Table::live_slots`] or what an index seek returns — into column
+    /// batches of at most `batch_size` lanes: a run of consecutive slots
+    /// copies lane ranges, any other is gathered. With `slots`, each batch
+    /// ends in an `Int` column holding the rows' slots.
+    pub fn read_batches(&self, rows: &[usize], slots: bool, batch_size: usize) -> Vec<ColumnBatch> {
+        let chunks = rows.chunks(batch_size.max(1));
+        let batch = |chunk: &[usize]| {
+            let idx = lanes(chunk);
+            let run = chunk.windows(2).all(|w| w[1] == w[0] + 1);
+            let mut cols: Vec<Col> = match run {
+                true => {
+                    let range = chunk[0]..chunk[0] + chunk.len();
+                    self.cols.iter().map(|c| c.slice(range.clone())).collect()
+                }
+                false => self.gather(&idx),
+            };
+            cols.extend(slots.then(|| self.slot_col(&idx)));
+            ColumnBatch::from_cols(cols, chunk.len())
+        };
+        chunks.map(batch).collect()
     }
 
     /// Looks up a slot by primary key, if a PK exists.
@@ -356,7 +452,8 @@ impl Table {
             b.refund(self.tracked_bytes);
             self.tracked_bytes = 0;
         }
-        self.rows.clear();
+        self.cols = schema_cols(&self.schema);
+        self.live.clear();
         self.live_count = 0;
         if let Some(idx) = self.pk_index.as_mut() {
             idx.clear();
@@ -381,10 +478,8 @@ impl Table {
             unique,
             map: HashMap::new(),
         };
-        for (slot, row) in self.rows.iter().enumerate() {
-            if let Some(r) = row {
-                idx.insert(r[column].clone(), slot)?;
-            }
+        for slot in self.live_slots() {
+            idx.insert(self.cols[column].value_at(slot), slot)?;
         }
         self.secondary.push(idx);
         Ok(())
@@ -434,6 +529,11 @@ impl Table {
     }
 }
 
+/// Slots as the `u32` lanes [`Col::gather`] takes.
+fn lanes(slots: &[usize]) -> Vec<u32> {
+    slots.iter().map(|&s| s as u32).collect()
+}
+
 impl Drop for Table {
     fn drop(&mut self) {
         // DROP TABLE releases the table's charge when the last handle goes
@@ -446,7 +546,6 @@ impl Drop for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::ColData;
     use crate::types::{Column, DataType};
 
     fn table() -> Table {
@@ -459,6 +558,12 @@ mod tests {
         )
         .unwrap();
         Table::new(schema)
+    }
+
+    fn cols(rows: Vec<Row>) -> Vec<Col> {
+        let arity = rows[0].len();
+        let batch = ColumnBatch::from_rows(rows, arity);
+        (0..arity).map(|c| batch.col(c).clone()).collect()
     }
 
     #[test]
@@ -477,8 +582,9 @@ mod tests {
             t.insert(vec![Value::Int(i), Value::Float(i as f64 / 2.0)])
                 .unwrap();
         }
-        t.delete_slot(2).unwrap();
-        let batches = t.read_batches(t.iter(), true, 3);
+        t.delete_slots(&[2]).unwrap();
+        let live: Vec<usize> = t.live_slots().collect();
+        let batches = t.read_batches(&live, true, 3);
         assert_eq!(
             batches.iter().map(|b| b.len()).collect::<Vec<_>>(),
             vec![3, 3]
@@ -510,25 +616,61 @@ mod tests {
     fn update_maintains_pk_index() {
         let mut t = table();
         let s = t.insert(vec![Value::Int(1), Value::Float(0.0)]).unwrap();
-        t.update_slot(s, vec![Value::Int(5), Value::Float(1.0)])
-            .unwrap();
+        t.update_slots(
+            &[s],
+            &cols(vec![vec![Value::Int(5), Value::Float(1.0)]]),
+            true,
+        )
+        .unwrap();
         assert_eq!(t.lookup_pk(&Value::Int(5)), Some(s));
         assert_eq!(t.lookup_pk(&Value::Int(1)), None);
         // updating to an existing key fails
         t.insert(vec![Value::Int(7), Value::Float(0.0)]).unwrap();
-        assert!(t
-            .update_slot(s, vec![Value::Int(7), Value::Float(2.0)])
-            .is_err());
+        let to_seven = cols(vec![vec![Value::Int(7), Value::Float(2.0)]]);
+        assert!(t.update_slots(&[s], &to_seven, true).is_err());
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_no_trace() {
+        let mut t = table();
+        t.create_index("u", 1, true).unwrap();
+        t.insert(vec![Value::Int(1), Value::Float(10.0)]).unwrap();
+        // the second row collides with the unique index after the first
+        // row of the batch was admitted
+        let batch = ColumnBatch::from_rows(
+            vec![
+                vec![Value::Int(2), Value::Float(20.0)],
+                vec![Value::Int(3), Value::Float(10.0)],
+            ],
+            2,
+        );
+        assert!(t.append(&batch).is_err());
+        assert_eq!((t.len(), t.slot_count()), (1, 1));
+        assert_eq!(t.lookup_pk(&Value::Int(2)), None);
+        assert!(t.index_lookup(1, &Value::Float(20.0)).unwrap().is_empty());
+        // an update that moves two keys, the second onto a taken one, is
+        // undone whole
+        let s = t.insert(vec![Value::Int(2), Value::Float(20.0)]).unwrap();
+        let moved = cols(vec![
+            vec![Value::Int(9), Value::Float(90.0)],
+            vec![Value::Int(2), Value::Float(90.0)],
+        ]);
+        assert!(t.update_slots(&[0, s], &moved, true).is_err());
+        assert_eq!(t.lookup_pk(&Value::Int(1)), Some(0));
+        assert_eq!(t.lookup_pk(&Value::Int(9)), None);
+        assert_eq!(t.index_lookup(1, &Value::Float(10.0)).unwrap(), &[0]);
+        assert_eq!(t.row(0), Some(vec![Value::Int(1), Value::Float(10.0)]));
     }
 
     #[test]
     fn delete_and_restore() {
         let mut t = table();
         let s = t.insert(vec![Value::Int(1), Value::Float(0.0)]).unwrap();
-        let old = t.delete_slot(s).unwrap();
+        let old = t.delete_slots(&[s]).unwrap();
         assert_eq!(t.len(), 0);
         assert_eq!(t.lookup_pk(&Value::Int(1)), None);
-        t.restore_slot(s, old);
+        assert!(t.delete_slots(&[s]).is_err());
+        t.restore_slots(&[s], &old);
         assert_eq!(t.len(), 1);
         assert_eq!(t.lookup_pk(&Value::Int(1)), Some(s));
     }
@@ -542,10 +684,14 @@ mod tests {
         let slots = t.index_lookup(1, &Value::Float(7.0)).unwrap();
         assert_eq!(slots.len(), 2);
         assert_eq!(t.index_on(1), Some(("idx_v", 1)));
-        t.update_slot(s1, vec![Value::Int(1), Value::Float(8.0)])
-            .unwrap();
+        t.update_slots(
+            &[s1],
+            &cols(vec![vec![Value::Int(1), Value::Float(8.0)]]),
+            true,
+        )
+        .unwrap();
         assert_eq!(t.index_lookup(1, &Value::Float(7.0)).unwrap(), vec![s2]);
-        t.delete_slot(s2).unwrap();
+        t.delete_slots(&[s2]).unwrap();
         assert!(t.index_lookup(1, &Value::Float(7.0)).unwrap().is_empty());
     }
 
@@ -576,10 +722,10 @@ mod tests {
         t.insert(vec![Value::Int(1), Value::Float(0.5)]).unwrap();
         t.attach_budget(&b).unwrap();
         let after_attach = b.used();
-        assert!(after_attach > 0);
+        assert_eq!(after_attach, crate::budget::row_bytes(&t.scan()[0]));
         let s = t.insert(vec![Value::Int(2), Value::Float(1.5)]).unwrap();
         assert!(b.used() > after_attach);
-        t.delete_slot(s).unwrap();
+        t.delete_slots(&[s]).unwrap();
         assert_eq!(b.used(), after_attach);
         t.truncate();
         assert_eq!(b.used(), 0);
@@ -621,11 +767,11 @@ mod tests {
             .insert(vec![Value::Int(1), Value::Text("x".into())])
             .unwrap();
         let small = b.used();
-        t.update_slot(slot, vec![Value::Int(1), Value::Text("x".repeat(500))])
-            .unwrap();
+        let long = cols(vec![vec![Value::Int(1), Value::Text("x".repeat(500))]]);
+        t.update_slots(&[slot], &long, true).unwrap();
         assert_eq!(b.used(), small + 499);
-        t.update_slot(slot, vec![Value::Int(1), Value::Text("x".into())])
-            .unwrap();
+        let short = cols(vec![vec![Value::Int(1), Value::Text("x".into())]]);
+        t.update_slots(&[slot], &short, true).unwrap();
         assert_eq!(b.used(), small);
     }
 

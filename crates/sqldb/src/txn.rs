@@ -12,11 +12,12 @@
 //! within the configured wait budget fails with [`DbError::LockTimeout`],
 //! mirroring MySQL's `innodb_lock_wait_timeout` behaviour.
 
+use crate::batch::Col;
 use crate::error::{DbError, DbResult};
 use crate::stats::Stats;
-use crate::value::Row;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Lock mode for a table.
@@ -151,33 +152,35 @@ impl LockManager {
     }
 }
 
-/// One reversible data change.
+/// One reversible data change: what one statement did to one table.
 #[derive(Debug)]
 pub enum UndoOp {
-    /// A row was inserted at `slot`.
+    /// Rows were appended in `slots`.
     Insert {
         /// Table name.
         table: String,
-        /// Slot of the inserted row.
-        slot: usize,
+        /// Slots of the appended rows.
+        slots: Range<usize>,
     },
-    /// The row at `slot` was replaced; `old` restores it.
+    /// The rows in `slots` were overwritten; lane `i` of `old` restores
+    /// `slots[i]`.
     Update {
         /// Table name.
         table: String,
-        /// Updated slot.
-        slot: usize,
-        /// Previous row contents.
-        old: Row,
+        /// Updated slots.
+        slots: Vec<usize>,
+        /// Previous row contents, one column per table column.
+        old: Vec<Col>,
     },
-    /// The row at `slot` was deleted; `old` restores it.
+    /// The rows in `slots` were deleted; lane `i` of `old` restores
+    /// `slots[i]`.
     Delete {
         /// Table name.
         table: String,
-        /// Deleted slot.
-        slot: usize,
-        /// Previous row contents.
-        old: Row,
+        /// Deleted slots.
+        slots: Vec<usize>,
+        /// Previous row contents, one column per table column.
+        old: Vec<Col>,
     },
 }
 
@@ -237,20 +240,27 @@ impl UndoLog {
 pub fn apply_undo(catalog: &crate::catalog::Catalog, ops: Vec<UndoOp>) -> DbResult<()> {
     for op in ops.into_iter().rev() {
         match op {
-            UndoOp::Insert { table, slot } => {
+            UndoOp::Insert { table, slots } => {
                 // table may have been dropped by later DDL; ignore then
                 if let Ok(handle) = catalog.table(&table) {
-                    let _ = handle.write().delete_slot(slot);
+                    let mut t = handle.write();
+                    let live: Vec<usize> = slots.filter(|&s| t.is_live(s)).collect();
+                    t.delete_slots(&live)?;
                 }
             }
-            UndoOp::Update { table, slot, old } => {
+            UndoOp::Update { table, slots, old } => {
                 if let Ok(handle) = catalog.table(&table) {
-                    handle.write().update_slot(slot, old)?;
+                    // the rows were written in order, each into a state the
+                    // ones before it left, so they go back newest first
+                    let back: Vec<u32> = (0..slots.len() as u32).rev().collect();
+                    let old: Vec<Col> = old.iter().map(|c| c.gather(&back)).collect();
+                    let slots: Vec<usize> = slots.into_iter().rev().collect();
+                    handle.write().update_slots(&slots, &old, false)?;
                 }
             }
-            UndoOp::Delete { table, slot, old } => {
+            UndoOp::Delete { table, slots, old } => {
                 if let Ok(handle) = catalog.table(&table) {
-                    handle.write().restore_slot(slot, old);
+                    handle.write().restore_slots(&slots, &old);
                 }
             }
         }
@@ -343,12 +353,12 @@ mod tests {
         let mut log = UndoLog::new();
         log.push(UndoOp::Insert {
             table: "t".into(),
-            slot: 0,
+            slots: 0..1,
         });
         let mark = log.len();
         log.push(UndoOp::Insert {
             table: "t".into(),
-            slot: 1,
+            slots: 1..2,
         });
         let tail = log.split_off(mark);
         assert_eq!(tail.len(), 1);

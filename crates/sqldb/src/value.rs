@@ -1,6 +1,7 @@
 //! Runtime values and SQL three-valued comparison semantics.
 
 use crate::error::{DbError, DbResult};
+use crate::types::DataType;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -69,6 +70,17 @@ impl Value {
             Value::Float(_) => "float",
             Value::Text(_) => "text",
             Value::Bool(_) => "bool",
+        }
+    }
+
+    /// The column type the value is stored as (`None` for NULL).
+    pub fn data_type(&self) -> Option<DataType> {
+        match self {
+            Value::Null => None,
+            Value::Int(_) => Some(DataType::Int),
+            Value::Float(_) => Some(DataType::Float),
+            Value::Text(_) => Some(DataType::Text),
+            Value::Bool(_) => Some(DataType::Bool),
         }
     }
 
