@@ -7,7 +7,7 @@ use crate::grammar::{DataMode, Termination};
 use crate::translate::{translate_query_to_sql, translate_sql};
 use dbcp::{Connection, Driver, PipelineStep, PreparedStatement};
 use obs::{EventKind, TraceHandle};
-use sqldb::ast::{SelectStmt, SetExpr, TableFactor};
+use sqldb::ast::{SelectItem, SelectStmt, SetExpr, TableFactor};
 use sqldb::{DataType, DbError, EngineProfile, StmtOutput, Value};
 use std::sync::Arc;
 
@@ -24,6 +24,11 @@ impl CteNames {
         CteNames {
             table: cte_name.to_owned(),
         }
+    }
+
+    /// The table the seed query is staged in while `R` is created.
+    pub fn seed_stage(&self) -> String {
+        format!("{}__seed", self.table)
     }
 
     /// The single-threaded executor's temporary result table (`Rtmp`).
@@ -247,9 +252,13 @@ pub fn run_query(
     conn.query(&sql).map_err(SqloopError::from)
 }
 
-/// Creates the CTE table `R`, typed by probing the seed query with
-/// `LIMIT 1`, and fills it with the seed result — entirely engine-side
-/// (paper §IV-B: `CREATE TABLE` then `INSERT INTO R R0`).
+/// Creates the CTE table `R` and fills it from the seed query, which runs
+/// once and entirely engine-side (paper §IV-B: `CREATE TABLE` then
+/// `INSERT INTO R R0`). The seed is staged as `<R>__seed` under the
+/// declared column names; `R` takes the declared names (the seed's when
+/// none are declared) and each column's type from its first non-NULL
+/// value among the stage's first 16 rows (FLOAT when there is none), is
+/// filled from the stage, and the stage is dropped.
 ///
 /// `promote_to_float` makes every non-key integer column FLOAT; iterative
 /// CTEs use it because seeds like `SELECT src, 0, 0.15` type columns from
@@ -267,36 +276,49 @@ pub fn create_cte_table(
     with_key: bool,
 ) -> SqloopResult<CteSchema> {
     let profile = conn.profile();
-    // probe for column names/types
-    let mut probe = seed.clone();
-    probe.limit = Some(probe.limit.map_or(16, |l| l.min(16)));
-    let probe_sql = translate_query_to_sql(&probe, profile);
-    let probe_result = conn.query(&probe_sql)?;
+    let stage = CteNames::new(name).seed_stage();
+    let seed_sql = translate_query_to_sql(&with_output_names(seed, declared_columns), profile);
+    run(conn, &format!("DROP TABLE IF EXISTS {stage}"))?;
+    conn.execute(&format!(
+        "CREATE TABLE {} AS {seed_sql}",
+        profile.dialect().quote(&stage)
+    ))?;
+    let created = fill_from_stage(
+        conn,
+        name,
+        &stage,
+        declared_columns,
+        promote_to_float,
+        with_key,
+    );
+    let dropped = run(conn, &format!("DROP TABLE IF EXISTS {stage}"));
+    // the original error wins over a failed clean-up
+    let schema = created?;
+    dropped?;
+    Ok(schema)
+}
 
-    let columns: Vec<String> = if declared_columns.is_empty() {
-        probe_result.columns.clone()
-    } else {
-        if declared_columns.len() != probe_result.columns.len() {
-            return Err(SqloopError::Semantic(format!(
-                "CTE declares {} columns but its seed returns {}",
-                declared_columns.len(),
-                probe_result.columns.len()
-            )));
-        }
-        declared_columns.to_vec()
-    };
-    let mut types = vec![None::<DataType>; columns.len()];
-    for row in &probe_result.rows {
-        for (i, v) in row.iter().enumerate() {
-            if types[i].is_none() {
-                types[i] = match v {
-                    Value::Null => None,
-                    Value::Int(_) => Some(DataType::Int),
-                    Value::Float(_) => Some(DataType::Float),
-                    Value::Text(_) => Some(DataType::Text),
-                    Value::Bool(_) => Some(DataType::Bool),
-                };
-            }
+/// [`create_cte_table`] once the seed is staged in `stage`.
+fn fill_from_stage(
+    conn: &mut dyn Connection,
+    name: &str,
+    stage: &str,
+    declared_columns: &[String],
+    promote_to_float: bool,
+    with_key: bool,
+) -> SqloopResult<CteSchema> {
+    let probe = run_query(conn, &format!("SELECT * FROM {stage} LIMIT 16"))?;
+    if !declared_columns.is_empty() && declared_columns.len() != probe.columns.len() {
+        return Err(SqloopError::Semantic(format!(
+            "CTE declares {} columns but its seed returns {}",
+            declared_columns.len(),
+            probe.columns.len()
+        )));
+    }
+    let mut types = vec![None::<DataType>; probe.columns.len()];
+    for row in &probe.rows {
+        for (t, v) in types.iter_mut().zip(row) {
+            *t = t.or(v.data_type());
         }
     }
     let types: Vec<DataType> = types
@@ -311,25 +333,51 @@ pub fn create_cte_table(
             }
         })
         .collect();
+    let columns = match declared_columns.is_empty() {
+        true => probe.columns,
+        false => declared_columns.to_vec(),
+    };
     let schema = CteSchema { columns, types };
-
-    run(conn, &format!("DROP TABLE IF EXISTS {name}"))?;
-    run(conn, &format!("DROP VIEW IF EXISTS {name}"))?;
-    run(
+    run_all(
         conn,
-        &format!(
-            "CREATE TABLE {name} ({})",
-            schema.create_columns_sql(with_key)
-        ),
+        [
+            format!("DROP TABLE IF EXISTS {name}"),
+            format!("DROP VIEW IF EXISTS {name}"),
+            format!(
+                "CREATE TABLE {name} ({})",
+                schema.create_columns_sql(with_key)
+            ),
+            format!("INSERT INTO {name} SELECT * FROM {stage}"),
+        ],
     )?;
-    // engine-side load: INSERT INTO R <seed>
-    let seed_sql = translate_query_to_sql(seed, profile);
-    conn.execute(&format!(
-        "INSERT INTO {} {}",
-        profile.dialect().quote(name),
-        seed_sql
-    ))?;
     Ok(schema)
+}
+
+/// `seed` with its output columns named `names`, so that a seed selecting
+/// one column twice can be staged. A set operation takes its names from
+/// its leftmost `SELECT`. The seed is returned unchanged when `names` is
+/// empty, when it has `ORDER BY` (which may name its own output columns),
+/// or when the leftmost `SELECT` has a wildcard or another column count.
+fn with_output_names(seed: &SelectStmt, names: &[String]) -> SelectStmt {
+    let mut seed = seed.clone();
+    let mut body = &mut seed.body;
+    while let SetExpr::SetOp { left, .. } = body {
+        body = left;
+    }
+    if let SetExpr::Select(s) = body {
+        let plain = |p: &SelectItem| matches!(p, SelectItem::Expr { .. });
+        if s.projections.len() == names.len()
+            && s.projections.iter().all(plain)
+            && seed.order_by.is_empty()
+        {
+            for (p, n) in s.projections.iter_mut().zip(names) {
+                if let SelectItem::Expr { alias, .. } = p {
+                    *alias = Some(n.clone());
+                }
+            }
+        }
+    }
+    seed
 }
 
 /// Rewrites every reference to table `from` into `to` (preserving aliases),
@@ -670,6 +718,64 @@ mod tests {
     }
 
     #[test]
+    fn create_cte_table_evaluates_the_seed_once() {
+        let db = Database::new(EngineProfile::Postgres);
+        let mut s = db.connect();
+        s.execute("CREATE TABLE edges (src INT, dst INT, weight FLOAT)")
+            .unwrap();
+        s.execute("INSERT INTO edges VALUES (1,2,1.0),(2,3,0.5),(2,1,0.5)")
+            .unwrap();
+        let mut c = LocalDriver::new(db.clone()).connect().unwrap();
+        let seed = parse_query(
+            "SELECT src, 0, 0.15 FROM (SELECT src FROM edges UNION SELECT dst FROM edges) AS a GROUP BY src",
+        )
+        .unwrap();
+        let cols = vec!["node".to_string(), "rank".to_string(), "delta".to_string()];
+        let reads_of_edges = || -> (u64, u64) {
+            let digests = db.digest_stats();
+            let edges = digests
+                .iter()
+                .filter(|d| d.digest.contains("from \"edges\""));
+            let all = digests.iter().map(|d| d.calls).sum();
+            (edges.map(|d| d.calls).sum(), all)
+        };
+        let (reads, statements) = reads_of_edges();
+        create_cte_table(c.as_mut(), "pr", &cols, &seed, true, true).unwrap();
+        let (reads_after, statements_after) = reads_of_edges();
+        assert_eq!(reads_after - reads, 1, "{:#?}", db.digest_stats());
+        assert_eq!(statements_after - statements, 8, "{:#?}", db.digest_stats());
+        // the stage is gone, R holds the seed
+        assert!(c.query("SELECT * FROM pr__seed").is_err());
+        let r = c.query("SELECT node, rank FROM pr ORDER BY node").unwrap();
+        assert_eq!(r.rows.len(), 3);
+        assert_eq!(r.rows[2], vec![Value::Int(3), Value::Float(0.0)]);
+    }
+
+    #[test]
+    fn create_cte_table_names_a_seed_that_repeats_a_column() {
+        // `SELECT src, src` stages under the declared names: a table
+        // cannot hold two columns called `src`
+        let mut c = conn();
+        let seed = parse_query("SELECT src, src, 1 FROM edges GROUP BY src").unwrap();
+        let cols = vec!["node".to_string(), "comp".to_string(), "d".to_string()];
+        let schema = create_cte_table(c.as_mut(), "cc", &cols, &seed, true, true).unwrap();
+        assert_eq!(schema.columns, cols);
+        assert_eq!(
+            schema.types,
+            vec![DataType::Int, DataType::Float, DataType::Float]
+        );
+        let r = c.query("SELECT node, comp FROM cc ORDER BY node").unwrap();
+        assert_eq!(
+            r.rows,
+            vec![
+                vec![Value::Int(1), Value::Float(1.0)],
+                vec![Value::Int(2), Value::Float(2.0)],
+            ]
+        );
+        assert!(c.query("SELECT * FROM cc__seed").is_err());
+    }
+
+    #[test]
     fn create_cte_table_arity_mismatch() {
         let mut c = conn();
         let seed = parse_query("SELECT src FROM edges").unwrap();
@@ -678,6 +784,7 @@ mod tests {
             create_cte_table(c.as_mut(), "x", &cols, &seed, false, true),
             Err(SqloopError::Semantic(_))
         ));
+        assert!(c.query("SELECT * FROM x__seed").is_err(), "stage dropped");
     }
 
     #[test]

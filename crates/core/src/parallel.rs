@@ -275,28 +275,38 @@ fn parallel_setup(
     // Rmjoin while R is still a base table
     mjoin(main)?;
 
-    // hash-partition R on Rid, middleware-side
-    let col_list = gen.schema().columns.join(", ");
-    let rows = run_query(main, &format!("SELECT {col_list} FROM {}", names.table))?.rows;
-    let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); config.partitions];
-    for row in rows {
-        let b = gen.bucket(&row[0]);
-        buckets[b].push(row);
-    }
+    // hash-partition R on Rid (paper §V-B): an INT key is split inside the
+    // engine by the bucket expression routed messages use; any other key
+    // by the middleware-only hash, so its rows travel out and back
+    let g = &gen;
+    let fills: Vec<Vec<String>> = if gen.routing_enabled() {
+        (0..config.partitions)
+            .map(|x| vec![g.fill_partition_sql(x)])
+            .collect()
+    } else {
+        let col_list = gen.schema().columns.join(", ");
+        let rows = run_query(main, &format!("SELECT {col_list} FROM {}", names.table))?.rows;
+        let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); config.partitions];
+        for row in rows {
+            buckets[gen.bucket(&row[0])].push(row);
+        }
+        let chunks = |(x, bucket): (usize, Vec<Row>)| {
+            let chunks = bucket.chunks(config.insert_batch_rows);
+            chunks
+                .map(|chunk| g.insert_partition_sql(x, chunk))
+                .collect()
+        };
+        buckets.into_iter().enumerate().map(chunks).collect()
+    };
     // the partition tables, then R becomes the union view (paper §V-B):
     // statements that carry no result, so they go out pipelined
-    let g = &gen;
-    let partition_tables = buckets.iter().enumerate().flat_map(|(x, bucket)| {
+    let partition_tables = fills.into_iter().enumerate().flat_map(|(x, fill)| {
         [
             format!("DROP TABLE IF EXISTS {}", names.partition(x)),
             g.create_partition_sql(x),
         ]
         .into_iter()
-        .chain(
-            bucket
-                .chunks(config.insert_batch_rows)
-                .map(move |chunk| g.insert_partition_sql(x, chunk)),
-        )
+        .chain(fill)
         .chain(g.init_hidden_sql(x))
     });
     let view = [format!("DROP TABLE {}", names.table), g.create_view_sql()];

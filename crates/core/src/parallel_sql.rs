@@ -167,11 +167,12 @@ impl SqlGen {
         &self.schema.columns[self.plan.delta_index]
     }
 
-    /// Stable hash bucket for a key value (middleware-side partitioning on
-    /// `Rid`, paper §V-B). Integer keys use modulo so the *same* function is
-    /// expressible in SQL (`(id % n + n) % n`), which lets a Compute
-    /// address each message row to its partition; other types fall back to
-    /// a middleware-only hash (and broadcast gathers).
+    /// Stable hash bucket for a key value (partitioning on `Rid`, paper
+    /// §V-B). Integer keys use modulo so the *same* function is expressible
+    /// in SQL (`(id % n + n) % n`), which fills the partitions inside the
+    /// engine and lets a Compute address each message row to its
+    /// partition; other types fall back to a middleware-only hash (and
+    /// broadcast gathers).
     pub fn bucket(&self, key: &Value) -> usize {
         let n = self.partitions as u64;
         match key {
@@ -247,6 +248,19 @@ impl SqlGen {
         format!(
             "INSERT INTO {} ({cols}) VALUES {values}",
             self.names.partition(x)
+        )
+    }
+
+    /// Fills partition `x` from `R` inside the engine: the rows whose key
+    /// [`SqlGen::bucket`] assigns to `x`, in `R`'s order (only valid when
+    /// [`SqlGen::routing_enabled`]).
+    pub fn fill_partition_sql(&self, x: usize) -> String {
+        let cols = self.schema.columns.join(", ");
+        format!(
+            "INSERT INTO {} ({cols}) SELECT {cols} FROM {} WHERE {} = {x}",
+            self.names.partition(x),
+            self.names.table,
+            self.bucket_sql(self.key()),
         )
     }
 
@@ -777,6 +791,7 @@ mod tests {
             vec![Value::Int(2), Value::Float(0.0), Value::Float(0.15)],
         ];
         check_all_dialects(&g.insert_partition_sql(0, &rows));
+        check_all_dialects(&g.fill_partition_sql(3));
     }
 
     fn texts(stmts: &[Sql]) -> Vec<&str> {

@@ -3,7 +3,8 @@
 
 use dbcp::LocalDriver;
 use graphgen::web_graph;
-use sqldb::{Database, EngineProfile};
+use sqldb::{Database, EngineProfile, Value};
+use sqloop::parallel_sql::stable_hash;
 use sqloop::{ExecutionMode, PrioritySpec, SQLoop, SqloopConfig, Strategy};
 use std::sync::Arc;
 
@@ -388,6 +389,99 @@ fn unmaterialized_join_ablation_matches_single() {
         let db = db_with_relabeled_graph(profile, "INT", |n| n.to_string());
         assert_parallel_modes_match_single(&db, "0", false, &format!("{profile} no Rmjoin"));
     }
+}
+
+/// Runs a kept Sync PageRank over 6 partitions on the test graph relabeled
+/// by `label` into `key_type` keys, and checks that partition x holds
+/// exactly the nodes `bucket` maps to x; returns the nodes, sorted.
+fn assert_partitioned_by(
+    key_type: &str,
+    label: impl Fn(u64) -> String,
+    bucket: impl Fn(&Value) -> usize,
+) -> Vec<Value> {
+    let db = db_with_relabeled_graph(EngineProfile::Postgres, key_type, label);
+    let mut sq = sqloop_for(&db, ExecutionMode::Sync, 2, 6);
+    sq.config_mut().keep_artifacts = true;
+    sq.execute(&PAGERANK.replace("UNTIL 10", "UNTIL 1"))
+        .unwrap();
+    let mut s = db.connect();
+    let mut held = Vec::new();
+    for x in 0..6 {
+        let keys = s.query(&format!("SELECT node FROM pagerank__pt{x}"));
+        for k in keys.unwrap().rows {
+            assert_eq!(bucket(&k[0]), x, "{key_type}: {:?} in partition {x}", k[0]);
+            held.push(k[0].clone());
+        }
+    }
+    let nodes = s.query("SELECT src FROM edges UNION SELECT dst FROM edges");
+    let mut nodes: Vec<Value> = nodes
+        .unwrap()
+        .rows
+        .into_iter()
+        .map(|mut r| r.remove(0))
+        .collect();
+    nodes.sort();
+    held.sort();
+    assert_eq!(
+        held, nodes,
+        "{key_type}: every node in exactly one partition"
+    );
+    held
+}
+
+#[test]
+fn partitions_hold_exactly_the_keys_bucket_assigns_them() {
+    // an INT key (ids -20..19) is split inside the engine by
+    // `(k % n + n) % n`, a TEXT key by the middleware's hash; either way
+    // partition x holds exactly the keys `SqlGen::bucket` maps to x
+    let ints = assert_partitioned_by(
+        "INT",
+        |i| (i as i64 - 20).to_string(),
+        |k| k.as_i64().unwrap().rem_euclid(6) as usize,
+    );
+    assert!(
+        ints[0].as_i64().unwrap() < 0,
+        "negative ids were partitioned"
+    );
+    assert_partitioned_by(
+        "TEXT",
+        |i| format!("'n{i:02}'"),
+        |k| (stable_hash(k) % 6) as usize,
+    );
+}
+
+#[test]
+fn a_seed_that_repeats_a_column_runs_single_and_parallel() {
+    // the connected-components seed selects `src` three times: R takes the
+    // declared names, in the single-threaded executor and in Sync alike
+    let db = db_with_graph(EngineProfile::Postgres, 60);
+    db.connect()
+        .execute(
+            "CREATE VIEW both_edges AS SELECT src, dst, weight FROM edges \
+             UNION ALL SELECT dst AS src, src AS dst, weight FROM edges",
+        )
+        .unwrap();
+    let wcc = "\
+WITH ITERATIVE wcc(Node, Component, Delta) AS (
+  SELECT src, src, src
+  FROM (SELECT src FROM edges UNION SELECT dst FROM edges) AS alledges GROUP BY src
+  ITERATE
+  SELECT wcc.Node, LEAST(wcc.Component, wcc.Delta), COALESCE(MIN(Neighbor.Delta), Infinity)
+  FROM wcc
+  LEFT JOIN both_edges AS IncomingEdges ON wcc.Node = IncomingEdges.dst
+  LEFT JOIN wcc AS Neighbor ON Neighbor.Node = IncomingEdges.src
+  GROUP BY wcc.Node
+  UNTIL 30 ITERATIONS)
+SELECT Node, Component FROM wcc ORDER BY Node";
+    let single = sqloop_for(&db, ExecutionMode::Single, 1, 1)
+        .execute(wcc)
+        .unwrap();
+    let report = sqloop_for(&db, ExecutionMode::Sync, 2, 4)
+        .execute_detailed(wcc)
+        .unwrap();
+    assert!(report.messages > 0, "{:?}", report.strategy);
+    assert_eq!(single.rows.len(), 60);
+    assert_eq!(single.rows, report.result.rows);
 }
 
 /// The message slots a `keep_artifacts` run left in `db`.

@@ -30,6 +30,7 @@ use crate::bind::{BoundExpr, Builtin};
 use crate::error::{DbError, DbResult};
 use crate::types::{DataType, Schema};
 use crate::value::{canonical_nan, Row, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -975,79 +976,101 @@ fn eval_cmp_cols(op: BinaryOp, lo: &Operand<'_>, ro: &Operand<'_>, n: usize) -> 
     }
 }
 
-/// Vectorized arithmetic. Pure-float lane combinations run as raw `f64`
-/// loops (IEEE semantics, infallible — identical to the row path's float
-/// promotion); anything involving integers, text, or mixed lanes calls the
-/// checked `Value` operators lane-wise so overflow/div-by-zero/type errors
-/// keep their exact row-path messages.
+/// A numeric operand of the arithmetic kernels: `Int` or `Float` lanes,
+/// lane `i` read at index `i * step` (`step` 0 broadcasts a constant).
+enum Num<'a> {
+    Int(&'a [i64], usize),
+    Float(Cow<'a, [f64]>, usize),
+}
+
+impl<'a> Num<'a> {
+    /// The operand and its validity (`None`: all valid); `None` for NULL,
+    /// text, bool and mixed operands.
+    fn of(o: &Operand<'a>) -> Option<(Num<'a>, Option<&'a [bool]>)> {
+        match *o {
+            Operand::Col(c) => match &c.data {
+                ColData::Int(v) => Some((Num::Int(v, 1), Some(&c.valid))),
+                ColData::Float(v) => Some((Num::Float(Cow::Borrowed(v), 1), Some(&c.valid))),
+                _ => None,
+            },
+            Operand::Const(Value::Int(k)) => Some((Num::Int(std::slice::from_ref(k), 0), None)),
+            Operand::Const(Value::Float(k)) => {
+                Some((Num::Float(Cow::Borrowed(std::slice::from_ref(k)), 0), None))
+            }
+            Operand::Const(_) => None,
+        }
+    }
+
+    /// The lanes as FLOATs (INT lanes promoted) and their step.
+    fn floats(self) -> (Cow<'a, [f64]>, usize) {
+        match self {
+            Num::Int(v, step) => (v.iter().map(|&i| i as f64).collect(), step),
+            Num::Float(v, step) => (v, step),
+        }
+    }
+}
+
+/// `a op b` on two INTs: `None` on overflow and on division or modulo by
+/// zero.
+fn int_arith(op: BinaryOp, a: i64, b: i64) -> Option<i64> {
+    match op {
+        BinaryOp::Add => a.checked_add(b),
+        BinaryOp::Sub => a.checked_sub(b),
+        BinaryOp::Mul => a.checked_mul(b),
+        BinaryOp::Div => a.checked_div(b),
+        BinaryOp::Mod => (b != 0).then(|| a.wrapping_rem(b)),
+        _ => unreachable!("not arithmetic"),
+    }
+}
+
+/// `a op b` on two FLOATs (or INTs promoted to them).
+fn float_arith(op: BinaryOp, a: f64, b: f64) -> f64 {
+    canonical_nan(match op {
+        BinaryOp::Add => a + b,
+        BinaryOp::Sub => a - b,
+        BinaryOp::Mul => a * b,
+        BinaryOp::Div => a / b,
+        BinaryOp::Mod => a % b,
+        _ => unreachable!("not arithmetic"),
+    })
+}
+
+/// Vectorized arithmetic. Two `Int` operands run as checked `i64` loops;
+/// an `Int` / `Float` mix is promoted to `f64` (IEEE semantics, infallible:
+/// the row path's float promotion). Overflow and division or modulo by
+/// zero fail the kernel, so the batch re-runs row by row and raises the
+/// row path's error. Text, bool, NULL and mixed operands go lane-wise
+/// through the checked `Value` operators.
 fn eval_arith_cols(
     op: BinaryOp,
     lo: &Operand<'_>,
     ro: &Operand<'_>,
     n: usize,
 ) -> DbResult<EvalOut> {
-    let float_op = |a: f64, b: f64| -> f64 {
-        canonical_nan(match op {
-            BinaryOp::Add => a + b,
-            BinaryOp::Sub => a - b,
-            BinaryOp::Mul => a * b,
-            BinaryOp::Div => a / b,
-            BinaryOp::Mod => a % b,
-            _ => unreachable!(),
-        })
-    };
-    // float ⊗ float fast path
-    if let (Operand::Col(a), Operand::Col(b)) = (lo, ro) {
-        if let (ColData::Float(x), ColData::Float(y)) = (&a.data, &b.data) {
-            let mut data = vec![0.0f64; n];
-            let mut valid = vec![false; n];
-            for i in 0..n {
-                if a.valid[i] && b.valid[i] {
-                    valid[i] = true;
-                    data[i] = float_op(x[i], y[i]);
+    if let (Some((a, va)), Some((b, vb))) = (Num::of(lo), Num::of(ro)) {
+        let valid: Vec<bool> = match (va, vb) {
+            (Some(x), Some(y)) => x.iter().zip(y).map(|(x, y)| *x && *y).collect(),
+            (v, None) | (None, v) => v.map_or_else(|| vec![true; n], <[bool]>::to_vec),
+        };
+        let data = match (a, b) {
+            (Num::Int(x, sx), Num::Int(y, sy)) => {
+                let mut data = vec![0i64; n];
+                for i in (0..n).filter(|&i| valid[i]) {
+                    let r = int_arith(op, x[i * sx], y[i * sy]);
+                    data[i] = r.ok_or_else(|| DbError::Eval(format!("INT {op:?} failed")))?;
                 }
+                ColData::Int(data)
             }
-            return Ok(EvalOut::Owned(Col {
-                data: ColData::Float(data),
-                valid,
-            }));
-        }
-    }
-    // float ⊗ float-constant fast paths
-    match (lo, ro) {
-        (Operand::Col(a), Operand::Const(Value::Float(k))) => {
-            if let ColData::Float(x) = &a.data {
-                let mut data = vec![0.0f64; n];
-                let mut valid = vec![false; n];
-                for i in 0..n {
-                    if a.valid[i] {
-                        valid[i] = true;
-                        data[i] = float_op(x[i], *k);
-                    }
-                }
-                return Ok(EvalOut::Owned(Col {
-                    data: ColData::Float(data),
-                    valid,
-                }));
+            (a, b) => {
+                let ((x, sx), (y, sy)) = (a.floats(), b.floats());
+                let lane = |i: usize| match valid[i] {
+                    true => float_arith(op, x[i * sx], y[i * sy]),
+                    false => 0.0,
+                };
+                ColData::Float((0..n).map(lane).collect())
             }
-        }
-        (Operand::Const(Value::Float(k)), Operand::Col(b)) => {
-            if let ColData::Float(y) = &b.data {
-                let mut data = vec![0.0f64; n];
-                let mut valid = vec![false; n];
-                for i in 0..n {
-                    if b.valid[i] {
-                        valid[i] = true;
-                        data[i] = float_op(*k, y[i]);
-                    }
-                }
-                return Ok(EvalOut::Owned(Col {
-                    data: ColData::Float(data),
-                    valid,
-                }));
-            }
-        }
-        _ => {}
+        };
+        return Ok(EvalOut::Owned(Col { data, valid }));
     }
     // generic lane-wise path through the checked Value operators
     let mut out = Vec::with_capacity(n);

@@ -1,7 +1,7 @@
 //! Query and DML execution over materialized relations.
 
 use crate::ast::*;
-use crate::batch::{Col, ColData, ColumnBatch, CompiledExpr, EvalOut};
+use crate::batch::{Col, ColData, ColumnBatch, CompiledExpr, EvalOut, NO_LANE};
 use crate::bind::{bind_scalar, bind_with_aggregates, AggSpec, BoundExpr, Scope, ScopeRelation};
 use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
@@ -14,7 +14,8 @@ use crate::storage::Table;
 use crate::txn::{apply_undo, UndoLog, UndoOp};
 use crate::types::{Column, DataType, Schema};
 use crate::value::{canonical_nan, Row, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -75,6 +76,15 @@ struct Batches {
 }
 
 impl Batches {
+    /// Rows that leave `ORDER BY` / `LIMIT` or the reference evaluator,
+    /// back in batches of `batch_rows`.
+    fn from_result(result: QueryResult, batch_rows: usize) -> Batches {
+        Batches {
+            batches: ColumnBatch::chunk_rows(result.rows, result.columns.len(), batch_rows),
+            columns: result.columns,
+        }
+    }
+
     fn len(&self) -> usize {
         self.batches.iter().map(ColumnBatch::len).sum()
     }
@@ -214,27 +224,17 @@ impl<'a> Executor<'a> {
     // Queries
     // ------------------------------------------------------------------
 
-    /// Runs a query whose rows stay in the engine — the source of an
-    /// `INSERT … SELECT` or a `CREATE TABLE … AS`: a plain `SELECT` on the
-    /// vectorized pipeline hands over its batches, anything else is batched
-    /// from its rows.
-    fn run_query_batches(&self, q: &SelectStmt) -> DbResult<Batches> {
-        let out = match &q.body {
-            SetExpr::Select(s)
-                if self.vectorized && !s.distinct && q.order_by.is_empty() && q.limit.is_none() =>
-            {
-                self.check_deadline()?;
-                self.select_batches(s, 0)?
-            }
-            _ => {
-                let result = self.run_query(q)?;
-                let arity = result.rows.first().map_or(result.columns.len(), Vec::len);
-                Batches {
-                    batches: ColumnBatch::chunk_rows(result.rows, arity, self.batch_rows()),
-                    columns: result.columns,
-                }
-            }
-        };
+    /// Runs `q` with its rows left in column batches: a view, a derived
+    /// table, or the source of an `INSERT … SELECT` / `CREATE TABLE … AS`.
+    /// Only a query with `ORDER BY` or `LIMIT` passes through rows.
+    fn query_batches(&self, q: &SelectStmt, depth: usize) -> DbResult<Batches> {
+        if !q.order_by.is_empty() || q.limit.is_some() {
+            let result = self.run_query_depth(q, depth)?;
+            return Ok(Batches::from_result(result, self.batch_rows()));
+        }
+        check_depth(depth)?;
+        self.check_deadline()?;
+        let out = self.exec_set_expr(&q.body, depth)?;
         self.check_row_cap(out.len())?;
         Ok(out)
     }
@@ -298,13 +298,9 @@ impl<'a> Executor<'a> {
     }
 
     fn run_query_depth(&self, q: &SelectStmt, depth: usize) -> DbResult<QueryResult> {
-        if depth > MAX_DEPTH {
-            return Err(DbError::Invalid(
-                "query nesting too deep (circular view?)".into(),
-            ));
-        }
+        check_depth(depth)?;
         self.check_deadline()?;
-        let mut result = self.exec_set_expr(&q.body, depth)?;
+        let mut result = self.exec_set_expr(&q.body, depth)?.into_result();
         if !q.order_by.is_empty() {
             let t0 = self.prof_start();
             let rows_in = result.rows.len() as u64;
@@ -336,7 +332,7 @@ impl<'a> Executor<'a> {
         Ok(result)
     }
 
-    fn exec_set_expr(&self, body: &SetExpr, depth: usize) -> DbResult<QueryResult> {
+    fn exec_set_expr(&self, body: &SetExpr, depth: usize) -> DbResult<Batches> {
         match body {
             SetExpr::Select(s) => self.exec_select(s, depth),
             SetExpr::Values(rows) => {
@@ -362,27 +358,26 @@ impl<'a> Executor<'a> {
                         t0.map(us_since).unwrap_or(0),
                     );
                 }
-                Ok(QueryResult {
+                let result = QueryResult {
                     columns: (1..=n).map(|i| format!("column{i}")).collect(),
                     rows: out,
-                })
+                };
+                Ok(Batches::from_result(result, self.batch_rows()))
             }
             SetExpr::SetOp { op, left, right } => {
                 let t0 = self.prof_start();
-                let l = self.exec_set_expr(left, depth)?;
+                let mut out = self.exec_set_expr(left, depth)?;
                 let r = self.exec_set_expr(right, depth)?;
-                if !l.rows.is_empty() && !r.rows.is_empty() && l.rows[0].len() != r.rows[0].len() {
+                if out.columns.len() != r.columns.len() {
                     return Err(DbError::Invalid(
                         "UNION inputs differ in column count".into(),
                     ));
                 }
-                let rows_in = (l.rows.len() + r.rows.len()) as u64;
-                let mut rows = l.rows;
-                rows.extend(r.rows);
-                let rows = match op {
-                    SetOperator::UnionAll => rows,
-                    SetOperator::Union => dedupe(rows),
-                };
+                let rows_in = (out.len() + r.len()) as u64;
+                out.batches.extend(r.batches);
+                if *op == SetOperator::Union {
+                    out.batches = distinct(out.batches, out.columns.len());
+                }
                 if let Some(p) = self.prof {
                     let label = match op {
                         SetOperator::Union => "Union (deduplicating)".to_string(),
@@ -391,39 +386,36 @@ impl<'a> Executor<'a> {
                     p.wrap(
                         2,
                         label,
-                        rows.len() as u64,
+                        out.len() as u64,
                         rows_in,
                         t0.map(us_since).unwrap_or(0),
                     );
                 }
-                Ok(QueryResult {
-                    columns: l.columns,
-                    rows,
-                })
+                Ok(out)
             }
         }
     }
 
-    fn exec_select(&self, s: &Select, depth: usize) -> DbResult<QueryResult> {
-        let mut result = match self.vectorized {
-            true => self.select_batches(s, depth)?.into_result(),
-            false => self.select_rows(s, depth)?,
+    fn exec_select(&self, s: &Select, depth: usize) -> DbResult<Batches> {
+        let mut out = match self.vectorized {
+            true => self.select_batches(s, depth)?,
+            false => Batches::from_result(self.select_rows(s, depth)?, self.batch_rows()),
         };
         if s.distinct {
             let t0 = self.prof_start();
-            let rows_in = result.rows.len() as u64;
-            result.rows = dedupe(result.rows);
+            let rows_in = out.len() as u64;
+            out.batches = distinct(out.batches, out.columns.len());
             if let Some(p) = self.prof {
                 p.wrap(
                     1,
                     "Distinct".to_string(),
-                    result.rows.len() as u64,
+                    out.len() as u64,
                     rows_in,
                     t0.map(us_since).unwrap_or(0),
                 );
             }
         }
-        Ok(result)
+        Ok(out)
     }
 
     /// FROM: column batches, charged to the memory budget as they are
@@ -970,15 +962,14 @@ impl<'a> Executor<'a> {
         kept
     }
 
-    /// The result of a view or subquery as the relation `alias`.
-    fn rel_from_result(&self, result: QueryResult, alias: String) -> DbResult<Rel> {
+    /// The rows of a view or subquery as the relation `alias`.
+    fn rel_from_batches(&self, out: Batches, alias: String) -> DbResult<Rel> {
         let mut scope = Scope::new();
         scope.push(ScopeRelation {
             qualifier: alias,
-            columns: result.columns,
+            columns: out.columns,
         });
-        let batches = ColumnBatch::chunk_rows(result.rows, scope.arity(), self.batch_rows());
-        Rel::new(scope, batches, self.catalog.memory_budget())
+        Rel::new(scope, out.batches, self.catalog.memory_budget())
     }
 
     fn build_factor(
@@ -993,9 +984,9 @@ impl<'a> Executor<'a> {
                 let label = factor_label(f);
                 if let Some(view) = self.catalog.view(name) {
                     let t0 = self.prof_start();
-                    let result = self.run_query_depth(&view, depth + 1)?;
+                    let out = self.query_batches(&view, depth + 1)?;
                     if let Some(p) = self.prof {
-                        let rows = result.rows.len() as u64;
+                        let rows = out.len() as u64;
                         p.wrap(
                             1,
                             format!("View {label}"),
@@ -1004,7 +995,7 @@ impl<'a> Executor<'a> {
                             t0.map(us_since).unwrap_or(0),
                         );
                     }
-                    return self.rel_from_result(result, factor_visible_name(f).to_owned());
+                    return self.rel_from_batches(out, factor_visible_name(f).to_owned());
                 }
                 let t0 = self.prof_start();
                 let handle = self.catalog.table(name)?;
@@ -1042,9 +1033,9 @@ impl<'a> Executor<'a> {
             }
             TableFactor::Derived { subquery, alias } => {
                 let t0 = self.prof_start();
-                let result = self.run_query_depth(subquery, depth + 1)?;
+                let out = self.query_batches(subquery, depth + 1)?;
                 if let Some(p) = self.prof {
-                    let rows = result.rows.len() as u64;
+                    let rows = out.len() as u64;
                     p.wrap(
                         1,
                         format!("Subquery AS {alias}"),
@@ -1053,7 +1044,7 @@ impl<'a> Executor<'a> {
                         t0.map(us_since).unwrap_or(0),
                     );
                 }
-                self.rel_from_result(result, alias.clone())
+                self.rel_from_batches(out, alias.clone())
             }
         }
     }
@@ -1123,7 +1114,7 @@ impl<'a> Executor<'a> {
 
     fn exec_create_table(&self, ct: &CreateTable, undo: &mut UndoLog) -> DbResult<StmtOutput> {
         if let Some(q) = &ct.as_select {
-            let source = self.run_query_batches(q)?;
+            let source = self.query_batches(q, 0)?;
             let schema = infer_schema(&source)?;
             let created = self.catalog.create_table(
                 &ct.name,
@@ -1202,7 +1193,7 @@ impl<'a> Executor<'a> {
                         .collect(),
                 }
             }
-            InsertSource::Select(q) => self.run_query_batches(q)?.batches,
+            InsertSource::Select(q) => self.query_batches(q, 0)?.batches,
         };
         let count =
             self.append_batches(&ins.table, &handle, batches, ins.columns.as_deref(), undo)?;
@@ -1808,15 +1799,73 @@ fn note_exec_batches(batches: u64, rows: u64) {
         .set((rows / batches) as i64);
 }
 
-fn dedupe(rows: Vec<Row>) -> Vec<Row> {
-    let mut seen: HashSet<Row> = HashSet::with_capacity(rows.len());
-    let mut out = Vec::with_capacity(rows.len());
-    for r in rows {
-        if seen.insert(r.clone()) {
-            out.push(r);
+/// Fails past [`MAX_DEPTH`] nested views and derived tables.
+fn check_depth(depth: usize) -> DbResult<()> {
+    if depth > MAX_DEPTH {
+        return Err(DbError::Invalid(
+            "query nesting too deep (circular view?)".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The rows of `batches` without repeats, as one batch that keeps each
+/// first occurrence in order. Rows compare as their `Value`s do: `Int(2)`
+/// equals `Float(2.0)`, NULL equals NULL and NaN equals NaN. When every
+/// column is an `Int` lane vector, lanes are hashed and compared as `i64`s.
+fn distinct(batches: Vec<ColumnBatch>, arity: usize) -> Vec<ColumnBatch> {
+    let all = ColumnBatch::concat(batches, arity);
+    let cols: Vec<&Col> = (0..arity).map(|c| all.col(c)).collect();
+    let ints: Option<Vec<&[i64]>> = cols
+        .iter()
+        .map(|c| match &c.data {
+            ColData::Int(v) => Some(v.as_slice()),
+            _ => None,
+        })
+        .collect();
+    let hash = |lane: usize| match &ints {
+        Some(ints) => cols.iter().zip(ints).fold(0, |h: u64, (c, v)| {
+            let key = if c.valid[lane] { v[lane] } else { i64::MIN };
+            int_key_hash(key ^ h.rotate_left(29) as i64)
+        }),
+        None => {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            cols.iter().for_each(|c| c.value_at(lane).hash(&mut h));
+            h.finish()
+        }
+    };
+    let same = |a: usize, b: usize| match &ints {
+        Some(ints) => cols
+            .iter()
+            .zip(ints)
+            .all(|(c, v)| c.valid[a] == c.valid[b] && (!c.valid[a] || v[a] == v[b])),
+        None => cols.iter().all(|c| c.value_at(a) == c.value_at(b)),
+    };
+    // open addressing over the lanes kept so far
+    let mask = (all.len() * 2).next_power_of_two() - 1;
+    let mut table = vec![NO_LANE; mask + 1];
+    let mut hashes = Vec::with_capacity(all.len());
+    let mut keep = Vec::new();
+    for lane in 0..all.len() {
+        let h = hash(lane);
+        hashes.push(h);
+        let mut at = h as usize & mask;
+        loop {
+            match table[at] {
+                NO_LANE => {
+                    table[at] = lane as u32;
+                    keep.push(lane as u32);
+                    break;
+                }
+                seen if hashes[seen as usize] == h && same(seen as usize, lane) => break,
+                _ => at = (at + 1) & mask,
+            }
         }
     }
-    out
+    if keep.is_empty() {
+        return Vec::new();
+    }
+    vec![ColumnBatch::from_cols(all.gather_cols(&keep), keep.len())]
 }
 
 /// The target of an `UPDATE` as the `FROM` factor it plays in its join.
@@ -2037,8 +2086,11 @@ fn infer_schema(source: &Batches) -> DbResult<Schema> {
         }
     };
     let columns = source.columns.iter().enumerate().map(|(c, name)| {
-        let batches = source.batches.iter().filter(|b| c < b.arity());
-        let ty = batches.map(|b| col_type(b.col(c))).fold(None, merge);
+        let ty = source
+            .batches
+            .iter()
+            .map(|b| col_type(b.col(c)))
+            .fold(None, merge);
         Column::new(name.clone(), ty.unwrap_or(DataType::Text))
     });
     Schema::new(columns.collect(), None)
@@ -2287,6 +2339,31 @@ mod tests {
         assert_eq!(r.rows.len(), 2);
         let r = ctx.query("SELECT tag FROM t UNION ALL SELECT tag FROM t");
         assert_eq!(r.rows.len(), 6);
+    }
+
+    #[test]
+    fn union_arity_comes_from_the_select_lists() {
+        // an empty side has no rows to count columns in
+        for profile in EngineProfile::ALL {
+            let ctx = seeded(profile);
+            ctx.exec("CREATE TABLE e (c INT)").unwrap();
+            for sql in [
+                "SELECT c FROM e UNION SELECT id, v FROM t",
+                "SELECT id, v FROM t UNION ALL SELECT c FROM e",
+                "SELECT * FROM (SELECT id, v FROM t UNION ALL SELECT c FROM e) AS d",
+                "SELECT c FROM e UNION ALL SELECT c, c FROM e",
+            ] {
+                let q = parse_query(sql).unwrap();
+                let exec = Executor::new(&ctx.catalog, profile, &ctx.stats);
+                let err = exec.run_query(&q).unwrap_err().to_string();
+                assert!(
+                    err.contains("differ in column count"),
+                    "{profile}: {sql}: {err}"
+                );
+            }
+            let err = ctx.exec("INSERT INTO e SELECT id, v FROM t UNION SELECT c FROM e");
+            assert!(err.is_err(), "{profile}");
+        }
     }
 
     #[test]

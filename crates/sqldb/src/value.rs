@@ -155,18 +155,22 @@ impl Value {
     }
 
     /// Arithmetic division. Integer division truncates; division by integer
-    /// zero is an error, float division follows IEEE semantics.
+    /// zero and `i64::MIN / -1` are errors, float division follows IEEE
+    /// semantics.
     ///
     /// # Errors
-    /// Returns [`DbError::Eval`] on division by integer zero or non-numeric
-    /// operands.
+    /// Returns [`DbError::Eval`] on division by integer zero, integer
+    /// overflow or non-numeric operands.
     pub fn div(&self, other: &Value) -> DbResult<Value> {
         if self.is_null() || other.is_null() {
             return Ok(Value::Null);
         }
         match (self, other) {
             (Value::Int(_), Value::Int(0)) => Err(DbError::Eval("division by zero".into())),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a / b)),
+            (Value::Int(a), Value::Int(b)) => a
+                .checked_div(*b)
+                .map(Value::Int)
+                .ok_or_else(|| DbError::Eval("integer overflow in /".into())),
             _ => {
                 let (a, b) = self.both_f64(other, "/")?;
                 Ok(Value::Float(canonical_nan(a / b)))
@@ -174,7 +178,7 @@ impl Value {
         }
     }
 
-    /// Arithmetic remainder.
+    /// Arithmetic remainder (`i64::MIN % -1` is 0).
     ///
     /// # Errors
     /// Returns [`DbError::Eval`] on modulo by integer zero or non-numeric
@@ -185,7 +189,7 @@ impl Value {
         }
         match (self, other) {
             (Value::Int(_), Value::Int(0)) => Err(DbError::Eval("modulo by zero".into())),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a % b)),
+            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_rem(*b))),
             _ => {
                 let (a, b) = self.both_f64(other, "%")?;
                 Ok(Value::Float(canonical_nan(a % b)))

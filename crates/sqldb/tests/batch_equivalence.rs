@@ -148,7 +148,38 @@ const QUERIES: &[&str] = &[
      JOIN (SELECT c_int, COUNT(*) AS n FROM t GROUP BY c_int) AS d ON a.c_int = d.c_int",
     "SELECT a.c_text, d.c_int FROM (SELECT c_int FROM t WHERE c_bool) AS d \
      LEFT JOIN t AS a ON d.c_int = a.c_int",
+    // set operations and DISTINCT stay in batches: INT and FLOAT sides
+    // (equal values dedupe), NULL, NaN and TEXT lanes, empty sides, nesting
+    "SELECT c_int FROM t UNION SELECT c_float FROM t",
+    "SELECT c_float, c_int FROM t UNION SELECT c_int, c_float FROM t",
+    "SELECT c_int, c_text FROM t UNION ALL SELECT c_int, c_text FROM t WHERE c_bool",
+    "SELECT DISTINCT c_float, c_text FROM t",
+    "SELECT DISTINCT c_int, c_int % 3 FROM t",
+    "SELECT c_int FROM t WHERE 1 = 0 UNION SELECT c_int FROM t",
+    "SELECT c_text FROM t UNION ALL SELECT c_text FROM t WHERE 1 = 0",
+    "SELECT c_text FROM t UNION SELECT c_text FROM t WHERE c_int > 0 \
+     UNION ALL SELECT c_text FROM t WHERE c_bool",
+    "SELECT c_int FROM t WHERE c_bool UNION (SELECT c_int FROM t UNION ALL SELECT c_float FROM t)",
+    // a derived table over UNION, a view over UNION ALL
+    "SELECT d.c_int, COUNT(*) FROM (SELECT c_int FROM t UNION SELECT c_int + 1 FROM t) AS d \
+     GROUP BY d.c_int",
+    "SELECT a.c_text, d.c_float FROM (SELECT c_int, c_float FROM t UNION SELECT c_int, c_float \
+     FROM t) AS d JOIN t AS a ON a.c_int = d.c_int",
+    "SELECT * FROM u",
+    "SELECT u.c_int, MAX(u.c_float) FROM u GROUP BY u.c_int",
+    // INT arithmetic kernels: overflow, % 0, negative operands, NULL,
+    // INT / FLOAT mixes, and the partition filter's shape
+    "SELECT c_int + c_int, c_int * c_int, c_int - 1 FROM t",
+    "SELECT c_int % 0 FROM t",
+    "SELECT c_int / -1, c_int % -1 FROM t",
+    "SELECT (c_int % 16 + 16) % 16, c_int % -3, -7 / c_int FROM t WHERE c_int IS NOT NULL",
+    "SELECT c_int FROM t WHERE (c_int % 4 + 4) % 4 = 1",
+    "SELECT c_int + NULL, c_int * 2.5, c_float - c_int, c_int / c_float FROM t",
 ];
+
+/// The view the set-operation queries read.
+const VIEW_U: &str = "CREATE VIEW u AS SELECT c_int, c_float FROM t \
+                      UNION ALL SELECT c_int, c_float FROM t WHERE c_bool";
 
 /// Runs `sql` and collapses the outcome to something comparable: the rows
 /// on success, the error text on failure (error *equivalence* is part of
@@ -168,6 +199,7 @@ proptest! {
         for profile in EngineProfile::ALL {
             let db = Database::new(profile);
             db.import_table(&dump).unwrap();
+            db.connect().execute(VIEW_U).unwrap();
             for sql in QUERIES {
                 db.set_vectorized(false);
                 let baseline = outcome(&db, sql);
@@ -184,4 +216,121 @@ proptest! {
             }
         }
     }
+}
+
+/// `rows` without repeats, first occurrences in order, as `Value`'s own
+/// `Eq` and `Hash` see them: the row model of `UNION` and `DISTINCT`.
+fn dedupe_model(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    let mut seen = std::collections::HashSet::new();
+    rows.into_iter()
+        .filter(|r| seen.insert(r.clone()))
+        .collect()
+}
+
+/// Pairs of union-compatible queries over `t`.
+const SIDES: &[(&str, &str)] = &[
+    ("SELECT c_int FROM t", "SELECT c_float FROM t"),
+    ("SELECT c_float FROM t WHERE c_bool", "SELECT c_int FROM t"),
+    (
+        "SELECT c_int, c_text FROM t",
+        "SELECT c_int, c_text FROM t WHERE c_bool",
+    ),
+    (
+        "SELECT c_float, c_bool FROM t",
+        "SELECT c_float, c_bool FROM t",
+    ),
+    ("SELECT c_int FROM t WHERE 1 = 0", "SELECT c_int FROM t"),
+    ("SELECT c_text FROM t", "SELECT c_text FROM t WHERE 1 = 0"),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `UNION`, `UNION ALL` and `DISTINCT` keep the row semantics they had
+    /// when they deduplicated rows: concatenation in order, and the first
+    /// occurrence of each row kept.
+    #[test]
+    fn set_operations_match_the_row_model(dump in arb_dump()) {
+        let db = Database::new(EngineProfile::Postgres);
+        db.import_table(&dump).unwrap();
+        let rows = |sql: &str| outcome(&db, sql).unwrap();
+        for size in [Some(1), Some(3), None] {
+            db.set_batch_size(size);
+            for (l, r) in SIDES {
+                let all: Vec<_> = rows(l).into_iter().chain(rows(r)).collect();
+                prop_assert_eq!(rows(&format!("{l} UNION ALL {r}")), all.clone(), "{} / {}", l, r);
+                prop_assert_eq!(rows(&format!("{l} UNION {r}")), dedupe_model(all), "{} / {}", l, r);
+                let distinct = l.replacen("SELECT", "SELECT DISTINCT", 1);
+                prop_assert_eq!(rows(&distinct), dedupe_model(rows(l)), "{}", distinct);
+            }
+        }
+    }
+}
+
+#[test]
+fn set_operation_values_keep_their_first_occurrence() {
+    let db = Database::new(EngineProfile::Postgres);
+    let rows = |sql: &str| outcome(&db, sql).unwrap();
+    assert_eq!(rows("SELECT 2 UNION SELECT 2.0"), vec![vec![Value::Int(2)]]);
+    assert_eq!(
+        rows("SELECT 2.0 UNION SELECT 2"),
+        vec![vec![Value::Float(2.0)]]
+    );
+    let mut c = db.connect();
+    c.execute("CREATE TABLE n (a INT, b FLOAT, s TEXT)")
+        .unwrap();
+    c.execute(
+        "INSERT INTO n VALUES (NULL, 0.0 / 0.0, 'x'), (1, NULL, NULL), (NULL, 0.0 / 0.0, 'x'), \
+         (1, NULL, NULL), (NULL, NULL, 'x')",
+    )
+    .unwrap();
+    let nan = Value::Float(f64::NAN);
+    assert_eq!(
+        rows("SELECT DISTINCT a, b, s FROM n"),
+        vec![
+            vec![Value::Null, nan.clone(), Value::Text("x".into())],
+            vec![Value::Int(1), Value::Null, Value::Null],
+            vec![Value::Null, Value::Null, Value::Text("x".into())],
+        ]
+    );
+    assert_eq!(
+        rows("SELECT a FROM n UNION SELECT a FROM n"),
+        vec![vec![Value::Null], vec![Value::Int(1)]]
+    );
+    assert_eq!(
+        rows("SELECT b FROM n UNION SELECT b FROM n"),
+        vec![vec![nan], vec![Value::Null]]
+    );
+}
+
+/// The `Union …`, `Subquery AS …` and `View …` lines of `EXPLAIN ANALYZE`
+/// count the rows each operator produced.
+#[test]
+fn explain_analyze_counts_set_operation_rows() {
+    let db = Database::new(EngineProfile::Postgres);
+    let mut c = db.connect();
+    c.execute("CREATE TABLE x (a INT)").unwrap();
+    c.execute("INSERT INTO x VALUES (1), (2), (2), (3)")
+        .unwrap();
+    c.execute("CREATE VIEW vx AS SELECT a FROM x UNION ALL SELECT a FROM x")
+        .unwrap();
+    let mut lines = |sql: &str| -> Vec<String> {
+        let r = c.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        r.rows.iter().map(|row| row[0].to_string()).collect()
+    };
+    let has = |lines: &[String], prefix: &str, rows: u64| {
+        let want = format!("{prefix} (actual rows={rows} ");
+        assert!(
+            lines.iter().any(|l| l.trim_start().starts_with(&want)),
+            "{want} in {lines:#?}"
+        );
+    };
+    let l = lines("SELECT d.a FROM (SELECT a FROM x UNION SELECT a FROM x) AS d");
+    has(&l, "Union (deduplicating)", 3);
+    has(&l, "Subquery AS d", 3);
+    let l = lines("SELECT COUNT(*) FROM vx");
+    has(&l, "Union All", 8);
+    has(&l, "View vx", 8);
+    let l = lines("SELECT DISTINCT a FROM x");
+    has(&l, "Distinct", 3);
 }
