@@ -82,9 +82,9 @@ enum TaskKind {
         /// its affected-row count is the message's row count.
         fill_at: usize,
     },
-    Gather {
-        read_until: usize,
-    },
+    /// Reads the messages in `read_from..read_until` addressed to its
+    /// partition.
+    Gather { read_from: usize, read_until: usize },
 }
 
 #[derive(Debug, Clone)]
@@ -158,7 +158,9 @@ struct MsgState {
     /// Partition that produced the message — the slot returns to this
     /// partition's free list once every reader has consumed it.
     partition: usize,
-    live: bool,
+    /// Partitions the message addresses that have not gathered it yet;
+    /// the message is live while this is above 0.
+    unread: usize,
     /// Destination partitions with matching rows (`None` = broadcast).
     targets: Option<Vec<usize>>,
 }
@@ -166,7 +168,7 @@ struct MsgState {
 impl MsgState {
     /// True while the message is live and has rows for partition `x`.
     fn addresses(&self, x: usize) -> bool {
-        self.live && self.targets.as_ref().is_none_or(|t| t.contains(&x))
+        self.unread > 0 && self.targets.as_ref().is_none_or(|t| t.contains(&x))
     }
 }
 
@@ -1071,7 +1073,10 @@ impl Scheduler<'_> {
         Ok(Some(Task {
             task_id: 0, // assigned at dispatch
             partition: x,
-            kind: TaskKind::Gather { read_until: len },
+            kind: TaskKind::Gather {
+                read_from: self.parts[x].cursor,
+                read_until: len,
+            },
             stmts: vec![sql],
             round: self.round,
             attempt: 1,
@@ -1321,31 +1326,38 @@ impl Scheduler<'_> {
                 self.parts[x].pending = false;
                 self.parts[x].prefer_compute = false;
                 let msg_rows = acc_msg_rows.or(d.msg_rows).unwrap_or(0);
+                // the slot's distinct `__to` values
+                let targets = acc_rows.first().map(|r| {
+                    let mut t: Vec<usize> = r
+                        .rows
+                        .iter()
+                        .filter_map(|row| row[0].as_i64().map(|p| p as usize))
+                        .collect();
+                    t.sort_unstable();
+                    t
+                });
+                let unread = targets.as_ref().map_or(self.parts.len(), Vec::len);
                 if msg_rows > 0 {
                     self.messages += 1;
-                    // the slot's distinct `__to` values
-                    let targets = acc_rows.first().map(|r| {
-                        let mut t: Vec<usize> = r
-                            .rows
-                            .iter()
-                            .filter_map(|row| row[0].as_i64().map(|p| p as usize))
-                            .collect();
-                        t.sort_unstable();
-                        t
-                    });
+                }
+                if msg_rows > 0 && unread > 0 {
                     self.msgs.push(MsgState {
                         name: msg_table.clone(),
                         partition: x,
-                        live: true,
+                        unread,
                         targets,
                     });
                 } else {
-                    // empty message: hand the slot straight back — no DROP;
-                    // the next reuse truncates it with a cached DELETE
+                    // a message no partition reads: hand the slot straight
+                    // back — no DROP; the next reuse truncates it with a
+                    // cached DELETE
                     self.free_slots[x].push(msg_table.clone());
                 }
             }
-            TaskKind::Gather { read_until } => {
+            TaskKind::Gather {
+                read_from,
+                read_until,
+            } => {
                 self.gathers += 1;
                 self.parts[x].cursor = *read_until;
                 if changed > 0 {
@@ -1353,29 +1365,25 @@ impl Scheduler<'_> {
                     self.parts[x].prefer_compute = true;
                     refresh = true;
                 }
-                self.gc_messages();
+                // the messages this Gather read; a slot every addressed
+                // partition has read goes back to its owner's free list,
+                // where the next Compute truncates and refills it with
+                // statements the plan cache already knows
+                for i in *read_from..*read_until {
+                    if self.msgs[i].addresses(x) {
+                        self.msgs[i].unread -= 1;
+                        if self.msgs[i].unread == 0 {
+                            let owner = self.msgs[i].partition;
+                            self.free_slots[owner].push(self.msgs[i].name.clone());
+                        }
+                    }
+                }
             }
         }
         if self.config.mode == ExecutionMode::AsyncPrio && refresh {
             self.refresh_priority(x);
         }
         Ok(changed)
-    }
-
-    /// Recycles message slots every partition has consumed (GC; the paper
-    /// leaves this implicit). Slots go back to their owner's free list
-    /// instead of being dropped — the next Compute truncates and refills
-    /// them with statements the plan cache already knows.
-    fn gc_messages(&mut self) {
-        let min_cursor = self.parts.iter().map(|p| p.cursor).min().unwrap_or(0);
-        for i in 0..min_cursor.min(self.msgs.len()) {
-            if self.msgs[i].live {
-                self.msgs[i].live = false;
-                let owner = self.msgs[i].partition;
-                let name = self.msgs[i].name.clone();
-                self.free_slots[owner].push(name);
-            }
-        }
     }
 
     /// Evaluates partition `x`'s priority query. A result that is not a
@@ -1635,7 +1643,6 @@ impl Scheduler<'_> {
             }
             changed += self.drain()?;
         }
-        self.gc_messages();
         Ok(changed)
     }
 

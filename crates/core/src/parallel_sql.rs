@@ -655,15 +655,17 @@ impl SqlGen {
         Ok(Sql::from(sql))
     }
 
-    /// Predicate selecting rows whose delta is *pending* (≠ the aggregate's
-    /// identity): identity-valued deltas produce no information, so Compute
-    /// skips them — this is what makes traversal workloads touch only
-    /// active partitions.
+    /// Predicate selecting rows whose delta is *pending*: for MIN/MAX, a
+    /// delta that moved past the [`SENT_COL`] watermark (what the row last
+    /// sent, the identity before its first send); otherwise a delta other
+    /// than the identity. Anything else produces no information, so Compute
+    /// skips it — this is what makes traversal workloads touch only active
+    /// partitions.
     fn pending_predicate(&self, qual: &str) -> String {
         let d = format!("{qual}.{}", self.delta_col());
         match self.plan.aggregate {
-            AggregateFunction::Min => format!("{d} < Infinity"),
-            AggregateFunction::Max => format!("{d} > -Infinity"),
+            AggregateFunction::Min => format!("{d} < {qual}.{SENT_COL}"),
+            AggregateFunction::Max => format!("{d} > {qual}.{SENT_COL}"),
             _ => format!("{d} != 0.0"),
         }
     }

@@ -1148,3 +1148,47 @@ fn a_priority_query_that_fails_later_keeps_the_previous_priority() {
         assert!(e.detail.contains("division by zero"), "{}", e.detail);
     }
 }
+
+/// Weakly-connected components by MIN label propagation reach the oracle
+/// in every parallel mode. A row sends its label only when it moved below
+/// the `__sent` watermark (what the row last sent), so once the labels
+/// settle a Compute emits nothing: a Sync run twice as long sends no more
+/// messages, though its Computes keep running.
+#[test]
+fn connected_components_reach_the_oracle_and_settled_partitions_send_nothing() {
+    let graph = web_graph(300, 3, 3);
+    let oracle = workloads::oracle::connected_components(&graph);
+    let db = Database::new(EngineProfile::Postgres);
+    let mut s = db.connect();
+    s.execute("CREATE TABLE edges (src INT, dst INT, weight FLOAT)")
+        .unwrap();
+    let values: Vec<String> = (graph.weighted_edges().iter())
+        .map(|(s, d, w)| format!("({s}, {d}, {w})"))
+        .collect();
+    s.execute(&format!("INSERT INTO edges VALUES {}", values.join(", ")))
+        .unwrap();
+    s.execute(workloads::queries::BOTH_EDGES_DDL).unwrap();
+    let run = |mode, rounds| {
+        let sq = sqloop_for(&db, mode, 2, 8);
+        let report = sq
+            .execute_detailed(&workloads::queries::connected_components(rounds))
+            .unwrap();
+        for row in &report.result.rows {
+            let node = row[0].as_i64().unwrap() as u64;
+            let label = row[1].as_f64().unwrap() as u64;
+            assert_eq!(label, oracle[&node], "{mode}: node {node}");
+        }
+        assert_eq!(report.result.rows.len(), oracle.len(), "{mode}");
+        report
+    };
+    for mode in [ExecutionMode::Async, ExecutionMode::AsyncPrio] {
+        run(mode, 40);
+    }
+    let short = run(ExecutionMode::Sync, 40);
+    let long = run(ExecutionMode::Sync, 80);
+    assert!(long.computes > short.computes, "{long:?}");
+    assert_eq!(
+        long.messages, short.messages,
+        "settled labels were sent again"
+    );
+}

@@ -75,22 +75,46 @@ impl Statement {
     /// A stable lower-case label for the statement's kind, used to bucket
     /// per-kind execution metrics (`sqldb.stmt.<kind>`).
     pub fn kind_label(&self) -> &'static str {
+        Statement::KIND_LABELS[self.kind_index()]
+    }
+
+    /// Every [`Statement::kind_label`], at its [`Statement::kind_index`].
+    pub const KIND_LABELS: [&'static str; 15] = [
+        "create_table",
+        "create_index",
+        "create_view",
+        "drop_table",
+        "drop_view",
+        "drop_index",
+        "truncate",
+        "insert",
+        "update",
+        "delete",
+        "select",
+        "explain",
+        "begin",
+        "commit",
+        "rollback",
+    ];
+
+    /// The statement's position in [`Statement::KIND_LABELS`].
+    pub fn kind_index(&self) -> usize {
         match self {
-            Statement::CreateTable(_) => "create_table",
-            Statement::CreateIndex(_) => "create_index",
-            Statement::CreateView(_) => "create_view",
-            Statement::DropTable { .. } => "drop_table",
-            Statement::DropView { .. } => "drop_view",
-            Statement::DropIndex { .. } => "drop_index",
-            Statement::Truncate { .. } => "truncate",
-            Statement::Insert(_) => "insert",
-            Statement::Update(_) => "update",
-            Statement::Delete { .. } => "delete",
-            Statement::Select(_) => "select",
-            Statement::Explain { .. } => "explain",
-            Statement::Begin => "begin",
-            Statement::Commit => "commit",
-            Statement::Rollback => "rollback",
+            Statement::CreateTable(_) => 0,
+            Statement::CreateIndex(_) => 1,
+            Statement::CreateView(_) => 2,
+            Statement::DropTable { .. } => 3,
+            Statement::DropView { .. } => 4,
+            Statement::DropIndex { .. } => 5,
+            Statement::Truncate { .. } => 6,
+            Statement::Insert(_) => 7,
+            Statement::Update(_) => 8,
+            Statement::Delete { .. } => 9,
+            Statement::Select(_) => 10,
+            Statement::Explain { .. } => 11,
+            Statement::Begin => 12,
+            Statement::Commit => 13,
+            Statement::Rollback => 14,
         }
     }
 }

@@ -10,18 +10,18 @@
 use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::dialect_check::validate;
-use crate::digest::{normalize_sql, DigestEntry, DigestStats, SlowLog, SlowStatement};
+use crate::digest::{DigestEntry, DigestStats, SlowLog, SlowStatement};
 use crate::error::{DbError, DbResult};
 use crate::exec::{ExecLimits, Executor, QueryResult, StmtOutput};
 use crate::op_profile::OpProfiler;
 use crate::parser::{parse_script, parse_statement};
-use crate::plan_cache::{substitute_params, CachedPlan, PlanCache, PlanCacheStats};
+use crate::plan_cache::{substitute_params, Admission, CachedPlan, PlanCache, PlanCacheStats};
 use crate::profile::EngineProfile;
 use crate::stats::{Stats, StatsSnapshot};
-use crate::txn::{apply_undo, IsolationLevel, LockManager, LockMode, UndoLog};
+use crate::txn::{apply_undo, IsolationLevel, LockManager, LockMode, UndoLog, UndoOp};
 use crate::value::Value;
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,6 +49,35 @@ struct Shared {
     batch_size: AtomicU64,
     /// Armed panic-injection probe: `(table-name substring, shots left)`.
     panic_probe: Mutex<Option<(String, u64)>>,
+    metrics: StmtMetrics,
+}
+
+/// The process-registry handles the statement path reports into, resolved
+/// once per database.
+#[derive(Debug)]
+struct StmtMetrics {
+    registry: &'static obs::MetricsRegistry,
+    /// `sqldb.stmt.<kind>`, indexed by [`Statement::kind_index`].
+    by_kind: Vec<Arc<obs::Histogram>>,
+    plan: Arc<obs::Histogram>,
+    prepare: Arc<obs::Histogram>,
+    execute_prepared: Arc<obs::Histogram>,
+}
+
+impl StmtMetrics {
+    fn new() -> StmtMetrics {
+        let registry = obs::global();
+        let kinds = Statement::KIND_LABELS.iter();
+        StmtMetrics {
+            registry,
+            by_kind: kinds
+                .map(|k| registry.histogram(&format!("sqldb.stmt.{k}")))
+                .collect(),
+            plan: registry.histogram("sqldb.plan"),
+            prepare: registry.histogram("sqldb.prepare"),
+            execute_prepared: registry.histogram("sqldb.execute_prepared"),
+        }
+    }
 }
 
 /// A shared, thread-safe database instance.
@@ -91,6 +120,7 @@ impl Database {
                 vectorized: AtomicBool::new(true),
                 batch_size: AtomicU64::new(0),
                 panic_probe: Mutex::new(None),
+                metrics: StmtMetrics::new(),
             }),
         }
     }
@@ -297,7 +327,7 @@ impl StmtHandle {
         &self.sql
     }
 
-    /// The statement-family digest ([`normalize_sql`]) of the handle's
+    /// The statement-family digest ([`crate::digest::normalize_sql`]) of the handle's
     /// SQL, precomputed at prepare time.
     pub fn digest(&self) -> &str {
         &self.digest
@@ -373,18 +403,18 @@ impl Session {
     pub fn execute(&mut self, sql: &str) -> DbResult<StmtOutput> {
         let (plan, plan_hit) = self.plan_for(sql)?;
         if !self.shared.digests.enabled() && self.shared.slow.config().0 == 0 {
-            return self.execute_statement(&plan.stmt);
+            return self.execute_admitted(&plan.stmt, &plan.admission);
         }
         let started = std::time::Instant::now();
-        let result = self.execute_statement(&plan.stmt);
-        self.observe_statement(None, sql, started, &result, plan_hit);
+        let result = self.execute_admitted(&plan.stmt, &plan.admission);
+        self.observe_statement(plan.digest(sql), sql, started, &result, plan_hit);
         result
     }
 
     /// Records one finished statement into the digest table and slow log.
     fn observe_statement(
         &self,
-        digest: Option<&str>,
+        digest: &str,
         sql: &str,
         started: std::time::Instant,
         result: &DbResult<StmtOutput>,
@@ -399,7 +429,7 @@ impl Session {
         };
         self.shared
             .digests
-            .record(digest, sql, elapsed_us, rows, error, plan_hit);
+            .record(Some(digest), sql, elapsed_us, rows, error, plan_hit);
         self.shared.slow.record(sql, elapsed_us, rows);
     }
 
@@ -411,24 +441,31 @@ impl Session {
     /// for a hit, `Some(false)` for a fresh parse of a cacheable
     /// statement, `None` for uncacheable statements.
     fn plan_for(&self, sql: &str) -> DbResult<(Arc<CachedPlan>, Option<bool>)> {
-        let key = PlanCache::key(self.shared.profile, sql);
-        if let Some(plan) = self.shared.plan_cache.get(&key) {
+        let cache = &self.shared.plan_cache;
+        if let Some(plan) = cache.get(sql) {
             return Ok((plan, Some(true)));
         }
         let started = std::time::Instant::now();
         let stmt = parse_statement(sql)?;
+        let admission = self.admission(&stmt);
         let (plan, outcome) = if crate::plan_cache::is_cacheable(&stmt) {
-            self.shared.plan_cache.count_miss();
-            let (reads, writes) = collect_lock_sets(&stmt, &self.shared.catalog);
-            let deps = reads.union(&writes).cloned().collect();
-            (self.shared.plan_cache.insert(key, stmt, deps), Some(false))
+            cache.count_miss();
+            (cache.insert(sql, stmt, admission), Some(false))
         } else {
-            (self.shared.plan_cache.uncached(stmt), None)
+            (cache.uncached(stmt, admission), None)
         };
-        obs::global()
-            .histogram("sqldb.plan")
-            .observe(started.elapsed());
+        self.shared.metrics.plan.observe(started.elapsed());
         Ok((plan, outcome))
+    }
+
+    /// The lock set and dialect verdict of `stmt` against the live catalog.
+    fn admission(&self, stmt: &Statement) -> Admission {
+        Admission {
+            locks: collect_locks(stmt, &self.shared.catalog)
+                .into_iter()
+                .collect(),
+            valid: validate(stmt, &self.shared.profile.dialect()),
+        }
     }
 
     /// Parses and validates `sql` once, returning a reusable handle.
@@ -439,12 +476,10 @@ impl Session {
     pub fn prepare(&mut self, sql: &str) -> DbResult<StmtHandle> {
         let started = std::time::Instant::now();
         let (plan, _) = self.plan_for(sql)?;
-        obs::global()
-            .histogram("sqldb.prepare")
-            .observe(started.elapsed());
+        self.shared.metrics.prepare.observe(started.elapsed());
         Ok(StmtHandle {
             sql: Arc::from(sql),
-            digest: Arc::from(normalize_sql(sql)),
+            digest: Arc::from(plan.digest(sql)),
             param_count: plan.param_count,
             plan: Arc::new(Mutex::new(plan)),
         })
@@ -486,21 +521,16 @@ impl Session {
         };
         let started = std::time::Instant::now();
         let result = if handle.param_count == 0 {
-            self.execute_statement(&plan.stmt)
+            self.execute_admitted(&plan.stmt, &plan.admission)
         } else {
             let stmt = substitute_params(&plan.stmt, params)?;
-            self.execute_statement(&stmt)
+            self.execute_admitted(&stmt, &plan.admission)
         };
-        obs::global()
-            .histogram("sqldb.execute_prepared")
+        self.shared
+            .metrics
+            .execute_prepared
             .observe(started.elapsed());
-        self.observe_statement(
-            Some(&handle.digest),
-            &handle.sql,
-            started,
-            &result,
-            plan_hit,
-        );
+        self.observe_statement(&handle.digest, &handle.sql, started, &result, plan_hit);
         result
     }
 
@@ -509,17 +539,27 @@ impl Session {
     /// # Errors
     /// See [`Session::execute`].
     pub fn execute_statement(&mut self, stmt: &Statement) -> DbResult<StmtOutput> {
+        let admission = self.admission(stmt);
+        self.execute_admitted(stmt, &admission)
+    }
+
+    /// Executes `stmt` under its `admission`, recording its latency.
+    fn execute_admitted(
+        &mut self,
+        stmt: &Statement,
+        admission: &Admission,
+    ) -> DbResult<StmtOutput> {
         let started = std::time::Instant::now();
-        let result = self.execute_statement_inner(stmt);
-        // per-kind latency into the process registry (DESIGN.md §10);
-        // the name set is small and fixed, so the lookup is a read-lock hit
-        obs::global()
-            .histogram(&format!("sqldb.stmt.{}", stmt.kind_label()))
-            .observe(started.elapsed());
+        let result = self.execute_statement_inner(stmt, admission);
+        self.shared.metrics.by_kind[stmt.kind_index()].observe(started.elapsed());
         result
     }
 
-    fn execute_statement_inner(&mut self, stmt: &Statement) -> DbResult<StmtOutput> {
+    fn execute_statement_inner(
+        &mut self,
+        stmt: &Statement,
+        admission: &Admission,
+    ) -> DbResult<StmtOutput> {
         self.shared.stats.add_statements(1);
         match stmt {
             Statement::Begin => {
@@ -539,36 +579,32 @@ impl Session {
             }
             _ => {}
         }
-        validate(stmt, &self.shared.profile.dialect())?;
+        admission.valid.clone()?;
 
-        // plan and acquire logical locks in sorted order (deadlock avoidance)
-        let (reads, writes) = collect_lock_sets(stmt, &self.shared.catalog);
-        let mut all: Vec<&String> = reads.union(&writes).collect();
-        all.sort();
-        let mut newly_shared: Vec<String> = Vec::new();
-        for name in all {
-            let mode = if writes.contains(name) {
-                LockMode::Exclusive
-            } else {
-                LockMode::Shared
-            };
+        // acquire logical locks in sorted order (deadlock avoidance)
+        let mut newly_shared: Vec<&str> = Vec::new();
+        for (name, mode) in &admission.locks {
             self.shared.locks.acquire(
                 self.sid,
                 name,
-                mode,
+                *mode,
                 self.lock_timeout,
                 &self.shared.stats,
             )?;
-            self.held.insert(name.clone());
-            if mode == LockMode::Shared {
-                newly_shared.push(name.clone());
+            // in a ReadCommitted transaction a table held from an earlier
+            // statement is held for its uncommitted writes: never release it
+            if !self.held.contains(name) {
+                self.held.insert(name.clone());
+                if *mode == LockMode::Shared {
+                    newly_shared.push(name);
+                }
             }
         }
 
         // the armed panic probe fires here — locks acquired, no data
         // touched yet — so recovery paths are exercised while this
         // session still owns entries in the shared lock table
-        self.maybe_fire_panic_probe(&reads, &writes);
+        self.maybe_fire_panic_probe(admission);
 
         // resolve the owning table up front: execution removes the
         // registration, but its cached plans must be outdated afterwards
@@ -604,7 +640,7 @@ impl Session {
         }
         let result = executor.run_statement(stmt, &mut self.undo);
         if let Some(p) = profiler.as_ref() {
-            flush_op_profile(p);
+            flush_op_profile(self.shared.metrics.registry, p);
         }
         match result {
             Ok(output) => {
@@ -627,15 +663,12 @@ impl Session {
                     // ReadCommitted drops read locks at statement end
                     if self.isolation == IsolationLevel::ReadCommitted {
                         for name in newly_shared {
-                            if !writes.contains(&name) {
-                                self.shared.locks.release(self.sid, &name);
-                                self.held.remove(&name);
-                            }
+                            self.shared.locks.release(self.sid, name);
+                            self.held.remove(name);
                         }
                     }
                 } else {
-                    self.undo.clear();
-                    self.release_all();
+                    self.end_work();
                 }
                 Ok(output)
             }
@@ -690,10 +723,30 @@ impl Session {
     /// # Errors
     /// Currently infallible; returns `DbResult` for API stability.
     pub fn commit(&mut self) -> DbResult<()> {
-        self.undo.clear();
-        self.release_all();
+        self.end_work();
         self.in_txn = false;
         Ok(())
+    }
+
+    /// Makes the open unit of work — an autocommit statement or a
+    /// transaction — permanent: drops its undo, lets every table it deleted
+    /// from that has no live rows left give back its dead slots (nothing
+    /// can restore into them any more), and releases its locks.
+    fn end_work(&mut self) {
+        let mut emptied: Vec<String> = Vec::new();
+        for op in self.undo.take_all() {
+            if let UndoOp::Delete { table, .. } = op {
+                if !emptied.contains(&table) {
+                    emptied.push(table);
+                }
+            }
+        }
+        for table in emptied {
+            if let Ok(handle) = self.shared.catalog.table(&table) {
+                handle.write().reclaim_if_empty();
+            }
+        }
+        self.release_all();
     }
 
     /// Rolls back the open transaction (no-op when autocommitting).
@@ -717,17 +770,13 @@ impl Session {
 
     /// Fires the database's panic probe when armed and matched; see
     /// [`Database::set_panic_probe`].
-    fn maybe_fire_panic_probe(&self, reads: &HashSet<String>, writes: &HashSet<String>) {
+    fn maybe_fire_panic_probe(&self, admission: &Admission) {
         let mut probe = self.shared.panic_probe.lock();
         let Some((pattern, times)) = probe.as_mut() else {
             return;
         };
-        if *times == 0
-            || !reads
-                .iter()
-                .chain(writes.iter())
-                .any(|t| t.contains(&**pattern))
-        {
+        let mut tables = admission.locks.iter().map(|(t, _)| t);
+        if *times == 0 || !tables.any(|t| t.contains(&**pattern)) {
             return;
         }
         *times -= 1;
@@ -764,8 +813,7 @@ impl Drop for Session {
 /// `sqldb.op.<kind>.rows_out`, `.calls` and `.time_us` counters. Times
 /// are inclusive of children, so kinds are comparable to each other only
 /// as an attribution hint, not a strict decomposition.
-fn flush_op_profile(prof: &OpProfiler) {
-    let registry = obs::global();
+fn flush_op_profile(registry: &obs::MetricsRegistry, prof: &OpProfiler) {
     for root in prof.take() {
         let mut nodes = Vec::new();
         root.flatten(&mut nodes);
@@ -789,97 +837,97 @@ fn flush_op_profile(prof: &OpProfiler) {
     }
 }
 
-/// Computes the (read, write) table-lock sets for a statement, expanding
-/// views to their underlying tables.
-fn collect_lock_sets(stmt: &Statement, catalog: &Catalog) -> (HashSet<String>, HashSet<String>) {
+/// The table locks a statement takes, views expanded to their tables, in
+/// name order (the acquisition order that avoids deadlocks): a table it
+/// writes is locked exclusively, one it only reads shared.
+fn collect_locks(stmt: &Statement, catalog: &Catalog) -> BTreeMap<String, LockMode> {
     use crate::ast::*;
-    let mut reads = HashSet::new();
-    let mut writes = HashSet::new();
+    type Locks = BTreeMap<String, LockMode>;
+    let mut locks = Locks::new();
 
-    fn add_query(q: &SelectStmt, catalog: &Catalog, reads: &mut HashSet<String>, depth: usize) {
-        add_set_expr(&q.body, catalog, reads, depth);
+    fn add_query(q: &SelectStmt, catalog: &Catalog, locks: &mut Locks, depth: usize) {
+        add_set_expr(&q.body, catalog, locks, depth);
     }
 
-    fn add_set_expr(s: &SetExpr, catalog: &Catalog, reads: &mut HashSet<String>, depth: usize) {
+    fn add_set_expr(s: &SetExpr, catalog: &Catalog, locks: &mut Locks, depth: usize) {
         match s {
             SetExpr::Select(sel) => {
                 for tr in &sel.from {
-                    add_table_ref(tr, catalog, reads, depth);
+                    add_table_ref(tr, catalog, locks, depth);
                 }
             }
             SetExpr::Values(_) => {}
             SetExpr::SetOp { left, right, .. } => {
-                add_set_expr(left, catalog, reads, depth);
-                add_set_expr(right, catalog, reads, depth);
+                add_set_expr(left, catalog, locks, depth);
+                add_set_expr(right, catalog, locks, depth);
             }
         }
     }
 
-    fn add_table_ref(tr: &TableRef, catalog: &Catalog, reads: &mut HashSet<String>, depth: usize) {
-        add_factor(&tr.base, catalog, reads, depth);
+    fn add_table_ref(tr: &TableRef, catalog: &Catalog, locks: &mut Locks, depth: usize) {
+        add_factor(&tr.base, catalog, locks, depth);
         for j in &tr.joins {
-            add_factor(&j.factor, catalog, reads, depth);
+            add_factor(&j.factor, catalog, locks, depth);
         }
     }
 
-    fn add_factor(f: &TableFactor, catalog: &Catalog, reads: &mut HashSet<String>, depth: usize) {
+    fn add_factor(f: &TableFactor, catalog: &Catalog, locks: &mut Locks, depth: usize) {
         if depth > 16 {
             return;
         }
         match f {
             TableFactor::Table { name, .. } => {
                 if let Some(view) = catalog.view(name) {
-                    add_query(&view, catalog, reads, depth + 1);
-                } else {
-                    reads.insert(name.clone());
+                    add_query(&view, catalog, locks, depth + 1);
+                } else if !locks.contains_key(name) {
+                    locks.insert(name.clone(), LockMode::Shared);
                 }
             }
-            TableFactor::Derived { subquery, .. } => add_query(subquery, catalog, reads, depth),
+            TableFactor::Derived { subquery, .. } => add_query(subquery, catalog, locks, depth),
         }
     }
 
-    match stmt {
-        Statement::Select(q) => add_query(q, catalog, &mut reads, 0),
+    let written = match stmt {
+        Statement::Select(q) => {
+            add_query(q, catalog, &mut locks, 0);
+            None
+        }
         // EXPLAIN ANALYZE runs its statement (and takes DML back), so it
         // locks like it; plain EXPLAIN only looks at the tables
         Statement::Explain { analyze, stmt } => {
-            let (inner_reads, inner_writes) = collect_lock_sets(stmt, catalog);
-            if *analyze {
-                return (inner_reads, inner_writes);
+            let mut inner = collect_locks(stmt, catalog);
+            if !*analyze {
+                inner.values_mut().for_each(|m| *m = LockMode::Shared);
             }
-            reads.extend(inner_reads);
-            reads.extend(inner_writes);
+            return inner;
         }
         Statement::Insert(i) => {
-            writes.insert(i.table.clone());
             if let InsertSource::Select(q) = &i.source {
-                add_query(q, catalog, &mut reads, 0);
+                add_query(q, catalog, &mut locks, 0);
             }
+            Some(&i.table)
         }
         Statement::Update(u) => {
-            writes.insert(u.table.clone());
             for tr in &u.from {
-                add_table_ref(tr, catalog, &mut reads, 0);
+                add_table_ref(tr, catalog, &mut locks, 0);
             }
-        }
-        Statement::Delete { table, .. } | Statement::Truncate { name: table } => {
-            writes.insert(table.clone());
+            Some(&u.table)
         }
         Statement::CreateTable(ct) => {
             if let Some(q) = &ct.as_select {
-                add_query(q, catalog, &mut reads, 0);
+                add_query(q, catalog, &mut locks, 0);
             }
+            None
         }
-        Statement::CreateIndex(ci) => {
-            writes.insert(ci.table.clone());
-        }
-        Statement::DropTable { name, .. } => {
-            writes.insert(name.clone());
-        }
-        _ => {}
+        Statement::Delete { table, .. } | Statement::Truncate { name: table } => Some(table),
+        Statement::CreateIndex(ci) => Some(&ci.table),
+        Statement::DropTable { name, .. } => Some(name),
+        _ => None,
+    };
+    if let Some(table) = written {
+        locks.insert(table.clone(), LockMode::Exclusive);
     }
-    reads.retain(|t| !writes.contains(t));
-    (reads, writes)
+    locks
 }
 
 #[cfg(test)]
@@ -981,6 +1029,28 @@ mod tests {
         ));
         a.execute("COMMIT").unwrap();
         b.execute("UPDATE t SET v = 8.0 WHERE id = 2").unwrap();
+    }
+
+    #[test]
+    fn a_read_after_a_write_keeps_the_write_lock_until_commit() {
+        let db = db();
+        let mut a = db.connect();
+        a.execute("BEGIN").unwrap();
+        a.execute("DELETE FROM t").unwrap();
+        // ReadCommitted drops the read lock, not the uncommitted write's
+        a.query("SELECT COUNT(*) FROM t").unwrap();
+        let mut b = db.connect();
+        b.set_lock_timeout(Duration::from_millis(50));
+        assert!(matches!(
+            b.execute("INSERT INTO t VALUES (3, 3.0)"),
+            Err(DbError::LockTimeout(_))
+        ));
+        a.execute("ROLLBACK").unwrap();
+        b.execute("INSERT INTO t VALUES (3, 3.0)").unwrap();
+        assert_eq!(
+            b.query("SELECT COUNT(*) FROM t").unwrap().rows[0][0],
+            Value::Int(3)
+        );
     }
 
     #[test]

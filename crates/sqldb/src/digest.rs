@@ -132,6 +132,20 @@ pub struct DigestEntry {
 }
 
 impl DigestEntry {
+    /// Adds one execution to the family.
+    fn count(&mut self, elapsed_us: u64, rows: u64, error: bool, plan_hit: Option<bool>) {
+        self.calls += 1;
+        self.errors += u64::from(error);
+        self.total_us += elapsed_us;
+        self.max_us = self.max_us.max(elapsed_us);
+        self.rows += rows;
+        match plan_hit {
+            Some(true) => self.plan_hits += 1,
+            Some(false) => self.plan_misses += 1,
+            None => {}
+        }
+    }
+
     /// Mean execution time in microseconds (0 when no calls).
     pub fn mean_us(&self) -> u64 {
         self.total_us.checked_div(self.calls).unwrap_or(0)
@@ -189,7 +203,11 @@ impl DigestStats {
             }
         };
         let mut entries = self.entries.lock();
-        if !entries.contains_key(digest) && entries.len() >= DIGEST_CAPACITY {
+        if let Some(e) = entries.get_mut(digest) {
+            e.count(elapsed_us, rows, error, plan_hit);
+            return;
+        }
+        if entries.len() >= DIGEST_CAPACITY {
             // evict the family with the fewest calls (ties: first found)
             if let Some(victim) = entries
                 .iter()
@@ -199,28 +217,18 @@ impl DigestStats {
                 entries.remove(&victim);
             }
         }
-        let e = entries.entry(digest.to_owned()).or_insert_with(|| {
-            let mut sample = sql.to_owned();
-            // cap samples so a pathological statement can't bloat reports
-            if sample.len() > 512 {
-                sample.truncate(512);
-            }
-            DigestEntry {
-                digest: digest.to_owned(),
-                sample,
-                ..DigestEntry::default()
-            }
-        });
-        e.calls += 1;
-        e.errors += u64::from(error);
-        e.total_us += elapsed_us;
-        e.max_us = e.max_us.max(elapsed_us);
-        e.rows += rows;
-        match plan_hit {
-            Some(true) => e.plan_hits += 1,
-            Some(false) => e.plan_misses += 1,
-            None => {}
+        let mut sample = sql.to_owned();
+        // cap samples so a pathological statement can't bloat reports
+        if sample.len() > 512 {
+            sample.truncate(512);
         }
+        let mut e = DigestEntry {
+            digest: digest.to_owned(),
+            sample,
+            ..DigestEntry::default()
+        };
+        e.count(elapsed_us, rows, error, plan_hit);
+        entries.insert(digest.to_owned(), e);
     }
 
     /// All entries, sorted by total time descending (digest text breaks

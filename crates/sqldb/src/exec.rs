@@ -14,6 +14,7 @@ use crate::storage::Table;
 use crate::txn::{apply_undo, UndoLog, UndoOp};
 use crate::types::{Column, DataType, Schema};
 use crate::value::{canonical_nan, Row, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -419,35 +420,46 @@ impl<'a> Executor<'a> {
     }
 
     /// FROM: column batches, charged to the memory budget as they are
-    /// produced and refunded when the statement's intermediate state dies.
-    fn select_from(&self, s: &Select, depth: usize) -> DbResult<Rel> {
-        if s.from.is_empty() {
-            if let Some(p) = self.prof {
-                p.leaf("Result (no tables)".to_string(), 1, 0);
+    /// produced and refunded when the statement's intermediate state dies;
+    /// with the `WHERE` conjunct a single table's index seek applied.
+    fn select_from<'s>(&self, s: &'s Select, depth: usize) -> DbResult<(Rel, Option<&'s Expr>)> {
+        match s.from.as_slice() {
+            [] => {
+                if let Some(p) = self.prof {
+                    p.leaf("Result (no tables)".to_string(), 1, 0);
+                }
+                let unit = ColumnBatch::from_cols(Vec::new(), 1);
+                let rel = Rel::new(Scope::new(), vec![unit], self.catalog.memory_budget())?;
+                Ok((rel, None))
             }
-            let unit = ColumnBatch::from_cols(Vec::new(), 1);
-            return Rel::new(Scope::new(), vec![unit], self.catalog.memory_budget());
+            [tr] if tr.joins.is_empty() => {
+                self.build_factor(&tr.base, depth, &pushdown_conjuncts(s, tr), false)
+            }
+            from => {
+                let rel = self.build_from(from, depth, |tr| pushdown_conjuncts(s, tr))?;
+                Ok((rel, None))
+            }
         }
-        self.build_from(&s.from, depth, |tr| pushdown_conjuncts(s, tr))
     }
 
     /// A `SELECT` (without its `DISTINCT`) on the vectorized pipeline.
     fn select_batches(&self, s: &Select, depth: usize) -> DbResult<Batches> {
-        let rel = self.select_from(s, depth)?;
+        let (rel, applied) = self.select_from(s, depth)?;
         let arity = rel.arity();
         let Rel {
             scope,
             batches,
             charge: _charge,
         } = rel;
-        self.exec_pipeline_batched(s, &scope, batches, arity, is_grouped(s))
+        let filter = residual(s.selection.as_ref(), applied);
+        self.exec_pipeline_batched(s, filter.as_deref(), &scope, batches, arity)
     }
 
     /// A `SELECT` (without its `DISTINCT`) on the reference evaluator: rows
     /// are rebuilt from the `FROM` clause's batches, and WHERE / aggregation
     /// / projection run a row at a time.
     fn select_rows(&self, s: &Select, depth: usize) -> DbResult<QueryResult> {
-        let rel = self.select_from(s, depth)?;
+        let (rel, _) = self.select_from(s, depth)?;
         let mut rows = rel.rows();
         if let Some(pred) = &s.selection {
             let t0 = self.prof_start();
@@ -490,23 +502,23 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    /// Runs WHERE → aggregation/projection over column batches. Per-batch
-    /// deadline checks replace the row path's every-4096-rows checks, and
-    /// each operator records batch actuals into the profiler and the
-    /// process-wide `sqloop.exec.*` metrics.
+    /// Runs `filter` (what is left of the WHERE) → aggregation/projection
+    /// over column batches. Per-batch deadline checks replace the row
+    /// path's every-4096-rows checks, and each operator records batch
+    /// actuals into the profiler and the process-wide `sqloop.exec.*`
+    /// metrics.
     fn exec_pipeline_batched(
         &self,
         s: &Select,
+        filter: Option<&Expr>,
         scope: &Scope,
         mut batches: Vec<ColumnBatch>,
         arity: usize,
-        grouped: bool,
     ) -> DbResult<Batches> {
         let input_batches = batches.len() as u64;
         let input_rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
 
-        // WHERE
-        if let Some(pred) = &s.selection {
+        if let Some(pred) = filter {
             let t0 = self.prof_start();
             let filter = CompiledExpr::new(&bind_scalar(pred, scope)?);
             let nb_in = batches.len() as u64;
@@ -535,7 +547,7 @@ impl<'a> Executor<'a> {
             }
         }
 
-        let result = if grouped {
+        let result = if is_grouped(s) {
             let t0 = self.prof_start();
             let rows_in: u64 = batches.iter().map(|b| b.len() as u64).sum();
             let nb = batches.len() as u64;
@@ -555,14 +567,15 @@ impl<'a> Executor<'a> {
             self.exec_project_batched(s, scope, batches)?
         };
 
-        note_exec_batches(input_batches, input_rows);
+        self.stats.note_exec_batches(input_batches, input_rows);
         Ok(result)
     }
 
     /// Vectorized projection: every projection expression is compiled once
-    /// and evaluated per batch. A kernel error reruns that batch through
-    /// the row-at-a-time evaluator (which is authoritative), so error
-    /// ordering matches [`Self::exec_project`] exactly.
+    /// and evaluated per batch; a list of plain columns moves their lanes
+    /// instead. A kernel error reruns that batch through the row-at-a-time
+    /// evaluator (which is authoritative), so error ordering matches
+    /// [`Self::exec_project`] exactly.
     fn exec_project_batched(
         &self,
         s: &Select,
@@ -570,18 +583,30 @@ impl<'a> Executor<'a> {
         batches: Vec<ColumnBatch>,
     ) -> DbResult<Batches> {
         let (columns, exprs) = bind_projections(s, scope)?;
-        let compiled: Vec<CompiledExpr> = exprs.iter().map(CompiledExpr::new).collect();
+        let column = |e: &BoundExpr| {
+            if let BoundExpr::Column(i) = e {
+                Some(*i)
+            } else {
+                None
+            }
+        };
+        let plain: Option<Vec<usize>> = exprs.iter().map(column).collect();
+        let compiled: Vec<CompiledExpr> = match plain {
+            Some(_) => Vec::new(),
+            None => exprs.iter().map(CompiledExpr::new).collect(),
+        };
         let mut out = Vec::with_capacity(batches.len());
         let mut produced = 0;
         for b in batches {
             self.check_deadline()?;
             let outs: DbResult<Vec<EvalOut>> = compiled.iter().map(|c| c.try_eval(&b)).collect();
-            let projected = match outs {
-                Ok(outs) => {
+            let projected = match (&plain, outs) {
+                (Some(picks), _) => pick_columns(b, picks),
+                (None, Ok(outs)) => {
                     let cols = outs.into_iter().map(|o| o.into_col(&b)).collect();
                     ColumnBatch::from_cols(cols, b.len())
                 }
-                Err(_) => {
+                (None, Err(_)) => {
                     let mut rows = Vec::with_capacity(b.len());
                     for lane in 0..b.len() {
                         let row = b.row_at(lane);
@@ -878,14 +903,14 @@ impl<'a> Executor<'a> {
         prefilter: &[&Expr],
         joined: bool,
     ) -> DbResult<Rel> {
-        let mut rel = self.build_factor(&tr.base, depth, prefilter, joined)?;
+        let (mut rel, _) = self.build_factor(&tr.base, depth, prefilter, joined)?;
         for j in &tr.joins {
             // a plain base table goes to the join unscanned: whether its
             // rows are needed at all depends on the algorithm, and that is
             // chosen from the outer side's actual size
             let right = match base_table(self.catalog, &j.factor)? {
                 Some(handle) => JoinInner::table(handle, factor_visible_name(&j.factor)),
-                None => JoinInner::Rows(self.build_factor(&j.factor, depth, &[], true)?),
+                None => JoinInner::Rows(self.build_factor(&j.factor, depth, &[], true)?.0),
             };
             rel = self.join_step(rel, right, j.join_type, j.on.as_ref(), &j.factor)?;
         }
@@ -972,16 +997,20 @@ impl<'a> Executor<'a> {
         Rel::new(scope, out.batches, self.catalog.memory_budget())
     }
 
-    fn build_factor(
+    /// Reads one `FROM` factor. A base table is read through the access
+    /// path `prefilter` allows ([`choose_access`]); below a join
+    /// (`joined`) the conjuncts it did not apply then thin it. Alone, the
+    /// factor also returns the conjunct its seek applied, which the
+    /// statement's `WHERE` then skips.
+    fn build_factor<'e>(
         &self,
         f: &TableFactor,
         depth: usize,
-        prefilter: &[&Expr],
+        prefilter: &[&'e Expr],
         joined: bool,
-    ) -> DbResult<Rel> {
+    ) -> DbResult<(Rel, Option<&'e Expr>)> {
         match f {
             TableFactor::Table { name, .. } => {
-                let label = factor_label(f);
                 if let Some(view) = self.catalog.view(name) {
                     let t0 = self.prof_start();
                     let out = self.query_batches(&view, depth + 1)?;
@@ -989,33 +1018,36 @@ impl<'a> Executor<'a> {
                         let rows = out.len() as u64;
                         p.wrap(
                             1,
-                            format!("View {label}"),
+                            format!("View {}", factor_label(f)),
                             rows,
                             rows,
                             t0.map(us_since).unwrap_or(0),
                         );
                     }
-                    return self.rel_from_batches(out, factor_visible_name(f).to_owned());
+                    let rel = self.rel_from_batches(out, factor_visible_name(f).to_owned())?;
+                    return Ok((rel, None));
                 }
                 let t0 = self.prof_start();
                 let handle = self.catalog.table(name)?;
                 let visible = factor_visible_name(f);
                 let scope = table_scope(&handle, visible);
-                // conjuncts that do not bind against this table alone are
-                // left to the statement's WHERE, which reports the error
-                let bound: Vec<BoundExpr> = prefilter
-                    .iter()
-                    .filter(|_| joined)
-                    .filter_map(|e| bind_scalar(e, &scope).ok())
-                    .collect();
-                let (access, visited, batches) = {
+                let (access, applied, visited, batches, prefiltered) = {
                     let t = handle.read();
                     let access = choose_access(&t, visible, prefilter);
+                    let applied = access.applied(prefilter);
+                    // conjuncts that do not bind against this table alone
+                    // are left to the statement's WHERE, which reports the
+                    // error
+                    let bound: Vec<BoundExpr> = prefilter
+                        .iter()
+                        .filter(|c| joined && !applied.is_some_and(|a| std::ptr::eq(a, **c)))
+                        .filter_map(|e| bind_scalar(e, &scope).ok())
+                        .collect();
                     let slots = access.slots(&t);
                     let visited = slots.len() as u64;
                     let slots = self.prefiltered(&t, &bound, slots);
                     let batches = t.read_batches(&slots, false, self.batch_rows());
-                    (access, visited, batches)
+                    (access, applied, visited, batches, !bound.is_empty())
                 };
                 self.count_access(&access, visited);
                 let rel = Rel::new(scope, batches, self.catalog.memory_budget())?;
@@ -1023,13 +1055,13 @@ impl<'a> Executor<'a> {
                     // as the only table of its statement the scan heads the
                     // batched pipeline and reports its batches
                     p.leaf_batched(
-                        access.describe(&label, !bound.is_empty()),
+                        access.describe(&factor_label(f), prefiltered),
                         rel.len() as u64,
                         t0.map(us_since).unwrap_or(0),
                         if joined { 0 } else { rel.batches.len() as u64 },
                     );
                 }
-                Ok(rel)
+                Ok((rel, applied.filter(|_| !joined)))
             }
             TableFactor::Derived { subquery, alias } => {
                 let t0 = self.prof_start();
@@ -1044,7 +1076,7 @@ impl<'a> Executor<'a> {
                         t0.map(us_since).unwrap_or(0),
                     );
                 }
-                self.rel_from_batches(out, alias.clone())
+                Ok((self.rel_from_batches(out, alias.clone())?, None))
             }
         }
     }
@@ -1242,8 +1274,8 @@ impl<'a> Executor<'a> {
     /// The rows of a DML target (whose columns `scope` names) that pass
     /// `selection`, as column batches that end in each row's slot. The
     /// table is read through the access path the predicate allows
-    /// ([`choose_access`]), and the whole predicate runs on what that path
-    /// returns, batch by batch.
+    /// ([`choose_access`]), and the rest of the predicate runs on what that
+    /// path returns, batch by batch.
     fn matching_batches(
         &self,
         handle: &TableHandle,
@@ -1253,10 +1285,12 @@ impl<'a> Executor<'a> {
     ) -> DbResult<Vec<ColumnBatch>> {
         let t0 = self.prof_start();
         let visible = factor_visible_name(target);
-        let pred = selection.map(|p| bind_scalar(p, scope)).transpose()?;
-        let pred = pred.as_ref().map(CompiledExpr::new);
+        let conjuncts = ast_conjuncts(selection);
         let table = handle.read();
-        let access = choose_access(&table, visible, &ast_conjuncts(selection));
+        let access = choose_access(&table, visible, &conjuncts);
+        let pred = residual(selection, access.applied(&conjuncts));
+        let pred = pred.map(|p| bind_scalar(&p, scope)).transpose()?;
+        let pred = pred.as_ref().map(CompiledExpr::new);
         let slots = access.slots(&table);
         let mut matches = Vec::new();
         for b in table.read_batches(&slots, true, self.batch_rows()) {
@@ -1305,7 +1339,7 @@ impl<'a> Executor<'a> {
             let target_at = from.arity();
             let on = update_predicate(upd);
             let inner = JoinInner::table_with_slots(handle.clone(), factor_visible_name(&target));
-            let joined = self.join_step(from, inner, JoinType::Inner, on.as_ref(), &target)?;
+            let joined = self.join_step(from, inner, JoinType::Inner, on.as_deref(), &target)?;
             // the join emits a target row's pairs in FROM order: keeping
             // the first per slot is "first matching FROM row wins"
             let slot_at = joined.arity() - 1;
@@ -1785,20 +1819,6 @@ impl AggAcc {
     }
 }
 
-/// Records batch-level execution actuals into the process-wide metrics
-/// registry (`sqloop.exec.*`), picked up by the Prometheus scrape endpoint
-/// and the CLI `\stats` view.
-fn note_exec_batches(batches: u64, rows: u64) {
-    if batches == 0 {
-        return;
-    }
-    let reg = obs::global();
-    reg.counter("sqloop.exec.batches").add(batches);
-    reg.counter("sqloop.exec.batch_rows").add(rows);
-    reg.gauge("sqloop.exec.rows_per_batch")
-        .set((rows / batches) as i64);
-}
-
 /// Fails past [`MAX_DEPTH`] nested views and derived tables.
 fn check_depth(depth: usize) -> DbResult<()> {
     if depth > MAX_DEPTH {
@@ -1877,10 +1897,12 @@ pub(crate) fn update_target(upd: &Update) -> TableFactor {
 }
 
 /// The whole predicate of an `UPDATE`: its MySQL-style `ON` and its `WHERE`.
-pub(crate) fn update_predicate(upd: &Update) -> Option<Expr> {
+pub(crate) fn update_predicate(upd: &Update) -> Option<Cow<'_, Expr>> {
     match (&upd.join_on, &upd.selection) {
-        (Some(on), Some(selection)) => Some(on.clone().binary(BinaryOp::And, selection.clone())),
-        (on, selection) => on.as_ref().or(selection.as_ref()).cloned(),
+        (Some(on), Some(selection)) => Some(Cow::Owned(
+            on.clone().binary(BinaryOp::And, selection.clone()),
+        )),
+        (on, selection) => on.as_ref().or(selection.as_ref()).map(Cow::Borrowed),
     }
 }
 
@@ -1909,6 +1931,41 @@ pub(crate) fn pushdown_conjuncts<'a>(s: &'a Select, tr: &TableRef) -> Vec<&'a Ex
                 .all(|(q, _)| q.map_or(single_table, |q| q == visible))
     });
     conjuncts
+}
+
+/// The columns of `b` at `picks`: the last pick of a column moves its
+/// lanes, an earlier one copies them.
+fn pick_columns(b: ColumnBatch, picks: &[usize]) -> ColumnBatch {
+    let len = b.len();
+    let mut cols: Vec<Option<Col>> = b.into_cols().into_iter().map(Some).collect();
+    let mut pick = |(k, &i): (usize, &usize)| {
+        let col = match picks[k + 1..].contains(&i) {
+            true => cols[i].clone(),
+            false => cols[i].take(),
+        };
+        col.expect("a column moves out with its last pick")
+    };
+    ColumnBatch::from_cols(picks.iter().enumerate().map(&mut pick).collect(), len)
+}
+
+/// What is left of `pred` once an index seek applied its conjunct
+/// `applied` ([`AccessPath::applied`]); `None` when nothing is.
+pub(crate) fn residual<'p>(
+    pred: Option<&'p Expr>,
+    applied: Option<&Expr>,
+) -> Option<Cow<'p, Expr>> {
+    let Some(applied) = applied else {
+        return pred.map(Cow::Borrowed);
+    };
+    let mut rest = ast_conjuncts(pred);
+    rest.retain(|c| !std::ptr::eq(*c, applied));
+    match rest.as_slice() {
+        [] => None,
+        [only] => Some(Cow::Borrowed(only)),
+        [first, more @ ..] => Some(Cow::Owned(more.iter().fold((*first).clone(), |acc, c| {
+            acc.binary(BinaryOp::And, (*c).clone())
+        }))),
+    }
 }
 
 /// The top-level `AND` conjuncts of an unbound predicate (none for `None`).

@@ -13,9 +13,10 @@
 use crate::ast::*;
 use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
-use crate::exec::{ast_conjuncts, pushdown_conjuncts, update_predicate, update_target};
+use crate::exec::{ast_conjuncts, pushdown_conjuncts, residual, update_predicate, update_target};
 use crate::join::{choose_access, choose_join, index_shape, AccessPath, IndexShape, JoinAlgo};
 use crate::profile::EngineProfile;
+use std::borrow::Cow;
 
 /// Row-count guess for a relation whose size only execution reveals.
 const UNKNOWN_ROWS: usize = 1000;
@@ -68,7 +69,7 @@ fn explain_update(
     let join = Join {
         join_type: JoinType::Inner,
         factor: target,
-        on: update_predicate(upd),
+        on: update_predicate(upd).map(Cow::into_owned),
     };
     let mut lines = Vec::new();
     let mut outer = 1usize;
@@ -180,7 +181,7 @@ fn explain_select(
         );
         depth += 1;
     }
-    if let Some(_w) = &s.selection {
+    if s.selection.is_some() && !seek_covers_where(catalog, s) {
         push(out, depth, "Filter".to_string());
         depth += 1;
     }
@@ -199,6 +200,21 @@ fn explain_select(
         push(out, depth, "Result (no tables)".to_string());
     }
     Ok(())
+}
+
+/// Whether a single-table `SELECT`'s index seek applies its whole `WHERE`,
+/// leaving the executor no Filter to run.
+fn seek_covers_where(catalog: &Catalog, s: &Select) -> bool {
+    let [tr] = s.from.as_slice() else {
+        return false;
+    };
+    let view = matches!(&tr.base, TableFactor::Table { name, .. } if catalog.view(name).is_some());
+    if !tr.joins.is_empty() || view {
+        return false;
+    }
+    let conjuncts = pushdown_conjuncts(s, tr);
+    planned_access(catalog, &tr.base, &conjuncts)
+        .is_ok_and(|a| residual(s.selection.as_ref(), a.applied(&conjuncts)).is_none())
 }
 
 /// Prints one `FROM` item; returns the estimated size of its output.

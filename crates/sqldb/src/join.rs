@@ -197,6 +197,9 @@ pub enum AccessPath {
         column_name: String,
         /// The constant the column is compared to.
         key: Value,
+        /// Position, among the conjuncts the path was chosen from, of the
+        /// `<column> = <constant>` the seek answers.
+        conjunct: usize,
     },
 }
 
@@ -213,6 +216,16 @@ impl AccessPath {
                     .filter(|&s| table.is_live(s))
                     .collect()
             }
+        }
+    }
+
+    /// The conjunct of `conjuncts` (those the path was chosen from) a seek
+    /// applied exactly: every row it returns satisfies it, since the index
+    /// compares keys as `=` does ([`seekable`]), so it need not run again.
+    pub fn applied<'e>(&self, conjuncts: &[&'e Expr]) -> Option<&'e Expr> {
+        match self {
+            AccessPath::Seek { conjunct, .. } => conjuncts.get(*conjunct).copied(),
+            AccessPath::Scan => None,
         }
     }
 
@@ -260,15 +273,15 @@ fn seekable(ty: DataType, key: &Value) -> bool {
 /// that mention only `table` (visible as `visible`). One of the form
 /// `<column> = <constant>` (either way round) whose column carries an index
 /// becomes a seek — the most selective index when several qualify. The seek
-/// only narrows what is read: callers still run the whole predicate on the
-/// rows it returns. Everything else scans: no such conjunct (`OR`, ranges,
-/// column-to-column), no index, a constant that fails to evaluate, or a
-/// key the index cannot answer exactly (NULL, or a constant of another
-/// type family than the column's).
+/// applies that conjunct ([`AccessPath::applied`]); callers run the rest of
+/// the predicate on the rows it returns. Everything else scans: no such
+/// conjunct (`OR`, ranges, column-to-column), no index, a constant that
+/// fails to evaluate, or a key the index cannot answer exactly (NULL, or a
+/// constant of another type family than the column's).
 pub fn choose_access(table: &Table, visible: &str, conjuncts: &[&Expr]) -> AccessPath {
     let schema = table.schema();
     let mut best: Option<(usize, AccessPath)> = None;
-    for conjunct in conjuncts {
+    for (at, conjunct) in conjuncts.iter().enumerate() {
         let Expr::Binary {
             left,
             op: BinaryOp::Eq,
@@ -306,6 +319,7 @@ pub fn choose_access(table: &Table, visible: &str, conjuncts: &[&Expr]) -> Acces
                         column,
                         column_name: name.clone(),
                         key,
+                        conjunct: at,
                     },
                 ));
             }

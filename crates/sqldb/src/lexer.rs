@@ -6,20 +6,23 @@
 //! just ordinary identifiers at this level.
 
 use crate::error::{DbError, DbResult};
+use std::borrow::Cow;
 
-/// A single lexed token.
+/// A single lexed token. Text borrows from the SQL it was lexed from
+/// wherever it can: only a word that is not already lower case (and is not
+/// a keyword) and a quoted token with a doubled quote are copied.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
-    /// Keyword or identifier (unquoted; stored lower-cased).
-    Ident(String),
-    /// Quoted identifier (stored as written, lower-cased for matching).
-    QuotedIdent(String),
+pub enum Token<'a> {
+    /// Keyword or identifier (unquoted; lower-cased).
+    Ident(Cow<'a, str>),
+    /// Quoted identifier (doubled quotes resolved; lower-cased for matching).
+    QuotedIdent(Cow<'a, str>),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
     /// Single-quoted string literal (escapes resolved).
-    Str(String),
+    Str(Cow<'a, str>),
     /// Punctuation / operator.
     Symbol(Sym),
 }
@@ -65,10 +68,11 @@ pub enum Sym {
     Question,
 }
 
-impl Token {
-    /// True when the token is the given (case-insensitive) keyword.
+impl Token<'_> {
+    /// True when the token is the keyword `kw`, given in lower case (words
+    /// are lexed lower-cased, so the match is case-insensitive).
     pub fn is_keyword(&self, kw: &str) -> bool {
-        matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
+        matches!(self, Token::Ident(s) if s == kw)
     }
 
     /// Identifier text if this token can serve as an identifier.
@@ -80,6 +84,28 @@ impl Token {
     }
 }
 
+/// Keywords the statements SQLoop sends spell in upper case, the most
+/// frequent first: they lex without a lower-cased copy.
+const KEYWORDS: [&str; 56] = [
+    "select", "from", "where", "and", "as", "union", "all", "on", "join", "left", "group", "by",
+    "update", "set", "insert", "into", "values", "delete", "create", "table", "index", "drop",
+    "if", "exists", "not", "null", "or", "is", "in", "distinct", "order", "limit", "case", "when",
+    "then", "else", "end", "least", "greatest", "min", "max", "sum", "count", "avg", "coalesce",
+    "infinity", "int", "float", "text", "primary", "key", "view", "begin", "commit", "rollback",
+    "truncate",
+];
+
+/// An unquoted word, lower-cased.
+fn word(text: &str) -> Cow<'_, str> {
+    if !text.bytes().any(|b| b.is_ascii_uppercase()) {
+        return Cow::Borrowed(text);
+    }
+    match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(text)) {
+        Some(k) => Cow::Borrowed(k),
+        None => Cow::Owned(text.to_ascii_lowercase()),
+    }
+}
+
 /// Tokenizes `input` into a vector of tokens.
 ///
 /// Comments (`-- …` to end of line, `/* … */`) are skipped.
@@ -87,8 +113,9 @@ impl Token {
 /// # Errors
 /// Returns [`DbError::Parse`] on unterminated strings/comments or unexpected
 /// characters.
-pub fn tokenize(input: &str) -> DbResult<Vec<Token>> {
-    let mut tokens = Vec::new();
+pub fn tokenize(input: &str) -> DbResult<Vec<Token<'_>>> {
+    // SQL text averages a little over four bytes per token
+    let mut tokens = Vec::with_capacity(input.len() / 4 + 1);
     let bytes = input.as_bytes();
     let mut i = 0usize;
     while i < bytes.len() {
@@ -117,18 +144,18 @@ pub fn tokenize(input: &str) -> DbResult<Vec<Token>> {
                 }
             }
             '\'' => {
-                let (s, next) = lex_quoted(input, i, '\'')?;
+                let (s, next) = lex_quoted(input, i)?;
                 tokens.push(Token::Str(s));
                 i = next;
             }
-            '"' => {
-                let (s, next) = lex_quoted(input, i, '"')?;
-                tokens.push(Token::QuotedIdent(s.to_ascii_lowercase()));
-                i = next;
-            }
-            '`' => {
-                let (s, next) = lex_quoted(input, i, '`')?;
-                tokens.push(Token::QuotedIdent(s.to_ascii_lowercase()));
+            '"' | '`' => {
+                let (s, next) = lex_quoted(input, i)?;
+                tokens.push(Token::QuotedIdent(
+                    match s.bytes().any(|b| b.is_ascii_uppercase()) {
+                        true => Cow::Owned(s.to_ascii_lowercase()),
+                        false => s,
+                    },
+                ));
                 i = next;
             }
             '(' => push_sym(&mut tokens, Sym::LParen, &mut i),
@@ -206,7 +233,7 @@ pub fn tokenize(input: &str) -> DbResult<Vec<Token>> {
                         break;
                     }
                 }
-                tokens.push(Token::Ident(input[start..i].to_ascii_lowercase()));
+                tokens.push(Token::Ident(word(&input[start..i])));
             }
             other => {
                 return Err(DbError::Parse(format!(
@@ -218,38 +245,47 @@ pub fn tokenize(input: &str) -> DbResult<Vec<Token>> {
     Ok(tokens)
 }
 
-fn push_sym(tokens: &mut Vec<Token>, sym: Sym, i: &mut usize) {
+fn push_sym(tokens: &mut Vec<Token<'_>>, sym: Sym, i: &mut usize) {
     tokens.push(Token::Symbol(sym));
     *i += 1;
 }
 
-fn lex_quoted(input: &str, start: usize, quote: char) -> DbResult<(String, usize)> {
+/// The body of the token quoted by the byte at `start`, and the byte after
+/// its closing quote. A doubled quote stands for one quote character; only
+/// a body that contains one is copied, any other is a slice of `input`.
+fn lex_quoted(input: &str, start: usize) -> DbResult<(Cow<'_, str>, usize)> {
     let bytes = input.as_bytes();
-    let q = quote as u8;
-    let mut out = String::new();
-    let mut i = start + 1;
+    let q = bytes[start];
+    let mut unescaped: Option<String> = None;
+    // the quote is ASCII, so it never occurs inside a multi-byte character
+    let (mut from, mut i) = (start + 1, start + 1);
     while i < bytes.len() {
-        if bytes[i] == q {
-            // doubled quote = escaped quote
-            if bytes.get(i + 1) == Some(&q) {
-                out.push(quote);
-                i += 2;
-            } else {
-                return Ok((out, i + 1));
-            }
+        if bytes[i] != q {
+            i += 1;
+        } else if bytes.get(i + 1) == Some(&q) {
+            unescaped
+                .get_or_insert_with(String::new)
+                .push_str(&input[from..=i]);
+            i += 2;
+            from = i;
         } else {
-            // copy one UTF-8 char
-            let ch = input[i..].chars().next().expect("in-bounds char");
-            out.push(ch);
-            i += ch.len_utf8();
+            let body = match unescaped {
+                None => Cow::Borrowed(&input[from..i]),
+                Some(mut s) => {
+                    s.push_str(&input[from..i]);
+                    Cow::Owned(s)
+                }
+            };
+            return Ok((body, i + 1));
         }
     }
     Err(DbError::Parse(format!(
-        "unterminated {quote}-quoted token at byte {start}"
+        "unterminated {}-quoted token at byte {start}",
+        q as char
     )))
 }
 
-fn lex_number(input: &str, start: usize) -> DbResult<(Token, usize)> {
+fn lex_number(input: &str, start: usize) -> DbResult<(Token<'static>, usize)> {
     let bytes = input.as_bytes();
     let mut i = start;
     let mut is_float = false;
@@ -291,7 +327,7 @@ fn lex_number(input: &str, start: usize) -> DbResult<(Token, usize)> {
 mod tests {
     use super::*;
 
-    fn lex(s: &str) -> Vec<Token> {
+    fn lex(s: &str) -> Vec<Token<'_>> {
         tokenize(s).unwrap()
     }
 
@@ -319,6 +355,36 @@ mod tests {
     fn quoted_identifiers_both_dialects() {
         assert_eq!(lex("\"MyCol\""), vec![Token::QuotedIdent("mycol".into())]);
         assert_eq!(lex("`MyCol`"), vec![Token::QuotedIdent("mycol".into())]);
+    }
+
+    #[test]
+    fn quoted_identifiers_resolve_doubled_quotes_and_keep_non_ascii() {
+        let quoted = |s: &str| match &lex(s)[..] {
+            [Token::QuotedIdent(q)] => q.to_string(),
+            other => panic!("{s}: {other:?}"),
+        };
+        assert_eq!(quoted("\"a\"\"b\""), "a\"b");
+        assert_eq!(quoted("`a``b`"), "a`b");
+        assert_eq!(quoted("\"\"\"\""), "\"");
+        assert_eq!(quoted("`Mixed Case`"), "mixed case");
+        assert_eq!(quoted("\"ÜBER ∞ Straße\""), "Über ∞ straße");
+        assert_eq!(quoted("\"x\"\"Y\"\"z\""), "x\"y\"z");
+        // the other dialect's quote is an ordinary character inside
+        assert_eq!(quoted("`a\"b`"), "a\"b");
+        assert!(
+            tokenize("\"a\"\"").is_err(),
+            "a doubled quote does not close"
+        );
+        assert!(tokenize("`ab").is_err());
+    }
+
+    #[test]
+    fn words_are_lower_cased_whether_keywords_or_not() {
+        assert_eq!(
+            lex("SeLeCt MyCol FROM_X Rollback truncate GREATEST"),
+            ["select", "mycol", "from_x", "rollback", "truncate", "greatest"]
+                .map(|w| Token::Ident(w.into()))
+        );
     }
 
     #[test]

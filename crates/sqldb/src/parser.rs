@@ -12,6 +12,7 @@ use crate::error::{DbError, DbResult};
 use crate::lexer::{tokenize, Sym, Token};
 use crate::types::DataType;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// Parses a single SQL statement (a trailing `;` is allowed).
 ///
@@ -72,19 +73,19 @@ pub fn parse_expression(sql: &str) -> DbResult<Expr> {
 
 /// Token-stream parser with an explicit cursor.
 #[derive(Debug)]
-pub struct Parser {
-    tokens: Vec<Token>,
+pub struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// `?` placeholders seen so far; assigns each its 0-based index.
     params: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Tokenizes `sql` and positions the cursor at the start.
     ///
     /// # Errors
     /// Returns [`DbError::Parse`] when tokenization fails.
-    pub fn from_sql(sql: &str) -> DbResult<Parser> {
+    pub fn from_sql(sql: &'a str) -> DbResult<Parser<'a>> {
         Ok(Parser {
             tokens: tokenize(sql)?,
             pos: 0,
@@ -117,20 +118,20 @@ impl Parser {
         while self.eat_sym(Sym::Semicolon) {}
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn peek_at(&self, off: usize) -> Option<&Token> {
+    fn peek_at(&self, off: usize) -> Option<&Token<'a>> {
         self.tokens.get(self.pos + off)
     }
 
-    fn next_token(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Moves the next token out of the stream: the cursor never goes
+    /// back, so the slot it leaves behind is never read again.
+    fn next_token(&mut self) -> Option<Token<'a>> {
+        let t = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(std::mem::replace(t, Token::Symbol(Sym::Semicolon)))
     }
 
     /// Consumes the next token if it is the given keyword.
@@ -194,7 +195,7 @@ impl Parser {
     /// Returns [`DbError::Parse`] when the next token is not an identifier.
     pub fn expect_ident(&mut self) -> DbResult<String> {
         match self.next_token() {
-            Some(Token::Ident(s)) | Some(Token::QuotedIdent(s)) => Ok(s),
+            Some(Token::Ident(s)) | Some(Token::QuotedIdent(s)) => Ok(s.into_owned()),
             other => Err(DbError::Parse(format!(
                 "expected identifier, found {other:?}"
             ))),
@@ -275,8 +276,8 @@ impl Parser {
         let v = match self.peek_at(off) {
             Some(Token::Int(n)) => Value::Int(*n),
             Some(Token::Float(f)) => Value::Float(*f),
-            Some(Token::Str(s)) if !neg => Value::Text(s.clone()),
-            Some(Token::Ident(w)) if !neg => match w.as_str() {
+            Some(Token::Str(s)) if !neg => Value::Text(s.to_string()),
+            Some(Token::Ident(w)) if !neg => match w.as_ref() {
                 "null" => Value::Null,
                 "true" => Value::Bool(true),
                 "false" => Value::Bool(false),
@@ -796,13 +797,13 @@ impl Parser {
         }
         // alias.*
         if let (
-            Some(Token::Ident(t)),
+            Some(Token::Ident(_)),
             Some(Token::Symbol(Sym::Dot)),
             Some(Token::Symbol(Sym::Star)),
         ) = (self.peek(), self.peek_at(1), self.peek_at(2))
         {
-            let t = t.clone();
-            self.pos += 3;
+            let t = self.expect_ident()?;
+            self.pos += 2;
             return Ok(SelectItem::QualifiedWildcard(t));
         }
         let expr = self.parse_expr()?;
@@ -884,41 +885,81 @@ impl Parser {
     /// # Errors
     /// Returns [`DbError::Parse`] on malformed input.
     pub fn parse_expr(&mut self) -> DbResult<Expr> {
-        self.parse_or()
+        self.parse_above(0)
     }
 
-    fn parse_or(&mut self) -> DbResult<Expr> {
-        let mut left = self.parse_and()?;
-        while self.eat_keyword("or") {
-            let right = self.parse_and()?;
-            left = left.binary(BinaryOp::Or, right);
+    /// An expression whose operators all bind tighter than `min`
+    /// (precedence climbing): `OR` 1, `AND` 2, prefix `NOT` 3, one
+    /// comparison 4 (`=` `<>` `<` `<=` `>` `>=`, `IS [NOT] NULL`,
+    /// `[NOT] IN`, `[NOT] BETWEEN`), `+ - ||` 5, `* / %` 6, and prefix
+    /// `-` / `+`. After an operator only one binding no tighter follows,
+    /// and after a comparison or a `NOT` only `AND` and `OR`.
+    fn parse_above(&mut self, min: u8) -> DbResult<Expr> {
+        let (mut left, mut limit) = if min < 3 && self.eat_keyword("not") {
+            let inner = Box::new(self.parse_above(2)?);
+            (
+                Expr::Unary {
+                    op: UnaryOp::Not,
+                    expr: inner,
+                },
+                2,
+            )
+        } else {
+            (self.parse_unary()?, 6)
+        };
+        while let Some((power, op)) = self.infix() {
+            if power <= min || power > limit {
+                break;
+            }
+            left = match op {
+                Some(op) => {
+                    self.pos += 1;
+                    let right = self.parse_above(power)?;
+                    left.binary(op, right)
+                }
+                None => self.parse_predicate(left)?,
+            };
+            limit = if power == 4 { 3 } else { power };
         }
         Ok(left)
     }
 
-    fn parse_and(&mut self) -> DbResult<Expr> {
-        let mut left = self.parse_not()?;
-        while self.eat_keyword("and") {
-            let right = self.parse_not()?;
-            left = left.binary(BinaryOp::And, right);
+    /// The binding power of the operator at the cursor, and its
+    /// [`BinaryOp`] unless it is one of the comparison forms
+    /// [`Self::parse_predicate`] reads.
+    fn infix(&self) -> Option<(u8, Option<BinaryOp>)> {
+        let binary = |power, op| Some((power, Some(op)));
+        match self.peek()? {
+            Token::Symbol(sym) => match sym {
+                Sym::Star => binary(6, BinaryOp::Mul),
+                Sym::Slash => binary(6, BinaryOp::Div),
+                Sym::Percent => binary(6, BinaryOp::Mod),
+                Sym::Plus => binary(5, BinaryOp::Add),
+                Sym::Minus => binary(5, BinaryOp::Sub),
+                Sym::Concat => binary(5, BinaryOp::Concat),
+                Sym::Eq => binary(4, BinaryOp::Eq),
+                Sym::NotEq => binary(4, BinaryOp::NotEq),
+                Sym::Lt => binary(4, BinaryOp::Lt),
+                Sym::LtEq => binary(4, BinaryOp::LtEq),
+                Sym::Gt => binary(4, BinaryOp::Gt),
+                Sym::GtEq => binary(4, BinaryOp::GtEq),
+                _ => None,
+            },
+            Token::Ident(word) => match word.as_ref() {
+                "or" => binary(1, BinaryOp::Or),
+                "and" => binary(2, BinaryOp::And),
+                "is" | "in" | "between" => Some((4, None)),
+                "not" => matches!(self.peek_at(1), Some(t) if t.is_keyword("in") || t.is_keyword("between"))
+                    .then_some((4, None)),
+                _ => None,
+            },
+            _ => None,
         }
-        Ok(left)
     }
 
-    fn parse_not(&mut self) -> DbResult<Expr> {
-        if self.eat_keyword("not") {
-            let inner = self.parse_not()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::Not,
-                expr: Box::new(inner),
-            });
-        }
-        self.parse_comparison()
-    }
-
-    fn parse_comparison(&mut self) -> DbResult<Expr> {
-        let left = self.parse_additive()?;
-        // IS [NOT] NULL
+    /// `IS [NOT] NULL`, `[NOT] IN (…)` or `[NOT] BETWEEN … AND …` after
+    /// `left`.
+    fn parse_predicate(&mut self, left: Expr) -> DbResult<Expr> {
         if self.eat_keyword("is") {
             let negated = self.eat_keyword("not");
             self.expect_keyword("null")?;
@@ -927,15 +968,7 @@ impl Parser {
                 negated,
             });
         }
-        // [NOT] IN / [NOT] BETWEEN
-        let negated = if self.peek_keyword("not")
-            && matches!(self.peek_at(1), Some(t) if t.is_keyword("in") || t.is_keyword("between"))
-        {
-            self.pos += 1;
-            true
-        } else {
-            false
-        };
+        let negated = self.eat_keyword("not");
         if self.eat_keyword("in") {
             self.expect_sym(Sym::LParen)?;
             let mut list = vec![self.parse_expr()?];
@@ -949,67 +982,16 @@ impl Parser {
                 negated,
             });
         }
-        if self.eat_keyword("between") {
-            let low = self.parse_additive()?;
-            self.expect_keyword("and")?;
-            let high = self.parse_additive()?;
-            return Ok(Expr::Between {
-                expr: Box::new(left),
-                low: Box::new(low),
-                high: Box::new(high),
-                negated,
-            });
-        }
-        if negated {
-            return Err(DbError::Parse("dangling NOT".into()));
-        }
-        let op = match self.peek() {
-            Some(Token::Symbol(Sym::Eq)) => Some(BinaryOp::Eq),
-            Some(Token::Symbol(Sym::NotEq)) => Some(BinaryOp::NotEq),
-            Some(Token::Symbol(Sym::Lt)) => Some(BinaryOp::Lt),
-            Some(Token::Symbol(Sym::LtEq)) => Some(BinaryOp::LtEq),
-            Some(Token::Symbol(Sym::Gt)) => Some(BinaryOp::Gt),
-            Some(Token::Symbol(Sym::GtEq)) => Some(BinaryOp::GtEq),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.pos += 1;
-            let right = self.parse_additive()?;
-            return Ok(left.binary(op, right));
-        }
-        Ok(left)
-    }
-
-    fn parse_additive(&mut self) -> DbResult<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Sym::Plus)) => BinaryOp::Add,
-                Some(Token::Symbol(Sym::Minus)) => BinaryOp::Sub,
-                Some(Token::Symbol(Sym::Concat)) => BinaryOp::Concat,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_multiplicative()?;
-            left = left.binary(op, right);
-        }
-        Ok(left)
-    }
-
-    fn parse_multiplicative(&mut self) -> DbResult<Expr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Sym::Star)) => BinaryOp::Mul,
-                Some(Token::Symbol(Sym::Slash)) => BinaryOp::Div,
-                Some(Token::Symbol(Sym::Percent)) => BinaryOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_unary()?;
-            left = left.binary(op, right);
-        }
-        Ok(left)
+        self.expect_keyword("between")?;
+        let low = self.parse_above(4)?;
+        self.expect_keyword("and")?;
+        let high = self.parse_above(4)?;
+        Ok(Expr::Between {
+            expr: Box::new(left),
+            low: Box::new(low),
+            high: Box::new(high),
+            negated,
+        })
     }
 
     fn parse_unary(&mut self) -> DbResult<Expr> {
@@ -1033,67 +1015,38 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> DbResult<Expr> {
-        match self.peek().cloned() {
-            Some(Token::Int(v)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Int(v)))
-            }
-            Some(Token::Float(v)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Float(v)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Text(s)))
-            }
+        match self.next_token() {
+            Some(Token::Int(v)) => Ok(Expr::Literal(Value::Int(v))),
+            Some(Token::Float(v)) => Ok(Expr::Literal(Value::Float(v))),
+            Some(Token::Str(s)) => Ok(Expr::Literal(Value::Text(s.into_owned()))),
             Some(Token::Symbol(Sym::LParen)) => {
-                self.pos += 1;
                 let e = self.parse_expr()?;
                 self.expect_sym(Sym::RParen)?;
                 Ok(e)
             }
             Some(Token::Symbol(Sym::Question)) => {
-                self.pos += 1;
                 let idx = self.params;
                 self.params += 1;
                 Ok(Expr::Param(idx))
             }
             Some(Token::Ident(word)) => self.parse_ident_expr(word),
-            Some(Token::QuotedIdent(word)) => {
-                self.pos += 1;
-                self.finish_column_ref(word)
-            }
+            Some(Token::QuotedIdent(word)) => self.finish_column_ref(word.into_owned()),
             other => Err(DbError::Parse(format!(
                 "expected expression, found {other:?}"
             ))),
         }
     }
 
-    fn parse_ident_expr(&mut self, word: String) -> DbResult<Expr> {
+    /// An expression that starts with the (consumed) unquoted word `word`.
+    fn parse_ident_expr(&mut self, word: Cow<'a, str>) -> DbResult<Expr> {
         // keyword literals
-        match word.as_str() {
-            "null" => {
-                self.pos += 1;
-                return Ok(Expr::Literal(Value::Null));
-            }
-            "true" => {
-                self.pos += 1;
-                return Ok(Expr::Literal(Value::Bool(true)));
-            }
-            "false" => {
-                self.pos += 1;
-                return Ok(Expr::Literal(Value::Bool(false)));
-            }
-            "infinity" => {
-                self.pos += 1;
-                return Ok(Expr::Literal(Value::Float(f64::INFINITY)));
-            }
-            "case" => {
-                self.pos += 1;
-                return self.parse_case();
-            }
+        match word.as_ref() {
+            "null" => return Ok(Expr::Literal(Value::Null)),
+            "true" => return Ok(Expr::Literal(Value::Bool(true))),
+            "false" => return Ok(Expr::Literal(Value::Bool(false))),
+            "infinity" => return Ok(Expr::Literal(Value::Float(f64::INFINITY))),
+            "case" => return self.parse_case(),
             "cast" => {
-                self.pos += 1;
                 self.expect_sym(Sym::LParen)?;
                 let e = self.parse_expr()?;
                 self.expect_keyword("as")?;
@@ -1107,8 +1060,7 @@ impl Parser {
             _ => {}
         }
         // function call?
-        if matches!(self.peek_at(1), Some(Token::Symbol(Sym::LParen))) {
-            self.pos += 2; // ident + lparen
+        if self.eat_sym(Sym::LParen) {
             let mut args = Vec::new();
             // COUNT(*)
             if self.eat_sym(Sym::Star) {
@@ -1123,10 +1075,12 @@ impl Parser {
                 }
             }
             self.expect_sym(Sym::RParen)?;
-            return Ok(Expr::Function { name: word, args });
+            return Ok(Expr::Function {
+                name: word.into_owned(),
+                args,
+            });
         }
-        self.pos += 1;
-        self.finish_column_ref(word)
+        self.finish_column_ref(word.into_owned())
     }
 
     fn finish_column_ref(&mut self, first: String) -> DbResult<Expr> {
@@ -1470,6 +1424,33 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn precedence_climbing_keeps_the_grammar_of_its_levels() {
+        let same = |sql: &str, grouped: &str| {
+            assert_eq!(parse_expression(sql), parse_expression(grouped), "{sql}");
+        };
+        // NOT takes a whole comparison, AND binds tighter than OR
+        same("NOT a = b AND c OR d", "((NOT (a = b)) AND c) OR d");
+        same(
+            "a + 1 IS NULL AND b NOT BETWEEN 1 AND 2 + c",
+            "((a + 1) IS NULL) AND (b NOT BETWEEN 1 AND (2 + c))",
+        );
+        same("a - b - c * d % e", "(a - b) - ((c * d) % e)");
+        same("NOT NOT a IN (1, 2)", "NOT (NOT (a IN (1, 2)))");
+        same("- a * b || c", "((-a) * b) || c");
+        // one comparison per level: only AND / OR continue after it (or after NOT)
+        for bad in [
+            "a = b = c",
+            "a IS NULL + 1",
+            "a IS NULL IS NULL",
+            "x AND a >= b = c",
+            "NOT a IS NULL IS NULL",
+            "a = NOT b",
+        ] {
+            assert!(parse_expression(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

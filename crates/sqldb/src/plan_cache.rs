@@ -1,27 +1,32 @@
 //! Bounded LRU plan cache and prepared-statement support.
 //!
-//! A *plan* here is a parsed, dialect-validated statement AST together with
-//! the set of catalog objects it depends on. Caching one amortizes the
-//! lex/parse/validate work that otherwise repeats on every execution of an
-//! identical statement — the dominant per-round overhead of SQLoop's
-//! iterative hot loops, where the same Compute/Gather statements run
-//! thousands of times.
+//! A *plan* here is a parsed statement together with everything its
+//! executions share: the tables it locks (views expanded), the engine
+//! profile's dialect verdict, its statement-family digest and the catalog
+//! objects it depends on. Caching one amortizes the lex/parse/validate and
+//! lock-set work that otherwise repeats on every execution of an identical
+//! statement — the dominant per-round overhead of SQLoop's iterative hot
+//! loops, where the same Compute/Gather statements run thousands of times.
 //!
 //! ## Keying and invalidation
 //!
-//! Entries are keyed by `(engine profile, SQL text)`. Each entry records,
-//! per dependency table, the table's *catalog version* at prepare time plus
-//! the global *views epoch*. DDL bumps versions:
+//! A cache belongs to one database, which emulates one engine profile, so
+//! entries are keyed by the SQL text alone. Each entry records, per
+//! dependency table, the table's *catalog version* at prepare time plus the
+//! global *views epoch*. DDL bumps versions:
 //!
 //! * `CREATE TABLE t` / `DROP TABLE t` bump `t`;
 //! * `CREATE INDEX … ON t` / `DROP INDEX` bump the owning table;
 //! * any view change bumps the views epoch (conservative: views can hide
 //!   behind any table reference, so every entry is invalidated).
 //!
-//! A lookup that finds a version mismatch discards the entry (counted as an
-//! invalidation) and reports a miss, so stale plans are re-prepared
-//! transparently — they can never produce stale results, because binding
-//! and execution always run against the live catalog.
+//! A lookup that finds a version mismatch reports a miss (counted as an
+//! invalidation), so stale plans — and the lock sets they carry — are
+//! re-prepared transparently, the fresh plan replacing the stale entry.
+//! Binding and execution always run against the live catalog.
+//!
+//! A hit takes the map's read lock only. A full cache evicts its least
+//! recently used eighth at once, choosing the victims under the read lock.
 //!
 //! Only statements that can plausibly repeat — queries and DML — are
 //! cached ([`is_cacheable`]). One-shot DDL/utility statements (CREATE/DROP,
@@ -38,28 +43,50 @@
 
 use crate::ast::{Expr, Statement};
 use crate::dialect_check::{for_each_expr, for_each_expr_mut};
+use crate::digest::normalize_sql;
 use crate::error::{DbError, DbResult};
-use crate::profile::EngineProfile;
+use crate::txn::LockMode;
 use crate::value::Value;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default maximum number of cached plans per database.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 512;
 
-/// A parsed, validated statement plus its invalidation fingerprint.
+/// What every execution of a statement needs before it runs.
+#[derive(Debug)]
+pub struct Admission {
+    /// The tables the statement locks, views expanded, in acquisition
+    /// (name) order.
+    pub locks: Vec<(String, LockMode)>,
+    /// The engine profile's dialect verdict on the statement.
+    pub valid: DbResult<()>,
+}
+
+/// A parsed statement with its admission and invalidation fingerprint.
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The parsed statement (canonical for this cache's profile).
     pub stmt: Statement,
     /// Number of `?` placeholders the statement carries.
     pub param_count: usize,
-    /// `(table, version at prepare time)` for every referenced table.
+    /// Lock set and dialect verdict, shared by every execution.
+    pub admission: Admission,
+    /// Statement family ([`normalize_sql`]), computed on first use.
+    digest: OnceLock<Box<str>>,
+    /// `(table, version at prepare time)` for every locked table.
     deps: Vec<(String, u64)>,
     /// Views epoch at prepare time.
     views_epoch: u64,
+}
+
+impl CachedPlan {
+    /// The statement family of `sql`, the text this plan was parsed from.
+    pub fn digest(&self, sql: &str) -> &str {
+        self.digest.get_or_init(|| normalize_sql(sql).into())
+    }
 }
 
 /// Point-in-time counters of a [`PlanCache`].
@@ -92,13 +119,22 @@ impl PlanCacheStats {
 #[derive(Debug)]
 struct Entry {
     plan: Arc<CachedPlan>,
-    last_used: u64,
+    last_used: AtomicU64,
+}
+
+/// The process-registry counters a cache reports into, resolved once.
+#[derive(Debug)]
+struct CacheCounters {
+    hit: Arc<obs::Counter>,
+    miss: Arc<obs::Counter>,
+    eviction: Arc<obs::Counter>,
+    invalidation: Arc<obs::Counter>,
 }
 
 /// Bounded LRU cache of parsed statements with DDL invalidation.
 #[derive(Debug)]
 pub struct PlanCache {
-    entries: Mutex<HashMap<String, Entry>>,
+    entries: RwLock<HashMap<Arc<str>, Entry>>,
     /// Per-table catalog version (absent = 0).
     versions: RwLock<HashMap<String, u64>>,
     views_epoch: AtomicU64,
@@ -108,6 +144,7 @@ pub struct PlanCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
+    counters: CacheCounters,
 }
 
 impl Default for PlanCache {
@@ -119,8 +156,9 @@ impl Default for PlanCache {
 impl PlanCache {
     /// Creates a cache holding at most `capacity` plans.
     pub fn with_capacity(capacity: usize) -> PlanCache {
+        let reg = obs::global();
         PlanCache {
-            entries: Mutex::new(HashMap::new()),
+            entries: RwLock::new(HashMap::new()),
             versions: RwLock::new(HashMap::new()),
             views_epoch: AtomicU64::new(0),
             tick: AtomicU64::new(0),
@@ -129,120 +167,131 @@ impl PlanCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
+            counters: CacheCounters {
+                hit: reg.counter("sqldb.plan_cache.hit"),
+                miss: reg.counter("sqldb.plan_cache.miss"),
+                eviction: reg.counter("sqldb.plan_cache.eviction"),
+                invalidation: reg.counter("sqldb.plan_cache.invalidation"),
+            },
         }
-    }
-
-    /// Cache key for `sql` under `profile`.
-    pub fn key(profile: EngineProfile, sql: &str) -> String {
-        format!("{profile}\u{0}{sql}")
     }
 
     /// Changes the capacity (evicting down immediately when shrinking).
     pub fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity.max(1), Ordering::Relaxed);
-        let mut entries = self.entries.lock();
-        self.evict_over_capacity(&mut entries);
+        self.evict_over_capacity();
     }
 
-    /// Looks up a still-valid plan, refreshing its LRU stamp. Stale entries
-    /// are discarded (counted as an invalidation). Misses are *not* counted
-    /// here — the caller decides whether the statement was cacheable at all
-    /// and calls [`PlanCache::count_miss`] for the ones that were.
-    pub fn get(&self, key: &str) -> Option<Arc<CachedPlan>> {
-        let mut entries = self.entries.lock();
-        match entries.get_mut(key) {
-            Some(e) if self.is_current(&e.plan) => {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                let plan = e.plan.clone();
-                drop(entries);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::global().counter("sqldb.plan_cache.hit").inc();
-                Some(plan)
-            }
-            Some(_) => {
-                entries.remove(key);
-                drop(entries);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                obs::global().counter("sqldb.plan_cache.invalidation").inc();
-                None
-            }
-            None => None,
+    /// Looks up a still-valid plan for `sql`, refreshing its LRU stamp. A
+    /// stale entry counts as an invalidation and stays until the caller's
+    /// fresh plan replaces it. Misses are *not* counted here — the caller
+    /// decides whether the statement was cacheable at all and calls
+    /// [`PlanCache::count_miss`] for the ones that were.
+    pub fn get(&self, sql: &str) -> Option<Arc<CachedPlan>> {
+        let entries = self.entries.read();
+        let e = entries.get(sql)?;
+        if !self.is_current(&e.plan) {
+            drop(entries);
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.counters.invalidation.inc();
+            return None;
         }
+        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
+        e.last_used.store(stamp, Ordering::Relaxed);
+        let plan = e.plan.clone();
+        drop(entries);
+        self.note_hit();
+        Some(plan)
     }
 
     /// Counts a hit served from a [`crate::StmtHandle`]'s own plan pointer
     /// (prepared execution validates the pinned plan without a map lookup).
     pub fn note_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        obs::global().counter("sqldb.plan_cache.hit").inc();
+        self.counters.hit.inc();
     }
 
     /// Counts a lookup that required a fresh parse of a cacheable statement.
     pub fn count_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::global().counter("sqldb.plan_cache.miss").inc();
+        self.counters.miss.inc();
     }
 
     /// Wraps a parsed statement into a plan that never enters the cache
     /// (one-shot DDL/utility statements). The plan carries no dependencies,
     /// so a pinned handle only goes stale on a views-epoch change.
-    pub fn uncached(&self, stmt: Statement) -> Arc<CachedPlan> {
-        Arc::new(CachedPlan {
-            param_count: count_params(&stmt),
-            deps: Vec::new(),
-            views_epoch: self.views_epoch.load(Ordering::Relaxed),
-            stmt,
-        })
+    pub fn uncached(&self, stmt: Statement, admission: Admission) -> Arc<CachedPlan> {
+        Arc::new(self.plan(stmt, admission, Vec::new()))
     }
 
-    /// Inserts a freshly parsed statement, capturing its dependency
-    /// versions, and returns the shared plan. Evicts least-recently-used
-    /// entries when over capacity.
-    pub fn insert(&self, key: String, stmt: Statement, deps: Vec<String>) -> Arc<CachedPlan> {
-        let param_count = count_params(&stmt);
-        let plan = {
+    /// Caches a freshly parsed statement under `sql`, capturing the
+    /// versions of the tables it locks, and returns the shared plan.
+    /// Evicts least-recently-used entries when over capacity.
+    pub fn insert(&self, sql: &str, stmt: Statement, admission: Admission) -> Arc<CachedPlan> {
+        let deps = {
             let versions = self.versions.read();
-            Arc::new(CachedPlan {
-                param_count,
-                deps: deps
-                    .into_iter()
-                    .map(|t| {
-                        let v = versions.get(&t).copied().unwrap_or(0);
-                        (t, v)
-                    })
-                    .collect(),
-                views_epoch: self.views_epoch.load(Ordering::Relaxed),
-                stmt,
-            })
+            let version = |t: &String| versions.get(t).copied().unwrap_or(0);
+            let locked = admission.locks.iter();
+            locked.map(|(t, _)| (t.clone(), version(t))).collect()
         };
-        let mut entries = self.entries.lock();
-        entries.insert(
-            key,
-            Entry {
-                plan: plan.clone(),
-                last_used: self.tick.fetch_add(1, Ordering::Relaxed),
-            },
-        );
-        self.evict_over_capacity(&mut entries);
+        let plan = Arc::new(self.plan(stmt, admission, deps));
+        let entry = Entry {
+            plan: plan.clone(),
+            last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
+        };
+        let mut entries = self.entries.write();
+        entries.insert(Arc::from(sql), entry);
+        let over = entries.len() > self.capacity.load(Ordering::Relaxed);
+        drop(entries);
+        if over {
+            self.evict_over_capacity();
+        }
         plan
     }
 
-    fn evict_over_capacity(&self, entries: &mut HashMap<String, Entry>) {
+    fn plan(&self, stmt: Statement, admission: Admission, deps: Vec<(String, u64)>) -> CachedPlan {
+        CachedPlan {
+            param_count: count_params(&stmt),
+            admission,
+            digest: OnceLock::new(),
+            deps,
+            views_epoch: self.views_epoch.load(Ordering::Relaxed),
+            stmt,
+        }
+    }
+
+    /// Evicts the least recently used entries down to 7/8 of the capacity,
+    /// so a full cache scans its entries once per capacity/8 misses, and
+    /// under the read lock. An entry used after the scan survives.
+    fn evict_over_capacity(&self) {
         let cap = self.capacity.load(Ordering::Relaxed);
-        while entries.len() > cap {
-            let victim = entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    entries.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    obs::global().counter("sqldb.plan_cache.eviction").inc();
-                }
-                None => break,
+        let (victims, newest) = {
+            let entries = self.entries.read();
+            if entries.len() <= cap {
+                return;
+            }
+            let n = entries.len() - (cap - cap / 8);
+            let stamp = |e: &Entry| e.last_used.load(Ordering::Relaxed);
+            let mut by_age: Vec<(u64, &Arc<str>)> =
+                entries.iter().map(|(k, e)| (stamp(e), k)).collect();
+            // the n oldest come first, the n-th oldest last among them
+            by_age.select_nth_unstable(n - 1);
+            let victims: Vec<Arc<str>> = by_age[..n].iter().map(|(_, k)| Arc::clone(k)).collect();
+            (victims, by_age[n - 1].0)
+        };
+        let mut entries = self.entries.write();
+        let mut evicted = Vec::with_capacity(victims.len());
+        for key in victims {
+            let unused = |e: &Entry| e.last_used.load(Ordering::Relaxed) <= newest;
+            if entries.get(&*key).is_some_and(unused) {
+                evicted.extend(entries.remove(&*key));
             }
         }
+        drop(entries);
+        let n = evicted.len() as u64;
+        self.evictions.fetch_add(n, Ordering::Relaxed);
+        self.counters.eviction.add(n);
+        // the plans are freed here, with the map unlocked
     }
 
     /// True while every dependency of `plan` is still at its prepare-time
@@ -274,7 +323,7 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            entries: self.entries.lock().len(),
+            entries: self.entries.read().len(),
         }
     }
 }
@@ -335,27 +384,31 @@ mod tests {
     use super::*;
     use crate::parser::parse_statement;
 
+    fn admission(deps: &[&str]) -> Admission {
+        Admission {
+            locks: deps
+                .iter()
+                .map(|t| (t.to_string(), LockMode::Shared))
+                .collect(),
+            valid: Ok(()),
+        }
+    }
+
     fn plan_of(cache: &PlanCache, sql: &str, deps: &[&str]) -> Arc<CachedPlan> {
-        let key = PlanCache::key(EngineProfile::Postgres, sql);
         // mirrors Session::plan_for: a fresh parse of a cacheable statement
         cache.count_miss();
-        cache.insert(
-            key,
-            parse_statement(sql).unwrap(),
-            deps.iter().map(|s| s.to_string()).collect(),
-        )
+        cache.insert(sql, parse_statement(sql).unwrap(), admission(deps))
     }
 
     #[test]
     fn hit_after_insert_miss_after_bump() {
         let cache = PlanCache::with_capacity(8);
         let sql = "SELECT a FROM t";
-        let key = PlanCache::key(EngineProfile::Postgres, sql);
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get(sql).is_none());
         plan_of(&cache, sql, &["t"]);
-        assert!(cache.get(&key).is_some());
+        assert!(cache.get(sql).is_some());
         cache.bump_table("t");
-        assert!(cache.get(&key).is_none(), "bumped dep must invalidate");
+        assert!(cache.get(sql).is_none(), "bumped dep must invalidate");
         let s = cache.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.invalidations, 1);
@@ -366,19 +419,17 @@ mod tests {
     fn unrelated_bump_keeps_plan() {
         let cache = PlanCache::with_capacity(8);
         let sql = "SELECT a FROM t";
-        let key = PlanCache::key(EngineProfile::Postgres, sql);
         plan_of(&cache, sql, &["t"]);
         cache.bump_table("other");
-        assert!(cache.get(&key).is_some());
+        assert!(cache.get(sql).is_some());
     }
 
     #[test]
     fn view_epoch_invalidates_everything() {
         let cache = PlanCache::with_capacity(8);
-        let key = PlanCache::key(EngineProfile::Postgres, "SELECT a FROM t");
         plan_of(&cache, "SELECT a FROM t", &["t"]);
         cache.bump_views();
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get("SELECT a FROM t").is_none());
     }
 
     #[test]
@@ -387,18 +438,33 @@ mod tests {
         plan_of(&cache, "SELECT 1", &[]);
         plan_of(&cache, "SELECT 2", &[]);
         // touch "SELECT 1" so "SELECT 2" is the LRU victim
-        assert!(cache
-            .get(&PlanCache::key(EngineProfile::Postgres, "SELECT 1"))
-            .is_some());
+        assert!(cache.get("SELECT 1").is_some());
         plan_of(&cache, "SELECT 3", &[]);
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().entries, 2);
-        assert!(cache
-            .get(&PlanCache::key(EngineProfile::Postgres, "SELECT 1"))
-            .is_some());
-        assert!(cache
-            .get(&PlanCache::key(EngineProfile::Postgres, "SELECT 2"))
-            .is_none());
+        assert!(cache.get("SELECT 1").is_some());
+        assert!(cache.get("SELECT 2").is_none());
+    }
+
+    #[test]
+    fn a_full_cache_evicts_its_oldest_eighth_at_once() {
+        let cache = PlanCache::with_capacity(16);
+        for i in 0..16 {
+            plan_of(&cache, &format!("SELECT {i}"), &[]);
+        }
+        // recently used: survives although it was inserted first
+        assert!(cache.get("SELECT 0").is_some());
+        plan_of(&cache, "SELECT 16", &[]);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (14, 3));
+        assert!(cache.get("SELECT 0").is_some());
+        for gone in ["SELECT 1", "SELECT 2", "SELECT 3"] {
+            assert!(cache.get(gone).is_none(), "{gone}");
+        }
+        // the next two misses fit without another scan
+        plan_of(&cache, "SELECT 17", &[]);
+        plan_of(&cache, "SELECT 18", &[]);
+        assert_eq!(cache.stats().evictions, 3);
     }
 
     #[test]
@@ -421,7 +487,7 @@ mod tests {
         ));
         assert!(!is_cacheable(&parse_statement("DROP TABLE t").unwrap()));
         let cache = PlanCache::with_capacity(2);
-        let plan = cache.uncached(parse_statement("DROP TABLE t").unwrap());
+        let plan = cache.uncached(parse_statement("DROP TABLE t").unwrap(), admission(&["t"]));
         assert!(cache.is_current(&plan), "no deps: only views outdate it");
         cache.bump_table("t");
         assert!(cache.is_current(&plan));
@@ -445,13 +511,5 @@ mod tests {
             substitute_params(&stmt, &[Value::Int(1), Value::Int(2), Value::Int(3)]),
             Err(DbError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn profile_is_part_of_the_key() {
-        assert_ne!(
-            PlanCache::key(EngineProfile::Postgres, "SELECT 1"),
-            PlanCache::key(EngineProfile::MySql, "SELECT 1")
-        );
     }
 }

@@ -1,6 +1,7 @@
 //! Execution statistics counters (lock-free, shared per database).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Cumulative execution counters for one database instance.
 ///
@@ -14,6 +15,22 @@ pub struct Stats {
     rows_joined: AtomicU64,
     index_lookups: AtomicU64,
     lock_waits: AtomicU64,
+    exec: ExecMetrics,
+}
+
+/// `sqloop.exec.*` in the process registry, resolved once per database.
+#[derive(Debug)]
+struct ExecMetrics(Arc<obs::Counter>, Arc<obs::Counter>, Arc<obs::Gauge>);
+
+impl Default for ExecMetrics {
+    fn default() -> ExecMetrics {
+        let reg = obs::global();
+        ExecMetrics(
+            reg.counter("sqloop.exec.batches"),
+            reg.counter("sqloop.exec.batch_rows"),
+            reg.gauge("sqloop.exec.rows_per_batch"),
+        )
+    }
 }
 
 /// A point-in-time copy of the counters.
@@ -60,6 +77,19 @@ impl Stats {
     /// Records a lock acquisition that had to wait.
     pub fn add_lock_waits(&self, n: u64) {
         self.lock_waits.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records batch-level execution actuals into the process registry
+    /// (`sqloop.exec.*`), picked up by the Prometheus scrape endpoint and
+    /// the CLI `\stats` view.
+    pub fn note_exec_batches(&self, batches: u64, rows: u64) {
+        if batches == 0 {
+            return;
+        }
+        let ExecMetrics(total, total_rows, rows_per_batch) = &self.exec;
+        total.add(batches);
+        total_rows.add(rows);
+        rows_per_batch.set((rows / batches) as i64);
     }
 
     /// Copies the current counter values.

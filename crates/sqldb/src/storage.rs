@@ -363,6 +363,16 @@ impl Table {
         Ok(old)
     }
 
+    /// Gives back the slots of a table whose rows were all deleted, so the
+    /// next append starts at slot 0 again. Only valid once no undo record
+    /// names a slot of this table.
+    pub fn reclaim_if_empty(&mut self) {
+        if self.live_count == 0 && !self.live.is_empty() {
+            self.cols = schema_cols(&self.schema);
+            self.live.clear();
+        }
+    }
+
     /// Puts rows [`Table::delete_slots`] returned back into their slots
     /// (undo).
     ///

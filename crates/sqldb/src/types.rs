@@ -134,8 +134,12 @@ impl Schema {
 
     /// Finds a column index by case-insensitive name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        let lowered = |c: &Column| {
+            c.name
+                .bytes()
+                .eq(name.bytes().map(|b| b.to_ascii_lowercase()))
+        };
+        self.columns.iter().position(lowered)
     }
 
     /// Validates and coerces a row against this schema.

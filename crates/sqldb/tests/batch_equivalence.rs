@@ -334,3 +334,137 @@ fn explain_analyze_counts_set_operation_rows() {
     let l = lines("SELECT DISTINCT a FROM x");
     has(&l, "Distinct", 3);
 }
+
+/// Statements whose `WHERE` an index seek answers in part or in full: the
+/// column/key type pairs the seek accepts (INT and FLOAT columns with INT
+/// or FLOAT keys, NaN included, TEXT with TEXT), keys it declines (NULL, a
+/// TEXT key on an INT column), a second conjunct that can fail, and DML.
+const SEEK_QUERIES: &[&str] = &[
+    "SELECT c_int, c_text FROM t WHERE c_int = 1",
+    "SELECT c_int, c_float FROM t WHERE c_float = 1",
+    "SELECT c_int, c_float FROM t WHERE c_float = -0.0",
+    "SELECT c_int FROM t WHERE c_float = 0.0 / 0.0",
+    "SELECT c_int FROM t WHERE c_int = NULL",
+    "SELECT c_int FROM t WHERE c_int = 'a'",
+    "SELECT c_int, c_bool FROM t WHERE c_text = 'a'",
+    "SELECT c_int, c_float FROM t WHERE c_int = -1 AND c_float > 0.0",
+    "SELECT c_int FROM t WHERE c_bool AND 0 = c_int AND c_text <> 'b'",
+    "SELECT c_int FROM t WHERE c_int = 0 AND 10 / c_int > 0",
+    "SELECT c_text, COUNT(*), MAX(c_float) FROM t WHERE c_text = 'b' GROUP BY c_text",
+    "SELECT c_text, c_text, c_int FROM t WHERE c_int = 1",
+    // the join algorithm follows the indexes, and with it the row order
+    "SELECT a.c_int, b.c_text FROM t AS a JOIN t AS b ON a.c_int = b.c_int WHERE a.c_text = 'a' \
+     ORDER BY 1, 2",
+];
+
+const SEEK_DML: &[&str] = &[
+    "UPDATE t SET c_text = 'z' WHERE c_int = 1",
+    "UPDATE t SET c_float = c_float + 1.0 WHERE c_text = 'a' AND c_bool",
+    "DELETE FROM t WHERE c_float = 0.0 / 0.0",
+    "DELETE FROM t WHERE c_int = 0 AND 10 / c_int > 0",
+];
+
+/// A statement's rows, or its error text.
+type Outcome = Result<Vec<Vec<Value>>, String>;
+
+/// Outcomes of the seek statements on `db`, each after its statement:
+/// each query's rows, and each DML statement's affected count with the
+/// table it leaves (taken back).
+fn seek_outcomes(db: &Database) -> Vec<(&'static str, Outcome)> {
+    let mut out: Vec<_> = SEEK_QUERIES.iter().map(|q| (*q, outcome(db, q))).collect();
+    let mut s = db.connect();
+    for dml in SEEK_DML {
+        s.execute("BEGIN").unwrap();
+        let changed = s
+            .execute(dml)
+            .map(|o| vec![vec![Value::Int(o.rows_affected() as i64)]]);
+        out.push((*dml, changed.map_err(|e| e.to_string())));
+        let table = s.query("SELECT * FROM t").map(|r| r.rows);
+        out.push((*dml, table.map_err(|e| e.to_string())));
+        s.execute("ROLLBACK").unwrap();
+    }
+    out
+}
+
+/// Whether a plan's lines (`EXPLAIN` or `EXPLAIN ANALYZE`) run a Filter.
+fn filters(db: &Database, sql: &str) -> bool {
+    let plan = db.connect().query(sql).unwrap();
+    plan.rows
+        .iter()
+        .any(|r| r[0].to_string().trim_start().starts_with("Filter"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A conjunct the index seek applied is not evaluated again; the rows,
+    /// errors and DML effects stay those of the row evaluator over the
+    /// same table without indexes, at every batch size, and `EXPLAIN`
+    /// plans a Filter exactly when `EXPLAIN ANALYZE` runs one.
+    #[test]
+    fn seek_applied_conjuncts_match_row_semantics(dump in arb_dump()) {
+        let plain = Database::new(EngineProfile::Postgres);
+        plain.import_table(&dump).unwrap();
+        plain.set_vectorized(false);
+        let baseline = seek_outcomes(&plain);
+        // a fresh copy per run: a rolled-back DML statement re-indexes its
+        // rows at the end of their keys' slot lists, which reorders seeks
+        let indexed = || {
+            let db = Database::new(EngineProfile::Postgres);
+            db.import_table(&dump).unwrap();
+            let mut s = db.connect();
+            for ix in ["c_int", "c_float", "c_text"] {
+                s.execute(&format!("CREATE INDEX t_{ix} ON t ({ix})")).unwrap();
+            }
+            db
+        };
+        for (vectorized, size) in [(true, Some(1)), (true, Some(3)), (true, None), (false, None)] {
+            let db = indexed();
+            db.set_vectorized(vectorized);
+            db.set_batch_size(size);
+            for (want, got) in baseline.iter().zip(seek_outcomes(&db)) {
+                prop_assert_eq!(want, &got, "vectorized={} batch={:?}", vectorized, size);
+            }
+        }
+        let db = indexed();
+        for sql in SEEK_QUERIES.iter().filter(|q| outcome(&db, q).is_ok()) {
+            prop_assert_eq!(
+                filters(&db, &format!("EXPLAIN {sql}")),
+                filters(&db, &format!("EXPLAIN ANALYZE {sql}")),
+                "{}", sql
+            );
+        }
+    }
+}
+
+/// The Filter goes exactly when the seek applied the whole `WHERE`.
+#[test]
+fn a_seek_that_applies_the_whole_where_runs_no_filter() {
+    let db = Database::new(EngineProfile::Postgres);
+    let mut s = db.connect();
+    s.execute("CREATE TABLE m (id INT, val FLOAT, __to INT)")
+        .unwrap();
+    s.execute("CREATE INDEX m_to ON m (__to)").unwrap();
+    s.execute("INSERT INTO m VALUES (1, 0.5, 3), (2, 1.5, 4), (3, 2.5, 3)")
+        .unwrap();
+    for (sql, filtered) in [
+        ("SELECT id, val FROM m WHERE __to = 3", false),
+        ("SELECT id, val FROM m WHERE 3 = __to", false),
+        ("SELECT id, val FROM m WHERE __to = 3 AND val > 1.0", true),
+        ("SELECT id, val FROM m WHERE __to = NULL", true),
+        ("SELECT id, val FROM m WHERE __to > 3", true),
+    ] {
+        for prefix in ["EXPLAIN", "EXPLAIN ANALYZE"] {
+            let plan = format!("{prefix} {sql}");
+            assert_eq!(filters(&db, &plan), filtered, "{plan}");
+        }
+    }
+    let rows = outcome(&db, "SELECT id, val FROM m WHERE __to = 3").unwrap();
+    assert_eq!(
+        rows,
+        vec![
+            vec![Value::Int(1), Value::Float(0.5)],
+            vec![Value::Int(3), Value::Float(2.5)]
+        ]
+    );
+}

@@ -60,6 +60,67 @@ fn a_unique_index_violation_leaves_every_index_intact() {
     }
 }
 
+/// Table `name`'s slots, live or dead.
+fn slots(db: &Database, name: &str) -> usize {
+    db.catalog().table(name).unwrap().read().slot_count()
+}
+
+#[test]
+fn a_table_a_committed_delete_empties_gives_its_slots_back() {
+    for profile in EngineProfile::ALL {
+        let db = Database::new(profile);
+        let mut s = db.connect();
+        s.execute("CREATE TABLE src (id INT, v FLOAT)").unwrap();
+        let values: Vec<String> = (0..1400).map(|i| format!("({i}, {i}.5)")).collect();
+        s.execute(&format!("INSERT INTO src VALUES {}", values.join(", ")))
+            .unwrap();
+        s.execute("CREATE TABLE t (id INT, v FLOAT)").unwrap();
+        s.execute("CREATE INDEX t_id ON t (id)").unwrap();
+        let empty = db.memory_used();
+        let mut filled = None;
+        // a message slot's life: emptied, then refilled, many times over
+        for round in 0..60 {
+            s.execute("DELETE FROM t").unwrap();
+            assert_eq!(slots(&db, "t"), 0, "{profile:?} round {round}");
+            assert_eq!(db.memory_used(), empty, "{profile:?} round {round}");
+            s.execute("INSERT INTO t SELECT id, v FROM src").unwrap();
+            assert_eq!(slots(&db, "t"), 1400, "{profile:?} round {round}");
+            let used = db.memory_used();
+            assert_eq!(
+                *filled.get_or_insert(used),
+                used,
+                "{profile:?} round {round}"
+            );
+        }
+        let filled = filled.unwrap();
+        let seek = "SELECT v FROM t WHERE id = 7";
+        assert_eq!(rows(&mut s, seek), vec![vec![Value::Float(7.5)]]);
+        // rolled back, the delete restores every row into its slot
+        s.execute("BEGIN").unwrap();
+        s.execute("DELETE FROM t").unwrap();
+        s.execute("ROLLBACK").unwrap();
+        assert_eq!(slots(&db, "t"), 1400, "{profile:?}");
+        assert_eq!(db.memory_used(), filled, "{profile:?}");
+        assert_eq!(rows(&mut s, seek), vec![vec![Value::Float(7.5)]]);
+        // in a transaction the slots come back at COMMIT, once no undo
+        // record can restore into them
+        s.execute("BEGIN").unwrap();
+        s.execute("DELETE FROM t WHERE id < 700").unwrap();
+        s.execute("DELETE FROM t").unwrap();
+        assert_eq!(slots(&db, "t"), 1400, "{profile:?}");
+        s.execute("COMMIT").unwrap();
+        assert_eq!(slots(&db, "t"), 0, "{profile:?}");
+        assert_eq!(db.memory_used(), empty, "{profile:?}");
+        // a partial delete keeps its dead slots: the table is not empty
+        s.execute("INSERT INTO t SELECT id, v FROM src").unwrap();
+        s.execute("DELETE FROM t WHERE id >= 700").unwrap();
+        assert_eq!(slots(&db, "t"), 1400, "{profile:?}");
+        s.execute("TRUNCATE TABLE t").unwrap();
+        assert_eq!(slots(&db, "t"), 0, "{profile:?}");
+        assert!(rows(&mut s, seek).is_empty());
+    }
+}
+
 #[test]
 fn create_table_as_infers_float_for_mixed_numbers_and_is_atomic() {
     for profile in EngineProfile::ALL {
