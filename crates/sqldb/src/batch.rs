@@ -181,6 +181,18 @@ impl Col {
         Col { data, valid }
     }
 
+    /// `n` lanes of `v`, in the layout [`Col::from_values`] gives them.
+    pub(crate) fn splat(v: Value, n: usize) -> Col {
+        let valid = vec![!v.is_null(); n];
+        let data = match v {
+            Value::Int(i) => ColData::Int(vec![i; n]),
+            Value::Float(f) => ColData::Float(vec![f; n]),
+            Value::Bool(b) => ColData::Bool(vec![b; n]),
+            v => ColData::Mixed(vec![v; n]),
+        };
+        Col { data, valid }
+    }
+
     /// `n` NULL lanes.
     pub fn nulls(n: usize) -> Col {
         Col {
@@ -227,6 +239,43 @@ impl Col {
             }
         }
         self.valid[lane] = valid;
+    }
+
+    /// Writes lane `i` of `src` into lane `idx[i]`: typed while `src` has
+    /// this column's layout, through [`Col::set`] otherwise.
+    pub(crate) fn scatter(&mut self, idx: &[usize], src: &Col) {
+        fn put<T: Clone>(d: &mut [T], idx: &[usize], s: &[T]) {
+            idx.iter().zip(s).for_each(|(&i, v)| d[i] = v.clone());
+        }
+        match (&mut self.data, &src.data) {
+            (ColData::Int(d), ColData::Int(s)) => put(d, idx, s),
+            (ColData::Float(d), ColData::Float(s)) => put(d, idx, s),
+            (ColData::Bool(d), ColData::Bool(s)) => put(d, idx, s),
+            (ColData::Mixed(d), ColData::Mixed(s)) => put(d, idx, s),
+            _ => {
+                let lanes = idx.iter().enumerate();
+                return lanes.for_each(|(i, &lane)| self.set(lane, src.value_at(i)));
+            }
+        }
+        put(&mut self.valid, idx, &src.valid);
+    }
+
+    /// Sets `changed[lane]` where this column's lane differs from `old`'s,
+    /// as [`Value`]'s `!=` says: NULL equals NULL, floats compare by bits
+    /// (`-0.0 ≠ 0.0`, a NaN equals itself). Only a layout pair that is not
+    /// shared and typed compares `Value`s.
+    pub fn mark_changed(&self, old: &Col, changed: &mut [bool]) {
+        let differ = |lane: usize| match (&self.data, &old.data) {
+            (ColData::Int(a), ColData::Int(b)) => a[lane] != b[lane],
+            (ColData::Float(a), ColData::Float(b)) => a[lane].to_bits() != b[lane].to_bits(),
+            (ColData::Bool(a), ColData::Bool(b)) => a[lane] != b[lane],
+            (ColData::Mixed(a), ColData::Mixed(b)) => a[lane] != b[lane],
+            _ => self.value_at(lane) != old.value_at(lane),
+        };
+        for (lane, c) in changed.iter_mut().enumerate() {
+            let (x, y) = (self.valid[lane], old.valid[lane]);
+            *c |= x != y || (x && differ(lane));
+        }
     }
 
     /// Appends every lane of `src`.
@@ -303,10 +352,23 @@ impl ColBuilder {
     }
 }
 
-/// Empty columns for rows of `schema`, typed as declared.
-pub fn schema_cols(schema: &Schema) -> Vec<Col> {
-    let types = schema.columns().iter().map(|c| c.data_type);
-    types.map(|ty| ColBuilder::new(ty, 0).0).collect()
+/// `n` NULL lanes for each column of `schema`, typed as declared.
+pub fn schema_cols(schema: &Schema, n: usize) -> Vec<Col> {
+    let nulls = |ty: DataType| {
+        let data = match ty {
+            DataType::Int => ColData::Int(vec![0; n]),
+            DataType::Float => ColData::Float(vec![0.0; n]),
+            DataType::Bool => ColData::Bool(vec![false; n]),
+            DataType::Text => ColData::Mixed(vec![Value::Null; n]),
+        };
+        let valid = vec![false; n];
+        Col { data, valid }
+    };
+    schema
+        .columns()
+        .iter()
+        .map(|c| nulls(c.data_type))
+        .collect()
 }
 
 /// A fixed-size batch of rows in columnar layout.
@@ -461,7 +523,7 @@ impl EvalOut {
         match self {
             EvalOut::Owned(c) => c,
             EvalOut::Ref(i) => batch.col(i).clone(),
-            EvalOut::Const(v) => Col::from_values(vec![v; batch.len()]),
+            EvalOut::Const(v) => Col::splat(v, batch.len()),
         }
     }
 
@@ -753,14 +815,18 @@ impl Kernel {
                 }))
             }
             Kernel::Coalesce(args) => {
-                let outs = args.iter().map(|k| k.eval(batch));
-                let outs = outs.collect::<DbResult<Vec<EvalOut>>>()?;
-                let first = |lane| {
-                    let mut values = outs.iter().map(|o| o.value_at(batch, lane));
-                    values.find(|v| !v.is_null()).unwrap_or(Value::Null)
-                };
-                let lanes = (0..batch.len()).map(first).collect();
-                Ok(EvalOut::Owned(Col::from_values(lanes)))
+                // the first argument's lanes, each NULL one filled from the
+                // next argument that has a value there
+                let outs = args.iter().map(|k| Ok(k.eval(batch)?.into_col(batch)));
+                let mut outs = outs.collect::<DbResult<Vec<Col>>>()?.into_iter();
+                let mut out = outs.next().unwrap_or_else(|| Col::nulls(batch.len()));
+                for next in outs {
+                    let fill: Vec<usize> = (0..out.len()).filter(|&l| !out.valid[l]).collect();
+                    for lane in fill.into_iter().filter(|&l| next.valid[l]) {
+                        out.set(lane, next.value_at(lane));
+                    }
+                }
+                Ok(EvalOut::Owned(out))
             }
             Kernel::Fallback(expr) => {
                 // each lane's row carries only the columns the subtree reads

@@ -1,7 +1,7 @@
 //! Query and DML execution over materialized relations.
 
 use crate::ast::*;
-use crate::batch::{Col, ColData, ColumnBatch, CompiledExpr, EvalOut, NO_LANE};
+use crate::batch::{Col, ColBuilder, ColData, ColumnBatch, CompiledExpr, EvalOut, NO_LANE};
 use crate::bind::{bind_scalar, bind_with_aggregates, AggSpec, BoundExpr, Scope, ScopeRelation};
 use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
@@ -13,9 +13,8 @@ use crate::stats::Stats;
 use crate::storage::Table;
 use crate::txn::{apply_undo, UndoLog, UndoOp};
 use crate::types::{Column, DataType, Schema};
-use crate::value::{canonical_nan, Row, Value};
+use crate::value::{canonical_nan, int_key_hash, KeyHasher, KeyMap, Row, Value};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::time::Instant;
@@ -248,32 +247,10 @@ impl<'a> Executor<'a> {
         self.run_query_depth(q, 0)
     }
 
-    /// Executes `q` with operator profiling attached and renders the plan
-    /// tree annotated with per-operator actuals (`EXPLAIN ANALYZE`).
-    fn analyze_query(&self, q: &SelectStmt) -> DbResult<Vec<String>> {
-        let prof = OpProfiler::new();
-        let sub = Executor {
-            prof: Some(&prof),
-            ..*self
-        };
-        let start = Instant::now();
-        let result = sub.run_query(q)?;
-        let total_us = us_since(start);
-        let mut lines = Vec::new();
-        for root in prof.take() {
-            root.render(0, &mut lines);
-        }
-        lines.push(format!(
-            "Execution: rows={} time_us={}",
-            result.rows.len(),
-            total_us
-        ));
-        Ok(lines)
-    }
-
-    /// `EXPLAIN ANALYZE` of an `UPDATE` or `DELETE`: runs it with operator
-    /// profiling attached, takes its changes back, and renders the tree.
-    fn analyze_dml(&self, stmt: &Statement, undo: &mut UndoLog) -> DbResult<Vec<String>> {
+    /// `EXPLAIN ANALYZE`: runs `stmt` — a query, `UPDATE`, `DELETE` or
+    /// `INSERT … SELECT` — with operator profiling attached, takes back
+    /// whatever it changed, and renders the tree with per-operator actuals.
+    fn analyze(&self, stmt: &Statement, undo: &mut UndoLog) -> DbResult<Vec<String>> {
         let prof = OpProfiler::new();
         let sub = Executor {
             prof: Some(&prof),
@@ -286,15 +263,15 @@ impl<'a> Executor<'a> {
         // the statement was measured, not meant: whatever it changed (even
         // on its way to an error) is undone before anything is reported
         apply_undo(self.catalog, undo.split_off(mark))?;
+        let rows = match result? {
+            StmtOutput::Rows(r) => r.rows.len() as u64,
+            done => done.rows_affected(),
+        };
         let mut lines = Vec::new();
         for root in prof.take() {
             root.render(0, &mut lines);
         }
-        lines.push(format!(
-            "Execution: rows={} time_us={}",
-            result?.rows_affected(),
-            total_us
-        ));
+        lines.push(format!("Execution: rows={rows} time_us={total_us}"));
         Ok(lines)
     }
 
@@ -654,7 +631,7 @@ impl<'a> Executor<'a> {
             .collect();
 
         let mut groups = Groups::default();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut index: KeyMap<Vec<Value>, usize> = KeyMap::default();
         // Single-INT-key fast path: while every batch's key column has been a
         // fully-valid Int vector, group through an i64-keyed map instead of
         // allocating a `Vec<Value>` key per lane. The flag drops permanently
@@ -663,8 +640,7 @@ impl<'a> Executor<'a> {
         // would then miss groups created through the generic index; at that
         // moment the typed index's groups move to the generic one, so later
         // batches keep grouping consistently.
-        let mut int_index: HashMap<i64, usize, std::hash::BuildHasherDefault<IntKeyHasher>> =
-            HashMap::default();
+        let mut int_index: KeyMap<i64, usize> = KeyMap::default();
         let mut typed_ok = compiled_keys.len() == 1;
         for (bi, b) in batches.iter().enumerate() {
             self.check_deadline()?;
@@ -765,7 +741,7 @@ impl<'a> Executor<'a> {
         // representative row for projecting group-by columns), so the entry
         // API moves each key in without a clone
         let (mut groups, mut reps) = (Groups::default(), Vec::new());
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut index: KeyMap<Vec<Value>, usize> = KeyMap::default();
         for (i, row) in input.iter().enumerate() {
             if i & 0xFFF == 0 {
                 self.check_deadline()?;
@@ -1098,10 +1074,16 @@ impl<'a> Executor<'a> {
             Statement::Select(q) => Ok(StmtOutput::Rows(self.run_query(q)?)),
             Statement::Explain { analyze, stmt } => {
                 let lines = match (analyze, stmt.as_ref()) {
-                    (true, Statement::Select(q)) => self.analyze_query(q)?,
-                    (true, dml @ (Statement::Update(_) | Statement::Delete { .. })) => {
-                        self.analyze_dml(dml, undo)?
-                    }
+                    (
+                        true,
+                        run @ (Statement::Select(_)
+                        | Statement::Update(_)
+                        | Statement::Delete { .. }
+                        | Statement::Insert(Insert {
+                            source: InsertSource::Select(_),
+                            ..
+                        })),
+                    ) => self.analyze(run, undo)?,
                     (_, inner) => {
                         crate::explain::explain_statement(self.catalog, self.profile, inner)?
                     }
@@ -1203,6 +1185,7 @@ impl<'a> Executor<'a> {
     }
 
     fn exec_insert(&self, ins: &Insert, undo: &mut UndoLog) -> DbResult<StmtOutput> {
+        let t0 = self.prof_start();
         let handle = self.catalog.table(&ins.table)?;
         let batches = match &ins.source {
             InsertSource::Values(rows) => {
@@ -1227,8 +1210,13 @@ impl<'a> Executor<'a> {
             }
             InsertSource::Select(q) => self.query_batches(q, 0)?.batches,
         };
+        let rows_in = batches.iter().map(|b| b.len() as u64).sum();
         let count =
             self.append_batches(&ins.table, &handle, batches, ins.columns.as_deref(), undo)?;
+        if let Some(p) = self.prof {
+            let us = t0.map_or(0, us_since);
+            p.wrap(1, format!("Insert {}", ins.table), count, rows_in, us);
+        }
         Ok(StmtOutput::Affected(count))
     }
 
@@ -1343,13 +1331,13 @@ impl<'a> Executor<'a> {
             // the join emits a target row's pairs in FROM order: keeping
             // the first per slot is "first matching FROM row wins"
             let slot_at = joined.arity() - 1;
-            let mut seen = vec![false; handle.read().slot_count()];
             let Rel { scope, batches, .. } = joined;
+            let mut seen = KeyMap::<i64, ()>::default();
+            seen.reserve(batches.iter().map(ColumnBatch::len).sum());
             let mut matches = Vec::with_capacity(batches.len());
             for b in batches {
-                let slots = b.col(slot_at);
-                let mut first = |lane| !std::mem::replace(&mut seen[slot_of(slots, lane)], true);
-                let first: Vec<bool> = (0..b.len()).map(&mut first).collect();
+                let slots = slot_lanes(b.col(slot_at)).iter();
+                let first: Vec<bool> = slots.map(|&s| seen.insert(s, ()).is_none()).collect();
                 let b = keep(b, &first);
                 if !b.is_empty() {
                     matches.push(b);
@@ -1358,8 +1346,9 @@ impl<'a> Executor<'a> {
             (scope, target_at, matches)
         };
 
-        // the SET list: (column, its type, value expression)
-        let (arity, assignments) = {
+        // the SET list: (column, its type, value expression); like
+        // PostgreSQL, a column may be assigned once
+        let assignments = {
             let table = handle.read();
             let schema = table.schema();
             let mut assignments = Vec::with_capacity(upd.assignments.len());
@@ -1367,34 +1356,32 @@ impl<'a> Executor<'a> {
                 let idx = schema
                     .column_index(col)
                     .ok_or_else(|| DbError::NotFound(format!("column {col}")))?;
+                if assignments.iter().any(|(c, _, _)| *c == idx) {
+                    return Err(DbError::Invalid(format!("column {col} is assigned twice")));
+                }
                 let data_type = schema.columns()[idx].data_type;
                 assignments.push((idx, data_type, CompiledExpr::new(&bind_scalar(e, &scope)?)));
             }
-            (schema.arity(), assignments)
+            assignments
         };
+        let cols: Vec<usize> = assignments.iter().map(|(c, _, _)| *c).collect();
 
-        // each batch's new target rows; those that differ from the current
-        // ones are written in one call, whose old rows are the statement's
-        // undo entry
+        // each batch's new lanes of the assigned columns; the rows where one
+        // differs from the current lane are written in one call, whose old
+        // lanes are the statement's undo entry
         let matched = matches.iter().map(|b| b.len() as u64).sum();
         let (mut slots, mut rows) = (Vec::new(), Vec::new());
         let mut failed = None;
         for b in &matches {
             self.check_deadline()?;
-            let (new, done, err) = set_rows(b, target_at, arity, &assignments);
-            let current = |c: usize| b.col(target_at + c);
-            let changed: Vec<bool> = (0..b.len())
-                .map(|lane| {
-                    lane < done
-                        && assignments
-                            .iter()
-                            .any(|(c, _, _)| new[*c].value_at(lane) != current(*c).value_at(lane))
-                })
-                .collect();
-            let slot_col = b.col(b.arity() - 1);
-            let lanes = (0..b.len()).filter(|&lane| changed[lane]);
-            slots.extend(lanes.map(|lane| slot_of(slot_col, lane)));
-            rows.push(keep(ColumnBatch::from_cols(new, b.len()), &changed));
+            let (new, done, err) = set_rows(b, &assignments);
+            let mut changed = vec![false; done];
+            for (&c, lanes) in cols.iter().zip(&new) {
+                lanes.mark_changed(b.col(target_at + c), &mut changed);
+            }
+            let slot_col = slot_lanes(b.col(b.arity() - 1)).iter().zip(&changed);
+            slots.extend(slot_col.filter(|(_, &c)| c).map(|(&s, _)| s as usize));
+            rows.push(keep(ColumnBatch::from_cols(new, done), &changed));
             if err.is_some() {
                 failed = err;
                 break;
@@ -1402,11 +1389,12 @@ impl<'a> Executor<'a> {
         }
         let count = slots.len() as u64;
         if !slots.is_empty() {
-            let new = ColumnBatch::concat(rows, arity).into_cols();
-            let old = handle.write().update_slots(&slots, &new, true)?;
+            let new = ColumnBatch::concat(rows, cols.len()).into_cols();
+            let old = handle.write().update_slots(&slots, &cols, &new, true)?;
             undo.push(UndoOp::Update {
                 table: upd.table.clone(),
                 slots,
+                cols,
                 old,
             });
         }
@@ -1437,12 +1425,27 @@ impl<'a> Executor<'a> {
             name: table.to_owned(),
             alias: None,
         };
-        let scope = table_scope(&handle, table);
-        let matches = self.matching_batches(&handle, &target, &scope, selection.as_ref())?;
-        let slot_cols = matches.iter().map(|b| b.col(b.arity() - 1));
-        let slots: Vec<usize> = slot_cols
-            .flat_map(|c| (0..c.len()).map(move |lane| slot_of(c, lane)))
-            .collect();
+        let slots: Vec<usize> = match selection {
+            // every row goes, so its slot is all that is read of it
+            None => {
+                let live = handle.read();
+                let mut slots = Vec::with_capacity(live.len());
+                slots.extend(live.live_slots());
+                let n = slots.len() as u64;
+                self.count_access(&AccessPath::Scan, n);
+                if let Some(p) = self.prof {
+                    let us = t0.map_or(0, us_since);
+                    p.leaf(AccessPath::Scan.describe(table, false), n, us);
+                }
+                slots
+            }
+            Some(w) => {
+                let scope = table_scope(&handle, table);
+                let matches = self.matching_batches(&handle, &target, &scope, Some(w))?;
+                let slot_cols = matches.iter().map(|b| slot_lanes(b.col(b.arity() - 1)));
+                slot_cols.flatten().map(|&s| s as usize).collect()
+            }
+        };
         let count = slots.len() as u64;
         if !slots.is_empty() {
             let old = handle.write().delete_slots(&slots)?;
@@ -1657,36 +1660,6 @@ fn is_grouped(s: &Select) -> bool {
         || s.having.as_ref().is_some_and(|h| h.contains_aggregate())
 }
 
-/// Multiply-xorshift hasher for the single-INT-key aggregate index. The
-/// default SipHash dominates the per-lane grouping cost at this key width;
-/// group keys are not attacker-controlled hash-flood targets, so a two-op
-/// mix is enough.
-#[derive(Default)]
-struct IntKeyHasher(u64);
-
-impl std::hash::Hasher for IntKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_i64(&mut self, i: i64) {
-        self.0 = int_key_hash(i);
-    }
-}
-
-/// [`IntKeyHasher`]'s mix of one `i64` key; the hash join's flat build
-/// table buckets its integer keys with it directly.
-pub(crate) fn int_key_hash(i: i64) -> u64 {
-    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^ (h >> 32)
-}
-
 /// Per-group aggregate accumulator.
 #[derive(Debug)]
 enum AggAcc {
@@ -1849,7 +1822,7 @@ fn distinct(batches: Vec<ColumnBatch>, arity: usize) -> Vec<ColumnBatch> {
             int_key_hash(key ^ h.rotate_left(29) as i64)
         }),
         None => {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
+            let mut h = KeyHasher::default();
             cols.iter().for_each(|c| c.value_at(lane).hash(&mut h));
             h.finish()
         }
@@ -2009,10 +1982,12 @@ fn keep(b: ColumnBatch, mask: &[bool]) -> ColumnBatch {
     }
 }
 
-/// The slot in `lane` of a batch's slot column.
-fn slot_of(slots: &Col, lane: usize) -> usize {
-    let slot = slots.value_at(lane).as_i64();
-    slot.expect("slot column holds the slot") as usize
+/// The slots a batch's slot column ([`Table::slot_col`]) holds.
+fn slot_lanes(slots: &Col) -> &[i64] {
+    match &slots.data {
+        ColData::Int(v) => v,
+        _ => unreachable!("a slot column holds Int lanes"),
+    }
 }
 
 /// A source row of an `INSERT` as a row of a table of `schema`: mapped
@@ -2074,51 +2049,35 @@ fn target_batch(
     (ColumnBatch::from_rows(rows, arity), None)
 }
 
-/// The target columns of `b`'s rows (`arity` of them, from `target_at`)
-/// after the SET list — each `(column, type, expression)` evaluated on the
-/// matched row and coerced — and how many lanes took their new values. The
-/// SET kernels run over the whole batch; if one fails, the rows are redone
-/// one at a time, and the first whose SET list fails stops it with its
-/// error (it and the rows after it keep their current values).
-fn set_rows(
-    b: &ColumnBatch,
-    target_at: usize,
-    arity: usize,
-    assignments: &[(usize, DataType, CompiledExpr)],
-) -> (Vec<Col>, usize, Option<DbError>) {
-    let mut set: Vec<Option<Col>> = vec![None; arity];
-    let kernels = assignments.iter().try_for_each(|(c, ty, e)| {
-        set[*c] = Some(e.try_eval(b)?.into_col(b).coerce(*ty)?);
-        DbResult::Ok(())
-    });
-    if kernels.is_ok() {
-        let cols = set.into_iter().enumerate();
-        let cols = cols.map(|(c, new)| new.unwrap_or_else(|| b.col(target_at + c).clone()));
-        return (cols.collect(), b.len(), None);
+/// One `SET` item: the column, its type and the value expression.
+type Assignment = (usize, DataType, CompiledExpr);
+
+/// The new lanes of each assigned column for the matched rows in `b`,
+/// coerced to the column's type, and how many rows they cover. A kernel
+/// error re-runs the batch a row at a time, which stops at the row path's
+/// first error and returns it: the lanes cover the rows before that one.
+fn set_rows(b: &ColumnBatch, assignments: &[Assignment]) -> (Vec<Col>, usize, Option<DbError>) {
+    let kernel = |(_, ty, e): &Assignment| e.try_eval(b)?.into_col(b).coerce(*ty);
+    if let Ok(cols) = assignments
+        .iter()
+        .map(kernel)
+        .collect::<DbResult<Vec<Col>>>()
+    {
+        return (cols, b.len(), None);
     }
-    let mut rows = Vec::with_capacity(b.len());
-    let mut failed = None;
+    let builder = |(_, ty, _): &Assignment| ColBuilder::new(*ty, b.len());
+    let mut cols: Vec<ColBuilder> = assignments.iter().map(builder).collect();
+    let finish = |cols: Vec<ColBuilder>| cols.into_iter().map(ColBuilder::finish).collect();
     for lane in 0..b.len() {
         let row = b.row_at(lane);
-        let current = &row[target_at..target_at + arity];
-        let mut new_row = current.to_vec();
-        if failed.is_none() {
-            let set = assignments.iter().try_for_each(|(c, ty, e)| {
-                new_row[*c] = ty.coerce(e.expr().eval(&row)?)?;
-                DbResult::Ok(())
-            });
-            if let Err(e) = set {
-                failed = Some((lane, e));
-                new_row = current.to_vec();
-            }
+        let set = |(_, ty, e): &Assignment| ty.coerce(e.expr().eval(&row)?);
+        let values: DbResult<Vec<Value>> = assignments.iter().map(set).collect();
+        match values {
+            Ok(values) => cols.iter_mut().zip(values).for_each(|(c, v)| c.push(v)),
+            Err(e) => return (finish(cols), lane, Some(e)),
         }
-        rows.push(new_row);
     }
-    let cols = ColumnBatch::from_rows(rows, arity).into_cols();
-    match failed {
-        Some((lane, e)) => (cols, lane, Some(e)),
-        None => (cols, b.len(), None),
-    }
+    (finish(cols), b.len(), None)
 }
 
 /// Infers a schema from a query's output (for `CREATE TABLE AS SELECT`):

@@ -1,4 +1,4 @@
-//! `EXPLAIN SELECT | UPDATE | DELETE …` — a textual plan describing the
+//! `EXPLAIN SELECT | UPDATE | DELETE | INSERT … SELECT` — a textual plan describing the
 //! access paths and join algorithms the executor will pick, per engine
 //! profile.
 //!
@@ -21,8 +21,8 @@ use std::borrow::Cow;
 /// Row-count guess for a relation whose size only execution reveals.
 const UNKNOWN_ROWS: usize = 1000;
 
-/// Renders a plan for a `SELECT`, `UPDATE` or `DELETE` statement as
-/// indented text lines.
+/// Renders a plan for a `SELECT`, `UPDATE`, `DELETE` or `INSERT … SELECT`
+/// statement as indented text lines.
 ///
 /// # Errors
 /// Returns [`DbError::NotFound`] for unknown relations and
@@ -44,9 +44,18 @@ pub fn explain_statement(
             };
             explain_dml_access(catalog, &target, selection.as_ref(), &mut out)?;
         }
+        Statement::Insert(Insert {
+            table,
+            source: InsertSource::Select(q),
+            ..
+        }) => {
+            catalog.table(table)?;
+            push(&mut out, 0, format!("Insert {table}"));
+            explain_stmt(catalog, profile, q, 1, &mut out)?;
+        }
         _ => {
             return Err(DbError::Unsupported(
-                "EXPLAIN supports SELECT, UPDATE and DELETE statements only".into(),
+                "EXPLAIN supports SELECT, UPDATE, DELETE and INSERT … SELECT only".into(),
             ))
         }
     }
@@ -667,6 +676,51 @@ mod tests {
             assert_eq!(left.rows[0][0], crate::Value::Int(396), "{profile:?}");
             s.execute("ROLLBACK").unwrap();
             assert_eq!(snapshot(&mut s), before, "{profile:?}");
+        }
+    }
+
+    #[test]
+    fn explain_insert_select_shows_its_query_and_analyze_takes_it_back() {
+        for profile in EngineProfile::ALL {
+            let d = populated(profile);
+            let mut s = d.connect();
+            s.execute("CREATE TABLE fanout (id INT PRIMARY KEY, n INT)")
+                .unwrap();
+            s.execute("CREATE INDEX fanout_n ON fanout (n)").unwrap();
+            s.execute("INSERT INTO fanout VALUES (1000, 4)").unwrap();
+            let sql =
+                "INSERT INTO fanout SELECT src, COUNT(*) FROM edges WHERE dst < 200 GROUP BY src";
+            let text = plan_on(&d, sql);
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines[0], "Insert fanout", "{profile:?}: {text}");
+            assert!(
+                lines[1].starts_with("  HashAggregate"),
+                "{profile:?}: {text}"
+            );
+            assert!(
+                text.contains("\n      SeqScan edges"),
+                "{profile:?}: {text}"
+            );
+            let rows = |s: &mut crate::Session| s.query("SELECT * FROM fanout").unwrap().rows;
+            let (before, bytes) = (rows(&mut s), d.memory_used());
+            let text = plan_on(&d, &format!("ANALYZE {sql}"));
+            assert!(
+                text.starts_with("Insert fanout (actual rows=100 calls=100 "),
+                "{profile:?}: {text}"
+            );
+            assert!(text.contains("\n  HashAggregate"), "{profile:?}: {text}");
+            assert!(
+                text.contains("\nExecution: rows=100 "),
+                "{profile:?}: {text}"
+            );
+            assert_eq!(rows(&mut s), before, "{profile:?}");
+            assert_eq!(d.memory_used(), bytes, "{profile:?}");
+            let seek = s.query("SELECT id FROM fanout WHERE n = 4").unwrap();
+            assert_eq!(
+                seek.rows,
+                vec![vec![crate::Value::Int(1000)]],
+                "{profile:?}"
+            );
         }
     }
 

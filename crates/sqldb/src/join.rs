@@ -29,13 +29,12 @@ use crate::bind::{bind_scalar, BoundExpr, Scope, ScopeRelation};
 use crate::budget::{MemoryBudget, Reservation};
 use crate::catalog::TableHandle;
 use crate::error::{DbError, DbResult};
-use crate::exec::{int_key_hash, ExecLimits};
+use crate::exec::ExecLimits;
 use crate::profile::{EngineProfile, JoinStrategy};
 use crate::stats::Stats;
 use crate::storage::Table;
 use crate::types::DataType;
-use crate::value::{Row, Value};
-use std::collections::HashMap;
+use crate::value::{int_key_hash, KeyMap, Row, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -536,7 +535,7 @@ enum Heads<'a> {
     Int { buckets: Vec<u32>, keys: &'a [i64] },
     /// Anything else goes through [`Value`]'s own hash and equality, under
     /// which `Int(2)` and `Float(2.0)` are one key.
-    Any(HashMap<Value, u32>),
+    Any(KeyMap<Value, u32>),
 }
 
 impl<'a> BuildTable<'a> {
@@ -555,7 +554,7 @@ impl<'a> BuildTable<'a> {
                 Heads::Int { buckets, keys }
             }
             _ => {
-                let mut map = HashMap::with_capacity(col.len());
+                let mut map = KeyMap::with_capacity_and_hasher(col.len(), Default::default());
                 for lane in lanes {
                     let head = map.insert(col.value_at(lane), lane as u32);
                     next[lane] = head.unwrap_or(NO_LANE);

@@ -5,8 +5,7 @@ use crate::batch::{schema_cols, Col, ColData, ColumnBatch};
 use crate::budget::{value_bytes, MemoryBudget, ROW_OVERHEAD};
 use crate::error::{DbError, DbResult};
 use crate::types::Schema;
-use crate::value::{Row, Value};
-use std::collections::HashMap;
+use crate::value::{KeyMap, Row, Value};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use std::sync::Arc;
 /// `Bool` lanes, or `Value`s for TEXT — so a scan copies lanes, an index
 /// seek gathers them, and the executor's column batches are built without
 /// rebuilding rows. Row slots are stable across updates; a delete clears
-/// the slot's live flag and NULLs its lanes. The primary-key index (present
+/// the slot's live flag and its lanes' validity bits. The primary-key index (present
 /// when the schema declares a PK) maps key value → slot and enforces
 /// uniqueness, matching the `Rid` assumption SQLoop relies on for
 /// partitioning and updating the CTE table.
@@ -28,7 +27,7 @@ pub struct Table {
     /// Whether each slot holds a row.
     live: Vec<bool>,
     live_count: usize,
-    pk_index: Option<HashMap<Value, usize>>,
+    pk_index: Option<KeyMap<Value, usize>>,
     secondary: Vec<SecondaryIndex>,
     /// Database-wide byte budget this table charges row payloads against
     /// (attached by the catalog on registration; detached tables — e.g.
@@ -47,7 +46,7 @@ pub struct SecondaryIndex {
     pub column: usize,
     /// Uniqueness enforced on insert/update.
     pub unique: bool,
-    map: HashMap<Value, Vec<usize>>,
+    map: KeyMap<Value, Vec<usize>>,
 }
 
 impl SecondaryIndex {
@@ -63,13 +62,33 @@ impl SecondaryIndex {
         Ok(())
     }
 
-    fn remove(&mut self, key: &Value, slot: usize) {
-        if let Some(v) = self.map.get_mut(key) {
-            v.retain(|s| *s != slot);
-            if v.is_empty() {
-                self.map.remove(key);
+    /// Takes the `(key, slot)` entries `gone` out in one pass over each
+    /// key's slots; the slots left keep their order, which is the order a
+    /// seek returns.
+    fn remove_all(&mut self, mut gone: Vec<(Value, usize)>) {
+        gone.sort_unstable();
+        for run in gone.chunk_by(|a, b| a.0 == b.0) {
+            if let Some(v) = self.map.get_mut(&run[0].0) {
+                v.retain(|s| run.binary_search_by_key(s, |g| g.1).is_err());
+                if v.is_empty() {
+                    self.map.remove(&run[0].0);
+                }
             }
         }
+    }
+
+    /// Moves the rows in `slots` whose key changed from lane `i` of `old` to
+    /// lane `i` of `new`: they join the end of their new key's slots in row
+    /// order and leave their old key's in one pass per key.
+    fn rekey(&mut self, slots: &[usize], new: &Col, old: &Col) {
+        let mut changed = vec![false; slots.len()];
+        new.mark_changed(old, &mut changed);
+        let mut gone = Vec::new();
+        for (i, &slot) in slots.iter().enumerate().filter(|(i, _)| changed[*i]) {
+            self.map.entry(new.value_at(i)).or_default().push(slot);
+            gone.push((old.value_at(i), slot));
+        }
+        self.remove_all(gone);
     }
 
     /// Slots whose indexed column equals `key`.
@@ -78,29 +97,29 @@ impl SecondaryIndex {
     }
 }
 
-/// What [`crate::budget::row_bytes`] charges for the value in `lane` of
-/// `col`, without building it.
-fn lane_bytes(col: &Col, lane: usize) -> u64 {
-    match &col.data {
-        _ if !col.valid[lane] => value_bytes(&Value::Null),
-        ColData::Int(_) | ColData::Float(_) => 16,
-        ColData::Bool(_) => 8,
-        ColData::Mixed(v) => value_bytes(&v[lane]),
-    }
-}
-
-/// [`crate::budget::row_bytes`] summed over the `n` rows `cols` hold.
+/// [`crate::budget::row_bytes`] summed over the `n` rows `cols` hold,
+/// without building them: a typed lane costs what its type does, unless
+/// NULL.
 fn rows_bytes<'a>(cols: impl IntoIterator<Item = &'a Col>, n: usize) -> u64 {
-    let lanes = |c: &Col| (0..n).map(|lane| lane_bytes(c, lane)).sum::<u64>();
+    let null = value_bytes(&Value::Null);
+    let lanes = |c: &Col| {
+        let valid = c.valid[..n].iter().filter(|&&v| v).count() as u64;
+        let typed = |bytes: u64| bytes * valid + null * (n as u64 - valid);
+        match &c.data {
+            ColData::Int(_) | ColData::Float(_) => typed(16),
+            ColData::Bool(_) => typed(8),
+            ColData::Mixed(v) => v[..n].iter().map(value_bytes).sum(),
+        }
+    };
     ROW_OVERHEAD * n as u64 + cols.into_iter().map(lanes).sum::<u64>()
 }
 
 impl Table {
     /// Creates an empty table for `schema`.
     pub fn new(schema: Schema) -> Table {
-        let pk_index = schema.primary_key().map(|_| HashMap::new());
+        let pk_index = schema.primary_key().map(|_| KeyMap::default());
         Table {
-            cols: schema_cols(&schema),
+            cols: schema_cols(&schema, 0),
             schema,
             live: Vec::new(),
             live_count: 0,
@@ -204,9 +223,8 @@ impl Table {
             for lane in 0..n {
                 let key = |c: usize| batch.col(c).value_at(lane);
                 if let Err(e) = self.admit(start + lane, &key) {
-                    for done in (0..lane).rev() {
-                        self.unindex(start + done, &|c| batch.col(c).value_at(done));
-                    }
+                    let done: Vec<usize> = (start..start + lane).collect();
+                    self.unindex(&done, &|c, i| batch.col(c).value_at(i));
                     self.refund(charge);
                     return Err(e);
                 }
@@ -261,31 +279,25 @@ impl Table {
         }
     }
 
-    /// Takes the row in `slot`, whose columns read `key(column)`, out of
-    /// every index.
-    fn unindex(&mut self, slot: usize, key: &dyn Fn(usize) -> Value) {
+    /// Takes the rows in `slots`, whose columns read `key(column, i)` for
+    /// `slots[i]`, out of every index, one pass per secondary index key.
+    fn unindex(&mut self, slots: &[usize], key: &dyn Fn(usize, usize) -> Value) {
         if let (Some(pk_col), Some(idx)) = (self.schema.primary_key(), self.pk_index.as_mut()) {
-            idx.remove(&key(pk_col));
+            (0..slots.len()).for_each(|i| _ = idx.remove(&key(pk_col, i)));
         }
         for sec in &mut self.secondary {
-            sec.remove(&key(sec.column), slot);
+            let keys = slots.iter().enumerate();
+            sec.remove_all(keys.map(|(i, &s)| (key(sec.column, i), s)).collect());
         }
     }
 
-    /// Reads the row at `slot` if live.
-    pub fn row(&self, slot: usize) -> Option<Row> {
-        self.is_live(slot)
-            .then(|| self.cols.iter().map(|c| c.value_at(slot)).collect())
-    }
-
-    /// Overwrites the rows in `slots` with the lanes of `new` (lane `i` for
-    /// `slots[i]`, columns coerced to the schema), writing only the lanes
-    /// whose value changed, and returns the old rows in the same layout.
-    /// Growth is charged before anything is written (`checked`: failing at
-    /// the limit — undo passes `false`), and each row is checked against
-    /// the primary key and the unique indexes, which by then hold the
-    /// batch's earlier rows, before its index entries move. On an error the
-    /// table is as it was.
+    /// Writes lane `i` of `new[j]` (coerced) into column `cols[j]` of
+    /// `slots[i]`; returns the old lanes, laid out alike. Growth is charged
+    /// first (`checked`: failing at the limit; undo passes `false`). If
+    /// `cols` holds a primary-key or unique column, the rows are checked
+    /// one at a time against those indexes, which hold the earlier rows'
+    /// moves; else each column is scattered whole. Non-unique index entries
+    /// move last. On an error the table is as it was.
     ///
     /// # Errors
     /// Returns [`DbError::Invalid`] when a slot is dead or a row violates
@@ -294,54 +306,76 @@ impl Table {
     pub fn update_slots(
         &mut self,
         slots: &[usize],
+        cols: &[usize],
         new: &[Col],
         checked: bool,
     ) -> DbResult<Vec<Col>> {
         if let Some(dead) = slots.iter().find(|&&s| !self.is_live(s)) {
             return Err(DbError::Invalid(format!("update of dead slot {dead}")));
         }
-        let old = self.gather(&lanes(slots));
+        let idx = lanes(slots);
+        let old: Vec<Col> = cols.iter().map(|&c| self.cols[c].gather(&idx)).collect();
         let (nb, ob) = (rows_bytes(new, slots.len()), rows_bytes(&old, slots.len()));
         let grown = self.charge(nb.saturating_sub(ob), checked)?;
-        for (i, &slot) in slots.iter().enumerate() {
-            if let Err(e) = self.admit(slot, &|c| new[c].value_at(i)) {
-                for j in (0..i).rev() {
-                    self.write_row(slots[j], &old, new, j);
+        let unique = |c: &usize| {
+            let mut sec = self.secondary.iter();
+            self.schema.primary_key() == Some(*c) || sec.any(|s| s.unique && s.column == *c)
+        };
+        if cols.iter().any(unique) {
+            for (i, &slot) in slots.iter().enumerate() {
+                let at = |c| cols.iter().position(|&a| a == c);
+                let key =
+                    |c| at(c).map_or_else(|| self.cols[c].value_at(slot), |j| new[j].value_at(i));
+                if let Err(e) = self.admit(slot, &key) {
+                    for j in (0..i).rev() {
+                        self.write_row(slots[j], cols, &old, new, j);
+                    }
+                    self.refund(grown);
+                    return Err(e);
                 }
-                self.refund(grown);
-                return Err(e);
+                self.write_row(slot, cols, new, &old, i);
             }
-            self.write_row(slot, new, &old, i);
+        } else {
+            for (&c, src) in cols.iter().zip(new) {
+                self.cols[c].scatter(slots, src);
+            }
+        }
+        for sec in self.secondary.iter_mut().filter(|s| !s.unique) {
+            if let Some(j) = cols.iter().position(|&c| c == sec.column) {
+                sec.rekey(slots, &new[j], &old[j]);
+            }
         }
         self.refund(ob.saturating_sub(nb));
         Ok(old)
     }
 
-    /// Moves `slot` from lane `at` of `from` (its current row) to lane `at`
-    /// of `to`: the index entries of changed keys (an unchanged key keeps
-    /// its place among its index's slots), then the changed lanes.
-    fn write_row(&mut self, slot: usize, to: &[Col], from: &[Col], at: usize) {
-        let changed = |c: usize| to[c].value_at(at) != from[c].value_at(at);
-        if let (Some(pk_col), Some(idx)) = (self.schema.primary_key(), self.pk_index.as_mut()) {
-            if changed(pk_col) {
-                idx.remove(&from[pk_col].value_at(at));
-                idx.insert(to[pk_col].value_at(at), slot);
+    /// Moves `slot` from lane `at` of `from` to lane `at` of `to` (both laid
+    /// out by `cols`): the primary-key and unique-index entries of changed
+    /// keys (an unchanged key keeps its place among its index's slots),
+    /// then the changed lanes.
+    fn write_row(&mut self, slot: usize, cols: &[usize], to: &[Col], from: &[Col], at: usize) {
+        for (j, &c) in cols.iter().enumerate() {
+            let (old, new) = (from[j].value_at(at), to[j].value_at(at));
+            if old == new {
+                continue;
             }
-        }
-        for sec in self.secondary.iter_mut().filter(|s| changed(s.column)) {
-            sec.remove(&from[sec.column].value_at(at), slot);
-            let entry = sec.map.entry(to[sec.column].value_at(at));
-            entry.or_default().push(slot);
-        }
-        for (c, col) in self.cols.iter_mut().enumerate() {
-            if changed(c) {
-                col.set(slot, to[c].value_at(at));
+            if self.schema.primary_key() == Some(c) {
+                let idx = self.pk_index.as_mut().expect("a primary key is indexed");
+                idx.remove(&old);
+                idx.insert(new.clone(), slot);
             }
+            let unique = self.secondary.iter_mut().filter(|s| s.unique);
+            for sec in unique.filter(|s| s.column == c) {
+                sec.remove_all(vec![(old.clone(), slot)]);
+                sec.map.entry(new.clone()).or_default().push(slot);
+            }
+            self.cols[c].set(slot, new);
         }
     }
 
     /// Deletes the rows in `slots`, returning them as columns (lane `i`
-    /// holds the row of `slots[i]`).
+    /// holds the row of `slots[i]`): their lanes turn NULL, and the indexes
+    /// drop them — wholesale when they are every live row.
     ///
     /// # Errors
     /// Returns [`DbError::Invalid`] when a slot is already dead; nothing
@@ -350,14 +384,31 @@ impl Table {
         if let Some(dead) = slots.iter().find(|&&s| !self.is_live(s)) {
             return Err(DbError::Invalid(format!("delete of dead slot {dead}")));
         }
-        let old = self.gather(&lanes(slots));
-        for (i, &slot) in slots.iter().enumerate() {
-            if self.indexed() {
-                self.unindex(slot, &|c| old[c].value_at(i));
+        // every slot, in order: the lanes themselves are the old rows, and
+        // NULL lanes in their layouts take their place
+        let dense =
+            slots.len() == self.live.len() && slots.iter().enumerate().all(|(i, &s)| i == s);
+        let old = match dense {
+            true => {
+                let nulls = schema_cols(&self.schema, slots.len());
+                std::mem::replace(&mut self.cols, nulls)
             }
-            self.cols.iter_mut().for_each(|c| c.set(slot, Value::Null));
-            self.live[slot] = false;
+            false => self.gather(&lanes(slots)),
+        };
+        if slots.len() == self.live_count {
+            self.pk_index.iter_mut().for_each(KeyMap::clear);
+            self.secondary.iter_mut().for_each(|s| s.map.clear());
+        } else if self.indexed() {
+            self.unindex(slots, &|c, i| old[c].value_at(i));
         }
+        // a deleted lane is NULL through its validity bit
+        for col in self.cols.iter_mut().filter(|_| !dense) {
+            slots.iter().for_each(|&slot| col.valid[slot] = false);
+            if let ColData::Mixed(v) = &mut col.data {
+                slots.iter().for_each(|&slot| v[slot] = Value::Null);
+            }
+        }
+        slots.iter().for_each(|&slot| self.live[slot] = false);
         self.live_count -= slots.len();
         self.refund(rows_bytes(&old, slots.len()));
         Ok(old)
@@ -368,7 +419,7 @@ impl Table {
     /// names a slot of this table.
     pub fn reclaim_if_empty(&mut self) {
         if self.live_count == 0 && !self.live.is_empty() {
-            self.cols = schema_cols(&self.schema);
+            self.cols = schema_cols(&self.schema, 0);
             self.live.clear();
         }
     }
@@ -386,10 +437,10 @@ impl Table {
             );
             // restores never violate uniqueness: the rows were present before
             self.index(slot, &|c| old[c].value_at(i));
-            for (c, col) in self.cols.iter_mut().enumerate() {
-                col.set(slot, old[c].value_at(i));
-            }
             self.live[slot] = true;
+        }
+        for (col, src) in self.cols.iter_mut().zip(old) {
+            col.scatter(slots, src);
         }
         self.live_count += slots.len();
         // undo replay must never fail, so the limit is not enforced here
@@ -456,23 +507,6 @@ impl Table {
         self.pk_index.as_ref().and_then(|m| m.get(key).copied())
     }
 
-    /// Removes every row.
-    pub fn truncate(&mut self) {
-        if let Some(b) = &self.budget {
-            b.refund(self.tracked_bytes);
-            self.tracked_bytes = 0;
-        }
-        self.cols = schema_cols(&self.schema);
-        self.live.clear();
-        self.live_count = 0;
-        if let Some(idx) = self.pk_index.as_mut() {
-            idx.clear();
-        }
-        for sec in &mut self.secondary {
-            sec.map.clear();
-        }
-    }
-
     /// Adds (and builds) a secondary index on `column`.
     ///
     /// # Errors
@@ -486,7 +520,7 @@ impl Table {
             name: name.to_owned(),
             column,
             unique,
-            map: HashMap::new(),
+            map: KeyMap::default(),
         };
         for slot in self.live_slots() {
             idx.insert(self.cols[column].value_at(slot), slot)?;
@@ -531,11 +565,6 @@ impl Table {
             .iter()
             .find(|s| s.column == column)
             .map(|s| (s.name.as_str(), s.map.len()))
-    }
-
-    /// Bytes this table currently has charged against its budget.
-    pub fn tracked_bytes(&self) -> u64 {
-        self.tracked_bytes
     }
 }
 
@@ -628,6 +657,7 @@ mod tests {
         let s = t.insert(vec![Value::Int(1), Value::Float(0.0)]).unwrap();
         t.update_slots(
             &[s],
+            &[0, 1],
             &cols(vec![vec![Value::Int(5), Value::Float(1.0)]]),
             true,
         )
@@ -637,7 +667,7 @@ mod tests {
         // updating to an existing key fails
         t.insert(vec![Value::Int(7), Value::Float(0.0)]).unwrap();
         let to_seven = cols(vec![vec![Value::Int(7), Value::Float(2.0)]]);
-        assert!(t.update_slots(&[s], &to_seven, true).is_err());
+        assert!(t.update_slots(&[s], &[0, 1], &to_seven, true).is_err());
     }
 
     #[test]
@@ -665,11 +695,11 @@ mod tests {
             vec![Value::Int(9), Value::Float(90.0)],
             vec![Value::Int(2), Value::Float(90.0)],
         ]);
-        assert!(t.update_slots(&[0, s], &moved, true).is_err());
+        assert!(t.update_slots(&[0, s], &[0, 1], &moved, true).is_err());
         assert_eq!(t.lookup_pk(&Value::Int(1)), Some(0));
         assert_eq!(t.lookup_pk(&Value::Int(9)), None);
         assert_eq!(t.index_lookup(1, &Value::Float(10.0)).unwrap(), &[0]);
-        assert_eq!(t.row(0), Some(vec![Value::Int(1), Value::Float(10.0)]));
+        assert_eq!(t.scan()[0], vec![Value::Int(1), Value::Float(10.0)]);
     }
 
     #[test]
@@ -696,6 +726,7 @@ mod tests {
         assert_eq!(t.index_on(1), Some(("idx_v", 1)));
         t.update_slots(
             &[s1],
+            &[0, 1],
             &cols(vec![vec![Value::Int(1), Value::Float(8.0)]]),
             true,
         )
@@ -715,14 +746,22 @@ mod tests {
     }
 
     #[test]
-    fn truncate_clears_everything() {
+    fn deleting_every_row_clears_everything() {
         let mut t = table();
         t.insert(vec![Value::Int(1), Value::Float(0.0)]).unwrap();
+        t.insert(vec![Value::Int(2), Value::Float(0.0)]).unwrap();
         t.create_index("i", 1, false).unwrap();
-        t.truncate();
+        let old = t.delete_slots(&[0, 1]).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.lookup_pk(&Value::Int(1)), None);
         assert!(t.index_lookup(1, &Value::Float(0.0)).unwrap().is_empty());
+        // the rows come back whole, and a later row keeps the typed layout
+        t.restore_slots(&[0, 1], &old);
+        assert_eq!(t.index_lookup(1, &Value::Float(0.0)).unwrap(), &[0, 1]);
+        t.delete_slots(&[0, 1]).unwrap();
+        t.insert(vec![Value::Int(3), Value::Float(0.5)]).unwrap();
+        assert!(matches!(t.gather(&[2])[1].data, ColData::Float(_)));
+        assert_eq!(t.scan(), vec![vec![Value::Int(3), Value::Float(0.5)]]);
     }
 
     #[test]
@@ -737,7 +776,7 @@ mod tests {
         assert!(b.used() > after_attach);
         t.delete_slots(&[s]).unwrap();
         assert_eq!(b.used(), after_attach);
-        t.truncate();
+        t.delete_slots(&[0]).unwrap();
         assert_eq!(b.used(), 0);
         t.insert(vec![Value::Int(3), Value::Float(0.0)]).unwrap();
         drop(t); // dropping the table refunds its remaining charge
@@ -778,10 +817,10 @@ mod tests {
             .unwrap();
         let small = b.used();
         let long = cols(vec![vec![Value::Int(1), Value::Text("x".repeat(500))]]);
-        t.update_slots(&[slot], &long, true).unwrap();
+        t.update_slots(&[slot], &[0, 1], &long, true).unwrap();
         assert_eq!(b.used(), small + 499);
         let short = cols(vec![vec![Value::Int(1), Value::Text("x".into())]]);
-        t.update_slots(&[slot], &short, true).unwrap();
+        t.update_slots(&[slot], &[0, 1], &short, true).unwrap();
         assert_eq!(b.used(), small);
     }
 

@@ -162,14 +162,16 @@ pub enum UndoOp {
         /// Slots of the appended rows.
         slots: Range<usize>,
     },
-    /// The rows in `slots` were overwritten; lane `i` of `old` restores
-    /// `slots[i]`.
+    /// Columns `cols` of the rows in `slots` were overwritten; lane `i` of
+    /// `old` restores `slots[i]`.
     Update {
         /// Table name.
         table: String,
         /// Updated slots.
         slots: Vec<usize>,
-        /// Previous row contents, one column per table column.
+        /// The columns the statement assigned.
+        cols: Vec<usize>,
+        /// Their previous lanes, one column per entry of `cols`.
         old: Vec<Col>,
     },
     /// The rows in `slots` were deleted; lane `i` of `old` restores
@@ -248,14 +250,19 @@ pub fn apply_undo(catalog: &crate::catalog::Catalog, ops: Vec<UndoOp>) -> DbResu
                     t.delete_slots(&live)?;
                 }
             }
-            UndoOp::Update { table, slots, old } => {
+            UndoOp::Update {
+                table,
+                slots,
+                cols,
+                old,
+            } => {
                 if let Ok(handle) = catalog.table(&table) {
                     // the rows were written in order, each into a state the
                     // ones before it left, so they go back newest first
                     let back: Vec<u32> = (0..slots.len() as u32).rev().collect();
                     let old: Vec<Col> = old.iter().map(|c| c.gather(&back)).collect();
                     let slots: Vec<usize> = slots.into_iter().rev().collect();
-                    handle.write().update_slots(&slots, &old, false)?;
+                    handle.write().update_slots(&slots, &cols, &old, false)?;
                 }
             }
             UndoOp::Delete { table, slots, old } => {

@@ -4,7 +4,7 @@ use crate::error::{DbError, DbResult};
 use crate::types::DataType;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A single SQL value.
 ///
@@ -300,6 +300,43 @@ impl Hash for Value {
             }
         }
     }
+}
+
+/// The engine's one key hasher (indexes, hash join, `GROUP BY`, `DISTINCT`):
+/// each word is folded high-to-low and multiplied in; `finish` folds again.
+/// [`Value::Int`] hashes the bits of the `f64` it equals, whose high half
+/// holds a small integer, so unfolded the bucket-picking low bits agree.
+/// Keys come from the embedding application: it does not resist flooding.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct KeyHasher(u64);
+
+/// A hash map keyed through [`KeyHasher`].
+pub(crate) type KeyMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0 ^ i ^ (i >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// [`KeyHasher`]'s hash of one `i64`, which the hash join and `DISTINCT`
+/// bucket integer keys by.
+pub(crate) fn int_key_hash(i: i64) -> u64 {
+    let mut h = KeyHasher::default();
+    h.write_i64(i);
+    h.finish()
 }
 
 impl fmt::Display for Value {
