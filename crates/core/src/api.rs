@@ -2,16 +2,13 @@
 //! strategy, run it, report what happened (paper Fig. 2).
 
 use crate::analysis::{analyze, AnalysisOutcome};
-use crate::checkpoint::{load_latest_recovering, Checkpointer};
-use crate::common::PlanCacheProbe;
 use crate::config::{ExecutionMode, SqloopConfig};
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{parse, IterativeCte, SqloopQuery};
-use crate::parallel::run_iterative_parallel_observed;
+use crate::parallel::{run_iterative, IterativeRun};
 use crate::progress::{ProgressSample, RecoveryCounters};
-use crate::single::{run_iterative_single_governed, run_recursive};
+use crate::single::run_recursive;
 use crate::translate::translate_sql;
-use crate::watchdog::{Governance, Watchdog};
 use dbcp::{driver_for_url, Driver};
 use obs::{EventKind, RegistrySnapshot, TraceData, TraceHandle, TraceSummary};
 use sqldb::{QueryResult, StmtOutput};
@@ -185,6 +182,33 @@ pub struct ExecutionReport {
     pub recovery_note: Option<String>,
 }
 
+impl ExecutionReport {
+    /// The report of `result` with every count zero and nothing attached.
+    fn plain(result: QueryResult, strategy: Strategy, started: Instant) -> ExecutionReport {
+        ExecutionReport {
+            result,
+            strategy,
+            iterations: 0,
+            last_change: 0,
+            computes: 0,
+            gathers: 0,
+            messages: 0,
+            worker_busy: Duration::ZERO,
+            samples: Vec::new(),
+            recovery: RecoveryCounters::default(),
+            elapsed: started.elapsed(),
+            trace: None,
+            trace_data: None,
+            metrics: RegistrySnapshot::default(),
+            engine_stats: None,
+            digests: None,
+            cancelled: false,
+            checkpoint: None,
+            recovery_note: None,
+        }
+    }
+}
+
 /// The SQLoop middleware instance.
 ///
 /// Owns a connection factory to one target engine plus a configuration;
@@ -322,27 +346,11 @@ impl SQLoop {
                     },
                     StmtOutput::Done => QueryResult::default(),
                 };
-                Ok(ExecutionReport {
+                Ok(ExecutionReport::plain(
                     result,
-                    strategy: Strategy::Passthrough,
-                    iterations: 0,
-                    last_change: 0,
-                    computes: 0,
-                    gathers: 0,
-                    messages: 0,
-                    worker_busy: Duration::ZERO,
-                    samples: Vec::new(),
-                    recovery: RecoveryCounters::default(),
-                    elapsed: started.elapsed(),
-                    trace: None,
-                    trace_data: None,
-                    metrics: RegistrySnapshot::default(),
-                    engine_stats: None,
-                    digests: None,
-                    cancelled: false,
-                    checkpoint: None,
-                    recovery_note: None,
-                })
+                    Strategy::Passthrough,
+                    started,
+                ))
             }
             SqloopQuery::Recursive(cte) => {
                 let mut conn = self.driver.connect()?;
@@ -353,25 +361,9 @@ impl SQLoop {
                     self.config.keep_artifacts,
                 )?;
                 Ok(ExecutionReport {
-                    result: out.result,
-                    strategy: Strategy::RecursiveSingle,
                     iterations: out.iterations,
                     last_change: out.last_change,
-                    computes: 0,
-                    gathers: 0,
-                    messages: 0,
-                    worker_busy: Duration::ZERO,
-                    samples: Vec::new(),
-                    recovery: RecoveryCounters::default(),
-                    elapsed: started.elapsed(),
-                    trace: None,
-                    trace_data: None,
-                    metrics: RegistrySnapshot::default(),
-                    engine_stats: None,
-                    digests: None,
-                    cancelled: false,
-                    checkpoint: None,
-                    recovery_note: None,
+                    ..ExecutionReport::plain(out.result, Strategy::RecursiveSingle, started)
                 })
             }
             SqloopQuery::Iterative(cte) => self.execute_iterative(&cte, started),
@@ -390,170 +382,83 @@ impl SQLoop {
         if let Some(d) = self.config.deadline {
             self.config.cancel.set_deadline_in(d);
         }
-        let lift_mem = || {
-            self.driver.set_memory_limit(None);
-        };
-        let run_single = |reason: Option<String>| -> SqloopResult<ExecutionReport> {
-            if self.config.max_mem.is_some() {
-                self.driver.set_memory_limit(self.config.max_mem);
-            }
-            let mut conn = self.driver.connect()?;
-            if self.config.statement_timeout.is_some() {
-                conn.set_statement_timeout(self.config.statement_timeout)?;
-            }
-            // a resume snapshot only applies here when Single is the
-            // configured mode: after a downgrade the snapshot describes the
-            // parallel layout and the fingerprint check would reject it
-            let mut recovery_note: Option<String> = None;
-            let resume = match &self.config.resume_from {
-                Some(path) if self.config.mode == ExecutionMode::Single => {
-                    let recovered = load_latest_recovering(path)?;
-                    recovery_note = recovered.note;
-                    Some(recovered.snapshot)
-                }
-                _ => None,
-            };
-            let mut checkpointer = match &self.config.checkpoint {
-                Some(ck) => Some(Checkpointer::new(ck.clone())?),
-                None => None,
-            };
-            let mut governance = Governance {
-                watchdog: self
-                    .config
-                    .watchdog
-                    .is_active()
-                    .then(|| Watchdog::new(self.config.watchdog, &cte.termination)),
-                lift_mem: Some(&lift_mem),
-            };
-            let out = run_iterative_single_governed(
-                conn.as_mut(),
-                cte,
-                self.config.max_iterations,
-                self.config.keep_artifacts,
-                &trace,
-                &self.config.cancel,
-                checkpointer.as_mut(),
-                resume.as_ref(),
-                &mut governance,
-                Some(PlanCacheProbe::new(&self.driver)),
-            )?;
-            let checkpoint = checkpointer
-                .as_ref()
-                .and_then(|c| c.last_path().map(std::path::Path::to_path_buf));
-            Ok(ExecutionReport {
-                result: out.result,
-                strategy: Strategy::IterativeSingle {
-                    fallback_reason: reason,
-                },
-                iterations: out.iterations,
-                last_change: out.last_change,
-                computes: 0,
-                gathers: 0,
-                messages: 0,
-                worker_busy: Duration::ZERO,
-                samples: Vec::new(),
-                recovery: RecoveryCounters::default(),
-                elapsed: started.elapsed(),
-                trace: None,
-                trace_data: None,
-                metrics: RegistrySnapshot::default(),
-                engine_stats: None,
-                digests: None,
-                cancelled: out.cancelled,
-                checkpoint,
-                recovery_note,
-            })
-        };
-
-        let mut report = if self.config.mode == ExecutionMode::Single {
-            run_single(None)?
+        // Single runs Whole without asking the analysis; a query outside
+        // the parallelizable class falls back to it with the reason
+        let (plan, fallback_reason) = if self.config.mode == ExecutionMode::Single {
+            (None, None)
         } else {
             let columns = self.resolve_columns(cte)?;
             match analyze(cte, &columns)? {
-                AnalysisOutcome::NotParallelizable { reason } => run_single(Some(reason))?,
-                AnalysisOutcome::Parallelizable(plan) => {
-                    let (result, recovery) = run_iterative_parallel_observed(
-                        &self.driver,
-                        cte,
-                        plan,
-                        &self.config,
-                        &trace,
-                    );
-                    match result {
-                        Ok(run) => ExecutionReport {
-                            result: run.outcome.result,
-                            strategy: Strategy::IterativeParallel {
-                                mode: self.config.mode,
-                            },
-                            iterations: run.outcome.iterations,
-                            last_change: run.outcome.last_change,
-                            computes: run.computes,
-                            gathers: run.gathers,
-                            messages: run.messages,
-                            worker_busy: run.worker_busy,
-                            samples: run.samples,
-                            recovery: run.recovery,
-                            elapsed: started.elapsed(),
-                            trace: None,
-                            trace_data: None,
-                            metrics: RegistrySnapshot::default(),
-                            engine_stats: None,
-                            digests: None,
-                            cancelled: run.outcome.cancelled,
-                            checkpoint: run.checkpoint,
-                            recovery_note: run.recovery_note,
-                        },
-                        // budget exhausted on a transient fault: the engine
-                        // is flaky, not the query — degrade to the
-                        // single-threaded executor rather than surfacing
-                        // the error
-                        Err(e) if self.config.downgrade_on_failure && e.is_retryable() => {
-                            eprintln!(
-                                "sqloop: parallel execution failed ({e}); \
-                                 downgrading to the single-threaded executor"
-                            );
-                            trace.event(
-                                EventKind::Downgrade,
-                                None,
-                                None,
-                                format!("parallel execution failed: {e}"),
-                            );
-                            let reason = Some(format!("downgraded after fault: {e}"));
-                            // the rerun talks to the same flaky engine; retry
-                            // it whole (every scratch CREATE is preceded by a
-                            // DROP IF EXISTS, so a rerun is idempotent)
-                            // rather than letting one more transient fault
-                            // kill the query
-                            let mut attempt: u32 = 0;
-                            let mut report = loop {
-                                match run_single(reason.clone()) {
-                                    Ok(r) => break r,
-                                    Err(e)
-                                        if e.is_retryable()
-                                            && attempt < self.config.task_retries =>
-                                    {
-                                        attempt += 1;
-                                        // interruptible: Ctrl-C during a
-                                        // downgrade backoff should not hang
-                                        if !self.config.cancel.sleep(
-                                            self.config.retry_backoff * (1 << attempt.min(10)),
-                                        ) {
-                                            return Err(e);
-                                        }
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                            };
-                            report.recovery = RecoveryCounters {
-                                downgraded: true,
-                                ..recovery
-                            };
-                            report
+                AnalysisOutcome::NotParallelizable { reason } => (None, Some(reason)),
+                AnalysisOutcome::Parallelizable(plan) => (Some(plan), None),
+            }
+        };
+        let strategy = match plan {
+            Some(_) => Strategy::IterativeParallel {
+                mode: self.config.mode,
+            },
+            None => Strategy::IterativeSingle { fallback_reason },
+        };
+        let (result, recovery) = run_iterative(&self.driver, cte, plan, &self.config, &trace);
+        let mut report = match result {
+            Ok(run) => self.report(run, strategy, started),
+            // budget exhausted on a transient fault: the engine is flaky,
+            // not the query — degrade to Whole rather than surfacing the
+            // error
+            Err(e)
+                if matches!(strategy, Strategy::IterativeParallel { .. })
+                    && self.config.downgrade_on_failure
+                    && e.is_retryable() =>
+            {
+                eprintln!(
+                    "sqloop: parallel execution failed ({e}); \
+                     downgrading to the single-threaded executor"
+                );
+                trace.event(
+                    EventKind::Downgrade,
+                    None,
+                    None,
+                    format!("parallel execution failed: {e}"),
+                );
+                let strategy = Strategy::IterativeSingle {
+                    fallback_reason: Some(format!("downgraded after fault: {e}")),
+                };
+                // a resume snapshot describes the parallel layout, which
+                // Whole's fingerprint check would reject
+                let config = SqloopConfig {
+                    resume_from: None,
+                    ..self.config.clone()
+                };
+                // the rerun talks to the same flaky engine; retry it whole
+                // (every scratch CREATE is preceded by a DROP IF EXISTS, so
+                // a rerun is idempotent) rather than letting one more
+                // transient fault kill the query
+                let mut attempt: u32 = 0;
+                let run = loop {
+                    match run_iterative(&self.driver, cte, None, &config, &trace).0 {
+                        Ok(run) => break run,
+                        Err(e) if e.is_retryable() && attempt < config.task_retries => {
+                            attempt += 1;
+                            // interruptible: Ctrl-C during a downgrade
+                            // backoff should not hang
+                            if !config
+                                .cancel
+                                .sleep(config.retry_backoff * (1 << attempt.min(10)))
+                            {
+                                return Err(e);
+                            }
                         }
                         Err(e) => return Err(e),
                     }
-                }
+                };
+                let mut report = self.report(run, strategy, started);
+                report.recovery = RecoveryCounters {
+                    downgraded: true,
+                    ..recovery
+                };
+                report
             }
+            Err(e) => return Err(e),
         };
         if let Some(data) = trace.data() {
             report.trace = Some(TraceSummary::from_data(&data));
@@ -561,6 +466,25 @@ impl SQLoop {
         }
         report.elapsed = started.elapsed();
         Ok(report)
+    }
+
+    /// The report of an iterative run; the caller fills in the trace and
+    /// the per-run deltas.
+    fn report(&self, run: IterativeRun, strategy: Strategy, started: Instant) -> ExecutionReport {
+        ExecutionReport {
+            iterations: run.outcome.iterations,
+            last_change: run.outcome.last_change,
+            computes: run.computes,
+            gathers: run.gathers,
+            messages: run.messages,
+            worker_busy: run.worker_busy,
+            samples: run.samples,
+            recovery: run.recovery,
+            cancelled: run.outcome.cancelled,
+            checkpoint: run.checkpoint,
+            recovery_note: run.recovery_note,
+            ..ExecutionReport::plain(run.outcome.result, strategy, started)
+        }
     }
 
     /// Column names for analysis: the declared list, or a probe of the seed.

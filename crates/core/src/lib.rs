@@ -58,8 +58,8 @@ pub use config::{ExecutionMode, PrioritySpec, SqloopConfig, TraceConfig};
 pub use dbcp::CancelToken;
 pub use error::{SqloopError, SqloopResult};
 pub use grammar::{parse, IterativeCte, RecursiveCte, SqloopQuery, Termination};
-pub use parallel::{run_iterative_parallel_observed, ParallelRun};
+pub use parallel::{run_iterative, IterativeRun};
 pub use progress::{ProgressSample, RecoveryCounters, Sampler};
 pub use router::SqloopRouter;
-pub use single::{run_iterative_single_governed, run_recursive, RunOutcome};
+pub use single::{run_recursive, RunOutcome};
 pub use watchdog::{Governance, Watchdog, WatchdogConfig};

@@ -1,10 +1,15 @@
-//! The parallel execution engine: worker pool, Compute/Gather task
-//! scheduling, message-table registry, and the three scheduling policies of
-//! paper §V-E (Sync, Async, AsyncP).
+//! The execution engine for iterative CTEs: one round loop
+//! (`Scheduler::run`) under four scheduling policies — the
+//! single-threaded algorithm of paper §III-A (Whole) and the three
+//! schedulers of §V-E (Sync, Async, AsyncP) — plus the worker pool,
+//! Compute/Gather task construction and the message-table registry the
+//! partitioned policies use.
 //!
 //! The master thread owns all scheduling state; workers are dumb statement
 //! runners, each holding its own engine connection (the paper's "each thread
-//! opens a new connection with the target database engine").
+//! opens a new connection with the target database engine"). Whole has no
+//! pool: its one task per round runs on the master connection, through the
+//! same statement runner the workers use.
 //!
 //! ## Fault recovery
 //!
@@ -20,7 +25,9 @@
 //! reconnect under the configured retry policy before running the next
 //! task. When the replay budget is exhausted the scheduler aborts with
 //! [`SqloopError::Task`]; the facade then optionally downgrades the run to
-//! the single-threaded executor (see `api.rs`).
+//! Whole (see `api.rs`). A task run on the master connection is never
+//! replayed — that connection cannot reconnect — and its error ends the run
+//! as it is.
 
 use crate::analysis::ParallelPlan;
 use crate::checkpoint::{
@@ -36,22 +43,22 @@ use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{IterativeCte, Termination};
 use crate::parallel_sql::{Sql, SqlGen};
 use crate::progress::{ProgressSample, RecoveryCounters, Sampler};
-use crate::single::RunOutcome;
+use crate::single::{cleanup, RunOutcome};
 use crate::supervisor::{now_us, panic_detail, HeartbeatSlot, SupervisorMetrics, STATE_BUSY};
 use crate::translate::{translate_query_to_sql, translate_sql};
 use crate::watchdog::{Governance, Watchdog};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dbcp::{CancelToken, Connection, Driver, PipelineStep, PreparedStatement, RetryPolicy};
 use obs::{EventKind, Span, SpanKind, SpanOutcome, TraceHandle};
-use sqldb::{DataType, DbError, Row, StmtOutput, Value};
+use sqldb::{DataType, DbError, QueryResult, Row, StmtOutput, Value};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Report of one parallel run.
+/// Report of one iterative run.
 #[derive(Debug, Clone)]
-pub struct ParallelRun {
+pub struct IterativeRun {
     /// Result and iteration counts.
     pub outcome: RunOutcome,
     /// Compute tasks executed.
@@ -85,6 +92,9 @@ enum TaskKind {
     /// Reads the messages in `read_from..read_until` addressed to its
     /// partition.
     Gather { read_from: usize, read_until: usize },
+    /// Whole's round over all of `R`: `DELETE Rtmp; INSERT INTO Rtmp Ri;
+    /// UPDATE R … FROM Rtmp` (paper §III-A).
+    Whole,
 }
 
 #[derive(Debug, Clone)]
@@ -117,6 +127,33 @@ struct Task {
     /// Message row count, once an attempt has run the slot-filling INSERT
     /// (a replay resuming past it must still see it).
     acc_msg_rows: Option<u64>,
+}
+
+impl Task {
+    /// A first attempt; the task id is assigned at dispatch.
+    fn new(partition: usize, kind: TaskKind, stmts: Vec<Sql>, changed_from: usize) -> Task {
+        Task {
+            task_id: 0,
+            partition,
+            kind,
+            stmts,
+            round: 0,
+            attempt: 1,
+            start_at: 0,
+            changed_from,
+            acc_changed: 0,
+            acc_rows: Vec::new(),
+            acc_msg_rows: None,
+        }
+    }
+
+    /// The partition trace records name: none for Whole, which covers `R`.
+    fn trace_partition(&self) -> Option<u32> {
+        match self.kind {
+            TaskKind::Whole => None,
+            _ => Some(self.partition as u32),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -172,31 +209,36 @@ impl MsgState {
     }
 }
 
-/// Runs a parallelizable iterative CTE with the configured scheduler,
-/// recording spans (one per Compute/Gather task attempt) and events
-/// (retries, reconnects, faults, round boundaries) into `trace`; with a
-/// disabled handle the instrumentation costs one branch per would-be
-/// record. The recovery counters come back even when the run *fails* — a
-/// `ParallelRun` never materializes on that path, yet the downgrade report
-/// still wants to show what recovery attempted.
+/// Runs an iterative CTE to its end. With a [`ParallelPlan`] it runs on the
+/// partitioned layout under the configured mode's scheduler and worker
+/// pool; without one it runs as Whole, the single-threaded algorithm of
+/// paper §III-A, on the master connection. Spans (one per task attempt —
+/// an Iteration span per Whole round) and events (retries, reconnects,
+/// faults, round boundaries) go into `trace`; with a disabled handle the
+/// instrumentation costs one branch per would-be record. The recovery
+/// counters come back even when the run *fails* — an `IterativeRun` never
+/// materializes on that path, yet the downgrade report still wants to show
+/// what recovery attempted.
 ///
 /// # Errors
-/// Engine/translation errors from any task (after the configured replay
-/// budget), configuration errors, or the `max_iterations` safety cap.
-pub fn run_iterative_parallel_observed(
+/// Configuration errors (a plan in [`ExecutionMode::Single`] among them),
+/// engine/translation errors from any task (after the configured replay
+/// budget), checkpoint and governance errors, or the `max_iterations`
+/// safety cap.
+pub fn run_iterative(
     driver: &Arc<dyn Driver>,
     cte: &IterativeCte,
-    plan: ParallelPlan,
+    plan: Option<ParallelPlan>,
     config: &SqloopConfig,
     trace: &TraceHandle,
-) -> (SqloopResult<ParallelRun>, RecoveryCounters) {
+) -> (SqloopResult<IterativeRun>, RecoveryCounters) {
     let mut recovery = RecoveryCounters::default();
-    let result = run_parallel_inner(driver, cte, plan, config, &mut recovery, trace);
+    let result = run_inner(driver, cte, plan, config, &mut recovery, trace);
     (result, recovery)
 }
 
-/// Drops everything partitioning may have created. Every drop is
-/// `IF EXISTS` (errors ignored), so this is safe however far setup got.
+/// Drops everything setup may have created. Every drop is `IF EXISTS`
+/// (errors ignored), so this is safe however far setup got.
 fn drop_setup_artifacts(main: &mut dyn Connection, names: &CteNames, partitions: usize) {
     let fixed = [
         format!("DROP VIEW IF EXISTS {}", names.table),
@@ -206,6 +248,84 @@ fn drop_setup_artifacts(main: &mut dyn Connection, names: &CteNames, partitions:
     ];
     let parts = (0..partitions).map(|x| format!("DROP TABLE IF EXISTS {}", names.partition(x)));
     run_all_best_effort(main, fixed.into_iter().chain(parts));
+}
+
+/// The CTE's schema as `snap` dumped it in `table`, hidden bookkeeping
+/// columns excluded — on resume the seed query never runs.
+fn snapshot_schema(snap: &LoopSnapshot, table: &str) -> SqloopResult<CteSchema> {
+    let dump = snap
+        .tables
+        .iter()
+        .find(|t| t.name == table)
+        .ok_or_else(|| SqloopError::Checkpoint(format!("snapshot holds no table named {table}")))?;
+    let visible: Vec<_> = dump
+        .columns
+        .iter()
+        .filter(|c| !c.name.starts_with("__"))
+        .collect();
+    Ok(CteSchema {
+        columns: visible.iter().map(|c| c.name.clone()).collect(),
+        types: visible.iter().map(|c| c.data_type).collect(),
+    })
+}
+
+/// Builds Whole's layout and its one task. `R` comes from the seed query
+/// (fresh run) or from a checkpoint's table dumps (`resume`); the scratch
+/// table `Rtmp` is created once. Every round reruns the same task,
+/// `Rtmp := Ri` and then `R := R ⟵ Rtmp` matched on `Rid`, and only the
+/// UPDATE's rows count as changed. `Rtmp` is emptied, never recreated, so
+/// the three statements stay in the engine's plan cache.
+fn whole_setup(
+    main: &mut dyn Connection,
+    cte: &IterativeCte,
+    names: &CteNames,
+    resume: Option<&LoopSnapshot>,
+    batch_rows: usize,
+) -> SqloopResult<(CteSchema, Task)> {
+    let schema = match resume {
+        Some(snap) => {
+            let schema = snapshot_schema(snap, &names.table)?;
+            for t in &snap.tables {
+                restore_table_sql(main, t, batch_rows)?;
+            }
+            schema
+        }
+        None => {
+            let schema = create_cte_table(main, &cte.name, &cte.columns, &cte.seed, true, true)?;
+            if cte.termination.needs_delta_snapshot() {
+                refresh_delta_snapshot(main, names)?;
+            }
+            schema
+        }
+    };
+    let profile = main.profile();
+    let tmp = names.tmp();
+    let clear = translate_sql(&format!("DELETE FROM {tmp}"), profile)?;
+    let fill = format!(
+        "INSERT INTO {} {}",
+        profile.dialect().quote(&tmp),
+        translate_query_to_sql(&cte.step, profile)
+    );
+    let assignments = schema.columns[1..]
+        .iter()
+        .map(|c| format!("{c} = {tmp}.{c}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let apply = translate_sql(
+        &format!(
+            "UPDATE {r} SET {assignments} FROM {tmp} WHERE {r}.{k} = {tmp}.{k}",
+            r = names.table,
+            k = schema.key(),
+        ),
+        profile,
+    )?;
+    run(main, &format!("DROP TABLE IF EXISTS {tmp}"))?;
+    run(
+        main,
+        &format!("CREATE TABLE {tmp} ({})", schema.create_columns_sql(true)),
+    )?;
+    let stmts = [clear, fill, apply].map(Sql::from).into();
+    Ok((schema, Task::new(0, TaskKind::Whole, stmts, 2)))
 }
 
 /// Builds the partitioned table layout: either from the seed query (fresh
@@ -221,23 +341,7 @@ fn parallel_setup(
     resume: Option<&LoopSnapshot>,
 ) -> SqloopResult<SqlGen> {
     let schema = match resume {
-        // schema from the dumped partition-0 columns (hidden bookkeeping
-        // columns excluded) — the seed query never runs on resume
-        Some(snap) => {
-            let p0 = names.partition(0);
-            let dump0 = snap.tables.iter().find(|t| t.name == p0).ok_or_else(|| {
-                SqloopError::Checkpoint(format!("snapshot holds no table named {p0}"))
-            })?;
-            let visible: Vec<_> = dump0
-                .columns
-                .iter()
-                .filter(|c| !c.name.starts_with("__"))
-                .collect();
-            CteSchema {
-                columns: visible.iter().map(|c| c.name.clone()).collect(),
-                types: visible.iter().map(|c| c.data_type).collect(),
-            }
-        }
+        Some(snap) => snapshot_schema(snap, &names.partition(0))?,
         None => create_cte_table(main, &cte.name, &cte.columns, &cte.seed, true, true)?,
     };
     let gen = SqlGen::new(
@@ -319,16 +423,27 @@ fn parallel_setup(
     Ok(gen)
 }
 
-fn run_parallel_inner(
+fn run_inner(
     driver: &Arc<dyn Driver>,
     cte: &IterativeCte,
-    plan: ParallelPlan,
+    plan: Option<ParallelPlan>,
     config: &SqloopConfig,
     recovery_out: &mut RecoveryCounters,
     trace: &TraceHandle,
-) -> SqloopResult<ParallelRun> {
+) -> SqloopResult<IterativeRun> {
     config.validate().map_err(SqloopError::Config)?;
-    let policy = Policy::for_mode(config.mode, config.partitions)?;
+    // a partitioned policy is picked before anything exists; without a
+    // plan the run is Whole, whose one table snapshots have always
+    // fingerprinted as one partition
+    let parallel = match plan {
+        Some(plan) => Some((plan, Policy::for_mode(config.mode, config.partitions)?)),
+        None => None,
+    };
+    let label = parallel
+        .as_ref()
+        .map_or(ExecutionMode::Single, |(_, p)| p.mode())
+        .label();
+    let partitions = parallel.as_ref().map_or(0, |_| config.partitions);
     // governance: apply the engine memory budget for the whole run (the
     // governed-abort path lifts it again before the final checkpoint) and
     // push the statement deadline onto every connection the run opens
@@ -344,19 +459,18 @@ fn run_parallel_inner(
     }
     let names = CteNames::new(&cte.name);
 
-    let fingerprint = run_fingerprint(cte, config.mode.label(), config.partitions);
+    let fingerprint = run_fingerprint(cte, label, partitions.max(1));
     let mut recovery_note: Option<String> = None;
     let resume_snap = match &config.resume_from {
         Some(path) => {
             let recovered = load_latest_recovering(path)?;
             let snap = recovered.snapshot;
             recovery_note = recovered.note;
-            check_fingerprint(&snap, fingerprint, config.mode.label())?;
-            if snap.parts.len() != config.partitions {
+            check_fingerprint(&snap, fingerprint, label)?;
+            if snap.parts.len() != partitions {
                 return Err(SqloopError::Checkpoint(format!(
-                    "snapshot carries {} partition states but this run has {} partitions",
+                    "snapshot carries {} partition states but this run has {partitions} partitions",
                     snap.parts.len(),
-                    config.partitions
                 )));
             }
             Some(snap)
@@ -380,7 +494,7 @@ fn run_parallel_inner(
         .then(|| DeltaRefresher::new(&names, profile))
         .transpose()?;
     let prio_stmts = match &config.priority {
-        Some(spec) => (0..config.partitions)
+        Some(spec) => (0..partitions)
             .map(|x| {
                 Ok(PreparedStatement::new(translate_sql(
                     &spec.query_for(&names.partition(x)),
@@ -391,25 +505,25 @@ fn run_parallel_inner(
         None => Vec::new(),
     };
 
-    let mut gen = match parallel_setup(
-        main.as_mut(),
-        cte,
-        plan,
-        config,
-        &names,
-        resume_snap.as_ref(),
-    ) {
-        Ok(gen) => gen,
+    let resume = resume_snap.as_ref();
+    let setup = match parallel {
+        Some((plan, policy)) => parallel_setup(main.as_mut(), cte, plan, config, &names, resume)
+            .map(|gen| (gen.schema().clone(), Some(gen), policy)),
+        None => whole_setup(main.as_mut(), cte, &names, resume, config.insert_batch_rows)
+            .map(|(schema, task)| (schema, None, Policy::Whole { task })),
+    };
+    let (schema, mut gen, policy) = match setup {
+        Ok(setup) => setup,
         Err(e) => {
             // a half-built layout must not leak into the catalog
             if !config.keep_artifacts {
-                drop_setup_artifacts(main.as_mut(), &names, config.partitions);
+                drop_setup_artifacts(main.as_mut(), &names, partitions);
             }
             return Err(e);
         }
     };
-    let start_round = resume_snap.as_ref().map(|s| s.round).unwrap_or(0);
-    if let Some(snap) = &resume_snap {
+    let start_round = resume.map_or(0, |s| s.round);
+    if let Some(snap) = resume {
         trace.event(
             EventKind::Resume,
             None,
@@ -417,15 +531,22 @@ fn run_parallel_inner(
             format!("resumed {} run at round {start_round}", snap.mode),
         );
     }
-    let part_cols: Vec<(String, DataType)> = gen
-        .schema()
+    // the tables that hold the loop state, which checkpoints dump and the
+    // watchdog probes: R for Whole, the partition tables otherwise
+    let state_tables: Vec<(String, Option<usize>)> = match &gen {
+        Some(_) => (0..partitions)
+            .map(|x| (names.partition(x), Some(x)))
+            .collect(),
+        None => vec![(names.table.clone(), None)],
+    };
+    let state_cols: Vec<(String, DataType)> = schema
         .columns
         .iter()
         .cloned()
-        .zip(gen.schema().types.iter().copied())
+        .zip(schema.types.iter().copied())
         .chain(
-            gen.hidden_columns()
-                .into_iter()
+            gen.iter()
+                .flat_map(SqlGen::hidden_columns)
                 .map(|c| (c.to_string(), DataType::Float)),
         )
         .collect();
@@ -440,25 +561,20 @@ fn run_parallel_inner(
         _ => None,
     };
 
-    // worker pool: one connection per thread, opened lazily inside the
-    // worker under a retry policy — a refused connect becomes a retryable
-    // task failure instead of aborting the whole run before it starts.
-    // The pool keeps its own ends of both channels so it can mint
-    // replacement workers for abandoned ones mid-run.
-    let (task_tx, task_rx) = unbounded::<Task>();
-    let (done_tx, done_rx) = unbounded::<Done>();
-    let mut pool = WorkerPool::new(driver, config, trace, task_rx, done_tx);
-    for _ in 0..config.threads {
-        pool.spawn_worker()?;
-    }
+    // Whole runs its task on the master connection; the partitioned
+    // policies get the worker pool
+    let pool = match gen {
+        Some(_) => Some(WorkerPool::start(driver, config, trace)?),
+        None => None,
+    };
 
     let fresh = PartSnap {
         pending: true,
         ..PartSnap::default()
     };
-    let parts: Vec<PartState> = (0..config.partitions)
+    let parts: Vec<PartState> = (0..partitions)
         .map(|x| {
-            let p = resume_snap.as_ref().map_or(fresh, |s| s.parts[x]);
+            let p = resume.map_or(fresh, |s| s.parts[x]);
             PartState {
                 pending: p.pending,
                 cursor: 0,
@@ -470,19 +586,21 @@ fn run_parallel_inner(
             }
         })
         .collect();
-    let sup = pool.sup.clone();
-    let npartitions = parts.len();
     let mut scheduler = Scheduler {
-        gen: &mut gen,
+        gen: gen.as_mut(),
         config,
+        names: &names,
+        schema,
         tc: &cte.termination,
         main: main.as_mut(),
-        task_tx: &task_tx,
-        done_rx: &done_rx,
-        pool: &mut pool,
+        threads: pool.as_ref().map_or(0, |_| config.threads),
+        sup: pool
+            .as_ref()
+            .map_or_else(SupervisorMetrics::new, |p| p.sup.clone()),
+        pool,
+        inline: VecDeque::new(),
         dispatched: HashMap::new(),
         next_task_id: 1,
-        sup,
         parts,
         msgs: Vec::new(),
         in_flight: 0,
@@ -490,8 +608,8 @@ fn run_parallel_inner(
         gathers: 0,
         messages: 0,
         all_msgs: Vec::new(),
-        free_slots: vec![Vec::new(); npartitions],
-        slots_created: vec![0; npartitions],
+        free_slots: vec![Vec::new(); partitions],
+        slots_created: vec![0; partitions],
         needs_delta: cte.termination.needs_delta_snapshot(),
         probe,
         refresher,
@@ -504,8 +622,10 @@ fn run_parallel_inner(
         round: start_round + 1,
         cancel: &config.cancel,
         checkpointer,
+        label,
         fingerprint,
-        part_cols,
+        state_tables,
+        state_cols,
         start_round,
         cancelled: false,
         governance: Governance {
@@ -517,7 +637,8 @@ fn run_parallel_inner(
         },
     };
 
-    let sched_result = scheduler.run(policy);
+    let final_sql = translate_query_to_sql(&cte.final_query, profile);
+    let ran = scheduler.run(policy, &final_sql);
     let Scheduler {
         computes,
         gathers,
@@ -527,6 +648,7 @@ fn run_parallel_inner(
         mut recovery,
         cancelled,
         checkpointer,
+        pool,
         ..
     } = scheduler;
     let checkpoint_path = checkpointer
@@ -537,46 +659,42 @@ fn run_parallel_inner(
     // surface here as counted recoveries, never silently — and abandoned
     // workers (possibly hung forever) are detached, not joined, so
     // cleanup can't re-wedge a run the supervisor already saved
-    drop(task_tx);
-    recovery.worker_panics += pool.shutdown();
+    recovery.worker_panics += pool.map_or(0, WorkerPool::shutdown);
     *recovery_out = recovery;
     let samples = sampler.map(Sampler::stop).unwrap_or_default();
 
-    let finish = |main: &mut dyn Connection| -> SqloopResult<()> {
-        if !config.keep_artifacts {
+    let outcome = ran.map(|(iterations, last_change, result)| RunOutcome {
+        result,
+        iterations,
+        last_change,
+        cancelled,
+    });
+    match &gen {
+        Some(gen) if !config.keep_artifacts => {
             let slots = all_msgs.iter().map(|m| gen.drop_message_slot_sql(m));
-            run_all_best_effort(main, gen.cleanup_sql().into_iter().chain(slots));
+            run_all_best_effort(main.as_mut(), gen.cleanup_sql().into_iter().chain(slots));
         }
-        Ok(())
-    };
-
-    match sched_result {
-        Ok((rounds, last_change)) => {
-            let final_sql = translate_query_to_sql(&cte.final_query, main.profile());
-            let result = main.query(&final_sql)?;
-            finish(main.as_mut())?;
-            Ok(ParallelRun {
-                outcome: RunOutcome {
-                    result,
-                    iterations: rounds,
-                    last_change,
-                    cancelled,
-                },
-                computes,
-                gathers,
-                messages,
-                worker_busy,
-                samples,
-                recovery,
-                checkpoint: checkpoint_path,
-                recovery_note,
-            })
-        }
-        Err(e) => {
-            finish(main.as_mut())?;
-            Err(e)
+        Some(_) => {}
+        // Rtmp is scratch, dropped even when the artifacts are kept
+        None => {
+            let _ = run(
+                main.as_mut(),
+                &format!("DROP TABLE IF EXISTS {}", names.tmp()),
+            );
+            let _ = cleanup(main.as_mut(), &names, config.keep_artifacts);
         }
     }
+    Ok(IterativeRun {
+        outcome: outcome?,
+        computes,
+        gathers,
+        messages,
+        worker_busy,
+        samples,
+        recovery,
+        checkpoint: checkpoint_path,
+        recovery_note,
+    })
 }
 
 /// Everything one worker thread needs, bundled so replacements are spawned
@@ -608,10 +726,11 @@ struct WorkerHandle {
     abandoned: bool,
 }
 
-/// The run's worker pool: spawns the initial `sqloop-worker-{id}` threads
-/// and mints replacements for abandoned ones mid-run. It keeps its own
-/// clones of both channel ends so a replacement can be wired up at any
-/// time; `shutdown` drops them so idle workers see the task stream end.
+/// The run's worker pool: both channels, the initial `sqloop-worker-{id}`
+/// threads and replacements for abandoned ones, minted mid-run. It keeps
+/// the workers' ends of both channels too, so a replacement can be wired
+/// up at any time; `shutdown` drops them so idle workers see the task
+/// stream end.
 struct WorkerPool {
     driver: Arc<dyn Driver>,
     reconnect_attempts: u32,
@@ -619,8 +738,10 @@ struct WorkerPool {
     statement_timeout: Option<std::time::Duration>,
     cancel: CancelToken,
     trace: TraceHandle,
+    task_tx: Sender<Task>,
     task_rx: Receiver<Task>,
     done_tx: Sender<Done>,
+    done_rx: Receiver<Done>,
     /// Clock origin for heartbeat timestamps.
     epoch: Instant,
     sup: SupervisorMetrics,
@@ -629,27 +750,36 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    fn new(
+    /// Spawns `config.threads` workers. Each opens its connection lazily,
+    /// under a retry policy, so a refused connect becomes a retryable task
+    /// failure instead of aborting the run before it starts.
+    fn start(
         driver: &Arc<dyn Driver>,
         config: &SqloopConfig,
         trace: &TraceHandle,
-        task_rx: Receiver<Task>,
-        done_tx: Sender<Done>,
-    ) -> WorkerPool {
-        WorkerPool {
+    ) -> SqloopResult<WorkerPool> {
+        let (task_tx, task_rx) = unbounded::<Task>();
+        let (done_tx, done_rx) = unbounded::<Done>();
+        let mut pool = WorkerPool {
             driver: Arc::clone(driver),
             reconnect_attempts: config.reconnect_attempts,
             retry_backoff: config.retry_backoff,
             statement_timeout: config.statement_timeout,
             cancel: config.cancel.clone(),
             trace: trace.clone(),
+            task_tx,
             task_rx,
             done_tx,
+            done_rx,
             epoch: Instant::now(),
             sup: SupervisorMetrics::new(),
             workers: Vec::new(),
             next_id: 0,
+        };
+        for _ in 0..config.threads {
+            pool.spawn_worker()?;
         }
+        Ok(pool)
     }
 
     /// Spawns a named `sqloop-worker-{id}` thread wired to the pool's
@@ -712,6 +842,7 @@ impl WorkerPool {
     /// the supervisor already saved; their panics (if any) were accounted
     /// by the verdict that abandoned them.
     fn shutdown(self) -> u64 {
+        drop(self.task_tx);
         drop(self.task_rx);
         drop(self.done_tx);
         let mut panics = 0u64;
@@ -765,18 +896,8 @@ fn worker_loop(ctx: WorkerCtx) {
             task.round,
             task.start_at,
         );
-        let started = std::time::Instant::now();
-        let span_start = trace.now_us();
-        let mut changed = 0u64;
-        let mut rows_outputs = Vec::new();
-        let mut msg_rows = None;
-        let fill_at = match task.kind {
-            TaskKind::Compute { fill_at, .. } => Some(fill_at),
-            TaskKind::Gather { .. } => None,
-        };
-        let mut error = None;
         let mut reconnects = 0u32;
-        let at = task.start_at;
+        let mut refused = None;
         if conn.is_none() {
             // interruptible reconnect backoff: a cancelled run must not
             // sit out the full exponential wait
@@ -792,128 +913,17 @@ fn worker_loop(ctx: WorkerCtx) {
                     conn = Some(c);
                     slot.beat(now_us(epoch));
                 }
-                Err(e) => {
-                    error = Some((at, SqloopError::from(e)));
-                }
+                Err(e) => refused = Some(SqloopError::from(e)),
             }
         }
-        if error.is_none() {
-            match conn.as_mut() {
-                Some(c) => {
-                    // the remaining statement sequence goes out as ONE
-                    // pipelined batch — a single wire round-trip however
-                    // many statements the task carries
-                    let steps: Vec<PipelineStep> = task.stmts[at..]
-                        .iter()
-                        .map(|sql| PipelineStep::Execute(String::from(&**sql)))
-                        .collect();
-                    // the panic boundary: one panicking statement (an
-                    // engine bug, an injected chaos panic) must degrade
-                    // into a retryable task failure, never take the
-                    // process down or wedge the run
-                    let pipe = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        c.run_pipeline(&steps)
-                    }));
-                    match pipe {
-                        Ok(Ok(outcome)) => {
-                            let executed = outcome.outputs.len();
-                            for (i, out) in outcome.outputs.into_iter().enumerate() {
-                                match out {
-                                    // slot-maintenance DELETE/INSERT counts
-                                    // are bookkeeping, not convergence delta
-                                    StmtOutput::Affected(n) => {
-                                        if at + i >= task.changed_from {
-                                            changed += n;
-                                        } else if Some(at + i) == fill_at {
-                                            msg_rows = Some(n);
-                                        }
-                                    }
-                                    StmtOutput::Rows(r) => rows_outputs.push(r),
-                                    StmtOutput::Done => {}
-                                }
-                            }
-                            // the step at `executed` surfaced its error
-                            // before taking effect — replay resumes there;
-                            // a dead connection reported with a position
-                            // (statement-at-a-time transports know how far
-                            // they got) additionally forces a reconnect
-                            error = outcome.error.map(|e| {
-                                if matches!(e, sqldb::DbError::Connection(_)) {
-                                    conn = None;
-                                }
-                                (at + executed, SqloopError::from(e))
-                            });
-                        }
-                        Ok(Err(e)) => {
-                            // transport failure mid-batch: how far the batch
-                            // got is unknown at statement granularity, so
-                            // this attempt's outputs are discarded and the
-                            // whole remaining sequence replays from `at` —
-                            // safe because every statement before a task's
-                            // final delta-advancing UPDATE is idempotent
-                            // and the UPDATE is always last (it either
-                            // never ran, or ran and the batch completed)
-                            conn = None;
-                            error = Some((at, SqloopError::from(e)));
-                        }
-                        Err(payload) => {
-                            // a panic unwound through the driver: the
-                            // connection's state is unknown, so drop it
-                            // (the engine session rolls back and releases
-                            // its locks on drop) and report a typed,
-                            // retryable WorkerPanic — faults inject before
-                            // their statement takes effect, so replaying
-                            // from `at` is as safe as any transport replay
-                            conn = None;
-                            sup.panics_caught.inc();
-                            let detail = panic_detail(payload.as_ref());
-                            trace.event(
-                                EventKind::Panic,
-                                Some(task.partition as u32),
-                                Some(task.round),
-                                format!("worker {worker} caught a panic: {detail}"),
-                            );
-                            error = Some((
-                                at,
-                                SqloopError::WorkerPanic {
-                                    worker: Some(worker),
-                                    detail,
-                                },
-                            ));
-                        }
-                    }
-                }
-                // unreachable in practice (the branch above just ensured
-                // it), but a poisoned worker must degrade into a task
-                // failure, not abort the whole process
-                None => {
-                    error = Some((
-                        at,
-                        SqloopError::Worker("worker lost its connection unexpectedly".into()),
-                    ));
-                }
-            }
+        let connected = conn.as_deref_mut().ok_or_else(|| {
+            refused.unwrap_or_else(|| SqloopError::Worker("worker lost its connection".into()))
+        });
+        let (mut done, usable) = run_task(connected, task, Some(worker), &trace, &sup);
+        if !usable {
+            conn = None;
         }
-        if trace.is_enabled() {
-            trace.span(Span {
-                kind: match task.kind {
-                    TaskKind::Compute { .. } => SpanKind::Compute,
-                    TaskKind::Gather { .. } => SpanKind::Gather,
-                },
-                partition: Some(task.partition as u32),
-                iteration: Some(task.round),
-                worker: Some(worker),
-                attempt: task.attempt,
-                rows: changed,
-                outcome: if error.is_some() {
-                    SpanOutcome::Failed
-                } else {
-                    SpanOutcome::Ok
-                },
-                start_us: span_start,
-                end_us: trace.now_us(),
-            });
-        }
+        done.reconnects = reconnects;
         // completion handshake: exactly one of {this CAS, the supervisor's
         // abandon CAS} wins. Losing means the supervisor already replayed
         // this task on a replacement — sending the result now would apply
@@ -923,15 +933,6 @@ fn worker_loop(ctx: WorkerCtx) {
             sup.zombie_results_dropped.inc();
             return;
         }
-        let done = Done {
-            task,
-            changed,
-            rows_outputs,
-            msg_rows,
-            elapsed: started.elapsed(),
-            error,
-            reconnects,
-        };
         if tx.send(done).is_err() {
             return;
         }
@@ -939,16 +940,164 @@ fn worker_loop(ctx: WorkerCtx) {
     }
 }
 
+/// Runs `task.stmts[task.start_at..]` on `conn` (or fails at once with the
+/// error that left a worker without one), folds the outputs into a
+/// [`Done`] and records the attempt's span. `worker` is `None` when the
+/// master thread runs the task on its own connection. The flag comes back
+/// false when the connection can no longer be trusted — a transport
+/// failure, a dead connection, a panic — and the caller must reconnect or
+/// roll the session back.
+fn run_task(
+    conn: Result<&mut (dyn Connection + '_), SqloopError>,
+    task: Task,
+    worker: Option<u32>,
+    trace: &TraceHandle,
+    sup: &SupervisorMetrics,
+) -> (Done, bool) {
+    let started = Instant::now();
+    let span_start = trace.now_us();
+    let at = task.start_at;
+    let fill_at = match task.kind {
+        TaskKind::Compute { fill_at, .. } => Some(fill_at),
+        _ => None,
+    };
+    let mut changed = 0u64;
+    let mut rows_outputs = Vec::new();
+    let mut msg_rows = None;
+    let mut usable = true;
+    let error = match conn {
+        Err(e) => Some((at, e)),
+        Ok(c) => {
+            // the remaining statement sequence goes out as ONE pipelined
+            // batch — a single wire round-trip however many statements the
+            // task carries
+            let steps: Vec<PipelineStep> = task.stmts[at..]
+                .iter()
+                .map(|sql| PipelineStep::Execute(String::from(&**sql)))
+                .collect();
+            // the panic boundary: one panicking statement (an engine bug,
+            // an injected chaos panic) must degrade into a typed task
+            // failure, never take the process down or wedge the run
+            let pipe =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.run_pipeline(&steps)));
+            match pipe {
+                Ok(Ok(outcome)) => {
+                    let executed = outcome.outputs.len();
+                    for (i, out) in outcome.outputs.into_iter().enumerate() {
+                        match out {
+                            // slot-maintenance DELETE/INSERT counts are
+                            // bookkeeping, not convergence delta
+                            StmtOutput::Affected(n) => {
+                                if at + i >= task.changed_from {
+                                    changed += n;
+                                } else if Some(at + i) == fill_at {
+                                    msg_rows = Some(n);
+                                }
+                            }
+                            StmtOutput::Rows(r) => rows_outputs.push(r),
+                            StmtOutput::Done => {}
+                        }
+                    }
+                    // the step at `executed` surfaced its error before
+                    // taking effect — replay resumes there; a dead
+                    // connection reported with a position (statement-at-a-
+                    // time transports know how far they got) additionally
+                    // forces a reconnect
+                    outcome.error.map(|e| {
+                        usable &= !matches!(e, DbError::Connection(_));
+                        (at + executed, SqloopError::from(e))
+                    })
+                }
+                Err(payload) => {
+                    // a panic unwound through the driver: the session's
+                    // state is unknown, so the caller drops it or rolls it
+                    // back (releasing its locks), and the typed WorkerPanic
+                    // is retryable — faults inject before their statement
+                    // takes effect, so replaying from `at` is as safe as
+                    // any transport replay
+                    usable = false;
+                    sup.panics_caught.inc();
+                    let detail = panic_detail(payload.as_ref());
+                    let (who, detail) = match worker {
+                        Some(w) => (format!("worker {w}"), detail),
+                        None => (
+                            "the master connection".to_string(),
+                            format!("single-threaded iteration {}: {detail}", task.round),
+                        ),
+                    };
+                    trace.event(
+                        EventKind::Panic,
+                        task.trace_partition(),
+                        Some(task.round),
+                        format!("{who} caught a panic: {detail}"),
+                    );
+                    Some((at, SqloopError::WorkerPanic { worker, detail }))
+                }
+                Ok(Err(e)) => {
+                    // transport failure mid-batch: how far the batch got
+                    // is unknown at statement granularity, so this
+                    // attempt's outputs are discarded and the whole
+                    // remaining sequence replays from `at` — safe because
+                    // every statement before a task's final delta-advancing
+                    // UPDATE is idempotent and the UPDATE is always last
+                    // (it either never ran, or ran and the batch completed)
+                    usable = false;
+                    Some((at, SqloopError::from(e)))
+                }
+            }
+        }
+    };
+    if trace.is_enabled() {
+        trace.span(Span {
+            kind: match task.kind {
+                TaskKind::Compute { .. } => SpanKind::Compute,
+                TaskKind::Gather { .. } => SpanKind::Gather,
+                TaskKind::Whole => SpanKind::Iteration,
+            },
+            partition: task.trace_partition(),
+            iteration: Some(task.round),
+            worker,
+            attempt: task.attempt,
+            rows: changed,
+            outcome: if error.is_some() {
+                SpanOutcome::Failed
+            } else {
+                SpanOutcome::Ok
+            },
+            start_us: span_start,
+            end_us: trace.now_us(),
+        });
+    }
+    let done = Done {
+        task,
+        changed,
+        rows_outputs,
+        msg_rows,
+        elapsed: started.elapsed(),
+        error,
+        reconnects: 0,
+    };
+    (done, usable)
+}
+
 struct Scheduler<'a> {
-    gen: &'a mut SqlGen,
+    /// Compute/Gather SQL of the partitioned layout (`None` for Whole).
+    gen: Option<&'a mut SqlGen>,
     config: &'a SqloopConfig,
+    names: &'a CteNames,
+    /// The CTE's declared columns, which the watchdog probes.
+    schema: CteSchema,
     tc: &'a Termination,
     main: &'a mut dyn Connection,
-    task_tx: &'a Sender<Task>,
-    done_rx: &'a Receiver<Done>,
+    /// Worker threads: a task per worker plus one waiting may be in flight.
+    threads: usize,
     /// The worker pool: the supervisor inspects heartbeats, abandons stuck
-    /// workers and spawns replacements through it.
-    pool: &'a mut WorkerPool,
+    /// workers and spawns replacements through it. Without one, a task
+    /// runs at dispatch on the master connection.
+    pool: Option<WorkerPool>,
+    /// Completions of tasks run on the master connection, read before the
+    /// pool's channel.
+    inline: VecDeque<Done>,
     /// Tasks currently dispatched, keyed by task id — the supervisor's
     /// in-flight map and the zombie-result filter.
     dispatched: HashMap<u64, Task>,
@@ -999,10 +1148,16 @@ struct Scheduler<'a> {
     cancel: &'a CancelToken,
     /// Periodic durable snapshots (`None` = checkpointing off).
     checkpointer: Option<Checkpointer>,
+    /// The policy's mode label: snapshots, plan-cache ticks.
+    label: &'static str,
     /// [`run_fingerprint`] of this run, stamped into every snapshot.
     fingerprint: u64,
-    /// Full partition-table column list (declared + hidden), for dumps.
-    part_cols: Vec<(String, DataType)>,
+    /// The tables that hold the loop state, with the partition each one is
+    /// (`None` for Whole's `R`): what checkpoints dump and the watchdog
+    /// probes.
+    state_tables: Vec<(String, Option<usize>)>,
+    /// Their full column list (declared + hidden), for dumps.
+    state_cols: Vec<(String, DataType)>,
     /// Completed rounds carried over from a resumed checkpoint.
     start_round: u64,
     /// Set when the run stopped at a cancellation point.
@@ -1026,29 +1181,21 @@ impl Scheduler<'_> {
             None => {
                 let k = self.slots_created[x];
                 self.slots_created[x] += 1;
-                let slot = self.gen.names().message_slot(x, k);
+                let slot = self.names.message_slot(x, k);
                 self.all_msgs.push(slot.clone());
                 (slot, true)
             }
         };
         // replays resume at the failed statement, so a fresh slot's DDL
         // never re-runs after it succeeded
-        let sql = self.gen.compute_task_sql(x, &slot, fresh)?;
+        let sql = partitioned(&mut self.gen)?.compute_task_sql(x, &slot, fresh)?;
+        let kind = TaskKind::Compute {
+            msg_table: slot,
+            fill_at: sql.fill_at,
+        };
         Ok(Task {
-            task_id: 0, // assigned at dispatch
-            partition: x,
-            kind: TaskKind::Compute {
-                msg_table: slot,
-                fill_at: sql.fill_at,
-            },
-            stmts: sql.stmts,
             round: self.round,
-            attempt: 1,
-            start_at: 0,
-            changed_from: sql.changed_from,
-            acc_changed: 0,
-            acc_rows: Vec::new(),
-            acc_msg_rows: None,
+            ..Task::new(x, kind, sql.stmts, sql.changed_from)
         })
     }
 
@@ -1069,22 +1216,14 @@ impl Scheduler<'_> {
             self.parts[x].cursor = len;
             return Ok(None);
         }
-        let sql = self.gen.gather_task_sql(x, &tables)?;
+        let sql = partitioned(&mut self.gen)?.gather_task_sql(x, &tables)?;
+        let kind = TaskKind::Gather {
+            read_from: self.parts[x].cursor,
+            read_until: len,
+        };
         Ok(Some(Task {
-            task_id: 0, // assigned at dispatch
-            partition: x,
-            kind: TaskKind::Gather {
-                read_from: self.parts[x].cursor,
-                read_until: len,
-            },
-            stmts: vec![sql],
             round: self.round,
-            attempt: 1,
-            start_at: 0,
-            changed_from: 0,
-            acc_changed: 0,
-            acc_rows: Vec::new(),
-            acc_msg_rows: None,
+            ..Task::new(x, kind, vec![sql], 0)
         }))
     }
 
@@ -1094,23 +1233,37 @@ impl Scheduler<'_> {
     /// woken, booked the completion and built a successor. Picks still
     /// happen only when a completion has been handled, which keeps a
     /// one-worker schedule a pure function of state; a queued task's
-    /// partition is in flight like a running one's.
+    /// partition is in flight like a running one's. Without workers, one
+    /// task is in flight: the one whose completion waits in `inline`.
     fn has_room(&self) -> bool {
-        self.in_flight < self.config.threads + 1
+        self.in_flight <= self.threads
     }
 
     fn dispatch(&mut self, mut task: Task) -> SqloopResult<()> {
         task.task_id = self.next_task_id;
         self.next_task_id += 1;
-        self.parts[task.partition].in_flight = true;
+        if let Some(p) = self.parts.get_mut(task.partition) {
+            p.in_flight = true;
+        }
         self.in_flight += 1;
+        let Some(pool) = &self.pool else {
+            // no pool: the task runs now, on the master connection, whose
+            // session is rolled back when the task left it untrustworthy
+            let (done, usable) = run_task(Ok(&mut *self.main), task, None, self.trace, &self.sup);
+            if !usable {
+                let _ = self.main.execute("ROLLBACK");
+            }
+            self.inline.push_back(done);
+            return Ok(());
+        };
         self.dispatched.insert(task.task_id, task.clone());
-        self.task_tx
+        pool.task_tx
             .send(task)
             .map_err(|_| SqloopError::Worker("worker pool shut down unexpectedly".into()))
     }
 
-    /// Receives the next completion, supervising the pool while waiting.
+    /// Receives the next completion: one run on the master connection
+    /// first, otherwise from the pool, supervising it while waiting.
     ///
     /// The wait is bounded by `supervisor_poll`, and each timeout tick runs
     /// a supervision pass over the worker heartbeats, so a panicked or
@@ -1119,8 +1272,15 @@ impl Scheduler<'_> {
     /// lost the completion race but still had its `Done` buffered) are
     /// discarded.
     fn recv_done(&mut self) -> SqloopResult<Done> {
+        if let Some(d) = self.inline.pop_front() {
+            return Ok(d);
+        }
         loop {
-            match self.done_rx.recv_timeout(self.config.supervisor_poll) {
+            let received = match &self.pool {
+                Some(pool) => pool.done_rx.recv_timeout(self.config.supervisor_poll),
+                None => Err(RecvTimeoutError::Disconnected),
+            };
+            match received {
                 Ok(d) => {
                     if !self.dispatched.contains_key(&d.task.task_id) {
                         self.sup.zombie_results_dropped.inc();
@@ -1157,14 +1317,14 @@ impl Scheduler<'_> {
     /// applies the ordinary replay/budget/abort logic), and a replacement
     /// worker is spawned. Returns that verdict, if any.
     fn supervise(&mut self) -> SqloopResult<Option<Done>> {
-        if self.in_flight == 0 {
+        let Some(pool) = self.pool.as_mut().filter(|_| self.in_flight > 0) else {
             return Ok(None);
-        }
-        let now = now_us(self.pool.epoch);
+        };
+        let now = now_us(pool.epoch);
         let stall_us = self.config.stall_timeout.map(|t| t.as_micros() as u64);
-        for i in 0..self.pool.workers.len() {
+        for i in 0..pool.workers.len() {
             let (worker_id, task_id, dead, silent_us) = {
-                let w = &self.pool.workers[i];
+                let w = &pool.workers[i];
                 if w.abandoned || w.slot.state() != STATE_BUSY {
                     continue;
                 }
@@ -1178,11 +1338,11 @@ impl Scheduler<'_> {
             }
             // the completion race: if the worker sends its Done first, the
             // CAS fails and this verdict is void — take the real result
-            if !self.pool.workers[i].slot.try_abandon() {
+            if !pool.workers[i].slot.try_abandon() {
                 continue;
             }
-            self.pool.workers[i].abandoned = true;
-            let replacement = self.pool.spawn_worker()?;
+            pool.workers[i].abandoned = true;
+            let replacement = pool.spawn_worker()?;
             self.recovery.worker_replacements += 1;
             self.sup.worker_replacements.inc();
             let Some(task) = self.dispatched.remove(&task_id) else {
@@ -1237,7 +1397,7 @@ impl Scheduler<'_> {
                 reconnects: 0,
             }));
         }
-        if self.pool.all_live_finished() {
+        if pool.all_live_finished() {
             return Err(SqloopError::WorkerPanic {
                 worker: None,
                 detail: format!(
@@ -1254,12 +1414,17 @@ impl Scheduler<'_> {
     /// A failed task whose error is retryable is re-dispatched resuming at
     /// the failed statement (carrying the partial results along), until the
     /// replay budget runs out — then the failure is wrapped as
-    /// [`SqloopError::Task`] and the scheduler aborts.
+    /// [`SqloopError::Task`] and the scheduler aborts. A task that ran on
+    /// the master connection is not replayed, as that connection cannot
+    /// reconnect: its error ends the run unwrapped.
     fn handle_done(&mut self, d: Done) -> SqloopResult<u64> {
         self.dispatched.remove(&d.task.task_id);
         self.in_flight -= 1;
         let x = d.task.partition;
-        self.parts[x].in_flight = false;
+        let part = d.task.trace_partition();
+        if let Some(p) = self.parts.get_mut(x) {
+            p.in_flight = false;
+        }
         self.worker_busy += d.elapsed;
         self.recovery.worker_reconnects += u64::from(d.reconnects);
         if self.trace.is_enabled() {
@@ -1268,7 +1433,7 @@ impl Scheduler<'_> {
             for _ in 0..d.reconnects {
                 self.trace.event(
                     EventKind::Reconnect,
-                    Some(x as u32),
+                    part,
                     Some(d.task.round),
                     "worker reopened its engine connection",
                 );
@@ -1281,7 +1446,7 @@ impl Scheduler<'_> {
             }
             self.trace.event(
                 EventKind::Fault,
-                Some(x as u32),
+                part,
                 Some(d.task.round),
                 format!("attempt {} failed at stmt {failed_at}: {e}", d.task.attempt),
             );
@@ -1290,12 +1455,16 @@ impl Scheduler<'_> {
             task.acc_rows.extend(d.rows_outputs);
             task.acc_msg_rows = task.acc_msg_rows.or(d.msg_rows);
             task.start_at = failed_at;
+            if self.pool.is_none() {
+                self.aborting = true;
+                return Err(e);
+            }
             if e.is_retryable() && task.attempt <= self.config.task_retries && !self.aborting {
                 task.attempt += 1;
                 self.recovery.task_retries += 1;
                 self.trace.event(
                     EventKind::Retry,
-                    Some(x as u32),
+                    part,
                     Some(task.round),
                     format!("replaying from stmt {failed_at} (attempt {})", task.attempt),
                 );
@@ -1379,6 +1548,7 @@ impl Scheduler<'_> {
                     }
                 }
             }
+            TaskKind::Whole => {}
         }
         if self.config.mode == ExecutionMode::AsyncPrio && refresh {
             self.refresh_priority(x);
@@ -1441,17 +1611,34 @@ impl Scheduler<'_> {
 
     // -- the event loop (paper §V-E) ----------------------------------------
 
-    /// Runs the loop to its end under `policy` and returns `(iterations,
-    /// last change)`. This is the one place that dispatches, waits for
+    /// Runs the loop to its end under `policy`, then the final query `Qf`,
+    /// and returns `(iterations, last change, Qf's rows)`. Every error the
+    /// run ends in passes through [`Self::fail`] here, once, so a
+    /// memory-budget trip anywhere — a task, the termination probe, a
+    /// checkpoint, `Qf` — becomes a governed abort.
+    fn run(
+        &mut self,
+        mut policy: Policy,
+        final_sql: &str,
+    ) -> SqloopResult<(u64, u64, QueryResult)> {
+        // rows changed in the current round
+        let mut tally = 0u64;
+        let ran = self
+            .rounds(&mut policy, &mut tally)
+            .and_then(|(iterations, last_change)| {
+                Ok((iterations, last_change, self.main.query(final_sql)?))
+            });
+        ran.map_err(|e| self.fail(e, self.round - 1, policy.committed(tally)))
+    }
+
+    /// The round loop. This is the one place that dispatches, waits for
     /// completions (supervising the pool meanwhile), drains after the first
     /// unrecoverable failure, stops on cancellation and ticks rounds; the
     /// policy only picks tasks, says when a round is over, and says when
     /// the loop has terminated.
-    fn run(&mut self, mut policy: Policy) -> SqloopResult<(u64, u64)> {
+    fn rounds(&mut self, policy: &mut Policy, tally: &mut u64) -> SqloopResult<(u64, u64)> {
         policy.begin(self)?;
         let mut rounds = self.start_round;
-        // rows changed in the current round
-        let mut tally = 0u64;
         let mut first_error: Option<SqloopError> = None;
         loop {
             // a failure or a cancellation stops feeding the pipeline; what is
@@ -1467,14 +1654,11 @@ impl Scheduler<'_> {
             let boundary = if self.in_flight > 0 {
                 let d = match self.recv_done() {
                     Ok(d) => d,
-                    Err(e) => {
-                        let e = first_error.unwrap_or(e);
-                        return Err(self.fail(e, rounds, policy.committed(tally)));
-                    }
+                    Err(e) => return Err(first_error.unwrap_or(e)),
                 };
                 match self.handle_done(d) {
                     Ok(c) => {
-                        tally += c;
+                        *tally += c;
                         policy.completed()
                     }
                     Err(e) => {
@@ -1483,13 +1667,13 @@ impl Scheduler<'_> {
                     }
                 }
             } else if let Some(e) = first_error {
-                return Err(self.fail(e, rounds, policy.committed(tally)));
+                return Err(e);
             } else {
-                policy.idle(self, tally)?
+                policy.idle(self, *tally)?
             };
             match boundary {
                 Boundary::Within => continue,
-                Boundary::Quiescent => return Ok((policy.reported(self, rounds + 1), tally)),
+                Boundary::Quiescent => return Ok((policy.reported(self, rounds + 1), *tally)),
                 // a partial round: not counted, straight to the cancel point
                 Boundary::Cancel => {}
                 Boundary::Round => {
@@ -1502,22 +1686,21 @@ impl Scheduler<'_> {
                             format!("{tally} row(s) changed"),
                         );
                     }
-                    self.cache_probe
-                        .tick(self.trace, rounds, self.config.mode.label());
+                    self.cache_probe.tick(self.trace, rounds, self.label);
                     self.round = rounds + 1;
-                    if policy.terminated(self, rounds, tally)? {
+                    if policy.terminated(self, rounds, *tally)? {
                         self.drain()?;
-                        return Ok((policy.reported(self, rounds), tally));
+                        return Ok((policy.reported(self, rounds), *tally));
                     }
                 }
             }
             // the round boundary is the loop's quiesce point for
             // cancellation, checkpoints and the watchdog
-            if self.check_cancel(rounds, tally)? {
-                return Ok((policy.reported(self, rounds), tally));
+            if self.check_cancel(rounds, *tally)? {
+                return Ok((policy.reported(self, rounds), *tally));
             }
-            let carried = self.maybe_checkpoint(rounds, tally)?;
-            self.watchdog_check(rounds, tally)?;
+            let carried = self.maybe_checkpoint(rounds, *tally)?;
+            self.watchdog_check(rounds, *tally)?;
             if rounds >= self.config.max_iterations {
                 self.drain()?;
                 return Err(SqloopError::Semantic(format!(
@@ -1525,7 +1708,7 @@ impl Scheduler<'_> {
                     policy.unit()
                 )));
             }
-            tally = carried;
+            *tally = carried;
             policy.next_round(self)?;
         }
     }
@@ -1665,23 +1848,24 @@ impl Scheduler<'_> {
         if self.checkpointer.is_none() {
             return Ok(carried);
         }
-        let names = self.gen.names().clone();
-        let mut tables = (0..self.parts.len())
-            .map(|x| dump_table_sql(self.main, &names.partition(x), &self.part_cols, Some(0)))
+        let mut tables = self
+            .state_tables
+            .iter()
+            .map(|(table, _)| dump_table_sql(self.main, table, &self.state_cols, Some(0)))
             .collect::<SqloopResult<Vec<_>>>()?;
         if self.needs_delta {
             let visible: Vec<(String, DataType)> = self
-                .part_cols
+                .state_cols
                 .iter()
                 .filter(|(n, _)| !n.starts_with("__"))
                 .cloned()
                 .collect();
-            let delta = names.delta_snapshot();
+            let delta = self.names.delta_snapshot();
             tables.push(dump_table_sql(self.main, &delta, &visible, None)?);
         }
         let snap = LoopSnapshot {
             fingerprint: self.fingerprint,
-            mode: self.config.mode.label().into(),
+            mode: self.label.into(),
             round: rounds,
             last_change,
             parts: self
@@ -1694,7 +1878,7 @@ impl Scheduler<'_> {
                     prefer_compute: p.prefer_compute,
                 })
                 .collect(),
-            seeds: (0..self.config.threads as u64).map(|i| i + 1).collect(),
+            seeds: (0..self.threads as u64).map(|i| i + 1).collect(),
             tables,
         };
         if let Some(ck) = self.checkpointer.as_mut() {
@@ -1708,7 +1892,7 @@ impl Scheduler<'_> {
 
     /// Feeds the watchdog one completed round: round budget, delta trend,
     /// and — when numeric checks are on — a NaN/±∞ probe of every
-    /// partition table so a verdict names the diverging partition. A
+    /// loop-state table so a verdict names the diverging partition. A
     /// verdict aborts governed (quiesce + final checkpoint) and surfaces
     /// as the typed error.
     ///
@@ -1721,15 +1905,13 @@ impl Scheduler<'_> {
         };
         let mut result = w.check_round(rounds, changed);
         if result.is_ok() && w.numeric_checks() {
-            let schema = self.gen.schema().clone();
-            let names = self.gen.names().clone();
-            for x in 0..self.parts.len() {
+            for (table, partition) in &self.state_tables {
                 result = w.probe_table(
                     self.main,
-                    &names.partition(x),
-                    &schema.columns,
-                    &schema.types,
-                    Some(x),
+                    table,
+                    &self.schema.columns,
+                    &self.schema.types,
+                    *partition,
                     rounds,
                 );
                 if result.is_err() {
@@ -1745,8 +1927,8 @@ impl Scheduler<'_> {
         Ok(())
     }
 
-    /// Routes a scheduler-fatal error: a task failure rooted in the
-    /// engine's memory budget aborts governed and becomes the typed
+    /// Routes the error a run ends in: one rooted in the engine's memory
+    /// budget aborts governed and becomes the typed
     /// [`SqloopError::BudgetExceeded`]; anything else passes through.
     fn fail(&mut self, e: SqloopError, rounds: u64, last_change: u64) -> SqloopError {
         if let Some(m) = root_budget_exceeded(&e) {
@@ -1815,10 +1997,16 @@ enum Boundary {
     Quiescent,
 }
 
-/// The scheduling policy of paper §V-E: which task runs next, when a round
-/// is over, and when the loop has terminated. [`Scheduler::run`] owns
-/// everything else.
+/// The scheduling policy: which task runs next, when a round is over, and
+/// when the loop has terminated. [`Scheduler::run`] owns everything else.
 enum Policy {
+    /// The single-threaded algorithm (paper §III-A): one task per round,
+    /// built once at setup, over all of `R` — no partitions, no messages,
+    /// no workers.
+    Whole {
+        /// The round's statements, stamped with the round at each pick.
+        task: Task,
+    },
     /// Two phases per round, each ended by a barrier: every partition
     /// computes, then every partition with unread messages gathers.
     Sync {
@@ -1868,10 +2056,20 @@ impl Policy {
             },
             ExecutionMode::Single => {
                 return Err(SqloopError::Config(
-                    "single mode must use the single-threaded executor".into(),
+                    "single mode runs without a parallel plan".into(),
                 ))
             }
         })
+    }
+
+    /// The execution mode this policy implements.
+    fn mode(&self) -> ExecutionMode {
+        match self {
+            Policy::Whole { .. } => ExecutionMode::Single,
+            Policy::Sync { .. } => ExecutionMode::Sync,
+            Policy::Async { .. } => ExecutionMode::Async,
+            Policy::AsyncPrio { .. } => ExecutionMode::AsyncPrio,
+        }
     }
 
     fn begin(&mut self, s: &mut Scheduler) -> SqloopResult<()> {
@@ -1895,6 +2093,7 @@ impl Policy {
                 computed.fill(false);
             }
             Policy::AsyncPrio { completions, .. } => *completions = 0,
+            Policy::Whole { .. } => {}
         }
         Ok(())
     }
@@ -1910,6 +2109,10 @@ impl Policy {
     /// are dispatched at once.
     fn next(&mut self, s: &mut Scheduler) -> SqloopResult<Option<Task>> {
         match self {
+            Policy::Whole { task } => Ok(Some(Task {
+                round: s.round,
+                ..task.clone()
+            })),
             Policy::Sync { queue, .. } => Ok(queue.pop_front()),
             Policy::Async { gathered, computed } => {
                 for x in 0..s.parts.len() {
@@ -1933,26 +2136,30 @@ impl Policy {
         }
     }
 
-    /// After a task completed: AsyncP's wave is over after `per_round`.
+    /// After a task completed: Whole's task is its round; AsyncP's wave is
+    /// over after `per_round`.
     fn completed(&mut self) -> Boundary {
-        if let Policy::AsyncPrio {
-            completions,
-            per_round,
-        } = self
-        {
-            *completions += 1;
-            if *completions >= *per_round {
-                return Boundary::Round;
+        match self {
+            Policy::Whole { .. } => Boundary::Round,
+            Policy::AsyncPrio {
+                completions,
+                per_round,
+            } => {
+                *completions += 1;
+                if *completions >= *per_round {
+                    return Boundary::Round;
+                }
+                Boundary::Within
             }
+            _ => Boundary::Within,
         }
-        Boundary::Within
     }
 
     /// Nothing in flight and nothing dispatched: Sync's phase has reached
     /// its barrier; blind Async's round has used every slot (its scan found
-    /// nothing left); AsyncP has nothing left that can contribute. A
-    /// cancelled Sync run still finishes its round (partially), the Async
-    /// policies stop mid-round.
+    /// nothing left); AsyncP has nothing left that can contribute; Whole,
+    /// which always has its task, was cancelled. A cancelled Sync run still
+    /// finishes its round (partially), the other policies stop mid-round.
     fn idle(&mut self, s: &mut Scheduler, tally: u64) -> SqloopResult<Boundary> {
         let cancelled = s.cancel.cancelled();
         Ok(match self {
@@ -1978,7 +2185,7 @@ impl Policy {
             }
             _ if cancelled => Boundary::Cancel,
             Policy::Async { .. } => Boundary::Round,
-            Policy::AsyncPrio { .. } => Boundary::Quiescent,
+            Policy::AsyncPrio { .. } | Policy::Whole { .. } => Boundary::Quiescent,
         })
     }
 
@@ -1989,7 +2196,8 @@ impl Policy {
             // a cancelled round ran partially — its (under-counted) change
             // tally must not drive a termination decision
             (Policy::Sync { .. }, _) => !s.cancel.cancelled() && s.tc_check(rounds, tally)?,
-            (_, Termination::Data { .. } | Termination::Delta { .. }) => {
+            (Policy::Whole { .. }, _)
+            | (_, Termination::Data { .. } | Termination::Delta { .. }) => {
                 s.tc_check(rounds, tally)?
             }
             // capped partitions can hold pending deltas forever, so blind
@@ -2019,9 +2227,9 @@ impl Policy {
         }
     }
 
-    /// Reported iteration count: Sync's rounds; for the Async policies,
-    /// per-partition compute rounds when the condition is `ITERATIONS n`,
-    /// otherwise scheduler rounds.
+    /// Reported iteration count: Whole's and Sync's rounds; for the Async
+    /// policies, per-partition compute rounds when the condition is
+    /// `ITERATIONS n`, otherwise scheduler rounds.
     fn reported(&self, s: &Scheduler, rounds: u64) -> u64 {
         match (self, s.tc) {
             (Policy::Async { .. } | Policy::AsyncPrio { .. }, Termination::Iterations(_)) => {
@@ -2034,10 +2242,16 @@ impl Policy {
     /// What the `max_iterations` cap counts.
     fn unit(&self) -> &'static str {
         match self {
-            Policy::Sync { .. } => "iterations",
+            Policy::Whole { .. } | Policy::Sync { .. } => "iterations",
             _ => "rounds",
         }
     }
+}
+
+/// The partitioned layout's SQL, which only partition tasks are built from.
+fn partitioned<'g>(gen: &'g mut Option<&mut SqlGen>) -> SqloopResult<&'g mut SqlGen> {
+    gen.as_deref_mut()
+        .ok_or_else(|| SqloopError::Worker("Whole has no partition tasks".into()))
 }
 
 /// Walks a (possibly [`SqloopError::Task`]-wrapped) error chain looking for

@@ -85,66 +85,70 @@ pub struct Sampler {
 
 impl Sampler {
     /// Starts sampling `query` (must return a single numeric value) every
-    /// `interval` on `conn`. Failed samples (e.g. lock-timeout while writers
-    /// are busy) are skipped, like a real monitoring thread would.
+    /// `interval` on `conn`. The first sample is taken before this returns,
+    /// so a run shorter than the thread's start-up still has one. Failed
+    /// samples (e.g. lock-timeout while writers are busy) are skipped, like
+    /// a real monitoring thread would.
     pub fn start(mut conn: Box<dyn Connection>, query: String, interval: Duration) -> Sampler {
         let stop = Arc::new(AtomicBool::new(false));
         let samples = Arc::new(Mutex::new(Vec::new()));
         let stop2 = stop.clone();
         let samples2 = samples.clone();
-        let handle = std::thread::Builder::new()
-            .name("sqloop-sampler".into())
-            .spawn(move || {
-                let start = Instant::now();
-                let reg = obs::global();
-                let failed = reg.counter("sqloop.sampler.failed_samples");
-                let engine_mem = reg.gauge("sqldb.mem.bytes");
-                let run_peak = reg.gauge("sqloop.mem.peak_bytes");
-                // per-run high-water mark: the engine's own peak gauge is
-                // process-lifetime, this one resets with each sampler
-                run_peak.set(0);
-                let mut peak: i64 = 0;
-                while !stop2.load(Ordering::Relaxed) {
-                    let mem = match engine_mem.get() {
-                        0 => None,
-                        n => Some(n.max(0) as u64),
-                    };
-                    if let Some(n) = mem {
-                        let n = n.min(i64::MAX as u64) as i64;
-                        if n > peak {
-                            peak = n;
-                            run_peak.set(n);
-                        }
-                    }
-                    match conn.query(&query) {
-                        Ok(result) => {
-                            if let Some(v) = result.scalar().and_then(|v| v.as_f64()) {
-                                samples2.lock().push(ProgressSample {
-                                    elapsed: start.elapsed(),
-                                    value: v,
-                                    mem_bytes: mem,
-                                });
-                            } else {
-                                failed.inc();
-                            }
-                        }
-                        Err(_) => failed.inc(),
-                    }
-                    // sleep in small steps so stop() is responsive; cap each
-                    // nap at the *remaining* time so sub-5ms intervals do not
-                    // oversleep a full 5ms step
-                    let deadline = Instant::now() + interval;
-                    loop {
-                        if stop2.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
+        let start = Instant::now();
+        let reg = obs::global();
+        let failed = reg.counter("sqloop.sampler.failed_samples");
+        let engine_mem = reg.gauge("sqldb.mem.bytes");
+        let run_peak = reg.gauge("sqloop.mem.peak_bytes");
+        // per-run high-water mark: the engine's own peak gauge is
+        // process-lifetime, this one resets with each sampler
+        run_peak.set(0);
+        let mut peak: i64 = 0;
+        let mut sample = move || {
+            let mem = match engine_mem.get() {
+                0 => None,
+                n => Some(n.max(0) as u64),
+            };
+            if let Some(n) = mem {
+                let n = n.min(i64::MAX as u64) as i64;
+                if n > peak {
+                    peak = n;
+                    run_peak.set(n);
+                }
+            }
+            match conn.query(&query) {
+                Ok(result) => {
+                    if let Some(v) = result.scalar().and_then(|v| v.as_f64()) {
+                        samples2.lock().push(ProgressSample {
+                            elapsed: start.elapsed(),
+                            value: v,
+                            mem_bytes: mem,
+                        });
+                    } else {
+                        failed.inc();
                     }
                 }
+                Err(_) => failed.inc(),
+            }
+        };
+        sample();
+        let handle = std::thread::Builder::new()
+            .name("sqloop-sampler".into())
+            .spawn(move || loop {
+                // sleep in small steps so stop() is responsive; cap each
+                // nap at the *remaining* time so sub-5ms intervals do not
+                // oversleep a full 5ms step
+                let deadline = Instant::now() + interval;
+                loop {
+                    if stop2.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break;
+                    }
+                    std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
+                }
+                sample();
             })
             .expect("spawn sampler thread");
         Sampler {

@@ -1,25 +1,14 @@
-//! Single-threaded executors: semi-naive recursive CTEs and the paper's
-//! baseline iterative algorithm (§IV-B).
-//!
-//! These are both the fallback for queries outside the parallelizable class
-//! and the semantic reference the parallel schedulers are tested against.
+//! The single-threaded recursive executor: semi-naive evaluation of
+//! recursive CTEs (paper §II-A), and the run report every executor
+//! returns. Iterative CTEs run on the scheduler in `parallel.rs`, whose
+//! Whole policy is the paper's single-threaded baseline (§III-A).
 
-use crate::checkpoint::{
-    check_fingerprint, dump_table_sql, restore_table_sql, run_fingerprint, trace_checkpoint,
-    Checkpointer, LoopSnapshot,
-};
-use crate::common::{
-    create_cte_table, refresh_delta_snapshot, rewrite_table_refs, run, run_query, CteNames,
-    CteSchema, DeltaRefresher, PlanCacheProbe, TerminationProbe,
-};
+use crate::common::{create_cte_table, rewrite_table_refs, run, run_query, CteNames};
 use crate::error::{SqloopError, SqloopResult};
-use crate::grammar::{IterativeCte, RecursiveCte};
-use crate::supervisor::panic_detail;
-use crate::translate::{translate_query_to_sql, translate_sql};
-use crate::watchdog::Governance;
-use dbcp::{CancelToken, Connection, PreparedStatement};
-use obs::{EventKind, Span, SpanKind, SpanOutcome, TraceHandle};
-use sqldb::{DataType, DbError, QueryResult, Value};
+use crate::grammar::RecursiveCte;
+use crate::translate::translate_query_to_sql;
+use dbcp::Connection;
+use sqldb::{QueryResult, Value};
 
 /// What an executed CTE run reports back.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,368 +164,10 @@ fn recursive_loop(
     })
 }
 
-/// Runs an iterative CTE with the single-threaded algorithm (paper §III-A):
-/// per iteration, materialize `Ri` into `Rtmp`, then update `R` matching on
-/// the key column, until the termination condition holds.
-///
-/// Each iteration is recorded as one [`SpanKind::Iteration`] span (with the
-/// updated-row count) into `trace`, and — with a `cache_probe` — its
-/// plan-cache hits and misses. `cancel` is checked at every iteration
-/// boundary: a cancelled run still answers `Qf` over the partial fix-point
-/// and reports `cancelled = true`. `checkpointer` writes periodic
-/// checkpoints, and `resume` continues from a [`LoopSnapshot`] instead of
-/// running the seed query (the snapshot's fingerprint must match this
-/// query).
-///
-/// Under resource governance, watchdog verdicts (round budget, numeric
-/// divergence, flat delta trend) and engine memory-budget trips abort the
-/// run *governed*: the engine limit is lifted, a final checkpoint is
-/// written (when checkpointing is on), and a typed
-/// [`SqloopError::BudgetExceeded`]/[`SqloopError::NumericDivergence`] is
-/// returned so the run can resume under a larger budget.
-///
-/// # Errors
-/// Engine errors, [`SqloopError::Semantic`] when `max_iterations` is hit,
-/// [`SqloopError::Checkpoint`] for snapshot/fingerprint problems, or the
-/// governance verdicts above. Scratch tables are dropped on every path
-/// unless `keep_artifacts`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_iterative_single_governed(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
-    keep_artifacts: bool,
-    trace: &TraceHandle,
-    cancel: &CancelToken,
-    checkpointer: Option<&mut Checkpointer>,
-    resume: Option<&LoopSnapshot>,
-    governance: &mut Governance<'_>,
-    cache_probe: Option<PlanCacheProbe>,
-) -> SqloopResult<RunOutcome> {
-    let names = CteNames::new(&cte.name);
-    let out = start_single(conn, cte, &names, trace, resume).and_then(|(schema, at, last)| {
-        let mut run = SingleRun {
-            conn: &mut *conn,
-            cte,
-            names: &names,
-            schema,
-            trace,
-            checkpointer,
-            governance,
-            iterations: at,
-            last_updates: last,
-        };
-        // an engine memory-budget trip anywhere in the loop becomes a
-        // governed abort here, from the state the loop had reached
-        run.iterate(max_iterations, cancel, cache_probe)
-            .map_err(|e| run.govern(e))
-    });
-    match out {
-        Ok(out) => {
-            cleanup(conn, &names, keep_artifacts)?;
-            Ok(out)
-        }
-        Err(e) => {
-            let _ = cleanup(conn, &names, keep_artifacts);
-            Err(e)
-        }
-    }
-}
-
-/// Creates `R` from the seed query, or restores it from `resume`; returns
-/// its schema and the `(iterations, last change)` the loop starts from.
-fn start_single(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    names: &CteNames,
-    trace: &TraceHandle,
-    resume: Option<&LoopSnapshot>,
-) -> SqloopResult<(CteSchema, u64, u64)> {
-    let Some(snap) = resume else {
-        let schema = create_cte_table(conn, &cte.name, &cte.columns, &cte.seed, true, true)?;
-        if cte.termination.needs_delta_snapshot() {
-            refresh_delta_snapshot(conn, names)?;
-        }
-        return Ok((schema, 0, 0));
-    };
-    check_fingerprint(snap, run_fingerprint(cte, "Single", 1), "Single")?;
-    let main = snap
-        .tables
-        .iter()
-        .find(|t| t.name == cte.name)
-        .ok_or_else(|| {
-            SqloopError::Checkpoint(format!("snapshot holds no table named {}", cte.name))
-        })?;
-    let schema = CteSchema {
-        columns: main.columns.iter().map(|c| c.name.clone()).collect(),
-        types: main.columns.iter().map(|c| c.data_type).collect(),
-    };
-    for t in &snap.tables {
-        restore_table_sql(conn, t, 512)?;
-    }
-    trace.event(
-        EventKind::Resume,
-        None,
-        Some(snap.round),
-        format!("resumed single-threaded run at iteration {}", snap.round),
-    );
-    Ok((schema, snap.round, snap.last_change))
-}
-
-/// One single-threaded run past setup: the loop position, plus everything a
-/// checkpoint or a governed abort of that position needs.
-struct SingleRun<'a, 'g> {
-    conn: &'a mut dyn Connection,
-    cte: &'a IterativeCte,
-    names: &'a CteNames,
-    schema: CteSchema,
-    trace: &'a TraceHandle,
-    checkpointer: Option<&'a mut Checkpointer>,
-    governance: &'a mut Governance<'g>,
-    /// Completed iterations.
-    iterations: u64,
-    /// Rows the last completed iteration updated.
-    last_updates: u64,
-}
-
-impl SingleRun<'_, '_> {
-    fn iterate(
-        &mut self,
-        max_iterations: u64,
-        cancel: &CancelToken,
-        mut cache_probe: Option<PlanCacheProbe>,
-    ) -> SqloopResult<RunOutcome> {
-        let (cte, names, trace) = (self.cte, self.names, self.trace);
-        // the hot loop's statements, prepared once: the scratch table is
-        // created here and *emptied* (not recreated) every round, so the
-        // INSERT/UPDATE plans survive in the engine's plan cache — per-round
-        // DDL would invalidate them
-        let tmp = names.tmp();
-        let profile = self.conn.profile();
-        run(self.conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
-        run(
-            self.conn,
-            &format!(
-                "CREATE TABLE {tmp} ({})",
-                self.schema.create_columns_sql(true)
-            ),
-        )?;
-        let mut clear_tmp =
-            PreparedStatement::new(translate_sql(&format!("DELETE FROM {tmp}"), profile)?);
-        // Rtmp := Ri
-        let step_sql = translate_query_to_sql(&cte.step, profile);
-        let mut fill_tmp = PreparedStatement::new(format!(
-            "INSERT INTO {} {}",
-            profile.dialect().quote(&tmp),
-            step_sql
-        ));
-        // R := R ⟵ Rtmp matched on Rid (only Rid ∩ Rtmp_id rows change)
-        let assignments = self.schema.columns[1..]
-            .iter()
-            .map(|c| format!("{c} = {tmp}.{c}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut apply = PreparedStatement::new(translate_sql(
-            &format!(
-                "UPDATE {r} SET {assignments} FROM {tmp} WHERE {r}.{k} = {tmp}.{k}",
-                r = cte.name,
-                k = self.schema.key(),
-            ),
-            profile,
-        )?);
-        let mut probe = TerminationProbe::new(&cte.name, &cte.termination, profile)?;
-        let mut refresher = cte
-            .termination
-            .needs_delta_snapshot()
-            .then(|| DeltaRefresher::new(names, profile))
-            .transpose()?;
-
-        let mut cancelled = false;
-        loop {
-            if cancel.cancelled() {
-                trace.event(
-                    EventKind::Cancel,
-                    None,
-                    Some(self.iterations),
-                    "cancelled at iteration boundary",
-                );
-                obs::global().counter("sqloop.cancelled_runs").inc();
-                self.save()?;
-                cancelled = true;
-                break;
-            }
-            let span_start = trace.now_us();
-            // panic boundary: a panicking statement (an engine bug, an
-            // injected chaos panic) must degrade into a typed error, never
-            // unwind through the caller — the session is rolled back first
-            // so any locks the panic left held are released. A failed
-            // statement was rolled back by statement atomicity, so R still
-            // holds round `iterations`.
-            let conn = &mut *self.conn;
-            let updated =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> SqloopResult<u64> {
-                    clear_tmp.execute(&mut *conn, &[])?;
-                    fill_tmp.execute(&mut *conn, &[])?;
-                    Ok(apply.execute(&mut *conn, &[])?.rows_affected())
-                }))
-                .unwrap_or_else(|payload| {
-                    let detail = panic_detail(payload.as_ref());
-                    let _ = conn.execute("ROLLBACK");
-                    obs::global()
-                        .counter("sqloop.supervisor.panics_caught")
-                        .inc();
-                    trace.event(
-                        EventKind::Panic,
-                        None,
-                        Some(self.iterations),
-                        format!("absorbed a panicking statement: {detail}"),
-                    );
-                    Err(SqloopError::WorkerPanic {
-                        worker: None,
-                        detail: format!(
-                            "single-threaded iteration {}: {detail}",
-                            self.iterations + 1
-                        ),
-                    })
-                })?;
-            self.last_updates = updated;
-            self.iterations += 1;
-            let iterations = self.iterations;
-            if trace.is_enabled() {
-                trace.span(Span {
-                    kind: SpanKind::Iteration,
-                    partition: None,
-                    iteration: Some(iterations),
-                    worker: None,
-                    attempt: 1,
-                    rows: updated,
-                    outcome: SpanOutcome::Ok,
-                    start_us: span_start,
-                    end_us: trace.now_us(),
-                });
-            }
-            if let Some(probe) = &mut cache_probe {
-                probe.tick(trace, iterations, "Single");
-            }
-
-            let done = probe.satisfied(&mut *self.conn, iterations, updated)?;
-            if let Some(r) = refresher.as_mut() {
-                r.refresh(&mut *self.conn)?;
-            }
-            if done {
-                break;
-            }
-            let watchdog_verdict = match self.governance.watchdog.as_mut() {
-                Some(w) => w
-                    .check_round(iterations, updated)
-                    .and_then(|()| {
-                        w.probe_table(
-                            &mut *self.conn,
-                            &cte.name,
-                            &self.schema.columns,
-                            &self.schema.types,
-                            None,
-                            iterations,
-                        )
-                    })
-                    .err(),
-                None => None,
-            };
-            if let Some(verdict) = watchdog_verdict {
-                self.governed_abort(&verdict)?;
-                return Err(verdict);
-            }
-            if self
-                .checkpointer
-                .as_deref()
-                .is_some_and(|ck| ck.due(iterations))
-            {
-                self.save()?;
-            }
-            if iterations >= max_iterations {
-                return Err(SqloopError::Semantic(format!(
-                    "termination condition not satisfied within {max_iterations} iterations"
-                )));
-            }
-        }
-        run(self.conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
-
-        let final_sql = translate_query_to_sql(&cte.final_query, self.conn.profile());
-        Ok(RunOutcome {
-            result: self.conn.query(&final_sql)?,
-            iterations: self.iterations,
-            last_change: self.last_updates,
-            cancelled,
-        })
-    }
-
-    /// Writes a checkpoint of the current position (when checkpointing is
-    /// on): the CTE table `R`, plus the delta snapshot when the termination
-    /// condition reads one.
-    fn save(&mut self) -> SqloopResult<()> {
-        let Some(ck) = self.checkpointer.as_deref_mut() else {
-            return Ok(());
-        };
-        let cols: Vec<(String, DataType)> = self
-            .schema
-            .columns
-            .iter()
-            .cloned()
-            .zip(self.schema.types.iter().copied())
-            .collect();
-        let mut tables = vec![dump_table_sql(self.conn, &self.cte.name, &cols, Some(0))?];
-        if self.cte.termination.needs_delta_snapshot() {
-            let delta = self.names.delta_snapshot();
-            tables.push(dump_table_sql(self.conn, &delta, &cols, None)?);
-        }
-        let path = ck.save(&LoopSnapshot {
-            fingerprint: run_fingerprint(self.cte, "Single", 1),
-            mode: "Single".into(),
-            round: self.iterations,
-            last_change: self.last_updates,
-            parts: Vec::new(),
-            seeds: Vec::new(),
-            tables,
-        })?;
-        trace_checkpoint(self.trace, self.iterations, &path);
-        Ok(())
-    }
-
-    /// Converts an engine memory-budget trip into a governed abort,
-    /// returning the typed verdict; every other error passes through
-    /// unchanged. When the abort itself fails the original trip is surfaced
-    /// so the failure is not masked.
-    fn govern(&mut self, e: SqloopError) -> SqloopError {
-        let SqloopError::Db(DbError::BudgetExceeded(m)) = e else {
-            return e;
-        };
-        let verdict = SqloopError::BudgetExceeded {
-            what: format!("memory ({m})"),
-            round: self.iterations,
-        };
-        match self.governed_abort(&verdict) {
-            Ok(()) => verdict,
-            Err(_) => SqloopError::Db(DbError::BudgetExceeded(m)),
-        }
-    }
-
-    /// Lifts the engine memory limit, records the verdict, and writes a
-    /// final checkpoint so a governed abort is always resumable under a
-    /// larger budget.
-    fn governed_abort(&mut self, verdict: &SqloopError) -> SqloopResult<()> {
-        self.governance.lift_memory_limit();
-        self.trace.event(
-            EventKind::Watchdog,
-            None,
-            Some(self.iterations),
-            format!("governed abort: {verdict}"),
-        );
-        obs::global().counter("sqloop.governed_aborts").inc();
-        self.save()
-    }
-}
-
-fn cleanup(conn: &mut dyn Connection, names: &CteNames, keep: bool) -> SqloopResult<()> {
+/// Drops the scratch tables of a single-threaded run — `R`, Whole's
+/// `Rtmp`, the recursion's working tables and the delta snapshot — unless
+/// `keep`.
+pub(crate) fn cleanup(conn: &mut dyn Connection, names: &CteNames, keep: bool) -> SqloopResult<()> {
     if keep {
         return Ok(());
     }
@@ -557,11 +188,15 @@ fn cleanup(conn: &mut dyn Connection, names: &CteNames, keep: bool) -> SqloopRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grammar::{parse, SqloopQuery};
+    use crate::config::{ExecutionMode, SqloopConfig};
+    use crate::grammar::{parse, IterativeCte, SqloopQuery};
+    use crate::parallel::run_iterative;
     use dbcp::{Driver, LocalDriver};
+    use obs::TraceHandle;
     use sqldb::{Database, EngineProfile};
+    use std::sync::Arc;
 
-    fn conn_with_edges(profile: EngineProfile) -> Box<dyn Connection> {
+    fn driver_with_edges(profile: EngineProfile) -> Arc<dyn Driver> {
         let db = Database::new(profile);
         let mut s = db.connect();
         s.execute("CREATE TABLE edges (src INT, dst INT, weight FLOAT)")
@@ -572,7 +207,11 @@ mod tests {
              (1,2,0.5),(1,3,0.5),(2,3,1.0),(3,1,1.0),(4,1,1.0),(2,4,0.0)",
         )
         .ok();
-        LocalDriver::new(db).connect().unwrap()
+        Arc::new(LocalDriver::new(db))
+    }
+
+    fn conn_with_edges(profile: EngineProfile) -> Box<dyn Connection> {
+        driver_with_edges(profile).connect().unwrap()
     }
 
     fn iterative(sql: &str) -> IterativeCte {
@@ -583,23 +222,21 @@ mod tests {
     }
 
     fn run_iterative_single(
-        conn: &mut dyn Connection,
+        driver: &Arc<dyn Driver>,
         cte: &IterativeCte,
         max_iterations: u64,
         keep_artifacts: bool,
     ) -> SqloopResult<RunOutcome> {
-        run_iterative_single_governed(
-            conn,
-            cte,
+        let config = SqloopConfig {
+            mode: ExecutionMode::Single,
             max_iterations,
             keep_artifacts,
-            &TraceHandle::disabled(),
-            &CancelToken::new(),
-            None,
-            None,
-            &mut Governance::none(),
-            None,
-        )
+            ..SqloopConfig::default()
+        };
+        let trace = TraceHandle::disabled();
+        run_iterative(driver, cte, None, &config, &trace)
+            .0
+            .map(|run| run.outcome)
     }
 
     fn recursive(sql: &str) -> RecursiveCte {
@@ -660,8 +297,8 @@ mod tests {
              UNTIL 50 ITERATIONS) \
              SELECT Node, Rank FROM PageRank ORDER BY Node",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let out = run_iterative_single(c.as_mut(), &pr, 1000, false).unwrap();
+        let c = driver_with_edges(EngineProfile::Postgres);
+        let out = run_iterative_single(&c, &pr, 1000, false).unwrap();
         assert_eq!(out.iterations, 50);
         assert_eq!(out.result.rows.len(), 4);
         // total rank approaches n * 0.15 / (1 - 0.85) = 4 (for a closed graph
@@ -688,8 +325,8 @@ mod tests {
              UNTIL 0 UPDATES) \
              SELECT sssp.Node, sssp.Distance FROM sssp ORDER BY sssp.Node",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let out = run_iterative_single(c.as_mut(), &sssp, 1000, false).unwrap();
+        let c = driver_with_edges(EngineProfile::Postgres);
+        let out = run_iterative_single(&c, &sssp, 1000, false).unwrap();
         // shortest distances from node 1: 1→2 = 0.5, 1→3 = 0.5, 1→4 = 0.5
         let rows = &out.result.rows;
         assert_eq!(rows[0], vec![Value::Int(1), Value::Float(0.0)]);
@@ -715,8 +352,8 @@ mod tests {
                  GROUP BY sssp.node UNTIL 0 UPDATES) \
                  SELECT sssp.Distance FROM sssp WHERE sssp.Node = 3",
             );
-            let mut c = conn_with_edges(profile);
-            let out = run_iterative_single(c.as_mut(), &sssp, 1000, false)
+            let c = driver_with_edges(profile);
+            let out = run_iterative_single(&c, &sssp, 1000, false)
                 .unwrap_or_else(|e| panic!("{profile}: {e}"));
             assert_eq!(out.result.rows[0][0], Value::Float(0.5), "{profile}");
         }
@@ -738,8 +375,8 @@ mod tests {
              UNTIL DELTA SELECT SUM(pr.Rank) - SUM(prdelta.Rank) FROM pr, prdelta < 0.001) \
              SELECT SUM(Rank) FROM pr",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let out = run_iterative_single(c.as_mut(), &pr, 1000, false).unwrap();
+        let c = driver_with_edges(EngineProfile::Postgres);
+        let out = run_iterative_single(&c, &pr, 1000, false).unwrap();
         assert!(out.iterations > 5, "should take several iterations");
         assert!(out.iterations < 200);
     }
@@ -760,8 +397,8 @@ mod tests {
              UNTIL ANY SELECT Node FROM pr WHERE Rank > 0.5) \
              SELECT COUNT(*) FROM pr WHERE Rank > 0.5",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let out = run_iterative_single(c.as_mut(), &pr, 1000, false).unwrap();
+        let c = driver_with_edges(EngineProfile::Postgres);
+        let out = run_iterative_single(&c, &pr, 1000, false).unwrap();
         assert!(out.result.rows[0][0].as_i64().unwrap() >= 1);
     }
 
@@ -774,8 +411,8 @@ mod tests {
              UNTIL ANY SELECT id FROM r WHERE v < 0) \
              SELECT * FROM r",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let err = run_iterative_single(c.as_mut(), &cte, 25, false);
+        let c = driver_with_edges(EngineProfile::Postgres);
+        let err = run_iterative_single(&c, &cte, 25, false);
         assert!(matches!(err, Err(SqloopError::Semantic(_))), "{err:?}");
     }
 }

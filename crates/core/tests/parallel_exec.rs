@@ -841,13 +841,8 @@ fn schedule(
         other => panic!("not parallelizable: {other:?}"),
     };
     let trace = obs::TraceHandle::new(true);
-    let (result, recovery) = sqloop::parallel::run_iterative_parallel_observed(
-        sq.driver(),
-        &cte,
-        plan,
-        sq.config(),
-        &trace,
-    );
+    let (result, recovery) =
+        sqloop::parallel::run_iterative(sq.driver(), &cte, Some(plan), sq.config(), &trace);
     let result = result
         .map(|r| {
             let o = r.outcome;

@@ -220,7 +220,7 @@ impl AccessPath {
 
     /// The conjunct of `conjuncts` (those the path was chosen from) a seek
     /// applied exactly: every row it returns satisfies it, since the index
-    /// compares keys as `=` does ([`seekable`]), so it need not run again.
+    /// compares keys as `=` does (see `seekable`), so it need not run again.
     pub fn applied<'e>(&self, conjuncts: &[&'e Expr]) -> Option<&'e Expr> {
         match self {
             AccessPath::Seek { conjunct, .. } => conjuncts.get(*conjunct).copied(),

@@ -116,6 +116,13 @@ fn single_threaded_trace_records_one_span_per_iteration() {
         assert_eq!(s.iteration, Some(i as u64 + 1));
         assert_eq!(s.outcome, SpanOutcome::Ok);
     }
+    assert_eq!(
+        data.events
+            .iter()
+            .filter(|e| e.kind == EventKind::Round)
+            .count() as u64,
+        report.iterations
+    );
 }
 
 #[test]
