@@ -1,6 +1,7 @@
 //! Middleware configuration.
 
 use crate::checkpoint::CheckpointConfig;
+use crate::parallel::SUPERVISOR_POLL;
 use crate::watchdog::WatchdogConfig;
 use dbcp::CancelToken;
 use std::path::PathBuf;
@@ -148,7 +149,8 @@ impl PrioritySpec {
 /// Full middleware configuration.
 ///
 /// Defaults follow the paper: 256 partitions, half the available CPUs as
-/// worker threads, asynchronous execution, constant-join materialization on.
+/// worker threads, asynchronous execution. The constant part of the join
+/// is always materialized (`Rmjoin`, paper §V-B).
 #[derive(Debug, Clone)]
 pub struct SqloopConfig {
     /// Parallel execution method.
@@ -162,11 +164,6 @@ pub struct SqloopConfig {
     pub priority: Option<PrioritySpec>,
     /// Safety cap on iterations for non-`ITERATIONS` termination conditions.
     pub max_iterations: u64,
-    /// Materialize the constant part of the join (`Rmjoin`, paper §V-B).
-    /// Disable only for the ablation study.
-    pub materialize_join: bool,
-    /// Rows per batched `INSERT` while loading partitions.
-    pub insert_batch_rows: usize,
     /// Keep scratch tables (partitions, message tables) after execution —
     /// useful for debugging; the final CTE view always remains queryable
     /// until the next run reuses the name.
@@ -181,9 +178,6 @@ pub struct SqloopConfig {
     /// which is safe because faults surface before a statement takes
     /// effect; see DESIGN.md "Fault tolerance".
     pub task_retries: u32,
-    /// Attempts a worker makes to (re)open its engine connection after a
-    /// drop, before giving up on the task at hand.
-    pub reconnect_attempts: u32,
     /// Base backoff between retry attempts (grows exponentially with
     /// seeded jitter).
     pub retry_backoff: Duration,
@@ -226,11 +220,9 @@ pub struct SqloopConfig {
     /// worker thread, not convergence of the iterating state. Set it
     /// comfortably above the worst-case duration of one partition round —
     /// abandoning a worker that is merely slow risks re-executing its
-    /// in-flight statements. See DESIGN.md §16.
+    /// in-flight statements. It must be at least the 20 ms tick at which
+    /// barrier waits check worker liveness. See DESIGN.md §16.
     pub stall_timeout: Option<Duration>,
-    /// How long barrier waits block before checking worker liveness
-    /// (heartbeats, dead threads). Bounds stall/panic detection latency.
-    pub supervisor_poll: Duration,
 }
 
 impl Default for SqloopConfig {
@@ -244,13 +236,10 @@ impl Default for SqloopConfig {
             partitions: 256,
             priority: None,
             max_iterations: 100_000,
-            materialize_join: true,
-            insert_batch_rows: 512,
             keep_artifacts: false,
             sample_interval: None,
             progress_query: None,
             task_retries: 3,
-            reconnect_attempts: 3,
             retry_backoff: Duration::from_millis(5),
             downgrade_on_failure: true,
             trace: TraceConfig::from_env(),
@@ -262,7 +251,6 @@ impl Default for SqloopConfig {
             max_mem: None,
             statement_timeout: None,
             stall_timeout: None,
-            supervisor_poll: Duration::from_millis(20),
         }
     }
 }
@@ -280,14 +268,8 @@ impl SqloopConfig {
         if self.partitions == 0 {
             return Err("partitions must be at least 1".into());
         }
-        if self.insert_batch_rows == 0 {
-            return Err("insert_batch_rows must be at least 1".into());
-        }
         if self.mode == ExecutionMode::AsyncPrio && self.priority.is_none() {
             return Err("AsyncP mode requires a priority specification".into());
-        }
-        if self.reconnect_attempts == 0 {
-            return Err("reconnect_attempts must be at least 1".into());
         }
         if let Some(ck) = &self.checkpoint {
             if ck.interval == 0 {
@@ -306,16 +288,8 @@ impl SqloopConfig {
         if self.max_mem == Some(0) {
             return Err("max_mem must be at least 1 byte".into());
         }
-        if self.supervisor_poll.is_zero() {
-            return Err("supervisor_poll must be non-zero".into());
-        }
-        if let Some(st) = self.stall_timeout {
-            if st.is_zero() {
-                return Err("stall_timeout must be non-zero".into());
-            }
-            if st < self.supervisor_poll {
-                return Err("stall_timeout must be at least supervisor_poll".into());
-            }
+        if self.stall_timeout.is_some_and(|st| st < SUPERVISOR_POLL) {
+            return Err("stall_timeout must be at least the 20 ms supervisor poll".into());
         }
         Ok(())
     }
@@ -331,7 +305,6 @@ mod tests {
         assert_eq!(c.partitions, 256);
         assert!(c.threads >= 1);
         assert_eq!(c.mode, ExecutionMode::Async);
-        assert!(c.materialize_join);
         assert!(c.validate().is_ok());
     }
 
@@ -339,13 +312,7 @@ mod tests {
     fn recovery_defaults_are_sane() {
         let c = SqloopConfig::default();
         assert!(c.task_retries >= 1, "tasks should replay by default");
-        assert!(c.reconnect_attempts >= 1);
         assert!(c.downgrade_on_failure, "downgrade is the safe default");
-        let c = SqloopConfig {
-            reconnect_attempts: 0,
-            ..SqloopConfig::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -426,20 +393,13 @@ mod tests {
     fn supervision_validation() {
         let c = SqloopConfig::default();
         assert!(c.stall_timeout.is_none(), "stall remediation is opt-in");
-        assert!(!c.supervisor_poll.is_zero(), "barriers always poll");
         let c = SqloopConfig {
             stall_timeout: Some(Duration::ZERO),
             ..SqloopConfig::default()
         };
         assert!(c.validate().is_err());
         let c = SqloopConfig {
-            supervisor_poll: Duration::ZERO,
-            ..SqloopConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = SqloopConfig {
             stall_timeout: Some(Duration::from_millis(5)),
-            supervisor_poll: Duration::from_millis(20),
             ..SqloopConfig::default()
         };
         assert!(c.validate().is_err(), "stall_timeout below the poll tick");

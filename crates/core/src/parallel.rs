@@ -54,7 +54,12 @@ use sqldb::{DataType, DbError, QueryResult, Row, StmtOutput, Value};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long a barrier wait blocks before it checks worker liveness
+/// (heartbeats, dead threads): the bound on stall and panic detection
+/// latency, and the least `stall_timeout` a config may set.
+pub(crate) const SUPERVISOR_POLL: Duration = Duration::from_millis(20);
 
 /// Report of one iterative run.
 #[derive(Debug, Clone)]
@@ -269,6 +274,10 @@ fn snapshot_schema(snap: &LoopSnapshot, table: &str) -> SqloopResult<CteSchema> 
     })
 }
 
+/// Rows per `INSERT` when a checkpoint's tables are restored or a non-INT
+/// key's partitions are filled from the middleware.
+const INSERT_BATCH_ROWS: usize = 512;
+
 /// Builds Whole's layout and its one task. `R` comes from the seed query
 /// (fresh run) or from a checkpoint's table dumps (`resume`); the scratch
 /// table `Rtmp` is created once. Every round reruns the same task,
@@ -280,13 +289,12 @@ fn whole_setup(
     cte: &IterativeCte,
     names: &CteNames,
     resume: Option<&LoopSnapshot>,
-    batch_rows: usize,
 ) -> SqloopResult<(CteSchema, Task)> {
     let schema = match resume {
         Some(snap) => {
             let schema = snapshot_schema(snap, &names.table)?;
             for t in &snap.tables {
-                restore_table_sql(main, t, batch_rows)?;
+                restore_table_sql(main, t, INSERT_BATCH_ROWS)?;
             }
             schema
         }
@@ -349,16 +357,13 @@ fn parallel_setup(
         schema,
         plan,
         config.partitions,
-        config.materialize_join,
         main.profile(),
     );
-    // Rmjoin (paper §V-B) plus the join index, which may already exist
-    // from a previous run on the edge table
+    // Rmjoin (paper §V-B) plus its join index; Compute is correct without
+    // the index, only slower, so failing to build it does not fail the run
     let mjoin = |main: &mut dyn Connection| -> SqloopResult<()> {
-        if config.materialize_join {
-            run(main, &format!("DROP TABLE IF EXISTS {}", names.mjoin()))?;
-            run(main, &gen.create_mjoin_sql())?;
-        }
+        run(main, &format!("DROP TABLE IF EXISTS {}", names.mjoin()))?;
+        run(main, &gen.create_mjoin_sql())?;
         let _ = run(main, &gen.join_index_sql());
         Ok(())
     };
@@ -367,7 +372,7 @@ fn parallel_setup(
         let _ = run(main, &format!("DROP VIEW IF EXISTS {}", names.table));
         let _ = run(main, &format!("DROP TABLE IF EXISTS {}", names.table));
         for t in &snap.tables {
-            restore_table_sql(main, t, config.insert_batch_rows)?;
+            restore_table_sql(main, t, INSERT_BATCH_ROWS)?;
         }
         run(main, &gen.create_view_sql())?;
         mjoin(main)?;
@@ -397,7 +402,7 @@ fn parallel_setup(
             buckets[gen.bucket(&row[0])].push(row);
         }
         let chunks = |(x, bucket): (usize, Vec<Row>)| {
-            let chunks = bucket.chunks(config.insert_batch_rows);
+            let chunks = bucket.chunks(INSERT_BATCH_ROWS);
             chunks
                 .map(|chunk| g.insert_partition_sql(x, chunk))
                 .collect()
@@ -509,7 +514,7 @@ fn run_inner(
     let setup = match parallel {
         Some((plan, policy)) => parallel_setup(main.as_mut(), cte, plan, config, &names, resume)
             .map(|gen| (gen.schema().clone(), Some(gen), policy)),
-        None => whole_setup(main.as_mut(), cte, &names, resume, config.insert_batch_rows)
+        None => whole_setup(main.as_mut(), cte, &names, resume)
             .map(|(schema, task)| (schema, None, Policy::Whole { task })),
     };
     let (schema, mut gen, policy) = match setup {
@@ -726,6 +731,10 @@ struct WorkerHandle {
     abandoned: bool,
 }
 
+/// Attempts a worker makes to (re)open its engine connection after a drop,
+/// before it gives up on the task at hand.
+const RECONNECT_ATTEMPTS: u32 = 3;
+
 /// The run's worker pool: both channels, the initial `sqloop-worker-{id}`
 /// threads and replacements for abandoned ones, minted mid-run. It keeps
 /// the workers' ends of both channels too, so a replacement can be wired
@@ -733,7 +742,6 @@ struct WorkerHandle {
 /// stream end.
 struct WorkerPool {
     driver: Arc<dyn Driver>,
-    reconnect_attempts: u32,
     retry_backoff: std::time::Duration,
     statement_timeout: Option<std::time::Duration>,
     cancel: CancelToken,
@@ -762,7 +770,6 @@ impl WorkerPool {
         let (done_tx, done_rx) = unbounded::<Done>();
         let mut pool = WorkerPool {
             driver: Arc::clone(driver),
-            reconnect_attempts: config.reconnect_attempts,
             retry_backoff: config.retry_backoff,
             statement_timeout: config.statement_timeout,
             cancel: config.cancel.clone(),
@@ -791,7 +798,7 @@ impl WorkerPool {
         let ctx = WorkerCtx {
             driver: Arc::clone(&self.driver),
             policy: RetryPolicy {
-                max_attempts: self.reconnect_attempts,
+                max_attempts: RECONNECT_ATTEMPTS,
                 base_delay: self.retry_backoff,
                 jitter_seed: u64::from(id) + 1,
                 ..RetryPolicy::default()
@@ -1265,7 +1272,7 @@ impl Scheduler<'_> {
     /// Receives the next completion: one run on the master connection
     /// first, otherwise from the pool, supervising it while waiting.
     ///
-    /// The wait is bounded by `supervisor_poll`, and each timeout tick runs
+    /// The wait is bounded by [`SUPERVISOR_POLL`], and each timeout tick runs
     /// a supervision pass over the worker heartbeats, so a panicked or
     /// stalled worker becomes a typed verdict instead of an infinite block.
     /// Completions for tasks no longer in the dispatch map (a worker that
@@ -1277,7 +1284,7 @@ impl Scheduler<'_> {
         }
         loop {
             let received = match &self.pool {
-                Some(pool) => pool.done_rx.recv_timeout(self.config.supervisor_poll),
+                Some(pool) => pool.done_rx.recv_timeout(SUPERVISOR_POLL),
                 None => Err(RecvTimeoutError::Disconnected),
             };
             match received {

@@ -94,7 +94,6 @@ pub struct SqlGen {
     schema: CteSchema,
     plan: ParallelPlan,
     partitions: usize,
-    materialize_join: bool,
     profile: EngineProfile,
     /// Indexed by partition; `None` until the partition is first scheduled.
     part_sql: Vec<Option<PartSql>>,
@@ -111,7 +110,6 @@ impl SqlGen {
         schema: CteSchema,
         plan: ParallelPlan,
         partitions: usize,
-        materialize_join: bool,
         profile: EngineProfile,
     ) -> SqlGen {
         SqlGen {
@@ -119,7 +117,6 @@ impl SqlGen {
             schema,
             plan,
             partitions,
-            materialize_join,
             profile,
             part_sql: vec![None; partitions],
             slot_sql: HashMap::new(),
@@ -327,18 +324,10 @@ impl SqlGen {
     /// first and the edges second, so on every profile the engine probes
     /// this index once per pending row instead of reading every edge.
     pub fn join_index_sql(&self) -> String {
-        if self.materialize_join {
-            format!(
-                "CREATE INDEX {mj}__isrc ON {mj} (__src)",
-                mj = self.names.mjoin()
-            )
-        } else {
-            format!(
-                "CREATE INDEX IF NOT EXISTS {e}__isrc ON {e} ({src})",
-                e = self.plan.edge_table,
-                src = self.plan.edge_src_col
-            )
-        }
+        format!(
+            "CREATE INDEX {mj}__isrc ON {mj} (__src)",
+            mj = self.names.mjoin()
+        )
     }
 
     // -- Compute task (paper §V-C, first + second step) --------------------
@@ -389,7 +378,7 @@ impl SqlGen {
     }
 
     /// Statement 1 of Compute(x): refill `slot` with partition `x`'s
-    /// pending deltas joined to the (materialized) edges, aggregated per
+    /// pending deltas joined to the materialized edges, aggregated per
     /// destination id — and, when routed, each row's destination partition.
     pub fn insert_message_sql(&self, x: usize, slot: &str) -> String {
         let msg_expr = render_expr(&self.plan.message_expr);
@@ -414,24 +403,16 @@ impl SqlGen {
             filters.push(render_expr(f));
         }
         // partition first: its pending rows are the outer side, and the
-        // (materialized) edges — indexed on the source column by
+        // materialized edges — indexed on the source column by
         // `join_index_sql` — the inner one the engine probes
-        let (edges, src, dst) = if self.materialize_join {
-            (self.names.mjoin(), "__src", "__dst")
-        } else {
-            (
-                self.plan.edge_table.clone(),
-                self.plan.edge_src_col.as_str(),
-                self.plan.edge_dst_col.as_str(),
-            )
-        };
         let from = format!(
-            "{pt} AS {SOURCE_QUAL} JOIN {edges} AS {EDGE_QUAL} \
-             ON {EDGE_QUAL}.{src} = {SOURCE_QUAL}.{k}",
+            "{pt} AS {SOURCE_QUAL} JOIN {mj} AS {EDGE_QUAL} \
+             ON {EDGE_QUAL}.__src = {SOURCE_QUAL}.{k}",
             pt = self.names.partition(x),
+            mj = self.names.mjoin(),
             k = self.key(),
         );
-        let dst_ref = format!("{EDGE_QUAL}.{dst}");
+        let dst_ref = format!("{EDGE_QUAL}.__dst");
         if self.routing_enabled() {
             cols.push_str(&format!(", {TO_COL}"));
             projection.push_str(&format!(", {} AS {TO_COL}", self.bucket_sql(&dst_ref)));
@@ -725,11 +706,11 @@ mod tests {
     use crate::translate::translate_sql;
     use sqldb::DataType;
 
-    fn pagerank_gen(partitions: usize, materialize: bool) -> SqlGen {
-        pagerank_gen_for(partitions, materialize, EngineProfile::Postgres)
+    fn pagerank_gen(partitions: usize) -> SqlGen {
+        pagerank_gen_for(partitions, EngineProfile::Postgres)
     }
 
-    fn pagerank_gen_for(partitions: usize, materialize: bool, profile: EngineProfile) -> SqlGen {
+    fn pagerank_gen_for(partitions: usize, profile: EngineProfile) -> SqlGen {
         let cte = match parse(
             "WITH ITERATIVE pr(Node, Rank, Delta) AS (\
              SELECT src, 0, 0.15 FROM edges GROUP BY src \
@@ -754,14 +735,7 @@ mod tests {
             columns: cols,
             types: vec![DataType::Int, DataType::Float, DataType::Float],
         };
-        SqlGen::new(
-            CteNames::new("pr"),
-            schema,
-            plan,
-            partitions,
-            materialize,
-            profile,
-        )
+        SqlGen::new(CteNames::new("pr"), schema, plan, partitions, profile)
     }
 
     /// every generated statement must be translatable for every profile
@@ -773,7 +747,7 @@ mod tests {
 
     #[test]
     fn all_generated_statements_parse_in_all_dialects() {
-        let g = pagerank_gen(4, true);
+        let g = pagerank_gen(4);
         check_all_dialects(&g.create_partition_sql(0));
         check_all_dialects(&g.create_view_sql());
         check_all_dialects(&g.create_mjoin_sql());
@@ -805,7 +779,7 @@ mod tests {
         // the path this module replaced — canonical text through
         // `translate_sql`, once per task — is the reference
         for profile in EngineProfile::ALL {
-            let sum = pagerank_gen_for(4, true, profile);
+            let sum = pagerank_gen_for(4, profile);
             let mut avg = sum.clone();
             avg.plan.aggregate = AggregateFunction::Avg;
             let mut text_key = sum.clone();
@@ -867,7 +841,7 @@ mod tests {
 
     #[test]
     fn a_task_built_again_shares_its_statements_and_translates_nothing() {
-        let mut g = pagerank_gen_for(4, true, EngineProfile::MySql);
+        let mut g = pagerank_gen_for(4, EngineProfile::MySql);
         let slot = "pr__msgslot_1_0";
         let fresh = g.compute_task_sql(1, slot, true).unwrap();
         let first = g.compute_task_sql(1, slot, false).unwrap();
@@ -902,7 +876,7 @@ mod tests {
 
     #[test]
     fn insert_message_sql_shape() {
-        let g = pagerank_gen(4, true);
+        let g = pagerank_gen(4);
         let sql = g.insert_message_sql(1, "pr__msgslot_1_0");
         assert!(sql.contains("SUM"), "{sql}");
         assert!(sql.contains("pr__mjoin"), "{sql}");
@@ -925,7 +899,7 @@ mod tests {
 
     #[test]
     fn slot_statements_are_generation_stable() {
-        let g = pagerank_gen(4, true);
+        let g = pagerank_gen(4);
         // the slot form carries no round number: refilling the same slot in
         // two different rounds produces byte-identical SQL (the templating
         // property the plan cache depends on)
@@ -958,22 +932,8 @@ mod tests {
     }
 
     #[test]
-    fn non_materialized_variant_joins_edges_directly() {
-        let g = pagerank_gen(4, false);
-        let sql = g.insert_message_sql(0, "m");
-        assert!(
-            sql.contains("FROM pr__pt0 AS __s JOIN edges AS __e ON __e.src = __s.node"),
-            "{sql}"
-        );
-        assert!(sql.contains("GROUP BY __e.dst"), "{sql}");
-        assert!(!sql.contains("mjoin"), "{sql}");
-        let idx = g.join_index_sql();
-        assert!(idx.contains("ON edges"), "{idx}");
-    }
-
-    #[test]
     fn gather_sql_folds_with_the_right_operator() {
-        let g = pagerank_gen(4, true);
+        let g = pagerank_gen(4);
         let sql = g.gather_sql(0, &["m1", "m2"]);
         assert!(
             sql.contains("delta + inc.val") || sql.contains("\"delta\" + inc.val"),
@@ -988,7 +948,7 @@ mod tests {
 
     #[test]
     fn routed_gather_filter_agrees_with_bucket() {
-        let g = pagerank_gen(7, true);
+        let g = pagerank_gen(7);
         let db = sqldb::Database::new(EngineProfile::Postgres);
         let mut s = db.connect();
         s.execute("CREATE TABLE m (id INT, val FLOAT)").unwrap();
@@ -1008,7 +968,7 @@ mod tests {
 
     #[test]
     fn gather_seeks_each_slot_for_its_own_rows() {
-        let g = pagerank_gen(4, true);
+        let g = pagerank_gen(4);
         let db = sqldb::Database::new(EngineProfile::Postgres);
         let mut s = db.connect();
         s.execute(&g.create_partition_sql(1)).unwrap();
@@ -1051,7 +1011,7 @@ mod tests {
 
     #[test]
     fn unrouted_key_types_keep_the_broadcast_gather() {
-        let mut g = pagerank_gen(4, true);
+        let mut g = pagerank_gen(4);
         g.schema.types[0] = DataType::Text;
         assert!(!g.routing_enabled());
         let sql = g.gather_sql(0, &["m1", "m2"]);
@@ -1067,7 +1027,7 @@ mod tests {
 
     #[test]
     fn compute_update_resets_delta() {
-        let g = pagerank_gen(4, true);
+        let g = pagerank_gen(4);
         let sql = g.compute_update_sql(2);
         assert!(sql.contains("delta = 0.0"), "{sql}");
         assert!(sql.contains("rank = "), "{sql}");
@@ -1075,7 +1035,7 @@ mod tests {
 
     #[test]
     fn bucket_is_stable_and_in_range() {
-        let g = pagerank_gen(7, true);
+        let g = pagerank_gen(7);
         for i in 0..100i64 {
             let b1 = g.bucket(&Value::Int(i));
             let b2 = g.bucket(&Value::Int(i));
@@ -1088,7 +1048,7 @@ mod tests {
 
     #[test]
     fn buckets_spread_reasonably() {
-        let g = pagerank_gen(8, true);
+        let g = pagerank_gen(8);
         let mut counts = vec![0usize; 8];
         for i in 0..8000i64 {
             counts[g.bucket(&Value::Int(i))] += 1;
@@ -1103,7 +1063,7 @@ mod tests {
 
     #[test]
     fn view_unions_every_partition() {
-        let g = pagerank_gen(3, true);
+        let g = pagerank_gen(3);
         let sql = g.create_view_sql();
         assert_eq!(sql.matches("UNION ALL").count(), 2);
         assert!(sql.contains("pr__pt0") && sql.contains("pr__pt2"), "{sql}");

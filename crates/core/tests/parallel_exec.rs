@@ -298,12 +298,7 @@ fn db_with_relabeled_graph(
 /// PageRank and SSSP in every parallel mode against the single-threaded
 /// executor, for a key space the partition-local statements must get right:
 /// `source` is node 0's key as a SQL literal.
-fn assert_parallel_modes_match_single(
-    db: &Database,
-    source: &str,
-    materialize_join: bool,
-    what: &str,
-) {
+fn assert_parallel_modes_match_single(db: &Database, source: &str, what: &str) {
     let sssp = SSSP.replace("src = 0", &format!("src = {source}"));
     let pagerank = PAGERANK.replace("UNTIL 10 ITERATIONS", "UNTIL 90 ITERATIONS");
     let single = |sql: &str| {
@@ -326,11 +321,7 @@ fn assert_parallel_modes_match_single(
         ExecutionMode::Async,
         ExecutionMode::AsyncPrio,
     ] {
-        let parallel = || {
-            let mut sq = sqloop_for(db, mode, 2, 6);
-            sq.config_mut().materialize_join = materialize_join;
-            sq
-        };
+        let parallel = || sqloop_for(db, mode, 2, 6);
         let mut sq = parallel();
         if mode == ExecutionMode::AsyncPrio {
             sq.config_mut().priority = Some(PrioritySpec::lowest("SELECT MIN(delta) FROM {}"));
@@ -369,7 +360,7 @@ fn negative_node_ids_route_to_the_partition_that_owns_them() {
     // would drop every message addressed to a negative id
     for profile in EngineProfile::ALL {
         let db = db_with_relabeled_graph(profile, "INT", |n| (n as i64 - 20).to_string());
-        assert_parallel_modes_match_single(&db, "-20", true, &format!("{profile} negative ids"));
+        assert_parallel_modes_match_single(&db, "-20", &format!("{profile} negative ids"));
     }
 }
 
@@ -378,17 +369,7 @@ fn text_keys_run_unrouted_and_match_single() {
     // a TEXT key has no SQL-expressible bucket function: routing is off and
     // every Gather reads every message (the broadcast form)
     let db = db_with_relabeled_graph(EngineProfile::Postgres, "TEXT", |n| format!("'n{n:02}'"));
-    assert_parallel_modes_match_single(&db, "'n00'", true, "text keys");
-}
-
-#[test]
-fn unmaterialized_join_ablation_matches_single() {
-    // materialize_join = false: Compute joins its partition to `edges`
-    // itself, through the index SQLoop creates on `edges(src)`
-    for profile in EngineProfile::ALL {
-        let db = db_with_relabeled_graph(profile, "INT", |n| n.to_string());
-        assert_parallel_modes_match_single(&db, "0", false, &format!("{profile} no Rmjoin"));
-    }
+    assert_parallel_modes_match_single(&db, "'n00'", "text keys");
 }
 
 /// Runs a kept Sync PageRank over 6 partitions on the test graph relabeled

@@ -61,7 +61,7 @@ type Invalid = (&'static str, fn(&mut SqloopConfig));
 fn every_mode_rejects_an_invalid_config_before_it_builds_anything() {
     let invalid: [Invalid; 2] = [
         ("max_rounds", |c| c.watchdog.max_rounds = Some(0)),
-        ("insert_batch_rows", |c| c.insert_batch_rows = 0),
+        ("max_mem", |c| c.max_mem = Some(0)),
     ];
     for mode in MODES {
         for (field, configure) in invalid {

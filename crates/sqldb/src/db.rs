@@ -12,7 +12,7 @@ use crate::catalog::Catalog;
 use crate::dialect_check::validate;
 use crate::digest::{DigestEntry, DigestStats, SlowLog, SlowStatement};
 use crate::error::{DbError, DbResult};
-use crate::exec::{ExecLimits, Executor, QueryResult, StmtOutput};
+use crate::exec::{Executor, QueryResult, StmtOutput};
 use crate::op_profile::OpProfiler;
 use crate::parser::{parse_script, parse_statement};
 use crate::plan_cache::{substitute_params, Admission, CachedPlan, PlanCache, PlanCacheStats};
@@ -40,9 +40,9 @@ struct Shared {
     digests: DigestStats,
     slow: SlowLog,
     profiling: AtomicBool,
-    /// Whether queries run on the vectorized batch pipeline (`true`, the
-    /// default) or the row-at-a-time baseline.
-    vectorized: AtomicBool,
+    /// Whether `SELECT`s run on the row-at-a-time reference evaluator.
+    #[cfg(test)]
+    row_oracle: AtomicBool,
     /// Rows-per-batch override for the vectorized pipeline (0 = use the
     /// profile default). Results are identical at any size; the
     /// equivalence suite exercises 1/3/default/4096.
@@ -117,7 +117,8 @@ impl Database {
                 digests: DigestStats::new(),
                 slow: SlowLog::default(),
                 profiling: AtomicBool::new(false),
-                vectorized: AtomicBool::new(true),
+                #[cfg(test)]
+                row_oracle: AtomicBool::new(false),
                 batch_size: AtomicU64::new(0),
                 panic_probe: Mutex::new(None),
                 metrics: StmtMetrics::new(),
@@ -137,7 +138,6 @@ impl Database {
             isolation: IsolationLevel::default(),
             lock_timeout: DEFAULT_LOCK_TIMEOUT,
             statement_timeout: None,
-            max_result_rows: None,
         }
     }
 
@@ -206,17 +206,7 @@ impl Database {
         self.shared.digests.top_misses(k)
     }
 
-    /// Turns digest collection on or off (on by default).
-    pub fn set_digests_enabled(&self, on: bool) {
-        self.shared.digests.set_enabled(on);
-    }
-
-    /// Whether digest collection is currently on.
-    pub fn digests_enabled(&self) -> bool {
-        self.shared.digests.enabled()
-    }
-
-    /// Drops all digest entries (collection state is unchanged).
+    /// Drops all digest entries.
     pub fn reset_digests(&self) {
         self.shared.digests.reset();
     }
@@ -234,18 +224,11 @@ impl Database {
         self.shared.profiling.load(Ordering::Relaxed)
     }
 
-    /// Selects the query execution mode: `true` (the default) runs queries
-    /// on the vectorized columnar batch pipeline, `false` on the
-    /// row-at-a-time reference evaluator (rows rebuilt from the same scans
-    /// and joins). Both produce identical results; the reference exists for
-    /// benchmarking and equivalence testing.
-    pub fn set_vectorized(&self, on: bool) {
-        self.shared.vectorized.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether queries run on the vectorized batch pipeline.
-    pub fn vectorized(&self) -> bool {
-        self.shared.vectorized.load(Ordering::Relaxed)
+    /// Runs every session's `SELECT`s on the row-at-a-time reference
+    /// evaluator (`true`) or the batch pipeline (`false`, the default).
+    #[cfg(test)]
+    pub(crate) fn set_row_oracle(&self, on: bool) {
+        self.shared.row_oracle.store(on, Ordering::Relaxed);
     }
 
     /// Overrides the profile's rows-per-batch for the vectorized pipeline
@@ -353,7 +336,6 @@ pub struct Session {
     isolation: IsolationLevel,
     lock_timeout: Duration,
     statement_timeout: Option<Duration>,
-    max_result_rows: Option<u64>,
 }
 
 impl Session {
@@ -384,12 +366,6 @@ impl Session {
         self.statement_timeout
     }
 
-    /// Sets (or clears) the cap on rows a query may return. Queries
-    /// producing more fail with [`DbError::BudgetExceeded`].
-    pub fn set_max_result_rows(&mut self, max: Option<u64>) {
-        self.max_result_rows = max;
-    }
-
     /// True while a `BEGIN` transaction is open.
     pub fn in_transaction(&self) -> bool {
         self.in_txn
@@ -402,9 +378,6 @@ impl Session {
     /// statement is rolled back atomically; an open transaction stays usable.
     pub fn execute(&mut self, sql: &str) -> DbResult<StmtOutput> {
         let (plan, plan_hit) = self.plan_for(sql)?;
-        if !self.shared.digests.enabled() && self.shared.slow.config().0 == 0 {
-            return self.execute_admitted(&plan.stmt, &plan.admission);
-        }
         let started = std::time::Instant::now();
         let result = self.execute_admitted(&plan.stmt, &plan.admission);
         self.observe_statement(plan.digest(sql), sql, started, &result, plan_hit);
@@ -624,17 +597,18 @@ impl Session {
             self.shared.profile,
             &self.shared.stats,
         )
-        .with_limits(ExecLimits {
-            max_rows: self.max_result_rows,
-            deadline: self
-                .statement_timeout
+        .with_deadline(
+            self.statement_timeout
                 .map(|t| std::time::Instant::now() + t),
-        })
-        .with_vectorized(self.shared.vectorized.load(Ordering::Relaxed))
+        )
         .with_batch_size(match self.shared.batch_size.load(Ordering::Relaxed) {
             0 => None,
             n => Some(n as usize),
         });
+        #[cfg(test)]
+        if self.shared.row_oracle.load(Ordering::Relaxed) {
+            executor = executor.with_row_oracle();
+        }
         if let Some(p) = profiler.as_ref() {
             executor = executor.with_profiler(p);
         }
@@ -1134,15 +1108,9 @@ mod tests {
     }
 
     #[test]
-    fn statement_timeout_and_row_cap_per_session() {
+    fn statement_timeout_per_session() {
         let db = db();
         let mut s = db.connect();
-        s.set_max_result_rows(Some(1));
-        assert!(matches!(
-            s.query("SELECT * FROM t"),
-            Err(DbError::BudgetExceeded(_))
-        ));
-        s.set_max_result_rows(None);
         s.set_statement_timeout(Some(Duration::ZERO));
         // zero clears rather than instantly failing everything
         assert_eq!(s.statement_timeout(), None);
@@ -1203,20 +1171,6 @@ mod tests {
             .expect("family tracked");
         assert_eq!(fam.calls, 2);
         assert_eq!(fam.plan_hits, 2, "pinned prepared plans count as hits");
-    }
-
-    #[test]
-    fn digest_collection_can_be_disabled() {
-        let db = db();
-        db.reset_digests();
-        db.set_digests_enabled(false);
-        assert!(!db.digests_enabled());
-        let mut s = db.connect();
-        s.query("SELECT v FROM t").unwrap();
-        assert!(db.digest_stats().is_empty());
-        db.set_digests_enabled(true);
-        s.query("SELECT v FROM t").unwrap();
-        assert_eq!(db.digest_stats().len(), 1);
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! misses to the family, not the instance (ROADMAP Open item 1).
 //!
 //! Collection is bounded: at most [`DIGEST_CAPACITY`] families are
-//! tracked, evicting the family with the fewest calls when full, and the
-//! slow log is a fixed ring. Both sit behind a relaxed atomic enabled
-//! check so the disabled cost is one load per statement.
+//! tracked, evicting the family with the fewest calls when full. Digests
+//! are always collected. The slow log is a fixed ring, off until a
+//! threshold arms it, so its disarmed cost is one relaxed load per
+//! statement.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum number of distinct statement families tracked per database.
 pub const DIGEST_CAPACITY: usize = 512;
@@ -156,26 +157,12 @@ impl DigestEntry {
 #[derive(Debug, Default)]
 pub struct DigestStats {
     entries: Mutex<HashMap<String, DigestEntry>>,
-    enabled: AtomicBool,
 }
 
 impl DigestStats {
-    /// Creates an enabled, empty table.
+    /// Creates an empty table.
     pub fn new() -> DigestStats {
-        let d = DigestStats::default();
-        d.enabled.store(true, Ordering::Relaxed);
-        d
-    }
-
-    /// The cheap per-statement gate: one relaxed load.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns collection on or off (existing entries are kept).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        DigestStats::default()
     }
 
     /// Records one execution of `sql`. `plan_hit` is `Some(true)` for a
@@ -191,9 +178,6 @@ impl DigestStats {
         error: bool,
         plan_hit: Option<bool>,
     ) {
-        if !self.enabled() {
-            return;
-        }
         let owned;
         let digest = match digest {
             Some(d) => d,
@@ -451,17 +435,6 @@ mod tests {
         let snap = d.snapshot();
         assert!(snap.len() <= DIGEST_CAPACITY);
         assert!(snap.iter().any(|e| e.digest.contains("keepme")));
-    }
-
-    #[test]
-    fn disabled_table_records_nothing() {
-        let d = DigestStats::new();
-        d.set_enabled(false);
-        d.record(None, "SELECT 1", 1, 0, false, None);
-        assert!(d.snapshot().is_empty());
-        d.set_enabled(true);
-        d.record(None, "SELECT 1", 1, 0, false, None);
-        assert_eq!(d.snapshot().len(), 1);
     }
 
     #[test]

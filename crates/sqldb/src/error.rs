@@ -25,8 +25,9 @@ pub enum DbError {
     Unsupported(String),
     /// A connectivity-layer failure (used by the `dbcp` crate).
     Connection(String),
-    /// A memory or row-output budget was exhausted. Not retryable: the
-    /// same statement against the same budget fails again.
+    /// A budget was exhausted: the engine's memory, or a connection's
+    /// prepared statements. Not retryable: the same statement against the
+    /// same budget fails again.
     BudgetExceeded(String),
     /// The statement ran past its execution deadline.
     Timeout(String),

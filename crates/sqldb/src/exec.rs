@@ -19,31 +19,24 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::time::Instant;
 
+#[cfg(test)]
+mod reference;
+
 /// Maximum view-expansion / derived-table nesting depth.
 const MAX_DEPTH: usize = 32;
 
-/// Per-statement execution limits, enforced inside the executor's row
-/// loops so a runaway statement stops mid-scan instead of after the fact.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecLimits {
-    /// Hard cap on rows a query may produce ([`DbError::BudgetExceeded`]).
-    pub max_rows: Option<u64>,
-    /// Wall-clock deadline for the whole statement ([`DbError::Timeout`]).
-    pub deadline: Option<Instant>,
-}
-
-impl ExecLimits {
-    /// Fails once the statement's deadline has passed.
-    ///
-    /// # Errors
-    /// Returns [`DbError::Timeout`].
-    pub fn check_deadline(&self) -> DbResult<()> {
-        match self.deadline {
-            Some(d) if Instant::now() > d => Err(DbError::Timeout(
-                "statement exceeded its execution deadline".into(),
-            )),
-            _ => Ok(()),
-        }
+/// Fails once a statement's deadline has passed. The executor and the
+/// joins check it per batch, so a runaway statement stops mid-scan instead
+/// of after the fact.
+///
+/// # Errors
+/// Returns [`DbError::Timeout`].
+pub(crate) fn check_deadline(deadline: Option<Instant>) -> DbResult<()> {
+    match deadline {
+        Some(d) if Instant::now() > d => Err(DbError::Timeout(
+            "statement exceeded its execution deadline".into(),
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -76,8 +69,8 @@ struct Batches {
 }
 
 impl Batches {
-    /// Rows that leave `ORDER BY` / `LIMIT` or the reference evaluator,
-    /// back in batches of `batch_rows`.
+    /// Rows that leave `ORDER BY` / `LIMIT` (or the test-only reference
+    /// evaluator), back in batches of `batch_rows`.
     fn from_result(result: QueryResult, batch_rows: usize) -> Batches {
         Batches {
             batches: ColumnBatch::chunk_rows(result.rows, result.columns.len(), batch_rows),
@@ -128,45 +121,40 @@ pub struct Executor<'a> {
     catalog: &'a Catalog,
     profile: EngineProfile,
     stats: &'a Stats,
-    limits: ExecLimits,
+    /// The statement's wall-clock deadline ([`DbError::Timeout`]).
+    deadline: Option<Instant>,
     prof: Option<&'a OpProfiler>,
-    vectorized: bool,
+    /// Evaluates every `SELECT` on the row-at-a-time reference evaluator,
+    /// the oracle the equivalence tests hold the batch pipeline to.
+    #[cfg(test)]
+    row_oracle: bool,
     /// Overrides [`EngineProfile::batch_size`] when set (testing/tuning).
     batch_size: Option<usize>,
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor with no per-statement limits. Queries run on
-    /// the vectorized batch pipeline by default; see
-    /// [`Self::with_vectorized`].
+    /// Creates an executor with no statement deadline.
     pub fn new(catalog: &'a Catalog, profile: EngineProfile, stats: &'a Stats) -> Executor<'a> {
         Executor {
             catalog,
             profile,
             stats,
-            limits: ExecLimits::default(),
+            deadline: None,
             prof: None,
-            vectorized: true,
+            #[cfg(test)]
+            row_oracle: false,
             batch_size: None,
         }
     }
 
-    /// Applies per-statement limits to this executor.
-    pub fn with_limits(mut self, limits: ExecLimits) -> Executor<'a> {
-        self.limits = limits;
+    /// Sets (or clears) the statement's wall-clock deadline; past it the
+    /// statement fails with [`DbError::Timeout`].
+    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Executor<'a> {
+        self.deadline = deadline;
         self
     }
 
-    /// Selects between the vectorized batch pipeline (`true`, the default)
-    /// and the row-at-a-time reference evaluator, which rebuilds rows from
-    /// the `FROM` clause's batches and filters, groups and projects them one
-    /// at a time. Both produce identical results.
-    pub fn with_vectorized(mut self, on: bool) -> Executor<'a> {
-        self.vectorized = on;
-        self
-    }
-
-    /// Overrides the profile's rows-per-batch for the vectorized pipeline
+    /// Overrides the profile's rows-per-batch for the batch pipeline
     /// (`None` restores the profile default). Results must be identical at
     /// every batch size — the equivalence suite runs sizes 1/3/default/4096.
     pub fn with_batch_size(mut self, rows: Option<usize>) -> Executor<'a> {
@@ -195,7 +183,7 @@ impl<'a> Executor<'a> {
     }
 
     fn check_deadline(&self) -> DbResult<()> {
-        self.limits.check_deadline()
+        check_deadline(self.deadline)
     }
 
     /// What this statement's joins run under.
@@ -204,20 +192,9 @@ impl<'a> Executor<'a> {
             strategy: self.profile.join_strategy(),
             stats: self.stats,
             batch_rows: self.batch_rows(),
-            limits: self.limits,
+            deadline: self.deadline,
             budget: self.catalog.memory_budget(),
         }
-    }
-
-    fn check_row_cap(&self, produced: usize) -> DbResult<()> {
-        if let Some(max) = self.limits.max_rows {
-            if produced as u64 > max {
-                return Err(DbError::BudgetExceeded(format!(
-                    "statement produced more than {max} rows"
-                )));
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -234,9 +211,7 @@ impl<'a> Executor<'a> {
         }
         check_depth(depth)?;
         self.check_deadline()?;
-        let out = self.exec_set_expr(&q.body, depth)?;
-        self.check_row_cap(out.len())?;
-        Ok(out)
+        self.exec_set_expr(&q.body, depth)
     }
 
     /// Runs a query to completion.
@@ -306,7 +281,6 @@ impl<'a> Executor<'a> {
                 );
             }
         }
-        self.check_row_cap(result.rows.len())?;
         Ok(result)
     }
 
@@ -375,10 +349,7 @@ impl<'a> Executor<'a> {
     }
 
     fn exec_select(&self, s: &Select, depth: usize) -> DbResult<Batches> {
-        let mut out = match self.vectorized {
-            true => self.select_batches(s, depth)?,
-            false => Batches::from_result(self.select_rows(s, depth)?, self.batch_rows()),
-        };
+        let mut out = self.select_batches(s, depth)?;
         if s.distinct {
             let t0 = self.prof_start();
             let rows_in = out.len() as u64;
@@ -419,8 +390,15 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// A `SELECT` (without its `DISTINCT`) on the vectorized pipeline.
+    /// A `SELECT` (without its `DISTINCT`) on the batch pipeline.
     fn select_batches(&self, s: &Select, depth: usize) -> DbResult<Batches> {
+        #[cfg(test)]
+        if self.row_oracle {
+            return Ok(Batches::from_result(
+                self.select_rows(s, depth)?,
+                self.batch_rows(),
+            ));
+        }
         let (rel, applied) = self.select_from(s, depth)?;
         let arity = rel.arity();
         let Rel {
@@ -432,58 +410,10 @@ impl<'a> Executor<'a> {
         self.exec_pipeline_batched(s, filter.as_deref(), &scope, batches, arity)
     }
 
-    /// A `SELECT` (without its `DISTINCT`) on the reference evaluator: rows
-    /// are rebuilt from the `FROM` clause's batches, and WHERE / aggregation
-    /// / projection run a row at a time.
-    fn select_rows(&self, s: &Select, depth: usize) -> DbResult<QueryResult> {
-        let (rel, _) = self.select_from(s, depth)?;
-        let mut rows = rel.rows();
-        if let Some(pred) = &s.selection {
-            let t0 = self.prof_start();
-            let rows_in = rows.len() as u64;
-            let bound = bind_scalar(pred, &rel.scope)?;
-            let mut kept = Vec::with_capacity(rows.len());
-            for (i, row) in rows.into_iter().enumerate() {
-                if i & 0xFFF == 0 {
-                    self.check_deadline()?;
-                }
-                if bound.eval(&row)?.is_truthy() {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
-            if let Some(p) = self.prof {
-                p.wrap(
-                    1,
-                    "Filter".to_string(),
-                    rows.len() as u64,
-                    rows_in,
-                    t0.map(us_since).unwrap_or(0),
-                );
-            }
-        }
-        if !is_grouped(s) {
-            return self.exec_project(s, &rel.scope, &rows);
-        }
-        let t0 = self.prof_start();
-        let out = self.exec_aggregate(s, &rel.scope, &rows)?;
-        if let Some(p) = self.prof {
-            p.wrap(
-                1,
-                format!("HashAggregate (group by {} keys)", s.group_by.len()),
-                out.rows.len() as u64,
-                rows.len() as u64,
-                t0.map(us_since).unwrap_or(0),
-            );
-        }
-        Ok(out)
-    }
-
     /// Runs `filter` (what is left of the WHERE) → aggregation/projection
-    /// over column batches. Per-batch deadline checks replace the row
-    /// path's every-4096-rows checks, and each operator records batch
-    /// actuals into the profiler and the process-wide `sqloop.exec.*`
-    /// metrics.
+    /// over column batches. The deadline is checked once per batch, and
+    /// each operator records batch actuals into the profiler and the
+    /// process-wide `sqloop.exec.*` metrics.
     fn exec_pipeline_batched(
         &self,
         s: &Select,
@@ -550,9 +480,9 @@ impl<'a> Executor<'a> {
 
     /// Vectorized projection: every projection expression is compiled once
     /// and evaluated per batch; a list of plain columns moves their lanes
-    /// instead. A kernel error reruns that batch through the row-at-a-time
-    /// evaluator (which is authoritative), so error ordering matches
-    /// [`Self::exec_project`] exactly.
+    /// instead. A kernel error reruns that batch a row at a time through the
+    /// scalar evaluator (which is authoritative), so the first error is the
+    /// one row order reaches.
     fn exec_project_batched(
         &self,
         s: &Select,
@@ -573,7 +503,6 @@ impl<'a> Executor<'a> {
             None => exprs.iter().map(CompiledExpr::new).collect(),
         };
         let mut out = Vec::with_capacity(batches.len());
-        let mut produced = 0;
         for b in batches {
             self.check_deadline()?;
             let outs: DbResult<Vec<EvalOut>> = compiled.iter().map(|c| c.try_eval(&b)).collect();
@@ -592,13 +521,10 @@ impl<'a> Executor<'a> {
                             out.push(c.expr().eval(&row)?);
                         }
                         rows.push(out);
-                        self.check_row_cap(produced + rows.len())?;
                     }
                     ColumnBatch::from_rows(rows, compiled.len())
                 }
             };
-            produced += projected.len();
-            self.check_row_cap(produced)?;
             out.push(projected);
         }
         Ok(Batches {
@@ -608,10 +534,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Vectorized grouping: key and aggregate-argument expressions are
-    /// compiled once and evaluated per batch; group discovery order,
-    /// accumulator semantics and error ordering match
-    /// [`Self::exec_aggregate`] exactly (a kernel error reruns the batch
-    /// row-wise). Each group is represented by the batch lane it first
+    /// compiled once and evaluated per batch; groups open in the order
+    /// their rows arrive, and a kernel error reruns the batch row-wise so
+    /// the first error is the one row order reaches. Each group is represented by the batch lane it first
     /// appeared in, and the groups leave as one batch
     /// ([`GroupedSelect::finish_batch`]).
     fn exec_aggregate_batched(
@@ -713,58 +638,7 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        grouped.finish_batch(self, batches, groups, arity)
-    }
-
-    fn exec_project(&self, s: &Select, scope: &Scope, input: &[Row]) -> DbResult<QueryResult> {
-        let (columns, exprs) = bind_projections(s, scope)?;
-        let mut rows = Vec::with_capacity(input.len());
-        for (i, row) in input.iter().enumerate() {
-            if i & 0xFFF == 0 {
-                self.check_deadline()?;
-            }
-            let mut out = Vec::with_capacity(exprs.len());
-            for e in &exprs {
-                out.push(e.eval(row)?);
-            }
-            rows.push(out);
-            self.check_row_cap(rows.len())?;
-        }
-        Ok(QueryResult { columns, rows })
-    }
-
-    fn exec_aggregate(&self, s: &Select, scope: &Scope, input: &[Row]) -> DbResult<QueryResult> {
-        let grouped = GroupedSelect::bind(s, scope)?;
-        let (key_exprs, aggs) = (&grouped.key_exprs, &grouped.aggs);
-
-        // group rows; the key lives only in the index map (each group keeps a
-        // representative row for projecting group-by columns), so the entry
-        // API moves each key in without a clone
-        let (mut groups, mut reps) = (Groups::default(), Vec::new());
-        let mut index: KeyMap<Vec<Value>, usize> = KeyMap::default();
-        for (i, row) in input.iter().enumerate() {
-            if i & 0xFFF == 0 {
-                self.check_deadline()?;
-            }
-            let mut key = Vec::with_capacity(key_exprs.len());
-            for k in key_exprs {
-                key.push(k.eval(row)?);
-            }
-            let gi = *index.entry(key).or_insert_with(|| {
-                reps.push(row.clone());
-                groups.open(&grouped, 0, reps.len() - 1)
-            });
-            for (acc, spec) in groups.accs(gi).iter_mut().zip(aggs) {
-                let v = match &spec.arg {
-                    Some(e) => Some(e.eval(row)?),
-                    None => None,
-                };
-                acc.update(v);
-            }
-        }
-        let reps = [ColumnBatch::from_rows(reps, scope.arity())];
-        let out = grouped.finish_batch(self, &reps, groups, scope.arity())?;
-        Ok(out.into_result())
+        grouped.finish_batch(batches, groups, arity)
     }
 
     fn apply_order_by(&self, result: &mut QueryResult, order_by: &[OrderByExpr]) -> DbResult<()> {
@@ -1544,7 +1418,6 @@ impl GroupedSelect {
     /// projection, which raises the row path's first error.
     fn finish_batch(
         self,
-        exec: &Executor<'_>,
         batches: &[ColumnBatch],
         groups: Groups,
         arity: usize,
@@ -1595,10 +1468,7 @@ impl GroupedSelect {
             })
         };
         let out = match kernels() {
-            Ok(out) => {
-                exec.check_row_cap(out.len())?;
-                out
-            }
+            Ok(out) => out,
             Err(_) => {
                 let mut rows = Vec::with_capacity(n);
                 for lane in 0..n {
@@ -1613,7 +1483,6 @@ impl GroupedSelect {
                         out.push(p.expr().eval(&row)?);
                     }
                     rows.push(out);
-                    exec.check_row_cap(rows.len())?;
                 }
                 ColumnBatch::from_rows(rows, proj.len())
             }
@@ -2619,34 +2488,11 @@ mod tests {
     }
 
     #[test]
-    fn row_cap_stops_runaway_output() {
-        let ctx = seeded(EngineProfile::Postgres);
-        let q = parse_query("SELECT a.id, b.id FROM t AS a, t AS b").unwrap();
-        let err = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-            .with_limits(ExecLimits {
-                max_rows: Some(4),
-                deadline: None,
-            })
-            .run_query(&q);
-        assert!(matches!(err, Err(DbError::BudgetExceeded(_))), "{err:?}");
-        let ok = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-            .with_limits(ExecLimits {
-                max_rows: Some(9),
-                deadline: None,
-            })
-            .run_query(&q);
-        assert_eq!(ok.unwrap().rows.len(), 9);
-    }
-
-    #[test]
     fn expired_deadline_fails_with_timeout() {
         let ctx = seeded(EngineProfile::Postgres);
         let q = parse_query("SELECT * FROM t").unwrap();
         let err = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-            .with_limits(ExecLimits {
-                max_rows: None,
-                deadline: Some(Instant::now() - std::time::Duration::from_millis(10)),
-            })
+            .with_deadline(Some(Instant::now() - std::time::Duration::from_millis(10)))
             .run_query(&q);
         assert!(matches!(err, Err(DbError::Timeout(_))), "{err:?}");
     }
@@ -2689,10 +2535,8 @@ mod tests {
             exec.build_from(&s.from, 0, |_| Vec::new()).unwrap().len(),
             27
         );
-        let expired = exec.with_limits(ExecLimits {
-            max_rows: None,
-            deadline: Some(Instant::now() - std::time::Duration::from_millis(10)),
-        });
+        let expired =
+            exec.with_deadline(Some(Instant::now() - std::time::Duration::from_millis(10)));
         let err = expired.build_from(&s.from, 0, |_| Vec::new());
         assert!(matches!(err, Err(DbError::Timeout(_))), "{err:?}");
     }
@@ -2748,7 +2592,7 @@ mod tests {
                     .run_query(&q)
                     .unwrap();
                 let row_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-                    .with_vectorized(false)
+                    .with_row_oracle()
                     .run_query(&q)
                     .unwrap();
                 assert_eq!(vec_out, row_out, "profile {p:?} sql {sql}");
@@ -2771,7 +2615,7 @@ mod tests {
                 let q = parse_query(sql).unwrap();
                 let vec_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats).run_query(&q);
                 let row_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-                    .with_vectorized(false)
+                    .with_row_oracle()
                     .run_query(&q);
                 match (vec_out, row_out) {
                     (Ok(a), Ok(b)) => assert_eq!(a, b, "profile {p:?} sql {sql}"),
@@ -2817,7 +2661,7 @@ mod tests {
         assert!(lines[0].contains("batches=3 rows/batch=200"), "{lines:?}");
         // rows-out at the root must stay oracle-exact in either mode
         let row_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-            .with_vectorized(false)
+            .with_row_oracle()
             .run_query(&q)
             .unwrap();
         assert_eq!(out, row_out);

@@ -29,12 +29,12 @@ use crate::bind::{bind_scalar, BoundExpr, Scope, ScopeRelation};
 use crate::budget::{MemoryBudget, Reservation};
 use crate::catalog::TableHandle;
 use crate::error::{DbError, DbResult};
-use crate::exec::ExecLimits;
+use crate::exec::check_deadline;
 use crate::profile::{EngineProfile, JoinStrategy};
 use crate::stats::Stats;
 use crate::storage::Table;
 use crate::types::DataType;
-use crate::value::{int_key_hash, KeyMap, Row, Value};
+use crate::value::{int_key_hash, KeyMap, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -91,9 +91,10 @@ impl Rel {
         self.batches.iter().map(ColumnBatch::len).sum()
     }
 
-    /// The rows, rebuilt from the batches — for the consumers that still
-    /// work a row at a time: the reference evaluator and DML apply.
-    pub fn rows(&self) -> Vec<Row> {
+    /// The rows, rebuilt from the batches, for the test-only reference
+    /// evaluator and the join tests.
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> Vec<crate::value::Row> {
         let mut rows = Vec::with_capacity(self.len());
         for batch in &self.batches {
             batch.append_rows_to(&mut rows);
@@ -600,7 +601,7 @@ fn int_keyed(batches: &[ColumnBatch], col: usize) -> bool {
 }
 
 /// What a join runs under: the profile's fallback algorithm, the counters,
-/// and the statement's batch size, limits and memory budget.
+/// and the statement's batch size, deadline and memory budget.
 #[derive(Debug, Clone, Copy)]
 pub struct JoinEnv<'a> {
     /// The engine profile's join fallback.
@@ -611,7 +612,7 @@ pub struct JoinEnv<'a> {
     pub batch_rows: usize,
     /// The statement's deadline, checked once per probed batch and per
     /// inner pass.
-    pub limits: ExecLimits,
+    pub deadline: Option<Instant>,
     /// Charged for every emitted batch.
     pub budget: &'a Arc<MemoryBudget>,
 }
@@ -698,7 +699,7 @@ impl Output<'_> {
         pr: &mut Vec<u32>,
         matched: Option<&mut [bool]>,
     ) -> DbResult<()> {
-        self.env.limits.check_deadline()?;
+        check_deadline(self.env.deadline)?;
         if !self.residual.is_empty() && !pl.is_empty() {
             let keep = self.accepted(&inner.gather(outer, pl, pr), pr)?;
             let pad_in_place = self.left_join && matched.is_none();
@@ -1033,6 +1034,7 @@ mod tests {
     use crate::bind::ScopeRelation;
     use crate::parser::parse_expression;
     use crate::types::{Column, Schema};
+    use crate::value::Row;
 
     /// A join environment over throwaway counters and an unlimited budget:
     /// 2-row batches, so every algorithm crosses batch boundaries.
@@ -1041,7 +1043,7 @@ mod tests {
             strategy,
             stats: Box::leak(Box::default()),
             batch_rows: 2,
-            limits: ExecLimits::default(),
+            deadline: None,
             budget: Box::leak(Box::new(Arc::new(MemoryBudget::new()))),
         }
     }
@@ -1189,7 +1191,7 @@ mod tests {
             (BNL, Some("l.id = r.id")),
         ] {
             let mut env = env(strategy);
-            env.limits.deadline = Some(past);
+            env.deadline = Some(past);
             let on = on.map(|e| parse_expression(e).unwrap());
             let join_type = if on.is_some() {
                 JoinType::Inner

@@ -67,7 +67,7 @@ pub use digest::{
     SLOW_LOG_CAPACITY,
 };
 pub use error::{DbError, DbResult};
-pub use exec::{ExecLimits, QueryResult, StmtOutput};
+pub use exec::{QueryResult, StmtOutput};
 pub use op_profile::{OpNode, OpProfiler};
 pub use plan_cache::{PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use profile::{Dialect, EngineProfile, JoinStrategy};
@@ -76,6 +76,9 @@ pub use stats::{Stats, StatsSnapshot};
 pub use txn::IsolationLevel;
 pub use types::{Column, DataType, Schema};
 pub use value::{Row, Value};
+
+#[cfg(test)]
+mod batch_equivalence;
 
 #[cfg(test)]
 mod lib_tests {

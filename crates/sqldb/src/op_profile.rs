@@ -31,8 +31,9 @@ pub struct OpNode {
     pub calls: u64,
     /// Wall time spent in this operator *including* its children, µs.
     pub elapsed_us: u64,
-    /// Column batches this operator processed (0 when the operator ran on
-    /// the row-at-a-time path or predates the vectorized executor).
+    /// Column batches this operator processed (0 for an operator that
+    /// works on rows or whole inputs, such as `Sort`, `Limit`, `Union`,
+    /// `Distinct` and DML apply).
     pub batches: u64,
     /// Input operators, outermost-input first.
     pub children: Vec<OpNode>,
@@ -40,8 +41,8 @@ pub struct OpNode {
 
 impl OpNode {
     /// Renders this subtree as indented `EXPLAIN ANALYZE` lines. Operators
-    /// that ran vectorized append their batch actuals (`batches=…
-    /// rows/batch=…`); row-path operators keep the historical format.
+    /// that counted batches append their batch actuals (`batches=…
+    /// rows/batch=…`); the others keep the plain format.
     pub fn render(&self, depth: usize, out: &mut Vec<String>) {
         let mut line = format!(
             "{}{} (actual rows={} calls={} time_us={}",

@@ -512,14 +512,12 @@ fn check(db: &Database, s: &mut Session, model: &Model, after: &str) -> Result<(
 fn run(
     profile: usize,
     batch: usize,
-    vectorized: bool,
     src: &[[Value; 4]],
     steps: &[Step],
 ) -> Result<(), TestCaseError> {
     let profile = EngineProfile::ALL[profile];
     let db = Database::new(profile);
     db.set_batch_size([None, Some(1), Some(3)][batch]);
-    db.set_vectorized(vectorized);
     let mut s = db.connect();
     s.execute("CREATE TABLE t (id INT PRIMARY KEY, u INT, k FLOAT, s TEXT)")
         .unwrap();
@@ -592,10 +590,9 @@ proptest! {
     fn the_heap_matches_a_row_model(
         profile in 0usize..3,
         batch in 0usize..3,
-        vectorized in any::<bool>(),
         src in proptest::collection::vec(row(), 0..8),
         steps in proptest::collection::vec(step(), 1..20),
     ) {
-        run(profile, batch, vectorized, &src, &steps)?;
+        run(profile, batch, &src, &steps)?;
     }
 }

@@ -267,34 +267,26 @@ fn select_seek_matches_scan() {
     for profile in EngineProfile::ALL {
         let db = access_fixture(profile);
         let mut s = db.connect();
-        for vectorized in [true, false] {
-            db.set_vectorized(vectorized);
-            for (pred, seeks) in PREDICATES {
-                let sql = format!("SELECT id, k, f, tag FROM {{t}} WHERE {pred}");
-                let (live, d) = counting(&db, || rows(&mut s, "SELECT COUNT(*) FROM t_ix"));
-                let live = live.rows[0][0].as_i64().unwrap() as u64;
-                assert_eq!(d.rows_scanned, live, "a scan visits every live row once");
-                let (out, d) = twins(&db, &mut s, &sql);
-                assert_eq!(
-                    d.index_lookups,
-                    u64::from(*seeks),
-                    "{profile:?} vectorized={vectorized} {pred}"
+        for (pred, seeks) in PREDICATES {
+            let sql = format!("SELECT id, k, f, tag FROM {{t}} WHERE {pred}");
+            let (live, d) = counting(&db, || rows(&mut s, "SELECT COUNT(*) FROM t_ix"));
+            let live = live.rows[0][0].as_i64().unwrap() as u64;
+            assert_eq!(d.rows_scanned, live, "a scan visits every live row once");
+            let (out, d) = twins(&db, &mut s, &sql);
+            assert_eq!(d.index_lookups, u64::from(*seeks), "{profile:?} {pred}");
+            if *seeks {
+                let returned = out.as_ref().map_or(0, |(r, _)| r.len() as u64);
+                assert!(
+                    d.rows_scanned < live / 4 && d.rows_scanned >= returned,
+                    "{profile:?} {pred}: a seek visits only its key's slots, \
+                     visited {} of {live}",
+                    d.rows_scanned
                 );
-                if *seeks {
-                    let returned = out.as_ref().map_or(0, |(r, _)| r.len() as u64);
-                    assert!(
-                        d.rows_scanned < live / 4 && d.rows_scanned >= returned,
-                        "{profile:?} {pred}: a seek visits only its key's slots, \
-                         visited {} of {live}",
-                        d.rows_scanned
-                    );
-                } else if out.is_ok() {
-                    assert_eq!(d.rows_scanned, live, "{profile:?} {pred}");
-                }
+            } else if out.is_ok() {
+                assert_eq!(d.rows_scanned, live, "{profile:?} {pred}");
             }
         }
         // "equal" must not mean "equally empty"
-        db.set_vectorized(true);
         let n = |s: &mut Session, pred: &str| {
             rows(s, &format!("SELECT id FROM t_ix WHERE {pred}"))
                 .rows
@@ -508,24 +500,21 @@ fn insert_select_from_a_join_stores_what_the_join_returns() {
         s.execute("CREATE TABLE ranks (tag TEXT, n INT, total FLOAT)")
             .unwrap();
         for (join, on) in shapes {
-            // what lands in the table: per inner twin, per executor
+            // what lands in the table, per inner twin
             let mut stored = Vec::new();
-            for vectorized in [true, false] {
-                db.set_vectorized(vectorized);
-                for inner in ["big_ix", "big_no"] {
-                    let select =
-                        format!("SELECT o.k, o.tag, b.k, b.w FROM o {join} {inner} AS b ON {on}");
-                    let n = s.execute(&format!("INSERT INTO sink {select}")).unwrap();
-                    let landed = sorted(rows(&mut s, "SELECT * FROM sink"));
-                    assert_eq!(n.rows_affected(), landed.len() as u64);
-                    assert_eq!(
-                        landed,
-                        sorted(rows(&mut s, &select)),
-                        "{profile:?} {select}"
-                    );
-                    s.execute("DELETE FROM sink").unwrap();
-                    stored.push(landed);
-                }
+            for inner in ["big_ix", "big_no"] {
+                let select =
+                    format!("SELECT o.k, o.tag, b.k, b.w FROM o {join} {inner} AS b ON {on}");
+                let n = s.execute(&format!("INSERT INTO sink {select}")).unwrap();
+                let landed = sorted(rows(&mut s, "SELECT * FROM sink"));
+                assert_eq!(n.rows_affected(), landed.len() as u64);
+                assert_eq!(
+                    landed,
+                    sorted(rows(&mut s, &select)),
+                    "{profile:?} {select}"
+                );
+                s.execute("DELETE FROM sink").unwrap();
+                stored.push(landed);
             }
             assert!(stored[0].len() >= 8, "{profile:?} {join} {on}");
             assert!(
@@ -535,8 +524,7 @@ fn insert_select_from_a_join_stores_what_the_join_returns() {
         }
         // the PageRank round: two LEFT JOINs → one-key aggregate → INSERT
         let mut stored = Vec::new();
-        for (vectorized, inner) in [(true, "big_ix"), (true, "big_no"), (false, "big_no")] {
-            db.set_vectorized(vectorized);
+        for inner in ["big_ix", "big_no"] {
             let n = s.execute(&format!(
                 "INSERT INTO ranks SELECT o.tag, COUNT(b.w), COALESCE(0.85 * SUM(b.w * p.k), 0.0) \
                  FROM o LEFT JOIN {inner} AS b ON o.k = b.k LEFT JOIN o AS p ON p.k = b.k \
