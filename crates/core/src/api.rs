@@ -4,10 +4,9 @@
 use crate::analysis::{analyze, AnalysisOutcome};
 use crate::config::{ExecutionMode, SqloopConfig};
 use crate::error::{SqloopError, SqloopResult};
-use crate::grammar::{parse, IterativeCte, SqloopQuery};
-use crate::parallel::{run_iterative, IterativeRun};
+use crate::grammar::{parse, IterativeCte, SqloopQuery, Termination};
+use crate::parallel::{run_iterative, IterativeRun, Layout};
 use crate::progress::{ProgressSample, RecoveryCounters};
-use crate::single::run_recursive;
 use crate::translate::translate_sql;
 use dbcp::{driver_for_url, Driver};
 use obs::{EventKind, RegistrySnapshot, TraceData, TraceHandle, TraceSummary};
@@ -21,7 +20,7 @@ use std::time::{Duration, Instant};
 pub enum Strategy {
     /// Regular SQL, translated and passed through to the engine.
     Passthrough,
-    /// Recursive CTE, semi-naive single-threaded evaluation.
+    /// Recursive CTE, semi-naive evaluation on the single-threaded layout.
     RecursiveSingle,
     /// Iterative CTE on the single-threaded executor.
     IterativeSingle {
@@ -131,7 +130,7 @@ pub struct ExecutionReport {
     pub result: QueryResult,
     /// How it ran.
     pub strategy: Strategy,
-    /// Iterations/recursions performed (0 for passthrough).
+    /// Rounds performed, the last one included (0 for passthrough).
     pub iterations: u64,
     /// Rows changed by the last iteration.
     pub last_change: u64,
@@ -352,27 +351,33 @@ impl SQLoop {
                     started,
                 ))
             }
+            // the loop's input: each round runs the recursive part over the
+            // last round's rows, and the first round that adds none ends it
             SqloopQuery::Recursive(cte) => {
-                let mut conn = self.driver.connect()?;
-                let out = run_recursive(
-                    conn.as_mut(),
-                    &cte,
-                    self.config.max_iterations,
-                    self.config.keep_artifacts,
-                )?;
-                Ok(ExecutionReport {
-                    iterations: out.iterations,
-                    last_change: out.last_change,
-                    ..ExecutionReport::plain(out.result, Strategy::RecursiveSingle, started)
-                })
+                let layout = Layout::Recursive {
+                    union_all: cte.union_all,
+                };
+                let cte = IterativeCte {
+                    name: cte.name,
+                    columns: cte.columns,
+                    seed: cte.seed,
+                    step: cte.recursive,
+                    termination: Termination::Updates(0),
+                    final_query: cte.final_query,
+                };
+                self.execute_loop(&cte, Some(layout), started)
             }
-            SqloopQuery::Iterative(cte) => self.execute_iterative(&cte, started),
+            SqloopQuery::Iterative(cte) => self.execute_loop(&cte, None, started),
         }
     }
 
-    fn execute_iterative(
+    /// Runs a CTE on the scheduler loop: on `layout` when given (a
+    /// recursive CTE), otherwise on the layout the mode and the analysis
+    /// pick for an iterative one.
+    fn execute_loop(
         &self,
         cte: &IterativeCte,
+        layout: Option<Layout>,
         started: Instant,
     ) -> SqloopResult<ExecutionReport> {
         let trace = TraceHandle::new(self.config.trace.enabled);
@@ -384,22 +389,22 @@ impl SQLoop {
         }
         // Single runs Whole without asking the analysis; a query outside
         // the parallelizable class falls back to it with the reason
-        let (plan, fallback_reason) = if self.config.mode == ExecutionMode::Single {
-            (None, None)
-        } else {
-            let columns = self.resolve_columns(cte)?;
-            match analyze(cte, &columns)? {
-                AnalysisOutcome::NotParallelizable { reason } => (None, Some(reason)),
-                AnalysisOutcome::Parallelizable(plan) => (Some(plan), None),
-            }
-        };
-        let strategy = match plan {
-            Some(_) => Strategy::IterativeParallel {
-                mode: self.config.mode,
+        let single =
+            |fallback_reason| (Layout::Whole, Strategy::IterativeSingle { fallback_reason });
+        let (layout, strategy) = match layout {
+            Some(layout) => (layout, Strategy::RecursiveSingle),
+            None if self.config.mode == ExecutionMode::Single => single(None),
+            None => match analyze(cte, &self.resolve_columns(cte)?)? {
+                AnalysisOutcome::NotParallelizable { reason } => single(Some(reason)),
+                AnalysisOutcome::Parallelizable(plan) => (
+                    Layout::Partitioned(Box::new(plan)),
+                    Strategy::IterativeParallel {
+                        mode: self.config.mode,
+                    },
+                ),
             },
-            None => Strategy::IterativeSingle { fallback_reason },
         };
-        let (result, recovery) = run_iterative(&self.driver, cte, plan, &self.config, &trace);
+        let (result, recovery) = run_iterative(&self.driver, cte, layout, &self.config, &trace);
         let mut report = match result {
             Ok(run) => self.report(run, strategy, started),
             // budget exhausted on a transient fault: the engine is flaky,
@@ -435,7 +440,7 @@ impl SQLoop {
                 // transient fault kill the query
                 let mut attempt: u32 = 0;
                 let run = loop {
-                    match run_iterative(&self.driver, cte, None, &config, &trace).0 {
+                    match run_iterative(&self.driver, cte, Layout::Whole, &config, &trace).0 {
                         Ok(run) => break run,
                         Err(e) if e.is_retryable() && attempt < config.task_retries => {
                             attempt += 1;

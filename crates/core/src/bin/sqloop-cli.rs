@@ -369,7 +369,7 @@ fn print_report(report: &ExecutionReport, timing: bool) {
     let provenance = match &report.strategy {
         Strategy::Passthrough => "passthrough".to_string(),
         Strategy::RecursiveSingle => {
-            format!("recursive, {} recursions", report.iterations)
+            format!("recursive, {} rounds", report.iterations)
         }
         Strategy::IterativeSingle { fallback_reason } => match fallback_reason {
             Some(r) => format!(

@@ -1,6 +1,6 @@
-//! Helpers shared by the single-threaded and parallel executors: CTE table
-//! creation with type inference, AST table-reference rewriting, and
-//! termination-condition evaluation.
+//! Helpers shared by the scheduler's layouts: CTE table creation with type
+//! inference, AST table-reference rewriting, and termination-condition
+//! evaluation.
 
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{DataMode, Termination};
@@ -354,11 +354,12 @@ fn fill_from_stage(
 }
 
 /// `seed` with its output columns named `names`, so that a seed selecting
-/// one column twice can be staged. A set operation takes its names from
-/// its leftmost `SELECT`. The seed is returned unchanged when `names` is
+/// one column twice can be staged, and a recursive step's rows can be
+/// matched to `R`'s by name. A set operation takes its names from its
+/// leftmost `SELECT`. The query is returned unchanged when `names` is
 /// empty, when it has `ORDER BY` (which may name its own output columns),
 /// or when the leftmost `SELECT` has a wildcard or another column count.
-fn with_output_names(seed: &SelectStmt, names: &[String]) -> SelectStmt {
+pub(crate) fn with_output_names(seed: &SelectStmt, names: &[String]) -> SelectStmt {
     let mut seed = seed.clone();
     let mut body = &mut seed.body;
     while let SetExpr::SetOp { left, .. } = body {

@@ -45,7 +45,6 @@ pub mod parallel;
 pub mod parallel_sql;
 pub mod progress;
 mod router;
-pub mod single;
 pub mod supervisor;
 pub mod translate;
 pub mod watchdog;
@@ -58,8 +57,7 @@ pub use config::{ExecutionMode, PrioritySpec, SqloopConfig, TraceConfig};
 pub use dbcp::CancelToken;
 pub use error::{SqloopError, SqloopResult};
 pub use grammar::{parse, IterativeCte, RecursiveCte, SqloopQuery, Termination};
-pub use parallel::{run_iterative, IterativeRun};
+pub use parallel::{run_iterative, IterativeRun, Layout, RunOutcome};
 pub use progress::{ProgressSample, RecoveryCounters, Sampler};
 pub use router::SqloopRouter;
-pub use single::{run_recursive, RunOutcome};
 pub use watchdog::{Governance, Watchdog, WatchdogConfig};

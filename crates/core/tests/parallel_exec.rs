@@ -822,8 +822,13 @@ fn schedule(
         other => panic!("not parallelizable: {other:?}"),
     };
     let trace = obs::TraceHandle::new(true);
-    let (result, recovery) =
-        sqloop::parallel::run_iterative(sq.driver(), &cte, Some(plan), sq.config(), &trace);
+    let (result, recovery) = sqloop::parallel::run_iterative(
+        sq.driver(),
+        &cte,
+        sqloop::Layout::Partitioned(Box::new(plan)),
+        sq.config(),
+        &trace,
+    );
     let result = result
         .map(|r| {
             let o = r.outcome;

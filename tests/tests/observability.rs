@@ -101,28 +101,34 @@ fn parallel_trace_spans_match_report_counters() {
 #[test]
 fn single_threaded_trace_records_one_span_per_iteration() {
     let graph = graphgen::web_graph(30, 3, 2);
-    let report = SQLoop::new(loaded_driver(&graph))
-        .with_config(traced(ExecutionMode::Single))
-        .execute_detailed(&workloads::queries::pagerank(5))
-        .unwrap();
-    let data = report.trace_data.as_ref().expect("trace enabled");
-    let iterations: Vec<_> = data
-        .spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Iteration)
-        .collect();
-    assert_eq!(iterations.len() as u64, report.iterations);
-    for (i, s) in iterations.iter().enumerate() {
-        assert_eq!(s.iteration, Some(i as u64 + 1));
-        assert_eq!(s.outcome, SpanOutcome::Ok);
-    }
-    assert_eq!(
-        data.events
+    // an iterative CTE, and a recursive one, which runs on the same layout
+    let reach = "WITH RECURSIVE reach(node) AS (SELECT 0 UNION \
+                 SELECT edges.dst FROM reach JOIN edges ON reach.node = edges.src) \
+                 SELECT COUNT(*) FROM reach";
+    for query in [workloads::queries::pagerank(5), reach.to_string()] {
+        let report = SQLoop::new(loaded_driver(&graph))
+            .with_config(traced(ExecutionMode::Single))
+            .execute_detailed(&query)
+            .unwrap();
+        let data = report.trace_data.as_ref().expect("trace enabled");
+        let iterations: Vec<_> = data
+            .spans
             .iter()
-            .filter(|e| e.kind == EventKind::Round)
-            .count() as u64,
-        report.iterations
-    );
+            .filter(|s| s.kind == SpanKind::Iteration)
+            .collect();
+        assert_eq!(iterations.len() as u64, report.iterations);
+        for (i, s) in iterations.iter().enumerate() {
+            assert_eq!(s.iteration, Some(i as u64 + 1));
+            assert_eq!(s.outcome, SpanOutcome::Ok);
+        }
+        assert_eq!(
+            data.events
+                .iter()
+                .filter(|e| e.kind == EventKind::Round)
+                .count() as u64,
+            report.iterations
+        );
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! supervisor must turn each into a typed verdict — abandon, replace,
 //! replay, or downgrade — and the run must still reach the oracle
 //! fixpoint. No test here may ever hang: every barrier wait is bounded by
-//! `supervisor_poll`.
+//! `parallel::SUPERVISOR_POLL`.
 
 use dbcp::{
     with_chaos, ChaosConfig, ChaosStats, Driver, FaultKind, FaultWeights, LocalDriver,
