@@ -383,9 +383,9 @@ fn whole_setup(
 /// checkpoint restored them (`create` is false). Task `p` reads `Wp` and
 /// writes `W(p+1)`: it empties the next working table, fills it with the
 /// step over the current one — under `UNION`, only the distinct rows `R`
-/// does not hold yet — and appends it to `R`. The append's row count is the
-/// round's change, so `UNTIL 0 UPDATES` ends the run at the first round
-/// that adds no row.
+/// does not hold yet, found through an index on `R`'s first column — and
+/// appends it to `R`. The append's row count is the round's change, so
+/// `UNTIL 0 UPDATES` ends the run at the first round that adds no row.
 fn recursive_tasks(
     main: &mut dyn Connection,
     cte: &IterativeCte,
@@ -415,24 +415,56 @@ fn recursive_tasks(
         let step = rewrite_table_refs(&cte.step, r, &names.working(p));
         with_output_names(&step, &schema.columns)
     };
-    // under UNION: the step's rows, anti-joined to R by the names the step
-    // outputs (R's own, unless it selects a wildcard), probed once
+    // under UNION: the step's rows that R does not hold yet, NULLs compared
+    // as equal, as set semantics do and `=` does not. Grouping the step's
+    // rows (tagged 0) with R's NULL-key rows (tagged 1) dedups them and
+    // drops the NULL-key rows R holds; an anti-join on the key, equal on
+    // the other columns or NULL on both sides, drops the rest. The index
+    // on R's key serves both reads of R, so neither scans it. The step's
+    // rows are named by what it outputs (R's own columns, unless it
+    // selects a wildcard), probed once.
     let step_cols = if union_all {
         Vec::new()
     } else {
+        let key = schema.key();
+        run(
+            main,
+            &format!("CREATE INDEX IF NOT EXISTS {r}__ikey ON {r} ({key})"),
+        )?;
         let mut probe = step(0);
         probe.limit = Some(0);
         main.query(&translate_query_to_sql(&probe, profile))?
             .columns
     };
-    let (quoted_r, alias) = (q(r), q(&format!("{r}__step")));
-    let new: Vec<String> = step_cols
+    let (quoted_r, tag) = (q(r), q("__in_r"));
+    let (alias, all, new) = (
+        q(&format!("{r}__step")),
+        q(&format!("{r}__all")),
+        q(&format!("{r}__new")),
+    );
+    let cols: Vec<String> = schema.columns.iter().map(|c| q(c)).collect();
+    let renamed: Vec<String> = (step_cols.iter().zip(&cols))
+        .map(|(s, c)| format!("{alias}.{} AS {c}", q(s)))
+        .collect();
+    let kept: Vec<String> = cols.iter().map(|c| format!("{new}.{c}")).collect();
+    let same: Vec<String> = cols
         .iter()
-        .map(|c| format!("{alias}.{}", q(c)))
+        .enumerate()
+        .map(|(i, c)| {
+            let (n, h) = (format!("{new}.{c}"), format!("{quoted_r}.{c}"));
+            match i {
+                0 => format!("{n} = {h}"),
+                _ => format!("({n} = {h} OR ({n} IS NULL AND {h} IS NULL))"),
+            }
+        })
         .collect();
-    let on: Vec<String> = (schema.columns.iter().zip(&new))
-        .map(|(c, n)| format!("{n} = {quoted_r}.{}", q(c)))
-        .collect();
+    let key = &cols[0];
+    let (renamed, kept, same, cols) = (
+        renamed.join(", "),
+        kept.join(", "),
+        same.join(" AND "),
+        cols.join(", "),
+    );
     (0..2)
         .map(|p| {
             let next = names.working(p + 1);
@@ -440,11 +472,11 @@ fn recursive_tasks(
             let fill = match union_all {
                 true => step,
                 false => format!(
-                    "SELECT DISTINCT {} FROM ({step}) AS {alias} LEFT JOIN {quoted_r} ON {} \
-                     WHERE {quoted_r}.{} IS NULL",
-                    new.join(", "),
-                    on.join(" AND "),
-                    q(schema.key()),
+                    "SELECT {kept} FROM (SELECT {cols} FROM (\
+                     SELECT {renamed}, 0 AS {tag} FROM ({step}) AS {alias} \
+                     UNION ALL SELECT {cols}, 1 FROM {quoted_r} WHERE {key} IS NULL\
+                     ) AS {all} GROUP BY {cols} HAVING MAX({tag}) = 0) AS {new} \
+                     LEFT JOIN {quoted_r} ON {same} WHERE {quoted_r}.{key} IS NULL"
                 ),
             };
             let stmts = [
@@ -572,12 +604,13 @@ fn run_inner(
         }
     };
     let partitions = parallel.as_ref().map_or(0, |_| config.partitions);
-    // governance: apply the engine memory budget for the whole run (the
-    // governed-abort path lifts it again before the final checkpoint) and
-    // push the statement deadline onto every connection the run opens
-    if config.max_mem.is_some() {
-        driver.set_memory_limit(config.max_mem);
-    }
+    // governance: apply the engine memory budget for the whole run — the
+    // guard lifts it on every way out, and the governed-abort path lifts it
+    // early, before the final checkpoint — and push the statement deadline
+    // onto every connection the run opens
+    let _mem_limit = config
+        .max_mem
+        .map(|limit| MemoryLimit::arm(driver.as_ref(), limit));
     let lift_mem = || {
         driver.set_memory_limit(None);
     };
@@ -833,6 +866,23 @@ fn run_inner(
         checkpoint: checkpoint_path,
         recovery_note,
     })
+}
+
+/// The engine memory limit a run with `max_mem` arms; dropping the guard
+/// lifts it, so no exit path leaves the run's budget on the database.
+struct MemoryLimit<'a>(&'a dyn Driver);
+
+impl<'a> MemoryLimit<'a> {
+    fn arm(driver: &'a dyn Driver, limit: u64) -> MemoryLimit<'a> {
+        driver.set_memory_limit(Some(limit));
+        MemoryLimit(driver)
+    }
+}
+
+impl Drop for MemoryLimit<'_> {
+    fn drop(&mut self) {
+        self.0.set_memory_limit(None);
+    }
 }
 
 /// Everything one worker thread needs, bundled so replacements are spawned

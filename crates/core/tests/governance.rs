@@ -227,3 +227,26 @@ fn memory_budget_abort_resumes_with_a_larger_budget() {
     assert_eq!(last[1].as_f64().unwrap(), (NODES - 1) as f64);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_run_lifts_its_memory_limit_on_every_way_out() {
+    for mode in ALL_MODES {
+        let db = db_with_chain(20);
+        let config = SqloopConfig {
+            max_mem: Some(1 << 20),
+            ..SqloopConfig::default()
+        };
+        let done = sqloop_for(&db, mode, config).execute(SSSP);
+        assert_eq!(done.unwrap().rows.len(), 20, "{mode}");
+        assert_eq!(db.memory_limit(), None, "{mode}: after a finished run");
+
+        let config = SqloopConfig {
+            max_mem: Some(1 << 20),
+            resume_from: Some(temp_dir("no-such-checkpoint")),
+            ..SqloopConfig::default()
+        };
+        let failed = sqloop_for(&db, mode, config).execute(SSSP);
+        assert!(failed.is_err(), "{mode}: resuming from nothing must fail");
+        assert_eq!(db.memory_limit(), None, "{mode}: after a failed run");
+    }
+}

@@ -303,3 +303,38 @@ fn a_recursive_run_resumes_its_own_checkpoint() {
         assert_eq!(db.table_names(), ["edges"]);
     }
 }
+
+/// Under `UNION`, a row holding NULL is a duplicate of an equal row already
+/// in `R` — set semantics compare NULLs as equal — so a step that derives
+/// it again adds nothing and the run ends, on every engine profile, whether
+/// the NULL sits in `R`'s first column or another.
+#[test]
+fn a_recursive_union_that_derives_null_again_terminates() {
+    let queries = [
+        ("r(n) AS (SELECT 1 UNION SELECT NULL FROM r)", 2),
+        ("r(a, b) AS (SELECT 1, NULL UNION SELECT a, b FROM r)", 1),
+        (
+            "r(a, b) AS (SELECT NULL, 1 UNION SELECT a, b + 0 FROM r)",
+            1,
+        ),
+        ("r(a, b) AS (SELECT 1, NULL UNION SELECT NULL, a FROM r)", 3),
+    ];
+    for profile in [
+        EngineProfile::Postgres,
+        EngineProfile::MySql,
+        EngineProfile::MariaDb,
+    ] {
+        for (cte, rows) in queries {
+            let db = Database::new(profile);
+            let config = SqloopConfig {
+                max_iterations: 50,
+                ..SqloopConfig::default()
+            };
+            let out = SQLoop::new(Arc::new(LocalDriver::new(db.clone())))
+                .with_config(config)
+                .execute(&format!("WITH RECURSIVE {cte} SELECT COUNT(*) FROM r"));
+            assert_eq!(out.unwrap().rows, [[Value::Int(rows)]], "{profile:?} {cte}");
+            assert!(db.table_names().is_empty(), "{profile:?} {cte}");
+        }
+    }
+}

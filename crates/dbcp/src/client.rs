@@ -6,8 +6,9 @@ use crate::wire::{
     Response, MAGIC,
 };
 use sqldb::{DbError, DbResult, EngineProfile, IsolationLevel, StmtOutput, Value};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Socket deadlines for a [`TcpConnection`]. A `None` means "wait
@@ -90,7 +91,9 @@ impl Driver for TcpDriver {
 /// One wire-protocol connection.
 #[derive(Debug)]
 pub struct TcpConnection {
-    stream: TcpStream,
+    /// Reads are buffered, so a response whose length and payload arrived
+    /// together is taken in one `recv`; writes go straight to the socket.
+    stream: BufReader<TcpStream>,
     profile: EngineProfile,
     /// Set after any transport failure: the stream position is unknown
     /// (a frame may be half-sent or half-read), so every later call
@@ -99,6 +102,26 @@ pub struct TcpConnection {
     /// Identifies this physical connection; prepared-statement ids are
     /// scoped to it (see [`Connection::prepared_epoch`]).
     epoch: u64,
+    wire: WireMetrics,
+}
+
+/// The round trip's metric handles, resolved once per connection.
+#[derive(Debug)]
+struct WireMetrics {
+    bytes_out: Arc<obs::Counter>,
+    bytes_in: Arc<obs::Counter>,
+    round_trip: Arc<obs::Histogram>,
+}
+
+impl WireMetrics {
+    fn new() -> WireMetrics {
+        let reg = obs::global();
+        WireMetrics {
+            bytes_out: reg.counter("dbcp.wire.bytes_out"),
+            bytes_in: reg.counter("dbcp.wire.bytes_in"),
+            round_trip: reg.histogram("dbcp.wire.round_trip"),
+        }
+    }
 }
 
 impl TcpConnection {
@@ -127,12 +150,14 @@ impl TcpConnection {
             .set_write_timeout(timeouts.write)
             .map_err(|e| DbError::Connection(format!("write timeout: {e}")))?;
         let mut conn = TcpConnection {
-            stream,
+            stream: BufReader::new(stream),
             profile: EngineProfile::Postgres,
             broken: false,
             epoch: mint_epoch(),
+            wire: WireMetrics::new(),
         };
         conn.stream
+            .get_mut()
             .write_all(&MAGIC)
             .map_err(|e| DbError::Connection(format!("handshake: {e}")))?;
         let mut echo = [0u8; 2];
@@ -154,22 +179,14 @@ impl TcpConnection {
             ));
         }
         let started = std::time::Instant::now();
-        let payload = encode_request(req);
-        // +4 for the length prefix of each frame
-        obs::global()
-            .counter("dbcp.wire.bytes_out")
-            .add(payload.len() as u64 + 4);
-        let result = write_frame(&mut self.stream, &payload)
+        let frame = encode_request(req);
+        // byte counts include each frame's 4-byte length prefix
+        self.wire.bytes_out.add(frame.as_bytes().len() as u64);
+        let result = write_frame(self.stream.get_mut(), &frame)
             .and_then(|()| read_frame(&mut self.stream))
-            .inspect(|frame| {
-                obs::global()
-                    .counter("dbcp.wire.bytes_in")
-                    .add(frame.len() as u64 + 4);
-            })
+            .inspect(|payload| self.wire.bytes_in.add(payload.len() as u64 + 4))
             .and_then(decode_response);
-        obs::global()
-            .histogram("dbcp.wire.round_trip")
-            .observe(started.elapsed());
+        self.wire.round_trip.observe(started.elapsed());
         if matches!(result, Err(DbError::Connection(_))) {
             self.broken = true;
         }
@@ -297,7 +314,7 @@ impl Drop for TcpConnection {
     fn drop(&mut self) {
         if !self.broken {
             // best-effort goodbye so the server can clean up promptly
-            let _ = write_frame(&mut self.stream, &encode_request(&Request::Close));
+            let _ = write_frame(self.stream.get_mut(), &encode_request(&Request::Close));
         }
     }
 }
@@ -319,9 +336,9 @@ mod tests {
             sock.write_all(&MAGIC).unwrap();
             // answer the profile probe so open() succeeds
             let _ = read_frame(&mut sock).unwrap();
-            let payload =
+            let profile =
                 crate::wire::encode_response(&Response::ProfileIs(EngineProfile::Postgres));
-            write_frame(&mut sock, &payload).unwrap();
+            write_frame(&mut sock, &profile).unwrap();
             // first real request arrives…
             let _ = read_frame(&mut sock);
             match mode {

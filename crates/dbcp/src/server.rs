@@ -19,7 +19,7 @@ use crate::wire::{
 };
 use sqldb::{Database, DbError, DbResult, Session, StmtHandle, StmtOutput};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 
 /// How often an idle client handler polls its socket (and the drain flag)
 /// while waiting for the next frame. Bounds how long an idle connection can
-/// delay a drain.
+/// delay a drain. It is the socket's read timeout, armed once per
+/// connection.
 const DRAIN_POLL: Duration = Duration::from_millis(25);
 
 /// Process-wide connection sequence, so every handler thread gets a unique
@@ -377,29 +378,20 @@ fn serve_rejected(mut stream: TcpStream) -> DbResult<()> {
     write_frame(&mut stream, &encode_response(&resp))
 }
 
-/// Waits for the next frame without consuming bytes until one has started
-/// to arrive, so a drain can close an idle connection at any poll tick
-/// without corrupting the stream framing mid-read.
+/// Waits for the next frame. The wait is the buffered read itself: it
+/// returns at every [`DRAIN_POLL`] tick with nothing consumed, so a drain
+/// can close an idle connection between frames. Once a byte has arrived,
+/// the frame is read whole through the ticks, so none of its bytes is
+/// dropped, however they are spread out.
 ///
 /// Returns `None` when the connection should close: peer gone, a socket
 /// error, or the server started draining while the connection was idle.
-fn await_frame(stream: &mut TcpStream, draining: &AtomicBool) -> Option<bytes::Bytes> {
-    let mut probe = [0u8; 1];
+fn await_frame(stream: &mut BufReader<TcpStream>, draining: &AtomicBool) -> Option<bytes::Bytes> {
     loop {
-        if stream.set_read_timeout(Some(DRAIN_POLL)).is_err() {
-            return None;
-        }
-        match stream.peek(&mut probe) {
-            Ok(0) => return None, // orderly close
-            Ok(_) => {
-                // a frame is arriving: read it whole with no poll timeout
-                // (read_exact + a timeout could drop bytes mid-frame)
-                if stream.set_read_timeout(None).is_err() {
-                    return None;
-                }
-                return read_frame(stream).ok();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+        match stream.fill_buf() {
+            Ok([]) => return None, // orderly close
+            Ok(_) => return read_frame(&mut Patient(stream)).ok(),
+            Err(e) if is_poll_tick(&e) => {
                 if draining.load(Ordering::SeqCst) {
                     return None; // idle during a drain: close now
                 }
@@ -409,8 +401,33 @@ fn await_frame(stream: &mut TcpStream, draining: &AtomicBool) -> Option<bytes::B
     }
 }
 
+/// A read that ended at a poll tick, not on a failed socket: the read
+/// timeout fired (`WouldBlock` or `TimedOut`, by platform) or a signal
+/// interrupted it.
+fn is_poll_tick(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+    )
+}
+
+/// Reads through poll ticks. A tick consumes nothing in the buffered
+/// reader, so the read that follows it carries on where the frame stopped.
+struct Patient<'a>(&'a mut BufReader<TcpStream>);
+
+impl Read for Patient<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.0.read(buf) {
+                Err(e) if is_poll_tick(&e) => continue,
+                read => return read,
+            }
+        }
+    }
+}
+
 fn serve_client(
-    mut stream: TcpStream,
+    stream: TcpStream,
     db: Database,
     gov: Arc<Governor>,
     draining: Arc<AtomicBool>,
@@ -418,6 +435,9 @@ fn serve_client(
     stream
         .set_nodelay(true)
         .map_err(|e| DbError::Connection(format!("nodelay: {e}")))?;
+    // reads are buffered, so a request whose length and payload arrived
+    // together is taken in one recv; responses go straight to the socket
+    let mut stream = BufReader::new(stream);
     // handshake
     let mut magic = [0u8; 2];
     stream
@@ -427,8 +447,13 @@ fn serve_client(
         return Err(DbError::Connection("bad protocol magic".into()));
     }
     stream
+        .get_mut()
         .write_all(&MAGIC)
         .map_err(|e| DbError::Connection(format!("handshake write: {e}")))?;
+    stream
+        .get_ref()
+        .set_read_timeout(Some(DRAIN_POLL))
+        .map_err(|e| DbError::Connection(format!("read timeout: {e}")))?;
 
     let mut session = db.connect();
     session.set_statement_timeout(gov.cfg.statement_timeout);
@@ -474,7 +499,7 @@ fn serve_client(
                 "statement panicked (transaction rolled back): {detail}"
             )))
         });
-        write_frame(&mut stream, &encode_response(&response))?;
+        write_frame(stream.get_mut(), &encode_response(&response))?;
     }
 }
 

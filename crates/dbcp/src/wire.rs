@@ -3,6 +3,10 @@
 //! Layout: every frame is `u32` big-endian payload length followed by the
 //! payload; the first payload byte is the message tag. Values use a 1-byte
 //! type tag. The protocol is versioned by a magic handshake byte pair.
+//!
+//! A message is encoded straight into its [`Frame`], length prefix first,
+//! and [`write_frame`] sends that buffer with one write: on a `TCP_NODELAY`
+//! socket the peer then sees one segment per message, not two.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sqldb::{DbError, DbResult, EngineProfile, IsolationLevel, QueryResult, StmtOutput, Value};
@@ -244,19 +248,52 @@ fn error_from_parts(kind: u8, msg: String) -> DbError {
     }
 }
 
-/// Encodes a request payload (without the length prefix).
-pub fn encode_request(req: &Request) -> Bytes {
-    let mut buf = BytesMut::new();
+/// One encoded message, ready to send: the `u32` big-endian payload
+/// length, then the payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame(Bytes);
+
+impl Frame {
+    /// Encodes one payload behind a length prefix that is filled in once
+    /// the payload's size is known, so the payload is written only once.
+    fn encode(payload: impl FnOnce(&mut BytesMut)) -> Frame {
+        let mut buf = BytesMut::with_capacity(64);
+        buf.put_u32(0);
+        payload(&mut buf);
+        let len = u32::try_from(buf.len() - 4).unwrap_or(u32::MAX);
+        buf[..4].copy_from_slice(&len.to_be_bytes());
+        Frame(buf.freeze())
+    }
+
+    /// The payload, without the length prefix, in the frame's buffer.
+    pub fn into_payload(self) -> Bytes {
+        let mut buf = self.0;
+        buf.get_u32();
+        buf
+    }
+
+    /// The whole frame, length prefix included.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// Encodes a request as one frame.
+pub fn encode_request(req: &Request) -> Frame {
+    Frame::encode(|buf| encode_request_into(req, buf))
+}
+
+fn encode_request_into(req: &Request, buf: &mut BytesMut) {
     match req {
         Request::Execute(sql) => {
             buf.put_u8(1);
-            put_str(&mut buf, sql);
+            put_str(buf, sql);
         }
         Request::Batch(stmts) => {
             buf.put_u8(2);
             buf.put_u32(stmts.len() as u32);
             for s in stmts {
-                put_str(&mut buf, s);
+                put_str(buf, s);
             }
         }
         Request::Begin => buf.put_u8(3),
@@ -277,14 +314,14 @@ pub fn encode_request(req: &Request) -> Bytes {
         }
         Request::Prepare(sql) => {
             buf.put_u8(10);
-            put_str(&mut buf, sql);
+            put_str(buf, sql);
         }
         Request::ExecutePrepared { stmt_id, params } => {
             buf.put_u8(11);
             buf.put_u64(*stmt_id);
             buf.put_u32(params.len() as u32);
             for p in params {
-                put_value(&mut buf, p);
+                put_value(buf, p);
             }
         }
         Request::ClosePrepared(stmt_id) => {
@@ -298,14 +335,14 @@ pub fn encode_request(req: &Request) -> Bytes {
                 match step {
                     PipelineStep::Execute(sql) => {
                         buf.put_u8(0);
-                        put_str(&mut buf, sql);
+                        put_str(buf, sql);
                     }
                     PipelineStep::Prepared { stmt_id, params } => {
                         buf.put_u8(1);
                         buf.put_u64(*stmt_id);
                         buf.put_u32(params.len() as u32);
                         for p in params {
-                            put_value(&mut buf, p);
+                            put_value(buf, p);
                         }
                     }
                 }
@@ -340,14 +377,11 @@ pub fn encode_request(req: &Request) -> Bytes {
             }
         }
     }
-    buf.freeze()
 }
 
-/// Encodes a response payload (without the length prefix).
-pub fn encode_response(resp: &Response) -> Bytes {
-    let mut buf = BytesMut::new();
-    encode_response_into(resp, &mut buf);
-    buf.freeze()
+/// Encodes a response as one frame.
+pub fn encode_response(resp: &Response) -> Frame {
+    Frame::encode(|buf| encode_response_into(resp, buf))
 }
 
 fn encode_response_into(resp: &Response, buf: &mut BytesMut) {
@@ -654,22 +688,24 @@ fn decode_response_inner(buf: &mut Bytes) -> DbResult<Response> {
 // framing over std::io
 // ---------------------------------------------------------------------
 
-/// Writes one length-prefixed frame.
+/// Writes one frame with a single write.
 ///
 /// # Errors
-/// Returns [`DbError::Connection`] on I/O failure.
-pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> DbResult<()> {
-    let len = payload.len() as u32;
-    if len > MAX_FRAME {
+/// Returns [`DbError::Connection`] on I/O failure or when the payload
+/// exceeds [`MAX_FRAME`].
+pub fn write_frame(w: &mut impl std::io::Write, frame: &Frame) -> DbResult<()> {
+    let len = frame.0.len() - 4;
+    if len > MAX_FRAME as usize {
         return Err(DbError::Connection(format!("frame too large: {len}")));
     }
-    w.write_all(&len.to_be_bytes())
-        .and_then(|()| w.write_all(payload))
+    w.write_all(&frame.0)
         .and_then(|()| w.flush())
         .map_err(|e| DbError::Connection(format!("write failed: {e}")))
 }
 
-/// Reads one length-prefixed frame.
+/// Reads one length-prefixed frame and returns its payload. Over a
+/// buffered reader, a frame whose length and payload arrived together is
+/// taken in one `recv`.
 ///
 /// # Errors
 /// Returns [`DbError::Connection`] on I/O failure, oversized frames, or a
@@ -694,12 +730,12 @@ mod tests {
 
     fn roundtrip_req(req: Request) {
         let enc = encode_request(&req);
-        assert_eq!(decode_request(enc).unwrap(), req);
+        assert_eq!(decode_request(enc.into_payload()).unwrap(), req);
     }
 
     fn roundtrip_resp(resp: Response) {
         let enc = encode_response(&resp);
-        assert_eq!(decode_response(enc).unwrap(), resp);
+        assert_eq!(decode_response(enc.into_payload()).unwrap(), resp);
     }
 
     #[test]
@@ -753,7 +789,8 @@ mod tests {
         let enc = encode_request(&Request::Metrics(MetricsCmd::SetSlowLog {
             threshold_us: 1,
             sample_every: 2,
-        }));
+        }))
+        .into_payload();
         for cut in 0..enc.len() {
             assert!(decode_request(enc.slice(0..cut)).is_err(), "cut at {cut}");
         }
@@ -805,14 +842,16 @@ mod tests {
         let enc = encode_request(&Request::ExecutePrepared {
             stmt_id: 7,
             params: vec![Value::Int(1)],
-        });
+        })
+        .into_payload();
         for cut in 0..enc.len() {
             assert!(decode_request(enc.slice(0..cut)).is_err(), "cut at {cut}");
         }
         let enc = encode_response(&Response::PipelineResults {
             outputs: vec![Response::Done],
             error: Some(DbError::Invalid("x".into())),
-        });
+        })
+        .into_payload();
         for cut in 0..enc.len() {
             assert!(decode_response(enc.slice(0..cut)).is_err(), "cut at {cut}");
         }
@@ -820,7 +859,7 @@ mod tests {
 
     #[test]
     fn truncated_frames_rejected() {
-        let enc = encode_response(&Response::Affected(42));
+        let enc = encode_response(&Response::Affected(42)).into_payload();
         for cut in 0..enc.len() {
             let sliced = enc.slice(0..cut);
             assert!(decode_response(sliced).is_err(), "cut at {cut}");
@@ -830,11 +869,15 @@ mod tests {
     #[test]
     fn framing_over_a_buffer() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
+        let exec = encode_request(&Request::Execute("hello".into()));
+        write_frame(&mut buf, &exec).unwrap();
+        write_frame(&mut buf, &encode_response(&Response::Done)).unwrap();
+        let payload = exec.into_payload();
+        // the prefix holds the payload's length, big-endian
+        assert_eq!(buf[..4], (payload.len() as u32).to_be_bytes());
         let mut r = std::io::Cursor::new(buf);
-        assert_eq!(&read_frame(&mut r).unwrap()[..], b"hello");
-        assert_eq!(read_frame(&mut r).unwrap().len(), 0);
+        assert_eq!(read_frame(&mut r).unwrap()[..], payload[..]);
+        assert_eq!(read_frame(&mut r).unwrap()[..], [3]);
         assert!(read_frame(&mut r).is_err()); // EOF
     }
 

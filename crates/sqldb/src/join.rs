@@ -195,10 +195,10 @@ pub enum AccessPath {
         column: usize,
         /// Its name, for the label.
         column_name: String,
-        /// The constant the column is compared to.
+        /// The constant the column is compared to (NULL for `IS NULL`).
         key: Value,
         /// Position, among the conjuncts the path was chosen from, of the
-        /// `<column> = <constant>` the seek answers.
+        /// `<column> = <constant>` or `<column> IS NULL` the seek answers.
         conjunct: usize,
     },
 }
@@ -221,7 +221,8 @@ impl AccessPath {
 
     /// The conjunct of `conjuncts` (those the path was chosen from) a seek
     /// applied exactly: every row it returns satisfies it, since the index
-    /// compares keys as `=` does (see `seekable`), so it need not run again.
+    /// compares keys as `=` does (see `seekable`) and files every NULL
+    /// under one key, so it need not run again.
     pub fn applied<'e>(&self, conjuncts: &[&'e Expr]) -> Option<&'e Expr> {
         match self {
             AccessPath::Seek { conjunct, .. } => conjuncts.get(*conjunct).copied(),
@@ -240,11 +241,15 @@ impl AccessPath {
                 key,
                 ..
             } => {
-                let key = crate::render::expr_to_sql(
-                    &Expr::Literal(key.clone()),
-                    &EngineProfile::Postgres.dialect(),
-                );
-                format!("IndexSeek {table} using {index} ({column_name} = {key})")
+                let test = match key {
+                    Value::Null => "IS NULL".to_owned(),
+                    key => {
+                        let key = Expr::Literal(key.clone());
+                        let dialect = EngineProfile::Postgres.dialect();
+                        format!("= {}", crate::render::expr_to_sql(&key, &dialect))
+                    }
+                };
+                format!("IndexSeek {table} using {index} ({column_name} {test})")
             }
             AccessPath::Scan if prefiltered => format!("SeqScan {table} (pushed-down filter)"),
             AccessPath::Scan => format!("SeqScan {table}"),
@@ -271,26 +276,33 @@ fn seekable(ty: DataType, key: &Value) -> bool {
 ///
 /// `conjuncts` are top-level `AND` conjuncts of the statement's predicate
 /// that mention only `table` (visible as `visible`). One of the form
-/// `<column> = <constant>` (either way round) whose column carries an index
-/// becomes a seek — the most selective index when several qualify. The seek
-/// applies that conjunct ([`AccessPath::applied`]); callers run the rest of
-/// the predicate on the rows it returns. Everything else scans: no such
-/// conjunct (`OR`, ranges, column-to-column), no index, a constant that
-/// fails to evaluate, or a key the index cannot answer exactly (NULL, or a
-/// constant of another type family than the column's).
+/// `<column> = <constant>` (either way round) or `<column> IS NULL` whose
+/// column carries an index becomes a seek — the most selective index when
+/// several qualify. The seek applies that conjunct
+/// ([`AccessPath::applied`]); callers run the rest of the predicate on the
+/// rows it returns. Everything else scans: no such conjunct (`OR`, ranges,
+/// column-to-column), no index, a constant that fails to evaluate, or a key
+/// the index cannot answer exactly (`= NULL`, or a constant of another type
+/// family than the column's).
 pub fn choose_access(table: &Table, visible: &str, conjuncts: &[&Expr]) -> AccessPath {
     let schema = table.schema();
     let mut best: Option<(usize, AccessPath)> = None;
     for (at, conjunct) in conjuncts.iter().enumerate() {
-        let Expr::Binary {
-            left,
-            op: BinaryOp::Eq,
-            right,
-        } = conjunct
-        else {
-            continue;
+        // each candidate column with the constant it is compared to; `IS
+        // NULL` has none
+        let candidates = match conjunct {
+            Expr::Binary {
+                left,
+                op: BinaryOp::Eq,
+                right,
+            } => [Some((left, Some(right))), Some((right, Some(left)))],
+            Expr::IsNull {
+                expr,
+                negated: false,
+            } => [Some((expr, None)), None],
+            _ => continue,
         };
-        for (col, constant) in [(left, right), (right, left)] {
+        for (col, constant) in candidates.into_iter().flatten() {
             let Expr::Column { table: qual, name } = col.as_ref() else {
                 continue;
             };
@@ -303,14 +315,21 @@ pub fn choose_access(table: &Table, visible: &str, conjuncts: &[&Expr]) -> Acces
             let Some((index, distinct_keys)) = table.index_on(column) else {
                 continue;
             };
-            // a constant binds against the empty scope and evaluates once
-            let Ok(key) = bind_scalar(constant, &Scope::new()).and_then(|c| c.eval(&Vec::new()))
-            else {
-                continue;
+            let key = match constant {
+                None => Value::Null,
+                // a constant binds against the empty scope and evaluates once
+                Some(constant) => {
+                    let Ok(key) =
+                        bind_scalar(constant, &Scope::new()).and_then(|c| c.eval(&Vec::new()))
+                    else {
+                        continue;
+                    };
+                    if !seekable(schema.columns()[column].data_type, &key) {
+                        continue;
+                    }
+                    key
+                }
             };
-            if !seekable(schema.columns()[column].data_type, &key) {
-                continue;
-            }
             if best.as_ref().is_none_or(|(d, _)| distinct_keys > *d) {
                 best = Some((
                     distinct_keys,

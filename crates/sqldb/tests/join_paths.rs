@@ -253,7 +253,11 @@ const PREDICATES: &[(&str, bool)] = &[
     ("tag = 'c'", true),
     ("id = 14", true),   // a tombstone
     ("id = 4000", true), // no such key
+    ("k IS NULL", true), // the index files NULLs under one key
+    ("k IS NULL AND tag = 'a'", true),
+    ("id IS NULL", true), // a primary key holds none
     ("k = NULL", false),
+    ("k IS NOT NULL", false),
     ("k = 'x'", false), // TEXT literal against an INT column
     ("tag = 3", false),
     ("k = 3 OR id = 5", false),
@@ -296,6 +300,14 @@ fn select_seek_matches_scan() {
         assert_eq!(n(&mut s, "id = 14"), 0, "{profile:?}");
         assert_eq!(n(&mut s, "k = 'x'"), 0, "{profile:?}");
         assert_eq!(n(&mut s, "k = NULL"), 0, "{profile:?}");
+        // multiples of 25 under 200, minus those of 7 (0, 175)
+        assert_eq!(n(&mut s, "k IS NULL"), 6, "{profile:?}");
+        let plan = rows(&mut s, "EXPLAIN SELECT id FROM t_ix WHERE k IS NULL");
+        assert_eq!(
+            plan.rows[0][0],
+            Value::Text("IndexSeek t_ix using t_ix_k (k IS NULL)".into()),
+            "{profile:?}"
+        );
         // ids ≡ 3 (mod 10) under 200, minus multiples of 7 (63, 133)
         assert_eq!(n(&mut s, "k = 3"), 18, "{profile:?}");
         assert!(s.query("SELECT id FROM t_ix WHERE id = 1 / 0").is_err());

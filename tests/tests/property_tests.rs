@@ -89,7 +89,7 @@ proptest! {
         let columns = if columns.is_empty() { vec!["c".to_string()] } else { columns };
         let result = QueryResult { columns, rows };
         let resp = wire::Response::Rows(result.clone());
-        let decoded = wire::decode_response(wire::encode_response(&resp)).unwrap();
+        let decoded = wire::decode_response(wire::encode_response(&resp).into_payload()).unwrap();
         prop_assert_eq!(decoded, wire::Response::Rows(result));
     }
 
