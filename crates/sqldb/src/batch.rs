@@ -73,9 +73,10 @@ impl Col {
         self.valid.is_empty()
     }
 
-    /// Reconstructs the `Value` at `lane`.
+    /// Reconstructs the `Value` at `lane`; a column no one reads
+    /// ([`Col::unread`]) reads NULL in every lane.
     pub fn value_at(&self, lane: usize) -> Value {
-        if !self.valid[lane] {
+        if self.is_empty() || !self.valid[lane] {
             return Value::Null;
         }
         match &self.data {
@@ -155,29 +156,48 @@ impl Col {
         }
     }
 
-    /// `parts` end to end: in their layout when they share a typed one,
-    /// `Mixed` otherwise.
-    fn concat(parts: &[&Col]) -> Col {
-        let valid = parts.iter().flat_map(|c| c.valid.iter().copied()).collect();
-        macro_rules! typed {
+    /// Lanes `idx` of each part's column (all of them where `None`), the
+    /// parts end to end: in their layout when they share one, `Mixed`
+    /// otherwise. No index may be [`NO_LANE`].
+    pub(crate) fn concat(parts: &[(&Col, Option<&[u32]>)]) -> Col {
+        fn pick<T: Clone>(v: &[T], idx: Option<&[u32]>, out: &mut Vec<T>) {
+            match idx {
+                Some(idx) => out.extend(idx.iter().map(|&i| v[i as usize].clone())),
+                None => out.extend_from_slice(v),
+            }
+        }
+        let mut valid = Vec::new();
+        parts
+            .iter()
+            .for_each(|&(c, idx)| pick(&c.valid, idx, &mut valid));
+        macro_rules! shared {
             ($variant:ident) => {
-                let lanes = parts.iter().map(|c| match &c.data {
-                    ColData::$variant(v) => Some(v.as_slice()),
-                    _ => None,
-                });
-                if let Some(vs) = lanes.collect::<Option<Vec<_>>>() {
-                    let data = ColData::$variant(vs.concat());
-                    return Col { data, valid };
+                if parts
+                    .iter()
+                    .all(|(c, _)| matches!(c.data, ColData::$variant(_)))
+                {
+                    let mut data = Vec::with_capacity(valid.len());
+                    for &(c, idx) in parts {
+                        if let ColData::$variant(v) = &c.data {
+                            pick(v, idx, &mut data);
+                        }
+                    }
+                    return Col {
+                        data: ColData::$variant(data),
+                        valid,
+                    };
                 }
             };
         }
-        typed!(Int);
-        typed!(Float);
-        typed!(Bool);
-        let values = parts
-            .iter()
-            .flat_map(|c| (0..c.len()).map(|i| c.value_at(i)));
-        let data = ColData::Mixed(values.collect());
+        shared!(Int);
+        shared!(Float);
+        shared!(Bool);
+        let mut data = Vec::with_capacity(valid.len());
+        for &(c, idx) in parts {
+            let n = idx.map_or(c.len(), <[u32]>::len);
+            data.extend((0..n).map(|i| c.value_at(idx.map_or(i, |idx| idx[i] as usize))));
+        }
+        let data = ColData::Mixed(data);
         Col { data, valid }
     }
 
@@ -199,6 +219,25 @@ impl Col {
             data: ColData::Int(vec![0; n]),
             valid: vec![false; n],
         }
+    }
+
+    /// A column no one reads: it holds no lanes, whatever its batch's length.
+    pub fn unread() -> Col {
+        Col::nulls(0)
+    }
+
+    /// The least and the greatest valid lane of an `Int` column; `None` for
+    /// another layout or when every lane is NULL.
+    pub(crate) fn int_range(&self) -> Option<(i64, i64)> {
+        let ColData::Int(v) = &self.data else {
+            return None;
+        };
+        let lanes = v.iter().zip(&self.valid);
+        let (lo, hi) = lanes.fold((i64::MAX, i64::MIN), |(lo, hi), (&k, &ok)| match ok {
+            true => (lo.min(k), hi.max(k)),
+            false => (lo, hi),
+        });
+        (lo <= hi).then_some((lo, hi))
     }
 
     /// Appends one lane: in this column's typed layout while the value fits
@@ -401,9 +440,10 @@ impl ColumnBatch {
     }
 
     /// Builds a batch directly from pre-built columns (the batched-scan
-    /// entry point). All columns must share `len` lanes.
+    /// entry point). Every column holds `len` lanes, or none when no one
+    /// reads it ([`Col::unread`]).
     pub fn from_cols(cols: Vec<Col>, len: usize) -> ColumnBatch {
-        debug_assert!(cols.iter().all(|c| c.len() == len));
+        debug_assert!(cols.iter().all(|c| c.len() == len || c.is_empty()));
         ColumnBatch { len, cols }
     }
 
@@ -472,9 +512,16 @@ impl ColumnBatch {
         }
     }
 
-    /// Every column's lanes `idx` ([`Col::gather`]).
+    /// Every column's lanes `idx` ([`Col::gather`]), copied as one range
+    /// when they are consecutive.
     pub fn gather_cols(&self, idx: &[u32]) -> Vec<Col> {
-        self.cols.iter().map(|c| c.gather(idx)).collect()
+        let run = idx.first() != Some(&NO_LANE) && idx.windows(2).all(|w| w[1] == w[0] + 1);
+        let from = idx.first().map_or(0, |&at| at as usize);
+        let col = |c: &Col| match run {
+            true => c.slice(from..from + idx.len()),
+            false => c.gather(idx),
+        };
+        self.cols.iter().map(col).collect()
     }
 
     /// All rows of `batches`, in order, as one batch of `arity` columns.
@@ -482,7 +529,7 @@ impl ColumnBatch {
         if batches.len() == 1 {
             return batches.remove(0);
         }
-        let col = |c| Col::concat(&batches.iter().map(|b| b.col(c)).collect::<Vec<_>>());
+        let col = |c| Col::concat(&batches.iter().map(|b| (b.col(c), None)).collect::<Vec<_>>());
         ColumnBatch {
             len: batches.iter().map(ColumnBatch::len).sum(),
             cols: (0..arity).map(col).collect(),
@@ -509,7 +556,9 @@ pub enum EvalOut {
 }
 
 impl EvalOut {
-    /// The `Value` at `lane`, resolving references against `batch`.
+    /// The `Value` at `lane`, resolving references against `batch` (the
+    /// kernel tests read outputs lane by lane).
+    #[cfg(test)]
     pub fn value_at(&self, batch: &ColumnBatch, lane: usize) -> Value {
         match self {
             EvalOut::Owned(c) => c.value_at(lane),
@@ -535,35 +584,12 @@ impl EvalOut {
         }
     }
 
-    /// The lanes as a plain `&[i64]` when the output is a fully-valid
-    /// `Int` column. The single-key hash aggregate keys directly off this
-    /// slice, skipping per-lane `Value` construction; `None` for constants,
-    /// other layouts, or any NULL lane.
-    pub fn as_int_lanes<'a>(&'a self, batch: &'a ColumnBatch) -> Option<&'a [i64]> {
-        let c = match self {
-            EvalOut::Owned(c) => c,
-            EvalOut::Ref(i) => batch.col(*i),
-            EvalOut::Const(_) => return None,
-        };
-        match &c.data {
-            ColData::Int(v) if c.valid.iter().all(|&ok| ok) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The lanes and their validity when the output is a `Float` column,
-    /// used by the aggregate accumulators to skip per-lane `Value`
-    /// construction (a NULL input leaves every accumulator as it was);
-    /// `None` for constants and other layouts.
-    pub fn as_float_lanes<'a>(&'a self, batch: &'a ColumnBatch) -> Option<(&'a [f64], &'a [bool])> {
-        let c = match self {
-            EvalOut::Owned(c) => c,
-            EvalOut::Ref(i) => batch.col(*i),
-            EvalOut::Const(_) => return None,
-        };
-        match &c.data {
-            ColData::Float(v) => Some((v, &c.valid)),
-            _ => None,
+    /// The output as a column of `batch.len()` lanes, borrowed from `batch`
+    /// when it is one of its columns.
+    pub fn into_cow(self, batch: &ColumnBatch) -> Cow<'_, Col> {
+        match self {
+            EvalOut::Ref(i) => Cow::Borrowed(batch.col(i)),
+            out => Cow::Owned(out.into_col(batch)),
         }
     }
 

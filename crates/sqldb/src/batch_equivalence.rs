@@ -176,6 +176,52 @@ const QUERIES: &[&str] = &[
     "SELECT (c_int % 16 + 16) % 16, c_int % -3, -7 / c_int FROM t WHERE c_int IS NOT NULL",
     "SELECT c_int FROM t WHERE (c_int % 4 + 4) % 4 = 1",
     "SELECT c_int + NULL, c_int * 2.5, c_float - c_int, c_int / c_float FROM t",
+    // the PageRank script's round over `GRAPH`: NULL and duplicate build
+    // keys, unmatched outer rows, a LEFT JOIN fed by a LEFT JOIN's pads
+    "SELECT pr_s.node, COALESCE(pr_s.rank + pr_s.delta, 0.15), \
+     COALESCE(0.85 * SUM(ir.delta * ie.weight), 0.0) FROM pr_s \
+     LEFT JOIN edges AS ie ON pr_s.node = ie.dst LEFT JOIN pr_s AS ir ON ir.node = ie.src \
+     GROUP BY pr_s.node",
+    // the SSSP Single round: an OR filter over both LEFT JOIN sides
+    "SELECT s.node, LEAST(s.rank, s.delta), COALESCE(MIN(n.delta + e.weight), Infinity) \
+     FROM pr_s AS s LEFT JOIN edges AS e ON s.node = e.dst \
+     LEFT JOIN pr_s AS n ON n.node = e.src \
+     WHERE n.delta < n.rank OR s.delta < s.rank GROUP BY s.node",
+    // the same joins on INT = FLOAT keys, grouped by a FLOAT key
+    "SELECT s.rank, SUM(e.weight), COUNT(n.node), MAX(n.delta) FROM pr_s AS s \
+     LEFT JOIN edges AS e ON s.rank = e.dst LEFT JOIN pr_s AS n ON n.rank = e.src \
+     GROUP BY s.rank",
+    // aggregates without keys: no rows, an all-NULL column, one row, and
+    // INT sums that overflow into FLOAT
+    "SELECT MIN(c_float), MAX(c_float), SUM(c_float), COUNT(*), AVG(c_float) FROM t WHERE 1 = 0",
+    "SELECT MIN(c_int), MAX(c_text), SUM(c_int), COUNT(*), AVG(c_int), COUNT(c_int) \
+     FROM t WHERE c_int IS NULL",
+    "SELECT MIN(x), MAX(x), SUM(x), COUNT(*), AVG(x) FROM (SELECT 2.5 AS x) AS one",
+    "SELECT MIN(c_int), MAX(c_int), SUM(c_int), COUNT(*), AVG(c_int), SUM(c_float) FROM t",
+    // a key whose lanes turn from INT to FLOAT between batches; TEXT keys
+    // and TEXT extremes
+    "SELECT d.k, COUNT(*), SUM(d.k), MIN(d.k) FROM \
+     (SELECT c_int AS k FROM t UNION ALL SELECT c_float FROM t) AS d GROUP BY d.k",
+    "SELECT c_text, MIN(c_text), MAX(c_int), SUM(c_int) FROM t GROUP BY c_text",
+    // a key that fails (a type error) and an argument that fails (division
+    // by zero) on different rows: the first one in row order is raised
+    "SELECT COUNT(*), SUM(10 / (c_int % 3)) FROM t \
+     GROUP BY CASE WHEN c_int % 5 = 0 THEN c_text + 1 ELSE c_int END",
+    // an argument whose kernel fails where the row path does not, so the
+    // batch reruns row by row, under a key that is NULL in whole batches
+    "SELECT COUNT(*), SUM(COALESCE(a.c_float, 10 / a.c_int)) FROM t AS a \
+     LEFT JOIN t AS b ON a.c_int = b.c_int + 1000 GROUP BY b.c_int",
+];
+
+/// Tables shaped like the PageRank script's, drawn from `t`: `pr_s` holds
+/// NULL and repeated nodes, `edges` endpoints no node has.
+const GRAPH: &[&str] = &[
+    "CREATE TABLE edges (src INT, dst INT, weight FLOAT)",
+    "INSERT INTO edges SELECT c_int, c_int % 4, c_float FROM t",
+    "INSERT INTO edges SELECT c_int % 3, c_int, 1.0 FROM t WHERE c_bool",
+    "CREATE TABLE pr_s (node INT, rank FLOAT, delta FLOAT)",
+    "INSERT INTO pr_s SELECT c_int, c_float, c_float * 0.5 FROM t WHERE c_bool OR c_int IS NULL",
+    "INSERT INTO pr_s SELECT c_int % 4, 1.0, c_float FROM t WHERE NOT c_bool",
 ];
 
 /// The view the set-operation queries read.
@@ -201,6 +247,9 @@ proptest! {
             let db = Database::new(profile);
             db.import_table(&dump).unwrap();
             db.connect().execute(VIEW_U).unwrap();
+            for sql in GRAPH {
+                db.connect().execute(sql).unwrap();
+            }
             for sql in QUERIES {
                 db.set_row_oracle(true);
                 let baseline = outcome(&db, sql);

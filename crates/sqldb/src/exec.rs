@@ -534,9 +534,13 @@ impl<'a> Executor<'a> {
     }
 
     /// Vectorized grouping: key and aggregate-argument expressions are
-    /// compiled once and evaluated per batch; groups open in the order
-    /// their rows arrive, and a kernel error reruns the batch row-wise so
-    /// the first error is the one row order reaches. Each group is represented by the batch lane it first
+    /// compiled once and evaluated per batch; a kernel error reruns the
+    /// batch's keys and arguments row-wise, so the first error is the one
+    /// row order reaches. Each batch's lanes are mapped to groups through
+    /// one index chosen from the key's span over the whole input
+    /// ([`GroupIndex`]), opening groups in the order their rows arrive, and
+    /// each aggregate folds the batch into its accumulators
+    /// ([`AggCol::update`]). Each group is represented by the lane it first
     /// appeared in, and the groups leave as one batch
     /// ([`GroupedSelect::finish_batch`]).
     fn exec_aggregate_batched(
@@ -548,97 +552,59 @@ impl<'a> Executor<'a> {
     ) -> DbResult<Batches> {
         let grouped = GroupedSelect::bind(s, scope)?;
         let (key_exprs, aggs) = (&grouped.key_exprs, &grouped.aggs);
-
-        let compiled_keys: Vec<CompiledExpr> = key_exprs.iter().map(CompiledExpr::new).collect();
-        let compiled_args: Vec<Option<CompiledExpr>> = aggs
-            .iter()
-            .map(|a| a.arg.as_ref().map(CompiledExpr::new))
-            .collect();
-
+        // the keys, then the aggregates' arguments
+        let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+        let exprs: Vec<&BoundExpr> = key_exprs.iter().chain(args).collect();
+        let compiled: Vec<CompiledExpr> = exprs.iter().map(|e| CompiledExpr::new(e)).collect();
+        let mut index = GroupIndex::new(&compiled[..key_exprs.len()], batches);
         let mut groups = Groups::default();
-        let mut index: KeyMap<Vec<Value>, usize> = KeyMap::default();
-        // Single-INT-key fast path: while every batch's key column has been a
-        // fully-valid Int vector, group through an i64-keyed map instead of
-        // allocating a `Vec<Value>` key per lane. The flag drops permanently
-        // the moment any batch breaks the invariant, because `Value` hashes
-        // numerically across types (Int(2) == Float(2.0)) and a typed lookup
-        // would then miss groups created through the generic index; at that
-        // moment the typed index's groups move to the generic one, so later
-        // batches keep grouping consistently.
-        let mut int_index: KeyMap<i64, usize> = KeyMap::default();
-        let mut typed_ok = compiled_keys.len() == 1;
-        for (bi, b) in batches.iter().enumerate() {
+        let mut accs: Vec<AggCol> = aggs.iter().map(|a| AggCol::new(a.func)).collect();
+        let mut gids = Vec::new();
+        for (bi, b) in batches.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
             self.check_deadline()?;
-            let key_outs: DbResult<Vec<EvalOut>> =
-                compiled_keys.iter().map(|c| c.try_eval(b)).collect();
-            let arg_outs: DbResult<Vec<Option<EvalOut>>> = compiled_args
-                .iter()
-                .map(|c| c.as_ref().map(|c| c.try_eval(b)).transpose())
-                .collect();
-            let int_keys = match (&key_outs, &arg_outs) {
-                (Ok(key_outs), Ok(_)) if typed_ok => key_outs[0].as_int_lanes(b),
-                _ => None,
-            };
-            if typed_ok && int_keys.is_none() {
-                let typed = int_index.drain();
-                index.extend(typed.map(|(k, gi)| (vec![Value::Int(k)], gi)));
-                typed_ok = false;
+            let outs: Vec<DbResult<EvalOut>> = compiled.iter().map(|c| c.try_eval(b)).collect();
+            let mut rows = Vec::new();
+            if outs.iter().any(Result::is_err) {
+                // raises the row path's first error; else the failed
+                // kernels' lanes come from these rows, and the rest keep
+                // their kernels' layout, which chose the index
+                let row = |lane| {
+                    let row = b.row_at(lane);
+                    exprs.iter().map(|e| e.eval(&row)).collect()
+                };
+                rows = (0..b.len())
+                    .map(row)
+                    .collect::<DbResult<Vec<Vec<Value>>>>()?;
             }
-            match (&key_outs, &arg_outs) {
-                (Ok(key_outs), Ok(arg_outs)) => {
-                    if let Some(ks) = int_keys {
-                        let float_args: Vec<Option<(&[f64], &[bool])>> = arg_outs
-                            .iter()
-                            .map(|o| o.as_ref().and_then(|o| o.as_float_lanes(b)))
-                            .collect();
-                        for lane in 0..b.len() {
-                            let gi = *int_index
-                                .entry(ks[lane])
-                                .or_insert_with(|| groups.open(&grouped, bi, lane));
-                            let accs = groups.accs(gi);
-                            for ((acc, out), fs) in accs.iter_mut().zip(arg_outs).zip(&float_args) {
-                                match fs {
-                                    Some((fs, valid)) if valid[lane] => acc.update_float(fs[lane]),
-                                    Some(_) => {}
-                                    None => acc.update(out.as_ref().map(|o| o.value_at(b, lane))),
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    for lane in 0..b.len() {
-                        let key: Vec<Value> =
-                            key_outs.iter().map(|o| o.value_at(b, lane)).collect();
-                        let gi = *index
-                            .entry(key)
-                            .or_insert_with(|| groups.open(&grouped, bi, lane));
-                        for (acc, out) in groups.accs(gi).iter_mut().zip(arg_outs) {
-                            acc.update(out.as_ref().map(|o| o.value_at(b, lane)));
-                        }
-                    }
-                }
-                _ => {
-                    for lane in 0..b.len() {
-                        let row = b.row_at(lane);
-                        let mut key = Vec::with_capacity(key_exprs.len());
-                        for k in key_exprs {
-                            key.push(k.eval(&row)?);
-                        }
-                        let gi = *index
-                            .entry(key)
-                            .or_insert_with(|| groups.open(&grouped, bi, lane));
-                        for (acc, spec) in groups.accs(gi).iter_mut().zip(aggs) {
-                            let v = match &spec.arg {
-                                Some(e) => Some(e.eval(&row)?),
-                                None => None,
-                            };
-                            acc.update(v);
-                        }
-                    }
-                }
+            let col = |(i, out): (usize, DbResult<EvalOut>)| match out {
+                Ok(out) => out.into_cow(b),
+                Err(_) => Cow::Owned(Col::from_values(
+                    rows.iter().map(|r| r[i].clone()).collect(),
+                )),
+            };
+            let cols: Vec<Cow<Col>> = outs.into_iter().enumerate().map(col).collect();
+            let (keys, mut args) = (&cols[..key_exprs.len()], cols[key_exprs.len()..].iter());
+            index.assign(&mut groups, bi, keys, b.len(), &mut gids);
+            for (acc, spec) in accs.iter_mut().zip(aggs) {
+                let arg = spec.arg.as_ref().and_then(|_| args.next());
+                acc.resize(groups.len());
+                acc.update(&gids, arg.map(|c| &**c));
             }
         }
-        grouped.finish_batch(batches, groups, arity)
+        // a global aggregate over no rows still yields its one group
+        let n = groups.len().max(usize::from(key_exprs.is_empty()));
+        let read = grouped.reads(arity);
+        let rep_col = |c: usize| match (read[c], n == groups.len()) {
+            (true, true) => groups.rep_col(batches, c),
+            (true, false) => Col::nulls(n),
+            (false, _) => Col::unread(),
+        };
+        let mut cols: Vec<Col> = (0..arity).map(rep_col).collect();
+        cols.extend(accs.into_iter().map(|mut acc| {
+            acc.resize(n);
+            acc.finish()
+        }));
+        grouped.finish_batch(ColumnBatch::from_cols(cols, n))
     }
 
     fn apply_order_by(&self, result: &mut QueryResult, order_by: &[OrderByExpr]) -> DbResult<()> {
@@ -1409,26 +1375,9 @@ impl GroupedSelect {
 }
 
 impl GroupedSelect {
-    /// The groups' output as one batch. The groups become a batch of
-    /// `arity` columns — each group's representative lane for the columns
-    /// the projections and `HAVING` read, NULL elsewhere — followed by one
-    /// column per aggregate, where the bound aggregate references point;
-    /// `HAVING` and the projections run on it as kernels. If a kernel
-    /// fails, the groups are re-run a row at a time, `HAVING` then each
-    /// projection, which raises the row path's first error.
-    fn finish_batch(
-        self,
-        batches: &[ColumnBatch],
-        groups: Groups,
-        arity: usize,
-    ) -> DbResult<Batches> {
-        let Groups { mut reps, mut accs } = groups;
-        // global aggregate over empty input still yields one group
-        if reps.is_empty() && self.key_exprs.is_empty() {
-            reps.push(None);
-            accs.extend(self.aggs.iter().map(|a| AggAcc::new(a.func)));
-        }
-        let n = reps.len();
+    /// Which of the input's `arity` columns the projections and `HAVING`
+    /// read from a group's representative lane.
+    fn reads(&self, arity: usize) -> Vec<bool> {
         let mut read = vec![false; arity];
         for e in self.proj_exprs.iter().chain(&self.having) {
             e.walk(&mut |node| match node {
@@ -1436,25 +1385,18 @@ impl GroupedSelect {
                 _ => {}
             });
         }
-        let rep_col = |c: usize| {
-            let at = |r: &Option<(u32, u32)>| {
-                r.map_or(Value::Null, |(b, lane)| {
-                    batches[b as usize].col(c).value_at(lane as usize)
-                })
-            };
-            Col::from_values(reps.iter().map(at).collect())
-        };
-        let mut cols: Vec<Col> = (0..arity)
-            .map(|c| if read[c] { rep_col(c) } else { Col::nulls(n) })
-            .collect();
-        let width = self.aggs.len();
-        let mut values: Vec<Vec<Value>> = (0..width).map(|_| Vec::with_capacity(n)).collect();
-        for (i, acc) in accs.into_iter().enumerate() {
-            values[i % width].push(acc.finish());
-        }
-        cols.extend(values.into_iter().map(Col::from_values));
-        let group = ColumnBatch::from_cols(cols, n);
+        read
+    }
 
+    /// The groups' output as one batch. `group` holds a lane per group: the
+    /// input's columns (its representative lane for those
+    /// [`GroupedSelect::reads`] names, NULL elsewhere), then one column per
+    /// aggregate, where the bound aggregate references point. `HAVING` and
+    /// the projections run on it as kernels. If a kernel fails, the groups
+    /// are re-run a row at a time, `HAVING` then each projection, which
+    /// raises the row path's first error.
+    fn finish_batch(self, group: ColumnBatch) -> DbResult<Batches> {
+        let n = group.len();
         let having = self.having.as_ref().map(CompiledExpr::new);
         let proj: Vec<CompiledExpr> = self.proj_exprs.iter().map(CompiledExpr::new).collect();
         let kernels = || -> DbResult<ColumnBatch> {
@@ -1494,30 +1436,279 @@ impl GroupedSelect {
     }
 }
 
-/// The groups of a batched aggregate in discovery order: the `(batch,
-/// lane)` each first appeared in (`None`: the one group of a global
-/// aggregate over no rows) and their accumulators, one per aggregate call,
-/// group after group.
+/// The groups of a batched aggregate in the order they first appeared: the
+/// lane each was first seen in, and for each input batch that opened any,
+/// that batch and the first group it opened. Groups open batch by batch, so
+/// each batch's groups are one run.
 #[derive(Default)]
 struct Groups {
-    reps: Vec<Option<(u32, u32)>>,
-    accs: Vec<AggAcc>,
+    lanes: Vec<u32>,
+    runs: Vec<(usize, usize)>,
 }
 
 impl Groups {
-    /// Opens a group first seen in `lane` of batch `batch`; returns its index.
-    fn open(&mut self, grouped: &GroupedSelect, batch: usize, lane: usize) -> usize {
-        self.reps.push(Some((batch as u32, lane as u32)));
-        self.accs
-            .extend(grouped.aggs.iter().map(|a| AggAcc::new(a.func)));
-        self.reps.len() - 1
+    fn len(&self) -> usize {
+        self.lanes.len()
     }
 
-    /// The accumulators of group `gi`.
-    fn accs(&mut self, gi: usize) -> &mut [AggAcc] {
-        let width = self.accs.len() / self.reps.len();
-        &mut self.accs[gi * width..(gi + 1) * width]
+    /// Opens a group first seen in `lane` of batch `batch`; returns its id.
+    fn open(&mut self, batch: usize, lane: usize) -> u32 {
+        if self.runs.last().is_none_or(|&(b, _)| b != batch) {
+            self.runs.push((batch, self.lanes.len()));
+        }
+        self.lanes.push(lane as u32);
+        self.lanes.len() as u32 - 1
     }
+
+    /// Column `c` of every group's representative lane.
+    fn rep_col(&self, batches: &[ColumnBatch], c: usize) -> Col {
+        let ends = self.runs.iter().skip(1).map(|r| r.1).chain([self.len()]);
+        let parts = self.runs.iter().zip(ends);
+        let parts = parts.map(|(&(b, from), to)| (batches[b].col(c), Some(&self.lanes[from..to])));
+        Col::concat(&parts.collect::<Vec<_>>())
+    }
+}
+
+/// Maps a batched aggregate's keys to group ids through one index chosen
+/// over its whole input. One `Int` key indexes a table at `key - lo` when
+/// its lanes span fewer values than twice the rows, an `i64` map otherwise;
+/// other keys go through a `Value` map, under which `Int(2)` and
+/// `Float(2.0)` are one key. NULL `Int` keys and no keys at all make the
+/// group `none`.
+struct GroupIndex {
+    none: Option<u32>,
+    keys: Keys,
+}
+
+enum Keys {
+    Dense(i64, Vec<Option<u32>>),
+    Ints(KeyMap<i64, Option<u32>>),
+    Values(KeyMap<Vec<Value>, Option<u32>>),
+}
+
+impl GroupIndex {
+    /// The index for the keys `keys` compiles to over `batches`. Only a
+    /// lone key is evaluated here, one batch at a time, for its span; a
+    /// batch whose kernel fails or is not `Int` takes the `Value` map.
+    fn new(keys: &[CompiledExpr], batches: &[ColumnBatch]) -> Self {
+        let (mut int, mut span, mut rows) = (keys.len() == 1, None::<(i64, i64)>, 0);
+        for b in batches.iter().filter(|b| !b.is_empty() && keys.len() == 1) {
+            let key = keys[0].try_eval(b).map(|k| k.into_cow(b));
+            let Some(k) = key.ok().filter(|k| matches!(k.data, ColData::Int(_))) else {
+                int = false;
+                break;
+            };
+            span = match (span, k.int_range()) {
+                (Some((lo, hi)), Some((l, h))) => Some((lo.min(l), hi.max(h))),
+                (a, b) => a.or(b),
+            };
+            rows += b.len();
+        }
+        let keys = match span.filter(|(lo, hi)| hi.abs_diff(*lo) < 2 * rows as u64) {
+            _ if !int => Keys::Values(KeyMap::default()),
+            Some((lo, hi)) => Keys::Dense(lo, vec![None; hi.abs_diff(lo) as usize + 1]),
+            None => Keys::Ints(KeyMap::default()),
+        };
+        GroupIndex { none: None, keys }
+    }
+
+    /// Sets `gids` to the group of each of the `n` lanes of batch `batch`,
+    /// whose key columns are `keys`, opening groups as they first appear.
+    fn assign(
+        &mut self,
+        groups: &mut Groups,
+        batch: usize,
+        keys: &[Cow<Col>],
+        n: usize,
+        gids: &mut Vec<u32>,
+    ) {
+        gids.clear();
+        let mut open =
+            |gid: &mut Option<u32>, lane| *gid.get_or_insert_with(|| groups.open(batch, lane));
+        match (&mut self.keys, keys) {
+            (_, []) => {
+                open(&mut self.none, 0);
+                gids.resize(n, 0);
+            }
+            (Keys::Values(map), _) => {
+                for lane in 0..n {
+                    let key = keys.iter().map(|c| c.value_at(lane)).collect();
+                    gids.push(open(map.entry(key).or_default(), lane));
+                }
+            }
+            (index, [k]) => {
+                let ColData::Int(ks) = &k.data else {
+                    unreachable!("an Int key column")
+                };
+                for (lane, (&k, &ok)) in ks.iter().zip(&k.valid).enumerate() {
+                    let gid = match (ok, &mut *index) {
+                        (false, _) => &mut self.none,
+                        (true, Keys::Dense(lo, ids)) => &mut ids[k.abs_diff(*lo) as usize],
+                        (true, Keys::Ints(map)) => map.entry(k).or_default(),
+                        (true, Keys::Values(_)) => unreachable!("a Value map takes every key"),
+                    };
+                    gids.push(open(gid, lane));
+                }
+            }
+            _ => unreachable!("typed indexes take one key"),
+        }
+    }
+}
+
+/// One aggregate call's accumulators, a lane per group: COUNT's and AVG's
+/// counts, AVG's sums, and SUM's, MIN's or MAX's value so far (NULL until a
+/// lane sets it), typed while the inputs share `acc`'s layout.
+struct AggCol {
+    func: AggregateFunction,
+    counts: Vec<i64>,
+    sums: Vec<f64>,
+    acc: Col,
+}
+
+impl AggCol {
+    fn new(func: AggregateFunction) -> AggCol {
+        let (counts, sums, acc) = (Vec::new(), Vec::new(), Col::nulls(0));
+        AggCol {
+            func,
+            counts,
+            sums,
+            acc,
+        }
+    }
+
+    /// Grows the accumulators to `n` groups.
+    fn resize(&mut self, n: usize) {
+        use AggregateFunction::{Avg, Count};
+        match (self.func, &mut self.acc.data) {
+            (Count | Avg, _) => return (self.counts.resize(n, 0), self.sums.resize(n, 0.0)).1,
+            (_, ColData::Int(v)) => v.resize(n, 0),
+            (_, ColData::Float(v)) => v.resize(n, 0.0),
+            (_, ColData::Bool(v)) => v.resize(n, false),
+            (_, ColData::Mixed(v)) => v.resize(n, Value::Null),
+        }
+        self.acc.valid.resize(n, false);
+    }
+
+    /// Feeds lane `i` of `arg` (`None`: `COUNT(*)`) to group `gids[i]`, in
+    /// lane order; NULL lanes change nothing.
+    fn update(&mut self, gids: &[u32], arg: Option<&Col>) {
+        use AggregateFunction::{Avg, Count, Max, Min, Sum};
+        // (lane, group) of each non-NULL lane
+        let lanes = || {
+            let valid = move |&(lane, _): &(usize, &u32)| arg.is_none_or(|c| c.valid[lane]);
+            gids.iter()
+                .enumerate()
+                .filter(valid)
+                .map(|(lane, &g)| (lane, g as usize))
+        };
+        let col = match (self.func, arg) {
+            (Count, _) | (_, None) => return lanes().for_each(|(_, g)| self.counts[g] += 1),
+            (_, Some(col)) => col,
+        };
+        if self.func == Avg {
+            for (lane, g) in lanes() {
+                let f = match &col.data {
+                    ColData::Int(v) => Some(v[lane] as f64),
+                    ColData::Float(v) => Some(v[lane]),
+                    _ => col.value_at(lane).as_f64(),
+                };
+                if let Some(f) = f {
+                    self.sums[g] = canonical_nan(self.sums[g] + f);
+                    self.counts[g] += 1;
+                }
+            }
+            return;
+        }
+        let (func, acc) = (self.func, &mut self.acc);
+        let unfolded = match (&mut acc.data, &col.data) {
+            _ if !col.valid.contains(&true) => None,
+            (ColData::Int(v), ColData::Int(x)) => match func {
+                Sum => fold(v, &mut acc.valid, lanes(), x, i64::checked_add),
+                Min => fold(v, &mut acc.valid, lanes(), x, |a, b| Some(a.min(b))),
+                _ => fold(v, &mut acc.valid, lanes(), x, |a, b| Some(a.max(b))),
+            },
+            (ColData::Float(v), ColData::Float(x)) => match func {
+                Sum => fold(v, &mut acc.valid, lanes(), x, |a, b| {
+                    Some(canonical_nan(a + b))
+                }),
+                Min => fold(v, &mut acc.valid, lanes(), x, |a, b| {
+                    Some(if b.total_cmp(&a).is_lt() { b } else { a })
+                }),
+                _ => fold(v, &mut acc.valid, lanes(), x, |a, b| {
+                    Some(if b.total_cmp(&a).is_gt() { b } else { a })
+                }),
+            },
+            // nothing set yet: take the input's layout
+            (_, ColData::Int(_) | ColData::Float(_)) if !acc.valid.contains(&true) => {
+                *acc = col.gather(&vec![NO_LANE; acc.len()]);
+                return self.update(gids, arg);
+            }
+            _ => Some(0),
+        };
+        let Some(from) = unfolded else { return };
+        for (lane, g) in lanes().skip_while(|&(lane, _)| lane < from) {
+            let v = col.value_at(lane);
+            let v = match (acc.value_at(g), func) {
+                (Value::Null, _) => v,
+                // overflow saturates to float rather than erroring
+                (c, Sum) => c.add(&v).unwrap_or_else(|_| {
+                    Value::Float(c.as_f64().unwrap_or(0.0) + v.as_f64().unwrap_or(0.0))
+                }),
+                (c, Min) if v.total_cmp(&c).is_lt() => v,
+                (c, Max) if v.total_cmp(&c).is_gt() => v,
+                (c, _) => c,
+            };
+            acc.set(g, v);
+        }
+    }
+
+    /// The accumulators' results, a lane per group.
+    fn finish(self) -> Col {
+        let (counts, valid) = (self.counts, |n: &i64| *n != 0);
+        match self.func {
+            AggregateFunction::Count => Col {
+                valid: vec![true; counts.len()],
+                data: ColData::Int(counts),
+            },
+            AggregateFunction::Avg => Col {
+                valid: counts.iter().map(valid).collect(),
+                data: ColData::Float(
+                    self.sums
+                        .iter()
+                        .zip(&counts)
+                        .map(|(&s, &n)| s / n as f64)
+                        .collect(),
+                ),
+            },
+            _ => self.acc,
+        }
+    }
+}
+
+/// Folds the valid lanes `(lane, group)` of `x` into their groups' typed
+/// accumulators: `op(acc, lane)`, or the lane itself in a group no lane
+/// has set yet. Returns the first lane `op` refuses (an `Int` sum that
+/// overflows), which it leaves unfolded.
+fn fold<T: Copy>(
+    vals: &mut [T],
+    seen: &mut [bool],
+    lanes: impl Iterator<Item = (usize, usize)>,
+    x: &[T],
+    op: impl Fn(T, T) -> Option<T>,
+) -> Option<usize> {
+    for (lane, g) in lanes {
+        vals[g] = match seen[g] {
+            true => match op(vals[g], x[lane]) {
+                Some(v) => v,
+                None => return Some(lane),
+            },
+            false => {
+                seen[g] = true;
+                x[lane]
+            }
+        };
+    }
+    None
 }
 
 /// Whether `s` aggregates: it groups, or calls an aggregate.
@@ -1527,138 +1718,6 @@ fn is_grouped(s: &Select) -> bool {
     !s.group_by.is_empty()
         || s.projections.iter().any(aggregate)
         || s.having.as_ref().is_some_and(|h| h.contains_aggregate())
-}
-
-/// Per-group aggregate accumulator.
-#[derive(Debug)]
-enum AggAcc {
-    /// Running SUM (NULL until the first non-NULL input).
-    Sum(Option<Value>),
-    /// Running MIN.
-    Min(Option<Value>),
-    /// Running MAX.
-    Max(Option<Value>),
-    /// COUNT(*) / COUNT(expr).
-    Count(i64),
-    /// AVG as (sum, count).
-    Avg { sum: f64, n: i64 },
-}
-
-impl AggAcc {
-    fn new(func: AggregateFunction) -> AggAcc {
-        match func {
-            AggregateFunction::Sum => AggAcc::Sum(None),
-            AggregateFunction::Min => AggAcc::Min(None),
-            AggregateFunction::Max => AggAcc::Max(None),
-            AggregateFunction::Count => AggAcc::Count(0),
-            AggregateFunction::Avg => AggAcc::Avg { sum: 0.0, n: 0 },
-        }
-    }
-
-    /// Feeds one input; `None` means `COUNT(*)` (no argument).
-    fn update(&mut self, v: Option<Value>) {
-        match self {
-            AggAcc::Count(n) => {
-                let counts = match &v {
-                    None => true,            // COUNT(*)
-                    Some(v) => !v.is_null(), // COUNT(expr)
-                };
-                if counts {
-                    *n += 1;
-                }
-            }
-            AggAcc::Sum(acc) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        *acc = Some(match acc.take() {
-                            None => v,
-                            // overflow saturates to float rather than erroring
-                            Some(cur) => cur.add(&v).unwrap_or_else(|_| {
-                                Value::Float(
-                                    cur.as_f64().unwrap_or(0.0) + v.as_f64().unwrap_or(0.0),
-                                )
-                            }),
-                        });
-                    }
-                }
-            }
-            AggAcc::Min(acc) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        let replace = match acc {
-                            None => true,
-                            Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Less,
-                        };
-                        if replace {
-                            *acc = Some(v);
-                        }
-                    }
-                }
-            }
-            AggAcc::Max(acc) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        let replace = match acc {
-                            None => true,
-                            Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Greater,
-                        };
-                        if replace {
-                            *acc = Some(v);
-                        }
-                    }
-                }
-            }
-            AggAcc::Avg { sum, n } => {
-                if let Some(v) = v {
-                    if let Some(f) = v.as_f64() {
-                        *sum = canonical_nan(*sum + f);
-                        *n += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Exactly `update(Some(Value::Float(f)))`, skipping the `Value`
-    /// round-trip in the accumulator states a float input can produce
-    /// (`Float + Float` adds to `Float`; `total_cmp` on two `Float`s is
-    /// `f64::total_cmp`). States only reachable through mixed-type inputs
-    /// delegate to the generic path.
-    fn update_float(&mut self, f: f64) {
-        match self {
-            AggAcc::Count(n) => *n += 1, // a typed float lane is never NULL
-            AggAcc::Avg { sum, n } => {
-                *sum = canonical_nan(*sum + f);
-                *n += 1;
-            }
-            AggAcc::Sum(Some(Value::Float(cur))) => *cur = canonical_nan(*cur + f),
-            AggAcc::Min(Some(Value::Float(cur))) => {
-                if f.total_cmp(cur) == std::cmp::Ordering::Less {
-                    *cur = f;
-                }
-            }
-            AggAcc::Max(Some(Value::Float(cur))) => {
-                if f.total_cmp(cur) == std::cmp::Ordering::Greater {
-                    *cur = f;
-                }
-            }
-            other => other.update(Some(Value::Float(f))),
-        }
-    }
-
-    fn finish(self) -> Value {
-        match self {
-            AggAcc::Sum(v) | AggAcc::Min(v) | AggAcc::Max(v) => v.unwrap_or(Value::Null),
-            AggAcc::Count(n) => Value::Int(n),
-            AggAcc::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / n as f64)
-                }
-            }
-        }
-    }
 }
 
 /// Fails past [`MAX_DEPTH`] nested views and derived tables.

@@ -84,9 +84,11 @@ impl<'a> Executor<'a> {
         let (key_exprs, aggs) = (&grouped.key_exprs, &grouped.aggs);
 
         // group rows; the key lives only in the index map (each group keeps a
-        // representative row for projecting group-by columns), so the entry
-        // API moves each key in without a clone
-        let (mut groups, mut reps) = (Groups::default(), Vec::new());
+        // representative row for projecting group-by columns, and one
+        // accumulator per aggregate call), so the entry API moves each key in
+        // without a clone
+        let (mut reps, mut accs): (Vec<Row>, Vec<Vec<AggAcc>>) = (Vec::new(), Vec::new());
+        let new_accs = || aggs.iter().map(|a| AggAcc::new(a.func)).collect();
         let mut index: KeyMap<Vec<Value>, usize> = KeyMap::default();
         for (i, row) in input.iter().enumerate() {
             if i & 0xFFF == 0 {
@@ -98,9 +100,10 @@ impl<'a> Executor<'a> {
             }
             let gi = *index.entry(key).or_insert_with(|| {
                 reps.push(row.clone());
-                groups.open(&grouped, 0, reps.len() - 1)
+                accs.push(new_accs());
+                reps.len() - 1
             });
-            for (acc, spec) in groups.accs(gi).iter_mut().zip(aggs) {
+            for (acc, spec) in accs[gi].iter_mut().zip(aggs) {
                 let v = match &spec.arg {
                     Some(e) => Some(e.eval(row)?),
                     None => None,
@@ -108,8 +111,129 @@ impl<'a> Executor<'a> {
                 acc.update(v);
             }
         }
-        let reps = [ColumnBatch::from_rows(reps, scope.arity())];
-        let out = grouped.finish_batch(&reps, groups, scope.arity())?;
+        // a global aggregate over no rows still yields its one group
+        if reps.is_empty() && key_exprs.is_empty() {
+            reps.push(vec![Value::Null; scope.arity()]);
+            accs.push(new_accs());
+        }
+        let n = reps.len();
+        let mut results = vec![Vec::with_capacity(n); aggs.len()];
+        for group in accs {
+            let finished = group.into_iter().map(AggAcc::finish);
+            results
+                .iter_mut()
+                .zip(finished)
+                .for_each(|(r, v)| r.push(v));
+        }
+        let mut cols = ColumnBatch::from_rows(reps, scope.arity()).into_cols();
+        cols.extend(results.into_iter().map(Col::from_values));
+        let out = grouped.finish_batch(ColumnBatch::from_cols(cols, n))?;
         Ok(out.into_result())
+    }
+}
+
+/// One group's accumulator for one aggregate call, fed a row at a time:
+/// the definition the batch pipeline's typed accumulators are held to.
+#[derive(Debug)]
+enum AggAcc {
+    /// Running SUM (NULL until the first non-NULL input).
+    Sum(Option<Value>),
+    /// Running MIN.
+    Min(Option<Value>),
+    /// Running MAX.
+    Max(Option<Value>),
+    /// COUNT(*) / COUNT(expr).
+    Count(i64),
+    /// AVG as (sum, count).
+    Avg { sum: f64, n: i64 },
+}
+
+impl AggAcc {
+    fn new(func: AggregateFunction) -> AggAcc {
+        match func {
+            AggregateFunction::Sum => AggAcc::Sum(None),
+            AggregateFunction::Min => AggAcc::Min(None),
+            AggregateFunction::Max => AggAcc::Max(None),
+            AggregateFunction::Count => AggAcc::Count(0),
+            AggregateFunction::Avg => AggAcc::Avg { sum: 0.0, n: 0 },
+        }
+    }
+
+    /// Feeds one input; `None` means `COUNT(*)` (no argument).
+    fn update(&mut self, v: Option<Value>) {
+        match self {
+            AggAcc::Count(n) => {
+                let counts = match &v {
+                    None => true,            // COUNT(*)
+                    Some(v) => !v.is_null(), // COUNT(expr)
+                };
+                if counts {
+                    *n += 1;
+                }
+            }
+            AggAcc::Sum(acc) => {
+                if let Some(v) = v {
+                    if !v.is_null() {
+                        *acc = Some(match acc.take() {
+                            None => v,
+                            // overflow saturates to float rather than erroring
+                            Some(cur) => cur.add(&v).unwrap_or_else(|_| {
+                                Value::Float(
+                                    cur.as_f64().unwrap_or(0.0) + v.as_f64().unwrap_or(0.0),
+                                )
+                            }),
+                        });
+                    }
+                }
+            }
+            AggAcc::Min(acc) => {
+                if let Some(v) = v {
+                    if !v.is_null() {
+                        let replace = match acc {
+                            None => true,
+                            Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Less,
+                        };
+                        if replace {
+                            *acc = Some(v);
+                        }
+                    }
+                }
+            }
+            AggAcc::Max(acc) => {
+                if let Some(v) = v {
+                    if !v.is_null() {
+                        let replace = match acc {
+                            None => true,
+                            Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Greater,
+                        };
+                        if replace {
+                            *acc = Some(v);
+                        }
+                    }
+                }
+            }
+            AggAcc::Avg { sum, n } => {
+                if let Some(v) = v {
+                    if let Some(f) = v.as_f64() {
+                        *sum = canonical_nan(*sum + f);
+                        *n += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    fn finish(self) -> Value {
+        match self {
+            AggAcc::Sum(v) | AggAcc::Min(v) | AggAcc::Max(v) => v.unwrap_or(Value::Null),
+            AggAcc::Count(n) => Value::Int(n),
+            AggAcc::Avg { sum, n } => {
+                if n == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(sum / n as f64)
+                }
+            }
+        }
     }
 }

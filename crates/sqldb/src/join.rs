@@ -35,6 +35,7 @@ use crate::stats::Stats;
 use crate::storage::Table;
 use crate::types::DataType;
 use crate::value::{int_key_hash, KeyMap, Value};
+use std::mem::take;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -207,7 +208,7 @@ impl AccessPath {
     /// The live slots of `table` this path reaches.
     pub fn slots(&self, table: &Table) -> Vec<usize> {
         match self {
-            AccessPath::Scan => table.live_slots().collect(),
+            AccessPath::Scan => table.live_slot_vec(),
             AccessPath::Seek { column, key, .. } => {
                 let found = table.index_lookup(*column, key).unwrap_or(&[]);
                 found
@@ -550,12 +551,26 @@ struct BuildTable<'a> {
 /// First lane of each chain.
 enum Heads<'a> {
     /// Both key columns are `Int`: flat buckets over the build side's lane
-    /// slice (a chain holds every key of its bucket). The paper's graph
-    /// workloads (integer node ids) always take it.
-    Int { buckets: Vec<u32>, keys: &'a [i64] },
+    /// slice. With `lo`, the build keys span fewer values than twice its
+    /// lanes and key `k` owns bucket `k - lo` (the paper's graph workloads,
+    /// dense integer node ids, take it); else `k` hashes to its bucket.
+    Int {
+        buckets: Vec<u32>,
+        lo: Option<i64>,
+        build: &'a [i64],
+    },
     /// Anything else goes through [`Value`]'s own hash and equality, under
     /// which `Int(2)` and `Float(2.0)` are one key.
     Any(KeyMap<Value, u32>),
+}
+
+/// The bucket of `Int` key `k` among `n` ([`Heads::Int`]); past the end
+/// when `k` lies outside a dense range.
+fn bucket(lo: Option<i64>, n: usize, k: i64) -> usize {
+    match lo {
+        Some(lo) => k.wrapping_sub(lo) as u64 as usize,
+        None => int_key_hash(k) as usize & (n - 1),
+    }
 }
 
 impl<'a> BuildTable<'a> {
@@ -566,12 +581,23 @@ impl<'a> BuildTable<'a> {
         let lanes = (0..col.len()).rev().filter(|&lane| col.valid[lane]);
         let heads = match &col.data {
             ColData::Int(keys) if typed => {
-                let mut buckets = vec![NO_LANE; (col.len() * 2).next_power_of_two()];
+                let dense = col
+                    .int_range()
+                    .filter(|(lo, hi)| hi.abs_diff(*lo) < 2 * keys.len() as u64);
+                let (lo, n) = match dense {
+                    Some((lo, hi)) => (Some(lo), hi.abs_diff(lo) as usize + 1),
+                    None => (None, (col.len() * 2).next_power_of_two()),
+                };
+                let mut buckets = vec![NO_LANE; n];
                 for lane in lanes {
-                    let bucket = int_key_hash(keys[lane]) as usize & (buckets.len() - 1);
-                    next[lane] = std::mem::replace(&mut buckets[bucket], lane as u32);
+                    let head = &mut buckets[bucket(lo, n, keys[lane])];
+                    next[lane] = std::mem::replace(head, lane as u32);
                 }
-                Heads::Int { buckets, keys }
+                Heads::Int {
+                    buckets,
+                    lo,
+                    build: keys,
+                }
             }
             _ => {
                 let mut map = KeyMap::with_capacity_and_hasher(col.len(), Default::default());
@@ -585,30 +611,59 @@ impl<'a> BuildTable<'a> {
         BuildTable { heads, next }
     }
 
-    /// Appends the build lanes whose key equals lane `lane` of `probe`.
-    fn matches(&self, probe: &Col, lane: usize, out: &mut Vec<u32>) {
-        if !probe.valid[lane] {
-            return;
-        }
-        match (&self.heads, &probe.data) {
-            (Heads::Int { buckets, keys }, ColData::Int(probe)) => {
-                let key = probe[lane];
-                let mut at = buckets[int_key_hash(key) as usize & (buckets.len() - 1)];
-                while at != NO_LANE {
-                    if keys[at as usize] == key {
-                        out.push(at);
-                    }
-                    at = self.next[at as usize];
-                }
+    /// Probes with one batch's key column. Every lane's chain head is
+    /// found before any chain is walked, so the bucket loads of different
+    /// lanes overlap, and the layouts are matched once per batch.
+    fn probe<'p>(&'p self, keys: &'p Col, heads: &'p mut Vec<u32>) -> Probe<'p> {
+        heads.clear();
+        let lanes = keys.valid.iter().enumerate();
+        let ints = match (&self.heads, &keys.data) {
+            (Heads::Int { buckets, lo, build }, ColData::Int(probe)) => {
+                let head = |lane| buckets.get(bucket(*lo, buckets.len(), probe[lane]));
+                heads.extend(
+                    lanes.map(|(lane, &ok)| *head(lane).filter(|_| ok).unwrap_or(&NO_LANE)),
+                );
+                Some((&build[..], &probe[..]))
             }
             (Heads::Any(map), _) => {
-                let mut at = map.get(&probe.value_at(lane)).copied().unwrap_or(NO_LANE);
-                while at != NO_LANE {
-                    out.push(at);
-                    at = self.next[at as usize];
-                }
+                let head = |lane| map.get(&keys.value_at(lane));
+                heads.extend(
+                    lanes.map(|(lane, &ok)| *head(lane).filter(|_| ok).unwrap_or(&NO_LANE)),
+                );
+                None
             }
             (Heads::Int { .. }, _) => unreachable!("typed build against a probe that is not Int"),
+        };
+        Probe {
+            heads,
+            ints,
+            next: &self.next,
+        }
+    }
+}
+
+/// One probe batch against a [`BuildTable`]: each lane's chain head, and
+/// for [`Heads::Int`] the build and probe keys, compared along the chain.
+struct Probe<'a> {
+    heads: &'a [u32],
+    ints: Option<(&'a [i64], &'a [i64])>,
+    next: &'a [u32],
+}
+
+impl Probe<'_> {
+    /// Appends the build lanes whose key equals that of probe lane `lane`,
+    /// in build-side order.
+    #[inline]
+    fn matches(&self, lane: usize, out: &mut Vec<u32>) {
+        let mut at = self.heads[lane];
+        while at != NO_LANE {
+            if self
+                .ints
+                .is_none_or(|(build, probe)| build[at as usize] == probe[lane])
+            {
+                out.push(at);
+            }
+            at = self.next[at as usize];
         }
     }
 }
@@ -646,10 +701,10 @@ enum Inner<'a> {
 }
 
 impl Inner<'_> {
-    /// The rows of the pairs (`pl[i]` of `outer`, `pr[i]` of this side;
-    /// [`NO_LANE`]: a `LEFT JOIN` pad, all NULL), each column gathered once.
-    fn gather(&self, outer: &ColumnBatch, pl: &[u32], pr: &[u32]) -> ColumnBatch {
-        let mut cols = outer.gather_cols(pl);
+    /// The rows of the pairs: `cols`, the outer side's columns of them,
+    /// then this side's lanes (or slots) `pr` ([`NO_LANE`]: a `LEFT JOIN`
+    /// pad, all NULL), each column gathered once.
+    fn gather(&self, mut cols: Vec<Col>, pr: &[u32]) -> ColumnBatch {
         match self {
             Inner::Batch(batch) => cols.extend(batch.gather_cols(pr)),
             Inner::Table { table, slots } => {
@@ -657,7 +712,7 @@ impl Inner<'_> {
                 cols.extend(slots.then(|| table.slot_col(pr)));
             }
         }
-        ColumnBatch::from_cols(cols, pl.len())
+        ColumnBatch::from_cols(cols, pr.len())
     }
 }
 
@@ -671,6 +726,8 @@ struct Output<'a> {
     residual: Vec<CompiledExpr>,
     left_join: bool,
     rel: Rel,
+    /// The candidate pairs' buffers, kept from one probed batch to the next.
+    pairs: (Vec<u32>, Vec<u32>),
 }
 
 impl Output<'_> {
@@ -720,7 +777,7 @@ impl Output<'_> {
     ) -> DbResult<()> {
         check_deadline(self.env.deadline)?;
         if !self.residual.is_empty() && !pl.is_empty() {
-            let keep = self.accepted(&inner.gather(outer, pl, pr), pr)?;
+            let keep = self.accepted(&inner.gather(outer.gather_cols(pl), pr), pr)?;
             let pad_in_place = self.left_join && matched.is_none();
             let (mut kept, mut lane_from) = (0, 0);
             for at in 0..keep.len() {
@@ -745,7 +802,7 @@ impl Output<'_> {
         }
         let rows = self.env.batch_rows;
         for (pl, pr) in pl.chunks(rows).zip(pr.chunks(rows)) {
-            self.rel.push(inner.gather(outer, pl, pr))?;
+            self.rel.push(inner.gather(outer.gather_cols(pl), pr))?;
         }
         pl.clear();
         pr.clear();
@@ -754,13 +811,16 @@ impl Output<'_> {
 
     /// Probes with one outer batch, keeping outer order: `candidates(lane,
     /// hits)` appends the inner lanes outer lane `lane` may pair with.
+    /// Returns true, leaving the pairs pending, when every lane paired once,
+    /// in order, and no residual runs: [`Output::emit_outer`] then moves the
+    /// outer columns into the output rather than gathering them.
     fn probe_outer(
         &mut self,
         outer: &ColumnBatch,
         inner: &Inner<'_>,
         mut candidates: impl FnMut(usize, &mut Vec<u32>),
-    ) -> DbResult<()> {
-        let (mut pl, mut pr) = (Vec::new(), Vec::new());
+    ) -> DbResult<bool> {
+        let (mut pl, mut pr) = take(&mut self.pairs);
         for lane in 0..outer.len() {
             let before = pr.len();
             candidates(lane, &mut pr);
@@ -769,11 +829,27 @@ impl Output<'_> {
             }
             pl.resize(pr.len(), lane as u32);
             // only between lanes: a lane's candidates decide its pad together
-            if pr.len() >= self.env.batch_rows {
+            if pr.len() >= self.env.batch_rows && lane + 1 < outer.len() {
                 self.flush(outer, &mut pl, inner, &mut pr, None)?;
             }
         }
-        self.flush(outer, &mut pl, inner, &mut pr, None)
+        let once = pl.len() == outer.len() && pl.iter().enumerate().all(|(i, &l)| l as usize == i);
+        let once = once && !pl.is_empty() && self.residual.is_empty();
+        if !once {
+            self.flush(outer, &mut pl, inner, &mut pr, None)?;
+        }
+        self.pairs = (pl, pr);
+        Ok(once)
+    }
+
+    /// Emits the pending pairs, which take each lane of `outer` once, in
+    /// order: its columns, then `inner`'s lanes.
+    fn emit_outer(&mut self, outer: ColumnBatch, inner: &Inner<'_>) -> DbResult<()> {
+        check_deadline(self.env.deadline)?;
+        let batch = inner.gather(outer.into_cols(), &self.pairs.1);
+        self.pairs.0.clear();
+        self.pairs.1.clear();
+        self.rel.push(batch)
     }
 
     /// `LEFT JOIN`: appends, in outer order, the lanes of `outer` that no
@@ -863,11 +939,12 @@ pub fn join_rels(
         residual: residual.iter().map(CompiledExpr::new).collect(),
         left_join: join_type == JoinType::Left,
         rel: Rel::new(scope, Vec::new(), env.budget)?,
+        pairs: Default::default(),
     };
     let mut batches = left.batches.len();
     let inner_read = match (&algo, key, right) {
         (JoinAlgo::IndexNestedLoop { .. }, Some(key), JoinInner::Table { handle, slots, .. }) => {
-            let fetched = index_nested_loop(&left, &handle, slots, key, &mut out)?;
+            let fetched = index_nested_loop(left, &handle, slots, key, &mut out)?;
             Some((fetched, 0))
         }
         (_, key, right) => {
@@ -881,7 +958,7 @@ pub fn join_rels(
                     // one batch: the build side is addressed by lane
                     let t0 = Instant::now();
                     let table = handle.read();
-                    let live: Vec<usize> = table.live_slots().collect();
+                    let live = table.live_slot_vec();
                     let read = table.read_batches(&live, slots, usize::MAX);
                     let rel = Rel::new(scope, read, env.budget)?;
                     env.stats.add_rows_scanned(rel.len() as u64);
@@ -895,7 +972,7 @@ pub fn join_rels(
                 (JoinAlgo::BlockNestedLoop { buffer_rows }, Some(key)) => {
                     block_nested_loop(left, right, key, *buffer_rows, &mut out)?
                 }
-                _ => nested_loop(&left, right, &mut out)?,
+                _ => nested_loop(left, right, &mut out)?,
             }
             inner_read
         }
@@ -914,7 +991,7 @@ pub fn join_rels(
 /// its slots, straight into the output columns. Returns how many inner rows
 /// the probes fetched.
 fn index_nested_loop(
-    left: &Rel,
+    left: Rel,
     inner: &TableHandle,
     slots: bool,
     key: EquiKey,
@@ -926,9 +1003,9 @@ fn index_nested_loop(
         table: &table,
         slots,
     };
-    for outer in &left.batches {
+    for outer in left.batches {
         let keys = outer.col(key.left);
-        out.probe_outer(outer, &inner, |lane, hits| {
+        let once = out.probe_outer(&outer, &inner, |lane, hits| {
             if keys.valid[lane] {
                 probes += 1;
                 let found = table.index_lookup(key.right, &keys.value_at(lane));
@@ -938,6 +1015,9 @@ fn index_nested_loop(
                 fetched += (hits.len() - before) as u64;
             }
         })?;
+        if once {
+            out.emit_outer(outer, &inner)?;
+        }
     }
     out.env.stats.add_index_lookups(probes);
     Ok(fetched)
@@ -948,6 +1028,7 @@ fn index_nested_loop(
 /// changes output order, never the row multiset).
 fn hash_join(left: Rel, right: Rel, key: EquiKey, out: &mut Output<'_>) -> DbResult<()> {
     let typed = int_keyed(&left.batches, key.left) && int_keyed(&right.batches, key.right);
+    let mut heads = Vec::new();
     if left.len() < right.len() {
         // build on left, probe with right: pairs arrive in probe order, so
         // LEFT JOIN padding waits until every probe batch has been seen
@@ -957,10 +1038,10 @@ fn hash_join(left: Rel, right: Rel, key: EquiKey, out: &mut Output<'_>) -> DbRes
         let mut matched = vec![false; build.len()];
         let (mut pl, mut pr) = (Vec::new(), Vec::new());
         for probe in &right.batches {
-            let keys = probe.col(key.right);
+            let keys = table.probe(probe.col(key.right), &mut heads);
             let inner = Inner::Batch(probe);
             for lane in 0..probe.len() {
-                table.matches(keys, lane, &mut pl);
+                keys.matches(lane, &mut pl);
                 pr.resize(pl.len(), lane as u32);
                 if pl.len() >= out.env.batch_rows {
                     out.flush(&build, &mut pl, &inner, &mut pr, Some(&mut matched))?;
@@ -975,11 +1056,12 @@ fn hash_join(left: Rel, right: Rel, key: EquiKey, out: &mut Output<'_>) -> DbRes
         out.env.stats.add_rows_joined(left.len() as u64);
         let (build, _charge) = right.into_single();
         let table = BuildTable::new(build.col(key.right), typed);
-        for outer in &left.batches {
-            let keys = outer.col(key.left);
-            out.probe_outer(outer, &Inner::Batch(&build), |lane, hits| {
-                table.matches(keys, lane, hits)
-            })?;
+        let build = Inner::Batch(&build);
+        for outer in left.batches {
+            let keys = table.probe(outer.col(key.left), &mut heads);
+            if out.probe_outer(&outer, &build, |lane, hits| keys.matches(lane, hits))? {
+                out.emit_outer(outer, &build)?;
+            }
         }
         Ok(())
     }
@@ -1034,15 +1116,19 @@ fn block_nested_loop(
 
 /// No equi key: every pair, with the whole `ON` predicate (all of it sits
 /// in the residual) — or none at all for a cross join.
-fn nested_loop(left: &Rel, right: Rel, out: &mut Output<'_>) -> DbResult<()> {
+fn nested_loop(left: Rel, right: Rel, out: &mut Output<'_>) -> DbResult<()> {
     let (inner, _charge) = right.into_single();
     let every: Vec<u32> = (0..inner.len() as u32).collect();
     let stats = out.env.stats;
-    for outer in &left.batches {
-        out.probe_outer(outer, &Inner::Batch(&inner), |_, hits| {
+    let source = Inner::Batch(&inner);
+    for outer in left.batches {
+        let once = out.probe_outer(&outer, &source, |_, hits| {
             stats.add_rows_joined(every.len() as u64);
             hits.extend_from_slice(&every);
         })?;
+        if once {
+            out.emit_outer(outer, &source)?;
+        }
     }
     Ok(())
 }

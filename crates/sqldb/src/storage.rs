@@ -51,8 +51,9 @@ pub struct SecondaryIndex {
 
 impl SecondaryIndex {
     fn insert(&mut self, key: Value, slot: usize) -> DbResult<()> {
+        let null = key.is_null();
         let entry = self.map.entry(key).or_default();
-        if self.unique && !entry.is_empty() {
+        if self.unique && !null && !entry.is_empty() {
             return Err(DbError::Invalid(format!(
                 "unique index {} violated",
                 self.name
@@ -136,7 +137,7 @@ impl Table {
     /// Returns [`DbError::BudgetExceeded`] when the existing rows do not
     /// fit; the table stays detached.
     pub fn attach_budget(&mut self, budget: &Arc<MemoryBudget>) -> DbResult<()> {
-        let slots: Vec<usize> = self.live_slots().collect();
+        let slots = self.live_slot_vec();
         let charged = rows_bytes(&self.gather(&lanes(&slots)), slots.len());
         budget.charge(charged)?;
         self.budget = Some(budget.clone());
@@ -246,7 +247,7 @@ impl Table {
 
     /// Fails unless a row whose columns read `key(column)` may live in
     /// `slot` without a NULL or duplicate primary key or a second entry in
-    /// a unique index.
+    /// a unique index (NULL keys never collide there).
     fn admit(&self, slot: usize, key: &dyn Fn(usize) -> Value) -> DbResult<()> {
         if let (Some(pk_col), Some(idx)) = (self.schema.primary_key(), &self.pk_index) {
             let k = key(pk_col);
@@ -258,7 +259,8 @@ impl Table {
             }
         }
         for sec in self.secondary.iter().filter(|s| s.unique) {
-            if sec.lookup(&key(sec.column)).iter().any(|&s| s != slot) {
+            let k = key(sec.column);
+            if !k.is_null() && sec.lookup(&k).iter().any(|&s| s != slot) {
                 return Err(DbError::Invalid(format!(
                     "unique index {} violated",
                     sec.name
@@ -453,6 +455,13 @@ impl Table {
         live.filter(|(_, &l)| l).map(|(slot, _)| slot)
     }
 
+    /// [`Table::live_slots`], collected into one allocation.
+    pub fn live_slot_vec(&self) -> Vec<usize> {
+        let mut slots = Vec::with_capacity(self.live_count);
+        slots.extend(self.live_slots());
+        slots
+    }
+
     /// Iterates `(slot, row)` over live rows, building each row.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Row)> + '_ {
         self.live_slots()
@@ -487,16 +496,16 @@ impl Table {
     pub fn read_batches(&self, rows: &[usize], slots: bool, batch_size: usize) -> Vec<ColumnBatch> {
         let chunks = rows.chunks(batch_size.max(1));
         let batch = |chunk: &[usize]| {
-            let idx = lanes(chunk);
+            let idx = || lanes(chunk);
             let run = chunk.windows(2).all(|w| w[1] == w[0] + 1);
             let mut cols: Vec<Col> = match run {
                 true => {
                     let range = chunk[0]..chunk[0] + chunk.len();
                     self.cols.iter().map(|c| c.slice(range.clone())).collect()
                 }
-                false => self.gather(&idx),
+                false => self.gather(&idx()),
             };
-            cols.extend(slots.then(|| self.slot_col(&idx)));
+            cols.extend(slots.then(|| self.slot_col(&idx())));
             ColumnBatch::from_cols(cols, chunk.len())
         };
         chunks.map(batch).collect()

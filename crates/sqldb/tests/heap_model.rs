@@ -277,9 +277,11 @@ struct Model {
 
 impl Model {
     /// Whether row `r` may sit at position `at` of `t` (`None`: appended).
+    /// NULL keys never collide under the unique index on `u`.
     fn admits(&self, r: &Row, at: Option<usize>) -> bool {
         let others = self.t.iter().enumerate().filter(|(i, _)| Some(*i) != at);
-        !r[0].is_null() && others.clone().all(|(_, o)| o[0] != r[0] && o[1] != r[1])
+        let unique = |o: &Row| r[1].is_null() || o[1] != r[1];
+        !r[0].is_null() && others.clone().all(|(_, o)| o[0] != r[0] && unique(o))
     }
 
     fn insert(&mut self, new: Vec<Vec<Value>>) -> bool {

@@ -396,3 +396,48 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn a_unique_index_admits_any_number_of_null_keys() {
+    for profile in EngineProfile::ALL {
+        let db = Database::new(profile);
+        let mut s = db.connect();
+        run(&mut s, "CREATE TABLE u (id INT PRIMARY KEY, a INT)");
+        run(&mut s, "INSERT INTO u VALUES (1, NULL), (2, NULL), (3, 30)");
+        run(&mut s, "CREATE UNIQUE INDEX u_a ON u (a)");
+        run(&mut s, "INSERT INTO u VALUES (4, NULL)");
+        run(&mut s, "INSERT INTO u VALUES (5, 50), (6, 60)");
+        run(&mut s, "UPDATE u SET a = NULL WHERE id = 5 OR id = 6");
+        let nulls = "SELECT id FROM u WHERE a IS NULL";
+        let plan = rows(&mut s, &format!("EXPLAIN {nulls}"));
+        assert_eq!(
+            plan[0][0],
+            Value::Text("IndexSeek u using u_a (a IS NULL)".into()),
+            "{profile:?}"
+        );
+        let ids: Vec<Row> = [1, 2, 4, 5, 6].map(|i| vec![Value::Int(i)]).into();
+        let mut got = rows(&mut s, nulls);
+        got.sort();
+        assert_eq!(got, ids, "{profile:?}");
+        for dup in [
+            "INSERT INTO u VALUES (7, 30)",
+            "UPDATE u SET a = 30 WHERE id = 1",
+        ] {
+            let err = s.execute(dup).unwrap_err().to_string();
+            assert!(
+                err.contains("unique index u_a violated"),
+                "{profile:?} {dup}: {err}"
+            );
+        }
+        assert_eq!(rows(&mut s, "SELECT COUNT(*) FROM u")[0][0], Value::Int(6));
+    }
+    let db = Database::new(EngineProfile::Postgres);
+    let mut s = db.connect();
+    run(&mut s, "CREATE TABLE v (a INT)");
+    run(&mut s, "INSERT INTO v VALUES (1), (1)");
+    let err = s.execute("CREATE UNIQUE INDEX v_a ON v (a)").unwrap_err();
+    assert!(
+        err.to_string().contains("unique index v_a violated"),
+        "{err}"
+    );
+}
