@@ -898,9 +898,14 @@ fn print_metrics(snap: &obs::RegistrySnapshot) {
 }
 
 fn print_result(result: &sqldb::QueryResult) {
+    print!("{}", render_result(result));
+}
+
+/// `result` as the shell's table. Cells are padded by hand: a format width
+/// cannot exceed 65 535.
+fn render_result(result: &sqldb::QueryResult) -> String {
     if result.columns.is_empty() {
-        println!("ok");
-        return;
+        return "ok\n".into();
     }
     let mut widths: Vec<usize> = result.columns.iter().map(|c| c.len()).collect();
     let rendered: Vec<Vec<String>> = result
@@ -913,37 +918,52 @@ fn print_result(result: &sqldb::QueryResult) {
             widths[i] = widths[i].max(cell.len());
         }
     }
-    let line = |cells: &[String]| {
-        let joined = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:<w$}", c, w = widths[i]))
-            .collect::<Vec<_>>()
-            .join(" | ");
-        println!("| {joined} |");
+    let line = |out: &mut String, cells: &[String]| {
+        for (cell, w) in cells.iter().zip(&widths) {
+            let pad = " ".repeat(w.saturating_sub(cell.chars().count()));
+            out.extend(["| ", cell, &pad, " "]);
+        }
+        out.push_str("|\n");
     };
-    line(
-        &result
-            .columns
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>(),
-    );
-    println!(
-        "|{}|",
-        widths
-            .iter()
-            .map(|w| "-".repeat(w + 2))
-            .collect::<Vec<_>>()
-            .join("+")
-    );
+    let mut out = String::new();
+    line(&mut out, &result.columns);
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
+    out.extend(["|", &rule.join("+"), "|\n"]);
     // cap enormous outputs in the shell
     const MAX_ROWS: usize = 500;
     for row in rendered.iter().take(MAX_ROWS) {
-        line(row);
+        line(&mut out, row);
     }
     if rendered.len() > MAX_ROWS {
-        println!("… {} more rows", rendered.len() - MAX_ROWS);
+        out += &format!("… {} more rows\n", rendered.len() - MAX_ROWS);
     }
-    println!("({} rows)", rendered.len());
+    out + &format!("({} rows)\n", rendered.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sqldb::{QueryResult, Value};
+
+    #[test]
+    fn tables_pad_cells_and_take_cells_wider_than_a_format_width() {
+        let result = QueryResult {
+            columns: vec!["k".into(), "text".into()],
+            rows: vec![
+                vec![Value::Int(10), Value::Text("ab".into())],
+                vec![Value::Null, Value::Text("é".into())],
+            ],
+        };
+        let expected =
+            "| k    | text |\n|------+------|\n| 10   | ab   |\n| NULL | é    |\n(2 rows)\n";
+        assert_eq!(render_result(&result), expected);
+        let wide = "x".repeat(70_000);
+        let result = QueryResult {
+            columns: vec!["digest".into()],
+            rows: vec![vec![Value::Text(wide.clone())]],
+        };
+        let table = render_result(&result);
+        assert!(table.contains(&format!("| {wide} |")), "{}", &table[..80]);
+        assert!(table.starts_with(&format!("| digest{} |", " ".repeat(70_000 - 6))));
+    }
 }

@@ -38,10 +38,9 @@
 //! state. See `parallel.rs` for how each scheduler reaches that point.
 
 use crate::ckpt_io::{CkptIo, RealFs};
-use crate::common::run;
+use crate::common::{insert_rows, run};
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::IterativeCte;
-use crate::parallel_sql::value_literal;
 use dbcp::Connection;
 use obs::EventKind;
 use sqldb::snapshot::TableDump;
@@ -673,19 +672,27 @@ pub fn dump_table_sql(
     })
 }
 
-/// Recreates a dumped table through `conn` (`DROP` + `CREATE` + batched
-/// `INSERT`s of `batch_rows` rows).
+/// Recreates a dumped table through `conn`: `DROP` + `CREATE`, then the
+/// rows as typed parameters of prepared `INSERT`s of `batch_rows` rows
+/// ([`insert_rows`]).
 ///
 /// # Errors
 /// Engine errors, or [`SqloopError::Checkpoint`] for NaN floats — NaN has
 /// no SQL literal, so a snapshot holding one cannot be restored through a
-/// connection (the in-process [`sqldb::Database::import_table`] path can).
+/// connection that splices literals (the in-process
+/// [`sqldb::Database::import_table`] path can).
 pub fn restore_table_sql(
     conn: &mut dyn Connection,
     dump: &TableDump,
     batch_rows: usize,
 ) -> SqloopResult<()> {
     let name = &dump.name;
+    let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+    if dump.rows.iter().flatten().any(nan) {
+        return Err(ckpt_err(format!(
+            "table {name} holds a NaN, which has no SQL literal to restore through"
+        )));
+    }
     run(conn, &format!("DROP TABLE IF EXISTS {name}"))?;
     run(conn, &format!("DROP VIEW IF EXISTS {name}"))?;
     let cols = dump
@@ -703,34 +710,8 @@ pub fn restore_table_sql(
         .collect::<Vec<_>>()
         .join(", ");
     run(conn, &format!("CREATE TABLE {name} ({cols})"))?;
-    let col_list = dump
-        .columns
-        .iter()
-        .map(|c| c.name.as_str())
-        .collect::<Vec<_>>()
-        .join(", ");
-    for chunk in dump.rows.chunks(batch_rows.max(1)) {
-        let mut values = Vec::with_capacity(chunk.len());
-        for row in chunk {
-            for v in row {
-                if matches!(v, Value::Float(f) if f.is_nan()) {
-                    return Err(ckpt_err(format!(
-                        "table {name} holds a NaN, which has no SQL literal to restore through"
-                    )));
-                }
-            }
-            let lits = row.iter().map(value_literal).collect::<Vec<_>>().join(", ");
-            values.push(format!("({lits})"));
-        }
-        run(
-            conn,
-            &format!(
-                "INSERT INTO {name} ({col_list}) VALUES {}",
-                values.join(", ")
-            ),
-        )?;
-    }
-    Ok(())
+    let names: Vec<&str> = dump.columns.iter().map(|c| c.name.as_str()).collect();
+    insert_rows(conn, name, &names, &dump.rows, batch_rows)
 }
 
 /// Records a checkpoint event into `trace` (helper shared by the

@@ -252,6 +252,63 @@ pub fn run_query(
     conn.query(&sql).map_err(SqloopError::from)
 }
 
+/// Rows per prepared `INSERT` when rows leave the middleware: edge loads,
+/// checkpoint restores and a non-INT key's partition fills.
+pub const INSERT_CHUNK_ROWS: usize = 512;
+
+/// Inserts `rows` into `table`'s `columns` as typed parameters: one
+/// prepared `INSERT … VALUES (?, …), …` per chunk of `chunk_rows` rows, one
+/// handle for the full chunks and one for the remainder, both closed at the
+/// end. No row is rendered as SQL text, except on a transport that cannot
+/// prepare, where the handle splices literals in the engine's dialect.
+///
+/// # Errors
+/// The first translation or engine error; the chunks before it stay
+/// inserted.
+pub fn insert_rows<R: AsRef<[Value]>>(
+    conn: &mut dyn Connection,
+    table: &str,
+    columns: &[impl AsRef<str>],
+    rows: impl IntoIterator<Item = R>,
+    chunk_rows: usize,
+) -> SqloopResult<()> {
+    let columns: Vec<&str> = columns.iter().map(AsRef::as_ref).collect();
+    let tuple = format!("({})", vec!["?"; columns.len()].join(", "));
+    // a placeholder reads `?` in every dialect: translate one row, append the rest
+    let head = format!(
+        "INSERT INTO {table} ({}) VALUES {tuple}",
+        columns.join(", ")
+    );
+    let head = translate_sql(&head, conn.profile())?;
+    let mut handles: Vec<(usize, PreparedStatement)> = Vec::with_capacity(2);
+    let mut rows = rows.into_iter().peekable();
+    let mut params = Vec::new();
+    let mut result = Ok(());
+    while result.is_ok() && rows.peek().is_some() {
+        params.clear();
+        let mut n = 0;
+        for row in rows.by_ref().take(chunk_rows.max(1)) {
+            params.extend_from_slice(row.as_ref());
+            n += 1;
+        }
+        let at = handles
+            .iter()
+            .position(|(len, _)| *len == n)
+            .unwrap_or_else(|| {
+                let sql = head.clone() + &format!(", {tuple}").repeat(n - 1);
+                handles.push((n, PreparedStatement::new(sql)));
+                handles.len() - 1
+            });
+        result = handles[at].1.execute(conn, &params).map(drop);
+    }
+    let mut result = result.map_err(SqloopError::from);
+    for (_, handle) in &mut handles {
+        let closed = handle.close(conn).map_err(SqloopError::from);
+        result = result.and(closed);
+    }
+    result
+}
+
 /// Creates the CTE table `R` and fills it from the seed query, which runs
 /// once and entirely engine-side (paper §IV-B: `CREATE TABLE` then
 /// `INSERT INTO R R0`). The seed is staged as `<R>__seed` under the

@@ -36,9 +36,9 @@ use crate::checkpoint::{
     trace_checkpoint, Checkpointer, LoopSnapshot, PartSnap,
 };
 use crate::common::{
-    create_cte_table, refresh_delta_snapshot, rewrite_table_refs, run, run_all,
+    create_cte_table, insert_rows, refresh_delta_snapshot, rewrite_table_refs, run, run_all,
     run_all_best_effort, run_query, with_output_names, CteNames, CteSchema, DeltaRefresher,
-    PlanCacheProbe, TerminationProbe,
+    PlanCacheProbe, TerminationProbe, INSERT_CHUNK_ROWS,
 };
 use crate::config::{ExecutionMode, SqloopConfig};
 use crate::error::{SqloopError, SqloopResult};
@@ -307,10 +307,6 @@ fn snapshot_schema(snap: &LoopSnapshot, table: &str) -> SqloopResult<CteSchema> 
     })
 }
 
-/// Rows per `INSERT` when a checkpoint's tables are restored or a non-INT
-/// key's partitions are filled from the middleware.
-const INSERT_BATCH_ROWS: usize = 512;
-
 /// Builds Whole's layout and its tasks. `R` comes from the seed query
 /// (fresh run) or from a checkpoint's table dumps (`resume`). An iterative
 /// CTE (`recursive` is `None`) gets one task, rerun every round: the
@@ -330,7 +326,7 @@ fn whole_setup(
         Some(snap) => {
             let schema = snapshot_schema(snap, &names.table)?;
             for t in &snap.tables {
-                restore_table_sql(main, t, INSERT_BATCH_ROWS)?;
+                restore_table_sql(main, t, INSERT_CHUNK_ROWS)?;
             }
             schema
         }
@@ -526,7 +522,7 @@ fn parallel_setup(
         let _ = run(main, &format!("DROP VIEW IF EXISTS {}", names.table));
         let _ = run(main, &format!("DROP TABLE IF EXISTS {}", names.table));
         for t in &snap.tables {
-            restore_table_sql(main, t, INSERT_BATCH_ROWS)?;
+            restore_table_sql(main, t, INSERT_CHUNK_ROWS)?;
         }
         run(main, &gen.create_view_sql())?;
         mjoin(main)?;
@@ -540,14 +536,21 @@ fn parallel_setup(
     // Rmjoin while R is still a base table
     mjoin(main)?;
 
-    // hash-partition R on Rid (paper §V-B): an INT key is split inside the
-    // engine by the bucket expression routed messages use; any other key
-    // by the middleware-only hash, so its rows travel out and back
-    let g = &gen;
-    let fills: Vec<Vec<String>> = if gen.routing_enabled() {
-        (0..config.partitions)
-            .map(|x| vec![g.fill_partition_sql(x)])
-            .collect()
+    // hash-partition R on Rid (paper §V-B), then R becomes the union view:
+    // statements that carry no result go out pipelined. An INT key is split
+    // inside the engine by the bucket expression routed messages use; any
+    // other key by the middleware-only hash, so its rows travel out and
+    // come back as typed parameters
+    let (g, parts) = (&gen, 0..config.partitions);
+    let tables = parts.clone().flat_map(|x| {
+        let drop = format!("DROP TABLE IF EXISTS {}", names.partition(x));
+        [drop, g.create_partition_sql(x)]
+    });
+    let hidden = parts.clone().filter_map(|x| g.init_hidden_sql(x));
+    let view = [format!("DROP TABLE {}", names.table), g.create_view_sql()];
+    if gen.routing_enabled() {
+        let fills = parts.map(|x| g.fill_partition_sql(x));
+        run_all(main, tables.chain(fills).chain(hidden).chain(view))?;
     } else {
         let col_list = gen.schema().columns.join(", ");
         let rows = run_query(main, &format!("SELECT {col_list} FROM {}", names.table))?.rows;
@@ -555,27 +558,13 @@ fn parallel_setup(
         for row in rows {
             buckets[gen.bucket(&row[0])].push(row);
         }
-        let chunks = |(x, bucket): (usize, Vec<Row>)| {
-            let chunks = bucket.chunks(INSERT_BATCH_ROWS);
-            chunks
-                .map(|chunk| g.insert_partition_sql(x, chunk))
-                .collect()
-        };
-        buckets.into_iter().enumerate().map(chunks).collect()
-    };
-    // the partition tables, then R becomes the union view (paper §V-B):
-    // statements that carry no result, so they go out pipelined
-    let partition_tables = fills.into_iter().enumerate().flat_map(|(x, fill)| {
-        [
-            format!("DROP TABLE IF EXISTS {}", names.partition(x)),
-            g.create_partition_sql(x),
-        ]
-        .into_iter()
-        .chain(fill)
-        .chain(g.init_hidden_sql(x))
-    });
-    let view = [format!("DROP TABLE {}", names.table), g.create_view_sql()];
-    run_all(main, partition_tables.chain(view))?;
+        run_all(main, tables)?;
+        for (x, bucket) in buckets.iter().enumerate() {
+            let (table, columns) = (names.partition(x), &gen.schema().columns);
+            insert_rows(main, &table, columns, bucket, INSERT_CHUNK_ROWS)?;
+        }
+        run_all(main, hidden.chain(view))?;
+    }
     if cte.termination.needs_delta_snapshot() {
         refresh_delta_snapshot(main, names)?;
     }

@@ -15,7 +15,7 @@ use crate::translate::translate_sql;
 use sqldb::ast::{AggregateFunction, Expr};
 use sqldb::profile::EngineProfile;
 use sqldb::render;
-use sqldb::{Row, Value};
+use sqldb::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -225,27 +225,6 @@ impl SqlGen {
             body.push_str(&format!(", {SENT_COL} FLOAT"));
         }
         format!("CREATE TABLE {} ({})", self.names.partition(x), body)
-    }
-
-    /// Batched `INSERT` of rows into partition `x`.
-    ///
-    /// # Panics
-    /// Panics if `rows` is empty (callers batch non-empty chunks).
-    pub fn insert_partition_sql(&self, x: usize, rows: &[Row]) -> String {
-        assert!(!rows.is_empty(), "insert batch must be non-empty");
-        let cols = self.schema.columns.join(", ");
-        let values = rows
-            .iter()
-            .map(|row| {
-                let vals = row.iter().map(value_literal).collect::<Vec<_>>().join(", ");
-                format!("({vals})")
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "INSERT INTO {} ({cols}) VALUES {values}",
-            self.names.partition(x)
-        )
     }
 
     /// Fills partition `x` from `R` inside the engine: the rows whose key
@@ -689,15 +668,6 @@ fn render_expr(e: &Expr) -> String {
     render::expr_to_sql(e, &EngineProfile::Postgres.dialect())
 }
 
-/// Canonical-dialect SQL literal for a value (`Infinity` literals included);
-/// the checkpoint restore path uses this to re-INSERT dumped rows.
-pub(crate) fn value_literal(v: &Value) -> String {
-    render::expr_to_sql(
-        &Expr::Literal(v.clone()),
-        &EngineProfile::Postgres.dialect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,11 +732,6 @@ mod tests {
         for s in g.cleanup_sql() {
             check_all_dialects(&s);
         }
-        let rows = vec![
-            vec![Value::Int(1), Value::Float(0.0), Value::Float(0.15)],
-            vec![Value::Int(2), Value::Float(0.0), Value::Float(0.15)],
-        ];
-        check_all_dialects(&g.insert_partition_sql(0, &rows));
         check_all_dialects(&g.fill_partition_sql(3));
     }
 

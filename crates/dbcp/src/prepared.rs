@@ -6,12 +6,14 @@
 //! [`Connection::prepared_epoch`]), so after a retry/reconnect the handle
 //! notices the epoch change and transparently re-prepares — composing with
 //! [`crate::RetryPolicy`] replay without any caller involvement. Transports
-//! that answer [`DbError::Unsupported`] degrade permanently (per handle) to
-//! splicing parameter literals into the SQL text and using plain `execute`.
+//! that answer [`DbError::Unsupported`] (and epoch-free ones) degrade
+//! permanently (per handle) to splicing parameter literals, rendered in the
+//! connection's dialect, into the SQL text and using plain `execute`.
 
 use crate::driver::Connection;
 use crate::wire::PipelineStep;
-use sqldb::{DbError, DbResult, StmtOutput, Value};
+use sqldb::ast::Expr;
+use sqldb::{render, DbError, DbResult, EngineProfile, StmtOutput, Value};
 
 /// A reusable statement bound to no particular connection.
 ///
@@ -91,12 +93,12 @@ impl PreparedStatement {
                     self.cached = None;
                     match self.ensure(conn)? {
                         Some(id) => conn.execute_prepared(id, params),
-                        None => conn.execute(&splice_params(&self.sql, params)?),
+                        None => conn.execute(&splice_params(&self.sql, params, conn.profile())?),
                     }
                 }
                 other => other,
             },
-            None => conn.execute(&splice_params(&self.sql, params)?),
+            None => conn.execute(&splice_params(&self.sql, params, conn.profile())?),
         }
     }
 
@@ -116,7 +118,7 @@ impl PreparedStatement {
                 stmt_id,
                 params: params.to_vec(),
             }),
-            None => Ok(PipelineStep::Execute(splice_params(&self.sql, params)?)),
+            None => splice_params(&self.sql, params, conn.profile()).map(PipelineStep::Execute),
         }
     }
 
@@ -134,35 +136,21 @@ impl PreparedStatement {
     }
 }
 
-/// Renders `v` as a canonical-dialect SQL literal.
-fn value_literal(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".into(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.is_infinite() {
-                (if *f > 0.0 { "Infinity" } else { "-Infinity" }).into()
-            } else if f.fract() == 0.0 && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
-            }
-        }
-        Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
-        Value::Bool(b) => (if *b { "TRUE" } else { "FALSE" }).into(),
-    }
-}
-
-/// Replaces the `?` placeholders in `sql` with literals, skipping `?` inside
-/// single-quoted strings.
+/// Replaces the `?` placeholders in `sql` with literals rendered in
+/// `profile`'s dialect, skipping `?` inside single-quoted strings.
 ///
 /// # Errors
 /// [`DbError::Invalid`] when the placeholder and parameter counts differ.
-pub(crate) fn splice_params(sql: &str, params: &[Value]) -> DbResult<String> {
+pub(crate) fn splice_params(
+    sql: &str,
+    params: &[Value],
+    profile: EngineProfile,
+) -> DbResult<String> {
     if params.is_empty() && !sql.contains('?') {
         return Ok(sql.to_owned());
     }
     let mut out = String::with_capacity(sql.len() + params.len() * 8);
+    let dialect = profile.dialect();
     let mut next = 0usize;
     let mut in_string = false;
     for ch in sql.chars() {
@@ -180,7 +168,7 @@ pub(crate) fn splice_params(sql: &str, params: &[Value]) -> DbResult<String> {
                         params.len()
                     ))
                 })?;
-                out.push_str(&value_literal(v));
+                out.push_str(&render::expr_to_sql(&Expr::Literal(v.clone()), &dialect));
                 next += 1;
             }
             _ => out.push(ch),
@@ -201,23 +189,26 @@ mod tests {
     use crate::driver::{Driver, LocalDriver};
     use sqldb::{Database, EngineProfile};
 
+    const PG: EngineProfile = EngineProfile::Postgres;
+
     #[test]
     fn splice_basics() {
         assert_eq!(
             splice_params(
                 "SELECT * FROM t WHERE a > ? AND b = ?",
-                &[Value::Int(3), Value::Text("x'y".into())]
+                &[Value::Int(3), Value::Text("x'y".into())],
+                PG
             )
             .unwrap(),
             "SELECT * FROM t WHERE a > 3 AND b = 'x''y'"
         );
         // ? inside string literals is not a placeholder
         assert_eq!(
-            splice_params("SELECT '?' FROM t WHERE a = ?", &[Value::Float(2.0)]).unwrap(),
+            splice_params("SELECT '?' FROM t WHERE a = ?", &[Value::Float(2.0)], PG).unwrap(),
             "SELECT '?' FROM t WHERE a = 2.0"
         );
-        assert!(splice_params("SELECT ?", &[]).is_err());
-        assert!(splice_params("SELECT 1", &[Value::Int(1)]).is_err());
+        assert!(splice_params("SELECT ?", &[], PG).is_err());
+        assert!(splice_params("SELECT 1", &[Value::Int(1)], PG).is_err());
     }
 
     #[test]

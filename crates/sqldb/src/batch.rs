@@ -1115,16 +1115,56 @@ fn int_arith(op: BinaryOp, a: i64, b: i64) -> Option<i64> {
     }
 }
 
-/// `a op b` on two FLOATs (or INTs promoted to them).
-fn float_arith(op: BinaryOp, a: f64, b: f64) -> f64 {
-    canonical_nan(match op {
-        BinaryOp::Add => a + b,
-        BinaryOp::Sub => a - b,
-        BinaryOp::Mul => a * b,
-        BinaryOp::Div => a / b,
-        BinaryOp::Mod => a % b,
+/// `x op y` over `n` FLOAT lanes (or INTs promoted to them), each operand
+/// read at `i * step`; an invalid lane is 0.0. The operator is matched once,
+/// and a column (step 1) against a constant (step 0) or a column runs
+/// without index arithmetic.
+fn float_arith(
+    op: BinaryOp,
+    (x, sx): (&[f64], usize),
+    (y, sy): (&[f64], usize),
+    valid: &[bool],
+) -> Vec<f64> {
+    fn lanes(
+        f: impl Fn(f64, f64) -> f64,
+        x: &[f64],
+        sx: usize,
+        y: &[f64],
+        sy: usize,
+        valid: &[bool],
+    ) -> Vec<f64> {
+        let lane = |ok: bool, a: f64, b: f64| if ok { canonical_nan(f(a, b)) } else { 0.0 };
+        let n = valid.len();
+        match (sx, sy) {
+            (1, 1) => valid
+                .iter()
+                .zip(&x[..n])
+                .zip(&y[..n])
+                .map(|((&ok, &a), &b)| lane(ok, a, b))
+                .collect(),
+            (1, 0) => valid
+                .iter()
+                .zip(&x[..n])
+                .map(|(&ok, &a)| lane(ok, a, y[0]))
+                .collect(),
+            (0, 1) => valid
+                .iter()
+                .zip(&y[..n])
+                .map(|(&ok, &b)| lane(ok, x[0], b))
+                .collect(),
+            _ => (0..n)
+                .map(|i| lane(valid[i], x[i * sx], y[i * sy]))
+                .collect(),
+        }
+    }
+    match op {
+        BinaryOp::Add => lanes(|a, b| a + b, x, sx, y, sy, valid),
+        BinaryOp::Sub => lanes(|a, b| a - b, x, sx, y, sy, valid),
+        BinaryOp::Mul => lanes(|a, b| a * b, x, sx, y, sy, valid),
+        BinaryOp::Div => lanes(|a, b| a / b, x, sx, y, sy, valid),
+        BinaryOp::Mod => lanes(|a, b| a % b, x, sx, y, sy, valid),
         _ => unreachable!("not arithmetic"),
-    })
+    }
 }
 
 /// Vectorized arithmetic. Two `Int` operands run as checked `i64` loops;
@@ -1155,11 +1195,7 @@ fn eval_arith_cols(
             }
             (a, b) => {
                 let ((x, sx), (y, sy)) = (a.floats(), b.floats());
-                let lane = |i: usize| match valid[i] {
-                    true => float_arith(op, x[i * sx], y[i * sy]),
-                    false => 0.0,
-                };
-                ColData::Float((0..n).map(lane).collect())
+                ColData::Float(float_arith(op, (&x, sx), (&y, sy), &valid[..n]))
             }
         };
         return Ok(EvalOut::Owned(Col { data, valid }));

@@ -496,7 +496,7 @@ impl Session {
         let result = if handle.param_count == 0 {
             self.execute_admitted(&plan.stmt, &plan.admission)
         } else {
-            let stmt = substitute_params(&plan.stmt, params)?;
+            let stmt = substitute_params(&plan.stmt, plan.param_count, params)?;
             self.execute_admitted(&stmt, &plan.admission)
         };
         self.shared

@@ -353,14 +353,18 @@ pub fn count_params(stmt: &Statement) -> usize {
     max.map_or(0, |m| m + 1)
 }
 
-/// Clones `stmt` with every `?` placeholder replaced by the matching
-/// literal from `params`.
+/// Clones `stmt`, which declares `declared` placeholders (its
+/// [`count_params`], as a [`CachedPlan`] carries it), with every `?`
+/// replaced by the matching literal from `params`.
 ///
 /// # Errors
 /// Returns [`DbError::Invalid`] when `params` doesn't supply exactly the
 /// placeholders the statement declares.
-pub fn substitute_params(stmt: &Statement, params: &[Value]) -> DbResult<Statement> {
-    let declared = count_params(stmt);
+pub fn substitute_params(
+    stmt: &Statement,
+    declared: usize,
+    params: &[Value],
+) -> DbResult<Statement> {
     if declared != params.len() {
         return Err(DbError::Invalid(format!(
             "statement declares {declared} parameter(s) but {} value(s) were supplied",
@@ -500,15 +504,15 @@ mod tests {
     fn param_counting_and_substitution() {
         let stmt = parse_statement("SELECT a FROM t WHERE a > ? AND b < ?").unwrap();
         assert_eq!(count_params(&stmt), 2);
-        let out = substitute_params(&stmt, &[Value::Int(1), Value::Int(9)]).unwrap();
+        let out = substitute_params(&stmt, 2, &[Value::Int(1), Value::Int(9)]).unwrap();
         assert_eq!(count_params(&out), 0);
         // arity mismatches are typed errors
         assert!(matches!(
-            substitute_params(&stmt, &[Value::Int(1)]),
+            substitute_params(&stmt, 2, &[Value::Int(1)]),
             Err(DbError::Invalid(_))
         ));
         assert!(matches!(
-            substitute_params(&stmt, &[Value::Int(1), Value::Int(2), Value::Int(3)]),
+            substitute_params(&stmt, 2, &[Value::Int(1), Value::Int(2), Value::Int(3)]),
             Err(DbError::Invalid(_))
         ));
     }
