@@ -465,8 +465,8 @@ pub enum Expr {
         data_type: DataType,
     },
     /// A `?` positional parameter placeholder (0-based, in lexical order).
-    /// Only valid in prepared statements; execution substitutes a literal
-    /// before binding.
+    /// Only valid in prepared statements; the binder reads it as the
+    /// execution's value at that index.
     Param(usize),
 }
 

@@ -692,6 +692,15 @@ pub enum Kernel {
     /// non-NULL one (the row path stops at it, so an argument after it
     /// that fails only sends the batch down the row-wise re-run).
     Coalesce(Vec<Kernel>),
+    /// `LEAST` / `GREATEST`: typed over arguments that are all `Int` or all
+    /// `Float` lanes, else row-wise.
+    Extreme {
+        /// Argument kernels.
+        args: Vec<Kernel>,
+        /// The whole call as a [`Kernel::Fallback`], for a batch the typed
+        /// path does not cover.
+        rows: Box<Kernel>,
+    },
     /// Row-wise interpretation of a subtree the vectorizer does not cover
     /// (CASE, casts, other builtins, IN lists, fallible AND/OR right sides, …).
     Fallback(BoundExpr),
@@ -797,6 +806,16 @@ impl Kernel {
                 count_vector_node();
                 Kernel::Coalesce(args.iter().map(Kernel::compile).collect())
             }
+            BoundExpr::Func {
+                builtin: Builtin::Least | Builtin::Greatest,
+                args,
+            } => {
+                count_vector_node();
+                Kernel::Extreme {
+                    args: args.iter().map(Kernel::compile).collect(),
+                    rows: Box::new(Kernel::Fallback(expr.clone())),
+                }
+            }
             other => {
                 count_fallback_node();
                 Kernel::Fallback(other.clone())
@@ -854,6 +873,16 @@ impl Kernel {
                 }
                 Ok(EvalOut::Owned(out))
             }
+            Kernel::Extreme { args, rows } => {
+                let outs = args.iter().map(|k| Ok(k.eval(batch)?.into_cow(batch)));
+                let cols = outs.collect::<DbResult<Vec<Cow<Col>>>>()?;
+                let greatest = matches!(**rows, Kernel::Fallback(BoundExpr::Func { builtin, .. })
+                    if builtin == Builtin::Greatest);
+                match extreme_lanes(greatest, &cols) {
+                    Some(out) => Ok(EvalOut::Owned(out)),
+                    None => rows.eval(batch),
+                }
+            }
             Kernel::Fallback(expr) => {
                 // each lane's row carries only the columns the subtree reads
                 let mut read = Vec::new();
@@ -874,6 +903,48 @@ impl Kernel {
             }
         }
     }
+}
+
+/// `LEAST` (`GREATEST` when `greatest`) of `cols` lane by lane, when the
+/// ones with a valid lane are all `Int` or all `Float` lanes: a NULL lane
+/// never wins, lanes are ordered by [`Value::total_cmp`], and a tie keeps
+/// the earlier argument. `None` for any other mix, which the row path
+/// evaluates (an `Int` against a `Float` keeps the winner's own type there).
+fn extreme_lanes(greatest: bool, cols: &[Cow<'_, Col>]) -> Option<Col> {
+    fn merge<T: Copy>(
+        out: &mut [T],
+        ok: &mut [bool],
+        v: &[T],
+        v_ok: &[bool],
+        wins: impl Fn(&T, &T) -> bool,
+    ) {
+        for i in 0..out.len() {
+            if v_ok[i] && (!ok[i] || wins(&v[i], &out[i])) {
+                (out[i], ok[i]) = (v[i], true);
+            }
+        }
+    }
+    let want = if greatest {
+        Ordering::Greater
+    } else {
+        Ordering::Less
+    };
+    let mut live = cols.iter().filter(|c| c.valid.contains(&true));
+    let mut out = live.next()?.clone().into_owned();
+    for c in live {
+        match (&mut out.data, &c.data) {
+            (ColData::Int(o), ColData::Int(v)) => {
+                merge(o, &mut out.valid, v, &c.valid, |a, b| a.cmp(b) == want)
+            }
+            (ColData::Float(o), ColData::Float(v)) => {
+                merge(o, &mut out.valid, v, &c.valid, |a, b| {
+                    a.total_cmp(b) == want
+                })
+            }
+            _ => return None,
+        }
+    }
+    matches!(out.data, ColData::Int(_) | ColData::Float(_)).then_some(out)
 }
 
 fn eval_binary_cols(

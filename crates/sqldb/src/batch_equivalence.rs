@@ -211,6 +211,20 @@ const QUERIES: &[&str] = &[
     // batch reruns row by row, under a key that is NULL in whole batches
     "SELECT COUNT(*), SUM(COALESCE(a.c_float, 10 / a.c_int)) FROM t AS a \
      LEFT JOIN t AS b ON a.c_int = b.c_int + 1000 GROUP BY b.c_int",
+    // LEAST / GREATEST: NULL in either argument, ±0.0, NaN of both signs,
+    // ±Infinity, all-NULL lanes, three arguments, and the mixes the row
+    // path keeps (INT with FLOAT, TEXT)
+    "SELECT LEAST(c_float, -c_float), GREATEST(c_float, -c_float), \
+     LEAST(-c_float, c_float), GREATEST(c_int, 1 - c_int) FROM t",
+    "SELECT LEAST(c_float, Infinity), GREATEST(-Infinity, c_float), LEAST(c_float, NULL), \
+     GREATEST(NULL, c_int), LEAST(NULL, NULL) FROM t",
+    "SELECT LEAST(c_float, NULL), GREATEST(c_int, NULL) FROM t \
+     WHERE c_float IS NULL AND c_int IS NULL",
+    "SELECT LEAST(c_int, c_int % 7, -3), GREATEST(c_float, 0.0, c_float * 0.5), \
+     LEAST(c_float, c_float + 1.0, NULL) FROM t",
+    "SELECT LEAST(c_int, c_float), GREATEST(c_float, c_int, 0), LEAST(c_text, 'b') FROM t",
+    "SELECT s.node, LEAST(s.rank, n.delta + e.weight) FROM pr_s AS s \
+     LEFT JOIN edges AS e ON s.node = e.dst LEFT JOIN pr_s AS n ON n.node = e.src",
 ];
 
 /// Tables shaped like the PageRank script's, drawn from `t`: `pr_s` holds

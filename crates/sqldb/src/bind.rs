@@ -245,52 +245,74 @@ pub enum BoundExpr {
     },
 }
 
-/// Binds `expr` against `scope`, rejecting aggregate calls.
+/// Binds `expr` against `scope`, rejecting aggregate calls. A `?`
+/// placeholder binds to its value in `params`, the execution's parameters.
 ///
 /// # Errors
-/// Returns a binder error for unknown/ambiguous columns or aggregate usage
-/// where aggregates are not allowed.
-pub fn bind_scalar(expr: &Expr, scope: &Scope) -> DbResult<BoundExpr> {
-    bind_expr(expr, scope, &mut None)
+/// Returns a binder error for unknown/ambiguous columns, a placeholder
+/// `params` does not supply, or aggregate usage where aggregates are not
+/// allowed.
+pub fn bind_scalar(expr: &Expr, scope: &Scope, params: &[Value]) -> DbResult<BoundExpr> {
+    bind_expr(expr, scope, params, &mut None)
 }
 
-/// Binds `expr` against `scope`, extracting aggregate calls into `aggs`:
-/// the `i`-th becomes a reference to column `scope.arity() + i`, just
-/// after the input row.
+/// Binds `expr` against `scope` and `params` ([`bind_scalar`]), extracting
+/// aggregate calls into `aggs`: the `i`-th becomes a reference to column
+/// `scope.arity() + i`, just after the input row.
 ///
 /// # Errors
 /// Returns a binder error for unknown/ambiguous columns or nested aggregates.
 pub fn bind_with_aggregates(
     expr: &Expr,
     scope: &Scope,
+    params: &[Value],
     aggs: &mut Vec<AggSpec>,
 ) -> DbResult<BoundExpr> {
     let mut slot = Some(aggs);
-    bind_expr(expr, scope, &mut slot)
+    bind_expr(expr, scope, params, &mut slot)
+}
+
+/// The value of a constant expression under `params`: a literal or a
+/// placeholder is read as it stands, anything else is bound against no
+/// columns and evaluated.
+///
+/// # Errors
+/// A column reference, an unsupplied placeholder or an evaluation error.
+pub fn eval_constant(expr: &Expr, params: &[Value]) -> DbResult<Value> {
+    match expr {
+        Expr::Literal(v) => Ok(v.clone()),
+        Expr::Param(i) if *i < params.len() => Ok(params[*i].clone()),
+        e => bind_scalar(e, &Scope::new(), params)?.eval(&Vec::new()),
+    }
 }
 
 fn bind_expr(
     expr: &Expr,
     scope: &Scope,
+    params: &[Value],
     aggs: &mut Option<&mut Vec<AggSpec>>,
 ) -> DbResult<BoundExpr> {
+    let bind = |e: &Expr, aggs: &mut Option<&mut Vec<AggSpec>>| bind_expr(e, scope, params, aggs);
     match expr {
         Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-        Expr::Param(i) => Err(DbError::Invalid(format!(
-            "unbound parameter ?{} — positional parameters are only valid in prepared statements",
-            i + 1
-        ))),
+        Expr::Param(i) => match params.get(*i) {
+            Some(v) => Ok(BoundExpr::Literal(v.clone())),
+            None => Err(DbError::Invalid(format!(
+                "unbound parameter ?{} — positional parameters are only valid in prepared statements",
+                i + 1
+            ))),
+        },
         Expr::Column { table, name } => {
             Ok(BoundExpr::Column(scope.resolve(table.as_deref(), name)?))
         }
         Expr::Binary { left, op, right } => Ok(BoundExpr::Binary {
-            left: Box::new(bind_expr(left, scope, aggs)?),
+            left: Box::new(bind(left, aggs)?),
             op: *op,
-            right: Box::new(bind_expr(right, scope, aggs)?),
+            right: Box::new(bind(right, aggs)?),
         }),
         Expr::Unary { op, expr } => Ok(BoundExpr::Unary {
             op: *op,
-            expr: Box::new(bind_expr(expr, scope, aggs)?),
+            expr: Box::new(bind(expr, aggs)?),
         }),
         Expr::Function { name, args } => {
             if let Some(func) = AggregateFunction::parse(name) {
@@ -301,7 +323,7 @@ fn bind_expr(
                     [FunctionArg::Wildcard] => None,
                     [FunctionArg::Expr(e)] => {
                         // no nested aggregates inside an aggregate argument
-                        Some(bind_expr(e, scope, &mut None)?)
+                        Some(bind(e, &mut None)?)
                     }
                     _ => {
                         return Err(DbError::Invalid(format!(
@@ -320,7 +342,7 @@ fn bind_expr(
             let mut bound_args = Vec::with_capacity(args.len());
             for a in args {
                 match a {
-                    FunctionArg::Expr(e) => bound_args.push(bind_expr(e, scope, aggs)?),
+                    FunctionArg::Expr(e) => bound_args.push(bind(e, aggs)?),
                     FunctionArg::Wildcard => {
                         return Err(DbError::Invalid(format!("* not valid in {name}()")))
                     }
@@ -338,10 +360,10 @@ fn bind_expr(
         } => {
             let mut bound = Vec::with_capacity(branches.len());
             for (c, r) in branches {
-                bound.push((bind_expr(c, scope, aggs)?, bind_expr(r, scope, aggs)?));
+                bound.push((bind(c, aggs)?, bind(r, aggs)?));
             }
             let else_result = match else_result {
-                Some(e) => Some(Box::new(bind_expr(e, scope, aggs)?)),
+                Some(e) => Some(Box::new(bind(e, aggs)?)),
                 None => None,
             };
             Ok(BoundExpr::Case {
@@ -350,7 +372,7 @@ fn bind_expr(
             })
         }
         Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-            expr: Box::new(bind_expr(expr, scope, aggs)?),
+            expr: Box::new(bind(expr, aggs)?),
             negated: *negated,
         }),
         Expr::InList {
@@ -358,10 +380,10 @@ fn bind_expr(
             list,
             negated,
         } => Ok(BoundExpr::InList {
-            expr: Box::new(bind_expr(expr, scope, aggs)?),
+            expr: Box::new(bind(expr, aggs)?),
             list: list
                 .iter()
-                .map(|e| bind_expr(e, scope, aggs))
+                .map(|e| bind(e, aggs))
                 .collect::<DbResult<_>>()?,
             negated: *negated,
         }),
@@ -371,13 +393,13 @@ fn bind_expr(
             high,
             negated,
         } => Ok(BoundExpr::Between {
-            expr: Box::new(bind_expr(expr, scope, aggs)?),
-            low: Box::new(bind_expr(low, scope, aggs)?),
-            high: Box::new(bind_expr(high, scope, aggs)?),
+            expr: Box::new(bind(expr, aggs)?),
+            low: Box::new(bind(low, aggs)?),
+            high: Box::new(bind(high, aggs)?),
             negated: *negated,
         }),
         Expr::Cast { expr, data_type } => Ok(BoundExpr::Cast {
-            expr: Box::new(bind_expr(expr, scope, aggs)?),
+            expr: Box::new(bind(expr, aggs)?),
             data_type: *data_type,
         }),
     }
@@ -775,7 +797,7 @@ mod tests {
 
     fn eval(sql: &str, row: &[Value]) -> DbResult<Value> {
         let e = parse_expression(sql).unwrap();
-        let b = bind_scalar(&e, &scope_ab())?;
+        let b = bind_scalar(&e, &scope_ab(), &[])?;
         b.eval(&row.to_vec())
     }
 
@@ -830,14 +852,14 @@ mod tests {
     #[test]
     fn aggregates_rejected_in_scalar_context() {
         let e = parse_expression("SUM(t.a)").unwrap();
-        assert!(bind_scalar(&e, &scope_ab()).is_err());
+        assert!(bind_scalar(&e, &scope_ab(), &[]).is_err());
     }
 
     #[test]
     fn aggregate_extraction() {
         let e = parse_expression("COALESCE(0.85 * SUM(t.a * t.b), 0.0)").unwrap();
         let mut aggs = Vec::new();
-        let b = bind_with_aggregates(&e, &scope_ab(), &mut aggs).unwrap();
+        let b = bind_with_aggregates(&e, &scope_ab(), &[], &mut aggs).unwrap();
         assert_eq!(aggs.len(), 1);
         // evaluate with the aggregate result after the input row
         let mut row = vec![Value::Null; scope_ab().arity()];
@@ -870,8 +892,8 @@ mod tests {
     #[test]
     fn constant_detection() {
         let e = parse_expression("1 + 2 * 3").unwrap();
-        assert!(bind_scalar(&e, &Scope::new()).unwrap().is_constant());
+        assert!(bind_scalar(&e, &Scope::new(), &[]).unwrap().is_constant());
         let e = parse_expression("t.a + 1").unwrap();
-        assert!(!bind_scalar(&e, &scope_ab()).unwrap().is_constant());
+        assert!(!bind_scalar(&e, &scope_ab(), &[]).unwrap().is_constant());
     }
 }

@@ -15,7 +15,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{Executor, QueryResult, StmtOutput};
 use crate::op_profile::OpProfiler;
 use crate::parser::{parse_script, parse_statement};
-use crate::plan_cache::{substitute_params, Admission, CachedPlan, PlanCache, PlanCacheStats};
+use crate::plan_cache::{Admission, CachedPlan, PlanCache, PlanCacheStats};
 use crate::profile::EngineProfile;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::txn::{apply_undo, IsolationLevel, LockManager, LockMode, UndoLog, UndoOp};
@@ -379,7 +379,7 @@ impl Session {
     pub fn execute(&mut self, sql: &str) -> DbResult<StmtOutput> {
         let (plan, plan_hit) = self.plan_for(sql)?;
         let started = std::time::Instant::now();
-        let result = self.execute_admitted(&plan.stmt, &plan.admission);
+        let result = self.execute_admitted(&plan.stmt, &plan.admission, &[]);
         self.observe_statement(plan.digest(sql), sql, started, &result, plan_hit);
         result
     }
@@ -493,12 +493,7 @@ impl Session {
             }
         };
         let started = std::time::Instant::now();
-        let result = if handle.param_count == 0 {
-            self.execute_admitted(&plan.stmt, &plan.admission)
-        } else {
-            let stmt = substitute_params(&plan.stmt, plan.param_count, params)?;
-            self.execute_admitted(&stmt, &plan.admission)
-        };
+        let result = self.execute_admitted(&plan.stmt, &plan.admission, params);
         self.shared
             .metrics
             .execute_prepared
@@ -513,17 +508,19 @@ impl Session {
     /// See [`Session::execute`].
     pub fn execute_statement(&mut self, stmt: &Statement) -> DbResult<StmtOutput> {
         let admission = self.admission(stmt);
-        self.execute_admitted(stmt, &admission)
+        self.execute_admitted(stmt, &admission, &[])
     }
 
-    /// Executes `stmt` under its `admission`, recording its latency.
+    /// Executes `stmt` under its `admission`, `params` filling its `?`
+    /// placeholders, recording its latency.
     fn execute_admitted(
         &mut self,
         stmt: &Statement,
         admission: &Admission,
+        params: &[Value],
     ) -> DbResult<StmtOutput> {
         let started = std::time::Instant::now();
-        let result = self.execute_statement_inner(stmt, admission);
+        let result = self.execute_statement_inner(stmt, admission, params);
         self.shared.metrics.by_kind[stmt.kind_index()].observe(started.elapsed());
         result
     }
@@ -532,6 +529,7 @@ impl Session {
         &mut self,
         stmt: &Statement,
         admission: &Admission,
+        params: &[Value],
     ) -> DbResult<StmtOutput> {
         self.shared.stats.add_statements(1);
         match stmt {
@@ -604,7 +602,8 @@ impl Session {
         .with_batch_size(match self.shared.batch_size.load(Ordering::Relaxed) {
             0 => None,
             n => Some(n as usize),
-        });
+        })
+        .with_params(params);
         #[cfg(test)]
         if self.shared.row_oracle.load(Ordering::Relaxed) {
             executor = executor.with_row_oracle();

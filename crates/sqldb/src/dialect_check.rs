@@ -183,158 +183,6 @@ fn visit_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// Mutable twin of [`for_each_expr`]: calls `f` on every expression node
-/// reachable from `stmt`, allowing in-place rewrites. The prepared-statement
-/// machinery uses this to substitute `?` placeholders with literals.
-pub fn for_each_expr_mut(stmt: &mut Statement, f: &mut impl FnMut(&mut Expr)) {
-    match stmt {
-        Statement::Select(q) => mut_query(q, f),
-        Statement::Insert(i) => {
-            match &mut i.source {
-                InsertSource::Values(rows) => {
-                    for row in rows {
-                        for e in row {
-                            mut_expr(e, f);
-                        }
-                    }
-                }
-                InsertSource::Select(q) => mut_query(q, f),
-            };
-        }
-        Statement::Update(u) => {
-            for (_, e) in &mut u.assignments {
-                mut_expr(e, f);
-            }
-            for tr in &mut u.from {
-                mut_table_ref(tr, f);
-            }
-            if let Some(e) = &mut u.join_on {
-                mut_expr(e, f);
-            }
-            if let Some(e) = &mut u.selection {
-                mut_expr(e, f);
-            }
-        }
-        Statement::Delete {
-            selection: Some(e), ..
-        } => {
-            mut_expr(e, f);
-        }
-        Statement::CreateTable(ct) => {
-            if let Some(q) = &mut ct.as_select {
-                mut_query(q, f);
-            }
-        }
-        Statement::CreateView(cv) => mut_query(&mut cv.query, f),
-        Statement::Explain { stmt, .. } => for_each_expr_mut(stmt, f),
-        _ => {}
-    }
-}
-
-fn mut_query(q: &mut SelectStmt, f: &mut impl FnMut(&mut Expr)) {
-    mut_set_expr(&mut q.body, f);
-    for o in &mut q.order_by {
-        mut_expr(&mut o.expr, f);
-    }
-}
-
-fn mut_set_expr(s: &mut SetExpr, f: &mut impl FnMut(&mut Expr)) {
-    match s {
-        SetExpr::Select(sel) => {
-            for p in &mut sel.projections {
-                if let SelectItem::Expr { expr, .. } = p {
-                    mut_expr(expr, f);
-                }
-            }
-            for tr in &mut sel.from {
-                mut_table_ref(tr, f);
-            }
-            if let Some(e) = &mut sel.selection {
-                mut_expr(e, f);
-            }
-            for e in &mut sel.group_by {
-                mut_expr(e, f);
-            }
-            if let Some(e) = &mut sel.having {
-                mut_expr(e, f);
-            }
-        }
-        SetExpr::Values(rows) => {
-            for row in rows {
-                for e in row {
-                    mut_expr(e, f);
-                }
-            }
-        }
-        SetExpr::SetOp { left, right, .. } => {
-            mut_set_expr(left, f);
-            mut_set_expr(right, f);
-        }
-    }
-}
-
-fn mut_table_ref(tr: &mut TableRef, f: &mut impl FnMut(&mut Expr)) {
-    mut_factor(&mut tr.base, f);
-    for j in &mut tr.joins {
-        mut_factor(&mut j.factor, f);
-        if let Some(on) = &mut j.on {
-            mut_expr(on, f);
-        }
-    }
-}
-
-fn mut_factor(factor: &mut TableFactor, f: &mut impl FnMut(&mut Expr)) {
-    if let TableFactor::Derived { subquery, .. } = factor {
-        mut_query(subquery, f);
-    }
-}
-
-fn mut_expr(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    f(e);
-    match e {
-        Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) => {}
-        Expr::Binary { left, right, .. } => {
-            mut_expr(left, f);
-            mut_expr(right, f);
-        }
-        Expr::Unary { expr, .. } => mut_expr(expr, f),
-        Expr::Function { args, .. } => {
-            for a in args {
-                if let FunctionArg::Expr(e) = a {
-                    mut_expr(e, f);
-                }
-            }
-        }
-        Expr::Case {
-            branches,
-            else_result,
-        } => {
-            for (c, r) in branches {
-                mut_expr(c, f);
-                mut_expr(r, f);
-            }
-            if let Some(e) = else_result {
-                mut_expr(e, f);
-            }
-        }
-        Expr::IsNull { expr, .. } => mut_expr(expr, f),
-        Expr::InList { expr, list, .. } => {
-            mut_expr(expr, f);
-            for e in list {
-                mut_expr(e, f);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            mut_expr(expr, f);
-            mut_expr(low, f);
-            mut_expr(high, f);
-        }
-        Expr::Cast { expr, .. } => mut_expr(expr, f),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

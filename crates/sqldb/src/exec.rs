@@ -2,7 +2,9 @@
 
 use crate::ast::*;
 use crate::batch::{Col, ColBuilder, ColData, ColumnBatch, CompiledExpr, EvalOut, NO_LANE};
-use crate::bind::{bind_scalar, bind_with_aggregates, AggSpec, BoundExpr, Scope, ScopeRelation};
+use crate::bind::{
+    bind_scalar, bind_with_aggregates, eval_constant, AggSpec, BoundExpr, Scope, ScopeRelation,
+};
 use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
 use crate::explain::{base_table, factor_label, factor_visible_name, inner_access_label};
@@ -66,6 +68,9 @@ impl QueryResult {
 struct Batches {
     columns: Vec<String>,
     batches: Vec<ColumnBatch>,
+    /// Trailing columns that only carry `ORDER BY` keys the `SELECT` list
+    /// lacks ([`hidden_sort_columns`]), dropped after the sort.
+    hidden: usize,
 }
 
 impl Batches {
@@ -75,6 +80,7 @@ impl Batches {
         Batches {
             batches: ColumnBatch::chunk_rows(result.rows, result.columns.len(), batch_rows),
             columns: result.columns,
+            hidden: 0,
         }
     }
 
@@ -130,6 +136,8 @@ pub struct Executor<'a> {
     row_oracle: bool,
     /// Overrides [`EngineProfile::batch_size`] when set (testing/tuning).
     batch_size: Option<usize>,
+    /// The values of the statement's `?` placeholders, in order.
+    params: &'a [Value],
 }
 
 impl<'a> Executor<'a> {
@@ -144,7 +152,14 @@ impl<'a> Executor<'a> {
             #[cfg(test)]
             row_oracle: false,
             batch_size: None,
+            params: &[],
         }
+    }
+
+    /// Binds the statement's `?` placeholders to `params`, in order.
+    pub fn with_params(mut self, params: &'a [Value]) -> Executor<'a> {
+        self.params = params;
+        self
     }
 
     /// Sets (or clears) the statement's wall-clock deadline; past it the
@@ -182,6 +197,23 @@ impl<'a> Executor<'a> {
         self.prof.map(|_| Instant::now())
     }
 
+    /// Records an operator over `children` inputs, timed from `t0`, into
+    /// the profiler when one is attached (only then is `label` built).
+    fn prof_wrap(
+        &self,
+        t0: Option<Instant>,
+        children: usize,
+        label: impl FnOnce() -> String,
+        rows: u64,
+        rows_in: u64,
+        batches: u64,
+    ) {
+        if let Some(p) = self.prof {
+            let us = t0.map_or(0, us_since);
+            p.wrap_batched(children, label(), rows, rows_in, us, batches);
+        }
+    }
+
     fn check_deadline(&self) -> DbResult<()> {
         check_deadline(self.deadline)
     }
@@ -194,6 +226,7 @@ impl<'a> Executor<'a> {
             batch_rows: self.batch_rows(),
             deadline: self.deadline,
             budget: self.catalog.memory_budget(),
+            params: self.params,
         }
     }
 
@@ -253,33 +286,28 @@ impl<'a> Executor<'a> {
     fn run_query_depth(&self, q: &SelectStmt, depth: usize) -> DbResult<QueryResult> {
         check_depth(depth)?;
         self.check_deadline()?;
-        let mut result = self.exec_set_expr(&q.body, depth)?.into_result();
+        let out = match &q.body {
+            SetExpr::Select(s) if !s.distinct => self.select_batches(s, depth, &q.order_by)?,
+            body => self.exec_set_expr(body, depth)?,
+        };
+        let visible = out.columns.len() - out.hidden;
+        let mut result = out.into_result();
         if !q.order_by.is_empty() {
             let t0 = self.prof_start();
             let rows_in = result.rows.len() as u64;
             self.apply_order_by(&mut result, &q.order_by)?;
-            if let Some(p) = self.prof {
-                p.wrap(
-                    1,
-                    format!("Sort ({} keys)", q.order_by.len()),
-                    result.rows.len() as u64,
-                    rows_in,
-                    t0.map(us_since).unwrap_or(0),
-                );
-            }
+            let label = || format!("Sort ({} keys)", q.order_by.len());
+            self.prof_wrap(t0, 1, label, result.rows.len() as u64, rows_in, 0);
+        }
+        if visible < result.columns.len() {
+            result.columns.truncate(visible);
+            result.rows.iter_mut().for_each(|r| r.truncate(visible));
         }
         if let Some(n) = q.limit {
             let rows_in = result.rows.len() as u64;
             result.rows.truncate(n as usize);
-            if let Some(p) = self.prof {
-                p.wrap(
-                    1,
-                    format!("Limit {n}"),
-                    result.rows.len() as u64,
-                    rows_in,
-                    0,
-                );
-            }
+            let rows = result.rows.len() as u64;
+            self.prof_wrap(None, 1, || format!("Limit {n}"), rows, rows_in, 0);
         }
         Ok(result)
     }
@@ -289,18 +317,14 @@ impl<'a> Executor<'a> {
             SetExpr::Select(s) => self.exec_select(s, depth),
             SetExpr::Values(rows) => {
                 let t0 = self.prof_start();
-                let scope = Scope::new();
                 let mut out = Vec::with_capacity(rows.len());
                 let mut arity = None;
                 for row_exprs in rows {
                     if *arity.get_or_insert(row_exprs.len()) != row_exprs.len() {
                         return Err(DbError::Invalid("VALUES rows differ in arity".into()));
                     }
-                    let mut row = Vec::with_capacity(row_exprs.len());
-                    for e in row_exprs {
-                        row.push(bind_scalar(e, &scope)?.eval(&Vec::new())?);
-                    }
-                    out.push(row);
+                    let row = row_exprs.iter().map(|e| eval_constant(e, self.params));
+                    out.push(row.collect::<DbResult<Row>>()?);
                 }
                 let n = arity.unwrap_or(0);
                 if let Some(p) = self.prof {
@@ -330,39 +354,23 @@ impl<'a> Executor<'a> {
                 if *op == SetOperator::Union {
                     out.batches = distinct(out.batches, out.columns.len());
                 }
-                if let Some(p) = self.prof {
-                    let label = match op {
-                        SetOperator::Union => "Union (deduplicating)".to_string(),
-                        SetOperator::UnionAll => "Union All".to_string(),
-                    };
-                    p.wrap(
-                        2,
-                        label,
-                        out.len() as u64,
-                        rows_in,
-                        t0.map(us_since).unwrap_or(0),
-                    );
-                }
+                let label = || match op {
+                    SetOperator::Union => "Union (deduplicating)".to_string(),
+                    SetOperator::UnionAll => "Union All".to_string(),
+                };
+                self.prof_wrap(t0, 2, label, out.len() as u64, rows_in, 0);
                 Ok(out)
             }
         }
     }
 
     fn exec_select(&self, s: &Select, depth: usize) -> DbResult<Batches> {
-        let mut out = self.select_batches(s, depth)?;
+        let mut out = self.select_batches(s, depth, &[])?;
         if s.distinct {
             let t0 = self.prof_start();
             let rows_in = out.len() as u64;
             out.batches = distinct(out.batches, out.columns.len());
-            if let Some(p) = self.prof {
-                p.wrap(
-                    1,
-                    "Distinct".to_string(),
-                    out.len() as u64,
-                    rows_in,
-                    t0.map(us_since).unwrap_or(0),
-                );
-            }
+            self.prof_wrap(t0, 1, || "Distinct".into(), out.len() as u64, rows_in, 0);
         }
         Ok(out)
     }
@@ -390,14 +398,18 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// A `SELECT` (without its `DISTINCT`) on the batch pipeline.
-    fn select_batches(&self, s: &Select, depth: usize) -> DbResult<Batches> {
+    /// A `SELECT` (without its `DISTINCT`) on the batch pipeline, with the
+    /// columns the sort keys `order_by` read that its list lacks as hidden
+    /// trailing columns.
+    fn select_batches(
+        &self,
+        s: &Select,
+        depth: usize,
+        order_by: &[OrderByExpr],
+    ) -> DbResult<Batches> {
         #[cfg(test)]
         if self.row_oracle {
-            return Ok(Batches::from_result(
-                self.select_rows(s, depth)?,
-                self.batch_rows(),
-            ));
+            return self.select_rows(s, depth, order_by);
         }
         let (rel, applied) = self.select_from(s, depth)?;
         let arity = rel.arity();
@@ -407,7 +419,8 @@ impl<'a> Executor<'a> {
             charge: _charge,
         } = rel;
         let filter = residual(s.selection.as_ref(), applied);
-        self.exec_pipeline_batched(s, filter.as_deref(), &scope, batches, arity)
+        let filter = filter.as_deref();
+        self.exec_pipeline_batched(s, order_by, filter, &scope, batches, arity)
     }
 
     /// Runs `filter` (what is left of the WHERE) → aggregation/projection
@@ -417,6 +430,7 @@ impl<'a> Executor<'a> {
     fn exec_pipeline_batched(
         &self,
         s: &Select,
+        order_by: &[OrderByExpr],
         filter: Option<&Expr>,
         scope: &Scope,
         mut batches: Vec<ColumnBatch>,
@@ -427,7 +441,7 @@ impl<'a> Executor<'a> {
 
         if let Some(pred) = filter {
             let t0 = self.prof_start();
-            let filter = CompiledExpr::new(&bind_scalar(pred, scope)?);
+            let filter = CompiledExpr::new(&bind_scalar(pred, scope, self.params)?);
             let nb_in = batches.len() as u64;
             let mut kept = Vec::with_capacity(batches.len());
             let mut rows_out: u64 = 0;
@@ -442,36 +456,19 @@ impl<'a> Executor<'a> {
                 }
             }
             batches = kept;
-            if let Some(p) = self.prof {
-                p.wrap_batched(
-                    1,
-                    "Filter".to_string(),
-                    rows_out,
-                    input_rows,
-                    t0.map(us_since).unwrap_or(0),
-                    nb_in,
-                );
-            }
+            self.prof_wrap(t0, 1, || "Filter".into(), rows_out, input_rows, nb_in);
         }
 
         let result = if is_grouped(s) {
             let t0 = self.prof_start();
             let rows_in: u64 = batches.iter().map(|b| b.len() as u64).sum();
             let nb = batches.len() as u64;
-            let out = self.exec_aggregate_batched(s, scope, &batches, arity)?;
-            if let Some(p) = self.prof {
-                p.wrap_batched(
-                    1,
-                    format!("HashAggregate (group by {} keys)", s.group_by.len()),
-                    out.len() as u64,
-                    rows_in,
-                    t0.map(us_since).unwrap_or(0),
-                    nb,
-                );
-            }
+            let out = self.exec_aggregate_batched(s, order_by, scope, &batches, arity)?;
+            let label = || format!("HashAggregate (group by {} keys)", s.group_by.len());
+            self.prof_wrap(t0, 1, label, out.len() as u64, rows_in, nb);
             out
         } else {
-            self.exec_project_batched(s, scope, batches)?
+            self.exec_project_batched(s, order_by, scope, batches)?
         };
 
         self.stats.note_exec_batches(input_batches, input_rows);
@@ -486,10 +483,11 @@ impl<'a> Executor<'a> {
     fn exec_project_batched(
         &self,
         s: &Select,
+        order_by: &[OrderByExpr],
         scope: &Scope,
         batches: Vec<ColumnBatch>,
     ) -> DbResult<Batches> {
-        let (columns, exprs) = bind_projections(s, scope)?;
+        let (columns, exprs, hidden) = bind_projections(s, order_by, scope, self.params)?;
         let column = |e: &BoundExpr| {
             if let BoundExpr::Column(i) = e {
                 Some(*i)
@@ -530,6 +528,7 @@ impl<'a> Executor<'a> {
         Ok(Batches {
             columns,
             batches: out,
+            hidden,
         })
     }
 
@@ -546,11 +545,12 @@ impl<'a> Executor<'a> {
     fn exec_aggregate_batched(
         &self,
         s: &Select,
+        order_by: &[OrderByExpr],
         scope: &Scope,
         batches: &[ColumnBatch],
         arity: usize,
     ) -> DbResult<Batches> {
-        let grouped = GroupedSelect::bind(s, scope)?;
+        let grouped = GroupedSelect::bind(s, order_by, scope, self.params)?;
         let (key_exprs, aggs) = (&grouped.key_exprs, &grouped.aggs);
         // the keys, then the aggregates' arguments
         let args = aggs.iter().filter_map(|a| a.arg.as_ref());
@@ -626,8 +626,8 @@ impl<'a> Executor<'a> {
                     // unqualified names resolve against output columns;
                     // qualified names are resolved by stripping the qualifier
                     match e {
-                        Expr::Column { name, .. } => bind_scalar(&Expr::col(name.clone()), &scope)?,
-                        other => bind_scalar(other, &scope)?,
+                        Expr::Column { name, .. } => BoundExpr::Column(scope.resolve(None, name)?),
+                        other => bind_scalar(other, &scope, self.params)?,
                     }
                 }
             };
@@ -692,16 +692,9 @@ impl<'a> Executor<'a> {
                         None,
                         &self.join_env(),
                     )?;
-                    if let Some(p) = self.prof {
-                        p.wrap_batched(
-                            2,
-                            "NestedLoop (cross join)".to_string(),
-                            joined.rel.len() as u64,
-                            rows_in,
-                            t0.map(us_since).unwrap_or(0),
-                            joined.batches,
-                        );
-                    }
+                    let rows = joined.rel.len() as u64;
+                    let label = || "NestedLoop (cross join)".into();
+                    self.prof_wrap(t0, 2, label, rows, rows_in, joined.batches);
                     joined.rel
                 }
             });
@@ -830,16 +823,8 @@ impl<'a> Executor<'a> {
                 if let Some(view) = self.catalog.view(name) {
                     let t0 = self.prof_start();
                     let out = self.query_batches(&view, depth + 1)?;
-                    if let Some(p) = self.prof {
-                        let rows = out.len() as u64;
-                        p.wrap(
-                            1,
-                            format!("View {}", factor_label(f)),
-                            rows,
-                            rows,
-                            t0.map(us_since).unwrap_or(0),
-                        );
-                    }
+                    let rows = out.len() as u64;
+                    self.prof_wrap(t0, 1, || format!("View {}", factor_label(f)), rows, rows, 0);
                     let rel = self.rel_from_batches(out, factor_visible_name(f).to_owned())?;
                     return Ok((rel, None));
                 }
@@ -849,7 +834,7 @@ impl<'a> Executor<'a> {
                 let scope = table_scope(&handle, visible);
                 let (access, applied, visited, batches, prefiltered) = {
                     let t = handle.read();
-                    let access = choose_access(&t, visible, prefilter);
+                    let access = choose_access(&t, visible, prefilter, self.params);
                     let applied = access.applied(prefilter);
                     // conjuncts that do not bind against this table alone
                     // are left to the statement's WHERE, which reports the
@@ -857,7 +842,7 @@ impl<'a> Executor<'a> {
                     let bound: Vec<BoundExpr> = prefilter
                         .iter()
                         .filter(|c| joined && !applied.is_some_and(|a| std::ptr::eq(a, **c)))
-                        .filter_map(|e| bind_scalar(e, &scope).ok())
+                        .filter_map(|e| bind_scalar(e, &scope, self.params).ok())
                         .collect();
                     let slots = access.slots(&t);
                     let visited = slots.len() as u64;
@@ -882,16 +867,8 @@ impl<'a> Executor<'a> {
             TableFactor::Derived { subquery, alias } => {
                 let t0 = self.prof_start();
                 let out = self.query_batches(subquery, depth + 1)?;
-                if let Some(p) = self.prof {
-                    let rows = out.len() as u64;
-                    p.wrap(
-                        1,
-                        format!("Subquery AS {alias}"),
-                        rows,
-                        rows,
-                        t0.map(us_since).unwrap_or(0),
-                    );
-                }
+                let rows = out.len() as u64;
+                self.prof_wrap(t0, 1, || format!("Subquery AS {alias}"), rows, rows, 0);
                 Ok((self.rel_from_batches(out, alias.clone())?, None))
             }
         }
@@ -925,7 +902,8 @@ impl<'a> Executor<'a> {
                         })),
                     ) => self.analyze(run, undo)?,
                     (_, inner) => {
-                        crate::explain::explain_statement(self.catalog, self.profile, inner)?
+                        let (catalog, profile) = (self.catalog, self.profile);
+                        crate::explain::explain_statement(catalog, profile, inner, self.params)?
                     }
                 };
                 Ok(StmtOutput::Rows(QueryResult {
@@ -940,6 +918,12 @@ impl<'a> Executor<'a> {
             Statement::CreateTable(ct) => self.exec_create_table(ct, undo),
             Statement::CreateIndex(ci) => self.exec_create_index(ci),
             Statement::CreateView(cv) => {
+                // a stored query outlives the values of one execution
+                if crate::plan_cache::count_params(stmt) > 0 {
+                    return Err(DbError::Unsupported(
+                        "a view cannot hold `?` parameters".into(),
+                    ));
+                }
                 self.catalog
                     .create_view(&cv.name, (*cv.query).clone(), cv.or_replace)?;
                 Ok(StmtOutput::Done)
@@ -1027,37 +1011,80 @@ impl<'a> Executor<'a> {
     fn exec_insert(&self, ins: &Insert, undo: &mut UndoLog) -> DbResult<StmtOutput> {
         let t0 = self.prof_start();
         let handle = self.catalog.table(&ins.table)?;
-        let batches = match &ins.source {
+        let (batches, columns, rows_in, bad_row) = match &ins.source {
             InsertSource::Values(rows) => {
-                let scope = Scope::new();
-                let mut out = Vec::with_capacity(rows.len());
-                for row_exprs in rows {
-                    let mut row = Vec::with_capacity(row_exprs.len());
-                    for e in row_exprs {
-                        row.push(bind_scalar(e, &scope)?.eval(&Vec::new())?);
-                    }
-                    out.push(row);
-                }
-                // one batch, unless the rows differ in arity: then one per row
-                let arity = out.first().map_or(0, Vec::len);
-                match out.iter().all(|row| row.len() == arity) {
-                    true => vec![ColumnBatch::from_rows(out, arity)],
-                    false => out
-                        .into_iter()
-                        .map(|r| ColumnBatch::from_rows(vec![r.clone()], r.len()))
-                        .collect(),
+                let table = handle.read();
+                let columns = ins.columns.as_deref();
+                let (batch, bad_row) = self.values_batch(rows, table.schema(), columns)?;
+                (vec![batch], None, rows.len() as u64, bad_row)
+            }
+            InsertSource::Select(q) => {
+                let batches = self.query_batches(q, 0)?.batches;
+                let rows_in = batches.iter().map(|b| b.len() as u64).sum();
+                (batches, ins.columns.as_deref(), rows_in, None)
+            }
+        };
+        let count = self.append_batches(&ins.table, &handle, batches, columns, undo)?;
+        if let Some(e) = bad_row {
+            return Err(e);
+        }
+        self.prof_wrap(t0, 1, || format!("Insert {}", ins.table), count, rows_in, 0);
+        Ok(StmtOutput::Affected(count))
+    }
+
+    /// The rows of an `INSERT … VALUES` list as one batch of a table of
+    /// `schema`: each cell, in row order, goes straight into the lane of the
+    /// column the list `columns` maps it to (the last cell wins for a column
+    /// named twice; a column not named is NULL), converted to the declared
+    /// type. A literal or a `?` is read as it stands, any other cell is
+    /// evaluated. A value the column's type cannot hold is kept as it is, so
+    /// storing the batch rejects it at its row. The batch ends before the
+    /// first row of the wrong arity, whose error comes back beside it.
+    ///
+    /// # Errors
+    /// The first cell in row order that fails to evaluate, then a column
+    /// list naming an unknown column.
+    fn values_batch(
+        &self,
+        rows: &[Vec<Expr>],
+        schema: &Schema,
+        columns: Option<&[String]>,
+    ) -> DbResult<(ColumnBatch, Option<DbError>)> {
+        let index = |c: &String| {
+            let found = schema.column_index(c);
+            found.ok_or_else(|| DbError::NotFound(format!("column {c}")))
+        };
+        let mapping: DbResult<Vec<usize>> = match columns {
+            Some(cols) => cols.iter().map(index).collect(),
+            None => Ok((0..schema.arity()).collect()),
+        };
+        let targets = mapping.as_deref().unwrap_or_default();
+        // the column each cell fills, if a later cell does not
+        let fills = |(i, t): (usize, &usize)| (!targets[i + 1..].contains(t)).then_some(*t);
+        let fills: Vec<Option<usize>> = targets.iter().enumerate().map(fills).collect();
+        let types: Vec<DataType> = schema.columns().iter().map(|c| c.data_type).collect();
+        let lane = |&ty: &DataType| ColBuilder::new(ty, rows.len());
+        let mut lanes: Vec<ColBuilder> = types.iter().map(lane).collect();
+        let mut bad_row = None;
+        for (r, row) in rows.iter().enumerate() {
+            if bad_row.is_none() && row.len() != targets.len() {
+                bad_row = Some((r, row.len()));
+            }
+            for (e, fills) in row.iter().zip(fills.iter().chain(std::iter::repeat(&None))) {
+                let v = eval_constant(e, self.params)?;
+                if let (None, Some(c)) = (bad_row, *fills) {
+                    lanes[c].push(types[c].convert(v).unwrap_or_else(|v| v));
                 }
             }
-            InsertSource::Select(q) => self.query_batches(q, 0)?.batches,
-        };
-        let rows_in = batches.iter().map(|b| b.len() as u64).sum();
-        let count =
-            self.append_batches(&ins.table, &handle, batches, ins.columns.as_deref(), undo)?;
-        if let Some(p) = self.prof {
-            let us = t0.map_or(0, us_since);
-            p.wrap(1, format!("Insert {}", ins.table), count, rows_in, us);
         }
-        Ok(StmtOutput::Affected(count))
+        let n = bad_row.map_or(rows.len(), |(r, _)| r);
+        for c in (0..types.len()).filter(|c| !targets.contains(c)) {
+            (0..n).for_each(|_| lanes[c].push(Value::Null));
+        }
+        let targets = mapping?;
+        let batch = ColumnBatch::from_cols(lanes.into_iter().map(ColBuilder::finish).collect(), n);
+        let error = |(_, len)| arity_error(len, schema, columns.map(|_| &targets[..]));
+        Ok((batch, bad_row.map(error)))
     }
 
     /// Appends the rows of `batches` to `table` (`handle`), mapped through
@@ -1115,9 +1142,11 @@ impl<'a> Executor<'a> {
         let visible = factor_visible_name(target);
         let conjuncts = ast_conjuncts(selection);
         let table = handle.read();
-        let access = choose_access(&table, visible, &conjuncts);
+        let access = choose_access(&table, visible, &conjuncts, self.params);
         let pred = residual(selection, access.applied(&conjuncts));
-        let pred = pred.map(|p| bind_scalar(&p, scope)).transpose()?;
+        let pred = pred
+            .map(|p| bind_scalar(&p, scope, self.params))
+            .transpose()?;
         let pred = pred.as_ref().map(CompiledExpr::new);
         let slots = access.slots(&table);
         let mut matches = Vec::new();
@@ -1200,7 +1229,8 @@ impl<'a> Executor<'a> {
                     return Err(DbError::Invalid(format!("column {col} is assigned twice")));
                 }
                 let data_type = schema.columns()[idx].data_type;
-                assignments.push((idx, data_type, CompiledExpr::new(&bind_scalar(e, &scope)?)));
+                let e = CompiledExpr::new(&bind_scalar(e, &scope, self.params)?);
+                assignments.push((idx, data_type, e));
             }
             assignments
         };
@@ -1241,15 +1271,8 @@ impl<'a> Executor<'a> {
         if let Some(e) = failed {
             return Err(e);
         }
-        if let Some(p) = self.prof {
-            p.wrap(
-                1,
-                format!("Update {}", factor_label(&target)),
-                count,
-                matched,
-                t0.map(us_since).unwrap_or(0),
-            );
-        }
+        let label = || format!("Update {}", factor_label(&target));
+        self.prof_wrap(t0, 1, label, count, matched, 0);
         Ok(StmtOutput::Affected(count))
     }
 
@@ -1295,15 +1318,7 @@ impl<'a> Executor<'a> {
                 old,
             });
         }
-        if let Some(p) = self.prof {
-            p.wrap(
-                1,
-                format!("Delete {table}"),
-                count,
-                count,
-                t0.map(us_since).unwrap_or(0),
-            );
-        }
+        self.prof_wrap(t0, 1, || format!("Delete {table}"), count, count, 0);
         Ok(StmtOutput::Affected(count))
     }
 
@@ -1315,8 +1330,14 @@ impl<'a> Executor<'a> {
 }
 
 /// The output columns of an ungrouped `SELECT` list and the expression
-/// behind each, wildcards expanded.
-fn bind_projections(s: &Select, scope: &Scope) -> DbResult<(Vec<String>, Vec<BoundExpr>)> {
+/// behind each, wildcards expanded, then the hidden columns `order_by`
+/// needs ([`hidden_sort_columns`]) and how many those are.
+fn bind_projections(
+    s: &Select,
+    order_by: &[OrderByExpr],
+    scope: &Scope,
+    params: &[Value],
+) -> DbResult<(Vec<String>, Vec<BoundExpr>, usize)> {
     let mut columns = Vec::new();
     let mut exprs: Vec<BoundExpr> = Vec::new();
     for (i, item) in s.projections.iter().enumerate() {
@@ -1325,14 +1346,40 @@ fn bind_projections(s: &Select, scope: &Scope) -> DbResult<(Vec<String>, Vec<Bou
             SelectItem::QualifiedWildcard(q) => scope.relation_offsets(q)?,
             SelectItem::Expr { expr, alias } => {
                 columns.push(projection_name(expr, alias.as_deref(), i));
-                exprs.push(bind_scalar(expr, scope)?);
+                exprs.push(bind_scalar(expr, scope, params)?);
                 continue;
             }
         };
         columns.extend_from_slice(&scope.flat_columns()[range.clone()]);
         exprs.extend(range.map(BoundExpr::Column));
     }
-    Ok((columns, exprs))
+    let hidden = hidden_sort_columns(order_by, &columns);
+    for (name, e) in &hidden {
+        columns.push(name.clone());
+        exprs.push(bind_scalar(e, scope, params)?);
+    }
+    Ok((columns, exprs, hidden.len()))
+}
+
+/// The columns the `order_by` keys read that no output column of a
+/// `SELECT` list (`columns`) is named like, each once, with the name the
+/// sort finds it by. The list carries them as hidden trailing columns.
+fn hidden_sort_columns(order_by: &[OrderByExpr], columns: &[String]) -> Vec<(String, Expr)> {
+    let mut hidden: Vec<(String, Expr)> = Vec::new();
+    for (table, name) in order_by.iter().flat_map(|o| o.expr.column_refs()) {
+        if columns.iter().any(|c| c == name) {
+            continue;
+        }
+        let table = table.map(str::to_owned);
+        let e = Expr::Column {
+            table,
+            name: name.to_owned(),
+        };
+        if !hidden.iter().any(|(_, h)| *h == e) {
+            hidden.push((name.to_owned(), e));
+        }
+    }
+    hidden
 }
 
 /// A grouped `SELECT` bound against its input: the group keys, the
@@ -1344,11 +1391,18 @@ struct GroupedSelect {
     columns: Vec<String>,
     proj_exprs: Vec<BoundExpr>,
     having: Option<BoundExpr>,
+    /// Trailing projections only the sort reads ([`hidden_sort_columns`]).
+    hidden: usize,
 }
 
 impl GroupedSelect {
-    fn bind(s: &Select, scope: &Scope) -> DbResult<GroupedSelect> {
-        let key_exprs = s.group_by.iter().map(|g| bind_scalar(g, scope));
+    fn bind(
+        s: &Select,
+        order_by: &[OrderByExpr],
+        scope: &Scope,
+        params: &[Value],
+    ) -> DbResult<GroupedSelect> {
+        let key_exprs = s.group_by.iter().map(|g| bind_scalar(g, scope, params));
         let key_exprs = key_exprs.collect::<DbResult<Vec<_>>>()?;
         let mut aggs: Vec<AggSpec> = Vec::new();
         let mut columns = Vec::new();
@@ -1360,16 +1414,22 @@ impl GroupedSelect {
                 ));
             };
             columns.push(projection_name(expr, alias.as_deref(), i));
-            proj_exprs.push(bind_with_aggregates(expr, scope, &mut aggs)?);
+            proj_exprs.push(bind_with_aggregates(expr, scope, params, &mut aggs)?);
+        }
+        let hidden = hidden_sort_columns(order_by, &columns);
+        for (name, e) in &hidden {
+            columns.push(name.clone());
+            proj_exprs.push(bind_with_aggregates(e, scope, params, &mut aggs)?);
         }
         let having = s.having.as_ref();
-        let having = having.map(|h| bind_with_aggregates(h, scope, &mut aggs));
+        let having = having.map(|h| bind_with_aggregates(h, scope, params, &mut aggs));
         Ok(GroupedSelect {
             key_exprs,
             aggs,
             columns,
             proj_exprs,
             having: having.transpose()?,
+            hidden: hidden.len(),
         })
     }
 }
@@ -1432,6 +1492,7 @@ impl GroupedSelect {
         Ok(Batches {
             columns: self.columns,
             batches: vec![out],
+            hidden: self.hidden,
         })
     }
 }
@@ -1924,11 +1985,7 @@ fn target_row(row: Row, schema: &Schema, mapping: Option<&[usize]>) -> DbResult<
     let full_row = match mapping {
         Some(m) => {
             if row.len() != m.len() {
-                return Err(DbError::Invalid(format!(
-                    "INSERT provides {} values for {} columns",
-                    row.len(),
-                    m.len()
-                )));
+                return Err(arity_error(row.len(), schema, mapping));
             }
             let mut full = vec![Value::Null; schema.arity()];
             for (v, &target) in row.into_iter().zip(m) {
@@ -1939,6 +1996,18 @@ fn target_row(row: Row, schema: &Schema, mapping: Option<&[usize]>) -> DbResult<
         None => row,
     };
     schema.coerce_row(full_row)
+}
+
+/// The error for an `INSERT` source row of `n` values, which a table of
+/// `schema`, through the column list `mapping`, cannot take.
+fn arity_error(n: usize, schema: &Schema, mapping: Option<&[usize]>) -> DbError {
+    DbError::Invalid(match mapping {
+        Some(m) => format!("INSERT provides {n} values for {} columns", m.len()),
+        None => format!(
+            "row arity {n} does not match schema arity {}",
+            schema.arity()
+        ),
+    })
 }
 
 /// The rows of `b` as rows of a table of `schema` ([`target_row`]), mapped
@@ -1964,7 +2033,7 @@ fn target_batch(
         let col = source(c).map_or_else(|| Col::nulls(b.len()), Col::clone);
         col.coerce(schema.columns()[c].data_type)
     });
-    if let (true, Ok(cols)) = (fits, coerced.collect::<DbResult<Vec<Col>>>()) {
+    if let Some(Ok(cols)) = fits.then(|| coerced.collect::<DbResult<Vec<Col>>>()) {
         return (ColumnBatch::from_cols(cols, b.len()), None);
     }
     let mut rows = Vec::with_capacity(b.len());
@@ -2089,6 +2158,35 @@ mod tests {
         let r = ctx.query("SELECT id, v FROM t WHERE v > 1.5 ORDER BY v DESC LIMIT 1");
         assert_eq!(r.rows, vec![vec![Value::Int(3), Value::Float(3.5)]]);
         assert_eq!(r.columns, vec!["id", "v"]);
+    }
+
+    #[test]
+    fn order_by_a_column_outside_the_select_list() {
+        let ctx = seeded(EngineProfile::Postgres);
+        let r = ctx.query("SELECT tag FROM t ORDER BY v DESC");
+        assert_eq!(r.columns, vec!["tag"]);
+        let tags: Vec<Value> = ["a", "b", "a"].map(|t| Value::Text(t.into())).into();
+        assert_eq!(
+            r.rows,
+            tags.into_iter().map(|v| vec![v]).collect::<Vec<_>>()
+        );
+        // qualified, inside an expression, next to a listed key, with LIMIT
+        let r = ctx.query("SELECT t.v FROM t ORDER BY t.tag DESC, 0 - id LIMIT 2");
+        assert_eq!(r.columns, vec!["v"]);
+        assert_eq!(
+            r.rows,
+            vec![vec![Value::Float(2.5)], vec![Value::Float(3.5)]]
+        );
+        // a grouped list carries its group key
+        let r = ctx.query("SELECT COUNT(*) FROM t GROUP BY tag ORDER BY tag DESC");
+        assert_eq!(r.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+        // DISTINCT would dedupe on the hidden key: still an error, as in
+        // PostgreSQL; so is a key no relation has
+        let q = parse_query("SELECT DISTINCT tag FROM t ORDER BY v").unwrap();
+        let exec = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats);
+        assert!(matches!(exec.run_query(&q), Err(DbError::NotFound(_))));
+        let q = parse_query("SELECT tag FROM t ORDER BY nope").unwrap();
+        assert!(matches!(exec.run_query(&q), Err(DbError::NotFound(_))));
     }
 
     #[test]
@@ -2323,6 +2421,41 @@ mod tests {
         ctx.exec("INSERT INTO t (id) VALUES (9)").unwrap();
         let r = ctx.query("SELECT v, tag FROM t WHERE id = 9");
         assert_eq!(r.rows, vec![vec![Value::Null, Value::Null]]);
+        // a column named twice takes the later value; an INT into FLOAT
+        // converts as the lane is built
+        ctx.exec("INSERT INTO t (tag, id, v, tag) VALUES ('x', 10, 2, 'y')")
+            .unwrap();
+        let r = ctx.query("SELECT v, tag FROM t WHERE id = 10");
+        assert_eq!(
+            r.rows,
+            vec![vec![Value::Float(2.0), Value::Text("y".into())]]
+        );
+    }
+
+    #[test]
+    fn insert_rows_of_the_wrong_arity_are_errors_not_panics() {
+        let ctx = seeded(EngineProfile::Postgres);
+        for (sql, err) in [
+            (
+                "INSERT INTO t SELECT 4, 1.0",
+                "row arity 2 does not match schema arity 3",
+            ),
+            (
+                "INSERT INTO t (id, v) SELECT 4, 1.0, 'x'",
+                "INSERT provides 3 values for 2 columns",
+            ),
+            (
+                "INSERT INTO t VALUES (4, 1.0)",
+                "row arity 2 does not match schema arity 3",
+            ),
+            (
+                "INSERT INTO t (id, v) VALUES (4, 1.0), (5)",
+                "INSERT provides 1 values for 2 columns",
+            ),
+        ] {
+            let got = ctx.exec(sql).unwrap_err().to_string();
+            assert_eq!(got, format!("invalid statement: {err}"), "{sql}");
+        }
     }
 
     #[test]

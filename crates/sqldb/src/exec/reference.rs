@@ -19,13 +19,18 @@ impl<'a> Executor<'a> {
     /// A `SELECT` (without its `DISTINCT`) on the reference evaluator: rows
     /// are rebuilt from the `FROM` clause's batches, and WHERE / aggregation
     /// / projection run a row at a time.
-    pub(super) fn select_rows(&self, s: &Select, depth: usize) -> DbResult<QueryResult> {
+    pub(super) fn select_rows(
+        &self,
+        s: &Select,
+        depth: usize,
+        order_by: &[OrderByExpr],
+    ) -> DbResult<Batches> {
         let (rel, _) = self.select_from(s, depth)?;
         let mut rows = rel.rows();
         if let Some(pred) = &s.selection {
             let t0 = self.prof_start();
             let rows_in = rows.len() as u64;
-            let bound = bind_scalar(pred, &rel.scope)?;
+            let bound = bind_scalar(pred, &rel.scope, self.params)?;
             let mut kept = Vec::with_capacity(rows.len());
             for (i, row) in rows.into_iter().enumerate() {
                 if i & 0xFFF == 0 {
@@ -47,15 +52,15 @@ impl<'a> Executor<'a> {
             }
         }
         if !is_grouped(s) {
-            return self.exec_project(s, &rel.scope, &rows);
+            return self.exec_project(s, order_by, &rel.scope, &rows);
         }
         let t0 = self.prof_start();
-        let out = self.exec_aggregate(s, &rel.scope, &rows)?;
+        let out = self.exec_aggregate(s, order_by, &rel.scope, &rows)?;
         if let Some(p) = self.prof {
             p.wrap(
                 1,
                 format!("HashAggregate (group by {} keys)", s.group_by.len()),
-                out.rows.len() as u64,
+                out.len() as u64,
                 rows.len() as u64,
                 t0.map(us_since).unwrap_or(0),
             );
@@ -63,8 +68,14 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    fn exec_project(&self, s: &Select, scope: &Scope, input: &[Row]) -> DbResult<QueryResult> {
-        let (columns, exprs) = bind_projections(s, scope)?;
+    fn exec_project(
+        &self,
+        s: &Select,
+        order_by: &[OrderByExpr],
+        scope: &Scope,
+        input: &[Row],
+    ) -> DbResult<Batches> {
+        let (columns, exprs, hidden) = bind_projections(s, order_by, scope, self.params)?;
         let mut rows = Vec::with_capacity(input.len());
         for (i, row) in input.iter().enumerate() {
             if i & 0xFFF == 0 {
@@ -76,11 +87,19 @@ impl<'a> Executor<'a> {
             }
             rows.push(out);
         }
-        Ok(QueryResult { columns, rows })
+        let mut out = Batches::from_result(QueryResult { columns, rows }, self.batch_rows());
+        out.hidden = hidden;
+        Ok(out)
     }
 
-    fn exec_aggregate(&self, s: &Select, scope: &Scope, input: &[Row]) -> DbResult<QueryResult> {
-        let grouped = GroupedSelect::bind(s, scope)?;
+    fn exec_aggregate(
+        &self,
+        s: &Select,
+        order_by: &[OrderByExpr],
+        scope: &Scope,
+        input: &[Row],
+    ) -> DbResult<Batches> {
+        let grouped = GroupedSelect::bind(s, order_by, scope, self.params)?;
         let (key_exprs, aggs) = (&grouped.key_exprs, &grouped.aggs);
 
         // group rows; the key lives only in the index map (each group keeps a
@@ -127,8 +146,7 @@ impl<'a> Executor<'a> {
         }
         let mut cols = ColumnBatch::from_rows(reps, scope.arity()).into_cols();
         cols.extend(results.into_iter().map(Col::from_values));
-        let out = grouped.finish_batch(ColumnBatch::from_cols(cols, n))?;
-        Ok(out.into_result())
+        grouped.finish_batch(ColumnBatch::from_cols(cols, n))
     }
 }
 

@@ -16,13 +16,22 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{ast_conjuncts, pushdown_conjuncts, residual, update_predicate, update_target};
 use crate::join::{choose_access, choose_join, index_shape, AccessPath, IndexShape, JoinAlgo};
 use crate::profile::EngineProfile;
+use crate::value::Value;
 use std::borrow::Cow;
+
+/// What a plan is chosen from: the catalog, the profile's join strategy
+/// and the statement's `?` parameters (a seek key may be one).
+struct Planner<'a> {
+    catalog: &'a Catalog,
+    profile: EngineProfile,
+    params: &'a [Value],
+}
 
 /// Row-count guess for a relation whose size only execution reveals.
 const UNKNOWN_ROWS: usize = 1000;
 
 /// Renders a plan for a `SELECT`, `UPDATE`, `DELETE` or `INSERT … SELECT`
-/// statement as indented text lines.
+/// statement, whose `?` placeholders `params` fill, as indented text lines.
 ///
 /// # Errors
 /// Returns [`DbError::NotFound`] for unknown relations and
@@ -31,27 +40,33 @@ pub fn explain_statement(
     catalog: &Catalog,
     profile: EngineProfile,
     stmt: &Statement,
+    params: &[Value],
 ) -> DbResult<Vec<String>> {
+    let p = &Planner {
+        catalog,
+        profile,
+        params,
+    };
     let mut out = Vec::new();
     match stmt {
-        Statement::Select(q) => explain_stmt(catalog, profile, q, 0, &mut out)?,
-        Statement::Update(upd) => explain_update(catalog, profile, upd, &mut out)?,
+        Statement::Select(q) => explain_stmt(p, q, 0, &mut out)?,
+        Statement::Update(upd) => explain_update(p, upd, &mut out)?,
         Statement::Delete { table, selection } => {
             push(&mut out, 0, format!("Delete {table}"));
             let target = TableFactor::Table {
                 name: table.clone(),
                 alias: None,
             };
-            explain_dml_access(catalog, &target, selection.as_ref(), &mut out)?;
+            explain_dml_access(p, &target, selection.as_ref(), &mut out)?;
         }
         Statement::Insert(Insert {
             table,
             source: InsertSource::Select(q),
             ..
         }) => {
-            catalog.table(table)?;
+            p.catalog.table(table)?;
             push(&mut out, 0, format!("Insert {table}"));
-            explain_stmt(catalog, profile, q, 1, &mut out)?;
+            explain_stmt(p, q, 1, &mut out)?;
         }
         _ => {
             return Err(DbError::Unsupported(
@@ -64,16 +79,11 @@ pub fn explain_statement(
 
 /// `UPDATE`: the target's access path, or — with extra relations — the join
 /// they drive into the target (see `Executor::exec_update`).
-fn explain_update(
-    catalog: &Catalog,
-    profile: EngineProfile,
-    upd: &Update,
-    out: &mut Vec<String>,
-) -> DbResult<()> {
+fn explain_update(p: &Planner<'_>, upd: &Update, out: &mut Vec<String>) -> DbResult<()> {
     let target = update_target(upd);
     push(out, 0, format!("Update {}", factor_label(&target)));
     if upd.from.is_empty() {
-        return explain_dml_access(catalog, &target, upd.selection.as_ref(), out);
+        return explain_dml_access(p, &target, upd.selection.as_ref(), out);
     }
     let join = Join {
         join_type: JoinType::Inner,
@@ -86,10 +96,10 @@ fn explain_update(
         if i > 0 {
             push(&mut lines, 2, "NestedLoop (cross join)".to_string());
         }
-        let rows = explain_table_ref(catalog, profile, tr, &[], false, 2, &mut lines)?;
+        let rows = explain_table_ref(p, tr, &[], false, 2, &mut lines)?;
         outer = outer.saturating_mul(rows);
     }
-    let algo = planned_join(catalog, profile, &join, outer)?;
+    let algo = planned_join(p, &join, outer)?;
     push(out, 1, algo.describe(join.join_type));
     out.append(&mut lines);
     push(out, 2, inner_access_label(&algo, &join.factor));
@@ -98,24 +108,29 @@ fn explain_update(
 
 /// The access path of a single-table `UPDATE` / `DELETE` on `target`.
 fn explain_dml_access(
-    catalog: &Catalog,
+    p: &Planner<'_>,
     target: &TableFactor,
     selection: Option<&Expr>,
     out: &mut Vec<String>,
 ) -> DbResult<()> {
-    let access = planned_access(catalog, target, &ast_conjuncts(selection))?;
+    let access = planned_access(p, target, &ast_conjuncts(selection))?;
     push(out, 1, access.describe(&factor_label(target), false));
     Ok(())
 }
 
 /// The access path the executor picks for base table `f` under `conjuncts`.
-fn planned_access(catalog: &Catalog, f: &TableFactor, conjuncts: &[&Expr]) -> DbResult<AccessPath> {
+fn planned_access(p: &Planner<'_>, f: &TableFactor, conjuncts: &[&Expr]) -> DbResult<AccessPath> {
     let TableFactor::Table { name, .. } = f else {
         return Ok(AccessPath::Scan);
     };
-    let handle = catalog.table(name)?;
+    let handle = p.catalog.table(name)?;
     let table = handle.read();
-    Ok(choose_access(&table, factor_visible_name(f), conjuncts))
+    Ok(choose_access(
+        &table,
+        factor_visible_name(f),
+        conjuncts,
+        p.params,
+    ))
 }
 
 fn push(out: &mut Vec<String>, depth: usize, text: String) {
@@ -123,8 +138,7 @@ fn push(out: &mut Vec<String>, depth: usize, text: String) {
 }
 
 fn explain_stmt(
-    catalog: &Catalog,
-    profile: EngineProfile,
+    p: &Planner<'_>,
     q: &SelectStmt,
     depth: usize,
     out: &mut Vec<String>,
@@ -135,12 +149,11 @@ fn explain_stmt(
     if let Some(n) = q.limit {
         push(out, depth, format!("Limit {n}"));
     }
-    explain_set_expr(catalog, profile, &q.body, depth, out)
+    explain_set_expr(p, &q.body, depth, out)
 }
 
 fn explain_set_expr(
-    catalog: &Catalog,
-    profile: EngineProfile,
+    p: &Planner<'_>,
     body: &SetExpr,
     depth: usize,
     out: &mut Vec<String>,
@@ -159,16 +172,15 @@ fn explain_set_expr(
                     SetOperator::UnionAll => "Union All".to_string(),
                 },
             );
-            explain_set_expr(catalog, profile, left, depth + 1, out)?;
-            explain_set_expr(catalog, profile, right, depth + 1, out)
+            explain_set_expr(p, left, depth + 1, out)?;
+            explain_set_expr(p, right, depth + 1, out)
         }
-        SetExpr::Select(s) => explain_select(catalog, profile, s, depth, out),
+        SetExpr::Select(s) => explain_select(p, s, depth, out),
     }
 }
 
 fn explain_select(
-    catalog: &Catalog,
-    profile: EngineProfile,
+    p: &Planner<'_>,
     s: &Select,
     depth: usize,
     out: &mut Vec<String>,
@@ -190,7 +202,7 @@ fn explain_select(
         );
         depth += 1;
     }
-    if s.selection.is_some() && !seek_covers_where(catalog, s) {
+    if s.selection.is_some() && !seek_covers_where(p, s) {
         push(out, depth, "Filter".to_string());
         depth += 1;
     }
@@ -203,7 +215,7 @@ fn explain_select(
         }
         let conjuncts = pushdown_conjuncts(s, tr);
         let prefiltered = joined && !conjuncts.is_empty();
-        explain_table_ref(catalog, profile, tr, &conjuncts, prefiltered, depth, out)?;
+        explain_table_ref(p, tr, &conjuncts, prefiltered, depth, out)?;
     }
     if s.from.is_empty() {
         push(out, depth, "Result (no tables)".to_string());
@@ -213,23 +225,23 @@ fn explain_select(
 
 /// Whether a single-table `SELECT`'s index seek applies its whole `WHERE`,
 /// leaving the executor no Filter to run.
-fn seek_covers_where(catalog: &Catalog, s: &Select) -> bool {
+fn seek_covers_where(p: &Planner<'_>, s: &Select) -> bool {
     let [tr] = s.from.as_slice() else {
         return false;
     };
-    let view = matches!(&tr.base, TableFactor::Table { name, .. } if catalog.view(name).is_some());
+    let view =
+        matches!(&tr.base, TableFactor::Table { name, .. } if p.catalog.view(name).is_some());
     if !tr.joins.is_empty() || view {
         return false;
     }
     let conjuncts = pushdown_conjuncts(s, tr);
-    planned_access(catalog, &tr.base, &conjuncts)
+    planned_access(p, &tr.base, &conjuncts)
         .is_ok_and(|a| residual(s.selection.as_ref(), a.applied(&conjuncts)).is_none())
 }
 
 /// Prints one `FROM` item; returns the estimated size of its output.
 fn explain_table_ref(
-    catalog: &Catalog,
-    profile: EngineProfile,
+    p: &Planner<'_>,
     tr: &TableRef,
     conjuncts: &[&Expr],
     prefiltered: bool,
@@ -238,33 +250,25 @@ fn explain_table_ref(
 ) -> DbResult<usize> {
     // joins apply left-to-right, each seeing the estimated size of
     // everything joined before it
-    let mut outer = estimate_rows(catalog, &tr.base)?;
+    let mut outer = estimate_rows(p.catalog, &tr.base)?;
     let mut algos = Vec::with_capacity(tr.joins.len());
     for j in &tr.joins {
-        algos.push(planned_join(catalog, profile, j, outer)?);
-        outer = outer.max(estimate_rows(catalog, &j.factor)?);
+        algos.push(planned_join(p, j, outer)?);
+        outer = outer.max(estimate_rows(p.catalog, &j.factor)?);
     }
     // print outermost join first
     for (j, algo) in tr.joins.iter().zip(&algos).rev() {
         push(out, depth, algo.describe(j.join_type));
     }
     let base_depth = depth + tr.joins.len();
-    explain_factor(
-        catalog,
-        profile,
-        &tr.base,
-        conjuncts,
-        prefiltered,
-        base_depth,
-        out,
-    )?;
+    explain_factor(p, &tr.base, conjuncts, prefiltered, base_depth, out)?;
     // each join's right side prints under its join line
     for (i, (j, algo)) in tr.joins.iter().zip(&algos).enumerate() {
         let depth = depth + tr.joins.len() - i;
-        if base_table(catalog, &j.factor)?.is_some() {
+        if base_table(p.catalog, &j.factor)?.is_some() {
             push(out, depth, inner_access_label(algo, &j.factor));
         } else {
-            explain_factor(catalog, profile, &j.factor, &[], false, depth, out)?;
+            explain_factor(p, &j.factor, &[], false, depth, out)?;
         }
     }
     Ok(outer)
@@ -272,18 +276,13 @@ fn explain_table_ref(
 
 /// The algorithm [`crate::join::join_rels`] picks for `j` when its outer
 /// side has `outer_rows` rows.
-fn planned_join(
-    catalog: &Catalog,
-    profile: EngineProfile,
-    j: &Join,
-    outer_rows: usize,
-) -> DbResult<JoinAlgo> {
+fn planned_join(p: &Planner<'_>, j: &Join, outer_rows: usize) -> DbResult<JoinAlgo> {
     let equi = j.on.as_ref().map(has_equi_conjunct).unwrap_or(false);
     if j.join_type == JoinType::Cross || !equi {
         return Ok(JoinAlgo::NestedLoop);
     }
-    let index = inner_side_index(catalog, j)?;
-    Ok(choose_join(profile.join_strategy(), outer_rows, index))
+    let index = inner_side_index(p.catalog, j)?;
+    Ok(choose_join(p.profile.join_strategy(), outer_rows, index))
 }
 
 /// Live rows of a base table; [`UNKNOWN_ROWS`] for views and subqueries.
@@ -377,8 +376,7 @@ pub(crate) fn inner_access_label(algo: &JoinAlgo, f: &TableFactor) -> String {
 }
 
 fn explain_factor(
-    catalog: &Catalog,
-    profile: EngineProfile,
+    p: &Planner<'_>,
     f: &TableFactor,
     conjuncts: &[&Expr],
     prefiltered: bool,
@@ -387,19 +385,19 @@ fn explain_factor(
 ) -> DbResult<()> {
     match f {
         TableFactor::Table { name, .. } => {
-            if let Some(view) = catalog.view(name) {
+            if let Some(view) = p.catalog.view(name) {
                 push(out, depth, format!("View {}", factor_label(f)));
-                explain_stmt(catalog, profile, &view, depth + 1, out)
+                explain_stmt(p, &view, depth + 1, out)
             } else {
                 // also the existence check: EXPLAIN reports missing tables
-                let access = planned_access(catalog, f, conjuncts)?;
+                let access = planned_access(p, f, conjuncts)?;
                 push(out, depth, access.describe(&factor_label(f), prefiltered));
                 Ok(())
             }
         }
         TableFactor::Derived { subquery, alias } => {
             push(out, depth, format!("Subquery AS {alias}"));
-            explain_stmt(catalog, profile, subquery, depth + 1, out)
+            explain_stmt(p, subquery, depth + 1, out)
         }
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::ast::{BinaryOp, Expr, JoinType};
 use crate::batch::{Col, ColData, ColumnBatch, CompiledExpr, NO_LANE};
-use crate::bind::{bind_scalar, BoundExpr, Scope, ScopeRelation};
+use crate::bind::{bind_scalar, eval_constant, BoundExpr, Scope, ScopeRelation};
 use crate::budget::{MemoryBudget, Reservation};
 use crate::catalog::TableHandle;
 use crate::error::{DbError, DbResult};
@@ -285,7 +285,12 @@ fn seekable(ty: DataType, key: &Value) -> bool {
 /// column-to-column), no index, a constant that fails to evaluate, or a key
 /// the index cannot answer exactly (`= NULL`, or a constant of another type
 /// family than the column's).
-pub fn choose_access(table: &Table, visible: &str, conjuncts: &[&Expr]) -> AccessPath {
+pub fn choose_access(
+    table: &Table,
+    visible: &str,
+    conjuncts: &[&Expr],
+    params: &[Value],
+) -> AccessPath {
     let schema = table.schema();
     let mut best: Option<(usize, AccessPath)> = None;
     for (at, conjunct) in conjuncts.iter().enumerate() {
@@ -318,11 +323,9 @@ pub fn choose_access(table: &Table, visible: &str, conjuncts: &[&Expr]) -> Acces
             };
             let key = match constant {
                 None => Value::Null,
-                // a constant binds against the empty scope and evaluates once
+                // a constant (a `?` too) evaluates once
                 Some(constant) => {
-                    let Ok(key) =
-                        bind_scalar(constant, &Scope::new()).and_then(|c| c.eval(&Vec::new()))
-                    else {
+                    let Ok(key) = eval_constant(constant, params) else {
                         continue;
                     };
                     if !seekable(schema.columns()[column].data_type, &key) {
@@ -689,6 +692,8 @@ pub struct JoinEnv<'a> {
     pub deadline: Option<Instant>,
     /// Charged for every emitted batch.
     pub budget: &'a Arc<MemoryBudget>,
+    /// The statement's `?` parameters.
+    pub params: &'a [Value],
 }
 
 /// Where the inner columns of an output row come from.
@@ -908,7 +913,7 @@ pub fn join_rels(
 
     let (key, residual) = match on {
         Some(e) => {
-            let bound = bind_scalar(e, &scope)?;
+            let bound = bind_scalar(e, &scope, env.params)?;
             extract_equi_key(split_conjuncts(bound), left_arity, left_arity + right_arity)
         }
         None => (None, Vec::new()),
@@ -1150,6 +1155,7 @@ mod tests {
             batch_rows: 2,
             deadline: None,
             budget: Box::leak(Box::new(Arc::new(MemoryBudget::new()))),
+            params: &[],
         }
     }
 
@@ -1579,7 +1585,7 @@ mod tests {
             s
         };
         let e = parse_expression("t.a = 1 AND t.b = 2 AND t.c > 3").unwrap();
-        let bound = bind_scalar(&e, &scope).unwrap();
+        let bound = bind_scalar(&e, &scope, &[]).unwrap();
         assert_eq!(split_conjuncts(bound).len(), 3);
     }
 }

@@ -36,17 +36,21 @@
 //!
 //! ## Parameters
 //!
-//! `?` placeholders parse to [`Expr::Param`] nodes. Execution substitutes
-//! literal values into a clone of the cached AST
-//! ([`substitute_params`]), so per-round literals (iteration numbers,
-//! thresholds, priority bounds) don't defeat the cache.
+//! `?` placeholders parse to [`Expr::Param`] nodes, numbered in lexical
+//! order; a plan declares [`count_params`] of them, and an execution must
+//! supply exactly that many values. The cached statement runs as it
+//! stands: the executor carries the execution's values, the binder reads
+//! `?i` as its value wherever a constant may stand (`WHERE id = ?` still
+//! seeks an index), and an `INSERT … VALUES` list moves each `?` straight
+//! into its column's lane. Per-round values (iteration numbers,
+//! thresholds, priority bounds, the rows of a bulk load) share one plan
+//! without a copy of it per execution.
 
 use crate::ast::{Expr, Statement};
-use crate::dialect_check::{for_each_expr, for_each_expr_mut};
+use crate::dialect_check::for_each_expr;
 use crate::digest::normalize_sql;
-use crate::error::{DbError, DbResult};
+use crate::error::DbResult;
 use crate::txn::LockMode;
-use crate::value::Value;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -353,36 +357,6 @@ pub fn count_params(stmt: &Statement) -> usize {
     max.map_or(0, |m| m + 1)
 }
 
-/// Clones `stmt`, which declares `declared` placeholders (its
-/// [`count_params`], as a [`CachedPlan`] carries it), with every `?`
-/// replaced by the matching literal from `params`.
-///
-/// # Errors
-/// Returns [`DbError::Invalid`] when `params` doesn't supply exactly the
-/// placeholders the statement declares.
-pub fn substitute_params(
-    stmt: &Statement,
-    declared: usize,
-    params: &[Value],
-) -> DbResult<Statement> {
-    if declared != params.len() {
-        return Err(DbError::Invalid(format!(
-            "statement declares {declared} parameter(s) but {} value(s) were supplied",
-            params.len()
-        )));
-    }
-    let mut out = stmt.clone();
-    for_each_expr_mut(&mut out, &mut |e| {
-        if let Expr::Param(i) = e {
-            // bounds guaranteed by the arity check above
-            if let Some(v) = params.get(*i) {
-                *e = Expr::Literal(v.clone());
-            }
-        }
-    });
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,19 +475,12 @@ mod tests {
     }
 
     #[test]
-    fn param_counting_and_substitution() {
+    fn param_counting() {
         let stmt = parse_statement("SELECT a FROM t WHERE a > ? AND b < ?").unwrap();
         assert_eq!(count_params(&stmt), 2);
-        let out = substitute_params(&stmt, 2, &[Value::Int(1), Value::Int(9)]).unwrap();
-        assert_eq!(count_params(&out), 0);
-        // arity mismatches are typed errors
-        assert!(matches!(
-            substitute_params(&stmt, 2, &[Value::Int(1)]),
-            Err(DbError::Invalid(_))
-        ));
-        assert!(matches!(
-            substitute_params(&stmt, 2, &[Value::Int(1), Value::Int(2), Value::Int(3)]),
-            Err(DbError::Invalid(_))
-        ));
+        assert_eq!(
+            count_params(&parse_statement("SELECT a FROM t").unwrap()),
+            0
+        );
     }
 }

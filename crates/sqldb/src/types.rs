@@ -24,22 +24,27 @@ impl DataType {
     /// # Errors
     /// Returns [`DbError::Invalid`] when the value cannot be coerced.
     pub fn coerce(&self, value: Value) -> DbResult<Value> {
-        match (self, &value) {
+        self.convert(value).map_err(|v| {
+            DbError::Invalid(format!(
+                "cannot store {} value in {self} column",
+                v.type_name()
+            ))
+        })
+    }
+
+    /// `value` as a value of this type ([`DataType::coerce`]), or `value`
+    /// back unchanged when it has none.
+    pub fn convert(&self, value: Value) -> Result<Value, Value> {
+        match (self, value) {
             (_, Value::Null) => Ok(Value::Null),
-            (DataType::Int, Value::Int(_)) => Ok(value),
-            (DataType::Float, Value::Float(_)) => Ok(value),
-            (DataType::Float, Value::Int(i)) => Ok(Value::Float(*i as f64)),
+            (DataType::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
             // PostgreSQL truncates float->int on explicit insert; we accept
             // exact integral floats only, to surface workload bugs early.
             (DataType::Int, Value::Float(f)) if f.fract() == 0.0 && f.is_finite() => {
-                Ok(Value::Int(*f as i64))
+                Ok(Value::Int(f as i64))
             }
-            (DataType::Text, Value::Text(_)) => Ok(value),
-            (DataType::Bool, Value::Bool(_)) => Ok(value),
-            (t, v) => Err(DbError::Invalid(format!(
-                "cannot store {} value in {t} column",
-                v.type_name()
-            ))),
+            (t, v) if v.data_type() == Some(*t) => Ok(v),
+            (_, v) => Err(v),
         }
     }
 
