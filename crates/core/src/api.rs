@@ -156,9 +156,10 @@ pub struct ExecutionReport {
     /// Full trace data behind [`ExecutionReport::trace`] — spans and events
     /// for timeline rendering or JSON export.
     pub trace_data: Option<TraceData>,
-    /// Delta of the process-wide metrics registry over this run (pool,
-    /// retry, chaos, wire and engine-statement metrics). Empty when nothing
-    /// instrumented fired.
+    /// Delta over this run of the process-wide metrics registry (pool,
+    /// retry, chaos, wire) plus, when the driver sees the engine, the
+    /// engine's own ([`SQLoop::metrics`]). Empty when nothing instrumented
+    /// fired.
     pub metrics: RegistrySnapshot,
     /// Per-run delta of the engine's execution statistics, when the driver
     /// can see the engine directly (`local://` drivers; `None` over TCP).
@@ -290,6 +291,15 @@ impl SQLoop {
         &self.driver
     }
 
+    /// The process-wide metrics registry plus the engine's own
+    /// ([`Driver::engine_metrics`]), when the driver sees the engine: other
+    /// databases in the process never show here.
+    pub fn metrics(&self) -> RegistrySnapshot {
+        let mut snap = obs::global().snapshot();
+        snap.extend(self.driver.engine_metrics().unwrap_or_default());
+        snap
+    }
+
     /// Executes one SQLoop statement and returns its rows.
     ///
     /// # Errors
@@ -307,11 +317,11 @@ impl SQLoop {
     /// See [`SQLoop::execute`].
     pub fn execute_detailed(&self, sql: &str) -> SqloopResult<ExecutionReport> {
         let started = Instant::now();
-        let metrics_before = obs::global().snapshot();
+        let metrics_before = self.metrics();
         let engine_before = self.driver.engine_stats();
         let digests_before = self.driver.digest_stats();
         let mut report = self.execute_inner(sql, started)?;
-        report.metrics = obs::global().snapshot().delta_since(&metrics_before);
+        report.metrics = self.metrics().delta_since(&metrics_before);
         report.engine_stats = match (self.driver.engine_stats(), engine_before) {
             (Some(now), Some(before)) => Some(now.delta_since(&before)),
             _ => None,

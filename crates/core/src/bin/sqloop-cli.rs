@@ -301,7 +301,7 @@ fn main() {
 
     let mut shell = Shell {
         engine_base: sqloop.driver().engine_stats(),
-        stats_base: obs::global().snapshot(),
+        stats_base: sqloop.metrics(),
         sqloop,
         timing: true,
     };
@@ -734,7 +734,7 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
             _ => usage("\\limits [mem|rounds|window|numeric|timeout|stall <value>|off]"),
         },
         "\\stats" => {
-            let now = obs::global().snapshot();
+            let now = sqloop.metrics();
             let delta = now.delta_since(&shell.stats_base);
             if delta.is_empty() {
                 println!("no metric activity since last \\stats");

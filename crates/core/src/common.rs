@@ -57,16 +57,10 @@ impl CteNames {
         format!("{}__mjoin", self.table)
     }
 
-    /// Message table created by partition `p`'s `seq`-th Compute task.
-    pub fn message(&self, p: usize, seq: u64) -> String {
-        format!("{}__msg_{}_{}", self.table, p, seq)
-    }
-
-    /// Reusable message slot `k` owned by partition `p`. Unlike
-    /// [`CteNames::message`], slot names do not embed a per-round sequence
-    /// number: the scheduler truncates and refills a bounded pool of slots,
-    /// so every statement text is generation-stable and the engine's plan
-    /// cache keeps hitting round after round.
+    /// Reusable message slot `k` owned by partition `p`. Slot names embed
+    /// no per-round sequence number: the scheduler truncates and refills a
+    /// bounded pool of slots, so every statement text is generation-stable
+    /// and the engine's plan cache keeps hitting round after round.
     pub fn message_slot(&self, p: usize, k: usize) -> String {
         format!("{}__msgslot_{}_{}", self.table, p, k)
     }
@@ -728,7 +722,6 @@ mod tests {
         assert_eq!(n.working(3), "pr__w1");
         assert_eq!(n.delta_snapshot(), "prdelta");
         assert_eq!(n.partition(7), "pr__pt7");
-        assert_eq!(n.message(3, 9), "pr__msg_3_9");
     }
 
     #[test]

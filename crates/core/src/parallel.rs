@@ -708,8 +708,9 @@ fn run_inner(
 
     // convergence sampler
     let sampler = match (&config.sample_interval, &config.progress_query) {
-        (Some(iv), Some(q)) => Some(Sampler::start(
+        (Some(iv), Some(q)) => Some(Sampler::start_metered(
             driver.connect()?,
+            Some(driver.clone()),
             q.replace("{}", &cte.name),
             *iv,
         )),

@@ -1,7 +1,7 @@
 //! Convergence progress sampling (paper §VI-A: "to report the results, we
 //! sampled the entire dataset using a separate thread every 5 seconds").
 
-use dbcp::Connection;
+use dbcp::{Connection, Driver};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,8 +15,9 @@ pub struct ProgressSample {
     pub elapsed: Duration,
     /// The scalar the progress query returned (e.g. sum of rank).
     pub value: f64,
-    /// Bytes the engine's memory budget had charged when the sample was
-    /// taken (`None` when the engine is remote and exposes no accounting).
+    /// Bytes the run's engine had charged to its memory budget when the
+    /// sample was taken ([`Driver::memory_used`]; `None` when the driver
+    /// exposes no accounting, e.g. a remote engine).
     pub mem_bytes: Option<u64>,
 }
 
@@ -88,8 +89,19 @@ impl Sampler {
     /// `interval` on `conn`. The first sample is taken before this returns,
     /// so a run shorter than the thread's start-up still has one. Failed
     /// samples (e.g. lock-timeout while writers are busy) are skipped, like
-    /// a real monitoring thread would.
-    pub fn start(mut conn: Box<dyn Connection>, query: String, interval: Duration) -> Sampler {
+    /// a real monitoring thread would. Samples carry no memory reading.
+    pub fn start(conn: Box<dyn Connection>, query: String, interval: Duration) -> Sampler {
+        Sampler::start_metered(conn, None, query, interval)
+    }
+
+    /// [`Sampler::start`], each sample also reading the memory `engine`'s
+    /// database has charged ([`Driver::memory_used`]).
+    pub fn start_metered(
+        mut conn: Box<dyn Connection>,
+        engine: Option<Arc<dyn Driver>>,
+        query: String,
+        interval: Duration,
+    ) -> Sampler {
         let stop = Arc::new(AtomicBool::new(false));
         let samples = Arc::new(Mutex::new(Vec::new()));
         let stop2 = stop.clone();
@@ -97,23 +109,17 @@ impl Sampler {
         let start = Instant::now();
         let reg = obs::global();
         let failed = reg.counter("sqloop.sampler.failed_samples");
-        let engine_mem = reg.gauge("sqldb.mem.bytes");
         let run_peak = reg.gauge("sqloop.mem.peak_bytes");
-        // per-run high-water mark: the engine's own peak gauge is
-        // process-lifetime, this one resets with each sampler
+        // per-run high-water mark: the engine's own peak is
+        // database-lifetime, this one resets with each sampler
         run_peak.set(0);
-        let mut peak: i64 = 0;
+        let mut peak = 0;
         let mut sample = move || {
-            let mem = match engine_mem.get() {
-                0 => None,
-                n => Some(n.max(0) as u64),
-            };
-            if let Some(n) = mem {
-                let n = n.min(i64::MAX as u64) as i64;
-                if n > peak {
-                    peak = n;
-                    run_peak.set(n);
-                }
+            let mem = engine.as_ref().and_then(|e| e.memory_used());
+            let mem = mem.filter(|&n| n > 0);
+            if let Some(n) = mem.filter(|&n| n > peak) {
+                peak = n;
+                run_peak.set(i64::try_from(n).unwrap_or(i64::MAX));
             }
             match conn.query(&query) {
                 Ok(result) => {

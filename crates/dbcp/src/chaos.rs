@@ -420,6 +420,14 @@ impl Driver for ChaosDriver {
         self.inner.engine_stats()
     }
 
+    fn engine_metrics(&self) -> Option<obs::RegistrySnapshot> {
+        self.inner.engine_metrics()
+    }
+
+    fn memory_used(&self) -> Option<u64> {
+        self.inner.memory_used()
+    }
+
     fn plan_cache_stats(&self) -> Option<sqldb::PlanCacheStats> {
         self.inner.plan_cache_stats()
     }

@@ -288,7 +288,7 @@ pub trait Connection: Send {
     }
 
     /// Clears the engine's digest table and slow log (counters and
-    /// histograms in the process registry are unaffected).
+    /// histograms in the registries are unaffected).
     ///
     /// # Errors
     /// As [`Connection::metrics`].
@@ -325,6 +325,14 @@ pub trait Driver: Send + Sync {
     /// see the engine directly (in-process drivers). Remote drivers return
     /// `None`. Callers diff two snapshots for per-run numbers.
     fn engine_stats(&self) -> Option<sqldb::StatsSnapshot> {
+        None
+    }
+
+    /// A snapshot of the engine's own metrics registry
+    /// ([`Database::metrics`]), when the driver can see the engine
+    /// directly. Remote drivers return `None`; their engine's numbers live
+    /// with the server process.
+    fn engine_metrics(&self) -> Option<obs::RegistrySnapshot> {
         None
     }
 
@@ -405,6 +413,10 @@ impl Driver for LocalDriver {
 
     fn engine_stats(&self) -> Option<sqldb::StatsSnapshot> {
         Some(self.db.stats())
+    }
+
+    fn engine_metrics(&self) -> Option<obs::RegistrySnapshot> {
+        Some(self.db.metrics())
     }
 
     fn set_memory_limit(&self, limit: Option<u64>) -> bool {

@@ -4,9 +4,9 @@
 //! (crate::LocalConnection) so both transports answer a metrics command
 //! identically: read commands come back as ordinary result sets, setters
 //! as `Done`. The Prometheus dump stitches the process-wide
-//! [`obs::MetricsRegistry`] together with the engine's statement-digest
-//! table and slow-log state, giving one scrape endpoint for the whole
-//! stack.
+//! [`obs::MetricsRegistry`] together with the engine's own registry, its
+//! statement-digest table and slow-log state, giving one scrape endpoint
+//! for the whole stack.
 
 use crate::wire::MetricsCmd;
 use sqldb::{Database, DigestEntry, QueryResult, SlowStatement, StmtOutput, Value};
@@ -117,13 +117,16 @@ fn slow_rows(entries: Vec<SlowStatement>) -> StmtOutput {
 }
 
 /// Renders the full Prometheus text scrape for `db`: every series of the
-/// process-wide [`obs::MetricsRegistry`], then the top
+/// process-wide [`obs::MetricsRegistry`] and of `db`'s own
+/// ([`Database::metrics`]), then the top
 /// [`PROMETHEUS_DIGEST_TOP_K`] statement digests as labelled counter
 /// series, then slow-log gauges. The output passes
 /// [`obs::validate_prometheus_text`] — metric names are legal, digests are
 /// label-escaped, and no series repeats.
 pub fn prometheus_dump(db: &Database) -> String {
-    let mut out = obs::prometheus_text(&obs::global().snapshot());
+    let mut registry = obs::global().snapshot();
+    registry.extend(db.metrics());
+    let mut out = obs::prometheus_text(&registry);
     let all = db.digest_stats();
     let families = all.len();
     let top: Vec<DigestEntry> = all.into_iter().take(PROMETHEUS_DIGEST_TOP_K).collect();

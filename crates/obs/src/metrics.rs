@@ -338,6 +338,14 @@ impl RegistrySnapshot {
         }
     }
 
+    /// Adds `other`'s series, e.g. one engine's registry beside the
+    /// process's; a name in both keeps `other`'s value.
+    pub fn extend(&mut self, other: RegistrySnapshot) {
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.histograms.extend(other.histograms);
+    }
+
     /// True when every counter and histogram is zero and there are no gauges.
     pub fn is_empty(&self) -> bool {
         self.counters.values().all(|v| *v == 0)
@@ -346,8 +354,9 @@ impl RegistrySnapshot {
     }
 }
 
-/// The process-wide registry that library layers (dbcp, sqldb, the sampler)
-/// record into. Per-run deltas come from [`RegistrySnapshot::delta_since`].
+/// The process-wide registry that the middleware layers (dbcp, the
+/// scheduler, the sampler) record into; each engine keeps its own. Per-run
+/// deltas come from [`RegistrySnapshot::delta_since`].
 ///
 /// # Examples
 /// ```

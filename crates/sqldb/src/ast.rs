@@ -221,17 +221,6 @@ pub struct SelectStmt {
     pub limit: Option<u64>,
 }
 
-impl SelectStmt {
-    /// Wraps a select core into a bare statement with no ordering or limit.
-    pub fn from_select(select: Select) -> SelectStmt {
-        SelectStmt {
-            body: SetExpr::Select(Box::new(select)),
-            order_by: Vec::new(),
-            limit: None,
-        }
-    }
-}
-
 /// One `ORDER BY` key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderByExpr {

@@ -28,11 +28,11 @@
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::bind::{BoundExpr, Builtin};
 use crate::error::{DbError, DbResult};
+use crate::stats::Stats;
 use crate::types::{DataType, Schema};
 use crate::value::{canonical_nan, Row, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
 
 /// The lane index that selects nothing: [`Col::gather`] yields NULL for it
 /// (a join pads the inner side of an unmatched `LEFT JOIN` row this way).
@@ -737,90 +737,54 @@ fn infallible(e: &BoundExpr) -> bool {
     }
 }
 
-/// Process-wide kernel-dispatch counters (exported via the obs registry),
-/// looked up once: every statement compiles its expressions.
-fn count_vector_node() {
-    static VECTOR: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    VECTOR
-        .get_or_init(|| obs::global().counter("sqloop.exec.kernel.vector"))
-        .inc();
-}
-
-fn count_fallback_node() {
-    static FALLBACK: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    FALLBACK
-        .get_or_init(|| obs::global().counter("sqloop.exec.kernel.fallback"))
-        .inc();
-}
-
 impl Kernel {
     /// Compiles a bound expression into a kernel tree. Subtrees the
     /// vectorizer cannot evaluate with identical semantics compile to
-    /// [`Kernel::Fallback`] (row-wise interpretation inside the batch).
-    pub fn compile(expr: &BoundExpr) -> Kernel {
-        match expr {
-            BoundExpr::Literal(v) => {
-                count_vector_node();
-                Kernel::Literal(v.clone())
-            }
-            BoundExpr::Column(i) => {
-                count_vector_node();
-                Kernel::Column(*i)
-            }
-            BoundExpr::Binary { left, op, right } => {
-                // eager vectorized AND/OR would evaluate right sides the
-                // row path short-circuits past — only safe when the right
-                // side cannot error
-                if matches!(op, BinaryOp::And | BinaryOp::Or) && !infallible(right) {
-                    count_fallback_node();
-                    return Kernel::Fallback(expr.clone());
-                }
-                count_vector_node();
-                Kernel::Binary {
-                    op: *op,
-                    left: Box::new(Kernel::compile(left)),
-                    right: Box::new(Kernel::compile(right)),
-                }
-            }
-            BoundExpr::Unary { op, expr: inner } => {
-                count_vector_node();
-                Kernel::Unary {
-                    op: *op,
-                    inner: Box::new(Kernel::compile(inner)),
-                }
-            }
+    /// [`Kernel::Fallback`] (row-wise interpretation inside the batch),
+    /// each node counted into `stats`.
+    fn compile(expr: &BoundExpr, stats: &Stats) -> Kernel {
+        let kernel = match expr {
+            BoundExpr::Literal(v) => Kernel::Literal(v.clone()),
+            BoundExpr::Column(i) => Kernel::Column(*i),
+            // eager vectorized AND/OR would evaluate right sides the row
+            // path short-circuits past — only safe when the right side
+            // cannot error
+            BoundExpr::Binary {
+                op: BinaryOp::And | BinaryOp::Or,
+                right,
+                ..
+            } if !infallible(right) => Kernel::Fallback(expr.clone()),
+            BoundExpr::Binary { left, op, right } => Kernel::Binary {
+                op: *op,
+                left: Box::new(Kernel::compile(left, stats)),
+                right: Box::new(Kernel::compile(right, stats)),
+            },
+            BoundExpr::Unary { op, expr: inner } => Kernel::Unary {
+                op: *op,
+                inner: Box::new(Kernel::compile(inner, stats)),
+            },
             BoundExpr::IsNull {
                 expr: inner,
                 negated,
-            } => {
-                count_vector_node();
-                Kernel::IsNull {
-                    inner: Box::new(Kernel::compile(inner)),
-                    negated: *negated,
-                }
-            }
+            } => Kernel::IsNull {
+                inner: Box::new(Kernel::compile(inner, stats)),
+                negated: *negated,
+            },
             BoundExpr::Func {
                 builtin: Builtin::Coalesce,
                 args,
-            } => {
-                count_vector_node();
-                Kernel::Coalesce(args.iter().map(Kernel::compile).collect())
-            }
+            } => Kernel::Coalesce(args.iter().map(|a| Kernel::compile(a, stats)).collect()),
             BoundExpr::Func {
                 builtin: Builtin::Least | Builtin::Greatest,
                 args,
-            } => {
-                count_vector_node();
-                Kernel::Extreme {
-                    args: args.iter().map(Kernel::compile).collect(),
-                    rows: Box::new(Kernel::Fallback(expr.clone())),
-                }
-            }
-            other => {
-                count_fallback_node();
-                Kernel::Fallback(other.clone())
-            }
-        }
+            } => Kernel::Extreme {
+                args: args.iter().map(|a| Kernel::compile(a, stats)).collect(),
+                rows: Box::new(Kernel::Fallback(expr.clone())),
+            },
+            other => Kernel::Fallback(other.clone()),
+        };
+        stats.note_kernel(matches!(kernel, Kernel::Fallback(_)));
+        kernel
     }
 
     /// Evaluates the kernel over one batch.
@@ -1345,12 +1309,19 @@ pub struct CompiledExpr {
 }
 
 impl CompiledExpr {
-    /// Compiles `expr` (done once per statement execution).
-    pub fn new(expr: &BoundExpr) -> CompiledExpr {
+    /// Compiles `expr` (done once per statement execution), counting the
+    /// kernel's nodes into `stats`.
+    pub fn compile(expr: &BoundExpr, stats: &Stats) -> CompiledExpr {
         CompiledExpr {
-            kernel: Kernel::compile(expr),
+            kernel: Kernel::compile(expr, stats),
             expr: expr.clone(),
         }
+    }
+
+    /// [`CompiledExpr::compile`] into counters nobody reads.
+    #[cfg(test)]
+    pub fn new(expr: &BoundExpr) -> CompiledExpr {
+        CompiledExpr::compile(expr, &Stats::new())
     }
 
     /// The original bound expression.

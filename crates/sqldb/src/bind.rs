@@ -26,12 +26,25 @@ pub struct ScopeRelation {
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
     relations: Vec<ScopeRelation>,
+    /// Whether a qualified reference `t.c` resolves as a bare `c`.
+    any_qualifier: bool,
 }
 
 impl Scope {
     /// An empty scope (constant expressions only).
     pub fn new() -> Scope {
         Scope::default()
+    }
+
+    /// The output columns of a query, as its `ORDER BY` keys read them: a
+    /// qualified reference `t.c` finds the output column `c`, whatever `t`
+    /// names.
+    pub fn output(columns: Vec<String>) -> Scope {
+        let qualifier = String::new();
+        Scope {
+            relations: vec![ScopeRelation { qualifier, columns }],
+            any_qualifier: true,
+        }
     }
 
     /// Appends a relation; returns the offset of its first column.
@@ -68,7 +81,7 @@ impl Scope {
         let mut found: Option<usize> = None;
         let mut base = 0usize;
         for rel in &self.relations {
-            if table.map(|t| t == rel.qualifier).unwrap_or(true) {
+            if self.any_qualifier || table.is_none_or(|t| t == rel.qualifier) {
                 if let Some(i) = rel.columns.iter().position(|c| c == name) {
                     if found.is_some() {
                         return Err(DbError::Invalid(format!(

@@ -35,28 +35,12 @@ pub fn value_bytes(v: &Value) -> u64 {
 ///
 /// `limit == 0` means unlimited (charges always succeed but are still
 /// tracked, so peak usage is observable even without enforcement).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MemoryBudget {
     used: AtomicU64,
     peak: AtomicU64,
     limit: AtomicU64,
-    used_gauge: Arc<obs::Gauge>,
-    peak_gauge: Arc<obs::Gauge>,
-    exceeded: Arc<obs::Counter>,
-}
-
-impl Default for MemoryBudget {
-    fn default() -> MemoryBudget {
-        let reg = obs::global();
-        MemoryBudget {
-            used: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-            limit: AtomicU64::new(0),
-            used_gauge: reg.gauge("sqldb.mem.bytes"),
-            peak_gauge: reg.gauge("sqldb.mem.peak_bytes"),
-            exceeded: reg.counter("sqldb.mem.budget_exceeded"),
-        }
-    }
+    exceeded: AtomicU64,
 }
 
 impl MemoryBudget {
@@ -88,6 +72,11 @@ impl MemoryBudget {
         self.peak.load(Ordering::Relaxed)
     }
 
+    /// Charges refused because they would have crossed the limit.
+    pub fn exceeded(&self) -> u64 {
+        self.exceeded.load(Ordering::Relaxed)
+    }
+
     /// Charges `bytes` against the budget.
     ///
     /// # Errors
@@ -99,7 +88,7 @@ impl MemoryBudget {
         let now = prev + bytes;
         if limit != 0 && now > limit {
             self.used.fetch_sub(bytes, Ordering::Relaxed);
-            self.exceeded.inc();
+            self.exceeded.fetch_add(1, Ordering::Relaxed);
             return Err(DbError::BudgetExceeded(format!(
                 "memory limit {limit} bytes: {prev} in use, {bytes} more requested"
             )));
@@ -122,8 +111,6 @@ impl MemoryBudget {
         if prev < bytes {
             self.used.store(0, Ordering::Relaxed);
         }
-        self.used_gauge
-            .set(self.used.load(Ordering::Relaxed).min(i64::MAX as u64) as i64);
     }
 
     /// A guard that refunds, when dropped, whatever [`Reservation::grow`]
@@ -137,19 +124,9 @@ impl MemoryBudget {
     }
 
     fn note_usage(&self, now: u64) {
-        self.used_gauge.set(now.min(i64::MAX as u64) as i64);
-        let mut peak = self.peak.load(Ordering::Relaxed);
-        while now > peak {
-            match self
-                .peak
-                .compare_exchange_weak(peak, now, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    self.peak_gauge.set(now.min(i64::MAX as u64) as i64);
-                    break;
-                }
-                Err(p) => peak = p,
-            }
+        // a store only when the mark moves
+        if now > self.peak.load(Ordering::Relaxed) {
+            self.peak.fetch_max(now, Ordering::Relaxed);
         }
     }
 }

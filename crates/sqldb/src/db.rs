@@ -49,35 +49,6 @@ struct Shared {
     batch_size: AtomicU64,
     /// Armed panic-injection probe: `(table-name substring, shots left)`.
     panic_probe: Mutex<Option<(String, u64)>>,
-    metrics: StmtMetrics,
-}
-
-/// The process-registry handles the statement path reports into, resolved
-/// once per database.
-#[derive(Debug)]
-struct StmtMetrics {
-    registry: &'static obs::MetricsRegistry,
-    /// `sqldb.stmt.<kind>`, indexed by [`Statement::kind_index`].
-    by_kind: Vec<Arc<obs::Histogram>>,
-    plan: Arc<obs::Histogram>,
-    prepare: Arc<obs::Histogram>,
-    execute_prepared: Arc<obs::Histogram>,
-}
-
-impl StmtMetrics {
-    fn new() -> StmtMetrics {
-        let registry = obs::global();
-        let kinds = Statement::KIND_LABELS.iter();
-        StmtMetrics {
-            registry,
-            by_kind: kinds
-                .map(|k| registry.histogram(&format!("sqldb.stmt.{k}")))
-                .collect(),
-            plan: registry.histogram("sqldb.plan"),
-            prepare: registry.histogram("sqldb.prepare"),
-            execute_prepared: registry.histogram("sqldb.execute_prepared"),
-        }
-    }
 }
 
 /// A shared, thread-safe database instance.
@@ -121,7 +92,6 @@ impl Database {
                 row_oracle: AtomicBool::new(false),
                 batch_size: AtomicU64::new(0),
                 panic_probe: Mutex::new(None),
-                metrics: StmtMetrics::new(),
             }),
         }
     }
@@ -190,6 +160,31 @@ impl Database {
         self.shared.plan_cache.stats()
     }
 
+    /// Everything this database counts, as one registry snapshot: its
+    /// statement histograms, `sqloop.exec.*` and `sqldb.op.*`, plus
+    /// `sqldb.plan_cache.*` and `sqldb.mem.*` read from the plan cache and
+    /// the memory budget.
+    pub fn metrics(&self) -> obs::RegistrySnapshot {
+        let mut snap = self.shared.stats.metrics.registry.snapshot();
+        let cache = self.shared.plan_cache.stats();
+        let budget = self.shared.catalog.memory_budget();
+        let counters = [
+            ("plan_cache.hit", cache.hits),
+            ("plan_cache.miss", cache.misses),
+            ("plan_cache.eviction", cache.evictions),
+            ("plan_cache.invalidation", cache.invalidations),
+            ("mem.budget_exceeded", budget.exceeded()),
+        ];
+        for (name, v) in counters {
+            snap.counters.insert(format!("sqldb.{name}"), v);
+        }
+        let gauge = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
+        let gauges = &mut snap.gauges;
+        gauges.insert("sqldb.mem.bytes".into(), gauge(budget.used()));
+        gauges.insert("sqldb.mem.peak_bytes".into(), gauge(budget.peak()));
+        snap
+    }
+
     /// Caps how many parsed plans the database keeps (LRU beyond the cap).
     pub fn set_plan_cache_capacity(&self, capacity: usize) {
         self.shared.plan_cache.set_capacity(capacity);
@@ -213,8 +208,8 @@ impl Database {
 
     /// Turns per-operator runtime profiling on or off (off by default).
     /// While on, every statement execution flushes per-operator
-    /// rows-out / calls / elapsed aggregates into the process metrics
-    /// registry under `sqldb.op.<kind>.*`.
+    /// rows-out / calls / elapsed aggregates into the database's metrics
+    /// ([`Database::metrics`]) under `sqldb.op.<kind>.*`.
     pub fn set_profiling(&self, on: bool) {
         self.shared.profiling.store(on, Ordering::Relaxed);
     }
@@ -427,7 +422,7 @@ impl Session {
         } else {
             (cache.uncached(stmt, admission), None)
         };
-        self.shared.metrics.plan.observe(started.elapsed());
+        self.shared.stats.metrics.plan.observe(started.elapsed());
         Ok((plan, outcome))
     }
 
@@ -449,7 +444,7 @@ impl Session {
     pub fn prepare(&mut self, sql: &str) -> DbResult<StmtHandle> {
         let started = std::time::Instant::now();
         let (plan, _) = self.plan_for(sql)?;
-        self.shared.metrics.prepare.observe(started.elapsed());
+        self.shared.stats.metrics.prepare.observe(started.elapsed());
         Ok(StmtHandle {
             sql: Arc::from(sql),
             digest: Arc::from(plan.digest(sql)),
@@ -494,10 +489,8 @@ impl Session {
         };
         let started = std::time::Instant::now();
         let result = self.execute_admitted(&plan.stmt, &plan.admission, params);
-        self.shared
-            .metrics
-            .execute_prepared
-            .observe(started.elapsed());
+        let elapsed = started.elapsed();
+        self.shared.stats.metrics.execute_prepared.observe(elapsed);
         self.observe_statement(&handle.digest, &handle.sql, started, &result, plan_hit);
         result
     }
@@ -521,7 +514,7 @@ impl Session {
     ) -> DbResult<StmtOutput> {
         let started = std::time::Instant::now();
         let result = self.execute_statement_inner(stmt, admission, params);
-        self.shared.metrics.by_kind[stmt.kind_index()].observe(started.elapsed());
+        self.shared.stats.metrics.by_kind[stmt.kind_index()].observe(started.elapsed());
         result
     }
 
@@ -613,7 +606,7 @@ impl Session {
         }
         let result = executor.run_statement(stmt, &mut self.undo);
         if let Some(p) = profiler.as_ref() {
-            flush_op_profile(self.shared.metrics.registry, p);
+            flush_op_profile(&self.shared.stats.metrics.registry, p);
         }
         match result {
             Ok(output) => {
@@ -781,11 +774,11 @@ impl Drop for Session {
     }
 }
 
-/// Flushes a statement's operator-profile tree into the process metrics
-/// registry: per operator kind (first word of the label, lowercased),
-/// `sqldb.op.<kind>.rows_out`, `.calls` and `.time_us` counters. Times
-/// are inclusive of children, so kinds are comparable to each other only
-/// as an attribution hint, not a strict decomposition.
+/// Flushes a statement's operator-profile tree into the database's
+/// metrics registry: per operator kind (first word of the label,
+/// lowercased), `sqldb.op.<kind>.rows_out`, `.calls` and `.time_us`
+/// counters. Times are inclusive of children, so kinds are comparable to
+/// each other only as an attribution hint, not a strict decomposition.
 fn flush_op_profile(registry: &obs::MetricsRegistry, prof: &OpProfiler) {
     for root in prof.take() {
         let mut nodes = Vec::new();
@@ -1191,7 +1184,7 @@ mod tests {
     #[test]
     fn profiling_flushes_operator_counters() {
         let db = db();
-        let registry = obs::global();
+        let registry = &db.shared.stats.metrics.registry;
         let before = registry.counter("sqldb.op.seqscan.rows_out").get();
         let mut s = db.connect();
         s.query("SELECT * FROM t").unwrap();

@@ -426,7 +426,7 @@ impl<'a> Executor<'a> {
     /// Runs `filter` (what is left of the WHERE) → aggregation/projection
     /// over column batches. The deadline is checked once per batch, and
     /// each operator records batch actuals into the profiler and the
-    /// process-wide `sqloop.exec.*` metrics.
+    /// database's `sqloop.exec.*` metrics.
     fn exec_pipeline_batched(
         &self,
         s: &Select,
@@ -441,7 +441,7 @@ impl<'a> Executor<'a> {
 
         if let Some(pred) = filter {
             let t0 = self.prof_start();
-            let filter = CompiledExpr::new(&bind_scalar(pred, scope, self.params)?);
+            let filter = self.compile(&bind_scalar(pred, scope, self.params)?);
             let nb_in = batches.len() as u64;
             let mut kept = Vec::with_capacity(batches.len());
             let mut rows_out: u64 = 0;
@@ -498,7 +498,7 @@ impl<'a> Executor<'a> {
         let plain: Option<Vec<usize>> = exprs.iter().map(column).collect();
         let compiled: Vec<CompiledExpr> = match plain {
             Some(_) => Vec::new(),
-            None => exprs.iter().map(CompiledExpr::new).collect(),
+            None => exprs.iter().map(|e| self.compile(e)).collect(),
         };
         let mut out = Vec::with_capacity(batches.len());
         for b in batches {
@@ -555,7 +555,7 @@ impl<'a> Executor<'a> {
         // the keys, then the aggregates' arguments
         let args = aggs.iter().filter_map(|a| a.arg.as_ref());
         let exprs: Vec<&BoundExpr> = key_exprs.iter().chain(args).collect();
-        let compiled: Vec<CompiledExpr> = exprs.iter().map(|e| CompiledExpr::new(e)).collect();
+        let compiled: Vec<CompiledExpr> = exprs.iter().map(|e| self.compile(e)).collect();
         let mut index = GroupIndex::new(&compiled[..key_exprs.len()], batches);
         let mut groups = Groups::default();
         let mut accs: Vec<AggCol> = aggs.iter().map(|a| AggCol::new(a.func)).collect();
@@ -604,15 +604,11 @@ impl<'a> Executor<'a> {
             acc.resize(n);
             acc.finish()
         }));
-        grouped.finish_batch(ColumnBatch::from_cols(cols, n))
+        grouped.finish_batch(ColumnBatch::from_cols(cols, n), self.stats)
     }
 
     fn apply_order_by(&self, result: &mut QueryResult, order_by: &[OrderByExpr]) -> DbResult<()> {
-        let mut scope = Scope::new();
-        scope.push(ScopeRelation {
-            qualifier: "__out".into(),
-            columns: result.columns.clone(),
-        });
+        let scope = Scope::output(result.columns.clone());
         let mut keys: Vec<(BoundExpr, bool)> = Vec::with_capacity(order_by.len());
         for o in order_by {
             // ordinal form: ORDER BY 1
@@ -622,14 +618,7 @@ impl<'a> Executor<'a> {
                 {
                     BoundExpr::Column(*n as usize - 1)
                 }
-                e => {
-                    // unqualified names resolve against output columns;
-                    // qualified names are resolved by stripping the qualifier
-                    match e {
-                        Expr::Column { name, .. } => BoundExpr::Column(scope.resolve(None, name)?),
-                        other => bind_scalar(other, &scope, self.params)?,
-                    }
-                }
+                e => bind_scalar(e, &scope, self.params)?,
             };
             keys.push((bound, o.asc));
         }
@@ -654,6 +643,10 @@ impl<'a> Executor<'a> {
         });
         result.rows = decorated.into_iter().map(|(_, r)| r).collect();
         Ok(())
+    }
+
+    fn compile(&self, e: &BoundExpr) -> CompiledExpr {
+        CompiledExpr::compile(e, self.stats)
     }
 
     /// Counts one read of a base table: the rows it visited and, for a
@@ -766,7 +759,7 @@ impl<'a> Executor<'a> {
         if prefilter.is_empty() {
             return slots;
         }
-        let conjuncts: Vec<CompiledExpr> = prefilter.iter().map(CompiledExpr::new).collect();
+        let conjuncts: Vec<CompiledExpr> = prefilter.iter().map(|e| self.compile(e)).collect();
         let batch_rows = self.batch_rows();
         let mut kept = Vec::with_capacity(slots.len());
         for (b, chunk) in table
@@ -1147,7 +1140,7 @@ impl<'a> Executor<'a> {
         let pred = pred
             .map(|p| bind_scalar(&p, scope, self.params))
             .transpose()?;
-        let pred = pred.as_ref().map(CompiledExpr::new);
+        let pred = pred.as_ref().map(|p| self.compile(p));
         let slots = access.slots(&table);
         let mut matches = Vec::new();
         for b in table.read_batches(&slots, true, self.batch_rows()) {
@@ -1229,7 +1222,7 @@ impl<'a> Executor<'a> {
                     return Err(DbError::Invalid(format!("column {col} is assigned twice")));
                 }
                 let data_type = schema.columns()[idx].data_type;
-                let e = CompiledExpr::new(&bind_scalar(e, &scope, self.params)?);
+                let e = self.compile(&bind_scalar(e, &scope, self.params)?);
                 assignments.push((idx, data_type, e));
             }
             assignments
@@ -1455,10 +1448,11 @@ impl GroupedSelect {
     /// the projections run on it as kernels. If a kernel fails, the groups
     /// are re-run a row at a time, `HAVING` then each projection, which
     /// raises the row path's first error.
-    fn finish_batch(self, group: ColumnBatch) -> DbResult<Batches> {
+    fn finish_batch(self, group: ColumnBatch, stats: &Stats) -> DbResult<Batches> {
         let n = group.len();
-        let having = self.having.as_ref().map(CompiledExpr::new);
-        let proj: Vec<CompiledExpr> = self.proj_exprs.iter().map(CompiledExpr::new).collect();
+        let compile = |e| CompiledExpr::compile(e, stats);
+        let having = self.having.as_ref().map(compile);
+        let proj: Vec<CompiledExpr> = self.proj_exprs.iter().map(compile).collect();
         let kernels = || -> DbResult<ColumnBatch> {
             let keep = having.as_ref().map(|h| h.try_eval(&group)).transpose()?;
             let outs = proj.iter().map(|p| p.try_eval(&group));
@@ -2187,6 +2181,19 @@ mod tests {
         assert!(matches!(exec.run_query(&q), Err(DbError::NotFound(_))));
         let q = parse_query("SELECT tag FROM t ORDER BY nope").unwrap();
         assert!(matches!(exec.run_query(&q), Err(DbError::NotFound(_))));
+    }
+
+    #[test]
+    fn order_by_a_qualified_column_inside_an_expression() {
+        let ctx = seeded(EngineProfile::Postgres);
+        // listed, unlisted (a hidden column), under an alias
+        let r = ctx.query("SELECT t.id FROM t ORDER BY 0 - t.id");
+        assert_eq!(r.rows, [3, 2, 1].map(|i| vec![Value::Int(i)]).to_vec());
+        let r = ctx.query("SELECT t.tag FROM t ORDER BY t.v * -1 LIMIT 1");
+        assert_eq!(r.columns, vec!["tag"]);
+        assert_eq!(r.rows, vec![vec![Value::Text("a".into())]]);
+        let r = ctx.query("SELECT x.id FROM t AS x ORDER BY x.v + 1 DESC");
+        assert_eq!(r.rows, [3, 2, 1].map(|i| vec![Value::Int(i)]).to_vec());
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl<'a> Executor<'a> {
         }
         let mut cols = ColumnBatch::from_rows(reps, scope.arity()).into_cols();
         cols.extend(results.into_iter().map(Col::from_values));
-        grouped.finish_batch(ColumnBatch::from_cols(cols, n))
+        grouped.finish_batch(ColumnBatch::from_cols(cols, n), self.stats)
     }
 }
 

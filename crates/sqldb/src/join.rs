@@ -941,7 +941,10 @@ pub fn join_rels(
 
     let mut out = Output {
         env,
-        residual: residual.iter().map(CompiledExpr::new).collect(),
+        residual: residual
+            .iter()
+            .map(|e| CompiledExpr::compile(e, env.stats))
+            .collect(),
         left_join: join_type == JoinType::Left,
         rel: Rel::new(scope, Vec::new(), env.budget)?,
         pairs: Default::default(),

@@ -126,15 +126,6 @@ struct Entry {
     last_used: AtomicU64,
 }
 
-/// The process-registry counters a cache reports into, resolved once.
-#[derive(Debug)]
-struct CacheCounters {
-    hit: Arc<obs::Counter>,
-    miss: Arc<obs::Counter>,
-    eviction: Arc<obs::Counter>,
-    invalidation: Arc<obs::Counter>,
-}
-
 /// Bounded LRU cache of parsed statements with DDL invalidation.
 #[derive(Debug)]
 pub struct PlanCache {
@@ -148,7 +139,6 @@ pub struct PlanCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
-    counters: CacheCounters,
 }
 
 impl Default for PlanCache {
@@ -160,7 +150,6 @@ impl Default for PlanCache {
 impl PlanCache {
     /// Creates a cache holding at most `capacity` plans.
     pub fn with_capacity(capacity: usize) -> PlanCache {
-        let reg = obs::global();
         PlanCache {
             entries: RwLock::new(HashMap::new()),
             versions: RwLock::new(HashMap::new()),
@@ -171,12 +160,6 @@ impl PlanCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            counters: CacheCounters {
-                hit: reg.counter("sqldb.plan_cache.hit"),
-                miss: reg.counter("sqldb.plan_cache.miss"),
-                eviction: reg.counter("sqldb.plan_cache.eviction"),
-                invalidation: reg.counter("sqldb.plan_cache.invalidation"),
-            },
         }
     }
 
@@ -197,7 +180,6 @@ impl PlanCache {
         if !self.is_current(&e.plan) {
             drop(entries);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.counters.invalidation.inc();
             return None;
         }
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -212,13 +194,11 @@ impl PlanCache {
     /// (prepared execution validates the pinned plan without a map lookup).
     pub fn note_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        self.counters.hit.inc();
     }
 
     /// Counts a lookup that required a fresh parse of a cacheable statement.
     pub fn count_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.counters.miss.inc();
     }
 
     /// Wraps a parsed statement into a plan that never enters the cache
@@ -292,9 +272,8 @@ impl PlanCache {
             }
         }
         drop(entries);
-        let n = evicted.len() as u64;
-        self.evictions.fetch_add(n, Ordering::Relaxed);
-        self.counters.eviction.add(n);
+        self.evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
         // the plans are freed here, with the map unlocked
     }
 

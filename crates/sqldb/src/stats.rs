@@ -1,5 +1,7 @@
-//! Execution statistics counters (lock-free, shared per database).
+//! Execution statistics of one database: lock-free counters, and the
+//! database's own metrics registry.
 
+use crate::ast::Statement;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -15,21 +17,44 @@ pub struct Stats {
     rows_joined: AtomicU64,
     index_lookups: AtomicU64,
     lock_waits: AtomicU64,
-    exec: ExecMetrics,
+    pub(crate) metrics: EngineMetrics,
 }
 
-/// `sqloop.exec.*` in the process registry, resolved once per database.
+/// The database's metrics registry and the handles the engine records
+/// into, resolved once per database so no statement looks a name up.
 #[derive(Debug)]
-struct ExecMetrics(Arc<obs::Counter>, Arc<obs::Counter>, Arc<obs::Gauge>);
+pub(crate) struct EngineMetrics {
+    pub(crate) registry: obs::MetricsRegistry,
+    /// `sqldb.stmt.<kind>`, indexed by [`Statement::kind_index`].
+    pub(crate) by_kind: Vec<Arc<obs::Histogram>>,
+    pub(crate) plan: Arc<obs::Histogram>,
+    pub(crate) prepare: Arc<obs::Histogram>,
+    pub(crate) execute_prepared: Arc<obs::Histogram>,
+    batches: Arc<obs::Counter>,
+    batch_rows: Arc<obs::Counter>,
+    rows_per_batch: Arc<obs::Gauge>,
+    kernel_vector: Arc<obs::Counter>,
+    kernel_fallback: Arc<obs::Counter>,
+}
 
-impl Default for ExecMetrics {
-    fn default() -> ExecMetrics {
-        let reg = obs::global();
-        ExecMetrics(
-            reg.counter("sqloop.exec.batches"),
-            reg.counter("sqloop.exec.batch_rows"),
-            reg.gauge("sqloop.exec.rows_per_batch"),
-        )
+impl Default for EngineMetrics {
+    fn default() -> EngineMetrics {
+        let registry = obs::MetricsRegistry::new();
+        let kinds = Statement::KIND_LABELS.iter();
+        EngineMetrics {
+            by_kind: kinds
+                .map(|k| registry.histogram(&format!("sqldb.stmt.{k}")))
+                .collect(),
+            plan: registry.histogram("sqldb.plan"),
+            prepare: registry.histogram("sqldb.prepare"),
+            execute_prepared: registry.histogram("sqldb.execute_prepared"),
+            batches: registry.counter("sqloop.exec.batches"),
+            batch_rows: registry.counter("sqloop.exec.batch_rows"),
+            rows_per_batch: registry.gauge("sqloop.exec.rows_per_batch"),
+            kernel_vector: registry.counter("sqloop.exec.kernel.vector"),
+            kernel_fallback: registry.counter("sqloop.exec.kernel.fallback"),
+            registry,
+        }
     }
 }
 
@@ -79,17 +104,26 @@ impl Stats {
         self.lock_waits.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records batch-level execution actuals into the process registry
-    /// (`sqloop.exec.*`), picked up by the Prometheus scrape endpoint and
-    /// the CLI `\stats` view.
+    /// Records batch-level execution actuals (`sqloop.exec.*`), picked up
+    /// by the Prometheus scrape endpoint and the CLI `\stats` view.
     pub fn note_exec_batches(&self, batches: u64, rows: u64) {
         if batches == 0 {
             return;
         }
-        let ExecMetrics(total, total_rows, rows_per_batch) = &self.exec;
-        total.add(batches);
-        total_rows.add(rows);
-        rows_per_batch.set((rows / batches) as i64);
+        let m = &self.metrics;
+        m.batches.add(batches);
+        m.batch_rows.add(rows);
+        m.rows_per_batch.set((rows / batches) as i64);
+    }
+
+    /// Records one compiled kernel node, run row by row (`fallback`) or
+    /// over whole lanes (`sqloop.exec.kernel.fallback` / `.vector`).
+    pub(crate) fn note_kernel(&self, fallback: bool) {
+        if fallback {
+            self.metrics.kernel_fallback.inc();
+        } else {
+            self.metrics.kernel_vector.inc();
+        }
     }
 
     /// Copies the current counter values.

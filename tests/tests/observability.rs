@@ -8,6 +8,7 @@ use dbcp::{with_chaos, ChaosConfig, Connection, Driver, FaultWeights, LocalDrive
 use obs::{EventKind, SpanKind, SpanOutcome, TraceData};
 use sqldb::{Database, DbResult, EngineProfile, IsolationLevel, StmtOutput, Value};
 use sqloop::{ExecutionMode, PrioritySpec, SQLoop, SqloopConfig, Strategy, TraceConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -605,4 +606,118 @@ fn per_run_metrics_capture_pool_and_statement_activity() {
     let engine = report.engine_stats.expect("local driver sees the engine");
     assert!(engine.statements > 0);
     assert!(engine.rows_scanned > 0);
+}
+
+/// Runs `run` while another thread keeps running `work` on `db`; that
+/// thread has run `work` once before `run` starts.
+fn beside<T>(db: &Database, work: fn(&mut sqldb::Session), run: impl FnOnce() -> T) -> T {
+    let stop = AtomicBool::new(false);
+    let (started, first) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut session = db.connect();
+            work(&mut session);
+            started.send(()).unwrap();
+            while !stop.load(Ordering::Relaxed) {
+                work(&mut session);
+            }
+        });
+        first.recv().unwrap();
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+        stop.store(true, Ordering::Relaxed);
+        out.unwrap_or_else(|e| std::panic::resume_unwind(e))
+    })
+}
+
+#[test]
+fn two_databases_keep_disjoint_engine_numbers() {
+    let graph = graphgen::web_graph(40, 3, 2);
+    let a = Database::new(EngineProfile::Postgres);
+    let b = Database::new(EngineProfile::Postgres);
+    let driver_b: Arc<dyn Driver> = Arc::new(LocalDriver::new(b.clone()));
+    workloads::load_edges(driver_b.connect().unwrap().as_mut(), &graph).unwrap();
+    a.connect()
+        .execute("CREATE TABLE t (k INT PRIMARY KEY, v FLOAT)")
+        .unwrap();
+    let work = |s: &mut sqldb::Session| {
+        s.execute("INSERT INTO t VALUES (1, 0.5)").unwrap();
+        s.query("SELECT v FROM t WHERE k = 1").unwrap();
+        s.execute("DELETE FROM t WHERE k = 1").unwrap();
+    };
+
+    // statements on A move none of B's series
+    let b_before = b.metrics();
+    work(&mut a.connect());
+    assert_eq!(b.metrics(), b_before, "A's statements reached B's books");
+
+    // a run on B reports its own statements, none of A's concurrent ones
+    let a_before = a.stats().statements;
+    let report = beside(&a, work, || {
+        SQLoop::new(driver_b)
+            .with_config(traced(ExecutionMode::Sync))
+            .execute_detailed(&workloads::queries::pagerank(4))
+            .unwrap()
+    });
+    assert!(
+        a.stats().statements > a_before + 3,
+        "A ran nothing beside B"
+    );
+    let engine = report.engine_stats.expect("local driver sees the engine");
+    let by_kind: u64 = report
+        .metrics
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("sqldb.stmt."))
+        .map(|(_, h)| h.count)
+        .sum();
+    assert_eq!(
+        by_kind, engine.statements,
+        "the report counts A's statements"
+    );
+}
+
+#[test]
+fn sampled_memory_is_the_run_databases_own() {
+    let graph = graphgen::web_graph(40, 3, 2);
+    let db = Database::new(EngineProfile::Postgres);
+    let driver: Arc<dyn Driver> = Arc::new(LocalDriver::new(db.clone()));
+    workloads::load_edges(driver.connect().unwrap().as_mut(), &graph).unwrap();
+    // a second database, holding far more than the run ever will, keeps
+    // charging and refunding memory from another thread
+    let other = Database::new(EngineProfile::Postgres);
+    let mut s = other.connect();
+    s.execute("CREATE TABLE big (k INT, v TEXT)").unwrap();
+    let row = format!("(1, '{}')", "x".repeat(1000));
+    let rows = vec![row.as_str(); 100].join(", ");
+    for _ in 0..20 {
+        s.execute(&format!("INSERT INTO big VALUES {rows}"))
+            .unwrap();
+    }
+    let churn = |s: &mut sqldb::Session| {
+        let rows = vec!["(0, 'y')"; 100].join(", ");
+        s.execute(&format!("INSERT INTO big VALUES {rows}"))
+            .unwrap();
+        s.execute("DELETE FROM big WHERE k = 0").unwrap();
+    };
+    let report = beside(&other, churn, || {
+        SQLoop::new(driver)
+            .with_config(SqloopConfig {
+                sample_interval: Some(Duration::from_millis(1)),
+                progress_query: Some("SELECT SUM(rank) FROM {}".into()),
+                ..traced(ExecutionMode::Sync)
+            })
+            .execute_detailed(&workloads::queries::pagerank(8))
+            .unwrap()
+    });
+    assert!(
+        other.memory_used() > 4 * db.memory_peak(),
+        "too small to tell"
+    );
+    let mem: Vec<u64> = report.samples.iter().filter_map(|s| s.mem_bytes).collect();
+    assert!(!mem.is_empty(), "no sample read the engine's memory");
+    assert!(
+        mem.iter().all(|&m| m <= db.memory_peak()),
+        "samples {mem:?} exceed the run database's peak {}",
+        db.memory_peak()
+    );
 }
