@@ -207,11 +207,18 @@ mod tests {
         s.execute("SELECT v FROM t WHERE v > 0.5").unwrap();
         let text = prometheus_dump(&db);
         obs::validate_prometheus_text(&text).unwrap();
-        // the registry is process-wide, so only presence (not exact counts)
-        // is assertable here
-        assert!(text.contains("sqloop_exec_batches_total"), "{text}");
-        assert!(text.contains("sqloop_exec_rows_per_batch"), "{text}");
-        assert!(text.contains("sqloop_exec_kernel_vector_total"), "{text}");
+        // the dump renders this database's own registry, so the counts are
+        // exactly its four SELECTs': one batch each, 1 + 1 + 1 + 2 rows,
+        // and the three kernel nodes of `v > 0.5`
+        for series in [
+            "sqloop_exec_batches_total 4",
+            "sqloop_exec_batch_rows_total 5",
+            "sqloop_exec_rows_per_batch 2",
+            "sqloop_exec_kernel_vector_total 3",
+            "sqloop_exec_kernel_fallback_total 0",
+        ] {
+            assert!(text.lines().any(|l| l == series), "{series} in {text}");
+        }
     }
 
     #[test]

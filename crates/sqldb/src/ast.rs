@@ -664,7 +664,7 @@ impl Expr {
         out
     }
 
-    fn visit_columns<'a>(&'a self, f: &mut impl FnMut(Option<&'a str>, &'a str)) {
+    pub(crate) fn visit_columns<'a>(&'a self, f: &mut impl FnMut(Option<&'a str>, &'a str)) {
         if let Expr::Column { table, name } = self {
             f(table.as_deref(), name);
         }

@@ -135,8 +135,10 @@ impl Col {
     }
 
     /// The lanes `idx` of this column, in that order and in the same layout;
-    /// an index past the end ([`NO_LANE`]) yields NULL.
+    /// [`NO_LANE`] yields NULL.
     pub fn gather(&self, idx: &[u32]) -> Col {
+        let lane = |&i: &u32| i == NO_LANE || (i as usize) < self.len();
+        debug_assert!(idx.iter().all(lane), "a gather past the lanes");
         fn pick<T: Copy + Default>(v: &[T], idx: &[u32]) -> Vec<T> {
             let lane = |&i: &u32| v.get(i as usize).copied().unwrap_or_default();
             idx.iter().map(lane).collect()
@@ -221,7 +223,8 @@ impl Col {
         }
     }
 
-    /// A column no one reads: it holds no lanes, whatever its batch's length.
+    /// A column no one reads: it holds no lanes, whatever its batch's length,
+    /// stays so through every batch operation, and no kernel may read it.
     pub fn unread() -> Col {
         Col::nulls(0)
     }
@@ -491,7 +494,13 @@ impl ColumnBatch {
         self.cols
     }
 
-    /// Reconstructs the row at `lane`.
+    /// Whether column `i` holds lanes: false for a column no one reads
+    /// ([`Col::unread`]) in a batch that has rows.
+    pub fn is_read(&self, i: usize) -> bool {
+        self.cols[i].len() == self.len
+    }
+
+    /// Reconstructs the row at `lane` (NULL in an unread column).
     pub fn row_at(&self, lane: usize) -> Row {
         self.cols.iter().map(|c| c.value_at(lane)).collect()
     }
@@ -508,28 +517,34 @@ impl ColumnBatch {
         let idx: Vec<u32> = (0..self.len as u32).filter(|&i| keep[i as usize]).collect();
         ColumnBatch {
             len: idx.len(),
-            cols: self.gather_cols(&idx),
+            cols: self.gather_cols(&idx, None),
         }
     }
 
     /// Every column's lanes `idx` ([`Col::gather`]), copied as one range
-    /// when they are consecutive.
-    pub fn gather_cols(&self, idx: &[u32]) -> Vec<Col> {
+    /// when they are consecutive; a column `keep` drops, or one no one reads,
+    /// comes back unread.
+    pub fn gather_cols(&self, idx: &[u32], keep: Option<&[bool]>) -> Vec<Col> {
         let run = idx.first() != Some(&NO_LANE) && idx.windows(2).all(|w| w[1] == w[0] + 1);
         let from = idx.first().map_or(0, |&at| at as usize);
-        let col = |c: &Col| match run {
+        let col = |(i, c): (usize, &Col)| match run {
+            _ if !self.is_read(i) || keep.is_some_and(|k| !k[i]) => Col::unread(),
             true => c.slice(from..from + idx.len()),
             false => c.gather(idx),
         };
-        self.cols.iter().map(col).collect()
+        self.cols.iter().enumerate().map(col).collect()
     }
 
-    /// All rows of `batches`, in order, as one batch of `arity` columns.
+    /// All rows of `batches`, in order, as one batch of `arity` columns; a
+    /// column the batches leave unread stays so.
     pub fn concat(mut batches: Vec<ColumnBatch>, arity: usize) -> ColumnBatch {
         if batches.len() == 1 {
             return batches.remove(0);
         }
-        let col = |c| Col::concat(&batches.iter().map(|b| (b.col(c), None)).collect::<Vec<_>>());
+        let col = |c| match batches.iter().any(|b| !b.is_read(c)) {
+            true => Col::unread(),
+            false => Col::concat(&batches.iter().map(|b| (b.col(c), None)).collect::<Vec<_>>()),
+        };
         ColumnBatch {
             len: batches.iter().map(ColumnBatch::len).sum(),
             cols: (0..arity).map(col).collect(),
@@ -1338,6 +1353,12 @@ impl CompiledExpr {
     /// May over-approximate: an error here can come from a lane/branch the
     /// row path would never evaluate. Callers must rerun row-wise.
     pub fn try_eval(&self, batch: &ColumnBatch) -> DbResult<EvalOut> {
+        #[cfg(debug_assertions)]
+        self.expr.walk(&mut |e| {
+            if let BoundExpr::Column(c) = e {
+                assert!(batch.is_read(*c), "a kernel reads unread column {c}");
+            }
+        });
         self.kernel.eval(batch)
     }
 
@@ -1350,7 +1371,7 @@ impl CompiledExpr {
     /// # Errors
     /// Exactly the errors the row-at-a-time evaluator would produce.
     pub fn eval_batch(&self, batch: &ColumnBatch) -> DbResult<EvalOut> {
-        match self.kernel.eval(batch) {
+        match self.try_eval(batch) {
             Ok(out) => Ok(out),
             Err(_) => {
                 let mut out = Vec::with_capacity(batch.len());
@@ -1674,7 +1695,7 @@ mod tests {
             vec![Value::Int(30), Value::Null],
         ];
         let b = ColumnBatch::from_rows(rows.clone(), 2);
-        let cols = b.gather_cols(&[2, NO_LANE, 0, 0, 1]);
+        let cols = b.gather_cols(&[2, NO_LANE, 0, 0, 1], None);
         // the layout survives, pads and NULL lanes are invalid
         assert!(matches!(cols[0].data, ColData::Int(_)));
         assert_eq!(cols[0].valid, vec![true, false, true, true, false]);

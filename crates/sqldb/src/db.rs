@@ -17,11 +17,12 @@ use crate::op_profile::OpProfiler;
 use crate::parser::{parse_script, parse_statement};
 use crate::plan_cache::{Admission, CachedPlan, PlanCache, PlanCacheStats};
 use crate::profile::EngineProfile;
+use crate::reads::Reads;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::txn::{apply_undo, IsolationLevel, LockManager, LockMode, UndoLog, UndoOp};
 use crate::value::Value;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -428,11 +429,11 @@ impl Session {
 
     /// The lock set and dialect verdict of `stmt` against the live catalog.
     fn admission(&self, stmt: &Statement) -> Admission {
+        let mut reads = Reads::of(stmt, &self.shared.catalog);
         Admission {
-            locks: collect_locks(stmt, &self.shared.catalog)
-                .into_iter()
-                .collect(),
+            locks: std::mem::take(&mut reads.locks).into_iter().collect(),
             valid: validate(stmt, &self.shared.profile.dialect()),
+            reads,
         }
     }
 
@@ -596,7 +597,8 @@ impl Session {
             0 => None,
             n => Some(n as usize),
         })
-        .with_params(params);
+        .with_params(params)
+        .with_reads(&admission.reads);
         #[cfg(test)]
         if self.shared.row_oracle.load(Ordering::Relaxed) {
             executor = executor.with_row_oracle();
@@ -801,99 +803,6 @@ fn flush_op_profile(registry: &obs::MetricsRegistry, prof: &OpProfiler) {
                 .add(node.elapsed_us);
         }
     }
-}
-
-/// The table locks a statement takes, views expanded to their tables, in
-/// name order (the acquisition order that avoids deadlocks): a table it
-/// writes is locked exclusively, one it only reads shared.
-fn collect_locks(stmt: &Statement, catalog: &Catalog) -> BTreeMap<String, LockMode> {
-    use crate::ast::*;
-    type Locks = BTreeMap<String, LockMode>;
-    let mut locks = Locks::new();
-
-    fn add_query(q: &SelectStmt, catalog: &Catalog, locks: &mut Locks, depth: usize) {
-        add_set_expr(&q.body, catalog, locks, depth);
-    }
-
-    fn add_set_expr(s: &SetExpr, catalog: &Catalog, locks: &mut Locks, depth: usize) {
-        match s {
-            SetExpr::Select(sel) => {
-                for tr in &sel.from {
-                    add_table_ref(tr, catalog, locks, depth);
-                }
-            }
-            SetExpr::Values(_) => {}
-            SetExpr::SetOp { left, right, .. } => {
-                add_set_expr(left, catalog, locks, depth);
-                add_set_expr(right, catalog, locks, depth);
-            }
-        }
-    }
-
-    fn add_table_ref(tr: &TableRef, catalog: &Catalog, locks: &mut Locks, depth: usize) {
-        add_factor(&tr.base, catalog, locks, depth);
-        for j in &tr.joins {
-            add_factor(&j.factor, catalog, locks, depth);
-        }
-    }
-
-    fn add_factor(f: &TableFactor, catalog: &Catalog, locks: &mut Locks, depth: usize) {
-        if depth > 16 {
-            return;
-        }
-        match f {
-            TableFactor::Table { name, .. } => {
-                if let Some(view) = catalog.view(name) {
-                    add_query(&view, catalog, locks, depth + 1);
-                } else if !locks.contains_key(name) {
-                    locks.insert(name.clone(), LockMode::Shared);
-                }
-            }
-            TableFactor::Derived { subquery, .. } => add_query(subquery, catalog, locks, depth),
-        }
-    }
-
-    let written = match stmt {
-        Statement::Select(q) => {
-            add_query(q, catalog, &mut locks, 0);
-            None
-        }
-        // EXPLAIN ANALYZE runs its statement (and takes DML back), so it
-        // locks like it; plain EXPLAIN only looks at the tables
-        Statement::Explain { analyze, stmt } => {
-            let mut inner = collect_locks(stmt, catalog);
-            if !*analyze {
-                inner.values_mut().for_each(|m| *m = LockMode::Shared);
-            }
-            return inner;
-        }
-        Statement::Insert(i) => {
-            if let InsertSource::Select(q) = &i.source {
-                add_query(q, catalog, &mut locks, 0);
-            }
-            Some(&i.table)
-        }
-        Statement::Update(u) => {
-            for tr in &u.from {
-                add_table_ref(tr, catalog, &mut locks, 0);
-            }
-            Some(&u.table)
-        }
-        Statement::CreateTable(ct) => {
-            if let Some(q) = &ct.as_select {
-                add_query(q, catalog, &mut locks, 0);
-            }
-            None
-        }
-        Statement::Delete { table, .. } | Statement::Truncate { name: table } => Some(table),
-        Statement::CreateIndex(ci) => Some(&ci.table),
-        Statement::DropTable { name, .. } => Some(name),
-        _ => None,
-    };
-    if let Some(table) = written {
-        locks.insert(table.clone(), LockMode::Exclusive);
-    }
-    locks
 }
 
 #[cfg(test)]

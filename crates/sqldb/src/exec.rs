@@ -8,9 +8,12 @@ use crate::bind::{
 use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
 use crate::explain::{base_table, factor_label, factor_visible_name, inner_access_label};
-use crate::join::{choose_access, join_rels, table_scope, AccessPath, JoinEnv, JoinInner, Rel};
+use crate::join::{
+    choose_access, count, join_rels, table_scope, AccessPath, JoinEnv, JoinInner, Rel,
+};
 use crate::op_profile::{us_since, OpProfiler};
 use crate::profile::EngineProfile;
+use crate::reads::{FactorReads, Reads, ABOVE};
 use crate::stats::Stats;
 use crate::storage::Table;
 use crate::txn::{apply_undo, UndoLog, UndoOp};
@@ -18,7 +21,6 @@ use crate::types::{Column, DataType, Schema};
 use crate::value::{canonical_nan, int_key_hash, KeyHasher, KeyMap, Row, Value};
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::time::Instant;
 
 #[cfg(test)]
@@ -138,6 +140,9 @@ pub struct Executor<'a> {
     batch_size: Option<usize>,
     /// The values of the statement's `?` placeholders, in order.
     params: &'a [Value],
+    /// The columns the statement reads of its `FROM` factors and DML
+    /// target; without them every column is read.
+    reads: Option<&'a Reads>,
 }
 
 impl<'a> Executor<'a> {
@@ -153,7 +158,19 @@ impl<'a> Executor<'a> {
             row_oracle: false,
             batch_size: None,
             params: &[],
+            reads: None,
         }
+    }
+
+    /// Reads only the columns `reads` says the statement reads.
+    pub fn with_reads(mut self, reads: &'a Reads) -> Executor<'a> {
+        self.reads = Some(reads);
+        self
+    }
+
+    /// The read masks of the factors of `from` (none: read every column).
+    fn reads_of(&self, from: &[TableRef]) -> &'a [Option<FactorReads>] {
+        self.reads.map_or(&[], |r| r.list_of(from))
     }
 
     /// Binds the statement's `?` placeholders to `params`, in order.
@@ -389,10 +406,12 @@ impl<'a> Executor<'a> {
                 Ok((rel, None))
             }
             [tr] if tr.joins.is_empty() => {
-                self.build_factor(&tr.base, depth, &pushdown_conjuncts(s, tr), false)
+                let reads = self.reads_of(&s.from);
+                self.build_factor(&tr.base, depth, &pushdown_conjuncts(s, tr), false, reads)
             }
             from => {
-                let rel = self.build_from(from, depth, |tr| pushdown_conjuncts(s, tr))?;
+                let reads = self.reads_of(from);
+                let rel = self.build_from(from, depth, |tr| pushdown_conjuncts(s, tr), reads)?;
                 Ok((rel, None))
             }
         }
@@ -658,69 +677,75 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Builds a non-empty `FROM` list: each item through
-    /// [`Self::build_table_ref`], thinned by the conjuncts `prefilter`
-    /// names for it, then crossed with the items before it (comma syntax).
+    /// Builds a non-empty `FROM` list, whose factors' read masks are
+    /// `reads`: each item through [`Self::build_table_ref`], thinned by the
+    /// conjuncts `prefilter` names for it, then crossed with the items
+    /// before it (comma syntax).
     fn build_from<'e>(
         &self,
         from: &[TableRef],
         depth: usize,
         prefilter: impl Fn(&TableRef) -> Vec<&'e Expr>,
+        reads: &[Option<FactorReads>],
     ) -> DbResult<Rel> {
         // a statement over one table runs its whole WHERE in the Filter
         // right above the scan; only below a join is a conjunct pushed down
         let joined = from.len() > 1 || !from[0].joins.is_empty();
         let mut rel: Option<Rel> = None;
+        let mut at = 0;
         for tr in from {
-            let right = self.build_table_ref(tr, depth, &prefilter(tr), joined)?;
+            let item = reads.get(at..at + 1 + tr.joins.len()).unwrap_or(&[]);
+            at += 1 + tr.joins.len();
+            let right = self.build_table_ref(tr, depth, &prefilter(tr), joined, item)?;
             rel = Some(match rel {
                 None => right,
                 Some(left) => {
-                    let t0 = self.prof_start();
-                    let rows_in = (left.len() + right.len()) as u64;
-                    let joined = join_rels(
-                        left,
-                        JoinInner::Rows(right),
-                        JoinType::Cross,
-                        None,
-                        &self.join_env(),
-                    )?;
-                    let rows = joined.rel.len() as u64;
-                    let label = || "NestedLoop (cross join)".into();
-                    self.prof_wrap(t0, 2, label, rows, rows_in, joined.batches);
-                    joined.rel
+                    let relations = left.scope.relations().iter().chain(right.scope.relations());
+                    let carry = carried(&reads[..at.min(reads.len())], relations, ABOVE - 1);
+                    let right = JoinInner::Rows(right);
+                    let masks = (carry, None);
+                    self.join_step(left, right, JoinType::Cross, None, &tr.base, masks)?
                 }
             });
         }
         Ok(rel.expect("callers pass a non-empty FROM list"))
     }
 
-    /// Builds one `FROM` item: its base factor, then its joins left to
-    /// right. `prefilter` (see [`pushdown_conjuncts`]) decides how the base
-    /// is read and, below a join (`joined`), thins it first.
+    /// Builds one `FROM` item, whose factors' read masks are `reads`: its
+    /// base factor, then its joins left to right. `prefilter` (see
+    /// [`pushdown_conjuncts`]) decides how the base is read and, below a
+    /// join (`joined`), thins it first.
     fn build_table_ref(
         &self,
         tr: &TableRef,
         depth: usize,
         prefilter: &[&Expr],
         joined: bool,
+        reads: &[Option<FactorReads>],
     ) -> DbResult<Rel> {
-        let (mut rel, _) = self.build_factor(&tr.base, depth, prefilter, joined)?;
-        for j in &tr.joins {
+        let base = reads.get(..1).unwrap_or_default();
+        let (mut rel, _) = self.build_factor(&tr.base, depth, prefilter, joined, base)?;
+        for (step, j) in (1..).zip(&tr.joins) {
             // a plain base table goes to the join unscanned: whether its
             // rows are needed at all depends on the algorithm, and that is
             // chosen from the outer side's actual size
             let right = match base_table(self.catalog, &j.factor)? {
                 Some(handle) => JoinInner::table(handle, factor_visible_name(&j.factor)),
-                None => JoinInner::Rows(self.build_factor(&j.factor, depth, &[], true)?.0),
+                None => JoinInner::Rows(self.build_factor(&j.factor, depth, &[], true, &[])?.0),
             };
-            rel = self.join_step(rel, right, j.join_type, j.on.as_ref(), &j.factor)?;
+            let rels = rel.scope.relations().iter();
+            let carry = carried(reads, rels.chain(right.scope().relations()), step + 1);
+            let inner = reads.get(step as usize..).unwrap_or_default();
+            let read = scan_of(inner, right.scope().arity());
+            let masks = (carry, read);
+            rel = self.join_step(rel, right, j.join_type, j.on.as_ref(), &j.factor, masks)?;
         }
         Ok(rel)
     }
 
-    /// Joins `right` (the `FROM` factor `factor`) onto `rel`, recording the
-    /// join — and how an unscanned inner table was read — in the profile.
+    /// Joins `right` (the `FROM` factor `factor`) onto `rel` under `masks`
+    /// (see [`join_rels`]), recording the join — and how an unscanned inner
+    /// table was read — in the profile.
     fn join_step(
         &self,
         rel: Rel,
@@ -728,16 +753,20 @@ impl<'a> Executor<'a> {
         join_type: JoinType,
         on: Option<&Expr>,
         factor: &TableFactor,
+        (carry, read): (Option<Vec<bool>>, Option<&[bool]>),
     ) -> DbResult<Rel> {
         let t0 = self.prof_start();
         let mut rows_in = rel.len() as u64;
+        let inner_arity = right.scope().arity();
         if let JoinInner::Rows(r) = &right {
             rows_in += r.len() as u64;
         }
-        let joined = join_rels(rel, right, join_type, on, &self.join_env())?;
+        let env = self.join_env();
+        let joined = join_rels(rel, right, join_type, on, (carry.as_deref(), read), &env)?;
         if let Some(p) = self.prof {
-            if let Some((rows, us)) = joined.inner_read {
+            if let Some((rows, us, cols)) = joined.inner_read {
                 p.leaf(inner_access_label(&joined.algo, factor), rows, us);
+                p.note_cols(cols, inner_arity);
                 rows_in += rows;
             }
             p.wrap_batched(
@@ -748,45 +777,32 @@ impl<'a> Executor<'a> {
                 t0.map(us_since).unwrap_or(0),
                 joined.batches,
             );
+            let arity = joined.rel.arity();
+            p.note_cols(carry.map_or(arity, |k| count(&k)), arity);
         }
         Ok(joined.rel)
     }
 
-    /// The `slots` of `table` no conjunct of `prefilter` cleanly rejects. A
+    /// `b` without the rows a conjunct of `prefilter` cleanly rejects. A
     /// conjunct that fails to evaluate on a row keeps it, so the statement's
     /// WHERE still raises the error if the row survives.
-    fn prefiltered(&self, table: &Table, prefilter: &[BoundExpr], slots: Vec<usize>) -> Vec<usize> {
-        if prefilter.is_empty() {
-            return slots;
-        }
-        let conjuncts: Vec<CompiledExpr> = prefilter.iter().map(|e| self.compile(e)).collect();
-        let batch_rows = self.batch_rows();
-        let mut kept = Vec::with_capacity(slots.len());
-        for (b, chunk) in table
-            .read_batches(&slots, false, batch_rows)
-            .iter()
-            .zip(slots.chunks(batch_rows))
-        {
-            let mut keep = vec![true; b.len()];
-            for c in &conjuncts {
-                match c.try_eval(b) {
-                    Ok(out) => keep
-                        .iter_mut()
-                        .zip(out.truthy_mask(b))
-                        .for_each(|(k, t)| *k &= t),
-                    Err(_) => {
-                        for (lane, k) in keep.iter_mut().enumerate().filter(|(_, k)| **k) {
-                            *k = c
-                                .expr()
-                                .eval(&b.row_at(lane))
-                                .map_or(true, |v| v.is_truthy());
-                        }
+    fn prefiltered(&self, b: ColumnBatch, prefilter: &[CompiledExpr]) -> ColumnBatch {
+        let mut kept = vec![true; b.len()];
+        for c in prefilter {
+            match c.try_eval(&b) {
+                Ok(out) => {
+                    let truthy = out.truthy_mask(&b);
+                    kept.iter_mut().zip(truthy).for_each(|(k, t)| *k &= t);
+                }
+                Err(_) => {
+                    for (lane, k) in kept.iter_mut().enumerate().filter(|(_, k)| **k) {
+                        let row = b.row_at(lane);
+                        *k = c.expr().eval(&row).map_or(true, |v| v.is_truthy());
                     }
                 }
             }
-            kept.extend(chunk.iter().zip(keep).filter(|(_, k)| *k).map(|(&s, _)| s));
         }
-        kept
+        keep(b, &kept)
     }
 
     /// The rows of a view or subquery as the relation `alias`.
@@ -800,16 +816,17 @@ impl<'a> Executor<'a> {
     }
 
     /// Reads one `FROM` factor. A base table is read through the access
-    /// path `prefilter` allows ([`choose_access`]); below a join
-    /// (`joined`) the conjuncts it did not apply then thin it. Alone, the
-    /// factor also returns the conjunct its seek applied, which the
-    /// statement's `WHERE` then skips.
+    /// path `prefilter` allows ([`choose_access`]), in the columns its
+    /// `reads` mark; below a join (`joined`) the conjuncts it did not apply
+    /// then thin it. Alone, the factor also returns the conjunct its seek
+    /// applied, which the statement's `WHERE` then skips.
     fn build_factor<'e>(
         &self,
         f: &TableFactor,
         depth: usize,
         prefilter: &[&'e Expr],
         joined: bool,
+        reads: &[Option<FactorReads>],
     ) -> DbResult<(Rel, Option<&'e Expr>)> {
         match f {
             TableFactor::Table { name, .. } => {
@@ -825,6 +842,7 @@ impl<'a> Executor<'a> {
                 let handle = self.catalog.table(name)?;
                 let visible = factor_visible_name(f);
                 let scope = table_scope(&handle, visible);
+                let scan = scan_of(reads, scope.arity());
                 let (access, applied, visited, batches, prefiltered) = {
                     let t = handle.read();
                     let access = choose_access(&t, visible, prefilter, self.params);
@@ -832,15 +850,19 @@ impl<'a> Executor<'a> {
                     // conjuncts that do not bind against this table alone
                     // are left to the statement's WHERE, which reports the
                     // error
-                    let bound: Vec<BoundExpr> = prefilter
+                    let bound: Vec<CompiledExpr> = prefilter
                         .iter()
                         .filter(|c| joined && !applied.is_some_and(|a| std::ptr::eq(a, **c)))
                         .filter_map(|e| bind_scalar(e, &scope, self.params).ok())
+                        .map(|e| self.compile(&e))
                         .collect();
                     let slots = access.slots(&t);
                     let visited = slots.len() as u64;
-                    let slots = self.prefiltered(&t, &bound, slots);
-                    let batches = t.read_batches(&slots, false, self.batch_rows());
+                    let mut batches = t.read_batches(&slots, false, self.batch_rows(), scan);
+                    if !bound.is_empty() {
+                        let thin = batches.into_iter().map(|b| self.prefiltered(b, &bound));
+                        batches = thin.filter(|b| !b.is_empty()).collect();
+                    }
                     (access, applied, visited, batches, !bound.is_empty())
                 };
                 self.count_access(&access, visited);
@@ -854,6 +876,7 @@ impl<'a> Executor<'a> {
                         t0.map(us_since).unwrap_or(0),
                         if joined { 0 } else { rel.batches.len() as u64 },
                     );
+                    p.note_cols(scan.map_or(rel.arity(), count), rel.arity());
                 }
                 Ok((rel, applied.filter(|_| !joined)))
             }
@@ -1082,10 +1105,12 @@ impl<'a> Executor<'a> {
 
     /// Appends the rows of `batches` to `table` (`handle`), mapped through
     /// an explicit column list and coerced to its schema, and records the
-    /// slots they took as one undo entry. Rows are appended in order; the
-    /// first row that cannot be stored ends the statement with the error
-    /// the row-at-a-time path raises for it, after the rows before it were
-    /// appended (so a constraint violation among them is reported first).
+    /// slots they took as one undo entry, which each batch widens as it
+    /// lands: a panic between batches leaves no row recovery cannot take
+    /// back. Rows are appended in order; the first row that cannot be
+    /// stored ends the statement with the error the row-at-a-time path
+    /// raises for it, after the rows before it were appended (so a
+    /// constraint violation among them is reported first).
     fn append_batches(
         &self,
         table: &str,
@@ -1102,21 +1127,27 @@ impl<'a> Executor<'a> {
         };
         let mapping = columns.map(|cols| cols.iter().map(index).collect::<DbResult<Vec<_>>>());
         let mapping = mapping.transpose()?;
-        let mut appended: Option<Range<usize>> = None;
-        let result = batches.into_iter().try_fold(0u64, |n, b| {
+        let (mark, mut n) = (undo.len(), 0);
+        for b in batches {
+            #[cfg(test)]
+            tests::panic_once_stored(n);
             self.check_deadline()?;
             let (stored, failed) = target_batch(b, &schema, mapping.as_deref());
             let slots = t.append(&stored)?;
-            appended = Some(appended.as_ref().map_or(slots.start, |a| a.start)..slots.end);
-            failed.map_or(Ok(n + slots.len() as u64), Err)
-        });
-        if let Some(slots) = appended {
-            undo.push(UndoOp::Insert {
-                table: table.to_owned(),
-                slots,
-            });
+            n += slots.len() as u64;
+            let ours = undo.len() > mark;
+            match undo.last_mut().filter(|_| ours) {
+                Some(UndoOp::Insert { slots: taken, .. }) => taken.end = slots.end,
+                _ => undo.push(UndoOp::Insert {
+                    table: table.to_owned(),
+                    slots,
+                }),
+            }
+            if let Some(e) = failed {
+                return Err(e);
+            }
         }
-        result
+        Ok(n)
     }
 
     /// The rows of a DML target (whose columns `scope` names) that pass
@@ -1142,8 +1173,9 @@ impl<'a> Executor<'a> {
             .transpose()?;
         let pred = pred.as_ref().map(|p| self.compile(p));
         let slots = access.slots(&table);
+        let read = scan_of(self.reads.map_or(&[][..], Reads::target), scope.arity());
         let mut matches = Vec::new();
-        for b in table.read_batches(&slots, true, self.batch_rows()) {
+        for b in table.read_batches(&slots, true, self.batch_rows(), read) {
             self.check_deadline()?;
             let b = match &pred {
                 Some(p) => {
@@ -1163,6 +1195,7 @@ impl<'a> Executor<'a> {
                 matches.iter().map(|b| b.len() as u64).sum(),
                 t0.map(us_since).unwrap_or(0),
             );
+            p.note_cols(read.map_or(scope.arity(), count), scope.arity());
         }
         Ok(matches)
     }
@@ -1185,11 +1218,23 @@ impl<'a> Executor<'a> {
             // a join whose inner side is the target itself, unscanned: a
             // small FROM probes the target's index, a table-sized one
             // scans and hashes it — `choose_join` decides
-            let from = self.build_from(&upd.from, 0, |_| Vec::new())?;
+            let reads = self.reads_of(&upd.from);
+            let from = self.build_from(&upd.from, 0, |_| Vec::new(), reads)?;
             let target_at = from.arity();
             let on = update_predicate(upd);
             let inner = JoinInner::table_with_slots(handle.clone(), factor_visible_name(&target));
-            let joined = self.join_step(from, inner, JoinType::Inner, on.as_deref(), &target)?;
+            // the join carries the target's columns the statement reads,
+            // and the slot
+            let target_reads = self.reads.map_or(&[][..], Reads::target);
+            let scan = scan_of(target_reads, inner.scope().arity() - 1);
+            let carry = scan.map(|scan| {
+                let from = carried(reads, from.scope.relations().iter(), ABOVE - 1);
+                let mut carry = from.unwrap_or_else(|| vec![true; target_at]);
+                carry.extend(scan.iter().chain([&true]));
+                carry
+            });
+            let (on, masks) = (on.as_deref(), (carry, scan));
+            let joined = self.join_step(from, inner, JoinType::Inner, on, &target, masks)?;
             // the join emits a target row's pairs in FROM order: keeping
             // the first per slot is "first matching FROM row wins"
             let slot_at = joined.arity() - 1;
@@ -1841,7 +1886,8 @@ fn distinct(batches: Vec<ColumnBatch>, arity: usize) -> Vec<ColumnBatch> {
     if keep.is_empty() {
         return Vec::new();
     }
-    vec![ColumnBatch::from_cols(all.gather_cols(&keep), keep.len())]
+    let cols = all.gather_cols(&keep, None);
+    vec![ColumnBatch::from_cols(cols, keep.len())]
 }
 
 /// The target of an `UPDATE` as the `FROM` factor it plays in its join.
@@ -1944,6 +1990,31 @@ pub(crate) fn ast_conjuncts(pred: Option<&Expr>) -> Vec<&Expr> {
         collect(e, &mut out);
     }
     out
+}
+
+/// The columns the first factor of `reads` materializes when its table of
+/// `arity` columns is scanned; `None` when it is read whole.
+fn scan_of(reads: &[Option<FactorReads>], arity: usize) -> Option<&[bool]> {
+    let scan = reads.first()?.as_ref().map(|f| &*f.scan);
+    scan.filter(|scan| scan.len() == arity)
+}
+
+/// The columns a join's output over `relations` — one per factor of
+/// `reads` — carries: those a factor's reads mark past `past`, every other
+/// column of a factor read whole; `None` without masks.
+fn carried<'r>(
+    reads: &[Option<FactorReads>],
+    relations: impl Iterator<Item = &'r ScopeRelation>,
+    past: u32,
+) -> Option<Vec<bool>> {
+    let mut factors = reads
+        .iter()
+        .map(|f| f.as_ref().map_or(&[][..], |f| &f.until));
+    let carry = relations.flat_map(|r| {
+        let f = factors.next().unwrap_or_default();
+        (0..r.columns.len()).map(move |c| f.get(c).is_none_or(|&u| u > past))
+    });
+    (!reads.is_empty()).then(|| carry.collect())
 }
 
 fn projection_name(expr: &Expr, alias: Option<&str>, i: usize) -> String {
@@ -2107,6 +2178,46 @@ fn infer_schema(source: &Batches) -> DbResult<Schema> {
 mod tests {
     use super::*;
     use crate::parser::{parse_query, parse_statement};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How many rows an `INSERT` on this thread stores before
+        /// [`panic_once_stored`] panics ahead of its next batch (never by
+        /// default).
+        static PANIC_AFTER: Cell<u64> = const { Cell::new(u64::MAX) };
+    }
+
+    /// Panics once, ahead of a batch, when the statement has stored the
+    /// rows a test armed [`PANIC_AFTER`] with.
+    pub(super) fn panic_once_stored(rows: u64) {
+        if PANIC_AFTER.with(|p| p.get()) == rows {
+            PANIC_AFTER.with(|p| p.set(u64::MAX));
+            panic!("injected panic after {rows} stored rows");
+        }
+    }
+
+    #[test]
+    fn recovery_takes_back_the_batches_a_panicking_insert_stored() {
+        let db = crate::Database::new(EngineProfile::Postgres);
+        db.set_batch_size(Some(1));
+        let mut s = db.connect();
+        s.execute("CREATE TABLE src (a INT)").unwrap();
+        s.execute("INSERT INTO src VALUES (1), (2), (3)").unwrap();
+        s.execute("CREATE TABLE t (a INT)").unwrap();
+        let used = db.memory_used();
+        PANIC_AFTER.with(|p| p.set(1));
+        let insert = || s.execute("INSERT INTO t SELECT a FROM src");
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(insert));
+        assert!(run.is_err(), "the second batch panics");
+        s.recover_after_panic();
+        let count = s.query("SELECT COUNT(*) FROM t").unwrap();
+        assert_eq!(count.rows, vec![vec![Value::Int(0)]]);
+        assert_eq!(db.memory_used(), used);
+        assert_eq!(
+            s.execute("INSERT INTO t SELECT a FROM src").unwrap(),
+            StmtOutput::Affected(3)
+        );
+    }
 
     struct Ctx {
         catalog: Catalog,
@@ -2731,12 +2842,14 @@ mod tests {
         };
         let exec = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats);
         assert_eq!(
-            exec.build_from(&s.from, 0, |_| Vec::new()).unwrap().len(),
+            exec.build_from(&s.from, 0, |_| Vec::new(), &[])
+                .unwrap()
+                .len(),
             27
         );
         let expired =
             exec.with_deadline(Some(Instant::now() - std::time::Duration::from_millis(10)));
-        let err = expired.build_from(&s.from, 0, |_| Vec::new());
+        let err = expired.build_from(&s.from, 0, |_| Vec::new(), &[]);
         assert!(matches!(err, Err(DbError::Timeout(_))), "{err:?}");
     }
 

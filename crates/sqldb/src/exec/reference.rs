@@ -10,9 +10,12 @@
 use super::*;
 
 impl<'a> Executor<'a> {
-    /// Runs every `SELECT` on the reference evaluator.
+    /// Runs every `SELECT` on the reference evaluator, and reads every
+    /// column of every `FROM` factor and DML target, so the pruned plans
+    /// are held to unpruned ones.
     pub(crate) fn with_row_oracle(mut self) -> Executor<'a> {
         self.row_oracle = true;
+        self.reads = None;
         self
     }
 

@@ -158,7 +158,7 @@ impl JoinInner {
         }
     }
 
-    fn scope(&self) -> &Scope {
+    pub(crate) fn scope(&self) -> &Scope {
         match self {
             JoinInner::Rows(rel) => &rel.scope,
             JoinInner::Table { scope, .. } => scope,
@@ -671,6 +671,11 @@ impl Probe<'_> {
     }
 }
 
+/// How many of `mask`'s flags are set.
+pub(crate) fn count(mask: &[bool]) -> usize {
+    mask.iter().filter(|&&m| m).count()
+}
+
 /// Whether every batch keys on an `Int` lane vector in column `col`.
 fn int_keyed(batches: &[ColumnBatch], col: usize) -> bool {
     let int = |b: &ColumnBatch| matches!(b.col(col).data, ColData::Int(_));
@@ -700,20 +705,25 @@ pub struct JoinEnv<'a> {
 enum Inner<'a> {
     /// Lanes of a batch.
     Batch(&'a ColumnBatch),
-    /// Slots of a table read in place; with `slots`, the slot itself becomes
-    /// the last column ([`JoinInner::table_with_slots`]).
-    Table { table: &'a Table, slots: bool },
+    /// Slots of a table read in place, in the columns `read` names; with
+    /// `slots`, the slot itself becomes the last column
+    /// ([`JoinInner::table_with_slots`]).
+    Table {
+        table: &'a Table,
+        slots: bool,
+        read: Option<&'a [bool]>,
+    },
 }
 
 impl Inner<'_> {
     /// The rows of the pairs: `cols`, the outer side's columns of them,
     /// then this side's lanes (or slots) `pr` ([`NO_LANE`]: a `LEFT JOIN`
-    /// pad, all NULL), each column gathered once.
-    fn gather(&self, mut cols: Vec<Col>, pr: &[u32]) -> ColumnBatch {
+    /// pad, all NULL), each column gathered once, unless `keep` drops it.
+    fn gather(&self, mut cols: Vec<Col>, pr: &[u32], keep: Option<&[bool]>) -> ColumnBatch {
         match self {
-            Inner::Batch(batch) => cols.extend(batch.gather_cols(pr)),
-            Inner::Table { table, slots } => {
-                cols.extend(table.gather(pr));
+            Inner::Batch(batch) => cols.extend(batch.gather_cols(pr, keep)),
+            Inner::Table { table, slots, read } => {
+                cols.extend(table.gather(pr, keep.or(*read)));
                 cols.extend(slots.then(|| table.slot_col(pr)));
             }
         }
@@ -733,6 +743,9 @@ struct Output<'a> {
     rel: Rel,
     /// The candidate pairs' buffers, kept from one probed batch to the next.
     pairs: (Vec<u32>, Vec<u32>),
+    /// The columns of the outer and of the inner side the output carries
+    /// (all without them).
+    keep: (Option<&'a [bool]>, Option<&'a [bool]>),
 }
 
 impl Output<'_> {
@@ -782,7 +795,8 @@ impl Output<'_> {
     ) -> DbResult<()> {
         check_deadline(self.env.deadline)?;
         if !self.residual.is_empty() && !pl.is_empty() {
-            let keep = self.accepted(&inner.gather(outer.gather_cols(pl), pr), pr)?;
+            let candidates = inner.gather(outer.gather_cols(pl, None), pr, None);
+            let keep = self.accepted(&candidates, pr)?;
             let pad_in_place = self.left_join && matched.is_none();
             let (mut kept, mut lane_from) = (0, 0);
             for at in 0..keep.len() {
@@ -807,7 +821,8 @@ impl Output<'_> {
         }
         let rows = self.env.batch_rows;
         for (pl, pr) in pl.chunks(rows).zip(pr.chunks(rows)) {
-            self.rel.push(inner.gather(outer.gather_cols(pl), pr))?;
+            let outer = outer.gather_cols(pl, self.keep.0);
+            self.rel.push(inner.gather(outer, pr, self.keep.1))?;
         }
         pl.clear();
         pr.clear();
@@ -851,7 +866,16 @@ impl Output<'_> {
     /// order: its columns, then `inner`'s lanes.
     fn emit_outer(&mut self, outer: ColumnBatch, inner: &Inner<'_>) -> DbResult<()> {
         check_deadline(self.env.deadline)?;
-        let batch = inner.gather(outer.into_cols(), &self.pairs.1);
+        let keep = self.keep.0;
+        let outer = outer.into_cols().into_iter().enumerate();
+        let outer = outer.map(|(i, c)| {
+            if keep.is_none_or(|k| k[i]) {
+                c
+            } else {
+                Col::unread()
+            }
+        });
+        let batch = inner.gather(outer.collect(), &self.pairs.1, self.keep.1);
         self.pairs.0.clear();
         self.pairs.1.clear();
         self.rel.push(batch)
@@ -882,16 +906,18 @@ pub struct Joined {
     /// Column batches the join took in, from both sides.
     pub batches: u64,
     /// Set when the inner side arrived as an unscanned table: the rows read
-    /// from it (scanned, or fetched through the index) and the µs a scan
-    /// took (index fetches are interleaved with the probes, hence 0).
-    pub inner_read: Option<(u64, u64)>,
+    /// from it (scanned, or fetched through the index), the µs a scan took
+    /// (index fetches run inside the probes, hence 0) and its columns read.
+    pub inner_read: Option<(u64, u64, usize)>,
 }
 
 /// Joins `left` and `right`, appending the right relation's scope.
 ///
 /// `on` is bound against the combined scope; [`choose_join`] picks the
 /// algorithm from `env.strategy`, the shape of the `ON` condition and the
-/// inner table's index (see module docs).
+/// inner table's index (see module docs). With `masks`, the output carries
+/// only the columns the first names of those its inputs carry, and an
+/// unscanned inner table is read only in the columns the second names.
 ///
 /// # Errors
 /// Returns binder/eval errors from the `ON` expression,
@@ -902,6 +928,7 @@ pub fn join_rels(
     right: JoinInner,
     join_type: JoinType,
     on: Option<&Expr>,
+    (carry, read): (Option<&[bool]>, Option<&[bool]>),
     env: &JoinEnv<'_>,
 ) -> DbResult<Joined> {
     let mut scope = left.scope.clone();
@@ -918,6 +945,7 @@ pub fn join_rels(
         }
         None => (None, Vec::new()),
     };
+    let read_cols = read.map_or(right_arity, count);
 
     let index = match (&key, &right) {
         (Some(k), JoinInner::Table { handle, .. }) => index_shape(handle, k.right),
@@ -948,12 +976,13 @@ pub fn join_rels(
         left_join: join_type == JoinType::Left,
         rel: Rel::new(scope, Vec::new(), env.budget)?,
         pairs: Default::default(),
+        keep: carry.map(|carry| carry.split_at(left_arity)).unzip(),
     };
     let mut batches = left.batches.len();
     let inner_read = match (&algo, key, right) {
         (JoinAlgo::IndexNestedLoop { .. }, Some(key), JoinInner::Table { handle, slots, .. }) => {
-            let fetched = index_nested_loop(left, &handle, slots, key, &mut out)?;
-            Some((fetched, 0))
+            let fetched = index_nested_loop(left, &handle, slots, read, key, &mut out)?;
+            Some((fetched, 0, read_cols))
         }
         (_, key, right) => {
             let (right, inner_read) = match right {
@@ -967,10 +996,11 @@ pub fn join_rels(
                     let t0 = Instant::now();
                     let table = handle.read();
                     let live = table.live_slot_vec();
-                    let read = table.read_batches(&live, slots, usize::MAX);
-                    let rel = Rel::new(scope, read, env.budget)?;
+                    let batches = table.read_batches(&live, slots, usize::MAX, read);
+                    let rel = Rel::new(scope, batches, env.budget)?;
                     env.stats.add_rows_scanned(rel.len() as u64);
-                    let read = (rel.len() as u64, t0.elapsed().as_micros() as u64);
+                    let us = t0.elapsed().as_micros() as u64;
+                    let read = (rel.len() as u64, us, read_cols);
                     (rel, Some(read))
                 }
             };
@@ -1002,6 +1032,7 @@ fn index_nested_loop(
     left: Rel,
     inner: &TableHandle,
     slots: bool,
+    read: Option<&[bool]>,
     key: EquiKey,
     out: &mut Output<'_>,
 ) -> DbResult<u64> {
@@ -1010,6 +1041,7 @@ fn index_nested_loop(
     let inner = Inner::Table {
         table: &table,
         slots,
+        read,
     };
     for outer in left.batches {
         let keys = outer.col(key.left);
@@ -1210,6 +1242,7 @@ mod tests {
             JoinInner::Rows(r),
             join_type,
             on.as_ref(),
+            (None, None),
             &env(strategy),
         );
         let joined = joined.unwrap().rel;
@@ -1281,7 +1314,7 @@ mod tests {
     fn cross_join() {
         let env = env(JoinStrategy::Hash);
         let right = JoinInner::Rows(right_rel());
-        let out = join_rels(left_rel(), right, JoinType::Cross, None, &env).unwrap();
+        let out = join_rels(left_rel(), right, JoinType::Cross, None, (None, None), &env).unwrap();
         assert_eq!(out.rel.len(), 9);
         assert_eq!(out.rel.arity(), 4);
         assert_eq!(out.algo, JoinAlgo::NestedLoop);
@@ -1313,7 +1346,14 @@ mod tests {
                 JoinType::Cross
             };
             let right = JoinInner::Rows(right_rel());
-            let err = join_rels(left_rel(), right, join_type, on.as_ref(), &env);
+            let err = join_rels(
+                left_rel(),
+                right,
+                join_type,
+                on.as_ref(),
+                (None, None),
+                &env,
+            );
             assert!(
                 matches!(err, Err(DbError::Timeout(_))),
                 "{strategy:?} {on:?}: {err:?}"
@@ -1331,7 +1371,7 @@ mod tests {
         budget.set_limit(Some(200));
         env.budget = Box::leak(Box::new(budget));
         let right = JoinInner::Rows(right_rel());
-        let err = join_rels(left_rel(), right, JoinType::Cross, None, &env);
+        let err = join_rels(left_rel(), right, JoinType::Cross, None, (None, None), &env);
         assert!(matches!(err, Err(DbError::BudgetExceeded(_))), "{err:?}");
         assert!(env.budget.peak() > 0 && env.budget.peak() <= 200);
         assert_eq!(env.budget.used(), 0);
@@ -1360,10 +1400,11 @@ mod tests {
             let on = parse_expression("l.id = e.k").unwrap();
             let outer = rel("l", &["id"], Vec::new());
             let inner = JoinInner::table(indexed_table(), "e");
-            let out = join_rels(outer, inner, JoinType::Left, Some(&on), &env).unwrap();
+            let out =
+                join_rels(outer, inner, JoinType::Left, Some(&on), (None, None), &env).unwrap();
             assert!(probes(&out.algo), "{strategy:?}: {:?}", out.algo);
             assert_eq!(out.rel.len(), 0);
-            assert_eq!(out.inner_read, Some((0, 0)));
+            assert_eq!(out.inner_read, Some((0, 0, 2)));
             let stats = env.stats.snapshot();
             assert_eq!((stats.rows_scanned, stats.index_lookups), (0, 0));
         }
@@ -1379,7 +1420,7 @@ mod tests {
             vec![vec![Value::Int(3)], vec![Value::Null], vec![Value::Int(77)]],
         );
         let inner = JoinInner::table_with_slots(indexed_table(), "e");
-        let out = join_rels(outer, inner, JoinType::Left, Some(&on), &env).unwrap();
+        let out = join_rels(outer, inner, JoinType::Left, Some(&on), (None, None), &env).unwrap();
         assert!(probes(&out.algo));
         // the residual keeps w = 23, 33 of key 3's four rows; the NULL key
         // and the missing key are padded in place — slot column included
@@ -1398,7 +1439,7 @@ mod tests {
             .iter()
             .all(|b| matches!(b.col(2).data, ColData::Int(_))));
         assert_eq!(env.stats.snapshot().index_lookups, 2);
-        assert_eq!(out.inner_read, Some((4, 0)));
+        assert_eq!(out.inner_read, Some((4, 0, 3)));
     }
 
     #[test]
@@ -1497,7 +1538,15 @@ mod tests {
         let on = parse_expression("l.id = r.id").unwrap();
         let big = rel("r", &["id"], (0..10).map(|i| vec![Value::Int(i)]).collect());
         let big = JoinInner::Rows(big);
-        join_rels(left_rel(), big, JoinType::Inner, Some(&on), &env).unwrap();
+        join_rels(
+            left_rel(),
+            big,
+            JoinType::Inner,
+            Some(&on),
+            (None, None),
+            &env,
+        )
+        .unwrap();
         // built on the 3-row left, probed with the 10-row right
         assert_eq!(env.stats.snapshot().rows_joined, 10);
         assert_eq!(env.stats.snapshot().index_lookups, 0);

@@ -51,6 +51,7 @@ pub mod op_profile;
 pub mod parser;
 pub mod plan_cache;
 pub mod profile;
+pub mod reads;
 pub mod render;
 pub mod snapshot;
 pub mod stats;

@@ -35,6 +35,8 @@ pub struct OpNode {
     /// works on rows or whole inputs, such as `Sort`, `Limit`, `Union`,
     /// `Distinct` and DML apply).
     pub batches: u64,
+    /// A scan's or join's columns with lanes, of its relation's.
+    pub cols: Option<(usize, usize)>,
     /// Input operators, outermost-input first.
     pub children: Vec<OpNode>,
 }
@@ -42,7 +44,8 @@ pub struct OpNode {
 impl OpNode {
     /// Renders this subtree as indented `EXPLAIN ANALYZE` lines. Operators
     /// that counted batches append their batch actuals (`batches=…
-    /// rows/batch=…`); the others keep the plain format.
+    /// rows/batch=…`), scans and joins the columns they carry (`cols=5/9`);
+    /// the others keep the plain format.
     pub fn render(&self, depth: usize, out: &mut Vec<String>) {
         let mut line = format!(
             "{}{} (actual rows={} calls={} time_us={}",
@@ -58,6 +61,9 @@ impl OpNode {
                 self.batches,
                 self.calls / self.batches
             ));
+        }
+        if let Some((carried, of)) = self.cols {
+            line.push_str(&format!(" cols={carried}/{of}"));
         }
         line.push(')');
         out.push(line);
@@ -98,6 +104,7 @@ impl OpProfiler {
             calls: rows_out,
             elapsed_us,
             batches: 0,
+            cols: None,
             children: Vec::new(),
         });
     }
@@ -111,6 +118,7 @@ impl OpProfiler {
             calls: rows_out,
             elapsed_us,
             batches,
+            cols: None,
             children: Vec::new(),
         });
     }
@@ -143,8 +151,16 @@ impl OpProfiler {
             calls,
             elapsed_us,
             batches,
+            cols: None,
             children,
         });
+    }
+
+    /// Records that the node pushed last carries `carried` of `of` columns.
+    pub fn note_cols(&self, carried: usize, of: usize) {
+        if let Some(node) = self.stack.borrow_mut().last_mut() {
+            node.cols = Some((carried, of));
+        }
     }
 
     /// Number of nodes currently at the top level.

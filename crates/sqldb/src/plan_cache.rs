@@ -50,6 +50,7 @@ use crate::ast::{Expr, Statement};
 use crate::dialect_check::for_each_expr;
 use crate::digest::normalize_sql;
 use crate::error::DbResult;
+use crate::reads::Reads;
 use crate::txn::LockMode;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -67,6 +68,8 @@ pub struct Admission {
     pub locks: Vec<(String, LockMode)>,
     /// The engine profile's dialect verdict on the statement.
     pub valid: DbResult<()>,
+    /// The columns it reads of each `FROM` factor and DML target.
+    pub reads: Reads,
 }
 
 /// A parsed statement with its admission and invalidation fingerprint.
@@ -348,6 +351,7 @@ mod tests {
                 .map(|t| (t.to_string(), LockMode::Shared))
                 .collect(),
             valid: Ok(()),
+            reads: Reads::default(),
         }
     }
 

@@ -138,7 +138,7 @@ impl Table {
     /// fit; the table stays detached.
     pub fn attach_budget(&mut self, budget: &Arc<MemoryBudget>) -> DbResult<()> {
         let slots = self.live_slot_vec();
-        let charged = rows_bytes(&self.gather(&lanes(&slots)), slots.len());
+        let charged = rows_bytes(&self.gather(&lanes(&slots), None), slots.len());
         budget.charge(charged)?;
         self.budget = Some(budget.clone());
         self.tracked_bytes = charged;
@@ -395,7 +395,7 @@ impl Table {
                 let nulls = schema_cols(&self.schema, slots.len());
                 std::mem::replace(&mut self.cols, nulls)
             }
-            false => self.gather(&lanes(slots)),
+            false => self.gather(&lanes(slots), None),
         };
         if slots.len() == self.live_count {
             self.pk_index.iter_mut().for_each(KeyMap::clear);
@@ -474,9 +474,20 @@ impl Table {
     }
 
     /// Every column's lanes `idx` — slots, or [`crate::batch::NO_LANE`] for a row of
-    /// NULLs; a dead slot's lanes are NULL too.
-    pub fn gather(&self, idx: &[u32]) -> Vec<Col> {
-        self.cols.iter().map(|c| c.gather(idx)).collect()
+    /// NULLs; a dead slot's lanes are NULL too. Only the columns `read` names
+    /// (all without it) get lanes.
+    pub fn gather(&self, idx: &[u32], read: Option<&[bool]>) -> Vec<Col> {
+        self.read_cols(read, |c| c.gather(idx))
+    }
+
+    /// `lanes` of each column `read` names (of all without it); the others
+    /// are [`Col::unread`].
+    fn read_cols(&self, read: Option<&[bool]>, lanes: impl Fn(&Col) -> Col) -> Vec<Col> {
+        let col = |(c, col): (usize, &Col)| match read.is_none_or(|r| r[c]) {
+            true => lanes(col),
+            false => Col::unread(),
+        };
+        self.cols.iter().enumerate().map(col).collect()
     }
 
     /// An `Int` column of the slots `idx` names, NULL where one is
@@ -491,9 +502,17 @@ impl Table {
     /// Reads the rows in `slots` — live slots of this table, e.g.
     /// [`Table::live_slots`] or what an index seek returns — into column
     /// batches of at most `batch_size` lanes: a run of consecutive slots
-    /// copies lane ranges, any other is gathered. With `slots`, each batch
-    /// ends in an `Int` column holding the rows' slots.
-    pub fn read_batches(&self, rows: &[usize], slots: bool, batch_size: usize) -> Vec<ColumnBatch> {
+    /// copies lane ranges, any other is gathered. Only the columns `read`
+    /// names (all without it) get lanes, the others are [`Col::unread`].
+    /// With `slots`, each batch ends in an `Int` column holding the rows'
+    /// slots.
+    pub fn read_batches(
+        &self,
+        rows: &[usize],
+        slots: bool,
+        batch_size: usize,
+        read: Option<&[bool]>,
+    ) -> Vec<ColumnBatch> {
         let chunks = rows.chunks(batch_size.max(1));
         let batch = |chunk: &[usize]| {
             let idx = || lanes(chunk);
@@ -501,9 +520,9 @@ impl Table {
             let mut cols: Vec<Col> = match run {
                 true => {
                     let range = chunk[0]..chunk[0] + chunk.len();
-                    self.cols.iter().map(|c| c.slice(range.clone())).collect()
+                    self.read_cols(read, |c| c.slice(range.clone()))
                 }
-                false => self.gather(&idx()),
+                false => self.gather(&idx(), read),
             };
             cols.extend(slots.then(|| self.slot_col(&idx())));
             ColumnBatch::from_cols(cols, chunk.len())
@@ -632,7 +651,7 @@ mod tests {
         }
         t.delete_slots(&[2]).unwrap();
         let live: Vec<usize> = t.live_slots().collect();
-        let batches = t.read_batches(&live, true, 3);
+        let batches = t.read_batches(&live, true, 3, None);
         assert_eq!(
             batches.iter().map(|b| b.len()).collect::<Vec<_>>(),
             vec![3, 3]
@@ -769,7 +788,7 @@ mod tests {
         assert_eq!(t.index_lookup(1, &Value::Float(0.0)).unwrap(), &[0, 1]);
         t.delete_slots(&[0, 1]).unwrap();
         t.insert(vec![Value::Int(3), Value::Float(0.5)]).unwrap();
-        assert!(matches!(t.gather(&[2])[1].data, ColData::Float(_)));
+        assert!(matches!(t.gather(&[2], None)[1].data, ColData::Float(_)));
         assert_eq!(t.scan(), vec![vec![Value::Int(3), Value::Float(0.5)]]);
     }
 

@@ -207,6 +207,11 @@ impl UndoLog {
         self.ops.push(op);
     }
 
+    /// The operation logged last.
+    pub fn last_mut(&mut self) -> Option<&mut UndoOp> {
+        self.ops.last_mut()
+    }
+
     /// Current length — use with [`UndoLog::split_off`] for statement-level
     /// atomicity marks.
     pub fn len(&self) -> usize {
