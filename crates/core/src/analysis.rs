@@ -469,52 +469,9 @@ fn rewrite_side_refs(
 }
 
 fn rewrite_columns(e: &mut Expr, f: &mut impl FnMut(&mut Option<String>, &str)) {
-    if let Expr::Column { table, name } = e {
-        let n = name.clone();
-        f(table, &n);
-        return;
-    }
     match e {
-        Expr::Binary { left, right, .. } => {
-            rewrite_columns(left, f);
-            rewrite_columns(right, f);
-        }
-        Expr::Unary { expr, .. } => rewrite_columns(expr, f),
-        Expr::Function { args, .. } => {
-            for a in args {
-                if let FunctionArg::Expr(e) = a {
-                    rewrite_columns(e, f);
-                }
-            }
-        }
-        Expr::Case {
-            branches,
-            else_result,
-        } => {
-            for (c, r) in branches {
-                rewrite_columns(c, f);
-                rewrite_columns(r, f);
-            }
-            if let Some(e) = else_result {
-                rewrite_columns(e, f);
-            }
-        }
-        Expr::IsNull { expr, .. } => rewrite_columns(expr, f),
-        Expr::InList { expr, list, .. } => {
-            rewrite_columns(expr, f);
-            for e in list {
-                rewrite_columns(e, f);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            rewrite_columns(expr, f);
-            rewrite_columns(low, f);
-            rewrite_columns(high, f);
-        }
-        Expr::Cast { expr, .. } => rewrite_columns(expr, f),
-        Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) => {}
+        Expr::Column { table, name } => f(table, name),
+        _ => e.for_each_child_mut(|c| rewrite_columns(c, f)),
     }
 }
 

@@ -476,61 +476,6 @@ fn rewrite_factor(factor: &mut TableFactor, from: &str, to: &str) {
     }
 }
 
-/// Evaluates a data/delta termination condition (Table I, data rows).
-///
-/// # Errors
-/// Engine errors from the user's expression query.
-pub fn data_condition_satisfied(
-    conn: &mut dyn Connection,
-    cte_table: &str,
-    query: &SelectStmt,
-    mode: &DataMode,
-) -> SqloopResult<bool> {
-    let sql = translate_query_to_sql(query, conn.profile());
-    let result = conn.query(&sql)?;
-    match mode {
-        DataMode::Any => Ok(!result.rows.is_empty()),
-        DataMode::All => {
-            let total = run_query(conn, &format!("SELECT COUNT(*) FROM {cte_table}"))?;
-            let total = total.scalar().and_then(Value::as_i64).unwrap_or(0);
-            Ok(result.rows.len() as i64 == total)
-        }
-        DataMode::Compare(cmp, threshold) => {
-            let scalar = result.scalar().ok_or_else(|| {
-                SqloopError::Semantic(
-                    "termination expression with a comparison must return one value".into(),
-                )
-            })?;
-            Ok(cmp.matches(scalar.total_cmp(threshold)))
-        }
-    }
-}
-
-/// Decides termination after one iteration.
-///
-/// * `Iterations(n)` — satisfied once `iterations_done >= n`.
-/// * `Updates(n)` — satisfied once the last iteration updated ≤ n rows
-///   (Example 3 of the paper uses `UNTIL 0 UPDATES` for "no more updates").
-/// * data/delta forms — the user's expression query, per [`DataMode`].
-///
-/// # Errors
-/// Engine errors from data/delta expression evaluation.
-pub fn termination_satisfied(
-    conn: &mut dyn Connection,
-    cte_table: &str,
-    tc: &Termination,
-    iterations_done: u64,
-    last_updates: u64,
-) -> SqloopResult<bool> {
-    match tc {
-        Termination::Iterations(n) => Ok(iterations_done >= *n),
-        Termination::Updates(n) => Ok(last_updates <= *n),
-        Termination::Data { query, mode } | Termination::Delta { query, mode } => {
-            data_condition_satisfied(conn, cte_table, query, mode)
-        }
-    }
-}
-
 /// Refreshes the `<R>delta` snapshot table from the live CTE table/view by
 /// recreating it. Executors use this for the *initial* snapshot; the
 /// per-round path is [`DeltaRefresher`], which rewrites in place so the
@@ -644,9 +589,14 @@ impl TerminationProbe {
         })
     }
 
-    /// Decides termination after one iteration — same contract as
-    /// [`termination_satisfied`], but data/delta conditions run through the
-    /// prepared handles.
+    /// Decides termination after one iteration.
+    ///
+    /// * `Iterations(n)` — satisfied once `iterations_done >= n`.
+    /// * `Updates(n)` — satisfied once the last iteration updated ≤ n rows
+    ///   (Example 3 of the paper uses `UNTIL 0 UPDATES` for "no more
+    ///   updates").
+    /// * data/delta forms — the user's expression query, run through the
+    ///   prepared handles, per [`DataMode`].
     ///
     /// # Errors
     /// Engine errors from data/delta expression evaluation.
@@ -860,40 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn data_condition_modes() {
-        let mut c = conn();
-        c.execute("CREATE TABLE r (id INT PRIMARY KEY, v FLOAT)")
-            .unwrap();
-        c.execute("INSERT INTO r VALUES (1, 1.0), (2, 5.0)")
-            .unwrap();
-        let q = parse_query("SELECT id FROM r WHERE v > 2").unwrap();
-        // ANY: one row satisfies
-        assert!(data_condition_satisfied(c.as_mut(), "r", &q, &DataMode::Any).unwrap());
-        // ALL: not all rows satisfy
-        assert!(!data_condition_satisfied(c.as_mut(), "r", &q, &DataMode::All).unwrap());
-        // compare: COUNT = 1
-        let qc = parse_query("SELECT COUNT(*) FROM r WHERE v > 2").unwrap();
-        let mode = DataMode::Compare(crate::grammar::TcCompare::Equal, Value::Int(1));
-        assert!(data_condition_satisfied(c.as_mut(), "r", &qc, &mode).unwrap());
-        let mode = DataMode::Compare(crate::grammar::TcCompare::Greater, Value::Int(5));
-        assert!(!data_condition_satisfied(c.as_mut(), "r", &qc, &mode).unwrap());
-    }
-
-    #[test]
-    fn termination_metadata_forms() {
-        let mut c = conn();
-        assert!(
-            termination_satisfied(c.as_mut(), "r", &Termination::Iterations(3), 3, 99).unwrap()
-        );
-        assert!(
-            !termination_satisfied(c.as_mut(), "r", &Termination::Iterations(3), 2, 0).unwrap()
-        );
-        assert!(termination_satisfied(c.as_mut(), "r", &Termination::Updates(0), 1, 0).unwrap());
-        assert!(!termination_satisfied(c.as_mut(), "r", &Termination::Updates(0), 1, 5).unwrap());
-        assert!(termination_satisfied(c.as_mut(), "r", &Termination::Updates(10), 1, 7).unwrap());
-    }
-
-    #[test]
     fn delta_refresher_creates_then_rewrites_in_place() {
         let mut c = conn();
         c.execute("CREATE TABLE r (id INT PRIMARY KEY, v FLOAT)")
@@ -913,24 +829,25 @@ mod tests {
     }
 
     #[test]
-    fn termination_probe_matches_unprepared_evaluation() {
+    fn termination_probe_decides_every_condition_form() {
         let mut c = conn();
         c.execute("CREATE TABLE r (id INT PRIMARY KEY, v FLOAT)")
             .unwrap();
         c.execute("INSERT INTO r VALUES (1, 1.0), (2, 5.0)")
             .unwrap();
         let q = parse_query("SELECT id FROM r WHERE v > 2").unwrap();
+        let qc = parse_query("SELECT COUNT(*) FROM r WHERE v > 2").unwrap();
         let profile = c.profile();
-        for (mode, expect) in [
-            (DataMode::Any, true),
-            (DataMode::All, false),
-            (
-                DataMode::Compare(crate::grammar::TcCompare::Greater, Value::Int(5)),
-                false,
-            ),
+        let compare = |cmp, n| DataMode::Compare(cmp, Value::Int(n));
+        for (query, mode, expect) in [
+            // one row satisfies, not all do
+            (&q, DataMode::Any, true),
+            (&q, DataMode::All, false),
+            (&qc, compare(crate::grammar::TcCompare::Equal, 1), true),
+            (&qc, compare(crate::grammar::TcCompare::Greater, 5), false),
         ] {
             let tc = Termination::Data {
-                query: q.clone(),
+                query: query.clone(),
                 mode: mode.clone(),
             };
             let mut probe = TerminationProbe::new("r", &tc, profile).unwrap();
@@ -943,9 +860,28 @@ mod tests {
                 );
             }
         }
-        let mut probe = TerminationProbe::new("r", &Termination::Iterations(3), profile).unwrap();
-        assert!(probe.satisfied(c.as_mut(), 3, 9).unwrap());
-        assert!(!probe.satisfied(c.as_mut(), 2, 0).unwrap());
+        // ALL holds once every row satisfies
+        let all = Termination::Data {
+            query: parse_query("SELECT id FROM r WHERE v > 0").unwrap(),
+            mode: DataMode::All,
+        };
+        let mut probe = TerminationProbe::new("r", &all, profile).unwrap();
+        assert!(probe.satisfied(c.as_mut(), 1, 1).unwrap());
+        // the metadata forms read only the counts
+        for (tc, done, updates, expect) in [
+            (Termination::Iterations(3), 3, 99, true),
+            (Termination::Iterations(3), 2, 0, false),
+            (Termination::Updates(0), 1, 0, true),
+            (Termination::Updates(0), 1, 5, false),
+            (Termination::Updates(10), 1, 7, true),
+        ] {
+            let mut probe = TerminationProbe::new("r", &tc, profile).unwrap();
+            assert_eq!(
+                probe.satisfied(c.as_mut(), done, updates).unwrap(),
+                expect,
+                "{tc:?} after {done} rounds, {updates} updates"
+            );
+        }
     }
 
     #[test]

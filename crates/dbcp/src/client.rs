@@ -211,16 +211,6 @@ impl Connection for TcpConnection {
             .into_output()
     }
 
-    fn execute_batch(&mut self, statements: &[String]) -> DbResult<Vec<StmtOutput>> {
-        match self.round_trip(&Request::Batch(statements.to_vec()))? {
-            Response::BatchResults(items) => items.into_iter().map(Response::into_output).collect(),
-            Response::Error(e) => Err(e),
-            other => Err(DbError::Connection(format!(
-                "unexpected batch response {other:?}"
-            ))),
-        }
-    }
-
     fn begin(&mut self) -> DbResult<()> {
         self.round_trip(&Request::Begin)?.into_output().map(|_| ())
     }

@@ -49,18 +49,23 @@ pub trait Connection: Send {
     /// failures for remote connections.
     fn execute(&mut self, sql: &str) -> DbResult<StmtOutput>;
 
-    /// Executes a batch of statements in one round trip (JDBC
-    /// `addBatch`/`executeBatch`), stopping at the first error.
+    /// Executes a batch of statements as one pipeline (JDBC
+    /// `addBatch`/`executeBatch`): one round trip on a remote connection,
+    /// stopping at the first error.
     ///
     /// # Errors
     /// The first failing statement's error; earlier statements keep their
     /// effects per the connection's autocommit/transaction state.
     fn execute_batch(&mut self, statements: &[String]) -> DbResult<Vec<StmtOutput>> {
-        let mut out = Vec::with_capacity(statements.len());
-        for s in statements {
-            out.push(self.execute(s)?);
+        let steps: Vec<PipelineStep> = statements
+            .iter()
+            .map(|s| PipelineStep::Execute(s.clone()))
+            .collect();
+        let outcome = self.run_pipeline(&steps)?;
+        match outcome.error {
+            Some(e) => Err(e),
+            None => Ok(outcome.outputs),
         }
-        Ok(out)
     }
 
     /// Executes a query and returns its rows.

@@ -519,26 +519,6 @@ fn eval_request(
             Err(e) => Response::Error(e),
             Ok(_stmt) => Response::from_result(session.execute(&sql)),
         },
-        Request::Batch(stmts) => match gov.start_statement() {
-            Err(e) => Response::Error(e),
-            Ok(_stmt) => {
-                let mut items = Vec::with_capacity(stmts.len());
-                let mut failed = None;
-                for s in &stmts {
-                    match session.execute(s) {
-                        Ok(out) => items.push(Response::from_result(Ok(out))),
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                match failed {
-                    Some(e) => Response::Error(e),
-                    None => Response::BatchResults(items),
-                }
-            }
-        },
         Request::Begin => Response::from_result(session.begin().map(|()| StmtOutput::Done)),
         Request::Commit => Response::from_result(session.commit().map(|()| StmtOutput::Done)),
         Request::Rollback => Response::from_result(session.rollback().map(|()| StmtOutput::Done)),

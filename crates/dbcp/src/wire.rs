@@ -22,8 +22,6 @@ pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 pub enum Request {
     /// Execute one statement.
     Execute(String),
-    /// Execute a batch of statements.
-    Batch(Vec<String>),
     /// `BEGIN`.
     Begin,
     /// `COMMIT`.
@@ -110,8 +108,6 @@ pub enum Response {
     Affected(u64),
     /// Success without payload.
     Done,
-    /// Batch results (each a non-error output).
-    BatchResults(Vec<Response>),
     /// The engine profile.
     ProfileIs(EngineProfile),
     /// A statement was prepared.
@@ -289,13 +285,6 @@ fn encode_request_into(req: &Request, buf: &mut BytesMut) {
             buf.put_u8(1);
             put_str(buf, sql);
         }
-        Request::Batch(stmts) => {
-            buf.put_u8(2);
-            buf.put_u32(stmts.len() as u32);
-            for s in stmts {
-                put_str(buf, s);
-            }
-        }
         Request::Begin => buf.put_u8(3),
         Request::Commit => buf.put_u8(4),
         Request::Rollback => buf.put_u8(5),
@@ -401,13 +390,6 @@ fn encode_response_into(resp: &Response, buf: &mut BytesMut) {
             buf.put_u64(*n);
         }
         Response::Done => buf.put_u8(3),
-        Response::BatchResults(items) => {
-            buf.put_u8(4);
-            buf.put_u32(items.len() as u32);
-            for item in items {
-                encode_response_into(item, buf);
-            }
-        }
         Response::ProfileIs(p) => {
             buf.put_u8(5);
             buf.put_u8(profile_tag(*p));
@@ -511,15 +493,6 @@ pub fn decode_request(mut buf: Bytes) -> DbResult<Request> {
     need(&mut buf, 1, "request tag")?;
     match buf.get_u8() {
         1 => Ok(Request::Execute(get_str(&mut buf)?)),
-        2 => {
-            need(&mut buf, 4, "batch count")?;
-            let n = buf.get_u32() as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(get_str(&mut buf)?);
-            }
-            Ok(Request::Batch(v))
-        }
         3 => Ok(Request::Begin),
         4 => Ok(Request::Commit),
         5 => Ok(Request::Rollback),
@@ -638,15 +611,6 @@ fn decode_response_inner(buf: &mut Bytes) -> DbResult<Response> {
             Ok(Response::Affected(buf.get_u64()))
         }
         3 => Ok(Response::Done),
-        4 => {
-            need(buf, 4, "batch count")?;
-            let n = buf.get_u32() as usize;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_response_inner(buf)?);
-            }
-            Ok(Response::BatchResults(items))
-        }
         5 => {
             need(buf, 1, "profile")?;
             Ok(Response::ProfileIs(match buf.get_u8() {
@@ -741,7 +705,6 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         roundtrip_req(Request::Execute("SELECT 1".into()));
-        roundtrip_req(Request::Batch(vec!["a".into(), "b".into()]));
         roundtrip_req(Request::Begin);
         roundtrip_req(Request::Commit);
         roundtrip_req(Request::Rollback);
@@ -815,10 +778,6 @@ mod tests {
                 vec![Value::Bool(true), Value::Float(-0.0)],
             ],
         }));
-        roundtrip_resp(Response::BatchResults(vec![
-            Response::Affected(1),
-            Response::Done,
-        ]));
         roundtrip_resp(Response::Prepared {
             stmt_id: 42,
             param_count: 3,

@@ -614,46 +614,97 @@ impl Expr {
 
     /// True when the expression tree contains an aggregate call anywhere.
     pub fn contains_aggregate(&self) -> bool {
-        self.as_aggregate().is_some() || self.children().iter().any(|c| c.contains_aggregate())
+        let mut found = self.as_aggregate().is_some();
+        self.for_each_child(|c| found = found || c.contains_aggregate());
+        found
     }
 
-    /// Immediate child expressions (does not descend into subqueries).
-    pub fn children(&self) -> Vec<&Expr> {
+    /// Calls `f` on each immediate child expression, in source order (does
+    /// not descend into subqueries).
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
         match self {
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) => Vec::new(),
-            Expr::Binary { left, right, .. } => vec![left, right],
-            Expr::Unary { expr, .. } => vec![expr],
-            Expr::Function { args, .. } => args
-                .iter()
-                .filter_map(|a| match a {
-                    FunctionArg::Expr(e) => Some(e),
-                    FunctionArg::Wildcard => None,
-                })
-                .collect(),
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) => {}
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                f(expr)
+            }
+            Expr::Function { args, .. } => {
+                for a in args {
+                    if let FunctionArg::Expr(e) = a {
+                        f(e);
+                    }
+                }
+            }
             Expr::Case {
                 branches,
                 else_result,
             } => {
-                let mut v: Vec<&Expr> = Vec::new();
                 for (c, r) in branches {
-                    v.push(c);
-                    v.push(r);
+                    f(c);
+                    f(r);
                 }
                 if let Some(e) = else_result {
-                    v.push(e);
+                    f(e);
                 }
-                v
             }
-            Expr::IsNull { expr, .. } => vec![expr],
             Expr::InList { expr, list, .. } => {
-                let mut v = vec![expr.as_ref()];
-                v.extend(list.iter());
-                v
+                f(expr);
+                list.iter().for_each(f);
             }
             Expr::Between {
                 expr, low, high, ..
-            } => vec![expr, low, high],
-            Expr::Cast { expr, .. } => vec![expr],
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+        }
+    }
+
+    /// [`Expr::for_each_child`] handing out the children mutably.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) => {}
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                f(expr)
+            }
+            Expr::Function { args, .. } => {
+                for a in args {
+                    if let FunctionArg::Expr(e) = a {
+                        f(e);
+                    }
+                }
+            }
+            Expr::Case {
+                branches,
+                else_result,
+            } => {
+                for (c, r) in branches {
+                    f(c);
+                    f(r);
+                }
+                if let Some(e) = else_result {
+                    f(e);
+                }
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
         }
     }
 
@@ -668,9 +719,7 @@ impl Expr {
         if let Expr::Column { table, name } = self {
             f(table.as_deref(), name);
         }
-        for c in self.children() {
-            c.visit_columns(f);
-        }
+        self.for_each_child(|c| c.visit_columns(f));
     }
 }
 
@@ -737,6 +786,8 @@ mod tests {
             branches: vec![(Expr::col("c"), Expr::lit(1i64))],
             else_result: Some(Box::new(Expr::lit(2i64))),
         };
-        assert_eq!(e.children().len(), 3);
+        let mut children = 0;
+        e.for_each_child(|_| children += 1);
+        assert_eq!(children, 3);
     }
 }

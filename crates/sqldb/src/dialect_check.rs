@@ -1,9 +1,10 @@
 //! Per-profile statement validation.
 //!
 //! The engine rejects statements its emulated dialect would reject, so that
-//! the SQLoop translation module (which rewrites statements per target
-//! engine) is *necessary* rather than decorative — exactly the situation the
-//! paper's middleware faces with real engines.
+//! translation — [`crate::render`] spelling a statement in the target
+//! engine's dialect from the same [`Dialect`] flags checked here — is
+//! *necessary* rather than decorative, exactly the situation the paper's
+//! middleware faces with real engines.
 
 use crate::ast::*;
 use crate::error::{DbError, DbResult};
@@ -178,9 +179,7 @@ fn visit_factor(factor: &TableFactor, f: &mut impl FnMut(&Expr)) {
 
 fn visit_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
     f(e);
-    for c in e.children() {
-        visit_expr(c, f);
-    }
+    e.for_each_child(|c| visit_expr(c, f));
 }
 
 #[cfg(test)]

@@ -9,10 +9,11 @@
 //!   access, landing between the two.
 //! * SQL dialect ([`EngineProfile::dialect`]): identifier quoting, the
 //!   join-update syntax, `||` vs `CONCAT`, `Infinity` literals, and
-//!   recursive-CTE support differ per engine. The SQLoop translation module
-//!   rewrites statements so the same user query runs everywhere; the engine
-//!   *validates* incoming statements against its profile, so forgetting to
-//!   translate fails loudly (as it would against the real engine).
+//!   recursive-CTE support differ per engine. [`crate::render`] spells a
+//!   statement in each dialect, so the same user query runs everywhere; the
+//!   engine *validates* incoming statements against its profile, so
+//!   forgetting to translate fails loudly (as it would against the real
+//!   engine).
 
 use std::fmt;
 

@@ -1,9 +1,23 @@
-//! AST → SQL text rendering, parameterized by engine dialect.
+//! AST → SQL text rendering in one engine's dialect: the translation
+//! module of the paper (§IV-B).
 //!
-//! Used by the SQLoop translation module: the middleware parses the user's
-//! engine-independent SQL once, rewrites the AST per target engine, and
-//! renders it with that engine's [`Dialect`]. Rendering followed by parsing
-//! round-trips (a property test in `tests/` checks this).
+//! SQLoop composes its statements in one canonical, PostgreSQL-flavoured
+//! dialect; `sqloop::translate` parses them and renders them here for the
+//! target engine. The renderer reads the same [`Dialect`] flags that
+//! [`crate::dialect_check`] validates incoming statements against, so
+//! every rule below is spelled in one place:
+//!
+//! | rule | PostgreSQL | MySQL | MariaDB |
+//! |---|---|---|---|
+//! | join update | `UPDATE … FROM` | `UPDATE … JOIN` | `UPDATE … JOIN` |
+//! | `Infinity` literal | kept | `1e308` | `1e308` |
+//! | `\|\|` concatenation | kept | `CONCAT(…)` | kept |
+//! | identifier quoting | `"…"` | `` `…` `` | `` `…` `` |
+//!
+//! The join form names exactly one table or subquery, as the MySQL parser
+//! accepts it; an `UPDATE … FROM` over a join or a list keeps its FROM form,
+//! which a MySQL-family engine rejects by name. Rendering followed by
+//! parsing round-trips (a property test in `tests/` checks this).
 
 use crate::ast::*;
 use crate::profile::Dialect;
@@ -203,47 +217,65 @@ impl<'a> Renderer<'a> {
             self.push(" AS ");
             self.ident(a);
         }
-        if let Some(on) = &upd.join_on {
-            // MySQL join-update form
-            for tr in &upd.from {
+        let join_form = self.dialect.supports_update_join
+            && (upd.join_on.is_some() || !self.dialect.supports_update_from);
+        match upd.from.as_slice() {
+            [TableRef { base, joins }] if join_form && joins.is_empty() => {
+                // UPDATE t JOIN f ON p SET … [WHERE q]; a FROM form's WHERE
+                // becomes the ON condition
                 self.push(" JOIN ");
-                self.table_factor(&tr.base);
+                self.table_factor(base);
+                self.push(" ON ");
+                match (&upd.join_on, &upd.selection) {
+                    (Some(on), _) | (None, Some(on)) => self.expr(on),
+                    (None, None) => self.push("TRUE"),
+                }
+                self.assignments(&upd.assignments);
+                if let (Some(_), Some(sel)) = (&upd.join_on, &upd.selection) {
+                    self.push(" WHERE ");
+                    self.expr(sel);
+                }
             }
-            self.push(" ON ");
-            self.expr(on);
-            self.push(" SET ");
-            let assignments = upd.assignments.clone();
-            self.comma_list(&assignments, |r, (c, e)| {
-                r.ident(c);
-                r.push(" = ");
-                r.expr(e);
-            });
-        } else {
-            self.push(" SET ");
-            let assignments = upd.assignments.clone();
-            self.comma_list(&assignments, |r, (c, e)| {
-                r.ident(c);
-                r.push(" = ");
-                r.expr(e);
-            });
-            if !upd.from.is_empty() {
-                self.push(" FROM ");
-                let from = upd.from.clone();
-                self.comma_list(&from, |r, tr| r.table_ref(tr));
+            from => {
+                // UPDATE t SET … [FROM f] [WHERE p]; a join form's ON
+                // condition joins the WHERE clause
+                self.assignments(&upd.assignments);
+                if !from.is_empty() {
+                    self.push(" FROM ");
+                    self.comma_list(from, |r, tr| r.table_ref(tr));
+                }
+                match (&upd.join_on, &upd.selection) {
+                    (Some(on), Some(sel)) => {
+                        self.push(" WHERE (");
+                        self.expr(on);
+                        self.push(" AND ");
+                        self.expr(sel);
+                        self.push(")");
+                    }
+                    (Some(p), None) | (None, Some(p)) => {
+                        self.push(" WHERE ");
+                        self.expr(p);
+                    }
+                    (None, None) => {}
+                }
             }
         }
-        if let Some(sel) = &upd.selection {
-            self.push(" WHERE ");
-            self.expr(sel);
-        }
+    }
+
+    fn assignments(&mut self, assignments: &[(String, Expr)]) {
+        self.push(" SET ");
+        self.comma_list(assignments, |r, (c, e)| {
+            r.ident(c);
+            r.push(" = ");
+            r.expr(e);
+        });
     }
 
     fn query(&mut self, q: &SelectStmt) {
         self.set_expr(&q.body);
         if !q.order_by.is_empty() {
             self.push(" ORDER BY ");
-            let order_by = q.order_by.clone();
-            self.comma_list(&order_by, |r, o| {
+            self.comma_list(&q.order_by, |r, o| {
                 r.expr(&o.expr);
                 if !o.asc {
                     r.push(" DESC");
@@ -282,8 +314,7 @@ impl<'a> Renderer<'a> {
         if s.distinct {
             self.push("DISTINCT ");
         }
-        let projections = s.projections.clone();
-        self.comma_list(&projections, |r, item| match item {
+        self.comma_list(&s.projections, |r, item| match item {
             SelectItem::Wildcard => r.push("*"),
             SelectItem::QualifiedWildcard(t) => {
                 r.ident(t);
@@ -299,8 +330,7 @@ impl<'a> Renderer<'a> {
         });
         if !s.from.is_empty() {
             self.push(" FROM ");
-            let from = s.from.clone();
-            self.comma_list(&from, |r, tr| r.table_ref(tr));
+            self.comma_list(&s.from, |r, tr| r.table_ref(tr));
         }
         if let Some(sel) = &s.selection {
             self.push(" WHERE ");
@@ -308,8 +338,7 @@ impl<'a> Renderer<'a> {
         }
         if !s.group_by.is_empty() {
             self.push(" GROUP BY ");
-            let group_by = s.group_by.clone();
-            self.comma_list(&group_by, |r, e| r.expr(e));
+            self.comma_list(&s.group_by, |r, e| r.expr(e));
         }
         if let Some(h) = &s.having {
             self.push(" HAVING ");
@@ -362,6 +391,17 @@ impl<'a> Renderer<'a> {
                 }
                 self.ident(name);
             }
+            Expr::Binary {
+                left,
+                op: BinaryOp::Concat,
+                right,
+            } if !self.dialect.supports_concat_operator => {
+                self.push("CONCAT(");
+                self.expr(left);
+                self.push(", ");
+                self.expr(right);
+                self.push(")");
+            }
             Expr::Binary { left, op, right } => {
                 self.push("(");
                 self.expr(left);
@@ -386,8 +426,7 @@ impl<'a> Renderer<'a> {
             Expr::Function { name, args } => {
                 self.push(&name.to_ascii_uppercase());
                 self.push("(");
-                let args = args.clone();
-                self.comma_list(&args, |r, a| match a {
+                self.comma_list(args, |r, a| match a {
                     FunctionArg::Expr(e) => r.expr(e),
                     FunctionArg::Wildcard => r.push("*"),
                 });
@@ -424,8 +463,7 @@ impl<'a> Renderer<'a> {
                 self.push("(");
                 self.expr(expr);
                 self.push(if *negated { " NOT IN (" } else { " IN (" });
-                let list = list.clone();
-                self.comma_list(&list, |r, e| r.expr(e));
+                self.comma_list(list, |r, e| r.expr(e));
                 self.push("))");
             }
             Expr::Between {
@@ -471,8 +509,6 @@ impl<'a> Renderer<'a> {
                         self.push(if *f > 0.0 { "Infinity" } else { "-Infinity" });
                     } else {
                         // engines without an Infinity literal get a sentinel
-                        // that the translation module is expected to have
-                        // substituted already; render defensively anyway
                         self.push(if *f > 0.0 { "1e308" } else { "-1e308" });
                     }
                 } else if f.fract() == 0.0 && f.abs() < 1e15 {
