@@ -197,7 +197,7 @@ fn pipelined(
         match translate_sql(&sql, profile) {
             Ok(sql) => {
                 bytes += sql.len();
-                steps.push(PipelineStep::Execute(sql));
+                steps.push(PipelineStep::Execute(sql.into()));
             }
             Err(_) if best_effort => continue,
             Err(e) => {

@@ -1153,7 +1153,7 @@ fn run_task(
             // task carries
             let steps: Vec<PipelineStep> = task.stmts[at..]
                 .iter()
-                .map(|sql| PipelineStep::Execute(String::from(&**sql)))
+                .map(|sql| PipelineStep::Execute(sql.clone()))
                 .collect();
             // the panic boundary: one panicking statement (an engine bug,
             // an injected chaos panic) must degrade into a typed task

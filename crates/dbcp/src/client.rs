@@ -2,8 +2,8 @@
 
 use crate::driver::{mint_epoch, Connection, Driver, PipelineOutcome};
 use crate::wire::{
-    decode_response, encode_request, read_frame, write_frame, MetricsCmd, PipelineStep, Request,
-    Response, MAGIC,
+    decode_response, encode_pipeline, encode_request, read_frame, write_frame, Frame, MetricsCmd,
+    PipelineStep, Request, Response, MAGIC,
 };
 use sqldb::{DbError, DbResult, EngineProfile, IsolationLevel, StmtOutput, Value};
 use std::io::{BufReader, Read, Write};
@@ -173,13 +173,17 @@ impl TcpConnection {
     }
 
     fn round_trip(&mut self, req: &Request) -> DbResult<Response> {
+        self.send(encode_request(req))
+    }
+
+    /// Writes `frame` and reads the response to it.
+    fn send(&mut self, frame: Frame) -> DbResult<Response> {
         if self.broken {
             return Err(DbError::Connection(
                 "connection is broken after an earlier transport failure".into(),
             ));
         }
         let started = std::time::Instant::now();
-        let frame = encode_request(req);
         // byte counts include each frame's 4-byte length prefix
         self.wire.bytes_out.add(frame.as_bytes().len() as u64);
         let result = write_frame(self.stream.get_mut(), &frame)
@@ -280,7 +284,7 @@ impl Connection for TcpConnection {
     }
 
     fn run_pipeline(&mut self, steps: &[PipelineStep]) -> DbResult<PipelineOutcome> {
-        match self.round_trip(&Request::Pipeline(steps.to_vec()))? {
+        match self.send(encode_pipeline(steps))? {
             Response::PipelineResults { outputs, error } => {
                 let outputs = outputs
                     .into_iter()

@@ -59,7 +59,7 @@ pub trait Connection: Send {
     fn execute_batch(&mut self, statements: &[String]) -> DbResult<Vec<StmtOutput>> {
         let steps: Vec<PipelineStep> = statements
             .iter()
-            .map(|s| PipelineStep::Execute(s.clone()))
+            .map(|s| PipelineStep::Execute(s.as_str().into()))
             .collect();
         let outcome = self.run_pipeline(&steps)?;
         match outcome.error {

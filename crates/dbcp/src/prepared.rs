@@ -118,7 +118,10 @@ impl PreparedStatement {
                 stmt_id,
                 params: params.to_vec(),
             }),
-            None => splice_params(&self.sql, params, conn.profile()).map(PipelineStep::Execute),
+            None => {
+                let sql = splice_params(&self.sql, params, conn.profile())?;
+                Ok(PipelineStep::Execute(sql.into()))
+            }
         }
     }
 

@@ -10,6 +10,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sqldb::{DbError, DbResult, EngineProfile, IsolationLevel, QueryResult, StmtOutput, Value};
+use std::sync::Arc;
 
 /// Protocol magic sent by clients on connect.
 pub const MAGIC: [u8; 2] = [0xD8, 0x01];
@@ -86,8 +87,9 @@ pub enum MetricsCmd {
 /// One step of a [`Request::Pipeline`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineStep {
-    /// Execute SQL text.
-    Execute(String),
+    /// Execute SQL text, shared with whoever built the step (a task
+    /// retried on another attempt sends the same text).
+    Execute(Arc<str>),
     /// Execute a prepared statement.
     Prepared {
         /// Statement id from `Prepared`.
@@ -279,6 +281,33 @@ pub fn encode_request(req: &Request) -> Frame {
     Frame::encode(|buf| encode_request_into(req, buf))
 }
 
+/// Encodes a [`Request::Pipeline`] of `steps` without owning them: the
+/// bytes [`encode_request`] writes for it.
+pub fn encode_pipeline(steps: &[PipelineStep]) -> Frame {
+    Frame::encode(|buf| put_pipeline(buf, steps))
+}
+
+fn put_pipeline(buf: &mut BytesMut, steps: &[PipelineStep]) {
+    buf.put_u8(13);
+    buf.put_u32(steps.len() as u32);
+    for step in steps {
+        match step {
+            PipelineStep::Execute(sql) => {
+                buf.put_u8(0);
+                put_str(buf, sql);
+            }
+            PipelineStep::Prepared { stmt_id, params } => {
+                buf.put_u8(1);
+                buf.put_u64(*stmt_id);
+                buf.put_u32(params.len() as u32);
+                for p in params {
+                    put_value(buf, p);
+                }
+            }
+        }
+    }
+}
+
 fn encode_request_into(req: &Request, buf: &mut BytesMut) {
     match req {
         Request::Execute(sql) => {
@@ -317,26 +346,7 @@ fn encode_request_into(req: &Request, buf: &mut BytesMut) {
             buf.put_u8(12);
             buf.put_u64(*stmt_id);
         }
-        Request::Pipeline(steps) => {
-            buf.put_u8(13);
-            buf.put_u32(steps.len() as u32);
-            for step in steps {
-                match step {
-                    PipelineStep::Execute(sql) => {
-                        buf.put_u8(0);
-                        put_str(buf, sql);
-                    }
-                    PipelineStep::Prepared { stmt_id, params } => {
-                        buf.put_u8(1);
-                        buf.put_u64(*stmt_id);
-                        buf.put_u32(params.len() as u32);
-                        for p in params {
-                            put_value(buf, p);
-                        }
-                    }
-                }
-            }
-        }
+        Request::Pipeline(steps) => put_pipeline(buf, steps),
         Request::Metrics(cmd) => {
             buf.put_u8(14);
             match cmd {
@@ -436,12 +446,26 @@ fn need(buf: &mut Bytes, n: usize, what: &str) -> DbResult<()> {
 }
 
 fn get_str(buf: &mut Bytes) -> DbResult<String> {
+    String::from_utf8(get_bytes(buf)?.to_vec()).map_err(|_| invalid_utf8())
+}
+
+/// A string of the frame, copied once into its shared form.
+fn get_text(buf: &mut Bytes) -> DbResult<Arc<str>> {
+    let bytes = get_bytes(buf)?;
+    std::str::from_utf8(&bytes)
+        .map(Arc::from)
+        .map_err(|_| invalid_utf8())
+}
+
+fn get_bytes(buf: &mut Bytes) -> DbResult<Bytes> {
     need(buf, 4, "string length")?;
     let len = buf.get_u32() as usize;
     need(buf, len, "string body")?;
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| DbError::Connection("invalid UTF-8 in frame".into()))
+    Ok(buf.copy_to_bytes(len))
+}
+
+fn invalid_utf8() -> DbError {
+    DbError::Connection("invalid UTF-8 in frame".into())
 }
 
 fn get_value(buf: &mut Bytes) -> DbResult<Value> {
@@ -531,7 +555,7 @@ pub fn decode_request(mut buf: Bytes) -> DbResult<Request> {
             for _ in 0..n {
                 need(&mut buf, 1, "pipeline step tag")?;
                 match buf.get_u8() {
-                    0 => steps.push(PipelineStep::Execute(get_str(&mut buf)?)),
+                    0 => steps.push(PipelineStep::Execute(get_text(&mut buf)?)),
                     1 => {
                         need(&mut buf, 12, "prepared step header")?;
                         let stmt_id = buf.get_u64();
@@ -695,6 +719,22 @@ mod tests {
     fn roundtrip_req(req: Request) {
         let enc = encode_request(&req);
         assert_eq!(decode_request(enc.into_payload()).unwrap(), req);
+    }
+
+    #[test]
+    fn a_borrowed_pipeline_encodes_as_the_owned_request() {
+        let steps = vec![
+            PipelineStep::Execute("UPDATE t SET v = 1".into()),
+            PipelineStep::Prepared {
+                stmt_id: 9,
+                params: vec![Value::Text("é".into()), Value::Null],
+            },
+        ];
+        let borrowed = encode_pipeline(&steps);
+        let owned = encode_request(&Request::Pipeline(steps.clone()));
+        assert_eq!(borrowed.as_bytes(), owned.as_bytes());
+        let decoded = decode_request(borrowed.into_payload()).unwrap();
+        assert_eq!(decoded, Request::Pipeline(steps));
     }
 
     fn roundtrip_resp(resp: Response) {

@@ -307,16 +307,20 @@ impl Col {
     /// (`-0.0 ≠ 0.0`, a NaN equals itself). Only a layout pair that is not
     /// shared and typed compares `Value`s.
     pub fn mark_changed(&self, old: &Col, changed: &mut [bool]) {
-        let differ = |lane: usize| match (&self.data, &old.data) {
-            (ColData::Int(a), ColData::Int(b)) => a[lane] != b[lane],
-            (ColData::Float(a), ColData::Float(b)) => a[lane].to_bits() != b[lane].to_bits(),
-            (ColData::Bool(a), ColData::Bool(b)) => a[lane] != b[lane],
-            (ColData::Mixed(a), ColData::Mixed(b)) => a[lane] != b[lane],
-            _ => self.value_at(lane) != old.value_at(lane),
-        };
-        for (lane, c) in changed.iter_mut().enumerate() {
-            let (x, y) = (self.valid[lane], old.valid[lane]);
-            *c |= x != y || (x && differ(lane));
+        let valid = (&self.valid[..], &old.valid[..]);
+        fn mark(changed: &mut [bool], (x, y): (&[bool], &[bool]), differ: impl Fn(usize) -> bool) {
+            for (lane, c) in changed.iter_mut().enumerate() {
+                *c |= x[lane] != y[lane] || (x[lane] && differ(lane));
+            }
+        }
+        match (&self.data, &old.data) {
+            (ColData::Int(a), ColData::Int(b)) => mark(changed, valid, |l| a[l] != b[l]),
+            (ColData::Float(a), ColData::Float(b)) => {
+                mark(changed, valid, |l| a[l].to_bits() != b[l].to_bits())
+            }
+            (ColData::Bool(a), ColData::Bool(b)) => mark(changed, valid, |l| a[l] != b[l]),
+            (ColData::Mixed(a), ColData::Mixed(b)) => mark(changed, valid, |l| a[l] != b[l]),
+            _ => mark(changed, valid, |l| self.value_at(l) != old.value_at(l)),
         }
     }
 
@@ -517,18 +521,17 @@ impl ColumnBatch {
         let idx: Vec<u32> = (0..self.len as u32).filter(|&i| keep[i as usize]).collect();
         ColumnBatch {
             len: idx.len(),
-            cols: self.gather_cols(&idx, None),
+            cols: self.gather_cols(&idx),
         }
     }
 
     /// Every column's lanes `idx` ([`Col::gather`]), copied as one range
-    /// when they are consecutive; a column `keep` drops, or one no one reads,
-    /// comes back unread.
-    pub fn gather_cols(&self, idx: &[u32], keep: Option<&[bool]>) -> Vec<Col> {
+    /// when they are consecutive; a column no one reads comes back unread.
+    pub fn gather_cols(&self, idx: &[u32]) -> Vec<Col> {
         let run = idx.first() != Some(&NO_LANE) && idx.windows(2).all(|w| w[1] == w[0] + 1);
         let from = idx.first().map_or(0, |&at| at as usize);
         let col = |(i, c): (usize, &Col)| match run {
-            _ if !self.is_read(i) || keep.is_some_and(|k| !k[i]) => Col::unread(),
+            _ if !self.is_read(i) => Col::unread(),
             true => c.slice(from..from + idx.len()),
             false => c.gather(idx),
         };
@@ -1695,7 +1698,7 @@ mod tests {
             vec![Value::Int(30), Value::Null],
         ];
         let b = ColumnBatch::from_rows(rows.clone(), 2);
-        let cols = b.gather_cols(&[2, NO_LANE, 0, 0, 1], None);
+        let cols = b.gather_cols(&[2, NO_LANE, 0, 0, 1]);
         // the layout survives, pads and NULL lanes are invalid
         assert!(matches!(cols[0].data, ColData::Int(_)));
         assert_eq!(cols[0].valid, vec![true, false, true, true, false]);

@@ -247,6 +247,42 @@ const QUERIES: &[&str] = &[
      JOIN pr_s AS p ON p.node = f.dst GROUP BY e.src",
     "SELECT a.c_int, b.c_int, c_text FROM t AS a JOIN pr_s AS b ON a.c_int = b.node \
      JOIN edges AS e ON b.node = e.src",
+    // joins pass positions: three-way LEFT JOIN chains that pad at every
+    // level, in both join orders, through the hash / block nested-loop
+    // fallbacks and (a filtered outer side against the indexed `ix`) the
+    // index nested loop
+    "SELECT a.c_int, b.c_float, c.c_text FROM t AS a LEFT JOIN t AS b ON a.c_int = b.c_int + 1 \
+     LEFT JOIN t AS c ON c.c_int = b.c_int",
+    "SELECT p.node, e.src, x.c_text FROM pr_s AS p LEFT JOIN edges AS e ON e.dst = p.node \
+     LEFT JOIN t AS x ON x.c_int = e.src + 1",
+    "SELECT x.c_text, e.dst, p.rank FROM t AS x LEFT JOIN edges AS e ON e.src = x.c_int \
+     LEFT JOIN pr_s AS p ON p.node = e.dst",
+    "SELECT a.c_int, i.v, j.s, c.c_bool FROM t AS a LEFT JOIN ix AS i ON i.k = a.c_int \
+     LEFT JOIN ix AS j ON j.k = i.k + 1 LEFT JOIN t AS c ON c.c_int = j.k \
+     WHERE a.c_bool AND a.c_int > 2",
+    "SELECT j.s, i.v, a.c_text FROM ix AS j LEFT JOIN ix AS i ON i.k = j.k - 1 \
+     LEFT JOIN t AS a ON a.c_int = i.k WHERE j.v > 0.0",
+    // residual ON conjuncts over the rows an earlier LEFT JOIN padded
+    "SELECT a.c_int, b.c_int, c.c_float FROM t AS a LEFT JOIN t AS b ON a.c_int = b.c_int \
+     AND b.c_bool LEFT JOIN t AS c ON c.c_int = a.c_int AND COALESCE(b.c_float, 1.0) < c.c_float",
+    "SELECT a.c_text, b.c_int, c.c_text FROM t AS a LEFT JOIN t AS b ON a.c_int = b.c_int + 2 \
+     LEFT JOIN t AS c ON c.c_text = a.c_text AND b.c_int IS NULL",
+    "SELECT a.c_int, b.c_int, c.c_int FROM t AS a LEFT JOIN t AS b ON a.c_int < b.c_int \
+     LEFT JOIN t AS c ON c.c_int = b.c_int AND 10 / (c.c_int - a.c_int) > 1",
+    // UNION, DISTINCT, ORDER BY and LIMIT over joins
+    "SELECT a.c_int FROM t AS a JOIN t AS b ON a.c_int = b.c_int \
+     UNION SELECT b.c_int FROM t AS a LEFT JOIN t AS b ON a.c_text = b.c_text",
+    "SELECT a.c_text, b.c_float FROM t AS a LEFT JOIN t AS b ON a.c_int = b.c_int \
+     UNION ALL SELECT c_text, c_float FROM t",
+    "SELECT DISTINCT a.c_text, b.c_bool FROM t AS a LEFT JOIN t AS b ON a.c_int = b.c_int",
+    "SELECT a.c_int, b.c_float FROM t AS a LEFT JOIN t AS b ON a.c_int = b.c_int \
+     ORDER BY b.c_float, a.c_int LIMIT 7",
+    "SELECT a.c_text, COUNT(*) FROM t AS a JOIN t AS b ON a.c_bool = b.c_bool \
+     GROUP BY a.c_text ORDER BY 2, 1 LIMIT 3",
+    // a view over a LEFT JOIN chain, alone and joined again
+    "SELECT * FROM lj",
+    "SELECT lj.c_text, COUNT(*), MAX(lj.c_float) FROM lj LEFT JOIN t AS x ON x.c_int = lj.c_int \
+     GROUP BY lj.c_text",
 ];
 
 /// Tables shaped like the PageRank script's, drawn from `t`: `pr_s` holds
@@ -258,14 +294,19 @@ const GRAPH: &[&str] = &[
     "CREATE TABLE pr_s (node INT, rank FLOAT, delta FLOAT)",
     "INSERT INTO pr_s SELECT c_int, c_float, c_float * 0.5 FROM t WHERE c_bool OR c_int IS NULL",
     "INSERT INTO pr_s SELECT c_int % 4, 1.0, c_float FROM t WHERE NOT c_bool",
+    "CREATE TABLE ix (k INT, v FLOAT, s TEXT)",
+    "INSERT INTO ix SELECT c_int, c_float, c_text FROM t",
+    "CREATE INDEX ix_k ON ix (k)",
 ];
 
-/// The views the set-operation and read-mask queries read.
+/// The views the set-operation, read-mask and join-chain queries read.
 const VIEWS: &[&str] = &[
     "CREATE VIEW u AS SELECT c_int, c_float FROM t \
      UNION ALL SELECT c_int, c_float FROM t WHERE c_bool",
     "CREATE VIEW w AS SELECT a.c_int, a.c_text, b.c_float FROM t AS a \
      JOIN t AS b ON a.c_int = b.c_int",
+    "CREATE VIEW lj AS SELECT a.c_int, b.c_float, c.c_text FROM t AS a \
+     LEFT JOIN t AS b ON a.c_int = b.c_int LEFT JOIN t AS c ON c.c_int = b.c_int + 1",
 ];
 
 /// Runs `sql` and collapses the outcome to something comparable: the rows
@@ -316,7 +357,8 @@ fn graph_db(profile: EngineProfile, dump: &TableDump) -> Database {
 /// DML whose reads the masks must keep: an `UPDATE … FROM` whose `SET`
 /// reads target columns it does not assign, in both dialects' spellings
 /// and over a join, a plain `UPDATE` and `DELETE`, and an `INSERT …
-/// SELECT` through a column list.
+/// SELECT` through a column list. Then DML that reads the table it writes,
+/// which must read all of it before its first write.
 const MASKED_DML: &[&str] = &[
     "UPDATE pr_s SET rank = pr_s.delta + e.weight FROM edges AS e WHERE pr_s.node = e.dst",
     "UPDATE pr_s SET delta = d.c_float, rank = pr_s.node * 2.0 FROM t AS d \
@@ -330,6 +372,14 @@ const MASKED_DML: &[&str] = &[
      JOIN t AS b ON a.c_int = b.c_int WHERE b.c_bool",
     "INSERT INTO edges (dst, src) SELECT p.node, e.dst FROM pr_s AS p \
      LEFT JOIN edges AS e ON e.src = p.node",
+    "UPDATE t SET c_float = u.c_float, c_text = t.c_text || u.c_text FROM t AS u \
+     WHERE t.c_int = u.c_int + 1",
+    "UPDATE t JOIN t AS u ON t.c_int = u.c_int SET c_int = u.c_int + 1, c_bool = NOT u.c_bool",
+    "UPDATE pr_s SET rank = q.rank + pr_s.delta FROM pr_s AS q WHERE q.node = pr_s.node",
+    "INSERT INTO t SELECT a.c_int, b.c_float, a.c_text, b.c_bool FROM t AS a \
+     JOIN t AS b ON a.c_int = b.c_int",
+    "INSERT INTO pr_s SELECT p.node, q.rank, p.delta FROM pr_s AS p \
+     LEFT JOIN pr_s AS q ON q.node = p.node + 1",
 ];
 
 /// Each of `MASKED_DML`'s statements, taken back after it: its count, or

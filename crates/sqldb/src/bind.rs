@@ -567,6 +567,19 @@ impl BoundExpr {
         }
     }
 
+    /// Which of `arity` columns the expressions `exprs` read: the columns a
+    /// batch must gather for them.
+    pub fn reads<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>, arity: usize) -> Vec<bool> {
+        let mut read = vec![false; arity];
+        for e in exprs {
+            e.walk(&mut |node| match node {
+                BoundExpr::Column(c) if *c < arity => read[*c] = true,
+                _ => {}
+            });
+        }
+        read
+    }
+
     /// True when the expression references no columns (safe to evaluate once).
     pub fn is_constant(&self) -> bool {
         let mut constant = true;

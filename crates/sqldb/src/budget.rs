@@ -149,6 +149,13 @@ impl Reservation {
         self.bytes += bytes;
         Ok(())
     }
+
+    /// Refunds `bytes` of what it holds now, as they stop being used.
+    pub fn shrink(&mut self, bytes: u64) {
+        let bytes = bytes.min(self.bytes);
+        self.budget.refund(bytes);
+        self.bytes -= bytes;
+    }
 }
 
 impl Drop for Reservation {

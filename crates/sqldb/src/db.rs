@@ -328,7 +328,8 @@ pub struct Session {
     sid: u64,
     in_txn: bool,
     undo: UndoLog,
-    held: HashSet<String>,
+    /// The tables it holds locks on, named as the lock table names them.
+    held: HashSet<Arc<str>>,
     isolation: IsolationLevel,
     lock_timeout: Duration,
     statement_timeout: Option<Duration>,
@@ -549,7 +550,7 @@ impl Session {
         // acquire logical locks in sorted order (deadlock avoidance)
         let mut newly_shared: Vec<&str> = Vec::new();
         for (name, mode) in &admission.locks {
-            self.shared.locks.acquire(
+            let held = self.shared.locks.lock(
                 self.sid,
                 name,
                 *mode,
@@ -557,12 +558,10 @@ impl Session {
                 &self.shared.stats,
             )?;
             // in a ReadCommitted transaction a table held from an earlier
-            // statement is held for its uncommitted writes: never release it
-            if !self.held.contains(name) {
-                self.held.insert(name.clone());
-                if *mode == LockMode::Shared {
-                    newly_shared.push(name);
-                }
+            // statement is held for its uncommitted writes: never release
+            // it; outside one, every lock goes at the statement's end
+            if self.held.insert(held) && *mode == LockMode::Shared && self.in_txn {
+                newly_shared.push(name);
             }
         }
 

@@ -9,11 +9,11 @@ use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
 use crate::explain::{base_table, factor_label, factor_visible_name, inner_access_label};
 use crate::join::{
-    choose_access, count, join_rels, table_scope, AccessPath, JoinEnv, JoinInner, Rel,
+    choose_access, count, join_rels, table_scope, AccessPath, JoinEnv, JoinInner, Positions, Rel,
 };
 use crate::op_profile::{us_since, OpProfiler};
 use crate::profile::EngineProfile;
-use crate::reads::{FactorReads, Reads, ABOVE};
+use crate::reads::{FactorReads, Reads};
 use crate::stats::Stats;
 use crate::storage::Table;
 use crate::txn::{apply_undo, UndoLog, UndoOp};
@@ -431,63 +431,42 @@ impl<'a> Executor<'a> {
             return self.select_rows(s, depth, order_by);
         }
         let (rel, applied) = self.select_from(s, depth)?;
-        let arity = rel.arity();
-        let Rel {
-            scope,
-            batches,
-            charge: _charge,
-        } = rel;
         let filter = residual(s.selection.as_ref(), applied);
-        let filter = filter.as_deref();
-        self.exec_pipeline_batched(s, order_by, filter, &scope, batches, arity)
+        self.exec_pipeline_batched(s, order_by, filter.as_deref(), rel)
     }
 
     /// Runs `filter` (what is left of the WHERE) → aggregation/projection
-    /// over column batches. The deadline is checked once per batch, and
-    /// each operator records batch actuals into the profiler and the
-    /// database's `sqloop.exec.*` metrics.
+    /// over the rows of `rel`, each reading the columns it needs a batch at
+    /// a time. The deadline is checked once per batch, and each operator
+    /// records batch actuals into the profiler and the database's
+    /// `sqloop.exec.*` metrics.
     fn exec_pipeline_batched(
         &self,
         s: &Select,
         order_by: &[OrderByExpr],
         filter: Option<&Expr>,
-        scope: &Scope,
-        mut batches: Vec<ColumnBatch>,
-        arity: usize,
+        mut rel: Rel,
     ) -> DbResult<Batches> {
-        let input_batches = batches.len() as u64;
-        let input_rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
+        let input_batches = rel.batches().len() as u64;
+        let input_rows = rel.len() as u64;
 
         if let Some(pred) = filter {
             let t0 = self.prof_start();
-            let filter = self.compile(&bind_scalar(pred, scope, self.params)?);
-            let nb_in = batches.len() as u64;
-            let mut kept = Vec::with_capacity(batches.len());
-            let mut rows_out: u64 = 0;
-            for b in &batches {
-                self.check_deadline()?;
-                let out = filter.eval_batch(b)?;
-                let mask = out.truthy_mask(b);
-                let fb = b.compact(&mask);
-                rows_out += fb.len() as u64;
-                if !fb.is_empty() {
-                    kept.push(fb);
-                }
-            }
-            batches = kept;
-            self.prof_wrap(t0, 1, || "Filter".into(), rows_out, input_rows, nb_in);
+            let filter = self.compile(&bind_scalar(pred, &rel.scope, self.params)?);
+            rel = self.filter(rel, std::slice::from_ref(&filter), false)?;
+            let (rows, nb) = (rel.len() as u64, input_batches);
+            self.prof_wrap(t0, 1, || "Filter".into(), rows, input_rows, nb);
         }
 
         let result = if is_grouped(s) {
             let t0 = self.prof_start();
-            let rows_in: u64 = batches.iter().map(|b| b.len() as u64).sum();
-            let nb = batches.len() as u64;
-            let out = self.exec_aggregate_batched(s, order_by, scope, &batches, arity)?;
+            let (rows_in, nb) = (rel.len() as u64, rel.batches().len() as u64);
+            let out = self.exec_aggregate_batched(s, order_by, &rel)?;
             let label = || format!("HashAggregate (group by {} keys)", s.group_by.len());
             self.prof_wrap(t0, 1, label, out.len() as u64, rows_in, nb);
             out
         } else {
-            self.exec_project_batched(s, order_by, scope, batches)?
+            self.exec_project_batched(s, order_by, &rel)?
         };
 
         self.stats.note_exec_batches(input_batches, input_rows);
@@ -503,10 +482,10 @@ impl<'a> Executor<'a> {
         &self,
         s: &Select,
         order_by: &[OrderByExpr],
-        scope: &Scope,
-        batches: Vec<ColumnBatch>,
+        rel: &Rel,
     ) -> DbResult<Batches> {
-        let (columns, exprs, hidden) = bind_projections(s, order_by, scope, self.params)?;
+        let (columns, exprs, hidden) = bind_projections(s, order_by, &rel.scope, self.params)?;
+        let reads = BoundExpr::reads(&exprs, rel.arity());
         let column = |e: &BoundExpr| {
             if let BoundExpr::Column(i) = e {
                 Some(*i)
@@ -519,9 +498,10 @@ impl<'a> Executor<'a> {
             Some(_) => Vec::new(),
             None => exprs.iter().map(|e| self.compile(e)).collect(),
         };
-        let mut out = Vec::with_capacity(batches.len());
-        for b in batches {
+        let mut out = Vec::with_capacity(rel.batches().len());
+        for pos in rel.batches() {
             self.check_deadline()?;
+            let b = rel.gather(pos, &reads);
             let outs: DbResult<Vec<EvalOut>> = compiled.iter().map(|c| c.try_eval(&b)).collect();
             let projected = match (&plain, outs) {
                 (Some(picks), _) => pick_columns(b, picks),
@@ -552,35 +532,39 @@ impl<'a> Executor<'a> {
     }
 
     /// Vectorized grouping: key and aggregate-argument expressions are
-    /// compiled once and evaluated per batch; a kernel error reruns the
-    /// batch's keys and arguments row-wise, so the first error is the one
-    /// row order reaches. Each batch's lanes are mapped to groups through
-    /// one index chosen from the key's span over the whole input
-    /// ([`GroupIndex`]), opening groups in the order their rows arrive, and
-    /// each aggregate folds the batch into its accumulators
-    /// ([`AggCol::update`]). Each group is represented by the lane it first
-    /// appeared in, and the groups leave as one batch
-    /// ([`GroupedSelect::finish_batch`]).
+    /// compiled once and evaluated per batch, over the columns they read; a
+    /// kernel error reruns the batch's keys and arguments row-wise, so the
+    /// first error is the one row order reaches. Each batch's lanes are
+    /// mapped to groups through one index chosen from the key's span over
+    /// the whole input ([`GroupIndex`]), opening groups in the order their
+    /// rows arrive, and each aggregate folds the batch into its
+    /// accumulators ([`AggCol::update`]). Each group is represented by the
+    /// row it first appeared in, whose columns the projections read are
+    /// gathered once all groups are known, and the groups leave as one
+    /// batch ([`GroupedSelect::finish_batch`]).
     fn exec_aggregate_batched(
         &self,
         s: &Select,
         order_by: &[OrderByExpr],
-        scope: &Scope,
-        batches: &[ColumnBatch],
-        arity: usize,
+        rel: &Rel,
     ) -> DbResult<Batches> {
-        let grouped = GroupedSelect::bind(s, order_by, scope, self.params)?;
+        let grouped = GroupedSelect::bind(s, order_by, &rel.scope, self.params)?;
         let (key_exprs, aggs) = (&grouped.key_exprs, &grouped.aggs);
         // the keys, then the aggregates' arguments
         let args = aggs.iter().filter_map(|a| a.arg.as_ref());
         let exprs: Vec<&BoundExpr> = key_exprs.iter().chain(args).collect();
         let compiled: Vec<CompiledExpr> = exprs.iter().map(|e| self.compile(e)).collect();
-        let mut index = GroupIndex::new(&compiled[..key_exprs.len()], batches);
+        let arity = rel.arity();
+        let reads = BoundExpr::reads(exprs.iter().copied(), arity);
+        let keys = &compiled[..key_exprs.len()];
+        let mut index = GroupIndex::new(keys, rel);
         let mut groups = Groups::default();
         let mut accs: Vec<AggCol> = aggs.iter().map(|a| AggCol::new(a.func)).collect();
         let mut gids = Vec::new();
-        for (bi, b) in batches.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+        let batches = rel.batches().iter().enumerate();
+        for (bi, pos) in batches.filter(|(_, b)| b.len() > 0) {
             self.check_deadline()?;
+            let b = &rel.gather(pos, &reads);
             let outs: Vec<DbResult<EvalOut>> = compiled.iter().map(|c| c.try_eval(b)).collect();
             let mut rows = Vec::new();
             if outs.iter().any(Result::is_err) {
@@ -612,13 +596,15 @@ impl<'a> Executor<'a> {
         }
         // a global aggregate over no rows still yields its one group
         let n = groups.len().max(usize::from(key_exprs.is_empty()));
-        let read = grouped.reads(arity);
-        let rep_col = |c: usize| match (read[c], n == groups.len()) {
-            (true, true) => groups.rep_col(batches, c),
-            (true, false) => Col::nulls(n),
-            (false, _) => Col::unread(),
+        // the columns the projections and HAVING read of a group's first row
+        let read = BoundExpr::reads(grouped.proj_exprs.iter().chain(&grouped.having), arity);
+        let mut cols = match n == groups.len() {
+            true => rel.gather(&groups.positions(rel), &read).into_cols(),
+            false => read
+                .iter()
+                .map(|&r| if r { Col::nulls(n) } else { Col::unread() })
+                .collect(),
         };
-        let mut cols: Vec<Col> = (0..arity).map(rep_col).collect();
         cols.extend(accs.into_iter().map(|mut acc| {
             acc.resize(n);
             acc.finish()
@@ -701,10 +687,9 @@ impl<'a> Executor<'a> {
                 None => right,
                 Some(left) => {
                     let relations = left.scope.relations().iter().chain(right.scope.relations());
-                    let carry = carried(&reads[..at.min(reads.len())], relations, ABOVE - 1);
+                    let cols = read_count(&reads[..at.min(reads.len())], relations);
                     let right = JoinInner::Rows(right);
-                    let masks = (carry, None);
-                    self.join_step(left, right, JoinType::Cross, None, &tr.base, masks)?
+                    self.join_step(left, right, JoinType::Cross, None, &tr.base, (cols, 0))?
                 }
             });
         }
@@ -725,7 +710,7 @@ impl<'a> Executor<'a> {
     ) -> DbResult<Rel> {
         let base = reads.get(..1).unwrap_or_default();
         let (mut rel, _) = self.build_factor(&tr.base, depth, prefilter, joined, base)?;
-        for (step, j) in (1..).zip(&tr.joins) {
+        for (step, j) in (1usize..).zip(&tr.joins) {
             // a plain base table goes to the join unscanned: whether its
             // rows are needed at all depends on the algorithm, and that is
             // chosen from the outer side's actual size
@@ -733,19 +718,24 @@ impl<'a> Executor<'a> {
                 Some(handle) => JoinInner::table(handle, factor_visible_name(&j.factor)),
                 None => JoinInner::Rows(self.build_factor(&j.factor, depth, &[], true, &[])?.0),
             };
-            let rels = rel.scope.relations().iter();
-            let carry = carried(reads, rels.chain(right.scope().relations()), step + 1);
-            let inner = reads.get(step as usize..).unwrap_or_default();
-            let read = scan_of(inner, right.scope().arity());
-            let masks = (carry, read);
-            rel = self.join_step(rel, right, j.join_type, j.on.as_ref(), &j.factor, masks)?;
+            let relations = rel
+                .scope
+                .relations()
+                .iter()
+                .chain(right.scope().relations());
+            let cols = read_count(reads.get(..=step).unwrap_or_default(), relations);
+            let inner = reads.get(step..).unwrap_or_default();
+            let inner_cols = read_count(inner, right.scope().relations().iter());
+            let labels = (cols, inner_cols);
+            rel = self.join_step(rel, right, j.join_type, j.on.as_ref(), &j.factor, labels)?;
         }
         Ok(rel)
     }
 
-    /// Joins `right` (the `FROM` factor `factor`) onto `rel` under `masks`
-    /// (see [`join_rels`]), recording the join — and how an unscanned inner
-    /// table was read — in the profile.
+    /// Joins `right` (the `FROM` factor `factor`) onto `rel` (see
+    /// [`join_rels`]), recording the join — and how an unscanned inner
+    /// table was read — in the profile, with how many columns of the output
+    /// and of the inner table the statement reads (`cols`).
     fn join_step(
         &self,
         rel: Rel,
@@ -753,7 +743,7 @@ impl<'a> Executor<'a> {
         join_type: JoinType,
         on: Option<&Expr>,
         factor: &TableFactor,
-        (carry, read): (Option<Vec<bool>>, Option<&[bool]>),
+        cols: (usize, usize),
     ) -> DbResult<Rel> {
         let t0 = self.prof_start();
         let mut rows_in = rel.len() as u64;
@@ -762,11 +752,11 @@ impl<'a> Executor<'a> {
             rows_in += r.len() as u64;
         }
         let env = self.join_env();
-        let joined = join_rels(rel, right, join_type, on, (carry.as_deref(), read), &env)?;
+        let joined = join_rels(rel, right, join_type, on, &env)?;
         if let Some(p) = self.prof {
-            if let Some((rows, us, cols)) = joined.inner_read {
-                p.leaf(inner_access_label(&joined.algo, factor), rows, us);
-                p.note_cols(cols, inner_arity);
+            if let Some(rows) = joined.inner_read {
+                p.leaf(inner_access_label(&joined.algo, factor), rows, 0);
+                p.note_cols(cols.1, inner_arity);
                 rows_in += rows;
             }
             p.wrap_batched(
@@ -777,32 +767,39 @@ impl<'a> Executor<'a> {
                 t0.map(us_since).unwrap_or(0),
                 joined.batches,
             );
-            let arity = joined.rel.arity();
-            p.note_cols(carry.map_or(arity, |k| count(&k)), arity);
+            p.note_cols(cols.0, joined.rel.arity());
         }
         Ok(joined.rel)
     }
 
-    /// `b` without the rows a conjunct of `prefilter` cleanly rejects. A
-    /// conjunct that fails to evaluate on a row keeps it, so the statement's
-    /// WHERE still raises the error if the row survives.
-    fn prefiltered(&self, b: ColumnBatch, prefilter: &[CompiledExpr]) -> ColumnBatch {
-        let mut kept = vec![true; b.len()];
-        for c in prefilter {
-            match c.try_eval(&b) {
-                Ok(out) => {
-                    let truthy = out.truthy_mask(&b);
-                    kept.iter_mut().zip(truthy).for_each(|(k, t)| *k &= t);
-                }
-                Err(_) => {
-                    for (lane, k) in kept.iter_mut().enumerate().filter(|(_, k)| **k) {
-                        let row = b.row_at(lane);
-                        *k = c.expr().eval(&row).map_or(true, |v| v.is_truthy());
+    /// The rows of `rel` every conjunct of `conjuncts` holds for: each
+    /// batch gathers the columns they read, and the rows it keeps stay
+    /// positions. The first error is the statement's; under a join
+    /// (`pushed_down`) a row a conjunct fails to evaluate on is kept
+    /// instead, so the statement's WHERE raises the error if it survives.
+    fn filter(&self, rel: Rel, conjuncts: &[CompiledExpr], pushed_down: bool) -> DbResult<Rel> {
+        let reads = BoundExpr::reads(conjuncts.iter().map(CompiledExpr::expr), rel.arity());
+        rel.retain(|rel, pos| {
+            self.check_deadline()?;
+            let b = rel.gather(pos, &reads);
+            let mut kept = vec![true; b.len()];
+            for c in conjuncts {
+                let out = match c.try_eval(&b) {
+                    Ok(out) => out,
+                    Err(_) if !pushed_down => c.eval_batch(&b)?,
+                    Err(_) => {
+                        for (lane, k) in kept.iter_mut().enumerate().filter(|(_, k)| **k) {
+                            let row = b.row_at(lane);
+                            *k = c.expr().eval(&row).map_or(true, |v| v.is_truthy());
+                        }
+                        continue;
                     }
-                }
+                };
+                let truthy = out.truthy_mask(&b);
+                kept.iter_mut().zip(truthy).for_each(|(k, t)| *k &= t);
             }
-        }
-        keep(b, &kept)
+            Ok(kept)
+        })
     }
 
     /// The rows of a view or subquery as the relation `alias`.
@@ -842,41 +839,35 @@ impl<'a> Executor<'a> {
                 let handle = self.catalog.table(name)?;
                 let visible = factor_visible_name(f);
                 let scope = table_scope(&handle, visible);
-                let scan = scan_of(reads, scope.arity());
-                let (access, applied, visited, batches, prefiltered) = {
-                    let t = handle.read();
-                    let access = choose_access(&t, visible, prefilter, self.params);
-                    let applied = access.applied(prefilter);
-                    // conjuncts that do not bind against this table alone
-                    // are left to the statement's WHERE, which reports the
-                    // error
-                    let bound: Vec<CompiledExpr> = prefilter
-                        .iter()
-                        .filter(|c| joined && !applied.is_some_and(|a| std::ptr::eq(a, **c)))
-                        .filter_map(|e| bind_scalar(e, &scope, self.params).ok())
-                        .map(|e| self.compile(&e))
-                        .collect();
-                    let slots = access.slots(&t);
-                    let visited = slots.len() as u64;
-                    let mut batches = t.read_batches(&slots, false, self.batch_rows(), scan);
-                    if !bound.is_empty() {
-                        let thin = batches.into_iter().map(|b| self.prefiltered(b, &bound));
-                        batches = thin.filter(|b| !b.is_empty()).collect();
-                    }
-                    (access, applied, visited, batches, !bound.is_empty())
+                let cols = read_count(reads, scope.relations().iter());
+                let access = choose_access(&handle.read(), visible, prefilter, self.params);
+                let applied = access.applied(prefilter);
+                // conjuncts that do not bind against this table alone are
+                // left to the statement's WHERE, which reports the error
+                let bound: Vec<CompiledExpr> = prefilter
+                    .iter()
+                    .filter(|c| joined && !applied.is_some_and(|a| std::ptr::eq(a, **c)))
+                    .filter_map(|e| bind_scalar(e, &scope, self.params).ok())
+                    .map(|e| self.compile(&e))
+                    .collect();
+                let budget = self.catalog.memory_budget();
+                let rel = Rel::scan(scope, handle, &access, (self.batch_rows(), budget))?;
+                self.count_access(&access, rel.len() as u64);
+                let rel = match bound.is_empty() {
+                    true => rel,
+                    false => self.filter(rel, &bound, true)?,
                 };
-                self.count_access(&access, visited);
-                let rel = Rel::new(scope, batches, self.catalog.memory_budget())?;
                 if let Some(p) = self.prof {
                     // as the only table of its statement the scan heads the
                     // batched pipeline and reports its batches
+                    let batches = if joined { 0 } else { rel.batches().len() };
                     p.leaf_batched(
-                        access.describe(&factor_label(f), prefiltered),
+                        access.describe(&factor_label(f), !bound.is_empty()),
                         rel.len() as u64,
                         t0.map(us_since).unwrap_or(0),
-                        if joined { 0 } else { rel.batches.len() as u64 },
+                        batches as u64,
                     );
-                    p.note_cols(scan.map_or(rel.arity(), count), rel.arity());
+                    p.note_cols(cols, rel.arity());
                 }
                 Ok((rel, applied.filter(|_| !joined)))
             }
@@ -1150,52 +1141,40 @@ impl<'a> Executor<'a> {
         Ok(n)
     }
 
-    /// The rows of a DML target (whose columns `scope` names) that pass
-    /// `selection`, as column batches that end in each row's slot. The
-    /// table is read through the access path the predicate allows
-    /// ([`choose_access`]), and the rest of the predicate runs on what that
-    /// path returns, batch by batch.
-    fn matching_batches(
+    /// The rows of a DML target (visible as `target`) that pass
+    /// `selection`, as positions: their slots. The table is read through
+    /// the access path the predicate allows ([`choose_access`]), and the
+    /// rest of the predicate runs on what that path returns, batch by batch.
+    fn matching(
         &self,
         handle: &TableHandle,
         target: &TableFactor,
-        scope: &Scope,
         selection: Option<&Expr>,
-    ) -> DbResult<Vec<ColumnBatch>> {
+    ) -> DbResult<Rel> {
         let t0 = self.prof_start();
         let visible = factor_visible_name(target);
+        let scope = table_scope(handle, visible);
         let conjuncts = ast_conjuncts(selection);
-        let table = handle.read();
-        let access = choose_access(&table, visible, &conjuncts, self.params);
+        let access = choose_access(&handle.read(), visible, &conjuncts, self.params);
         let pred = residual(selection, access.applied(&conjuncts));
-        let pred = pred
-            .map(|p| bind_scalar(&p, scope, self.params))
-            .transpose()?;
-        let pred = pred.as_ref().map(|p| self.compile(p));
-        let slots = access.slots(&table);
-        let read = scan_of(self.reads.map_or(&[][..], Reads::target), scope.arity());
-        let mut matches = Vec::new();
-        for b in table.read_batches(&slots, true, self.batch_rows(), read) {
-            self.check_deadline()?;
-            let b = match &pred {
-                Some(p) => {
-                    let mask = p.eval_batch(&b)?.truthy_mask(&b);
-                    keep(b, &mask)
-                }
-                None => b,
-            };
-            if !b.is_empty() {
-                matches.push(b);
-            }
-        }
-        self.count_access(&access, slots.len() as u64);
+        let pred = pred.map(|p| bind_scalar(&p, &scope, self.params));
+        let pred = pred.transpose()?.map(|p| self.compile(&p));
+        let budget = self.catalog.memory_budget();
+        let all = Rel::scan(scope, handle.clone(), &access, (self.batch_rows(), budget))?;
+        self.count_access(&access, all.len() as u64);
+        let matches = match &pred {
+            Some(p) => self.filter(all, std::slice::from_ref(p), false)?,
+            None => all,
+        };
         if let Some(p) = self.prof {
             p.leaf(
                 access.describe(&factor_label(target), false),
-                matches.iter().map(|b| b.len() as u64).sum(),
+                matches.len() as u64,
                 t0.map(us_since).unwrap_or(0),
             );
-            p.note_cols(read.map_or(scope.arity(), count), scope.arity());
+            let target = self.reads.map_or(&[][..], Reads::target);
+            let cols = read_count(target, matches.scope.relations().iter());
+            p.note_cols(cols, matches.arity());
         }
         Ok(matches)
     }
@@ -1205,14 +1184,11 @@ impl<'a> Executor<'a> {
         let handle = self.catalog.table(&upd.table)?;
         let target = update_target(upd);
 
-        // `matches`: one lane per target row to rewrite, in batches whose
-        // columns `target_at..` start with the target's current columns and
-        // end in its slot; `scope` names the columns the SET list reads
-        let (scope, target_at, matches) = if upd.from.is_empty() {
-            let scope = table_scope(&handle, factor_visible_name(&target));
-            let selection = upd.selection.as_ref();
-            let matches = self.matching_batches(&handle, &target, &scope, selection)?;
-            (scope, 0, matches)
+        // `matches`: one row per target row to rewrite, whose columns
+        // `target_at..` are the target's current columns and whose last
+        // source's positions are its slots
+        let (target_at, matches) = if upd.from.is_empty() {
+            (0, self.matching(&handle, &target, upd.selection.as_ref())?)
         } else {
             // the extra relations (PostgreSQL FROM list / MySQL JOIN) drive
             // a join whose inner side is the target itself, unscanned: a
@@ -1222,36 +1198,26 @@ impl<'a> Executor<'a> {
             let from = self.build_from(&upd.from, 0, |_| Vec::new(), reads)?;
             let target_at = from.arity();
             let on = update_predicate(upd);
-            let inner = JoinInner::table_with_slots(handle.clone(), factor_visible_name(&target));
-            // the join carries the target's columns the statement reads,
-            // and the slot
+            let inner = JoinInner::table(handle.clone(), factor_visible_name(&target));
             let target_reads = self.reads.map_or(&[][..], Reads::target);
-            let scan = scan_of(target_reads, inner.scope().arity() - 1);
-            let carry = scan.map(|scan| {
-                let from = carried(reads, from.scope.relations().iter(), ABOVE - 1);
-                let mut carry = from.unwrap_or_else(|| vec![true; target_at]);
-                carry.extend(scan.iter().chain([&true]));
-                carry
-            });
-            let (on, masks) = (on.as_deref(), (carry, scan));
-            let joined = self.join_step(from, inner, JoinType::Inner, on, &target, masks)?;
+            let cols = read_count(target_reads, inner.scope().relations().iter());
+            let from_cols = read_count(reads, from.scope.relations().iter());
+            let labels = (from_cols + cols, cols);
+            let joined =
+                self.join_step(from, inner, JoinType::Inner, on.as_deref(), &target, labels)?;
             // the join emits a target row's pairs in FROM order: keeping
-            // the first per slot is "first matching FROM row wins"
-            let slot_at = joined.arity() - 1;
-            let Rel { scope, batches, .. } = joined;
-            let mut seen = KeyMap::<i64, ()>::default();
-            seen.reserve(batches.iter().map(ColumnBatch::len).sum());
-            let mut matches = Vec::with_capacity(batches.len());
-            for b in batches {
-                let slots = slot_lanes(b.col(slot_at)).iter();
-                let first: Vec<bool> = slots.map(|&s| seen.insert(s, ()).is_none()).collect();
-                let b = keep(b, &first);
-                if !b.is_empty() {
-                    matches.push(b);
-                }
-            }
-            (scope, target_at, matches)
+            // the first per slot — the target's positions — is "first
+            // matching FROM row wins"
+            let mut seen = KeyMap::<u32, ()>::default();
+            seen.reserve(joined.len());
+            let target = joined.sources() - 1;
+            let first = |_: &Rel, pos: &Positions| {
+                let first = (0..pos.len()).map(|i| seen.insert(pos.at(target, i), ()).is_none());
+                Ok(first.collect())
+            };
+            (target_at, joined.retain(first)?)
         };
+        let scope = &matches.scope;
 
         // the SET list: (column, its type, value expression); like
         // PostgreSQL, a column may be assigned once
@@ -1267,28 +1233,34 @@ impl<'a> Executor<'a> {
                     return Err(DbError::Invalid(format!("column {col} is assigned twice")));
                 }
                 let data_type = schema.columns()[idx].data_type;
-                let e = self.compile(&bind_scalar(e, &scope, self.params)?);
+                let e = self.compile(&bind_scalar(e, scope, self.params)?);
                 assignments.push((idx, data_type, e));
             }
             assignments
         };
         let cols: Vec<usize> = assignments.iter().map(|(c, _, _)| *c).collect();
+        // what SET reads, and the assigned columns' current lanes
+        let mut reads =
+            BoundExpr::reads(assignments.iter().map(|(_, _, e)| e.expr()), scope.arity());
+        cols.iter().for_each(|c| reads[target_at + c] = true);
+        let last = matches.sources() - 1;
 
         // each batch's new lanes of the assigned columns; the rows where one
-        // differs from the current lane are written in one call, whose old
-        // lanes are the statement's undo entry
-        let matched = matches.iter().map(|b| b.len() as u64).sum();
+        // differs from the current lane are written in one call, after
+        // every read, whose old lanes are the statement's undo entry
+        let matched = matches.len() as u64;
         let (mut slots, mut rows) = (Vec::new(), Vec::new());
         let mut failed = None;
-        for b in &matches {
+        for pos in matches.batches() {
             self.check_deadline()?;
+            let b = &matches.gather(pos, &reads);
             let (new, done, err) = set_rows(b, &assignments);
             let mut changed = vec![false; done];
             for (&c, lanes) in cols.iter().zip(&new) {
                 lanes.mark_changed(b.col(target_at + c), &mut changed);
             }
-            let slot_col = slot_lanes(b.col(b.arity() - 1)).iter().zip(&changed);
-            slots.extend(slot_col.filter(|(_, &c)| c).map(|(&s, _)| s as usize));
+            let rewritten = (0..done).filter(|&i| changed[i]);
+            slots.extend(rewritten.map(|i| pos.at(last, i) as usize));
             rows.push(keep(ColumnBatch::from_cols(new, done), &changed));
             if err.is_some() {
                 failed = err;
@@ -1341,10 +1313,10 @@ impl<'a> Executor<'a> {
                 slots
             }
             Some(w) => {
-                let scope = table_scope(&handle, table);
-                let matches = self.matching_batches(&handle, &target, &scope, Some(w))?;
-                let slot_cols = matches.iter().map(|b| slot_lanes(b.col(b.arity() - 1)));
-                slot_cols.flatten().map(|&s| s as usize).collect()
+                let matches = self.matching(&handle, &target, Some(w))?;
+                let batches = matches.batches().iter();
+                let slots = batches.flat_map(|pos| (0..pos.len()).map(|i| pos.at(0, i) as usize));
+                slots.collect()
             }
         };
         let count = slots.len() as u64;
@@ -1473,22 +1445,9 @@ impl GroupedSelect {
 }
 
 impl GroupedSelect {
-    /// Which of the input's `arity` columns the projections and `HAVING`
-    /// read from a group's representative lane.
-    fn reads(&self, arity: usize) -> Vec<bool> {
-        let mut read = vec![false; arity];
-        for e in self.proj_exprs.iter().chain(&self.having) {
-            e.walk(&mut |node| match node {
-                BoundExpr::Column(c) if *c < arity => read[*c] = true,
-                _ => {}
-            });
-        }
-        read
-    }
-
     /// The groups' output as one batch. `group` holds a lane per group: the
-    /// input's columns (its representative lane for those
-    /// [`GroupedSelect::reads`] names, NULL elsewhere), then one column per
+    /// input's columns (its representative row's, for those the
+    /// projections and `HAVING` read; unread elsewhere), then one column per
     /// aggregate, where the bound aggregate references point. `HAVING` and
     /// the projections run on it as kernels. If a kernel fails, the groups
     /// are re-run a row at a time, `HAVING` then each projection, which
@@ -1537,7 +1496,7 @@ impl GroupedSelect {
 }
 
 /// The groups of a batched aggregate in the order they first appeared: the
-/// lane each was first seen in, and for each input batch that opened any,
+/// row each was first seen in, and for each input batch that opened any,
 /// that batch and the first group it opened. Groups open batch by batch, so
 /// each batch's groups are one run.
 #[derive(Default)]
@@ -1560,20 +1519,20 @@ impl Groups {
         self.lanes.len() as u32 - 1
     }
 
-    /// Column `c` of every group's representative lane.
-    fn rep_col(&self, batches: &[ColumnBatch], c: usize) -> Col {
+    /// Every group's representative row, as positions in `rel`'s sources.
+    fn positions(&self, rel: &Rel) -> Positions {
         let ends = self.runs.iter().skip(1).map(|r| r.1).chain([self.len()]);
         let parts = self.runs.iter().zip(ends);
-        let parts = parts.map(|(&(b, from), to)| (batches[b].col(c), Some(&self.lanes[from..to])));
-        Col::concat(&parts.collect::<Vec<_>>())
+        let parts = parts.map(|(&(b, from), to)| rel.batches()[b].pick(&self.lanes[from..to]));
+        Positions::concat(&parts.collect::<Vec<_>>(), rel.sources())
     }
 }
 
 /// Maps a batched aggregate's keys to group ids through one index chosen
-/// over its whole input. One `Int` key indexes a table at `key - lo` when
-/// its lanes span fewer values than twice the rows, an `i64` map otherwise;
-/// other keys go through a `Value` map, under which `Int(2)` and
-/// `Float(2.0)` are one key. NULL `Int` keys and no keys at all make the
+/// over its whole input. One `Int` column indexes a table at `key - lo`
+/// when its lanes span fewer values than twice the rows, an `i64` map
+/// otherwise; other keys go through a `Value` map, under which `Int(2)`
+/// and `Float(2.0)` are one key. NULL `Int` keys and no keys at all make the
 /// group `none`.
 struct GroupIndex {
     none: Option<u32>,
@@ -1587,27 +1546,24 @@ enum Keys {
 }
 
 impl GroupIndex {
-    /// The index for the keys `keys` compiles to over `batches`. Only a
-    /// lone key is evaluated here, one batch at a time, for its span; a
-    /// batch whose kernel fails or is not `Int` takes the `Value` map.
-    fn new(keys: &[CompiledExpr], batches: &[ColumnBatch]) -> Self {
-        let (mut int, mut span, mut rows) = (keys.len() == 1, None::<(i64, i64)>, 0);
-        for b in batches.iter().filter(|b| !b.is_empty() && keys.len() == 1) {
-            let key = keys[0].try_eval(b).map(|k| k.into_cow(b));
-            let Some(k) = key.ok().filter(|k| matches!(k.data, ColData::Int(_))) else {
-                int = false;
-                break;
-            };
-            span = match (span, k.int_range()) {
-                (Some((lo, hi)), Some((l, h))) => Some((lo.min(l), hi.max(h))),
-                (a, b) => a.or(b),
-            };
-            rows += b.len();
-        }
-        let keys = match span.filter(|(lo, hi)| hi.abs_diff(*lo) < 2 * rows as u64) {
-            _ if !int => Keys::Values(KeyMap::default()),
-            Some((lo, hi)) => Keys::Dense(lo, vec![None; hi.abs_diff(lo) as usize + 1]),
-            None => Keys::Ints(KeyMap::default()),
+    /// The index for the keys `keys` compiles to over the rows of `rel`:
+    /// for a lone bare column whose source holds `Int` lanes, sized by
+    /// [`Rel::int_span`].
+    fn new(keys: &[CompiledExpr], rel: &Rel) -> Self {
+        let span = match keys {
+            [key] => match key.expr() {
+                BoundExpr::Column(c) => rel.int_span(*c),
+                _ => None,
+            },
+            _ => None,
+        };
+        let rows = rel.len() as u64;
+        let keys = match span {
+            None => Keys::Values(KeyMap::default()),
+            Some(Some((lo, hi))) if hi.abs_diff(lo) < 2 * rows => {
+                Keys::Dense(lo, vec![None; hi.abs_diff(lo) as usize + 1])
+            }
+            Some(_) => Keys::Ints(KeyMap::default()),
         };
         GroupIndex { none: None, keys }
     }
@@ -1886,7 +1842,7 @@ fn distinct(batches: Vec<ColumnBatch>, arity: usize) -> Vec<ColumnBatch> {
     if keep.is_empty() {
         return Vec::new();
     }
-    let cols = all.gather_cols(&keep, None);
+    let cols = all.gather_cols(&keep);
     vec![ColumnBatch::from_cols(cols, keep.len())]
 }
 
@@ -1992,29 +1948,18 @@ pub(crate) fn ast_conjuncts(pred: Option<&Expr>) -> Vec<&Expr> {
     out
 }
 
-/// The columns the first factor of `reads` materializes when its table of
-/// `arity` columns is scanned; `None` when it is read whole.
-fn scan_of(reads: &[Option<FactorReads>], arity: usize) -> Option<&[bool]> {
-    let scan = reads.first()?.as_ref().map(|f| &*f.scan);
-    scan.filter(|scan| scan.len() == arity)
-}
-
-/// The columns a join's output over `relations` — one per factor of
-/// `reads` — carries: those a factor's reads mark past `past`, every other
-/// column of a factor read whole; `None` without masks.
-fn carried<'r>(
+/// How many columns of `relations` — one per factor of `reads` — the
+/// statement reads: every column of a factor read whole.
+fn read_count<'r>(
     reads: &[Option<FactorReads>],
     relations: impl Iterator<Item = &'r ScopeRelation>,
-    past: u32,
-) -> Option<Vec<bool>> {
-    let mut factors = reads
-        .iter()
-        .map(|f| f.as_ref().map_or(&[][..], |f| &f.until));
-    let carry = relations.flat_map(|r| {
-        let f = factors.next().unwrap_or_default();
-        (0..r.columns.len()).map(move |c| f.get(c).is_none_or(|&u| u > past))
-    });
-    (!reads.is_empty()).then(|| carry.collect())
+) -> usize {
+    let mut factors = reads.iter();
+    let count_of = |r: &ScopeRelation| match factors.next().and_then(Option::as_ref) {
+        Some(f) if f.scan.len() == r.columns.len() => count(&f.scan),
+        _ => r.columns.len(),
+    };
+    relations.map(count_of).sum()
 }
 
 fn projection_name(expr: &Expr, alias: Option<&str>, i: usize) -> String {
@@ -2033,14 +1978,6 @@ fn keep(b: ColumnBatch, mask: &[bool]) -> ColumnBatch {
     match mask.iter().all(|&k| k) {
         true => b,
         false => b.compact(mask),
-    }
-}
-
-/// The slots a batch's slot column ([`Table::slot_col`]) holds.
-fn slot_lanes(slots: &Col) -> &[i64] {
-    match &slots.data {
-        ColData::Int(v) => v,
-        _ => unreachable!("a slot column holds Int lanes"),
     }
 }
 
@@ -2982,12 +2919,15 @@ mod tests {
     #[test]
     fn columnar_intermediates_charged_and_refunded() {
         // satellite regression: a memory squeeze during batched aggregation
-        // fails with the typed budget error and refunds every reservation
+        // fails with the typed budget error and refunds every reservation;
+        // a scan of `t` alone holds no charge (its rows are positions in
+        // the heap), the derived table's materialized rows do
         let ctx = seeded(EngineProfile::Postgres);
         let budget = ctx.catalog.memory_budget().clone();
         let base = budget.used();
         budget.set_limit(Some(base + 1));
-        let q = parse_query("SELECT tag, SUM(v) FROM t GROUP BY tag").unwrap();
+        let q = "SELECT d.tag, SUM(d.v) FROM (SELECT tag, v FROM t) AS d GROUP BY d.tag";
+        let q = parse_query(q).unwrap();
         let err = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats).run_query(&q);
         assert!(matches!(err, Err(DbError::BudgetExceeded(_))), "{err:?}");
         assert_eq!(budget.used(), base);

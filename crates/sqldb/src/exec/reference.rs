@@ -9,6 +9,19 @@
 
 use super::*;
 
+impl Rel {
+    /// The rows, every column gathered, for the reference evaluator and
+    /// the join tests.
+    pub(crate) fn rows(&self) -> Vec<Row> {
+        let all = vec![true; self.arity()];
+        let mut rows = Vec::with_capacity(self.len());
+        for pos in self.batches() {
+            self.gather(pos, &all).append_rows_to(&mut rows);
+        }
+        rows
+    }
+}
+
 impl<'a> Executor<'a> {
     /// Runs every `SELECT` on the reference evaluator, and reads every
     /// column of every `FROM` factor and DML target, so the pruned plans

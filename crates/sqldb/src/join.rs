@@ -20,8 +20,10 @@
 //! nested loops.
 //!
 //! The inner side of a join arrives as a [`JoinInner`]: a plain base table
-//! is handed over *unscanned*, so an index nested-loop never materializes
-//! it; the other algorithms scan it here, once the choice is made.
+//! is handed over *unscanned* and is read in place — an index nested-loop
+//! probes it, a hash join builds on (or probes with) its key lane, a nested
+//! loop walks its slots. No algorithm copies a column: a join's output is
+//! positions ([`Rel`]).
 
 use crate::ast::{BinaryOp, Expr, JoinType};
 use crate::batch::{Col, ColData, ColumnBatch, CompiledExpr, NO_LANE};
@@ -35,25 +37,168 @@ use crate::stats::Stats;
 use crate::storage::Table;
 use crate::types::DataType;
 use crate::value::{int_key_hash, KeyMap, Value};
+use std::borrow::Cow;
 use std::mem::take;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A materialized relation flowing through the executor: column batches,
-/// charged to the memory budget for as long as the relation lives.
+/// A relation flowing through the executor, late-materialized: each
+/// relation of its scope reads its columns from one [`Source`], and its
+/// rows are batches of [`Positions`] in those sources. A scan or a join
+/// copies no column; each is gathered from its source once per batch, by
+/// the kernel that reads it ([`Rel::gather`]). The budget is charged 4 bytes
+/// per position lane, for as long as the relation lives.
 #[derive(Debug)]
 pub struct Rel {
     /// Visible relations and their column names.
     pub scope: Scope,
-    /// The rows, in order (columns: all scope relations' columns, concatenated).
-    pub batches: Vec<ColumnBatch>,
-    /// The bytes `batches` hold, charged as each batch was pushed.
-    pub charge: Reservation,
+    /// Where the columns come from: one source per scope relation, in
+    /// order.
+    sources: Vec<Source>,
+    /// The rows, in order.
+    batches: Vec<Positions>,
+    /// The bytes the position lanes of `batches` hold.
+    charge: Reservation,
+}
+
+/// Where one relation of a [`Rel`] reads its columns.
+#[derive(Debug)]
+enum Source {
+    /// A base table of `arity` columns, read in place: a position is a
+    /// slot (what DML rewrites). It is read under the statement's logical
+    /// locks, its physical read guard taken per gather, and is already
+    /// charged as heap.
+    Table(TableHandle, usize),
+    /// Materialized rows (a view, a derived table, `VALUES`): a position is
+    /// a lane. They stay charged while positions reference them.
+    Rows {
+        batch: ColumnBatch,
+        _charge: Reservation,
+    },
+}
+
+impl Source {
+    fn arity(&self) -> usize {
+        match self {
+            Source::Table(_, arity) => *arity,
+            Source::Rows { batch, .. } => batch.arity(),
+        }
+    }
+
+    /// Column `c`'s lanes at the `n` positions `lanes`.
+    fn col(&self, c: usize, lanes: &Lanes, n: usize) -> Col {
+        let pick = |col: &Col| match lanes {
+            Lanes::From(s) => col.slice(*s as usize..*s as usize + n),
+            Lanes::Of(v) => col.gather(v),
+        };
+        match self {
+            Source::Rows { batch, .. } if batch.is_read(c) => pick(batch.col(c)),
+            Source::Rows { .. } => Col::unread(),
+            Source::Table(handle, _) => pick(handle.read().col(c)),
+        }
+    }
+}
+
+/// Positions of rows in one source: a run starting at a position (a scan of
+/// a table without dead slots, or a run a join kept), or one per row,
+/// [`NO_LANE`] padding a `LEFT JOIN`'s unmatched row with NULLs.
+#[derive(Debug, Clone)]
+enum Lanes {
+    From(u32),
+    Of(Vec<u32>),
+}
+
+impl Lanes {
+    /// The positions `idx` of these ([`NO_LANE`] stays one): a run of a
+    /// run stays a run, anything else is a `u32` gather.
+    fn pick(&self, idx: &[u32]) -> Lanes {
+        let run = idx.first().is_some_and(|&i| i != NO_LANE)
+            && idx.windows(2).all(|w| w[1] == w[0].wrapping_add(1));
+        match self {
+            Lanes::From(s) if run => Lanes::From(s + idx[0]),
+            Lanes::From(s) => Lanes::Of(idx.iter().map(|&i| i.saturating_add(*s)).collect()),
+            Lanes::Of(v) => Lanes::Of(
+                idx.iter()
+                    .map(|&i| v.get(i as usize).copied().unwrap_or(NO_LANE))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The position of row `i`.
+    fn at(&self, i: usize) -> u32 {
+        match self {
+            Lanes::From(s) => s + i as u32,
+            Lanes::Of(v) => v[i],
+        }
+    }
+}
+
+/// One batch of a [`Rel`]: how many rows, and each row's position in every
+/// source.
+#[derive(Debug, Clone)]
+pub struct Positions {
+    len: usize,
+    lanes: Vec<Lanes>,
+}
+
+impl Positions {
+    fn new(len: usize, lanes: Vec<Lanes>) -> Positions {
+        Positions { len, lanes }
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Rows `idx` of this batch ([`NO_LANE`]: a row of pads).
+    pub(crate) fn pick(&self, idx: &[u32]) -> Positions {
+        let lanes = self.lanes.iter().map(|l| l.pick(idx)).collect();
+        Positions::new(idx.len(), lanes)
+    }
+
+    /// Row `i`'s position in source `s`.
+    pub(crate) fn at(&self, s: usize, i: usize) -> u32 {
+        self.lanes[s].at(i)
+    }
+
+    /// The budget's charge: 4 bytes per position lane.
+    fn bytes(&self) -> u64 {
+        let vecs = self.lanes.iter().filter(|l| matches!(l, Lanes::Of(_)));
+        4 * (self.len * vecs.count()) as u64
+    }
+
+    /// All rows of `batches` as one batch of `sources` position lanes.
+    pub(crate) fn concat(batches: &[Positions], sources: usize) -> Positions {
+        let all = |s| {
+            batches
+                .iter()
+                .flat_map(move |b| (0..b.len).map(move |i| b.at(s, i)))
+        };
+        let lanes = (0..sources).map(|s| match batches {
+            [one] => one.lanes[s].clone(),
+            _ => Lanes::Of(all(s).collect()),
+        });
+        Positions::new(batches.iter().map(|b| b.len).sum(), lanes.collect())
+    }
 }
 
 #[allow(clippy::len_without_is_empty)]
 impl Rel {
-    /// `batches` over `scope`, charged to `budget` one by one.
+    /// No rows yet, over `sources`, visible as `scope`.
+    fn over(scope: Scope, sources: Vec<Source>, budget: &Arc<MemoryBudget>) -> Rel {
+        let (batches, charge) = (Vec::new(), budget.reservation());
+        Rel {
+            scope,
+            sources,
+            batches,
+            charge,
+        }
+    }
+
+    /// `batches` over `scope`, materialized: they become one charged
+    /// source, and each stays a batch of positions in it.
     ///
     /// # Errors
     /// Returns [`DbError::BudgetExceeded`] when they do not fit.
@@ -62,21 +207,55 @@ impl Rel {
         batches: Vec<ColumnBatch>,
         budget: &Arc<MemoryBudget>,
     ) -> DbResult<Rel> {
-        let mut rel = Rel {
-            scope,
-            batches: Vec::with_capacity(batches.len()),
-            charge: budget.reservation(),
-        };
-        batches.into_iter().try_for_each(|b| rel.push(b))?;
+        let mut at = 0;
+        let lanes = batches.iter().map(|b| {
+            at += b.len() as u32;
+            Positions::new(b.len(), vec![Lanes::From(at - b.len() as u32)])
+        });
+        let positions = lanes.collect();
+        let batch = ColumnBatch::concat(batches, scope.arity());
+        let mut _charge = budget.reservation();
+        _charge.grow(batch.bytes())?;
+        let mut rel = Rel::over(scope, vec![Source::Rows { batch, _charge }], budget);
+        rel.batches = positions;
         Ok(rel)
     }
 
-    /// Appends `batch`, charging the budget for the bytes its columns hold.
+    /// The rows `access` reaches in `handle`'s table (whose scope is
+    /// `scope`), in batches of at most `batch_rows` positions: ranges, when
+    /// a scan meets no dead slot.
+    ///
+    /// # Errors
+    /// Returns [`DbError::BudgetExceeded`] when the positions do not fit.
+    pub fn scan(
+        scope: Scope,
+        handle: TableHandle,
+        access: &AccessPath,
+        (batch_rows, budget): (usize, &Arc<MemoryBudget>),
+    ) -> DbResult<Rel> {
+        let source = Source::Table(handle.clone(), scope.arity());
+        let mut rel = Rel::over(scope, vec![source], budget);
+        let (table, rows) = (handle.read(), batch_rows.max(1));
+        if *access == AccessPath::Scan && table.len() == table.slot_count() {
+            for at in (0..table.len()).step_by(rows) {
+                let len = rows.min(table.len() - at);
+                rel.push(Positions::new(len, vec![Lanes::From(at as u32)]))?;
+            }
+            return Ok(rel);
+        }
+        for chunk in access.slots(&table).chunks(rows) {
+            let lanes = Lanes::Of(chunk.iter().map(|&s| s as u32).collect());
+            rel.push(Positions::new(chunk.len(), vec![lanes]))?;
+        }
+        Ok(rel)
+    }
+
+    /// Appends `batch`, charging the budget for its position lanes.
     ///
     /// # Errors
     /// Returns [`DbError::BudgetExceeded`] when that crosses the limit; the
     /// batch is dropped.
-    pub fn push(&mut self, batch: ColumnBatch) -> DbResult<()> {
+    fn push(&mut self, batch: Positions) -> DbResult<()> {
         self.charge.grow(batch.bytes())?;
         self.batches.push(batch);
         Ok(())
@@ -89,31 +268,102 @@ impl Rel {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.batches.iter().map(ColumnBatch::len).sum()
+        self.batches.iter().map(Positions::len).sum()
     }
 
-    /// The rows, rebuilt from the batches, for the test-only reference
-    /// evaluator and the join tests.
-    #[cfg(test)]
-    pub(crate) fn rows(&self) -> Vec<crate::value::Row> {
-        let mut rows = Vec::with_capacity(self.len());
-        for batch in &self.batches {
-            batch.append_rows_to(&mut rows);
+    /// How many sources the relation reads its columns from.
+    pub(crate) fn sources(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// The batches of positions, in row order.
+    pub fn batches(&self) -> &[Positions] {
+        &self.batches
+    }
+
+    /// The rows of `pos` in the columns `read` names (every column no
+    /// mask marks is [`Col::unread`]), each gathered from its source.
+    pub fn gather(&self, pos: &Positions, read: &[bool]) -> ColumnBatch {
+        let mut cols = Vec::with_capacity(self.arity());
+        let mut at = 0;
+        for (source, lanes) in self.sources.iter().zip(&pos.lanes) {
+            for c in 0..source.arity() {
+                cols.push(match read.get(at + c) {
+                    Some(true) => source.col(c, lanes, pos.len),
+                    _ => Col::unread(),
+                });
+            }
+            at += source.arity();
         }
-        rows
+        ColumnBatch::from_cols(cols, pos.len)
     }
 
-    /// The whole relation as one batch (a join's build side is addressed by
-    /// lane), with the guard that keeps it charged.
-    fn into_single(self) -> (ColumnBatch, Reservation) {
-        let arity = self.arity();
-        (ColumnBatch::concat(self.batches, arity), self.charge)
+    /// `f` of column `c`'s lanes in its source.
+    fn source_col<R>(&self, c: usize, f: impl FnOnce(&Col) -> R) -> R {
+        let (s, c) = locate(&self.sources, c);
+        match &self.sources[s] {
+            Source::Rows { batch, .. } => f(batch.col(c)),
+            Source::Table(handle, _) => f(handle.read().col(c)),
+        }
+    }
+
+    /// The least and the greatest valid lane of column `c` over every row,
+    /// read in place, or a bound on them: the source's own when it holds no
+    /// more lanes than the relation has rows. `None` unless the source
+    /// holds `Int` lanes.
+    pub(crate) fn int_span(&self, c: usize) -> Option<Option<(i64, i64)>> {
+        let s = locate(&self.sources, c).0;
+        self.source_col(c, |col| {
+            let ColData::Int(v) = &col.data else {
+                return None;
+            };
+            if col.len() <= self.len() {
+                return Some(col.int_range());
+            }
+            let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+            let mut note = |i: u32| {
+                if col.valid.get(i as usize) == Some(&true) {
+                    (lo, hi) = (lo.min(v[i as usize]), hi.max(v[i as usize]));
+                }
+            };
+            for b in &self.batches {
+                match &b.lanes[s] {
+                    Lanes::From(at) => (*at..*at + b.len as u32).for_each(&mut note),
+                    Lanes::Of(lanes) => lanes.iter().for_each(|&i| note(i)),
+                }
+            }
+            Some((lo <= hi).then_some((lo, hi)))
+        })
+    }
+
+    /// The rows each batch's `keep(self, batch)` flags, as positions.
+    ///
+    /// # Errors
+    /// The first error `keep` returns; [`DbError::BudgetExceeded`] when
+    /// the kept positions do not fit.
+    pub fn retain(
+        mut self,
+        mut keep: impl FnMut(&Rel, &Positions) -> DbResult<Vec<bool>>,
+    ) -> DbResult<Rel> {
+        for old in std::mem::take(&mut self.batches) {
+            let mask = keep(&self, &old)?;
+            self.charge.shrink(old.bytes());
+            let idx = || {
+                (0..old.len as u32)
+                    .filter(|&i| mask[i as usize])
+                    .collect::<Vec<_>>()
+            };
+            let kept = match mask.iter().all(|&k| k) {
+                true => old,
+                false => old.pick(&idx()),
+            };
+            if kept.len() > 0 {
+                self.push(kept)?;
+            }
+        }
+        Ok(self)
     }
 }
-
-/// Name of the hidden trailing column [`JoinInner::table_with_slots`]
-/// appends; no SQL identifier can spell it.
-const SLOT_COLUMN: &str = "\u{0}slot";
 
 /// The inner (right) side of a join.
 #[derive(Debug)]
@@ -126,9 +376,6 @@ pub enum JoinInner {
         scope: Scope,
         /// The table itself.
         handle: TableHandle,
-        /// Every row read from the table ends in its slot number (the
-        /// scope's last column), so DML can find the row again.
-        slots: bool,
     },
 }
 
@@ -136,26 +383,7 @@ impl JoinInner {
     /// The base table behind `handle`, visible as `visible`, unscanned.
     pub fn table(handle: TableHandle, visible: &str) -> JoinInner {
         let scope = table_scope(&handle, visible);
-        JoinInner::Table {
-            scope,
-            handle,
-            slots: false,
-        }
-    }
-
-    /// [`JoinInner::table`] for the target of an `UPDATE … FROM`: each
-    /// joined row carries, as its last column, the slot the target row
-    /// lives in.
-    pub fn table_with_slots(handle: TableHandle, visible: &str) -> JoinInner {
-        let mut relation = table_relation(&handle, visible);
-        relation.columns.push(SLOT_COLUMN.to_owned());
-        let mut scope = Scope::new();
-        scope.push(relation);
-        JoinInner::Table {
-            scope,
-            handle,
-            slots: true,
-        }
+        JoinInner::Table { scope, handle }
     }
 
     pub(crate) fn scope(&self) -> &Scope {
@@ -166,20 +394,15 @@ impl JoinInner {
     }
 }
 
-/// A base table, visible as `visible`, as a scope relation.
-fn table_relation(handle: &TableHandle, visible: &str) -> ScopeRelation {
-    let table = handle.read();
-    let columns = table.schema().columns().iter();
-    ScopeRelation {
-        qualifier: visible.to_owned(),
-        columns: columns.map(|c| c.name.clone()).collect(),
-    }
-}
-
 /// The single-relation scope of a base table visible as `visible`.
 pub(crate) fn table_scope(handle: &TableHandle, visible: &str) -> Scope {
+    let table = handle.read();
+    let columns = table.schema().columns().iter().map(|c| c.name.clone());
     let mut scope = Scope::new();
-    scope.push(table_relation(handle, visible));
+    scope.push(ScopeRelation {
+        qualifier: visible.to_owned(),
+        columns: columns.collect(),
+    });
     scope
 }
 
@@ -676,12 +899,6 @@ pub(crate) fn count(mask: &[bool]) -> usize {
     mask.iter().filter(|&&m| m).count()
 }
 
-/// Whether every batch keys on an `Int` lane vector in column `col`.
-fn int_keyed(batches: &[ColumnBatch], col: usize) -> bool {
-    let int = |b: &ColumnBatch| matches!(b.col(col).data, ColData::Int(_));
-    batches.iter().all(int)
-}
-
 /// What a join runs under: the profile's fallback algorithm, the counters,
 /// and the statement's batch size, deadline and memory budget.
 #[derive(Debug, Clone, Copy)]
@@ -701,54 +918,71 @@ pub struct JoinEnv<'a> {
     pub params: &'a [Value],
 }
 
-/// Where the inner columns of an output row come from.
-enum Inner<'a> {
-    /// Lanes of a batch.
-    Batch(&'a ColumnBatch),
-    /// Slots of a table read in place, in the columns `read` names; with
-    /// `slots`, the slot itself becomes the last column
-    /// ([`JoinInner::table_with_slots`]).
-    Table {
-        table: &'a Table,
-        slots: bool,
-        read: Option<&'a [bool]>,
-    },
+/// Column `c` of the rows of `pos`, whose lanes address `sources`.
+fn column(sources: &[Source], pos: &Positions, c: usize) -> Col {
+    let (s, c) = locate(sources, c);
+    sources[s].col(c, &pos.lanes[s], pos.len)
 }
 
-impl Inner<'_> {
-    /// The rows of the pairs: `cols`, the outer side's columns of them,
-    /// then this side's lanes (or slots) `pr` ([`NO_LANE`]: a `LEFT JOIN`
-    /// pad, all NULL), each column gathered once, unless `keep` drops it.
-    fn gather(&self, mut cols: Vec<Col>, pr: &[u32], keep: Option<&[bool]>) -> ColumnBatch {
-        match self {
-            Inner::Batch(batch) => cols.extend(batch.gather_cols(pr, keep)),
-            Inner::Table { table, slots, read } => {
-                cols.extend(table.gather(pr, keep.or(*read)));
-                cols.extend(slots.then(|| table.slot_col(pr)));
-            }
+/// The source of `sources` holding their column `c`, and its offset there.
+fn locate(sources: &[Source], mut c: usize) -> (usize, usize) {
+    for (s, source) in sources.iter().enumerate() {
+        if c < source.arity() {
+            return (s, c);
         }
-        ColumnBatch::from_cols(cols, pr.len())
+        c -= source.arity();
     }
+    unreachable!("a column past the relation's sources")
+}
+
+/// `batches` as one batch of `sources` lanes (a join's build side is
+/// addressed by row), `charge` moved from theirs to its.
+fn flatten(
+    batches: Vec<Positions>,
+    sources: usize,
+    charge: &mut Reservation,
+) -> DbResult<Positions> {
+    let one = Positions::concat(&batches, sources);
+    charge.shrink(batches.iter().map(Positions::bytes).sum());
+    charge.grow(one.bytes())?;
+    Ok(one)
 }
 
 /// Output side of every algorithm. An algorithm produces index pairs —
-/// (outer lane, inner lane or slot); this filters them through the residual
-/// `ON` conjuncts, pads unmatched outer rows of a `LEFT JOIN` with
-/// [`NO_LANE`], and gathers batches of at most `batch_rows` rows, each
-/// charged to the budget as it is emitted.
+/// (outer row, inner row) of two batches of positions; this filters them
+/// through the residual `ON` conjuncts, which gather only the columns they
+/// read, pads unmatched outer rows of a `LEFT JOIN` with [`NO_LANE`], and
+/// composes the pairs' positions into batches of at most `batch_rows`
+/// rows, each charged to the budget as it is emitted.
 struct Output<'a> {
     env: &'a JoinEnv<'a>,
     residual: Vec<CompiledExpr>,
+    /// The columns `residual` reads.
+    residual_reads: Vec<bool>,
     left_join: bool,
+    /// The output: the outer side's sources, then the inner side's.
     rel: Rel,
+    /// How many of `rel`'s sources, and of its columns, the outer side has.
+    outer: (usize, usize),
     /// The candidate pairs' buffers, kept from one probed batch to the next.
     pairs: (Vec<u32>, Vec<u32>),
-    /// The columns of the outer and of the inner side the output carries
-    /// (all without them).
-    keep: (Option<&'a [bool]>, Option<&'a [bool]>),
 }
 
 impl Output<'_> {
+    /// Column `c` of the outer rows `pos`, or of the inner ones.
+    fn col(&self, inner: bool, pos: &Positions, c: usize) -> Col {
+        let (outer, inner_sources) = self.rel.sources.split_at(self.outer.0);
+        column(if inner { inner_sources } else { outer }, pos, c)
+    }
+
+    /// The pairs (`pl[i]` of `outer`, `pr[i]` of `inner`) as output rows.
+    fn pairs_of(outer: &Positions, pl: &[u32], inner: &Positions, pr: &[u32]) -> Positions {
+        let mut lanes = Vec::with_capacity(outer.lanes.len() + inner.lanes.len());
+        lanes.extend(outer.lanes.iter().map(|l| l.pick(pl)));
+        lanes.extend(inner.lanes.iter().map(|l| l.pick(pr)));
+        Positions::new(pl.len(), lanes)
+    }
+
     /// Which candidate pairs the residual accepts. The conjuncts run as
     /// kernels over the gathered candidates; if one fails — possibly on a
     /// pair an earlier conjunct already rejected — the candidates are
@@ -781,21 +1015,22 @@ impl Output<'_> {
     }
 
     /// Emits the candidate pairs (`pl[i]`, `pr[i]`) the residual accepts and
-    /// clears them. With `matched`, every outer lane that found a partner is
+    /// clears them. With `matched`, every outer row that found a partner is
     /// noted there ([`Output::pad_unmatched`] pads the rest later). Without,
-    /// the candidates hold whole outer lanes, each lane's adjacent: a
-    /// `LEFT JOIN` lane left with none is padded in place.
+    /// the candidates hold whole outer rows, each row's adjacent: a `LEFT
+    /// JOIN` row left with none is padded in place.
     fn flush(
         &mut self,
-        outer: &ColumnBatch,
+        outer: &Positions,
         pl: &mut Vec<u32>,
-        inner: &Inner<'_>,
+        inner: &Positions,
         pr: &mut Vec<u32>,
         matched: Option<&mut [bool]>,
     ) -> DbResult<()> {
         check_deadline(self.env.deadline)?;
         if !self.residual.is_empty() && !pl.is_empty() {
-            let candidates = inner.gather(outer.gather_cols(pl, None), pr, None);
+            let candidates = Output::pairs_of(outer, pl, inner, pr);
+            let candidates = self.rel.gather(&candidates, &self.residual_reads);
             let keep = self.accepted(&candidates, pr)?;
             let pad_in_place = self.left_join && matched.is_none();
             let (mut kept, mut lane_from) = (0, 0);
@@ -821,8 +1056,7 @@ impl Output<'_> {
         }
         let rows = self.env.batch_rows;
         for (pl, pr) in pl.chunks(rows).zip(pr.chunks(rows)) {
-            let outer = outer.gather_cols(pl, self.keep.0);
-            self.rel.push(inner.gather(outer, pr, self.keep.1))?;
+            self.rel.push(Output::pairs_of(outer, pl, inner, pr))?;
         }
         pl.clear();
         pr.clear();
@@ -830,16 +1064,13 @@ impl Output<'_> {
     }
 
     /// Probes with one outer batch, keeping outer order: `candidates(lane,
-    /// hits)` appends the inner lanes outer lane `lane` may pair with.
-    /// Returns true, leaving the pairs pending, when every lane paired once,
-    /// in order, and no residual runs: [`Output::emit_outer`] then moves the
-    /// outer columns into the output rather than gathering them.
+    /// hits)` appends the rows of `inner` outer row `lane` may pair with.
     fn probe_outer(
         &mut self,
-        outer: &ColumnBatch,
-        inner: &Inner<'_>,
+        outer: &Positions,
+        inner: &Positions,
         mut candidates: impl FnMut(usize, &mut Vec<u32>),
-    ) -> DbResult<bool> {
+    ) -> DbResult<()> {
         let (mut pl, mut pr) = take(&mut self.pairs);
         for lane in 0..outer.len() {
             let before = pr.len();
@@ -853,46 +1084,20 @@ impl Output<'_> {
                 self.flush(outer, &mut pl, inner, &mut pr, None)?;
             }
         }
-        let once = pl.len() == outer.len() && pl.iter().enumerate().all(|(i, &l)| l as usize == i);
-        let once = once && !pl.is_empty() && self.residual.is_empty();
-        if !once {
-            self.flush(outer, &mut pl, inner, &mut pr, None)?;
-        }
+        self.flush(outer, &mut pl, inner, &mut pr, None)?;
         self.pairs = (pl, pr);
-        Ok(once)
+        Ok(())
     }
 
-    /// Emits the pending pairs, which take each lane of `outer` once, in
-    /// order: its columns, then `inner`'s lanes.
-    fn emit_outer(&mut self, outer: ColumnBatch, inner: &Inner<'_>) -> DbResult<()> {
-        check_deadline(self.env.deadline)?;
-        let keep = self.keep.0;
-        let outer = outer.into_cols().into_iter().enumerate();
-        let outer = outer.map(|(i, c)| {
-            if keep.is_none_or(|k| k[i]) {
-                c
-            } else {
-                Col::unread()
-            }
-        });
-        let batch = inner.gather(outer.collect(), &self.pairs.1, self.keep.1);
-        self.pairs.0.clear();
-        self.pairs.1.clear();
-        self.rel.push(batch)
-    }
-
-    /// `LEFT JOIN`: appends, in outer order, the lanes of `outer` that no
-    /// pair matched, their inner columns NULL in the layout of `inner`'s.
-    fn pad_unmatched(
-        &mut self,
-        outer: &ColumnBatch,
-        matched: &[bool],
-        inner: &ColumnBatch,
-    ) -> DbResult<()> {
+    /// `LEFT JOIN`: appends, in outer order, the rows of `outer` that no
+    /// pair matched, their inner columns NULL.
+    fn pad_unmatched(&mut self, outer: &Positions, matched: &[bool]) -> DbResult<()> {
         let unmatched = (0..outer.len() as u32).filter(|&lane| !matched[lane as usize]);
         let mut pl: Vec<u32> = unmatched.filter(|_| self.left_join).collect();
         let mut pr = vec![NO_LANE; pl.len()];
-        self.flush(outer, &mut pl, &Inner::Batch(inner), &mut pr, None)
+        let inner_sources = self.rel.sources.len() - self.outer.0;
+        let pads = Positions::new(0, vec![Lanes::From(0); inner_sources]);
+        self.flush(outer, &mut pl, &pads, &mut pr, None)
     }
 }
 
@@ -903,21 +1108,21 @@ pub struct Joined {
     pub rel: Rel,
     /// The algorithm that ran.
     pub algo: JoinAlgo,
-    /// Column batches the join took in, from both sides.
+    /// Batches of rows the join took in, from both sides (a table read in
+    /// place is one).
     pub batches: u64,
     /// Set when the inner side arrived as an unscanned table: the rows read
-    /// from it (scanned, or fetched through the index), the µs a scan took
-    /// (index fetches run inside the probes, hence 0) and its columns read.
-    pub inner_read: Option<(u64, u64, usize)>,
+    /// from it, in place or fetched through the index.
+    pub inner_read: Option<u64>,
 }
 
 /// Joins `left` and `right`, appending the right relation's scope.
 ///
 /// `on` is bound against the combined scope; [`choose_join`] picks the
 /// algorithm from `env.strategy`, the shape of the `ON` condition and the
-/// inner table's index (see module docs). With `masks`, the output carries
-/// only the columns the first names of those its inputs carry, and an
-/// unscanned inner table is read only in the columns the second names.
+/// inner table's index (see module docs). The output is positions: the
+/// left side's, composed, then the right side's; an unscanned inner table
+/// is read in place. `left`'s batches are refunded as they are consumed.
 ///
 /// # Errors
 /// Returns binder/eval errors from the `ON` expression,
@@ -928,7 +1133,6 @@ pub fn join_rels(
     right: JoinInner,
     join_type: JoinType,
     on: Option<&Expr>,
-    (carry, read): (Option<&[bool]>, Option<&[bool]>),
     env: &JoinEnv<'_>,
 ) -> DbResult<Joined> {
     let mut scope = left.scope.clone();
@@ -945,7 +1149,6 @@ pub fn join_rels(
         }
         None => (None, Vec::new()),
     };
-    let read_cols = read.map_or(right_arity, count);
 
     let index = match (&key, &right) {
         (Some(k), JoinInner::Table { handle, .. }) => index_shape(handle, k.right),
@@ -967,52 +1170,66 @@ pub fn join_rels(
         ));
     }
 
+    let (sources, outer, outer_charge) = (left.sources, left.batches, left.charge);
+    let (inner_sources, inner, mut inner_charge, handle) = match right {
+        JoinInner::Rows(rel) => (rel.sources, rel.batches, rel.charge, None),
+        JoinInner::Table { handle, .. } => {
+            let source = vec![Source::Table(handle.clone(), right_arity)];
+            (source, Vec::new(), env.budget.reservation(), Some(handle))
+        }
+    };
+    let outer_sources = sources.len();
+    let sources: Vec<Source> = sources.into_iter().chain(inner_sources).collect();
     let mut out = Output {
         env,
+        residual_reads: BoundExpr::reads(&residual, left_arity + right_arity),
         residual: residual
             .iter()
             .map(|e| CompiledExpr::compile(e, env.stats))
             .collect(),
         left_join: join_type == JoinType::Left,
-        rel: Rel::new(scope, Vec::new(), env.budget)?,
+        outer: (outer_sources, left_arity),
+        rel: Rel::over(scope, sources, env.budget),
         pairs: Default::default(),
-        keep: carry.map(|carry| carry.split_at(left_arity)).unzip(),
     };
-    let mut batches = left.batches.len();
-    let inner_read = match (&algo, key, right) {
-        (JoinAlgo::IndexNestedLoop { .. }, Some(key), JoinInner::Table { handle, slots, .. }) => {
-            let fetched = index_nested_loop(left, &handle, slots, read, key, &mut out)?;
-            Some((fetched, 0, read_cols))
-        }
-        (_, key, right) => {
-            let (right, inner_read) = match right {
-                JoinInner::Rows(rel) => (rel, None),
-                JoinInner::Table {
-                    scope,
-                    handle,
-                    slots,
-                } => {
-                    // one batch: the build side is addressed by lane
-                    let t0 = Instant::now();
-                    let table = handle.read();
-                    let live = table.live_slot_vec();
-                    let batches = table.read_batches(&live, slots, usize::MAX, read);
-                    let rel = Rel::new(scope, batches, env.budget)?;
-                    env.stats.add_rows_scanned(rel.len() as u64);
-                    let us = t0.elapsed().as_micros() as u64;
-                    let read = (rel.len() as u64, us, read_cols);
-                    (rel, Some(read))
-                }
+    // a table on the inner side is read in place, under one read guard
+    let guard = handle.as_ref().map(|h| h.read());
+    let mut batches = outer.len();
+    let inner_read = match (&algo, key, guard.as_deref()) {
+        (JoinAlgo::IndexNestedLoop { .. }, Some(key), Some(table)) => Some(index_nested_loop(
+            outer,
+            outer_charge,
+            table,
+            key,
+            &mut out,
+        )?),
+        (_, key, table) => {
+            // the inner side as one batch: a table's every slot (a dead one
+            // reads NULL), or the relation's rows
+            batches += table.map_or(inner.len(), |t| usize::from(!t.is_empty()));
+            let rows = table.map(|t| t.len() as u64);
+            // read in place, its rows still count as scanned
+            env.stats.add_rows_scanned(rows.unwrap_or(0));
+            let inner_sources = out.rel.sources.len() - out.outer.0;
+            let inner = match table {
+                Some(t) => Positions::new(t.slot_count(), vec![Lanes::From(0)]),
+                None => flatten(inner, inner_sources, &mut inner_charge)?,
             };
-            batches += right.batches.len();
-            match (&algo, key) {
-                (JoinAlgo::Hash, Some(key)) => hash_join(left, right, key, &mut out)?,
-                (JoinAlgo::BlockNestedLoop { buffer_rows }, Some(key)) => {
-                    block_nested_loop(left, right, key, *buffer_rows, &mut out)?
+            let keys = key.map(|k| match table {
+                Some(t) => Cow::Borrowed(t.col(k.right)),
+                None => Cow::Owned(out.col(true, &inner, k.right)),
+            });
+            let (outer, inner_len) = ((outer, outer_charge), rows.unwrap_or(inner.len() as u64));
+            match (&algo, key.zip(keys)) {
+                (JoinAlgo::Hash, Some((key, rk))) => {
+                    hash_join(outer, (&inner, &rk, inner_len), key, &mut out)?
                 }
-                _ => nested_loop(left, right, &mut out)?,
+                (JoinAlgo::BlockNestedLoop { buffer_rows }, Some((key, rk))) => {
+                    block_nested_loop(outer, (&inner, &rk), key, *buffer_rows, &mut out)?
+                }
+                _ => nested_loop(outer, &inner, table, &mut out)?,
             }
-            inner_read
+            rows
         }
     };
 
@@ -1025,27 +1242,20 @@ pub fn join_rels(
     })
 }
 
-/// One index probe per non-NULL outer key; the inner table is read through
-/// its slots, straight into the output columns. Returns how many inner rows
-/// the probes fetched.
+/// One index probe per non-NULL outer key into the inner table, whose
+/// slots the pairs hold. Returns how many inner rows the probes fetched.
 fn index_nested_loop(
-    left: Rel,
-    inner: &TableHandle,
-    slots: bool,
-    read: Option<&[bool]>,
+    outer: Vec<Positions>,
+    mut charge: Reservation,
+    table: &Table,
     key: EquiKey,
     out: &mut Output<'_>,
 ) -> DbResult<u64> {
-    let table = inner.read();
     let (mut probes, mut fetched) = (0u64, 0u64);
-    let inner = Inner::Table {
-        table: &table,
-        slots,
-        read,
-    };
-    for outer in left.batches {
-        let keys = outer.col(key.left);
-        let once = out.probe_outer(&outer, &inner, |lane, hits| {
+    let slots = Positions::new(table.slot_count(), vec![Lanes::From(0)]);
+    for pos in outer {
+        let keys = out.col(false, &pos, key.left);
+        out.probe_outer(&pos, &slots, |lane, hits| {
             if keys.valid[lane] {
                 probes += 1;
                 let found = table.index_lookup(key.right, &keys.value_at(lane));
@@ -1055,70 +1265,75 @@ fn index_nested_loop(
                 fetched += (hits.len() - before) as u64;
             }
         })?;
-        if once {
-            out.emit_outer(outer, &inner)?;
-        }
+        charge.shrink(pos.bytes());
     }
     out.env.stats.add_index_lookups(probes);
     Ok(fetched)
 }
 
-/// Builds the hash table on the smaller relation and probes with the
-/// larger (row order is not a relational guarantee, so the swap only
-/// changes output order, never the row multiset).
-fn hash_join(left: Rel, right: Rel, key: EquiKey, out: &mut Output<'_>) -> DbResult<()> {
-    let typed = int_keyed(&left.batches, key.left) && int_keyed(&right.batches, key.right);
+/// Builds the hash table on the smaller side and probes with the larger
+/// (row order is not a relational guarantee, so the swap only changes
+/// output order, never the row multiset). The inner side comes as one batch
+/// with its key lane `rk` and its row count (a table's live rows, read in
+/// place: built on, or probed with, where it lies).
+fn hash_join(
+    (outer, mut charge): (Vec<Positions>, Reservation),
+    (inner, rk, inner_len): (&Positions, &Col, u64),
+    key: EquiKey,
+    out: &mut Output<'_>,
+) -> DbResult<()> {
+    let int = |c| {
+        out.rel
+            .source_col(c, |col| matches!(col.data, ColData::Int(_)))
+    };
+    let typed = int(key.left) && int(out.outer.1 + key.right);
+    let outer_len: usize = outer.iter().map(Positions::len).sum();
     let mut heads = Vec::new();
-    if left.len() < right.len() {
-        // build on left, probe with right: pairs arrive in probe order, so
-        // LEFT JOIN padding waits until every probe batch has been seen
-        out.env.stats.add_rows_joined(right.len() as u64);
-        let (build, _charge) = left.into_single();
-        let table = BuildTable::new(build.col(key.left), typed);
+    if (outer_len as u64) < inner_len {
+        // build on the outer side, probe with the inner one: pairs arrive
+        // in probe order, so LEFT JOIN padding waits until the probe is done
+        out.env.stats.add_rows_joined(inner_len);
+        let build = flatten(outer, out.outer.0, &mut charge)?;
+        let keys = out.col(false, &build, key.left);
+        let table = BuildTable::new(&keys, typed);
         let mut matched = vec![false; build.len()];
         let (mut pl, mut pr) = (Vec::new(), Vec::new());
-        for probe in &right.batches {
-            let keys = table.probe(probe.col(key.right), &mut heads);
-            let inner = Inner::Batch(probe);
-            for lane in 0..probe.len() {
-                keys.matches(lane, &mut pl);
-                pr.resize(pl.len(), lane as u32);
-                if pl.len() >= out.env.batch_rows {
-                    out.flush(&build, &mut pl, &inner, &mut pr, Some(&mut matched))?;
-                }
+        let keys = table.probe(rk, &mut heads);
+        for lane in 0..inner.len() {
+            keys.matches(lane, &mut pl);
+            pr.resize(pl.len(), lane as u32);
+            if pl.len() >= out.env.batch_rows {
+                out.flush(&build, &mut pl, inner, &mut pr, Some(&mut matched))?;
             }
-            out.flush(&build, &mut pl, &inner, &mut pr, Some(&mut matched))?;
         }
-        let none = ColumnBatch::concat(Vec::new(), right.arity());
-        out.pad_unmatched(&build, &matched, right.batches.first().unwrap_or(&none))
+        out.flush(&build, &mut pl, inner, &mut pr, Some(&mut matched))?;
+        out.pad_unmatched(&build, &matched)
     } else {
-        // build on right, probe with left
-        out.env.stats.add_rows_joined(left.len() as u64);
-        let (build, _charge) = right.into_single();
-        let table = BuildTable::new(build.col(key.right), typed);
-        let build = Inner::Batch(&build);
-        for outer in left.batches {
-            let keys = table.probe(outer.col(key.left), &mut heads);
-            if out.probe_outer(&outer, &build, |lane, hits| keys.matches(lane, hits))? {
-                out.emit_outer(outer, &build)?;
-            }
+        // build on the inner side, probe with the outer
+        out.env.stats.add_rows_joined(outer_len as u64);
+        let table = BuildTable::new(rk, typed);
+        for pos in outer {
+            let keys = out.col(false, &pos, key.left);
+            let probe = table.probe(&keys, &mut heads);
+            out.probe_outer(&pos, inner, |lane, hits| probe.matches(lane, hits))?;
+            charge.shrink(pos.bytes());
         }
         Ok(())
     }
 }
 
-/// Block nested-loop with the key equality inlined: the inner side is
-/// walked once per block of `buffer` outer rows.
+/// Block nested-loop with the key equality inlined: the inner side (a
+/// table in place, its dead slots NULL) is walked once per block of
+/// `buffer` outer rows.
 fn block_nested_loop(
-    left: Rel,
-    right: Rel,
+    (outer, mut charge): (Vec<Positions>, Reservation),
+    (inner, rk): (&Positions, &Col),
     key: EquiKey,
     buffer: usize,
     out: &mut Output<'_>,
 ) -> DbResult<()> {
-    let ((outer, _outer_charge), (inner, _inner_charge)) =
-        (left.into_single(), right.into_single());
-    let (lk, rk) = (outer.col(key.left), inner.col(key.right));
+    let outer = flatten(outer, out.outer.0, &mut charge)?;
+    let lk = out.col(false, &outer, key.left);
     // with `Int` lanes on both sides the per-pair compare is one i64
     // equality instead of a Value dispatch
     let ints = match (&lk.data, &rk.data) {
@@ -1127,7 +1342,6 @@ fn block_nested_loop(
     };
     let mut matched = vec![false; outer.len()];
     let (mut pl, mut pr) = (Vec::new(), Vec::new());
-    let source = Inner::Batch(&inner);
     for start in (0..outer.len()).step_by(buffer) {
         let block = start..(start + buffer).min(outer.len());
         for r in (0..inner.len()).filter(|&r| rk.valid[r]) {
@@ -1144,31 +1358,34 @@ fn block_nested_loop(
                 }
             }
             if pl.len() >= out.env.batch_rows {
-                out.flush(&outer, &mut pl, &source, &mut pr, Some(&mut matched))?;
+                out.flush(&outer, &mut pl, inner, &mut pr, Some(&mut matched))?;
             }
         }
         // once per inner pass, pairs or not: the deadline is checked here
-        out.flush(&outer, &mut pl, &source, &mut pr, Some(&mut matched))?;
+        out.flush(&outer, &mut pl, inner, &mut pr, Some(&mut matched))?;
     }
     // unmatched LEFT JOIN rows are appended in input order
-    out.pad_unmatched(&outer, &matched, &inner)
+    out.pad_unmatched(&outer, &matched)
 }
 
 /// No equi key: every pair, with the whole `ON` predicate (all of it sits
-/// in the residual) — or none at all for a cross join.
-fn nested_loop(left: Rel, right: Rel, out: &mut Output<'_>) -> DbResult<()> {
-    let (inner, _charge) = right.into_single();
-    let every: Vec<u32> = (0..inner.len() as u32).collect();
+/// in the residual) — or none at all for a cross join. An inner `table`
+/// pairs its live slots.
+fn nested_loop(
+    (outer, mut charge): (Vec<Positions>, Reservation),
+    inner: &Positions,
+    table: Option<&Table>,
+    out: &mut Output<'_>,
+) -> DbResult<()> {
+    let live = |&r: &u32| table.is_none_or(|t| t.is_live(r as usize));
+    let every: Vec<u32> = (0..inner.len() as u32).filter(live).collect();
     let stats = out.env.stats;
-    let source = Inner::Batch(&inner);
-    for outer in left.batches {
-        let once = out.probe_outer(&outer, &source, |_, hits| {
+    for pos in outer {
+        out.probe_outer(&pos, inner, |_, hits| {
             stats.add_rows_joined(every.len() as u64);
             hits.extend_from_slice(&every);
         })?;
-        if once {
-            out.emit_outer(outer, &source)?;
-        }
+        charge.shrink(pos.bytes());
     }
     Ok(())
 }
@@ -1242,11 +1459,10 @@ mod tests {
             JoinInner::Rows(r),
             join_type,
             on.as_ref(),
-            (None, None),
             &env(strategy),
         );
         let joined = joined.unwrap().rel;
-        assert!(joined.batches.iter().all(|b| b.len() <= 2 && !b.is_empty()));
+        assert!(joined.batches().iter().all(|b| b.len() <= 2 && b.len() > 0));
         let mut out = joined.rows();
         out.sort();
         out
@@ -1314,15 +1530,17 @@ mod tests {
     fn cross_join() {
         let env = env(JoinStrategy::Hash);
         let right = JoinInner::Rows(right_rel());
-        let out = join_rels(left_rel(), right, JoinType::Cross, None, (None, None), &env).unwrap();
+        let out = join_rels(left_rel(), right, JoinType::Cross, None, &env).unwrap();
         assert_eq!(out.rel.len(), 9);
         assert_eq!(out.rel.arity(), 4);
         assert_eq!(out.algo, JoinAlgo::NestedLoop);
         assert_eq!(env.stats.snapshot().rows_joined, 9);
         // 2 + 1 outer rows in, one inner batch built from two
         assert_eq!(out.batches, 4);
-        // every emitted batch stays charged while the relation lives
-        let bytes: u64 = out.rel.batches.iter().map(ColumnBatch::bytes).sum();
+        // every emitted batch's position lanes stay charged while the
+        // relation lives
+        let bytes: u64 = out.rel.batches().iter().map(Positions::bytes).sum();
+        assert!(bytes > 0);
         assert_eq!(env.budget.used(), bytes);
         drop(out);
         assert_eq!(env.budget.used(), 0);
@@ -1346,14 +1564,7 @@ mod tests {
                 JoinType::Cross
             };
             let right = JoinInner::Rows(right_rel());
-            let err = join_rels(
-                left_rel(),
-                right,
-                join_type,
-                on.as_ref(),
-                (None, None),
-                &env,
-            );
+            let err = join_rels(left_rel(), right, join_type, on.as_ref(), &env);
             assert!(
                 matches!(err, Err(DbError::Timeout(_))),
                 "{strategy:?} {on:?}: {err:?}"
@@ -1364,16 +1575,17 @@ mod tests {
 
     #[test]
     fn output_batches_are_charged_as_they_are_emitted() {
-        // room for the first outer row's pairs only: the join stops at the
+        // room for the first outer row's pairs only (two batches of two
+        // rows, each one position lane of 8 bytes): the join stops at the
         // second's, having never held more than the limit
         let mut env = env(JoinStrategy::Hash);
         let budget = Arc::new(MemoryBudget::new());
-        budget.set_limit(Some(200));
+        budget.set_limit(Some(20));
         env.budget = Box::leak(Box::new(budget));
         let right = JoinInner::Rows(right_rel());
-        let err = join_rels(left_rel(), right, JoinType::Cross, None, (None, None), &env);
+        let err = join_rels(left_rel(), right, JoinType::Cross, None, &env);
         assert!(matches!(err, Err(DbError::BudgetExceeded(_))), "{err:?}");
-        assert!(env.budget.peak() > 0 && env.budget.peak() <= 200);
+        assert!(env.budget.peak() > 0 && env.budget.peak() <= 20);
         assert_eq!(env.budget.used(), 0);
     }
 
@@ -1394,17 +1606,52 @@ mod tests {
     }
 
     #[test]
+    fn scans_read_slots_in_place_in_slot_order() {
+        let handle = indexed_table();
+        let budget = Arc::new(MemoryBudget::new());
+        let scan = |rows| {
+            let scope = table_scope(&handle, "e");
+            Rel::scan(scope, handle.clone(), &AccessPath::Scan, (rows, &budget)).unwrap()
+        };
+        // no dead slot: ranges, charged nothing
+        let all = scan(16);
+        assert_eq!(all.len(), 40);
+        assert!(all.batches().iter().all(|b| b.bytes() == 0));
+        assert_eq!(budget.used(), 0);
+        drop(all);
+        handle.write().delete_slots(&[2]).unwrap();
+        let rel = scan(16);
+        let lens: Vec<usize> = rel.batches().iter().map(Positions::len).collect();
+        assert_eq!(lens, vec![16, 16, 7]);
+        assert_eq!(budget.used(), 4 * 39);
+        // columns arrive in their declared layout, positions are slots
+        let b = rel.gather(&rel.batches()[0], &[true; 2]);
+        assert!(matches!(b.col(0).data, ColData::Int(_)));
+        let (slots, live): (Vec<u32>, Vec<Row>) =
+            handle.read().iter().map(|(s, row)| (s as u32, row)).unzip();
+        let at = rel
+            .batches()
+            .iter()
+            .flat_map(|b| (0..b.len()).map(|i| b.at(0, i)));
+        assert_eq!(at.collect::<Vec<_>>(), slots);
+        assert_eq!(slots[2], 3, "slot 2 is a tombstone");
+        assert_eq!(rel.rows(), live);
+        // a gather reads only the columns it is asked for
+        let b = rel.gather(&rel.batches()[0], &[false, true]);
+        assert!(!b.is_read(0) && b.is_read(1));
+    }
+
+    #[test]
     fn empty_outer_never_reads_the_inner_table() {
         for strategy in [JoinStrategy::Hash, BNL] {
             let env = env(strategy);
             let on = parse_expression("l.id = e.k").unwrap();
             let outer = rel("l", &["id"], Vec::new());
             let inner = JoinInner::table(indexed_table(), "e");
-            let out =
-                join_rels(outer, inner, JoinType::Left, Some(&on), (None, None), &env).unwrap();
+            let out = join_rels(outer, inner, JoinType::Left, Some(&on), &env).unwrap();
             assert!(probes(&out.algo), "{strategy:?}: {:?}", out.algo);
             assert_eq!(out.rel.len(), 0);
-            assert_eq!(out.inner_read, Some((0, 0, 2)));
+            assert_eq!(out.inner_read, Some(0));
             let stats = env.stats.snapshot();
             assert_eq!((stats.rows_scanned, stats.index_lookups), (0, 0));
         }
@@ -1419,27 +1666,32 @@ mod tests {
             &["id"],
             vec![vec![Value::Int(3)], vec![Value::Null], vec![Value::Int(77)]],
         );
-        let inner = JoinInner::table_with_slots(indexed_table(), "e");
-        let out = join_rels(outer, inner, JoinType::Left, Some(&on), (None, None), &env).unwrap();
+        let inner = JoinInner::table(indexed_table(), "e");
+        let out = join_rels(outer, inner, JoinType::Left, Some(&on), &env).unwrap();
         assert!(probes(&out.algo));
         // the residual keeps w = 23, 33 of key 3's four rows; the NULL key
-        // and the missing key are padded in place — slot column included
+        // and the missing key are padded in place
         assert_eq!(
             out.rel.rows(),
             vec![
-                vec![Value::Int(3), Value::Int(3), Value::Int(23), Value::Int(23)],
-                vec![Value::Int(3), Value::Int(3), Value::Int(33), Value::Int(33)],
-                vec![Value::Null, Value::Null, Value::Null, Value::Null],
-                vec![Value::Int(77), Value::Null, Value::Null, Value::Null],
+                vec![Value::Int(3), Value::Int(3), Value::Int(23)],
+                vec![Value::Int(3), Value::Int(3), Value::Int(33)],
+                vec![Value::Null, Value::Null, Value::Null],
+                vec![Value::Int(77), Value::Null, Value::Null],
             ]
         );
-        assert!(out
-            .rel
-            .batches
-            .iter()
+        // the inner side's positions are the slots the rows live in
+        let slots: Vec<u32> = (out.rel.batches().iter())
+            .flat_map(|b| (0..b.len()).map(|i| b.at(1, i)))
+            .collect();
+        assert_eq!(slots, vec![23, 33, NO_LANE, NO_LANE]);
+        let all = [true; 3];
+        let gathered = out.rel.batches().iter().map(|b| out.rel.gather(b, &all));
+        assert!(gathered
+            .into_iter()
             .all(|b| matches!(b.col(2).data, ColData::Int(_))));
         assert_eq!(env.stats.snapshot().index_lookups, 2);
-        assert_eq!(out.inner_read, Some((4, 0, 3)));
+        assert_eq!(out.inner_read, Some(4));
     }
 
     #[test]
@@ -1538,15 +1790,7 @@ mod tests {
         let on = parse_expression("l.id = r.id").unwrap();
         let big = rel("r", &["id"], (0..10).map(|i| vec![Value::Int(i)]).collect());
         let big = JoinInner::Rows(big);
-        join_rels(
-            left_rel(),
-            big,
-            JoinType::Inner,
-            Some(&on),
-            (None, None),
-            &env,
-        )
-        .unwrap();
+        join_rels(left_rel(), big, JoinType::Inner, Some(&on), &env).unwrap();
         // built on the 3-row left, probed with the 10-row right
         assert_eq!(env.stats.snapshot().rows_joined, 10);
         assert_eq!(env.stats.snapshot().index_lookups, 0);

@@ -1,11 +1,12 @@
 //! What a statement reads, walked once per plan ([`Reads::of`]): the tables
 //! it locks, views expanded, and its *read masks* — which columns of each
-//! `FROM` factor it reads above the scan or join that produces them. Both
-//! ride in the plan's [`crate::plan_cache::Admission`], so a plan-cache hit
-//! pays nothing. A reference marks columns as the binder resolves it: `t.c`
-//! in the factor visible as `t`, a bare `c` in every factor that has a `c`;
-//! `*` and `t.*` mark every column. A view or a derived table is read whole;
-//! a derived table's `SELECT`s get masks of their own, a view's body none.
+//! `FROM` factor it reads anywhere, which `EXPLAIN ANALYZE` reports as
+//! `cols=read/of`. Both ride in the plan's
+//! [`crate::plan_cache::Admission`], so a plan-cache hit pays nothing. A
+//! reference marks columns as the binder resolves it: `t.c` in the factor
+//! visible as `t`, a bare `c` in every factor that has a `c`; `*` and `t.*`
+//! mark every column. A view or a derived table is read whole; a derived
+//! table's `SELECT`s get masks of their own, a view's body none.
 
 use crate::ast::*;
 use crate::catalog::{Catalog, TableHandle};
@@ -13,19 +14,11 @@ use crate::exec::update_target;
 use crate::txn::LockMode;
 use std::collections::BTreeMap;
 
-/// The mark of a column the statement reads above its `FROM` item.
-pub const ABOVE: u32 = u32::MAX;
-
 /// What a statement reads of one `FROM` factor, per column.
 #[derive(Debug)]
 pub struct FactorReads {
-    /// Whether the factor's scan materializes the column: something reads
-    /// it.
+    /// Whether something in the statement reads the column.
     pub scan: Box<[bool]>,
-    /// 0 when nothing reads the column, else one past the last join step
-    /// of its `FROM` item that reads it (the base is step 0, its `n`th join
-    /// step `n`), or [`ABOVE`].
-    pub until: Box<[u32]>,
 }
 
 /// What one statement reads.
@@ -46,40 +39,38 @@ pub struct Reads {
 }
 
 /// A base-table factor being marked: its visible name, table and marks.
-type Marks<'a> = Option<(&'a str, TableHandle, Vec<u32>)>;
+type Marks<'a> = Option<(&'a str, TableHandle, Vec<bool>)>;
 
 /// Marks column `name` of the factors `table` names (all without it) as
-/// read until `until`; names match exactly, as the binder's do.
-fn mark(factors: &mut [Marks], table: Option<&str>, name: &str, until: u32) {
+/// read; names match exactly, as the binder's do.
+fn mark(factors: &mut [Marks], table: Option<&str>, name: &str) {
     for (visible, handle, marks) in factors.iter_mut().flatten() {
         let t = handle.read();
         let c = t.schema().columns().iter().position(|c| c.name == name);
         if let Some(c) = c.filter(|_| table.is_none_or(|t| t == *visible)) {
-            marks[c] = marks[c].max(until);
+            marks[c] = true;
         }
     }
 }
 
 /// [`mark`]s every column `e` reads.
-fn mark_expr(factors: &mut [Marks], e: &Expr, until: u32) {
-    e.visit_columns(&mut |table, name| mark(factors, table, name, until));
+fn mark_expr(factors: &mut [Marks], e: &Expr) {
+    e.visit_columns(&mut |table, name| mark(factors, table, name));
 }
 
-/// A marked factor's reads; none when the statement reads every column
-/// above the factor's `FROM` item, so it is read whole.
+/// A marked factor's reads; none when the statement reads every column,
+/// so it is read whole.
 fn finish(marks: Marks) -> Option<FactorReads> {
-    let (_, _, until) = marks.filter(|(_, _, until)| until.iter().any(|&u| u != ABOVE))?;
-    let scan = until.iter().map(|&u| u > 0).collect();
-    let until = until.into();
-    Some(FactorReads { scan, until })
+    let (_, _, scan) = marks.filter(|(_, _, scan)| scan.contains(&false))?;
+    let scan = scan.into();
+    Some(FactorReads { scan })
 }
 
-/// The factors of `from` in `FROM` order, each with its join step and `ON`.
-fn factors(from: &[TableRef]) -> impl Iterator<Item = (&TableFactor, u32, Option<&Expr>)> {
+/// The factors of `from` in `FROM` order, each with its `ON`.
+fn factors(from: &[TableRef]) -> impl Iterator<Item = (&TableFactor, Option<&Expr>)> {
     from.iter().flat_map(|tr| {
-        let joins = tr.joins.iter().zip(1..);
-        let joins = joins.map(|(j, step)| (&j.factor, step, j.on.as_ref()));
-        std::iter::once((&tr.base, 0, None)).chain(joins)
+        let joins = tr.joins.iter().map(|j| (&j.factor, j.on.as_ref()));
+        std::iter::once((&tr.base, None)).chain(joins)
     })
 }
 
@@ -128,6 +119,12 @@ impl Reads {
         if let Some(table) = written {
             w.reads.locks.insert(table.clone(), LockMode::Exclusive);
         }
+        // dropping an index writes its table, which no statement reading
+        // it in place may see change
+        if let Statement::DropIndex { name, .. } = stmt {
+            let table = catalog.index_table(name);
+            table.map(|t| w.reads.locks.insert(t, LockMode::Exclusive));
+        }
         w.reads
     }
 
@@ -156,7 +153,7 @@ impl Walk<'_> {
         let table = self.catalog.table(name).ok()?;
         let n = table.read().schema().arity();
         self.lock(name);
-        Some((f.visible_name(), table, vec![0; n]))
+        Some((f.visible_name(), table, vec![false; n]))
     }
 
     /// Locks table `name` shared, unless the statement locks it already.
@@ -184,9 +181,9 @@ impl Walk<'_> {
         let above = set_exprs.chain(selection).chain(on);
         self.list(from, above.clone(), &[]);
         let mut target = [self.marks(&f)];
-        above.for_each(|e| mark_expr(&mut target, e, ABOVE));
+        above.for_each(|e| mark_expr(&mut target, e));
         for (c, _) in set {
-            mark(&mut target, None, c, ABOVE);
+            mark(&mut target, None, c);
         }
         let [target] = target;
         self.reads.target = finish(target);
@@ -226,16 +223,16 @@ impl Walk<'_> {
         above: impl Iterator<Item = &'e Expr>,
         stars: &[Option<&str>],
     ) {
-        let mut marks: Vec<Marks> = factors(from).map(|(f, ..)| self.marks(f)).collect();
-        above.for_each(|e| mark_expr(&mut marks, e, ABOVE));
+        let mut marks: Vec<Marks> = factors(from).map(|(f, _)| self.marks(f)).collect();
+        above.for_each(|e| mark_expr(&mut marks, e));
         for (visible, _, marks) in marks.iter_mut().flatten() {
             if stars.iter().any(|q| q.is_none_or(|q| q == *visible)) {
-                marks.fill(ABOVE);
+                marks.fill(true);
             }
         }
-        for (at, (f, step, on)) in factors(from).enumerate() {
+        for (at, (f, on)) in factors(from).enumerate() {
             if let Some(on) = on {
-                mark_expr(&mut marks, on, step + 1);
+                mark_expr(&mut marks, on);
             }
             match f {
                 TableFactor::Derived { subquery: q, .. } => self.set_expr(&q.body, &q.order_by),

@@ -12,9 +12,9 @@ use std::sync::Arc;
 /// A heap table: slotted rows, stored column by column, plus indexes.
 ///
 /// Each column is one [`Col`] indexed by slot — typed `Int` / `Float` /
-/// `Bool` lanes, or `Value`s for TEXT — so a scan copies lanes, an index
-/// seek gathers them, and the executor's column batches are built without
-/// rebuilding rows. Row slots are stable across updates; a delete clears
+/// `Bool` lanes, or `Value`s for TEXT — so the executor reads a scanned or
+/// sought row in place, by its slot, and gathers a batch's column from the
+/// lanes without rebuilding rows. Row slots are stable across updates; a delete clears
 /// the slot's live flag and its lanes' validity bits. The primary-key index (present
 /// when the schema declares a PK) maps key value → slot and enforces
 /// uniqueness, matching the `Rid` assumption SQLoop relies on for
@@ -138,7 +138,7 @@ impl Table {
     /// fit; the table stays detached.
     pub fn attach_budget(&mut self, budget: &Arc<MemoryBudget>) -> DbResult<()> {
         let slots = self.live_slot_vec();
-        let charged = rows_bytes(&self.gather(&lanes(&slots), None), slots.len());
+        let charged = rows_bytes(&self.gather(&lanes(&slots)), slots.len());
         budget.charge(charged)?;
         self.budget = Some(budget.clone());
         self.tracked_bytes = charged;
@@ -395,7 +395,7 @@ impl Table {
                 let nulls = schema_cols(&self.schema, slots.len());
                 std::mem::replace(&mut self.cols, nulls)
             }
-            false => self.gather(&lanes(slots), None),
+            false => self.gather(&lanes(slots)),
         };
         if slots.len() == self.live_count {
             self.pk_index.iter_mut().for_each(KeyMap::clear);
@@ -473,61 +473,15 @@ impl Table {
         self.iter().map(|(_, r)| r).collect()
     }
 
-    /// Every column's lanes `idx` — slots, or [`crate::batch::NO_LANE`] for a row of
-    /// NULLs; a dead slot's lanes are NULL too. Only the columns `read` names
-    /// (all without it) get lanes.
-    pub fn gather(&self, idx: &[u32], read: Option<&[bool]>) -> Vec<Col> {
-        self.read_cols(read, |c| c.gather(idx))
+    /// Column `c`'s lanes, one per slot (a dead slot's are NULL).
+    pub fn col(&self, c: usize) -> &Col {
+        &self.cols[c]
     }
 
-    /// `lanes` of each column `read` names (of all without it); the others
-    /// are [`Col::unread`].
-    fn read_cols(&self, read: Option<&[bool]>, lanes: impl Fn(&Col) -> Col) -> Vec<Col> {
-        let col = |(c, col): (usize, &Col)| match read.is_none_or(|r| r[c]) {
-            true => lanes(col),
-            false => Col::unread(),
-        };
-        self.cols.iter().enumerate().map(col).collect()
-    }
-
-    /// An `Int` column of the slots `idx` names, NULL where one is
-    /// [`crate::batch::NO_LANE`] or dead.
-    pub fn slot_col(&self, idx: &[u32]) -> Col {
-        Col {
-            data: ColData::Int(idx.iter().map(|&s| s as i64).collect()),
-            valid: idx.iter().map(|&s| self.is_live(s as usize)).collect(),
-        }
-    }
-
-    /// Reads the rows in `slots` — live slots of this table, e.g.
-    /// [`Table::live_slots`] or what an index seek returns — into column
-    /// batches of at most `batch_size` lanes: a run of consecutive slots
-    /// copies lane ranges, any other is gathered. Only the columns `read`
-    /// names (all without it) get lanes, the others are [`Col::unread`].
-    /// With `slots`, each batch ends in an `Int` column holding the rows'
-    /// slots.
-    pub fn read_batches(
-        &self,
-        rows: &[usize],
-        slots: bool,
-        batch_size: usize,
-        read: Option<&[bool]>,
-    ) -> Vec<ColumnBatch> {
-        let chunks = rows.chunks(batch_size.max(1));
-        let batch = |chunk: &[usize]| {
-            let idx = || lanes(chunk);
-            let run = chunk.windows(2).all(|w| w[1] == w[0] + 1);
-            let mut cols: Vec<Col> = match run {
-                true => {
-                    let range = chunk[0]..chunk[0] + chunk.len();
-                    self.read_cols(read, |c| c.slice(range.clone()))
-                }
-                false => self.gather(&idx(), read),
-            };
-            cols.extend(slots.then(|| self.slot_col(&idx())));
-            ColumnBatch::from_cols(cols, chunk.len())
-        };
-        chunks.map(batch).collect()
+    /// Every column's lanes `idx` — slots, or [`crate::batch::NO_LANE`]
+    /// for a row of NULLs; a dead slot's lanes are NULL too.
+    pub fn gather(&self, idx: &[u32]) -> Vec<Col> {
+        self.cols.iter().map(|c| c.gather(idx)).collect()
     }
 
     /// Looks up a slot by primary key, if a PK exists.
@@ -640,35 +594,6 @@ mod tests {
         t.insert(vec![Value::Int(2), Value::Float(1.5)]).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.scan().len(), 2);
-    }
-
-    #[test]
-    fn read_batches_matches_scan_in_slot_order() {
-        let mut t = table();
-        for i in 0..7 {
-            t.insert(vec![Value::Int(i), Value::Float(i as f64 / 2.0)])
-                .unwrap();
-        }
-        t.delete_slots(&[2]).unwrap();
-        let live: Vec<usize> = t.live_slots().collect();
-        let batches = t.read_batches(&live, true, 3, None);
-        assert_eq!(
-            batches.iter().map(|b| b.len()).collect::<Vec<_>>(),
-            vec![3, 3]
-        );
-        // columns arrive in their declared layout, slots last
-        assert!(matches!(batches[0].col(0).data, ColData::Int(_)));
-        assert!(matches!(batches[0].col(1).data, ColData::Float(_)));
-        let mut rows = Vec::new();
-        for b in &batches {
-            b.append_rows_to(&mut rows);
-        }
-        let with_slots: Vec<Row> = t
-            .iter()
-            .map(|(slot, row)| [row.as_slice(), &[Value::Int(slot as i64)]].concat())
-            .collect();
-        assert_eq!(rows, with_slots);
-        assert_eq!(rows[2][2], Value::Int(3), "slot 2 is a tombstone");
     }
 
     #[test]
@@ -788,7 +713,7 @@ mod tests {
         assert_eq!(t.index_lookup(1, &Value::Float(0.0)).unwrap(), &[0, 1]);
         t.delete_slots(&[0, 1]).unwrap();
         t.insert(vec![Value::Int(3), Value::Float(0.5)]).unwrap();
-        assert!(matches!(t.gather(&[2], None)[1].data, ColData::Float(_)));
+        assert!(matches!(t.gather(&[2])[1].data, ColData::Float(_)));
         assert_eq!(t.scan(), vec![vec![Value::Int(3), Value::Float(0.5)]]);
     }
 

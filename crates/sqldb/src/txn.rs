@@ -18,6 +18,7 @@ use crate::stats::Stats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Lock mode for a table.
@@ -49,10 +50,12 @@ struct LockState {
     writer: Option<u64>,
 }
 
-/// Database-wide logical lock table.
+/// Database-wide logical lock table: one entry per table name ever locked,
+/// kept while idle, so a statement locking tables it locked before looks
+/// them up by `&str` and allocates nothing.
 #[derive(Debug, Default)]
 pub struct LockManager {
-    inner: Mutex<HashMap<String, LockState>>,
+    inner: Mutex<HashMap<Arc<str>, LockState>>,
     cond: Condvar,
 }
 
@@ -78,11 +81,32 @@ impl LockManager {
         timeout: Duration,
         stats: &Stats,
     ) -> DbResult<()> {
+        self.lock(sid, table, mode, timeout, stats).map(drop)
+    }
+
+    /// [`LockManager::acquire`], returning the table's name as the lock
+    /// table holds it, which a session keeps without copying it.
+    pub(crate) fn lock(
+        &self,
+        sid: u64,
+        table: &str,
+        mode: LockMode,
+        timeout: Duration,
+        stats: &Stats,
+    ) -> DbResult<Arc<str>> {
         let deadline = Instant::now() + timeout;
         let mut guard = self.inner.lock();
+        let name = match guard.get_key_value(table) {
+            Some((name, _)) => name.clone(),
+            None => {
+                let name: Arc<str> = table.into();
+                guard.insert(name.clone(), LockState::default());
+                name
+            }
+        };
         let mut waited = false;
         loop {
-            let state = guard.entry(table.to_owned()).or_default();
+            let state = guard.get_mut(table).expect("a table's entry stays");
             let granted = match mode {
                 LockMode::Shared => state.writer.is_none() || state.writer == Some(sid),
                 LockMode::Exclusive => {
@@ -106,7 +130,7 @@ impl LockManager {
                 if waited {
                     stats.add_lock_waits(1);
                 }
-                return Ok(());
+                return Ok(name);
             }
             waited = true;
             if self.cond.wait_until(&mut guard, deadline).timed_out() {
@@ -119,31 +143,18 @@ impl LockManager {
 
     /// Releases whatever lock `sid` holds on `table`.
     pub fn release(&self, sid: u64, table: &str) {
-        let mut guard = self.inner.lock();
-        if let Some(state) = guard.get_mut(table) {
-            state.readers.remove(&sid);
-            if state.writer == Some(sid) {
-                state.writer = None;
-            }
-            if state.readers.is_empty() && state.writer.is_none() {
-                guard.remove(table);
-            }
-        }
-        drop(guard);
-        self.cond.notify_all();
+        self.release_all(sid, [table]);
     }
 
-    /// Releases every lock held by `sid` from the given set of table names.
-    pub fn release_all(&self, sid: u64, tables: &HashSet<String>) {
+    /// Releases every lock held by `sid` on the tables named `tables`; an
+    /// entry left idle stays for the next statement.
+    pub fn release_all<S: AsRef<str>>(&self, sid: u64, tables: impl IntoIterator<Item = S>) {
         let mut guard = self.inner.lock();
         for table in tables {
-            if let Some(state) = guard.get_mut(table) {
+            if let Some(state) = guard.get_mut(table.as_ref()) {
                 state.readers.remove(&sid);
                 if state.writer == Some(sid) {
                     state.writer = None;
-                }
-                if state.readers.is_empty() && state.writer.is_none() {
-                    guard.remove(table);
                 }
             }
         }

@@ -739,3 +739,153 @@ fn a_runaway_join_meets_its_limits_while_it_runs() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// joins pass positions: chains, pads, self-reading DML, the budget
+// ---------------------------------------------------------------------
+
+/// `mid`: keys of `o` and of the inner tables, so that a chain
+/// `o → mid → big` pads at both levels: `o` rows no `mid` row matches
+/// (2.5, 77, NULL, -3) and `mid` rows whose `j` no inner row holds (NULL,
+/// 0 and 25: only NULL keys, 7: only tombstones, 999).
+fn chain_fixture(profile: EngineProfile) -> Database {
+    let db = fixture(profile);
+    let mut s = db.connect();
+    s.execute("CREATE TABLE mid (k FLOAT, j INT)").unwrap();
+    s.execute(
+        "INSERT INTO mid VALUES (1.0, 3), (2.0, 7), (2.0, 999), (49.0, NULL), \
+         (1.0, 11), (5.0, 3), (49.0, 0)",
+    )
+    .unwrap();
+    db
+}
+
+#[test]
+fn three_way_left_join_chains_pad_at_every_level_on_every_algorithm() {
+    // both join orders: the small outer side probing `big_ix` (index
+    // nested loop) or building on `big_no`, and `big` as the outer side of
+    // a chain into the small tables; with residuals that read padded rows
+    let chains = [
+        "SELECT o.tag, m.j, b.w FROM o LEFT JOIN mid AS m ON o.k = m.k \
+         LEFT JOIN {b} AS b ON b.k = m.j",
+        "SELECT o.tag, m.j, b.w FROM o LEFT JOIN mid AS m ON o.k = m.k \
+         LEFT JOIN {b} AS b ON b.k = m.j AND COALESCE(m.j, 0) + b.w > 100",
+        "SELECT o.tag, m.j, b.k, b.w FROM o LEFT JOIN mid AS m ON m.k = o.k AND o.tag <> 'b' \
+         LEFT JOIN {b} AS b ON m.j = b.k AND (m.k IS NULL OR b.w % 3 = 0)",
+        "SELECT b.w, m.k, o.tag FROM {b} AS b LEFT JOIN mid AS m ON m.j = b.k \
+         LEFT JOIN o ON o.k = m.k",
+        "SELECT b.w, m.k, o.tag FROM {b} AS b LEFT JOIN mid AS m ON m.j = b.k \
+         LEFT JOIN o ON o.k = m.k AND COALESCE(m.j, -1) < b.w AND o.tag <> 'a'",
+    ];
+    let mut first: Vec<Vec<Vec<Value>>> = Vec::new();
+    for profile in EngineProfile::ALL {
+        let db = chain_fixture(profile);
+        let mut s = db.connect();
+        let mut results = Vec::new();
+        for (i, chain) in chains.iter().enumerate() {
+            let sql = |t: &str| chain.replace("{b}", t);
+            let (probed, d) = counting(&db, || sorted(rows(&mut s, &sql("big_ix"))));
+            if i < 3 {
+                assert!(d.index_lookups > 0, "{profile:?} {chain}: probes big_ix");
+            }
+            let scanned = sorted(rows(&mut s, &sql("big_no")));
+            assert_eq!(probed, scanned, "{profile:?} {chain}");
+            // pads on both levels: a row with no `mid` partner, and one
+            // whose `mid` partner has no partner on the far side
+            let null = |r: &Vec<Value>, c: usize| r[c].is_null();
+            assert!(probed.iter().any(|r| null(r, 1) && null(r, 2)), "{chain}");
+            assert!(probed.iter().any(|r| !null(r, 1) && null(r, 2)), "{chain}");
+            results.push(probed);
+        }
+        // every profile's algorithms return the same rows
+        match first.is_empty() {
+            true => first = results,
+            false => assert_eq!(first, results, "{profile:?}"),
+        }
+    }
+}
+
+#[test]
+fn dml_reads_the_table_it_writes_before_its_first_write() {
+    for profile in EngineProfile::ALL {
+        for indexed in [false, true] {
+            let db = Database::new(profile);
+            let mut s = db.connect();
+            s.execute("CREATE TABLE s (k INT, v FLOAT)").unwrap();
+            if indexed {
+                s.execute("CREATE INDEX s_k ON s (k)").unwrap();
+            }
+            let values: Vec<String> = (0..50).map(|k| format!("({k}, {k}.5)")).collect();
+            s.execute(&format!("INSERT INTO s VALUES {}", values.join(", ")))
+                .unwrap();
+            let v_of = |s: &mut Session| -> Vec<Value> {
+                let r = rows(s, "SELECT v FROM s ORDER BY k");
+                r.rows.into_iter().map(|r| r[0].clone()).collect()
+            };
+            let label = format!("{profile:?} indexed={indexed}");
+            // each row takes its predecessor's value as it was before the
+            // statement, not as the statement rewrote it
+            let shift = update_from(profile, "v = u.v", "s AS u", "{t}.k = u.k + 1");
+            let done = s.execute(&shift.replace("{t}", "s")).unwrap();
+            assert_eq!(done.rows_affected(), 49, "{label}");
+            let want: Vec<Value> = (0..50)
+                .map(|k: i64| Value::Float(k.max(1) as f64 - 0.5))
+                .collect();
+            assert_eq!(v_of(&mut s), want, "{label}");
+            // an equi-join of the target with itself: every row doubles once
+            let double = update_from(profile, "v = u.v * 2.0", "s AS u", "{t}.k = u.k");
+            let done = s.execute(&double.replace("{t}", "s")).unwrap();
+            assert_eq!(done.rows_affected(), 50, "{label}");
+            let doubled: Vec<Value> = want
+                .iter()
+                .map(|v| Value::Float(v.as_f64().unwrap() * 2.0))
+                .collect();
+            assert_eq!(v_of(&mut s), doubled, "{label}");
+            // an INSERT … SELECT over a self-join stores what the join
+            // returned before the first row landed
+            let copy = "INSERT INTO s SELECT a.k + 100, b.v FROM s AS a JOIN s AS b ON a.k = b.k";
+            assert_eq!(s.execute(copy).unwrap().rows_affected(), 50, "{label}");
+            let count = rows(&mut s, "SELECT COUNT(*) FROM s").rows[0][0].clone();
+            assert_eq!(count, Value::Int(100), "{label}");
+        }
+    }
+}
+
+#[test]
+fn a_hash_join_reads_its_inner_table_in_place() {
+    // the inner table is the smaller side, so the hash join builds on its
+    // key lane; the statement holds nothing but the output's position
+    // lanes (4 bytes per row and joined table) on top of the heap
+    let db = Database::new(EngineProfile::Postgres);
+    let mut s = db.connect();
+    s.execute("CREATE TABLE a (k INT, x INT)").unwrap();
+    s.execute("CREATE TABLE b (k INT, w FLOAT)").unwrap();
+    let a: Vec<String> = (0..2000).map(|i| format!("({}, {i})", i % 500)).collect();
+    s.execute(&format!("INSERT INTO a VALUES {}", a.join(", ")))
+        .unwrap();
+    let b: Vec<String> = (0..500).map(|k| format!("({k}, {k}.25)")).collect();
+    s.execute(&format!("INSERT INTO b VALUES {}", b.join(", ")))
+        .unwrap();
+    let sql = "SELECT COUNT(*), SUM(b.w) FROM a JOIN b ON a.k = b.k";
+    let plan = rows(&mut s, &format!("EXPLAIN {sql}"));
+    let plan: Vec<String> = plan.rows.iter().map(|r| r[0].to_string()).collect();
+    assert!(plan.iter().any(|l| l.contains("HashJoin")), "{plan:?}");
+    let heap = db.memory_used();
+    assert!(
+        db.memory_peak() <= heap,
+        "the load left no transient charge"
+    );
+    let r = rows(&mut s, sql);
+    assert_eq!(r.rows[0][0], Value::Int(2000));
+    let lanes = 4 * 2 * 2000;
+    let peak = db.memory_peak();
+    assert!(
+        peak <= heap + lanes,
+        "peak {peak} over heap {heap} + {lanes}"
+    );
+    assert_eq!(
+        db.memory_used(),
+        heap,
+        "the statement refunds its positions"
+    );
+}

@@ -113,15 +113,17 @@ fn round_allocations(s: &mut Session) -> (u64, u64) {
 }
 
 /// The counts this round makes; the per-lane join and aggregate loops these
-/// kernels replaced made 1 859 allocations of 6 986 512 bytes, and the
-/// joins made 1 023 of 3 993 757 while they carried every column of every
-/// joined table.
-const ALLOCATIONS: u64 = 891;
-const BYTES: u64 = 3_319_504;
+/// kernels replaced made 1 859 allocations of 6 986 512 bytes, the joins
+/// made 1 023 of 3 993 757 while they carried every column of every joined
+/// table, and 867 of 3 318 976 while they copied the columns read above
+/// them (the joins now pass positions).
+const ALLOCATIONS: u64 = 828;
+const BYTES: u64 = 2_190_704;
 
 /// The memory budget's high-water mark once the round has run, set by the
-/// round's batches; 5 265 135 bytes while its joins carried every column.
-const PEAK: u64 = 4_158_090;
+/// round's position lanes over the heap; 5 265 135 bytes while its joins
+/// carried every column, 4 158 090 while they copied the columns read.
+const PEAK: u64 = 2_160_000;
 
 #[test]
 fn the_pagerank_round_allocates_per_batch_not_per_row() {
