@@ -27,17 +27,6 @@ fn engine_stmts(report: &sqloop::ExecutionReport) -> String {
         .unwrap_or_else(|| "-".into())
 }
 
-/// p95 pool-checkout latency for this run, from the per-run metrics delta.
-fn pool_get_p95(report: &sqloop::ExecutionReport) -> String {
-    report
-        .metrics
-        .histograms
-        .get("dbcp.pool.get")
-        .filter(|h| h.count > 0)
-        .map(|h| h.percentile_us(0.95).to_string())
-        .unwrap_or_else(|| "-".into())
-}
-
 fn main() {
     let args = parse_args();
     println!("== Figure 5: scaling with worker threads ==\n");
@@ -61,7 +50,6 @@ fn pr_scaling(args: &sqloop_bench::BenchArgs) {
         "speedup vs 1",
         "overlap",
         "stmts",
-        "pool get p95 (µs)",
     ]);
     for profile in EngineProfile::ALL {
         for mode in MODES {
@@ -87,7 +75,6 @@ fn pr_scaling(args: &sqloop_bench::BenchArgs) {
                     format!("{speedup:.2}x"),
                     format!("{:.2}", report.worker_busy.as_secs_f64() / secs),
                     engine_stmts(&report),
-                    pool_get_p95(&report),
                 ]);
             }
         }
@@ -114,7 +101,6 @@ fn sssp_scaling(args: &sqloop_bench::BenchArgs) {
         "speedup vs 1",
         "overlap",
         "stmts",
-        "pool get p95 (µs)",
     ]);
     for profile in EngineProfile::ALL {
         for mode in MODES {
@@ -140,7 +126,6 @@ fn sssp_scaling(args: &sqloop_bench::BenchArgs) {
                     format!("{speedup:.2}x"),
                     format!("{:.2}", report.worker_busy.as_secs_f64() / secs),
                     engine_stmts(&report),
-                    pool_get_p95(&report),
                 ]);
             }
         }

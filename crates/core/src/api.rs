@@ -9,7 +9,7 @@ use crate::parallel::{run_iterative, IterativeRun, Layout};
 use crate::progress::{ProgressSample, RecoveryCounters};
 use crate::translate::translate_sql;
 use dbcp::{driver_for_url, Driver};
-use obs::{EventKind, RegistrySnapshot, TraceData, TraceHandle, TraceSummary};
+use obs::{EventKind, MetricsRegistry, RegistrySnapshot, TraceData, TraceHandle, TraceSummary};
 use sqldb::{QueryResult, StmtOutput};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -156,10 +156,9 @@ pub struct ExecutionReport {
     /// Full trace data behind [`ExecutionReport::trace`] — spans and events
     /// for timeline rendering or JSON export.
     pub trace_data: Option<TraceData>,
-    /// Delta over this run of the process-wide metrics registry (pool,
-    /// retry, chaos, wire) plus, when the driver sees the engine, the
-    /// engine's own ([`SQLoop::metrics`]). Empty when nothing instrumented
-    /// fired.
+    /// This run's own registry (scheduler, workers, sampler, watchdog,
+    /// checkpoints) plus the run's delta of [`Driver::engine_metrics`]:
+    /// nothing another run counted shows here.
     pub metrics: RegistrySnapshot,
     /// Per-run delta of the engine's execution statistics, when the driver
     /// can see the engine directly (`local://` drivers; `None` over TCP).
@@ -184,7 +183,7 @@ pub struct ExecutionReport {
 
 impl ExecutionReport {
     /// The report of `result` with every count zero and nothing attached.
-    fn plain(result: QueryResult, strategy: Strategy, started: Instant) -> ExecutionReport {
+    fn plain(result: QueryResult, strategy: Strategy) -> ExecutionReport {
         ExecutionReport {
             result,
             strategy,
@@ -196,7 +195,7 @@ impl ExecutionReport {
             worker_busy: Duration::ZERO,
             samples: Vec::new(),
             recovery: RecoveryCounters::default(),
-            elapsed: started.elapsed(),
+            elapsed: Duration::ZERO,
             trace: None,
             trace_data: None,
             metrics: RegistrySnapshot::default(),
@@ -207,12 +206,31 @@ impl ExecutionReport {
             recovery_note: None,
         }
     }
+
+    /// The report of an iterative run; the caller fills in the trace and
+    /// the per-run deltas.
+    fn of_run(run: IterativeRun, strategy: Strategy, recovery: RecoveryCounters) -> Self {
+        ExecutionReport {
+            iterations: run.outcome.iterations,
+            last_change: run.outcome.last_change,
+            computes: run.computes,
+            gathers: run.gathers,
+            messages: run.messages,
+            worker_busy: run.worker_busy,
+            samples: run.samples,
+            recovery,
+            cancelled: run.outcome.cancelled,
+            checkpoint: run.checkpoint,
+            recovery_note: run.recovery_note,
+            ..ExecutionReport::plain(run.outcome.result, strategy)
+        }
+    }
 }
 
 /// The SQLoop middleware instance.
 ///
 /// Owns a connection factory to one target engine plus a configuration;
-/// cheap to clone.
+/// cheap to clone. Each run counts into a registry of its own.
 ///
 /// # Examples
 /// ```
@@ -240,6 +258,8 @@ impl ExecutionReport {
 pub struct SQLoop {
     driver: Arc<dyn Driver>,
     config: SqloopConfig,
+    /// What the finished runs of this instance and its clones counted.
+    runs: Arc<MetricsRegistry>,
 }
 
 impl std::fmt::Debug for SQLoop {
@@ -257,6 +277,7 @@ impl SQLoop {
         SQLoop {
             driver,
             config: SqloopConfig::default(),
+            runs: Arc::default(),
         }
     }
 
@@ -291,11 +312,11 @@ impl SQLoop {
         &self.driver
     }
 
-    /// The process-wide metrics registry plus the engine's own
-    /// ([`Driver::engine_metrics`]), when the driver sees the engine: other
-    /// databases in the process never show here.
+    /// What this instance's finished runs counted, failed ones included,
+    /// plus the driver's [`Driver::engine_metrics`]: other instances and
+    /// other databases in the process never show here.
     pub fn metrics(&self) -> RegistrySnapshot {
-        let mut snap = obs::global().snapshot();
+        let mut snap = self.runs.snapshot();
         snap.extend(self.driver.engine_metrics().unwrap_or_default());
         snap
     }
@@ -317,11 +338,19 @@ impl SQLoop {
     /// See [`SQLoop::execute`].
     pub fn execute_detailed(&self, sql: &str) -> SqloopResult<ExecutionReport> {
         let started = Instant::now();
-        let metrics_before = self.metrics();
+        let metrics = Arc::new(MetricsRegistry::new());
+        let metrics_before = self.driver.engine_metrics();
         let engine_before = self.driver.engine_stats();
         let digests_before = self.driver.digest_stats();
-        let mut report = self.execute_inner(sql, started)?;
-        report.metrics = self.metrics().delta_since(&metrics_before);
+        let result = self.execute_inner(sql, &metrics);
+        let books = metrics.snapshot();
+        self.runs.absorb(&books);
+        let mut report = result?;
+        report.elapsed = started.elapsed();
+        report.metrics = books;
+        if let (Some(before), Some(now)) = (metrics_before, self.driver.engine_metrics()) {
+            report.metrics.extend(now.delta_since(&before));
+        }
         report.engine_stats = match (self.driver.engine_stats(), engine_before) {
             (Some(now), Some(before)) => Some(now.delta_since(&before)),
             _ => None,
@@ -341,7 +370,11 @@ impl SQLoop {
         Ok(report)
     }
 
-    fn execute_inner(&self, sql: &str, started: Instant) -> SqloopResult<ExecutionReport> {
+    fn execute_inner(
+        &self,
+        sql: &str,
+        metrics: &Arc<MetricsRegistry>,
+    ) -> SqloopResult<ExecutionReport> {
         match parse(sql)? {
             SqloopQuery::Plain(text) => {
                 let mut conn = self.driver.connect()?;
@@ -355,11 +388,7 @@ impl SQLoop {
                     },
                     StmtOutput::Done => QueryResult::default(),
                 };
-                Ok(ExecutionReport::plain(
-                    result,
-                    Strategy::Passthrough,
-                    started,
-                ))
+                Ok(ExecutionReport::plain(result, Strategy::Passthrough))
             }
             // the loop's input: each round runs the recursive part over the
             // last round's rows, and the first round that adds none ends it
@@ -375,9 +404,9 @@ impl SQLoop {
                     termination: Termination::Updates(0),
                     final_query: cte.final_query,
                 };
-                self.execute_loop(&cte, Some(layout), started)
+                self.execute_loop(&cte, Some(layout), metrics)
             }
-            SqloopQuery::Iterative(cte) => self.execute_loop(&cte, None, started),
+            SqloopQuery::Iterative(cte) => self.execute_loop(&cte, None, metrics),
         }
     }
 
@@ -388,7 +417,7 @@ impl SQLoop {
         &self,
         cte: &IterativeCte,
         layout: Option<Layout>,
-        started: Instant,
+        metrics: &Arc<MetricsRegistry>,
     ) -> SqloopResult<ExecutionReport> {
         let trace = TraceHandle::new(self.config.trace.enabled);
         // a fresh statement starts with a clean token; a deadline (when
@@ -414,9 +443,10 @@ impl SQLoop {
                 ),
             },
         };
-        let (result, recovery) = run_iterative(&self.driver, cte, layout, &self.config, &trace);
+        let (result, recovery) =
+            run_iterative(&self.driver, cte, layout, &self.config, &trace, metrics);
         let mut report = match result {
-            Ok(run) => self.report(run, strategy, started),
+            Ok(run) => ExecutionReport::of_run(run, strategy, recovery),
             // budget exhausted on a transient fault: the engine is flaky,
             // not the query — degrade to Whole rather than surfacing the
             // error
@@ -450,7 +480,9 @@ impl SQLoop {
                 // transient fault kill the query
                 let mut attempt: u32 = 0;
                 let run = loop {
-                    match run_iterative(&self.driver, cte, Layout::Whole, &config, &trace).0 {
+                    match run_iterative(&self.driver, cte, Layout::Whole, &config, &trace, metrics)
+                        .0
+                    {
                         Ok(run) => break run,
                         Err(e) if e.is_retryable() && attempt < config.task_retries => {
                             attempt += 1;
@@ -466,12 +498,11 @@ impl SQLoop {
                         Err(e) => return Err(e),
                     }
                 };
-                let mut report = self.report(run, strategy, started);
-                report.recovery = RecoveryCounters {
+                let downgraded = RecoveryCounters {
                     downgraded: true,
                     ..recovery
                 };
-                report
+                ExecutionReport::of_run(run, strategy, downgraded)
             }
             Err(e) => return Err(e),
         };
@@ -479,27 +510,7 @@ impl SQLoop {
             report.trace = Some(TraceSummary::from_data(&data));
             report.trace_data = Some(data);
         }
-        report.elapsed = started.elapsed();
         Ok(report)
-    }
-
-    /// The report of an iterative run; the caller fills in the trace and
-    /// the per-run deltas.
-    fn report(&self, run: IterativeRun, strategy: Strategy, started: Instant) -> ExecutionReport {
-        ExecutionReport {
-            iterations: run.outcome.iterations,
-            last_change: run.outcome.last_change,
-            computes: run.computes,
-            gathers: run.gathers,
-            messages: run.messages,
-            worker_busy: run.worker_busy,
-            samples: run.samples,
-            recovery: run.recovery,
-            cancelled: run.outcome.cancelled,
-            checkpoint: run.checkpoint,
-            recovery_note: run.recovery_note,
-            ..ExecutionReport::plain(run.outcome.result, strategy, started)
-        }
     }
 
     /// Column names for analysis: the declared list, or a probe of the seed.

@@ -19,7 +19,7 @@
 //! 3. the manifest (`MANIFEST.json`) names the latest complete snapshot and
 //!    is only written *after* that snapshot is durable; rotated snapshots
 //!    are deleted only *after* the manifest durably stops naming them;
-//! 4. recovery ([`load_latest_recovering`]) never trusts a single file: a
+//! 4. recovery ([`load_latest_recover_with`]) never trusts a single file: a
 //!    corrupt snapshot is quarantined to `<name>.corrupt` and resume falls
 //!    back through older manifest generations — and, when the manifest
 //!    itself is unreadable or names only missing files, through
@@ -42,7 +42,7 @@ use crate::common::{insert_rows, run};
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::IterativeCte;
 use dbcp::Connection;
-use obs::EventKind;
+use obs::{Counter, EventKind, MetricsRegistry};
 use sqldb::snapshot::TableDump;
 use sqldb::{Column, DataType, Value};
 use std::fmt::Write as _;
@@ -360,17 +360,23 @@ impl Checkpointer {
     /// rotation of snapshots beyond `keep_last` — deletion strictly *after*
     /// the manifest durably stops naming the dropped generations, so no
     /// crash point can leave the manifest pointing only at deleted files.
-    /// Returns the snapshot path.
+    /// Returns the snapshot path. The write is counted in the run's
+    /// `metrics` (`sqloop.checkpoint.*`, `sqloop.ckpt.fsyncs`).
     ///
     /// # Errors
     /// [`SqloopError::Checkpoint`] on any I/O failure.
-    pub fn save(&mut self, snap: &LoopSnapshot) -> SqloopResult<PathBuf> {
+    pub fn save(
+        &mut self,
+        snap: &LoopSnapshot,
+        metrics: &MetricsRegistry,
+    ) -> SqloopResult<PathBuf> {
         let started = Instant::now();
+        let fsyncs = metrics.counter("sqloop.ckpt.fsyncs");
         let file_name = format!("ckpt_r{:08}.sqloop", snap.round);
         let path = self.config.dir.join(&file_name);
         let encoded = snap.encode();
         let bytes = encoded.len() as u64;
-        write_atomic(&*self.io, &path, &encoded)?;
+        write_atomic(&*self.io, &path, &encoded, &fsyncs)?;
         if self.history.last().map(String::as_str) != Some(file_name.as_str()) {
             self.history.retain(|h| h != &file_name);
             self.history.push(file_name.clone());
@@ -380,16 +386,21 @@ impl Checkpointer {
             dropped.push(self.history.remove(0));
         }
         let manifest = render_manifest(snap, &file_name, &self.history);
-        write_atomic(&*self.io, &self.config.dir.join(MANIFEST_NAME), &manifest)?;
+        write_atomic(
+            &*self.io,
+            &self.config.dir.join(MANIFEST_NAME),
+            &manifest,
+            &fsyncs,
+        )?;
         for old in dropped {
             // best-effort: a crash between the manifest write and this
             // delete merely leaves an orphaned (still valid) snapshot
             let _ = self.io.remove_file(&self.config.dir.join(old));
         }
-        let reg = obs::global();
-        reg.counter("sqloop.checkpoint.writes").inc();
-        reg.counter("sqloop.checkpoint.bytes").add(bytes);
-        reg.histogram("sqloop.checkpoint.write_latency")
+        metrics.counter("sqloop.checkpoint.writes").inc();
+        metrics.counter("sqloop.checkpoint.bytes").add(bytes);
+        metrics
+            .histogram("sqloop.checkpoint.write_latency")
             .observe(started.elapsed());
         self.last_path = Some(path.clone());
         Ok(path)
@@ -398,12 +409,12 @@ impl Checkpointer {
 
 /// Tmp + rename with full fsync discipline: the payload is synced before
 /// the rename and the parent directory after it, so a power cut can never
-/// publish a torn file or un-publish a completed rename.
-fn write_atomic(io: &dyn CkptIo, path: &Path, contents: &str) -> SqloopResult<()> {
+/// publish a torn file or un-publish a completed rename. Each completed
+/// sync is counted in `fsyncs`.
+fn write_atomic(io: &dyn CkptIo, path: &Path, text: &str, fsyncs: &Counter) -> SqloopResult<()> {
     let tmp = path.with_extension("tmp");
     let err = |e: std::io::Error| ckpt_err(format!("writing {}: {e}", path.display()));
-    let fsyncs = obs::global().counter("sqloop.ckpt.fsyncs");
-    io.write_file(&tmp, contents.as_bytes()).map_err(err)?;
+    io.write_file(&tmp, text.as_bytes()).map_err(err)?;
     io.sync_file(&tmp).map_err(err)?;
     fsyncs.inc();
     io.rename(&tmp, path).map_err(err)?;
@@ -462,7 +473,7 @@ fn read_manifest(io: &dyn CkptIo, path: &Path) -> SqloopResult<Manifest> {
     Ok(Manifest { latest, history })
 }
 
-/// A snapshot recovered by [`load_latest_recovering`], with the story of
+/// A snapshot recovered by [`load_latest_recover_with`], with the story of
 /// how it was found.
 #[derive(Debug, Clone)]
 pub struct RecoveredSnapshot {
@@ -471,7 +482,8 @@ pub struct RecoveredSnapshot {
     /// Newer candidates that had to be skipped (corrupt or missing) before
     /// this one loaded; `0` on a clean first-try load.
     pub fallbacks: u64,
-    /// Corrupt snapshot files moved aside to `<name>.corrupt`.
+    /// Corrupt snapshot files moved aside to `<name>.corrupt` (a resume
+    /// counts them in `sqloop.ckpt.corrupt_detected`).
     pub quarantined: Vec<PathBuf>,
     /// Human-readable recovery note (`None` when the load was clean) —
     /// surfaced on [`crate::ExecutionReport::recovery_note`].
@@ -481,36 +493,27 @@ pub struct RecoveredSnapshot {
 /// Loads the most recent snapshot reachable from `path`, which may be a
 /// checkpoint directory, a `MANIFEST.json`, or a snapshot file directly.
 ///
-/// Convenience wrapper over [`load_latest_recovering`] that discards the
-/// recovery details.
+/// Convenience wrapper over [`load_latest_recover_with`] on the real
+/// filesystem that discards the recovery details.
 ///
 /// # Errors
 /// [`SqloopError::Checkpoint`] when nothing loadable (and checksum-valid)
 /// is found.
 pub fn load_latest(path: &Path) -> SqloopResult<LoopSnapshot> {
-    load_latest_recovering(path).map(|r| r.snapshot)
+    load_latest_recover_with(&RealFs, path).map(|r| r.snapshot)
 }
 
-/// [`load_latest`] with corruption fallback: a corrupt newest snapshot is
+/// [`load_latest`] over `io` (fault-injection harnesses pass
+/// [`crate::TornFs`]), with corruption fallback: a corrupt newest snapshot is
 /// quarantined to `<name>.corrupt` and the load falls back through older
 /// manifest generations; when the manifest itself is torn, unreadable, or
 /// names only missing files, orphaned `*.sqloop` files found by directory
-/// scan are tried newest-first. Bumps `sqloop.ckpt.corrupt_detected` per
-/// corrupt file and `sqloop.ckpt.fallback_loads` when the load did not
-/// succeed on the first candidate.
+/// scan are tried newest-first. It counts nothing: the resuming run books
+/// what the returned [`RecoveredSnapshot`] says.
 ///
 /// # Errors
 /// [`SqloopError::Checkpoint`] when no candidate loads — never a wrong
 /// answer: every returned snapshot passed its checksum.
-pub fn load_latest_recovering(path: &Path) -> SqloopResult<RecoveredSnapshot> {
-    load_latest_recover_with(&RealFs, path)
-}
-
-/// [`load_latest_recovering`] over an explicit [`CkptIo`] (fault-injection
-/// harnesses pass [`crate::TornFs`]).
-///
-/// # Errors
-/// As [`load_latest_recovering`].
 pub fn load_latest_recover_with(io: &dyn CkptIo, path: &Path) -> SqloopResult<RecoveredSnapshot> {
     let is_manifest = path.file_name().and_then(|n| n.to_str()) == Some(MANIFEST_NAME);
     if !path.is_dir() && !is_manifest {
@@ -520,7 +523,6 @@ pub fn load_latest_recover_with(io: &dyn CkptIo, path: &Path) -> SqloopResult<Re
             .read_to_string(path)
             .map_err(|e| ckpt_err(format!("cannot read snapshot {}: {e}", path.display())))?;
         let snap = LoopSnapshot::decode(&text)?;
-        obs::global().counter("sqloop.checkpoint.resumes").inc();
         return Ok(RecoveredSnapshot {
             snapshot: snap,
             fallbacks: 0,
@@ -570,7 +572,6 @@ pub fn load_latest_recover_with(io: &dyn CkptIo, path: &Path) -> SqloopResult<Re
         )));
     }
 
-    let reg = obs::global();
     let mut fallbacks = 0u64;
     let mut quarantined = Vec::new();
     for name in &candidates {
@@ -585,9 +586,7 @@ pub fn load_latest_recover_with(io: &dyn CkptIo, path: &Path) -> SqloopResult<Re
         };
         match LoopSnapshot::decode(&text) {
             Ok(snapshot) => {
-                reg.counter("sqloop.checkpoint.resumes").inc();
                 let note = if fallbacks > 0 || !trouble.is_empty() {
-                    reg.counter("sqloop.ckpt.fallback_loads").inc();
                     Some(format!(
                         "recovered from {name} (round {}) after: {}",
                         snapshot.round,
@@ -604,7 +603,6 @@ pub fn load_latest_recover_with(io: &dyn CkptIo, path: &Path) -> SqloopResult<Re
                 });
             }
             Err(e) => {
-                reg.counter("sqloop.ckpt.corrupt_detected").inc();
                 fallbacks += 1;
                 // move the bad file aside so the next save cannot collide
                 // with it and operators can inspect (or salvage) it later
@@ -812,10 +810,14 @@ mod tests {
         assert!(ck.due(2) && ck.due(4));
 
         let mut snap = sample_snapshot();
+        let metrics = obs::MetricsRegistry::new();
         for round in [2u64, 4, 6] {
             snap.round = round;
-            ck.save(&snap).unwrap();
+            ck.save(&snap, &metrics).unwrap();
         }
+        // three writes, each syncing the snapshot and the manifest twice
+        assert_eq!(metrics.counter("sqloop.checkpoint.writes").get(), 3);
+        assert_eq!(metrics.counter("sqloop.ckpt.fsyncs").get(), 12);
         // oldest rotated away, newest two remain
         assert!(!dir.join("ckpt_r00000002.sqloop").exists());
         assert!(dir.join("ckpt_r00000004.sqloop").exists());

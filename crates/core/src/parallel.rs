@@ -32,9 +32,10 @@
 
 use crate::analysis::ParallelPlan;
 use crate::checkpoint::{
-    check_fingerprint, dump_table_sql, load_latest_recovering, restore_table_sql, run_fingerprint,
-    trace_checkpoint, Checkpointer, LoopSnapshot, PartSnap,
+    check_fingerprint, dump_table_sql, load_latest_recover_with, restore_table_sql,
+    run_fingerprint, trace_checkpoint, Checkpointer, LoopSnapshot, PartSnap,
 };
+use crate::ckpt_io::RealFs;
 use crate::common::{
     create_cte_table, insert_rows, refresh_delta_snapshot, rewrite_table_refs, run, run_all,
     run_all_best_effort, run_query, with_output_names, CteNames, CteSchema, DeltaRefresher,
@@ -45,12 +46,12 @@ use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{IterativeCte, Termination};
 use crate::parallel_sql::{Sql, SqlGen};
 use crate::progress::{ProgressSample, RecoveryCounters, Sampler};
-use crate::supervisor::{now_us, panic_detail, HeartbeatSlot, SupervisorMetrics, STATE_BUSY};
+use crate::supervisor::{now_us, panic_detail, HeartbeatSlot, STATE_BUSY};
 use crate::translate::{translate_query_to_sql, translate_sql};
 use crate::watchdog::{Governance, Watchdog};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dbcp::{CancelToken, Connection, Driver, PipelineStep, PreparedStatement, RetryPolicy};
-use obs::{EventKind, Span, SpanKind, SpanOutcome, TraceHandle};
+use obs::{EventKind, MetricsRegistry, Span, SpanKind, SpanOutcome, TraceHandle};
 use sqldb::{DataType, DbError, QueryResult, Row, StmtOutput, Value};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -109,8 +110,6 @@ pub struct IterativeRun {
     pub worker_busy: std::time::Duration,
     /// Convergence samples (when a sampler was configured).
     pub samples: Vec<ProgressSample>,
-    /// What fault recovery had to do (all zero on a clean run).
-    pub recovery: RecoveryCounters,
     /// Path of the last checkpoint written (when checkpointing is on).
     pub checkpoint: Option<PathBuf>,
     /// Human-readable note when resume had to fall back past corrupt or
@@ -254,9 +253,10 @@ impl MsgState {
 /// Spans (one per task attempt — an Iteration span per Whole round) and
 /// events (retries, reconnects, faults, round boundaries) go into `trace`;
 /// with a disabled handle the instrumentation costs one branch per
-/// would-be record. The recovery counters come back even when the run
-/// *fails* — an `IterativeRun` never materializes on that path, yet the
-/// downgrade report still wants to show what recovery attempted.
+/// would-be record. The run counts into `metrics`, its own registry. The
+/// recovery counters come back even when the run *fails* — an
+/// `IterativeRun` never materializes on that path, yet the downgrade
+/// report still wants to show what recovery attempted.
 ///
 /// # Errors
 /// Configuration errors (a partitioned layout in [`ExecutionMode::Single`]
@@ -269,9 +269,22 @@ pub fn run_iterative(
     layout: Layout,
     config: &SqloopConfig,
     trace: &TraceHandle,
+    metrics: &Arc<MetricsRegistry>,
 ) -> (SqloopResult<IterativeRun>, RecoveryCounters) {
     let mut recovery = RecoveryCounters::default();
-    let result = run_inner(driver, cte, layout, config, &mut recovery, trace);
+    let result = run_inner(driver, cte, layout, config, &mut recovery, trace, metrics);
+    // the recovery counters are the run's one book of supervision; zombie
+    // results, dropped on worker threads, are counted live (and resolved
+    // here so the series shows on every run)
+    let supervision = [
+        ("stalls_detected", recovery.stalls),
+        ("worker_replacements", recovery.worker_replacements),
+        ("panics_caught", recovery.worker_panics),
+    ];
+    for (name, n) in supervision {
+        metrics.counter(&format!("sqloop.supervisor.{name}")).add(n);
+    }
+    metrics.counter(ZOMBIES);
     (result, recovery)
 }
 
@@ -578,6 +591,7 @@ fn run_inner(
     config: &SqloopConfig,
     recovery_out: &mut RecoveryCounters,
     trace: &TraceHandle,
+    metrics: &Arc<MetricsRegistry>,
 ) -> SqloopResult<IterativeRun> {
     config.validate().map_err(SqloopError::Config)?;
     // a partitioned policy is picked before anything exists; Whole's tasks
@@ -613,7 +627,14 @@ fn run_inner(
     let mut recovery_note: Option<String> = None;
     let resume_snap = match &config.resume_from {
         Some(path) => {
-            let recovered = load_latest_recovering(path)?;
+            let recovered = load_latest_recover_with(&RealFs, path)?;
+            metrics.counter("sqloop.checkpoint.resumes").inc();
+            metrics
+                .counter("sqloop.ckpt.fallback_loads")
+                .add(u64::from(recovered.note.is_some()));
+            metrics
+                .counter("sqloop.ckpt.corrupt_detected")
+                .add(recovered.quarantined.len() as u64);
             let snap = recovered.snapshot;
             recovery_note = recovered.note;
             check_fingerprint(&snap, fingerprint, label)?;
@@ -708,11 +729,12 @@ fn run_inner(
 
     // convergence sampler
     let sampler = match (&config.sample_interval, &config.progress_query) {
-        (Some(iv), Some(q)) => Some(Sampler::start_metered(
+        (Some(iv), Some(q)) => Some(Sampler::start(
             driver.connect()?,
             Some(driver.clone()),
             q.replace("{}", &cte.name),
             *iv,
+            metrics,
         )),
         _ => None,
     };
@@ -720,7 +742,7 @@ fn run_inner(
     // Whole runs its task on the master connection; the partitioned
     // policies get the worker pool
     let pool = match gen {
-        Some(_) => Some(WorkerPool::start(driver, config, trace)?),
+        Some(_) => Some(WorkerPool::start(driver, config, trace, metrics)?),
         None => None,
     };
 
@@ -750,9 +772,6 @@ fn run_inner(
         tc: &cte.termination,
         main: main.as_mut(),
         threads: pool.as_ref().map_or(0, |_| config.threads),
-        sup: pool
-            .as_ref()
-            .map_or_else(SupervisorMetrics::new, |p| p.sup.clone()),
         pool,
         inline: VecDeque::new(),
         dispatched: HashMap::new(),
@@ -774,6 +793,7 @@ fn run_inner(
         recovery: RecoveryCounters::default(),
         aborting: false,
         trace,
+        metrics,
         cache_probe: PlanCacheProbe::new(driver),
         round: start_round + 1,
         cancel: &config.cancel,
@@ -789,7 +809,7 @@ fn run_inner(
             watchdog: config
                 .watchdog
                 .is_active()
-                .then(|| Watchdog::new(config.watchdog, &cte.termination)),
+                .then(|| Watchdog::new(config.watchdog, &cte.termination, metrics)),
             lift_mem: Some(&lift_mem),
         },
     };
@@ -802,7 +822,7 @@ fn run_inner(
         messages,
         worker_busy,
         all_msgs,
-        mut recovery,
+        recovery,
         cancelled,
         checkpointer,
         pool,
@@ -816,8 +836,10 @@ fn run_inner(
     // surface here as counted recoveries, never silently — and abandoned
     // workers (possibly hung forever) are detached, not joined, so
     // cleanup can't re-wedge a run the supervisor already saved
-    recovery.worker_panics += pool.map_or(0, WorkerPool::shutdown);
-    *recovery_out = recovery;
+    *recovery_out = RecoveryCounters {
+        worker_panics: recovery.worker_panics + pool.map_or(0, WorkerPool::shutdown),
+        ..recovery
+    };
     let samples = sampler.map(Sampler::stop).unwrap_or_default();
 
     let outcome = ran.map(|(iterations, last_change, result)| RunOutcome {
@@ -852,7 +874,6 @@ fn run_inner(
         messages,
         worker_busy,
         samples,
-        recovery,
         checkpoint: checkpoint_path,
         recovery_note,
     })
@@ -890,7 +911,8 @@ struct WorkerCtx {
     slot: Arc<HeartbeatSlot>,
     /// The pool's clock epoch heartbeats are stamped against.
     epoch: Instant,
-    sup: SupervisorMetrics,
+    /// The run's registry: reconnect waits, dropped zombie results.
+    metrics: Arc<MetricsRegistry>,
 }
 
 /// One spawned worker as the supervisor sees it.
@@ -903,6 +925,10 @@ struct WorkerHandle {
     /// their thread detached at shutdown if it never finished.
     abandoned: bool,
 }
+
+/// Results of abandoned workers, discarded instead of applied (rare enough
+/// that no handle is kept for them).
+const ZOMBIES: &str = "sqloop.supervisor.zombie_results_dropped";
 
 /// Attempts a worker makes to (re)open its engine connection after a drop,
 /// before it gives up on the task at hand.
@@ -925,7 +951,7 @@ struct WorkerPool {
     done_rx: Receiver<Done>,
     /// Clock origin for heartbeat timestamps.
     epoch: Instant,
-    sup: SupervisorMetrics,
+    metrics: Arc<MetricsRegistry>,
     workers: Vec<WorkerHandle>,
     next_id: u32,
 }
@@ -938,6 +964,7 @@ impl WorkerPool {
         driver: &Arc<dyn Driver>,
         config: &SqloopConfig,
         trace: &TraceHandle,
+        metrics: &Arc<MetricsRegistry>,
     ) -> SqloopResult<WorkerPool> {
         let (task_tx, task_rx) = unbounded::<Task>();
         let (done_tx, done_rx) = unbounded::<Done>();
@@ -952,7 +979,7 @@ impl WorkerPool {
             done_tx,
             done_rx,
             epoch: Instant::now(),
-            sup: SupervisorMetrics::new(),
+            metrics: Arc::clone(metrics),
             workers: Vec::new(),
             next_id: 0,
         };
@@ -984,7 +1011,7 @@ impl WorkerPool {
             statement_timeout: self.statement_timeout,
             slot: Arc::clone(&slot),
             epoch: self.epoch,
-            sup: self.sup.clone(),
+            metrics: Arc::clone(&self.metrics),
         };
         let handle = std::thread::Builder::new()
             .name(format!("sqloop-worker-{id}"))
@@ -1035,7 +1062,6 @@ impl WorkerPool {
             }
             if let Err(payload) = w.handle.join() {
                 panics += 1;
-                self.sup.panics_caught.inc();
                 self.trace.event(
                     EventKind::Panic,
                     None,
@@ -1064,7 +1090,7 @@ fn worker_loop(ctx: WorkerCtx) {
         statement_timeout,
         slot,
         epoch,
-        sup,
+        metrics,
     } = ctx;
     let mut conn: Option<Box<dyn Connection>> = None;
     let mut ever_connected = false;
@@ -1081,7 +1107,7 @@ fn worker_loop(ctx: WorkerCtx) {
         if conn.is_none() {
             // interruptible reconnect backoff: a cancelled run must not
             // sit out the full exponential wait
-            match policy.run_with_cancel(&cancel, |_| driver.connect()) {
+            match policy.run_with_cancel(&cancel, &metrics, |_| driver.connect()) {
                 Ok(mut c) => {
                     if ever_connected {
                         reconnects += 1;
@@ -1099,7 +1125,7 @@ fn worker_loop(ctx: WorkerCtx) {
         let connected = conn.as_deref_mut().ok_or_else(|| {
             refused.unwrap_or_else(|| SqloopError::Worker("worker lost its connection".into()))
         });
-        let (mut done, usable) = run_task(connected, task, Some(worker), &trace, &sup);
+        let (mut done, usable) = run_task(connected, task, Some(worker), &trace);
         if !usable {
             conn = None;
         }
@@ -1110,7 +1136,7 @@ fn worker_loop(ctx: WorkerCtx) {
         // the round's non-idempotent final UPDATE twice, so discard it and
         // exit (the replacement has this worker's job).
         if !slot.try_complete() {
-            sup.zombie_results_dropped.inc();
+            metrics.counter(ZOMBIES).inc();
             return;
         }
         if tx.send(done).is_err() {
@@ -1132,7 +1158,6 @@ fn run_task(
     task: Task,
     worker: Option<u32>,
     trace: &TraceHandle,
-    sup: &SupervisorMetrics,
 ) -> (Done, bool) {
     let started = Instant::now();
     let span_start = trace.now_us();
@@ -1196,7 +1221,6 @@ fn run_task(
                     // takes effect, so replaying from `at` is as safe as
                     // any transport replay
                     usable = false;
-                    sup.panics_caught.inc();
                     let detail = panic_detail(payload.as_ref());
                     let (who, detail) = match worker {
                         Some(w) => (format!("worker {w}"), detail),
@@ -1283,8 +1307,6 @@ struct Scheduler<'a> {
     dispatched: HashMap<u64, Task>,
     /// Next scheduler-unique task id.
     next_task_id: u64,
-    /// Supervision metrics (shared with the pool's workers).
-    sup: SupervisorMetrics,
     parts: Vec<PartState>,
     msgs: Vec<MsgState>,
     in_flight: usize,
@@ -1319,6 +1341,8 @@ struct Scheduler<'a> {
     aborting: bool,
     /// Trace recorder (no-op when tracing is off).
     trace: &'a TraceHandle,
+    /// The run's registry.
+    metrics: &'a MetricsRegistry,
     /// Per-round plan-cache hit/miss attribution, emitted at round ticks.
     cache_probe: PlanCacheProbe,
     /// Current 1-based round/wave, stamped into tasks for the trace.
@@ -1432,7 +1456,7 @@ impl Scheduler<'_> {
         let Some(pool) = &self.pool else {
             // no pool: the task runs now, on the master connection, whose
             // session is rolled back when the task left it untrustworthy
-            let (done, usable) = run_task(Ok(&mut *self.main), task, None, self.trace, &self.sup);
+            let (done, usable) = run_task(Ok(&mut *self.main), task, None, self.trace);
             if !usable {
                 let _ = self.main.execute("ROLLBACK");
             }
@@ -1465,11 +1489,10 @@ impl Scheduler<'_> {
             };
             match received {
                 Ok(d) => {
-                    if !self.dispatched.contains_key(&d.task.task_id) {
-                        self.sup.zombie_results_dropped.inc();
-                        continue;
+                    if self.dispatched.contains_key(&d.task.task_id) {
+                        return Ok(d);
                     }
-                    return Ok(d);
+                    self.metrics.counter(ZOMBIES).inc();
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if let Some(d) = self.supervise()? {
@@ -1527,14 +1550,12 @@ impl Scheduler<'_> {
             pool.workers[i].abandoned = true;
             let replacement = pool.spawn_worker()?;
             self.recovery.worker_replacements += 1;
-            self.sup.worker_replacements.inc();
             let Some(task) = self.dispatched.remove(&task_id) else {
                 // raced with a completion already consumed: the worker is
                 // replaced, but there is nothing to replay
                 continue;
             };
             let e = if dead {
-                self.sup.panics_caught.inc();
                 self.trace.event(
                     EventKind::Panic,
                     Some(task.partition as u32),
@@ -1547,7 +1568,6 @@ impl Scheduler<'_> {
                 }
             } else {
                 self.recovery.stalls += 1;
-                self.sup.stalls_detected.inc();
                 self.trace.event(
                     EventKind::Stall,
                     Some(task.partition as u32),
@@ -2065,7 +2085,7 @@ impl Scheduler<'_> {
             tables,
         };
         if let Some(ck) = self.checkpointer.as_mut() {
-            let path = ck.save(&snap)?;
+            let path = ck.save(&snap, self.metrics)?;
             trace_checkpoint(self.trace, rounds, &path);
         }
         Ok(carried)
@@ -2142,7 +2162,7 @@ impl Scheduler<'_> {
             Some(rounds),
             format!("governed abort: {verdict}"),
         );
-        obs::global().counter("sqloop.governed_aborts").inc();
+        self.metrics.counter("sqloop.governed_aborts").inc();
         self.save_quiesced(rounds, last_change).map(drop)
     }
 
@@ -2160,7 +2180,7 @@ impl Scheduler<'_> {
             Some(rounds),
             "cancelled at quiesce point",
         );
-        obs::global().counter("sqloop.cancelled_runs").inc();
+        self.metrics.counter("sqloop.cancelled_runs").inc();
         self.save_quiesced(rounds, last_change)?;
         self.cancelled = true;
         Ok(true)
@@ -2483,7 +2503,8 @@ mod tests {
             ..SqloopConfig::default()
         };
         let trace = TraceHandle::disabled();
-        run_iterative(driver, cte, Layout::Whole, &config, &trace)
+        let metrics = Arc::default();
+        run_iterative(driver, cte, Layout::Whole, &config, &trace, &metrics)
             .0
             .map(|run| run.outcome)
     }

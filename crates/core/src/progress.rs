@@ -22,7 +22,8 @@ pub struct ProgressSample {
 }
 
 /// Per-run fault-recovery counters: what the parallel engine had to do to
-/// keep the query alive (all zero on a fault-free run).
+/// keep the query alive (all zero on a fault-free run); the run's
+/// `sqloop.supervisor.*` series are read off them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
     /// Compute/Gather tasks that failed on a transient error and were
@@ -33,8 +34,10 @@ pub struct RecoveryCounters {
     /// Task failures observed, transient or not (each replayed dispatch
     /// that fails again counts once more).
     pub task_failures: u64,
-    /// Worker panics absorbed: caught at the task boundary, discovered at
-    /// thread join, or dead-thread verdicts mid-task.
+    /// Worker panics in tasks the scheduler processed (caught at the task
+    /// boundary, or a thread found dead mid-task) or outside a task (found
+    /// at join). A panic in an abandoned worker's task is not one: its task
+    /// was replayed on the abandon verdict, its result dropped as a zombie.
     pub worker_panics: u64,
     /// Stall verdicts: busy workers whose heartbeat went silent past the
     /// stall timeout and were abandoned.
@@ -86,44 +89,35 @@ pub struct Sampler {
 
 impl Sampler {
     /// Starts sampling `query` (must return a single numeric value) every
-    /// `interval` on `conn`. The first sample is taken before this returns,
-    /// so a run shorter than the thread's start-up still has one. Failed
-    /// samples (e.g. lock-timeout while writers are busy) are skipped, like
-    /// a real monitoring thread would. Samples carry no memory reading.
-    pub fn start(conn: Box<dyn Connection>, query: String, interval: Duration) -> Sampler {
-        Sampler::start_metered(conn, None, query, interval)
-    }
-
-    /// [`Sampler::start`], each sample also reading the memory `engine`'s
-    /// database has charged ([`Driver::memory_used`]).
-    pub fn start_metered(
+    /// `interval` on `conn`, each sample also reading the memory `engine`'s
+    /// database has charged ([`Driver::memory_used`]). The first sample is
+    /// taken before this returns, so a run shorter than the thread's
+    /// start-up still has one. Failed samples (e.g. lock-timeout while
+    /// writers are busy) are skipped and counted in `metrics`, where
+    /// `sqloop.mem.peak_bytes` is the largest reading the samples carry.
+    pub fn start(
         mut conn: Box<dyn Connection>,
         engine: Option<Arc<dyn Driver>>,
         query: String,
         interval: Duration,
+        metrics: &obs::MetricsRegistry,
     ) -> Sampler {
         let stop = Arc::new(AtomicBool::new(false));
         let samples = Arc::new(Mutex::new(Vec::new()));
         let stop2 = stop.clone();
         let samples2 = samples.clone();
         let start = Instant::now();
-        let reg = obs::global();
-        let failed = reg.counter("sqloop.sampler.failed_samples");
-        let run_peak = reg.gauge("sqloop.mem.peak_bytes");
-        // per-run high-water mark: the engine's own peak is
-        // database-lifetime, this one resets with each sampler
-        run_peak.set(0);
-        let mut peak = 0;
+        let failed = metrics.counter("sqloop.sampler.failed_samples");
+        let peak = metrics.gauge("sqloop.mem.peak_bytes");
         let mut sample = move || {
             let mem = engine.as_ref().and_then(|e| e.memory_used());
             let mem = mem.filter(|&n| n > 0);
-            if let Some(n) = mem.filter(|&n| n > peak) {
-                peak = n;
-                run_peak.set(i64::try_from(n).unwrap_or(i64::MAX));
-            }
             match conn.query(&query) {
                 Ok(result) => {
                     if let Some(v) = result.scalar().and_then(|v| v.as_f64()) {
+                        if let Some(n) = mem {
+                            peak.set(peak.get().max(i64::try_from(n).unwrap_or(i64::MAX)));
+                        }
                         samples2.lock().push(ProgressSample {
                             elapsed: start.elapsed(),
                             value: v,
@@ -165,12 +159,11 @@ impl Sampler {
     }
 
     /// Stops the thread and returns the collected samples.
-    pub fn stop(mut self) -> Vec<ProgressSample> {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        std::mem::take(&mut *self.samples.lock())
+    pub fn stop(self) -> Vec<ProgressSample> {
+        let samples = Arc::clone(&self.samples);
+        drop(self);
+        let mut samples = samples.lock();
+        std::mem::take(&mut *samples)
     }
 }
 
@@ -199,8 +192,10 @@ mod tests {
         let driver = LocalDriver::new(db);
         let sampler = Sampler::start(
             driver.connect().unwrap(),
+            None,
             "SELECT SUM(v) FROM t".into(),
             Duration::from_millis(5),
+            &obs::MetricsRegistry::new(),
         );
         for i in 1..=20 {
             s.execute(&format!("UPDATE t SET v = {i}.0")).unwrap();
@@ -255,13 +250,18 @@ mod tests {
     fn sampler_survives_bad_query() {
         let db = Database::new(EngineProfile::Postgres);
         let driver = LocalDriver::new(db);
+        let metrics = obs::MetricsRegistry::new();
         let sampler = Sampler::start(
             driver.connect().unwrap(),
+            None,
             "SELECT broken FROM nowhere".into(),
             Duration::from_millis(2),
+            &metrics,
         );
         std::thread::sleep(Duration::from_millis(20));
         let samples = sampler.stop();
         assert!(samples.is_empty());
+        // every attempt failed, and each is in the sampler's books
+        assert!(metrics.counter("sqloop.sampler.failed_samples").get() >= 1);
     }
 }

@@ -166,41 +166,6 @@ pub fn now_us(epoch: Instant) -> u64 {
     u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Handles to the `sqloop.supervisor.*` metrics, resolved once per run so
-/// the per-tick hot path is a single atomic increment.
-#[derive(Debug, Clone)]
-pub struct SupervisorMetrics {
-    /// `sqloop.supervisor.stalls_detected` — stall verdicts fired.
-    pub stalls_detected: std::sync::Arc<obs::Counter>,
-    /// `sqloop.supervisor.worker_replacements` — replacement workers spawned.
-    pub worker_replacements: std::sync::Arc<obs::Counter>,
-    /// `sqloop.supervisor.panics_caught` — worker panics absorbed (caught
-    /// at the task boundary, discovered at join, or dead-thread verdicts).
-    pub panics_caught: std::sync::Arc<obs::Counter>,
-    /// `sqloop.supervisor.zombie_results_dropped` — results from abandoned
-    /// workers that were discarded instead of applied.
-    pub zombie_results_dropped: std::sync::Arc<obs::Counter>,
-}
-
-impl SupervisorMetrics {
-    /// Resolves the counters from the global metrics registry.
-    pub fn new() -> SupervisorMetrics {
-        let m = obs::global();
-        SupervisorMetrics {
-            stalls_detected: m.counter("sqloop.supervisor.stalls_detected"),
-            worker_replacements: m.counter("sqloop.supervisor.worker_replacements"),
-            panics_caught: m.counter("sqloop.supervisor.panics_caught"),
-            zombie_results_dropped: m.counter("sqloop.supervisor.zombie_results_dropped"),
-        }
-    }
-}
-
-impl Default for SupervisorMetrics {
-    fn default() -> Self {
-        SupervisorMetrics::new()
-    }
-}
-
 /// Renders a `catch_unwind` payload as text: `&str` and `String` payloads
 /// (everything `panic!` produces in practice) come through verbatim.
 pub fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {

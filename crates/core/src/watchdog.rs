@@ -30,7 +30,9 @@ use crate::common::run_query;
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::Termination;
 use dbcp::Connection;
+use obs::{Counter, MetricsRegistry};
 use sqldb::DataType;
+use std::sync::Arc;
 
 /// Watchdog settings; the default disables every check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,11 +66,15 @@ pub struct Watchdog {
     trend_enabled: bool,
     best_updates: Option<u64>,
     stale_rounds: u64,
+    /// `sqloop.watchdog.numeric_probes` and `.verdicts` of the run.
+    probes: Arc<Counter>,
+    verdicts: Arc<Counter>,
 }
 
 impl Watchdog {
-    /// A watchdog for one run of a query terminated by `termination`.
-    pub fn new(cfg: WatchdogConfig, termination: &Termination) -> Watchdog {
+    /// A watchdog for one run of a query terminated by `termination`,
+    /// counting its probes and verdicts into the run's `metrics`.
+    pub fn new(cfg: WatchdogConfig, termination: &Termination, metrics: &MetricsRegistry) -> Self {
         let trend_enabled =
             cfg.window.is_some() && !matches!(termination, Termination::Iterations(_));
         Watchdog {
@@ -76,7 +82,15 @@ impl Watchdog {
             trend_enabled,
             best_updates: None,
             stale_rounds: 0,
+            probes: metrics.counter("sqloop.watchdog.numeric_probes"),
+            verdicts: metrics.counter("sqloop.watchdog.verdicts"),
         }
+    }
+
+    /// Counts and returns a verdict.
+    fn verdict(&self, e: SqloopError) -> SqloopError {
+        self.verdicts.inc();
+        e
     }
 
     /// True when at least one check is enabled (callers can skip the
@@ -100,7 +114,7 @@ impl Watchdog {
     pub fn check_round(&mut self, round: u64, updates: u64) -> SqloopResult<()> {
         if let Some(max) = self.cfg.max_rounds {
             if round >= max {
-                return Err(verdict(SqloopError::BudgetExceeded {
+                return Err(self.verdict(SqloopError::BudgetExceeded {
                     what: "max_rounds".into(),
                     round,
                 }));
@@ -115,7 +129,7 @@ impl Watchdog {
                 self.stale_rounds += 1;
                 let window = self.cfg.window.unwrap_or(u64::MAX);
                 if self.stale_rounds >= window {
-                    return Err(verdict(SqloopError::NumericDivergence {
+                    return Err(self.verdict(SqloopError::NumericDivergence {
                         partition: None,
                         round,
                         detail: format!(
@@ -145,7 +159,7 @@ impl Watchdog {
         value: f64,
     ) -> SqloopResult<()> {
         if self.cfg.numeric_checks && !value.is_finite() {
-            return Err(verdict(SqloopError::NumericDivergence {
+            return Err(self.verdict(SqloopError::NumericDivergence {
                 partition,
                 round,
                 detail: format!("{label} is {value}"),
@@ -189,9 +203,7 @@ impl Watchdog {
             .map(|c| format!("SUM({c})"))
             .collect::<Vec<_>>()
             .join(", ");
-        obs::global()
-            .counter("sqloop.watchdog.numeric_probes")
-            .inc();
+        self.probes.inc();
         let result = run_query(conn, &format!("SELECT {probes} FROM {table}"))?;
         if let Some(row) = result.rows.first() {
             for (col, value) in float_cols.iter().zip(row) {
@@ -202,12 +214,6 @@ impl Watchdog {
         }
         Ok(())
     }
-}
-
-/// Counts and returns a watchdog verdict.
-fn verdict(e: SqloopError) -> SqloopError {
-    obs::global().counter("sqloop.watchdog.verdicts").inc();
-    e
 }
 
 /// Governance hooks threaded into an executor run.
@@ -231,11 +237,6 @@ impl std::fmt::Debug for Governance<'_> {
 }
 
 impl Governance<'_> {
-    /// No governance: no watchdog, no memory limit to lift.
-    pub fn none() -> Governance<'static> {
-        Governance::default()
-    }
-
     /// Lifts the engine memory limit, when a hook was provided.
     pub fn lift_memory_limit(&self) {
         if let Some(lift) = self.lift_mem {
@@ -256,7 +257,11 @@ mod tests {
 
     #[test]
     fn default_config_checks_nothing() {
-        let mut w = Watchdog::new(WatchdogConfig::default(), &term_updates());
+        let mut w = Watchdog::new(
+            WatchdogConfig::default(),
+            &term_updates(),
+            &obs::MetricsRegistry::new(),
+        );
         assert!(!w.is_active());
         for round in 1..=10_000 {
             w.check_round(round, 42).unwrap();
@@ -271,7 +276,7 @@ mod tests {
             max_rounds: Some(5),
             ..WatchdogConfig::default()
         };
-        let mut w = Watchdog::new(cfg, &term_updates());
+        let mut w = Watchdog::new(cfg, &term_updates(), &obs::MetricsRegistry::new());
         for round in 1..5 {
             w.check_round(round, 10).unwrap();
         }
@@ -289,7 +294,7 @@ mod tests {
             numeric_checks: true,
             ..WatchdogConfig::default()
         };
-        let w = Watchdog::new(cfg, &term_updates());
+        let w = Watchdog::new(cfg, &term_updates(), &obs::MetricsRegistry::new());
         w.check_aggregate(Some(3), 7, "SUM(rank)", 123.0).unwrap();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let err = w.check_aggregate(Some(3), 7, "SUM(rank)", bad).unwrap_err();
@@ -310,7 +315,7 @@ mod tests {
             window: Some(4),
             ..WatchdogConfig::default()
         };
-        let mut w = Watchdog::new(cfg, &term_updates());
+        let mut w = Watchdog::new(cfg, &term_updates(), &obs::MetricsRegistry::new());
         // shrinking updates: healthy convergence, stale counter resets
         for (round, updates) in [(1, 100), (2, 80), (3, 90), (4, 50)] {
             w.check_round(round, updates).unwrap();
@@ -341,7 +346,11 @@ mod tests {
         };
         // fixed iteration counts update a constant row set per round by
         // design — not divergence
-        let mut w = Watchdog::new(cfg, &Termination::Iterations(50));
+        let mut w = Watchdog::new(
+            cfg,
+            &Termination::Iterations(50),
+            &obs::MetricsRegistry::new(),
+        );
         for round in 1..=40 {
             w.check_round(round, 100).unwrap();
         }
@@ -353,7 +362,7 @@ mod tests {
             window: Some(2),
             ..WatchdogConfig::default()
         };
-        let mut w = Watchdog::new(cfg, &term_updates());
+        let mut w = Watchdog::new(cfg, &term_updates(), &obs::MetricsRegistry::new());
         for round in 1..=10 {
             w.check_round(round, 0).unwrap();
         }
@@ -371,7 +380,8 @@ mod tests {
             numeric_checks: true,
             ..WatchdogConfig::default()
         };
-        let w = Watchdog::new(cfg, &term_updates());
+        let metrics = obs::MetricsRegistry::new();
+        let w = Watchdog::new(cfg, &term_updates(), &metrics);
         let columns = vec!["id".to_owned(), "rank".to_owned(), "delta".to_owned()];
         let types = vec![DataType::Int, DataType::Float, DataType::Float];
         w.probe_table(conn.as_mut(), "part3", &columns, &types, Some(3), 2)
@@ -392,8 +402,15 @@ mod tests {
             ),
             "{err:?}"
         );
+        // two probes ran, one of them a verdict
+        assert_eq!(metrics.counter("sqloop.watchdog.numeric_probes").get(), 2);
+        assert_eq!(metrics.counter("sqloop.watchdog.verdicts").get(), 1);
         // off = free: the same poisoned table passes
-        let off = Watchdog::new(WatchdogConfig::default(), &term_updates());
+        let off = Watchdog::new(
+            WatchdogConfig::default(),
+            &term_updates(),
+            &obs::MetricsRegistry::new(),
+        );
         off.probe_table(conn.as_mut(), "part3", &columns, &types, Some(3), 2)
             .unwrap();
     }

@@ -828,6 +828,7 @@ fn schedule(
         sqloop::Layout::Partitioned(Box::new(plan)),
         sq.config(),
         &trace,
+        &Default::default(),
     );
     let result = result
         .map(|r| {

@@ -14,7 +14,6 @@
 //! operation indices for tests.
 
 use crate::driver::{Connection, Driver};
-use crate::retry::RetryPolicy;
 use sqldb::{DbError, DbResult, EngineProfile, IsolationLevel, StmtOutput, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,23 +253,15 @@ impl ChaosStats {
     }
 
     fn record(&self, kind: FaultKind) {
-        let (counter, name) = match kind {
-            FaultKind::ConnectRefused => (
-                &self.0.connects_refused,
-                "dbcp.chaos.injected.connect_refused",
-            ),
-            FaultKind::StmtError => (&self.0.stmt_errors, "dbcp.chaos.injected.stmt_error"),
-            FaultKind::Latency => (&self.0.latencies, "dbcp.chaos.injected.latency"),
-            FaultKind::Drop => (&self.0.drops, "dbcp.chaos.injected.drop"),
-            FaultKind::StallMs | FaultKind::StallForever => {
-                (&self.0.stalls, "dbcp.chaos.injected.stall")
-            }
-            FaultKind::Panic => (&self.0.panics, "dbcp.chaos.injected.panic"),
+        let counter = match kind {
+            FaultKind::ConnectRefused => &self.0.connects_refused,
+            FaultKind::StmtError => &self.0.stmt_errors,
+            FaultKind::Latency => &self.0.latencies,
+            FaultKind::Drop => &self.0.drops,
+            FaultKind::StallMs | FaultKind::StallForever => &self.0.stalls,
+            FaultKind::Panic => &self.0.panics,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        let reg = obs::global();
-        reg.counter("dbcp.chaos.injected.total").inc();
-        reg.counter(name).inc();
     }
 }
 
@@ -420,8 +411,25 @@ impl Driver for ChaosDriver {
         self.inner.engine_stats()
     }
 
+    /// The wrapped driver's, plus `dbcp.chaos.injected.*` (one series per
+    /// kind, and their total) read off the stats.
     fn engine_metrics(&self) -> Option<obs::RegistrySnapshot> {
-        self.inner.engine_metrics()
+        let s = &self.stats;
+        let kinds = [
+            ("connect_refused", s.connects_refused()),
+            ("stmt_error", s.stmt_errors()),
+            ("latency", s.latencies()),
+            ("drop", s.drops()),
+            ("stall", s.stalls()),
+            ("panic", s.panics()),
+        ];
+        let total = kinds.iter().map(|(_, n)| n).sum();
+        let mut snap = self.inner.engine_metrics().unwrap_or_default();
+        for (kind, n) in kinds.into_iter().chain([("total", total)]) {
+            let name = format!("dbcp.chaos.injected.{kind}");
+            snap.counters.insert(name, n);
+        }
+        Some(snap)
     }
 
     fn memory_used(&self) -> Option<u64> {
@@ -611,22 +619,12 @@ pub fn with_chaos(inner: Arc<dyn Driver>, config: ChaosConfig) -> (Arc<ChaosDriv
     (driver, stats)
 }
 
-/// Opens a connection through `driver` under `policy`, treating injected
-/// refusals like any other transient connect failure.
-///
-/// # Errors
-/// The last connect error once the policy's attempts are exhausted.
-pub fn connect_with_retry(
-    driver: &Arc<dyn Driver>,
-    policy: &RetryPolicy,
-) -> DbResult<Box<dyn Connection>> {
-    policy.run(|_| driver.connect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::driver::LocalDriver;
+    use crate::retry::RetryPolicy;
     use sqldb::{Database, EngineProfile};
 
     fn local() -> Arc<dyn Driver> {
@@ -643,7 +641,11 @@ mod tests {
         let (driver, stats) = with_chaos(local(), config);
         let driver: Arc<dyn Driver> = driver;
         // seeded connect refusals are possible; ride through them
-        let mut conn = connect_with_retry(&driver, &RetryPolicy::new(20, Duration::ZERO)).unwrap();
+        let mut conn = RetryPolicy::new(20, Duration::ZERO)
+            .run_with_cancel(&CancelToken::new(), &obs::MetricsRegistry::new(), |_| {
+                driver.connect()
+            })
+            .unwrap();
         let pattern = (0..n)
             .map(|_| conn.execute("SELECT a FROM t").is_ok())
             .collect();
@@ -814,9 +816,18 @@ mod tests {
         let driver: Arc<dyn Driver> = driver;
         // two refusals, then the budget heals the outage
         let policy = RetryPolicy::new(5, Duration::ZERO);
-        let mut conn = connect_with_retry(&driver, &policy).unwrap();
+        let mut conn = policy
+            .run_with_cancel(&CancelToken::new(), &obs::MetricsRegistry::new(), |_| {
+                driver.connect()
+            })
+            .unwrap();
         assert!(conn.execute("SELECT a FROM t").is_ok());
         assert_eq!(stats.connects_refused(), 2);
+        // the driver's books read the same stats
+        let books = driver.engine_metrics().unwrap();
+        assert_eq!(books.counters["dbcp.chaos.injected.connect_refused"], 2);
+        assert_eq!(books.counters["dbcp.chaos.injected.total"], 2);
+        assert_eq!(books.counters["dbcp.chaos.injected.drop"], 0);
     }
 
     #[test]

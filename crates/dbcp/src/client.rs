@@ -37,6 +37,8 @@ pub struct TcpDriver {
     addr: String,
     profile: EngineProfile,
     timeouts: TcpTimeouts,
+    /// `dbcp.wire.*` of every connection this driver and its clones opened.
+    metrics: Arc<obs::MetricsRegistry>,
 }
 
 impl TcpDriver {
@@ -55,12 +57,13 @@ impl TcpDriver {
     /// # Errors
     /// Returns [`DbError::Connection`] when the server is unreachable.
     pub fn connect_with(addr: &str, timeouts: TcpTimeouts) -> DbResult<TcpDriver> {
-        let mut probe = TcpConnection::open_with(addr, timeouts)?;
-        let profile = probe.fetch_profile()?;
+        let metrics = Arc::new(obs::MetricsRegistry::new());
+        let probe = TcpConnection::open_with(addr, timeouts, &metrics)?;
         Ok(TcpDriver {
             addr: addr.to_owned(),
-            profile,
+            profile: probe.profile,
             timeouts,
+            metrics,
         })
     }
 
@@ -80,11 +83,17 @@ impl Driver for TcpDriver {
         Ok(Box::new(TcpConnection::open_with(
             &self.addr,
             self.timeouts,
+            &self.metrics,
         )?))
     }
 
     fn profile(&self) -> EngineProfile {
         self.profile
+    }
+
+    /// The wire's numbers; the engine's own live with the server.
+    fn engine_metrics(&self) -> Option<obs::RegistrySnapshot> {
+        Some(self.metrics.snapshot())
     }
 }
 
@@ -114,30 +123,27 @@ struct WireMetrics {
 }
 
 impl WireMetrics {
-    fn new() -> WireMetrics {
-        let reg = obs::global();
+    fn new(metrics: &obs::MetricsRegistry) -> WireMetrics {
         WireMetrics {
-            bytes_out: reg.counter("dbcp.wire.bytes_out"),
-            bytes_in: reg.counter("dbcp.wire.bytes_in"),
-            round_trip: reg.histogram("dbcp.wire.round_trip"),
+            bytes_out: metrics.counter("dbcp.wire.bytes_out"),
+            bytes_in: metrics.counter("dbcp.wire.bytes_in"),
+            round_trip: metrics.histogram("dbcp.wire.round_trip"),
         }
     }
 }
 
 impl TcpConnection {
-    /// Opens and handshakes a connection with default timeouts.
+    /// Opens and handshakes a connection with explicit socket timeouts,
+    /// counting its `dbcp.wire.*` series into `metrics` (a [`TcpDriver`]'s
+    /// connections count into the driver's).
     ///
     /// # Errors
     /// Returns [`DbError::Connection`] on network or handshake failure.
-    pub fn open(addr: &str) -> DbResult<TcpConnection> {
-        TcpConnection::open_with(addr, TcpTimeouts::default())
-    }
-
-    /// Opens and handshakes a connection with explicit socket timeouts.
-    ///
-    /// # Errors
-    /// Returns [`DbError::Connection`] on network or handshake failure.
-    pub fn open_with(addr: &str, timeouts: TcpTimeouts) -> DbResult<TcpConnection> {
+    pub fn open_with(
+        addr: &str,
+        timeouts: TcpTimeouts,
+        metrics: &obs::MetricsRegistry,
+    ) -> DbResult<TcpConnection> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| DbError::Connection(format!("connect {addr}: {e}")))?;
         stream
@@ -154,7 +160,7 @@ impl TcpConnection {
             profile: EngineProfile::Postgres,
             broken: false,
             epoch: mint_epoch(),
-            wire: WireMetrics::new(),
+            wire: WireMetrics::new(metrics),
         };
         conn.stream
             .get_mut()
@@ -357,7 +363,8 @@ mod tests {
             read: Some(Duration::from_millis(500)),
             write: Some(Duration::from_millis(500)),
         };
-        let mut conn = TcpConnection::open_with(&addr, timeouts).unwrap();
+        let mut conn =
+            TcpConnection::open_with(&addr, timeouts, &obs::MetricsRegistry::new()).unwrap();
         let started = std::time::Instant::now();
         let err = conn.execute("SELECT 1");
         assert!(
@@ -377,7 +384,8 @@ mod tests {
             read: Some(Duration::from_millis(500)),
             write: Some(Duration::from_millis(500)),
         };
-        let mut conn = TcpConnection::open_with(&addr, timeouts).unwrap();
+        let mut conn =
+            TcpConnection::open_with(&addr, timeouts, &obs::MetricsRegistry::new()).unwrap();
         assert!(conn.execute("SELECT 1").is_err());
         // poisoned: the next call fails immediately, without touching the
         // socket (which could block or desync)
@@ -395,7 +403,8 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().port()
         };
-        let err = TcpConnection::open(&format!("127.0.0.1:{port}"));
+        let addr = format!("127.0.0.1:{port}");
+        let err = TcpConnection::open_with(&addr, TcpTimeouts::default(), &Default::default());
         assert!(matches!(err, Err(DbError::Connection(_))));
     }
 }

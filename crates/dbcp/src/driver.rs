@@ -333,10 +333,10 @@ pub trait Driver: Send + Sync {
         None
     }
 
-    /// A snapshot of the engine's own metrics registry
-    /// ([`Database::metrics`]), when the driver can see the engine
-    /// directly. Remote drivers return `None`; their engine's numbers live
-    /// with the server process.
+    /// What is counted about this driver's engine: the database's own
+    /// registry ([`Database::metrics`]) in process, the driver's
+    /// `dbcp.wire.*` over TCP, plus `dbcp.chaos.injected.*` under chaos.
+    /// `None` when the driver counts nothing.
     fn engine_metrics(&self) -> Option<obs::RegistrySnapshot> {
         None
     }

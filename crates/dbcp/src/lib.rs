@@ -50,8 +50,8 @@ pub mod wire;
 
 pub use cancel::CancelToken;
 pub use chaos::{
-    connect_with_retry, with_chaos, ChaosConfig, ChaosConnection, ChaosDriver, ChaosStats,
-    FaultKind, FaultWeights, ScheduledFault,
+    with_chaos, ChaosConfig, ChaosConnection, ChaosDriver, ChaosStats, FaultKind, FaultWeights,
+    ScheduledFault,
 };
 pub use client::{TcpConnection, TcpDriver, TcpTimeouts};
 pub use driver::{
@@ -115,15 +115,15 @@ mod integration {
         let server = Server::bind(db.clone(), "127.0.0.1:0").unwrap();
         let driver = TcpDriver::connect(&server.addr().to_string()).unwrap();
         let mut c = driver.connect().unwrap();
-        let caught = obs::global().counter("dbcp.server.panics_caught");
-        let before = caught.get();
+        let caught = || db.metrics().counters["dbcp.server.panics_caught"];
+        assert_eq!(caught(), 0);
 
         // the injected panic unwinds inside the handler's per-frame
         // boundary: this client sees a typed, retryable error...
         db.set_panic_probe(Some("t"), 1);
         let err = c.execute("UPDATE t SET v = 2.0");
         assert!(matches!(err, Err(DbError::TxnAborted(_))), "{err:?}");
-        assert_eq!(caught.get() - before, 1);
+        assert_eq!(caught(), 1);
 
         // ...and the SAME connection keeps working: recovery released the
         // locks the panic left held, so the next statement succeeds
@@ -150,7 +150,9 @@ mod integration {
             .map(|w| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let mut c = TcpConnection::open(&addr).unwrap();
+                    let metrics = obs::MetricsRegistry::new();
+                    let mut c =
+                        TcpConnection::open_with(&addr, TcpTimeouts::default(), &metrics).unwrap();
                     for i in 0..25 {
                         c.execute(&format!("INSERT INTO n VALUES ({})", w * 100 + i))
                             .unwrap();

@@ -3,10 +3,9 @@
 //! Shared by the TCP server and the in-process [`LocalConnection`]
 //! (crate::LocalConnection) so both transports answer a metrics command
 //! identically: read commands come back as ordinary result sets, setters
-//! as `Done`. The Prometheus dump stitches the process-wide
-//! [`obs::MetricsRegistry`] together with the engine's own registry, its
-//! statement-digest table and slow-log state, giving one scrape endpoint
-//! for the whole stack.
+//! as `Done`. The Prometheus dump renders the database's own registry (its
+//! server's series among them), its statement-digest table and slow-log
+//! state: one scrape endpoint per database.
 
 use crate::wire::MetricsCmd;
 use sqldb::{Database, DigestEntry, QueryResult, SlowStatement, StmtOutput, Value};
@@ -116,17 +115,13 @@ fn slow_rows(entries: Vec<SlowStatement>) -> StmtOutput {
     })
 }
 
-/// Renders the full Prometheus text scrape for `db`: every series of the
-/// process-wide [`obs::MetricsRegistry`] and of `db`'s own
-/// ([`Database::metrics`]), then the top
-/// [`PROMETHEUS_DIGEST_TOP_K`] statement digests as labelled counter
-/// series, then slow-log gauges. The output passes
-/// [`obs::validate_prometheus_text`] — metric names are legal, digests are
-/// label-escaped, and no series repeats.
+/// Renders the full Prometheus text scrape for `db`: every series of
+/// [`Database::metrics`], then the top [`PROMETHEUS_DIGEST_TOP_K`]
+/// statement digests as labelled counter series, then slow-log gauges.
+/// The output passes [`obs::validate_prometheus_text`] — metric names are
+/// legal, digests are label-escaped, and no series repeats.
 pub fn prometheus_dump(db: &Database) -> String {
-    let mut registry = obs::global().snapshot();
-    registry.extend(db.metrics());
-    let mut out = obs::prometheus_text(&registry);
+    let mut out = obs::prometheus_text(&db.metrics());
     let all = db.digest_stats();
     let families = all.len();
     let top: Vec<DigestEntry> = all.into_iter().take(PROMETHEUS_DIGEST_TOP_K).collect();

@@ -1,5 +1,6 @@
 //! A small blocking connection pool with liveness checking.
 
+use crate::cancel::CancelToken;
 use crate::driver::{Connection, Driver};
 use crate::retry::RetryPolicy;
 use parking_lot::{Condvar, Mutex};
@@ -26,6 +27,8 @@ pub struct Pool {
     available: Condvar,
     capacity: usize,
     connect_retry: RetryPolicy,
+    /// Checkouts, returns, failed probes and connect retries' waits.
+    metrics: obs::MetricsRegistry,
     // metric handles resolved once at construction (see DESIGN.md §10)
     m_get: Arc<obs::Histogram>,
     m_put: Arc<obs::Histogram>,
@@ -65,7 +68,7 @@ impl Pool {
         capacity: usize,
         connect_retry: RetryPolicy,
     ) -> Pool {
-        let reg = obs::global();
+        let metrics = obs::MetricsRegistry::new();
         Pool {
             driver,
             state: Mutex::new(PoolState {
@@ -75,10 +78,16 @@ impl Pool {
             available: Condvar::new(),
             capacity: capacity.max(1),
             connect_retry,
-            m_get: reg.histogram("dbcp.pool.get"),
-            m_put: reg.histogram("dbcp.pool.put"),
-            m_health_failures: reg.counter("dbcp.pool.health_check_failures"),
+            m_get: metrics.histogram("dbcp.pool.get"),
+            m_put: metrics.histogram("dbcp.pool.put"),
+            m_health_failures: metrics.counter("dbcp.pool.health_check_failures"),
+            metrics,
         }
+    }
+
+    /// What this pool counted: `dbcp.pool.*` and `dbcp.retry.*`.
+    pub fn metrics(&self) -> obs::RegistrySnapshot {
+        self.metrics.snapshot()
     }
 
     /// Checks out a live connection, opening one lazily while under
@@ -110,7 +119,8 @@ impl Pool {
             if state.total < self.capacity {
                 state.total += 1;
                 drop(state);
-                match self.connect_retry.run(|_| self.driver.connect()) {
+                let (retry, cancel) = (&self.connect_retry, CancelToken::new());
+                match retry.run_with_cancel(&cancel, &self.metrics, |_| self.driver.connect()) {
                     Ok(conn) => {
                         self.m_get.observe(started.elapsed());
                         return Ok(PooledConnection {
@@ -257,8 +267,10 @@ mod tests {
             assert!(matches!(err, Err(DbError::Connection(_))), "{err:?}");
             assert_eq!(p.open_connections(), 1);
         }
-        // the dead connection was discarded, not pooled
+        // the dead connection was discarded, not pooled, and its failed
+        // probe counted in the pool's own books
         assert_eq!(p.open_connections(), 0);
+        assert_eq!(p.metrics().counters["dbcp.pool.health_check_failures"], 1);
         // and a fresh checkout works (outage healed)
         let mut c = p.get(Duration::from_secs(1)).unwrap();
         assert_eq!(
@@ -323,5 +335,8 @@ mod tests {
             Value::Int(1)
         );
         assert_eq!(stats.connects_refused(), 2);
+        let books = p.metrics();
+        assert_eq!(books.counters["dbcp.retry.backoff_waits"], 2);
+        assert_eq!(books.histograms["dbcp.pool.get"].count, 1);
     }
 }

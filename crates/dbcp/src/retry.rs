@@ -84,18 +84,10 @@ impl RetryPolicy {
     }
 
     /// Runs `op` until it succeeds, fails non-transiently, or the attempt
-    /// budget is exhausted. The closure receives the 0-based attempt index.
-    ///
-    /// # Errors
-    /// The last error when every attempt fails, or the first non-transient
-    /// error.
-    pub fn run<T>(&self, op: impl FnMut(u32) -> DbResult<T>) -> DbResult<T> {
-        self.run_with_cancel(&CancelToken::new(), op)
-    }
-
-    /// Like [`RetryPolicy::run`], but every backoff sleep is interruptible:
-    /// when `cancel` fires mid-wait the pending error is returned
-    /// immediately instead of finishing the sleep and burning further
+    /// budget is exhausted; the closure receives the 0-based attempt index.
+    /// Each backoff wait is counted into the caller's `metrics` and is
+    /// interruptible: when `cancel` fires mid-wait the pending error is
+    /// returned at once instead of finishing the sleep and burning further
     /// attempts. An already-cancelled token still allows the *first*
     /// attempt (callers decide what to do with a cancelled run; this only
     /// stops the policy from waiting on its behalf).
@@ -106,6 +98,7 @@ impl RetryPolicy {
     pub fn run_with_cancel<T>(
         &self,
         cancel: &CancelToken,
+        metrics: &obs::MetricsRegistry,
         mut op: impl FnMut(u32) -> DbResult<T>,
     ) -> DbResult<T> {
         let mut attempt = 0;
@@ -117,9 +110,8 @@ impl RetryPolicy {
                         return Err(e);
                     }
                     let delay = self.delay_for(attempt);
-                    let reg = obs::global();
-                    reg.counter("dbcp.retry.backoff_waits").inc();
-                    reg.histogram("dbcp.retry.backoff_wait").observe(delay);
+                    metrics.counter("dbcp.retry.backoff_waits").inc();
+                    metrics.histogram("dbcp.retry.backoff_wait").observe(delay);
                     if !cancel.sleep(delay) {
                         return Err(e);
                     }
@@ -151,8 +143,9 @@ mod tests {
     #[test]
     fn succeeds_after_transient_failures() {
         let policy = RetryPolicy::new(4, Duration::ZERO);
+        let metrics = obs::MetricsRegistry::new();
         let mut calls = 0;
-        let out = policy.run(|attempt| {
+        let out = policy.run_with_cancel(&CancelToken::new(), &metrics, |attempt| {
             calls += 1;
             if attempt < 2 {
                 Err(DbError::Connection("flaky".into()))
@@ -162,16 +155,20 @@ mod tests {
         });
         assert_eq!(out.unwrap(), 2);
         assert_eq!(calls, 3);
+        // the two waits land in the caller's registry
+        assert_eq!(metrics.counter("dbcp.retry.backoff_waits").get(), 2);
+        assert_eq!(metrics.histogram("dbcp.retry.backoff_wait").count(), 2);
     }
 
     #[test]
     fn gives_up_after_budget() {
         let policy = RetryPolicy::new(3, Duration::ZERO);
         let mut calls = 0;
-        let out: DbResult<()> = policy.run(|_| {
-            calls += 1;
-            Err(DbError::Connection("still down".into()))
-        });
+        let out: DbResult<()> =
+            policy.run_with_cancel(&CancelToken::new(), &obs::MetricsRegistry::new(), |_| {
+                calls += 1;
+                Err(DbError::Connection("still down".into()))
+            });
         assert!(matches!(out, Err(DbError::Connection(_))));
         assert_eq!(calls, 3);
     }
@@ -180,10 +177,11 @@ mod tests {
     fn non_transient_fails_fast() {
         let policy = RetryPolicy::new(5, Duration::ZERO);
         let mut calls = 0;
-        let out: DbResult<()> = policy.run(|_| {
-            calls += 1;
-            Err(DbError::Parse("syntax".into()))
-        });
+        let out: DbResult<()> =
+            policy.run_with_cancel(&CancelToken::new(), &obs::MetricsRegistry::new(), |_| {
+                calls += 1;
+                Err(DbError::Parse("syntax".into()))
+            });
         assert!(matches!(out, Err(DbError::Parse(_))));
         assert_eq!(calls, 1);
     }
@@ -205,10 +203,11 @@ mod tests {
         });
         let started = Instant::now();
         let mut calls = 0;
-        let out: DbResult<()> = policy.run_with_cancel(&cancel, |_| {
-            calls += 1;
-            Err(DbError::Connection("down".into()))
-        });
+        let out: DbResult<()> =
+            policy.run_with_cancel(&cancel, &obs::MetricsRegistry::new(), |_| {
+                calls += 1;
+                Err(DbError::Connection("down".into()))
+            });
         h.join().unwrap();
         assert!(matches!(out, Err(DbError::Connection(_))));
         assert!(

@@ -81,19 +81,22 @@ struct Governor {
     shed: Arc<obs::Counter>,
     open_gauge: Arc<obs::Gauge>,
     in_flight_gauge: Arc<obs::Gauge>,
+    panics_caught: Arc<obs::Counter>,
+    drain_abandoned: Arc<obs::Counter>,
 }
 
 impl Governor {
-    fn new(cfg: ServerConfig) -> Governor {
-        let reg = obs::global();
+    fn new(cfg: ServerConfig, metrics: &obs::MetricsRegistry) -> Governor {
         Governor {
             cfg,
             conns: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
-            rejected: reg.counter("dbcp.server.admission_rejected"),
-            shed: reg.counter("dbcp.server.statements_shed"),
-            open_gauge: reg.gauge("dbcp.server.open_connections"),
-            in_flight_gauge: reg.gauge("dbcp.server.in_flight_statements"),
+            rejected: metrics.counter("dbcp.server.admission_rejected"),
+            shed: metrics.counter("dbcp.server.statements_shed"),
+            open_gauge: metrics.gauge("dbcp.server.open_connections"),
+            in_flight_gauge: metrics.gauge("dbcp.server.in_flight_statements"),
+            panics_caught: metrics.counter("dbcp.server.panics_caught"),
+            drain_abandoned: metrics.counter("dbcp.server.drain_abandoned"),
         }
     }
 
@@ -204,7 +207,8 @@ impl Server {
         let drain_flag = draining.clone();
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let registry = handlers.clone();
-        let governor = Arc::new(Governor::new(cfg));
+        // the server's series are the served database's
+        let governor = Arc::new(Governor::new(cfg, db.registry()));
         let gov = governor.clone();
         let accept_thread = std::thread::Builder::new()
             .name("dbcp-accept".into())
@@ -276,8 +280,8 @@ impl Server {
                 // abandon the stragglers: they hold only a session that
                 // rolls back on drop, and counting them makes the abandon
                 // visible to operators
-                obs::global()
-                    .counter("dbcp.server.drain_abandoned")
+                self.governor
+                    .drain_abandoned
                     .add(still_running.len() as u64);
                 break;
             }
@@ -489,7 +493,7 @@ fn serve_client(
         }))
         .unwrap_or_else(|payload| {
             session.recover_after_panic();
-            obs::global().counter("dbcp.server.panics_caught").inc();
+            gov.panics_caught.inc();
             let detail = payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_string())
@@ -612,10 +616,13 @@ mod tests {
 
     #[test]
     fn panicking_client_thread_releases_its_connection_slot() {
-        let gov = Arc::new(Governor::new(ServerConfig {
-            max_connections: 1,
-            ..ServerConfig::default()
-        }));
+        let gov = Arc::new(Governor::new(
+            ServerConfig {
+                max_connections: 1,
+                ..ServerConfig::default()
+            },
+            &obs::MetricsRegistry::new(),
+        ));
         let guard = gov.try_admit().expect("first admission");
         assert!(gov.try_admit().is_none(), "server is full");
         let handle = std::thread::Builder::new()
@@ -634,10 +641,13 @@ mod tests {
 
     #[test]
     fn shed_statements_release_their_slot_and_count() {
-        let gov = Arc::new(Governor::new(ServerConfig {
-            shed_high_water: 1,
-            ..ServerConfig::default()
-        }));
+        let gov = Arc::new(Governor::new(
+            ServerConfig {
+                shed_high_water: 1,
+                ..ServerConfig::default()
+            },
+            &obs::MetricsRegistry::new(),
+        ));
         let held = gov.start_statement().expect("first statement");
         let err = gov.start_statement();
         assert!(

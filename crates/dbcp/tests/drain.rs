@@ -5,12 +5,7 @@
 
 use dbcp::{Driver, Server, ServerConfig, TcpDriver};
 use sqldb::{Database, EngineProfile};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// These tests assert on process-global obs counters and gauges, so they
-/// must not interleave with each other.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Polls `cond` for up to five seconds.
 fn eventually(mut cond: impl FnMut() -> bool) -> bool {
@@ -24,21 +19,19 @@ fn eventually(mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
-fn in_flight() -> i64 {
-    obs::global()
-        .gauge("dbcp.server.in_flight_statements")
-        .get()
+/// The served database's books hold its server's series.
+fn in_flight(db: &Database) -> i64 {
+    db.metrics().gauges["dbcp.server.in_flight_statements"]
 }
 
-fn abandoned() -> u64 {
-    obs::global().counter("dbcp.server.drain_abandoned").get()
+fn abandoned(db: &Database) -> u64 {
+    db.metrics().counters["dbcp.server.drain_abandoned"]
 }
 
 #[test]
 fn shutdown_waits_for_inflight_statement_and_flushes_its_response() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let db = Database::new(EngineProfile::Postgres);
-    let server = Server::bind_with(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = Server::bind_with(db.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let driver = TcpDriver::connect(&server.addr().to_string()).unwrap();
 
     let mut setup = driver.connect().unwrap();
@@ -57,22 +50,21 @@ fn shutdown_waits_for_inflight_statement_and_flushes_its_response() {
         })
     };
     assert!(
-        eventually(|| in_flight() >= 1 || writer.is_finished()),
+        eventually(|| in_flight(&db) >= 1 || writer.is_finished()),
         "batch never reached the server"
     );
 
-    let abandoned_before = abandoned();
     server.shutdown();
 
     // the drain must have carried the batch to completion and flushed the
-    // BatchResults response before the handler thread was joined
+    // pipeline's response before the handler thread was joined
     let result = writer.join().unwrap();
     assert!(
         result.is_ok(),
         "in-flight batch must complete through the drain, got {result:?}"
     );
     assert_eq!(
-        abandoned() - abandoned_before,
+        abandoned(&db),
         0,
         "nothing should be abandoned when work fits the drain budget"
     );
@@ -80,7 +72,6 @@ fn shutdown_waits_for_inflight_statement_and_flushes_its_response() {
 
 #[test]
 fn shutdown_closes_idle_connections_without_burning_the_drain_budget() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let db = Database::new(EngineProfile::Postgres);
     let cfg = ServerConfig {
         drain_timeout: Duration::from_secs(30),
@@ -108,14 +99,13 @@ fn shutdown_closes_idle_connections_without_burning_the_drain_budget() {
 
 #[test]
 fn drain_deadline_abandons_a_stuck_handler_and_counts_it() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let db = Database::new(EngineProfile::Postgres);
     let cfg = ServerConfig {
         // far smaller than the batch below needs
         drain_timeout: Duration::from_millis(10),
         ..ServerConfig::default()
     };
-    let server = Server::bind_with(db, "127.0.0.1:0", cfg).unwrap();
+    let server = Server::bind_with(db.clone(), "127.0.0.1:0", cfg).unwrap();
     let driver = TcpDriver::connect(&server.addr().to_string()).unwrap();
 
     let mut setup = driver.connect().unwrap();
@@ -135,11 +125,10 @@ fn drain_deadline_abandons_a_stuck_handler_and_counts_it() {
         })
     };
     assert!(
-        eventually(|| in_flight() >= 1 || writer.is_finished()),
+        eventually(|| in_flight(&db) >= 1 || writer.is_finished()),
         "batch never reached the server"
     );
 
-    let abandoned_before = abandoned();
     let started = Instant::now();
     server.shutdown();
     let waited = started.elapsed();
@@ -150,9 +139,9 @@ fn drain_deadline_abandons_a_stuck_handler_and_counts_it() {
         waited < Duration::from_secs(20),
         "shutdown must respect its 10 ms drain deadline, waited {waited:?}"
     );
-    if abandoned() > abandoned_before {
+    if abandoned(&db) > 0 {
         // the stuck handler was visibly given up on, not silently dropped
-        assert!(abandoned() - abandoned_before >= 1);
+        assert!(abandoned(&db) >= 1);
     }
     let _ = writer.join();
 }

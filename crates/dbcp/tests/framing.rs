@@ -198,7 +198,7 @@ fn the_client_refuses_a_response_longer_than_max_frame() {
         read: Some(Duration::from_secs(5)),
         write: Some(Duration::from_secs(5)),
     };
-    let err = TcpConnection::open_with(&addr, timeouts);
+    let err = TcpConnection::open_with(&addr, timeouts, &obs::MetricsRegistry::new());
     match err {
         Err(DbError::Connection(m)) => assert!(m.contains("too large"), "{m}"),
         other => panic!("expected a connection error, got {other:?}"),

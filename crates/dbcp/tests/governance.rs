@@ -2,7 +2,7 @@
 //! concurrent load, statement shedding with client-side retry, and the
 //! server-wide statement timeout — all over the real wire protocol.
 
-use dbcp::{is_transient, Driver, RetryPolicy, Server, ServerConfig, TcpDriver};
+use dbcp::{is_transient, CancelToken, Driver, RetryPolicy, Server, ServerConfig, TcpDriver};
 use sqldb::{Database, DbError, EngineProfile, Value};
 use std::time::{Duration, Instant};
 
@@ -131,13 +131,17 @@ fn load_shed_statements_are_retryable_and_work_completes() {
         std::thread::spawn(move || {
             let mut c = driver.connect().unwrap();
             let mut shed = Vec::new();
+            let metrics = obs::MetricsRegistry::new();
             policy
-                .run(|_| {
+                .run_with_cancel(&CancelToken::new(), &metrics, |_| {
                     let result = c.execute_batch(&batch);
                     shed.extend(result.as_ref().err().cloned());
                     result
                 })
                 .unwrap();
+            // one backoff wait after each shed attempt, in this caller's books
+            let waits = metrics.counter("dbcp.retry.backoff_waits").get();
+            assert_eq!(waits, shed.len() as u64);
             shed
         })
     };
@@ -161,7 +165,9 @@ fn load_shed_statements_are_retryable_and_work_completes() {
 
     // with the load gone the work is complete: every row exactly once
     let count = policy
-        .run(|_| reader.query("SELECT COUNT(*) FROM s"))
+        .run_with_cancel(&CancelToken::new(), &obs::MetricsRegistry::new(), |_| {
+            reader.query("SELECT COUNT(*) FROM s")
+        })
         .unwrap();
     assert_eq!(count.rows[0][0], Value::Int(20_000));
 

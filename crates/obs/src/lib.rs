@@ -1,5 +1,5 @@
 //! Observability for the SQLoop reproduction: lock-free metrics
-//! (counters/gauges/latency histograms behind a process-wide registry) and
+//! (counters/gauges/latency histograms behind a registry per owner) and
 //! per-run tracing (Compute/Gather/iteration spans plus retry/reconnect/
 //! downgrade events) with text-timeline and JSON exporters.
 //!

@@ -127,6 +127,15 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Adds `snap`'s observations.
+    pub fn absorb(&self, snap: &HistogramSnapshot) {
+        for (bucket, n) in self.buckets.iter().zip(snap.buckets) {
+            bucket.fetch_add(n, Ordering::Relaxed);
+        }
+        self.count.fetch_add(snap.count, Ordering::Relaxed);
+        self.total_us.fetch_add(snap.total_us, Ordering::Relaxed);
+    }
+
     /// Copies the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -274,6 +283,20 @@ impl MetricsRegistry {
             .clone()
     }
 
+    /// Adds `snap` to the series of the same names: counters and
+    /// histograms add up, gauges take `snap`'s level.
+    pub fn absorb(&self, snap: &RegistrySnapshot) {
+        for (name, v) in &snap.counters {
+            self.counter(name).add(*v);
+        }
+        for (name, v) in &snap.gauges {
+            self.gauge(name).set(*v);
+        }
+        for (name, h) in &snap.histograms {
+            self.histogram(name).absorb(h);
+        }
+    }
+
     /// Copies every metric into an ordered snapshot.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let t = self.tables.read();
@@ -338,8 +361,8 @@ impl RegistrySnapshot {
         }
     }
 
-    /// Adds `other`'s series, e.g. one engine's registry beside the
-    /// process's; a name in both keeps `other`'s value.
+    /// Adds `other`'s series, e.g. an engine's registry beside a run's; a
+    /// name in both keeps `other`'s value.
     pub fn extend(&mut self, other: RegistrySnapshot) {
         self.counters.extend(other.counters);
         self.gauges.extend(other.gauges);
@@ -354,9 +377,10 @@ impl RegistrySnapshot {
     }
 }
 
-/// The process-wide registry that the middleware layers (dbcp, the
-/// scheduler, the sampler) record into; each engine keeps its own. Per-run
-/// deltas come from [`RegistrySnapshot::delta_since`].
+/// A process-wide registry. The library layers never record into it: each
+/// count belongs to the registry of its owner (a run, a database, a pool, a
+/// TCP driver), so a program that wants one process-wide sum keeps it here
+/// itself.
 ///
 /// # Examples
 /// ```
@@ -527,6 +551,24 @@ mod tests {
             snap.histograms["hammer.lat"].count,
             THREADS as u64 * PER_THREAD.div_ceil(64)
         );
+    }
+
+    #[test]
+    fn absorb_adds_counts_and_takes_levels() {
+        let run = MetricsRegistry::new();
+        run.counter("c").add(3);
+        run.gauge("g").set(7);
+        run.histogram("h").observe(Duration::from_micros(5));
+        let total = MetricsRegistry::new();
+        total.gauge("g").set(1);
+        total.absorb(&run.snapshot());
+        total.absorb(&run.snapshot());
+        let snap = total.snapshot();
+        assert_eq!(snap.counters["c"], 6);
+        assert_eq!(snap.gauges["g"], 7);
+        assert_eq!(snap.histograms["h"].count, 2);
+        assert_eq!(snap.histograms["h"].total_us, 10);
+        assert_eq!(snap.histograms["h"].buckets[3], 2);
     }
 
     #[test]

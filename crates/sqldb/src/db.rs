@@ -161,10 +161,16 @@ impl Database {
         self.shared.plan_cache.stats()
     }
 
+    /// The registry this database counts into, for the server that serves
+    /// it to count its own `dbcp.server.*` series beside the engine's.
+    pub fn registry(&self) -> &obs::MetricsRegistry {
+        &self.shared.stats.metrics.registry
+    }
+
     /// Everything this database counts, as one registry snapshot: its
-    /// statement histograms, `sqloop.exec.*` and `sqldb.op.*`, plus
-    /// `sqldb.plan_cache.*` and `sqldb.mem.*` read from the plan cache and
-    /// the memory budget.
+    /// statement histograms, `sqloop.exec.*`, `sqldb.op.*`, its server's
+    /// `dbcp.server.*`, plus `sqldb.plan_cache.*` and `sqldb.mem.*` read
+    /// from the plan cache and the memory budget.
     pub fn metrics(&self) -> obs::RegistrySnapshot {
         let mut snap = self.shared.stats.metrics.registry.snapshot();
         let cache = self.shared.plan_cache.stats();

@@ -114,15 +114,12 @@ fn network_and_storage_faults_compose_and_still_reach_the_oracle() {
         let ckpt_cfg = CheckpointConfig::new(&dir);
         let bad_path = Checkpointer::with_io(ckpt_cfg, io)
             .unwrap()
-            .save(&poisoned)
+            .save(&poisoned, &obs::MetricsRegistry::new())
             .unwrap();
         let bad_name = bad_path.file_name().unwrap().to_string_lossy().into_owned();
 
         // phase 3: resume under a *different* seeded storm; fallback must
         // quarantine the corrupt generation and converge from the prior one
-        let reg = obs::global();
-        let fallback_before = reg.counter("sqloop.ckpt.fallback_loads").get();
-        let corrupt_before = reg.counter("sqloop.ckpt.corrupt_detected").get();
         let (driver, resume_stats) = with_chaos(fresh_driver(&graph), storm(800 + i as u64, 0.06));
         let mut config = durable(mode, &dir);
         config.resume_from = Some(dir.clone());
@@ -144,12 +141,13 @@ fn network_and_storage_faults_compose_and_still_reach_the_oracle() {
                 None => assert!(d.is_infinite(), "{mode}: node {node} unreachable, got {d}"),
             }
         }
-        assert!(
-            reg.counter("sqloop.ckpt.corrupt_detected").get() > corrupt_before,
+        let counters = &report.metrics.counters;
+        assert_eq!(
+            counters["sqloop.ckpt.corrupt_detected"], 1,
             "{mode}: the bit flip must be detected"
         );
-        assert!(
-            reg.counter("sqloop.ckpt.fallback_loads").get() > fallback_before,
+        assert_eq!(
+            counters["sqloop.ckpt.fallback_loads"], 1,
             "{mode}: converging from the prior generation is a fallback load"
         );
         assert!(

@@ -14,8 +14,8 @@ use dbcp::Driver;
 use sqldb::Database;
 use sqloop::checkpoint::load_latest;
 use sqloop::{
-    CheckpointConfig, Checkpointer, ExecutionMode, LoopSnapshot, PrioritySpec, SQLoop,
-    SqloopConfig, SqloopError, StorageFault, TornFs,
+    CheckpointConfig, Checkpointer, ExecutionMode, ExecutionReport, LoopSnapshot, PrioritySpec,
+    SQLoop, SqloopConfig, SqloopError, StorageFault, TornFs,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -129,24 +129,28 @@ fn replay_save(
         interval: 1,
         keep_last,
     };
-    Checkpointer::new(cfg.clone()).unwrap().save(old).unwrap();
+    let metrics = obs::MetricsRegistry::new();
+    Checkpointer::new(cfg.clone())
+        .unwrap()
+        .save(old, &metrics)
+        .unwrap();
     let io = Arc::new(TornFs::new(dir, fault));
     let mut ck = Checkpointer::with_io(cfg, io.clone()).unwrap();
-    let outcome = ck.save(new);
+    let outcome = ck.save(new, &metrics);
     (io, outcome)
 }
 
 /// Phase B: resume from whatever the crash left in `dir` on a fresh
 /// database. The only acceptable outcomes are the oracle fixpoint or a
-/// typed `Checkpoint` error; anything else is a wrong answer. Returns
-/// whether the resume succeeded.
+/// typed `Checkpoint` error; anything else is a wrong answer. Returns the
+/// report of a resume that succeeded.
 fn resume_never_wrong(
     mode: ExecutionMode,
     dir: &Path,
     graph: &graphgen::Graph,
     oracle: &std::collections::HashMap<u64, f64>,
     label: &str,
-) -> bool {
+) -> Option<ExecutionReport> {
     let mut config = config_for(mode, dir);
     config.resume_from = Some(dir.to_path_buf());
     match SQLoop::new(fresh_driver(graph))
@@ -160,9 +164,9 @@ fn resume_never_wrong(
                 "{label}: wrong row count"
             );
             assert_sssp_matches(&report.result.rows, oracle, label);
-            true
+            Some(report)
         }
-        Err(SqloopError::Checkpoint(_)) => false,
+        Err(SqloopError::Checkpoint(_)) => None,
         Err(other) => panic!("{label}: resume must fail typed, got {other}"),
     }
 }
@@ -205,7 +209,7 @@ fn crash_matrix_for(mode: ExecutionMode) {
             io.crash();
         }
         let label = format!("{mode} power cut before op {op}/{total_ops}");
-        if resume_never_wrong(mode, &dir, &graph, &oracle, &label) {
+        if resume_never_wrong(mode, &dir, &graph, &oracle, &label).is_some() {
             resumed_ok += 1;
         } else {
             panic!("{label}: the prior generation was durable, resume must succeed");
@@ -249,7 +253,7 @@ fn crash_matrix_for(mode: ExecutionMode) {
         }
         let label = format!("{mode} {what}");
         assert!(
-            resume_never_wrong(mode, &dir, &graph, &oracle, &label),
+            resume_never_wrong(mode, &dir, &graph, &oracle, &label).is_some(),
             "{label}: a durable prior generation existed, resume must succeed"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -263,21 +267,20 @@ fn crash_matrix_for(mode: ExecutionMode) {
     let manifest = dir.join("MANIFEST.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
     std::fs::write(&manifest, &text[..text.len() / 3]).unwrap();
-    let fallback_before = obs::global().counter("sqloop.ckpt.fallback_loads").get();
-    assert!(
-        resume_never_wrong(
-            mode,
-            &dir,
-            &graph,
-            &oracle,
-            &format!("{mode} torn manifest")
-        ),
-        "{mode}: valid orphaned snapshots must carry a torn-manifest resume"
-    );
-    assert!(
-        obs::global().counter("sqloop.ckpt.fallback_loads").get() > fallback_before,
-        "{mode}: a torn-manifest recovery is a fallback load"
-    );
+    let report = resume_never_wrong(
+        mode,
+        &dir,
+        &graph,
+        &oracle,
+        &format!("{mode} torn manifest"),
+    )
+    .expect("valid orphaned snapshots must carry a torn-manifest resume");
+    // one resume, which the torn manifest made a fallback load of an
+    // intact orphan
+    let counters = &report.metrics.counters;
+    assert_eq!(counters["sqloop.checkpoint.resumes"], 1, "{mode}");
+    assert_eq!(counters["sqloop.ckpt.fallback_loads"], 1, "{mode}");
+    assert_eq!(counters["sqloop.ckpt.corrupt_detected"], 0, "{mode}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -325,10 +328,6 @@ fn corrupt_newest_generation_falls_back_quarantines_and_counts() {
     let new_path = outcome.unwrap();
     let new_name = new_path.file_name().unwrap().to_string_lossy().into_owned();
 
-    let reg = obs::global();
-    let corrupt_before = reg.counter("sqloop.ckpt.corrupt_detected").get();
-    let fallback_before = reg.counter("sqloop.ckpt.fallback_loads").get();
-
     let mut config = config_for(mode, &dir);
     config.resume_from = Some(dir.clone());
     let report = SQLoop::new(fresh_driver(&graph))
@@ -338,14 +337,16 @@ fn corrupt_newest_generation_falls_back_quarantines_and_counts() {
     assert_sssp_matches(&report.result.rows, &oracle, "bit-flip fallback resume");
 
     // the story is told: counters, quarantine file, and the report note
-    assert!(
-        reg.counter("sqloop.ckpt.corrupt_detected").get() > corrupt_before,
+    let counters = &report.metrics.counters;
+    assert_eq!(
+        counters["sqloop.ckpt.corrupt_detected"], 1,
         "the flipped snapshot must be detected as corrupt"
     );
-    assert!(
-        reg.counter("sqloop.ckpt.fallback_loads").get() > fallback_before,
+    assert_eq!(
+        counters["sqloop.ckpt.fallback_loads"], 1,
         "loading the older generation is a fallback load"
     );
+    assert_eq!(counters["sqloop.checkpoint.resumes"], 1);
     assert!(
         dir.join(format!("{new_name}.corrupt")).is_file(),
         "the corrupt newest snapshot must be quarantined to .corrupt"
@@ -387,7 +388,7 @@ fn all_generations_corrupt_is_a_typed_error() {
     outcome.unwrap();
 
     assert!(
-        !resume_never_wrong(mode, &dir, &graph, &oracle, "all-corrupt resume"),
+        resume_never_wrong(mode, &dir, &graph, &oracle, "all-corrupt resume").is_none(),
         "no valid generation exists: resume must fail typed, not answer"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,7 +8,7 @@ use dbcp::{with_chaos, ChaosConfig, Connection, Driver, FaultWeights, LocalDrive
 use obs::{EventKind, SpanKind, SpanOutcome, TraceData};
 use sqldb::{Database, DbResult, EngineProfile, IsolationLevel, StmtOutput, Value};
 use sqloop::{ExecutionMode, PrioritySpec, SQLoop, SqloopConfig, Strategy, TraceConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -467,8 +467,8 @@ struct CacheRun {
 }
 
 /// PageRank for `rounds` rounds on a fresh database with one worker. The
-/// counts come from that database, never from `obs::global()`, which the
-/// other tests in this file write to concurrently.
+/// counts come from that database, which no other test in this file
+/// touches.
 fn cache_run(
     graph: &graphgen::Graph,
     mode: ExecutionMode,
@@ -720,4 +720,142 @@ fn sampled_memory_is_the_run_databases_own() {
         "samples {mem:?} exceed the run database's peak {}",
         db.memory_peak()
     );
+}
+
+/// Holds statements issued on the scheduler's worker threads until `open`
+/// is set; `waiting` counts the statements that had to wait.
+#[derive(Default)]
+struct Hold {
+    open: AtomicBool,
+    waiting: AtomicUsize,
+}
+
+impl Hold {
+    fn pass(&self) {
+        let worker = std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("sqloop-worker"));
+        if worker && !self.open.load(Ordering::SeqCst) {
+            self.waiting.fetch_add(1, Ordering::SeqCst);
+            while !self.open.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+}
+
+struct HeldConnection(Box<dyn Connection>, Arc<Hold>);
+
+impl Connection for HeldConnection {
+    fn execute(&mut self, sql: &str) -> DbResult<StmtOutput> {
+        self.1.pass();
+        self.0.execute(sql)
+    }
+
+    fn begin(&mut self) -> DbResult<()> {
+        self.0.begin()
+    }
+
+    fn commit(&mut self) -> DbResult<()> {
+        self.0.commit()
+    }
+
+    fn rollback(&mut self) -> DbResult<()> {
+        self.0.rollback()
+    }
+
+    fn set_isolation(&mut self, level: IsolationLevel) -> DbResult<()> {
+        self.0.set_isolation(level)
+    }
+
+    fn profile(&self) -> EngineProfile {
+        self.0.profile()
+    }
+}
+
+/// A [`LocalDriver`] whose connections hold worker statements.
+struct HeldDriver(LocalDriver, Arc<Hold>);
+
+impl Driver for HeldDriver {
+    fn connect(&self) -> DbResult<Box<dyn Connection>> {
+        Ok(Box::new(HeldConnection(self.0.connect()?, self.1.clone())))
+    }
+
+    fn profile(&self) -> EngineProfile {
+        self.0.profile()
+    }
+
+    fn engine_metrics(&self) -> Option<obs::RegistrySnapshot> {
+        self.0.engine_metrics()
+    }
+
+    fn memory_used(&self) -> Option<u64> {
+        self.0.memory_used()
+    }
+}
+
+#[test]
+fn two_runs_keep_disjoint_books() {
+    let sampled = |config: SqloopConfig| SqloopConfig {
+        sample_interval: Some(Duration::from_millis(1)),
+        progress_query: Some("SELECT SUM(rank) FROM {}".into()),
+        ..config
+    };
+    let hold = Arc::new(Hold::default());
+    let local_b = LocalDriver::new(Database::new(EngineProfile::Postgres));
+    let graph_b = graphgen::web_graph(40, 3, 2);
+    workloads::load_edges(local_b.connect().unwrap().as_mut(), &graph_b).unwrap();
+    let driver_b: Arc<dyn Driver> = Arc::new(HeldDriver(local_b, hold.clone()));
+    let driver_a = loaded_driver(&graphgen::web_graph(80, 3, 7));
+    let dir = sqloop_tests::scratch_dir("sqloop-books", "a");
+
+    let (a, b) = std::thread::scope(|scope| {
+        // B: a clean traced run, started first and held at its workers'
+        // first statements until A is over
+        let b = scope.spawn(|| {
+            SQLoop::new(driver_b)
+                .with_config(sampled(traced(ExecutionMode::Sync)))
+                .execute_detailed(&workloads::queries::pagerank(4))
+        });
+        while hold.waiting.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A: checkpoints every round, all of it while B is under way
+        let a = SQLoop::new(driver_a)
+            .with_config(SqloopConfig {
+                checkpoint: Some(sqloop::CheckpointConfig::new(&dir).every(1)),
+                ..sampled(traced(ExecutionMode::Sync))
+            })
+            .execute_detailed(&workloads::queries::pagerank(4));
+        hold.open.store(true, Ordering::SeqCst);
+        (a.unwrap(), b.join().unwrap().unwrap())
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A's report carries exactly its own checkpoint writes: one after each
+    // round but the last, which ends the loop instead
+    let writes = a.metrics.counters["sqloop.checkpoint.writes"];
+    assert_eq!(writes, a.iterations - 1, "one write per round");
+    assert_eq!(a.metrics.counters["sqloop.ckpt.fsyncs"], 4 * writes);
+    let latency = &a.metrics.histograms["sqloop.checkpoint.write_latency"];
+    assert_eq!(latency.count, writes);
+    // B checkpointed nothing, and none of A's counts reached it
+    let b_names = b.metrics.counters.keys().chain(b.metrics.histograms.keys());
+    let leaked: Vec<&String> = b_names
+        .filter(|n| n.starts_with("sqloop.checkpoint.") || n.starts_with("sqloop.ckpt."))
+        .collect();
+    assert!(
+        leaked.is_empty(),
+        "A's checkpoint series in B's books: {leaked:?}"
+    );
+    // each run's peak is the largest memory reading among its own samples
+    for (name, report) in [("A", &a), ("B", &b)] {
+        let largest = report.samples.iter().filter_map(|s| s.mem_bytes).max();
+        assert!(
+            largest.is_some(),
+            "{name}: no sample read the engine's memory"
+        );
+        let peak = report.metrics.gauges["sqloop.mem.peak_bytes"];
+        assert_eq!(Some(peak as u64), largest, "{name}");
+    }
 }

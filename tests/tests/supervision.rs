@@ -11,21 +11,18 @@ use dbcp::{
 };
 use sqldb::{Database, EngineProfile, Value};
 use sqloop::{ExecutionMode, PrioritySpec, SQLoop, SqloopConfig, SqloopError, Strategy};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// The `sqloop.supervisor.*` counters live in the process-global metrics
-/// registry, and the test harness runs this file's tests on parallel
-/// threads — exact delta assertions need the file serialized.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> MutexGuard<'static, ()> {
-    GATE.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn counter(name: &str) -> Arc<obs::Counter> {
-    obs::global().counter(name)
+/// `(stalls_detected, worker_replacements, panics_caught)`: a run's
+/// `sqloop.supervisor.*` series, as its report or its instance books them.
+fn supervision(metrics: &obs::RegistrySnapshot) -> (u64, u64, u64) {
+    let c = |name: &str| metrics.counters[&format!("sqloop.supervisor.{name}")];
+    (
+        c("stalls_detected"),
+        c("worker_replacements"),
+        c("panics_caught"),
+    )
 }
 
 /// Loads `graph` into a fresh engine over a clean connection, then wraps
@@ -126,22 +123,13 @@ fn assert_sssp_fixpoint(
 /// with `supervisor.*` metrics matching the injection counts exactly.
 #[test]
 fn stalled_worker_is_replaced_and_the_run_reaches_the_oracle() {
-    let _gate = gate();
     let graph = graphgen::web_graph(60, 3, 5);
     let oracle = workloads::oracle::sssp(&graph, 0);
-    let stalls_detected = counter("sqloop.supervisor.stalls_detected");
-    let replacements = counter("sqloop.supervisor.worker_replacements");
-    let panics_caught = counter("sqloop.supervisor.panics_caught");
     for mode in [
         ExecutionMode::Sync,
         ExecutionMode::Async,
         ExecutionMode::AsyncPrio,
     ] {
-        let (stalls0, repl0, panics0) = (
-            stalls_detected.get(),
-            replacements.get(),
-            panics_caught.get(),
-        );
         let (driver, stats) = chaotic_driver(&graph, stall_band(90, 150));
         let report = SQLoop::new(driver)
             .with_config(supervised(mode))
@@ -165,9 +153,7 @@ fn stalled_worker_is_replaced_and_the_run_reaches_the_oracle() {
             report.recovery
         );
         assert!(!report.recovery.downgraded, "{mode}");
-        assert_eq!(stalls_detected.get() - stalls0, 1, "{mode}");
-        assert_eq!(replacements.get() - repl0, 1, "{mode}");
-        assert_eq!(panics_caught.get() - panics0, 0, "{mode}");
+        assert_eq!(supervision(&report.metrics), (1, 1, 0), "{mode}");
         assert_sssp_fixpoint(mode, &report.result.rows, &oracle);
         // the rendered form the CLI prints
         let text = report.recovery.to_string();
@@ -187,12 +173,8 @@ fn stalled_worker_is_replaced_and_the_run_reaches_the_oracle() {
 /// needed and the run stays parallel all the way to the oracle fixpoint.
 #[test]
 fn worker_panics_are_caught_and_replayed_to_the_oracle_fixpoint() {
-    let _gate = gate();
     let graph = graphgen::web_graph(60, 3, 5);
     let oracle = workloads::oracle::sssp(&graph, 0);
-    let stalls_detected = counter("sqloop.supervisor.stalls_detected");
-    let replacements = counter("sqloop.supervisor.worker_replacements");
-    let panics_caught = counter("sqloop.supervisor.panics_caught");
     for (i, mode) in [
         ExecutionMode::Sync,
         ExecutionMode::Async,
@@ -201,8 +183,6 @@ fn worker_panics_are_caught_and_replayed_to_the_oracle_fixpoint() {
     .into_iter()
     .enumerate()
     {
-        let panics0 = panics_caught.get();
-        let (stalls0, repl0) = (stalls_detected.get(), replacements.get());
         // every worker statement would panic, but the two-fault budget
         // heals the outage after two hits — each caught and replayed
         let (driver, stats) = chaotic_driver(
@@ -238,9 +218,7 @@ fn worker_panics_are_caught_and_replayed_to_the_oracle_fixpoint() {
             "{mode}: a surviving worker must not be replaced: {:?}",
             report.recovery
         );
-        assert_eq!(panics_caught.get() - panics0, 2, "{mode}");
-        assert_eq!(stalls_detected.get() - stalls0, 0, "{mode}");
-        assert_eq!(replacements.get() - repl0, 0, "{mode}");
+        assert_eq!(supervision(&report.metrics), (0, 0, 2), "{mode}");
         assert_sssp_fixpoint(mode, &report.result.rows, &oracle);
         assert!(report.recovery.to_string().contains("panic"));
     }
@@ -252,12 +230,8 @@ fn worker_panics_are_caught_and_replayed_to_the_oracle_fixpoint() {
 /// 300ms verdict threshold.
 #[test]
 fn brief_stalls_below_the_timeout_are_not_remediated() {
-    let _gate = gate();
     let graph = graphgen::web_graph(60, 3, 5);
     let oracle = workloads::oracle::sssp(&graph, 0);
-    let stalls_detected = counter("sqloop.supervisor.stalls_detected");
-    let replacements = counter("sqloop.supervisor.worker_replacements");
-    let (stalls0, repl0) = (stalls_detected.get(), replacements.get());
     let (driver, stats) = chaotic_driver(
         &graph,
         ChaosConfig {
@@ -279,8 +253,7 @@ fn brief_stalls_below_the_timeout_are_not_remediated() {
         report.recovery
     );
     assert_eq!(report.recovery.task_failures, 0, "{:?}", report.recovery);
-    assert_eq!(stalls_detected.get() - stalls0, 0);
-    assert_eq!(replacements.get() - repl0, 0);
+    assert_eq!(supervision(&report.metrics), (0, 0, 0));
     assert_sssp_fixpoint(ExecutionMode::Sync, &report.result.rows, &oracle);
 }
 
@@ -290,7 +263,6 @@ fn brief_stalls_below_the_timeout_are_not_remediated() {
 /// and still produces oracle-correct results.
 #[test]
 fn perma_panicking_statements_exhaust_the_budget_and_downgrade() {
-    let _gate = gate();
     let graph = graphgen::web_graph(40, 3, 2);
     let oracle = workloads::oracle::pagerank(&graph, 6);
     let (driver, stats) = chaotic_driver(
@@ -321,6 +293,9 @@ fn perma_panicking_statements_exhaust_the_budget_and_downgrade() {
         "every failed attempt was a caught panic: {:?}",
         report.recovery
     );
+    // the series follows the recovery counters (the rerun caught none)
+    let panics = report.recovery.worker_panics;
+    assert_eq!(supervision(&report.metrics), (0, 0, panics));
     assert_eq!(report.result.rows.len(), oracle.len());
     for row in &report.result.rows {
         let node = row[0].as_i64().unwrap() as u64;
@@ -335,15 +310,12 @@ fn perma_panicking_statements_exhaust_the_budget_and_downgrade() {
 /// rolled back first.
 #[test]
 fn single_threaded_panic_is_absorbed_as_a_typed_error() {
-    let _gate = gate();
     let graph = graphgen::web_graph(30, 3, 2);
     let db = Database::new(EngineProfile::Postgres);
     let clean: Arc<dyn Driver> = Arc::new(LocalDriver::new(db));
     let mut conn = clean.connect().unwrap();
     workloads::load_edges(conn.as_mut(), &graph).unwrap();
     drop(conn);
-    let panics_caught = counter("sqloop.supervisor.panics_caught");
-    let panics0 = panics_caught.get();
     // target the Rtmp clear — the only DELETE against the scratch table,
     // issued exclusively inside the executor's per-round panic boundary
     // (setup and cleanup touch the table via DROP/CREATE only)
@@ -361,8 +333,8 @@ fn single_threaded_panic_is_absorbed_as_a_typed_error() {
         ..SqloopConfig::default()
     };
     config.downgrade_on_failure = false;
-    let err = SQLoop::new(Arc::clone(&driver) as Arc<dyn Driver>)
-        .with_config(config)
+    let sqloop = SQLoop::new(Arc::clone(&driver) as Arc<dyn Driver>).with_config(config);
+    let err = sqloop
         .execute(&workloads::queries::pagerank(4))
         .unwrap_err();
     match &err {
@@ -374,7 +346,8 @@ fn single_threaded_panic_is_absorbed_as_a_typed_error() {
     }
     assert!(err.is_retryable(), "an injected panic is transient");
     assert_eq!(stats.panics(), 1);
-    assert_eq!(panics_caught.get() - panics0, 1);
+    // a failed run leaves no report: its books join the instance's
+    assert_eq!(supervision(&sqloop.metrics()), (0, 0, 1));
     // the rollback ran and the fault budget is spent: a fresh connection
     // sees a healthy engine
     let mut conn = driver.connect().unwrap();
