@@ -87,7 +87,7 @@ fn main() {
     for (kind, tc, meaning) in cases {
         let sq = env.sqloop(SqloopConfig {
             mode: ExecutionMode::Single,
-            max_iterations: 500,
+            max_rounds: 500,
             ..SqloopConfig::default()
         });
         let (query, shown_tc) = if tc == "__SSSP_0_UPDATES__" {

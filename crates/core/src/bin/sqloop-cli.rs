@@ -33,7 +33,8 @@
 //! in-flight statements finish under `--drain-ms` before it exits.
 
 use sqloop::{
-    CheckpointConfig, ExecutionMode, ExecutionReport, PrioritySpec, SQLoop, Strategy, TraceConfig,
+    CheckpointConfig, ExecutionMode, ExecutionReport, PrioritySpec, SQLoop, SqloopConfig, Strategy,
+    TraceConfig,
 };
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -283,7 +284,9 @@ fn main() {
     sqloop.config_mut().resume_from = resume_from;
     sqloop.config_mut().deadline = deadline;
     sqloop.config_mut().max_mem = max_mem;
-    sqloop.config_mut().watchdog.max_rounds = max_rounds;
+    if let Some(n) = max_rounds {
+        sqloop.config_mut().max_rounds = n;
+    }
     sqloop.config_mut().statement_timeout = statement_timeout;
     sqloop.config_mut().stall_timeout = stall_timeout;
 
@@ -491,7 +494,7 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
             println!("\\deadline <ms>|off               cancel runs after a wall-clock budget");
             println!("\\limits                          show resource limits + memory usage");
             println!("\\limits mem <bytes[K|M|G]>|off   engine memory budget");
-            println!("\\limits rounds <n>|off           hard iteration budget (watchdog)");
+            println!("\\limits rounds <n>|off           round cap (off: the default)");
             println!("\\limits window <n>|off           divergence watchdog trend window");
             println!("\\limits numeric on|off           NaN/Inf divergence probes");
             println!("\\limits timeout <ms>|off         per-statement engine deadline");
@@ -627,10 +630,7 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
                     "max-mem          : {}",
                     c.max_mem.map_or_else(off, format_bytes)
                 );
-                println!(
-                    "max-rounds       : {}",
-                    c.watchdog.max_rounds.map_or_else(off, |n| n.to_string())
-                );
+                println!("max-rounds       : {}", c.max_rounds);
                 println!(
                     "trend window     : {}",
                     c.watchdog.window.map_or_else(off, |n| n.to_string())
@@ -676,13 +676,14 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
                 None => usage("\\limits mem <bytes[K|M|G]> | \\limits mem off"),
             },
             (Some("rounds"), Some("off")) => {
-                sqloop.config_mut().watchdog.max_rounds = None;
-                println!("round budget off");
+                let default = SqloopConfig::default().max_rounds;
+                sqloop.config_mut().max_rounds = default;
+                println!("round cap = {default} (the default)");
             }
             (Some("rounds"), Some(v)) => match v.parse::<u64>() {
                 Ok(n) if n >= 1 => {
-                    sqloop.config_mut().watchdog.max_rounds = Some(n);
-                    println!("round budget = {n}");
+                    sqloop.config_mut().max_rounds = n;
+                    println!("round cap = {n}");
                 }
                 _ => usage("\\limits rounds <n >= 1> | \\limits rounds off"),
             },

@@ -108,8 +108,9 @@ pub struct LoopSnapshot {
     /// Per-partition scheduler state (one entry per partition; a single-
     /// threaded run has none).
     pub parts: Vec<PartSnap>,
-    /// Worker jitter seeds in effect (reproduced on resume so retry backoff
-    /// stays deterministic).
+    /// The workers' retry-jitter seeds, `1..=threads`: a record only, as
+    /// nothing reads them on resume — a resumed run seeds its workers the
+    /// same way.
     pub seeds: Vec<u64>,
     /// The loop's tables: partition tables (parallel) or the CTE table plus
     /// optional delta snapshot (single-threaded).

@@ -162,8 +162,11 @@ pub struct SqloopConfig {
     pub partitions: usize,
     /// Priority function for [`ExecutionMode::AsyncPrio`].
     pub priority: Option<PrioritySpec>,
-    /// Safety cap on iterations for non-`ITERATIONS` termination conditions.
-    pub max_iterations: u64,
+    /// The round cap: a run still going after this many rounds stops
+    /// governed with [`crate::SqloopError::BudgetExceeded`], after a final
+    /// checkpoint when checkpointing is on, so it can resume under a
+    /// larger cap. At least 1.
+    pub max_rounds: u64,
     /// Keep scratch tables (partitions, message tables) after execution —
     /// useful for debugging; the final CTE view always remains queryable
     /// until the next run reuses the name.
@@ -202,9 +205,9 @@ pub struct SqloopConfig {
     /// Cooperative cancellation token shared with the run. Cancel it from
     /// another thread (or a Ctrl-C handler) to stop at the next safe point.
     pub cancel: CancelToken,
-    /// Runaway-loop watchdog: round budget, numeric-divergence probes,
-    /// delta-trend tracking (all off by default). Verdicts abort governed:
-    /// a final checkpoint is written first when checkpointing is on.
+    /// Runaway-loop watchdog: numeric-divergence probes and delta-trend
+    /// tracking (both off by default). Verdicts abort governed, like the
+    /// round cap.
     pub watchdog: WatchdogConfig,
     /// Engine memory budget in bytes (`None` = unlimited), applied through
     /// the driver when it can govern the engine. A run that trips it
@@ -235,7 +238,7 @@ impl Default for SqloopConfig {
             threads: (cpus / 2).max(1),
             partitions: 256,
             priority: None,
-            max_iterations: 100_000,
+            max_rounds: 100_000,
             keep_artifacts: false,
             sample_interval: None,
             progress_query: None,
@@ -279,8 +282,8 @@ impl SqloopConfig {
                 return Err("checkpoint keep_last must be at least 1".into());
             }
         }
-        if self.watchdog.max_rounds == Some(0) {
-            return Err("watchdog max_rounds must be at least 1".into());
+        if self.max_rounds == 0 {
+            return Err("max_rounds must be at least 1".into());
         }
         if self.watchdog.window == Some(0) {
             return Err("watchdog window must be at least 1 round".into());
@@ -356,10 +359,7 @@ mod tests {
         assert!(!c.watchdog.is_active(), "watchdog is opt-in");
         assert!(c.max_mem.is_none());
         let c = SqloopConfig {
-            watchdog: WatchdogConfig {
-                max_rounds: Some(0),
-                ..WatchdogConfig::default()
-            },
+            max_rounds: 0,
             ..SqloopConfig::default()
         };
         assert!(c.validate().is_err());
@@ -377,8 +377,8 @@ mod tests {
         };
         assert!(c.validate().is_err());
         let c = SqloopConfig {
+            max_rounds: 100,
             watchdog: WatchdogConfig {
-                max_rounds: Some(100),
                 window: Some(8),
                 numeric_checks: true,
             },

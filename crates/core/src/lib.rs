@@ -60,4 +60,4 @@ pub use grammar::{parse, IterativeCte, RecursiveCte, SqloopQuery, Termination};
 pub use parallel::{run_iterative, IterativeRun, Layout, RunOutcome};
 pub use progress::{ProgressSample, RecoveryCounters, Sampler};
 pub use router::SqloopRouter;
-pub use watchdog::{Governance, Watchdog, WatchdogConfig};
+pub use watchdog::{Watchdog, WatchdogConfig};

@@ -29,6 +29,18 @@
 //! Whole (see `api.rs`). A task run on the master connection is never
 //! replayed — that connection cannot reconnect — and its error ends the run
 //! as it is.
+//!
+//! ## Stopping
+//!
+//! A run ends by its termination condition or stops early, in one place:
+//! at each round boundary the loop decides once whether it stops — its
+//! token cancelled (or its deadline passed), its round cap
+//! ([`SqloopConfig::max_rounds`]) reached, or a watchdog verdict — and a
+//! memory-budget trip anywhere ends it the same way. The stop lifts the
+//! engine memory limit, records itself, quiesces, and snapshots that round
+//! unless a checkpoint already holds it. A cancelled run returns its
+//! partial result; every other stop is a governed abort, a typed error the
+//! run can resume from.
 
 use crate::analysis::ParallelPlan;
 use crate::checkpoint::{
@@ -48,7 +60,7 @@ use crate::parallel_sql::{Sql, SqlGen};
 use crate::progress::{ProgressSample, RecoveryCounters, Sampler};
 use crate::supervisor::{now_us, panic_detail, HeartbeatSlot, STATE_BUSY};
 use crate::translate::{translate_query_to_sql, translate_sql};
-use crate::watchdog::{Governance, Watchdog};
+use crate::watchdog::Watchdog;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dbcp::{CancelToken, Connection, Driver, PipelineStep, PreparedStatement, RetryPolicy};
 use obs::{EventKind, MetricsRegistry, Span, SpanKind, SpanOutcome, TraceHandle};
@@ -261,8 +273,8 @@ impl MsgState {
 /// # Errors
 /// Configuration errors (a partitioned layout in [`ExecutionMode::Single`]
 /// among them), engine/translation errors from any task (after the
-/// configured replay budget), checkpoint and governance errors, or the
-/// `max_iterations` safety cap.
+/// configured replay budget), checkpoint errors, or a governed abort: the
+/// round cap, a watchdog verdict or the memory budget.
 pub fn run_iterative(
     driver: &Arc<dyn Driver>,
     cte: &IterativeCte,
@@ -288,17 +300,35 @@ pub fn run_iterative(
     (result, recovery)
 }
 
-/// Drops everything setup may have created. Every drop is `IF EXISTS`
-/// (errors ignored), so this is safe however far setup got.
-fn drop_setup_artifacts(main: &mut dyn Connection, names: &CteNames, partitions: usize) {
-    let fixed = [
-        format!("DROP VIEW IF EXISTS {}", names.table),
-        format!("DROP TABLE IF EXISTS {}", names.table),
-        format!("DROP TABLE IF EXISTS {}", names.mjoin()),
-        format!("DROP TABLE IF EXISTS {}", names.delta_snapshot()),
-    ];
-    let parts = (0..partitions).map(|x| format!("DROP TABLE IF EXISTS {}", names.partition(x)));
-    run_all_best_effort(main, fixed.into_iter().chain(parts));
+/// The tables a run builds, as the drops that take them away: Whole's
+/// scratch `Rtmp` and working tables, then `R` and its delta snapshot; a
+/// partitioned run's view `R`, `Rmjoin`, delta snapshot, partition tables
+/// and message `slots`. Scratch goes on every exit, the rest unless
+/// `keep` is set. Every drop is `IF EXISTS`, so the list holds however far
+/// set-up got.
+fn artifact_drops(
+    names: &CteNames,
+    partitions: Option<usize>,
+    slots: &[String],
+    keep: bool,
+) -> Vec<String> {
+    let drop = |t: String| format!("DROP TABLE IF EXISTS {t}");
+    let Some(partitions) = partitions else {
+        let scratch = [names.tmp(), names.working(0), names.working(1)];
+        let state = [names.table.clone(), names.delta_snapshot()];
+        let state = state.into_iter().filter(|_| !keep);
+        return scratch.into_iter().chain(state).map(drop).collect();
+    };
+    if keep {
+        return Vec::new();
+    }
+    let tables = [names.mjoin(), names.delta_snapshot()]
+        .into_iter()
+        .chain((0..partitions).map(|x| names.partition(x)))
+        .chain(slots.iter().cloned());
+    std::iter::once(format!("DROP VIEW IF EXISTS {}", names.table))
+        .chain(tables.map(drop))
+        .collect()
 }
 
 /// The CTE's schema as `snap` dumped it in `table`, hidden bookkeeping
@@ -607,16 +637,12 @@ fn run_inner(
         }
     };
     let partitions = parallel.as_ref().map_or(0, |_| config.partitions);
+    let layout_parts = parallel.is_some().then_some(partitions);
     // governance: apply the engine memory budget for the whole run — the
-    // guard lifts it on every way out, and the governed-abort path lifts it
-    // early, before the final checkpoint — and push the statement deadline
-    // onto every connection the run opens
-    let _mem_limit = config
-        .max_mem
-        .map(|limit| MemoryLimit::arm(driver.as_ref(), limit));
-    let lift_mem = || {
-        driver.set_memory_limit(None);
-    };
+    // scheduler holds the guard, which lifts it on every way out, the stop
+    // early — and push the statement deadline onto every connection the
+    // run opens
+    let mem_limit = config.max_mem.map(|limit| MemoryLimit::arm(driver, limit));
     let mut main = driver.connect()?;
     if config.statement_timeout.is_some() {
         main.set_statement_timeout(config.statement_timeout)?;
@@ -686,10 +712,14 @@ fn run_inner(
     let (schema, mut gen, policy) = match setup {
         Ok(setup) => setup,
         Err(e) => {
-            // a half-built layout must not leak into the catalog
-            if !config.keep_artifacts {
-                drop_setup_artifacts(main.as_mut(), &names, partitions);
+            // a half-built layout must not leak into the catalog; until
+            // set-up swaps it for the view, a partitioned run's R is a table
+            let keep = config.keep_artifacts;
+            let mut drops = artifact_drops(&names, layout_parts, &[], keep);
+            if layout_parts.is_some() && !keep {
+                drops.push(format!("DROP TABLE IF EXISTS {}", names.table));
             }
+            run_all_best_effort(main.as_mut(), drops);
             return Err(e);
         }
     };
@@ -805,13 +835,12 @@ fn run_inner(
         state_key: recursive.is_none().then_some(0),
         start_round,
         cancelled: false,
-        governance: Governance {
-            watchdog: config
-                .watchdog
-                .is_active()
-                .then(|| Watchdog::new(config.watchdog, &cte.termination, metrics)),
-            lift_mem: Some(&lift_mem),
-        },
+        saved: None,
+        watchdog: config
+            .watchdog
+            .is_active()
+            .then(|| Watchdog::new(config.watchdog, &cte.termination, metrics)),
+        mem_limit,
     };
 
     let final_sql = translate_query_to_sql(&cte.final_query, profile);
@@ -848,25 +877,9 @@ fn run_inner(
         last_change,
         cancelled,
     });
-    match &gen {
-        Some(gen) if !config.keep_artifacts => {
-            let slots = all_msgs.iter().map(|m| gen.drop_message_slot_sql(m));
-            run_all_best_effort(main.as_mut(), gen.cleanup_sql().into_iter().chain(slots));
-        }
-        Some(_) => {}
-        // Rtmp and the working tables are scratch, dropped even when the
-        // artifacts are kept
-        None => {
-            let scratch = [names.tmp(), names.working(0), names.working(1)];
-            let kept = [names.table.clone(), names.delta_snapshot()];
-            let kept = kept.into_iter().filter(|_| !config.keep_artifacts);
-            let drops = scratch.into_iter().chain(kept);
-            run_all_best_effort(
-                main.as_mut(),
-                drops.map(|t| format!("DROP TABLE IF EXISTS {t}")),
-            );
-        }
-    }
+    let keep = config.keep_artifacts;
+    let drops = artifact_drops(&names, layout_parts, &all_msgs, keep);
+    run_all_best_effort(main.as_mut(), drops);
     Ok(IterativeRun {
         outcome: outcome?,
         computes,
@@ -881,16 +894,16 @@ fn run_inner(
 
 /// The engine memory limit a run with `max_mem` arms; dropping the guard
 /// lifts it, so no exit path leaves the run's budget on the database.
-struct MemoryLimit<'a>(&'a dyn Driver);
+struct MemoryLimit(Arc<dyn Driver>);
 
-impl<'a> MemoryLimit<'a> {
-    fn arm(driver: &'a dyn Driver, limit: u64) -> MemoryLimit<'a> {
+impl MemoryLimit {
+    fn arm(driver: &Arc<dyn Driver>, limit: u64) -> MemoryLimit {
         driver.set_memory_limit(Some(limit));
-        MemoryLimit(driver)
+        MemoryLimit(Arc::clone(driver))
     }
 }
 
-impl Drop for MemoryLimit<'_> {
+impl Drop for MemoryLimit {
     fn drop(&mut self) {
         self.0.set_memory_limit(None);
     }
@@ -1095,13 +1108,7 @@ fn worker_loop(ctx: WorkerCtx) {
     let mut conn: Option<Box<dyn Connection>> = None;
     let mut ever_connected = false;
     for task in rx.iter() {
-        slot.begin_task(
-            now_us(epoch),
-            task.task_id,
-            task.partition,
-            task.round,
-            task.start_at,
-        );
+        slot.begin_task(now_us(epoch), task.task_id);
         let mut reconnects = 0u32;
         let mut refused = None;
         if conn.is_none() {
@@ -1369,9 +1376,12 @@ struct Scheduler<'a> {
     start_round: u64,
     /// Set when the run stopped at a cancellation point.
     cancelled: bool,
-    /// Resource governance: watchdog state and the memory-limit lift hook
-    /// used by governed aborts.
-    governance: Governance<'a>,
+    /// The round the last snapshot this run wrote holds.
+    saved: Option<u64>,
+    /// Watchdog state (`None` = no checks).
+    watchdog: Option<Watchdog>,
+    /// The engine memory limit of the run, lifted when dropped.
+    mem_limit: Option<MemoryLimit>,
 }
 
 impl Scheduler<'_> {
@@ -1818,7 +1828,7 @@ impl Scheduler<'_> {
     /// and returns `(iterations, last change, Qf's rows)`. Every error the
     /// run ends in passes through [`Self::fail`] here, once, so a
     /// memory-budget trip anywhere — a task, the termination probe, a
-    /// checkpoint, `Qf` — becomes a governed abort.
+    /// checkpoint, `Qf` — stops the run governed.
     fn run(
         &mut self,
         mut policy: Policy,
@@ -1836,9 +1846,9 @@ impl Scheduler<'_> {
 
     /// The round loop. This is the one place that dispatches, waits for
     /// completions (supervising the pool meanwhile), drains after the first
-    /// unrecoverable failure, stops on cancellation and ticks rounds; the
-    /// policy only picks tasks, says when a round is over, and says when
-    /// the loop has terminated.
+    /// unrecoverable failure, ticks rounds and decides whether the run
+    /// stops; the policy only picks tasks, says when a round is over, and
+    /// says when the loop has terminated.
     fn rounds(&mut self, policy: &mut Policy, tally: &mut u64) -> SqloopResult<(u64, u64)> {
         policy.begin(self)?;
         let mut rounds = self.start_round;
@@ -1877,7 +1887,7 @@ impl Scheduler<'_> {
             match boundary {
                 Boundary::Within => continue,
                 Boundary::Quiescent => return Ok((policy.reported(self, rounds + 1), *tally)),
-                // a partial round: not counted, straight to the cancel point
+                // a partial round: not counted, straight to the stop
                 Boundary::Cancel => {}
                 Boundary::Round => {
                     rounds += 1;
@@ -1897,21 +1907,13 @@ impl Scheduler<'_> {
                     }
                 }
             }
-            // the round boundary is the loop's quiesce point for
-            // cancellation, checkpoints and the watchdog
-            if self.check_cancel(rounds, *tally)? {
+            // the round boundary is the loop's quiesce point: the run stops
+            // here, or it checkpoints when one is due
+            if let Some(stop) = self.stop_due(rounds, *tally) {
+                self.stop(stop, rounds, *tally)?;
                 return Ok((policy.reported(self, rounds), *tally));
             }
-            let carried = self.maybe_checkpoint(rounds, *tally)?;
-            self.watchdog_check(rounds, *tally)?;
-            if rounds >= self.config.max_iterations {
-                self.drain()?;
-                return Err(SqloopError::Semantic(format!(
-                    "termination condition not satisfied within {rounds} {}",
-                    policy.unit()
-                )));
-            }
-            *tally = carried;
+            *tally = self.maybe_checkpoint(rounds, *tally)?;
             policy.next_round(self)?;
         }
     }
@@ -2007,7 +2009,7 @@ impl Scheduler<'_> {
         Ok(changed)
     }
 
-    // -- checkpoint / cancellation (DESIGN.md §11) --------------------------
+    // -- quiesce points and checkpoints (DESIGN.md §11) ---------------------
 
     /// Brings the loop to a quiesce point: waits out in-flight tasks, then
     /// force-gathers every unread message table until the registry is empty
@@ -2042,13 +2044,13 @@ impl Scheduler<'_> {
         self.save_quiesced(rounds, last_change)
     }
 
-    /// Quiesces and, when checkpointing is on, dumps the quiesced loop
-    /// state into a snapshot — the step behind periodic checkpoints,
-    /// cancellation and governed aborts. Returns the rows the quiesce
-    /// changed.
+    /// Quiesces and, when checkpointing is on and no snapshot of this run
+    /// holds `rounds` yet, dumps the quiesced loop state into one — the
+    /// step behind periodic checkpoints and [`Self::stop`]. Returns the
+    /// rows the quiesce changed.
     fn save_quiesced(&mut self, rounds: u64, last_change: u64) -> SqloopResult<u64> {
         let carried = self.quiesce()?;
-        if self.checkpointer.is_none() {
+        if self.checkpointer.is_none() || self.saved == Some(rounds) {
             return Ok(carried);
         }
         let mut tables = self
@@ -2087,104 +2089,101 @@ impl Scheduler<'_> {
         if let Some(ck) = self.checkpointer.as_mut() {
             let path = ck.save(&snap, self.metrics)?;
             trace_checkpoint(self.trace, rounds, &path);
+            self.saved = Some(rounds);
         }
         Ok(carried)
     }
 
-    // -- resource governance (DESIGN.md §12) --------------------------------
+    // -- stopping (DESIGN.md §§11–12) ---------------------------------------
 
-    /// Feeds the watchdog one completed round: round budget, delta trend,
-    /// and — when numeric checks are on — a NaN/±∞ probe of every
-    /// loop-state table so a verdict names the diverging partition. A
-    /// verdict aborts governed (quiesce + final checkpoint) and surfaces
-    /// as the typed error.
+    /// Decides at a round boundary whether the run stops there: its token
+    /// is cancelled, `rounds` reached the round cap, or the watchdog has a
+    /// verdict — the delta trend, then a NaN/±∞ probe of every loop-state
+    /// table, whose engine errors count as verdicts too.
+    fn stop_due(&mut self, rounds: u64, changed: u64) -> Option<Stop> {
+        if self.cancel.cancelled() {
+            return Some(Stop::Cancel);
+        }
+        if rounds >= self.config.max_rounds {
+            return Some(Stop::Abort(SqloopError::BudgetExceeded {
+                what: "max_rounds".into(),
+                round: rounds,
+            }));
+        }
+        let w = self.watchdog.as_mut()?;
+        let mut result = w.check_round(rounds, changed);
+        for (table, partition) in &self.state_tables {
+            if result.is_err() {
+                break;
+            }
+            let (columns, types) = (&self.schema.columns, &self.schema.types);
+            result = w.probe_table(self.main, table, columns, types, *partition, rounds);
+        }
+        result.err().map(Stop::Abort)
+    }
+
+    /// Stops the run at `rounds` completed rounds, short of its termination
+    /// condition: lifts the engine memory limit (an exhausted budget could
+    /// not even quiesce), traces and counts the stop, then quiesces and
+    /// snapshots that round. A cancelled run then returns its partial
+    /// result.
     ///
     /// # Errors
-    /// The watchdog verdict, probe-query engine errors, or
-    /// checkpoint-write errors from the governed abort.
-    fn watchdog_check(&mut self, rounds: u64, changed: u64) -> SqloopResult<()> {
-        let Some(mut w) = self.governance.watchdog.take() else {
-            return Ok(());
+    /// An abort's verdict; task errors while quiescing, dump and
+    /// checkpoint-write errors.
+    fn stop(&mut self, stop: Stop, rounds: u64, last_change: u64) -> SqloopResult<()> {
+        self.mem_limit = None;
+        let (kind, counter, detail) = match &stop {
+            Stop::Cancel => (
+                EventKind::Cancel,
+                "sqloop.cancelled_runs",
+                "cancelled at quiesce point".to_string(),
+            ),
+            Stop::Abort(verdict) => (
+                EventKind::Watchdog,
+                "sqloop.governed_aborts",
+                format!("governed abort: {verdict}"),
+            ),
         };
-        let mut result = w.check_round(rounds, changed);
-        if result.is_ok() && w.numeric_checks() {
-            for (table, partition) in &self.state_tables {
-                result = w.probe_table(
-                    self.main,
-                    table,
-                    &self.schema.columns,
-                    &self.schema.types,
-                    *partition,
-                    rounds,
-                );
-                if result.is_err() {
-                    break;
-                }
+        self.trace.event(kind, None, Some(rounds), detail);
+        self.metrics.counter(counter).inc();
+        self.save_quiesced(rounds, last_change)?;
+        match stop {
+            Stop::Cancel => {
+                self.cancelled = true;
+                Ok(())
             }
+            Stop::Abort(verdict) => Err(verdict),
         }
-        self.governance.watchdog = Some(w);
-        if let Err(verdict) = result {
-            self.governed_abort(rounds, changed, &verdict)?;
-            return Err(verdict);
-        }
-        Ok(())
     }
 
     /// Routes the error a run ends in: one rooted in the engine's memory
-    /// budget aborts governed and becomes the typed
+    /// budget stops the run governed and becomes the typed
     /// [`SqloopError::BudgetExceeded`]; anything else passes through.
     fn fail(&mut self, e: SqloopError, rounds: u64, last_change: u64) -> SqloopError {
-        if let Some(m) = root_budget_exceeded(&e) {
-            let verdict = SqloopError::BudgetExceeded {
-                what: format!("memory ({m})"),
-                round: rounds,
-            };
-            if self.governed_abort(rounds, last_change, &verdict).is_ok() {
-                return verdict;
-            }
+        let Some(m) = root_budget_exceeded(&e) else {
+            return e;
+        };
+        let verdict = SqloopError::BudgetExceeded {
+            what: format!("memory ({m})"),
+            round: rounds,
+        };
+        // a stop that could not quiesce or snapshot reports the trip itself
+        match self.stop(Stop::Abort(verdict), rounds, last_change) {
+            Err(verdict @ SqloopError::BudgetExceeded { .. }) => verdict,
+            _ => e,
         }
-        e
     }
+}
 
-    /// Lifts the engine memory limit (budget-exhausted state could not even
-    /// quiesce otherwise), quiesces, and writes a final checkpoint so the
-    /// governed abort is resumable under a larger budget.
-    fn governed_abort(
-        &mut self,
-        rounds: u64,
-        last_change: u64,
-        verdict: &SqloopError,
-    ) -> SqloopResult<()> {
-        self.governance.lift_memory_limit();
-        self.trace.event(
-            EventKind::Watchdog,
-            None,
-            Some(rounds),
-            format!("governed abort: {verdict}"),
-        );
-        self.metrics.counter("sqloop.governed_aborts").inc();
-        self.save_quiesced(rounds, last_change).map(drop)
-    }
-
-    /// When the token is cancelled: quiesces, writes a final checkpoint
-    /// (when checkpointing is on), marks the run cancelled, and returns
-    /// `true` — the scheduler then returns its partial state as a normal
-    /// result.
-    fn check_cancel(&mut self, rounds: u64, last_change: u64) -> SqloopResult<bool> {
-        if !self.cancel.cancelled() {
-            return Ok(false);
-        }
-        self.trace.event(
-            EventKind::Cancel,
-            None,
-            Some(rounds),
-            "cancelled at quiesce point",
-        );
-        self.metrics.counter("sqloop.cancelled_runs").inc();
-        self.save_quiesced(rounds, last_change)?;
-        self.cancelled = true;
-        Ok(true)
-    }
+/// Why a run stops short of its termination condition.
+enum Stop {
+    /// Its token was cancelled (or its deadline passed): the run returns
+    /// its partial result.
+    Cancel,
+    /// A governed abort — the round cap, a watchdog verdict, the memory
+    /// budget: the run fails with the verdict.
+    Abort(SqloopError),
 }
 
 /// What a step of [`Scheduler::run`] ended at.
@@ -2434,14 +2433,6 @@ impl Policy {
             _ => rounds,
         }
     }
-
-    /// What the `max_iterations` cap counts.
-    fn unit(&self) -> &'static str {
-        match self {
-            Policy::Whole { .. } | Policy::Sync { .. } => "iterations",
-            _ => "rounds",
-        }
-    }
 }
 
 /// The partitioned layout's SQL, which only partition tasks are built from.
@@ -2493,12 +2484,12 @@ mod tests {
     fn run_iterative_single(
         driver: &Arc<dyn Driver>,
         cte: &IterativeCte,
-        max_iterations: u64,
+        max_rounds: u64,
         keep_artifacts: bool,
     ) -> SqloopResult<RunOutcome> {
         let config = SqloopConfig {
             mode: ExecutionMode::Single,
-            max_iterations,
+            max_rounds,
             keep_artifacts,
             ..SqloopConfig::default()
         };
@@ -2691,6 +2682,9 @@ mod tests {
         );
         let c = driver_with_edges(EngineProfile::Postgres);
         let err = run_iterative_single(&c, &cte, 25, false);
-        assert!(matches!(err, Err(SqloopError::Semantic(_))), "{err:?}");
+        assert!(
+            matches!(&err, Err(SqloopError::BudgetExceeded { what, .. }) if what == "max_rounds"),
+            "{err:?}"
+        );
     }
 }

@@ -629,19 +629,6 @@ impl SqlGen {
             _ => format!("{d} != 0.0"),
         }
     }
-
-    /// Drops every scratch object this builder may have created.
-    pub fn cleanup_sql(&self) -> Vec<String> {
-        let mut out = vec![
-            format!("DROP VIEW IF EXISTS {}", self.names.table),
-            format!("DROP TABLE IF EXISTS {}", self.names.mjoin()),
-            format!("DROP TABLE IF EXISTS {}", self.names.delta_snapshot()),
-        ];
-        for x in 0..self.partitions {
-            out.push(format!("DROP TABLE IF EXISTS {}", self.names.partition(x)));
-        }
-        out
-    }
 }
 
 /// Deterministic, platform-independent hash for partitioning values.
@@ -729,9 +716,6 @@ mod tests {
         check_all_dialects(&g.insert_message_sql(1, "pr__msgslot_1_0"));
         check_all_dialects(&g.compute_update_sql(1));
         check_all_dialects(&g.gather_sql(2, &["pr__msg_1_0", "pr__msg_3_4"]));
-        for s in g.cleanup_sql() {
-            check_all_dialects(&s);
-        }
         check_all_dialects(&g.fill_partition_sql(3));
     }
 

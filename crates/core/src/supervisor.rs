@@ -45,8 +45,8 @@ pub const STATE_DONE_PENDING: u8 = 2;
 /// produces must be discarded.
 pub const STATE_ABANDONED: u8 = 3;
 
-/// One worker's lock-free heartbeat: last-progress timestamp plus what it
-/// is working on (task id, partition, round, statement offset). Written
+/// One worker's lock-free heartbeat: last-progress timestamp plus the id
+/// of the task it is working on. Written
 /// by the worker, read by the scheduler; all accesses are relaxed — the
 /// `Done` channel provides the ordering that matters, and a heartbeat
 /// read that is a tick stale only delays a verdict by one poll.
@@ -56,10 +56,6 @@ pub struct HeartbeatSlot {
     /// Microseconds since the pool's epoch at the last sign of progress.
     beat_us: AtomicU64,
     task_id: AtomicU64,
-    partition: AtomicU64,
-    round: AtomicU64,
-    /// Statement offset the in-flight batch started at.
-    stmt: AtomicU64,
 }
 
 impl HeartbeatSlot {
@@ -69,18 +65,12 @@ impl HeartbeatSlot {
             state: AtomicU8::new(STATE_IDLE),
             beat_us: AtomicU64::new(now_us),
             task_id: AtomicU64::new(0),
-            partition: AtomicU64::new(0),
-            round: AtomicU64::new(0),
-            stmt: AtomicU64::new(0),
         }
     }
 
     /// Worker: publish the task it just claimed and enter `BUSY`.
-    pub fn begin_task(&self, now_us: u64, task_id: u64, partition: usize, round: u64, stmt: usize) {
+    pub fn begin_task(&self, now_us: u64, task_id: u64) {
         self.task_id.store(task_id, Ordering::Relaxed);
-        self.partition.store(partition as u64, Ordering::Relaxed);
-        self.round.store(round, Ordering::Relaxed);
-        self.stmt.store(stmt as u64, Ordering::Relaxed);
         self.beat_us.store(now_us, Ordering::Relaxed);
         self.state.store(STATE_BUSY, Ordering::Relaxed);
     }
@@ -129,11 +119,6 @@ impl HeartbeatSlot {
         self.state.load(Ordering::Relaxed)
     }
 
-    /// Worker: has the supervisor given up on us?
-    pub fn is_abandoned(&self) -> bool {
-        self.state() == STATE_ABANDONED
-    }
-
     /// Last heartbeat, in microseconds since the pool's epoch.
     pub fn beat_us(&self) -> u64 {
         self.beat_us.load(Ordering::Relaxed)
@@ -142,21 +127,6 @@ impl HeartbeatSlot {
     /// Task id of the (last) task this slot worked on.
     pub fn task_id(&self) -> u64 {
         self.task_id.load(Ordering::Relaxed)
-    }
-
-    /// Partition of the (last) task this slot worked on.
-    pub fn partition(&self) -> usize {
-        self.partition.load(Ordering::Relaxed) as usize
-    }
-
-    /// Round of the (last) task this slot worked on.
-    pub fn round(&self) -> u64 {
-        self.round.load(Ordering::Relaxed)
-    }
-
-    /// Statement offset the in-flight batch started at.
-    pub fn stmt(&self) -> usize {
-        self.stmt.load(Ordering::Relaxed) as usize
     }
 }
 
@@ -186,12 +156,9 @@ mod tests {
     #[test]
     fn completion_beats_abandonment() {
         let slot = HeartbeatSlot::new(0);
-        slot.begin_task(10, 7, 3, 2, 1);
+        slot.begin_task(10, 7);
         assert_eq!(slot.state(), STATE_BUSY);
         assert_eq!(slot.task_id(), 7);
-        assert_eq!(slot.partition(), 3);
-        assert_eq!(slot.round(), 2);
-        assert_eq!(slot.stmt(), 1);
         // worker wins the race…
         assert!(slot.try_complete());
         // …so the supervisor must not remediate
@@ -204,10 +171,10 @@ mod tests {
     #[test]
     fn abandonment_beats_completion() {
         let slot = HeartbeatSlot::new(0);
-        slot.begin_task(10, 7, 3, 2, 0);
+        slot.begin_task(10, 7);
         // supervisor wins the race…
         assert!(slot.try_abandon());
-        assert!(slot.is_abandoned());
+        assert_eq!(slot.state(), STATE_ABANDONED);
         // …so the worker must discard its result
         assert!(!slot.try_complete());
         // and the verdict is sticky
@@ -218,7 +185,7 @@ mod tests {
     fn exactly_one_side_wins_under_contention() {
         for _ in 0..200 {
             let slot = Arc::new(HeartbeatSlot::new(0));
-            slot.begin_task(1, 1, 0, 0, 0);
+            slot.begin_task(1, 1);
             let a = Arc::clone(&slot);
             let b = Arc::clone(&slot);
             let t1 = std::thread::spawn(move || a.try_complete());

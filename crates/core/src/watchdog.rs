@@ -1,13 +1,12 @@
-//! Runaway-loop watchdog: round budgets, numeric-divergence probes, and
-//! delta-trend tracking shared by every executor (see DESIGN.md §12).
+//! Runaway-loop watchdog: numeric-divergence probes and delta-trend
+//! tracking (see DESIGN.md §12).
 //!
 //! Iterative queries are user programs: a damping factor above 1, a
 //! negative cycle, or a bad termination condition turns the loop into a
-//! CPU-and-memory black hole that `UNTIL` will never stop. The watchdog
-//! watches three independent signals, each off by default:
+//! CPU-and-memory black hole that `UNTIL` will never stop. Beyond the round
+//! cap every run has (`SqloopConfig::max_rounds`), the watchdog watches two
+//! signals, each off by default:
 //!
-//! * **`max_rounds`** — a hard ceiling on rounds/iterations, tripping a
-//!   typed [`SqloopError::BudgetExceeded`];
 //! * **numeric probes** — `SUM` over the float columns of the iterating
 //!   state; a NaN/±∞ aggregate means the arithmetic has already diverged
 //!   and every further round is wasted work
@@ -15,16 +14,12 @@
 //! * **delta trend** — the per-round update count of a converging run
 //!   shrinks over time; when it stops setting new lows for `window`
 //!   consecutive rounds the run is flagged as non-converging (oscillation
-//!   or a fixed-point the termination condition cannot see).
+//!   or a fixed-point the termination condition cannot see). It is off
+//!   under `UNTIL n ITERATIONS`, whose runs update a constant number of
+//!   rows per round by design.
 //!
-//! The trend check is automatically disabled under `UNTIL n ITERATIONS`
-//! termination: those runs update a constant number of rows per round by
-//! design, and their iteration bound already guarantees termination.
-//!
-//! Executors call the watchdog at round boundaries, where the PR-3 quiesce
-//! and final-checkpoint machinery already lives — so every verdict aborts
-//! the run *governed*: state is checkpointed and the run resumes under a
-//! larger budget or after the query is fixed.
+//! The scheduler consults it at each round boundary, where it decides once
+//! whether the run stops: a verdict ends the run governed, like the cap.
 
 use crate::common::run_query;
 use crate::error::{SqloopError, SqloopResult};
@@ -37,11 +32,6 @@ use std::sync::Arc;
 /// Watchdog settings; the default disables every check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WatchdogConfig {
-    /// Hard ceiling on rounds/iterations (`None` = off). Unlike the
-    /// executor's `max_iterations` safety cap this trips a typed
-    /// [`SqloopError::BudgetExceeded`] *after a final checkpoint*, so the
-    /// run can resume under a larger budget.
-    pub max_rounds: Option<u64>,
     /// Flag the run as non-converging after this many consecutive rounds
     /// without a new minimum update count (`None` = off).
     pub window: Option<u64>,
@@ -53,7 +43,7 @@ pub struct WatchdogConfig {
 impl WatchdogConfig {
     /// True when at least one check is enabled.
     pub fn is_active(&self) -> bool {
-        self.max_rounds.is_some() || self.window.is_some() || self.numeric_checks
+        self.window.is_some() || self.numeric_checks
     }
 }
 
@@ -93,33 +83,13 @@ impl Watchdog {
         e
     }
 
-    /// True when at least one check is enabled (callers can skip the
-    /// round-boundary bookkeeping entirely otherwise).
-    pub fn is_active(&self) -> bool {
-        self.cfg.is_active()
-    }
-
-    /// True when float aggregates should be probed each round.
-    pub fn numeric_checks(&self) -> bool {
-        self.cfg.numeric_checks
-    }
-
     /// Feeds one completed round (`round` is 1-based, `updates` the rows
     /// the round changed) and renders a verdict.
     ///
     /// # Errors
-    /// [`SqloopError::BudgetExceeded`] when `max_rounds` is exhausted;
     /// [`SqloopError::NumericDivergence`] when the update trend has been
     /// flat or growing for the configured window.
     pub fn check_round(&mut self, round: u64, updates: u64) -> SqloopResult<()> {
-        if let Some(max) = self.cfg.max_rounds {
-            if round >= max {
-                return Err(self.verdict(SqloopError::BudgetExceeded {
-                    what: "max_rounds".into(),
-                    round,
-                }));
-            }
-        }
         if self.trend_enabled && updates > 0 {
             let improved = self.best_updates.is_none_or(|best| updates < best);
             if improved {
@@ -146,12 +116,8 @@ impl Watchdog {
     }
 
     /// Checks one gathered aggregate value for NaN/±∞ (no-op when numeric
-    /// checks are off).
-    ///
-    /// # Errors
-    /// [`SqloopError::NumericDivergence`] naming `partition` and `round`
-    /// when `value` is not finite.
-    pub fn check_aggregate(
+    /// checks are off): a verdict naming `partition` and `round`.
+    fn check_aggregate(
         &self,
         partition: Option<usize>,
         round: u64,
@@ -216,35 +182,6 @@ impl Watchdog {
     }
 }
 
-/// Governance hooks threaded into an executor run.
-#[derive(Default)]
-pub struct Governance<'a> {
-    /// Watchdog state for this run (`None` = no checks).
-    pub watchdog: Option<Watchdog>,
-    /// Lifts the engine memory limit before a governed abort writes its
-    /// final checkpoint — snapshotting needs headroom the exhausted
-    /// budget no longer provides. Resuming re-applies the (raised) limit.
-    pub lift_mem: Option<&'a (dyn Fn() + Sync)>,
-}
-
-impl std::fmt::Debug for Governance<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Governance")
-            .field("watchdog", &self.watchdog)
-            .field("lift_mem", &self.lift_mem.map(|_| "..."))
-            .finish()
-    }
-}
-
-impl Governance<'_> {
-    /// Lifts the engine memory limit, when a hook was provided.
-    pub fn lift_memory_limit(&self) {
-        if let Some(lift) = self.lift_mem {
-            lift();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,30 +199,12 @@ mod tests {
             &term_updates(),
             &obs::MetricsRegistry::new(),
         );
-        assert!(!w.is_active());
+        assert!(!WatchdogConfig::default().is_active());
         for round in 1..=10_000 {
             w.check_round(round, 42).unwrap();
         }
         w.check_aggregate(Some(1), 5, "SUM(rank)", f64::INFINITY)
             .unwrap();
-    }
-
-    #[test]
-    fn max_rounds_trips_a_typed_budget_error() {
-        let cfg = WatchdogConfig {
-            max_rounds: Some(5),
-            ..WatchdogConfig::default()
-        };
-        let mut w = Watchdog::new(cfg, &term_updates(), &obs::MetricsRegistry::new());
-        for round in 1..5 {
-            w.check_round(round, 10).unwrap();
-        }
-        let err = w.check_round(5, 10).unwrap_err();
-        assert!(
-            matches!(&err, SqloopError::BudgetExceeded { what, round: 5 } if what == "max_rounds"),
-            "{err:?}"
-        );
-        assert!(!err.is_retryable());
     }
 
     #[test]

@@ -99,8 +99,10 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 fn max_rounds_budget_is_typed_in_every_mode() {
     for mode in ALL_MODES {
         let db = db_with_ring(24, "1.0");
-        let mut config = SqloopConfig::default();
-        config.watchdog.max_rounds = Some(3);
+        let config = SqloopConfig {
+            max_rounds: 3,
+            ..SqloopConfig::default()
+        };
         let err = sqloop_for(&db, mode, config).execute(PAGERANK);
         match err {
             Err(SqloopError::BudgetExceeded { ref what, round }) => {
@@ -248,5 +250,64 @@ fn a_run_lifts_its_memory_limit_on_every_way_out() {
         let failed = sqloop_for(&db, mode, config).execute(SSSP);
         assert!(failed.is_err(), "{mode}: resuming from nothing must fail");
         assert_eq!(db.memory_limit(), None, "{mode}: after a failed run");
+    }
+}
+
+/// The round a run stops at is snapshotted once: with a checkpoint due
+/// every round, the cap's round is the periodic checkpoint's round too.
+#[test]
+fn a_stop_round_writes_one_snapshot() {
+    for mode in [ExecutionMode::Single, ExecutionMode::Sync] {
+        let db = db_with_ring(24, "1.0");
+        let dir = temp_dir(&format!("one-snapshot-{mode}"));
+        let config = SqloopConfig {
+            max_rounds: 5,
+            checkpoint: Some(CheckpointConfig::new(&dir).every(1)),
+            ..SqloopConfig::default()
+        };
+        let sq = sqloop_for(&db, mode, config);
+        let err = sq.execute(PAGERANK).unwrap_err();
+        assert!(
+            matches!(&err, SqloopError::BudgetExceeded { what, round: 5 } if what == "max_rounds"),
+            "{mode}: {err:?}"
+        );
+        let metrics = sq.metrics();
+        assert_eq!(metrics.counters["sqloop.checkpoint.writes"], 5, "{mode}");
+        assert_eq!(metrics.counters["sqloop.governed_aborts"], 1, "{mode}");
+        assert_eq!(load_latest(&dir).unwrap().round, 5, "{mode}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Reaching the round cap between periodic checkpoints still leaves the
+/// cap's round behind, and a run resumed from it under the default cap
+/// reaches the oracle.
+#[test]
+fn the_round_cap_leaves_a_final_snapshot() {
+    const NODES: u64 = 12;
+    for mode in [ExecutionMode::Single, ExecutionMode::Sync] {
+        let oracle = sqloop_for(&db_with_chain(NODES), mode, SqloopConfig::default())
+            .execute(SSSP)
+            .unwrap();
+        let db = db_with_chain(NODES);
+        let dir = temp_dir(&format!("cap-snapshot-{mode}"));
+        let config = SqloopConfig {
+            max_rounds: 5,
+            checkpoint: Some(CheckpointConfig::new(&dir).every(3)),
+            ..SqloopConfig::default()
+        };
+        let err = sqloop_for(&db, mode, config).execute(SSSP).unwrap_err();
+        assert!(
+            matches!(&err, SqloopError::BudgetExceeded { what, round: 5 } if what == "max_rounds"),
+            "{mode}: {err:?}"
+        );
+        assert_eq!(load_latest(&dir).unwrap().round, 5, "{mode}");
+        let config = SqloopConfig {
+            resume_from: Some(dir.clone()),
+            ..SqloopConfig::default()
+        };
+        let resumed = sqloop_for(&db, mode, config).execute(SSSP).unwrap();
+        assert_eq!(resumed.rows, oracle.rows, "{mode}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -896,7 +896,7 @@ fn one_worker_schedules_are_pinned() {
         let _ = std::fs::remove_dir_all(&dir);
         let run = schedule(&db, mode, PAGERANK, |c| {
             c.checkpoint = Some(sqloop::CheckpointConfig::new(&dir).every(2));
-            c.watchdog.max_rounds = Some(5);
+            c.max_rounds = 5;
         });
         let _ = std::fs::remove_dir_all(&dir);
         actual.push(("governed", mode, run));
@@ -1031,7 +1031,7 @@ fn single_runs_are_pinned() {
         // the watchdog's round budget ends the run governed at iteration 5
         single_run(&db, PAGERANK, |c| {
             c.checkpoint = Some(sqloop::CheckpointConfig::new(&governed).every(2));
-            c.watchdog.max_rounds = Some(5);
+            c.max_rounds = 5;
         }),
         // an expired deadline stops the run before its first iteration,
         // with a final checkpoint

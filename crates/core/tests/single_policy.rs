@@ -87,7 +87,7 @@ type Invalid = (&'static str, fn(&mut SqloopConfig));
 #[test]
 fn every_mode_rejects_an_invalid_config_before_it_builds_anything() {
     let invalid: [Invalid; 2] = [
-        ("max_rounds", |c| c.watchdog.max_rounds = Some(0)),
+        ("max_rounds", |c| c.max_rounds = 0),
         ("max_mem", |c| c.max_mem = Some(0)),
     ];
     for mode in MODES {
@@ -137,7 +137,7 @@ SELECT SUM(v) FROM r";
     let db = ring();
     let err = sqloop(&db, ExecutionMode::Async, |c| {
         c.checkpoint = Some(sqloop::CheckpointConfig::new(&dir).every(1));
-        c.watchdog.max_rounds = Some(3);
+        c.max_rounds = 3;
     })
     .execute(COUNTER)
     .unwrap_err();
@@ -182,6 +182,18 @@ fn an_expired_deadline_cancels_a_recursive_run_over_its_seed() {
     // the seed (0, 1) alone
     assert_eq!(report.result.rows[0][0], Value::Int(0));
     assert_eq!(db.table_names(), ["edges"]);
+}
+
+/// A recursive CTE whose step fails while set-up probes it leaves none of
+/// the tables set-up built, the working tables included.
+#[test]
+fn a_recursive_set_up_that_fails_leaves_no_table() {
+    let db = Database::new(EngineProfile::Postgres);
+    let err = SQLoop::new(Arc::new(LocalDriver::new(db.clone())))
+        .execute("WITH RECURSIVE r(a) AS (SELECT 1 UNION SELECT nope FROM r) SELECT * FROM r")
+        .unwrap_err();
+    assert!(err.to_string().contains("nope"), "{err}");
+    assert!(db.table_names().is_empty(), "{:?}", db.table_names());
 }
 
 #[test]
@@ -278,7 +290,7 @@ fn a_recursive_run_resumes_its_own_checkpoint() {
         let db = ring();
         let err = sqloop(&db, ExecutionMode::Async, |c| {
             c.checkpoint = Some(CheckpointConfig::new(&dir).every(1));
-            c.watchdog.max_rounds = Some(cut);
+            c.max_rounds = cut;
         })
         .execute(&query)
         .unwrap_err();
@@ -327,7 +339,7 @@ fn a_recursive_union_that_derives_null_again_terminates() {
         for (cte, rows) in queries {
             let db = Database::new(profile);
             let config = SqloopConfig {
-                max_iterations: 50,
+                max_rounds: 50,
                 ..SqloopConfig::default()
             };
             let out = SQLoop::new(Arc::new(LocalDriver::new(db.clone())))

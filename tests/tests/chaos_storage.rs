@@ -79,7 +79,7 @@ fn network_and_storage_faults_compose_and_still_reach_the_oracle() {
         // durable generations behind
         let (driver, stats) = with_chaos(fresh_driver(&graph), storm(700 + i as u64, 0.06));
         let mut config = durable(mode, &dir);
-        config.max_iterations = if mode == ExecutionMode::AsyncPrio {
+        config.max_rounds = if mode == ExecutionMode::AsyncPrio {
             2
         } else {
             6
@@ -89,7 +89,7 @@ fn network_and_storage_faults_compose_and_still_reach_the_oracle() {
             .execute(&workloads::queries::sssp_all(0))
             .unwrap_err();
         assert!(
-            matches!(err, SqloopError::Semantic(_)),
+            matches!(&err, SqloopError::BudgetExceeded { what, .. } if what == "max_rounds"),
             "{mode}: expected the iteration-cap crash, got {err}"
         );
 

@@ -107,7 +107,7 @@ fn crash_and_resume_matches_oracle_in_every_mode() {
         // its cap sits lower)
         let (driver, _db) = fresh_driver(&graph);
         let mut config = durable(mode, &dir);
-        config.max_iterations = if mode == ExecutionMode::AsyncPrio {
+        config.max_rounds = if mode == ExecutionMode::AsyncPrio {
             2
         } else {
             6
@@ -117,7 +117,7 @@ fn crash_and_resume_matches_oracle_in_every_mode() {
             .execute(&workloads::queries::sssp_all(0))
             .unwrap_err();
         assert!(
-            matches!(err, SqloopError::Semantic(_)),
+            matches!(&err, SqloopError::BudgetExceeded { what, .. } if what == "max_rounds"),
             "{mode}: expected the iteration-cap crash, got {err}"
         );
         assert!(
@@ -166,7 +166,7 @@ fn chaos_crash_and_resume_matches_oracle() {
         let (driver, _stats) = with_chaos(driver, storm(200 + i as u64, 0.06));
         let mut config = durable(mode, &dir);
         config.task_retries = 6;
-        config.max_iterations = if mode == ExecutionMode::AsyncPrio {
+        config.max_rounds = if mode == ExecutionMode::AsyncPrio {
             2
         } else {
             6
@@ -176,7 +176,7 @@ fn chaos_crash_and_resume_matches_oracle() {
             .execute(&workloads::queries::sssp_all(0))
             .unwrap_err();
         assert!(
-            matches!(err, SqloopError::Semantic(_)),
+            matches!(&err, SqloopError::BudgetExceeded { what, .. } if what == "max_rounds"),
             "{mode}: expected the iteration-cap crash, got {err}"
         );
         assert!(dir.join("MANIFEST.json").is_file());
@@ -209,12 +209,15 @@ fn single_mode_crash_and_resume_matches_oracle() {
 
     let (driver, _db) = fresh_driver(&graph);
     let mut config = durable(ExecutionMode::Single, &dir);
-    config.max_iterations = 4;
+    config.max_rounds = 4;
     let err = SQLoop::new(driver)
         .with_config(config)
         .execute(&workloads::queries::pagerank(10))
         .unwrap_err();
-    assert!(matches!(err, SqloopError::Semantic(_)), "got {err}");
+    assert!(
+        matches!(&err, SqloopError::BudgetExceeded { what, .. } if what == "max_rounds"),
+        "got {err}"
+    );
     assert!(dir.join("MANIFEST.json").is_file());
 
     let (driver, _db) = fresh_driver(&graph);
@@ -262,7 +265,7 @@ fn deadline_returns_cancelled_report_with_partial_results() {
     };
     let (driver, _stats) = with_chaos(driver, slow);
     let mut config = durable(ExecutionMode::Sync, &dir);
-    config.max_iterations = 200_000;
+    config.max_rounds = 200_000;
     config.deadline = Some(Duration::from_millis(200));
     let started = std::time::Instant::now();
     let report = SQLoop::new(driver)
@@ -317,7 +320,7 @@ fn programmatic_cancel_stops_the_run() {
         mode: ExecutionMode::Async,
         threads: 3,
         partitions: 8,
-        max_iterations: 200_000,
+        max_rounds: 200_000,
         downgrade_on_failure: false,
         ..SqloopConfig::default()
     };
@@ -473,7 +476,7 @@ fn cancelled_run_cleans_up_but_keeps_the_checkpoint() {
     let (driver, db) = fresh_driver(&graph);
     let baseline = db.table_names();
     let mut config = durable(ExecutionMode::Sync, &dir);
-    config.max_iterations = 200_000;
+    config.max_rounds = 200_000;
     config.deadline = Some(Duration::from_millis(100));
     let slow = ChaosConfig {
         weights: FaultWeights {

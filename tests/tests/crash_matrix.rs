@@ -78,7 +78,7 @@ fn assert_sssp_matches(
 fn capture_generations(mode: ExecutionMode, graph: &graphgen::Graph) -> Vec<LoopSnapshot> {
     let dir = scratch(&format!("capture-{mode}"));
     let mut config = config_for(mode, &dir);
-    config.max_iterations = if mode == ExecutionMode::AsyncPrio {
+    config.max_rounds = if mode == ExecutionMode::AsyncPrio {
         2
     } else {
         4
@@ -88,7 +88,7 @@ fn capture_generations(mode: ExecutionMode, graph: &graphgen::Graph) -> Vec<Loop
         .execute(&workloads::queries::sssp_all(0))
         .unwrap_err();
     assert!(
-        matches!(err, SqloopError::Semantic(_)),
+        matches!(&err, SqloopError::BudgetExceeded { what, .. } if what == "max_rounds"),
         "{mode}: expected the iteration-cap crash, got {err}"
     );
     let mut names: Vec<String> = std::fs::read_dir(&dir)

@@ -552,18 +552,21 @@ fn digest_stats_survive_a_checkpoint_resume_cycle() {
         checkpoint: Some(CheckpointConfig::new(&dir).every(1)),
         ..SqloopConfig::default()
     };
-    config.max_iterations = 6;
+    config.max_rounds = 6;
     let err = SQLoop::new(driver.clone())
         .with_config(config.clone())
         .execute(&workloads::queries::sssp_all(0))
         .unwrap_err();
-    assert!(format!("{err}").contains("iteration"), "unexpected: {err}");
+    assert!(
+        matches!(&err, sqloop::SqloopError::BudgetExceeded { what, .. } if what == "max_rounds"),
+        "unexpected: {err}"
+    );
     let calls_after_crash: u64 = db.digest_stats().iter().map(|e| e.calls).sum();
     assert!(calls_after_crash > 0, "crashed run recorded no digests");
 
     // resume against the same engine: the digest table keeps accumulating
     // and the resumed run still gets a per-run attribution report
-    config.max_iterations = 10_000;
+    config.max_rounds = 10_000;
     config.resume_from = Some(dir.clone());
     let report = SQLoop::new(driver)
         .with_config(config)
