@@ -8,9 +8,11 @@
 //!
 //! The master thread owns all scheduling state; workers are dumb statement
 //! runners, each holding its own engine connection (the paper's "each thread
-//! opens a new connection with the target database engine"). Whole has no
-//! pool: its one task per round runs on the master connection, through the
-//! same statement runner the workers use.
+//! opens a new connection with the target database engine"). A run with one
+//! worker and no stall timeout starts no thread: worker 0 runs each task on
+//! the master thread, on its own connection, through the same per-task body
+//! a worker thread runs. Whole has no worker: its one task per round runs
+//! on the master connection, through the same statement runner.
 //!
 //! ## Fault recovery
 //!
@@ -24,11 +26,11 @@
 //! final delta-advancing UPDATE — because a failed statement surfaced its
 //! error before taking effect. Workers that lose their engine connection
 //! reconnect under the configured retry policy before running the next
-//! task. When the replay budget is exhausted the scheduler aborts with
-//! [`SqloopError::Task`]; the facade then optionally downgrades the run to
-//! Whole (see `api.rs`). A task run on the master connection is never
-//! replayed — that connection cannot reconnect — and its error ends the run
-//! as it is.
+//! task, an inline worker 0 as much as a worker thread. When the replay
+//! budget is exhausted the scheduler aborts with [`SqloopError::Task`]; the
+//! facade then optionally downgrades the run to Whole (see `api.rs`).
+//! Whole's task, run on the master connection, is never replayed — that
+//! connection cannot reconnect — and its error ends the run as it is.
 //!
 //! ## Stopping
 //!
@@ -769,11 +771,22 @@ fn run_inner(
         _ => None,
     };
 
-    // Whole runs its task on the master connection; the partitioned
-    // policies get the worker pool
-    let pool = match gen {
-        Some(_) => Some(WorkerPool::start(driver, config, trace, metrics)?),
-        None => None,
+    // Whole runs its task on the master connection; one worker runs on this
+    // thread unless stall remediation needs a thread it can abandon; more
+    // get the pool
+    let workers = match gen {
+        None => Workers::Master,
+        Some(_) if config.threads == 1 && config.stall_timeout.is_none() => {
+            Workers::Inline(WorkerConn::new(
+                Arc::clone(driver),
+                config.retry_backoff,
+                config.statement_timeout,
+                config.cancel.clone(),
+                Arc::clone(metrics),
+                0,
+            ))
+        }
+        Some(_) => Workers::Pool(WorkerPool::start(driver, config, trace, metrics)?),
     };
 
     let fresh = PartSnap {
@@ -801,9 +814,12 @@ fn run_inner(
         schema,
         tc: &cte.termination,
         main: main.as_mut(),
-        threads: pool.as_ref().map_or(0, |_| config.threads),
-        pool,
-        inline: VecDeque::new(),
+        threads: match workers {
+            Workers::Master => 0,
+            _ => config.threads,
+        },
+        workers,
+        queued: VecDeque::new(),
         dispatched: HashMap::new(),
         next_task_id: 1,
         parts,
@@ -854,7 +870,7 @@ fn run_inner(
         recovery,
         cancelled,
         checkpointer,
-        pool,
+        workers,
         ..
     } = scheduler;
     let checkpoint_path = checkpointer
@@ -866,7 +882,7 @@ fn run_inner(
     // workers (possibly hung forever) are detached, not joined, so
     // cleanup can't re-wedge a run the supervisor already saved
     *recovery_out = RecoveryCounters {
-        worker_panics: recovery.worker_panics + pool.map_or(0, WorkerPool::shutdown),
+        worker_panics: recovery.worker_panics + workers.shutdown(),
         ..recovery
     };
     let samples = sampler.map(Sampler::stop).unwrap_or_default();
@@ -909,23 +925,124 @@ impl Drop for MemoryLimit {
     }
 }
 
+/// Who runs a run's tasks.
+enum Workers {
+    /// Whole's tasks run on the master thread, on the master connection,
+    /// which cannot reconnect: a failed task is not replayed.
+    Master,
+    /// One worker and no stall timeout: worker 0 runs each task on the
+    /// master thread, so no task pays a hand-off to a thread and back.
+    Inline(WorkerConn),
+    /// `sqloop-worker-{id}` threads under the supervisor.
+    Pool(WorkerPool),
+}
+
+impl Workers {
+    /// Stops the workers and closes their connections; returns how many
+    /// worker threads panicked outside a task.
+    fn shutdown(self) -> u64 {
+        match self {
+            Workers::Pool(pool) => pool.shutdown(),
+            _ => 0,
+        }
+    }
+}
+
+/// One worker's engine connection and the body it runs every task through,
+/// on a pool thread or inline on the master thread. The connection opens
+/// lazily, under a retry policy, so a refused connect becomes a retryable
+/// task failure; a task that leaves it untrustworthy drops it, and the
+/// next task reopens it.
+struct WorkerConn {
+    driver: Arc<dyn Driver>,
+    policy: RetryPolicy,
+    cancel: CancelToken,
+    statement_timeout: Option<Duration>,
+    /// The run's registry: reconnect waits, dropped zombie results.
+    metrics: Arc<MetricsRegistry>,
+    worker: u32,
+    conn: Option<Box<dyn Connection>>,
+    ever_connected: bool,
+}
+
+impl WorkerConn {
+    fn new(
+        driver: Arc<dyn Driver>,
+        retry_backoff: Duration,
+        statement_timeout: Option<Duration>,
+        cancel: CancelToken,
+        metrics: Arc<MetricsRegistry>,
+        worker: u32,
+    ) -> WorkerConn {
+        WorkerConn {
+            driver,
+            policy: RetryPolicy {
+                max_attempts: RECONNECT_ATTEMPTS,
+                base_delay: retry_backoff,
+                jitter_seed: u64::from(worker) + 1,
+                ..RetryPolicy::default()
+            },
+            cancel,
+            statement_timeout,
+            metrics,
+            worker,
+            conn: None,
+            ever_connected: false,
+        }
+    }
+
+    /// Runs `task` as this worker: (re)connects first when it has no
+    /// connection — calling `connected` once it has one — then runs the
+    /// task through [`run_task`], and drops the connection when the task
+    /// left it unusable. The `Done` counts the reconnect, if one happened.
+    fn run(&mut self, task: Task, trace: &TraceHandle, connected: impl FnOnce()) -> Done {
+        let mut reconnects = 0u32;
+        let mut refused = None;
+        if self.conn.is_none() {
+            // interruptible reconnect backoff: a cancelled run must not
+            // sit out the full exponential wait
+            let driver = &self.driver;
+            match self
+                .policy
+                .run_with_cancel(&self.cancel, &self.metrics, |_| driver.connect())
+            {
+                Ok(mut c) => {
+                    if self.ever_connected {
+                        reconnects += 1;
+                    }
+                    self.ever_connected = true;
+                    if self.statement_timeout.is_some() {
+                        let _ = c.set_statement_timeout(self.statement_timeout);
+                    }
+                    self.conn = Some(c);
+                    connected();
+                }
+                Err(e) => refused = Some(SqloopError::from(e)),
+            }
+        }
+        let conn = self.conn.as_deref_mut().ok_or_else(|| {
+            refused.unwrap_or_else(|| SqloopError::Worker("worker lost its connection".into()))
+        });
+        let (mut done, usable) = run_task(conn, task, Some(self.worker), trace);
+        if !usable {
+            self.conn = None;
+        }
+        done.reconnects = reconnects;
+        done
+    }
+}
+
 /// Everything one worker thread needs, bundled so replacements are spawned
 /// from the same recipe as the initial pool.
 struct WorkerCtx {
-    driver: Arc<dyn Driver>,
-    policy: RetryPolicy,
+    conn: WorkerConn,
     rx: Receiver<Task>,
     tx: Sender<Done>,
-    worker: u32,
     trace: TraceHandle,
-    cancel: CancelToken,
-    statement_timeout: Option<std::time::Duration>,
     /// This worker's heartbeat, shared with the supervisor.
     slot: Arc<HeartbeatSlot>,
     /// The pool's clock epoch heartbeats are stamped against.
     epoch: Instant,
-    /// The run's registry: reconnect waits, dropped zombie results.
-    metrics: Arc<MetricsRegistry>,
 }
 
 /// One spawned worker as the supervisor sees it.
@@ -1009,22 +1126,19 @@ impl WorkerPool {
         self.next_id += 1;
         let slot = Arc::new(HeartbeatSlot::new(now_us(self.epoch)));
         let ctx = WorkerCtx {
-            driver: Arc::clone(&self.driver),
-            policy: RetryPolicy {
-                max_attempts: RECONNECT_ATTEMPTS,
-                base_delay: self.retry_backoff,
-                jitter_seed: u64::from(id) + 1,
-                ..RetryPolicy::default()
-            },
+            conn: WorkerConn::new(
+                Arc::clone(&self.driver),
+                self.retry_backoff,
+                self.statement_timeout,
+                self.cancel.clone(),
+                Arc::clone(&self.metrics),
+                id,
+            ),
             rx: self.task_rx.clone(),
             tx: self.done_tx.clone(),
-            worker: id,
             trace: self.trace.clone(),
-            cancel: self.cancel.clone(),
-            statement_timeout: self.statement_timeout,
             slot: Arc::clone(&slot),
             epoch: self.epoch,
-            metrics: Arc::clone(&self.metrics),
         };
         let handle = std::thread::Builder::new()
             .name(format!("sqloop-worker-{id}"))
@@ -1093,57 +1207,23 @@ impl WorkerPool {
 
 fn worker_loop(ctx: WorkerCtx) {
     let WorkerCtx {
-        driver,
-        policy,
+        mut conn,
         rx,
         tx,
-        worker,
         trace,
-        cancel,
-        statement_timeout,
         slot,
         epoch,
-        metrics,
     } = ctx;
-    let mut conn: Option<Box<dyn Connection>> = None;
-    let mut ever_connected = false;
     for task in rx.iter() {
         slot.begin_task(now_us(epoch), task.task_id);
-        let mut reconnects = 0u32;
-        let mut refused = None;
-        if conn.is_none() {
-            // interruptible reconnect backoff: a cancelled run must not
-            // sit out the full exponential wait
-            match policy.run_with_cancel(&cancel, &metrics, |_| driver.connect()) {
-                Ok(mut c) => {
-                    if ever_connected {
-                        reconnects += 1;
-                    }
-                    ever_connected = true;
-                    if statement_timeout.is_some() {
-                        let _ = c.set_statement_timeout(statement_timeout);
-                    }
-                    conn = Some(c);
-                    slot.beat(now_us(epoch));
-                }
-                Err(e) => refused = Some(SqloopError::from(e)),
-            }
-        }
-        let connected = conn.as_deref_mut().ok_or_else(|| {
-            refused.unwrap_or_else(|| SqloopError::Worker("worker lost its connection".into()))
-        });
-        let (mut done, usable) = run_task(connected, task, Some(worker), &trace);
-        if !usable {
-            conn = None;
-        }
-        done.reconnects = reconnects;
+        let done = conn.run(task, &trace, || slot.beat(now_us(epoch)));
         // completion handshake: exactly one of {this CAS, the supervisor's
         // abandon CAS} wins. Losing means the supervisor already replayed
         // this task on a replacement — sending the result now would apply
         // the round's non-idempotent final UPDATE twice, so discard it and
         // exit (the replacement has this worker's job).
         if !slot.try_complete() {
-            metrics.counter(ZOMBIES).inc();
+            conn.metrics.counter(ZOMBIES).inc();
             return;
         }
         if tx.send(done).is_err() {
@@ -1300,15 +1380,15 @@ struct Scheduler<'a> {
     schema: CteSchema,
     tc: &'a Termination,
     main: &'a mut dyn Connection,
-    /// Worker threads: a task per worker plus one waiting may be in flight.
+    /// Workers (0 for Whole): a task per worker plus one waiting may be in
+    /// flight.
     threads: usize,
-    /// The worker pool: the supervisor inspects heartbeats, abandons stuck
-    /// workers and spawns replacements through it. Without one, a task
-    /// runs at dispatch on the master connection.
-    pool: Option<WorkerPool>,
-    /// Completions of tasks run on the master connection, read before the
-    /// pool's channel.
-    inline: VecDeque<Done>,
+    /// Who runs the tasks. Through a pool, the supervisor inspects
+    /// heartbeats, abandons stuck workers and spawns replacements.
+    workers: Workers,
+    /// Dispatched tasks that run on the master thread, in dispatch order:
+    /// [`Self::recv_done`] runs the front one.
+    queued: VecDeque<Task>,
     /// Tasks currently dispatched, keyed by task id — the supervisor's
     /// in-flight map and the zombie-result filter.
     dispatched: HashMap<u64, Task>,
@@ -1450,8 +1530,8 @@ impl Scheduler<'_> {
     /// woken, booked the completion and built a successor. Picks still
     /// happen only when a completion has been handled, which keeps a
     /// one-worker schedule a pure function of state; a queued task's
-    /// partition is in flight like a running one's. Without workers, one
-    /// task is in flight: the one whose completion waits in `inline`.
+    /// partition is in flight like a running one's. Whole, without
+    /// workers, has one task in flight at a time.
     fn has_room(&self) -> bool {
         self.in_flight <= self.threads
     }
@@ -1463,14 +1543,8 @@ impl Scheduler<'_> {
             p.in_flight = true;
         }
         self.in_flight += 1;
-        let Some(pool) = &self.pool else {
-            // no pool: the task runs now, on the master connection, whose
-            // session is rolled back when the task left it untrustworthy
-            let (done, usable) = run_task(Ok(&mut *self.main), task, None, self.trace);
-            if !usable {
-                let _ = self.main.execute("ROLLBACK");
-            }
-            self.inline.push_back(done);
+        let Workers::Pool(pool) = &self.workers else {
+            self.queued.push_back(task);
             return Ok(());
         };
         self.dispatched.insert(task.task_id, task.clone());
@@ -1479,8 +1553,34 @@ impl Scheduler<'_> {
             .map_err(|_| SqloopError::Worker("worker pool shut down unexpectedly".into()))
     }
 
-    /// Receives the next completion: one run on the master connection
-    /// first, otherwise from the pool, supervising it while waiting.
+    /// Receives the next completion. Without a pool, it runs the front
+    /// queued task on this thread: as worker 0 on that worker's
+    /// connection, or Whole's on the master connection, whose session is
+    /// rolled back when the task left it untrustworthy.
+    fn recv_done(&mut self) -> SqloopResult<Done> {
+        let worker = match &mut self.workers {
+            Workers::Pool(_) => return self.recv_pooled(),
+            Workers::Inline(worker) => Some(worker),
+            Workers::Master => None,
+        };
+        let task = self
+            .queued
+            .pop_front()
+            .ok_or_else(|| SqloopError::Worker("no task is queued to run".into()))?;
+        Ok(match worker {
+            Some(worker) => worker.run(task, self.trace, || {}),
+            None => {
+                let (done, usable) = run_task(Ok(&mut *self.main), task, None, self.trace);
+                if !usable {
+                    let _ = self.main.execute("ROLLBACK");
+                }
+                done
+            }
+        })
+    }
+
+    /// Receives the next completion from the pool, supervising it while
+    /// waiting.
     ///
     /// The wait is bounded by [`SUPERVISOR_POLL`], and each timeout tick runs
     /// a supervision pass over the worker heartbeats, so a panicked or
@@ -1488,14 +1588,11 @@ impl Scheduler<'_> {
     /// Completions for tasks no longer in the dispatch map (a worker that
     /// lost the completion race but still had its `Done` buffered) are
     /// discarded.
-    fn recv_done(&mut self) -> SqloopResult<Done> {
-        if let Some(d) = self.inline.pop_front() {
-            return Ok(d);
-        }
+    fn recv_pooled(&mut self) -> SqloopResult<Done> {
         loop {
-            let received = match &self.pool {
-                Some(pool) => pool.done_rx.recv_timeout(SUPERVISOR_POLL),
-                None => Err(RecvTimeoutError::Disconnected),
+            let received = match &self.workers {
+                Workers::Pool(pool) => pool.done_rx.recv_timeout(SUPERVISOR_POLL),
+                _ => Err(RecvTimeoutError::Disconnected),
             };
             match received {
                 Ok(d) => {
@@ -1533,9 +1630,12 @@ impl Scheduler<'_> {
     /// applies the ordinary replay/budget/abort logic), and a replacement
     /// worker is spawned. Returns that verdict, if any.
     fn supervise(&mut self) -> SqloopResult<Option<Done>> {
-        let Some(pool) = self.pool.as_mut().filter(|_| self.in_flight > 0) else {
+        let Workers::Pool(pool) = &mut self.workers else {
             return Ok(None);
         };
+        if self.in_flight == 0 {
+            return Ok(None);
+        }
         let now = now_us(pool.epoch);
         let stall_us = self.config.stall_timeout.map(|t| t.as_micros() as u64);
         for i in 0..pool.workers.len() {
@@ -1627,9 +1727,9 @@ impl Scheduler<'_> {
     /// A failed task whose error is retryable is re-dispatched resuming at
     /// the failed statement (carrying the partial results along), until the
     /// replay budget runs out — then the failure is wrapped as
-    /// [`SqloopError::Task`] and the scheduler aborts. A task that ran on
-    /// the master connection is not replayed, as that connection cannot
-    /// reconnect: its error ends the run unwrapped.
+    /// [`SqloopError::Task`] and the scheduler aborts. Whole's task, which
+    /// ran on the master connection, is not replayed, as that connection
+    /// cannot reconnect: its error ends the run unwrapped.
     fn handle_done(&mut self, d: Done) -> SqloopResult<u64> {
         self.dispatched.remove(&d.task.task_id);
         self.in_flight -= 1;
@@ -1668,7 +1768,7 @@ impl Scheduler<'_> {
             task.acc_rows.extend(d.rows_outputs);
             task.acc_msg_rows = task.acc_msg_rows.or(d.msg_rows);
             task.start_at = failed_at;
-            if self.pool.is_none() {
+            if matches!(self.workers, Workers::Master) {
                 self.aborting = true;
                 return Err(e);
             }

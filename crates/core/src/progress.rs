@@ -29,7 +29,7 @@ pub struct RecoveryCounters {
     /// Compute/Gather tasks that failed on a transient error and were
     /// replayed (counted per replay dispatch, not per task).
     pub task_retries: u64,
-    /// Worker threads that lost their engine connection and reopened it.
+    /// Workers that lost their engine connection and reopened it.
     pub worker_reconnects: u64,
     /// Task failures observed, transient or not (each replayed dispatch
     /// that fails again counts once more).

@@ -1174,3 +1174,226 @@ fn connected_components_reach_the_oracle_and_settled_partitions_send_nothing() {
         "settled labels were sent again"
     );
 }
+
+// -- which thread runs a task -----------------------------------------------
+
+/// Every statement the connections of a [`ThreadLogDriver`] ran, with the
+/// name of the thread that ran it.
+type ThreadLog = Arc<std::sync::Mutex<Vec<(String, String)>>>;
+
+struct ThreadLogConnection(Box<dyn dbcp::Connection>, ThreadLog);
+
+impl dbcp::Connection for ThreadLogConnection {
+    fn execute(&mut self, sql: &str) -> sqldb::DbResult<sqldb::StmtOutput> {
+        let thread = std::thread::current().name().unwrap_or("").to_string();
+        self.1.lock().unwrap().push((thread, sql.to_string()));
+        self.0.execute(sql)
+    }
+
+    fn begin(&mut self) -> sqldb::DbResult<()> {
+        self.0.begin()
+    }
+
+    fn commit(&mut self) -> sqldb::DbResult<()> {
+        self.0.commit()
+    }
+
+    fn rollback(&mut self) -> sqldb::DbResult<()> {
+        self.0.rollback()
+    }
+
+    fn set_isolation(&mut self, level: sqldb::IsolationLevel) -> sqldb::DbResult<()> {
+        self.0.set_isolation(level)
+    }
+
+    fn profile(&self) -> EngineProfile {
+        self.0.profile()
+    }
+}
+
+/// A driver whose connections log the thread each statement runs on.
+/// They do not prepare, so every statement passes through `execute`.
+struct ThreadLogDriver(LocalDriver, ThreadLog);
+
+impl dbcp::Driver for ThreadLogDriver {
+    fn connect(&self) -> sqldb::DbResult<Box<dyn dbcp::Connection>> {
+        let conn = dbcp::Driver::connect(&self.0)?;
+        Ok(Box::new(ThreadLogConnection(conn, self.1.clone())))
+    }
+
+    fn profile(&self) -> EngineProfile {
+        dbcp::Driver::profile(&self.0)
+    }
+}
+
+/// The distances of an SSSP run, checked against Dijkstra on `graph`.
+fn assert_sssp_oracle(graph: &graphgen::Graph, rows: &[Vec<Value>], what: &str) {
+    let oracle = workloads::oracle::sssp(graph, 0);
+    assert!(!rows.is_empty(), "{what}: no rows");
+    for row in rows {
+        let node = row[0].as_i64().unwrap() as u64;
+        let d = row[1].as_f64().unwrap();
+        match oracle.get(&node) {
+            Some(&expected) => assert!((d - expected).abs() < 1e-9, "{what}: node {node}"),
+            None => assert!(d.is_infinite(), "{what}: node {node}"),
+        }
+    }
+}
+
+/// A one-worker config for `mode` over 4 partitions.
+fn one_worker(mode: ExecutionMode) -> SqloopConfig {
+    let mut config = SqloopConfig {
+        mode,
+        threads: 1,
+        partitions: 4,
+        ..SqloopConfig::default()
+    };
+    if mode == ExecutionMode::AsyncPrio {
+        config.priority = Some(PrioritySpec::lowest("SELECT MIN(delta) FROM {}"));
+    }
+    config
+}
+
+#[test]
+fn one_worker_tasks_run_on_the_calling_thread() {
+    // without a stall timeout no thread is spawned: worker 0 runs every
+    // task statement — a slot fill, a partition UPDATE, a Gather — on the
+    // thread that called the run. With one, stall remediation needs a
+    // thread it can abandon, and they run on `sqloop-worker-0`
+    let graph = web_graph(60, 3, 5);
+    let caller = std::thread::current().name().unwrap().to_string();
+    for mode in [
+        ExecutionMode::Sync,
+        ExecutionMode::Async,
+        ExecutionMode::AsyncPrio,
+    ] {
+        for (stall_timeout, expected) in [
+            (None, caller.as_str()),
+            (Some(std::time::Duration::from_secs(60)), "sqloop-worker-0"),
+        ] {
+            let local = LocalDriver::new(Database::new(EngineProfile::Postgres));
+            let mut conn = dbcp::Driver::connect(&local).unwrap();
+            workloads::load_edges(conn.as_mut(), &graph).unwrap();
+            let log = ThreadLog::default();
+            let driver = Arc::new(ThreadLogDriver(local, log.clone()));
+            let out = SQLoop::new(driver)
+                .with_config(SqloopConfig {
+                    stall_timeout,
+                    ..one_worker(mode)
+                })
+                .execute_detailed(&workloads::queries::sssp_all(0))
+                .unwrap();
+            let what = format!("{mode}, stall_timeout {stall_timeout:?}");
+            assert!(
+                matches!(out.strategy, Strategy::IterativeParallel { .. }),
+                "{what}: {:?}",
+                out.strategy
+            );
+            assert_sssp_oracle(&graph, &out.result.rows, &what);
+            // set-up, on the master connection, ends before the first task
+            // creates its message slot
+            let log = log.lock().unwrap();
+            let first_task = log.iter().position(|(_, sql)| sql.contains("__msgslot_"));
+            let tasks: Vec<&(String, String)> = log[first_task.unwrap()..]
+                .iter()
+                .filter(|(_, sql)| {
+                    sql.starts_with("UPDATE ")
+                        || sql.starts_with("INSERT INTO ") && sql.contains("__msgslot_")
+                })
+                .collect();
+            let count = |verb: &str| {
+                let of = |sql: &&String| sql.starts_with(verb) && sql.contains("__msgslot_");
+                tasks.iter().map(|(_, sql)| sql).filter(of).count() as u64
+            };
+            assert_eq!(count("INSERT "), out.computes, "{what}: slot fills");
+            assert_eq!(count("UPDATE "), out.gathers, "{what}: gathers");
+            for (thread, sql) in tasks {
+                assert_eq!(thread, expected, "{what}: {sql}");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_worker_runs_replay_without_a_worker_thread() {
+    use dbcp::{with_chaos, ChaosConfig, FaultWeights};
+    // statement errors and dropped connections on every connection but
+    // the master's: worker 0 replays each failed task and reopens each
+    // dropped connection, all on the thread that called the run
+    let graph = web_graph(60, 3, 5);
+    let converged = workloads::oracle::pagerank(&graph, 300);
+    let caller = std::thread::current().name().unwrap().to_string();
+    let modes = [
+        ExecutionMode::Sync,
+        ExecutionMode::Async,
+        ExecutionMode::AsyncPrio,
+    ];
+    let mut drops = 0;
+    for (i, mode) in modes.into_iter().enumerate() {
+        for (query, sql) in [
+            ("pagerank", workloads::queries::pagerank(80)),
+            ("sssp", workloads::queries::sssp_all(0)),
+        ] {
+            let local = LocalDriver::new(Database::new(EngineProfile::Postgres));
+            let mut conn = dbcp::Driver::connect(&local).unwrap();
+            workloads::load_edges(conn.as_mut(), &graph).unwrap();
+            let log = ThreadLog::default();
+            let (driver, stats) = with_chaos(
+                Arc::new(ThreadLogDriver(local, log.clone())),
+                ChaosConfig {
+                    skip_connections: 1,
+                    weights: FaultWeights {
+                        connect_refused: 0,
+                        stmt_error: 2,
+                        latency: 0,
+                        drop: 1,
+                        ..FaultWeights::default()
+                    },
+                    ..ChaosConfig::seeded(31 + i as u64, 0.08)
+                },
+            );
+            let mut config = SqloopConfig {
+                task_retries: 6,
+                retry_backoff: std::time::Duration::ZERO,
+                ..one_worker(mode)
+            };
+            if query == "pagerank" {
+                config.priority = Some(PrioritySpec::highest("SELECT SUM(delta) FROM {}"));
+            }
+            let out = SQLoop::new(driver)
+                .with_config(config)
+                .execute_detailed(&sql)
+                .unwrap();
+            let what = format!("{query} / {mode}");
+            assert!(
+                matches!(out.strategy, Strategy::IterativeParallel { .. }),
+                "{what}: {:?}",
+                out.strategy
+            );
+            if query == "sssp" {
+                assert_sssp_oracle(&graph, &out.result.rows, &what);
+            } else {
+                assert_eq!(out.result.rows.len(), converged.len(), "{what}");
+                for row in &out.result.rows {
+                    let node = row[0].as_i64().unwrap() as u64;
+                    let (rank, expected) = (row[1].as_f64().unwrap(), converged[&node]);
+                    let off = ((rank - expected) / expected).abs();
+                    assert!(off < 1e-4, "{what}: node {node}: {rank} vs {expected}");
+                }
+            }
+            // every fault failed a task, which was replayed; every drop
+            // cost the worker one reconnect
+            let r = &out.recovery;
+            assert!(stats.faults() > 0, "{what}: {stats:?}");
+            drops += stats.drops();
+            assert_eq!(r.task_failures, stats.faults(), "{what}: {r:?}");
+            assert_eq!(r.task_retries, r.task_failures, "{what}: {r:?}");
+            assert_eq!(r.worker_reconnects, stats.drops(), "{what}: {r:?}");
+            assert!(!r.downgraded, "{what}");
+            let log = log.lock().unwrap();
+            let elsewhere = log.iter().find(|(thread, _)| *thread != caller);
+            assert_eq!(elsewhere, None, "{what}");
+        }
+    }
+    assert!(drops > 0, "six runs must drop a connection");
+}

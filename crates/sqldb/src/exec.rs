@@ -402,7 +402,8 @@ impl<'a> Executor<'a> {
                     p.leaf("Result (no tables)".to_string(), 1, 0);
                 }
                 let unit = ColumnBatch::from_cols(Vec::new(), 1);
-                let rel = Rel::new(Scope::new(), vec![unit], self.catalog.memory_budget())?;
+                let budget = self.catalog.memory_budget();
+                let rel = Rel::new(Scope::new(), vec![unit], (1, budget))?;
                 Ok((rel, None))
             }
             [tr] if tr.joins.is_empty() => {
@@ -809,7 +810,8 @@ impl<'a> Executor<'a> {
             qualifier: alias,
             columns: out.columns,
         });
-        Rel::new(scope, out.batches, self.catalog.memory_budget())
+        let budget = self.catalog.memory_budget();
+        Rel::new(scope, out.batches, (self.batch_rows(), budget))
     }
 
     /// Reads one `FROM` factor. A base table is read through the access
@@ -2914,6 +2916,34 @@ mod tests {
             .run_query(&q)
             .unwrap();
         assert_eq!(out, row_out);
+    }
+
+    #[test]
+    fn a_derived_table_is_read_in_full_batches() {
+        // a Gather's shape: GROUP BY over a 16-branch UNION ALL whose
+        // branches yield 4 rows each folds one 64-row batch, not 16 of 4
+        let ctx = Ctx::new(EngineProfile::MySql);
+        ctx.exec("CREATE TABLE s (id INT, v FLOAT)").unwrap();
+        ctx.exec("INSERT INTO s VALUES (1, 0.5), (2, 1.5), (1, 2.5), (3, 3.5)")
+            .unwrap();
+        let union = vec!["SELECT id, v FROM s"; 16].join(" UNION ALL ");
+        let sql = format!("SELECT u.id, SUM(u.v) FROM ({union}) AS u GROUP BY u.id");
+        let q = parse_query(&sql).unwrap();
+        let prof = OpProfiler::new();
+        let out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
+            .with_profiler(&prof)
+            .run_query(&q)
+            .unwrap();
+        let mut lines = Vec::new();
+        prof.take()[0].render(0, &mut lines);
+        assert!(lines[0].starts_with("HashAggregate"), "{lines:?}");
+        assert!(lines[0].contains("batches=1 rows/batch=64"), "{lines:?}");
+        let row_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
+            .with_row_oracle()
+            .run_query(&q)
+            .unwrap();
+        assert_eq!(out, row_out);
+        assert_eq!(out.rows.len(), 3);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// A relation flowing through the executor, late-materialized: each
-/// relation of its scope reads its columns from one [`Source`], and its
+/// relation of its scope reads its columns from one source, and its
 /// rows are batches of [`Positions`] in those sources. A scan or a join
 /// copies no column; each is gathered from its source once per batch, by
 /// the kernel that reads it ([`Rel::gather`]). The budget is charged 4 bytes
@@ -198,22 +198,22 @@ impl Rel {
     }
 
     /// `batches` over `scope`, materialized: they become one charged
-    /// source, and each stays a batch of positions in it.
+    /// source, read in batches of at most `batch_rows` positions, however
+    /// small the batches that produced it.
     ///
     /// # Errors
     /// Returns [`DbError::BudgetExceeded`] when they do not fit.
     pub fn new(
         scope: Scope,
         batches: Vec<ColumnBatch>,
-        budget: &Arc<MemoryBudget>,
+        (batch_rows, budget): (usize, &Arc<MemoryBudget>),
     ) -> DbResult<Rel> {
-        let mut at = 0;
-        let lanes = batches.iter().map(|b| {
-            at += b.len() as u32;
-            Positions::new(b.len(), vec![Lanes::From(at - b.len() as u32)])
-        });
-        let positions = lanes.collect();
         let batch = ColumnBatch::concat(batches, scope.arity());
+        let (len, rows) = (batch.len(), batch_rows.max(1));
+        let positions = (0..len)
+            .step_by(rows)
+            .map(|at| Positions::new(rows.min(len - at), vec![Lanes::From(at as u32)]))
+            .collect();
         let mut _charge = budget.reservation();
         _charge.grow(batch.bytes())?;
         let mut rel = Rel::over(scope, vec![Source::Rows { batch, _charge }], budget);
@@ -1418,7 +1418,7 @@ mod tests {
             columns: cols.iter().map(|c| c.to_string()).collect(),
         });
         let batches = ColumnBatch::chunk_rows(rows, cols.len(), 2);
-        Rel::new(scope, batches, &Arc::new(MemoryBudget::new())).unwrap()
+        Rel::new(scope, batches, (2, &Arc::new(MemoryBudget::new()))).unwrap()
     }
 
     fn left_rel() -> Rel {
